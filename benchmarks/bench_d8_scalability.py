@@ -33,8 +33,12 @@ latency.
 from __future__ import annotations
 
 import os
+import shutil
+import statistics
+import tempfile
 import threading
 import time
+from contextlib import contextmanager
 
 from repro.core.orchestrator import Orchestrator, OrchestratorConfig
 from repro.core.slices import PlmnPool
@@ -240,6 +244,107 @@ def run_sharded_point(
         }
     cluster.close()
     return points
+
+
+#: Live-slice sweep points: sync create cost with this many slices
+#: already live on the shard (the calendar, flow table, journal and
+#: slice registry all grow with them; the testbed does not).
+LIVE_SLICE_POINTS = (200, 1_600)
+#: Creates timed per point (after ``LIVE_SLICE_WARMUP`` untimed ones).
+LIVE_SLICE_SAMPLES = 48
+LIVE_SLICE_WARMUP = 8
+
+
+@contextmanager
+def live_slice_shard(live_slices: int, room: int = max(LIVE_SLICE_POINTS)):
+    """One *durable* shard behind the router, preloaded with
+    ``live_slices`` active slices on a testbed sized for ``room`` of
+    them plus the timed creates — every point of a sweep runs on the
+    same testbed, so only the number of live slices differs.  Yields ``create()``,
+    one synchronous ``POST /v1/slices`` returning its status."""
+    from repro.cluster import ClusterConfig, ControlPlaneCluster
+
+    cells = (room + LIVE_SLICE_SAMPLES + LIVE_SLICE_WARMUP) // 10 + 4
+    pool = 16 * cells
+    root = tempfile.mkdtemp(prefix="d8-live-")
+    cluster = ControlPlaneCluster(
+        ClusterConfig(shards=1, durability_root=root, plmn_pool_size=pool),
+        testbeds=[
+            build_testbed(
+                TestbedConfig(
+                    n_enbs=cells, max_plmns_per_enb=16, plmn_pool_size=pool,
+                    edge_nodes=cells, core_nodes=2 * cells,
+                )
+            )
+        ],
+    )
+    body = {
+        "service_type": "embb", "throughput_mbps": 2.0, "max_latency_ms": 50.0,
+        "duration_s": 36_000.0, "price": 100.0, "penalty_rate": 1.0,
+        "tenant_id": "tenant-0",
+    }
+    headers = {"x-tenant-id": "tenant-0"}
+
+    def create() -> int:
+        return cluster.router.post("/v1/slices", body=body, headers=headers).status
+
+    try:
+        refused = sum(create() != 201 for _ in range(live_slices))
+        if refused:
+            raise RuntimeError(f"preload refused {refused}/{live_slices} creates")
+        worker = cluster.shards[0]
+        worker.run_until(worker.sim.now + 5.0)  # installs activate
+        yield create
+    finally:
+        cluster.close()
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def run_live_slice_point(live_slices: int, samples: int = LIVE_SLICE_SAMPLES) -> dict:
+    """Sync create cost at ``live_slices`` live slices: the **median**
+    of ``samples`` individually timed creates (robust to the one that
+    caught a GC pause, as in :func:`run_scale_measured`), after an
+    untimed warm-up.
+
+    Returns ``{"live_slices", "requests", "admitted", "ms_per_request"}``.
+    """
+    with live_slice_shard(live_slices) as create:
+        for _ in range(LIVE_SLICE_WARMUP):
+            create()
+        per_create_ms = []
+        admitted = 0
+        for _ in range(samples):
+            start = time.perf_counter()
+            status = create()
+            per_create_ms.append(1_000.0 * (time.perf_counter() - start))
+            admitted += status == 201
+    return {
+        "live_slices": live_slices,
+        "requests": samples,
+        "admitted": admitted,
+        "ms_per_request": statistics.median(per_create_ms),
+    }
+
+
+def test_d8f_live_slice_sweep(benchmark):
+    """D8f — sync create cost does not grow with the slices already
+    live on the shard (D8 grows cells; this grows what the calendar,
+    the flow tables, the journal and the registry hold)."""
+    points = [run_live_slice_point(live) for live in LIVE_SLICE_POINTS]
+    emit_table(
+        "D8f",
+        f"sync create cost vs live slices (one durable shard, median of "
+        f"{LIVE_SLICE_SAMPLES} creates)",
+        ["live_slices", "requests", "admitted", "ms_per_request"],
+        [[p["live_slices"], p["requests"], p["admitted"], p["ms_per_request"]] for p in points],
+    )
+    for point in points:
+        assert point["admitted"] == point["requests"], point
+    # 8x the live slices costs well under 8x per create.
+    assert points[-1]["ms_per_request"] < 3.0 * points[0]["ms_per_request"]
+    benchmark.pedantic(
+        lambda: run_live_slice_point(LIVE_SLICE_POINTS[0]), rounds=1, iterations=1
+    )
 
 
 def test_d8e_sharded_per_request_cost(benchmark):

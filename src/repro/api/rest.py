@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from heapq import merge
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
@@ -118,6 +119,9 @@ class RestApi:
 
     def __init__(self, enveloped_prefixes: Tuple[str, ...] = ()) -> None:
         self._routes: List[Tuple[str, re.Pattern, str, Handler]] = []
+        # Positions in ``_routes``: exact-path templates by path, and the rest.
+        self._literal: Dict[str, List[int]] = {}
+        self._patterned: List[int] = []
         self._enveloped_prefixes = tuple(enveloped_prefixes)
 
     def _error_body(self, path: str, code: str, message: str) -> dict:
@@ -136,6 +140,10 @@ class RestApi:
         for m, p, t, _ in self._routes:
             if m == method and t == template:
                 raise ApiError(f"duplicate route {method} {template}")
+        if re.escape(template) == template:  # no parameter, no regex syntax
+            self._literal.setdefault(template, []).append(len(self._routes))
+        else:
+            self._patterned.append(len(self._routes))
         self._routes.append((method, pattern, template, handler))
 
     @staticmethod
@@ -161,7 +169,9 @@ class RestApi:
             str(k).lower(): str(v) for k, v in (headers or {}).items()
         }
         path_matched = False
-        for m, pattern, _, handler in self._routes:
+        # Registration order over the routes that can match: first wins.
+        for index in merge(self._literal.get(bare_path, ()), self._patterned):
+            m, pattern, _, handler = self._routes[index]
             match = pattern.match(bare_path)
             if match is None:
                 continue

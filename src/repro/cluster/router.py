@@ -223,22 +223,24 @@ class ShardRouter:
         offset, limit = parse_pagination(request.query)
         tenant = request.header(TENANT_HEADER) or request.query.get("tenant") or None
         state = request.query.get("state")
-        merged: List[Tuple[str, int, dict]] = []
+        merged: List[Tuple[str, int, Any]] = []
         total = 0
         for shard in self.shards:
             page, shard_total = shard.service.list_slices(
                 tenant_id=tenant, state=state, offset=0, limit=None
             )
             total += shard_total
-            for network_slice in page:
-                item = network_slice.to_dict()
-                item["shard"] = shard.shard_id
-                merged.append((item["slice_id"], shard.shard_id, item))
+            merged.extend((s.slice_id, shard.shard_id, s) for s in page)
         # Global order: (slice_id, shard) — stable, total, and
         # independent of per-shard arrival order, so re-cut pages are
-        # duplicate-free and seam-consistent.
-        merged.sort(key=lambda entry: (entry[0], entry[1]))
-        window = [item for _, _, item in merged[offset : offset + limit]]
+        # duplicate-free and seam-consistent.  Only the returned window
+        # is serialised.
+        merged.sort(key=lambda entry: entry[:2])
+        window = []
+        for _, shard_id, network_slice in merged[offset : offset + limit]:
+            item = network_slice.to_dict()
+            item["shard"] = shard_id
+            window.append(item)
         return Response(
             status=200,
             body={

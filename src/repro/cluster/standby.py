@@ -38,7 +38,7 @@ from repro.api.rest import RestApi
 from repro.api.v1 import build_v1_api
 from repro.cluster.lease import Lease
 from repro.store.codec import ReplayState
-from repro.store.journal import _read_records
+from repro.store.journal import JournalTail
 from repro.store.snapshot import SnapshotStore
 from repro.store.store import shard_directory
 
@@ -106,7 +106,7 @@ class WarmStandby:
     ) -> None:
         self.shard_id = int(shard_id)
         self.directory = shard_directory(store_root, self.shard_id)
-        self._journal_path = os.path.join(self.directory, "journal.jsonl")
+        self._tail = JournalTail(os.path.join(self.directory, "journal.jsonl"))
         self._snapshots = SnapshotStore(self.directory)
         self._rebuild = rebuild
         self.lease = Lease(
@@ -129,17 +129,15 @@ class WarmStandby:
         snapshot (its pre-compaction fold reached at least that LSN
         anyway — LSNs are monotonic across compactions)."""
         applied = 0
-        loaded = self._snapshots.load_latest()
+        # Snapshot LSNs are in the file names: parse one only when ahead.
+        ahead = any(lsn > self.applied_lsn for lsn in self._snapshots.list_lsns())
+        loaded = self._snapshots.load_latest() if ahead else None
         if loaded is not None and loaded[1] > self.applied_lsn:
             snapshot, lsn = loaded
             self.state = ReplayState.from_dict(snapshot)
             applied += 1
             self.applied_lsn = lsn
-        try:
-            records = _read_records(self._journal_path, after_lsn=self.applied_lsn)
-        except FileNotFoundError:
-            records = []
-        for record in records:
+        for record in self._tail.records(self.applied_lsn):
             self.state.apply(record)
             self.applied_lsn = record.lsn
             applied += 1
@@ -149,11 +147,7 @@ class WarmStandby:
     def lag_records(self) -> int:
         """Records the leader has journaled that we have not folded —
         the standby's replication lag, bounded by its polling cadence."""
-        try:
-            records = _read_records(self._journal_path, after_lsn=self.applied_lsn)
-        except FileNotFoundError:
-            return 0
-        return len(records)
+        return len(self._tail.records(self.applied_lsn))
 
     def leader_alive(self) -> bool:
         """Whether the lease heartbeat is still fresh."""

@@ -13,11 +13,17 @@ new booking is the peak committed usage over its interval staying within
 capacity.  Because usage only changes at interval boundaries, the peak
 over a window is exact by evaluating at the window start plus every
 boundary inside it.
+
+Queries do not re-sum the bookings: usage at ``t`` is the running sum
+of *every* booking's demand, minus what starts after ``t``, minus what
+ended by ``t`` — both read off sorted ``(start, id)``/``(end, id)`` lists.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.admission import ResourceVector
@@ -48,12 +54,27 @@ class Booking:
         return self.start <= t < self.end
 
 
+_WHEN = itemgetter(0)
+
+
+def _shift(usage: List[float], demand: ResourceVector, sign: float) -> None:
+    usage[0] += sign * demand.prbs
+    usage[1] += sign * demand.mbps
+    usage[2] += sign * demand.vcpus
+
+
 class ResourceCalendar:
     """Timeline of multi-domain capacity commitments."""
 
     def __init__(self, capacity: ResourceVector) -> None:
         self.capacity = capacity
         self._bookings: Dict[str, Booking] = {}
+        # The index: boundary keys in time order, and the summed demand
+        # of all bookings — a float, so prune_before re-anchors it and
+        # rounding drift never outlives one prune interval.
+        self._by_start: List[Tuple[float, str]] = []
+        self._by_end: List[Tuple[float, str]] = []
+        self._total = [0.0, 0.0, 0.0]
 
     # ------------------------------------------------------------------
     # Bookings
@@ -71,6 +92,9 @@ class ResourceCalendar:
             raise CalendarError(f"booking {booking_id} already exists")
         booking = Booking(booking_id, float(start), float(end), demand)
         self._bookings[booking_id] = booking
+        insort(self._by_start, (booking.start, booking_id))
+        insort(self._by_end, (booking.end, booking_id))
+        _shift(self._total, demand, 1.0)
         return booking
 
     def update_demand(self, booking_id: str, demand: ResourceVector) -> Booking:
@@ -89,6 +113,8 @@ class ResourceCalendar:
             raise CalendarError(f"booking {booking_id} does not exist")
         updated = Booking(booking_id, old.start, old.end, demand)
         self._bookings[booking_id] = updated
+        _shift(self._total, old.demand, -1.0)
+        _shift(self._total, demand, 1.0)
         return updated
 
     def release(self, booking_id: str) -> None:
@@ -97,9 +123,12 @@ class ResourceCalendar:
         Raises:
             CalendarError: If unknown.
         """
-        if booking_id not in self._bookings:
+        booking = self._bookings.pop(booking_id, None)
+        if booking is None:
             raise CalendarError(f"booking {booking_id} does not exist")
-        del self._bookings[booking_id]
+        del self._by_start[bisect_left(self._by_start, (booking.start, booking_id))]
+        del self._by_end[bisect_left(self._by_end, (booking.end, booking_id))]
+        _shift(self._total, booking.demand, -1.0)
 
     def has(self, booking_id: str) -> bool:
         """Whether the booking exists."""
@@ -112,25 +141,43 @@ class ResourceCalendar:
 
     def bookings(self) -> List[Booking]:
         """All bookings, start-ordered."""
-        return sorted(self._bookings.values(), key=lambda b: (b.start, b.booking_id))
+        return [self._bookings[bid] for _, bid in self._by_start]
 
     def prune_before(self, t: float) -> int:
-        """Drop bookings that ended at or before ``t``; returns count."""
-        stale = [bid for bid, b in self._bookings.items() if b.end <= t]
-        for bid in stale:
-            del self._bookings[bid]
+        """Drop bookings that ended at or before ``t`` (returns count)
+        and re-anchor the running total on what is left."""
+        stale = self._by_end[: bisect_right(self._by_end, t, key=_WHEN)]
+        for _, booking_id in stale:
+            self.release(booking_id)
+        self._total = self._summed_demand()
         return len(stale)
+
+    def _summed_demand(self) -> List[float]:
+        total = [0.0, 0.0, 0.0]
+        for booking in self._bookings.values():  # commit order, as the scan summed
+            _shift(total, booking.demand, 1.0)
+        return total
+
+    def verify_index(self) -> None:
+        """Cross-check the running index against a recompute.
+
+        Raises:
+            CalendarError: If a boundary list or the total drifted.
+        """
+        items = self._bookings.items()
+        by_start, by_end = ((b.start, i) for i, b in items), ((b.end, i) for i, b in items)
+        if sorted(by_start) != self._by_start or sorted(by_end) != self._by_end:
+            raise CalendarError("boundary index drifted from the bookings")
+        total = self._summed_demand()
+        if any(abs(have - want) > 1e-9 for have, want in zip(self._total, total)):
+            raise CalendarError(f"running total {self._total} drifted from {total}")
 
     # ------------------------------------------------------------------
     # Capacity queries
     # ------------------------------------------------------------------
     def usage_at(self, t: float) -> ResourceVector:
         """Committed usage at instant ``t``."""
-        total = ResourceVector()
-        for booking in self._bookings.values():
-            if booking.active_at(t):
-                total = total + booking.demand
-        return total
+        return self._peak(t, t)
 
     def peak_usage(self, start: float, end: float) -> ResourceVector:
         """Component-wise peak committed usage over ``[start, end)``.
@@ -141,17 +188,27 @@ class ResourceCalendar:
         """
         if end <= start:
             raise CalendarError(f"bad window [{start}, {end})")
-        instants = {start}
-        for booking in self._bookings.values():
-            if start < booking.start < end:
-                instants.add(booking.start)
-        peak_prbs = peak_mbps = peak_vcpus = 0.0
-        for t in instants:
-            usage = self.usage_at(t)
-            peak_prbs = max(peak_prbs, usage.prbs)
-            peak_mbps = max(peak_mbps, usage.mbps)
-            peak_vcpus = max(peak_vcpus, usage.vcpus)
-        return ResourceVector(prbs=peak_prbs, mbps=peak_mbps, vcpus=peak_vcpus)
+        return self._peak(start, end)
+
+    def _peak(self, start: float, end: float) -> ResourceVector:
+        """Peak usage over ``start`` and every booking start inside
+        ``(start, end)``, swept from the index."""
+        bookings, starts, ends = self._bookings, self._by_start, self._by_end
+        usage = list(self._total)
+        begun = bisect_right(starts, start, key=_WHEN)
+        for _, bid in starts[begun:]:  # everything still to start
+            _shift(usage, bookings[bid].demand, -1.0)
+        ended = 0
+        peak = [0.0, 0.0, 0.0]
+        inside = starts[begun:bisect_left(starts, end, key=_WHEN)]
+        for when, bid in [(start, None), *inside]:
+            while ended < len(ends) and ends[ended][0] <= when:
+                _shift(usage, bookings[ends[ended][1]].demand, -1.0)
+                ended += 1
+            if bid is not None:
+                _shift(usage, bookings[bid].demand, 1.0)
+            peak = [max(have, now) for have, now in zip(peak, usage)]
+        return ResourceVector(*peak)
 
     def fits(self, demand: ResourceVector, start: float, end: float) -> bool:
         """Whether adding ``demand`` over ``[start, end)`` stays within

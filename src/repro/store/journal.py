@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional
@@ -97,7 +98,9 @@ class JournalRecord:
 class _ScanResult:
     """Outcome of parsing a journal file tolerantly."""
 
-    records: List[JournalRecord]
+    records: List[JournalRecord] = field(default_factory=list)
+    #: Byte offset each record's line starts at, parallel to ``records``.
+    starts: List[int] = field(default_factory=list)
     #: Byte offset past the last intact, newline-terminated line — the
     #: truncation point that repairs a torn tail.
     clean_end: int = 0
@@ -106,25 +109,25 @@ class _ScanResult:
     tail_unterminated: bool = False
 
 
-def _scan(path: str, after_lsn: int = 0) -> _ScanResult:
-    """Parse every intact record with ``lsn > after_lsn``.
+def _scan(path: str, offset: int = 0) -> _ScanResult:
+    """Parse every intact record at or past byte ``offset`` (a line start).
 
     Tolerates a torn tail (partial/corrupt last line — it was never
     acknowledged, so dropping it is correct); raises
     :class:`JournalCorrupt` on damage anywhere else.
     """
+    result = _ScanResult(clean_end=offset)
     if not os.path.exists(path):
-        return _ScanResult(records=[])
+        return result
     with open(path, "rb") as handle:
+        handle.seek(offset)
         blob = handle.read()
-    result = _ScanResult(records=[])
     lines = blob.split(b"\n")
     if lines and lines[-1] == b"":
         lines.pop()  # file ends with a newline — no dangling fragment
         ends_terminated = True
     else:
         ends_terminated = False
-    offset = 0
     for index, raw in enumerate(lines):
         is_last = index == len(lines) - 1
         terminated = (not is_last) or ends_terminated
@@ -144,10 +147,10 @@ def _scan(path: str, after_lsn: int = 0) -> _ScanResult:
             # record was acknowledged, so damage here is real
             # corruption, never a benign torn tail.
             raise JournalCorrupt(
-                f"{path}: corrupt record at line {index + 1}: {exc}"
+                f"{path}: corrupt record at byte {offset}: {exc}"
             ) from exc
-        if record.lsn > after_lsn:
-            result.records.append(record)
+        result.records.append(record)
+        result.starts.append(offset)
         if terminated:
             result.clean_end = line_end
         else:
@@ -156,9 +159,50 @@ def _scan(path: str, after_lsn: int = 0) -> _ScanResult:
     return result
 
 
-def _read_records(path: str, after_lsn: int = 0) -> List[JournalRecord]:
-    """Every intact record with ``lsn > after_lsn`` (tolerant read)."""
-    return _scan(path, after_lsn).records
+class JournalTail:
+    """Incremental tolerant reader of one journal file.
+
+    Keeps the LSN and line-start byte offset of every newline-terminated
+    record read so far, and the offset past the last: a read decodes
+    only what was appended since, or what lies past a cursor.  A file
+    that was replaced (as compaction does) or shrank is indexed afresh.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = str(path)
+        self.lsns: List[int] = []
+        self.starts: List[int] = []
+        self.offset = 0
+        self._inode: Optional[int] = None
+
+    def pull(self) -> _ScanResult:
+        """Decode and index what was appended since the last pull.  An
+        intact last record still lacking its newline is reported, but
+        left for the next pull to index."""
+        try:
+            stat = os.stat(self.path)
+        except FileNotFoundError:
+            return _ScanResult()
+        if stat.st_ino != self._inode or stat.st_size < self.offset:
+            self._inode, self.offset = stat.st_ino, 0
+            self.lsns, self.starts = [], []
+        scan = _scan(self.path, self.offset)
+        count = len(scan.records) - scan.tail_unterminated
+        self.lsns.extend(record.lsn for record in scan.records[:count])
+        self.starts.extend(scan.starts[:count])
+        self.offset = scan.clean_end
+        return scan
+
+    def records(self, after_lsn: int = 0) -> List[JournalRecord]:
+        """Every intact record with ``lsn > after_lsn``, oldest first,
+        as the file says: what this call's pull decoded when the cursor
+        is at that point, else decoded from the cursor's byte offset."""
+        scan = self.pull()
+        first = bisect_right(self.lsns, after_lsn)
+        pulled = len(scan.records) - scan.tail_unterminated  # the index's newest entries
+        if first < len(self.lsns) - pulled:
+            scan = _scan(self.path, self.starts[first])
+        return [record for record in scan.records if record.lsn > after_lsn]
 
 
 class Journal:
@@ -195,11 +239,12 @@ class Journal:
         self._lock = threading.Lock()
         self._closed = False
         self._unsynced = 0
+        self._tail = JournalTail(self.path)
         # Resume numbering after the last intact record, and *repair* a
         # torn tail before appending anything: new records must never
         # land behind half-written garbage (that would turn a benign
         # torn tail into mid-journal corruption).
-        scan = _scan(self.path)
+        scan = self._tail.pull()
         self._last_lsn = scan.records[-1].lsn if scan.records else 0
         if os.path.exists(self.path):
             size = os.path.getsize(self.path)
@@ -322,7 +367,7 @@ class Journal:
         with self._lock:
             if not self._closed:
                 self._handle.flush()
-        return _read_records(self.path, after_lsn)
+            return self._tail.records(after_lsn)
 
     def __iter__(self) -> Iterator[JournalRecord]:
         return iter(self.records())
@@ -346,19 +391,24 @@ class Journal:
                 raise JournalError("journal is closed")
             self._handle.flush()
             os.fsync(self._handle.fileno())
-            keep = _read_records(self.path)
-            survivors = [r for r in keep if r.lsn > upto_lsn]
+            tail = self._tail
+            tail.pull()
+            dropped = bisect_right(tail.lsns, upto_lsn)
+            base = tail.starts[dropped] if dropped < len(tail.starts) else tail.offset
+            with open(self.path, "rb") as current:
+                current.seek(base)
+                survivors = current.read(tail.offset - base)
             tmp_path = self.path + ".compact"
-            with open(tmp_path, "w", encoding="utf-8") as tmp:
-                for record in survivors:
-                    tmp.write(record.to_line() + "\n")
+            with open(tmp_path, "wb") as tmp:
+                tmp.write(survivors)
                 tmp.flush()
                 os.fsync(tmp.fileno())
             self._handle.close()
             os.replace(tmp_path, self.path)
             self._handle = open(self.path, "a", encoding="utf-8")
             self._unsynced = 0
-            return len(keep) - len(survivors)
+            self._tail = JournalTail(self.path)
+            return dropped
 
     def size_bytes(self) -> int:
         """Current on-disk size of the journal file."""
@@ -368,4 +418,4 @@ class Journal:
             return 0
 
 
-__all__ = ["Journal", "JournalCorrupt", "JournalError", "JournalRecord", "_read_records"]
+__all__ = ["Journal", "JournalCorrupt", "JournalError", "JournalRecord", "JournalTail"]

@@ -247,10 +247,10 @@ class ControlPlaneStore:
         can detect a gap against.
 
         Cost: a cursor at (or past) the journal head returns without
-        touching the disk — the steady state of a polling consumer;
-        a cursor behind the head re-reads the post-compaction journal,
-        so the scan is bounded by churn-since-checkpoint under the
-        default auto-checkpoint policy.
+        touching the disk; one behind it decodes the records past the
+        cursor and nothing before them — the journal keeps each
+        record's byte offset — so a polling consumer pays for what was
+        appended since its last poll, whatever the journal holds.
         """
         if after_lsn >= self.journal.last_lsn:
             return []

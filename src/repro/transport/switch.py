@@ -8,8 +8,9 @@ port, with per-entry packet/byte counters and priority-ordered lookup.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 
 class SwitchError(RuntimeError):
@@ -58,6 +59,14 @@ class OpenFlowSwitch:
         self.switch_id = switch_id
         self.n_ports = int(n_ports)
         self._table: List[FlowEntry] = []
+        # Indices, mutated only by install and remove_slice_flows: each
+        # entry's sort key, parallel to the table (the install sequence
+        # number keeps ties in install order, as append + stable sort
+        # did); the (match, priority) pairs present; each slice's keys.
+        self._keys: List[Tuple[int, int, int]] = []
+        self._rules: Set[Tuple[FlowMatch, int]] = set()
+        self._by_slice: Dict[Optional[str], List[Tuple[int, int, int]]] = {}
+        self._installs = 0
 
     # ------------------------------------------------------------------
     # Table management (the controller's job)
@@ -72,19 +81,45 @@ class OpenFlowSwitch:
             raise SwitchError(f"out_port {entry.out_port} outside 0..{self.n_ports - 1}")
         if entry.match.in_port is not None and not 0 <= entry.match.in_port < self.n_ports:
             raise SwitchError(f"in_port {entry.match.in_port} outside port range")
-        for existing in self._table:
-            if existing.match == entry.match and existing.priority == entry.priority:
-                raise SwitchError(
-                    f"duplicate flow (match={entry.match}, priority={entry.priority})"
-                )
-        self._table.append(entry)
-        self._table.sort(key=lambda e: (-e.priority, -e.match.specificity))
+        if (entry.match, entry.priority) in self._rules:
+            raise SwitchError(
+                f"duplicate flow (match={entry.match}, priority={entry.priority})"
+            )
+        key = (-entry.priority, -entry.match.specificity, self._installs)
+        self._installs += 1
+        at = bisect_left(self._keys, key)
+        self._keys.insert(at, key)
+        self._table.insert(at, entry)
+        self._rules.add((entry.match, entry.priority))
+        self._by_slice.setdefault(entry.slice_id, []).append(key)
 
     def remove_slice_flows(self, slice_id: str) -> int:
         """Delete all flows installed for ``slice_id``; returns count removed."""
-        before = len(self._table)
-        self._table = [e for e in self._table if e.slice_id != slice_id]
-        return before - len(self._table)
+        keys = self._by_slice.pop(slice_id, [])
+        for key in keys:
+            at = bisect_left(self._keys, key)
+            entry = self._table.pop(at)
+            del self._keys[at]
+            self._rules.remove((entry.match, entry.priority))
+        return len(keys)
+
+    def verify_index(self) -> None:
+        """Cross-check the table's indices against a recompute.
+
+        Raises:
+            SwitchError: If the order, the duplicate set or the
+                per-slice index drifted from the table.
+        """
+        order = [(-e.priority, -e.match.specificity) for e in self._table]
+        if [key[:2] for key in self._keys] != order or self._keys != sorted(self._keys):
+            raise SwitchError("flow table is out of order")
+        by_slice: Dict[Optional[str], list] = {}
+        for key, entry in zip(self._keys, self._table):
+            by_slice.setdefault(entry.slice_id, []).append(key)
+        if self._rules != {(e.match, e.priority) for e in self._table}:
+            raise SwitchError("duplicate-detection set drifted from the table")
+        if {s: sorted(k) for s, k in self._by_slice.items()} != by_slice:
+            raise SwitchError("per-slice index drifted from the table")
 
     def flows(self) -> List[FlowEntry]:
         """Current table, priority-ordered."""

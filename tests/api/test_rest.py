@@ -136,3 +136,37 @@ def test_headers_case_insensitive(api):
     response = api.get("/whoami", headers={"X-TENANT-ID": "alpha"})
     assert response.body == {"tenant": "alpha"}
     assert api.get("/whoami").body == {"tenant": None}
+
+
+@pytest.mark.parametrize("literal_first", [True, False])
+def test_overlapping_literal_and_parameterised_first_registered_wins(literal_first):
+    """``/things/all`` fits both templates; whichever was registered
+    first answers, whether it is looked up or pattern-matched."""
+    literal = ("GET", "/things/all", lambda request: {"via": "literal"})
+    pattern = ("GET", "/things/{thing_id}", lambda request: {"via": request.params})
+    router = RestApi(enveloped_prefixes=("/things",))
+    for route in (literal, pattern) if literal_first else (pattern, literal):
+        router.route(*route)
+    router.route("DELETE", "/things/all", lambda request: {"via": "delete-all"})
+    expected = "literal" if literal_first else {"thing_id": "all"}
+    assert router.get("/things/all").body == {"via": expected}
+    assert router.get("/things/other").body == {"via": {"thing_id": "other"}}
+    # The method decides among the templates that fit the path...
+    assert router.delete("/things/all").body == {"via": "delete-all"}
+    # ...and 405 (a template fits, no method does) stays apart from 404.
+    assert router.post("/things/all").status == 405
+    assert router.delete("/things/other").status == 405
+    missing = router.get("/nothing/here")
+    assert missing.status == 404 and "error" in missing.body
+    assert router.post("/things/all").body["error"]["code"] == "method_not_allowed"
+    assert router.routes() == [
+        f"{method} {template}"
+        for method, template, _ in ((literal, pattern) if literal_first else (pattern, literal))
+    ] + ["DELETE /things/all"]
+
+
+def test_template_with_regex_syntax_is_still_matched_as_a_pattern():
+    router = RestApi()
+    router.route("GET", "/v1.0/ping", lambda request: {"pong": True})
+    assert router.get("/v1.0/ping").ok
+    assert router.get("/v1x0/ping").ok  # '.' has always been a wildcard here

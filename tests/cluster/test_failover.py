@@ -200,3 +200,58 @@ def test_promotion_is_idempotent_and_fences_late_heartbeats(cluster):
     leader.orchestrator._monitoring_epoch()  # ...until its next epoch
     assert leader.store.journal.closed is True
     assert leader.orchestrator.lease is None
+
+
+def test_standby_tails_across_checkpoints_without_rereading(cluster, monkeypatch):
+    """The standby parses a snapshot only when its file name says it is
+    ahead, reads only the bytes the leader appended since its last
+    poll, and still folds exactly what a from-scratch replay folds —
+    across a compaction of the journal it is tailing."""
+    from repro.store.journal import JournalRecord
+    from repro.store.snapshot import SnapshotStore
+
+    owners = tenants_per_shard(cluster)
+    leader = cluster.shard(KILLED)
+    headers = {"x-tenant-id": owners[KILLED]}
+
+    def create():
+        return cluster.router.post(
+            "/v1/slices", body=slice_body(owners[KILLED]), headers=headers
+        )
+
+    standby = cluster.standby_for(KILLED)
+    create()
+    assert standby.poll() > 0
+    assert standby.lag_records() == 0
+
+    loads, decoded = [], []
+    real_load, real_decode = SnapshotStore.load_latest, JournalRecord.from_line.__func__
+    monkeypatch.setattr(
+        SnapshotStore, "load_latest", lambda self: loads.append(1) or real_load(self)
+    )
+    monkeypatch.setattr(
+        JournalRecord, "from_line",
+        classmethod(lambda cls, text: decoded.append(1) or real_decode(cls, text)),
+    )
+    assert standby.poll() == 0 and standby.poll() == 0
+    assert loads == [] and decoded == []  # nothing new: nothing parsed
+
+    before = leader.store.last_lsn
+    create()
+    appended = leader.store.last_lsn - before
+    assert standby.poll() == appended
+    assert len(decoded) == appended and loads == []
+    create()
+    assert standby.lag_records() == leader.store.last_lsn - standby.applied_lsn > 0
+    assert standby.poll() > 0 and standby.lag_records() == 0
+
+    leader.orchestrator.checkpoint()  # snapshot at our position: not ahead
+    assert standby.poll() > 0 and loads == []
+    create()  # unseen records, then covered by a snapshot and compacted away
+    leader.orchestrator.checkpoint()
+    create()
+    assert standby.poll() > 0
+    assert len(loads) == 1
+    assert standby.poll() == 0 and len(loads) == 1
+    assert standby.applied_lsn == leader.store.last_lsn
+    assert standby.state.digest() == leader.store.replay().digest()

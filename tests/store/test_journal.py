@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from repro.store.journal import Journal, JournalCorrupt, JournalError
+from repro.store.journal import Journal, JournalCorrupt, JournalError, JournalTail, _scan
 
 
 @pytest.fixture
@@ -215,3 +215,186 @@ class TestLsnContinuity:
         state, loaded_lsn = reopened.snapshots.load_latest()
         assert loaded_lsn == lsn
         assert state.get("marker") == "new"
+
+
+def line(lsn: int, kind: str = "x", **data) -> str:
+    return json.dumps({"lsn": lsn, "t": 0.0, "type": kind, "data": data})
+
+
+def from_scratch(path, after_lsn: int = 0):
+    """What a reader holding no state makes of the file."""
+    return [r for r in _scan(path).records if r.lsn > after_lsn]
+
+
+class TestTailReader:
+    """``Journal.records`` and ``JournalTail`` decode only what was
+    appended since the previous read — and must say exactly what a
+    from-scratch scan of the file says."""
+
+    def test_appends_between_reads(self, path):
+        journal = Journal(path)
+        assert journal.records() == []
+        for round_ in range(4):
+            for i in range(3):
+                journal.append(f"t.{round_}.{i}", n=i)
+            for after in (0, 2, journal.last_lsn - 1, journal.last_lsn, 99):
+                assert journal.records(after) == from_scratch(path, after)
+            assert len(journal) == journal.last_lsn
+        assert [r.lsn for r in journal] == list(range(1, 13))
+
+    def test_steady_state_poll_decodes_only_new_lines(self, path, monkeypatch):
+        from repro.store.journal import JournalRecord
+
+        journal = Journal(path)
+        for i in range(200):
+            journal.append("old", n=i)
+        cursor = journal.records()[-1].lsn
+        decoded = []
+        real = JournalRecord.from_line.__func__
+        monkeypatch.setattr(
+            JournalRecord, "from_line",
+            classmethod(lambda cls, text: decoded.append(text) or real(cls, text)),
+        )
+        journal.append("new", n=1)
+        journal.append("new", n=2)
+        assert [r.lsn for r in journal.records(cursor)] == [cursor + 1, cursor + 2]
+        assert len(decoded) == 2
+        # A cursor further back costs what lies past it, not the file.
+        assert len(journal.records(cursor - 3)) == 5
+        assert len(decoded) == 2 + 5
+
+    def test_records_are_decoded_from_disk_not_aliased(self, path):
+        journal = Journal(path)
+        payload = {"nested": {"k": [1, 2]}}
+        journal.append("a", **payload)
+        payload["nested"]["k"].append(3)  # caller mutates after the append
+        (first,) = journal.records()
+        assert first.data == {"nested": {"k": [1, 2]}}
+        first.data["nested"]["k"].clear()  # reader mutates what it was given
+        (again,) = journal.records()
+        assert again.data == {"nested": {"k": [1, 2]}}
+
+    def test_concurrent_reader_sees_torn_then_completed_tail(self, path):
+        writer = Journal(path)
+        writer.append("a")
+        reader = JournalTail(path)
+        assert [r.lsn for r in reader.pull().records] == [1]
+        whole = line(2, "b")
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(whole[:15])  # the writer is mid-write
+        torn = reader.pull()
+        assert torn.records == [] and not torn.tail_unterminated
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(whole[15:])  # intact, newline still missing
+        dangling = reader.pull()
+        assert [r.lsn for r in dangling.records] == [2] and dangling.tail_unterminated
+        # Offered again until it is terminated, then exactly once more.
+        assert [r.lsn for r in reader.pull().records] == [2]
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("\n" + line(3, "c") + "\n")
+        done = reader.pull()
+        assert [r.lsn for r in done.records] == [2, 3] and not done.tail_unterminated
+        assert reader.pull().records == []
+
+    def test_journal_serves_an_unterminated_last_record_once(self, path):
+        journal = Journal(path)
+        journal.append("a")
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(line(2, "b"))  # another writer, newline pending
+        assert [r.lsn for r in journal.records()] == [1, 2]
+        assert [r.lsn for r in journal.records()] == [1, 2]
+        assert len(journal) == 2
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("\n")
+        assert [r.lsn for r in journal.records()] == [1, 2]
+        assert journal.records(1) == from_scratch(path, 1)
+
+    def test_compaction_between_reads(self, path):
+        journal = Journal(path)
+        follower = JournalTail(path)
+        for i in range(10):
+            journal.append(f"t.{i}")
+        assert len(journal.records()) == 10
+        assert len(follower.pull().records) == 10
+        assert journal.compact(upto_lsn=7) == 7
+        assert [r.lsn for r in journal.records()] == [8, 9, 10]
+        assert journal.append("next") == 11
+        assert [r.lsn for r in journal.records(9)] == [10, 11]
+        assert journal.records() == from_scratch(path)
+        # The follower notices the replaced file and starts over.
+        assert [r.lsn for r in follower.records(9)] == [10, 11]
+        assert follower.lsns == [8, 9, 10, 11]
+        assert journal.compact(upto_lsn=11) == 4
+        assert journal.records() == [] and len(journal) == 0
+        assert follower.records() == []
+        journal.append("again")
+        assert [r.lsn for r in follower.records(11)] == [12]
+        assert follower.records() == from_scratch(path)
+
+    def test_compaction_keeps_the_surviving_bytes(self, path):
+        journal = Journal(path)
+        for i in range(6):
+            journal.append(f"t.{i}", n=i)
+        with open(path, "rb") as handle:
+            before = handle.read().split(b"\n")
+        journal.compact(upto_lsn=4)
+        with open(path, "rb") as handle:
+            assert handle.read().split(b"\n") == before[4:]
+
+    def test_follower_restarts_on_a_shrunken_file(self, path):
+        journal = Journal(path)
+        for i in range(5):
+            journal.append(f"t.{i}")
+        follower = JournalTail(path)
+        assert len(follower.pull().records) == 5
+        journal.close()
+        with open(path, "w", encoding="utf-8") as handle:  # same inode, shorter
+            handle.write(line(9, "rewritten") + "\n")
+        assert [r.lsn for r in follower.pull().records] == [9]
+
+    def test_reopen_resumes_and_reads_everything(self, path):
+        journal = Journal(path)
+        for i in range(4):
+            journal.append(f"t.{i}")
+        journal.close()
+        reopened = Journal(path)
+        assert reopened.append("more") == 5
+        assert [r.lsn for r in reopened.records(3)] == [4, 5]
+        assert reopened.records() == from_scratch(path)
+
+    def test_closed_journal_reads_what_the_disk_says(self, path):
+        journal = Journal(path)
+        journal.append("a")
+        journal.append("b")
+        assert len(journal.records()) == 2
+        journal.close()
+        assert journal.append("dropped") == 0
+        # Whoever took over appends and compacts behind the dead one.
+        successor = Journal(path)
+        successor.append("c")
+        successor.compact(upto_lsn=2)
+        assert [r.record_type for r in journal.records()] == ["c"]
+        assert journal.records(3) == [] and len(journal) == 1
+
+    def test_corrupt_middle_line_raises_on_every_read(self, path):
+        journal = Journal(path)
+        journal.append("a")
+        assert len(journal.records()) == 1
+        follower = JournalTail(path)
+        follower.pull()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("NOT JSON AT ALL\n" + line(2, "b") + "\n")
+        for _ in range(2):
+            with pytest.raises(JournalCorrupt):
+                journal.records(1)
+            with pytest.raises(JournalCorrupt):
+                follower.pull()
+        with pytest.raises(JournalCorrupt):
+            len(journal)
+
+    def test_missing_file_reads_empty(self, tmp_path):
+        follower = JournalTail(str(tmp_path / "not-yet.jsonl"))
+        assert follower.pull().records == []
+        journal = Journal(follower.path)
+        journal.append("a")
+        assert [r.lsn for r in follower.pull().records] == [1]

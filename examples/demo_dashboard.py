@@ -11,7 +11,7 @@ Run:  python examples/demo_dashboard.py
 
 from __future__ import annotations
 
-from repro.api.routes import build_orchestrator_api
+from repro.api import build_orchestrator_api
 from repro.core.admission import GreedyPricePolicy
 from repro.core.orchestrator import Orchestrator, OrchestratorConfig
 from repro.core.overbooking import AdaptiveOverbooking

@@ -21,7 +21,7 @@ Run:  python examples/slice_broker.py
 
 from __future__ import annotations
 
-from repro.api.routes import build_orchestrator_api
+from repro.api import build_orchestrator_api
 from repro.core.admission import KnapsackPolicy
 from repro.core.broker import SliceBroker
 from repro.core.forecasting import HoltWintersForecaster

@@ -112,7 +112,7 @@ class RestApi:
             errors (no route, wrong method, handler crash) are rendered
             as the structured envelope
             ``{"error": {"code": ..., "message": ...}}`` instead of the
-            legacy flat ``{"error": "..."}`` string.  The v1 surface
+            flat ``{"error": "..."}`` string.  The v1 surface
             registers itself here so *every* 4xx/5xx under ``/v1`` is
             enveloped, including errors raised before a handler runs.
     """

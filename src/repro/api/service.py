@@ -1,7 +1,7 @@
 """Service facade between the REST surface and the orchestrator core.
 
-:class:`SliceService` is the single seam the v1 handlers (and the legacy
-shim) talk through.  It owns the three concerns an HTTP router should
+:class:`SliceService` is the single seam the v1 handlers talk
+through.  It owns the three concerns an HTTP router should
 not: building domain objects out of validated payloads, tenant scoping,
 and the async *operation* resources that make the batch-window
 :class:`~repro.core.broker.SliceBroker` reachable over the API —
@@ -586,8 +586,7 @@ class SliceService:
     ) -> Tuple[List[NetworkSlice], int]:
         """Filtered, paginated inventory; returns (page, total_matched).
 
-        ``limit=None`` returns everything past ``offset`` (the legacy
-        shim's behavior)."""
+        ``limit=None`` returns everything past ``offset``."""
         if state is not None:
             valid = [s.value for s in SliceState]
             if state not in valid:

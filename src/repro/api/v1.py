@@ -48,6 +48,8 @@ from repro.api.schemas import (
     parse_pagination,
 )
 from repro.api.service import ServiceError, SliceService
+from repro.core.broker import SliceBroker
+from repro.core.orchestrator import Orchestrator
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE
 
 TENANT_HEADER = "x-tenant-id"
@@ -252,11 +254,7 @@ def build_v1_api(service: SliceService, api: Optional[RestApi] = None) -> RestAp
             status=200,
             body={
                 "version": "v1",
-                "routes": [r for r in api.routes() if " /v1" in r],
-                "deprecated": {
-                    "unversioned_routes": "the unversioned routes are a "
-                    "deprecated shim over /v1; see docs/API.md"
-                },
+                "routes": api.routes(),
             },
         )
 
@@ -282,4 +280,15 @@ def build_v1_api(service: SliceService, api: Optional[RestApi] = None) -> RestAp
     return api
 
 
-__all__ = ["CREATE_MODES", "TENANT_HEADER", "build_v1_api"]
+def build_orchestrator_api(
+    orchestrator: Orchestrator,
+    broker: Optional[SliceBroker] = None,
+    service: Optional[SliceService] = None,
+) -> RestApi:
+    """Wire an orchestrator behind the ``/v1`` surface.  Pass ``broker``
+    to reuse an existing batch-window broker for
+    ``POST /v1/slices?mode=batch``."""
+    return build_v1_api(service or SliceService(orchestrator, broker=broker))
+
+
+__all__ = ["CREATE_MODES", "TENANT_HEADER", "build_orchestrator_api", "build_v1_api"]

@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    from repro.api.routes import build_orchestrator_api
+    from repro.api import build_orchestrator_api
     from repro.core.orchestrator import Orchestrator, OrchestratorConfig
     from repro.dashboard.dashboard import Dashboard
     from repro.experiments.testbed import build_testbed

@@ -423,7 +423,7 @@ class ShardRouter:
                     "ring_vnodes": self.ring.vnodes,
                     "event_cursor": "vector (after_lsn=<shard>:<lsn>,...)",
                 },
-                "routes": [r for r in self.api.routes() if " /v1" in r],
+                "routes": self.api.routes(),
             },
         )
 

@@ -613,6 +613,16 @@ class Orchestrator:
                 request.request_id, start_time, end_time,
                 self.shrunk_demand(request, fraction),
             )
+        self._schedule_advance_install(request, profile, start_time)
+
+    def _schedule_advance_install(
+        self, request: SliceRequest, profile: TrafficProfile, start_time: float
+    ) -> None:
+        """Record a promised advance booking (pending tables + the
+        ``booking.committed`` journal record) and schedule its install
+        for ``start_time`` — shared by :meth:`submit_advance` and
+        :meth:`restore_advance_booking`, which differ only in whether
+        the promise is checked first."""
         self._pending_advance[request.request_id] = start_time
         self._advance_requests[request.request_id] = request
         self._journal(
@@ -721,24 +731,7 @@ class Orchestrator:
                     request, "insufficient projected capacity over the booking window"
                 )
             self.calendar.commit(request.request_id, start_time, end_time, shrunk)
-
-        self._pending_advance[request.request_id] = start_time
-        self._advance_requests[request.request_id] = request
-        self._journal(
-            "booking.committed",
-            request=request_to_dict(request),
-            start_time=start_time,
-        )
-
-        def install() -> None:
-            self._advance_requests.pop(request.request_id, None)
-            if self._pending_advance.pop(request.request_id, None) is None:
-                return  # booking was cancelled before its start time
-            decision = self.install_admitted(request, profile)
-            if not decision.admitted and self.calendar.has(request.request_id):
-                self.calendar.release(request.request_id)
-
-        self.sim.schedule_at(start_time, install, name=f"advance-{request.request_id}")
+        self._schedule_advance_install(request, profile, start_time)
         return AdmissionDecision(
             request_id=request.request_id,
             admitted=True,
@@ -779,34 +772,14 @@ class Orchestrator:
         """Record a rejection (admission said no, or the broker dropped it)."""
         network_slice = NetworkSlice(request)
         self._all_slices[network_slice.slice_id] = network_slice
-        network_slice.transition(SliceState.REJECTED, self.sim.now)
-        self.ledger.book_rejection(request, reason, self.sim.now)
-        self._journal(
-            "slice.rejected",
-            request_id=request.request_id,
-            slice_id=network_slice.slice_id,
-            reason=reason,
-        )
-        self.events.emit(
-            self.sim.now,
-            "slice.rejected",
-            slice_id=network_slice.slice_id,
-            tenant_id=request.tenant_id,
-            reason=reason,
-        )
-        return AdmissionDecision(
-            request_id=request.request_id,
-            admitted=False,
-            reason=reason,
-            slice_id=network_slice.slice_id,
-        )
+        return self._book_install_rejection(network_slice, reason)
 
     def _book_install_rejection(
         self, network_slice: NetworkSlice, reason: str
     ) -> AdmissionDecision:
-        """Bookkeeping for an install that failed after admission said
-        yes: free the PLMN (if held), record the rejection, emit the
-        event."""
+        """Bookkeeping shared by every refusal — admission said no, or
+        an install failed after it said yes: free the PLMN (if held),
+        record the rejection, emit the event."""
         request = network_slice.request
         if network_slice.plmn is not None:
             self.plmn_pool.release(network_slice.slice_id)
@@ -909,22 +882,46 @@ class Orchestrator:
             slice_id=network_slice.slice_id,
         )
 
-    def install_admitted(
-        self, request: SliceRequest, profile: TrafficProfile
-    ) -> AdmissionDecision:
-        """Install a slice whose admission decision was already positive
-        (taken by :meth:`submit` or by an external batch broker).
+    def _stage_install(
+        self,
+        request: SliceRequest,
+        planned_cells: Optional[Dict[str, PlannedCellLoad]] = None,
+        span_parent: Any = None,
+    ) -> "Tuple[NetworkSlice, float, List[Dict[str, DomainSpec]], Any] | AdmissionDecision":
+        """Stage one already-admitted request for either executor: the
+        slice record, its cold-start posture, its PLMN identity, one
+        full spec map per candidate DC, and the ``install.started`` WAL
+        record.  Returns ``(slice, fraction, attempts, job span)``; a
+        request that staging already rules out (PLMN pool exhausted, no
+        cell, no feasible DC) is booked as a rejection and that decision
+        is returned instead.
 
-        The install can still fail on PLMN exhaustion or an allocation
-        race; such failures are booked as rejections.
+        ``span_parent`` (the batch span's context) opens the batched
+        path's per-job span with its admission/placement stages; the
+        single-request path passes none and stays span-free.
         """
+        obs = self.obs if span_parent is not None else NOOP_OBS
         network_slice = NetworkSlice(request)
         self._all_slices[network_slice.slice_id] = network_slice
+        job_span = obs.span(
+            "install.job", parent=span_parent, slice_id=network_slice.slice_id
+        )
+        # Admission stage: cold-start posture + PLMN identity (MOCN: a
+        # slice cannot exist without one).  Placement stage: cell probe
+        # + candidate-DC ranking.
+        stage_span = obs.span("admission", parent=job_span.context)
         fraction = self.cold_start_fraction(request)
-        # PLMN mapping (MOCN): a slice cannot exist without an identity.
         try:
             network_slice.plmn = self.plmn_pool.allocate(network_slice.slice_id)
-        except PlmnPoolExhausted as exc:
+            stage_span.finish()
+            stage_span = obs.span("placement", parent=job_span.context)
+            attempts = self._plan_install_attempts(
+                network_slice, fraction, planned_cells
+            )
+            stage_span.finish()
+        except (PlmnPoolExhausted, TransactionError) as exc:
+            stage_span.finish("error", error=str(exc))
+            job_span.finish("error", error=str(exc))
             return self._book_install_rejection(network_slice, str(exc))
         self._journal(
             "install.started",
@@ -933,8 +930,24 @@ class Orchestrator:
             plmn=network_slice.plmn.plmn_id,
             fraction=fraction,
         )
+        return network_slice, fraction, attempts, job_span
+
+    def install_admitted(
+        self, request: SliceRequest, profile: TrafficProfile
+    ) -> AdmissionDecision:
+        """Install a slice whose admission decision was already positive
+        (taken by :meth:`submit` or by an external batch broker), on the
+        calling thread.
+
+        The install can still fail on PLMN exhaustion or an allocation
+        race; such failures are booked as rejections.
+        """
+        staged = self._stage_install(request)
+        if isinstance(staged, AdmissionDecision):
+            return staged
+        network_slice, fraction, attempts, _ = staged
         try:
-            reservations = self._install_via_drivers(network_slice, fraction)
+            reservations = self._install_via_drivers(network_slice, attempts)
         except TransactionError as exc:
             return self._book_install_rejection(network_slice, str(exc))
         return self._finalize_install(network_slice, profile, fraction, reservations)
@@ -995,57 +1008,24 @@ class Orchestrator:
         only the jobs that touched it — every other job in the batch
         commits in its own latency.
         """
-        obs = self.obs
-        batch_span = obs.span("install.batch", jobs=len(admissions))
+        batch_span = self.obs.span("install.batch", jobs=len(admissions))
         results: List[Optional[AdmissionDecision]] = [None] * len(admissions)
         jobs: List[InstallJob] = []
-        staged: Dict[int, Tuple[NetworkSlice, TrafficProfile, float]] = {}
-        job_spans: Dict[int, Any] = {}
+        staged: Dict[int, Tuple[NetworkSlice, TrafficProfile, float, Any]] = {}
         # Every job is planned against one capacity snapshot, so picks
         # must see the load the earlier picks staged (otherwise a burst
         # of winners all pins the same "best" cell and the losers fail
         # at prepare time instead of spreading across the fleet).
         planned_cells: Dict[str, PlannedCellLoad] = {}
         for index, (request, profile) in enumerate(admissions):
-            network_slice = NetworkSlice(request)
-            self._all_slices[network_slice.slice_id] = network_slice
-            job_span = obs.span(
-                "install.job",
-                parent=batch_span.context,
-                slice_id=network_slice.slice_id,
+            staged_install = self._stage_install(
+                request, planned_cells, span_parent=batch_span.context
             )
-            job_spans[index] = job_span
-            # Admission stage: cold-start posture + PLMN identity.
-            admission_span = obs.span("admission", parent=job_span.context)
-            fraction = self.cold_start_fraction(request)
-            try:
-                network_slice.plmn = self.plmn_pool.allocate(network_slice.slice_id)
-            except PlmnPoolExhausted as exc:
-                admission_span.finish("error", error=str(exc))
-                job_span.finish("error", error=str(exc))
-                results[index] = self._book_install_rejection(network_slice, str(exc))
+            if isinstance(staged_install, AdmissionDecision):
+                results[index] = staged_install
                 continue
-            admission_span.finish()
-            # Placement stage: cell probe + candidate-DC ranking.
-            placement_span = obs.span("placement", parent=job_span.context)
-            try:
-                attempts = self._plan_install_attempts(
-                    network_slice, fraction, planned_cells=planned_cells
-                )
-            except TransactionError as exc:
-                placement_span.finish("error", error=str(exc))
-                job_span.finish("error", error=str(exc))
-                results[index] = self._book_install_rejection(network_slice, str(exc))
-                continue
-            placement_span.finish()
-            self._journal(
-                "install.started",
-                request=request_to_dict(request),
-                slice_id=network_slice.slice_id,
-                plmn=network_slice.plmn.plmn_id,
-                fraction=fraction,
-            )
-            staged[index] = (network_slice, profile, fraction)
+            network_slice, fraction, attempts, job_span = staged_install
+            staged[index] = (network_slice, profile, fraction, job_span)
             jobs.append(
                 InstallJob(
                     slice_id=network_slice.slice_id,
@@ -1065,8 +1045,7 @@ class Orchestrator:
             )
         for outcome in self.planner.install(jobs):
             index = outcome.job.tag
-            network_slice, profile, fraction = staged[index]
-            job_span = job_spans[index]
+            network_slice, profile, fraction, job_span = staged[index]
             if outcome.ok:
                 results[index] = self._finalize_install(
                     network_slice,
@@ -1097,10 +1076,12 @@ class Orchestrator:
         fraction: float,
         planned_cells: Optional[Dict[str, PlannedCellLoad]] = None,
     ) -> List[Dict[str, DomainSpec]]:
-        """Placement pre-work for one batched install: probe the ingress
-        cell, rank candidate DCs, and build one full spec-map attempt
-        per candidate (the batch planner re-prepares everything per
-        attempt, so no prefix/suffix split is needed).
+        """Placement planning for one install: probe the ingress cell
+        (it pins the transport source node), rank candidate DCs, and
+        build one full spec-map attempt per candidate.  The only place
+        on the install path that knows about datacenters — both
+        executors see opaque attempts and re-prepare every domain per
+        attempt.
 
         Args:
             planned_cells: Shared batch placement ledger; the pick made
@@ -1116,6 +1097,8 @@ class Orchestrator:
         try:
             demand = self.allocator.demand_vector(request)
         except AllocationError as exc:
+            # Planning failure (e.g. an empty RAN fleet) books a
+            # rejection like any other install failure.
             raise TransactionError(exc.domain, exc.message) from exc
         effective_prbs = max(1, round(demand.prbs * fraction))
         enb_id = self.allocator.ran.best_enb_for(
@@ -1134,9 +1117,7 @@ class Orchestrator:
         if planned_cells is not None:
             planned_cells.setdefault(enb_id, PlannedCellLoad()).add(effective_prbs)
         return [
-            self._install_specs(
-                network_slice, fraction, enb_id, enb_node, dc, demand=demand
-            )
+            self._install_specs(network_slice, fraction, enb_id, enb_node, dc, demand)
             for dc in candidates
         ]
 
@@ -1154,30 +1135,18 @@ class Orchestrator:
             reason=reason,
         )
 
-    #: Domains whose spec depends on the candidate datacenter; they are
-    #: (re-)prepared inside the per-candidate loop, everything before
-    #: them is prepared once.
-    _DC_DEPENDENT_DOMAINS = ("transport", "cloud", "epc")
-
     def _install_specs(
         self,
         network_slice: NetworkSlice,
         fraction: float,
         enb_id: str,
         enb_node: str,
-        dc=None,
-        demand=None,
-        domains: Optional[List[str]] = None,
+        dc,
+        demand: ResourceVector,
     ) -> Dict[str, DomainSpec]:
-        """One :class:`DomainSpec` per domain (default: every registered
-        one) for one install attempt, pinned to the probed cell and,
-        when given, one candidate DC — DC-dependent attributes stay
-        empty otherwise."""
+        """One :class:`DomainSpec` per registered domain for one install
+        attempt, pinned to the probed cell and one candidate DC."""
         request = network_slice.request
-        if demand is None:
-            demand = self.allocator.demand_vector(request)
-        if domains is None:
-            domains = self.registry.domains()
         common = dict(
             slice_id=network_slice.slice_id,
             tenant_id=request.tenant_id,
@@ -1188,21 +1157,21 @@ class Orchestrator:
             vcpus=demand.vcpus,
         )
         plmn = network_slice.plmn
+        plmn_id = plmn.plmn_id if plmn else None
         known = {
             "ran": {"plmn": plmn, "enb_id": enb_id},
-            "epc": {"plmn_id": plmn.plmn_id if plmn else None},
-        }
-        if dc is not None:
-            known["transport"] = {
+            "transport": {
                 "src": enb_node,
                 "dst": dc.gateway_node,
                 "max_delay_ms": self.allocator.transport_budget_ms(request, dc),
-                "plmn_id": plmn.plmn_id if plmn else None,
-            }
-            known["cloud"] = {"dc_id": dc.dc_id}
+                "plmn_id": plmn_id,
+            },
+            "cloud": {"dc_id": dc.dc_id},
+            "epc": {"plmn_id": plmn_id},
+        }
         return {
             domain: DomainSpec(attributes=known.get(domain, {}), **common)
-            for domain in domains
+            for domain in self.registry.domains()
         }
 
     def _validate_latency(
@@ -1236,115 +1205,37 @@ class Orchestrator:
             return None
 
     def _install_via_drivers(
-        self, network_slice: NetworkSlice, fraction: float
+        self, network_slice: NetworkSlice, attempts: List[Dict[str, DomainSpec]]
     ) -> Dict[str, Reservation]:
-        """Two-phase install across every registered domain.
-
-        The ingress cell is probed first (it pins the transport source
-        node).  Domains whose spec is independent of the datacenter
-        choice — RAN and any extra domains registered before transport —
-        are prepared exactly *once*; the DC-dependent tail (transport,
-        cloud, EPC, later extras) then runs one prepare→validate→commit
-        transaction per candidate DC.  A failed attempt unwinds its own
-        segment (rollback events land on the feed) before the next
-        candidate is tried; if every candidate fails, the prefix is
-        rolled back too — nothing is left reserved anywhere.
+        """The single-request executor: one blocking prepare → validate
+        → commit :class:`InstallTransaction` per staged attempt, on the
+        calling thread, until one commits end-to-end.  A failed attempt
+        unwinds every domain it touched before the next is tried —
+        nothing is left reserved anywhere.
 
         Raises:
-            TransactionError: When no candidate DC yields a committed
+            TransactionError: When no attempt yields a committed
                 end-to-end install.
         """
-        request = network_slice.request
-        slice_id = network_slice.slice_id
-        try:
-            demand = self.allocator.demand_vector(request)
-        except AllocationError as exc:
-            # Planning failure (e.g. an empty RAN fleet) books a
-            # rejection like any other install failure.
-            raise TransactionError(exc.domain, exc.message) from exc
-        effective_prbs = max(1, round(demand.prbs * fraction))
-        enb_id = self.allocator.ran.best_enb_for(
-            request.sla.throughput_mbps, effective_prbs
-        )
-        if enb_id is None:
-            raise TransactionError(
-                "ran", f"no eNB can host {effective_prbs} PRBs for slice {slice_id}"
-            )
-        enb_node = self.allocator.ran.enb(enb_id).transport_node
-        candidates = self.allocator.candidate_datacenters(request, enb_node)
-        if not candidates:
-            raise TransactionError(
-                "cloud", f"no datacenter satisfies compute + latency for {slice_id}"
-            )
-        domains = self.registry.domains()
-        split = 0
-        while split < len(domains) and domains[split] not in self._DC_DEPENDENT_DOMAINS:
-            split += 1
-        prefix_domains, suffix_domains = domains[:split], domains[split:]
         # Rollback events buffer until the install's fate is known: a
         # retried-then-successful install must not put driver.rollback
         # noise on the feed (consumers treat it as an install failure).
         deferred_rollbacks: List[Tuple[str, Reservation, str]] = []
-
-        def buffer_rollback(domain: str, reservation: Reservation, reason: str) -> None:
-            deferred_rollbacks.append((domain, reservation, reason))
-
-        def flush_rollbacks() -> None:
-            for domain, reservation, reason in deferred_rollbacks:
-                self._emit_rollback(domain, reservation, reason)
-
-        unwinder = InstallTransaction(self.registry, on_rollback=buffer_rollback)
-        # --- Prepare the DC-independent prefix once -------------------
-        prefix_specs = self._install_specs(
-            network_slice, fraction, enb_id, enb_node, demand=demand,
-            domains=prefix_domains,
+        transaction = InstallTransaction(
+            self.registry,
+            on_rollback=lambda *rollback: deferred_rollbacks.append(rollback),
         )
-        try:
-            prefix_prepared = unwinder.prepare_domains(prefix_domains, prefix_specs)
-        except TransactionError:
-            flush_rollbacks()
-            raise
-        prefix_reservations = {r.domain: r for _, r in prefix_prepared}
-        # --- Try each candidate DC over the dependent tail ------------
-        sub_registry = DriverRegistry([self.registry.get(d) for d in suffix_domains])
-        transaction = InstallTransaction(sub_registry, on_rollback=buffer_rollback)
-        last_error: Optional[TransactionError] = None
-        for dc in candidates:
-            sub_specs = self._install_specs(
-                network_slice, fraction, enb_id, enb_node, dc, demand=demand,
-                domains=suffix_domains,
-            )
+
+        def validate(reservations: Dict[str, Reservation]) -> None:
+            self._validate_latency(network_slice, reservations)
+
+        for specs in attempts:
             try:
-                suffix_reservations = transaction.run(
-                    sub_specs,
-                    validate=lambda res: self._validate_latency(
-                        network_slice, {**prefix_reservations, **res}
-                    ),
-                )
+                return transaction.run(specs, validate=validate)
             except TransactionError as exc:
                 last_error = exc
-                continue
-            try:
-                for driver, reservation in prefix_prepared:
-                    driver.commit(reservation)
-            except Exception as exc:  # any failure must unwind
-                suffix_pairs = [
-                    (sub_registry.get(d), suffix_reservations[d])
-                    for d in suffix_domains
-                ]
-                # Install order was prefix-then-suffix; unwind reverses it.
-                unwinder.unwind(prefix_prepared + suffix_pairs, str(exc))
-                flush_rollbacks()
-                raise TransactionError(
-                    getattr(exc, "domain", "orchestrator"),
-                    getattr(exc, "message", str(exc)),
-                ) from exc
-            reservations = {**prefix_reservations, **suffix_reservations}
-            network_slice.allocation = self._compose_allocation(reservations)
-            return reservations
-        unwinder.unwind(prefix_prepared, str(last_error))
-        flush_rollbacks()
-        assert last_error is not None
+        for domain, reservation, reason in deferred_rollbacks:
+            self._emit_rollback(domain, reservation, reason)
         raise last_error
 
     def _release_domains(self, network_slice: NetworkSlice) -> List[str]:

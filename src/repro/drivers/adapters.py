@@ -51,10 +51,10 @@ from repro.cloud.heat import HeatStack, StackState
 from repro.drivers.base import (
     BaseDriver,
     DomainSpec,
+    DriverAbsentError,
     DriverCapabilities,
     DriverError,
     Reservation,
-    ReservationState,
 )
 from repro.drivers.registry import DriverRegistry
 from repro.epc.components import epc_template
@@ -298,41 +298,20 @@ class TransportDriver(BaseDriver):
         return {"domain": self.domain, "slice_id": slice_id, "healthy": healthy}
 
     def repair(self, slice_id: str) -> Reservation:
+        reservation = self.reservation_of(slice_id)
+        if reservation is None:
+            raise DriverAbsentError(self.domain, f"slice {slice_id} holds nothing")
         try:
             allocation = self.controller.repair_path(slice_id)
         except TransportError as exc:
             raise DriverError(self.domain, str(exc)) from exc
-        reservation = self.reservation_of(slice_id)
-        details = {
-            "allocation": allocation,
-            "delay_ms": allocation.delay_ms,
-            "link_ids": list(allocation.path.link_ids),
-        }
-        if reservation is not None:
-            reservation.details.update(details)
-            return reservation
-        # Legacy (out-of-band) install: the controller already holds the
-        # repaired reservation at its real nominal/effective split, so
-        # only a tracking record is synthesized — no backend mutation
-        # (a resize here would inflate an overbooked slice to nominal).
-        fraction = (
-            allocation.effective_mbps / allocation.nominal_mbps
-            if allocation.nominal_mbps > 0
-            else 1.0
+        reservation.details.update(
+            {
+                "allocation": allocation,
+                "delay_ms": allocation.delay_ms,
+                "link_ids": list(allocation.path.link_ids),
+            }
         )
-        reservation = Reservation(
-            reservation_id=f"{self.domain}-res-{next(self._ids):06d}",
-            domain=self.domain,
-            slice_id=slice_id,
-            spec=DomainSpec(
-                slice_id=slice_id,
-                throughput_mbps=allocation.nominal_mbps,
-                effective_fraction=fraction,
-            ),
-            state=ReservationState.COMMITTED,
-            details=details,
-        )
-        self._reservations[slice_id] = reservation
         return reservation
 
     def utilization(self) -> dict:

@@ -341,8 +341,8 @@ class BaseDriver(DomainDriver):
 
     - ``prepare`` refuses a second reservation for a live slice,
     - ``commit``/``rollback`` only accept PREPARED reservations,
-    - ``release`` only accepts COMMITTED slices (but tolerates slices
-      installed out-of-band on the backend, for legacy callers).
+    - ``release`` only accepts COMMITTED slices; a slice the driver
+      holds no reservation for is :class:`DriverAbsentError`.
 
     Locking discipline (the batch planner drives drivers from a thread
     pool):
@@ -450,16 +450,11 @@ class BaseDriver(DomainDriver):
     def prepare(self, spec: DomainSpec) -> Reservation:
         with self._backend_guard():
             with self._lock:
-                existing = self._reservations.get(spec.slice_id)
-                if existing is not None:
-                    if self._native_present(spec.slice_id):
-                        raise DriverError(
-                            self.domain,
-                            f"slice {spec.slice_id} already holds a reservation",
-                        )
-                    # Backend state vanished out-of-band (legacy release
-                    # path) — drop the stale record and re-prepare.
-                    del self._reservations[spec.slice_id]
+                if spec.slice_id in self._reservations:
+                    raise DriverError(
+                        self.domain,
+                        f"slice {spec.slice_id} already holds a reservation",
+                    )
                 self._claim(spec.slice_id, "prepare")
             try:
                 details = self._do_prepare(spec)
@@ -516,35 +511,30 @@ class BaseDriver(DomainDriver):
             with self._lock:
                 reservation = self._reservations.get(slice_id)
                 if reservation is None:
-                    # Installed out-of-band (legacy allocator path) — free
-                    # the backend state if any, else report the miss.
-                    if not self._native_present(slice_id):
-                        raise DriverAbsentError(
-                            self.domain, f"slice {slice_id} holds nothing"
-                        )
-                else:
-                    if reservation.state is not ReservationState.COMMITTED:
-                        raise DriverError(
-                            self.domain,
-                            f"cannot release reservation in state "
-                            f"{reservation.state.value}",
-                        )
-                    if not self._native_present(slice_id):
-                        # Backend state vanished out-of-band — just drop
-                        # the record.
-                        del self._reservations[slice_id]
-                        reservation.state = ReservationState.RELEASED
-                        return
+                    raise DriverAbsentError(
+                        self.domain, f"slice {slice_id} holds nothing"
+                    )
+                if reservation.state is not ReservationState.COMMITTED:
+                    raise DriverError(
+                        self.domain,
+                        f"cannot release reservation in state "
+                        f"{reservation.state.value}",
+                    )
+                if not self._native_present(slice_id):
+                    # Backend state vanished out-of-band — just drop
+                    # the record.
+                    del self._reservations[slice_id]
+                    reservation.state = ReservationState.RELEASED
+                    return
                 self._claim(slice_id, "release")
             # Free the backend *first*: if it fails, the reservation stays
             # COMMITTED so the caller can retry instead of stranding the
             # backend's capacity behind a forgotten record.
             try:
                 self._do_release(slice_id)
-                if reservation is not None:
-                    with self._lock:
-                        self._reservations.pop(slice_id, None)
-                        reservation.state = ReservationState.RELEASED
+                with self._lock:
+                    self._reservations.pop(slice_id, None)
+                    reservation.state = ReservationState.RELEASED
             finally:
                 self._unclaim(slice_id)
 

@@ -1,12 +1,12 @@
 """Fleet-scale asynchronous install engine over the driver registry.
 
-The sequential install path (one
-:class:`~repro.drivers.transaction.InstallTransaction` per slice,
-domains prepared one after another) bounds end-to-end deployment
-latency by the *sum* of every domain's southbound latency, slice after
-slice.  :class:`BatchInstallPlanner` removes both serializations while
-keeping the two-phase discipline intact — and, since the async rewrite,
-does it without parking one worker thread per job:
+The window executor.  A single request is installed by the blocking
+:class:`~repro.drivers.transaction.InstallTransaction` on the calling
+thread, which bounds deployment latency by the *sum* of every domain's
+southbound latency, slice after slice.  For a window of admitted
+installs :class:`BatchInstallPlanner` removes both serializations while
+keeping the two-phase discipline intact, without parking a worker
+thread per job:
 
 - **Across slices** — a batch of admitted installs runs as concurrent
   event-driven jobs; each job is a small state machine advanced by
@@ -28,7 +28,8 @@ does it without parking one worker thread per job:
 
 Southbound calls go through the drivers' futures-based lifecycle
 (:meth:`~repro.drivers.base.DomainDriver.prepare_async` and friends).
-Blocking adapters get the base-class shim (one daemon thread per call);
+Blocking adapters get the base-class shim (one daemon thread per call —
+the reason a batch of one is not worth routing through here);
 natively asynchronous backends resolve futures from their own
 completion machinery.  Because the engine itself never parks a thread
 per job, **one hung domain cannot stall the batch**: every other job's
@@ -41,27 +42,24 @@ are rolled back immediately, and the straggling operation is
 *compensated* in the background (rolled back or released) the moment it
 eventually completes, so no residue survives a late success.
 
-Transaction semantics are unchanged: any failure inside a job unwinds
-*that job's* reservations in reverse registry order (COMMITTED domains
-released, PREPARED ones rolled back) via the one unwind implementation
-in :class:`InstallTransaction`; the invariant holds regardless of how
-jobs interleave because each job only ever touches its own slice's
-reservations.  Rollback notifications are buffered per job and
-surfaced only for jobs that ultimately fail — a slice that succeeds on
-a later attempt (e.g. the next candidate datacenter) puts no
-``driver.rollback`` noise on the event feed, matching the sequential
-path's deferred-rollback contract.
-
-:class:`ThreadedInstallPlanner` retains the previous thread-pool engine
-(one worker thread parked per job) as the measured baseline for the
-D8d stall-isolation benchmark and as an escape hatch.
+Transaction semantics are the blocking executor's: any failure inside a
+job unwinds *that job's* reservations in reverse registry order
+(COMMITTED domains released, PREPARED ones rolled back) through a
+deadline-covered async chain whose error message comes from
+:func:`~repro.drivers.transaction.compose_unwind_error`; the invariant
+holds regardless of how jobs interleave because each job only ever
+touches its own slice's reservations.  Rollback notifications are
+buffered per job and surfaced only for jobs that ultimately fail — a
+slice that succeeds on a later attempt (e.g. the next candidate
+datacenter) puts no ``driver.rollback`` noise on the event feed,
+matching the blocking path's deferred-rollback contract.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import (
@@ -85,7 +83,6 @@ from repro.drivers.base import (
 from repro.drivers.registry import DriverRegistry
 from repro.obs import NOOP_SPAN, default_observability
 from repro.drivers.transaction import (
-    InstallTransaction,
     OperationTimeout,
     RollbackHook,
     TransactionError,
@@ -738,8 +735,7 @@ class BatchInstallPlanner:
         registry: The southbound drivers, in install order.
         max_workers: How many jobs may be *in flight* concurrently (a
             token pool, not a thread pool — the engine parks no thread
-            per job).  Kept for API compatibility with the threaded
-            engine; ``1`` still yields deterministic job-by-job order.
+            per job); ``1`` yields deterministic job-by-job order.
         batch_size: :meth:`install` splits larger job lists into groups
             of this size so one giant admission burst cannot monopolize
             the drivers for unbounded wall-clock time.
@@ -921,9 +917,8 @@ class BatchInstallPlanner:
         return outcomes  # type: ignore[return-value]
 
     def _record_outcomes(self, outcomes: Sequence[InstallOutcome]) -> None:
-        """Batch epilogue shared by both engines: counters, and the
-        ``on_rollback`` fan-out for failed jobs — on the calling thread,
-        after every job settled."""
+        """Batch epilogue: counters, and the ``on_rollback`` fan-out for
+        failed jobs — on the calling thread, after every job settled."""
         self.batches_run += 1
         for outcome in outcomes:
             if outcome.ok:
@@ -1024,159 +1019,8 @@ class BatchInstallPlanner:
             pass
 
 
-class ThreadedInstallPlanner(BatchInstallPlanner):
-    """The pre-async thread-pool engine: one worker thread parked per
-    job, blocking southbound calls, semaphore concurrency caps.
-
-    Retained as the measured baseline of the D8d stall-isolation
-    benchmark (a single hung southbound call parks a worker and
-    degrades the whole batch — exactly what the event-driven engine
-    eliminates) and as an escape hatch for debugging scheduler-
-    dependent behaviour.  Deadlines (``operation_timeout_s``) are *not*
-    honoured here: a blocking call cannot be preempted.
-    """
-
-    def install_batch(self, batch: Sequence[InstallJob]) -> List[InstallOutcome]:
-        batch = list(batch)
-        if not batch:
-            return []
-        semaphores = {
-            driver.domain: threading.BoundedSemaphore(
-                max(1, driver.capabilities().max_concurrent_installs)
-            )
-            for driver in self.registry.drivers()
-        }
-        if len(batch) == 1:
-            # No cross-slice concurrency to win; skip the job pool (the
-            # prepare pool still fans out across domains).
-            with ThreadPoolExecutor(max_workers=self.max_workers) as prep_pool:
-                outcomes = [self._run_job(batch[0], prep_pool, semaphores)]
-        else:
-            with ThreadPoolExecutor(
-                max_workers=min(len(batch), self.max_workers),
-                thread_name_prefix="install-job",
-            ) as job_pool, ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix="install-prepare",
-            ) as prep_pool:
-                futures = [
-                    job_pool.submit(self._run_job, job, prep_pool, semaphores)
-                    for job in batch
-                ]
-                outcomes = [future.result() for future in futures]
-        self._record_outcomes(outcomes)
-        return outcomes
-
-    def _run_job(
-        self,
-        job: InstallJob,
-        prep_pool: ThreadPoolExecutor,
-        semaphores: Dict[str, threading.Semaphore],
-    ) -> InstallOutcome:
-        """Try each attempt in order until one commits; never raises."""
-        rollbacks: List[Tuple[str, Reservation, str]] = []
-        unwinder = InstallTransaction(
-            self.registry,
-            on_rollback=lambda d, r, reason: rollbacks.append((d, r, reason)),
-        )
-        last_error: Optional[TransactionError] = None
-        for specs in job.attempts:
-            try:
-                reservations = self._attempt(job, specs, prep_pool, semaphores, unwinder)
-            except TransactionError as exc:
-                last_error = exc
-                continue
-            except Exception as exc:  # defensive: a broken driver must
-                last_error = TransactionError(  # not take down the batch
-                    "planner", f"unexpected {type(exc).__name__}: {exc}"
-                )
-                continue
-            return InstallOutcome(job=job, reservations=reservations, rollbacks=rollbacks)
-        if last_error is None:
-            last_error = TransactionError(
-                "planner", f"job {job.slice_id} has no install attempts"
-            )
-        return InstallOutcome(job=job, error=last_error, rollbacks=rollbacks)
-
-    def _attempt(
-        self,
-        job: InstallJob,
-        specs: Mapping[str, DomainSpec],
-        prep_pool: ThreadPoolExecutor,
-        semaphores: Dict[str, threading.Semaphore],
-        unwinder: InstallTransaction,
-    ) -> Dict[str, Reservation]:
-        """One prepare(parallel) → validate → commit(ordered) attempt.
-
-        Raises:
-            TransactionError: On any failure, after unwinding everything
-                this attempt prepared/committed, in reverse registry
-                order.
-        """
-        domains = self.registry.domains()
-        missing = [d for d in domains if d not in specs]
-        surplus = [d for d in specs if d not in domains]
-        if missing or surplus:
-            raise TransactionError(
-                "planner",
-                f"spec/domain mismatch (missing={missing}, surplus={surplus})",
-            )
-        prepared_by_domain: Dict[str, Reservation] = {}
-
-        def ordered_pairs() -> List[Tuple[Any, Reservation]]:
-            return [
-                (self.registry.get(d), prepared_by_domain[d])
-                for d in domains
-                if d in prepared_by_domain
-            ]
-
-        # --- Prepare phase: parallel waves --------------------------------
-        for wave in self.prepare_waves(domains):
-            futures = {
-                domain: prep_pool.submit(
-                    self._prepare_one, domain, specs[domain], semaphores
-                )
-                for domain in wave
-            }
-            wave_error: Optional[Tuple[str, Exception]] = None
-            for domain, future in futures.items():
-                try:
-                    prepared_by_domain[domain] = future.result()
-                except Exception as exc:
-                    if wave_error is None:
-                        wave_error = (domain, exc)
-            if wave_error is not None:
-                unwinder.unwind_and_raise(ordered_pairs(), wave_error[1], wave_error[0])
-        reservations = dict(prepared_by_domain)
-        # --- Validation + commit phase: registry order --------------------
-        failed_domain = "planner"
-        try:
-            if job.validate is not None:
-                job.validate(reservations)
-            for domain in domains:
-                failed_domain = domain
-                self.registry.get(domain).commit(reservations[domain])
-        except Exception as exc:
-            unwinder.unwind_and_raise(ordered_pairs(), exc, failed_domain)
-        return reservations
-
-    def _prepare_one(
-        self,
-        domain: str,
-        spec: DomainSpec,
-        semaphores: Dict[str, threading.Semaphore],
-    ) -> Reservation:
-        """Prepare one domain under its concurrency cap."""
-        semaphore = semaphores.get(domain)
-        if semaphore is None:  # driver registered mid-batch — no cap known
-            return self.registry.get(domain).prepare(spec)
-        with semaphore:
-            return self.registry.get(domain).prepare(spec)
-
-
 __all__ = [
     "BatchInstallPlanner",
     "InstallJob",
     "InstallOutcome",
-    "ThreadedInstallPlanner",
 ]

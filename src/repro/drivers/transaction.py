@@ -17,6 +17,14 @@ already-COMMITTED ones released.  The ``on_rollback`` callback fires
 per unwound domain so the orchestrator can emit rollback events on the
 northbound feed.  Unwind is best-effort: a failing compensation is
 reported in the final error but never stops the remaining unwinds.
+
+This is the blocking one of the two install executors: the orchestrator
+runs one transaction per staged attempt, on the calling thread, when it
+installs a single request.  A window of requests goes to the
+event-driven :class:`~repro.drivers.planner.BatchInstallPlanner`
+instead, which keeps the same discipline over the drivers' futures and
+composes its failure messages through :func:`compose_unwind_error`.
+Neither executor knows what distinguishes one attempt from the next.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ def compose_unwind_error(
 ) -> TransactionError:
     """The one place a transaction-failure message (including
     compensation failures) is composed — shared by the blocking
-    :meth:`InstallTransaction.unwind_and_raise` and the async planner's
+    :meth:`InstallTransaction.run` and the async planner's
     deadline-covered unwind chain.  A deadline failure keeps its type
     through the unwind, so callers can tell "domain hung" from "domain
     refused"."""
@@ -109,68 +117,34 @@ class InstallTransaction:
                 "orchestrator",
                 f"spec/domain mismatch (missing={missing}, surplus={surplus})",
             )
-        prepared = self.prepare_domains(domains, specs)
-        reservations = {res.domain: res for _, res in prepared}
+        prepared: List[Tuple[DomainDriver, Reservation]] = []
+        reservations: Dict[str, Reservation] = {}
         failed_domain = "orchestrator"
         try:
+            for domain in domains:
+                failed_domain = domain
+                driver = self.registry.get(domain)
+                reservations[domain] = driver.prepare(specs[domain])
+                prepared.append((driver, reservations[domain]))
+            failed_domain = "orchestrator"
             if validate is not None:
                 validate(reservations)
             for driver, reservation in prepared:
                 failed_domain = driver.domain
                 driver.commit(reservation)
         except Exception as exc:
-            self.unwind_and_raise(prepared, exc, failed_domain)
+            # Any failure unwinds — a third-party driver raising
+            # something other than DriverError included.
+            unwind_errors = self.unwind(prepared, reason=str(exc))
+            raise compose_unwind_error(exc, failed_domain, unwind_errors) from exc
         return reservations
-
-    def prepare_domains(
-        self, domains: List[str], specs: Mapping[str, DomainSpec]
-    ) -> List[Tuple[DomainDriver, Reservation]]:
-        """Prepare ``domains`` in order; the transaction's prepare phase.
-
-        Exposed so callers staging a transaction in segments (the
-        orchestrator's DC-independent prefix) reuse the one
-        implementation of the discipline: any failure — including a
-        third-party driver raising something other than
-        :class:`DriverError` — unwinds everything this call prepared.
-
-        Raises:
-            TransactionError: On any failure, after unwinding.
-        """
-        prepared: List[Tuple[DomainDriver, Reservation]] = []
-        failed_domain = "orchestrator"
-        try:
-            for domain in domains:
-                failed_domain = domain
-                driver = self.registry.get(domain)
-                prepared.append((driver, driver.prepare(specs[domain])))
-        except Exception as exc:
-            self.unwind_and_raise(prepared, exc, failed_domain)
-        return prepared
-
-    def unwind_and_raise(
-        self,
-        prepared: List[Tuple[DomainDriver, Reservation]],
-        exc: Exception,
-        failed_domain: str,
-    ) -> None:
-        """Unwind ``prepared`` and re-raise ``exc`` as TransactionError —
-        the one place the failure message (including compensation
-        failures) is composed, shared with the batch planner's attempts.
-        """
-        unwind_errors = self.unwind(prepared, reason=str(exc))
-        raise compose_unwind_error(exc, failed_domain, unwind_errors) from exc
-
-    # Backwards-compatible private alias (pre-planner name).
-    _unwind_and_raise = unwind_and_raise
 
     def unwind(
         self, prepared: List[Tuple[DomainDriver, Reservation]], reason: str
     ) -> List[str]:
         """Best-effort reverse unwind of ``(driver, reservation)`` pairs —
         COMMITTED ones released, PREPARED ones rolled back, each firing
-        ``on_rollback``.  Returns compensation failures (the single
-        implementation of the discipline; the orchestrator reuses it for
-        segments it prepares outside :meth:`run`)."""
+        ``on_rollback``.  Returns compensation failures."""
         errors: List[str] = []
         for driver, reservation in reversed(prepared):
             try:

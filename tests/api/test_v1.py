@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api.routes import build_orchestrator_api
+from repro.api import build_orchestrator_api
 from repro.api.service import SliceService
 from repro.core.broker import SliceBroker
 from repro.core.orchestrator import Orchestrator
@@ -49,12 +49,20 @@ class TestIndex:
         assert response.ok
         assert response.body["version"] == "v1"
         assert "POST /v1/slices" in response.body["routes"]
-        assert "deprecated" in response.body
+        assert all(" /v1" in route for route in response.body["routes"])
+
+    def test_unversioned_routes_are_gone(self, stack):
+        _, _, _, api = stack
+        for method, path in (
+            ("POST", "/slices"), ("GET", "/slices"), ("GET", "/dashboard"),
+            ("POST", "/whatif"), ("GET", "/domains/ran"),
+        ):
+            assert api.dispatch(method, path, body={}).status == 404
 
     def test_router_errors_enveloped_on_v1_only(self, stack):
         """404/405/500 produced by the router itself (before any handler
-        runs) must carry the envelope under /v1 — flat strings stay on
-        the legacy surface only."""
+        runs) must carry the envelope under /v1 — the router's flat
+        strings stay outside the enveloped prefix only."""
         _, _, _, api = stack
         unknown = api.get("/v1/nope")
         assert unknown.status == 404
@@ -62,9 +70,9 @@ class TestIndex:
         wrong_verb = api.dispatch("PUT", "/v1/slices")
         assert wrong_verb.status == 405
         assert wrong_verb.body["error"]["code"] == "method_not_allowed"
-        legacy = api.get("/nope")
-        assert legacy.status == 404
-        assert isinstance(legacy.body["error"], str)
+        outside = api.get("/nope")
+        assert outside.status == 404
+        assert isinstance(outside.body["error"], str)
 
     def test_nan_throughput_is_400_not_500(self, stack):
         _, _, _, api = stack

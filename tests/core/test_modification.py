@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api.routes import build_orchestrator_api
+from repro.api import build_orchestrator_api
 from repro.core.orchestrator import Orchestrator
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
@@ -132,7 +132,7 @@ class TestApiPatch:
         testbed, sim, orch = stack
         api = build_orchestrator_api(orch)
         slice_id = active_slice(sim, orch, mbps=15.0)
-        response = api.patch(f"/slices/{slice_id}", body={"throughput_mbps": 25.0})
+        response = api.patch(f"/v1/slices/{slice_id}", body={"throughput_mbps": 25.0})
         assert response.status == 200
         assert orch.slice(slice_id).request.sla.throughput_mbps == 25.0
 
@@ -140,16 +140,16 @@ class TestApiPatch:
         testbed, sim, orch = stack
         api = build_orchestrator_api(orch)
         slice_id = active_slice(sim, orch)
-        assert api.patch(f"/slices/{slice_id}", body={}).status == 400
+        assert api.patch(f"/v1/slices/{slice_id}", body={}).status == 400
 
     def test_patch_unknown_slice_404(self, stack):
         testbed, sim, orch = stack
         api = build_orchestrator_api(orch)
-        assert api.patch("/slices/slice-999999", body={"throughput_mbps": 1.0}).status == 404
+        assert api.patch("/v1/slices/slice-999999", body={"throughput_mbps": 1.0}).status == 404
 
     def test_patch_infeasible_409(self, stack):
         testbed, sim, orch = stack
         api = build_orchestrator_api(orch)
         slice_id = active_slice(sim, orch)
-        response = api.patch(f"/slices/{slice_id}", body={"throughput_mbps": 500.0})
+        response = api.patch(f"/v1/slices/{slice_id}", body={"throughput_mbps": 500.0})
         assert response.status == 409

@@ -121,7 +121,7 @@ class TestEarlyTermination:
             orchestrator.terminate_early(slice_id)  # still DEPLOYING
 
     def test_delete_route_reports_refund(self, orch):
-        from repro.api.routes import build_orchestrator_api
+        from repro.api import build_orchestrator_api
 
         sim, orchestrator = orch
         api = build_orchestrator_api(orchestrator)
@@ -129,6 +129,6 @@ class TestEarlyTermination:
         orchestrator.submit(request, ConstantProfile(20.0, level=0.5))
         slice_id = request.request_id.replace("req-", "slice-")
         sim.run_until(503.0)
-        response = api.delete(f"/slices/{slice_id}")
+        response = api.delete(f"/v1/slices/{slice_id}")
         assert response.ok
         assert response.body["refund"] == pytest.approx(50.0, rel=0.05)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api.routes import build_orchestrator_api
+from repro.api import build_orchestrator_api
 from repro.core.orchestrator import Orchestrator
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
@@ -74,7 +74,7 @@ class TestWhatIf:
         _, orchestrator = orch
         api = build_orchestrator_api(orchestrator)
         response = api.post(
-            "/whatif",
+            "/v1/whatif",
             body={
                 "service_type": "urllc",
                 "throughput_mbps": 5.0,
@@ -89,10 +89,10 @@ class TestWhatIf:
     def test_whatif_route_validation(self, orch):
         _, orchestrator = orch
         api = build_orchestrator_api(orchestrator)
-        assert api.post("/whatif", body={}).status == 400
+        assert api.post("/v1/whatif", body={}).status == 400
         assert (
             api.post(
-                "/whatif",
+                "/v1/whatif",
                 body={
                     "service_type": "embb",
                     "throughput_mbps": -1,

@@ -18,11 +18,7 @@ import pytest
 
 from repro.drivers.base import DomainSpec, ReservationState
 from repro.drivers.mock import MockDriver
-from repro.drivers.planner import (
-    BatchInstallPlanner,
-    InstallJob,
-    ThreadedInstallPlanner,
-)
+from repro.drivers.planner import BatchInstallPlanner, InstallJob
 from repro.drivers.registry import DriverRegistry
 from repro.drivers.transaction import OperationTimeout
 
@@ -254,16 +250,13 @@ class TestConcurrencyCaps:
         assert all(o.ok for o in outcomes)
         assert probe.max_inflight <= 2
 
-    def test_both_engines_install_identically(self):
-        """The threaded baseline and the async engine implement the
-        same contract: same jobs, same registry shape, same outcomes."""
-        for planner_cls in (BatchInstallPlanner, ThreadedInstallPlanner):
-            registry = make_registry()
-            planner = planner_cls(registry, max_workers=4)
-            outcomes = planner.install([job_for(f"s{i}") for i in range(6)])
-            assert all(o.ok for o in outcomes), planner_cls.__name__
-            assert_zero_residue(registry)
-            assert planner.jobs_installed == 6
+    def test_engine_installs_every_job_with_zero_residue(self):
+        registry = make_registry()
+        planner = BatchInstallPlanner(registry, max_workers=4)
+        outcomes = planner.install([job_for(f"s{i}") for i in range(6)])
+        assert all(o.ok for o in outcomes)
+        assert_zero_residue(registry)
+        assert planner.jobs_installed == 6
 
     def test_interleaved_batches_keep_invariant_under_failure_injection(self):
         """Two planners hammer the same registry from two threads with
@@ -380,40 +373,30 @@ class TestStallIsolation:
                 o.job.slice_id for o in healthy
             }
 
-    def test_threaded_baseline_parks_on_stall_async_engine_does_not(self):
-        """The regression the async rewrite fixes: the thread-pool
-        engine cannot settle a batch before a hung blocking call
-        returns; the event-driven engine settles at the deadline."""
+    def test_batch_settles_at_deadline_before_stall_release(self):
+        """A thread-per-job engine cannot settle a batch before a hung
+        blocking call returns; the event-driven engine settles at the
+        deadline, healthy jobs long since committed."""
         release_after_s = 0.5
-
-        def run(planner_cls):
-            registry = self._registry()
-            stalled_driver = registry.get("beta")
-            stalled_driver.stall()
-            releaser = threading.Timer(release_after_s, stalled_driver.release_stall)
-            releaser.daemon = True
-            releaser.start()
-            planner = planner_cls(
-                registry, max_workers=8, operation_timeout_s=0.1
-            )
-            start = time.perf_counter()
-            outcomes = planner.install([job_for(f"s{i}") for i in range(8)])
-            elapsed = time.perf_counter() - start
-            releaser.cancel()
-            stalled_driver.release_stall()
-            return elapsed, outcomes
-
-        async_elapsed, async_outcomes = run(BatchInstallPlanner)
-        threaded_elapsed, threaded_outcomes = run(ThreadedInstallPlanner)
-        # Threaded: the parked worker holds the batch until the stall
-        # releases (then every job commits).  Async: the batch settles
-        # at the deadline, healthy jobs long since committed.
-        assert threaded_elapsed >= release_after_s - 0.05
-        assert async_elapsed < threaded_elapsed
-        assert all(o.ok for o in threaded_outcomes)
-        assert sum(o.ok for o in async_outcomes) == 7
+        registry = self._registry()
+        stalled_driver = registry.get("beta")
+        stalled_driver.stall()
+        releaser = threading.Timer(release_after_s, stalled_driver.release_stall)
+        releaser.daemon = True
+        releaser.start()
+        planner = BatchInstallPlanner(
+            registry, max_workers=8, operation_timeout_s=0.1
+        )
+        start = time.perf_counter()
+        outcomes = planner.install([job_for(f"s{i}") for i in range(8)])
+        elapsed = time.perf_counter() - start
+        still_stalled = releaser.is_alive()
+        releaser.cancel()
+        stalled_driver.release_stall()
+        assert still_stalled and elapsed < release_after_s
+        assert sum(o.ok for o in outcomes) == 7
         assert sum(isinstance(o.error, OperationTimeout)
-                   for o in async_outcomes if not o.ok) == 1
+                   for o in outcomes if not o.ok) == 1
 
     def test_deadline_covers_token_queueing_on_serial_driver(self):
         """The deadline clock starts at submission, not at token grant:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.orchestrator import Orchestrator
 from repro.core.slices import SliceState
-from repro.drivers.adapters import build_default_registry
+from repro.drivers.adapters import TransportDriver, build_default_registry
 from repro.drivers.base import DomainSpec, DriverError, ReservationState
 from repro.drivers.mock import MockDriver
 from repro.drivers.registry import DriverRegistry
@@ -20,6 +20,7 @@ from repro.drivers.transaction import InstallTransaction, TransactionError
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.traffic.patterns import ConstantProfile
+from repro.experiments.testbed import TestbedConfig, build_testbed
 from tests.conftest import make_request
 
 
@@ -166,6 +167,32 @@ def assert_zero_residue(testbed, slice_id):
     assert all(dc.free_vcpus == dc.total_vcpus for dc in testbed.cloud.datacenters())
 
 
+def assert_indices_clean(testbed):
+    """The delta-maintained placement indices still equal a recompute."""
+    testbed.ran.verify_index()
+    testbed.allocator.verify_uplink_aggregates()
+    for dc in testbed.cloud.datacenters():
+        dc.verify_fit_index()
+
+
+class RefusingTransport(TransportDriver):
+    """A transport backend that refuses paths to some gateways at
+    prepare time — the race planning cannot see."""
+
+    def __init__(self, controller, refuse):
+        super().__init__(controller)
+        self.refuse = set(refuse)
+
+    def _do_prepare(self, spec):
+        if spec.attributes["dst"] in self.refuse:
+            raise DriverError(self.domain, f"no path to {spec.attributes['dst']}")
+        return super()._do_prepare(spec)
+
+
+def events_of(orch, event_type):
+    return [e for e in orch.events.since(0) if e.event_type == event_type]
+
+
 class TestOrchestratorRollback:
     """End-to-end: a chaos driver breaks the install mid-transaction."""
 
@@ -185,16 +212,17 @@ class TestOrchestratorRollback:
         assert_zero_residue(testbed, slice_id)
         assert testbed.plmn_pool.available == testbed.plmn_pool.capacity
         assert orch.calendar.bookings() == []
-        rollbacks = [
-            e for e in orch.events.since(0) if e.event_type == "driver.rollback"
-        ]
-        assert {e.data["domain"] for e in rollbacks} == {
-            "ran",
-            "transport",
-            "cloud",
-            "epc",
-        }
+        # One rejection; the rollbacks were flushed with it, once per
+        # domain each attempt unwound (one attempt per candidate DC).
+        assert len(events_of(orch, "slice.rejected")) == 1
+        rollbacks = events_of(orch, "driver.rollback")
+        assert chaos.prepares == len(testbed.cloud.datacenters())
+        assert sorted(e.data["domain"] for e in rollbacks) == sorted(
+            ["ran", "transport", "cloud", "epc"] * chaos.prepares
+        )
         assert all(e.slice_id == slice_id for e in rollbacks)
+        assert all(not driver.reservations() for driver in registry)
+        assert_indices_clean(testbed)
 
     def test_commit_failure_in_extra_domain_leaves_zero_residue(self, testbed):
         registry = build_default_registry(testbed.allocator)
@@ -231,27 +259,54 @@ class TestOrchestratorRollback:
         assert chaos.held_mbps == 0.0
         assert_zero_residue(testbed, slice_id)
 
-    def test_dc_independent_prefix_prepared_once_across_candidates(self, testbed):
-        """A domain registered before transport (like RAN) must not be
-        re-prepared/rolled back for every failed DC candidate."""
-        probe = MockDriver(domain="probe", capacity_mbps=1_000.0)
-        chaos = MockDriver(domain="chaos", capacity_mbps=1_000.0)
-        chaos.fail_next_prepare = 1  # first DC candidate fails, second works
-        registry = DriverRegistry([probe])
-        for driver in build_default_registry(testbed.allocator).drivers():
-            registry.register(driver)
-        registry.register(chaos)
+    def test_refused_first_dc_commits_on_second(self, testbed):
+        """Candidate-DC fallback re-prepares every domain: the slice
+        lands on the second DC exactly as a from-scratch install there
+        would, and the retry puts no rollback noise on the feed."""
+        first_dc, second_dc = sorted(
+            testbed.cloud.datacenters(), key=lambda dc: dc.tier.value != "core"
+        )
+        registry = build_default_registry(testbed.allocator)
+        registry.register(
+            RefusingTransport(testbed.transport, refuse=[first_dc.gateway_node]),
+            replace=True,
+        )
         orch = build_orchestrator(testbed, registry)
         request, decision = submit(orch)
         assert decision.admitted
-        assert probe.prepares == 1  # prefix: prepared exactly once
-        assert probe.rollbacks == 0
-        assert chaos.prepares == 2  # suffix: once per candidate
-        # The retried-but-successful install puts NO rollback noise on
-        # the feed — consumers read driver.rollback as install failure.
-        assert not [
-            e for e in orch.events.since(0) if e.event_type == "driver.rollback"
+        slice_id = decision.slice_id
+        reservations = {d.domain: d.reservation_of(slice_id) for d in registry}
+        assert all(
+            r.state is ReservationState.COMMITTED for r in reservations.values()
+        )
+        assert all(len(d.reservations()) == 1 for d in registry)
+        assert reservations["cloud"].details["dc_id"] == second_dc.dc_id
+        assert first_dc.free_vcpus == first_dc.total_vcpus
+        assert not any(
+            link.slices()
+            for link in testbed.transport.topology.links()
+            if link.dst == first_dc.gateway_node
+        )
+        # The same request installed from scratch with the first DC out
+        # of the running holds exactly the same radio and compute.
+        reference = build_testbed(TestbedConfig())
+        for link in reference.transport.topology.links():
+            if link.dst == first_dc.gateway_node:
+                link.fail()
+        reference_orch = build_orchestrator(
+            reference, build_default_registry(reference.allocator)
+        )
+        _, reference_decision = submit(reference_orch)
+        assert reference_decision.admitted
+        assert [enb.grid.free_prbs for enb in testbed.ran.enbs()] == [
+            enb.grid.free_prbs for enb in reference.ran.enbs()
         ]
+        assert second_dc.free_vcpus == reference.cloud.datacenter(
+            second_dc.dc_id
+        ).free_vcpus
+        # Consumers read driver.rollback as install failure.
+        assert not events_of(orch, "driver.rollback")
+        assert_indices_clean(testbed)
 
     def test_commit_failure_in_prefix_domain_leaves_zero_residue(self, testbed):
         probe = MockDriver(domain="probe", capacity_mbps=1_000.0)

@@ -377,8 +377,10 @@ class Orchestrator:
     def _journal_driver_record(
         self, record_type: str, domain: str, slice_id: str, reservation_id: str
     ) -> None:
-        """Planner durability hook: per-driver reservation transitions,
-        called from completion threads (the journal is thread-safe)."""
+        """Planner durability hook for the one reservation transition
+        no job's trail carries — a straggler compensated after its job
+        settled.  Called from whichever thread that compensation landed
+        on, possibly a backend's own (the journal is thread-safe)."""
         self.store.append(
             record_type,
             time=self.sim.now,
@@ -1038,14 +1040,19 @@ class Orchestrator:
                     tag=index,
                     # The job span's context rides through the planner's
                     # state machine so every per-domain prepare/commit
-                    # span parents here no matter which completion
-                    # thread closes it.
+                    # span parents here whichever thread resolved it.
                     span_context=job_span.context,
                 )
             )
         for outcome in self.planner.install(jobs):
             index = outcome.job.tag
             network_slice, profile, fraction, job_span = staged[index]
+            # The job's whole southbound audit trail — every landed
+            # prepare/commit/rollback/release of every attempt, in
+            # landing order — as one record (never folded on replay).
+            self._journal(
+                "driver.trail", slice_id=network_slice.slice_id, trail=outcome.trail
+            )
             if outcome.ok:
                 results[index] = self._finalize_install(
                     network_slice,

@@ -30,19 +30,21 @@ adapter additionally declares ``prepare_after=("cloud",)``: within one
 install its prepare runs only after the cloud stack exists, while the
 other domains prepare in parallel.
 
-None of the adapters overrides the futures-based async lifecycle: the
-base-class shim runs each blocking controller call on a daemon thread,
-which already gives the async batch planner a non-blocking surface
-(the engine never parks *its own* execution on a slow adapter).  Every
-adapter accepts an ``operation_timeout_s`` declaring how long the
-planner should wait on one of its operations before treating the
-backend as hung — ``None`` for the in-process simulator controllers,
-a real RPC deadline for adapters wrapping remote SDN/NFV controllers.
+All four controllers are in-memory objects whose calls cannot block,
+and each adapter knows it: :class:`_InProcessDriver` resolves the
+futures-based async lifecycle *inline*, on the caller's thread, so a
+window installed by the batch planner runs entirely on the thread that
+flushed it — no thread per southbound call, no hop back.  For the same
+reason the adapters declare no ``operation_timeout_s``: there is no RPC
+to bound.  An adapter wrapping a *remote* SDN/NFV controller would
+derive from :class:`~repro.drivers.base.BaseDriver` directly, keep the
+worker hand-off it inherits, and declare its RPC deadline.
 """
 
 from __future__ import annotations
 
 import threading
+from concurrent.futures import Future
 from typing import Any, Callable, Dict, Optional
 
 from repro.cloud.controller import CloudController
@@ -65,7 +67,21 @@ from repro.transport.controller import TransportController, TransportError
 from repro.transport.paths import PathRequest
 
 
-class RanDriver(BaseDriver):
+class _InProcessDriver(BaseDriver):
+    """A driver over an in-memory controller: nothing behind
+    ``prepare``/``commit``/``rollback``/``release`` can block, so their
+    ``*_async`` futures are resolved before they are returned."""
+
+    def _shim_async(self, label: str, fn: Callable[..., Any], *args: Any) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class RanDriver(_InProcessDriver):
     """Radio domain: PRB reservations on a fleet of eNBs.
 
     Spec attributes: ``plmn`` (required :class:`~repro.core.slices.PLMN`),
@@ -78,18 +94,15 @@ class RanDriver(BaseDriver):
         self,
         controller: RanController,
         serial_lock: Optional[threading.RLock] = None,
-        operation_timeout_s: Optional[float] = None,
     ) -> None:
         super().__init__(serial_lock=serial_lock)
         self.controller = controller
-        self.operation_timeout_s = operation_timeout_s
 
     def capabilities(self) -> DriverCapabilities:
         return DriverCapabilities(
             domain=self.domain,
             resource_units=("prbs",),
             supports_resize=True,
-            operation_timeout_s=self.operation_timeout_s,
         )
 
     def feasible(self, spec: DomainSpec) -> bool:
@@ -180,7 +193,7 @@ class RanDriver(BaseDriver):
         return self.controller.utilization()
 
 
-class TransportDriver(BaseDriver):
+class TransportDriver(_InProcessDriver):
     """Transport domain: constrained paths + flow programming.
 
     Spec attributes: ``src``/``dst`` (required node names),
@@ -194,11 +207,9 @@ class TransportDriver(BaseDriver):
         self,
         controller: TransportController,
         serial_lock: Optional[threading.RLock] = None,
-        operation_timeout_s: Optional[float] = None,
     ) -> None:
         super().__init__(serial_lock=serial_lock)
         self.controller = controller
-        self.operation_timeout_s = operation_timeout_s
 
     def capabilities(self) -> DriverCapabilities:
         return DriverCapabilities(
@@ -206,7 +217,6 @@ class TransportDriver(BaseDriver):
             resource_units=("mbps",),
             supports_resize=True,
             supports_repair=True,
-            operation_timeout_s=self.operation_timeout_s,
         )
 
     def _path_request(self, spec: DomainSpec) -> PathRequest:
@@ -318,7 +328,7 @@ class TransportDriver(BaseDriver):
         return self.controller.utilization()
 
 
-class CloudDriver(BaseDriver):
+class CloudDriver(_InProcessDriver):
     """Cloud domain: per-slice Heat stacks in edge/core datacenters.
 
     Spec attributes: ``dc_id`` (required target datacenter),
@@ -332,17 +342,14 @@ class CloudDriver(BaseDriver):
         self,
         controller: CloudController,
         serial_lock: Optional[threading.RLock] = None,
-        operation_timeout_s: Optional[float] = None,
     ) -> None:
         super().__init__(serial_lock=serial_lock)
         self.controller = controller
-        self.operation_timeout_s = operation_timeout_s
 
     def capabilities(self) -> DriverCapabilities:
         return DriverCapabilities(
             domain=self.domain,
             resource_units=("vcpus",),
-            operation_timeout_s=self.operation_timeout_s,
         )
 
     def feasible(self, spec: DomainSpec) -> bool:
@@ -402,7 +409,7 @@ class CloudDriver(BaseDriver):
         return self.controller.utilization()
 
 
-class EpcDriver(BaseDriver):
+class EpcDriver(_InProcessDriver):
     """vEPC domain: binds an :class:`EpcInstance` to the slice's stack.
 
     The instance manager used to live inline in the orchestrator's UE
@@ -421,11 +428,9 @@ class EpcDriver(BaseDriver):
         self,
         stack_lookup: Callable[[str], Optional[HeatStack]],
         serial_lock: Optional[threading.RLock] = None,
-        operation_timeout_s: Optional[float] = None,
     ) -> None:
         super().__init__(serial_lock=serial_lock)
         self.stack_lookup = stack_lookup
-        self.operation_timeout_s = operation_timeout_s
         self._instances: Dict[str, EpcInstance] = {}
 
     def capabilities(self) -> DriverCapabilities:
@@ -434,7 +439,6 @@ class EpcDriver(BaseDriver):
         return DriverCapabilities(
             domain=self.domain,
             prepare_after=("cloud",),
-            operation_timeout_s=self.operation_timeout_s,
         )
 
     def feasible(self, spec: DomainSpec) -> bool:

@@ -281,24 +281,32 @@ class DomainDriver(abc.ABC):
     # The batch planner drives installs through these non-blocking
     # variants: each returns a ``concurrent.futures.Future`` that
     # resolves to the blocking method's result (or raises its error).
-    # The default implementation is a *shim* that runs the blocking
-    # method on a dedicated daemon thread, so every existing adapter
-    # gets a working async surface unchanged — a natively asynchronous
-    # backend (MockDriver, a real controller with async RPCs) overrides
-    # these to resolve the future from its own completion machinery
-    # without parking a thread per call.
+    # *How* the future gets resolved is the driver's own choice, made
+    # by overriding ``_shim_async`` (or the four methods themselves):
+    #
+    # - The default below knows nothing about the backend behind the
+    #   blocking methods, so it assumes the worst — a call that may
+    #   block — and hands it to a dedicated daemon worker.  A stalled
+    #   call then parks that worker, never the planner.
+    # - A driver that knows its backend is an in-memory object that
+    #   cannot block (the four simulator adapters) resolves the future
+    #   inline, on the caller's thread, before returning it.
+    # - A natively asynchronous backend (MockDriver, a real controller
+    #   with async RPCs) resolves it from its own completion machinery.
     #
     # Contract notes shared by all four:
     # - The future may be cancelled while still pending; a backend that
     #   honours cancellation must then perform no side effects.
     # - Callers bound waiting via ``DriverCapabilities.
-    #   operation_timeout_s``; the shim itself never times out (the
-    #   blocking call keeps running on its thread, and the planner
-    #   compensates the straggler when it eventually completes).
+    #   operation_timeout_s``; the worker hand-off itself never times
+    #   out (the blocking call keeps running on its thread, and the
+    #   planner compensates the straggler when it eventually completes).
+    # - Done-callbacks run on whichever thread resolved the future —
+    #   possibly the caller's own, before ``*_async`` returns.
 
     def _shim_async(self, label: str, fn: Callable[..., Any], *args: Any) -> Future:
-        """Run blocking ``fn(*args)`` on a daemon thread, resolving a
-        future — the default async surface for blocking drivers."""
+        """Run blocking ``fn(*args)`` on a daemon worker, resolving a
+        future — the async surface of a driver that may block."""
         future: Future = Future()
 
         def run() -> None:
@@ -344,8 +352,9 @@ class BaseDriver(DomainDriver):
     - ``release`` only accepts COMMITTED slices; a slice the driver
       holds no reservation for is :class:`DriverAbsentError`.
 
-    Locking discipline (the batch planner drives drivers from a thread
-    pool):
+    Locking discipline (a driver may be called at once from a planner
+    draining a window, from another driver's completion thread
+    compensating a straggler, and from direct callers):
 
     - ``_lock`` guards the reservation table and the in-flight set; it
       is held only around bookkeeping, never across a backend call.

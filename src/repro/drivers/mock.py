@@ -22,7 +22,7 @@ Three uses:
    lifecycle (``prepare_async``/``commit_async``/``release_async``)
    with *true* asynchronous completion: the emulated southbound latency
    elapses on a background daemon timer that then performs the quick
-   bookkeeping and resolves the future, instead of parking a shim
+   bookkeeping and resolves the future, instead of parking a worker
    thread in ``time.sleep``.  A future cancelled before its timer fires
    never touches the backend at all.  The :meth:`stall` chaos hook
    makes the next N operations hang — blocking callers park on a gate,

@@ -5,63 +5,77 @@ The window executor.  A single request is installed by the blocking
 thread, which bounds deployment latency by the *sum* of every domain's
 southbound latency, slice after slice.  For a window of admitted
 installs :class:`BatchInstallPlanner` removes both serializations while
-keeping the two-phase discipline intact, without parking a worker
-thread per job:
+keeping the two-phase discipline intact, without parking a thread per
+job — and without starting one at all when every backend is in-process:
 
-- **Across slices** — a batch of admitted installs runs as concurrent
-  event-driven jobs; each job is a small state machine advanced by
-  future-completion callbacks, owning one slice's whole
-  prepare → validate → commit attempt sequence.
+- **One run queue, one drainer** — :meth:`BatchInstallPlanner.
+  install_batch` drains a FIFO of *continuations* on the thread that
+  called it.  Job state machines, token pools and deadlines are touched
+  by that thread only, so none of them carries a lock.  A completion, a
+  deadline or a freed token *enqueues* the next continuation and never
+  calls it: stack depth is constant in batch size, and the order things
+  happen in — hence reservation ids and the audit trail — follows from
+  the order completions arrive in, which in-process backends fix.
+- **One hand-off** — a future's done-callback is the only planner code
+  a foreign thread (a backend's completion timer, the worker running a
+  blocking driver) ever executes, and all it does is append the
+  completion to the run queue under the hand-off lock.  A future
+  resolved inline, on the drainer, goes through the very same append.
+- **Across slices** — each job owns one slice's whole prepare →
+  validate → commit attempt sequence; ``max_workers`` job tokens bound
+  how many are in flight.
 - **Across domains** — within one job, domains with no declared
   dependency (``DriverCapabilities.prepare_after``) are prepared in
-  parallel *waves*; wave N+1 launches from the completion callback of
-  wave N's last future (future-chaining, no barrier thread).
+  parallel *waves*; wave N+1 launches from the continuation that
+  settles wave N's last operation.
 - **Per driver** — a token pool sized by each driver's
   ``DriverCapabilities.max_concurrent_installs`` caps how many
   in-flight operations a backend absorbs at once, batch-wide.  Tokens
   are granted at *submission* time: an operation either launches
-  immediately or queues FIFO until a token frees — no thread ever
-  blocks on a semaphore.  Serial backends (all simulator adapters)
+  immediately or queues FIFO until a token frees — nothing ever blocks
+  on a semaphore.  Serial backends (all simulator adapters)
   additionally self-serialize via :class:`~repro.drivers.base.
   BaseDriver`'s locking discipline, so correctness never depends on the
   planner being the only caller.
 
 Southbound calls go through the drivers' futures-based lifecycle
-(:meth:`~repro.drivers.base.DomainDriver.prepare_async` and friends).
-Blocking adapters get the base-class shim (one daemon thread per call —
-the reason a batch of one is not worth routing through here);
-natively asynchronous backends resolve futures from their own
-completion machinery.  Because the engine itself never parks a thread
-per job, **one hung domain cannot stall the batch**: every other job's
-waves keep chaining on their own completions, and a per-operation
-deadline (``DriverCapabilities.operation_timeout_s``, or the planner's
-``operation_timeout_s`` default) converts the hung operation into a
-clean per-job unwind — the job fails with
-:class:`~repro.drivers.transaction.OperationTimeout`, its other domains
-are rolled back immediately, and the straggling operation is
-*compensated* in the background (rolled back or released) the moment it
-eventually completes, so no residue survives a late success.
+(:meth:`~repro.drivers.base.DomainDriver.prepare_async` and friends);
+how a future gets resolved is the driver's business.  The drainer only
+ever *launches* operations and consumes completions, so **one hung
+domain cannot stall the batch**: a per-operation deadline
+(``DriverCapabilities.operation_timeout_s``, or the planner's
+``operation_timeout_s`` default — a heap the drainer sleeps against, no
+timer threads) converts the hung operation into a clean per-job unwind:
+the job fails with :class:`~repro.drivers.transaction.OperationTimeout`,
+its other domains are rolled back immediately, and the straggler is
+*compensated* (rolled back or released) the moment it eventually
+completes — batch still draining or long since returned — so no residue
+survives a late success.
 
 Transaction semantics are the blocking executor's: any failure inside a
 job unwinds *that job's* reservations in reverse registry order
 (COMMITTED domains released, PREPARED ones rolled back) through a
 deadline-covered async chain whose error message comes from
-:func:`~repro.drivers.transaction.compose_unwind_error`; the invariant
-holds regardless of how jobs interleave because each job only ever
-touches its own slice's reservations.  Rollback notifications are
-buffered per job and surfaced only for jobs that ultimately fail — a
-slice that succeeds on a later attempt (e.g. the next candidate
-datacenter) puts no ``driver.rollback`` noise on the event feed,
-matching the blocking path's deferred-rollback contract.
+:func:`~repro.drivers.transaction.compose_unwind_error`.  An exception
+escaping a continuation is that job's failure too (``[planner]
+unexpected …``, after the same unwind) — never the batch's, and never a
+job nobody settles.  Rollback notifications are buffered per job and
+surfaced only for jobs that ultimately fail, matching the blocking
+path's deferred-rollback contract.  Every reservation transition that
+landed is kept, in landing order, as the job's audit *trail*
+(:attr:`InstallOutcome.trail`); the planner journals nothing itself on
+the window path.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import threading
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from time import perf_counter
+from time import monotonic, perf_counter
 from typing import (
     Any,
     Callable,
@@ -106,9 +120,9 @@ class InstallJob:
         span_context: Optional :class:`~repro.obs.span.SpanContext` of
             the caller's per-job span.  Carried through the job state
             machine so every southbound operation span parents
-            correctly no matter which completion/timer/shim thread
-            closes it — this is the explicit propagation that replaces
-            thread-locals in the async engine.
+            correctly whichever thread resolved the operation — the
+            explicit propagation that replaces thread-locals in the
+            async engine.
     """
 
     slice_id: str
@@ -126,76 +140,89 @@ class InstallOutcome:
     per domain) and ``error`` (every attempt failed) is set.
     ``rollbacks`` holds the unwind notifications the job buffered —
     the caller decides whether to surface them (the orchestrator only
-    does for failed installs).
+    does for failed installs).  ``trail`` is the job's audit trail:
+    ``(kind, domain, reservation_id)`` for every reservation transition
+    that *landed* — ``prepared`` / ``committed`` / ``rolled_back`` /
+    ``released`` — across all attempts, in landing order; the
+    orchestrator journals it as one record per job.
     """
 
     job: InstallJob
     reservations: Optional[Dict[str, Reservation]] = None
     error: Optional[TransactionError] = None
     rollbacks: List[Tuple[str, Reservation, str]] = field(default_factory=list)
+    trail: List[Tuple[str, str, str]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return self.reservations is not None
 
 
+#: States in which a reservation still holds resources in its backend.
+_HOLDING = (ReservationState.PREPARED, ReservationState.COMMITTED)
+
+
+def _undo_async(driver: DomainDriver, reservation: Reservation) -> Future:
+    """Launch what takes a holding reservation back out of its backend:
+    release if it was COMMITTED, rollback while still PREPARED."""
+    if reservation.state is ReservationState.COMMITTED:
+        return driver.release_async(reservation.slice_id)
+    return driver.rollback_async(reservation)
+
+
 class _TokenPool:
     """Concurrency tokens granted at submission time.
 
-    A thunk either launches immediately (token taken) or queues FIFO
-    until :meth:`release` hands it the freed token.  Unlike a semaphore
-    guarding a parked worker, no thread ever blocks waiting — this is
+    A continuation either runs now (token taken) or queues FIFO until
+    :meth:`release` hands the freed token to it.  Unlike a semaphore
+    guarding a parked worker, nothing ever blocks waiting — this is
     what lets one hung operation hold its token indefinitely without
-    wedging anything except itself.
+    wedging anything except itself.  Drainer-only, hence lock-free.
     """
+
+    __slots__ = ("_free", "_waiting")
 
     def __init__(self, size: int) -> None:
         self._free = max(1, int(size))
         self._waiting: deque = deque()
-        self._lock = threading.Lock()
 
-    def acquire(self, thunk: Callable[[], None]) -> None:
-        with self._lock:
-            if self._free > 0:
-                self._free -= 1
-            else:
-                self._waiting.append(thunk)
-                return
-        thunk()
+    def acquire(self, run: "_JobRun", step: Callable[[], None]) -> bool:
+        """Take a token now (True) or queue ``step`` for the next one."""
+        if self._free > 0:
+            self._free -= 1
+            return True
+        self._waiting.append((run, step))
+        return False
 
-    def release(self) -> None:
-        with self._lock:
-            if self._waiting:
-                thunk = self._waiting.popleft()
-            else:
-                self._free += 1
-                return
-        thunk()
+    def release(self) -> Optional[Tuple["_JobRun", Callable[[], None]]]:
+        """Give the token back; returns the waiter inheriting it."""
+        if self._waiting:
+            return self._waiting.popleft()
+        self._free += 1
+        return None
 
 
 class _Op:
-    """One in-flight southbound operation: a future, an optional
-    deadline, and exactly-once settlement.
+    """One southbound operation of one job: submitted, possibly queued
+    for its driver's token, launched, and settled exactly once.
 
-    Completion and timeout race; the first to run the job's state
-    machine wins.  If the timeout wins, the operation's eventual
-    completion is routed to the planner's *compensation* path (its
-    driver token is only returned when the backend actually finishes),
-    so a late success leaves no residue and a hung backend is never
-    hammered beyond its declared concurrency.
+    ``settled`` flips on the drainer when the job consumes the
+    operation's fate — its completion, its deadline, or the job's abort
+    — whichever continuation runs first.  A completion that finds it
+    already set is a *straggler*: its token goes back (only now — a
+    hung backend is never handed more than its declared concurrency)
+    and whatever it did is compensated.
 
-    The deadline is armed at *submission* (:meth:`arm`), before any
-    token is granted: time spent queued behind a hung serial backend
-    counts against the budget, so a cap-1 driver with one stuck
-    operation cannot wedge every queued job past its deadline.  An op
-    that times out while still queued simply declines to launch when
-    its token finally arrives.
+    The deadline is armed at *submission*, before any token is granted:
+    time spent queued behind a hung serial backend counts against the
+    budget, so a cap-1 driver with one stuck operation cannot wedge
+    every queued job past its deadline.  An op settled while still
+    queued declines to launch when its token finally arrives.
     """
 
     __slots__ = (
         "run", "domain", "kind", "driver", "pool", "timeout_s",
-        "reservation", "future", "timer", "_state_lock", "_timed_out",
-        "_completed", "span", "queued_at",
+        "reservation", "future", "settled", "span", "queued_at",
     )
 
     def __init__(
@@ -203,27 +230,22 @@ class _Op:
         run: "_JobRun",
         domain: str,
         kind: str,
-        driver: DomainDriver,
-        pool: Optional[_TokenPool],
-        timeout_s: Optional[float],
-        reservation: Optional[Reservation] = None,
+        reservation: Optional[Reservation],
     ) -> None:
+        batch = run.batch
         self.run = run
         self.domain = domain
         self.kind = kind
-        self.driver = driver
-        self.pool = pool
-        self.timeout_s = timeout_s
+        self.driver, pool, self.timeout_s = batch.lanes[domain]
+        # Compensations bypass the token pools: they must not queue
+        # behind the very operations they are cleaning up after.
+        self.pool = pool if kind != "unwind" else None
         self.reservation = reservation
         self.future: Optional[Future] = None
-        self.timer: Optional[threading.Timer] = None
-        self._state_lock = threading.Lock()
-        self._timed_out = False
-        self._completed = False
+        self.settled = False
         # Span of this southbound op, parented to the job's carried
-        # context; whichever thread settles the op closes it (finish is
-        # idempotent, so the completion/timeout race is safe).
-        obs = run.planner.obs
+        # context and closed by the continuation that settles it.
+        obs = batch.planner.obs
         if obs.enabled:
             self.span = obs.span(
                 f"driver.{kind}",
@@ -237,165 +259,107 @@ class _Op:
             self.span = NOOP_SPAN
             self.queued_at = None
 
-    def arm(self) -> None:
-        """Start the deadline clock — at submission, before the token."""
-        if self.timeout_s is not None and self.timeout_s > 0:
-            self.timer = threading.Timer(self.timeout_s, self._on_timeout)
-            self.timer.daemon = True
-            self.timer.start()
-
-    def should_launch(self) -> bool:
-        """Whether the backend call should still be issued once the
-        driver token arrives (False after a queued-op timeout)."""
-        with self._state_lock:
-            return not self._timed_out
-
-    def attach(self, future: Future) -> None:
-        """Subscribe to the launched future's completion."""
-        with self._state_lock:
-            self.future = future
-            timed_out = self._timed_out
-        if timed_out:
-            # Deadline fired between the launch decision and here —
-            # best-effort cancel; the done callback routes the rest to
-            # compensation either way.
-            future.cancel()
-        future.add_done_callback(self._on_done)
-
-    def fail_now(self, exc: BaseException) -> None:
-        """The driver's async entry point itself blew up (broken
-        backend): settle immediately, returning the token."""
-        if self.timer is not None:
-            self.timer.cancel()
-        with self._state_lock:
-            if self._completed or self._timed_out:
-                already_settled = True
-            else:
-                self._completed = True
-                already_settled = False
-        if self.pool is not None:
-            self.pool.release()
-        if not already_settled:
-            self.run._op_finished(self, None, exc)
-
-    def _on_done(self, future: Future) -> None:
-        # Fires exactly once: on completion *or* cancellation.
-        if self.timer is not None:
-            self.timer.cancel()
-        with self._state_lock:
-            self._completed = True
-            timed_out = self._timed_out
-        if self.pool is not None:
-            self.pool.release()
-        if timed_out:
-            self.run.planner._compensate(self, future)
+    def launch(self) -> None:
+        """Issue the backend call — directly at submission when a token
+        was free, else as the continuation a freed token enqueues."""
+        batch = self.run.batch
+        if self.settled:
+            # Timed out (or its job aborted) while queued: the job
+            # already moved on; pass the token straight along.
+            batch.release(self.pool)
             return
+        if self.pool is not None and self.queued_at is not None:
+            # Token-pool wait: submission → launch, including time
+            # queued behind a saturated/hung backend.
+            batch.planner.obs.observe(
+                "planner.token_wait",
+                (perf_counter() - self.queued_at) * 1000.0,
+                label=self.domain,
+            )
         try:
-            result = future.result()
-            exc: Optional[BaseException] = None
-        except BaseException as error:
-            result, exc = None, error
-        self.run._op_finished(self, result, exc)
+            future = self._call()
+        except Exception as exc:
+            # The driver's async entry point itself blew up (broken
+            # backend): same path as a future that resolved to an error.
+            future = Future()
+            future.set_exception(exc)
+        self.future = future
+        future.add_done_callback(self._completed)
 
-    def _on_timeout(self) -> None:
-        with self._state_lock:
-            if self._completed:
-                return
-            self._timed_out = True
-            future = self.future
-        self.run.planner._count_timeout(self)
-        # A still-queued op (future is None) never launches; a pending
-        # future (backend never started) cancels cleanly — no side
-        # effects, token returns via the done callback.  A running one
-        # keeps going; compensation catches it at the end.
-        if future is not None:
-            future.cancel()
-        self.run._op_timed_out(
-            self,
-            OperationTimeout(
-                self.domain,
-                f"{self.kind} timed out after {self.timeout_s:g}s",
-            ),
-        )
+    def _call(self) -> Future:
+        if self.kind == "prepare":
+            return self.driver.prepare_async(self.run.specs[self.domain])
+        if self.kind == "commit":
+            return self.driver.commit_async(self.reservation)
+        return _undo_async(self.driver, self.reservation)
+
+    def _completed(self, future: Future) -> None:
+        """Done-callback — the one planner function foreign threads run
+        (and the drainer itself, for a future resolved inline).  While
+        the batch drains, the completion joins the run queue; after
+        :meth:`BatchInstallPlanner.install_batch` returned there is no
+        job left to tell, only residue to undo."""
+        run = self.run
+        if not run.batch.enqueue(run, run.op_done, self):
+            run.batch.planner._compensate(self)
 
 
 class _JobRun:
-    """Event-driven execution of one :class:`InstallJob`.
+    """Execution of one :class:`InstallJob`: a state machine whose
+    every transition runs on the thread draining the batch's run queue
+    (no locks).  Public methods are the *continuations* the queue
+    carries; they may call the private steps below them, but one
+    continuation never calls another — it enqueues it."""
 
-    State transitions happen under ``_lock``; southbound submissions
-    and unwinds run outside it.  Callbacks arrive on whatever thread
-    resolved the future — a backend's completion timer, a shim thread,
-    or the submitting thread itself for synchronous backends — so every
-    method below must be thread-safe and reentrancy-tolerant.
-    """
-
-    def __init__(
-        self,
-        planner: "BatchInstallPlanner",
-        job: InstallJob,
-        index: int,
-        pools: Dict[str, _TokenPool],
-        on_settled: Callable[["_JobRun", InstallOutcome], None],
-    ) -> None:
-        self.planner = planner
-        self.registry = planner.registry
+    def __init__(self, batch: "_Batch", job: InstallJob, index: int) -> None:
+        self.batch = batch
         self.job = job
         self.index = index
-        self.pools = pools
-        self.on_settled = on_settled
         self.rollbacks: List[Tuple[str, Reservation, str]] = []
-        self._lock = threading.RLock()
+        self.trail: List[Tuple[str, str, str]] = []
+        self.settled = False
         self._attempt_index = 0
         self._last_error: Optional[TransactionError] = None
-        self._settled = False
-        # Per-attempt state (reset by _start_attempt).
-        self._domains: List[str] = []
-        self._specs: Mapping[str, DomainSpec] = {}
-        self._waves: List[List[str]] = []
+        self._aborted = False
+        #: domain → the operation submitted there and not yet settled.
+        self._live: Dict[str, _Op] = {}
+        # Per-attempt state (reset by next_attempt).
+        self.specs: Mapping[str, DomainSpec] = {}
         self._wave_index = 0
         self._wave_pending = 0
         self._wave_error: Optional[Tuple[str, BaseException]] = None
         self._prepared: Dict[str, Reservation] = {}
+        #: Domains whose operation timed out or was dropped by an abort:
+        #: the straggler path owns them, the job's unwind skips them.
         self._abandoned: set = set()
-        self._commit_order: List[str] = []
-        self._commit_index = 0
+        self._to_commit: deque = deque()
         # Unwind-chain state (reset by _unwind_and_fail).
-        self._unwind_pairs: List[Tuple[DomainDriver, Reservation]] = []
-        self._unwind_index = 0
+        self._to_unwind: deque = deque()
         self._unwind_errors: List[str] = []
         self._unwind_exc: Optional[BaseException] = None
         self._unwind_failed_domain = ""
-        self._unwind_reason = ""
         self._unwind_timed_out = False
 
     # ------------------------------------------------------------------
-    # Attempt lifecycle
+    # Continuations
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        self._next_attempt()
-
-    def _next_attempt(self) -> None:
-        with self._lock:
-            if self._attempt_index >= len(self.job.attempts):
-                error = self._last_error or TransactionError(
-                    "planner", f"job {self.job.slice_id} has no install attempts"
+    def next_attempt(self) -> None:
+        """Job start (a job token was granted) and what every failed
+        attempt enqueues: try the next spec-map or settle as failed."""
+        job, batch = self.job, self.batch
+        if self._attempt_index >= len(job.attempts):
+            self._settle(
+                error=self._last_error
+                or TransactionError(
+                    "planner", f"job {job.slice_id} has no install attempts"
                 )
-                outcome = InstallOutcome(
-                    job=self.job, error=error, rollbacks=self.rollbacks
-                )
-            else:
-                specs = self.job.attempts[self._attempt_index]
-                self._attempt_index += 1
-                outcome = None
-        if outcome is not None:
-            self._settle(outcome)
+            )
             return
-        self._start_attempt(specs)
-
-    def _start_attempt(self, specs: Mapping[str, DomainSpec]) -> None:
-        domains = self.registry.domains()
-        missing = [d for d in domains if d not in specs]
-        surplus = [d for d in specs if d not in domains]
+        specs = job.attempts[self._attempt_index]
+        self._attempt_index += 1
+        batch.snapshot_registry()
+        missing = [d for d in batch.lanes if d not in specs]
+        surplus = [d for d in specs if d not in batch.lanes]
         if missing or surplus:
             self._fail_attempt(
                 TransactionError(
@@ -404,226 +368,193 @@ class _JobRun:
                 )
             )
             return
-        with self._lock:
-            self._domains = domains
-            self._specs = specs
-            self._waves = self.planner.prepare_waves(domains)
-            self._wave_index = 0
-            self._wave_error = None
-            self._prepared = {}
-            self._abandoned = set()
-            self._commit_order = []
-            self._commit_index = 0
+        self.specs = specs
+        self._wave_index = 0
+        self._wave_error = None
+        self._prepared = {}
+        self._abandoned = set()
         self._launch_wave()
 
-    def _fail_attempt(self, exc: BaseException) -> None:
-        if not isinstance(exc, TransactionError):
-            exc = TransactionError(  # defensive: a broken driver must
-                "planner", f"unexpected {type(exc).__name__}: {exc}"
-            )  # not take down the batch
-        with self._lock:
-            self._last_error = exc
-            if isinstance(exc, OperationTimeout):
-                # A hung domain fails the *job*, not just the attempt:
-                # further attempts would hammer the hung backend — and
-                # trip the per-slice in-flight guard while the
-                # straggler is still out — masking the real failure.
-                self._attempt_index = len(self.job.attempts)
-        self._next_attempt()
-
-    def _settle(self, outcome: InstallOutcome) -> None:
-        with self._lock:
-            if self._settled:
-                return
-            self._settled = True
-        self.on_settled(self, outcome)
-
-    # ------------------------------------------------------------------
-    # Prepare phase: chained parallel waves
-    # ------------------------------------------------------------------
-    def _launch_wave(self) -> None:
-        with self._lock:
-            if self._wave_index >= len(self._waves):
-                wave = None
-            else:
-                wave = self._waves[self._wave_index]
-                self._wave_index += 1
-                self._wave_pending = len(wave)
-        if wave is None:
-            self._validate_and_commit()
+    def op_done(self, op: _Op) -> None:
+        """``op``'s future completed (or was cancelled)."""
+        if op.pool is not None:
+            # The backend finished: its token frees now, never earlier.
+            self.batch.release(op.pool)
+        if op.settled:
+            # The deadline (or an abort) got there first.
+            self.batch.planner._compensate(op)
             return
-        for domain in wave:
-            self._submit(
-                domain,
-                "prepare",
-                lambda drv, d=domain: drv.prepare_async(self._specs[d]),
-            )
+        future = op.future
+        if future.cancelled():  # nobody but the backend could have
+            result, exc = None, DriverError(op.domain, f"{op.kind} was cancelled")
+        else:
+            exc = future.exception()
+            result = future.result() if exc is None else None
+        self._settle_op(op, result, exc)
 
-    def _submit(
-        self,
-        domain: str,
-        kind: str,
-        launch: Callable[[DomainDriver], Future],
-        reservation: Optional[Reservation] = None,
-    ) -> None:
-        """Acquire the domain's token (now or queued), then launch."""
-        try:
-            driver = self.registry.get(domain)
-        except DriverError as exc:
-            if kind == "prepare":
-                self._prepare_done(domain, None, exc)
-            else:
-                self._commit_done(domain, exc)
-            return
-        pool = self.pools.get(domain)
-        op = _Op(
-            self,
-            domain,
-            kind,
-            driver,
-            pool,
-            self.planner._timeout_for(driver),
-            reservation=reservation,
+    def op_timed_out(self, op: _Op) -> None:
+        """``op``'s deadline passed before its completion was seen."""
+        self.batch.planner._count_timeout(op)
+        # A still-queued op (future is None) never launches; a pending
+        # future (backend never started) cancels cleanly — no side
+        # effects.  A running one keeps going; op_done compensates it
+        # at the end.
+        if op.future is not None:
+            op.future.cancel()
+        # The straggler is owned by the compensation path from here on;
+        # the job's own unwind must not touch its reservation.
+        self._abandoned.add(op.domain)
+        self._settle_op(
+            op,
+            None,
+            OperationTimeout(
+                op.domain, f"{op.kind} timed out after {op.timeout_s:g}s"
+            ),
         )
 
-        def thunk() -> None:
-            if not op.should_launch():
-                # Timed out while queued for the token: the job already
-                # moved on; pass the token straight along.
-                if pool is not None:
-                    pool.release()
-                return
-            if op.queued_at is not None:
-                # Token-pool wait: submission → launch, including time
-                # queued behind a saturated/hung backend.
-                self.planner.obs.observe(
-                    "planner.token_wait",
-                    (perf_counter() - op.queued_at) * 1000.0,
-                    label=domain,
-                )
-            try:
-                future = launch(driver)
-            except BaseException as exc:
-                op.fail_now(exc)
-                return
-            op.attach(future)
-
-        # The deadline clock starts now — queueing time behind a hung
-        # serial backend counts against the budget.
-        op.arm()
-        if pool is None:  # driver registered mid-batch — no cap known
-            thunk()
+    def abort(self, exc: Exception) -> None:
+        """An exception escaped one of this job's continuations: the
+        job fails with ``[planner] unexpected …`` after unwinding what
+        the attempt holds — a second escape, from that unwind, fails it
+        on the spot.  Operations still out become stragglers."""
+        if self.settled:
+            return
+        again, self._aborted = self._aborted, True
+        stragglers, self._live = list(self._live.values()), {}
+        for op in stragglers:
+            op.settled = True
+            self._abandoned.add(op.domain)
+        for op in stragglers:
+            if op.future is not None:
+                op.future.cancel()
+            op.span.finish("error", error=str(exc))
+        if again:
+            self._settle(
+                error=compose_unwind_error(exc, "planner", self._unwind_errors)
+            )
         else:
-            pool.acquire(thunk)
+            self._unwind_and_fail(exc, "planner")
 
-    def _op_finished(
+    # ------------------------------------------------------------------
+    # Attempt lifecycle
+    # ------------------------------------------------------------------
+    def _fail_attempt(self, error: TransactionError, final: bool = False) -> None:
+        self._last_error = error
+        if final or isinstance(error, OperationTimeout):
+            # A hung domain fails the *job*, not just the attempt:
+            # further attempts would hammer the hung backend — and
+            # trip the per-slice in-flight guard while the straggler
+            # is still out — masking the real failure.
+            self._attempt_index = len(self.job.attempts)
+        self.batch.enqueue(self, self.next_attempt)
+
+    def _settle(
+        self,
+        reservations: Optional[Dict[str, Reservation]] = None,
+        error: Optional[TransactionError] = None,
+    ) -> None:
+        self.settled = True
+        self.batch.job_settled(
+            self,
+            InstallOutcome(
+                job=self.job,
+                reservations=reservations,
+                error=error,
+                rollbacks=self.rollbacks,
+                trail=self.trail,
+            ),
+        )
+
+    def _submit(
+        self, domain: str, kind: str, reservation: Optional[Reservation] = None
+    ) -> None:
+        """Start the deadline clock, then launch — now, or when the
+        domain's token frees."""
+        op = _Op(self, domain, kind, reservation)
+        self._live[domain] = op
+        self.batch.arm(op)
+        if op.pool is None or op.pool.acquire(self, op.launch):
+            op.launch()
+
+    def _settle_op(
         self, op: _Op, result: Any, exc: Optional[BaseException]
     ) -> None:
+        op.settled = True
+        del self._live[op.domain]
         if exc is None:
             op.span.finish()
         else:
             op.span.finish("error", error=str(exc))
         if op.kind == "prepare":
-            if exc is None and isinstance(result, Reservation):
-                self.planner._record(
-                    "driver.prepared", op.domain,
-                    result.slice_id, result.reservation_id,
-                )
-            self._prepare_done(op.domain, result, exc)
+            self._prepare_done(op, result, exc)
         elif op.kind == "commit":
-            if exc is None and op.reservation is not None:
-                self.planner._record(
-                    "driver.committed", op.domain,
-                    op.reservation.slice_id, op.reservation.reservation_id,
-                )
-            self._commit_done(op.domain, exc)
+            self._commit_done(op, exc)
         else:
             self._unwind_done(op, exc)
 
-    def _op_timed_out(self, op: _Op, exc: OperationTimeout) -> None:
-        # Deadline fired first: the span closes as an error *now*, on
-        # the timer thread — the op's eventual late completion routes
-        # to compensation and must not leave an in-flight span behind.
-        op.span.finish("error", error=str(exc))
-        # The straggler is owned by the compensation path from here on;
-        # the job's own unwind must not touch its reservation.
-        with self._lock:
-            self._abandoned.add(op.domain)
-        if op.kind == "prepare":
-            self._prepare_done(op.domain, None, exc)
-        elif op.kind == "commit":
-            self._commit_done(op.domain, exc)
-        else:
-            with self._lock:
-                self._unwind_timed_out = True
-            self._unwind_done(op, exc)
+    # ------------------------------------------------------------------
+    # Prepare phase: chained parallel waves
+    # ------------------------------------------------------------------
+    def _launch_wave(self) -> None:
+        waves = self.batch.waves
+        if self._wave_index >= len(waves):
+            self._validate_and_commit()
+            return
+        wave = waves[self._wave_index]
+        self._wave_index += 1
+        self._wave_pending = len(wave)
+        for domain in wave:
+            self._submit(domain, "prepare")
 
     def _prepare_done(
-        self, domain: str, reservation: Any, exc: Optional[BaseException]
+        self, op: _Op, reservation: Any, exc: Optional[BaseException]
     ) -> None:
-        with self._lock:
-            if exc is None and isinstance(reservation, Reservation):
-                self._prepared[domain] = reservation
-            elif self._wave_error is None:
-                self._wave_error = (
-                    domain,
-                    exc
-                    or DriverError(domain, "prepare returned no reservation"),
-                )
-            self._wave_pending -= 1
-            if self._wave_pending > 0:
-                return
-            error = self._wave_error
-        if error is not None:
-            self._unwind_and_fail(error[1], error[0])
+        domain = op.domain
+        if exc is None and isinstance(reservation, Reservation):
+            self._prepared[domain] = reservation
+            self.trail.append(("prepared", domain, reservation.reservation_id))
+        elif self._wave_error is None:
+            self._wave_error = (
+                domain,
+                exc or DriverError(domain, "prepare returned no reservation"),
+            )
+        self._wave_pending -= 1
+        if self._wave_pending > 0:
+            return
+        if self._wave_error is not None:
+            self._unwind_and_fail(self._wave_error[1], self._wave_error[0])
         else:
             self._launch_wave()
 
     # ------------------------------------------------------------------
-    # Validation + commit phase: registry-order future chain
+    # Validation + commit phase: registry-order chain
     # ------------------------------------------------------------------
     def _validate_and_commit(self) -> None:
-        with self._lock:
-            reservations = dict(self._prepared)
-            self._commit_order = [d for d in self._domains if d in self._prepared]
-            self._commit_index = 0
+        # Every wave landed, so every domain is in; registry order from
+        # here on, whatever order the prepares completed in.
+        self._prepared = {d: self._prepared[d] for d in self.batch.lanes}
         try:
             if self.job.validate is not None:
-                self.job.validate(reservations)
-        except BaseException as exc:
+                self.job.validate(self._prepared)
+        except Exception as exc:
             self._unwind_and_fail(exc, "planner")
             return
+        self._to_commit = deque(self._prepared)
         self._commit_next()
 
     def _commit_next(self) -> None:
-        with self._lock:
-            if self._commit_index >= len(self._commit_order):
-                domain = None
-                outcome = InstallOutcome(
-                    job=self.job,
-                    reservations=dict(self._prepared),
-                    rollbacks=self.rollbacks,
-                )
-            else:
-                domain = self._commit_order[self._commit_index]
-                self._commit_index += 1
-                outcome = None
-        if domain is None:
-            self._settle(outcome)
+        if not self._to_commit:
+            self._settle(reservations=self._prepared)
             return
-        reservation = self._prepared[domain]
-        self._submit(
-            domain,
-            "commit",
-            lambda drv, r=reservation: drv.commit_async(r),
-            reservation=reservation,
-        )
+        domain = self._to_commit.popleft()
+        self._submit(domain, "commit", self._prepared[domain])
 
-    def _commit_done(self, domain: str, exc: Optional[BaseException]) -> None:
-        if exc is None:
-            self._commit_next()
-        else:
-            self._unwind_and_fail(exc, domain)
+    def _commit_done(self, op: _Op, exc: Optional[BaseException]) -> None:
+        if exc is not None:
+            self._unwind_and_fail(exc, op.domain)
+            return
+        self.trail.append(("committed", op.domain, op.reservation.reservation_id))
+        self._commit_next()
 
     # ------------------------------------------------------------------
     # Unwind: reverse-order async chain, deadline-covered like any
@@ -637,95 +568,189 @@ class _JobRun:
         path — a backend that hangs *during rollback* costs the job its
         deadline, not the batch its liveness (the straggler finishes in
         the background; a late rollback is itself the compensation)."""
-        with self._lock:
-            pairs = [
-                (self.registry.get(d), self._prepared[d])
-                for d in self._domains
-                if d in self._prepared and d not in self._abandoned
-            ]
-            self._unwind_pairs = list(reversed(pairs))
-            self._unwind_index = 0
-            self._unwind_errors = []
-            self._unwind_exc = exc
-            self._unwind_failed_domain = failed_domain
-            self._unwind_reason = str(exc)
-            self._unwind_timed_out = False
+        self._to_unwind = deque(
+            self._prepared[d]
+            for d in reversed(self.batch.lanes)
+            if d in self._prepared and d not in self._abandoned
+        )
+        self._unwind_errors = []
+        self._unwind_exc = exc
+        self._unwind_failed_domain = failed_domain
+        self._unwind_timed_out = False
         self._unwind_next()
 
     def _unwind_next(self) -> None:
-        while True:
-            with self._lock:
-                if self._unwind_index >= len(self._unwind_pairs):
-                    pair = None
-                else:
-                    pair = self._unwind_pairs[self._unwind_index]
-                    self._unwind_index += 1
-            if pair is None:
-                self._finish_unwind()
+        while self._to_unwind:
+            reservation = self._to_unwind.popleft()
+            if reservation.state in _HOLDING:  # else: already unwound
+                self._submit(reservation.domain, "unwind", reservation)
                 return
-            driver, reservation = pair
-            state = reservation.state
-            if state not in (
-                ReservationState.COMMITTED,
-                ReservationState.PREPARED,
-            ):
-                continue  # already unwound — nothing to do
-            # Compensations bypass the token pools: they must not queue
-            # behind the very operations they are cleaning up after.
-            op = _Op(
-                self,
-                driver.domain,
-                "unwind",
-                driver,
-                None,
-                self.planner._timeout_for(driver),
-                reservation=reservation,
-            )
-            op.arm()
-            try:
-                if state is ReservationState.COMMITTED:
-                    future = driver.release_async(reservation.slice_id)
-                else:
-                    future = driver.rollback_async(reservation)
-            except BaseException as launch_exc:
-                op.fail_now(launch_exc)
-                return
-            op.attach(future)
-            return
+        # A backend that hung mid-compensation will refuse this slice
+        # (in-flight guard) until the straggler returns, and an aborted
+        # job is broken for good: further attempts would only mask it.
+        self._fail_attempt(
+            compose_unwind_error(
+                self._unwind_exc, self._unwind_failed_domain, self._unwind_errors
+            ),
+            final=self._unwind_timed_out or self._aborted,
+        )
 
     def _unwind_done(self, op: _Op, exc: Optional[BaseException]) -> None:
-        if exc is None and op.reservation is not None:
-            self.planner._record(
-                "driver.released"
-                if op.reservation.state is ReservationState.RELEASED
-                else "driver.rolled_back",
-                op.domain,
-                op.reservation.slice_id,
-                op.reservation.reservation_id,
-            )
-        with self._lock:
-            if exc is None:
-                # Same contract as InstallTransaction.unwind: the
-                # rollback notification fires only for compensations
-                # that actually landed.
-                self.rollbacks.append(
-                    (op.domain, op.reservation, self._unwind_reason)
+        reservation = op.reservation
+        if exc is None:
+            self.trail.append(
+                (
+                    "released"
+                    if reservation.state is ReservationState.RELEASED
+                    else "rolled_back",
+                    op.domain,
+                    reservation.reservation_id,
                 )
-            else:  # a failing compensation never stops the rest
-                self._unwind_errors.append(f"[{op.domain}] {exc}")
+            )
+            # Same contract as InstallTransaction.unwind: the rollback
+            # notification fires only for compensations that landed.
+            self.rollbacks.append((op.domain, reservation, str(self._unwind_exc)))
+        else:  # a failing compensation never stops the rest
+            if isinstance(exc, OperationTimeout):
+                self._unwind_timed_out = True
+            self._unwind_errors.append(f"[{op.domain}] {exc}")
         self._unwind_next()
 
-    def _finish_unwind(self) -> None:
-        with self._lock:
-            exc = self._unwind_exc
-            failed_domain = self._unwind_failed_domain
-            errors = list(self._unwind_errors)
-            if self._unwind_timed_out:
-                # A backend hung mid-compensation: its in-flight guard
-                # will refuse this slice until the straggler returns,
-                # so further attempts would only mask the failure.
-                self._attempt_index = len(self.job.attempts)
-        self._fail_attempt(compose_unwind_error(exc, failed_domain, errors))
+
+class _Batch:
+    """One :meth:`BatchInstallPlanner.install_batch` call: its jobs,
+    the run queue they advance through, the deadline heap, the token
+    pools, and the registry as it stood when the first job started.
+
+    Everything here belongs to the draining thread except the run
+    queue's producer side: ``_handoff`` guards ``_queue`` and
+    ``_closed``, which is all a foreign thread ever touches.
+    """
+
+    def __init__(self, planner: "BatchInstallPlanner", jobs: Sequence[InstallJob]) -> None:
+        self.planner = planner
+        self.outcomes: List[Optional[InstallOutcome]] = [None] * len(jobs)
+        self._unsettled = len(jobs)
+        self._job_tokens = _TokenPool(planner.max_workers)
+        #: Registry snapshot (see snapshot_registry), in registry order:
+        #: domain → (driver, its token pool, its per-op deadline).
+        self.lanes: Dict[str, Tuple[DomainDriver, _TokenPool, Optional[float]]] = {}
+        self.waves: Optional[List[List[str]]] = None
+        self._queue: deque = deque()
+        self._handoff = threading.Condition()
+        self._closed = False
+        #: (deadline, arm order, op) min-heap; settled ops are dropped
+        #: lazily when they surface.
+        self._deadlines: List[Tuple[float, int, _Op]] = []
+        self._arm_order = itertools.count()
+        for index, job in enumerate(jobs):
+            run = _JobRun(self, job, index)
+            if self._job_tokens.acquire(run, run.next_attempt):
+                self.enqueue(run, run.next_attempt)
+
+    def snapshot_registry(self) -> None:
+        """Resolve drivers, caps, deadlines and prepare waves once per
+        batch — from the first job's first continuation rather than the
+        prologue, so a driver whose ``capabilities()`` raises fails
+        jobs, not :meth:`BatchInstallPlanner.install_batch`."""
+        if self.waves is not None:
+            return
+        planner = self.planner
+        lanes = {}
+        for driver in planner.registry.drivers():
+            capabilities = driver.capabilities()
+            declared = capabilities.operation_timeout_s
+            lanes[driver.domain] = (
+                driver,
+                _TokenPool(capabilities.max_concurrent_installs),
+                declared if declared is not None else planner.operation_timeout_s,
+            )
+        self.lanes = lanes
+        self.waves = planner.prepare_waves(list(lanes))
+
+    # ------------------------------------------------------------------
+    # Run queue
+    # ------------------------------------------------------------------
+    def enqueue(self, run: _JobRun, step: Callable[..., None], *args: Any) -> bool:
+        """Append a continuation — the single thread-safe hand-off into
+        the batch.  False once the batch has returned (the caller then
+        owns whatever it was about to report)."""
+        with self._handoff:
+            if self._closed:
+                return False
+            self._queue.append((run, step, args))
+            self._handoff.notify()
+        return True
+
+    def release(self, pool: _TokenPool) -> None:
+        """Return a token; the waiter inheriting it is enqueued."""
+        waiter = pool.release()
+        if waiter is not None:
+            self.enqueue(*waiter)
+
+    def arm(self, op: _Op) -> None:
+        if op.timeout_s is not None and op.timeout_s > 0:
+            heapq.heappush(
+                self._deadlines,
+                (monotonic() + op.timeout_s, next(self._arm_order), op),
+            )
+
+    def job_settled(self, run: _JobRun, outcome: InstallOutcome) -> None:
+        self.outcomes[run.index] = outcome
+        self._unsettled -= 1
+        self.release(self._job_tokens)
+
+    def drain(self) -> List[InstallOutcome]:
+        """Run continuations until every job settled.  Sleeps only when
+        the queue is empty, and then only until the next live deadline.
+        ``KeyboardInterrupt``/``SystemExit`` propagate; whatever is
+        still out then compensates itself on completion."""
+        handoff = self._handoff
+        try:
+            while self._unsettled:
+                with handoff:
+                    while not self._queue:
+                        wait_s = self._until_next_deadline()
+                        if wait_s is not None and wait_s <= 0:
+                            break
+                        handoff.wait(wait_s)
+                    steps, self._queue = self._queue, deque()
+                # Completions already queued beat a deadline that
+                # passed while the drainer was busy.
+                for step in steps:
+                    self._run(*step)
+                self._expire_deadlines()
+        finally:
+            with handoff:
+                self._closed = True
+                steps, self._queue = self._queue, deque()
+        # Stragglers that completed between the last job settling and
+        # the close: compensated here; later ones by their own thread.
+        for step in steps:
+            self._run(*step)
+        return self.outcomes  # type: ignore[return-value]
+
+    def _run(self, run: _JobRun, step: Callable[..., None], args: Tuple) -> None:
+        try:
+            step(*args)
+        except Exception as exc:
+            try:
+                run.abort(exc)
+            except Exception as again:
+                run.abort(again)
+
+    def _until_next_deadline(self) -> Optional[float]:
+        deadlines = self._deadlines
+        while deadlines and deadlines[0][2].settled:
+            heapq.heappop(deadlines)
+        return deadlines[0][0] - monotonic() if deadlines else None
+
+    def _expire_deadlines(self) -> None:
+        deadlines = self._deadlines
+        while deadlines and deadlines[0][0] <= monotonic():
+            op = heapq.heappop(deadlines)[2]
+            if not op.settled:
+                self._run(op.run, op.run.op_timed_out, (op,))
 
 
 class BatchInstallPlanner:
@@ -735,7 +760,7 @@ class BatchInstallPlanner:
         registry: The southbound drivers, in install order.
         max_workers: How many jobs may be *in flight* concurrently (a
             token pool, not a thread pool — the engine parks no thread
-            per job); ``1`` yields deterministic job-by-job order.
+            per job); ``1`` yields job-by-job order.
         batch_size: :meth:`install` splits larger job lists into groups
             of this size so one giant admission burst cannot monopolize
             the drivers for unbounded wall-clock time.
@@ -746,14 +771,14 @@ class BatchInstallPlanner:
             drivers that do not declare their own
             ``DriverCapabilities.operation_timeout_s``.  ``None``: wait
             forever, like the blocking path.
-        on_record: Durability hook fired for every *landed* southbound
-            reservation transition — ``(record_type, domain, slice_id,
-            reservation_id)`` with record types ``driver.prepared`` /
-            ``driver.committed`` / ``driver.rolled_back`` /
-            ``driver.released`` / ``driver.compensated``.  Called from
-            completion threads, so the hook must be thread-safe (the
-            control-plane journal is); a raising hook is swallowed —
-            the install's fate never depends on the audit trail.
+        on_record: Durability hook for the one reservation transition
+            no job's :attr:`InstallOutcome.trail` can carry — a
+            straggler compensated after its job settled:
+            ``("driver.compensated", domain, slice_id,
+            reservation_id)``.  Called from whichever thread the
+            compensation completed on, so the hook must be thread-safe
+            (the control-plane journal is); a raising hook is swallowed
+            — residue removal never depends on the audit trail.
         obs: Control-plane observability sink (spans per southbound
             op, token-wait histograms).  Defaults to the process-wide
             :func:`~repro.obs.registry.default_observability` — the
@@ -791,19 +816,17 @@ class BatchInstallPlanner:
         #: Late completions of timed-out operations that the background
         #: compensation path had to roll back or release.
         self.ops_compensated = 0
-        # Timeout/compensation counters are bumped from concurrent
-        # timer/completion threads; the batch counters above only ever
-        # change on the calling thread.
+        # Compensation runs on whichever thread the straggler finished
+        # on — after install_batch returned, a foreign one — so the
+        # counters and the event buffer it shares with the drainer are
+        # locked; the batch counters above only ever change on the
+        # calling thread.
         self._counter_lock = threading.Lock()
         # Northbound-worthy incidents (op timeouts, background
         # compensations) buffered for the orchestrator to drain on
         # *its* thread — completion threads must never touch the event
         # feed directly.
         self._pending_events: List[Tuple[str, Dict[str, Any]]] = []
-        # prepare_waves cache: jobs call it from completion threads.
-        self._waves_lock = threading.Lock()
-        self._waves_cache: Dict[Tuple[str, ...], List[List[str]]] = {}
-        self._waves_seen_version = -1
 
     # ------------------------------------------------------------------
     # Planning
@@ -821,27 +844,7 @@ class BatchInstallPlanner:
         every driver's declared ``prepare_after`` dependencies
         (dependencies outside ``domains`` are treated as satisfied; a
         dependency cycle degrades to registry order rather than
-        deadlocking).
-
-        The partition only depends on the domain list and the drivers'
-        declared capabilities, so it is cached per domains-tuple and
-        invalidated by the registry's ``version`` counter — every job
-        of every attempt in a window used to recompute it from scratch.
-        """
-        key = tuple(domains)
-        with self._waves_lock:
-            if self.registry.version != self._waves_seen_version:
-                self._waves_cache.clear()
-                self._waves_seen_version = self.registry.version
-            cached = self._waves_cache.get(key)
-        if cached is not None:
-            return [list(wave) for wave in cached]
-        waves = self._compute_prepare_waves(domains)
-        with self._waves_lock:
-            self._waves_cache[key] = [list(wave) for wave in waves]
-        return waves
-
-    def _compute_prepare_waves(self, domains: Sequence[str]) -> List[List[str]]:
+        deadlocking).  Computed once per :meth:`install_batch`."""
         remaining = list(domains)
         present = set(remaining)
         placed: set = set()
@@ -873,52 +876,20 @@ class BatchInstallPlanner:
         return outcomes
 
     def install_batch(self, batch: Sequence[InstallJob]) -> List[InstallOutcome]:
-        """Run one batch of event-driven jobs; outcomes keep job order.
+        """Run one batch of jobs; outcomes keep job order.
 
-        The calling thread blocks until every job settles (commits,
-        exhausts its attempts, or times out per the per-operation
-        deadline) — but no thread is parked per job, so a hung domain
+        The calling thread drains the batch's run queue until every job
+        settles (commits, exhausts its attempts, or times out per the
+        per-operation deadline).  It only ever *launches* southbound
+        operations and consumes their completions, so a hung domain
         stalls only the job that touched it.  ``on_rollback``
-        notifications for failed jobs fire here, on the calling thread,
-        after every job settled — completion threads never touch caller
-        state.
+        notifications for failed jobs fire here, after every job
+        settled.
         """
         batch = list(batch)
         if not batch:
             return []
-        pools = {
-            driver.domain: _TokenPool(
-                max(1, driver.capabilities().max_concurrent_installs)
-            )
-            for driver in self.registry.drivers()
-        }
-        job_tokens = _TokenPool(self.max_workers)
-        outcomes: List[Optional[InstallOutcome]] = [None] * len(batch)
-        all_settled = threading.Event()
-        pending = [len(batch)]
-        pending_lock = threading.Lock()
-
-        def settled(run: _JobRun, outcome: InstallOutcome) -> None:
-            outcomes[run.index] = outcome
-            job_tokens.release()
-            with pending_lock:
-                pending[0] -= 1
-                if pending[0] == 0:
-                    all_settled.set()
-
-        runs = [
-            _JobRun(self, job, index, pools, settled)
-            for index, job in enumerate(batch)
-        ]
-        for run in runs:
-            job_tokens.acquire(run.start)
-        all_settled.wait()
-        self._record_outcomes(outcomes)
-        return outcomes  # type: ignore[return-value]
-
-    def _record_outcomes(self, outcomes: Sequence[InstallOutcome]) -> None:
-        """Batch epilogue: counters, and the ``on_rollback`` fan-out for
-        failed jobs — on the calling thread, after every job settled."""
+        outcomes = _Batch(self, batch).drain()
         self.batches_run += 1
         for outcome in outcomes:
             if outcome.ok:
@@ -928,39 +899,25 @@ class BatchInstallPlanner:
                 if self.on_rollback is not None:
                     for domain, reservation, reason in outcome.rollbacks:
                         self.on_rollback(domain, reservation, reason)
+        return outcomes
 
     # ------------------------------------------------------------------
     # Deadlines + compensation
     # ------------------------------------------------------------------
-    def _timeout_for(self, driver: DomainDriver) -> Optional[float]:
-        declared = driver.capabilities().operation_timeout_s
-        return declared if declared is not None else self.operation_timeout_s
-
-    def _count_timeout(self, op: "_Op") -> None:
+    def _count_timeout(self, op: _Op) -> None:
         with self._counter_lock:
             self.ops_timed_out += 1
-        self._queue_event(
-            "driver.op_timeout",
-            domain=op.domain,
-            kind=op.kind,
-            slice_id=op.run.job.slice_id,
-            timeout_s=op.timeout_s,
-        )
-
-    def _count_compensation(self, op: "_Op") -> None:
-        with self._counter_lock:
-            self.ops_compensated += 1
-        self._queue_event(
-            "driver.compensated",
-            domain=op.domain,
-            kind=op.kind,
-            slice_id=op.run.job.slice_id,
-        )
-
-    def _queue_event(self, event_type: str, **payload: Any) -> None:
-        """Buffer a northbound-worthy incident (thread-safe)."""
-        with self._counter_lock:
-            self._pending_events.append((event_type, payload))
+            self._pending_events.append(
+                (
+                    "driver.op_timeout",
+                    {
+                        "domain": op.domain,
+                        "kind": op.kind,
+                        "slice_id": op.run.job.slice_id,
+                        "timeout_s": op.timeout_s,
+                    },
+                )
+            )
 
     def drain_events(self) -> List[Tuple[str, Dict[str, Any]]]:
         """Hand buffered incidents to the caller (the orchestrator
@@ -969,53 +926,60 @@ class BatchInstallPlanner:
             drained, self._pending_events = self._pending_events, []
         return drained
 
-    def _record(
-        self, record_type: str, domain: str, slice_id: str, reservation_id: str
-    ) -> None:
-        """Fire the durability hook; an audit failure never fails an
-        install (and a closed journal drops writes by design)."""
-        if self.on_record is None:
-            return
-        try:
-            self.on_record(record_type, domain, slice_id, reservation_id)
-        except Exception:  # pragma: no cover - audit is best-effort
-            pass
-
-    def _compensate(self, op: _Op, future: Future) -> None:
-        """A timed-out operation eventually finished: undo whatever it
-        did, best-effort, so a late success leaves zero residue (the
-        owning job already unwound and settled without this domain)."""
+    def _compensate(self, op: _Op) -> None:
+        """A settled-without-it operation eventually finished: undo
+        whatever it did, best-effort, so a late success leaves zero
+        residue (the owning job already unwound without this domain).
+        Runs on the drainer while the batch is open and on the
+        completing thread afterwards, so the undo itself goes through
+        the driver's async surface — neither may block on a backend
+        that has just proven it can hang."""
+        future = op.future
         if future.cancelled():
             return  # never touched the backend
         try:
-            result = future.result()
-        except BaseException:
-            result = None  # the straggler failed on its own — no hold
+            if op.kind != "prepare":
+                reservation = op.reservation
+            elif future.exception() is None:
+                reservation = future.result()
+            else:
+                return  # the straggler failed on its own — no hold
+            if not isinstance(reservation, Reservation) or (
+                reservation.state not in _HOLDING
+            ):
+                return  # nothing held; a late unwind that landed undid itself
+            with self._counter_lock:
+                self.ops_compensated += 1
+                self._pending_events.append(
+                    (
+                        "driver.compensated",
+                        {
+                            "domain": op.domain,
+                            "kind": op.kind,
+                            "slice_id": op.run.job.slice_id,
+                        },
+                    )
+                )
+            _undo_async(op.driver, reservation).add_done_callback(
+                lambda done: self._compensation_done(reservation, done)
+            )
+        except Exception:  # pragma: no cover - best effort by design
+            pass
+
+    def _compensation_done(self, reservation: Reservation, done: Future) -> None:
+        """Fire the durability hook for a compensation that landed; an
+        audit failure never matters to the backend (and a closed
+        journal drops writes by design)."""
+        if self.on_record is None or done.cancelled() or done.exception() is not None:
+            return
         try:
-            if op.kind == "prepare":
-                if isinstance(result, Reservation):
-                    self._count_compensation(op)
-                    op.driver.rollback(result)
-                    self._record(
-                        "driver.compensated", op.domain,
-                        result.slice_id, result.reservation_id,
-                    )
-            elif op.reservation is not None:
-                if op.reservation.state is ReservationState.COMMITTED:
-                    self._count_compensation(op)
-                    op.driver.release(op.reservation.slice_id)
-                    self._record(
-                        "driver.compensated", op.domain,
-                        op.reservation.slice_id, op.reservation.reservation_id,
-                    )
-                elif op.reservation.state is ReservationState.PREPARED:
-                    self._count_compensation(op)
-                    op.driver.rollback(op.reservation)
-                    self._record(
-                        "driver.compensated", op.domain,
-                        op.reservation.slice_id, op.reservation.reservation_id,
-                    )
-        except BaseException:  # pragma: no cover - best effort by design
+            self.on_record(
+                "driver.compensated",
+                reservation.domain,
+                reservation.slice_id,
+                reservation.reservation_id,
+            )
+        except Exception:  # pragma: no cover - audit is best-effort
             pass
 
 

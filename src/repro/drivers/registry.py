@@ -27,16 +27,13 @@ class DriverRegistry:
 
     Thread-safe: registration, lookup and iteration take an internal
     lock, and every iteration surface hands out a point-in-time
-    *snapshot*, so the batch install planner's worker threads never
-    observe a half-applied ``register``/``unregister``.
+    *snapshot*, so a batch draining on one thread never observes a
+    half-applied ``register``/``unregister`` from another.
     """
 
     def __init__(self, drivers: Optional[List[DomainDriver]] = None) -> None:
         self._drivers: Dict[str, DomainDriver] = {}
         self._lock = threading.RLock()
-        #: Bumped on every register/unregister — lets callers (the batch
-        #: planner's prepare-wave cache) invalidate derived plans cheaply.
-        self.version = 0
         for driver in drivers or []:
             self.register(driver)
 
@@ -61,7 +58,6 @@ class DriverRegistry:
             if previous is not None and not replace:
                 raise DriverError(domain, "domain already registered")
             self._drivers[domain] = driver
-            self.version += 1
             return previous if previous is not None else driver
 
     def unregister(self, domain: str) -> DomainDriver:
@@ -75,7 +71,6 @@ class DriverRegistry:
                 driver = self._drivers.pop(domain)
             except KeyError:
                 raise DriverError(domain, "domain not registered") from None
-            self.version += 1
             return driver
 
     def get(self, domain: str) -> DomainDriver:

@@ -4,7 +4,7 @@ Distinct from :mod:`repro.monitoring` (the *simulated world's*
 telemetry — per-slice demand/utilization time series in simulation
 time): this package profiles the orchestrator process itself, in
 wall-clock time — where a 32-slice batch install actually spends its
-milliseconds, stage by stage, across the planner's completion threads.
+milliseconds, stage by stage, whichever thread closed each stage.
 
 Enabled per orchestrator via ``OrchestratorConfig.observability``
 (process-wide default: the ``REPRO_OBS_ENABLED=1`` environment

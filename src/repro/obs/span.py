@@ -1,11 +1,11 @@
 """Tracing spans with explicit context propagation.
 
-The control plane hops threads constantly: the async install planner
-advances jobs from ``add_done_callback`` continuations, blocking
-drivers complete on daemon shim threads, and per-operation deadlines
-fire on timer threads.  Thread-local "current span" tricks are useless
-there, so propagation is *explicit*: a :class:`SpanContext` (trace id,
-span id, parent id) is carried through job state machines
+The install planner interleaves many jobs' continuations on the one
+thread draining its run queue, natively asynchronous backends complete
+on their own timer threads and blocking third-party drivers on
+workers.  Thread-local "current span" tricks are useless there, so
+propagation is *explicit*: a :class:`SpanContext` (trace id, span id,
+parent id) is carried through job state machines
 (``InstallJob.span_context``) and handed to every child span at
 creation time.  Whatever thread finishes the span, its ancestry is
 already pinned.

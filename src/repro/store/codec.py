@@ -38,8 +38,10 @@ Record vocabulary (see ``docs/ARCHITECTURE.md`` for the full matrix):
 ``booking.cancelled``  advance reservation withdrawn
 ``quota.set``          per-tenant quota changed
 ``event.emitted``      northbound feed event (durable ``after_lsn`` cursor)
-``driver.*``           per-driver reservation audit (prepared/committed/
-                       rolled_back/released/compensated) — not folded
+``driver.trail``       one per job a window installed: every landed
+                       prepare/commit/rollback/release — not folded
+``driver.*``           other southbound audit (``compensated`` stragglers;
+                       pre-trail per-operation records) — not folded
 ``checkpoint.written`` snapshot landed (audit)
 ``recovery.completed`` a restart reconciled (audit)
 ===================== ==========================================================

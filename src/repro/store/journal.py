@@ -292,8 +292,8 @@ class Journal:
         obs = self.obs
         if obs is not None and obs.enabled:
             # Instrumented twin of the plain path below: lock wait and
-            # hold (the journal lock is contended by planner completion
-            # threads *and* the orchestrator loop), plus fsync timing
+            # hold (the journal lock is shared by the orchestrator loop
+            # and threads compensating stragglers), plus fsync timing
             # and group-commit batch size inside _append_locked.
             requested = perf_counter()
             with self._lock:

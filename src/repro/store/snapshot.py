@@ -63,7 +63,9 @@ class SnapshotStore:
         tmp_path = path + ".tmp"
         payload = {"lsn": lsn, "state": state}
         with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, default=json_default)
+            # dumps, not dump: one call into the C encoder instead of the
+            # pure-Python iterencode dump always takes — same bytes.
+            handle.write(json.dumps(payload, sort_keys=True, default=json_default))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)

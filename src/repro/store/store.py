@@ -8,9 +8,10 @@ it.  :class:`NullStore` is the disabled twin — same surface, no I/O —
 so every call site stays unconditional and an orchestrator without a
 ``durability_dir`` behaves exactly as before this subsystem existed.
 
-The store is thread-safe where it must be: ``append`` is called from
-planner completion threads (per-driver reservation records) as well as
-the orchestrator loop, and delegates to the journal's internal lock.
+The store is thread-safe where it must be: besides the orchestrator
+loop, ``append`` is called from whichever backend thread a straggling
+southbound operation is compensated on after its window returned
+(``driver.compensated``), and delegates to the journal's internal lock.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Driver conformance suite.
 
 The *same* contract tests run against every registered backend — the
-four adapters over the simulator controllers and the in-memory mock —
-so any future driver (a real SDN controller, an alternate simulator)
+four adapters over the simulator controllers, the in-memory mock and a
+minimal third-party driver that inherits every default — so any future
+driver (a real SDN controller, an alternate simulator)
 has an executable specification: build a ``DriverCase`` for it, add it
 to ``CASES``, and the full lifecycle/state-machine surface is covered.
 
@@ -26,8 +27,10 @@ from repro.cloud.controller import CloudController
 from repro.cloud.datacenter import ComputeNode, Datacenter, DatacenterTier
 from repro.drivers.adapters import CloudDriver, EpcDriver, RanDriver, TransportDriver
 from repro.drivers.base import (
+    BaseDriver,
     DomainDriver,
     DomainSpec,
+    DriverCapabilities,
     DriverError,
     Reservation,
     ReservationState,
@@ -186,12 +189,59 @@ def _mock_case() -> DriverCase:
     return DriverCase("mock", driver, new_spec, bad_spec)
 
 
+class ThirdPartyDriver(BaseDriver):
+    """A backend this codebase knows nothing about: blocking ``_do_*``
+    hooks over a scalar pool, and the async surface it *inherits* —
+    ``DomainDriver``'s hand-off of every call to a worker thread."""
+
+    domain = "thirdparty"
+
+    def __init__(self, capacity_mbps: float = 100.0) -> None:
+        super().__init__()
+        self.capacity_mbps = capacity_mbps
+        self._held = {}
+
+    def capabilities(self) -> DriverCapabilities:
+        return DriverCapabilities(domain=self.domain, resource_units=("mbps",))
+
+    def feasible(self, spec: DomainSpec) -> bool:
+        return spec.throughput_mbps <= self.capacity_mbps - sum(self._held.values())
+
+    def _do_prepare(self, spec: DomainSpec) -> dict:
+        if not self.feasible(spec):
+            raise DriverError(self.domain, f"{spec.throughput_mbps} Mb/s does not fit")
+        self._held[spec.slice_id] = spec.throughput_mbps
+        return {}
+
+    def _do_rollback(self, reservation: Reservation) -> None:
+        self._held.pop(reservation.slice_id, None)
+
+    def _do_release(self, slice_id: str) -> None:
+        del self._held[slice_id]
+
+    def utilization(self) -> dict:
+        return {"domain": self.domain, "held_mbps": sum(self._held.values())}
+
+
+def _thirdparty_case() -> DriverCase:
+    def new_spec(**overrides) -> DomainSpec:
+        return DomainSpec(**_common(f"slice-conf-{next(_ids):04d}", **overrides))
+
+    return DriverCase(
+        "thirdparty",
+        ThirdPartyDriver(),
+        new_spec,
+        lambda: new_spec(throughput_mbps=10_000.0),  # over the whole pool
+    )
+
+
 CASES = {
     "ran": _ran_case,
     "transport": _transport_case,
     "cloud": _cloud_case,
     "epc": _epc_case,
     "mock": _mock_case,
+    "thirdparty": _thirdparty_case,
 }
 
 
@@ -319,10 +369,11 @@ class TestRepair:
 
 class TestAsyncLifecycle:
     """The futures-based lifecycle is part of the driver contract: a
-    natively asynchronous backend (the mock) and the blocking-shim
-    default every adapter inherits must expose the same surface — the
-    future resolves to the blocking method's result, and backend errors
-    resolve the future instead of raising at the call site."""
+    natively asynchronous backend (the mock), the in-process adapters,
+    which resolve inline on the caller's thread, and a driver inheriting
+    the default hand-off to a worker thread must expose the same surface — the future resolves to the blocking method's
+    result, and backend errors resolve the future instead of raising at
+    the call site."""
 
     def test_async_install_release_roundtrip(self, case):
         spec = case.new_spec()

@@ -10,20 +10,41 @@ thread-safe backend plus prepare/commit/release failure injection.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from typing import Dict, List
 
 import pytest
 
-from repro.drivers.base import DomainSpec, ReservationState
+from repro.core.orchestrator import Orchestrator, OrchestratorConfig
+from repro.drivers.base import DomainDriver, DomainSpec, DriverError, ReservationState
 from repro.drivers.mock import MockDriver
 from repro.drivers.planner import BatchInstallPlanner, InstallJob
 from repro.drivers.registry import DriverRegistry
-from repro.drivers.transaction import OperationTimeout
+from repro.drivers.transaction import OperationTimeout, TransactionError
+from repro.experiments.testbed import TestbedConfig, build_testbed
+from repro.obs.registry import ControlPlaneObservability
+from repro.sim.engine import Simulator
+from repro.sim.randomness import RandomStreams
+from repro.traffic.patterns import ConstantProfile
+from tests.conftest import make_request
 
 
 DOMAINS = ("alpha", "beta", "gamma")
+
+#: Just above what pytest itself needs around a test body.  The planner
+#: runs continuations off a queue, never off each other, so nothing in
+#: this module may need a stack that grows with the batch.
+RECURSION_LIMIT = 300
+
+
+@pytest.fixture(autouse=True, scope="module")
+def shallow_stack():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(RECURSION_LIMIT)
+    yield
+    sys.setrecursionlimit(limit)
 
 
 def make_registry(capacity_mbps: float = 1_000.0, **mock_kwargs) -> DriverRegistry:
@@ -173,8 +194,6 @@ class TestUnwindDiscipline:
         assert unwound.index("gamma") < unwound.index("alpha")
 
     def test_validate_failure_unwinds_everything(self):
-        from repro.drivers.base import DriverError
-
         registry = make_registry()
         planner = BatchInstallPlanner(registry)
 
@@ -398,6 +417,59 @@ class TestStallIsolation:
         assert sum(isinstance(o.error, OperationTimeout)
                    for o in outcomes if not o.ok) == 1
 
+    def test_blocking_driver_on_the_default_worker_handoff_is_isolated(self):
+        """A driver that only has blocking methods inherits
+        ``DomainDriver``'s async surface: each call runs on its own
+        worker, so a hung one parks that worker — not the thread
+        draining the batch — and is compensated when it returns."""
+
+        class BlockingMock(MockDriver):
+            prepare_async = DomainDriver.prepare_async
+            commit_async = DomainDriver.commit_async
+            rollback_async = DomainDriver.rollback_async
+            release_async = DomainDriver.release_async
+
+        drainer = threading.get_ident()
+        callers = set()
+
+        class Probe(BlockingMock):
+            def _do_prepare(self, spec):
+                callers.add(threading.get_ident())
+                return super()._do_prepare(spec)
+
+        registry = DriverRegistry(
+            [
+                MockDriver(domain="alpha", capacity_mbps=1e4),
+                Probe(domain="beta", capacity_mbps=1e4, max_concurrent_installs=8),
+                MockDriver(domain="gamma", capacity_mbps=1e4),
+            ]
+        )
+        blocking = registry.get("beta")
+        blocking.stall()
+        planner = BatchInstallPlanner(
+            registry, max_workers=8, operation_timeout_s=self.TIMEOUT_S
+        )
+        start = time.perf_counter()
+        outcomes = planner.install([job_for(f"s{i}") for i in range(8)])
+        elapsed = time.perf_counter() - start
+        try:
+            assert blocking.stalled_ops == 1 and elapsed < 3.0
+            assert sum(o.ok for o in outcomes) == 7
+            (failed,) = [o for o in outcomes if not o.ok]
+            assert isinstance(failed.error, OperationTimeout)
+            assert callers and drainer not in callers
+        finally:
+            blocking.release_stall()
+        assert self._wait_for(
+            lambda: planner.ops_compensated == 1
+            and all(
+                {r.slice_id for r in d.reservations()}
+                == {o.job.slice_id for o in outcomes if o.ok}
+                for d in registry
+            )
+        ), "late completion on the worker was not compensated"
+        assert_zero_residue(registry)
+
     def test_deadline_covers_token_queueing_on_serial_driver(self):
         """The deadline clock starts at submission, not at token grant:
         on a cap-1 (serial) driver, jobs queued behind a hung operation
@@ -520,45 +592,43 @@ class TestStallIsolation:
 
 
 class TestDurabilityHooks:
-    """The planner's durability surface: per-reservation audit records
-    (``on_record``) and the buffered northbound incidents
+    """The planner's durability surface: the per-job audit trail
+    (``InstallOutcome.trail``), the ``on_record`` hook left for
+    background compensations, and the buffered northbound incidents
     (``drain_events``) the orchestrator surfaces on its event feed."""
 
-    def test_on_record_sees_prepare_and_commit_of_every_domain(self):
+    def test_trail_holds_every_prepare_and_commit(self):
         registry = make_registry()
-        records: List[tuple] = []
-        lock = threading.Lock()
-
-        def recorder(kind, domain, slice_id, reservation_id):
-            with lock:
-                records.append((kind, domain, slice_id))
-
-        planner = BatchInstallPlanner(registry, on_record=recorder)
+        planner = BatchInstallPlanner(registry)
         outcomes = planner.install([job_for("s1"), job_for("s2")])
         assert all(o.ok for o in outcomes)
-        for slice_id in ("s1", "s2"):
+        for outcome in outcomes:
             for domain in DOMAINS:
-                assert ("driver.prepared", domain, slice_id) in records
-                assert ("driver.committed", domain, slice_id) in records
+                reservation_id = outcome.reservations[domain].reservation_id
+                assert ("prepared", domain, reservation_id) in outcome.trail
+                assert ("committed", domain, reservation_id) in outcome.trail
+            # Every landed transition exactly once, nothing else.
+            assert len(outcome.trail) == 2 * len(DOMAINS)
+            assert len(set(outcome.trail)) == len(outcome.trail)
 
-    def test_on_record_sees_the_unwind(self):
+    def test_trail_holds_the_unwind(self):
         registry = make_registry()
         registry.get("gamma").fail_next_prepare = 1
-        records: List[tuple] = []
-        lock = threading.Lock()
-        planner = BatchInstallPlanner(
-            registry,
-            on_record=lambda kind, domain, sid, rid: (
-                lock.acquire(), records.append((kind, domain, sid)), lock.release()
-            ),
-        )
+        planner = BatchInstallPlanner(registry)
         (outcome,) = planner.install([job_for("s-fail")])
         assert not outcome.ok
-        unwound = [(k, d) for k, d, sid in records if k == "driver.rolled_back"]
+        unwound = [(k, d) for k, d, _ in outcome.trail if k == "rolled_back"]
         assert set(unwound) == {
-            ("driver.rolled_back", "alpha"),
-            ("driver.rolled_back", "beta"),
+            ("rolled_back", "alpha"),
+            ("rolled_back", "beta"),
         }
+        # Landing order: both prepares, then the reverse-order unwind.
+        assert [(k, d) for k, d, _ in outcome.trail] == [
+            ("prepared", "alpha"),
+            ("prepared", "beta"),
+            ("rolled_back", "beta"),
+            ("rolled_back", "alpha"),
+        ]
 
     def test_raising_recorder_never_fails_the_install(self):
         registry = make_registry()
@@ -569,14 +639,29 @@ class TestDurabilityHooks:
         planner = BatchInstallPlanner(registry, on_record=broken)
         (outcome,) = planner.install([job_for("s-audit")])
         assert outcome.ok
+        assert len(outcome.trail) == 2 * len(DOMAINS)
 
     def test_timeout_and_compensation_buffered_as_events(self):
         registry = make_registry(max_concurrent_installs=8)
         stalled = registry.get("beta")
         stalled.stall()
-        planner = BatchInstallPlanner(registry, operation_timeout_s=0.15)
+        records: List[tuple] = []
+        planner = BatchInstallPlanner(
+            registry,
+            operation_timeout_s=0.15,
+            on_record=lambda *record: records.append(record),
+        )
         (outcome,) = planner.install([job_for("s-hang")])
         assert not outcome.ok
+        # The job's trail ends where the job did: the straggler is not
+        # in it, and nothing was handed to the hook on the window path.
+        assert [(k, d) for k, d, _ in outcome.trail] == [
+            ("prepared", "alpha"),
+            ("prepared", "gamma"),
+            ("rolled_back", "gamma"),
+            ("rolled_back", "alpha"),
+        ]
+        assert records == []
         drained = planner.drain_events()
         kinds = [k for k, _ in drained]
         assert "driver.op_timeout" in kinds
@@ -589,6 +674,12 @@ class TestDurabilityHooks:
         while time.time() < deadline and planner.ops_compensated == 0:
             time.sleep(0.01)
         assert planner.ops_compensated == 1
+        # ... and that compensation, landing after the job settled,
+        # keeps its own audit record.
+        assert TestStallIsolation._wait_for(lambda: len(records) == 1)
+        (kind, domain, slice_id, reservation_id) = records[0]
+        assert (kind, domain, slice_id) == ("driver.compensated", "beta", "s-hang")
+        assert reservation_id.startswith("beta-res-")
         late = planner.drain_events()
         assert ("driver.compensated", {
             "domain": "beta", "kind": "prepare", "slice_id": "s-hang",
@@ -604,8 +695,6 @@ class TestObservability:
     op must close its span as an error rather than leak it."""
 
     def _obs(self):
-        from repro.obs.registry import ControlPlaneObservability
-
         return ControlPlaneObservability()
 
     def _registry(self) -> DriverRegistry:
@@ -718,3 +807,251 @@ class TestObservability:
         outcomes = planner.install([job_for(f"s{i}") for i in range(4)])
         assert all(o.ok for o in outcomes)
         assert NOOP_OBS.traces() == []
+
+
+class DepthProbe(MockDriver):
+    """Records the deepest Python stack any ``_do_prepare`` ran under,
+    and can resolve its *first* ``prepare_async`` from a timer thread
+    while every later future is already done when it is returned."""
+
+    def __init__(self, domain: str, first_prepare_delay_s: float = 0.0, **kwargs):
+        super().__init__(domain=domain, capacity_mbps=1e9, **kwargs)
+        self.deepest = 0
+        self._first_prepare_delay_s = first_prepare_delay_s
+
+    def prepare_async(self, spec):
+        delay_s, self._first_prepare_delay_s = self._first_prepare_delay_s, 0.0
+        return self._async_op("prepare", delay_s, self.prepare, spec)
+
+    def _do_prepare(self, spec):
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        self.deepest = max(self.deepest, depth)
+        return super()._do_prepare(spec)
+
+
+class TestRunQueue:
+    """Continuations are enqueued, never called: the stack under a
+    southbound call is the same constant whatever the batch size, and
+    an exception escaping one job's continuation is that job's
+    failure alone."""
+
+    PROBES = ("p0", "p1", "p2", "p3")
+
+    def _settle(self, n_jobs: int, first_prepare_delay_s: float):
+        """Install ``n_jobs`` on a fresh thread (so the measured stack
+        is the planner's own) with every job in flight at once."""
+        registry = DriverRegistry(
+            [
+                DepthProbe(
+                    "p0",
+                    first_prepare_delay_s=first_prepare_delay_s,
+                    max_concurrent_installs=1,
+                )
+            ]
+            + [DepthProbe(d) for d in self.PROBES[1:]]
+        )
+        planner = BatchInstallPlanner(registry, max_workers=n_jobs, batch_size=n_jobs)
+        jobs = [
+            InstallJob(
+                slice_id=f"s{i}",
+                attempts=[
+                    {d: DomainSpec(slice_id=f"s{i}", throughput_mbps=1.0)
+                     for d in self.PROBES}
+                ],
+            )
+            for i in range(n_jobs)
+        ]
+        outcomes: List = []
+        worker = threading.Thread(
+            target=lambda: outcomes.extend(planner.install(jobs)), daemon=True
+        )
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert not worker.is_alive(), "install_batch never returned"
+        assert len(outcomes) == n_jobs and all(o.ok for o in outcomes)
+        assert all(driver.commits == n_jobs for driver in registry)
+        assert_zero_residue(registry)
+        return max(driver.deepest for driver in registry)
+
+    @pytest.mark.parametrize("first_prepare_delay_s", [0.05, 0.0])
+    def test_stack_depth_is_constant_in_batch_size(self, first_prepare_delay_s):
+        """Known defect 4.  One completion from a timer thread with
+        every other future done at attach used to start each queued job
+        nested inside the previous one's completion (86 frames at 16
+        jobs, ``RecursionError`` and a hung ``install_batch`` at 256);
+        the all-inline batch is the same chain without the timer."""
+        small = self._settle(16, first_prepare_delay_s)
+        large = self._settle(256, first_prepare_delay_s)
+        assert small == large < 30
+
+    def test_raising_continuation_fails_its_job_only(self):
+        """A sink that raises while one job's commit is being submitted
+        used to vanish into ``Future``'s callback machinery and leave
+        ``install_batch`` waiting for a job nobody would settle."""
+
+        class Sink(ControlPlaneObservability):
+            def span(self, name, parent=None, label="", **attributes):
+                if name == "driver.commit" and attributes.get("slice_id") == "s2":
+                    raise RuntimeError("sink on fire")
+                return super().span(name, parent=parent, label=label, **attributes)
+
+        obs = Sink()
+        registry = make_registry()
+        planner = BatchInstallPlanner(registry, max_workers=4, obs=obs)
+        outcomes = planner.install([job_for(f"s{i}", attempts=2) for i in range(5)])
+        assert [o.ok for o in outcomes] == [True, True, False, True, True]
+        error = outcomes[2].error
+        assert isinstance(error, TransactionError) and error.domain == "planner"
+        assert "unexpected RuntimeError: sink on fire" in str(error)
+        # Unwound, not abandoned — and not retried: one attempt's worth
+        # of prepares, all rolled back.
+        assert [k for k, _, _ in outcomes[2].trail] == ["prepared"] * 3 + [
+            "rolled_back"
+        ] * 3
+        assert_zero_residue(registry)
+        for driver in registry:
+            assert {r.slice_id for r in driver.reservations()} == {
+                "s0", "s1", "s3", "s4",
+            }
+        assert obs.tracer.active_span_count == 0
+
+    def test_driver_that_cannot_describe_itself_fails_jobs_not_the_batch(self):
+        class Broken(MockDriver):
+            def capabilities(self):
+                raise RuntimeError("no capabilities today")
+
+        registry = DriverRegistry([MockDriver(domain="alpha"), Broken(domain="beta")])
+        planner = BatchInstallPlanner(registry)
+        specs = {d: DomainSpec(slice_id="s0", throughput_mbps=1.0) for d in ("alpha", "beta")}
+        outcomes = planner.install(
+            [InstallJob(slice_id="s0", attempts=[specs]), InstallJob(slice_id="s1", attempts=[])]
+        )
+        assert [o.ok for o in outcomes] == [False, False]
+        assert "unexpected RuntimeError: no capabilities today" in str(outcomes[0].error)
+        assert "no install attempts" in str(outcomes[1].error)
+        assert registry.get("alpha").prepares == 0
+
+    def test_keyboard_interrupt_on_the_draining_thread_propagates(self):
+        def interrupt(reservations):
+            raise KeyboardInterrupt
+
+        job = InstallJob(slice_id="s0", attempts=[spec_map("s0")], validate=interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            BatchInstallPlanner(make_registry()).install([job])
+
+
+def build_window_stack(registry_extras=(), **config):
+    """An orchestrator over the four real (in-process) adapters of a
+    testbed big enough for a 64-slice window, plus ``registry_extras``."""
+    testbed = build_testbed(
+        TestbedConfig(
+            n_enbs=8, max_plmns_per_enb=12, plmn_pool_size=80,
+            edge_nodes=4, core_nodes=16,
+        )
+    )
+    for driver in registry_extras:
+        testbed.registry.register(driver)
+    orchestrator = Orchestrator(
+        sim=Simulator(),
+        allocator=testbed.allocator,
+        plmn_pool=testbed.plmn_pool,
+        registry=testbed.registry,
+        streams=RandomStreams(seed=3),
+        config=OrchestratorConfig(**config),
+    )
+    orchestrator.start()
+    return testbed, orchestrator
+
+
+def window_of(n: int):
+    return [(make_request(throughput_mbps=2.0), ConstantProfile(2.0)) for _ in range(n)]
+
+
+class TestWindowOverRealAdapters:
+    def test_in_process_window_starts_no_thread(self, monkeypatch):
+        """The four simulator adapters resolve their futures on the
+        caller's thread and deadlines are a heap: a 64-job window costs
+        zero thread starts (eight per job — 512 — before)."""
+        _, orchestrator = build_window_stack(
+            install_workers=64, install_batch_size=64, install_timeout_s=5.0
+        )
+        started: List[str] = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        decisions = orchestrator.install_admitted_batch(window_of(64))
+        monkeypatch.undo()
+        assert all(d.admitted for d in decisions)
+        assert started == []
+
+    def test_mixed_completion_modes_in_one_batch(self):
+        """Inline adapters, a timer-completed backend, a cap-1 backend
+        with waiters queued on its token and one hung operation under a
+        deadline, all in one batch: the run queue takes completions
+        from every source, healthy jobs commit inside the stall, the
+        hung job alone fails, and its straggler leaves nothing behind."""
+        timeout_s, release_after_s, n_jobs = 0.2, 1.5, 12
+        slow = MockDriver(
+            "slow", capacity_mbps=1e6, max_concurrent_installs=8,
+            prepare_latency_s=0.005,
+        )
+        serial = MockDriver("serial", capacity_mbps=1e6, max_concurrent_installs=1)
+        hung = MockDriver("hung", capacity_mbps=1e6, max_concurrent_installs=8)
+        testbed, orchestrator = build_window_stack(
+            (slow, serial, hung),
+            install_workers=n_jobs, install_batch_size=n_jobs,
+            install_timeout_s=timeout_s, observability=True,
+        )
+        hung.stall(kinds=("commit",))
+        releaser = threading.Timer(release_after_s, hung.release_stall)
+        releaser.daemon = True
+        releaser.start()
+        start = time.perf_counter()
+        decisions = orchestrator.install_admitted_batch(window_of(n_jobs))
+        elapsed = time.perf_counter() - start
+        still_stalled = releaser.is_alive()
+        releaser.cancel()
+        try:
+            # Settled at the deadline, the stall still in force.
+            assert still_stalled and elapsed < release_after_s
+            admitted = {d.slice_id for d in decisions if d.admitted}
+            (failed,) = [d for d in decisions if not d.admitted]
+            assert len(admitted) == n_jobs - 1
+            assert "commit timed out" in failed.reason
+            assert orchestrator.planner.ops_timed_out == 1
+            # Healthy jobs hold everywhere already.
+            for driver in testbed.registry:
+                held = {
+                    r.slice_id
+                    for r in driver.reservations()
+                    if r.state is ReservationState.COMMITTED
+                }
+                assert admitted <= held, driver.domain
+            assert orchestrator.obs.tracer.active_span_count == 0
+        finally:
+            hung.release_stall()
+        # The parked commit lands late and is released again.
+        assert TestStallIsolation._wait_for(
+            lambda: orchestrator.planner.ops_compensated == 1
+            and all(
+                {r.slice_id for r in driver.reservations()} == admitted
+                for driver in testbed.registry
+            )
+        ), "straggler was not compensated"
+        for driver in testbed.registry:
+            assert all(
+                r.state is ReservationState.COMMITTED for r in driver.reservations()
+            )
+        assert hung.held_mbps == pytest.approx(committed_mbps(hung))
+        assert orchestrator.obs.tracer.active_span_count == 0

@@ -4,9 +4,13 @@ wiring and the durable event cursor."""
 
 from __future__ import annotations
 
+import io
+import json
+
+import numpy as np
 import pytest
 
-from repro.store.codec import ReplayState
+from repro.store.codec import ReplayState, json_default
 from repro.store.snapshot import SnapshotStore
 from repro.store.store import ControlPlaneStore, NullStore, StoreError, open_store
 
@@ -43,6 +47,44 @@ class TestSnapshotStore:
 
     def test_no_snapshot_returns_none(self, tmp_path):
         assert SnapshotStore(str(tmp_path)).load_latest() is None
+
+    def test_file_is_byte_identical_to_json_dump(self, tmp_path):
+        """The snapshot goes through ``json.dumps`` (the C encoder);
+        the file must stay exactly what the streaming ``json.dump`` —
+        the pure-Python encoder — wrote before."""
+        state = {
+            "time": 1234.5678901234567,
+            "live": {
+                f"slice-{i:06d}": {
+                    "fraction": np.float64(0.1) * (i + 1) / 3.0,
+                    "window": [0.1 + i, 1e-9, 1e22, float(i)],
+                    "status": "active" if i % 2 else "installed",
+                    "activated_at": None,
+                    "users": np.int64(i),
+                    "healthy": np.bool_(i % 3 == 0),
+                    "reservations": {"ran": f"ran-res-{i:06d}", "épc": "ünïcode"},
+                    "request": {"nested": {"deeper": [{"x": np.float32(0.3)}, [], {}]}},
+                }
+                for i in range(40)
+            },
+            "quotas": {},
+            "samples": np.arange(5) / 7.0,
+            "tenants": {"b", "a"},
+            "last_event_seq": 2**53 + 1,
+        }
+        snapshots = SnapshotStore(str(tmp_path))
+        path = snapshots.write(state, lsn=7)
+        reference = io.StringIO()
+        json.dump(
+            {"lsn": 7, "state": state}, reference, sort_keys=True, default=json_default
+        )
+        with open(path, "rb") as handle:
+            assert handle.read() == reference.getvalue().encode("utf-8")
+        loaded, lsn = snapshots.load_latest()
+        assert lsn == 7
+        assert loaded == json.loads(reference.getvalue())["state"]
+        assert loaded["live"]["slice-000003"]["window"] == [3.1, 1e-9, 1e22, 3.0]
+        assert loaded["tenants"] == ["a", "b"]
 
 
 class TestControlPlaneStore:

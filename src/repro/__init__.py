@@ -29,7 +29,7 @@ Package map:
 - :mod:`repro.ran`, :mod:`repro.transport`, :mod:`repro.cloud`,
   :mod:`repro.epc` — the simulated testbed substrates.
 - :mod:`repro.monitoring`, :mod:`repro.traffic`, :mod:`repro.sim` —
-  telemetry, workloads and the event engine.
+  time series, workloads and the event engine.
 - :mod:`repro.api`, :mod:`repro.dashboard` — the demo's REST surface
   and control dashboard.
 - :mod:`repro.experiments` — testbed builder and scenario runner used

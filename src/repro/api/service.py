@@ -200,6 +200,45 @@ class OperationStore:
         return ops
 
 
+def sim_gauges(orchestrator: Orchestrator) -> Dict[Tuple[str, str], float]:
+    """The simulated world's telemetry, read off live state for one
+    scrape: ``(metric, slice id or "") -> value``.
+
+    Per slice that is live and has served a monitoring epoch: that
+    epoch's demand, delivery and violated flag plus the effective
+    fraction; per domain, the controllers' utilisation ratios.  Nothing
+    is kept between scrapes, so a slice that expired or was cancelled
+    has no series.
+    """
+    gauges: Dict[Tuple[str, str], float] = {}
+    for network_slice in orchestrator.live_slices():
+        slice_id = network_slice.slice_id
+        runtime = orchestrator.runtime(slice_id)
+        if runtime.demand_history.empty:
+            continue  # not ACTIVE through an epoch yet
+        gauges["slice.demand_mbps", slice_id] = runtime.last_demand_mbps
+        gauges["slice.delivered_mbps", slice_id] = runtime.last_delivered_mbps
+        gauges["slice.violated", slice_id] = float(runtime.last_violated)
+        gauges["slice.effective_fraction", slice_id] = runtime.effective_fraction
+    allocator = orchestrator.allocator
+    ran = allocator.ran.utilization()
+    prbs = max(1, ran["total_prbs"])
+    gauges["ran.effective_utilization", ""] = ran["effective_reserved"] / prbs
+    gauges["ran.nominal_utilization", ""] = ran["nominal_reserved"] / prbs
+    transport = allocator.transport.utilization()
+    mbps = max(1e-9, transport["total_capacity_mbps"])
+    gauges["transport.effective_utilization", ""] = (
+        transport["effective_reserved_mbps"] / mbps
+    )
+    gauges["transport.nominal_utilization", ""] = (
+        transport["nominal_reserved_mbps"] / mbps
+    )
+    cloud = allocator.cloud.utilization()
+    vcpus = max(1, cloud["total_vcpus"])
+    gauges["cloud.vcpu_utilization", ""] = (vcpus - cloud["free_vcpus"]) / vcpus
+    return gauges
+
+
 class SliceService:
     """Typed facade over :class:`Orchestrator` + :class:`SliceBroker`.
 
@@ -849,13 +888,14 @@ class SliceService:
         """Prometheus text exposition for ``GET /v1/admin/metrics``.
 
         Control-plane histograms/counters/gauges under the ``cp_``
-        namespace, sim-telemetry lines re-emitted under ``sim_``.  With
-        observability disabled only the sim namespace is rendered.
+        namespace, sim telemetry read off live state (:func:`sim_gauges`)
+        under ``sim_``.  With observability disabled only the sim
+        namespace is rendered.
         """
         from repro.obs.export import render_prometheus
 
         return render_prometheus(
-            self.orchestrator.obs, sim_metrics=self.orchestrator.metrics
+            self.orchestrator.obs, sim_gauges(self.orchestrator)
         )
 
     def traces(self, query: Dict[str, str]) -> dict:
@@ -925,4 +965,5 @@ __all__ = [
     "ServiceError",
     "SliceService",
     "TenantQuota",
+    "sim_gauges",
 ]

@@ -118,7 +118,7 @@ class CloudController:
     # Telemetry
     # ------------------------------------------------------------------
     def utilization(self) -> dict:
-        """Domain telemetry for the monitoring collector."""
+        """Domain telemetry: the dashboard snapshot and the metrics scrape read it."""
         return {
             "domain": "cloud",
             "datacenters": [dc.utilization() for dc in self._dcs.values()],

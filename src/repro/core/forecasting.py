@@ -39,7 +39,7 @@ class ForecastError(RuntimeError):
 @lru_cache(maxsize=64)
 def _z_value(q: float) -> float:
     """Gaussian upper-quantile z for ``q``, cached — ``stats.norm.ppf``
-    costs more than an entire vectorized forecast path and the engine
+    costs far more than the scalar forecast it widens and the engine
     asks for the same handful of quantiles on every window."""
     return float(stats.norm.ppf(q))
 
@@ -62,14 +62,6 @@ class Forecaster(ABC):
     @abstractmethod
     def _point_forecast(self, h: int) -> float:
         """Model-specific point forecast ``h ≥ 1`` steps ahead."""
-
-    def _point_forecast_path(self, horizon: int) -> np.ndarray:
-        """Point forecasts for steps ``1..horizon`` in one pass.
-
-        Subclasses override this with a vectorized (or single-recursion)
-        implementation; the fallback keeps custom forecasters working.
-        """
-        return np.array([self._point_forecast(h) for h in range(1, horizon + 1)])
 
     @abstractmethod
     def _fitted_values(self, y: np.ndarray) -> np.ndarray:
@@ -110,19 +102,6 @@ class Forecaster(ABC):
             raise ForecastError(f"horizon must be ≥ 1, got {h}")
         return max(0.0, float(self._point_forecast(h)))
 
-    def forecast_path(self, horizon: int) -> np.ndarray:
-        """Point forecasts for steps ``1..horizon``.
-
-        Computed in a single vectorized pass over the fitted model state
-        (one recursion for AR) instead of re-deriving the forecast per
-        horizon step; matches ``forecast(h)`` exactly at every step.
-        """
-        self._require_fitted()
-        if horizon < 1:
-            raise ForecastError(f"horizon must be ≥ 1, got {horizon}")
-        path = np.asarray(self._point_forecast_path(horizon), dtype=float)
-        return np.maximum(0.0, path)
-
     def forecast_quantile(self, h: int = 1, q: float = 0.95) -> float:
         """Upper ``q``-quantile forecast: point + z_q × residual σ.
 
@@ -137,29 +116,6 @@ class Forecaster(ABC):
         point = self.forecast(h)
         z = _z_value(q)
         return max(0.0, point + z * self._residual_std * math.sqrt(h))
-
-    def forecast_quantile_path(self, horizon: int, q: float = 0.95) -> np.ndarray:
-        """Upper ``q``-quantile forecasts for steps ``1..horizon``.
-
-        One vectorized pass: the point path plus the √h-widened
-        residual band; matches ``forecast_quantile(h, q)`` at every
-        step.
-
-        Raises:
-            ForecastError: If not fitted, ``horizon < 1`` or ``q``
-                outside (0, 1).
-        """
-        if not 0.0 < q < 1.0:
-            raise ForecastError(f"quantile must be in (0, 1), got {q}")
-        path = self.forecast_path(horizon)
-        z = _z_value(q)
-        widths = z * self._residual_std * np.sqrt(np.arange(1, horizon + 1, dtype=float))
-        return np.maximum(0.0, path + widths)
-
-    def residual_std(self) -> float:
-        """In-sample one-step residual standard deviation."""
-        self._require_fitted()
-        return self._residual_std
 
     def in_sample_mae(self) -> float:
         """In-sample one-step mean absolute error (model-selection score)."""
@@ -180,9 +136,6 @@ class NaiveForecaster(Forecaster):
 
     def _point_forecast(self, h: int) -> float:
         return self._last
-
-    def _point_forecast_path(self, horizon: int) -> np.ndarray:
-        return np.full(horizon, self._last)
 
     def _fitted_values(self, y: np.ndarray) -> np.ndarray:
         fitted = np.empty_like(y)
@@ -205,9 +158,6 @@ class MovingAverageForecaster(Forecaster):
 
     def _point_forecast(self, h: int) -> float:
         return self._level
-
-    def _point_forecast_path(self, horizon: int) -> np.ndarray:
-        return np.full(horizon, self._level)
 
     def _fitted_values(self, y: np.ndarray) -> np.ndarray:
         # Trailing-window means via cumulative sums: fitted[i] is the
@@ -264,24 +214,6 @@ class ArForecaster(Forecaster):
             value = self._intercept + float(np.dot(self._coef, lags))
             lags = [value] + lags[:-1]
         return value
-
-    def _point_forecast_path(self, horizon: int) -> np.ndarray:
-        # One iterated recursion yields every step — O(H·p) instead of
-        # the O(H²·p) of restarting the recursion per horizon step.
-        if self._coef is None:
-            return np.full(horizon, self._last)
-        p = self.order
-        buf = np.empty(p + horizon)
-        buf[:p] = self._tail[::-1]  # oldest first; buf[p+h] holds step h+1
-        out = np.empty(horizon)
-        coef = self._coef
-        intercept = self._intercept
-        for h in range(horizon):
-            window = buf[h : h + p][::-1]  # most recent first for the dot
-            value = intercept + float(np.dot(coef, window))
-            buf[p + h] = value
-            out[h] = value
-        return out
 
     def _fitted_values(self, y: np.ndarray) -> np.ndarray:
         fitted = y.copy().astype(float)
@@ -376,14 +308,6 @@ class HoltWintersForecaster(Forecaster):
             value += self._season[(self._n + h - 1) % self.m]
         return value
 
-    def _point_forecast_path(self, horizon: int) -> np.ndarray:
-        h = np.arange(1, horizon + 1, dtype=float)
-        path = self._level + h * self._trend
-        if self._seasonal:
-            season = np.asarray(self._season, dtype=float)
-            path = path + season[(self._n + np.arange(horizon)) % self.m]
-        return path
-
     def _fitted_values(self, y: np.ndarray) -> np.ndarray:
         *_, fitted = self._smooth(y)
         return fitted
@@ -410,13 +334,6 @@ class SeasonalNaiveForecaster(Forecaster):
         if y.size < self.m:
             return float(y[-1])
         return float(y[-self.m + ((h - 1) % self.m)])
-
-    def _point_forecast_path(self, horizon: int) -> np.ndarray:
-        y = self._y
-        if y.size < self.m:
-            return np.full(horizon, float(y[-1]))
-        offsets = -self.m + (np.arange(horizon) % self.m)
-        return y[offsets].astype(float)
 
     def _fitted_values(self, y: np.ndarray) -> np.ndarray:
         fitted = y.astype(float).copy()
@@ -451,9 +368,6 @@ class SimpleExpSmoothingForecaster(Forecaster):
     def _point_forecast(self, h: int) -> float:
         return self._level
 
-    def _point_forecast_path(self, horizon: int) -> np.ndarray:
-        return np.full(horizon, self._level)
-
     def _fitted_values(self, y: np.ndarray) -> np.ndarray:
         _, fitted = self._smooth(y)
         return fitted
@@ -468,9 +382,6 @@ class DriftForecaster(Forecaster):
 
     def _point_forecast(self, h: int) -> float:
         return self._last + h * self._drift
-
-    def _point_forecast_path(self, horizon: int) -> np.ndarray:
-        return self._last + np.arange(1, horizon + 1, dtype=float) * self._drift
 
     def _fitted_values(self, y: np.ndarray) -> np.ndarray:
         fitted = y.astype(float).copy()
@@ -510,10 +421,6 @@ class EnsembleForecaster(Forecaster):
     def _point_forecast(self, h: int) -> float:
         assert self.selected is not None
         return self.selected._point_forecast(h)
-
-    def _point_forecast_path(self, horizon: int) -> np.ndarray:
-        assert self.selected is not None
-        return self.selected._point_forecast_path(horizon)
 
     def _fitted_values(self, y: np.ndarray) -> np.ndarray:
         assert self.selected is not None

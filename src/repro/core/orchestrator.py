@@ -82,8 +82,7 @@ from repro.core.slices import (
 )
 from repro.epc.attach import AttachProcedure
 from repro.epc.instance import EpcInstance
-from repro.monitoring.collector import TelemetryCollector
-from repro.monitoring.metrics import MetricsRegistry
+from repro.monitoring.timeseries import TimeSeries
 from repro.obs import NOOP_OBS, ControlPlaneObservability
 from repro.ran.controller import PlannedCellLoad
 from repro.ran.ue import UserEquipment
@@ -93,6 +92,10 @@ from repro.store.store import ControlPlaneStore, NullStore, open_store
 from repro.sim.processes import PeriodicProcess
 from repro.sim.randomness import RandomStreams
 from repro.traffic.patterns import TrafficProfile
+
+
+#: Demand samples a live slice keeps — the tail its forecaster refits on.
+FORECAST_HISTORY_EPOCHS = 288
 
 
 class OrchestratorError(RuntimeError):
@@ -111,7 +114,6 @@ class OrchestratorConfig:
             seconds, user devices ... are allowed to connect").
         min_history_for_forecast: Demand samples required before the
             forecaster is trusted for overbooking.
-        forecast_history_epochs: Tail length the forecaster refits on.
         simulate_ues: Create UE populations and run attach procedures
             (disable for large parameter sweeps).
         max_ues_per_slice: Cap on simulated UEs per slice.
@@ -169,8 +171,6 @@ class OrchestratorConfig:
             ``REPRO_OBS_ENABLED=1`` environment flag (i.e. off); when
             off, every instrumentation point resolves to a shared
             no-op singleton — no allocation, no locks, no timing.
-        observability_trace_capacity: Finished traces (and slow-span
-            audit entries) retained in memory.
         observability_slow_span_ms: Spans at least this slow (wall
             clock) are retained in the slow-op audit log with their
             full ancestry.
@@ -180,7 +180,6 @@ class OrchestratorConfig:
     reconfig_every_epochs: int = 5
     deploy_time_s: float = 3.0
     min_history_for_forecast: int = 12
-    forecast_history_epochs: int = 288
     simulate_ues: bool = False
     max_ues_per_slice: int = 8
     self_healing: bool = True
@@ -196,7 +195,6 @@ class OrchestratorConfig:
     observability: bool = field(
         default_factory=lambda: os.environ.get("REPRO_OBS_ENABLED", "") == "1"
     )
-    observability_trace_capacity: int = 256
     observability_slow_span_ms: float = 250.0
 
 
@@ -212,6 +210,12 @@ class SliceRuntime:
     ues: List[UserEquipment] = field(default_factory=list)
     last_demand_mbps: float = 0.0
     last_delivered_mbps: float = 0.0
+    last_violated: bool = False
+    #: One demand sample per served epoch: what the forecaster refits on,
+    #: and it dies with the runtime.
+    demand_history: TimeSeries = field(
+        default_factory=lambda: TimeSeries(max_points=FORECAST_HISTORY_EPOCHS)
+    )
     reservations: Dict[str, Reservation] = field(default_factory=dict)
 
 
@@ -251,18 +255,10 @@ class Orchestrator:
         # to the shared no-op singleton — zero per-call allocation.
         self.obs: Any = (
             ControlPlaneObservability(
-                trace_capacity=self.config.observability_trace_capacity,
-                slow_span_ms=self.config.observability_slow_span_ms,
+                slow_span_ms=self.config.observability_slow_span_ms
             )
             if self.config.observability
             else NOOP_OBS
-        )
-        self.metrics = MetricsRegistry()
-        self.collector = TelemetryCollector(
-            self.metrics,
-            ran=allocator.ran,
-            transport=allocator.transport,
-            cloud=allocator.cloud,
         )
         self.ledger = RevenueLedger()
         self.events = EventLog(capacity=self.config.event_log_capacity)
@@ -457,7 +453,6 @@ class Orchestrator:
                 "durability is disabled (no durability_dir configured)"
             )
         lsn = self.store.checkpoint(self.durable_state())
-        self.metrics.record(self.sim.now, "store.checkpoint_lsn", float(lsn))
         return {
             "checkpoint_lsn": lsn,
             "time": self.sim.now,
@@ -1249,10 +1244,10 @@ class Orchestrator:
         """Free the slice in every domain, newest-registered first.
 
         Domains holding nothing are skipped silently (idempotent-ish);
-        a *real* backend release failure is surfaced on the metrics and
-        the event feed — the driver keeps the reservation COMMITTED, the
-        failing domains are returned, and the monitoring loop retries
-        them every epoch until the capacity is actually freed.
+        a *real* backend release failure is surfaced on the event feed
+        — the driver keeps the reservation COMMITTED, the failing
+        domains are returned, and the monitoring loop retries them
+        every epoch until the capacity is actually freed.
         """
         slice_id = network_slice.slice_id
         failed: List[str] = []
@@ -1263,9 +1258,6 @@ class Orchestrator:
                 continue
             except DriverError as exc:
                 failed.append(driver.domain)
-                self.metrics.record(
-                    self.sim.now, "driver.release_failed", 1.0, label=slice_id
-                )
                 self.events.emit(
                     self.sim.now,
                     "driver.release_failed",
@@ -1446,13 +1438,7 @@ class Orchestrator:
             runtime.epc.provision_subscriber(ue.imsi)
             enb.register_ue(ue)
             runtime.ues.append(ue)
-            outcome = procedure.attach(ue)
-            self.metrics.record(
-                self.sim.now,
-                "ue.attach_latency_ms",
-                outcome.latency_ms if outcome.success else -1.0,
-                label=slice_id,
-            )
+            procedure.attach(ue)
 
     def terminate_early(self, slice_id: str, refund: bool = True) -> float:
         """Tenant-initiated teardown of an ACTIVE slice.
@@ -1631,9 +1617,6 @@ class Orchestrator:
                 network_slice.request.request_id,
                 self.shrunk_demand(network_slice.request, runtime.effective_fraction),
             )
-        self.metrics.record(
-            self.sim.now, "slice.modified_mbps", new_throughput_mbps, label=slice_id
-        )
         self._journal(
             "slice.modified", slice_id=slice_id, throughput_mbps=new_throughput_mbps
         )
@@ -1700,8 +1683,10 @@ class Orchestrator:
             delivered = delivered_ran.get(slice_id, 0.0)
             delivered = min(delivered, self._transport_cap_mbps(runtime, demand))
             runtime.last_delivered_mbps = delivered
+            runtime.demand_history.append(now, demand)
             nominal = network_slice.request.sla.throughput_mbps
             violated = self.sla_monitor.check_epoch(slice_id, demand, delivered, nominal)
+            runtime.last_violated = violated
             network_slice.record_epoch(violated)
             if violated:
                 self.ledger.book_penalty(slice_id, network_slice.request.penalty_rate)
@@ -1716,8 +1701,6 @@ class Orchestrator:
                 )
             if isinstance(self.overbooking, AdaptiveOverbooking):
                 self.overbooking.observe(violated)
-            self.collector.record_slice_epoch(now, slice_id, demand, delivered, violated)
-        self.collector.collect_domains(now)
         ran_util = self.allocator.ran.utilization()
         self.gain_tracker.record(
             now, ran_util["nominal_reserved"], max(1, ran_util["total_prbs"])
@@ -1753,9 +1736,7 @@ class Orchestrator:
                     continue  # slice not installed in this domain — benign
                 except DriverError:
                     # A real health-check failure must not pass silently.
-                    self.metrics.record(
-                        self.sim.now, "slice.repair_failed", 1.0, label=slice_id
-                    )
+                    self.obs.counter_add("slice.repair_failed", label=driver.domain)
                     continue
                 if healthy:
                     continue
@@ -1765,9 +1746,7 @@ class Orchestrator:
                     # No feasible detour right now; the slice will violate
                     # its SLA until a link recovers — exactly the penalty
                     # the overbooking ledger accounts for.
-                    self.metrics.record(
-                        self.sim.now, "slice.repair_failed", 1.0, label=slice_id
-                    )
+                    self.obs.counter_add("slice.repair_failed", label=driver.domain)
                     continue
                 new_transport = repaired.details.get("allocation")
                 if driver.domain == "transport" and new_transport is not None:
@@ -1776,9 +1755,6 @@ class Orchestrator:
                         transport=new_transport,
                         cloud=allocation.cloud,
                     )
-                self.metrics.record(
-                    self.sim.now, "slice.path_repaired", 1.0, label=slice_id
-                )
                 self.events.emit(
                     self.sim.now,
                     "slice.path_repaired",
@@ -1819,14 +1795,13 @@ class Orchestrator:
         nominal (when capacity allows).
         """
         for slice_id, runtime in active.items():
-            history = self.collector.demand_history(slice_id)
+            history = runtime.demand_history
             if len(history) < self.config.min_history_for_forecast:
                 continue
             if runtime.forecaster is None:
                 runtime.forecaster = self.forecaster_factory()
-            tail = history.tail(self.config.forecast_history_epochs)
             try:
-                runtime.forecaster.fit(tail)
+                runtime.forecaster.fit(history.values())
             except ForecastError:
                 continue
             nominal = runtime.network_slice.request.sla.throughput_mbps
@@ -1846,9 +1821,6 @@ class Orchestrator:
                 runtime.effective_fraction = new_fraction
                 self._journal(
                     "slice.reconfigured", slice_id=slice_id, fraction=new_fraction
-                )
-                self.metrics.record(
-                    self.sim.now, "slice.effective_fraction", new_fraction, label=slice_id
                 )
                 self.events.emit(
                     self.sim.now,

@@ -113,9 +113,6 @@ class RanDriver(_InProcessDriver):
         effective = max(1, round(nominal * spec.effective_fraction))
         return self.controller.best_enb_for(spec.throughput_mbps, effective) is not None
 
-    def _native_present(self, slice_id: str) -> bool:
-        return self.controller.serving_enb_of(slice_id) is not None
-
     def _do_prepare(self, spec: DomainSpec) -> Dict[str, Any]:
         plmn = spec.attributes.get("plmn")
         if plmn is None:
@@ -150,8 +147,8 @@ class RanDriver(_InProcessDriver):
             raise DriverError(self.domain, str(exc)) from exc
 
     def _do_resize(self, slice_id: str, spec: DomainSpec,
-                   reservation: Optional[Reservation]) -> Dict[str, Any]:
-        current = reservation.details.get("allocation") if reservation else None
+                   reservation: Reservation) -> Dict[str, Any]:
+        current = reservation.details.get("allocation")
         try:
             if (
                 current is not None
@@ -239,9 +236,6 @@ class TransportDriver(_InProcessDriver):
             return False
         return self.controller.feasible(request)
 
-    def _native_present(self, slice_id: str) -> bool:
-        return self.controller.allocation_of(slice_id) is not None
-
     def _do_prepare(self, spec: DomainSpec) -> Dict[str, Any]:
         request = self._path_request(spec)
         plmn_id = spec.attributes.get("plmn_id")
@@ -275,12 +269,9 @@ class TransportDriver(_InProcessDriver):
             raise DriverError(self.domain, str(exc)) from exc
 
     def _do_resize(self, slice_id: str, spec: DomainSpec,
-                   reservation: Optional[Reservation]) -> Dict[str, Any]:
+                   reservation: Reservation) -> Dict[str, Any]:
         try:
-            if (
-                reservation is not None
-                and spec.throughput_mbps == reservation.spec.throughput_mbps
-            ):
+            if spec.throughput_mbps == reservation.spec.throughput_mbps:
                 # Overbooking knob only (old allocator.resize path).
                 self.controller.resize_path(
                     slice_id, spec.throughput_mbps * spec.effective_fraction
@@ -364,9 +355,6 @@ class CloudDriver(_InProcessDriver):
                 return False
         return bool(self.controller.feasible_dcs(template))
 
-    def _native_present(self, slice_id: str) -> bool:
-        return self.controller.stack_of(slice_id) is not None
-
     def _do_prepare(self, spec: DomainSpec) -> Dict[str, Any]:
         dc_id = spec.attributes.get("dc_id")
         if dc_id is None:
@@ -447,9 +435,6 @@ class EpcDriver(_InProcessDriver):
     def instance_of(self, slice_id: str) -> Optional[EpcInstance]:
         """The slice's live vEPC instance (None if absent)."""
         return self._instances.get(slice_id)
-
-    def _native_present(self, slice_id: str) -> bool:
-        return slice_id in self._instances
 
     def _do_prepare(self, spec: DomainSpec) -> Dict[str, Any]:
         plmn_id = spec.attributes.get("plmn_id")

@@ -239,7 +239,7 @@ class DomainDriver(abc.ABC):
 
     @abc.abstractmethod
     def utilization(self) -> dict:
-        """Domain telemetry snapshot (monitoring collector input)."""
+        """Domain telemetry snapshot (``GET /v1/domains/{name}``)."""
 
     def reservation_of(self, slice_id: str) -> Optional[Reservation]:
         """The live (PREPARED/COMMITTED) reservation for a slice, when
@@ -349,8 +349,11 @@ class BaseDriver(DomainDriver):
 
     - ``prepare`` refuses a second reservation for a live slice,
     - ``commit``/``rollback`` only accept PREPARED reservations,
-    - ``release`` only accepts COMMITTED slices; a slice the driver
-      holds no reservation for is :class:`DriverAbsentError`.
+    - ``release`` only accepts COMMITTED slices,
+    - ``release``, ``resize`` and ``health`` of a slice the driver holds
+      no reservation for are :class:`DriverAbsentError`, always — the
+      reservation table is the truth; the backend is never probed for
+      state the table does not know.
 
     Locking discipline (a driver may be called at once from a planner
     draining a window, from another driver's completion thread
@@ -429,13 +432,9 @@ class BaseDriver(DomainDriver):
         """Free a committed slice on the backend."""
 
     def _do_resize(self, slice_id: str, spec: DomainSpec,
-                   reservation: Optional[Reservation]) -> Dict[str, Any]:
+                   reservation: Reservation) -> Dict[str, Any]:
         """Re-dimension on the backend; returns updated details."""
         raise DriverError(self.domain, "driver does not support resize")
-
-    def _native_present(self, slice_id: str) -> bool:
-        """Whether the backend itself holds state for the slice."""
-        return slice_id in self._reservations
 
     # ------------------------------------------------------------------
     # Contract implementation
@@ -529,12 +528,6 @@ class BaseDriver(DomainDriver):
                         f"cannot release reservation in state "
                         f"{reservation.state.value}",
                     )
-                if not self._native_present(slice_id):
-                    # Backend state vanished out-of-band — just drop
-                    # the record.
-                    del self._reservations[slice_id]
-                    reservation.state = ReservationState.RELEASED
-                    return
                 self._claim(slice_id, "release")
             # Free the backend *first*: if it fails, the reservation stays
             # COMMITTED so the caller can retry instead of stranding the
@@ -553,7 +546,7 @@ class BaseDriver(DomainDriver):
         with self._backend_guard():
             with self._lock:
                 reservation = self._reservations.get(slice_id)
-                if reservation is None and not self._native_present(slice_id):
+                if reservation is None:
                     raise DriverAbsentError(
                         self.domain, f"slice {slice_id} holds nothing"
                     )
@@ -561,25 +554,14 @@ class BaseDriver(DomainDriver):
             try:
                 details = self._do_resize(slice_id, spec, reservation)
                 with self._lock:
-                    if reservation is None:
-                        reservation = Reservation(
-                            reservation_id=f"{self.domain}-res-{next(self._ids):06d}",
-                            domain=self.domain,
-                            slice_id=slice_id,
-                            spec=spec,
-                            state=ReservationState.COMMITTED,
-                            details=details,
-                        )
-                        self._reservations[slice_id] = reservation
-                    else:
-                        reservation.spec = spec
-                        reservation.details.update(details)
+                    reservation.spec = spec
+                    reservation.details.update(details)
             finally:
                 self._unclaim(slice_id)
             return reservation
 
     def health(self, slice_id: str) -> Dict[str, Any]:
-        if self.reservation_of(slice_id) is None and not self._native_present(slice_id):
+        if self.reservation_of(slice_id) is None:
             raise DriverAbsentError(self.domain, f"slice {slice_id} holds nothing")
         return self._do_health(slice_id)
 

@@ -267,10 +267,6 @@ class MockDriver(BaseDriver):
                 self._held.pop(reservation.slice_id, None)
                 raise DriverError(self.domain, "injected commit failure")
 
-    def _native_present(self, slice_id: str) -> bool:
-        with self._pool_lock:
-            return slice_id in self._held
-
     def _do_rollback(self, reservation: Reservation) -> None:
         self._maybe_stall("rollback")
         with self._pool_lock:
@@ -290,7 +286,7 @@ class MockDriver(BaseDriver):
             del self._held[slice_id]
 
     def _do_resize(self, slice_id: str, spec: DomainSpec,
-                   reservation: Optional[Reservation]) -> Dict[str, Any]:
+                   reservation: Reservation) -> Dict[str, Any]:
         with self._pool_lock:
             if slice_id not in self._held:
                 raise DriverError(self.domain, f"slice {slice_id} holds nothing")

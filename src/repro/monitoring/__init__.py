@@ -1,19 +1,17 @@
-"""Monitoring substrate: time-series storage and telemetry collection.
+"""Monitoring substrate: bounded in-memory time series.
 
 The demo's orchestrator "collects information about network utilization"
 through the domain controllers' REST APIs and feeds it to the
-forecasting engine.  This package provides the in-memory time-series
-store, a metrics registry, and the periodic collector that snapshots
-every domain each monitoring epoch.
+forecasting engine.  What is *kept* of that is one
+:class:`~repro.monitoring.timeseries.TimeSeries` per live slice (its
+demand tail, on the slice's runtime) plus the multiplexing-gain series;
+everything a scrape shows is read off live state when it asks
+(:func:`repro.api.service.sim_gauges`).
 """
 
 from repro.monitoring.timeseries import TimeSeries, TimeSeriesError
-from repro.monitoring.metrics import MetricsRegistry
-from repro.monitoring.collector import TelemetryCollector
 
 __all__ = [
-    "MetricsRegistry",
-    "TelemetryCollector",
     "TimeSeries",
     "TimeSeriesError",
 ]

@@ -4,7 +4,7 @@ The forecaster consumes per-slice demand histories; this store keeps
 ``(timestamp, value)`` pairs in arrival order with an optional retention
 cap, and offers the window/resample/statistics operations the
 forecasting and dashboard code need.  Timestamps must be non-decreasing
-— the collector always appends at the current simulation time.
+— the epoch loop always appends at the current simulation time.
 """
 
 from __future__ import annotations

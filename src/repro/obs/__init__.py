@@ -1,10 +1,12 @@
 """Control-plane observability: tracing, latency histograms, export.
 
-Distinct from :mod:`repro.monitoring` (the *simulated world's*
-telemetry — per-slice demand/utilization time series in simulation
-time): this package profiles the orchestrator process itself, in
-wall-clock time — where a 32-slice batch install actually spends its
-milliseconds, stage by stage, whichever thread closed each stage.
+This package profiles the orchestrator process itself, in wall-clock
+time — where a 32-slice batch install actually spends its
+milliseconds, stage by stage, whichever thread closed each stage.  It
+holds the one metrics registry and the one Prometheus writer; the
+*simulated world's* telemetry is not stored anywhere but read off live
+state per scrape (:func:`repro.api.service.sim_gauges`) and rendered
+by the same writer.
 
 Enabled per orchestrator via ``OrchestratorConfig.observability``
 (process-wide default: the ``REPRO_OBS_ENABLED=1`` environment

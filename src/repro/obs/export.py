@@ -1,20 +1,21 @@
-"""Prometheus text exposition for the control-plane observability data.
+"""Prometheus text exposition: the one writer behind
+``GET /v1/admin/metrics``.
 
-Two namespaces share one scrape (``GET /v1/admin/metrics``):
+Two namespaces share the scrape, rendered by the same code:
 
 - ``cp_*`` — the control plane's own histograms/counters/gauges
   (this subsystem; wall-clock milliseconds, suffixed ``_ms``).
-- ``sim_*`` — the pre-existing *sim telemetry*
-  (:meth:`~repro.monitoring.metrics.MetricsRegistry.to_prometheus`:
-  per-slice demand/delivery time series, simulation-time stamped),
-  re-emitted under a prefix so the two cannot collide.
+- ``sim_*`` — the simulated world's telemetry: gauges the caller read
+  off live state for this scrape (per-slice demand/delivery labelled
+  ``slice="…"``, per-domain utilisation ratios).  Nothing is stored
+  between scrapes, so a slice that is gone has no series.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 #: The standard Prometheus text-format content type.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -48,18 +49,21 @@ def _labels(label: str, extra: Optional[Dict[str, str]] = None) -> str:
     return "{" + ",".join(pairs) + "}" if pairs else ""
 
 
-def render_prometheus(obs: Any, sim_metrics: Any = None) -> str:
+def render_prometheus(
+    obs: Any, sim_gauges: Optional[Mapping[Tuple[str, str], float]] = None
+) -> str:
     """The full scrape body: ``cp_*`` control-plane metrics (empty when
-    observability is disabled) + the ``sim_*`` telemetry namespace."""
+    observability is disabled) + the ``sim_*`` telemetry namespace,
+    ``sim_gauges`` mapping ``(metric, slice id or "")`` to its value."""
     lines: List[str] = []
+    typed: set = set()
+
+    def declare(name: str, kind: str) -> None:
+        if name not in typed:
+            typed.add(name)
+            lines.append(f"# TYPE {name} {kind}")
+
     if getattr(obs, "enabled", False):
-        typed: set = set()
-
-        def declare(name: str, kind: str) -> None:
-            if name not in typed:
-                typed.add(name)
-                lines.append(f"# TYPE {name} {kind}")
-
         for (metric, label), hist in sorted(obs.histograms().items()):
             base = f"cp_{_sanitize(metric)}_ms"
             declare(base, "histogram")
@@ -86,21 +90,11 @@ def render_prometheus(obs: Any, sim_metrics: Any = None) -> str:
             name = f"cp_tracer_{key}_total"
             declare(name, "counter")
             lines.append(f"{name} {tracer.get(key, 0)}")
-    if sim_metrics is not None:
-        for line in sim_metrics.to_prometheus().splitlines():
-            if not line:
-                continue
-            if line.startswith("#"):
-                # `# TYPE name kind` / `# HELP name text`: the metric
-                # name (third token) gets the prefix, not the line.
-                parts = line.split(" ", 3)
-                if len(parts) >= 3 and parts[1] in ("TYPE", "HELP"):
-                    parts[2] = f"sim_{parts[2]}"
-                    lines.append(" ".join(parts))
-                else:
-                    lines.append(line)
-            else:
-                lines.append(f"sim_{line}")
+    for (metric, slice_id), value in sorted((sim_gauges or {}).items()):
+        name = f"sim_{_sanitize(metric)}"
+        declare(name, "gauge")
+        labels = _labels("", {"slice": slice_id}) if slice_id else ""
+        lines.append(f"{name}{labels} {_fmt(value)}")
     return "\n".join(lines) + "\n"
 
 

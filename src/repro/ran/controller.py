@@ -387,7 +387,7 @@ class RanController:
         return delivered
 
     def utilization(self) -> dict:
-        """Domain telemetry for the monitoring collector."""
+        """Domain telemetry: the dashboard snapshot and the metrics scrape read it."""
         return {
             "domain": "ran",
             "enbs": [enb.utilization() for enb in self._enbs.values()],

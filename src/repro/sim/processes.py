@@ -11,8 +11,7 @@ class PeriodicProcess:
     """A restartable periodic activity bound to a simulator.
 
     Unlike :func:`repro.sim.engine.every`, this class supports
-    start/stop/restart cycles and exposes how many times it has fired,
-    which the monitoring collector uses to align telemetry epochs.
+    start/stop/restart cycles and exposes how many times it has fired.
     """
 
     def __init__(

@@ -73,18 +73,6 @@ class TransportController:
         # O(E log V).  Never consulted without revalidation, so stale
         # entries cannot produce a wrong answer.
         self._known_paths: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-        # Exact-result CSPF cache: full search results keyed by the
-        # complete request, invalidated wholesale the moment *any* link
-        # mutates (the topology's dirty-node feed covers direct
-        # ``link.fail()``/``reserve()`` calls too).  Between mutations
-        # the topology is immutable, so a hit returns byte-for-byte what
-        # the search would — unlike ``_known_paths`` this needs no
-        # revalidation, and unlike a TTL it can never serve a stale
-        # answer.
-        self._exact_dirty = topology.subscribe_dirty()
-        self._exact_paths: Dict[
-            Tuple[str, str, float, float], ComputedPath
-        ] = {}
         self._port_counter: Dict[str, int] = {}
         self.repairs_performed = 0
         #: Serialization lock for this controller: the methods here are
@@ -119,33 +107,11 @@ class TransportController:
         if cached is not None and self._path_satisfies(cached, request):
             return True
         try:
-            path = self._search(request)
+            path = constrained_shortest_path(self.topology, request)
         except PathComputationError:
             return False
         self._known_paths[(request.src, request.dst)] = path.link_ids
         return True
-
-    def _search(self, request: PathRequest) -> ComputedPath:
-        """CSPF with the exact-result cache (see ``_exact_paths``).
-
-        Raises:
-            PathComputationError: If no feasible path exists.
-        """
-        if self._exact_dirty:
-            self._exact_paths.clear()
-            self._exact_dirty.clear()
-        key = (
-            request.src,
-            request.dst,
-            request.min_bandwidth_mbps,
-            request.max_delay_ms,
-        )
-        cached = self._exact_paths.get(key)
-        if cached is not None:
-            return cached
-        path = constrained_shortest_path(self.topology, request)
-        self._exact_paths[key] = path
-        return path
 
     def _path_satisfies(self, link_ids: Tuple[str, ...], request: PathRequest) -> bool:
         """Whether a concrete link sequence meets the request right now."""
@@ -199,7 +165,7 @@ class TransportController:
             max_delay_ms=request.max_delay_ms,
         )
         try:
-            path = self._search(probe)
+            path = constrained_shortest_path(self.topology, probe)
         except PathComputationError as exc:
             raise TransportError(str(exc)) from exc
         # Reserve on every link, rolling back on failure so a half-made
@@ -426,7 +392,7 @@ class TransportController:
     # Telemetry
     # ------------------------------------------------------------------
     def utilization(self) -> dict:
-        """Domain telemetry for the monitoring collector."""
+        """Domain telemetry: the dashboard snapshot and the metrics scrape read it."""
         links = self.topology.links()
         total_cap = sum(l.capacity_mbps for l in links)
         return {

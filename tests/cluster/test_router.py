@@ -16,6 +16,7 @@ from __future__ import annotations
 import time
 
 from repro.cluster import VectorCursor
+from repro.obs.export import _SAMPLE_RE
 
 from tests.cluster.conftest import (
     LEASE_TIMEOUT_S,
@@ -215,8 +216,13 @@ class TestAdminFanout:
         )
         try:
             owners = tenants_per_shard(cluster)
-            for tenant in owners.values():
-                _create(cluster.router, tenant)
+            created = {
+                shard_id: _create(cluster.router, tenant)[0]
+                for shard_id, tenant in owners.items()
+            }
+            # One monitoring epoch with an ACTIVE slice on every shard:
+            # the sim_* half of the scrape is populated too.
+            cluster.run_until(61.0)
             response = cluster.router.get("/v1/admin/metrics")
             assert response.status == 200
             assert response.text is not None
@@ -226,7 +232,18 @@ class TestAdminFanout:
                 if line and not line.startswith("#")
             ]
             assert samples
-            assert all('shard="' in line for line in samples)
+            for line in samples:
+                match = _SAMPLE_RE.match(line)
+                assert match, f"not `name{{labels}} value`: {line!r}"
+                assert 'shard="' in match.group("labels"), line
+            assert len(samples) == len(set(samples)), "a series emitted twice"
+            for shard_id, slice_id in created.items():
+                assert any(
+                    line.startswith("sim_slice_demand_mbps{")
+                    and f'slice="{slice_id}"' in line
+                    and f'shard="{shard_id}"' in line
+                    for line in samples
+                )
             declared = [
                 line
                 for line in response.text.splitlines()
@@ -252,3 +269,123 @@ class TestAdminFanout:
         response = cluster.router.post("/v1/admin/checkpoint")
         assert response.status == 200
         assert set(response.body["shards"]) == {str(k) for k in owners}
+
+
+class TestFanoutEnvelopes:
+    """The remaining fan-out and tenant-affine routes, through the
+    router: merge order, the ``shard`` annotation, per-shard envelopes."""
+
+    def test_bookings_create_list_cancel(self, cluster):
+        owners = tenants_per_shard(cluster)
+        router = cluster.router
+        starts = {0: 2_000.0, 1: 1_000.0}  # shard order != start order
+        booked = {}
+        for shard_id, tenant in owners.items():
+            response = router.post(
+                "/v1/bookings",
+                body=slice_body(tenant, start_time=starts[shard_id]),
+                headers={"x-tenant-id": tenant},
+            )
+            assert response.status == 201, response.body
+            booked[shard_id] = response.body["booking_id"]
+            local = cluster.shard(shard_id).service.list_bookings()
+            assert [b["booking_id"] for b in local] == [booked[shard_id]]
+        listing = router.get("/v1/bookings").body
+        assert listing["count"] == 2
+        assert [(b["booking_id"], b["shard"]) for b in listing["bookings"]] == [
+            (booked[1], 1),
+            (booked[0], 0),
+        ]
+        mine = router.get("/v1/bookings", headers={"x-tenant-id": owners[0]}).body
+        assert [b["shard"] for b in mine["bookings"]] == [0]
+        # Unscoped cancel scatter-gathers to the owner; scoped routes.
+        assert router.delete(f"/v1/bookings/{booked[1]}").status == 200
+        scoped = router.delete(
+            f"/v1/bookings/{booked[0]}", headers={"x-tenant-id": owners[0]}
+        )
+        assert scoped.status == 200
+        assert router.get("/v1/bookings").body["count"] == 0
+        assert router.delete("/v1/bookings/req-999999").status == 404
+
+    def test_operations_merge_by_id_then_shard(self, cluster):
+        owners = tenants_per_shard(cluster)
+        router = cluster.router
+        for shard_id in (1, 0, 1):  # arrival order != merge order
+            tenant = owners[shard_id]
+            response = router.post(
+                "/v1/slices?mode=batch",
+                body=slice_body(tenant),
+                headers={"x-tenant-id": tenant},
+            )
+            assert response.status == 202, response.body
+        merged = router.get("/v1/operations").body
+        keys = [(op["operation_id"], op["shard"]) for op in merged["operations"]]
+        assert merged["count"] == 3
+        # Operation ids are per-shard sequences: ties break on the shard.
+        assert keys == [("op-000001", 0), ("op-000001", 1), ("op-000002", 1)]
+        scoped = router.get("/v1/operations", headers={"x-tenant-id": owners[1]})
+        assert [op["shard"] for op in scoped.body["operations"]] == [1, 1]
+
+    def test_whatif_answers_from_the_owning_shard(self, cluster):
+        owners = tenants_per_shard(cluster)
+        _create(cluster.router, owners[0], n=2)  # shard 0 spends two PLMNs
+        available = {}
+        for shard_id, tenant in owners.items():
+            response = cluster.router.post(
+                "/v1/whatif", body=slice_body(tenant), headers={"x-tenant-id": tenant}
+            )
+            assert response.status == 200, response.body
+            assert response.body["would_admit"] is True
+            available[shard_id] = response.body["plmn_available"]
+            pool = cluster.shard(shard_id).orchestrator.plmn_pool
+            assert available[shard_id] == pool.available
+        assert available[0] == available[1] - 2
+
+    def test_dashboard_and_domain_are_keyed_by_shard(self, cluster):
+        owners = tenants_per_shard(cluster)
+        _create(cluster.router, owners[1], n=3)
+        cluster.run_until(10.0)
+        dashboard = cluster.router.get("/v1/dashboard").body["shards"]
+        assert {k: v["active"] for k, v in dashboard.items()} == {"0": 0, "1": 3}
+        firewall = cluster.router.get("/v1/domains/firewall").body["shards"]
+        assert {k: v["active_reservations"] for k, v in firewall.items()} == {
+            "0": 0,
+            "1": 3,
+        }
+        unknown = cluster.router.get("/v1/domains/nope")
+        assert unknown.status == 404
+        assert unknown.body["error"]["code"] == "not_found"
+
+    def test_traces_are_keyed_by_shard(self, tmp_path):
+        from tests.cluster.conftest import build_cluster
+
+        cluster = build_cluster(
+            tmp_path,
+            orchestrator={"monitoring_epoch_s": 60.0, "observability": True},
+        )
+        try:
+            owners = tenants_per_shard(cluster)
+            queued = cluster.router.post(
+                "/v1/slices?mode=batch",
+                body=slice_body(owners[1]),
+                headers={"x-tenant-id": owners[1]},
+            )
+            assert queued.status == 202, queued.body
+            cluster.run_until(301.0)  # the broker window flushes: one batch trace
+            shards = cluster.router.get("/v1/admin/traces?limit=5").body["shards"]
+            assert set(shards) == {"0", "1"}
+            assert all(body["enabled"] for body in shards.values())
+            assert shards["0"]["count"] == 0
+            assert 0 < shards["1"]["count"] <= 5
+            bad = cluster.router.get("/v1/admin/traces?limit=nope")
+            assert bad.status == 400
+        finally:
+            cluster.close()
+
+    def test_index_describes_the_sharding(self, cluster):
+        index = cluster.router.get("/v1").body
+        assert index["version"] == "v1"
+        assert index["sharding"]["shard_count"] == cluster.config.shards
+        assert index["sharding"]["ring_vnodes"] == cluster.ring.vnodes
+        assert "GET /v1/admin/metrics" in index["routes"]
+        assert "DELETE /v1/bookings/{booking_id}" in index["routes"]

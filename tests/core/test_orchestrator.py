@@ -141,9 +141,9 @@ class TestMonitoring:
         request, _ = submit(orchestrator)
         slice_id = request.request_id.replace("req-", "slice-")
         orchestrator.sim.run_until(300.0)
-        history = orchestrator.collector.demand_history(slice_id)
-        assert len(history) >= 4
         runtime = orchestrator.runtime(slice_id)
+        assert len(runtime.demand_history) >= 4
+        assert runtime.demand_history.last() == (300.0, runtime.last_demand_mbps)
         assert runtime.last_delivered_mbps > 0
 
     def test_no_violations_without_overbooking(self, orchestrator):

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.api import build_orchestrator_api
+from repro.api.service import sim_gauges
 from repro.core.orchestrator import Orchestrator
+from repro.obs.export import _SAMPLE_RE, render_prometheus
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.traffic.patterns import ConstantProfile
@@ -110,18 +112,17 @@ class TestPrometheusExport:
         request = make_request()
         orchestrator.submit(request, ConstantProfile(20.0, level=0.5))
         sim.run_until(120.0)
-        text = orchestrator.metrics.to_prometheus()
-        assert "ran_effective_utilization" in text
+        text = render_prometheus(orchestrator.obs, sim_gauges(orchestrator))
+        assert "sim_ran_effective_utilization" in text
         slice_id = request.request_id.replace("req-", "slice-")
-        assert f'slice_demand_mbps{{slice="{slice_id}"}}' in text
-        # Every line is "name[{labels}] value timestamp".
+        assert f'sim_slice_demand_mbps{{slice="{slice_id}"}}' in text
+        # Every sample is "name[{labels}] value" — no timestamp field.
         for line in text.strip().splitlines():
-            parts = line.rsplit(" ", 2)
-            assert len(parts) == 3
-            float(parts[1])
-            int(parts[2])
-
-    def test_empty_registry(self):
-        from repro.monitoring.metrics import MetricsRegistry
-
-        assert MetricsRegistry().to_prometheus() == ""
+            if line.startswith("#"):
+                continue
+            match = _SAMPLE_RE.match(line)
+            assert match, line
+            float(match.group("value"))
+        declared = [ln for ln in text.splitlines() if ln.startswith("# TYPE sim_")]
+        assert declared and len(declared) == len(set(declared))
+        assert all(ln.endswith(" gauge") for ln in declared)

@@ -1055,3 +1055,34 @@ class TestWindowOverRealAdapters:
             )
         assert hung.held_mbps == pytest.approx(committed_mbps(hung))
         assert orchestrator.obs.tracer.active_span_count == 0
+
+    def test_late_compensation_leaves_one_journal_record(self, tmp_path):
+        """Durable orchestrator: a commit that outlives its deadline is
+        released when it finally lands, after its window settled — the
+        one reservation transition no job trail carries, so the planner
+        hands it to ``Orchestrator._journal_driver_record``."""
+        hung = MockDriver("hung", capacity_mbps=1e6, max_concurrent_installs=8)
+        _, orchestrator = build_window_stack(
+            (hung,), install_timeout_s=0.15, durability_dir=str(tmp_path)
+        )
+        hung.stall(kinds=("commit",))
+        try:
+            (decision,) = orchestrator.install_admitted_batch(window_of(1))
+            assert not decision.admitted and "commit timed out" in decision.reason
+            settled_lsn = orchestrator.store.last_lsn
+        finally:
+            hung.release_stall()
+        assert TestStallIsolation._wait_for(
+            lambda: orchestrator.store.last_lsn > settled_lsn
+        ), "the late compensation was never journaled"
+        late = orchestrator.store.records(after_lsn=settled_lsn)
+        assert [r.record_type for r in late] == ["driver.compensated"]
+        (record,) = [
+            r for r in orchestrator.store.records() if r.record_type == "driver.compensated"
+        ]
+        assert record.data["domain"] == "hung"
+        assert record.data["slice_id"] == decision.slice_id
+        assert record.data["reservation_id"].startswith("hung-res-")
+        assert orchestrator.planner.ops_compensated == 1
+        assert hung.reservations() == [] and hung.held_mbps == 0.0
+        orchestrator.store.close()

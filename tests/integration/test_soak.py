@@ -25,6 +25,7 @@ import os
 
 import pytest
 
+from repro.api.service import sim_gauges
 from repro.core.admission import KnapsackPolicy
 from repro.core.broker import SliceBroker
 from repro.core.forecasting import HoltWintersForecaster
@@ -32,6 +33,7 @@ from repro.core.orchestrator import Orchestrator, OrchestratorConfig
 from repro.core.overbooking import AdaptiveOverbooking
 from repro.core.slices import ServiceType, SliceState
 from repro.experiments.testbed import TestbedConfig, build_testbed
+from repro.obs.export import render_prometheus
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.traffic.patterns import ConstantProfile
@@ -175,15 +177,26 @@ class TestSoak:
 
         rendered = Dashboard(orch).render()
         assert "multiplexing gain" in rendered
-        assert orch.metrics.to_prometheus()
+        scrape = render_prometheus(orch.obs, sim_gauges(orch))
+        assert "sim_ran_effective_utilization " in scrape
+        for network_slice in orch.active_slices():
+            assert (
+                f'sim_slice_demand_mbps{{slice="{network_slice.slice_id}"}} '
+                in scrape
+            )
 
     def test_forecast_driven_reconfigurations_happened(self, soak_run):
         """At least one slice lived long enough for the forecaster to
         resize its effective reservation (expired runtimes are dropped,
-        so check the recorded metric rather than live state)."""
+        so check the event feed rather than live state)."""
         _, orch, _, _, _, _ = soak_run
-        resized = orch.metrics.labels_of("slice.effective_fraction")
+        resized = {
+            event.slice_id: event.data["new_fraction"]
+            for event in orch.events.since(0)
+            if event.event_type == "slice.reconfigured"
+        }
         assert resized
+        assert all(0.0 < fraction <= 1.0 for fraction in resized.values())
 
 
 # ----------------------------------------------------------------------
@@ -363,12 +376,10 @@ class TestSoakObservability:
             pytest.skip("observability disabled (set REPRO_OBS_ENABLED=1)")
         import json as _json
 
-        from repro.obs.export import render_prometheus
-
         os.makedirs(out_dir, exist_ok=True)
         metrics_path = os.path.join(out_dir, "metrics.prom")
         with open(metrics_path, "w", encoding="utf-8") as fh:
-            fh.write(render_prometheus(orch.obs, orch.metrics))
+            fh.write(render_prometheus(orch.obs, sim_gauges(orch)))
         traces_path = os.path.join(out_dir, "slow_traces.json")
         with open(traces_path, "w", encoding="utf-8") as fh:
             _json.dump(

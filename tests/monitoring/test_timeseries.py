@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.forecasting import NaiveForecaster
+from repro.core.orchestrator import (
+    FORECAST_HISTORY_EPOCHS,
+    Orchestrator,
+    OrchestratorConfig,
+)
+from repro.core.slices import slice_id_for
 from repro.monitoring.timeseries import TimeSeries, TimeSeriesError
+from repro.sim.engine import Simulator
+from repro.sim.randomness import RandomStreams
+from repro.traffic.patterns import ConstantProfile
+from tests.conftest import make_request
 
 
 @pytest.fixture
@@ -104,3 +117,61 @@ class TestResample:
     def test_bad_period_rejected(self, series):
         with pytest.raises(TimeSeriesError):
             series.resample(0.0)
+
+
+class TestForecastTailRetention:
+    """A slice's demand history is capped at the tail its forecaster
+    refits on (``FORECAST_HISTORY_EPOCHS``): the cap must be invisible
+    to the fit."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+            min_size=1,
+            max_size=700,
+        )
+    )
+    def test_capped_series_is_the_tail_of_the_uncapped_one(self, values):
+        capped = TimeSeries(max_points=FORECAST_HISTORY_EPOCHS)
+        uncapped = TimeSeries(max_points=10_000)
+        for t, value in enumerate(values):
+            capped.append(float(t), value)
+            uncapped.append(float(t), value)
+        assert np.array_equal(
+            capped.values(), uncapped.tail(FORECAST_HISTORY_EPOCHS)
+        )
+
+    def test_forecaster_is_fitted_on_the_uncapped_tail(self, testbed):
+        fits = []  # (sim time, the array handed to fit)
+
+        class Recording(NaiveForecaster):
+            def fit(self, history):
+                fits.append((sim.now, np.array(history, dtype=float)))
+                return super().fit(history)
+
+        sim = Simulator()
+        orchestrator = Orchestrator(
+            sim=sim,
+            allocator=testbed.allocator,
+            plmn_pool=testbed.plmn_pool,
+            forecaster_factory=Recording,
+            config=OrchestratorConfig(monitoring_epoch_s=1.0, deploy_time_s=0.5),
+            streams=RandomStreams(seed=3),
+        )
+        orchestrator.start()
+        request = make_request(duration_s=10_000.0)
+        orchestrator.submit(request, ConstantProfile(20.0, level=0.5, noise_std=0.2))
+        runtime = orchestrator.runtime(slice_id_for(request.request_id))
+        shadow = TimeSeries(max_points=10_000)
+        epochs = FORECAST_HISTORY_EPOCHS + 120
+        for epoch in range(1, epochs + 1):
+            sim.run_until(epoch + 0.25)
+            shadow.append(float(epoch), runtime.last_demand_mbps)
+        assert len(shadow) == epochs
+        assert len(runtime.demand_history) == FORECAST_HISTORY_EPOCHS
+        # Refits from before the cap bites and from after it.
+        assert len(fits[0][1]) < FORECAST_HISTORY_EPOCHS == len(fits[-1][1])
+        for now, seen in fits:
+            uncapped = np.array([v for _, v in shadow.window(0.0, now + 0.5)])
+            assert np.array_equal(seen, uncapped[-FORECAST_HISTORY_EPOCHS:])

@@ -36,6 +36,9 @@ asserted floor is broken:
 - **Failover drill** — SIGKILL a shard leader mid-16-job-batch; the
   warm standby must promote with zero lost and zero leaked
   reservations, and the measured ``recovery_s`` lands in the artifact.
+  The promotion must also consume fewer journal records than it adopts
+  slices (``promotion_journal_records < slices_adopted``): adoption
+  writes nothing before the closing checkpoint.
 - **D13** — the mobility+failure scenario packs (scenario engine) at a
   fixed seed: every scheduled outage must heal inside the horizon and
   the end-of-run audit must show zero lost slices and zero leaked
@@ -465,6 +468,14 @@ def run_gate() -> dict:
     from benchmarks.failover_drill import run_failover_drill
 
     drill = run_failover_drill(failures)
+    if drill.get("promoted") and (
+        drill["promotion_journal_records"] >= drill["slices_adopted"]
+    ):
+        failures.append(
+            f"drill: the promotion journaled {drill['promotion_journal_records']} "
+            f"records to adopt {drill['slices_adopted']} slices "
+            "(must stay below one per slice)"
+        )
     # The full promotion trace belongs to the drill's own artifact, not
     # the per-commit perf summary.
     drill.pop("promotion", None)
@@ -554,7 +565,9 @@ def main(argv=None) -> int:
         f"recovery smoke {payload['recovery_smoke']['recovery_s']}s, "
         f"failover drill {payload['failover_drill']['recovery_s']}s "
         f"({payload['failover_drill']['slices_adopted']} adopted / "
-        f"{payload['failover_drill']['slices_lost']} lost), "
+        f"{payload['failover_drill']['slices_lost']} lost, "
+        f"{payload['failover_drill']['promotion_journal_records']} journal records, "
+        f"{payload['failover_drill']['recovery_ms_per_adopted_slice']} ms per slice), "
         f"D13 {len(payload['d13_scenarios']['packs'])} scenario packs clean, "
         f"src {payload['src_lines']} lines"
     )

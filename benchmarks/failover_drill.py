@@ -11,7 +11,11 @@ acceptance invariants:
   slices, all COMMITTED, and ``held == Σ COMMITTED`` exactly,
 - the untouched shard serves through the whole outage,
 - the measured ``recovery_s`` (lease takeover → reconciled) and the
-  promoted standby's recovery trace are published.
+  promoted standby's recovery trace are published, with
+  ``recovery_ms_per_adopted_slice`` and ``promotion_journal_records``
+  — the LSNs the promotion consumed on the victim shard, which the CI
+  gate holds below the number of slices adopted (adoption is in-memory;
+  the closing checkpoint is the one durable statement).
 
 Usage::
 
@@ -132,6 +136,7 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
 
     # 3. SIGKILL the leader; 4. the southbound finishes in flight.
     cluster.kill_leader(KILLED)
+    lsn_at_kill = leader.store.last_lsn
     firewall.release_stall()
     worker.join(timeout=30.0)
     if worker.is_alive() or not all(d.admitted for d in decisions):
@@ -198,6 +203,10 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
         "batch": BATCH,
         "stalled_commits": STALLED,
         "recovery_s": round(promotion.recovery_s, 4),
+        "recovery_ms_per_adopted_slice": round(
+            promotion.recovery_s * 1000.0 / max(report.slices_adopted, 1), 4
+        ),
+        "promotion_journal_records": promoted.store.last_lsn - lsn_at_kill,
         "replay_lag_records": promotion.replay_lag_records,
         "replay_floor_lsn": promotion.replay_floor_lsn,
         "lease_epoch": promotion.lease.epoch,
@@ -244,7 +253,8 @@ def main(argv=None) -> int:
     print(
         f"\nfailover drill ok: recovery {payload['recovery_s']}s, "
         f"replay lag {payload['replay_lag_records']} records, "
-        f"{payload['slices_adopted']} adopted / {payload['slices_lost']} lost"
+        f"{payload['slices_adopted']} adopted / {payload['slices_lost']} lost "
+        f"in {payload['promotion_journal_records']} journal records"
     )
     return 0
 

@@ -14,17 +14,23 @@ away), :meth:`WarmStandby.promote`:
    was merely paused: its next heartbeat fails and it closes its own
    store),
 2. rebuilds a fresh orchestrator + service over the shard's
-   *surviving* southbound and its reopened store, and
-3. runs the existing :class:`~repro.store.recovery.RecoveryManager`
-   reconciliation — the same matrix a restart uses: re-adopt
-   fully-COMMITTED slices, compensate orphans, re-enqueue admissions,
-   rebase bookings, restore quotas — finishing with a checkpoint that
-   becomes the new replay floor, past which the durable event feed
-   resumes.
+   *surviving* southbound and its reopened store — reopening repairs a
+   torn last line, so nothing read after it can be half a record,
+3. polls one last time: what this poll folds is the replay lag, the
+   records that landed since the previous poll and nothing else, and
+4. hands the folded image to the existing
+   :class:`~repro.store.recovery.RecoveryManager` reconciliation — the
+   same matrix a restart uses: re-adopt fully-COMMITTED slices,
+   compensate orphans, re-enqueue admissions, rebase bookings, restore
+   quotas — finishing with a checkpoint that becomes the new replay
+   floor, past which the durable event feed resumes.
 
 The pre-promotion tailing is what makes the standby *warm*: at
 promotion time it has already folded (nearly) the whole journal, so
-recovery replays only the records that landed since its last poll.
+recovery neither re-reads the snapshot nor re-decodes the journal — a
+promotion costs the lag plus the one closing snapshot, not the fleet.
+A cold restart (no standby) folds both from disk and then runs the
+same lines.
 """
 
 from __future__ import annotations
@@ -58,8 +64,9 @@ class PromotionReport:
 
     shard_id: int
     recovery_s: float  # wall clock, lease takeover -> reconciled
-    replay_lag_records: int  # journal records recovery replayed that
-    #                          the standby had not yet tailed
+    replay_lag_records: int  # what the final poll folded: the records
+    #                          the standby had not yet tailed (a
+    #                          snapshot it had to jump to counts one)
     report: "RecoveryReport"  # the RecoveryManager reconciliation
     orchestrator: "Orchestrator"
     service: "SliceService"
@@ -178,7 +185,6 @@ class WarmStandby:
             return self.promoted
         started = _time.monotonic()
         pre_promotion_lsn = self.applied_lsn
-        replay_lag = self.lag_records()  # before recovery appends more
         if not self.lease.acquire(force=force):
             raise StandbyError(
                 f"shard {self.shard_id} leader lease is still fresh; "
@@ -186,9 +192,11 @@ class WarmStandby:
             )
         orchestrator, service = self._rebuild()
         orchestrator.attach_lease(self.lease)
+        self.state.records_applied = 0  # recovery reports what is folded from here on
+        replay_lag = self.poll()
         from repro.store.recovery import RecoveryManager
 
-        report = RecoveryManager(orchestrator, service=service).restore()
+        report = RecoveryManager(orchestrator, service=service).restore(self.state)
         recovery_s = _time.monotonic() - started
         self.promoted = PromotionReport(
             shard_id=self.shard_id,
@@ -203,7 +211,6 @@ class WarmStandby:
             trace={
                 "standby_polls": self.polls,
                 "standby_applied_lsn": pre_promotion_lsn,
-                "state_digest_at_takeover": self.state.digest(),
             },
         )
         return self.promoted

@@ -502,8 +502,16 @@ class Orchestrator:
         """Re-adopt a slice the southbound still holds COMMITTED after
         a restart: rebuild its runtime around the drivers' live
         reservations (nothing is re-prepared), re-claim its PLMN,
-        re-promise its calendar window, and restart its lifecycle
+        re-promise its calendar window, and resume its lifecycle
         clocks rebased onto the new sim clock.
+
+        Nothing here is journaled, the ``slice.adopted`` event
+        included: the checkpoint recovery closes with is the one
+        durable statement of the adoption, and a crash before it
+        replays the same recovery from the same records.  That
+        checkpoint reads ``admitted_at`` / ``active_at``, so they carry
+        the time already served (possibly negative on the new clock)
+        instead of being re-minted.
 
         Args:
             active_remaining_s: Seconds of ACTIVE lifetime left (the
@@ -520,6 +528,8 @@ class Orchestrator:
         if plmn_id:
             network_slice.plmn = self.plmn_pool.claim(slice_id, plmn_id)
         now = self.sim.now
+        if deploy_remaining_s is None:
+            deploy_remaining_s = self.config.deploy_time_s
         network_slice.transition(SliceState.ADMITTED, now)
         network_slice.allocation = self._compose_allocation(reservations)
         runtime = SliceRuntime(
@@ -534,58 +544,44 @@ class Orchestrator:
         self._runtimes[slice_id] = runtime
         if self.config.respect_calendar and not self.calendar.has(request.request_id):
             if window_remaining_s is None:
-                if active_remaining_s is not None:
-                    window_remaining_s = active_remaining_s
-                else:
-                    deploy_left = (
-                        self.config.deploy_time_s
-                        if deploy_remaining_s is None
-                        else deploy_remaining_s
-                    )
-                    window_remaining_s = deploy_left + request.sla.duration_s
+                window_remaining_s = (
+                    active_remaining_s
+                    if active_remaining_s is not None
+                    else deploy_remaining_s + request.sla.duration_s
+                )
             self.calendar.commit(
                 request.request_id,
                 now,
                 now + max(window_remaining_s, 1e-9),
                 self.shrunk_demand(request, fraction),
             )
-        booking = self.calendar.get(request.request_id)
-        self._journal(
-            "slice.installed",
-            request=request_to_dict(request),
-            slice_id=slice_id,
-            plmn=plmn_id,
-            fraction=fraction,
-            reservations={d: r.reservation_id for d, r in reservations.items()},
-            window=[booking.start, booking.end] if booking else None,
-        )
         network_slice.transition(SliceState.DEPLOYING, now)
         if active_remaining_s is not None:
             network_slice.transition(SliceState.ACTIVE, now)
-            self._journal("slice.activated", slice_id=slice_id)
+            network_slice.active_at = now + active_remaining_s - request.sla.duration_s
             self.sim.schedule(
                 max(active_remaining_s, 0.0),
                 lambda: self._expire(slice_id),
                 name=f"expire-{slice_id}",
             )
         else:
+            network_slice.admitted_at = now + deploy_remaining_s - self.config.deploy_time_s
             self.sim.schedule(
-                max(
-                    deploy_remaining_s
-                    if deploy_remaining_s is not None
-                    else self.config.deploy_time_s,
-                    0.0,
-                ),
+                max(deploy_remaining_s, 0.0),
                 lambda: self._activate(slice_id),
                 name=f"activate-{slice_id}",
             )
-        self.events.emit(
-            now,
-            "slice.adopted",
-            slice_id=slice_id,
-            tenant_id=request.tenant_id,
-            state=network_slice.state.value,
-        )
+        tee, self.events.sink = self.events.sink, None  # in-memory feed only
+        try:
+            self.events.emit(
+                now,
+                "slice.adopted",
+                slice_id=slice_id,
+                tenant_id=request.tenant_id,
+                state=network_slice.state.value,
+            )
+        finally:
+            self.events.sink = tee
         return network_slice
 
     def restore_advance_booking(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -82,12 +83,18 @@ class PlmnPool:
         # overflow into consecutive test-range MCCs, exactly how a
         # real operator exhausting an MCC's MNC space provisions more.
         base_mcc = int(mcc)
-        self._free = []
+        # Indexed by identity: the free queue keeps its order (head is
+        # handed out first, a released identity re-queues at the tail —
+        # every scenario digest depends on which PLMN a slice gets)
+        # while a claim takes one out of the middle by key.
+        self._free: "OrderedDict[str, PLMN]" = OrderedDict()
         for i in range(size):
             ordinal = first_mnc + i
             mcc_i = f"{(base_mcc + ordinal // 1000) % 1000:03d}"
-            self._free.append(PLMN(mcc_i, f"{ordinal % 1000:02d}"))
+            plmn = PLMN(mcc_i, f"{ordinal % 1000:02d}")
+            self._free[plmn.plmn_id] = plmn
         self._allocated: Dict[str, PLMN] = {}
+        self._holders: Dict[str, str] = {}  # plmn_id -> slice_id
 
     @property
     def capacity(self) -> int:
@@ -112,8 +119,9 @@ class PlmnPool:
             raise PlmnPoolExhausted(
                 f"all {len(self._allocated)} PLMN identities in use"
             )
-        plmn = self._free.pop(0)
+        plmn_id, plmn = self._free.popitem(last=False)
         self._allocated[slice_id] = plmn
+        self._holders[plmn_id] = slice_id
         return plmn
 
     def claim(self, slice_id: str, plmn_id: str) -> PLMN:
@@ -132,28 +140,27 @@ class PlmnPool:
             raise SliceError(
                 f"slice {slice_id} already holds PLMN {held.plmn_id}, not {plmn_id}"
             )
-        holder = self.holder_of(plmn_id)
+        holder = self._holders.get(plmn_id)
         if holder is not None:
             raise SliceError(f"PLMN {plmn_id} is held by slice {holder}")
-        for index, plmn in enumerate(self._free):
-            if plmn.plmn_id == plmn_id:
-                self._allocated[slice_id] = self._free.pop(index)
-                return self._allocated[slice_id]
-        raise SliceError(f"PLMN {plmn_id} is not managed by this pool")
+        plmn = self._free.pop(plmn_id, None)
+        if plmn is None:
+            raise SliceError(f"PLMN {plmn_id} is not managed by this pool")
+        self._allocated[slice_id] = plmn
+        self._holders[plmn_id] = slice_id
+        return plmn
 
     def release(self, slice_id: str) -> None:
         """Return the PLMN held by ``slice_id`` to the pool."""
         plmn = self._allocated.pop(slice_id, None)
         if plmn is None:
             raise SliceError(f"slice {slice_id} holds no PLMN")
-        self._free.append(plmn)
+        del self._holders[plmn.plmn_id]
+        self._free[plmn.plmn_id] = plmn
 
     def holder_of(self, plmn_id: str) -> Optional[str]:
         """Slice id currently mapped onto ``plmn_id`` (None if free)."""
-        for slice_id, plmn in self._allocated.items():
-            if plmn.plmn_id == plmn_id:
-                return slice_id
-        return None
+        return self._holders.get(plmn_id)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,9 @@ Record vocabulary (see ``docs/ARCHITECTURE.md`` for the full matrix):
 ``broker.decided``     the broker window flushed a decision for the request
 ``install.started``    install staged southbound (PLMN held, specs planned)
 ``slice.installed``    install committed end-to-end and acknowledged
-``slice.activated``    slice went ACTIVE (expiry clock started)
+``slice.activated``    slice went ACTIVE (expiry clock started); both are
+                       written by installs and activations only — a
+                       recovery re-adopts in memory and checkpoints
 ``slice.expired``      lifetime ended, resources released
 ``slice.cancelled``    torn down before/while active
 ``slice.rejected``     admission or install failure booked

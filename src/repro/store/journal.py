@@ -193,6 +193,20 @@ class JournalTail:
         self.offset = scan.clean_end
         return scan
 
+    def appended(self, lsn: int, size: int) -> None:
+        """Index a record this tail's owner wrote at the indexed end."""
+        self.lsns.append(lsn)
+        self.starts.append(self.offset)
+        self.offset += size
+
+    def rebased(self, dropped: int, base: int) -> None:
+        """This tail's owner replaced the file by its own bytes from
+        ``base`` on: keep the index of all but the ``dropped`` first."""
+        del self.lsns[:dropped]
+        self.starts = [start - base for start in self.starts[dropped:]]
+        self.offset -= base
+        self._inode = os.stat(self.path).st_ino
+
     def records(self, after_lsn: int = 0) -> List[JournalRecord]:
         """Every intact record with ``lsn > after_lsn``, oldest first,
         as the file says: what this call's pull decoded when the cursor
@@ -255,6 +269,9 @@ class Journal:
                 with open(self.path, "rb+") as handle:
                     handle.truncate(scan.clean_end)
         self._handle = open(self.path, "a", encoding="utf-8")
+        # Index the repaired tail; from here the journal indexes what it
+        # appends, and compacting or reading at the head decodes nothing.
+        self._tail.pull()
 
     # ------------------------------------------------------------------
     # Write path
@@ -318,8 +335,10 @@ class Journal:
             return 0
         lsn = self._last_lsn + 1
         record = JournalRecord(lsn=lsn, time=float(time), record_type=record_type, data=data)
-        self._handle.write(record.to_line() + "\n")
+        line = record.to_line() + "\n"
+        self._handle.write(line)
         self._handle.flush()
+        self._tail.appended(lsn, len(line))  # to_line() is ASCII: one byte a character
         self._unsynced += 1
         if self.fsync_every and self._unsynced >= self.fsync_every:
             self._fsync_locked(obs)
@@ -407,7 +426,7 @@ class Journal:
             os.replace(tmp_path, self.path)
             self._handle = open(self.path, "a", encoding="utf-8")
             self._unsynced = 0
-            self._tail = JournalTail(self.path)
+            tail.rebased(dropped, base)
             return dropped
 
     def size_bytes(self) -> int:

@@ -1,8 +1,9 @@
 """Crash-recovery: rebuild control-plane state and reconcile southbound.
 
 :class:`RecoveryManager.restore` is the restart path of an
-orchestrator whose process died: fold the durable store (snapshot +
-journal tail) back into an in-memory image, rebuild the
+orchestrator whose process died: take the folded image of the durable
+store (a cold restart folds snapshot + journal tail itself; a promoted
+warm standby hands over the one it already holds), rebuild the
 orchestrator/calendar/quota state from it, and — crucially —
 **reconcile against the southbound**, because the domain controllers
 (real hardware, or the long-lived simulator controllers in tests) kept
@@ -34,8 +35,10 @@ enqueued, no install  —                          re-enqueue into the
 Pending advance bookings are re-promised on the calendar with their
 windows rebased to the new clock (a booking whose start time passed
 while the orchestrator was down is promoted straight into the
-admission queue).  Recovery ends with a fresh checkpoint, so the
-journal restarts compact and time-coherent on the new clock.
+admission queue).  Re-adoption is in-memory: it journals nothing, and
+the fresh checkpoint recovery ends with is its commit point — behind it
+the journal restarts compact and time-coherent on the new clock, and a
+crash before it replays the *same* recovery from the same records.
 """
 
 from __future__ import annotations
@@ -124,18 +127,23 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
-    def restore(self) -> RecoveryReport:
-        """Fold the store, rebuild state, reconcile the southbound.
+    def restore(self, state: Optional[ReplayState] = None) -> RecoveryReport:
+        """Rebuild state from the fold, reconcile the southbound.
 
-        Returns the :class:`RecoveryReport`; also journals a
-        ``recovery.completed`` record and finishes with a fresh
-        checkpoint so the journal restarts on the new clock.
+        ``state`` is the folded store image, ``records_applied``
+        counting what was folded for this recovery: a standby's final
+        catch-up, or (``None``: folded from disk here) the journal tail
+        past the snapshot.  Every line after the fold is shared.
+
+        Returns the :class:`RecoveryReport`; finishes with a fresh
+        checkpoint, then the journaled ``recovery.completed`` event
+        and record.
         """
         started = _time.monotonic()
         orch = self.orchestrator
         report = RecoveryReport()
-        snapshot, tail = orch.store.load()
-        state = ReplayState.restore(snapshot, tail)
+        if state is None:
+            state = orch.store.replay()
         report.snapshot_lsn = orch.store.snapshot_lsn
         report.replayed_records = state.records_applied
         report.state_digest = state.digest()

@@ -1,0 +1,288 @@
+"""A promotion costs the lag, not the fleet.
+
+Three guards on the warm-standby promotion path:
+
+- **Warm ≡ cold** — the image a standby folded record by record while
+  the leader wrote (across a leader checkpoint it had to jump, writes
+  it never saw, a torn last line) is the image a cold fold of the
+  reopened store produces, and a promotion from it ends exactly where a
+  cold ``RecoveryManager.restore()`` over a copy of the directory ends.
+- **Flatness** (counts, not clocks; see ``test_request_path_flatness``)
+  — the journal LSNs one promotion consumes and the snapshots and
+  journal lines it parses do not grow with the live fleet.
+- **Lag accounting** — ``replayed_records == replay_lag_records ==``
+  the writes the standby had not seen at the kill.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+import shutil
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.api.service import SliceService
+from repro.cluster import ClusterConfig, ControlPlaneCluster
+from repro.core.slices import SliceState
+from repro.experiments.testbed import TestbedConfig, build_testbed
+from repro.store import ControlPlaneStore, RecoveryManager
+from repro.store.journal import JournalRecord
+from repro.store.snapshot import SnapshotStore
+
+from tests.cluster.conftest import build_cluster, slice_body, tenants_per_shard
+
+EXAMPLE_MULTIPLIER = int(os.environ.get("HYPOTHESIS_EXAMPLE_MULTIPLIER", "1"))
+
+SLOW = settings(
+    max_examples=12 * EXAMPLE_MULTIPLIER,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+VICTIM = 0
+CELLS = 8  # radio and cloud capacity for the 64-slice fleet
+
+
+class Shard:
+    """One durable shard under a random client (the v1 surface only)."""
+
+    def __init__(self, root: str, rng: random.Random) -> None:
+        self.cluster = build_cluster(Path(root), shards=1)
+        self.tenant = tenants_per_shard(self.cluster)[VICTIM]
+        self.headers = {"x-tenant-id": self.tenant}
+        self.rng = rng
+        self.live: list = []
+
+    @property
+    def leader(self):
+        return self.cluster.shard(VICTIM)
+
+    def op(self) -> None:
+        router, rng = self.cluster.router, self.rng
+        kind = rng.choice(("create", "create", "rescale", "delete", "advance"))
+        if kind == "create":
+            body = slice_body(
+                self.tenant,
+                throughput_mbps=rng.choice((2.0, 3.0, 5.0)),
+                duration_s=rng.choice((90.0, 400.0, 3_600.0)),
+            )
+            response = router.post("/v1/slices", body=body, headers=self.headers)
+            assert response.status in (201, 409), response.body
+            if response.status == 201:  # 409: the shard is full, a refusal
+                self.live.append(response.body["slice_id"])
+        elif kind == "rescale" and self.live:
+            router.patch(
+                f"/v1/slices/{rng.choice(self.live)}",
+                body={"throughput_mbps": rng.choice((2.0, 4.0, 6.0))},
+                headers=self.headers,
+            )  # a slice that expired meanwhile answers 4xx: still an op
+        elif kind == "delete" and self.live:
+            victim = self.live.pop(rng.randrange(len(self.live)))
+            router.delete(f"/v1/slices/{victim}", headers=self.headers)
+        else:  # activations, monitoring epochs, expiries
+            self.leader.run_until(self.leader.sim.now + rng.choice((2.0, 45.0, 130.0)))
+
+
+def lifecycle_timers(orchestrator) -> list:
+    """(due, name) of every pending activation / expiry."""
+    return sorted(
+        (round(event.time, 6), event.name)
+        for event in orchestrator.sim._queue
+        if not event.cancelled and event.name.startswith(("activate-", "expire-"))
+    )
+
+
+def fleet_image(orchestrator) -> dict:
+    """What recovery rebuilt, as a consumer or the next restart sees it."""
+    image = {}
+    for network_slice in orchestrator.live_slices():
+        booking = orchestrator.calendar.get(network_slice.request.request_id)
+        image[network_slice.slice_id] = (
+            network_slice.state,
+            network_slice.plmn.plmn_id if network_slice.plmn else None,
+            (booking.start, booking.end) if booking else None,
+            network_slice.request.sla.throughput_mbps,
+        )
+    return image
+
+
+@SLOW
+@given(seed=st.integers(0, 10_000), steps=st.integers(6, 40))
+def test_promotion_from_the_warm_image_equals_a_cold_restore(seed, steps):
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as root:
+        shard = Shard(root, rng)
+        cluster = shard.cluster
+        try:
+            standby = cluster.standby_for(VICTIM)
+            checkpoint_at = rng.randrange(steps)
+            for step in range(steps):
+                shard.op()
+                if step == checkpoint_at:
+                    # Unseen writes, then a snapshot that covers them and
+                    # compacts them away: the standby has to jump it.
+                    shard.op()
+                    shard.leader.orchestrator.checkpoint()
+                elif rng.random() < 0.3:
+                    standby.poll()
+            for _ in range(rng.randrange(4)):  # un-shipped at the kill
+                shard.op()
+            cluster.kill_leader(VICTIM)
+            journal = os.path.join(standby.directory, "journal.jsonl")
+            if rng.random() < 0.5:
+                with open(journal, "a", encoding="utf-8") as handle:
+                    handle.write('{"lsn": 999999, "t": 1.0, "type": "slice.ins')
+            cold_root = os.path.join(root, "cold")
+            shutil.copytree(os.path.join(root, "store"), cold_root)
+
+            promotion = standby.promote(force=True)
+            warm = promotion.orchestrator
+
+            cold_store = ControlPlaneStore(cold_root, shard_id=VICTIM)
+            cold_digest = cold_store.replay().digest()
+            assert promotion.report.state_digest == cold_digest
+            assert standby.state.digest() == cold_digest  # untouched by recovery
+            cold = cluster._build_orchestrator(
+                shard.leader.testbed, VICTIM, store=cold_store
+            )
+            cold_report = RecoveryManager(cold, service=SliceService(cold)).restore()
+
+            report = promotion.report
+            assert report.slices_lost == cold_report.slices_lost == 0
+            assert report.slices_adopted == cold_report.slices_adopted
+            assert report.state_digest == cold_report.state_digest
+            assert fleet_image(warm) == fleet_image(cold)
+            assert lifecycle_timers(warm) == lifecycle_timers(cold)
+            assert warm.durable_state() == cold.durable_state()
+            # Same snapshot, same three trailing records, in both stores.
+            for store in (warm.store, cold_store):
+                assert [r.record_type for r in store.records()] == [
+                    "checkpoint.written", "event.emitted", "recovery.completed",
+                ]
+            assert warm.store.load()[0] == cold_store.load()[0]
+            assert warm.store.replay().digest() == cold_store.replay().digest()
+            cold_store.close()
+        finally:
+            cluster.close()
+
+
+class PromotionProbe:
+    """Counts what one promotion parses and writes."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.snapshots_loaded = 0
+        self.lines_decoded = 0
+        real_load = SnapshotStore.load_latest
+        real_decode = JournalRecord.from_line.__func__
+
+        def load_latest(store):
+            self.snapshots_loaded += 1
+            return real_load(store)
+
+        def from_line(cls, text):
+            self.lines_decoded += 1
+            return real_decode(cls, text)
+
+        monkeypatch.setattr(SnapshotStore, "load_latest", load_latest)
+        monkeypatch.setattr(JournalRecord, "from_line", classmethod(from_line))
+
+
+def promotion_costs(tmp_path, monkeypatch, live: int) -> dict:
+    """One promotion of a caught-up standby over ``live`` slices."""
+    testbed = build_testbed(
+        TestbedConfig(
+            n_enbs=CELLS, max_plmns_per_enb=16, plmn_pool_size=128,
+            edge_nodes=CELLS, core_nodes=2 * CELLS,
+        )
+    )
+    config = ClusterConfig(
+        shards=1, durability_root=str(tmp_path / f"fleet-{live}"),
+        plmn_pool_size=128, orchestrator={"monitoring_epoch_s": 60.0},
+    )
+    cluster = ControlPlaneCluster(config, testbeds=[testbed])
+    try:
+        tenant = tenants_per_shard(cluster)[VICTIM]
+        leader = cluster.shard(VICTIM)
+        for _ in range(live):
+            response = cluster.router.post(
+                "/v1/slices", body=slice_body(tenant, throughput_mbps=2.0),
+                headers={"x-tenant-id": tenant},
+            )
+            assert response.status == 201, response.body
+        leader.run_until(10.0)  # everything ACTIVE
+        # The leader checkpointed and the standby has seen all of it:
+        # the steady state a promotion is sized for.
+        leader.orchestrator.checkpoint()
+        standby = cluster.standby_for(VICTIM)
+        standby.poll()
+        cluster.kill_leader(VICTIM)
+        lsn_at_kill = leader.store.last_lsn
+        probe = PromotionProbe(monkeypatch)
+        promotion = standby.promote(force=True)
+        monkeypatch.undo()
+        report = promotion.report
+        assert report.slices_adopted == live and report.slices_lost == 0
+        assert len(promotion.orchestrator.live_slices()) == live
+        return {
+            "journal records": promotion.orchestrator.store.last_lsn - lsn_at_kill,
+            "snapshots parsed": probe.snapshots_loaded,
+            "journal lines decoded": probe.lines_decoded,
+            "allowance": 4 + report.orphans_compensated + report.admissions_requeued,
+        }
+    finally:
+        cluster.close()
+
+
+def test_promotion_work_does_not_grow_with_live_slices(tmp_path, monkeypatch):
+    small = promotion_costs(tmp_path, monkeypatch, 8)
+    large = promotion_costs(tmp_path, monkeypatch, 64)
+    assert small == large, f"promotion work grew with the fleet: {small} -> {large}"
+    # checkpoint.written + the recovery.completed event and record; at
+    # the parent this was >= 3 x adopted (installed, activated, event).
+    assert small["journal records"] <= small["allowance"]
+    # Reopening the store reads the snapshot LSN once; the standby's own
+    # image is the recovery input, so nothing else parses a snapshot.
+    assert small["snapshots parsed"] == 1
+    # Reopening decodes the journal past the last checkpoint to repair a
+    # torn tail: the checkpoint marker, whatever the fleet.
+    assert small["journal lines decoded"] <= 2
+
+
+def test_replayed_records_is_the_lag_at_the_kill(cluster):
+    tenant = tenants_per_shard(cluster)[VICTIM]
+    headers = {"x-tenant-id": tenant}
+    leader = cluster.shard(VICTIM)
+
+    def create():
+        response = cluster.router.post(
+            "/v1/slices", body=slice_body(tenant), headers=headers
+        )
+        assert response.status == 201, response.body
+        return response.body["slice_id"]
+
+    shipped = [create() for _ in range(5)]
+    leader.run_until(10.0)
+    standby = cluster.standby_for(VICTIM)
+    assert standby.poll() > 0 and standby.lag_records() == 0
+    seen = leader.store.last_lsn
+    create()
+    cluster.router.patch(
+        f"/v1/slices/{shipped[0]}", body={"throughput_mbps": 4.0}, headers=headers
+    )
+    cluster.router.delete(f"/v1/slices/{shipped[1]}", headers=headers)
+    unshipped = leader.store.last_lsn - seen
+    assert unshipped > 0
+    cluster.kill_leader(VICTIM)
+
+    promotion = standby.promote(force=True)
+    assert promotion.replay_lag_records == unshipped
+    assert promotion.report.replayed_records == unshipped
+    assert promotion.trace["standby_applied_lsn"] == seen
+    # ... and the un-shipped writes took effect in the promoted image.
+    promoted = promotion.orchestrator
+    assert len(promoted.live_slices()) == 5
+    assert promoted.slice(shipped[0]).request.sla.throughput_mbps == 4.0
+    assert all(s.state is SliceState.ACTIVE for s in promoted.live_slices()[:4])

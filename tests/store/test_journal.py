@@ -398,3 +398,69 @@ class TestTailReader:
         journal = Journal(follower.path)
         journal.append("a")
         assert [r.lsn for r in follower.pull().records] == [1]
+
+
+def index_from_scratch(path):
+    """``(lsns, line starts, clean end)`` as a stateless scan finds them."""
+    scan = _scan(path)
+    return [r.lsn for r in scan.records], scan.starts, scan.clean_end
+
+
+class TestSelfKeptIndex:
+    """The journal indexes what it appends itself — a read at the head
+    or a compaction decodes nothing — and that index must be exactly
+    what a from-scratch scan of the file finds."""
+
+    @staticmethod
+    def count_decodes(monkeypatch):
+        from repro.store.journal import JournalRecord
+
+        decoded = []
+        real = JournalRecord.from_line.__func__
+        monkeypatch.setattr(
+            JournalRecord, "from_line",
+            classmethod(lambda cls, text: decoded.append(text) or real(cls, text)),
+        )
+        return decoded
+
+    def test_checkpoint_decodes_nothing_when_nobody_lags(self, tmp_path, monkeypatch):
+        from repro.store.store import ControlPlaneStore
+
+        store = ControlPlaneStore(str(tmp_path / "store"))
+        for i in range(300):  # nobody polls: the burst workload's shape
+            store.append("driver.trail", slice_id=f"slice-{i:06d}", ops=["p", "c"])
+        decoded = self.count_decodes(monkeypatch)
+        store.checkpoint({"time": 1.0})
+        assert store.events_after(store.last_lsn) == []
+        assert decoded == []
+        assert [r.record_type for r in store.records()] == ["checkpoint.written"]
+        assert len(decoded) == 1  # a read costs what it returns
+        store.checkpoint({"time": 2.0})
+        assert len(decoded) == 1
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_index_matches_a_from_scratch_scan(self, path, seed):
+        import random
+
+        rng = random.Random(seed)
+        journal = Journal(path, fsync_every=0)
+        for _ in range(60):
+            verb = rng.choice(("append", "append", "append", "compact", "reopen", "read"))
+            if verb == "append":
+                journal.append("t", n=rng.randrange(10**6), text="é\n\"x" * rng.randrange(3))
+            elif verb == "compact":  # survivors, none, or nothing to drop
+                journal.compact(rng.randrange(journal.last_lsn + 2))
+            elif verb == "reopen":
+                journal.close()
+                if rng.random() < 0.5:
+                    with open(path, "a", encoding="utf-8") as handle:
+                        handle.write(
+                            rng.choice(('{"lsn": 7, "t', line(journal.last_lsn + 1, "u")))
+                        )  # a torn write, or an intact one missing its newline
+                journal = Journal(path, fsync_every=0)
+            else:
+                after = rng.randrange(journal.last_lsn + 2)
+                assert journal.records(after) == from_scratch(path, after)
+            tail = journal._tail
+            assert (tail.lsns, tail.starts, tail.offset) == index_from_scratch(path)
+            assert os.path.getsize(path) == tail.offset

@@ -281,3 +281,140 @@ class TestRequestIdContinuity:
         assert report.slices_adopted == 0  # nothing lives — and yet:
         ordinal = int(short.request_id.rsplit("-", 1)[1])
         assert peek_request_counter() > ordinal
+
+
+class _Died(Exception):
+    """The recovering process was killed (test-only)."""
+
+
+class TestAdoptionIsInMemory:
+    """Adoption journals nothing: the closing checkpoint is the commit
+    point of a recovery, so a crash before it replays the *same*
+    recovery, and the clocks a slice already served are carried."""
+
+    @staticmethod
+    def _restart(testbed, directory):
+        restarted = make_orchestrator(testbed, store=reopen_store(directory))
+        restarted.start()
+        return restarted
+
+    def test_a_leader_dying_mid_adoption_does_not_tear_the_next_recovery(
+        self, durable_testbed, tmp_path
+    ):
+        import shutil
+
+        directory = str(tmp_path / "store")
+        first = make_orchestrator(durable_testbed, directory=directory)
+        first.start()
+        first.sim.run_until(3_000.0)
+        slice_ids = []
+        for _ in range(6):
+            decision = first.submit(
+                make_request(throughput_mbps=5.0, duration_s=10_000.0),
+                ConstantProfile(5.0),
+            )
+            assert decision.admitted
+            slice_ids.append(decision.slice_id)
+        first.sim.run_until(8_000.0)
+        crash(first)
+        untouched = str(tmp_path / "untouched")
+        shutil.copytree(directory, untouched)
+
+        # The recovering process dies after its third adoption.
+        second = self._restart(durable_testbed, directory)
+        real_adopt, adopted = second.adopt_recovered_slice, []
+
+        def adopt_then_die(request, **kwargs):
+            real_adopt(request, **kwargs)
+            adopted.append(request.request_id)
+            if len(adopted) == 3:
+                crash(second)
+                raise _Died()
+
+        second.adopt_recovered_slice = adopt_then_die
+        lsn_before = second.store.last_lsn
+        try:
+            RecoveryManager(second).restore()
+        except _Died:
+            pass
+        else:
+            raise AssertionError("the recovery was supposed to die mid-adoption")
+        assert second.store.last_lsn == lsn_before  # adoption wrote nothing
+
+        third = self._restart(durable_testbed, directory)
+        report = RecoveryManager(third).restore()
+        assert report.slices_adopted == 6 and report.slices_lost == 0
+
+        # The interrupted and the uninterrupted recovery are the same
+        # recovery: same durable image behind the closing checkpoint.
+        straight = self._restart(durable_testbed, untouched)
+        assert RecoveryManager(straight).restore().slices_adopted == 6
+        assert third.store.replay().digest() == straight.store.replay().digest()
+        assert third.durable_state() == straight.durable_state()
+
+        # ~5 000 s of the 10 000 s were served before the crash: nothing
+        # may expire 4 000 s into the new clock (at the parent the three
+        # re-journaled slices did: new-clock activation, old-clock crash).
+        third.sim.run_until(4_000.0)
+        assert [third.slice(s).state for s in slice_ids] == [SliceState.ACTIVE] * 6
+        third.sim.run_until(5_100.0)
+        assert [third.slice(s).state for s in slice_ids] == [SliceState.EXPIRED] * 6
+
+    def test_lifetime_is_carried_across_repeated_recoveries(
+        self, durable_testbed, tmp_path
+    ):
+        """Known defect 2: every adoption used to restart the slice's
+        full ``duration_s``, so a slice re-adopted often enough never
+        expired."""
+        directory = str(tmp_path / "store")
+        orchestrator = make_orchestrator(durable_testbed, directory=directory)
+        orchestrator.start()
+        orchestrator.sim.run_until(3_000.0)
+        decision = orchestrator.submit(
+            make_request(throughput_mbps=5.0, duration_s=10_000.0),
+            ConstantProfile(5.0),
+        )
+        assert decision.admitted
+        orchestrator.sim.run_until(5_000.0)
+        for _ in range(3):  # three crash -> recover cycles, 2 000 s apart
+            crash(orchestrator)
+            orchestrator = self._restart(durable_testbed, directory)
+            assert RecoveryManager(orchestrator).restore().slices_adopted == 1
+            orchestrator.sim.run_until(2_000.0)
+        adopted = orchestrator.slice(decision.slice_id)
+        assert adopted.state is SliceState.ACTIVE  # ~8 000 s served
+        # Pro-rata accounting reads the carried activation time too.
+        served = orchestrator.sim.now - adopted.active_at
+        assert 7_900.0 <= served <= 8_000.0
+        orchestrator.sim.run_until(4_100.0)
+        assert adopted.state is SliceState.EXPIRED
+
+    def test_deploy_clock_is_carried_not_restarted(self, durable_testbed, tmp_path):
+        """A slice adopted while DEPLOYING keeps the deploy time it had
+        already waited: two recoveries in a row do not stretch it."""
+        directory = str(tmp_path / "store")
+        first = make_orchestrator(
+            durable_testbed, directory=directory, deploy_time_s=300.0
+        )
+        first.start()
+        decision = first.submit(
+            make_request(throughput_mbps=5.0), ConstantProfile(5.0)
+        )
+        assert decision.admitted
+        first.sim.run_until(130.0)  # last durable instant: the t=120 epoch
+        crash(first)
+        second = make_orchestrator(
+            durable_testbed, store=reopen_store(directory), deploy_time_s=300.0
+        )
+        second.start()
+        RecoveryManager(second).restore()
+        second.sim.run_until(70.0)  # 120 + 60 of 300 waited
+        assert second.slice(decision.slice_id).state is SliceState.DEPLOYING
+        crash(second)
+        third = make_orchestrator(
+            durable_testbed, store=reopen_store(directory), deploy_time_s=300.0
+        )
+        third.start()
+        RecoveryManager(third).restore()
+        third.sim.run_until(125.0)  # 120 left at the second crash
+        assert third.slice(decision.slice_id).state is SliceState.ACTIVE

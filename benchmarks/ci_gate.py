@@ -44,6 +44,8 @@ asserted floor is broken:
   the end-of-run audit must show zero lost slices and zero leaked
   reservations; the scenario scores (admission yield, violation rate,
   heal convergence, report digest) are published in the artifact.
+- **src_lines** — the physical line count of ``src/**/*.py`` is
+  published and must not exceed ``SRC_LINES_CEILING``.
 
 The floors are deliberately *below* the full-scale assertions in
 ``bench_d8_scalability.py`` (2.0× at 32 slices) so the gate is robust
@@ -92,6 +94,10 @@ from benchmarks.bench_d8_scalability import (  # noqa: E402
 
 #: Asserted regression floors (see module docstring for the rationale).
 FLOOR_D8B_SPEEDUP = 1.5
+#: Ceiling on ``count_src_lines()``: growth in ``src/`` is a reviewed
+#: diff to this one number, and a PR that shrinks ``src/`` lowers it in
+#: the same change.
+SRC_LINES_CEILING = 21_178
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per
@@ -423,10 +429,22 @@ def count_src_lines() -> int:
     return sum(path.read_bytes().count(b"\n") for path in src.rglob("*.py"))
 
 
+def check_src_lines(src_lines: int, failures: list) -> None:
+    """Fail the gate when ``src/`` has outgrown its ceiling."""
+    if src_lines > SRC_LINES_CEILING:
+        failures.append(
+            f"src: {src_lines} physical lines > SRC_LINES_CEILING "
+            f"{SRC_LINES_CEILING} (raise the constant in benchmarks/ci_gate.py "
+            "only as a reviewed decision to grow src/)"
+        )
+
+
 def run_gate() -> dict:
     """Run the experiments; returns the artifact payload."""
     failures = []
     warnings = []
+    src_lines = count_src_lines()
+    check_src_lines(src_lines, failures)
 
     sequential_s = _install_burst(BATCH_SLICES, batched=False)
     batched_s = _install_burst(BATCH_SLICES, batched=True)
@@ -486,7 +504,8 @@ def run_gate() -> dict:
     return {
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "src_lines": count_src_lines(),
+        "src_lines": src_lines,
+        "src_lines_ceiling": SRC_LINES_CEILING,
         "d8b": {
             "slices": BATCH_SLICES,
             "sequential_s": round(sequential_s, 4),

@@ -50,10 +50,6 @@ class VirtualMachine:
             raise CloudError(f"cannot activate VM in state {self.state.value}")
         self.state = VmState.ACTIVE
 
-    def mark_error(self) -> None:
-        """Any state → ERROR (failure injection)."""
-        self.state = VmState.ERROR
-
     def delete(self) -> None:
         """Terminal delete."""
         self.state = VmState.DELETED

@@ -37,7 +37,7 @@ abstraction (see ``docs/ARCHITECTURE.md``).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -494,87 +494,43 @@ class Orchestrator:
         plmn_id: Optional[str],
         fraction: float,
         reservations: Dict[str, Reservation],
-        profile: Optional[TrafficProfile] = None,
-        active_remaining_s: Optional[float] = None,
-        deploy_remaining_s: Optional[float] = None,
-        window_remaining_s: Optional[float] = None,
+        admitted_at: float,
+        active_at: Optional[float] = None,
+        window_end: Optional[float] = None,
     ) -> NetworkSlice:
         """Re-adopt a slice the southbound still holds COMMITTED after
-        a restart: rebuild its runtime around the drivers' live
-        reservations (nothing is re-prepared), re-claim its PLMN,
-        re-promise its calendar window, and resume its lifecycle
-        clocks rebased onto the new sim clock.
+        a restart: re-claim its PLMN and bring it live through
+        :meth:`_go_live` around the drivers' live reservations (nothing
+        is re-prepared), with the vertical-preset profile.
+
+        ``admitted_at`` / ``active_at`` / ``window_end`` are the
+        slice's own instants moved onto this process's clock (usually
+        in the past, possibly negative); ``active_at`` is ``None`` for
+        a slice still pending activation.
 
         Nothing here is journaled, the ``slice.adopted`` event
         included: the checkpoint recovery closes with is the one
         durable statement of the adoption, and a crash before it
-        replays the same recovery from the same records.  That
-        checkpoint reads ``admitted_at`` / ``active_at``, so they carry
-        the time already served (possibly negative on the new clock)
-        instead of being re-minted.
-
-        Args:
-            active_remaining_s: Seconds of ACTIVE lifetime left (the
-                slice was ACTIVE at the crash); ``None`` for a slice
-                still pending activation.
-            deploy_remaining_s: Seconds until activation for a slice
-                adopted as DEPLOYING (defaults to ``deploy_time_s``).
-            window_remaining_s: Seconds until the calendar promise
-                ends (computed from the lifecycle when omitted).
+        replays the same recovery from the same records.
         """
         network_slice = NetworkSlice(request)
         slice_id = network_slice.slice_id
         self._all_slices[slice_id] = network_slice
         if plmn_id:
             network_slice.plmn = self.plmn_pool.claim(slice_id, plmn_id)
-        now = self.sim.now
-        if deploy_remaining_s is None:
-            deploy_remaining_s = self.config.deploy_time_s
-        network_slice.transition(SliceState.ADMITTED, now)
-        network_slice.allocation = self._compose_allocation(reservations)
-        runtime = SliceRuntime(
-            network_slice=network_slice,
-            profile=profile or self.default_profile(request),
-            effective_fraction=fraction,
-            reservations=dict(reservations),
+        self._go_live(
+            network_slice,
+            self.default_profile(request),
+            fraction,
+            reservations,
+            admitted_at=admitted_at,
+            active_at=active_at,
+            window_end=window_end,
         )
-        epc_reservation = reservations.get("epc")
-        if epc_reservation is not None:
-            runtime.epc = epc_reservation.details.get("instance")
-        self._runtimes[slice_id] = runtime
-        if self.config.respect_calendar and not self.calendar.has(request.request_id):
-            if window_remaining_s is None:
-                window_remaining_s = (
-                    active_remaining_s
-                    if active_remaining_s is not None
-                    else deploy_remaining_s + request.sla.duration_s
-                )
-            self.calendar.commit(
-                request.request_id,
-                now,
-                now + max(window_remaining_s, 1e-9),
-                self.shrunk_demand(request, fraction),
-            )
-        network_slice.transition(SliceState.DEPLOYING, now)
-        if active_remaining_s is not None:
-            network_slice.transition(SliceState.ACTIVE, now)
-            network_slice.active_at = now + active_remaining_s - request.sla.duration_s
-            self.sim.schedule(
-                max(active_remaining_s, 0.0),
-                lambda: self._expire(slice_id),
-                name=f"expire-{slice_id}",
-            )
-        else:
-            network_slice.admitted_at = now + deploy_remaining_s - self.config.deploy_time_s
-            self.sim.schedule(
-                max(deploy_remaining_s, 0.0),
-                lambda: self._activate(slice_id),
-                name=f"activate-{slice_id}",
-            )
         tee, self.events.sink = self.events.sink, None  # in-memory feed only
         try:
             self.events.emit(
-                now,
+                self.sim.now,
                 "slice.adopted",
                 slice_id=slice_id,
                 tenant_id=request.tenant_id,
@@ -799,53 +755,44 @@ class Orchestrator:
             slice_id=network_slice.slice_id,
         )
 
-    def _finalize_install(
+    def _go_live(
         self,
         network_slice: NetworkSlice,
         profile: TrafficProfile,
         fraction: float,
         reservations: Dict[str, Reservation],
-        span_parent: Any = None,
-    ) -> AdmissionDecision:
-        """Post-install bookkeeping shared by the sequential and batched
-        paths: state transitions, ledger, events, calendar, runtime and
-        the deferred activation.  ``span_parent`` (the batched path's
-        per-job span context) hangs the journal/event stages of this
-        job under its trace; the sequential path passes none and stays
-        span-free."""
-        obs = self.obs if span_parent is not None else NOOP_OBS
+        *,
+        admitted_at: float,
+        active_at: Optional[float] = None,
+        window_end: Optional[float] = None,
+    ) -> None:
+        """The one way a slice starts holding a runtime — an install
+        the drivers just acknowledged, or a recovery re-adopting what
+        they still hold: ADMITTED, its calendar window, the runtime
+        around ``reservations``, DEPLOYING, then the activation timer
+        or, for a slice that already turned ACTIVE at ``active_at``,
+        ACTIVE and the expiry timer.
+
+        The instants are absolute on this sim clock and may lie in the
+        past (a re-adopted slice keeps the time it already served); a
+        timer that is already due fires at once.  ``window_end``
+        defaults to the end of the promise an install makes.
+        """
         request = network_slice.request
-        network_slice.transition(SliceState.ADMITTED, self.sim.now)
-        self.ledger.book_admission(network_slice.slice_id, request)
-        with obs.span("event", parent=span_parent):
-            self.events.emit(
-                self.sim.now,
-                "slice.admitted",
-                slice_id=network_slice.slice_id,
-                tenant_id=request.tenant_id,
-                price=request.price,
-            )
-        # Keep the calendar in sync (advance bookings committed earlier
-        # keep their original window).
+        slice_id = network_slice.slice_id
+        now = self.sim.now
+        network_slice.transition(SliceState.ADMITTED, admitted_at)
+        # An advance booking committed its window when it was promised.
         if not self.calendar.has(request.request_id):
+            if window_end is None:
+                window_end = (
+                    admitted_at + request.sla.duration_s + self.config.deploy_time_s
+                )
             self.calendar.commit(
                 request.request_id,
-                self.sim.now,
-                self.sim.now + request.sla.duration_s + self.config.deploy_time_s,
+                now,
+                max(window_end, now + 1e-9),
                 self.shrunk_demand(request, fraction),
-            )
-        # WAL: the install is durable from here — a crash after this
-        # record must re-adopt the slice, not forfeit it.
-        booking = self.calendar.get(request.request_id)
-        with obs.span("journal", parent=span_parent):
-            self._journal(
-                "slice.installed",
-                request=request_to_dict(request),
-                slice_id=network_slice.slice_id,
-                plmn=network_slice.plmn.plmn_id if network_slice.plmn else None,
-                fraction=fraction,
-                reservations={d: r.reservation_id for d, r in reservations.items()},
-                window=[booking.start, booking.end] if booking is not None else None,
             )
         runtime = SliceRuntime(
             network_slice=network_slice,
@@ -858,15 +805,60 @@ class Orchestrator:
         epc_reservation = reservations.get("epc")
         if epc_reservation is not None:
             runtime.epc = epc_reservation.details.get("instance")
-        if network_slice.allocation is None:
-            network_slice.allocation = self._compose_allocation(reservations)
-        self._runtimes[network_slice.slice_id] = runtime
-        network_slice.transition(SliceState.DEPLOYING, self.sim.now)
-        self.sim.schedule(
-            self.config.deploy_time_s,
-            lambda: self._activate(network_slice.slice_id),
-            name=f"activate-{network_slice.slice_id}",
+        network_slice.allocation = self._compose_allocation(reservations)
+        self._runtimes[slice_id] = runtime
+        network_slice.transition(SliceState.DEPLOYING, admitted_at)
+        if active_at is None:
+            self.sim.schedule_at(
+                max(admitted_at + self.config.deploy_time_s, now),
+                lambda: self._activate(slice_id),
+                name=f"activate-{slice_id}",
+            )
+        else:
+            network_slice.transition(SliceState.ACTIVE, active_at)
+            self._schedule_expiry(network_slice)
+
+    def _finalize_install(
+        self,
+        network_slice: NetworkSlice,
+        profile: TrafficProfile,
+        fraction: float,
+        reservations: Dict[str, Reservation],
+        span_parent: Any = None,
+    ) -> AdmissionDecision:
+        """What an acknowledged install does on top of :meth:`_go_live`,
+        shared by both executors: the ledger account, the
+        ``slice.admitted`` event and the ``slice.installed`` WAL record.
+        ``span_parent`` (the batched path's per-job span context) hangs
+        the journal/event stages of this job under its trace; the
+        sequential path passes none and stays span-free."""
+        obs = self.obs if span_parent is not None else NOOP_OBS
+        request = network_slice.request
+        self.ledger.book_admission(network_slice.slice_id, request)
+        with obs.span("event", parent=span_parent):
+            self.events.emit(
+                self.sim.now,
+                "slice.admitted",
+                slice_id=network_slice.slice_id,
+                tenant_id=request.tenant_id,
+                price=request.price,
+            )
+        self._go_live(
+            network_slice, profile, fraction, reservations, admitted_at=self.sim.now
         )
+        # WAL: the install is durable from here — a crash after this
+        # record must re-adopt the slice, not forfeit it.
+        booking = self.calendar.get(request.request_id)  # _go_live saw to it
+        with obs.span("journal", parent=span_parent):
+            self._journal(
+                "slice.installed",
+                request=request_to_dict(request),
+                slice_id=network_slice.slice_id,
+                plmn=network_slice.plmn.plmn_id if network_slice.plmn else None,
+                fraction=fraction,
+                reservations={d: r.reservation_id for d, r in reservations.items()},
+                window=[booking.start, booking.end],
+            )
         return AdmissionDecision(
             request_id=request.request_id,
             admitted=True,
@@ -1314,17 +1306,23 @@ class Orchestrator:
         new_throughput_mbps: float,
         new_fraction: float,
     ) -> None:
-        """Re-dimension the slice in every resize-capable domain.
+        """The one place a live slice changes size — a tenant's new
+        throughput or the overbooking engine's new fraction: every
+        resize-capable domain is re-dimensioned, then the SLA, the
+        runtime's fraction and reservations, the composed allocation
+        and the calendar booking follow.
 
         Applied in registry order with compensation: a failing domain
         rolls the already-resized ones back to their previous spec, so
-        the domains never disagree about the slice's size.
+        the domains never disagree about the slice's size — and nothing
+        above them has moved yet.
 
         Raises:
             DriverError: When some domain cannot fit the new size (after
                 compensation).
         """
         network_slice = runtime.network_slice
+        request = network_slice.request
         slice_id = network_slice.slice_id
         if not 0.0 < new_fraction <= 1.0:
             raise DriverError(
@@ -1336,7 +1334,7 @@ class Orchestrator:
                 "orchestrator",
                 f"throughput must be positive, got {new_throughput_mbps}",
             )
-        resized = []  # [(driver, previous spec)] for compensation
+        resized = []  # [(driver, previous spec, live reservation)]
         for driver in self.registry.drivers():
             if not driver.capabilities().supports_resize:
                 continue
@@ -1346,20 +1344,19 @@ class Orchestrator:
             old_spec = reservation.spec
             new_spec = DomainSpec(
                 slice_id=slice_id,
-                tenant_id=network_slice.request.tenant_id,
+                tenant_id=request.tenant_id,
                 throughput_mbps=new_throughput_mbps,
-                max_latency_ms=network_slice.request.sla.max_latency_ms,
-                duration_s=network_slice.request.sla.duration_s,
+                max_latency_ms=request.sla.max_latency_ms,
+                duration_s=request.sla.duration_s,
                 effective_fraction=new_fraction,
                 vcpus=old_spec.vcpus,
                 attributes=dict(old_spec.attributes),
             )
             try:
-                driver.resize(slice_id, new_spec)
-                resized.append((driver, old_spec))
+                resized.append((driver, old_spec, driver.resize(slice_id, new_spec)))
             except DriverError:
                 # Compensate: restore the previous size everywhere.
-                for done, prev_spec in reversed(resized):
+                for done, prev_spec, _ in reversed(resized):
                     try:
                         done.resize(slice_id, prev_spec)
                     except DriverError:  # pragma: no cover - best effort
@@ -1372,16 +1369,17 @@ class Orchestrator:
             raise DriverError(
                 "orchestrator", f"slice {slice_id} is not allocated"
             )
-        # Refresh the composed end-to-end view from the live reservations.
-        reservations = {}
-        for driver in self.registry.drivers():
-            reservation = driver.reservation_of(slice_id)
-            if reservation is not None:
-                reservations[driver.domain] = reservation
-        runtime.reservations = reservations
-        composed = self._compose_allocation(reservations)
-        if composed is not None:
-            network_slice.allocation = composed
+        for driver, _, reservation in resized:
+            runtime.reservations[driver.domain] = reservation
+        network_slice.allocation = self._compose_allocation(runtime.reservations)
+        runtime.effective_fraction = new_fraction
+        request.sla = replace(request.sla, throughput_mbps=new_throughput_mbps)
+        # Keep the calendar booking in step with the commitment, so
+        # admission sees what a shrink freed.
+        if self.calendar.has(request.request_id):
+            self.calendar.update_demand(
+                request.request_id, self.shrunk_demand(request, new_fraction)
+            )
 
     def _activate(self, slice_id: str) -> None:
         runtime = self._runtimes.get(slice_id)
@@ -1400,9 +1398,13 @@ class Orchestrator:
         )
         if self.config.simulate_ues:
             self._spawn_ues(runtime)
-        # Expiry is measured from activation (the SLA's duration).
-        self.sim.schedule(
-            network_slice.request.sla.duration_s,
+        self._schedule_expiry(network_slice)
+
+    def _schedule_expiry(self, network_slice: NetworkSlice) -> None:
+        """Expiry is measured from activation (the SLA's duration)."""
+        slice_id = network_slice.slice_id
+        self.sim.schedule_at(
+            max(network_slice.end_time(), self.sim.now),
             lambda: self._expire(slice_id),
             name=f"expire-{slice_id}",
         )
@@ -1478,33 +1480,40 @@ class Orchestrator:
             SliceState.DEPLOYING,
         ):
             raise OrchestratorError(f"slice {slice_id} is not pending activation")
-        self._runtimes.pop(slice_id)
-        network_slice = runtime.network_slice
-        self._teardown_slice(network_slice)
-        if self.calendar.has(network_slice.request.request_id):
-            self.calendar.release(network_slice.request.request_id)
+        # Refund first, as terminate_early does: the one step that can
+        # refuse must leave the slice whole.
         amount = 0.0
         if refund:
-            amount = network_slice.request.price
+            amount = runtime.network_slice.request.price
             self.ledger.book_refund(slice_id, amount)
-        network_slice.transition(SliceState.CANCELLED, self.sim.now)
-        self._journal("slice.cancelled", slice_id=slice_id)
-        self.events.emit(
-            self.sim.now,
-            "slice.cancelled",
-            slice_id=slice_id,
-            tenant_id=network_slice.request.tenant_id,
-            refund=amount,
-        )
+        self._retire(runtime, SliceState.CANCELLED, refund=amount)
         return amount
 
     def _expire(self, slice_id: str) -> None:
-        runtime = self._runtimes.pop(slice_id, None)
+        runtime = self._runtimes.get(slice_id)
         if runtime is None:
             return
         network_slice = runtime.network_slice
         if network_slice.state is not SliceState.ACTIVE:
             return
+        self._retire(
+            runtime,
+            SliceState.EXPIRED,
+            violation_epochs=network_slice.violation_epochs,
+            served_epochs=network_slice.served_epochs,
+        )
+
+    def _retire(
+        self, runtime: SliceRuntime, terminal_state: SliceState, **event_fields
+    ) -> None:
+        """The one way a live slice stops holding resources: runtime
+        out, UEs detached, every domain released, calendar window
+        freed, then the terminal transition with its ``slice.<state>``
+        journal record and event."""
+        network_slice = runtime.network_slice
+        slice_id = network_slice.slice_id
+        request = network_slice.request
+        del self._runtimes[slice_id]
         for ue in runtime.ues:
             if ue.attached:
                 ue.detach()
@@ -1512,17 +1521,17 @@ class Orchestrator:
         if runtime.epc is not None and runtime.epc.running:
             # Inline-bound instance (no EPC driver released it above).
             runtime.epc.shutdown()
-        if self.calendar.has(network_slice.request.request_id):
-            self.calendar.release(network_slice.request.request_id)
-        network_slice.transition(SliceState.EXPIRED, self.sim.now)
-        self._journal("slice.expired", slice_id=slice_id)
+        if self.calendar.has(request.request_id):
+            self.calendar.release(request.request_id)
+        network_slice.transition(terminal_state, self.sim.now)
+        record_type = f"slice.{terminal_state.value}"
+        self._journal(record_type, slice_id=slice_id)
         self.events.emit(
             self.sim.now,
-            "slice.expired",
+            record_type,
             slice_id=slice_id,
-            tenant_id=network_slice.request.tenant_id,
-            violation_epochs=network_slice.violation_epochs,
-            served_epochs=network_slice.served_epochs,
+            tenant_id=request.tenant_id,
+            **event_fields,
         )
 
     def what_if(self, request: SliceRequest) -> dict:
@@ -1588,7 +1597,6 @@ class Orchestrator:
                 admitted=False,
                 reason="slice not active",
             )
-        network_slice = runtime.network_slice
         try:
             self._resize_domains(
                 runtime, new_throughput_mbps, runtime.effective_fraction
@@ -1597,22 +1605,7 @@ class Orchestrator:
             return AdmissionDecision(
                 request_id=slice_id, admitted=False, reason=str(exc)
             )
-        # Update the SLA (frozen dataclass → replace) and the profile peak.
-        from repro.core.slices import SLA
-
-        old_sla = network_slice.request.sla
-        network_slice.request.sla = SLA(
-            throughput_mbps=new_throughput_mbps,
-            max_latency_ms=old_sla.max_latency_ms,
-            duration_s=old_sla.duration_s,
-            availability=old_sla.availability,
-        )
         runtime.profile.peak_mbps = new_throughput_mbps
-        if self.calendar.has(network_slice.request.request_id):
-            self.calendar.update_demand(
-                network_slice.request.request_id,
-                self.shrunk_demand(network_slice.request, runtime.effective_fraction),
-            )
         self._journal(
             "slice.modified", slice_id=slice_id, throughput_mbps=new_throughput_mbps
         )
@@ -1722,8 +1715,7 @@ class Orchestrator:
         if not healers:
             return
         for slice_id, runtime in active.items():
-            allocation = runtime.network_slice.allocation
-            if allocation is None:
+            if runtime.network_slice.allocation is None:
                 continue
             for driver in healers:
                 try:
@@ -1744,13 +1736,10 @@ class Orchestrator:
                     # the overbooking ledger accounts for.
                     self.obs.counter_add("slice.repair_failed", label=driver.domain)
                     continue
-                new_transport = repaired.details.get("allocation")
-                if driver.domain == "transport" and new_transport is not None:
-                    runtime.network_slice.allocation = EndToEndAllocation(
-                        ran=allocation.ran,
-                        transport=new_transport,
-                        cloud=allocation.cloud,
-                    )
+                runtime.reservations[driver.domain] = repaired
+                runtime.network_slice.allocation = self._compose_allocation(
+                    runtime.reservations
+                )
                 self.events.emit(
                     self.sim.now,
                     "slice.path_repaired",
@@ -1807,36 +1796,24 @@ class Orchestrator:
             new_fraction = decision.fraction
             if abs(new_fraction - runtime.effective_fraction) < 0.02:
                 continue
+            old_fraction = runtime.effective_fraction
             try:
-                old_fraction = runtime.effective_fraction
-                self._resize_domains(
-                    runtime,
-                    runtime.network_slice.request.sla.throughput_mbps,
-                    new_fraction,
-                )
-                runtime.effective_fraction = new_fraction
-                self._journal(
-                    "slice.reconfigured", slice_id=slice_id, fraction=new_fraction
-                )
-                self.events.emit(
-                    self.sim.now,
-                    "slice.reconfigured",
-                    slice_id=slice_id,
-                    tenant_id=runtime.network_slice.request.tenant_id,
-                    old_fraction=old_fraction,
-                    new_fraction=new_fraction,
-                )
-                # Keep the calendar booking in step with the shrunk
-                # commitment, so admission sees the freed capacity.
-                request = runtime.network_slice.request
-                if self.calendar.has(request.request_id):
-                    self.calendar.update_demand(
-                        request.request_id, self.shrunk_demand(request, new_fraction)
-                    )
+                self._resize_domains(runtime, nominal, new_fraction)
             except DriverError:
                 # Growing back may not fit if newcomers took the space —
                 # the overbooking risk surfaces as SLA violations instead.
                 continue
+            self._journal(
+                "slice.reconfigured", slice_id=slice_id, fraction=new_fraction
+            )
+            self.events.emit(
+                self.sim.now,
+                "slice.reconfigured",
+                slice_id=slice_id,
+                tenant_id=runtime.network_slice.request.tenant_id,
+                old_fraction=old_fraction,
+                new_fraction=new_fraction,
+            )
 
     # ------------------------------------------------------------------
     # Introspection (dashboard + tests)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.forecasting import Forecaster
 from repro.monitoring.timeseries import TimeSeries
@@ -314,7 +314,6 @@ class SlaMonitor:
         self.tolerance = float(tolerance)
         self.total_epochs = 0
         self.total_violations = 0
-        self._per_slice: Dict[str, Dict[str, int]] = {}
 
     def check_epoch(
         self,
@@ -329,27 +328,14 @@ class SlaMonitor:
         entitled = min(demand, nominal)
         violated = delivered < entitled * (1.0 - self.tolerance) - 1e-9
         self.total_epochs += 1
-        counters = self._per_slice.setdefault(
-            slice_id, {"epochs": 0, "violations": 0}
-        )
-        counters["epochs"] += 1
         if violated:
             self.total_violations += 1
-            counters["violations"] += 1
         return violated
 
-    def violation_rate(self, slice_id: Optional[str] = None) -> float:
-        """Overall (or per-slice) fraction of violated epochs."""
-        if slice_id is None:
-            return self.total_violations / self.total_epochs if self.total_epochs else 0.0
-        counters = self._per_slice.get(slice_id)
-        if not counters or counters["epochs"] == 0:
-            return 0.0
-        return counters["violations"] / counters["epochs"]
-
-    def slices_monitored(self) -> int:
-        """How many distinct slices produced at least one epoch."""
-        return len(self._per_slice)
+    def violation_rate(self) -> float:
+        """Fleet-wide fraction of violated epochs (a slice's own ratio
+        is :meth:`~repro.core.slices.NetworkSlice.violation_ratio`)."""
+        return self.total_violations / self.total_epochs if self.total_epochs else 0.0
 
 
 __all__ = [

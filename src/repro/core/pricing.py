@@ -51,56 +51,6 @@ class RejectionRecord:
     at_time: float
 
 
-class UtilizationPricer:
-    """Congestion pricing: quote multipliers from current utilization.
-
-    The demo dashboard lets the tenant state "the price willing to be
-    paid"; a production broker would *quote* instead.  This pricer
-    implements the standard convex congestion curve: the multiplier is
-    ``1 + slope × utilization^exponent``, so quotes stay near list price
-    on an idle network and climb steeply as it fills — making the
-    revenue-max admission policies self-reinforcing under load.
-    """
-
-    def __init__(
-        self,
-        base_rate_per_mbps_hour: float = 1.0,
-        slope: float = 2.0,
-        exponent: float = 2.0,
-    ) -> None:
-        if base_rate_per_mbps_hour <= 0:
-            raise LedgerError(
-                f"base rate must be positive, got {base_rate_per_mbps_hour}"
-            )
-        if slope < 0:
-            raise LedgerError(f"slope must be non-negative, got {slope}")
-        if exponent <= 0:
-            raise LedgerError(f"exponent must be positive, got {exponent}")
-        self.base_rate = float(base_rate_per_mbps_hour)
-        self.slope = float(slope)
-        self.exponent = float(exponent)
-
-    def multiplier(self, utilization: float) -> float:
-        """Price multiplier at a utilization level (clipped to [0, 1])."""
-        u = min(1.0, max(0.0, utilization))
-        return 1.0 + self.slope * (u**self.exponent)
-
-    def quote(
-        self, throughput_mbps: float, duration_s: float, utilization: float
-    ) -> float:
-        """Quoted price for a slice at the current utilization.
-
-        Raises:
-            LedgerError: On non-positive throughput or duration.
-        """
-        if throughput_mbps <= 0 or duration_s <= 0:
-            raise LedgerError("throughput and duration must be positive")
-        hours = duration_s / 3_600.0
-        return (
-            self.base_rate * throughput_mbps * hours * self.multiplier(utilization)
-        )
-
-
 class RevenueLedger:
     """Account book for admissions, penalties and rejections."""
 

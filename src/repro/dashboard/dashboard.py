@@ -11,7 +11,7 @@ import json
 from typing import Optional
 
 from repro.core.orchestrator import Orchestrator
-from repro.dashboard.reports import format_table, gain_vs_penalty_report
+from repro.dashboard.reports import format_table, gain_vs_penalty_report, sparkline
 
 
 class Dashboard:
@@ -104,8 +104,6 @@ class Dashboard:
 
     def gain_sparkline(self, width: int = 40) -> str:
         """Sparkline of the recorded multiplexing-gain series."""
-        from repro.experiments.export import sparkline
-
         series = self.orchestrator.gain_tracker.series
         if series.empty:
             return ""

@@ -70,4 +70,32 @@ def gain_vs_penalty_report(
     return "\n".join(lines)
 
 
-__all__ = ["format_table", "gain_vs_penalty_report"]
+def sparkline(values: Sequence[float], width: int = 40) -> str:
+    """Render a unicode sparkline of a series (dashboard gain history).
+
+    Values are min-max normalized onto eight block heights; the series
+    is resampled to at most ``width`` points by striding.
+
+    Raises:
+        ValueError: If ``width`` is not positive.
+    """
+    blocks = "▁▂▃▄▅▆▇█"
+    vals = [float(v) for v in values]
+    if not vals:
+        return ""
+    if width <= 0:
+        raise ValueError(f"width must be positive, got {width}")
+    if len(vals) > width:
+        stride = len(vals) / width
+        vals = [vals[int(i * stride)] for i in range(width)]
+    lo, hi = min(vals), max(vals)
+    if hi - lo < 1e-12:
+        return blocks[0] * len(vals)
+    out = []
+    for v in vals:
+        idx = int((v - lo) / (hi - lo) * (len(blocks) - 1))
+        out.append(blocks[idx])
+    return "".join(out)
+
+
+__all__ = ["format_table", "gain_vs_penalty_report", "sparkline"]

@@ -148,32 +148,12 @@ class RanDriver(_InProcessDriver):
 
     def _do_resize(self, slice_id: str, spec: DomainSpec,
                    reservation: Reservation) -> Dict[str, Any]:
-        current = reservation.details.get("allocation")
+        # A fraction move is a re-nomination at an unchanged nominal.
         try:
-            if (
-                current is not None
-                and spec.throughput_mbps == reservation.spec.throughput_mbps
-            ):
-                # Overbooking knob only: move the effective commitment
-                # under the unchanged nominal (old allocator.resize path).
-                from repro.ran.controller import RanAllocation
-
-                new_prbs = max(1, round(current.nominal_prbs * spec.effective_fraction))
-                self.controller.resize_slice(slice_id, new_prbs)
-                allocation = RanAllocation(
-                    enb_id=current.enb_id,
-                    nominal_prbs=current.nominal_prbs,
-                    effective_prbs=new_prbs,
-                    latency_ms=current.latency_ms,
-                )
-            else:
-                # Tenant-requested scaling: re-nominate.
-                allocation = self.controller.modify_slice(
-                    slice_id, spec.throughput_mbps, spec.effective_fraction
-                )
-        except RuntimeError as exc:  # RanConfigError or PrbError
-            if isinstance(exc, DriverError):
-                raise
+            allocation = self.controller.modify_slice(
+                slice_id, spec.throughput_mbps, spec.effective_fraction
+            )
+        except RanConfigError as exc:
             raise DriverError(self.domain, str(exc)) from exc
         return {"allocation": allocation, "enb_id": allocation.enb_id}
 
@@ -271,19 +251,10 @@ class TransportDriver(_InProcessDriver):
     def _do_resize(self, slice_id: str, spec: DomainSpec,
                    reservation: Reservation) -> Dict[str, Any]:
         try:
-            if spec.throughput_mbps == reservation.spec.throughput_mbps:
-                # Overbooking knob only (old allocator.resize path).
-                self.controller.resize_path(
-                    slice_id, spec.throughput_mbps * spec.effective_fraction
-                )
-                allocation = self.controller.allocation_of(slice_id)
-            else:
-                allocation = self.controller.modify_bandwidth(
-                    slice_id, spec.throughput_mbps, spec.effective_fraction
-                )
-        except RuntimeError as exc:  # TransportError or LinkError
-            if isinstance(exc, DriverError):
-                raise
+            allocation = self.controller.modify_bandwidth(
+                slice_id, spec.throughput_mbps, spec.effective_fraction
+            )
+        except TransportError as exc:
             raise DriverError(self.domain, str(exc)) from exc
         return {
             "allocation": allocation,
@@ -431,10 +402,6 @@ class EpcDriver(_InProcessDriver):
 
     def feasible(self, spec: DomainSpec) -> bool:
         return spec.attributes.get("plmn_id") is not None
-
-    def instance_of(self, slice_id: str) -> Optional[EpcInstance]:
-        """The slice's live vEPC instance (None if absent)."""
-        return self._instances.get(slice_id)
 
     def _do_prepare(self, spec: DomainSpec) -> Dict[str, Any]:
         plmn_id = spec.attributes.get("plmn_id")

@@ -117,17 +117,6 @@ class RanController:
         self._entry[enb_id] = entry
         self._total_free += free - old[0]
 
-    def rebuild_index(self) -> None:
-        """Rebuild the free-capacity index from scratch (recovery aid)."""
-        self._index = []
-        self._entry = {}
-        self._total_free = 0
-        for enb_id, enb in self._enbs.items():
-            entry = (enb.grid.free_prbs, -self._seq[enb_id], enb_id)
-            insort(self._index, entry)
-            self._entry[enb_id] = entry
-            self._total_free += entry[0]
-
     def verify_index(self) -> None:
         """Cross-check the delta-maintained index against a recompute.
 
@@ -295,24 +284,18 @@ class RanController:
             latency_ms=RAN_SEGMENT_LATENCY_MS,
         )
 
-    def resize_slice(self, slice_id: str, effective_prbs: int) -> None:
-        """Adjust the slice's effective PRBs (reconfiguration loop)."""
-        enb_id = self._placement.get(slice_id)
-        if enb_id is None:
-            raise RanConfigError(f"slice {slice_id} not installed")
-        self._enbs[enb_id].resize_slice(slice_id, effective_prbs)
-
     def modify_slice(
         self,
         slice_id: str,
         new_throughput_mbps: float,
         effective_fraction: float = 1.0,
     ) -> RanAllocation:
-        """Re-dimension an installed slice to a new SLA throughput.
+        """Re-dimension an installed slice: a new SLA throughput, a new
+        overbooking fraction, or both.
 
         Keeps the slice on its current cell (no handover); the nominal
-        PRB count is re-derived from the new throughput and the
-        effective commitment re-applied at ``effective_fraction``.
+        PRB count is re-derived from the throughput and the effective
+        commitment re-applied at ``effective_fraction``.
 
         Raises:
             RanConfigError: If the slice is unknown or the grown

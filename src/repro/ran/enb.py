@@ -117,15 +117,8 @@ class ENodeB:
         self._ues.setdefault(slice_id, [])
         self._changed()
 
-    def resize_slice(self, slice_id: str, effective_prbs: int) -> None:
-        """Adjust the slice's effective PRB share (overbooking knob)."""
-        if slice_id not in self._broadcast:
-            raise RanConfigError(f"slice {slice_id} not installed on {self.enb_id}")
-        self.grid.resize(slice_id, effective_prbs)
-        self._changed()
-
     def renominate_slice(self, slice_id: str, nominal_prbs: int, effective_prbs: int) -> None:
-        """Re-dimension the slice's reservation (tenant-requested scaling)."""
+        """Re-dimension the slice's reservation (rescale or overbooking move)."""
         if slice_id not in self._broadcast:
             raise RanConfigError(f"slice {slice_id} not installed on {self.enb_id}")
         self.grid.renominate(slice_id, nominal_prbs, effective_prbs)

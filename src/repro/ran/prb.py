@@ -148,33 +148,10 @@ class PrbGrid:
         self._nominal_sum += nominal
         return reservation
 
-    def resize(self, slice_id: str, effective: int) -> None:
-        """Change the effective commitment (the overbooking knob).
-
-        Raises:
-            PrbError: If the new commitment is invalid or does not fit.
-        """
-        current = self.reservation(slice_id)
-        others = self.effective_reserved - current.effective
-        if effective <= 0:
-            raise PrbError(f"effective PRBs must be positive, got {effective}")
-        if effective > current.nominal:
-            raise PrbError(
-                f"effective ({effective}) cannot exceed nominal ({current.nominal})"
-            )
-        if others + effective > self.total_prbs:
-            raise PrbError(
-                f"resize to {effective} PRBs does not fit ({self.total_prbs - others} free)"
-            )
-        self._reservations[slice_id] = PrbReservation(slice_id, current.nominal, effective)
-        self._effective_sum += effective - current.effective
-
     def renominate(self, slice_id: str, nominal: int, effective: int) -> PrbReservation:
-        """Replace the slice's reservation with a new nominal size.
-
-        Used for tenant-requested slice scaling (unlike :meth:`resize`,
-        which only moves the *effective* commitment under a fixed
-        nominal).  Atomic: on failure the old reservation stands.
+        """Replace the slice's reservation: a tenant's rescale moves
+        ``nominal``, the overbooking knob moves ``effective`` under an
+        unchanged one.  Atomic: on failure the old reservation stands.
 
         Raises:
             PrbError: If the slice holds no reservation or the new

@@ -224,7 +224,8 @@ class RecoveryManager:
         report: RecoveryReport,
     ) -> set:
         orch = self.orchestrator
-        deploy_time = orch.config.deploy_time_s
+        # One shift moves every journaled instant onto the new clock.
+        shift = orch.sim.now - crash_time
         adopted_ids: set = set()
         # Acknowledged installs first (their calendar promises outrank
         # everything), then never-acked in-flight installs.
@@ -233,31 +234,20 @@ class RecoveryManager:
             reservations = self._fully_committed(slice_id, truth)
             request = request_from_dict(image["request"])
             if reservations is not None:
-                duration = request.sla.duration_s
-                if image.get("status") == "active":
-                    remaining = max(
-                        0.0, image["activated_at"] + duration - crash_time
-                    )
-                    active_remaining_s: Optional[float] = remaining
-                    deploy_remaining_s = None
-                else:
-                    installed_at = image.get("installed_at", image.get("started_at", crash_time))
-                    active_remaining_s = None
-                    deploy_remaining_s = max(
-                        0.0, installed_at + deploy_time - crash_time
-                    )
-                window = image.get("window")
-                window_remaining_s = (
-                    max(0.0, window[1] - crash_time) if window else None
+                installed_at = image.get(
+                    "installed_at", image.get("started_at", crash_time)
                 )
+                window = image.get("window")
                 orch.adopt_recovered_slice(
                     request,
                     plmn_id=image.get("plmn"),
                     fraction=image.get("fraction", 1.0),
                     reservations=reservations,
-                    active_remaining_s=active_remaining_s,
-                    deploy_remaining_s=deploy_remaining_s,
-                    window_remaining_s=window_remaining_s,
+                    admitted_at=installed_at + shift,
+                    active_at=image["activated_at"] + shift
+                    if image.get("status") == "active"
+                    else None,
+                    window_end=window[1] + shift if window else None,
                 )
                 adopted_ids.add(slice_id)
                 report.slices_adopted += 1

@@ -54,10 +54,6 @@ class TrafficProfile(ABC):
         times = np.linspace(0.0, horizon_s, samples, endpoint=False)
         return float(np.mean([self.fraction(float(t)) for t in times]))
 
-    def mean_mbps(self, horizon_s: float = SECONDS_PER_DAY) -> float:
-        """Time-averaged absolute demand in Mb/s."""
-        return self.mean_fraction(horizon_s) * self.peak_mbps
-
 
 class ConstantProfile(TrafficProfile):
     """Flat demand at ``level`` × peak — the no-multiplexing-gain case."""

@@ -215,20 +215,6 @@ class TransportController:
         self._port_counter[switch_id] = (port + 1) % switch.n_ports
         return port
 
-    def resize_path(self, slice_id: str, effective_mbps: float) -> None:
-        """Adjust the slice's effective bandwidth on every path link."""
-        allocation = self._paths.get(slice_id)
-        if allocation is None:
-            raise TransportError(f"slice {slice_id} holds no path")
-        for link_id in allocation.path.link_ids:
-            self.topology.link(link_id).resize(slice_id, effective_mbps)
-        self._paths[slice_id] = TransportAllocation(
-            path=allocation.path,
-            nominal_mbps=allocation.nominal_mbps,
-            effective_mbps=effective_mbps,
-            request=allocation.request,
-        )
-
     def modify_bandwidth(
         self,
         slice_id: str,

@@ -152,28 +152,10 @@ class Link:
         self._nominal_sum += nominal_mbps
         self._changed()
 
-    def resize(self, slice_id: str, effective_mbps: float) -> None:
-        """Adjust the slice's effective reservation (overbooking knob)."""
-        current = self._reservations.get(slice_id)
-        if current is None:
-            raise LinkError(f"slice {slice_id} holds no reservation on {self.link_id}")
-        others = self.effective_reserved_mbps - current.effective_mbps
-        if effective_mbps <= 0:
-            raise LinkError(f"effective bandwidth must be positive, got {effective_mbps}")
-        if effective_mbps > current.nominal_mbps + 1e-9:
-            raise LinkError("effective cannot exceed nominal")
-        if others + effective_mbps > self.capacity_mbps + 1e-9:
-            raise LinkError(f"resize does not fit on {self.link_id}")
-        self._reservations[slice_id] = Reservation(
-            slice_id, current.nominal_mbps, effective_mbps
-        )
-        self._effective_sum += effective_mbps - current.effective_mbps
-        self._changed()
-
     def renominate(self, slice_id: str, nominal_mbps: float, effective_mbps: float) -> None:
-        """Replace the slice's reservation with a new nominal bandwidth
-        (tenant-requested scaling).  Atomic: the old reservation stands
-        on failure.
+        """Replace the slice's reservation (a rescale moves the nominal
+        bandwidth, the overbooking knob the effective one).  Atomic: the
+        old reservation stands on failure.
 
         Raises:
             LinkError: If the slice holds no reservation or the new

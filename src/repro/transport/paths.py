@@ -51,11 +51,6 @@ class ComputedPath:
     delay_ms: float
     bottleneck_mbps: float
 
-    @property
-    def hop_count(self) -> int:
-        """Number of links traversed."""
-        return len(self.link_ids)
-
 
 def _dijkstra(
     topo: Topology,

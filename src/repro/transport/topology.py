@@ -25,7 +25,7 @@ class Topology:
         self._nodes: Set[str] = set()
         self._links: Dict[str, Link] = {}
         self._out: Dict[str, List[str]] = {}  # node -> link_ids
-        # Dirty-node tracking: every link mutation (reserve/resize/
+        # Dirty-node tracking: every link mutation (reserve/renominate/
         # release/fail/restore, including direct calls that bypass the
         # TransportController) marks the link's source node in every
         # subscriber set, so consumers caching per-node aggregates can

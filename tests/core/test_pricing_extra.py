@@ -5,52 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.orchestrator import Orchestrator, OrchestratorError
-from repro.core.pricing import LedgerError, RevenueLedger, UtilizationPricer
+from repro.core.pricing import LedgerError, RevenueLedger
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.traffic.patterns import ConstantProfile
 from tests.conftest import make_request
-
-
-class TestUtilizationPricer:
-    def test_idle_network_quotes_list_price(self):
-        pricer = UtilizationPricer(base_rate_per_mbps_hour=2.0)
-        quote = pricer.quote(throughput_mbps=10.0, duration_s=3_600.0, utilization=0.0)
-        assert quote == pytest.approx(20.0)
-
-    def test_multiplier_monotone_in_utilization(self):
-        pricer = UtilizationPricer()
-        multipliers = [pricer.multiplier(u / 10) for u in range(11)]
-        assert multipliers == sorted(multipliers)
-        assert multipliers[0] == pytest.approx(1.0)
-
-    def test_convexity(self):
-        """The congestion premium accelerates: the step from 0.8→0.9
-        costs more than the step from 0.1→0.2."""
-        pricer = UtilizationPricer(exponent=2.0)
-        low_step = pricer.multiplier(0.2) - pricer.multiplier(0.1)
-        high_step = pricer.multiplier(0.9) - pricer.multiplier(0.8)
-        assert high_step > low_step
-
-    def test_utilization_clipped(self):
-        pricer = UtilizationPricer(slope=1.0)
-        assert pricer.multiplier(1.5) == pricer.multiplier(1.0)
-        assert pricer.multiplier(-0.5) == pricer.multiplier(0.0)
-
-    def test_bad_params_rejected(self):
-        with pytest.raises(LedgerError):
-            UtilizationPricer(base_rate_per_mbps_hour=0.0)
-        with pytest.raises(LedgerError):
-            UtilizationPricer(slope=-1.0)
-        with pytest.raises(LedgerError):
-            UtilizationPricer(exponent=0.0)
-
-    def test_bad_quote_inputs_rejected(self):
-        pricer = UtilizationPricer()
-        with pytest.raises(LedgerError):
-            pricer.quote(0.0, 3_600.0, 0.5)
-        with pytest.raises(LedgerError):
-            pricer.quote(10.0, 0.0, 0.5)
 
 
 class TestRefunds:

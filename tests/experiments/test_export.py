@@ -1,73 +1,10 @@
-"""Tests for result export helpers."""
+"""Tests for the dashboard's sparkline (the one export helper still called)."""
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-
 import pytest
 
-from repro.experiments.export import (
-    ExportError,
-    RESULT_FIELDS,
-    results_to_csv,
-    results_to_json,
-    sparkline,
-)
-from repro.experiments.runner import ScenarioResult
-
-
-def fake_result(net=100.0):
-    return ScenarioResult(
-        requests=10,
-        admitted=7,
-        rejected=3,
-        acceptance_ratio=0.7,
-        gross_revenue=120.0,
-        total_penalties=20.0,
-        net_revenue=net,
-        rejected_revenue=30.0,
-        violation_rate=0.05,
-        mean_multiplexing_gain=1.3,
-        peak_multiplexing_gain=1.6,
-        events_processed=500,
-        final_active_slices=4,
-    )
-
-
-class TestCsv:
-    def test_round_trip(self):
-        text = results_to_csv([fake_result(), fake_result(net=50.0)])
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == 2
-        assert float(rows[0]["net_revenue"]) == 100.0
-        assert float(rows[1]["net_revenue"]) == 50.0
-        assert set(rows[0]) == set(RESULT_FIELDS)
-
-    def test_labels_column(self):
-        text = results_to_csv([fake_result()], labels=["factor=1.5"])
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert rows[0]["label"] == "factor=1.5"
-
-    def test_label_mismatch_rejected(self):
-        with pytest.raises(ExportError):
-            results_to_csv([fake_result()], labels=["a", "b"])
-
-    def test_empty_results(self):
-        text = results_to_csv([])
-        assert text.strip().split(",")[0] == RESULT_FIELDS[0]
-
-
-class TestJson:
-    def test_round_trip(self):
-        payload = json.loads(results_to_json([fake_result()], labels=["x"]))
-        assert payload[0]["label"] == "x"
-        assert payload[0]["admitted"] == 7
-
-    def test_label_mismatch_rejected(self):
-        with pytest.raises(ExportError):
-            results_to_json([fake_result()], labels=[])
+from repro.dashboard.reports import sparkline
 
 
 class TestSparkline:
@@ -87,5 +24,5 @@ class TestSparkline:
         assert sparkline([]) == ""
 
     def test_bad_width_rejected(self):
-        with pytest.raises(ExportError):
+        with pytest.raises(ValueError):
             sparkline([1.0], width=0)

@@ -28,7 +28,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.slices import PLMN
 from repro.ran.controller import PlannedCellLoad, RanController
 from repro.ran.enb import ENodeB, RanConfigError
-from repro.ran.prb import PrbError
 
 EXAMPLE_MULTIPLIER = int(os.environ.get("HYPOTHESIS_EXAMPLE_MULTIPLIER", "1"))
 
@@ -105,6 +104,7 @@ def test_index_matches_full_recompute_under_random_schedules(
         ]
     )
     installed: list = []
+    throughput: dict = {}  # slice id -> the SLA throughput it is dimensioned for
     counter = 0
     for action, which, magnitude, fraction in steps:
         kind = action % 4
@@ -120,18 +120,21 @@ def test_index_matches_full_recompute_under_random_schedules(
                 pass  # fleet full — a legal outcome, index must still hold
             else:
                 installed.append(slice_id)
-        elif kind == 1:  # resize
+                throughput[slice_id] = magnitude
+        elif kind == 1:  # resize: the overbooking knob under an unchanged nominal
             slice_id = installed[which % len(installed)]
             try:
-                controller.resize_slice(slice_id, max(1, int(magnitude)))
-            except (RanConfigError, PrbError):
-                pass  # growth illegal or did not fit — reservation unchanged
+                controller.modify_slice(slice_id, throughput[slice_id], fraction)
+            except RanConfigError:
+                pass  # growing back did not fit — reservation unchanged
         elif kind == 2:  # modify (re-dimension to a new SLA)
             slice_id = installed[which % len(installed)]
             try:
                 controller.modify_slice(slice_id, magnitude, fraction)
             except RanConfigError:
                 pass
+            else:
+                throughput[slice_id] = magnitude
         else:  # remove
             slice_id = installed.pop(which % len(installed))
             controller.remove_slice(slice_id)

@@ -72,8 +72,9 @@ class TestMocn:
 
     def test_resize_slice(self, enb):
         enb.install_slice("s1", plmn(1), 20, 20)
-        enb.resize_slice("s1", 10)
+        enb.renominate_slice("s1", 20, 10)
         assert enb.grid.reservation("s1").effective == 10
+        assert enb.grid.reservation("s1").nominal == 20
 
 
 class TestUes:

@@ -78,27 +78,30 @@ class TestResize:
     def test_resize_down_then_up(self):
         grid = PrbGrid(10.0)
         grid.reserve("s1", 30, 30)
-        grid.resize("s1", 10)
+        grid.renominate("s1", 30, 10)
         assert grid.effective_reserved == 10
-        grid.resize("s1", 30)
+        grid.renominate("s1", 30, 30)
         assert grid.effective_reserved == 30
+        assert grid.nominal_reserved == 30
 
     def test_resize_above_nominal_rejected(self):
         grid = PrbGrid(10.0)
         grid.reserve("s1", 30, 20)
         with pytest.raises(PrbError):
-            grid.resize("s1", 31)
+            grid.renominate("s1", 30, 31)
+        assert grid.reservation("s1").effective == 20
 
     def test_resize_that_does_not_fit_rejected(self):
         grid = PrbGrid(10.0)
         grid.reserve("s1", 40, 20)
         grid.reserve("s2", 30, 30)
         with pytest.raises(PrbError):
-            grid.resize("s1", 25)
+            grid.renominate("s1", 40, 25)
+        assert grid.reservation("s1").effective == 20
 
     def test_resize_unknown_rejected(self):
         with pytest.raises(PrbError):
-            PrbGrid(10.0).resize("ghost", 5)
+            PrbGrid(10.0).renominate("ghost", 5, 5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,7 +128,9 @@ def test_property_effective_never_exceeds_budget(ops):
             elif op == "release":
                 grid.release(slice_id)
             else:
-                grid.resize(slice_id, effective)
+                grid.renominate(
+                    slice_id, grid.reservation(slice_id).nominal, effective
+                )
         except PrbError:
             pass
         grid.check_invariants()

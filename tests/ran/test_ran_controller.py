@@ -84,13 +84,15 @@ class TestLifecycle:
 
     def test_resize(self, controller):
         allocation = controller.install_slice("s1", plmn(1), 20.0)
-        controller.resize_slice("s1", allocation.nominal_prbs // 2)
-        enb = controller.enb(allocation.enb_id)
-        assert enb.grid.reservation("s1").effective == allocation.nominal_prbs // 2
+        shrunk = controller.modify_slice("s1", 20.0, 0.5)
+        reservation = controller.enb(allocation.enb_id).grid.reservation("s1")
+        assert reservation.nominal == shrunk.nominal_prbs == allocation.nominal_prbs
+        assert reservation.effective == shrunk.effective_prbs
+        assert shrunk.effective_prbs == round(allocation.nominal_prbs * 0.5)
 
     def test_resize_unknown_rejected(self, controller):
         with pytest.raises(RanConfigError):
-            controller.resize_slice("ghost", 5)
+            controller.modify_slice("ghost", 5.0, 0.5)
 
 
 class TestServeEpoch:

@@ -4,7 +4,11 @@ durable event-feed continuity across a restart."""
 
 from __future__ import annotations
 
+import pytest
+
+from repro.api import build_orchestrator_api
 from repro.api.service import SliceService
+from repro.core.pricing import LedgerError
 from repro.core.slices import SliceState
 from repro.store import RecoveryManager
 from repro.store.codec import request_to_dict
@@ -418,3 +422,57 @@ class TestAdoptionIsInMemory:
         RecoveryManager(third).restore()
         third.sim.run_until(125.0)  # 120 left at the second crash
         assert third.slice(decision.slice_id).state is SliceState.ACTIVE
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=LedgerError,
+    reason="Known defect 1: adoption opens no ledger account. The fix is one "
+    "line — ledger.book_admission(slice_id, request) in "
+    "Orchestrator.adopt_recovered_slice — and waits for a benchmark PR: "
+    "benchmarks/e2e/test_harness.py::"
+    "test_failover_counts_failed_deletes_and_excuses_only_their_loss "
+    "asserts that a DELETE after a promotion still fails.",
+)
+def test_readopted_slices_keep_their_ledger_accounts(durable_testbed, tmp_path):
+    """A re-adopted slice can still be charged a penalty and refunded:
+    the broker carries the penalties, so its books must survive the
+    restart like the slice does."""
+    directory = str(tmp_path / "store")
+    first = make_orchestrator(durable_testbed, directory=directory, deploy_time_s=300.0)
+    first.start()
+    serving = first.submit(
+        make_request(throughput_mbps=10.0, price=100.0, penalty_rate=2.0),
+        ConstantProfile(10.0, noise_std=0.0),
+    )
+    first.sim.run_until(360.0)  # ACTIVE since t=300; t=360 is a durable tick
+    pending = first.submit(
+        make_request(throughput_mbps=5.0, price=80.0), ConstantProfile(5.0)
+    )
+    assert serving.admitted and pending.admitted
+    crash(first)
+
+    restarted = make_orchestrator(
+        durable_testbed, store=reopen_store(directory), deploy_time_s=300.0
+    )
+    restarted.start()
+    assert RecoveryManager(restarted).restore().slices_adopted == 2
+    assert restarted.slice(serving.slice_id).state is SliceState.ACTIVE
+    assert restarted.slice(pending.slice_id).state is SliceState.DEPLOYING
+
+    # (i) Every link down: the serving slice violates, epoch after epoch.
+    for link in durable_testbed.transport.topology.links():
+        link.fail()
+    restarted.sim.run_until(121.0)
+    assert restarted.slice(serving.slice_id).violation_epochs == 2
+    assert restarted.ledger.total_penalties == pytest.approx(2 * 2.0)
+
+    # (ii) Both can be deleted, refunded by the usual rules.
+    api = build_orchestrator_api(restarted)
+    terminated = api.delete(f"/v1/slices/{serving.slice_id}")
+    assert terminated.status == 200
+    served = 121.0 + 60.0  # a minute before the crash, two since
+    assert terminated.body["refund"] == pytest.approx(100.0 * (1 - served / 3_600.0))
+    cancelled = api.delete(f"/v1/slices/{pending.slice_id}")
+    assert cancelled.status == 200
+    assert cancelled.body["refund"] == pytest.approx(80.0)

@@ -6,7 +6,9 @@ imports and signature drift cheaply; CI runs the same check as a
 dedicated job.
 """
 
+import importlib
 import importlib.util
+import os
 import pathlib
 
 import pytest
@@ -27,3 +29,19 @@ def test_bench_module_imports(path):
     spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+
+
+def test_ci_gate_fails_when_src_outgrows_its_ceiling(monkeypatch):
+    pytest.importorskip("pytest_benchmark", reason="bench deps not installed")
+    # ci_gate defaults these at import; keep them out of the other tests.
+    for knob, default in (
+        ("D8_BATCH_SLICES", "16"), ("D8_STALL_JOBS", "16"), ("D12_RECORDS", "1000")
+    ):
+        monkeypatch.setenv(knob, os.environ.get(knob, default))
+    ci_gate = importlib.import_module("benchmarks.ci_gate")
+    failures: list = []
+    ci_gate.check_src_lines(ci_gate.SRC_LINES_CEILING, failures)
+    assert failures == []
+    ci_gate.check_src_lines(ci_gate.SRC_LINES_CEILING + 1, failures)
+    assert len(failures) == 1 and "SRC_LINES_CEILING" in failures[0]
+    assert ci_gate.count_src_lines() <= ci_gate.SRC_LINES_CEILING

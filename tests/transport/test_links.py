@@ -70,14 +70,16 @@ class TestReservations:
 
     def test_resize(self, link):
         link.reserve("s1", 40.0, 40.0)
-        link.resize("s1", 20.0)
+        link.renominate("s1", 40.0, 20.0)
         assert link.residual_mbps == pytest.approx(80.0)
         with pytest.raises(LinkError):
-            link.resize("s1", 41.0)  # above nominal
+            link.renominate("s1", 40.0, 41.0)  # above nominal
+        link.renominate("s1", 40.0, 40.0)
+        assert link.residual_mbps == pytest.approx(60.0)
 
     def test_resize_unknown_rejected(self, link):
         with pytest.raises(LinkError):
-            link.resize("ghost", 5.0)
+            link.renominate("ghost", 5.0, 5.0)
 
 
 class TestFailureInjection:

@@ -117,7 +117,7 @@ class TestOrchestratorSelfHealing:
         assert first_link not in new_path
         assert testbed.transport.repairs_performed == 1
         # Service continued: no lasting violations after the repair epoch.
-        assert orch.sla_monitor.violation_rate(slice_id) < 0.5
+        assert orch.slice(slice_id).violation_ratio() < 0.5
 
     def test_without_self_healing_violations_accrue(self, testbed):
         sim, orch = self._orchestrator(testbed, self_healing=False)
@@ -128,5 +128,5 @@ class TestOrchestratorSelfHealing:
         first_link = orch.slice(slice_id).allocation.transport.path.link_ids[0]
         testbed.transport.topology.link(first_link).fail()
         sim.run_until(1_200.0)
-        assert orch.sla_monitor.violation_rate(slice_id) > 0.5
+        assert orch.slice(slice_id).violation_ratio() > 0.5
         assert orch.ledger.total_penalties > 0.0

@@ -77,13 +77,14 @@ class TestReleaseResize:
 
     def test_resize(self, controller):
         controller.reserve_path("s1", "00101", request(bw=40.0))
-        controller.resize_path("s1", 10.0)
+        controller.modify_bandwidth("s1", 40.0, 0.25)
+        assert controller.allocation_of("s1").nominal_mbps == pytest.approx(40.0)
         assert controller.allocation_of("s1").effective_mbps == pytest.approx(10.0)
         assert controller.topology.link("a-sw").residual_mbps == pytest.approx(90.0)
 
     def test_resize_unknown_rejected(self, controller):
         with pytest.raises(TransportError):
-            controller.resize_path("ghost", 5.0)
+            controller.modify_bandwidth("ghost", 5.0, 1.0)
 
 
 class TestQueries:

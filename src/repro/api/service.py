@@ -449,7 +449,7 @@ class SliceService:
         except SliceError as exc:
             raise ValidationError("invalid_value", str(exc)) from None
         spec = vertical_for(request.service_type)
-        rng = self.orchestrator.streams.stream(f"api-profile-{request.request_id}")
+        rng = self.orchestrator.streams.derive(f"api-profile-{request.request_id}")
         profile = spec.sample_profile(sla.throughput_mbps, rng)
         return request, profile
 

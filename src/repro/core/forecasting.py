@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from array import array
 from functools import lru_cache
 from typing import List, Optional, Sequence
 
@@ -49,15 +50,20 @@ class Forecaster(ABC):
 
     def __init__(self) -> None:
         self._fitted = False
-        self._residual_std = 0.0
-        self._history: np.ndarray = np.array([])
+        #: ``y − one-step in-sample prediction``, one double per sample
+        #: fitted or folded in — a flat buffer, not boxed floats: every
+        #: live slice keeps one of these for its whole life.
+        self._residuals = array("d")
+        self._sigma: Optional[float] = None  # σ of the above, on demand
 
     # ------------------------------------------------------------------
     # Template methods
     # ------------------------------------------------------------------
     @abstractmethod
-    def _fit(self, y: np.ndarray) -> None:
-        """Model-specific fit."""
+    def _fit(self, y: np.ndarray) -> Optional[np.ndarray]:
+        """Model-specific fit.  A model whose fit already walks the
+        series may return its :meth:`_fitted_values` and save the
+        second pass."""
 
     @abstractmethod
     def _point_forecast(self, h: int) -> float:
@@ -82,14 +88,28 @@ class Forecaster(ABC):
             raise ForecastError("cannot fit on an empty history")
         if np.any(~np.isfinite(y)):
             raise ForecastError("history contains non-finite values")
-        self._history = y
-        self._fit(y)
-        fitted = self._fitted_values(y)
-        residuals = y - fitted
-        # Guard: a single point gives no residual information.
-        self._residual_std = float(np.std(residuals, ddof=0)) if y.size >= 2 else 0.0
+        fitted = self._fit(y)
+        if fitted is None:
+            fitted = self._fitted_values(y)
+        self._residuals = array("d", (y - fitted).tobytes())
+        self._sigma = None
         self._fitted = True
         return self
+
+    def update(self, value: float) -> bool:
+        """Fold one more sample into a fitted model, if it can.
+
+        ``True``: folded in — after ``fit(v[:k])`` and one ``update`` per
+        later value, every forecast, quantile and :meth:`in_sample_mae`
+        equals ``fit(v)``'s bit for bit.  ``False`` (this default): the
+        model cannot, nothing changed, and the caller refits on its own
+        history.
+
+        Raises:
+            ForecastError: If the model folds samples in and ``value``
+                is not finite or the model is not fitted.
+        """
+        return False
 
     def forecast(self, h: int = 1) -> float:
         """Point forecast ``h`` steps ahead (demand is clipped at 0).
@@ -114,14 +134,16 @@ class Forecaster(ABC):
         if not 0.0 < q < 1.0:
             raise ForecastError(f"quantile must be in (0, 1), got {q}")
         point = self.forecast(h)
-        z = _z_value(q)
-        return max(0.0, point + z * self._residual_std * math.sqrt(h))
+        if self._sigma is None:
+            # Guard: a single point gives no residual information.
+            residuals = np.frombuffer(self._residuals)
+            self._sigma = float(np.std(residuals, ddof=0)) if residuals.size >= 2 else 0.0
+        return max(0.0, point + _z_value(q) * self._sigma * math.sqrt(h))
 
     def in_sample_mae(self) -> float:
         """In-sample one-step mean absolute error (model-selection score)."""
         self._require_fitted()
-        fitted = self._fitted_values(self._history)
-        return float(np.mean(np.abs(self._history - fitted)))
+        return float(np.mean(np.abs(np.frombuffer(self._residuals))))
 
     def _require_fitted(self) -> None:
         if not self._fitted:
@@ -262,8 +284,29 @@ class HoltWintersForecaster(Forecaster):
         self.beta = float(beta)
         self.gamma = float(gamma)
 
+    def _recur(self, level, trend, season, seasonal, start, values) -> tuple:
+        """The recursions over ``values`` (samples ``start``, ``start + 1``,
+        …) from the given state, in Python floats; ``season`` is updated
+        in place.  Returns (level, trend, one-step predictions).  The one
+        loop both :meth:`fit` and :meth:`update` run, so a sample folded
+        in goes through the very operations a refit would apply to it."""
+        m, alpha, beta, gamma = self.m, self.alpha, self.beta, self.gamma
+        preds = []
+        for i, value in enumerate(values, start):
+            s_idx = i % m
+            pred = level + trend + (season[s_idx] if seasonal else 0.0)
+            preds.append(pred)
+            prev_level = level
+            if seasonal:
+                level = alpha * (value - season[s_idx]) + (1 - alpha) * (level + trend)
+                season[s_idx] = gamma * (value - level) + (1 - gamma) * season[s_idx]
+            else:
+                level = alpha * value + (1 - alpha) * (level + trend)
+            trend = beta * (level - prev_level) + (1 - beta) * trend
+        return level, trend, preds
+
     def _smooth(self, y: np.ndarray) -> tuple:
-        """Run the recursions; returns (level, trend, season, fitted)."""
+        """One pass from scratch; returns (level, trend, season, seasonal, fitted)."""
         m = self.m
         seasonal = y.size >= 2 * m
         if seasonal:
@@ -272,35 +315,42 @@ class HoltWintersForecaster(Forecaster):
             trend = float((y[m : 2 * m].mean() - y[:m].mean()) / m)
             season = [float(y[i] - level) for i in range(m)]
             start = m
-            fitted = y[:m].astype(float).copy()
         else:
             level = float(y[0])
             trend = 0.0
             season = [0.0] * m
             start = 1
-            fitted = np.array([y[0]], dtype=float)
-        fitted_rest = []
-        for i in range(start, y.size):
-            s_idx = i % m
-            pred = level + trend + (season[s_idx] if seasonal else 0.0)
-            fitted_rest.append(pred)
-            prev_level = level
-            if seasonal:
-                level = self.alpha * (y[i] - season[s_idx]) + (1 - self.alpha) * (
-                    level + trend
-                )
-                season[s_idx] = self.gamma * (y[i] - level) + (1 - self.gamma) * season[
-                    s_idx
-                ]
-            else:
-                level = self.alpha * y[i] + (1 - self.alpha) * (level + trend)
-            trend = self.beta * (level - prev_level) + (1 - self.beta) * trend
-        fitted_all = np.concatenate([fitted, np.array(fitted_rest)]) if fitted_rest else fitted
-        return level, trend, season, seasonal, fitted_all[: y.size]
+        values = y.tolist()
+        level, trend, preds = self._recur(
+            level, trend, season, seasonal, start, values[start:]
+        )
+        return level, trend, season, seasonal, np.array(values[:start] + preds)
 
-    def _fit(self, y: np.ndarray) -> None:
-        self._level, self._trend, self._season, self._seasonal, self._fit_vals = self._smooth(y)
+    def _fit(self, y: np.ndarray) -> np.ndarray:
+        self._level, self._trend, self._season, self._seasonal, fitted = self._smooth(y)
         self._n = y.size
+        # Short of two seasons the samples themselves are state: the
+        # seasonal model is seeded from all of them when the 2m-th arrives.
+        self._head = None if self._seasonal else array("d", y.tobytes())
+        return fitted
+
+    def update(self, value: float) -> bool:
+        self._require_fitted()
+        value = float(value)
+        if not math.isfinite(value):
+            raise ForecastError(f"cannot fold in a non-finite value ({value})")
+        if not self._seasonal:
+            self._head.append(value)
+            if len(self._head) == 2 * self.m:
+                self.fit(self._head)
+                return True
+        self._level, self._trend, (pred,) = self._recur(
+            self._level, self._trend, self._season, self._seasonal, self._n, (value,)
+        )
+        self._n += 1
+        self._residuals.append(value - pred)
+        self._sigma = None
+        return True
 
     def _point_forecast(self, h: int) -> float:
         value = self._level + h * self._trend
@@ -309,8 +359,7 @@ class HoltWintersForecaster(Forecaster):
         return value
 
     def _fitted_values(self, y: np.ndarray) -> np.ndarray:
-        *_, fitted = self._smooth(y)
-        return fitted
+        return self._smooth(y)[-1]
 
 
 class SeasonalNaiveForecaster(Forecaster):
@@ -362,15 +411,15 @@ class SimpleExpSmoothingForecaster(Forecaster):
             level = self.alpha * float(value) + (1 - self.alpha) * level
         return level, np.array(fitted[: y.size])
 
-    def _fit(self, y: np.ndarray) -> None:
-        self._level, self._fit_vals = self._smooth(y)
+    def _fit(self, y: np.ndarray) -> np.ndarray:
+        self._level, fitted = self._smooth(y)
+        return fitted
 
     def _point_forecast(self, h: int) -> float:
         return self._level
 
     def _fitted_values(self, y: np.ndarray) -> np.ndarray:
-        _, fitted = self._smooth(y)
-        return fitted
+        return self._smooth(y)[1]
 
 
 class DriftForecaster(Forecaster):

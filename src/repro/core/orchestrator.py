@@ -204,7 +204,13 @@ class SliceRuntime:
 
     network_slice: NetworkSlice
     profile: TrafficProfile
+    #: Built by the first reconfiguration that finds the history long
+    #: enough to trust; fed one sample per epoch from then on.
     forecaster: Optional[Forecaster] = None
+    #: The forecaster does not equal ``fit(demand_history)`` — there is
+    #: none yet, it declined a sample or the capped window slid — so the
+    #: next reconfiguration that trusts the history (re)fits on it.
+    forecast_stale: bool = True
     effective_fraction: float = 1.0
     epc: Optional[EpcInstance] = None
     ues: List[UserEquipment] = field(default_factory=list)
@@ -484,7 +490,7 @@ class Orchestrator:
         from repro.traffic.verticals import vertical_for
 
         spec = vertical_for(request.service_type)
-        rng = self.streams.stream(f"profile-{request.request_id}")
+        rng = self.streams.derive(f"profile-{request.request_id}")
         return spec.sample_profile(request.sla.throughput_mbps, rng)
 
     def adopt_recovered_slice(
@@ -1426,7 +1432,7 @@ class Orchestrator:
                 return
             runtime.epc = EpcInstance(slice_id, network_slice.plmn.plmn_id, stack)
         enb = self.allocator.ran.enb(network_slice.allocation.ran.enb_id)
-        rng = self.streams.stream(f"ues-{slice_id}")
+        rng = self.streams.derive(f"ues-{slice_id}")
         n_ues = min(network_slice.request.n_users, self.config.max_ues_per_slice)
         procedure = AttachProcedure(
             enb, runtime.epc, network_slice.allocation.transport.delay_ms
@@ -1666,13 +1672,26 @@ class Orchestrator:
             if demands
             else {}
         )
+        observe = (
+            self.overbooking.observe
+            if isinstance(self.overbooking, AdaptiveOverbooking)
+            else None
+        )
+        spare: Dict[Tuple[str, ...], float] = {}  # this epoch's path memo
         for slice_id, runtime in active.items():
             network_slice = runtime.network_slice
             demand = demands[slice_id]
             delivered = delivered_ran.get(slice_id, 0.0)
-            delivered = min(delivered, self._transport_cap_mbps(runtime, demand))
+            delivered = min(delivered, self._transport_cap_mbps(runtime, spare))
             runtime.last_delivered_mbps = delivered
-            runtime.demand_history.append(now, demand)
+            history = runtime.demand_history
+            slid = len(history) == FORECAST_HISTORY_EPOCHS
+            history.append(now, demand)
+            if not runtime.forecast_stale:
+                try:
+                    runtime.forecast_stale = slid or not runtime.forecaster.update(demand)
+                except ForecastError:
+                    runtime.forecast_stale = True  # the refit reports it
             nominal = network_slice.request.sla.throughput_mbps
             violated = self.sla_monitor.check_epoch(slice_id, demand, delivered, nominal)
             runtime.last_violated = violated
@@ -1688,12 +1707,10 @@ class Orchestrator:
                     delivered_mbps=float(delivered),
                     penalty=network_slice.request.penalty_rate,
                 )
-            if isinstance(self.overbooking, AdaptiveOverbooking):
-                self.overbooking.observe(violated)
-        ran_util = self.allocator.ran.utilization()
-        self.gain_tracker.record(
-            now, ran_util["nominal_reserved"], max(1, ran_util["total_prbs"])
-        )
+            if observe is not None:
+                observe(violated)
+        nominal_prbs, total_prbs = self.allocator.ran.nominal_load()
+        self.gain_tracker.record(now, nominal_prbs, max(1, total_prbs))
         if self._epoch_counter % self.config.reconfig_every_epochs == 0:
             self.calendar.prune_before(now)
             self._reconfigure(active)
@@ -1710,7 +1727,9 @@ class Orchestrator:
         """Attempt re-routing, via any repair-capable driver (transport
         in the default wiring), for slices whose domain reports ill."""
         healers = [
-            d for d in self.registry.drivers() if d.capabilities().supports_repair
+            d
+            for d in self.registry.drivers()
+            if d.capabilities().supports_repair and d.degraded()
         ]
         if not healers:
             return
@@ -1747,7 +1766,9 @@ class Orchestrator:
                     tenant_id=runtime.network_slice.request.tenant_id,
                 )
 
-    def _transport_cap_mbps(self, runtime: SliceRuntime, demand: float) -> float:
+    def _transport_cap_mbps(
+        self, runtime: SliceRuntime, spare: Dict[Tuple[str, ...], float]
+    ) -> float:
         """Throughput ceiling the transport path imposes this epoch.
 
         A path traversing a failed link delivers nothing.  Otherwise the
@@ -1757,27 +1778,42 @@ class Orchestrator:
         between slices within one epoch — an approximation that slightly
         favours transport, keeping the RAN the binding domain as in the
         demo testbed.
+
+        ``spare`` memoises the borrowable residual per distinct path
+        (``-inf``: a link is down) for the one epoch whose serve pass
+        owns it — nothing mutates a link inside that pass, so N slices
+        over P paths cost P walks.
         """
         allocation = runtime.network_slice.allocation
         if allocation is None:
             return 0.0
-        path = allocation.transport.path
-        if not path.link_ids:
+        link_ids = allocation.transport.path.link_ids
+        if not link_ids:
             return float("inf")
-        topo = self.allocator.transport.topology
-        if any(not topo.link(lid).up for lid in path.link_ids):
-            return 0.0
-        residual = min(topo.link(lid).residual_mbps for lid in path.link_ids)
-        return allocation.transport.effective_mbps + max(0.0, residual)
+        borrowable = spare.get(link_ids)
+        if borrowable is None:
+            topo = self.allocator.transport.topology
+            borrowable = spare[link_ids] = (
+                max(0.0, topo.path_residual_mbps(link_ids))
+                if topo.down_link_ids.isdisjoint(link_ids)
+                else float("-inf")
+            )
+        return max(0.0, allocation.transport.effective_mbps + borrowable)
 
     def _reconfigure(self, active: Dict[str, SliceRuntime]) -> None:
-        """Refit forecasters and resize effective reservations.
+        """Forecast each trusted slice and resize effective reservations.
 
         This is the "dynamic configuration solution that maximizes the
         statistical multiplexing of network slices resources": slices
         with enough history get their commitment shrunk to the
         forecast's safe level; slices trending up are grown back toward
         nominal (when capacity allows).
+
+        A slice's forecaster is built and fitted here the first time its
+        history is long enough to trust — not at its first epoch: a
+        slice that never lives that long never pays for a model — and
+        refitted only when stale; in between the epoch loop folds each
+        sample in, which leaves it equal to a refit on the history.
         """
         for slice_id, runtime in active.items():
             history = runtime.demand_history
@@ -1785,10 +1821,12 @@ class Orchestrator:
                 continue
             if runtime.forecaster is None:
                 runtime.forecaster = self.forecaster_factory()
-            try:
-                runtime.forecaster.fit(history.values())
-            except ForecastError:
-                continue
+            if runtime.forecast_stale:
+                try:
+                    runtime.forecaster.fit(history.values())
+                except ForecastError:
+                    continue
+                runtime.forecast_stale = False
             nominal = runtime.network_slice.request.sla.throughput_mbps
             decision = self.overbooking.decide(
                 slice_id, nominal, forecaster=runtime.forecaster

@@ -269,6 +269,9 @@ class TransportDriver(_InProcessDriver):
             raise DriverError(self.domain, str(exc)) from exc
         return {"domain": self.domain, "slice_id": slice_id, "healthy": healthy}
 
+    def degraded(self) -> bool:
+        return bool(self.controller.topology.down_link_ids)
+
     def repair(self, slice_id: str) -> Reservation:
         reservation = self.reservation_of(slice_id)
         if reservation is None:

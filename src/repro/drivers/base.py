@@ -264,6 +264,16 @@ class DomainDriver(abc.ABC):
         """
         return []
 
+    def degraded(self) -> bool:
+        """Whether any slice held here *may* be unhealthy right now.
+
+        The self-healing loop asks a repair-capable driver once per
+        epoch and polls :meth:`health` per slice only on ``True``.  The
+        default cannot tell, so it is always polled; a backend that
+        knows in O(1) that nothing is down overrides this.
+        """
+        return True
+
     def repair(self, slice_id: str) -> Reservation:
         """Re-establish a degraded slice (e.g. re-route its path).
 

@@ -58,10 +58,6 @@ class TimeSeries:
             raise TimeSeriesError(f"series {self.name!r} is empty")
         return self._points[-1]
 
-    def times(self) -> np.ndarray:
-        """All timestamps as an array."""
-        return np.array([t for t, _ in self._points], dtype=float)
-
     def values(self) -> np.ndarray:
         """All values as an array."""
         return np.array([v for _, v in self._points], dtype=float)

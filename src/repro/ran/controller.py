@@ -369,18 +369,26 @@ class RanController:
                 delivered[slice_id] = prbs * per_prb
         return delivered
 
+    def nominal_load(self) -> Tuple[int, int]:
+        """(nominal PRBs reserved, total PRBs) fleet-wide: the two sums
+        the multiplexing-gain tracker reads every epoch."""
+        grids = [enb.grid for enb in self._enbs.values()]
+        return (
+            sum(g.nominal_reserved for g in grids),
+            sum(g.total_prbs for g in grids),
+        )
+
     def utilization(self) -> dict:
         """Domain telemetry: the dashboard snapshot and the metrics scrape read it."""
+        nominal_reserved, total_prbs = self.nominal_load()
         return {
             "domain": "ran",
             "enbs": [enb.utilization() for enb in self._enbs.values()],
-            "total_prbs": sum(e.grid.total_prbs for e in self._enbs.values()),
+            "total_prbs": total_prbs,
             "effective_reserved": sum(
                 e.grid.effective_reserved for e in self._enbs.values()
             ),
-            "nominal_reserved": sum(
-                e.grid.nominal_reserved for e in self._enbs.values()
-            ),
+            "nominal_reserved": nominal_reserved,
         }
 
 

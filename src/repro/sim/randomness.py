@@ -36,10 +36,18 @@ class RandomStreams:
         and independent of creation order.
         """
         if name not in self._streams:
-            key = zlib.crc32(name.encode("utf-8"))
-            seq = np.random.SeedSequence(entropy=self._seed, spawn_key=(key,))
-            self._streams[name] = np.random.Generator(np.random.PCG64(seq))
+            self._streams[name] = self.derive(name)
         return self._streams[name]
+
+    def derive(self, name: str) -> np.random.Generator:
+        """A fresh generator for ``name`` that the registry does not
+        keep: the draws :meth:`stream` would start with, for names keyed
+        by an id that never comes back (one request, one slice) and
+        would otherwise pin a generator each for the life of the process.
+        """
+        key = zlib.crc32(name.encode("utf-8"))
+        seq = np.random.SeedSequence(entropy=self._seed, spawn_key=(key,))
+        return np.random.Generator(np.random.PCG64(seq))
 
     def names(self) -> list[str]:
         """Names of streams created so far, in creation order."""

@@ -301,7 +301,7 @@ class TransportController:
         allocation = self._paths.get(slice_id)
         if allocation is None:
             raise TransportError(f"slice {slice_id} holds no path")
-        return all(self.topology.link(lid).up for lid in allocation.path.link_ids)
+        return self.topology.down_link_ids.isdisjoint(allocation.path.link_ids)
 
     def repair_path(self, slice_id: str) -> TransportAllocation:
         """Re-route a slice whose path traverses a failed link.

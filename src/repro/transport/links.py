@@ -94,17 +94,17 @@ class Link:
         # empties so float drift cannot accumulate across slice churn.
         self._effective_sum = 0.0
         self._nominal_sum = 0.0
-        #: Invoked (with the link's source node) after every mutation
-        #: that changes residual capacity or operational state.  The
-        #: owning Topology hooks this to feed its dirty-node tracking.
-        self.on_change: Optional[Callable[[str], None]] = None
+        #: Invoked (with the link) after every mutation that changes
+        #: residual capacity or operational state.  The owning Topology
+        #: hooks this to feed its dirty-node tracking and its down set.
+        self.on_change: Optional[Callable[["Link"], None]] = None
 
     def _changed(self) -> None:
         if not self._reservations:
             self._effective_sum = 0.0
             self._nominal_sum = 0.0
         if self.on_change is not None:
-            self.on_change(self.src)
+            self.on_change(self)
 
     # ------------------------------------------------------------------
     # Accounting

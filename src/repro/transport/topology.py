@@ -31,6 +31,11 @@ class Topology:
         # subscriber set, so consumers caching per-node aggregates can
         # revalidate only what changed.
         self._dirty_subscribers: List[Set[str]] = []
+        #: Ids of the links currently down, kept by the same hook (a
+        #: link added already down included) — read it, never write it.
+        #: "Is this path up?" is ``down_link_ids.isdisjoint(link_ids)``
+        #: and "is anything down?" its truth value, with no link walked.
+        self.down_link_ids: Set[str] = set()
 
     def subscribe_dirty(self) -> Set[str]:
         """Register and return a dirty-node set fed by link mutations.
@@ -44,9 +49,13 @@ class Topology:
         self._dirty_subscribers.append(dirty)
         return dirty
 
-    def _mark_dirty(self, node: str) -> None:
+    def _link_changed(self, link: Link) -> None:
         for subscriber in self._dirty_subscribers:
-            subscriber.add(node)
+            subscriber.add(link.src)
+        if link.up:
+            self.down_link_ids.discard(link.link_id)
+        else:
+            self.down_link_ids.add(link.link_id)
 
     # ------------------------------------------------------------------
     # Construction
@@ -68,8 +77,8 @@ class Topology:
         self.add_node(link.dst)
         self._links[link.link_id] = link
         self._out[link.src].append(link.link_id)
-        link.on_change = self._mark_dirty
-        self._mark_dirty(link.src)
+        link.on_change = self._link_changed
+        self._link_changed(link)
 
     def add_duplex(
         self,

@@ -60,3 +60,48 @@ def test_fork_is_deterministic():
     a = RandomStreams(seed=9).fork(4).stream("s").random(3)
     b = RandomStreams(seed=9).fork(4).stream("s").random(3)
     assert np.allclose(a, b)
+
+
+def test_derive_draws_what_stream_would_and_keeps_nothing():
+    reg = RandomStreams(seed=5)
+    derived = reg.derive("profile-req-000001").random(5)
+    assert reg.names() == []
+    assert np.array_equal(derived, reg.stream("profile-req-000001").random(5))
+    assert np.array_equal(derived, reg.derive("profile-req-000001").random(5))
+
+
+def test_per_request_streams_are_not_retained(testbed):
+    """Names keyed by a request or slice id are used once; 1 000 create
+    + delete round trips must not leave 1 000 generators behind."""
+    from repro.api import build_orchestrator_api
+    from repro.core.orchestrator import Orchestrator, OrchestratorConfig
+    from repro.sim.engine import Simulator
+
+    sim = Simulator()
+    streams = RandomStreams(seed=2)
+    orchestrator = Orchestrator(
+        sim=sim,
+        allocator=testbed.allocator,
+        plmn_pool=testbed.plmn_pool,
+        config=OrchestratorConfig(simulate_ues=True),
+        streams=streams,
+    )
+    orchestrator.start()
+    api = build_orchestrator_api(orchestrator)
+    body = {
+        "service_type": "embb",
+        "throughput_mbps": 10.0,
+        "max_latency_ms": 50.0,
+        "duration_s": 3_600.0,
+        "price": 100.0,
+        "penalty_rate": 1.0,
+    }
+    names_after_first = None
+    for trip in range(1_000):
+        created = api.post("/v1/slices", body=body)
+        assert created.status == 201
+        sim.run_until(sim.now + 61.0)  # ACTIVE (UEs attached), one epoch served
+        assert api.delete(f"/v1/slices/{created.body['slice_id']}").ok
+        if names_after_first is None:
+            names_after_first = streams.names()
+    assert streams.names() == names_after_first

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.transport.controller import TransportController
 from repro.transport.links import Link, LinkKind
+from repro.transport.paths import PathRequest
 from repro.transport.topology import Topology, TopologyError
 
 
@@ -74,3 +77,57 @@ def test_utilization_lists_everything(topo):
     snap = topo.utilization()
     assert snap["nodes"] == ["a", "b", "c"]
     assert len(snap["links"]) == 2
+
+
+class TestDownSet:
+    """``Topology.down_link_ids`` is maintained by the link-change hook;
+    these schedules are its verifier."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["add-up", "add-down", "fail", "restore", "reserve"]),
+                st.integers(min_value=0, max_value=50),
+                st.booleans(),
+            ),
+            max_size=40,
+        )
+    )
+    def test_down_set_equals_a_recompute(self, schedule):
+        topo = Topology()
+        held = [  # direct references: mutations that never ask the topology
+            Link("ab", "a", "b", capacity_mbps=100, delay_ms=1),
+            Link("bc", "b", "c", capacity_mbps=100, delay_ms=1),
+        ]
+        for link in held:
+            topo.add_link(link)
+        controller = TransportController(topo)
+        controller.reserve_path(
+            "s1", "00101", PathRequest("a", "c", min_bandwidth_mbps=5.0, max_delay_ms=9.0)
+        )
+        path = controller.allocation_of("s1").path.link_ids
+        assert path == ("ab", "bc") and controller.path_healthy("s1")
+        for step, (op, pick, direct) in enumerate(schedule):
+            if op.startswith("add"):
+                link = Link(f"x{step}", "a", "c", capacity_mbps=10, delay_ms=50)
+                if op == "add-down":
+                    link.fail()
+                topo.add_link(link)
+                held.append(link)
+            else:
+                link = held[pick % len(held)]
+                if not direct:
+                    link = controller.topology.link(link.link_id)
+                if op == "fail":
+                    link.fail()
+                elif op == "restore":
+                    link.restore()
+                elif link.has("probe"):
+                    link.release("probe")
+                elif link.up:
+                    link.reserve("probe", 1.0, 1.0)
+            assert topo.down_link_ids == {l.link_id for l in topo.links() if not l.up}
+            assert controller.path_healthy("s1") == all(
+                topo.link(lid).up for lid in path
+            )

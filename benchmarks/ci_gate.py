@@ -51,6 +51,13 @@ asserted floor is broken:
   link up, or when an epoch that reconfigures nothing looks up more
   links than the distinct paths in use hold.  ``epoch_us_per_slice`` is
   published and never judged (see Observability for why not).
+- **Path searches** — counted, not timed: 64 sync creates (every other
+  one URLLC, so both gateways are asked for) on an 8-cell testbed, one
+  uplink failed and restored half-way.  Fails when ``_dijkstra`` ran more
+  often than ``distinct (src, dst) pairs queried x (1 + link-state
+  flips)`` — a search per request instead of per link-state change — or
+  at all during the last 16 creates.  ``queries``, ``searches``,
+  ``memo_share`` and ``us_per_query`` are published and never judged.
 - **src_lines** — the physical line count of ``src/**/*.py`` is
   published and must not exceed ``SRC_LINES_CEILING``.
 
@@ -104,7 +111,7 @@ FLOOR_D8B_SPEEDUP = 1.5
 #: Ceiling on ``count_src_lines()``: growth in ``src/`` is a reviewed
 #: diff to this one number, and a PR that shrinks ``src/`` lowers it in
 #: the same change.
-SRC_LINES_CEILING = 21_299
+SRC_LINES_CEILING = 21_293
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per
@@ -145,6 +152,11 @@ SMOKE_SLICES = 8
 #: The epoch-upkeep gate's fleet and horizon (monitoring epochs).
 UPKEEP_SLICES = 64
 UPKEEP_EPOCHS = 120
+
+#: The path-search gate's creates, and how many at the end must be
+#: answered from memory alone.
+PATH_CREATES = 64
+PATH_QUIET_TAIL = 16
 
 #: Scenario packs the D13 gate runs (tiny scales; the full
 #: commuter-failure pack runs in the nightly scenario job).
@@ -546,6 +558,99 @@ def run_epoch_upkeep(failures: list) -> dict:
     }
 
 
+def run_path_searches(failures: list) -> dict:
+    """What a path query costs between link-state changes, as a count of
+    graph searches: first fills and post-outage refills, nothing per
+    request."""
+    import time
+
+    from repro.core.orchestrator import Orchestrator
+    from repro.experiments.testbed import TestbedConfig, build_testbed
+    from repro.sim.engine import Simulator
+    from repro.sim.randomness import RandomStreams
+    from repro.traffic.patterns import ConstantProfile
+    from repro.transport import controller, paths
+    from tests.conftest import make_request
+
+    testbed = build_testbed(
+        TestbedConfig(
+            n_enbs=8, max_plmns_per_enb=12, plmn_pool_size=PATH_CREATES,
+            edge_nodes=16, core_nodes=8,
+        )
+    )
+    orch = Orchestrator(
+        sim=Simulator(),
+        allocator=testbed.allocator,
+        plmn_pool=testbed.plmn_pool,
+        streams=RandomStreams(seed=11),
+        registry=testbed.registry,
+    )
+    orch.start()
+
+    pairs, searches = set(), []
+    queries = admitted = 0
+    query_s = 0.0
+    plain_query, plain_search = controller.constrained_shortest_path, paths._dijkstra
+
+    def timed_query(topo, request):
+        nonlocal queries, query_s
+        queries += 1
+        pairs.add((request.src, request.dst))
+        started = time.perf_counter()
+        try:
+            return plain_query(topo, request)
+        finally:
+            query_s += time.perf_counter() - started
+
+    def counted_search(*args, **kwargs):
+        searches.append(created)
+        return plain_search(*args, **kwargs)
+
+    uplink = testbed.transport.topology.link("enb1-mmwave-fwd")
+    flips = 2  # the one outage: down, and back
+    controller.constrained_shortest_path = timed_query
+    paths._dijkstra = counted_search
+    try:
+        for created in range(PATH_CREATES):
+            if created == PATH_CREATES // 2:
+                uplink.fail()
+                uplink.restore()
+            # Every other slice is URLLC: its budget rules the core DC
+            # out, so the edge gateway's pairs are asked for too.
+            request = make_request(
+                throughput_mbps=5.0, duration_s=1e6,
+                max_latency_ms=10.0 if created % 2 else 50.0,
+            )
+            admitted += orch.submit(request, ConstantProfile(5.0)).admitted
+    finally:
+        controller.constrained_shortest_path = plain_query
+        paths._dijkstra = plain_search
+    if admitted != PATH_CREATES:
+        failures.append(f"path searches: only {admitted}/{PATH_CREATES} creates admitted")
+    bound = len(pairs) * (1 + flips)
+    if len(searches) > bound:
+        failures.append(
+            f"path searches: {len(searches)} searches for {queries} queries over "
+            f"{len(pairs)} (src, dst) pairs and {flips} link-state flips (at most "
+            f"{bound}: a search per link-state change, not per request)"
+        )
+    late = sum(at >= PATH_CREATES - PATH_QUIET_TAIL for at in searches)
+    if late:
+        failures.append(
+            f"path searches: {late} searches in the last {PATH_QUIET_TAIL} creates, "
+            f"with no link-state change since create {PATH_CREATES // 2}"
+        )
+    return {
+        "creates": admitted,
+        "pairs": len(pairs),
+        "link_state_flips": flips,
+        "queries": queries,
+        "searches": len(searches),
+        "memo_share": round(1.0 - len(searches) / max(queries, 1), 4),
+        "us_per_query": round(query_s * 1e6 / max(queries, 1), 2),
+    }
+
+
 def count_src_lines() -> int:
     """Physical lines of ``src/**/*.py`` — the ROADMAP's tracked size."""
     src = Path(__file__).resolve().parent.parent / "src"
@@ -624,6 +729,7 @@ def run_gate() -> dict:
 
     d13 = run_scenario_scores(failures)
     upkeep = run_epoch_upkeep(failures)
+    path_searches = run_path_searches(failures)
 
     return {
         "python": platform.python_version(),
@@ -677,6 +783,7 @@ def run_gate() -> dict:
         "failover_drill": drill,
         "d13_scenarios": d13,
         "epoch_upkeep": upkeep,
+        "path_searches": path_searches,
         "failures": failures,
         "warnings": warnings,
         "ok": not failures,
@@ -716,6 +823,9 @@ def main(argv=None) -> int:
         f"epoch upkeep {payload['epoch_upkeep']['fits']} fits / "
         f"{payload['epoch_upkeep']['slices']} slices "
         f"({payload['epoch_upkeep']['epoch_us_per_slice']} us per slice-epoch, not gated), "
+        f"path searches {payload['path_searches']['searches']} for "
+        f"{payload['path_searches']['queries']} queries "
+        f"({payload['path_searches']['us_per_query']} us per query, not gated), "
         f"src {payload['src_lines']} lines"
     )
     return 0

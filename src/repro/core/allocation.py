@@ -37,7 +37,7 @@ from repro.cloud.controller import CloudAllocation, CloudController
 from repro.cloud.datacenter import Datacenter, DatacenterTier
 from repro.core.admission import ResourceVector
 from repro.core.slices import SliceRequest
-from repro.epc.components import epc_template
+from repro.epc.components import EPC_FLAVORS, epc_template
 from repro.ran.controller import (
     RAN_SEGMENT_LATENCY_MS,
     RanAllocation,
@@ -256,9 +256,6 @@ class MultiDomainAllocator:
         """Path-delay budget left after the fixed RAN and DC terms."""
         return request.sla.max_latency_ms - RAN_SEGMENT_LATENCY_MS - dc.processing_delay_ms
 
-    # Backwards-compatible alias (pre-driver-API name).
-    _transport_budget_ms = transport_budget_ms
-
     def candidate_datacenters(self, request: SliceRequest, enb_node: str) -> List[Datacenter]:
         """Feasible DCs for the slice's vEPC, core-first when latency allows.
 
@@ -266,16 +263,15 @@ class MultiDomainAllocator:
         and (ii) a transport path from the eNB meets the remaining
         latency budget at the SLA bandwidth.
         """
-        template = epc_template(request.request_id)
         ordered = sorted(
             self.cloud.datacenters(),
             key=lambda dc: 0 if dc.tier is DatacenterTier.CORE else 1,
         )
         candidates = []
         for dc in ordered:
-            if not dc.can_host_flavors(template.flavors()):
+            if not dc.can_host_flavors(EPC_FLAVORS):
                 continue
-            budget = self._transport_budget_ms(request, dc)
+            budget = self.transport_budget_ms(request, dc)
             if budget <= 0:
                 continue
             path_request = PathRequest(

@@ -32,6 +32,10 @@ EPC_COMPONENT_FLAVORS: Dict[EpcComponentType, Flavor] = {
     EpcComponentType.PGW: FLAVORS["m1.medium"],
 }
 
+#: The flavors one vEPC boots — what ``epc_template(...).flavors()``
+#: lists, for callers that need no named template.
+EPC_FLAVORS = tuple(EPC_COMPONENT_FLAVORS.values())
+
 #: Per-component processing latency (ms) added to control-plane procedures.
 EPC_PROCESSING_MS: Dict[EpcComponentType, float] = {
     EpcComponentType.MME: 2.0,
@@ -52,6 +56,7 @@ def epc_template(slice_id: str) -> HeatTemplate:
 
 __all__ = [
     "EPC_COMPONENT_FLAVORS",
+    "EPC_FLAVORS",
     "EPC_PROCESSING_MS",
     "EpcComponentType",
     "epc_template",

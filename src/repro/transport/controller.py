@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.transport.links import LinkError
 from repro.transport.paths import (
@@ -18,7 +18,6 @@ from repro.transport.paths import (
     PathComputationError,
     PathRequest,
     constrained_shortest_path,
-    k_shortest_paths,
 )
 from repro.transport.switch import FlowEntry, FlowMatch, OpenFlowSwitch
 from repro.transport.topology import Topology
@@ -65,14 +64,6 @@ class TransportController:
         }
         self._paths: Dict[str, TransportAllocation] = {}  # slice_id -> allocation
         self._plmns: Dict[str, str] = {}  # slice_id -> plmn_id (for re-programming)
-        # Last feasible path found per (src, dst): the feasibility probe
-        # revalidates it against the live links (up, residual, delay)
-        # before answering, and only falls back to a full CSPF search
-        # when the remembered path no longer satisfies the request — so
-        # the admission hot path usually costs O(path length), not
-        # O(E log V).  Never consulted without revalidation, so stale
-        # entries cannot produce a wrong answer.
-        self._known_paths: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         self._port_counter: Dict[str, int] = {}
         self.repairs_performed = 0
         #: Serialization lock for this controller: the methods here are
@@ -97,39 +88,12 @@ class TransportController:
         return self._paths.get(slice_id)
 
     def feasible(self, request: PathRequest) -> bool:
-        """Whether *some* path currently satisfies the request.
-
-        Fast path: the last path found for this (src, dst) pair is
-        revalidated against live link state; a full CSPF search only
-        runs when it no longer satisfies the request.
-        """
-        cached = self._known_paths.get((request.src, request.dst))
-        if cached is not None and self._path_satisfies(cached, request):
-            return True
+        """Whether *some* path currently satisfies the request."""
         try:
-            path = constrained_shortest_path(self.topology, request)
+            constrained_shortest_path(self.topology, request)
         except PathComputationError:
             return False
-        self._known_paths[(request.src, request.dst)] = path.link_ids
         return True
-
-    def _path_satisfies(self, link_ids: Tuple[str, ...], request: PathRequest) -> bool:
-        """Whether a concrete link sequence meets the request right now."""
-        delay = 0.0
-        topo = self.topology
-        for link_id in link_ids:
-            try:
-                link = topo.link(link_id)
-            except Exception:
-                return False
-            if not link.up or link.residual_mbps < request.min_bandwidth_mbps - 1e-9:
-                return False
-            delay += link.delay_ms
-        return delay <= request.max_delay_ms + 1e-9
-
-    def candidate_paths(self, request: PathRequest, k: int = 3) -> List[ComputedPath]:
-        """Up to ``k`` feasible paths, delay-ranked (for what-if analysis)."""
-        return k_shortest_paths(self.topology, request, k=k)
 
     # ------------------------------------------------------------------
     # Slice lifecycle
@@ -189,7 +153,6 @@ class TransportController:
         )
         self._paths[slice_id] = allocation
         self._plmns[slice_id] = plmn_id
-        self._known_paths[(request.src, request.dst)] = path.link_ids
         self._program_flows(slice_id, plmn_id, path)
         return allocation
 

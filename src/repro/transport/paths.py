@@ -13,6 +13,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.transport.links import Link
 from repro.transport.topology import Topology
 
 
@@ -101,8 +102,25 @@ def _dijkstra(
     return path
 
 
+_UNSEARCHED = object()
+
+
+def _search(topo: Topology, request: PathRequest, min_bw: float) -> Optional[Tuple[Link, ...]]:
+    found = _dijkstra(topo, request.src, request.dst, min_bw)
+    return None if found is None else tuple(topo.link(lid) for lid in found)
+
+
 def constrained_shortest_path(topo: Topology, request: PathRequest) -> ComputedPath:
     """CSPF: minimum-delay path meeting both bandwidth and delay bounds.
+
+    The delay-shortest route over the up links is searched once per
+    ``(src, dst)`` and link-state change (``Topology.shortest_up_paths``)
+    and its links' residuals re-read per request.  If every one fits,
+    that route *is* the pruned search's answer: pruning only removes
+    candidates, and Dijkstra's (distance, name) visiting order and
+    first-strict-improvement ``prev`` keep the unpruned winner on any
+    subgraph that still contains it.  Only a route that does not fit
+    pays for the pruned search.
 
     Raises:
         PathComputationError: If no path satisfies the constraints —
@@ -110,22 +128,28 @@ def constrained_shortest_path(topo: Topology, request: PathRequest) -> ComputedP
     """
     if request.src == request.dst:
         return ComputedPath(link_ids=(), delay_ms=0.0, bottleneck_mbps=float("inf"))
-    links = _dijkstra(topo, request.src, request.dst, request.min_bandwidth_mbps)
-    if links is None:
+    key = (request.src, request.dst)
+    hops = topo.shortest_up_paths.get(key, _UNSEARCHED)
+    if hops is _UNSEARCHED:
+        hops = topo.shortest_up_paths[key] = _search(topo, request, float("-inf"))
+    floor = request.min_bandwidth_mbps - 1e-9  # usable_out_links' tolerance
+    if hops is not None and not all(h.up and h.residual_mbps >= floor for h in hops):
+        hops = _search(topo, request, request.min_bandwidth_mbps)
+    if hops is None:
         raise PathComputationError(
             f"no path {request.src}->{request.dst} with "
             f"≥{request.min_bandwidth_mbps:.1f} Mb/s residual"
         )
-    delay = topo.path_delay_ms(links)
+    delay = sum(h.delay_ms for h in hops)
     if delay > request.max_delay_ms + 1e-9:
         raise PathComputationError(
             f"best path {request.src}->{request.dst} has delay {delay:.2f} ms "
             f"> bound {request.max_delay_ms:.2f} ms"
         )
     return ComputedPath(
-        link_ids=tuple(links),
+        link_ids=tuple(h.link_id for h in hops),
         delay_ms=delay,
-        bottleneck_mbps=topo.path_residual_mbps(links),
+        bottleneck_mbps=min(h.residual_mbps for h in hops),
     )
 
 

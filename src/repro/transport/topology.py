@@ -9,7 +9,7 @@ route.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.transport.links import Link, LinkKind
 
@@ -36,6 +36,13 @@ class Topology:
         #: "Is this path up?" is ``down_link_ids.isdisjoint(link_ids)``
         #: and "is anything down?" its truth value, with no link walked.
         self.down_link_ids: Set[str] = set()
+        #: ``(src, dst)`` -> the delay-shortest link sequence over the
+        #: links that are up, whatever they carry (``None``: unreachable).
+        #: ``paths.constrained_shortest_path`` fills it and re-reads every
+        #: remembered link's residual per request, so a reservation
+        #: invalidates nothing; it is emptied only where the answer can
+        #: change — a link added, or a link going down or coming back.
+        self.shortest_up_paths: Dict[Tuple[str, str], Optional[Tuple[Link, ...]]] = {}
 
     def subscribe_dirty(self) -> Set[str]:
         """Register and return a dirty-node set fed by link mutations.
@@ -52,10 +59,12 @@ class Topology:
     def _link_changed(self, link: Link) -> None:
         for subscriber in self._dirty_subscribers:
             subscriber.add(link.src)
-        if link.up:
-            self.down_link_ids.discard(link.link_id)
-        else:
-            self.down_link_ids.add(link.link_id)
+        if link.up == (link.link_id in self.down_link_ids):  # went down / came back
+            if link.up:
+                self.down_link_ids.discard(link.link_id)
+            else:
+                self.down_link_ids.add(link.link_id)
+            self.shortest_up_paths.clear()
 
     # ------------------------------------------------------------------
     # Construction
@@ -79,6 +88,7 @@ class Topology:
         self._out[link.src].append(link.link_id)
         link.on_change = self._link_changed
         self._link_changed(link)
+        self.shortest_up_paths.clear()
 
     def add_duplex(
         self,
@@ -150,10 +160,6 @@ class Topology:
                 continue
             out.append(link)
         return out
-
-    def neighbors(self, node: str) -> Set[str]:
-        """Nodes reachable from ``node`` over one up link."""
-        return {link.dst for link in self.out_links(node) if link.up}
 
     def path_delay_ms(self, link_ids: Iterable[str]) -> float:
         """Total one-way delay of a link sequence."""

@@ -35,6 +35,23 @@ def testbed() -> Testbed:
     return build_testbed(TestbedConfig())
 
 
+@pytest.fixture
+def path_searches(monkeypatch) -> list:
+    """Every graph search the path layer runs from here on, as
+    ``(src, dst, min_bw)`` — a spy on ``transport.paths._dijkstra``."""
+    from repro.transport import paths
+
+    calls = []
+    plain = paths._dijkstra
+
+    def spy(topo, src, dst, min_bw, *args, **kwargs):
+        calls.append((src, dst, min_bw))
+        return plain(topo, src, dst, min_bw, *args, **kwargs)
+
+    monkeypatch.setattr(paths, "_dijkstra", spy)
+    return calls
+
+
 def make_request(
     throughput_mbps: float = 20.0,
     max_latency_ms: float = 50.0,

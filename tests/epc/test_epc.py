@@ -11,6 +11,7 @@ from repro.core.slices import PLMN
 from repro.epc.attach import RRC_SETUP_MS, SIGNALLING_TRAVERSALS, AttachProcedure
 from repro.epc.components import (
     EPC_COMPONENT_FLAVORS,
+    EPC_FLAVORS,
     EpcComponentType,
     epc_template,
 )
@@ -37,6 +38,8 @@ class TestComponents:
         assert len(t.resources) == 4
         assert {r.name for r in t.resources} == {"mme", "hss", "sgw", "pgw"}
         assert t.total_vcpus == 6  # 2 small (1) + 2 medium (2)
+        # The placement probe reads the constant instead of building this.
+        assert list(EPC_FLAVORS) == t.flavors()
 
 
 class TestInstance:

@@ -137,6 +137,98 @@ class TestYen:
             assert len(nodes) == len(set(nodes))
 
 
+def _edge(bw=50.0, delay=10.0, enb="enb1", gw="edge-dc-gw"):
+    return PathRequest(f"{enb}-agg", gw, min_bandwidth_mbps=bw, max_delay_ms=delay)
+
+
+class TestShortestRouteMemo:
+    """The delay-shortest route per (src, dst) is searched once per
+    link-state change; a request re-reads its links and searches only
+    when it does not fit.  Counted on a spy over ``_dijkstra``."""
+
+    def test_reservations_between_queries_cost_no_search(self, testbed, path_searches):
+        topo = testbed.transport.topology
+        for index in range(20):
+            path = constrained_shortest_path(topo, _edge())
+            assert path.link_ids == ("enb1-mmwave-fwd", "switch-edge-fwd")
+            assert path.bottleneck_mbps == 1_000.0 - 20.0 * index
+            testbed.transport.reserve_path(f"s{index}", f"001{index:02d}", _edge(bw=20.0))
+        assert path_searches == [("enb1-agg", "edge-dc-gw", float("-inf"))]
+
+    def test_any_link_going_down_empties_it_once(self, testbed, path_searches):
+        topo = testbed.transport.topology
+        pairs = [_edge(), _edge(gw="core-dc-gw")]
+        for request in pairs:
+            constrained_shortest_path(topo, request)
+        assert len(path_searches) == 2 and len(topo.shortest_up_paths) == 2
+        topo.link("enb2-uwave-fwd").fail()  # on neither remembered route
+        assert topo.shortest_up_paths == {}
+        topo.link("enb2-uwave-fwd").fail()  # already down: nothing flips
+        for _ in range(5):
+            for request in pairs:
+                constrained_shortest_path(topo, request)
+        assert len(path_searches) == 4  # one refill a pair, then none
+
+    def test_uplink_failure_detours_and_restore_comes_back(self, testbed, path_searches):
+        topo = testbed.transport.topology
+
+        def ask_twice():
+            first = constrained_shortest_path(topo, _edge())
+            assert constrained_shortest_path(topo, _edge()) == first
+            return first
+
+        assert ask_twice().link_ids[0] == "enb1-mmwave-fwd"
+        topo.link("enb1-mmwave-fwd").fail()
+        detour = ask_twice()
+        assert detour.link_ids == ("enb1-uwave-fwd", "switch-edge-fwd")
+        assert detour.delay_ms == 2.5
+        topo.link("enb1-mmwave-fwd").restore()
+        assert ask_twice().link_ids[0] == "enb1-mmwave-fwd"
+        assert len(path_searches) == 3  # one per link-state change
+
+    def test_a_faster_link_is_adopted_by_the_next_query(self, testbed, path_searches):
+        topo = testbed.transport.topology
+        for _ in range(2):
+            assert constrained_shortest_path(topo, _edge()).delay_ms == 1.5
+        topo.add_link(Link("enb1-fibre", "enb1-agg", "of-switch", delay_ms=0.1))
+        for _ in range(2):
+            path = constrained_shortest_path(topo, _edge())
+            assert path.link_ids == ("enb1-fibre", "switch-edge-fwd")
+            assert path.delay_ms == 0.6
+        assert len(path_searches) == 2
+
+    def test_an_unreachable_pair_is_remembered_until_a_link_comes_up(
+        self, testbed, path_searches
+    ):
+        topo = testbed.transport.topology
+        topo.link("enb1-mmwave-fwd").fail()
+        topo.link("enb1-uwave-fwd").fail()
+        messages = set()
+        for _ in range(6):
+            with pytest.raises(PathComputationError) as excinfo:
+                constrained_shortest_path(topo, _edge())
+            messages.add(str(excinfo.value))
+        assert messages == {"no path enb1-agg->edge-dc-gw with ≥50.0 Mb/s residual"}
+        assert len(path_searches) == 1
+        topo.link("enb1-uwave-fwd").restore()
+        assert constrained_shortest_path(topo, _edge()).link_ids[0] == "enb1-uwave-fwd"
+        assert len(path_searches) == 2
+
+    def test_a_full_route_pays_one_pruned_search_per_query(self, testbed, path_searches):
+        """The regime the memo does not serve: the shortest route is up
+        but full, so every request that does not fit it searches."""
+        topo = testbed.transport.topology
+        topo.link("enb1-mmwave-fwd").reserve("hog", 990.0, 990.0)
+        for _ in range(3):
+            spill = constrained_shortest_path(topo, _edge())
+            assert spill.link_ids[0] == "enb1-uwave-fwd"
+        assert [floor for _, _, floor in path_searches] == [float("-inf"), 50.0, 50.0, 50.0]
+        del path_searches[:]
+        # What still fits the remembered route is answered from it.
+        assert constrained_shortest_path(topo, _edge(bw=10.0)).link_ids[0] == "enb1-mmwave-fwd"
+        assert path_searches == []
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),

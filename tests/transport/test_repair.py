@@ -65,6 +65,26 @@ class TestRepairPath:
         # Surviving link (switch->edge) still carries the reservation.
         assert testbed.transport.topology.link("switch-edge-fwd").has("s1")
 
+    def test_a_repeated_no_detour_repair_searches_nothing(self, reserved, path_searches):
+        """The heal loop asks again every epoch the links stay down: the
+        first answer is remembered, the reservation restored each time."""
+        testbed, controller, allocation = reserved
+        topo = testbed.transport.topology
+        topo.link("enb1-mmwave-fwd").fail()
+        topo.link("enb1-uwave-fwd").fail()
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(TransportError) as excinfo:
+                controller.repair_path("s1")
+            messages.add(str(excinfo.value))
+            assert len(path_searches) == 1
+            assert topo.link("switch-edge-fwd").has("s1")
+            assert not topo.link("enb1-mmwave-fwd").has("s1")  # Known defect 3
+            assert controller.allocation_of("s1") is allocation
+        assert messages == {
+            "repair failed: no path enb1-agg->edge-dc-gw with ≥50.0 Mb/s residual"
+        }
+
     def test_reconciliation_after_link_recovery(self, reserved):
         testbed, controller, _ = reserved
         topo = testbed.transport.topology

@@ -53,12 +53,6 @@ def test_usable_out_links_filters(topo):
     assert topo.usable_out_links("a") == []
 
 
-def test_neighbors(topo):
-    assert topo.neighbors("a") == {"b"}
-    topo.link("ab").fail()
-    assert topo.neighbors("a") == set()
-
-
 def test_path_metrics(topo):
     assert topo.path_delay_ms(["ab", "bc"]) == pytest.approx(3.0)
     assert topo.path_residual_mbps(["ab", "bc"]) == pytest.approx(50.0)

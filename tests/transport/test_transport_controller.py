@@ -92,10 +92,6 @@ class TestQueries:
         assert controller.feasible(request())
         assert not controller.feasible(request(bw=500.0))
 
-    def test_candidate_paths(self, controller):
-        paths = controller.candidate_paths(request(), k=3)
-        assert len(paths) == 2
-
     def test_unknown_switch_rejected(self, controller):
         with pytest.raises(TransportError):
             controller.switch("ghost")
@@ -106,3 +102,48 @@ class TestQueries:
         assert snap["domain"] == "transport"
         assert snap["active_paths"] == 1
         assert snap["effective_reserved_mbps"] == pytest.approx(80.0)  # 2 links × 40
+
+
+class TestProbeMatchesReserve:
+    """``feasible(r)`` and ``reserve_path(.., r)`` ask one function, so the
+    probe says yes exactly when the reservation then succeeds — and
+    while the shortest route has room, neither searches."""
+
+    @staticmethod
+    def _reserves(controller, slice_id, plmn_id, path_request):
+        try:
+            return controller.reserve_path(slice_id, plmn_id, path_request).path
+        except TransportError:
+            return None
+
+    def test_through_the_uwave_spill_to_full(self, testbed, path_searches):
+        """D5b's shape: 300 Mb/s slices fill mmWave (1 000), spill to
+        µwave (400), then nothing fits."""
+        controller = testbed.transport
+        first_links = []
+        for index in range(6):
+            wanted = PathRequest("enb1-agg", "edge-dc-gw", 300.0, 10.0)
+            verdict = controller.feasible(wanted)
+            path = self._reserves(controller, f"s{index}", f"001{index:02d}", wanted)
+            assert verdict == (path is not None)
+            first_links.append(path.link_ids[0] if path else None)
+        assert first_links == ["enb1-mmwave-fwd"] * 3 + ["enb1-uwave-fwd"] + [None] * 2
+        # One fill; then a pruned search per probe and per reserve only
+        # once mmWave no longer fits (the 4th, 5th and 6th rounds).
+        assert [floor for _, _, floor in path_searches] == [float("-inf")] + [300.0] * 6
+
+    def test_under_a_urllc_budget_that_rules_the_core_out(self, testbed, path_searches):
+        controller = testbed.transport
+        tight_core = PathRequest("enb1-agg", "core-dc-gw", 10.0, 2.0)  # 6.5 ms away
+        tight_edge = PathRequest("enb1-agg", "edge-dc-gw", 10.0, 2.0)  # 1.5 ms away
+        assert not controller.feasible(tight_core)
+        assert self._reserves(controller, "c", "00101", tight_core) is None
+        assert controller.feasible(tight_edge)
+        assert self._reserves(controller, "e", "00102", tight_edge).delay_ms == 1.5
+        assert len(path_searches) == 2  # one fill per gateway
+        # mmWave full: µwave is 2.5 ms to the edge, over the budget.
+        controller.topology.link("enb1-mmwave-fwd").reserve("hog", 985.0, 985.0)
+        assert not controller.feasible(tight_edge)
+        assert self._reserves(controller, "e2", "00103", tight_edge) is None
+        with pytest.raises(TransportError, match=r"has delay 2\.50 ms > bound 2\.00 ms"):
+            controller.reserve_path("e2", "00103", tight_edge)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple, Type
 
 from repro.api.rest import Response
@@ -283,17 +283,16 @@ SLICE_MODIFY = Schema(
     ),
 )
 
-#: ``POST /v1/whatif`` — non-committal feasibility probe.
+#: ``POST /v1/whatif`` — non-committal feasibility probe: a slice create
+#: whose money terms may be left out (composed from ``SLICE_CREATE`` so
+#: the probe and the create it previews cannot drift).
 WHAT_IF = Schema(
     "WhatIf",
-    (
-        Field("service_type", kind="enum", enum_type=ServiceType),
-        Field("throughput_mbps", kind="float", exclusive_minimum=0.0),
-        Field("max_latency_ms", kind="float", exclusive_minimum=0.0),
-        Field("duration_s", kind="float", exclusive_minimum=0.0),
-        Field("price", kind="float", required=False, default=0.0, minimum=0.0),
-        Field("penalty_rate", kind="float", required=False, default=0.0, minimum=0.0),
-        Field("tenant_id", kind="str", required=False, default=None),
+    tuple(
+        replace(spec, required=False, default=0.0)
+        if spec.name in ("price", "penalty_rate")
+        else spec
+        for spec in SLICE_CREATE.fields
     ),
 )
 

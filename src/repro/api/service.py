@@ -46,6 +46,10 @@ from repro.traffic.verticals import vertical_for
 
 DEFAULT_TENANT = "anonymous"
 
+#: The id every what-if probe carries: fixed and outside the ``req-NNNNNN``
+#: ordinals, so a probe draws nothing from the process-wide id counter.
+WHAT_IF_REQUEST_ID = "whatif"
+
 
 class ServiceError(Exception):
     """A service-layer failure with an HTTP status and stable code."""
@@ -347,7 +351,7 @@ class SliceService:
         so a record lives until its install fires (the slice record —
         admitted or rejected — then exists).
         """
-        if getattr(self.orchestrator.config, "respect_calendar", True):
+        if self.orchestrator.config.respect_calendar:
             calendar = self.orchestrator.calendar
             stale = [rid for rid in self._bookings if not calendar.has(rid)]
         else:
@@ -425,32 +429,39 @@ class SliceService:
         """Effective tenant: header wins, then body, then anonymous."""
         return header_tenant or body_tenant or DEFAULT_TENANT
 
+    def _slice_request(
+        self, payload: Dict[str, Any], tenant_id: str, request_id: str = ""
+    ) -> SliceRequest:
+        """The one validated-payload → :class:`SliceRequest` mapping
+        (``request_id`` left empty mints the next ordinal id)."""
+        try:
+            return SliceRequest(
+                tenant_id=tenant_id,
+                service_type=payload["service_type"],
+                sla=SLA(
+                    throughput_mbps=payload["throughput_mbps"],
+                    max_latency_ms=payload["max_latency_ms"],
+                    duration_s=payload["duration_s"],
+                    availability=payload["availability"],
+                ),
+                price=payload["price"],
+                penalty_rate=payload["penalty_rate"],
+                arrival_time=self.orchestrator.sim.now,
+                n_users=payload["n_users"],
+                request_id=request_id,
+            )
+        except SliceError as exc:
+            raise ValidationError("invalid_value", str(exc)) from None
+
     def build_request(
         self, payload: Dict[str, Any], tenant_id: str
     ) -> Tuple[SliceRequest, TrafficProfile]:
         """Build the (request, traffic profile) pair from a validated
         ``SLICE_CREATE`` payload."""
-        try:
-            sla = SLA(
-                throughput_mbps=payload["throughput_mbps"],
-                max_latency_ms=payload["max_latency_ms"],
-                duration_s=payload["duration_s"],
-                availability=payload["availability"],
-            )
-            request = SliceRequest(
-                tenant_id=tenant_id,
-                service_type=payload["service_type"],
-                sla=sla,
-                price=payload["price"],
-                penalty_rate=payload["penalty_rate"],
-                arrival_time=self.orchestrator.sim.now,
-                n_users=payload["n_users"],
-            )
-        except SliceError as exc:
-            raise ValidationError("invalid_value", str(exc)) from None
+        request = self._slice_request(payload, tenant_id)
         spec = vertical_for(request.service_type)
         rng = self.orchestrator.streams.derive(f"api-profile-{request.request_id}")
-        profile = spec.sample_profile(sla.throughput_mbps, rng)
+        profile = spec.sample_profile(request.sla.throughput_mbps, rng)
         return request, profile
 
     # ------------------------------------------------------------------
@@ -723,24 +734,11 @@ class SliceService:
     def what_if(
         self, payload: Optional[dict], header_tenant: Optional[str] = None
     ) -> dict:
-        """Non-committal feasibility probe."""
+        """Non-committal feasibility probe — it mints no request id
+        either: every probe answers as ``WHAT_IF_REQUEST_ID``."""
         parsed = WHAT_IF.parse(payload)
         tenant = self.resolve_tenant(header_tenant, parsed.get("tenant_id"))
-        try:
-            probe = SliceRequest(
-                tenant_id=tenant,
-                service_type=parsed["service_type"],
-                sla=SLA(
-                    throughput_mbps=parsed["throughput_mbps"],
-                    max_latency_ms=parsed["max_latency_ms"],
-                    duration_s=parsed["duration_s"],
-                ),
-                price=parsed["price"],
-                penalty_rate=parsed["penalty_rate"],
-                arrival_time=self.orchestrator.sim.now,
-            )
-        except SliceError as exc:
-            raise ValidationError("invalid_value", str(exc)) from None
+        probe = self._slice_request(parsed, tenant, request_id=WHAT_IF_REQUEST_ID)
         return self.orchestrator.what_if(probe)
 
     # ------------------------------------------------------------------

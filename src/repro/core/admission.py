@@ -391,120 +391,6 @@ class KnapsackPolicy(AdmissionPolicy):
         return decisions
 
 
-class TrunkReservationPolicy(AdmissionPolicy):
-    """Priority headroom ("trunk reservation") admission.
-
-    The classical telephony policy adapted to slices: low-priority
-    requests are admitted only while utilization stays below a
-    threshold; the reserved headroom above it is kept for high-priority
-    requests (URLLC, automotive safety), which are admitted whenever
-    they physically fit.  This keeps premium acceptance high under load
-    at a small cost in total admissions.
-
-    Args:
-        headroom: Fraction of capacity reserved for priorities ≥
-            ``premium_priority`` (e.g. 0.2 keeps the top 20% free).
-        premium_priority: Priority level granting access to the headroom.
-        capacity: The full capacity vector (needed to convert the free
-            vector into a utilization level).
-    """
-
-    name = "trunk-reservation"
-
-    def __init__(
-        self,
-        capacity: ResourceVector,
-        headroom: float = 0.2,
-        premium_priority: int = 2,
-    ) -> None:
-        if not 0.0 <= headroom < 1.0:
-            raise AdmissionError(f"headroom must be in [0, 1), got {headroom}")
-        self.capacity = capacity
-        self.headroom = float(headroom)
-        self.premium_priority = int(premium_priority)
-
-    def decide(
-        self,
-        request: SliceRequest,
-        demand: ResourceVector,
-        free: ResourceVector,
-    ) -> AdmissionDecision:
-        if not demand.fits_within(free):
-            return AdmissionDecision(
-                request_id=request.request_id,
-                admitted=False,
-                reason="insufficient capacity",
-            )
-        if request.priority >= self.premium_priority:
-            return AdmissionDecision(
-                request_id=request.request_id,
-                admitted=True,
-                reason="premium priority",
-                expected_value=request.price,
-            )
-        # Non-premium: the post-admission utilization must stay below
-        # 1 − headroom on every dimension.
-        remaining = free - demand
-        threshold = self.headroom
-        for dim in ("prbs", "mbps", "vcpus"):
-            cap = getattr(self.capacity, dim)
-            if cap <= 0:
-                continue
-            if getattr(remaining, dim) / cap < threshold - 1e-9:
-                return AdmissionDecision(
-                    request_id=request.request_id,
-                    admitted=False,
-                    reason=f"headroom reserved for premium traffic ({dim})",
-                )
-        return AdmissionDecision(
-            request_id=request.request_id,
-            admitted=True,
-            reason="below trunk-reservation threshold",
-            expected_value=request.price,
-        )
-
-
-class OverbookingAwarePolicy(AdmissionPolicy):
-    """Online policy that evaluates *overbooked* (shrunk) demand.
-
-    Wraps an inner policy; the caller provides the shrinkage factor
-    (from the overbooking engine's decisions) and this policy admits
-    against ``demand × factor`` instead of the nominal demand — the
-    mechanism by which overbooking raises acceptance.
-    """
-
-    name = "overbooking-aware"
-
-    def __init__(
-        self,
-        inner: Optional[AdmissionPolicy] = None,
-        shrink_factor: float = 0.6,
-    ) -> None:
-        if not 0.0 < shrink_factor <= 1.0:
-            raise AdmissionError(
-                f"shrink factor must be in (0, 1], got {shrink_factor}"
-            )
-        self.inner = inner or FcfsPolicy()
-        self.shrink_factor = float(shrink_factor)
-
-    def decide(
-        self,
-        request: SliceRequest,
-        demand: ResourceVector,
-        free: ResourceVector,
-    ) -> AdmissionDecision:
-        shrunk = demand.scale(self.shrink_factor)
-        decision = self.inner.decide(request, shrunk, free)
-        if decision.admitted:
-            return AdmissionDecision(
-                request_id=decision.request_id,
-                admitted=True,
-                reason=f"admitted at {self.shrink_factor:.0%} effective demand",
-                expected_value=decision.expected_value,
-            )
-        return decision
-
-
 __all__ = [
     "AdmissionDecision",
     "AdmissionError",
@@ -512,9 +398,7 @@ __all__ = [
     "FcfsPolicy",
     "GreedyPricePolicy",
     "KnapsackPolicy",
-    "OverbookingAwarePolicy",
     "PenaltyEstimator",
     "ResourceVector",
-    "TrunkReservationPolicy",
     "default_penalty_estimator",
 ]

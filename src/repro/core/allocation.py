@@ -17,9 +17,10 @@ The allocator owns two cross-domain concerns:
    spills latency-tight slices (URLLC, automotive) to the edge,
    preserving scarce edge capacity for the slices that need it.
 
-This is a pure *planning* surface: demand estimation, free/aggregate
-capacity vectors, candidate-DC ranking, the latency-budget split and
-the commit-nothing feasibility probe.  The lifecycle itself — the
+This is a pure *planning* surface: demand estimation and sizing,
+free/aggregate capacity vectors, candidate-DC ranking, the
+latency-budget split, the commit-nothing placement probe and the
+install plan built on it.  The lifecycle itself — the
 pre-driver-API ``allocate``/``release``/``modify_throughput``/
 ``resize`` methods that once committed resources here — is retired:
 every install, resize, release and repair runs through
@@ -31,15 +32,17 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cloud.controller import CloudAllocation, CloudController
 from repro.cloud.datacenter import Datacenter, DatacenterTier
 from repro.core.admission import ResourceVector
-from repro.core.slices import SliceRequest
+from repro.core.slices import NetworkSlice, SliceRequest
+from repro.drivers.base import DomainSpec
 from repro.epc.components import EPC_FLAVORS, epc_template
 from repro.ran.controller import (
     RAN_SEGMENT_LATENCY_MS,
+    PlannedCellLoad,
     RanAllocation,
     RanController,
 )
@@ -75,6 +78,21 @@ class EndToEndAllocation:
             + self.transport.delay_ms
             + self.cloud.processing_delay_ms
         )
+
+
+@dataclass(frozen=True)
+class SliceSize:
+    """A request's footprint under one overbooking posture: the
+    ``fraction`` of its nominal PRBs and bandwidth the broker sets
+    aside, and the ``demand`` that leaves (vCPUs are not overbookable)."""
+
+    fraction: float
+    demand: ResourceVector
+
+    @property
+    def effective_prbs(self) -> int:
+        """Whole PRBs the serving cell must find."""
+        return max(1, round(self.demand.prbs))
 
 
 class MultiDomainAllocator:
@@ -199,6 +217,19 @@ class MultiDomainAllocator:
             vcpus=float(template.total_vcpus),
         )
 
+    def size(self, request: SliceRequest, fraction: float) -> SliceSize:
+        """The request's footprint with the overbooking shrinkage
+        applied: PRBs and transport bandwidth shrink, VMs do not."""
+        demand = self.demand_vector(request)
+        return SliceSize(
+            fraction,
+            ResourceVector(
+                prbs=demand.prbs * fraction,
+                mbps=demand.mbps * fraction,
+                vcpus=demand.vcpus,
+            ),
+        )
+
     def free_vector(self) -> ResourceVector:
         """Current free capacity across the three domains.
 
@@ -285,17 +316,109 @@ class MultiDomainAllocator:
         return candidates
 
     # ------------------------------------------------------------------
-    # Feasibility probe (admission support; commits nothing)
+    # Placement probe and install plan (commit nothing)
     # ------------------------------------------------------------------
+    def probe(
+        self,
+        request: SliceRequest,
+        size: SliceSize,
+        planned_cells: Optional[Dict[str, PlannedCellLoad]] = None,
+    ) -> Tuple[Optional[str], Optional[str], List[Datacenter]]:
+        """Where the slice would land right now: the ingress cell (it
+        pins the transport source node), that cell's transport node and
+        the candidate DCs in preference order — ``(None, None, [])``
+        when no cell can host it, an empty DC list when none satisfies
+        compute + latency from that cell.
+
+        Args:
+            planned_cells: Load a batch has staged but not yet prepared,
+                counted against each cell (read, never written, here).
+        """
+        enb_id = self.ran.best_enb_for(
+            request.sla.throughput_mbps, size.effective_prbs, planned=planned_cells
+        )
+        if enb_id is None:
+            return None, None, []
+        enb_node = self.ran.enb(enb_id).transport_node
+        return enb_id, enb_node, self.candidate_datacenters(request, enb_node)
+
     def feasible(self, request: SliceRequest, effective_fraction: float = 1.0) -> bool:
         """Whether the slice could currently be allocated end-to-end."""
-        demand = self.demand_vector(request)
-        effective_prbs = max(1, round(demand.prbs * effective_fraction))
-        enb_id = self.ran.best_enb_for(request.sla.throughput_mbps, effective_prbs)
+        return bool(self.probe(request, self.size(request, effective_fraction))[2])
+
+    def install_attempts(
+        self,
+        network_slice: NetworkSlice,
+        size: SliceSize,
+        domains: List[str],
+        planned_cells: Optional[Dict[str, PlannedCellLoad]] = None,
+    ) -> List[Dict[str, DomainSpec]]:
+        """The install plan for one slice: probe its placement and build
+        one full spec map — a :class:`DomainSpec` per domain in
+        ``domains`` — per candidate DC, pinned to the probed cell.  The
+        only place on the install path that knows about datacenters:
+        both executors see opaque attempts and re-prepare every domain
+        per attempt.
+
+        Args:
+            planned_cells: Shared batch placement ledger; the pick made
+                here is recorded into it so later jobs in the same batch
+                see the staged load.
+
+        Raises:
+            AllocationError: When planning already rules the slice out
+                (no cell, no feasible DC).
+        """
+        request = network_slice.request
+        slice_id = network_slice.slice_id
+        enb_id, enb_node, candidates = self.probe(request, size, planned_cells)
         if enb_id is None:
-            return False
-        enb_node = self.ran.enb(enb_id).transport_node
-        return bool(self.candidate_datacenters(request, enb_node))
+            raise AllocationError(
+                "ran",
+                f"no eNB can host {size.effective_prbs} PRBs for slice {slice_id}",
+            )
+        if not candidates:
+            raise AllocationError(
+                "cloud", f"no datacenter satisfies compute + latency for {slice_id}"
+            )
+        if planned_cells is not None:
+            planned_cells.setdefault(enb_id, PlannedCellLoad()).add(size.effective_prbs)
+        common = dict(
+            slice_id=slice_id,
+            tenant_id=request.tenant_id,
+            throughput_mbps=request.sla.throughput_mbps,
+            max_latency_ms=request.sla.max_latency_ms,
+            duration_s=request.sla.duration_s,
+            effective_fraction=size.fraction,
+            vcpus=size.demand.vcpus,
+        )
+        plmn = network_slice.plmn
+        plmn_id = plmn.plmn_id if plmn else None
+        attempts = []
+        for dc in candidates:
+            known = {
+                "ran": {"plmn": plmn, "enb_id": enb_id},
+                "transport": {
+                    "src": enb_node,
+                    "dst": dc.gateway_node,
+                    "max_delay_ms": self.transport_budget_ms(request, dc),
+                    "plmn_id": plmn_id,
+                },
+                "cloud": {"dc_id": dc.dc_id},
+                "epc": {"plmn_id": plmn_id},
+            }
+            attempts.append(
+                {
+                    domain: DomainSpec(attributes=known.get(domain, {}), **common)
+                    for domain in domains
+                }
+            )
+        return attempts
 
 
-__all__ = ["AllocationError", "EndToEndAllocation", "MultiDomainAllocator"]
+__all__ = [
+    "AllocationError",
+    "EndToEndAllocation",
+    "MultiDomainAllocator",
+    "SliceSize",
+]

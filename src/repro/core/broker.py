@@ -149,14 +149,12 @@ class SliceBroker:
             flush_started = perf_counter()
         batch, self._queue = self._queue, []
         self.windows_flushed += 1
-        fractions = self.orchestrator.cold_start_fractions(
+        sizes, free = self.orchestrator.size_window(
             [pending.request for pending in batch]
         )
-        candidates: List[Tuple[SliceRequest, "object"]] = [
-            (pending.request, self.orchestrator.shrunk_demand(pending.request, fraction))
-            for pending, fraction in zip(batch, fractions)
+        candidates = [
+            (pending.request, size.demand) for pending, size in zip(batch, sizes)
         ]
-        free = self.orchestrator.allocator.aggregate_free_vector()
         with obs.timed("broker.decide", label=type(self.policy).__name__):
             batch_decisions = self.policy.decide_batch(candidates, free)
         outcomes: List[Optional[AdmissionDecision]] = []
@@ -176,11 +174,20 @@ class SliceBroker:
                 reason=getattr(outcome, "reason", None),
             )
 
-        for index, ((pending, decision), (_, demand)) in enumerate(
-            zip(zip(batch, batch_decisions), candidates)
+        for index, (pending, decision, size) in enumerate(
+            zip(batch, batch_decisions, sizes)
         ):
-            if not decision.admitted:
-                outcome = self.orchestrator.reject(pending.request, decision.reason)
+            # Winners must still respect capacity promised to advance
+            # bookings ("upcoming requests", paper §2) — the gate
+            # Orchestrator.submit applies online, and like there a
+            # winner that passes holds its window against the next.
+            refusal = (
+                self.orchestrator.calendar_gate(pending.request, size)
+                if decision.admitted
+                else decision.reason
+            )
+            if refusal is not None:
+                outcome = self.orchestrator.reject(pending.request, refusal)
                 outcomes.append(outcome)
                 # Journal the loser the moment it is decided: if the
                 # install batch below dies mid-window, recovery must not
@@ -188,23 +195,6 @@ class SliceBroker:
                 # (that would double-decide it).
                 journal_decided(pending, outcome)
                 continue
-            # Winners must still respect capacity promised to advance
-            # bookings ("upcoming requests", paper §2) — same check
-            # Orchestrator.submit applies online.
-            if self.orchestrator.config.respect_calendar:
-                horizon = (
-                    now
-                    + pending.request.sla.duration_s
-                    + self.orchestrator.config.deploy_time_s
-                )
-                if not self.orchestrator.calendar.fits(demand, now, horizon):
-                    outcome = self.orchestrator.reject(
-                        pending.request,
-                        "conflicts with advance reservations on the calendar",
-                    )
-                    outcomes.append(outcome)
-                    journal_decided(pending, outcome)
-                    continue
             outcomes.append(None)  # resolved by the batched install below
             winners.append((index, pending))
         if winners:
@@ -214,7 +204,8 @@ class SliceBroker:
             # already landed — recovery re-offers exactly that set, so
             # no request is ever decided twice.
             installed = self.orchestrator.install_admitted_batch(
-                [(pending.request, pending.profile) for _, pending in winners]
+                [(pending.request, pending.profile) for _, pending in winners],
+                sizes=[sizes[index] for index, _ in winners],
             )
             for (index, pending), outcome in zip(winners, installed):
                 outcomes[index] = outcome

@@ -216,18 +216,5 @@ class ResourceCalendar:
         peak = self.peak_usage(start, end)
         return (peak + demand).fits_within(self.capacity)
 
-    def utilization_profile(
-        self, start: float, end: float, step: float
-    ) -> List[Tuple[float, ResourceVector]]:
-        """Sampled usage timeline (for dashboards/what-if plots)."""
-        if step <= 0:
-            raise CalendarError(f"step must be positive, got {step}")
-        out = []
-        t = start
-        while t < end:
-            out.append((t, self.usage_at(t)))
-            t += step
-        return out
-
 
 __all__ = ["Booking", "CalendarError", "ResourceCalendar"]

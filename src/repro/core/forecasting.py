@@ -476,35 +476,6 @@ class EnsembleForecaster(Forecaster):
         return self.selected._fitted_values(y)
 
 
-#: Registry of forecaster constructors by name.  ``make_forecaster``
-#: resolves these; configuration files / CLI flags use the names.
-FORECASTER_REGISTRY = {
-    "naive": NaiveForecaster,
-    "seasonal-naive": SeasonalNaiveForecaster,
-    "moving-average": MovingAverageForecaster,
-    "ses": SimpleExpSmoothingForecaster,
-    "drift": DriftForecaster,
-    "ar": ArForecaster,
-    "holt-winters": HoltWintersForecaster,
-    "ensemble": EnsembleForecaster,
-}
-
-
-def make_forecaster(name: str, **kwargs) -> Forecaster:
-    """Construct a forecaster by registry name.
-
-    Raises:
-        ForecastError: If the name is unknown.
-    """
-    try:
-        factory = FORECASTER_REGISTRY[name]
-    except KeyError:
-        raise ForecastError(
-            f"unknown forecaster {name!r}; valid: {sorted(FORECASTER_REGISTRY)}"
-        ) from None
-    return factory(**kwargs)
-
-
 def evaluate_forecaster(
     forecaster: Forecaster,
     series: Sequence[float],
@@ -554,7 +525,6 @@ __all__ = [
     "ArForecaster",
     "DriftForecaster",
     "EnsembleForecaster",
-    "FORECASTER_REGISTRY",
     "ForecastError",
     "Forecaster",
     "HoltWintersForecaster",
@@ -563,5 +533,4 @@ __all__ = [
     "SeasonalNaiveForecaster",
     "SimpleExpSmoothingForecaster",
     "evaluate_forecaster",
-    "make_forecaster",
 ]

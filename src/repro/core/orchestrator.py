@@ -51,6 +51,7 @@ from repro.core.allocation import (
     AllocationError,
     EndToEndAllocation,
     MultiDomainAllocator,
+    SliceSize,
 )
 from repro.core.events import EventLog
 from repro.drivers.adapters import build_default_registry
@@ -289,9 +290,7 @@ class Orchestrator:
         #: standby promoted itself over us, and we fence (stop durable
         #: writes) instead of split-braining the shard's WAL.
         self.lease: Optional[Any] = None
-        bind_obs = getattr(self.store, "bind_obs", None)
-        if bind_obs is not None:  # duck-typed store stand-ins may lack it
-            bind_obs(self.obs)
+        self.store.bind_obs(self.obs)
         #: Extra state sections (name → provider) merged into every
         #: checkpoint — the service layer registers its tenant quotas
         #: here so they survive restarts too.
@@ -469,10 +468,7 @@ class Orchestrator:
         """Surface the planner's buffered incidents (op timeouts,
         background compensations) on the northbound feed — on this
         thread, never a completion thread."""
-        drain = getattr(self.planner, "drain_events", None)
-        if drain is None:
-            return
-        for event_type, payload in drain():
+        for event_type, payload in self.planner.drain_events():
             slice_id = payload.pop("slice_id", None)
             record = self._all_slices.get(slice_id) if slice_id else None
             self.events.emit(
@@ -527,7 +523,7 @@ class Orchestrator:
         self._go_live(
             network_slice,
             self.default_profile(request),
-            fraction,
+            self.allocator.size(request, fraction),
             reservations,
             admitted_at=admitted_at,
             active_at=active_at,
@@ -561,12 +557,12 @@ class Orchestrator:
         """
         profile = profile or self.default_profile(request)
         start_time = self.sim.now + max(start_in_s, 0.0)
-        fraction = self.cold_start_fraction(request)
-        end_time = start_time + request.sla.duration_s + self.config.deploy_time_s
         if self.config.respect_calendar and not self.calendar.has(request.request_id):
             self.calendar.commit(
-                request.request_id, start_time, end_time,
-                self.shrunk_demand(request, fraction),
+                request.request_id,
+                start_time,
+                self._promise_end(request, start_time),
+                self._size(request).demand,
             )
         self._schedule_advance_install(request, profile, start_time)
 
@@ -590,47 +586,80 @@ class Orchestrator:
             self._advance_requests.pop(request.request_id, None)
             if self._pending_advance.pop(request.request_id, None) is None:
                 return  # booking was cancelled before its start time
-            decision = self.install_admitted(request, profile)
-            if not decision.admitted and self.calendar.has(request.request_id):
-                self.calendar.release(request.request_id)
+            self.install_admitted(request, profile)
 
         self.sim.schedule_at(start_time, install, name=f"advance-{request.request_id}")
 
     # ------------------------------------------------------------------
     # Request handling (dashboard "request a slice" button)
     # ------------------------------------------------------------------
-    def cold_start_fraction(self, request: SliceRequest) -> float:
-        """Overbooking posture for a brand-new slice (no history yet):
-        the policy's cold-start answer on the nominal throughput."""
+    def _size(self, request: SliceRequest) -> SliceSize:
+        """A brand-new slice's size (no history yet): the policy's
+        cold-start posture on the nominal throughput, applied to the
+        request's multi-domain demand."""
         decision = self.overbooking.decide(
             request.request_id, request.sla.throughput_mbps, forecaster=None
         )
-        return decision.fraction
+        return self.allocator.size(request, decision.fraction)
 
-    def cold_start_fractions(self, requests: List[SliceRequest]) -> List[float]:
-        """Cold-start overbooking posture for a whole decision window.
-
-        One policy call covers every request, so forecast-driven
-        policies run their (shared) quantile math once per window
-        instead of once per request.
-        """
+    def size_window(
+        self, requests: List[SliceRequest]
+    ) -> Tuple[List[SliceSize], ResourceVector]:
+        """Sizes of a whole decision window, and the fleet-wide free
+        capacity a batch policy judges them against.  One policy call
+        covers every request, so forecast-driven policies run their
+        (shared) quantile math once per window, not once per request."""
         decisions = self.overbooking.decide_window(
             [(r.request_id, r.sla.throughput_mbps) for r in requests],
             forecaster=None,
         )
-        return [decision.fraction for decision in decisions]
+        sizes = [
+            self.allocator.size(request, decision.fraction)
+            for request, decision in zip(requests, decisions)
+        ]
+        return sizes, self.allocator.aggregate_free_vector()
 
     def shrunk_demand(self, request: SliceRequest, fraction: float) -> ResourceVector:
         """Multi-domain demand with the overbooking shrinkage applied.
 
         PRBs and transport bandwidth shrink; VMs are not overbookable.
         """
-        demand = self.allocator.demand_vector(request)
-        return ResourceVector(
-            prbs=demand.prbs * fraction,
-            mbps=demand.mbps * fraction,
-            vcpus=demand.vcpus,
-        )
+        return self.allocator.size(request, fraction).demand
+
+    def _promise_end(self, request: SliceRequest, start: float) -> float:
+        """End of the calendar window promised to a slice admitted (or
+        booked to start) at ``start``: SLA duration plus deploy time."""
+        return start + request.sla.duration_s + self.config.deploy_time_s
+
+    def calendar_gate(
+        self,
+        request: SliceRequest,
+        size: SliceSize,
+        start_time: Optional[float] = None,
+        hold: bool = True,
+    ) -> Optional[str]:
+        """The calendar gate — "accounting for ... upcoming requests"
+        (paper §2): a slice must not consume capacity promised to others
+        anywhere in its own promise window, which opens now, or at
+        ``start_time`` for an advance booking.  Returns the refusal
+        reason, or ``None``: the window fits, and unless ``hold`` is off
+        (what-if) the request holds it from this moment, against the
+        next one judged — :meth:`_go_live` keeps it, a failed install
+        frees it.  With ``respect_calendar`` off (D11's myopic broker)
+        nothing is checked or held."""
+        if not self.config.respect_calendar:
+            return None
+        start = self.sim.now if start_time is None else start_time
+        end = self._promise_end(request, start)
+        if not self.calendar.fits(size.demand, start, end):
+            return (
+                "conflicts with advance reservations on the calendar"
+                if start_time is None
+                else "insufficient projected capacity over the booking window"
+            )
+        if hold:
+            self.calendar.commit(request.request_id, start, end, size.demand)
+        return None
 
     def submit(self, request: SliceRequest, profile: TrafficProfile) -> AdmissionDecision:
         """Online admission + allocation for one slice request.
@@ -638,22 +667,16 @@ class Orchestrator:
         Returns the admission decision; on acceptance the slice is
         ADMITTED immediately and becomes ACTIVE ``deploy_time_s`` later.
         """
-        fraction = self.cold_start_fraction(request)
-        shrunk = self.shrunk_demand(request, fraction)
+        size = self._size(request)
         free = self.allocator.free_vector()
         with self.obs.timed("admission", label="sync"):
-            decision = self.admission.decide(request, shrunk, free)
+            decision = self.admission.decide(request, size.demand, free)
         if not decision.admitted:
             return self.reject(request, decision.reason)
-        # "Accounting for ... upcoming requests" (paper §2): an immediate
-        # slice must not consume capacity promised to advance bookings.
-        if self.config.respect_calendar:
-            horizon = self.sim.now + request.sla.duration_s + self.config.deploy_time_s
-            if not self.calendar.fits(shrunk, self.sim.now, horizon):
-                return self.reject(
-                    request, "conflicts with advance reservations on the calendar"
-                )
-        return self.install_admitted(request, profile)
+        refusal = self.calendar_gate(request, size)
+        if refusal is not None:
+            return self.reject(request, refusal)
+        return self._install(request, profile, size)
 
     def submit_advance(
         self,
@@ -677,15 +700,9 @@ class Orchestrator:
                 f"advance booking must start in the future "
                 f"(start={start_time}, now={self.sim.now})"
             )
-        fraction = self.cold_start_fraction(request)
-        shrunk = self.shrunk_demand(request, fraction)
-        end_time = start_time + request.sla.duration_s + self.config.deploy_time_s
-        if self.config.respect_calendar:
-            if not self.calendar.fits(shrunk, start_time, end_time):
-                return self.reject(
-                    request, "insufficient projected capacity over the booking window"
-                )
-            self.calendar.commit(request.request_id, start_time, end_time, shrunk)
+        refusal = self.calendar_gate(request, self._size(request), start_time)
+        if refusal is not None:
+            return self.reject(request, refusal)
         self._schedule_advance_install(request, profile, start_time)
         return AdmissionDecision(
             request_id=request.request_id,
@@ -733,12 +750,15 @@ class Orchestrator:
         self, network_slice: NetworkSlice, reason: str
     ) -> AdmissionDecision:
         """Bookkeeping shared by every refusal — admission said no, or
-        an install failed after it said yes: free the PLMN (if held),
-        record the rejection, emit the event."""
+        an install failed after it said yes: free the PLMN and the
+        calendar window (if held), record the rejection, emit the
+        event."""
         request = network_slice.request
         if network_slice.plmn is not None:
             self.plmn_pool.release(network_slice.slice_id)
             network_slice.plmn = None
+        if self.calendar.has(request.request_id):
+            self.calendar.release(request.request_id)
         network_slice.transition(SliceState.REJECTED, self.sim.now)
         self.ledger.book_rejection(request, reason, self.sim.now)
         self._journal(
@@ -765,7 +785,7 @@ class Orchestrator:
         self,
         network_slice: NetworkSlice,
         profile: TrafficProfile,
-        fraction: float,
+        size: SliceSize,
         reservations: Dict[str, Reservation],
         *,
         admitted_at: float,
@@ -788,22 +808,18 @@ class Orchestrator:
         slice_id = network_slice.slice_id
         now = self.sim.now
         network_slice.transition(SliceState.ADMITTED, admitted_at)
-        # An advance booking committed its window when it was promised.
+        # A request that passed the calendar gate — online, in a broker
+        # window, or booking ahead — holds its window already.
         if not self.calendar.has(request.request_id):
             if window_end is None:
-                window_end = (
-                    admitted_at + request.sla.duration_s + self.config.deploy_time_s
-                )
+                window_end = self._promise_end(request, admitted_at)
             self.calendar.commit(
-                request.request_id,
-                now,
-                max(window_end, now + 1e-9),
-                self.shrunk_demand(request, fraction),
+                request.request_id, now, max(window_end, now + 1e-9), size.demand
             )
         runtime = SliceRuntime(
             network_slice=network_slice,
             profile=profile,
-            effective_fraction=fraction,
+            effective_fraction=size.fraction,
             reservations=reservations,
         )
         # Contract-clean EPC binding: whatever backend serves the "epc"
@@ -828,7 +844,7 @@ class Orchestrator:
         self,
         network_slice: NetworkSlice,
         profile: TrafficProfile,
-        fraction: float,
+        size: SliceSize,
         reservations: Dict[str, Reservation],
         span_parent: Any = None,
     ) -> AdmissionDecision:
@@ -850,7 +866,7 @@ class Orchestrator:
                 price=request.price,
             )
         self._go_live(
-            network_slice, profile, fraction, reservations, admitted_at=self.sim.now
+            network_slice, profile, size, reservations, admitted_at=self.sim.now
         )
         # WAL: the install is durable from here — a crash after this
         # record must re-adopt the slice, not forfeit it.
@@ -861,7 +877,7 @@ class Orchestrator:
                 request=request_to_dict(request),
                 slice_id=network_slice.slice_id,
                 plmn=network_slice.plmn.plmn_id if network_slice.plmn else None,
-                fraction=fraction,
+                fraction=size.fraction,
                 reservations={d: r.reservation_id for d, r in reservations.items()},
                 window=[booking.start, booking.end],
             )
@@ -876,16 +892,22 @@ class Orchestrator:
     def _stage_install(
         self,
         request: SliceRequest,
+        size: Optional[SliceSize],
         planned_cells: Optional[Dict[str, PlannedCellLoad]] = None,
         span_parent: Any = None,
-    ) -> "Tuple[NetworkSlice, float, List[Dict[str, DomainSpec]], Any] | AdmissionDecision":
+    ) -> "Tuple[NetworkSlice, SliceSize, List[Dict[str, DomainSpec]], Any] | AdmissionDecision":
         """Stage one already-admitted request for either executor: the
-        slice record, its cold-start posture, its PLMN identity, one
-        full spec map per candidate DC, and the ``install.started`` WAL
-        record.  Returns ``(slice, fraction, attempts, job span)``; a
+        slice record, its PLMN identity, the allocator's install plan
+        (one full spec map per candidate DC) and the ``install.started``
+        WAL record.  Returns ``(slice, size, attempts, job span)``; a
         request that staging already rules out (PLMN pool exhausted, no
         cell, no feasible DC) is booked as a rejection and that decision
         is returned instead.
+
+        ``size`` is the one the request was judged on (:meth:`submit`, a
+        broker window); ``None`` — an advance booking firing, a
+        re-admission — sizes it here, where a fleet that cannot be sized
+        is a planning failure like any other.
 
         ``span_parent`` (the batch span's context) opens the batched
         path's per-job span with its admission/placement stages; the
@@ -897,20 +919,21 @@ class Orchestrator:
         job_span = obs.span(
             "install.job", parent=span_parent, slice_id=network_slice.slice_id
         )
-        # Admission stage: cold-start posture + PLMN identity (MOCN: a
-        # slice cannot exist without one).  Placement stage: cell probe
-        # + candidate-DC ranking.
+        # Admission stage: PLMN identity (MOCN: a slice cannot exist
+        # without one) + the cold-start size, unless carried in.
+        # Placement stage: cell probe + candidate-DC ranking.
         stage_span = obs.span("admission", parent=job_span.context)
-        fraction = self.cold_start_fraction(request)
         try:
             network_slice.plmn = self.plmn_pool.allocate(network_slice.slice_id)
+            if size is None:
+                size = self._size(request)
             stage_span.finish()
             stage_span = obs.span("placement", parent=job_span.context)
-            attempts = self._plan_install_attempts(
-                network_slice, fraction, planned_cells
+            attempts = self.allocator.install_attempts(
+                network_slice, size, self.registry.domains(), planned_cells
             )
             stage_span.finish()
-        except (PlmnPoolExhausted, TransactionError) as exc:
+        except (PlmnPoolExhausted, AllocationError) as exc:
             stage_span.finish("error", error=str(exc))
             job_span.finish("error", error=str(exc))
             return self._book_install_rejection(network_slice, str(exc))
@@ -919,29 +942,36 @@ class Orchestrator:
             request=request_to_dict(request),
             slice_id=network_slice.slice_id,
             plmn=network_slice.plmn.plmn_id,
-            fraction=fraction,
+            fraction=size.fraction,
         )
-        return network_slice, fraction, attempts, job_span
+        return network_slice, size, attempts, job_span
 
     def install_admitted(
         self, request: SliceRequest, profile: TrafficProfile
     ) -> AdmissionDecision:
         """Install a slice whose admission decision was already positive
-        (taken by :meth:`submit` or by an external batch broker), on the
+        (an advance booking's promise, or an external broker's), on the
         calling thread.
 
         The install can still fail on PLMN exhaustion or an allocation
         race; such failures are booked as rejections.
         """
-        staged = self._stage_install(request)
+        return self._install(request, profile, None)
+
+    def _install(
+        self, request: SliceRequest, profile: TrafficProfile, size: Optional[SliceSize]
+    ) -> AdmissionDecision:
+        """The single-request executor's install, behind :meth:`submit`
+        (with the size it judged) and :meth:`install_admitted` (none)."""
+        staged = self._stage_install(request, size)
         if isinstance(staged, AdmissionDecision):
             return staged
-        network_slice, fraction, attempts, _ = staged
+        network_slice, size, attempts, _ = staged
         try:
             reservations = self._install_via_drivers(network_slice, attempts)
         except TransactionError as exc:
             return self._book_install_rejection(network_slice, str(exc))
-        return self._finalize_install(network_slice, profile, fraction, reservations)
+        return self._finalize_install(network_slice, profile, size, reservations)
 
     def enqueue_admitted(
         self,
@@ -975,7 +1005,10 @@ class Orchestrator:
                 on_decision(decision)
 
     def install_admitted_batch(
-        self, admissions: List[Tuple[SliceRequest, TrafficProfile]]
+        self,
+        admissions: List[Tuple[SliceRequest, TrafficProfile]],
+        *,
+        sizes: Optional[List[SliceSize]] = None,
     ) -> List[AdmissionDecision]:
         """Install a *batch* of already-admitted slices concurrently.
 
@@ -998,11 +1031,15 @@ class Orchestrator:
         delays (or, under ``config.install_timeout_s``, cleanly fails)
         only the jobs that touched it — every other job in the batch
         commits in its own latency.
+
+        ``sizes`` (one per admission) are what a broker window already
+        judged the batch on; without them each request is sized as it
+        is staged.
         """
         batch_span = self.obs.span("install.batch", jobs=len(admissions))
         results: List[Optional[AdmissionDecision]] = [None] * len(admissions)
         jobs: List[InstallJob] = []
-        staged: Dict[int, Tuple[NetworkSlice, TrafficProfile, float, Any]] = {}
+        staged: Dict[int, Tuple[NetworkSlice, TrafficProfile, SliceSize, Any]] = {}
         # Every job is planned against one capacity snapshot, so picks
         # must see the load the earlier picks staged (otherwise a burst
         # of winners all pins the same "best" cell and the losers fail
@@ -1010,13 +1047,16 @@ class Orchestrator:
         planned_cells: Dict[str, PlannedCellLoad] = {}
         for index, (request, profile) in enumerate(admissions):
             staged_install = self._stage_install(
-                request, planned_cells, span_parent=batch_span.context
+                request,
+                sizes[index] if sizes is not None else None,
+                planned_cells,
+                span_parent=batch_span.context,
             )
             if isinstance(staged_install, AdmissionDecision):
                 results[index] = staged_install
                 continue
-            network_slice, fraction, attempts, job_span = staged_install
-            staged[index] = (network_slice, profile, fraction, job_span)
+            network_slice, size, attempts, job_span = staged_install
+            staged[index] = (network_slice, profile, size, job_span)
             jobs.append(
                 InstallJob(
                     slice_id=network_slice.slice_id,
@@ -1035,7 +1075,7 @@ class Orchestrator:
             )
         for outcome in self.planner.install(jobs):
             index = outcome.job.tag
-            network_slice, profile, fraction, job_span = staged[index]
+            network_slice, profile, size, job_span = staged[index]
             # The job's whole southbound audit trail — every landed
             # prepare/commit/rollback/release of every attempt, in
             # landing order — as one record (never folded on replay).
@@ -1046,7 +1086,7 @@ class Orchestrator:
                 results[index] = self._finalize_install(
                     network_slice,
                     profile,
-                    fraction,
+                    size,
                     outcome.reservations,
                     span_parent=job_span.context,
                 )
@@ -1066,57 +1106,6 @@ class Orchestrator:
         assert all(decision is not None for decision in results)
         return results  # type: ignore[return-value]
 
-    def _plan_install_attempts(
-        self,
-        network_slice: NetworkSlice,
-        fraction: float,
-        planned_cells: Optional[Dict[str, PlannedCellLoad]] = None,
-    ) -> List[Dict[str, DomainSpec]]:
-        """Placement planning for one install: probe the ingress cell
-        (it pins the transport source node), rank candidate DCs, and
-        build one full spec-map attempt per candidate.  The only place
-        on the install path that knows about datacenters — both
-        executors see opaque attempts and re-prepare every domain per
-        attempt.
-
-        Args:
-            planned_cells: Shared batch placement ledger; the pick made
-                here is recorded into it so later jobs in the same batch
-                see the staged load.
-
-        Raises:
-            TransactionError: When planning already rules the slice out
-                (no cell, no feasible DC).
-        """
-        request = network_slice.request
-        slice_id = network_slice.slice_id
-        try:
-            demand = self.allocator.demand_vector(request)
-        except AllocationError as exc:
-            # Planning failure (e.g. an empty RAN fleet) books a
-            # rejection like any other install failure.
-            raise TransactionError(exc.domain, exc.message) from exc
-        effective_prbs = max(1, round(demand.prbs * fraction))
-        enb_id = self.allocator.ran.best_enb_for(
-            request.sla.throughput_mbps, effective_prbs, planned=planned_cells
-        )
-        if enb_id is None:
-            raise TransactionError(
-                "ran", f"no eNB can host {effective_prbs} PRBs for slice {slice_id}"
-            )
-        enb_node = self.allocator.ran.enb(enb_id).transport_node
-        candidates = self.allocator.candidate_datacenters(request, enb_node)
-        if not candidates:
-            raise TransactionError(
-                "cloud", f"no datacenter satisfies compute + latency for {slice_id}"
-            )
-        if planned_cells is not None:
-            planned_cells.setdefault(enb_id, PlannedCellLoad()).add(effective_prbs)
-        return [
-            self._install_specs(network_slice, fraction, enb_id, enb_node, dc, demand)
-            for dc in candidates
-        ]
-
     # ------------------------------------------------------------------
     # Southbound driver plumbing
     # ------------------------------------------------------------------
@@ -1130,45 +1119,6 @@ class Orchestrator:
             domain=domain,
             reason=reason,
         )
-
-    def _install_specs(
-        self,
-        network_slice: NetworkSlice,
-        fraction: float,
-        enb_id: str,
-        enb_node: str,
-        dc,
-        demand: ResourceVector,
-    ) -> Dict[str, DomainSpec]:
-        """One :class:`DomainSpec` per registered domain for one install
-        attempt, pinned to the probed cell and one candidate DC."""
-        request = network_slice.request
-        common = dict(
-            slice_id=network_slice.slice_id,
-            tenant_id=request.tenant_id,
-            throughput_mbps=request.sla.throughput_mbps,
-            max_latency_ms=request.sla.max_latency_ms,
-            duration_s=request.sla.duration_s,
-            effective_fraction=fraction,
-            vcpus=demand.vcpus,
-        )
-        plmn = network_slice.plmn
-        plmn_id = plmn.plmn_id if plmn else None
-        known = {
-            "ran": {"plmn": plmn, "enb_id": enb_id},
-            "transport": {
-                "src": enb_node,
-                "dst": dc.gateway_node,
-                "max_delay_ms": self.allocator.transport_budget_ms(request, dc),
-                "plmn_id": plmn_id,
-            },
-            "cloud": {"dc_id": dc.dc_id},
-            "epc": {"plmn_id": plmn_id},
-        }
-        return {
-            domain: DomainSpec(attributes=known.get(domain, {}), **common)
-            for domain in self.registry.domains()
-        }
 
     def _validate_latency(
         self, network_slice: NetworkSlice, reservations: Dict[str, Reservation]
@@ -1548,34 +1498,24 @@ class Orchestrator:
         that probe.  Returns a per-domain feasibility report plus the
         overall admission verdict the request would receive right now.
         """
-        fraction = self.cold_start_fraction(request)
-        shrunk = self.shrunk_demand(request, fraction)
+        size = self._size(request)
+        shrunk = size.demand
         free = self.allocator.free_vector()
         report: dict = {
             "request_id": request.request_id,
-            "effective_fraction": fraction,
+            "effective_fraction": size.fraction,
             "demand": {"prbs": shrunk.prbs, "mbps": shrunk.mbps, "vcpus": shrunk.vcpus},
         }
-        # Per-domain availability.
-        effective_prbs = max(1, round(shrunk.prbs))
-        enb_id = self.allocator.ran.best_enb_for(
-            request.sla.throughput_mbps, effective_prbs
-        )
+        # Per-domain availability, off the probe an install would plan from.
+        enb_id, _, candidate_dcs = self.allocator.probe(request, size)
         report["ran"] = {"feasible": enb_id is not None, "enb": enb_id}
-        candidate_dcs: list = []
-        if enb_id is not None:
-            enb_node = self.allocator.ran.enb(enb_id).transport_node
-            candidate_dcs = self.allocator.candidate_datacenters(request, enb_node)
         report["cloud"] = {
             "feasible": bool(candidate_dcs),
             "candidate_dcs": [dc.dc_id for dc in candidate_dcs],
         }
         report["transport"] = {"feasible": bool(candidate_dcs)}
         decision = self.admission.decide(request, shrunk, free)
-        calendar_ok = True
-        if self.config.respect_calendar:
-            horizon = self.sim.now + request.sla.duration_s + self.config.deploy_time_s
-            calendar_ok = self.calendar.fits(shrunk, self.sim.now, horizon)
+        calendar_ok = self.calendar_gate(request, size, hold=False) is None
         report["calendar"] = {"feasible": calendar_ok}
         report["would_admit"] = bool(
             decision.admitted and candidate_dcs and calendar_ok

@@ -3,7 +3,7 @@
 Replaces the demo's two NEC MB4420 LTE small cells with a
 standards-derived model: 3GPP CQI→MCS mapping, PRB grids per channel
 bandwidth, MOCN multi-PLMN broadcast with per-slice PRB reservations,
-UE populations with stochastic channel quality, MAC schedulers and the
+UE populations with stochastic channel quality, the MAC scheduler and the
 RAN domain controller the orchestrator talks to.
 """
 
@@ -11,11 +11,7 @@ from repro.ran.channel import CqiEntry, CQI_TABLE, ChannelModel, efficiency_for_
 from repro.ran.prb import PRB_GRID, PrbGrid, prbs_for_bandwidth
 from repro.ran.enb import ENodeB, RanConfigError
 from repro.ran.ue import UserEquipment, AttachState
-from repro.ran.scheduler import (
-    RoundRobinScheduler,
-    ProportionalFairScheduler,
-    SliceAwareScheduler,
-)
+from repro.ran.scheduler import SliceAwareScheduler
 from repro.ran.controller import RanController
 
 __all__ = [
@@ -26,10 +22,8 @@ __all__ = [
     "ENodeB",
     "PRB_GRID",
     "PrbGrid",
-    "ProportionalFairScheduler",
     "RanConfigError",
     "RanController",
-    "RoundRobinScheduler",
     "SliceAwareScheduler",
     "UserEquipment",
     "efficiency_for_cqi",

@@ -1,11 +1,9 @@
-"""MAC-layer schedulers.
+"""MAC-layer scheduler.
 
-The orchestrator reserves PRBs per slice; *within* a slice, a MAC
-scheduler divides the slice's PRBs among its attached UEs each epoch.
-We provide the two textbook intra-slice disciplines (round-robin and
-proportional-fair) plus the inter-slice :class:`SliceAwareScheduler`
-that enforces reservations and redistributes a slice's unused PRBs —
-the mechanism that physically realizes multiplexing gain.
+The orchestrator reserves PRBs per slice; the inter-slice
+:class:`SliceAwareScheduler` enforces those reservations each epoch and
+redistributes a slice's unused PRBs — the mechanism that physically
+realizes multiplexing gain.
 
 Scheduling is epoch-granular (seconds, not 1 ms TTIs): each call
 produces an *average* PRB share over the epoch, which is the right
@@ -15,82 +13,11 @@ of days of traffic tractable.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Dict, List
-
-from repro.ran.channel import throughput_per_prb_mbps
-from repro.ran.ue import UserEquipment
+from typing import Dict
 
 
 class SchedulerError(RuntimeError):
     """Raised on scheduler misuse."""
-
-
-class IntraSliceScheduler(ABC):
-    """Splits one slice's PRB budget among its attached UEs for an epoch."""
-
-    @abstractmethod
-    def allocate(self, ues: List[UserEquipment], prbs: int) -> Dict[str, float]:
-        """Return imsi → average PRBs granted this epoch.
-
-        Only attached UEs with CQI ≥ 1 are eligible; the returned shares
-        sum to at most ``prbs``.
-        """
-
-    @staticmethod
-    def _eligible(ues: List[UserEquipment]) -> List[UserEquipment]:
-        return [ue for ue in ues if ue.attached and ue.channel.cqi() >= 1]
-
-
-class RoundRobinScheduler(IntraSliceScheduler):
-    """Equal PRB share to every eligible UE."""
-
-    def allocate(self, ues: List[UserEquipment], prbs: int) -> Dict[str, float]:
-        if prbs < 0:
-            raise SchedulerError(f"PRB budget cannot be negative, got {prbs}")
-        eligible = self._eligible(ues)
-        if not eligible or prbs == 0:
-            return {}
-        share = prbs / len(eligible)
-        return {ue.imsi: share for ue in eligible}
-
-
-class ProportionalFairScheduler(IntraSliceScheduler):
-    """PF scheduling at epoch granularity.
-
-    Classic PF maximizes Σ log(R_i); at epoch granularity with average
-    rates this reduces to weighting each UE by the ratio of its current
-    achievable rate to its exponentially-averaged past rate.  UEs that
-    recently got little service (low average) receive more PRBs.
-    """
-
-    def __init__(self, ewma_alpha: float = 0.2) -> None:
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise SchedulerError(f"alpha must be in (0, 1], got {ewma_alpha}")
-        self.ewma_alpha = float(ewma_alpha)
-        self._avg_rate: Dict[str, float] = {}
-
-    def allocate(self, ues: List[UserEquipment], prbs: int) -> Dict[str, float]:
-        if prbs < 0:
-            raise SchedulerError(f"PRB budget cannot be negative, got {prbs}")
-        eligible = self._eligible(ues)
-        if not eligible or prbs == 0:
-            return {}
-        weights: Dict[str, float] = {}
-        for ue in eligible:
-            rate = throughput_per_prb_mbps(ue.channel.cqi())
-            avg = self._avg_rate.get(ue.imsi, rate)
-            weights[ue.imsi] = rate / max(avg, 1e-9)
-        total_weight = sum(weights.values())
-        grants = {imsi: prbs * w / total_weight for imsi, w in weights.items()}
-        # Update averages with the rate actually granted this epoch.
-        for ue in eligible:
-            granted_rate = grants[ue.imsi] * throughput_per_prb_mbps(ue.channel.cqi())
-            old = self._avg_rate.get(ue.imsi, granted_rate)
-            self._avg_rate[ue.imsi] = (
-                (1.0 - self.ewma_alpha) * old + self.ewma_alpha * granted_rate
-            )
-        return grants
 
 
 class SliceAwareScheduler:
@@ -183,9 +110,6 @@ class SliceAwareScheduler:
 
 
 __all__ = [
-    "IntraSliceScheduler",
-    "ProportionalFairScheduler",
-    "RoundRobinScheduler",
     "SchedulerError",
     "SliceAwareScheduler",
 ]

@@ -22,7 +22,7 @@ suites pin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.drivers.mock import MockDriver

@@ -10,7 +10,7 @@ admission benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -117,15 +117,6 @@ class RequestGenerator:
             out.append(self.sample_request(t))
             t += self.next_interarrival()
         return out
-
-    def iter_arrivals(
-        self, horizon_s: float, start_time: float = 0.0
-    ) -> Iterator[Tuple[SliceRequest, TrafficProfile]]:
-        """Lazy variant of :meth:`batch`."""
-        t = start_time + self.next_interarrival()
-        while t < start_time + horizon_s:
-            yield self.sample_request(t)
-            t += self.next_interarrival()
 
     def drive(
         self,

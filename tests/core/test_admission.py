@@ -11,7 +11,6 @@ from repro.core.admission import (
     FcfsPolicy,
     GreedyPricePolicy,
     KnapsackPolicy,
-    OverbookingAwarePolicy,
     ResourceVector,
     default_penalty_estimator,
 )
@@ -177,30 +176,6 @@ class TestKnapsack:
         # Dominance by construction: knapsack keeps the better of
         # {DP + greedy fill, pure greedy}.
         assert knap_value >= greedy_value - 1e-6
-
-
-class TestOverbookingAware:
-    def test_admits_shrunk_demand(self):
-        # Nominal does not fit; at 60% it does.
-        policy = OverbookingAwarePolicy(shrink_factor=0.6)
-        decision = policy.decide(
-            make_request(), ResourceVector(15, 0, 0), ResourceVector(10, 10, 10)
-        )
-        assert decision.admitted
-        assert "effective demand" in decision.reason
-
-    def test_rejects_when_even_shrunk_overflow(self):
-        policy = OverbookingAwarePolicy(shrink_factor=0.9)
-        decision = policy.decide(
-            make_request(), ResourceVector(15, 0, 0), ResourceVector(10, 10, 10)
-        )
-        assert not decision.admitted
-
-    def test_bad_shrink_factor_rejected(self):
-        with pytest.raises(AdmissionError):
-            OverbookingAwarePolicy(shrink_factor=0.0)
-        with pytest.raises(AdmissionError):
-            OverbookingAwarePolicy(shrink_factor=1.2)
 
 
 class TestPenaltyEstimator:

@@ -6,8 +6,8 @@ southbound :class:`~repro.drivers.registry.DriverRegistry` (the
 conformance and transaction suites are their executable spec).  What
 remains here is the planning surface the orchestrator still consults —
 demand estimation, free/aggregate capacity, candidate-DC ranking under
-the latency budget — plus end-to-end install checks expressed through
-the testbed's driver registry.
+the latency budget, the install plan — plus end-to-end install checks
+that run that plan through the testbed's driver registry.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cloud.datacenter import DatacenterTier
-from repro.core.allocation import MultiDomainAllocator
+from repro.core.allocation import AllocationError, MultiDomainAllocator
 from repro.core.slices import NetworkSlice
-from repro.drivers.base import DomainSpec
 from repro.drivers.transaction import InstallTransaction, TransactionError
 from tests.conftest import make_request
 
@@ -28,62 +27,22 @@ def make_slice(testbed, **kwargs) -> NetworkSlice:
     return network_slice
 
 
-def install_specs(testbed, network_slice, dc, effective_fraction=1.0):
-    """Spec map for one install attempt pinned to ``dc`` (the batch
-    planner's per-candidate shape, built by hand for the test)."""
-    request = network_slice.request
-    demand = testbed.allocator.demand_vector(request)
-    effective_prbs = max(1, round(demand.prbs * effective_fraction))
-    enb_id = testbed.ran.best_enb_for(request.sla.throughput_mbps, effective_prbs)
-    assert enb_id is not None
-    enb_node = testbed.ran.enb(enb_id).transport_node
-    plmn = network_slice.plmn
-    common = dict(
-        slice_id=network_slice.slice_id,
-        tenant_id=request.tenant_id,
-        throughput_mbps=request.sla.throughput_mbps,
-        max_latency_ms=request.sla.max_latency_ms,
-        duration_s=request.sla.duration_s,
-        effective_fraction=effective_fraction,
-        vcpus=demand.vcpus,
-    )
-    attributes = {
-        "ran": {"plmn": plmn, "enb_id": enb_id},
-        "transport": {
-            "src": enb_node,
-            "dst": dc.gateway_node,
-            "max_delay_ms": testbed.allocator.transport_budget_ms(request, dc),
-            "plmn_id": plmn.plmn_id,
-        },
-        "cloud": {"dc_id": dc.dc_id},
-        "epc": {"plmn_id": plmn.plmn_id},
-    }
-    return {
-        domain: DomainSpec(attributes=attributes.get(domain, {}), **common)
-        for domain in testbed.registry.domains()
-    }
-
-
 def install_e2e(testbed, network_slice, effective_fraction=1.0):
-    """End-to-end install through the driver registry: candidate DCs in
-    planner order, one two-phase transaction per candidate."""
-    request = network_slice.request
-    demand = testbed.allocator.demand_vector(request)
-    effective_prbs = max(1, round(demand.prbs * effective_fraction))
-    enb_id = testbed.ran.best_enb_for(request.sla.throughput_mbps, effective_prbs)
-    if enb_id is None:
-        raise TransactionError("ran", "no eNB fits")
-    enb_node = testbed.ran.enb(enb_id).transport_node
-    candidates = testbed.allocator.candidate_datacenters(request, enb_node)
-    if not candidates:
-        raise TransactionError("cloud", "no feasible datacenter")
+    """End-to-end install through the driver registry: the allocator's
+    install plan, one two-phase transaction per attempt."""
+    allocator = testbed.allocator
+    try:
+        attempts = allocator.install_attempts(
+            network_slice,
+            allocator.size(network_slice.request, effective_fraction),
+            testbed.registry.domains(),
+        )
+    except AllocationError as exc:
+        raise TransactionError(exc.domain, exc.message) from exc
     transaction = InstallTransaction(testbed.registry)
-    last_error = None
-    for dc in candidates:
+    for specs in attempts:
         try:
-            return transaction.run(
-                install_specs(testbed, network_slice, dc, effective_fraction)
-            )
+            return transaction.run(specs)
         except TransactionError as exc:
             last_error = exc
     raise last_error

@@ -85,14 +85,6 @@ class TestCalendar:
         calendar.commit("early", 0.0, 10.0, vec())
         assert [b.booking_id for b in calendar.bookings()] == ["early", "late"]
 
-    def test_utilization_profile(self):
-        calendar = ResourceCalendar(CAP)
-        calendar.commit("a", 10.0, 30.0, vec(prbs=20.0))
-        profile = calendar.utilization_profile(0.0, 40.0, 10.0)
-        assert [usage.prbs for _, usage in profile] == [0.0, 20.0, 20.0, 0.0]
-        with pytest.raises(CalendarError):
-            calendar.utilization_profile(0.0, 10.0, 0.0)
-
     @settings(max_examples=40, deadline=None)
     @given(
         bookings=st.lists(

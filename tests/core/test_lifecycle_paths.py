@@ -11,8 +11,6 @@ implementations had.
 
 from __future__ import annotations
 
-import pathlib
-import re
 import tempfile
 from dataclasses import replace
 
@@ -32,6 +30,7 @@ from repro.store import RecoveryManager
 from repro.traffic.patterns import ConstantProfile
 
 from tests.conftest import make_request
+from tests.source_reading import enclosing_functions, source_of, src_lines_matching
 from tests.store.conftest import make_orchestrator, reopen_store
 
 EPOCH_S = 60.0
@@ -546,60 +545,36 @@ def test_a_repair_recomposes_the_allocation_from_the_reservations():
 # ----------------------------------------------------------------------
 # One path per verb, as the source reads
 # ----------------------------------------------------------------------
-SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
-ORCHESTRATOR = (SRC / "core" / "orchestrator.py").read_text(encoding="utf-8")
-
-
-def _src_lines_matching(pattern: str, *roots: str) -> list:
-    hits = []
-    for root in roots or (".",):
-        target = SRC / root
-        for path in [target] if target.is_file() else sorted(target.rglob("*.py")):
-            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-                if re.search(pattern, line):
-                    hits.append(f"{path.relative_to(SRC)}:{number}")
-    return hits
-
-
-def _enclosing_functions(source: str, pattern: str) -> list:
-    """Names of the functions whose bodies contain ``pattern``."""
-    found, current = [], None
-    for line in source.splitlines():
-        header = re.match(r"\s*def (\w+)\(", line)
-        if header:
-            current = header.group(1)
-        elif re.search(pattern, line):
-            found.append(current)
-    return found
+ORCHESTRATOR = source_of("core/orchestrator.py")
 
 
 def test_a_runtime_is_constructed_in_one_function():
-    assert _src_lines_matching(r"\bSliceRuntime\(") == _src_lines_matching(
+    assert src_lines_matching(r"\bSliceRuntime\(") == src_lines_matching(
         r"\bSliceRuntime\(", "core/orchestrator.py"
     )
-    assert _enclosing_functions(ORCHESTRATOR, r"\bSliceRuntime\(") == ["_go_live"]
+    assert enclosing_functions(ORCHESTRATOR, r"\bSliceRuntime\(") == ["_go_live"]
 
 
 def test_a_slice_is_torn_down_from_one_function():
-    assert _enclosing_functions(ORCHESTRATOR, r"self\._teardown_slice\(") == ["_retire"]
+    assert enclosing_functions(ORCHESTRATOR, r"self\._teardown_slice\(") == ["_retire"]
 
 
 def test_a_size_is_applied_in_one_function():
-    assert _enclosing_functions(ORCHESTRATOR, r"calendar\.update_demand\(") == [
+    assert enclosing_functions(ORCHESTRATOR, r"calendar\.update_demand\(") == [
         "_resize_domains"
     ]
-    assert _src_lines_matching(r"\bEndToEndAllocation\(") == _src_lines_matching(
+    assert src_lines_matching(r"\bEndToEndAllocation\(") == src_lines_matching(
         r"\bEndToEndAllocation\(", "core/orchestrator.py"
     )
-    assert _enclosing_functions(ORCHESTRATOR, r"\bEndToEndAllocation\(") == [
+    assert enclosing_functions(ORCHESTRATOR, r"\bEndToEndAllocation\(") == [
         "_compose_allocation"
     ]
     # No special case for one domain's reservation anywhere above the drivers.
-    assert _src_lines_matching(r"driver\.domain\s*[=!]=\s*[\"']", "core/orchestrator.py") == []
+    assert src_lines_matching(r"driver\.domain\s*[=!]=\s*[\"']", "core/orchestrator.py") == []
 
 
 def test_the_forked_chains_are_gone():
-    assert _src_lines_matching(r"_remaining_s") == []
-    assert _src_lines_matching(
+    assert src_lines_matching(r"_remaining_s") == []
+    assert src_lines_matching(
         r"def resize\b|resize_slice|resize_path", "ran", "transport", "drivers/adapters.py"
     ) == []

@@ -5,13 +5,22 @@ from __future__ import annotations
 import pytest
 
 from repro.api import build_orchestrator_api
-from repro.api.service import sim_gauges
+from repro.api.service import WHAT_IF_REQUEST_ID, sim_gauges
 from repro.core.orchestrator import Orchestrator
+from repro.core.slices import peek_request_counter
 from repro.obs.export import _SAMPLE_RE, render_prometheus
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.traffic.patterns import ConstantProfile
 from tests.conftest import make_request
+
+
+WHAT_IF_BODY = {
+    "service_type": "urllc",
+    "throughput_mbps": 5.0,
+    "max_latency_ms": 8.0,
+    "duration_s": 600.0,
+}
 
 
 @pytest.fixture
@@ -39,12 +48,23 @@ class TestWhatIf:
     def test_probe_commits_nothing(self, orch):
         _, orchestrator = orch
         before = orchestrator.allocator.free_vector()
-        orchestrator.what_if(make_request())
+        probe = make_request()
+        next_ordinal = peek_request_counter()
+        orchestrator.what_if(probe)
         after = orchestrator.allocator.free_vector()
         assert before == after
         assert orchestrator.ledger.admissions == 0
         assert orchestrator.ledger.rejections == 0
         assert orchestrator.plmn_pool.available == orchestrator.plmn_pool.capacity
+        assert not orchestrator.calendar.bookings()
+        # Not even a request id — through the route either, where the
+        # service builds the probe: the next real slice gets the next one.
+        response = build_orchestrator_api(orchestrator).post(
+            "/v1/whatif", body=WHAT_IF_BODY
+        )
+        assert response.body["request_id"] == WHAT_IF_REQUEST_ID
+        assert peek_request_counter() == next_ordinal
+        assert orchestrator.durable_state()["last_request_ordinal"] == next_ordinal - 1
 
     def test_infeasible_ran_reported(self, orch):
         _, orchestrator = orch
@@ -75,15 +95,7 @@ class TestWhatIf:
     def test_whatif_route(self, orch):
         _, orchestrator = orch
         api = build_orchestrator_api(orchestrator)
-        response = api.post(
-            "/v1/whatif",
-            body={
-                "service_type": "urllc",
-                "throughput_mbps": 5.0,
-                "max_latency_ms": 8.0,
-                "duration_s": 600.0,
-            },
-        )
+        response = api.post("/v1/whatif", body=WHAT_IF_BODY)
         assert response.ok
         assert response.body["would_admit"]
         assert response.json()
@@ -92,6 +104,8 @@ class TestWhatIf:
         _, orchestrator = orch
         api = build_orchestrator_api(orchestrator)
         assert api.post("/v1/whatif", body={}).status == 400
+        # The probe is validated like the create it previews.
+        assert api.post("/v1/whatif", body={**WHAT_IF_BODY, "availability": 1.5}).status == 400
         assert (
             api.post(
                 "/v1/whatif",

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.obs.span import SpanContext, Tracer
+from repro.obs.span import Tracer
 
 
 class TestSpanLifecycle:

@@ -1,84 +1,11 @@
-"""Tests for the MAC schedulers."""
+"""Tests for the inter-slice MAC scheduler."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.slices import PLMN
-from repro.ran.channel import ChannelModel
-from repro.ran.scheduler import (
-    ProportionalFairScheduler,
-    RoundRobinScheduler,
-    SchedulerError,
-    SliceAwareScheduler,
-)
-from repro.ran.ue import UserEquipment
-
-
-def make_ues(n: int, mean_snr: float = 15.0, attach: bool = True):
-    plmn = PLMN("001", "01")
-    ues = []
-    for i in range(n):
-        channel = ChannelModel(mean_snr_db=mean_snr, volatility_db=0.0)
-        ue = UserEquipment(plmn, "s1", channel=channel)
-        if attach:
-            ue.start_search()
-            ue.found_cell("enb1")
-            ue.attach_complete(0.1)
-        ues.append(ue)
-    return ues
-
-
-class TestRoundRobin:
-    def test_equal_shares(self):
-        grants = RoundRobinScheduler().allocate(make_ues(4), prbs=20)
-        assert len(grants) == 4
-        assert all(share == pytest.approx(5.0) for share in grants.values())
-
-    def test_unattached_excluded(self):
-        ues = make_ues(2) + make_ues(2, attach=False)
-        grants = RoundRobinScheduler().allocate(ues, prbs=10)
-        assert len(grants) == 2
-
-    def test_out_of_coverage_excluded(self):
-        good = make_ues(1)
-        bad = make_ues(1, mean_snr=-30.0)
-        grants = RoundRobinScheduler().allocate(good + bad, prbs=10)
-        assert list(grants) == [good[0].imsi]
-
-    def test_empty_inputs(self):
-        assert RoundRobinScheduler().allocate([], 10) == {}
-        assert RoundRobinScheduler().allocate(make_ues(2), 0) == {}
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(SchedulerError):
-            RoundRobinScheduler().allocate(make_ues(1), -1)
-
-
-class TestProportionalFair:
-    def test_shares_sum_to_budget(self):
-        grants = ProportionalFairScheduler().allocate(make_ues(5), prbs=30)
-        assert sum(grants.values()) == pytest.approx(30.0)
-
-    def test_starved_ue_catches_up(self):
-        """A UE that got nothing for a while should receive a larger share."""
-        scheduler = ProportionalFairScheduler(ewma_alpha=0.5)
-        ues = make_ues(2)
-        # Warm up with only the first UE present.
-        for _ in range(10):
-            scheduler.allocate(ues[:1], prbs=10)
-        grants = scheduler.allocate(ues, prbs=10)
-        assert grants[ues[1].imsi] >= grants[ues[0].imsi]
-
-    def test_equal_history_equal_grants(self):
-        grants = ProportionalFairScheduler().allocate(make_ues(4), prbs=20)
-        values = list(grants.values())
-        assert max(values) - min(values) < 1e-9
-
-    def test_bad_alpha_rejected(self):
-        with pytest.raises(SchedulerError):
-            ProportionalFairScheduler(ewma_alpha=0.0)
+from repro.ran.scheduler import SchedulerError, SliceAwareScheduler
 
 
 class TestSliceAware:

@@ -11,8 +11,6 @@ re-offer through admission control, not a blind re-install).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.broker import SliceBroker
 from repro.core.slices import SliceState
 from repro.store import RecoveryManager

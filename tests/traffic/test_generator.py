@@ -106,9 +106,3 @@ class TestGenerator:
             r.sla.throughput_mbps for r, _ in b
         ]
 
-    def test_iter_arrivals_lazy_equivalent(self):
-        eager = RequestGenerator(np.random.default_rng(9), 0.05).batch(1_000.0)
-        lazy = list(
-            RequestGenerator(np.random.default_rng(9), 0.05).iter_arrivals(1_000.0)
-        )
-        assert [r.arrival_time for r, _ in eager] == [r.arrival_time for r, _ in lazy]

@@ -13,10 +13,7 @@ intermediate factor (overbooking pays until violations eat the profit).
 
 from __future__ import annotations
 
-from repro.core.overbooking import FixedOverbooking, NoOverbooking
-from repro.core.slices import ServiceType
-from repro.experiments.runner import ScenarioConfig, run_scenario
-from repro.traffic.generator import RequestMix
+from repro.scenarios import ArrivalSpec, ScenarioSpec, run_scenario
 
 from benchmarks.conftest import emit_table
 
@@ -24,14 +21,14 @@ FACTORS = (1.0, 1.25, 1.5, 2.0, 2.5, 3.0)
 
 
 def run_point(factor: float, seed: int = 4):
-    overbooking = NoOverbooking() if factor <= 1.0 else FixedOverbooking(factor)
     return run_scenario(
-        ScenarioConfig(
-            horizon_s=4 * 3_600.0,
-            arrival_rate_per_s=1 / 45.0,
+        ScenarioSpec(
+            name="d2",
             seed=seed,
-            overbooking=overbooking,
-            mix=RequestMix.single(ServiceType.EMBB),
+            horizon_s=4 * 3_600.0,
+            n_enbs=2,
+            arrivals=ArrivalSpec(rate_per_s=1 / 45.0, mix="embb"),
+            overbooking="none" if factor <= 1.0 else f"fixed:{factor}",
         )
     )
 
@@ -52,12 +49,13 @@ def test_d2_gain_vs_penalty_curve(benchmark):
                 result.total_penalties,
                 result.net_revenue,
                 result.violation_rate,
+                result.digest[:12],
             ]
         )
     emit_table(
         "D2",
         "overbooking factor sweep (diurnal eMBB, 4 h)",
-        ["factor", "gain_mean", "gain_peak", "admitted", "gross", "penalties", "net", "viol_rate"],
+        ["factor", "gain_mean", "gain_peak", "admitted", "gross", "penalties", "net", "viol_rate", "digest"],
         rows,
     )
     gains = [results[f].mean_multiplexing_gain for f in FACTORS]

@@ -22,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.orchestrator import Orchestrator, OrchestratorConfig
-from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.experiments.testbed import build_testbed
+from repro.scenarios import ArrivalSpec, ScenarioSpec, run_scenario
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.traffic.patterns import ConstantProfile
@@ -40,27 +40,30 @@ def test_d4_acceptance_vs_load(benchmark):
     ratios = []
     for interarrival in INTERARRIVALS:
         result = run_scenario(
-            ScenarioConfig(
-                horizon_s=2 * 3_600.0,
-                arrival_rate_per_s=1.0 / interarrival,
+            ScenarioSpec(
+                name="d4a",
                 seed=6,
+                horizon_s=2 * 3_600.0,
+                n_enbs=2,
+                arrivals=ArrivalSpec(rate_per_s=1.0 / interarrival),
             )
         )
-        ratios.append(result.acceptance_ratio)
+        ratios.append(result.admission_yield)
         rows.append(
             [
                 interarrival,
-                result.requests,
+                result.submitted,
                 result.admitted,
-                result.acceptance_ratio,
+                result.admission_yield,
                 result.gross_revenue,
                 result.final_active_slices,
+                result.digest[:12],
             ]
         )
     emit_table(
         "D4a",
         "acceptance ratio vs. offered load (2 h, no overbooking)",
-        ["interarrival_s", "requests", "admitted", "acceptance", "gross", "active_at_end"],
+        ["interarrival_s", "requests", "admitted", "acceptance", "gross", "active_at_end", "digest"],
         rows,
     )
     # Acceptance falls (weakly) as load rises.

@@ -13,31 +13,24 @@ no-overbooking and aggressive-fixed.
 from __future__ import annotations
 
 from repro.core.forecasting import HoltWintersForecaster
-from repro.core.overbooking import AdaptiveOverbooking, FixedOverbooking, NoOverbooking
-from repro.core.orchestrator import OrchestratorConfig
-from repro.core.slices import ServiceType
-from repro.experiments.runner import ScenarioConfig, run_scenario
-from repro.traffic.generator import RequestMix
+from repro.core.overbooking import AdaptiveOverbooking
+from repro.scenarios import ArrivalSpec, ScenarioSpec, run_scenario
 
 from benchmarks.conftest import emit_table
 
 BUDGETS = (0.01, 0.05, 0.15)
 
 
-def run_point(overbooking, seed: int = 4):
+def run_point(overbooking: str, seed: int = 4):
     return run_scenario(
-        ScenarioConfig(
-            horizon_s=6 * 3_600.0,
-            arrival_rate_per_s=1 / 45.0,
+        ScenarioSpec(
+            name="d7",
             seed=seed,
+            horizon_s=6 * 3_600.0,
+            n_enbs=2,
+            arrivals=ArrivalSpec(rate_per_s=1 / 45.0, mix="embb"),
             overbooking=overbooking,
-            mix=RequestMix.single(ServiceType.EMBB),
-            forecaster_factory=lambda: HoltWintersForecaster(season_length=24),
-            orchestrator=OrchestratorConfig(
-                monitoring_epoch_s=60.0,
-                reconfig_every_epochs=5,
-                min_history_for_forecast=10,
-            ),
+            orchestrator={"min_history_for_forecast": 10},
         )
     )
 
@@ -45,15 +38,13 @@ def run_point(overbooking, seed: int = 4):
 def test_d7_violation_budget_sweep(benchmark):
     rows = []
     results = {}
-    baseline = run_point(NoOverbooking())
+    baseline = run_point("none")
     results["none"] = baseline
     rows.append(
-        ["no-overbooking", "-", baseline.mean_multiplexing_gain, baseline.violation_rate, baseline.net_revenue]
+        ["no-overbooking", "-", baseline.mean_multiplexing_gain, baseline.violation_rate, baseline.net_revenue, baseline.digest[:12]]
     )
     for budget in BUDGETS:
-        result = run_point(
-            AdaptiveOverbooking(violation_budget=budget, initial_quantile=0.9)
-        )
+        result = run_point(f"adaptive:{budget}")
         results[budget] = result
         rows.append(
             [
@@ -62,17 +53,18 @@ def test_d7_violation_budget_sweep(benchmark):
                 result.mean_multiplexing_gain,
                 result.violation_rate,
                 result.net_revenue,
+                result.digest[:12],
             ]
         )
-    aggressive = run_point(FixedOverbooking(3.0))
+    aggressive = run_point("fixed:3.0")
     results["fixed3"] = aggressive
     rows.append(
-        ["fixed(3.0)", "-", aggressive.mean_multiplexing_gain, aggressive.violation_rate, aggressive.net_revenue]
+        ["fixed(3.0)", "-", aggressive.mean_multiplexing_gain, aggressive.violation_rate, aggressive.net_revenue, aggressive.digest[:12]]
     )
     emit_table(
         "D7",
         "adaptive overbooking vs. violation budget (6 h diurnal eMBB)",
-        ["policy", "budget", "gain_mean", "viol_rate", "net_revenue"],
+        ["policy", "budget", "gain_mean", "viol_rate", "net_revenue", "digest"],
         rows,
     )
     # Adaptive sits between the two extremes on gain.

@@ -45,9 +45,8 @@ from repro.drivers.base import DomainSpec
 from repro.drivers.mock import MockDriver
 from repro.drivers.planner import BatchInstallPlanner, InstallJob
 from repro.drivers.registry import DriverRegistry
-from repro.experiments.runner import ScenarioConfig, ScenarioRunner
-from repro.experiments.testbed import build_testbed
-from repro.experiments.testbed import TestbedConfig
+from repro.experiments.testbed import TestbedConfig, build_testbed
+from repro.scenarios import ArrivalSpec, ScenarioRunner, ScenarioSpec
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.traffic.patterns import ConstantProfile
@@ -94,18 +93,19 @@ COMMIT_LATENCY_S = 0.0005
 
 
 def run_scale(n_enbs: int, seed: int = 5, horizon_s: float = HORIZON_S):
-    config = ScenarioConfig(
-        horizon_s=horizon_s,
-        arrival_rate_per_s=n_enbs / 120.0,  # constant per-cell load
+    spec = ScenarioSpec(
+        name="d8",
         seed=seed,
-        testbed=TestbedConfig(
-            n_enbs=n_enbs,
-            plmn_pool_size=6 * n_enbs,
-            core_nodes=2 * n_enbs,
-            edge_nodes=n_enbs,
-        ),
+        horizon_s=horizon_s,
+        n_enbs=n_enbs,
+        arrivals=ArrivalSpec(rate_per_s=n_enbs / 120.0),  # constant per-cell load
+        testbed={
+            "plmn_pool_size": 6 * n_enbs,
+            "core_nodes": 2 * n_enbs,
+            "edge_nodes": n_enbs,
+        },
     )
-    runner = ScenarioRunner(config)
+    runner = ScenarioRunner(spec)
     start = time.perf_counter()
     result = runner.run()
     elapsed = time.perf_counter() - start
@@ -153,10 +153,10 @@ def run_scale_measured(
         )
         runs += 1
         wall += elapsed
-        requests += result.requests
+        requests += result.submitted
         admitted += result.admitted
-        if result.requests > 0:
-            per_run_ms.append(1_000.0 * elapsed / result.requests)
+        if result.submitted > 0:
+            per_run_ms.append(1_000.0 * elapsed / result.submitted)
         if requests >= min_requests:
             break
     per_run_ms.sort()

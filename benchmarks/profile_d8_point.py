@@ -64,7 +64,7 @@ def profile_point(n_enbs: int, horizon_s: float, seed: int, out_dir: Path) -> Pa
     profiler.disable()
     header = (
         f"D8 point profile: {n_enbs} eNBs, horizon {horizon_s:.0f}s, seed {seed}\n"
-        f"requests={result.requests} admitted={result.admitted}\n\n"
+        f"requests={result.submitted} admitted={result.admitted}\n\n"
     )
     return _dump(profiler, out_dir, f"d8_{n_enbs}enbs", header)
 

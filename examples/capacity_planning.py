@@ -11,21 +11,19 @@ Run:  python examples/capacity_planning.py
 
 from __future__ import annotations
 
-from repro.core.overbooking import AdaptiveOverbooking, FixedOverbooking, NoOverbooking
-from repro.core.slices import ServiceType
 from repro.dashboard.reports import format_table
-from repro.experiments.runner import ScenarioConfig, run_scenario
-from repro.traffic.generator import RequestMix
+from repro.scenarios import ArrivalSpec, ScenarioSpec, run_scenario
 
 
-def run_policy(label: str, overbooking) -> list:
+def run_policy(label: str, overbooking: str) -> list:
     result = run_scenario(
-        ScenarioConfig(
-            horizon_s=4 * 3_600.0,
-            arrival_rate_per_s=1 / 45.0,
+        ScenarioSpec(
+            name="capacity-planning",
             seed=17,
+            horizon_s=4 * 3_600.0,
+            n_enbs=2,
+            arrivals=ArrivalSpec(rate_per_s=1 / 45.0, mix="embb"),
             overbooking=overbooking,
-            mix=RequestMix.single(ServiceType.EMBB),
         )
     )
     return [
@@ -40,12 +38,10 @@ def run_policy(label: str, overbooking) -> list:
 
 
 def main() -> None:
-    rows = [run_policy("none (1.0)", NoOverbooking())]
+    rows = [run_policy("none (1.0)", "none")]
     for factor in (1.25, 1.5, 2.0, 2.5, 3.0):
-        rows.append(run_policy(f"fixed {factor}", FixedOverbooking(factor)))
-    rows.append(
-        run_policy("adaptive (5% budget)", AdaptiveOverbooking(violation_budget=0.05))
-    )
+        rows.append(run_policy(f"fixed {factor}", f"fixed:{factor}"))
+    rows.append(run_policy("adaptive (5% budget)", "adaptive:0.05"))
     print("=== overbooking operating points (4 h diurnal eMBB workload) ===\n")
     print(
         format_table(

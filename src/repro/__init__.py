@@ -10,17 +10,18 @@ penalties.
 
 Quickstart::
 
-    from repro.experiments import ScenarioConfig, ScenarioRunner
-    from repro.core.admission import KnapsackPolicy
-    from repro.core.overbooking import AdaptiveOverbooking
+    from repro.scenarios import ArrivalSpec, ScenarioSpec, run_scenario
 
-    config = ScenarioConfig(
+    spec = ScenarioSpec(
+        name="quickstart",
         horizon_s=2 * 3600,
-        admission=KnapsackPolicy(),
-        overbooking=AdaptiveOverbooking(violation_budget=0.05),
+        n_enbs=2,
+        arrivals=ArrivalSpec(rate_per_s=1 / 300),
+        admission="knapsack",
+        overbooking="adaptive:0.05",
     )
-    result = ScenarioRunner(config).run()
-    print(result.row())
+    report = run_scenario(spec)
+    print(report.row(), report.digest)
 
 Package map:
 
@@ -32,8 +33,10 @@ Package map:
   time series, workloads and the event engine.
 - :mod:`repro.api`, :mod:`repro.dashboard` — the demo's REST surface
   and control dashboard.
-- :mod:`repro.experiments` — testbed builder and scenario runner used
-  by every benchmark.
+- :mod:`repro.experiments` — the Fig. 2 testbed builder.
+- :mod:`repro.scenarios` — the one scenario runner: a seeded, digested
+  spec of load sources (Poisson arrivals, mobile zone tenants),
+  failures and policies behind every benchmark table.
 """
 
 __version__ = "1.0.0"

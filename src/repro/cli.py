@@ -18,22 +18,17 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.core.admission import FcfsPolicy, GreedyPricePolicy, KnapsackPolicy
-from repro.core.overbooking import (
-    AdaptiveOverbooking,
-    FixedOverbooking,
-    NoOverbooking,
-)
-from repro.core.slices import ServiceType
 from repro.dashboard.reports import format_table
-from repro.experiments.runner import ScenarioConfig, run_scenario
-from repro.traffic.generator import RequestMix
-
-ADMISSION_POLICIES = {
-    "fcfs": FcfsPolicy,
-    "greedy": GreedyPricePolicy,
-    "knapsack": KnapsackPolicy,
-}
+from repro.scenarios import (
+    ArrivalSpec,
+    ScenarioError,
+    ScenarioSpec,
+    build_named,
+    load_scenario_file,
+    named_scenarios,
+    run_scenario,
+)
+from repro.scenarios.spec import ADMISSION_POLICIES, ARRIVAL_MIXES, parse_overbooking
 
 EXPERIMENTS = [
     ("D1", "bench_d1_admission.py", "revenue-max admission beats naive acceptance"),
@@ -50,30 +45,13 @@ EXPERIMENTS = [
 ]
 
 
-def _make_overbooking(spec: str):
-    """Parse an overbooking spec: ``none``, ``fixed:<factor>`` or
-    ``adaptive:<budget>``."""
-    if spec == "none":
-        return NoOverbooking()
-    kind, _, arg = spec.partition(":")
-    if kind == "fixed":
-        return FixedOverbooking(float(arg or 1.5))
-    if kind == "adaptive":
-        return AdaptiveOverbooking(violation_budget=float(arg or 0.05))
-    raise argparse.ArgumentTypeError(
-        f"unknown overbooking spec {spec!r} (none | fixed:<factor> | adaptive:<budget>)"
-    )
-
-
-def _make_mix(spec: Optional[str]) -> Optional[RequestMix]:
-    if spec is None or spec == "default":
-        return None
+def _overbooking(text: str) -> str:
+    """argparse ``type=``: the string, once the spec's parser takes it."""
     try:
-        service_type = ServiceType(spec)
-    except ValueError:
-        valid = ["default"] + [t.value for t in ServiceType]
-        raise argparse.ArgumentTypeError(f"unknown mix {spec!r}; valid: {valid}")
-    return RequestMix.single(service_type)
+        parse_overbooking(text)
+    except ScenarioError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--interarrival", type=float, default=120.0, help="mean seconds between requests")
     scenario.add_argument("--seed", type=int, default=0)
     scenario.add_argument("--admission", choices=sorted(ADMISSION_POLICIES), default="fcfs")
-    scenario.add_argument("--overbooking", type=_make_overbooking, default=NoOverbooking())
-    scenario.add_argument("--mix", type=_make_mix, default=None)
+    scenario.add_argument("--overbooking", type=_overbooking, default="none")
+    scenario.add_argument("--mix", choices=list(ARRIVAL_MIXES), default="default")
     scenario.add_argument("--json", action="store_true", help="emit JSON instead of a table")
 
     scenarios = sub.add_parser(
@@ -144,8 +122,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
         sim=sim,
         allocator=testbed.allocator,
         plmn_pool=testbed.plmn_pool,
-        admission=GreedyPricePolicy(),
-        overbooking=AdaptiveOverbooking(violation_budget=0.05),
+        admission=ADMISSION_POLICIES["greedy"](),
+        overbooking=parse_overbooking("adaptive:0.05"),
         config=OrchestratorConfig(),
         streams=streams,
     )
@@ -188,44 +166,48 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
-    config = ScenarioConfig(
-        horizon_s=args.hours * 3_600.0,
-        arrival_rate_per_s=1.0 / args.interarrival,
-        seed=args.seed,
-        admission=ADMISSION_POLICIES[args.admission](),
-        overbooking=args.overbooking,
-        mix=args.mix,
+    report = run_scenario(
+        ScenarioSpec(
+            name="scenario",
+            seed=args.seed,
+            horizon_s=args.hours * 3_600.0,
+            n_enbs=2,
+            arrivals=ArrivalSpec(rate_per_s=1.0 / args.interarrival, mix=args.mix),
+            admission=args.admission,
+            overbooking=args.overbooking,
+        )
     )
-    result = run_scenario(config)
-    row = result.row()
+    row = report.row()
     if args.json:
         print(json.dumps(row, sort_keys=True))
     else:
         print(format_table(list(row.keys()), [list(row.values())]))
-    return 0
+    return 0 if report.clean else 1
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
+    clean = True
     for factor in args.factors:
-        overbooking = NoOverbooking() if factor <= 1.0 else FixedOverbooking(factor)
-        result = run_scenario(
-            ScenarioConfig(
-                horizon_s=args.hours * 3_600.0,
-                arrival_rate_per_s=1 / 45.0,
+        report = run_scenario(
+            ScenarioSpec(
+                name="sweep",
                 seed=args.seed,
-                overbooking=overbooking,
-                mix=RequestMix.single(ServiceType.EMBB),
+                horizon_s=args.hours * 3_600.0,
+                n_enbs=2,
+                arrivals=ArrivalSpec(rate_per_s=1 / 45.0, mix="embb"),
+                overbooking="none" if factor <= 1.0 else f"fixed:{factor}",
             )
         )
+        clean = clean and report.clean
         rows.append(
             [
                 factor,
-                result.mean_multiplexing_gain,
-                result.violation_rate,
-                result.gross_revenue,
-                result.total_penalties,
-                result.net_revenue,
+                report.mean_multiplexing_gain,
+                report.violation_rate,
+                report.gross_revenue,
+                report.total_penalties,
+                report.net_revenue,
             ]
         )
     print(
@@ -233,7 +215,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             ["factor", "gain", "viol_rate", "gross", "penalties", "net"], rows
         )
     )
-    return 0
+    return 0 if clean else 1
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
@@ -244,22 +226,9 @@ def cmd_experiments(args: argparse.Namespace) -> int:
 def cmd_scenarios(args: argparse.Namespace) -> int:
     import os
 
-    from repro.scenarios import (
-        ScenarioError,
-        build_named,
-        load_scenario_file,
-        named_scenarios,
-        run_scenario,
-    )
-    from repro.scenarios.spec import ScenarioSpec
-
     if args.scenarios_command == "list":
-        from repro.scenarios.spec import _NAMED
-
-        rows = [
-            [name, _NAMED[name](0).mobility.model, len(_NAMED[name](0).failures)]
-            for name in named_scenarios()
-        ]
+        packs = [build_named(name) for name in named_scenarios()]
+        rows = [[p.name, p.mobility.model, len(p.failures)] for p in packs]
         print(format_table(["pack", "mobility", "failures"], rows))
         return 0
 

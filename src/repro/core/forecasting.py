@@ -362,84 +362,6 @@ class HoltWintersForecaster(Forecaster):
         return self._smooth(y)[-1]
 
 
-class SeasonalNaiveForecaster(Forecaster):
-    """Forecast = the value one season ago (strong diurnal baseline).
-
-    Falls back to plain naive while the history is shorter than one
-    season.
-    """
-
-    def __init__(self, season_length: int = 24) -> None:
-        super().__init__()
-        if season_length < 2:
-            raise ForecastError(f"season length must be ≥ 2, got {season_length}")
-        self.m = int(season_length)
-
-    def _fit(self, y: np.ndarray) -> None:
-        self._y = y
-
-    def _point_forecast(self, h: int) -> float:
-        y = self._y
-        if y.size < self.m:
-            return float(y[-1])
-        return float(y[-self.m + ((h - 1) % self.m)])
-
-    def _fitted_values(self, y: np.ndarray) -> np.ndarray:
-        fitted = y.astype(float).copy()
-        for i in range(y.size):
-            if i >= self.m:
-                fitted[i] = y[i - self.m]
-            elif i >= 1:
-                fitted[i] = y[i - 1]
-        return fitted
-
-
-class SimpleExpSmoothingForecaster(Forecaster):
-    """Simple exponential smoothing (level only, no trend/season)."""
-
-    def __init__(self, alpha: float = 0.3) -> None:
-        super().__init__()
-        if not 0.0 < alpha <= 1.0:
-            raise ForecastError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = float(alpha)
-
-    def _smooth(self, y: np.ndarray) -> tuple:
-        level = float(y[0])
-        fitted = [level]
-        for value in y[1:]:
-            fitted.append(level)
-            level = self.alpha * float(value) + (1 - self.alpha) * level
-        return level, np.array(fitted[: y.size])
-
-    def _fit(self, y: np.ndarray) -> np.ndarray:
-        self._level, fitted = self._smooth(y)
-        return fitted
-
-    def _point_forecast(self, h: int) -> float:
-        return self._level
-
-    def _fitted_values(self, y: np.ndarray) -> np.ndarray:
-        return self._smooth(y)[1]
-
-
-class DriftForecaster(Forecaster):
-    """Naive-with-drift: extrapolates the average historical slope."""
-
-    def _fit(self, y: np.ndarray) -> None:
-        self._last = float(y[-1])
-        self._drift = float((y[-1] - y[0]) / (y.size - 1)) if y.size > 1 else 0.0
-
-    def _point_forecast(self, h: int) -> float:
-        return self._last + h * self._drift
-
-    def _fitted_values(self, y: np.ndarray) -> np.ndarray:
-        fitted = y.astype(float).copy()
-        for i in range(1, y.size):
-            slope = (y[i - 1] - y[0]) / (i - 1) if i > 1 else 0.0
-            fitted[i] = y[i - 1] + slope
-        return fitted
-
-
 class EnsembleForecaster(Forecaster):
     """Selects, at fit time, the member with the lowest in-sample MAE."""
 
@@ -523,14 +445,11 @@ def evaluate_forecaster(
 
 __all__ = [
     "ArForecaster",
-    "DriftForecaster",
     "EnsembleForecaster",
     "ForecastError",
     "Forecaster",
     "HoltWintersForecaster",
     "MovingAverageForecaster",
     "NaiveForecaster",
-    "SeasonalNaiveForecaster",
-    "SimpleExpSmoothingForecaster",
     "evaluate_forecaster",
 ]

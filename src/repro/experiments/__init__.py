@@ -1,18 +1,10 @@
-"""Experiment harness shared by the examples and benchmarks.
+"""The canonical simulated testbed (the demo's Fig. 2).
 
-:func:`build_testbed` reconstructs the Fig. 2 demo testbed in
-simulation; :class:`ScenarioRunner` drives a full workload through an
-orchestrator and aggregates the metrics every D-experiment reports.
+:func:`build_testbed` wires the RAN, transport and cloud controllers,
+the planner views and the southbound driver registry every harness —
+the scenario engine, the shards, the examples — runs on.
 """
 
 from repro.experiments.testbed import Testbed, TestbedConfig, build_testbed
-from repro.experiments.runner import ScenarioConfig, ScenarioResult, ScenarioRunner
 
-__all__ = [
-    "ScenarioConfig",
-    "ScenarioResult",
-    "ScenarioRunner",
-    "Testbed",
-    "TestbedConfig",
-    "build_testbed",
-]
+__all__ = ["Testbed", "TestbedConfig", "build_testbed"]

@@ -1,8 +1,9 @@
-"""Scenario engine: declarative mobility + failure packs with scoring.
+"""Scenario engine: one declarative, seeded, digested way to run a load.
 
-The subsystem that stresses the control plane the way a real metro
-deployment does — users *moving* (commuter tides, vehicular corridors)
-and infrastructure *failing with restoration* — and scores each run
+A scenario is the sum of its load sources — Poisson slice requests (the
+paper's admission and overbooking figures), users *moving* (commuter
+tides, vehicular corridors) — plus infrastructure *failing with
+restoration*, run against the broker policies the spec names and scored
 into a deterministic :class:`~repro.scenarios.report.ScenarioReport`.
 
 Entry points:
@@ -28,6 +29,7 @@ from repro.scenarios.mobility import (
 from repro.scenarios.report import ScenarioReport
 from repro.scenarios.runner import ScenarioRunner, run_named, run_scenario
 from repro.scenarios.spec import (
+    ArrivalSpec,
     FailureSpec,
     MobilitySpec,
     ScenarioError,
@@ -39,6 +41,7 @@ from repro.scenarios.spec import (
 )
 
 __all__ = [
+    "ArrivalSpec",
     "CommuterTides",
     "FailurePack",
     "FailureSpec",

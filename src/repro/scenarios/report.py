@@ -7,7 +7,10 @@ CI gate or a benchmark table consumes lives here, split into
   counts, SLA violations, lost/leaked audits, heal convergence in sim
   time).  These are hashed into :attr:`ScenarioReport.digest`, the
   value the determinism property suite pins: same spec + same seed ⇒
-  same digest.
+  same digest.  (Gross revenue, penalties, multiplexing gain and the
+  final active count are deterministic too; they joined the report
+  after the first digests were recorded and stay outside the hash,
+  which already covers net revenue and every admission decision.)
 * **wall-clock** fields — handover/rescale control-plane latencies
   measured with ``perf_counter``.  Reported (they are the point of the
   handover-latency score) but *excluded* from the digest, since wall
@@ -67,9 +70,16 @@ class ScenarioReport:
     lost_slices: List[str] = field(default_factory=list)
     leaked_reservations: List[str] = field(default_factory=list)
 
+    # Economics (the paper's gains vs. penalties) ------------------------
+    gross_revenue: float = 0.0
+    total_penalties: float = 0.0
+    net_revenue: float = 0.0
+    mean_multiplexing_gain: float = 0.0
+    peak_multiplexing_gain: float = 0.0
+
     # Bookkeeping ------------------------------------------------------
     events_processed: int = 0
-    net_revenue: float = 0.0
+    final_active_slices: int = 0
     outage_detail: List[dict] = field(default_factory=list)
     timeline: List[list] = field(default_factory=list)
     spec_json: str = ""
@@ -77,6 +87,14 @@ class ScenarioReport:
     # Wall-clock (excluded from the digest) ----------------------------
     handover_latency_ms: List[float] = field(default_factory=list)
     wall_s: float = 0.0
+
+    def count(self, admitted: bool) -> None:
+        """Book one admission decision, whichever load source asked."""
+        self.submitted += 1
+        if admitted:
+            self.admitted += 1
+        else:
+            self.rejected += 1
 
     # ------------------------------------------------------------------
     # Derived scores
@@ -146,6 +164,21 @@ class ScenarioReport:
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
+    def row(self) -> Dict[str, float]:
+        """The result row ``repro scenario`` prints and the D-experiment
+        tables are cut from."""
+        return {
+            "requests": self.submitted,
+            "admitted": self.admitted,
+            "acceptance": self.admission_yield,
+            "gross": self.gross_revenue,
+            "penalties": self.total_penalties,
+            "net": self.net_revenue,
+            "viol_rate": self.violation_rate,
+            "gain_mean": self.mean_multiplexing_gain,
+            "gain_peak": self.peak_multiplexing_gain,
+        }
+
     def to_dict(self) -> Dict[str, Any]:
         """Full JSON artifact (``scenario_report.json``)."""
         payload = self.deterministic_dict()
@@ -154,6 +187,11 @@ class ScenarioReport:
                 "digest": self.digest,
                 "admission_yield": round(self.admission_yield, 4),
                 "violation_rate": round(self.violation_rate, 4),
+                "gross_revenue": round(self.gross_revenue, 6),
+                "total_penalties": round(self.total_penalties, 6),
+                "mean_multiplexing_gain": round(self.mean_multiplexing_gain, 4),
+                "peak_multiplexing_gain": round(self.peak_multiplexing_gain, 4),
+                "final_active_slices": self.final_active_slices,
                 "heal_convergence_max_s": self.heal_convergence_max_s,
                 "outage_detail": self.outage_detail,
                 "lost": len(self.lost_slices),

@@ -1,8 +1,14 @@
 """Scenario execution: compile spec → events, run, score.
 
-The runner is the piece that turns a declarative
-:class:`~repro.scenarios.spec.ScenarioSpec` into orchestrator traffic:
+The runner is the one harness that says "build a testbed, wire an
+orchestrator, drive load, score it".  A scenario is the *sum of its
+load sources*, run against the policies the
+:class:`~repro.scenarios.spec.ScenarioSpec` names:
 
+* ``spec.arrivals`` — Poisson slice requests
+  (:meth:`RequestGenerator.drive` on the ``"arrivals"`` stream), the
+  load behind the paper's admission, overbooking-gain and
+  adaptive-budget figures;
 * each tenant runs one **zone slice** per cell, sized to the zone's
   attached-user count (``clamp(min, base x users, max)``) — the
   scenario abstraction that turns *mobility* into *control-plane
@@ -29,10 +35,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.admission import FcfsPolicy
-from repro.core.forecasting import HoltWintersForecaster
 from repro.core.orchestrator import Orchestrator, OrchestratorConfig
-from repro.core.overbooking import NoOverbooking
 from repro.core.slices import SLA, ServiceType, SliceRequest, slice_id_for
 from repro.drivers.base import DomainDriver, ReservationState
 from repro.drivers.mock import MockDriver
@@ -41,14 +44,19 @@ from repro.scenarios.failures import FailurePack
 from repro.scenarios.mobility import HandoverEvent, build_model
 from repro.scenarios.report import ScenarioReport
 from repro.scenarios.spec import (
+    ADMISSION_POLICIES,
+    ARRIVAL_MIXES,
     ScenarioError,
     ScenarioSpec,
     TenantSpec,
     build_named,
+    parse_overbooking,
 )
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
-from repro.traffic.patterns import ConstantProfile
+from repro.traffic.generator import RequestGenerator
+from repro.traffic.patterns import ConstantProfile, TrafficProfile
+from repro.transport.controller import TransportError
 
 __all__ = ["ScenarioRunner", "run_named", "run_scenario"]
 
@@ -58,12 +66,9 @@ _DURATION_MARGIN_S = 86_400.0
 
 
 class ScenarioRunner:
-    """Runs one :class:`ScenarioSpec` end-to-end on a fresh testbed.
-
-    Distinct from :class:`repro.experiments.runner.ScenarioRunner`
-    (Poisson arrival sweeps for the D-experiments): this runner drives
-    *mobility- and failure-shaped* workloads and scores survivability.
-    """
+    """Runs one :class:`ScenarioSpec` end-to-end on a fresh testbed
+    (plus any ``extra_drivers``, each a
+    :class:`~repro.drivers.base.DomainDriver`, else ``TypeError``)."""
 
     def __init__(
         self,
@@ -82,6 +87,11 @@ class ScenarioRunner:
             TestbedConfig(n_enbs=spec.n_enbs, **testbed_kwargs)
         )
         for driver in extra_drivers or []:
+            if not isinstance(driver, DomainDriver):
+                raise TypeError(
+                    f"extra_drivers entries must be DomainDriver instances, "
+                    f"got {driver!r}"
+                )
             self.testbed.registry.register(driver)
         chaos = {
             driver.domain: driver
@@ -93,10 +103,11 @@ class ScenarioRunner:
             allocator=self.testbed.allocator,
             registry=self.testbed.registry,
             plmn_pool=self.testbed.plmn_pool,
-            admission=FcfsPolicy(),
-            overbooking=NoOverbooking(),
-            forecaster_factory=lambda: HoltWintersForecaster(season_length=24),
-            config=OrchestratorConfig(monitoring_epoch_s=spec.epoch_s),
+            admission=ADMISSION_POLICIES[spec.admission](),
+            overbooking=parse_overbooking(spec.overbooking),
+            config=OrchestratorConfig(
+                monitoring_epoch_s=spec.epoch_s, **spec.orchestrator
+            ),
             streams=self.streams,
         )
         self.report = ScenarioReport(
@@ -153,20 +164,33 @@ class ScenarioRunner:
                 )
                 profile = ConstantProfile(target, noise_std=0.02)
                 decision = self.orchestrator.submit(request, profile)
-                self.report.submitted += 1
+                self.report.count(decision.admitted)
                 key = (tenant.tenant_id, cell)
                 if decision.admitted:
                     slice_id = slice_id_for(request_id)
                     self._zone_slices[key] = slice_id
                     self._zone_targets[key] = target
                     self._expected_live.add(slice_id)
-                    self.report.admitted += 1
                 else:
                     self._zone_slices[key] = None
-                    self.report.rejected += 1
                 self._note(
                     "submit", request_id, target, bool(decision.admitted)
                 )
+
+    # ------------------------------------------------------------------
+    # Poisson arrivals
+    # ------------------------------------------------------------------
+    def _on_arrival(self, request: SliceRequest, profile: TrafficProfile) -> None:
+        # Request ids come off a process-wide counter, so the timeline
+        # names an arrival by what was asked, not by its id.
+        decision = self.orchestrator.submit(request, profile)
+        self.report.count(decision.admitted)
+        self._note(
+            "arrival",
+            request.service_type.value,
+            round(request.sla.throughput_mbps, 3),
+            bool(decision.admitted),
+        )
 
     # ------------------------------------------------------------------
     # Handovers → rescale storm
@@ -221,8 +245,8 @@ class ScenarioRunner:
             try:
                 if not transport.path_healthy(network_slice.slice_id):
                     return
-            except Exception:
-                return  # unknown to transport ⇒ not converged yet
+            except TransportError:
+                return  # holds no path ⇒ not converged yet
         self.pack.note_all_healthy(self.sim.now)
 
     # ------------------------------------------------------------------
@@ -231,27 +255,32 @@ class ScenarioRunner:
     def run(self) -> ScenarioReport:
         spec = self.spec
         started = perf_counter()
-        model = build_model(spec.mobility)
-        timeline = model.timeline(
-            n_users=spec.mobility.n_users,
-            n_cells=spec.n_enbs,
-            horizon_s=spec.horizon_s,
-            rng=self.streams.stream("mobility"),
-        )
-        timeline.validate()
-        self._users_per_cell = timeline.users_per_cell_initial()
-
         self.orchestrator.start()
-        self.sim.schedule_at(1.0, self._submit_zone_slices, name="zone-submits")
-        for event in timeline.handovers:
-            # Trace rows may start at t=0; keep every injected event
-            # after the zone submits.
-            at = max(event.time_s, 1.5)
-            if at >= spec.horizon_s:
-                continue
-            self.sim.schedule_at(
-                at, lambda e=event: self._on_handover(e), name="handover"
+        if spec.tenants:
+            timeline = build_model(spec.mobility).timeline(
+                n_users=spec.mobility.n_users,
+                n_cells=spec.n_enbs,
+                horizon_s=spec.horizon_s,
+                rng=self.streams.stream("mobility"),
             )
+            timeline.validate()
+            self._users_per_cell = timeline.users_per_cell_initial()
+            self.sim.schedule_at(1.0, self._submit_zone_slices, name="zone-submits")
+            for event in timeline.handovers:
+                # Trace rows may start at t=0; keep every injected event
+                # after the zone submits.
+                at = max(event.time_s, 1.5)
+                if at >= spec.horizon_s:
+                    continue
+                self.sim.schedule_at(
+                    at, lambda e=event: self._on_handover(e), name="handover"
+                )
+        if spec.arrivals:
+            RequestGenerator(
+                rng=self.streams.stream("arrivals"),
+                arrival_rate_per_s=spec.arrivals.rate_per_s,
+                mix=ARRIVAL_MIXES[spec.arrivals.mix](),
+            ).drive(self.sim, spec.horizon_s, self._on_arrival)
         self.pack.schedule()
         if self.pack.records:
             # Poll just after each monitoring epoch (the heal pass runs
@@ -293,7 +322,13 @@ class ScenarioRunner:
         report.outage_detail = [r.to_dict() for r in self.pack.records]
         report.repairs_performed = self.testbed.transport.repairs_performed
         report.events_processed = self.sim.events_processed
-        report.net_revenue = orchestrator.ledger.net_revenue
+        report.final_active_slices = len(orchestrator.active_slices())
+        ledger = orchestrator.ledger
+        report.gross_revenue = ledger.gross_revenue
+        report.total_penalties = ledger.total_penalties
+        report.net_revenue = ledger.net_revenue
+        report.mean_multiplexing_gain = orchestrator.gain_tracker.mean_gain()
+        report.peak_multiplexing_gain = orchestrator.gain_tracker.peak_gain()
 
 
 def run_scenario(

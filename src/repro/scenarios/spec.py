@@ -1,8 +1,9 @@
-"""Declarative scenario specs: mobility + failures + tenant mix.
+"""Declarative scenario specs: load sources + failures + policies.
 
 A :class:`ScenarioSpec` is the reproducibility unit of the scenario
-engine: everything a run needs — testbed sizing, the tenant/slice mix,
-the mobility model and the failure schedule — lives in one seeded,
+engine: everything a run needs — testbed sizing, the load sources (zone
+tenants moved by a mobility model, Poisson arrivals), the failure
+schedule and the broker's policies by name — lives in one seeded,
 JSON-serialisable value.  Two runs of the same spec with the same seed
 produce the identical event timeline and the identical
 :class:`~repro.scenarios.report.ScenarioReport` digest; that contract
@@ -21,10 +22,27 @@ Specs come from three places:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
+from repro.core.admission import FcfsPolicy, GreedyPricePolicy, KnapsackPolicy
+from repro.core.orchestrator import OrchestratorConfig
+from repro.core.overbooking import (
+    AdaptiveOverbooking,
+    FixedOverbooking,
+    ForecastOverbooking,
+    NoOverbooking,
+    OverbookingError,
+    OverbookingPolicy,
+)
+from repro.core.slices import ServiceType
+from repro.traffic.generator import RequestMix
+
 __all__ = [
+    "ADMISSION_POLICIES",
+    "ARRIVAL_MIXES",
+    "ArrivalSpec",
     "FailureSpec",
     "MobilitySpec",
     "ScenarioError",
@@ -33,6 +51,7 @@ __all__ = [
     "build_named",
     "load_scenario_file",
     "named_scenarios",
+    "parse_overbooking",
 ]
 
 #: Failure kinds the pack knows how to translate onto the testbed.
@@ -44,6 +63,56 @@ MOBILITY_MODELS = ("commuter-tides", "vehicular-corridor", "trace")
 
 class ScenarioError(ValueError):
     """A scenario spec failed validation."""
+
+
+# ----------------------------------------------------------------------
+# Policy names: the strings a spec (and the CLI) carries
+# ----------------------------------------------------------------------
+#: Admission policies a spec can name.
+ADMISSION_POLICIES = {
+    "fcfs": FcfsPolicy,
+    "greedy": GreedyPricePolicy,
+    "knapsack": KnapsackPolicy,
+}
+
+#: Overbooking policies a spec can name, as ``<kind>[:<number>]``; the
+#: number is the policy's one knob (factor, quantile, violation budget).
+OVERBOOKING_POLICIES = {
+    "none": NoOverbooking,
+    "fixed": FixedOverbooking,
+    "forecast": ForecastOverbooking,
+    "adaptive": AdaptiveOverbooking,
+}
+
+#: Request mixes an :class:`ArrivalSpec` can name: the generator's
+#: five-vertical default, or one vertical alone.
+ARRIVAL_MIXES = {
+    "default": RequestMix,
+    **{t.value: partial(RequestMix.single, t) for t in ServiceType},
+}
+
+#: ``OrchestratorConfig`` fields a spec may override (the monitoring
+#: epoch is ``ScenarioSpec.epoch_s``).
+_ORCHESTRATOR_KEYS = {f.name for f in fields(OrchestratorConfig)} - {"monitoring_epoch_s"}
+
+#: Fields younger than the first recorded digests and the values
+#: ``canonical_json`` omits — pinned here, not read off the dataclass, so
+#: a later change of default cannot move a recorded digest.
+_YOUNG_FIELDS = {"arrivals": None, "admission": "fcfs", "overbooking": "none", "orchestrator": {}}
+
+
+def parse_overbooking(text: str) -> OverbookingPolicy:
+    """A fresh policy from ``none``, ``fixed:<factor>``,
+    ``forecast:<quantile>`` or ``adaptive:<budget>``; anything else is
+    a :class:`ScenarioError`."""
+    kind, _, knob = text.partition(":")
+    try:
+        return OVERBOOKING_POLICIES[kind](*([float(knob)] if knob else []))
+    except (KeyError, TypeError, ValueError, OverbookingError) as exc:
+        raise ScenarioError(
+            f"bad overbooking spec {text!r} (none | fixed:<factor> | "
+            f"forecast:<quantile> | adaptive:<budget>): {exc!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -104,6 +173,26 @@ class MobilitySpec:
             raise ScenarioError("trace mobility requires trace_path")
         if self.model != "trace" and self.n_users <= 0:
             raise ScenarioError(f"n_users must be positive, got {self.n_users}")
+
+
+@dataclass(frozen=True)
+class ArrivalSpec:
+    """Poisson slice requests over the whole horizon, drawn from the
+    run's ``"arrivals"`` stream: the load of the paper's admission and
+    overbooking figures.  ``mix`` is one of :data:`ARRIVAL_MIXES`."""
+
+    rate_per_s: float
+    mix: str = "default"
+
+    def validate(self) -> None:
+        if self.rate_per_s <= 0:
+            raise ScenarioError(
+                f"arrival rate must be positive, got {self.rate_per_s}"
+            )
+        if self.mix not in ARRIVAL_MIXES:
+            raise ScenarioError(
+                f"unknown mix {self.mix!r}; valid: {list(ARRIVAL_MIXES)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -168,11 +257,17 @@ class ScenarioSpec:
             cells, the second half *core* (business) cells.
         rescale_hysteresis: Relative throughput change below which a
             handover does not re-dimension the zone slice.
-        tenants: The slice mix (one zone slice per tenant per cell).
+        tenants: The slice mix (one zone slice per tenant per cell);
+            may be empty when ``arrivals`` is set.
         mobility: User movement model.
         failures: Scheduled outages with restoration.
         testbed: Extra :class:`~repro.experiments.testbed.TestbedConfig`
             overrides (capacities, DC sizing, ...).
+        arrivals: Poisson request load, beside or instead of tenants.
+        admission: Admission policy, a key of :data:`ADMISSION_POLICIES`.
+        overbooking: Overbooking policy, a :func:`parse_overbooking` string.
+        orchestrator: :class:`~repro.core.orchestrator.OrchestratorConfig`
+            overrides (``epoch_s`` is the monitoring epoch).
     """
 
     name: str
@@ -185,6 +280,10 @@ class ScenarioSpec:
     mobility: MobilitySpec = field(default_factory=MobilitySpec)
     failures: Tuple[FailureSpec, ...] = ()
     testbed: Mapping[str, Any] = field(default_factory=dict)
+    arrivals: Optional[ArrivalSpec] = None
+    admission: str = "fcfs"
+    overbooking: str = "none"
+    orchestrator: Mapping[str, Any] = field(default_factory=dict)
 
     def validate(self) -> None:
         if not self.name:
@@ -201,8 +300,10 @@ class ScenarioSpec:
             raise ScenarioError(
                 f"hysteresis must be in [0, 1), got {self.rescale_hysteresis}"
             )
-        if not self.tenants:
-            raise ScenarioError("at least one tenant is required")
+        if not self.tenants and self.arrivals is None:
+            raise ScenarioError(
+                "at least one tenant or an arrivals source is required"
+            )
         seen = set()
         for tenant in self.tenants:
             tenant.validate()
@@ -219,6 +320,17 @@ class ScenarioSpec:
                         f"enb failure target {failure.target!r} outside the "
                         f"{self.n_enbs}-cell fleet"
                     )
+        if self.arrivals is not None:
+            self.arrivals.validate()
+        if self.admission not in ADMISSION_POLICIES:
+            raise ScenarioError(
+                f"unknown admission policy {self.admission!r}; "
+                f"expected one of {sorted(ADMISSION_POLICIES)}"
+            )
+        parse_overbooking(self.overbooking)
+        unknown = set(self.orchestrator) - _ORCHESTRATOR_KEYS
+        if unknown:
+            raise ScenarioError(f"unknown orchestrator fields: {sorted(unknown)}")
 
     # ------------------------------------------------------------------
     # Serialisation
@@ -231,6 +343,7 @@ class ScenarioSpec:
         payload["mobility"]["params"] = dict(self.mobility.params)
         payload["failures"] = [asdict(f) for f in self.failures]
         payload["testbed"] = dict(self.testbed)
+        payload["orchestrator"] = dict(self.orchestrator)
         return payload
 
     @classmethod
@@ -251,18 +364,27 @@ class ScenarioSpec:
             f if isinstance(f, FailureSpec) else FailureSpec(**f)
             for f in data.pop("failures", ())
         )
+        arrivals = data.pop("arrivals", None)
+        if isinstance(arrivals, Mapping):
+            arrivals = ArrivalSpec(**arrivals)
         spec = cls(
             tenants=tenants,
             mobility=mobility or MobilitySpec(),
             failures=failures,
+            arrivals=arrivals,
             **data,
         )
         spec.validate()
         return spec
 
     def canonical_json(self) -> str:
-        """Stable serialisation — the digest input."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Stable serialisation — the digest input.  A young field is
+        left out while it holds its default, so older digests repeat."""
+        payload = self.to_dict()
+        for name, default in _YOUNG_FIELDS.items():
+            if payload[name] == default:
+                del payload[name]
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def load_scenario_file(path: str) -> ScenarioSpec:

@@ -8,28 +8,21 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core.forecasting import (
     ArForecaster,
-    DriftForecaster,
     EnsembleForecaster,
     ForecastError,
     HoltWintersForecaster,
     MovingAverageForecaster,
     NaiveForecaster,
-    SeasonalNaiveForecaster,
-    SimpleExpSmoothingForecaster,
-    evaluate_forecaster,
 )
 
-#: Every forecaster ``core.forecasting`` ships — the five D3 compares
-#: first — under the name the properties below report it by.
+#: Every forecaster ``core.forecasting`` ships — the five D3 compares —
+#: under the name the properties below report it by.
 FORECASTERS = {
     "naive": NaiveForecaster,
     "moving-average": MovingAverageForecaster,
     "ar": ArForecaster,
     "holt-winters": HoltWintersForecaster,
     "ensemble": EnsembleForecaster,
-    "seasonal-naive": SeasonalNaiveForecaster,
-    "ses": SimpleExpSmoothingForecaster,
-    "drift": DriftForecaster,
 }
 
 
@@ -37,76 +30,6 @@ def diurnal(n_days=5, m=24, noise=2.0, seed=0):
     rng = np.random.default_rng(seed)
     t = np.arange(n_days * m)
     return 40 + 25 * np.sin(2 * np.pi * t / m) + rng.normal(0, noise, t.size)
-
-
-class TestSeasonalNaive:
-    def test_repeats_last_season(self):
-        season = [10.0, 20.0, 30.0, 40.0]
-        f = SeasonalNaiveForecaster(season_length=4).fit(season * 3)
-        assert f.forecast(1) == 10.0
-        assert f.forecast(2) == 20.0
-        assert f.forecast(4) == 40.0
-        assert f.forecast(5) == 10.0  # wraps into the season
-
-    def test_short_history_falls_back_to_naive(self):
-        f = SeasonalNaiveForecaster(season_length=10).fit([3.0, 7.0])
-        assert f.forecast(1) == 7.0
-
-    def test_beats_naive_on_diurnal(self):
-        series = diurnal()
-        sn = evaluate_forecaster(SeasonalNaiveForecaster(season_length=24), series)
-        naive = evaluate_forecaster(NaiveForecaster(), series)
-        assert sn["mae"] < naive["mae"]
-
-    def test_bad_season_rejected(self):
-        with pytest.raises(ForecastError):
-            SeasonalNaiveForecaster(season_length=1)
-
-
-class TestSes:
-    def test_constant_series(self):
-        f = SimpleExpSmoothingForecaster(alpha=0.5).fit([5.0] * 20)
-        assert f.forecast(1) == pytest.approx(5.0)
-        assert f.forecast(9) == pytest.approx(5.0)
-
-    def test_level_tracks_shift(self):
-        f = SimpleExpSmoothingForecaster(alpha=0.5).fit([0.0] * 10 + [10.0] * 10)
-        assert f.forecast(1) > 9.0
-
-    def test_alpha_one_is_naive(self):
-        series = [1.0, 5.0, 2.0, 8.0]
-        ses = SimpleExpSmoothingForecaster(alpha=1.0).fit(series)
-        naive = NaiveForecaster().fit(series)
-        assert ses.forecast(1) == pytest.approx(naive.forecast(1))
-
-    def test_bad_alpha_rejected(self):
-        with pytest.raises(ForecastError):
-            SimpleExpSmoothingForecaster(alpha=0.0)
-
-    def test_smooths_noise_better_than_naive(self):
-        rng = np.random.default_rng(2)
-        series = 20 + rng.normal(0, 5, 300)
-        ses = evaluate_forecaster(SimpleExpSmoothingForecaster(alpha=0.2), series)
-        naive = evaluate_forecaster(NaiveForecaster(), series)
-        assert ses["mae"] < naive["mae"]
-
-
-class TestDrift:
-    def test_extrapolates_linear_series(self):
-        f = DriftForecaster().fit(np.arange(20, dtype=float))
-        assert f.forecast(1) == pytest.approx(20.0)
-        assert f.forecast(5) == pytest.approx(24.0)
-
-    def test_single_point_has_zero_drift(self):
-        f = DriftForecaster().fit([7.0])
-        assert f.forecast(3) == 7.0
-
-    def test_beats_naive_on_trend(self):
-        rng = np.random.default_rng(1)
-        series = np.arange(100, dtype=float) * 0.5 + rng.normal(0, 0.5, 100)
-        drift = evaluate_forecaster(DriftForecaster(), series, horizon=5)
-        naive = evaluate_forecaster(NaiveForecaster(), series, horizon=5)
-        assert drift["mae"] < naive["mae"]
 
 
 class TestRegistry:
@@ -124,7 +47,7 @@ class TestRegistry:
 
 def _seasoned(name, m):
     """The named model, with season length ``m`` where it has one."""
-    takes_season = name in ("holt-winters", "seasonal-naive")
+    takes_season = name == "holt-winters"
     return FORECASTERS[name](**({"season_length": m} if takes_season else {}))
 
 

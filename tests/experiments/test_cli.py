@@ -25,10 +25,13 @@ class TestParser:
             FixedOverbooking,
             NoOverbooking,
         )
+        from repro.scenarios.spec import parse_overbooking
 
-        parse = lambda spec: build_parser().parse_args(
-            ["scenario", "--overbooking", spec]
-        ).overbooking
+        # The parser refuses a bad string and carries a good one; the
+        # spec's one parser turns it into the policy.
+        parse = lambda spec: parse_overbooking(
+            build_parser().parse_args(["scenario", "--overbooking", spec]).overbooking
+        )
         assert isinstance(parse("none"), NoOverbooking)
         fixed = parse("fixed:2.0")
         assert isinstance(fixed, FixedOverbooking) and fixed.factor == 2.0

@@ -4,14 +4,24 @@ from __future__ import annotations
 
 
 from repro.core.orchestrator import Orchestrator, OrchestratorConfig
-from repro.core.overbooking import FixedOverbooking, ForecastOverbooking, NoOverbooking
-from repro.core.slices import ServiceType, SliceState
-from repro.experiments.runner import ScenarioConfig, run_scenario
+from repro.core.overbooking import ForecastOverbooking
+from repro.core.slices import SliceState
+from repro.scenarios import ArrivalSpec, ScenarioSpec, run_scenario
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
-from repro.traffic.generator import RequestMix
 from repro.traffic.patterns import ConstantProfile, DiurnalProfile
 from tests.conftest import make_request
+
+
+def arrivals_spec(seed, horizon_s, rate_per_s, overbooking, mix="default"):
+    return ScenarioSpec(
+        name="e2e",
+        seed=seed,
+        horizon_s=horizon_s,
+        n_enbs=2,
+        arrivals=ArrivalSpec(rate_per_s=rate_per_s, mix=mix),
+        overbooking=overbooking,
+    )
 
 
 def build_orchestrator(testbed, **kwargs):
@@ -65,14 +75,8 @@ class TestFullLifecycle:
         ).admitted
 
     def test_multi_vertical_workload_all_states_terminal_or_active(self, testbed):
-        config = ScenarioConfig(
-            horizon_s=3_600.0,
-            arrival_rate_per_s=1 / 90.0,
-            seed=3,
-            overbooking=FixedOverbooking(1.5),
-        )
-        result = run_scenario(config)
-        assert result.requests >= 20
+        result = run_scenario(arrivals_spec(3, 3_600.0, 1 / 90.0, "fixed:1.5"))
+        assert result.submitted >= 20
         assert result.admitted >= 5
 
 
@@ -80,22 +84,8 @@ class TestOverbookingBehaviour:
     def test_overbooking_admits_more_than_baseline(self):
         """The headline demo claim at admission level: overbooked posture
         accommodates more slices than nominal reservation."""
-        base = run_scenario(
-            ScenarioConfig(
-                horizon_s=3_600.0,
-                arrival_rate_per_s=1 / 60.0,
-                seed=9,
-                overbooking=NoOverbooking(),
-            )
-        )
-        overbooked = run_scenario(
-            ScenarioConfig(
-                horizon_s=3_600.0,
-                arrival_rate_per_s=1 / 60.0,
-                seed=9,
-                overbooking=FixedOverbooking(2.0),
-            )
-        )
+        base = run_scenario(arrivals_spec(9, 3_600.0, 1 / 60.0, "none"))
+        overbooked = run_scenario(arrivals_spec(9, 3_600.0, 1 / 60.0, "fixed:2.0"))
         assert overbooked.admitted > base.admitted
         assert overbooked.peak_multiplexing_gain > 1.0
 
@@ -103,13 +93,7 @@ class TestOverbookingBehaviour:
         """Push hard enough and SLA violations (penalties) must appear —
         the other side of the demo's trade-off."""
         result = run_scenario(
-            ScenarioConfig(
-                horizon_s=4 * 3_600.0,
-                arrival_rate_per_s=1 / 45.0,
-                seed=4,
-                overbooking=FixedOverbooking(3.0),
-                mix=RequestMix.single(ServiceType.EMBB),
-            )
+            arrivals_spec(4, 4 * 3_600.0, 1 / 45.0, "fixed:3.0", mix="embb")
         )
         assert result.violation_rate > 0.0
         assert result.total_penalties > 0.0

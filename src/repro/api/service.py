@@ -29,7 +29,7 @@ from repro.api.schemas import (
     parse_bool_param,
     parse_int_param,
 )
-from repro.core.admission import AdmissionDecision
+from repro.core.admission import AdmissionDecision, TenantQuota
 from repro.core.broker import SliceBroker
 from repro.core.events import OrchestrationEvent
 from repro.core.orchestrator import Orchestrator, OrchestratorError
@@ -81,20 +81,6 @@ class QuotaExceeded(ServiceError):
 
     status = 429
     code = "quota_exceeded"
-
-
-@dataclass(frozen=True)
-class TenantQuota:
-    """Per-tenant admission ceilings enforced by the service layer.
-
-    ``None`` means unlimited.  A quota counts slices that currently
-    hold (or are about to hold) resources — ADMITTED, DEPLOYING and
-    ACTIVE — against ``max_active_slices``, and their summed SLA
-    throughput against ``max_aggregate_mbps``.
-    """
-
-    max_active_slices: Optional[int] = None
-    max_aggregate_mbps: Optional[float] = None
 
 
 @dataclass
@@ -246,13 +232,16 @@ def sim_gauges(orchestrator: Orchestrator) -> Dict[Tuple[str, str], float]:
 class SliceService:
     """Typed facade over :class:`Orchestrator` + :class:`SliceBroker`.
 
+    Stateless over the orchestrator apart from its async operations:
+    bookings and quotas are the orchestrator's tables, which it
+    journals, checkpoints and recovers.
+
     Args:
         orchestrator: The live orchestrator.
         broker: Batch-window broker used by ``mode=batch`` submissions;
             one with the default 300 s window is created when omitted.
         operation_capacity: Retention of the async-operation registry.
-        quotas: Per-tenant :class:`TenantQuota` overrides.
-        default_quota: Quota applied to tenants without an override
+        default_quota: Quota applied to tenants without one of their own
             (None — the default — disables quota enforcement for them).
     """
 
@@ -261,124 +250,44 @@ class SliceService:
         orchestrator: Orchestrator,
         broker: Optional[SliceBroker] = None,
         operation_capacity: int = 1024,
-        quotas: Optional[Dict[str, TenantQuota]] = None,
         default_quota: Optional[TenantQuota] = None,
     ) -> None:
         self.orchestrator = orchestrator
         self.broker = broker or SliceBroker(orchestrator)
         self.operations = OperationStore(capacity=operation_capacity)
-        self.quotas = dict(quotas or {})
         self.default_quota = default_quota
-        # request_id -> (tenant, throughput_mbps) for API-created advance
-        # bookings; pruned lazily once the calendar drops the booking.
-        self._bookings: Dict[str, Tuple[str, float]] = {}
-        # Quotas recovered before this service existed (a service-less
-        # RecoveryManager.restore) seed the table; explicit constructor
-        # quotas win.
-        for tenant_id, payload in orchestrator.recovered_quotas.items():
-            self.quotas.setdefault(
-                tenant_id,
-                TenantQuota(
-                    max_active_slices=payload.get("max_active_slices"),
-                    max_aggregate_mbps=payload.get("max_aggregate_mbps"),
-                ),
-            )
-        # Tenant quotas ride along in every durability checkpoint, so a
-        # recovered control plane enforces the same ceilings.
-        orchestrator.durable_sections["quotas"] = self._quota_state
 
     # ------------------------------------------------------------------
     # Quotas
     # ------------------------------------------------------------------
     def quota_for(self, tenant_id: str) -> Optional[TenantQuota]:
         """The quota applying to ``tenant_id`` (None = unlimited)."""
-        return self.quotas.get(tenant_id, self.default_quota)
-
-    def set_quota(
-        self,
-        tenant_id: str,
-        max_active_slices: Optional[int] = None,
-        max_aggregate_mbps: Optional[float] = None,
-    ) -> TenantQuota:
-        """Install (or replace) a tenant's quota — journaled, so the
-        ceiling survives an orchestrator restart."""
-        quota = TenantQuota(
-            max_active_slices=max_active_slices,
-            max_aggregate_mbps=max_aggregate_mbps,
-        )
-        self.quotas[tenant_id] = quota
-        self.orchestrator.store.append(
-            "quota.set",
-            time=self.orchestrator.sim.now,
-            tenant_id=tenant_id,
-            max_active_slices=max_active_slices,
-            max_aggregate_mbps=max_aggregate_mbps,
-        )
-        return quota
-
-    def _quota_state(self) -> Dict[str, Dict[str, Any]]:
-        """Checkpoint section: every explicit per-tenant quota."""
-        return {
-            tenant: {
-                "max_active_slices": quota.max_active_slices,
-                "max_aggregate_mbps": quota.max_aggregate_mbps,
-            }
-            for tenant, quota in self.quotas.items()
-        }
-
-    def apply_recovered_quotas(self, quotas: Dict[str, Dict[str, Any]]) -> int:
-        """Re-apply journaled quotas after a restart (recovery path);
-        returns how many tenants were restored."""
-        for tenant_id, payload in quotas.items():
-            self.quotas[tenant_id] = TenantQuota(
-                max_active_slices=payload.get("max_active_slices"),
-                max_aggregate_mbps=payload.get("max_aggregate_mbps"),
-            )
-        return len(quotas)
+        return self.orchestrator.quotas.get(tenant_id, self.default_quota)
 
     def _request_installed(self, request_id: str) -> bool:
         """Whether a request's install already fired (a slice record —
         admitted or rejected — exists for it).  O(1)."""
         return self.orchestrator.has_slice(slice_id_for(request_id))
 
-    def _prune_stale_bookings(self) -> None:
-        """Drop booking records that no longer represent *future* load.
-
-        With the calendar respected (the default), the calendar itself
-        is the source of truth: a booking it dropped was released
-        (expired, cancelled, failed install).  With
-        ``respect_calendar=False`` the calendar never held the booking,
-        so a record lives until its install fires (the slice record —
-        admitted or rejected — then exists).
-        """
-        if self.orchestrator.config.respect_calendar:
-            calendar = self.orchestrator.calendar
-            stale = [rid for rid in self._bookings if not calendar.has(rid)]
-        else:
-            stale = [rid for rid in self._bookings if self._request_installed(rid)]
-        for rid in stale:
-            del self._bookings[rid]
-
     def quota_usage(self, tenant_id: str) -> Dict[str, float]:
         """Current quota-relevant usage of a tenant.
 
         Counts live slices (ADMITTED/DEPLOYING/ACTIVE) *plus* queued
-        future capacity — admitted advance bookings not installed yet
-        and pending batch operations — otherwise a tenant could queue
-        unlimited load through ``POST /v1/bookings`` or a broker window
-        and blow past its quota when it lands.  Cost is O(live + queued),
-        independent of the historical slice record.
+        future capacity — pending advance bookings and pending batch
+        operations — otherwise a tenant could queue unlimited load
+        through ``POST /v1/bookings`` or a broker window and blow past
+        its quota when it lands.  Cost is O(live + queued), independent
+        of the historical slice record.
         """
         live = [
-            s
+            s.request.sla.throughput_mbps
             for s in self.orchestrator.live_slices()
             if s.request.tenant_id == tenant_id
         ]
-        self._prune_stale_bookings()
         queued = [
-            throughput
-            for rid, (owner, throughput) in self._bookings.items()
-            if owner == tenant_id and not self._request_installed(rid)
+            request.sla.throughput_mbps
+            for request, _ in self.orchestrator.pending_bookings().values()
+            if request.tenant_id == tenant_id
         ]
         queued += [
             op.throughput_mbps
@@ -387,12 +296,15 @@ class SliceService:
         ]
         return {
             "active_slices": len(live) + len(queued),
-            "aggregate_mbps": sum(s.request.sla.throughput_mbps for s in live)
-            + sum(queued),
+            "aggregate_mbps": sum(live) + sum(queued),
         }
 
-    def _enforce_quota(self, tenant_id: str, throughput_mbps: float) -> None:
-        """Reject a submission that would push the tenant over quota.
+    def _enforce_quota(
+        self, tenant_id: str, throughput_mbps: float, slices: int = 1
+    ) -> None:
+        """Reject adding ``slices`` slices and ``throughput_mbps`` Mb/s
+        (a rescale adds 0 slices and its throughput delta) to a tenant
+        that would then be over quota.
 
         Raises:
             QuotaExceeded: With a message naming the exhausted limit.
@@ -402,8 +314,9 @@ class SliceService:
             return
         usage = self.quota_usage(tenant_id)
         if (
-            quota.max_active_slices is not None
-            and usage["active_slices"] + 1 > quota.max_active_slices
+            slices
+            and quota.max_active_slices is not None
+            and usage["active_slices"] + slices > quota.max_active_slices
         ):
             raise QuotaExceeded(
                 f"tenant {tenant_id} is at its slice quota "
@@ -529,9 +442,6 @@ class SliceService:
         """
         parsed = BOOKING_CREATE.parse(payload)
         tenant = self.resolve_tenant(header_tenant, parsed.get("tenant_id"))
-        # Prune here too: with quotas disabled, neither quota_usage nor
-        # a listing may ever run, and records must not pile up forever.
-        self._prune_stale_bookings()
         self._enforce_quota(tenant, parsed["throughput_mbps"])
         start_time = parsed["start_time"]
         if start_time < self.orchestrator.sim.now:
@@ -543,11 +453,6 @@ class SliceService:
             )
         request, profile = self.build_request(parsed, tenant)
         decision = self.orchestrator.submit_advance(request, profile, start_time)
-        if decision.admitted:
-            self._bookings[request.request_id] = (
-                tenant,
-                request.sla.throughput_mbps,
-            )
         return decision, request, start_time
 
     def cancel_booking(
@@ -557,57 +462,48 @@ class SliceService:
         window and quota slot immediately.
 
         Raises:
-            NotFound: Unknown booking, or owned by a different tenant
-                (bookings made outside the API are not cancellable here).
+            NotFound: Unknown booking, or owned by a different tenant.
             Conflict: The booking's install already fired — manage the
                 resulting slice via ``DELETE /v1/slices/{id}`` instead.
         """
-        record = self._bookings.get(booking_id)
-        if record is None:
+        pending = self.orchestrator.pending_bookings().get(booking_id)
+        slice_id = slice_id_for(booking_id)
+        if pending is not None:
+            owner: Optional[str] = pending[0].tenant_id
+        else:  # installed already, if it is a live slice now
+            runtime = self.orchestrator.runtime(slice_id)
+            owner = runtime.network_slice.request.tenant_id if runtime else None
+        if owner is None or tenant_id not in (None, owner):
             raise NotFound(f"unknown booking {booking_id}")
-        owner, _ = record
-        if tenant_id is not None and owner != tenant_id:
-            raise NotFound(f"unknown booking {booking_id}")
-        try:
-            self.orchestrator.cancel_advance(booking_id, tenant_id=owner)
-        except OrchestratorError:
+        if pending is None:
             raise Conflict(
                 f"booking {booking_id} already installed; manage the slice "
-                f"({slice_id_for(booking_id)}) instead"
-            ) from None
-        del self._bookings[booking_id]
+                f"({slice_id}) instead"
+            )
+        self.orchestrator.cancel_advance(booking_id)
         return {"booking_id": booking_id, "state": "cancelled"}
 
     def list_bookings(self, tenant_id: Optional[str] = None) -> List[Dict[str, Any]]:
-        """*Pending* advance bookings created through the API,
-        start-ordered (tenant-scoped when a tenant is given).
+        """The shard's *pending* advance bookings, start-ordered
+        (tenant-scoped when a tenant is given): the orchestrator's own
+        table, so bookings recovery re-promised are listed too.
 
-        Driven by the service's own booking records, not the raw
-        calendar — the calendar also carries every immediate slice's
-        commitment, and a booking whose install already fired is a
-        slice (manage it via ``/v1/slices/{id}``), so neither appears
-        here.  Window details (``end``, ``demand``) are joined from the
-        calendar when it holds the booking (always, unless the
-        orchestrator runs with ``respect_calendar=False``).
+        A booking whose install already fired is a slice (manage it via
+        ``/v1/slices/{id}``) and is not listed.  Window details
+        (``end``, ``demand``) are joined from the calendar when it holds
+        the booking (always, unless the orchestrator runs with
+        ``respect_calendar=False``).
         """
-        self._prune_stale_bookings()
-        windows = {b.booking_id: b for b in self.orchestrator.calendar.bookings()}
+        calendar = self.orchestrator.calendar
         out: List[Dict[str, Any]] = []
-        for rid, (owner, _) in self._bookings.items():
-            if tenant_id is not None and owner != tenant_id:
+        for booking_id, (request, start) in self.orchestrator.pending_bookings().items():
+            if tenant_id is not None and request.tenant_id != tenant_id:
                 continue
-            if self._request_installed(rid):
-                continue  # now a slice — manage it via /v1/slices/{id}
-            window = windows.get(rid)
-            start = (
-                window.start
-                if window is not None
-                else self.orchestrator.advance_start_time(rid)
-            )
+            window = calendar.get(booking_id)
             out.append(
                 {
-                    "booking_id": rid,
-                    "tenant_id": owner,
+                    "booking_id": booking_id,
+                    "tenant_id": request.tenant_id,
                     "start": start,
                     "end": window.end if window is not None else None,
                     "demand": {
@@ -619,12 +515,7 @@ class SliceService:
                     else None,
                 }
             )
-        out.sort(
-            key=lambda e: (
-                e["start"] if e["start"] is not None else float("inf"),
-                e["booking_id"],
-            )
-        )
+        out.sort(key=lambda e: (e["start"], e["booking_id"]))
         return out
 
     def list_slices(
@@ -705,31 +596,17 @@ class SliceService:
         """
         parsed = SLICE_MODIFY.parse(payload)
         network_slice = self.get_slice(slice_id, tenant_id)  # existence + tenancy
-        self._enforce_rescale_quota(network_slice, parsed["throughput_mbps"])
-        return self.orchestrator.modify_slice(slice_id, parsed["throughput_mbps"])
-
-    def _enforce_rescale_quota(
-        self, network_slice: NetworkSlice, new_throughput_mbps: float
-    ) -> None:
-        """Quota check for a rescale: the slice's own current share is
-        swapped out for the requested one before comparing."""
-        owner = network_slice.request.tenant_id
-        quota = self.quota_for(owner)
-        if quota is None or quota.max_aggregate_mbps is None:
-            return
-        usage = self.quota_usage(owner)
+        wanted = parsed["throughput_mbps"]
+        # A live slice already counts its current share.
         current = (
             network_slice.request.sla.throughput_mbps
-            if network_slice.state
-            in (SliceState.ADMITTED, SliceState.DEPLOYING, SliceState.ACTIVE)
+            if self.orchestrator.runtime(slice_id) is not None
             else 0.0
         )
-        projected = usage["aggregate_mbps"] - current + new_throughput_mbps
-        if projected > quota.max_aggregate_mbps + 1e-9:
-            raise QuotaExceeded(
-                f"tenant {owner} would exceed its aggregate throughput quota "
-                f"({projected:.1f} > {quota.max_aggregate_mbps:.1f} Mb/s)"
-            )
+        self._enforce_quota(
+            network_slice.request.tenant_id, wanted - current, slices=0
+        )
+        return self.orchestrator.modify_slice(slice_id, wanted)
 
     def what_if(
         self, payload: Optional[dict], header_tenant: Optional[str] = None
@@ -869,9 +746,9 @@ class SliceService:
                 "live_slices": len(live),
                 "active_slices": len(orchestrator.active_slices()),
                 "pending_installs": orchestrator.pending_installs,
-                "pending_bookings": len(orchestrator.calendar.bookings()),
+                "pending_bookings": len(orchestrator.pending_bookings()),
                 "plmn_available": orchestrator.plmn_pool.available,
-                "quota_tenants": sorted(self.quotas),
+                "quota_tenants": sorted(orchestrator.quotas),
             },
             "planner": {
                 "batches_run": orchestrator.planner.batches_run,

@@ -17,7 +17,7 @@ Endpoints (full reference in ``docs/API.md``):
   teardown (DELETE also cancels slices still pending activation).
 - ``POST /v1/bookings`` — advance reservation against the resource
   calendar (**201** booked / **409** ``calendar_conflict``); ``GET
-  /v1/bookings`` lists pending API-created bookings; ``DELETE
+  /v1/bookings`` lists the shard's pending bookings; ``DELETE
   /v1/bookings/{booking_id}`` withdraws one.
 - ``GET /v1/operations[/{op_id}]`` — poll async operations.
 - ``GET /v1/events?since=N`` — the bounded orchestration event feed;

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.dashboard.reports import format_table
@@ -234,16 +235,12 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 
     try:
         if os.path.exists(args.name) or args.name.endswith(".json"):
-            spec = load_scenario_file(args.name)
-            payload = spec.to_dict()
-            payload["seed"] = args.seed
-            spec = ScenarioSpec.from_dict(payload)
+            spec = replace(load_scenario_file(args.name), seed=args.seed)
         else:
             spec = build_named(args.name, seed=args.seed)
         if args.horizon is not None:
-            payload = spec.to_dict()
-            payload["horizon_s"] = args.horizon
-            spec = ScenarioSpec.from_dict(payload)
+            spec = replace(spec, horizon_s=args.horizon)
+        spec.validate()
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

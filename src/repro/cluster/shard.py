@@ -248,19 +248,8 @@ class ControlPlaneCluster:
         worker = self.shard(shard_id)
 
         def rebuild() -> "tuple[Orchestrator, SliceService]":
-            store = ControlPlaneStore(
-                self.config.durability_root,
-                shard_id=shard_id,
-                fsync_every=self.config.orchestrator.get("journal_fsync_every", 32),
-                checkpoint_every=self.config.orchestrator.get(
-                    "checkpoint_every_records", 512
-                ),
-            )
-            orchestrator = self._build_orchestrator(
-                worker.testbed, shard_id, store=store
-            )
-            service = SliceService(orchestrator)
-            return orchestrator, service
+            orchestrator = self._build_orchestrator(worker.testbed, shard_id)
+            return orchestrator, SliceService(orchestrator)
 
         return WarmStandby(
             shard_id=shard_id,

@@ -196,7 +196,7 @@ class WarmStandby:
         replay_lag = self.poll()
         from repro.store.recovery import RecoveryManager
 
-        report = RecoveryManager(orchestrator, service=service).restore(self.state)
+        report = RecoveryManager(orchestrator).restore(self.state)
         recovery_s = _time.monotonic() - started
         self.promoted = PromotionReport(
             shard_id=self.shard_id,

@@ -115,6 +115,20 @@ class AdmissionDecision:
     slice_id: Optional[str] = None
 
 
+@dataclass(frozen=True)
+class TenantQuota:
+    """Per-tenant admission ceilings (``None`` means unlimited).
+
+    A quota counts slices that currently hold (or are about to hold)
+    resources — live slices, pending advance bookings, queued broker
+    requests — against ``max_active_slices``, and their summed SLA
+    throughput against ``max_aggregate_mbps``.
+    """
+
+    max_active_slices: Optional[int] = None
+    max_aggregate_mbps: Optional[float] = None
+
+
 #: Estimates the expected penalty cost of admitting a request; the
 #: revenue-max policies subtract it from the price.  Signature:
 #: ``(request) -> expected penalty``.
@@ -400,5 +414,6 @@ __all__ = [
     "KnapsackPolicy",
     "PenaltyEstimator",
     "ResourceVector",
+    "TenantQuota",
     "default_penalty_estimator",
 ]

@@ -37,15 +37,17 @@ abstraction (see ``docs/ARCHITECTURE.md``).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.admission import (
     AdmissionDecision,
     AdmissionPolicy,
     FcfsPolicy,
     ResourceVector,
+    TenantQuota,
 )
 from repro.core.allocation import (
     AllocationError,
@@ -292,16 +294,12 @@ class Orchestrator:
         self.lease: Optional[Any] = None
         self.store.bind_obs(self.obs)
         #: Extra state sections (name → provider) merged into every
-        #: checkpoint — the service layer registers its tenant quotas
-        #: here so they survive restarts too.
+        #: checkpoint — the broker registers its open window here.
         self.durable_sections: Dict[str, Callable[[], dict]] = {}
-        #: Tenant quotas recovered from the journal before any service
-        #: layer exists — a later :class:`~repro.api.service.
-        #: SliceService` seeds itself from (and then supersedes) this,
-        #: and checkpoints carry it meanwhile so quotas can never be
-        #: compacted away by a service-less restart.
-        self.recovered_quotas: Dict[str, dict] = {}
-        self.durable_sections["quotas"] = lambda: self.recovered_quotas
+        #: The one tenant quota table: written by :meth:`set_quota`,
+        #: checkpointed by :meth:`durable_state`, refilled by recovery;
+        #: the service layer enforces it.
+        self.quotas: Dict[str, TenantQuota] = {}
         if self.store.enabled:
             # Tee the northbound feed into the journal: this is what
             # backs the durable GET /v1/events?after_lsn= cursor.
@@ -330,10 +328,10 @@ class Orchestrator:
         #: (request, profile, optional decision callback) awaiting the
         #: next batched install (drained every monitoring epoch).
         self._admission_queue: List[Tuple[SliceRequest, TrafficProfile, Optional[Callable[[AdmissionDecision], None]]]] = []
-        self._pending_advance: Dict[str, float] = {}  # request_id -> start_time
-        #: request objects of pending advance bookings (checkpointed so
+        #: Advance bookings promised and not yet installed:
+        #: ``request_id -> (request, start_time)`` (checkpointed so the
         #: promises survive a restart).
-        self._advance_requests: Dict[str, SliceRequest] = {}
+        self._pending_advance: Dict[str, Tuple[SliceRequest, float]] = {}
         # slice_id -> (slice, domains whose backend refused to release)
         self._stuck_releases: Dict[str, Tuple[NetworkSlice, List[str]]] = {}
         self._epoch_counter = 0
@@ -393,8 +391,8 @@ class Orchestrator:
     def durable_state(self) -> dict:
         """The full-state checkpoint image (the
         :class:`~repro.store.codec.ReplayState` shape): live slices,
-        the admission queue, pending advance bookings, and any
-        registered extra sections (tenant quotas)."""
+        the admission queue, pending advance bookings, tenant quotas,
+        and any registered extra sections (the broker's window)."""
         live: Dict[str, dict] = {}
         for slice_id, runtime in self._runtimes.items():
             network_slice = runtime.network_slice
@@ -432,11 +430,11 @@ class Orchestrator:
             "advance": {
                 request_id: {
                     "request": request_to_dict(request),
-                    "start_time": self._pending_advance.get(request_id, 0.0),
+                    "start_time": start_time,
                 }
-                for request_id, request in self._advance_requests.items()
-                if request_id in self._pending_advance
+                for request_id, (request, start_time) in self._pending_advance.items()
             },
+            "quotas": {tenant: asdict(quota) for tenant, quota in self.quotas.items()},
             "last_event_seq": self.events.last_seq,
             # High-water mark of issued request ordinals: a snapshot-only
             # restore must never re-issue an id, even when every slice
@@ -569,13 +567,12 @@ class Orchestrator:
     def _schedule_advance_install(
         self, request: SliceRequest, profile: TrafficProfile, start_time: float
     ) -> None:
-        """Record a promised advance booking (pending tables + the
+        """Record a promised advance booking (the pending table + the
         ``booking.committed`` journal record) and schedule its install
         for ``start_time`` — shared by :meth:`submit_advance` and
         :meth:`restore_advance_booking`, which differ only in whether
         the promise is checked first."""
-        self._pending_advance[request.request_id] = start_time
-        self._advance_requests[request.request_id] = request
+        self._pending_advance[request.request_id] = (request, start_time)
         self._journal(
             "booking.committed",
             request=request_to_dict(request),
@@ -583,7 +580,6 @@ class Orchestrator:
         )
 
         def install() -> None:
-            self._advance_requests.pop(request.request_id, None)
             if self._pending_advance.pop(request.request_id, None) is None:
                 return  # booking was cancelled before its start time
             self.install_admitted(request, profile)
@@ -711,11 +707,13 @@ class Orchestrator:
             expected_value=request.price,
         )
 
-    def advance_start_time(self, request_id: str) -> Optional[float]:
-        """Start time of a still-pending advance booking (None otherwise)."""
-        return self._pending_advance.get(request_id)
+    def pending_bookings(self) -> Mapping[str, Tuple[SliceRequest, float]]:
+        """Advance bookings promised and not yet installed — made here,
+        or re-promised by recovery: ``request_id -> (request,
+        start_time)``, a read-only view."""
+        return MappingProxyType(self._pending_advance)
 
-    def cancel_advance(self, request_id: str, tenant_id: Optional[str] = None) -> None:
+    def cancel_advance(self, request_id: str) -> None:
         """Withdraw an advance booking before its start time.
 
         Frees the calendar window immediately; the already-scheduled
@@ -725,20 +723,38 @@ class Orchestrator:
             OrchestratorError: If no such booking is pending (unknown
                 id, or its install already fired).
         """
-        start_time = self._pending_advance.pop(request_id, None)
-        if start_time is None:
+        pending = self._pending_advance.pop(request_id, None)
+        if pending is None:
             raise OrchestratorError(f"no pending advance booking {request_id}")
-        self._advance_requests.pop(request_id, None)
+        request, start_time = pending
         if self.calendar.has(request_id):
             self.calendar.release(request_id)
         self._journal("booking.cancelled", request_id=request_id)
         self.events.emit(
             self.sim.now,
             "booking.cancelled",
-            tenant_id=tenant_id,
+            tenant_id=request.tenant_id,
             booking_id=request_id,
             start_time=start_time,
         )
+
+    def set_quota(
+        self,
+        tenant_id: str,
+        max_active_slices: Optional[int] = None,
+        max_aggregate_mbps: Optional[float] = None,
+    ) -> TenantQuota:
+        """Install (or replace) a tenant's quota — journaled, so the
+        ceiling survives a restart and a promotion."""
+        quota = TenantQuota(max_active_slices, max_aggregate_mbps)
+        self.quotas[tenant_id] = quota
+        self._journal(
+            "quota.set",
+            tenant_id=tenant_id,
+            max_active_slices=max_active_slices,
+            max_aggregate_mbps=max_aggregate_mbps,
+        )
+        return quota
 
     def reject(self, request: SliceRequest, reason: str) -> AdmissionDecision:
         """Record a rejection (admission said no, or the broker dropped it)."""

@@ -105,14 +105,6 @@ class RanDriver(_InProcessDriver):
             supports_resize=True,
         )
 
-    def feasible(self, spec: DomainSpec) -> bool:
-        enbs = self.controller.enbs()
-        if not enbs:
-            return False
-        nominal = enbs[0].prbs_for_throughput(spec.throughput_mbps)
-        effective = max(1, round(nominal * spec.effective_fraction))
-        return self.controller.best_enb_for(spec.throughput_mbps, effective) is not None
-
     def _do_prepare(self, spec: DomainSpec) -> Dict[str, Any]:
         plmn = spec.attributes.get("plmn")
         if plmn is None:
@@ -208,13 +200,6 @@ class TransportDriver(_InProcessDriver):
             raise DriverError(
                 self.domain, f"spec missing transport attribute {exc}"
             ) from None
-
-    def feasible(self, spec: DomainSpec) -> bool:
-        try:
-            request = self._path_request(spec)
-        except DriverError:
-            return False
-        return self.controller.feasible(request)
 
     def _do_prepare(self, spec: DomainSpec) -> Dict[str, Any]:
         request = self._path_request(spec)
@@ -317,18 +302,6 @@ class CloudDriver(_InProcessDriver):
             resource_units=("vcpus",),
         )
 
-    def feasible(self, spec: DomainSpec) -> bool:
-        template = spec.attributes.get("template") or epc_template(spec.slice_id)
-        dc_id = spec.attributes.get("dc_id")
-        if dc_id is not None:
-            try:
-                return self.controller.datacenter(dc_id).can_host_flavors(
-                    template.flavors()
-                )
-            except CloudError:
-                return False
-        return bool(self.controller.feasible_dcs(template))
-
     def _do_prepare(self, spec: DomainSpec) -> Dict[str, Any]:
         dc_id = spec.attributes.get("dc_id")
         if dc_id is None:
@@ -402,9 +375,6 @@ class EpcDriver(_InProcessDriver):
             domain=self.domain,
             prepare_after=("cloud",),
         )
-
-    def feasible(self, spec: DomainSpec) -> bool:
-        return spec.attributes.get("plmn_id") is not None
 
     def _do_prepare(self, spec: DomainSpec) -> Dict[str, Any]:
         plmn_id = spec.attributes.get("plmn_id")

@@ -6,15 +6,19 @@ its own vocabulary (``install_slice`` / ``reserve_path`` / ``deploy``).
 :class:`DomainDriver` is the single southbound API that hides those
 vocabularies behind a transactional reserve-then-commit discipline:
 
-    feasible(spec)? ──> prepare(spec) ──> Reservation[PREPARED]
-                                             │
-                         commit(reservation) │ rollback(reservation)
-                                             ▼
-                        Reservation[COMMITTED]   Reservation[ROLLED_BACK]
-                                             │
-                           release(slice_id) │
-                                             ▼
-                        Reservation[RELEASED]
+    prepare(spec) ──> Reservation[PREPARED]
+                                 │
+             commit(reservation) │ rollback(reservation)
+                                 ▼
+            Reservation[COMMITTED]   Reservation[ROLLED_BACK]
+                                 │
+               release(slice_id) │
+                                 ▼
+            Reservation[RELEASED]
+
+Whether a spec *would* fit is the placement planner's question
+(:meth:`~repro.core.allocation.MultiDomainAllocator.probe`), not the
+driver's: a driver answers by preparing or refusing.
 
 ``prepare`` *holds* resources in the domain (a failed multi-domain
 install can still be unwound without side effects leaking), ``commit``
@@ -189,10 +193,6 @@ class DomainDriver(abc.ABC):
     @abc.abstractmethod
     def capabilities(self) -> DriverCapabilities:
         """Static description of what this backend supports."""
-
-    @abc.abstractmethod
-    def feasible(self, spec: DomainSpec) -> bool:
-        """Whether ``spec`` could currently be prepared (commits nothing)."""
 
     @abc.abstractmethod
     def prepare(self, spec: DomainSpec) -> Reservation:

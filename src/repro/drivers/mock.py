@@ -234,9 +234,6 @@ class MockDriver(BaseDriver):
     def _demand(self, spec: DomainSpec) -> float:
         return spec.throughput_mbps * spec.effective_fraction
 
-    def feasible(self, spec: DomainSpec) -> bool:
-        return self._demand(spec) <= self.capacity_mbps - self.held_mbps + 1e-9
-
     def _do_prepare(self, spec: DomainSpec) -> Dict[str, Any]:
         self._maybe_stall("prepare")
         self._nap(self.prepare_latency_s)

@@ -50,8 +50,11 @@ class DriverRegistry:
             The displaced driver when one was replaced, else ``driver``.
 
         Raises:
+            TypeError: If ``driver`` is not a :class:`DomainDriver`.
             DriverError: On a duplicate domain without ``replace``.
         """
+        if not isinstance(driver, DomainDriver):
+            raise TypeError(f"drivers must be DomainDriver instances, got {driver!r}")
         domain = driver.domain
         with self._lock:
             previous = self._drivers.get(domain)

@@ -48,12 +48,12 @@ from concurrent.futures import Future, wait as _wait
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
+from repro.core.admission import TenantQuota
 from repro.core.slices import ensure_request_counter_at_least
 from repro.drivers.base import DriverError, Reservation, ReservationState
 from repro.store.codec import ReplayState, request_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.service import SliceService
     from repro.core.orchestrator import Orchestrator
 
 
@@ -106,8 +106,6 @@ class RecoveryManager:
     Args:
         orchestrator: A *new, empty* orchestrator wired to the
             surviving driver registry and to the reopened store.
-        service: Optional service facade; when given, journaled tenant
-            quotas are re-applied to it.
         compensation_timeout_s: Wall-clock budget for the async orphan
             unwind (a hung backend must not wedge the restart).
     """
@@ -115,13 +113,11 @@ class RecoveryManager:
     def __init__(
         self,
         orchestrator: "Orchestrator",
-        service: Optional["SliceService"] = None,
         compensation_timeout_s: float = 10.0,
     ) -> None:
         if not orchestrator.store.enabled:
             raise RecoveryError("orchestrator has no durable store to recover from")
         self.orchestrator = orchestrator
-        self.service = service
         self.compensation_timeout_s = float(compensation_timeout_s)
 
     # ------------------------------------------------------------------
@@ -378,18 +374,10 @@ class RecoveryManager:
             report.broker_requeued += 1
 
     def _restore_quotas(self, state: ReplayState, report: RecoveryReport) -> None:
-        if not state.quotas:
-            return
-        # Always park the recovered quotas on the orchestrator: its
-        # checkpoint section carries them, so a service-less restore
-        # followed by the final checkpoint cannot compact them away;
-        # a SliceService constructed later seeds itself from here.
-        self.orchestrator.recovered_quotas.update(
-            {tenant: dict(payload) for tenant, payload in state.quotas.items()}
+        self.orchestrator.quotas.update(
+            {tenant: TenantQuota(**payload) for tenant, payload in state.quotas.items()}
         )
         report.quotas_restored = len(state.quotas)
-        if self.service is not None:
-            self.service.apply_recovered_quotas(state.quotas)
 
 
 __all__ = ["RecoveryError", "RecoveryManager", "RecoveryReport"]

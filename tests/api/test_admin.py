@@ -57,6 +57,17 @@ class TestAdminState:
         assert "planner" in response.body
         response.json()  # everything must be JSON-safe
 
+    def test_pending_bookings_counts_bookings_not_live_windows(self, testbed):
+        """The calendar holds every live slice's window too; the gauge
+        counts advance bookings not yet installed, and nothing else."""
+        _, _, api = build_stack(testbed)
+        assert api.post("/v1/slices", slice_body()).status == 201
+        booked = api.post("/v1/bookings", slice_body(start_time=1_000.0))
+        assert booked.status == 201
+        control = api.get("/v1/admin/state").body["control_plane"]
+        assert control["live_slices"] == 1
+        assert control["pending_bookings"] == 1
+
     def test_state_with_durability_disabled(self, testbed):
         _, _, api = build_stack(testbed)
         response = api.get("/v1/admin/state")
@@ -158,9 +169,8 @@ class TestDurableEventCursor:
             registry=testbed.registry,
             store=store,
         )
-        fresh_service = SliceService(restarted)
-        RecoveryManager(restarted, service=fresh_service).restore()
-        fresh_api = build_v1_api(fresh_service)
+        RecoveryManager(restarted).restore()
+        fresh_api = build_v1_api(SliceService(restarted))
         resumed = fresh_api.get(f"/v1/events?after_lsn={cursor}")
         assert resumed.ok
         # Recovery compacted the journal; the floor tells the consumer
@@ -176,8 +186,8 @@ class TestDurableEventCursor:
 
 class TestQuotaDurability:
     def test_set_quota_is_journaled(self, testbed, tmp_path):
-        orchestrator, service, _ = build_stack(testbed, tmp_path)
-        service.set_quota("tenant-a", max_active_slices=2)
+        orchestrator, _, _ = build_stack(testbed, tmp_path)
+        orchestrator.set_quota("tenant-a", max_active_slices=2)
         kinds = [r.record_type for r in orchestrator.store.records()]
         assert "quota.set" in kinds
         # And the checkpoint carries it too.

@@ -21,9 +21,11 @@ def build_stack(testbed, quotas=None, default_quota=None):
         streams=RandomStreams(seed=6),
     )
     orchestrator.start()
-    service = SliceService(
-        orchestrator, quotas=quotas, default_quota=default_quota
-    )
+    for tenant_id, quota in (quotas or {}).items():
+        orchestrator.set_quota(
+            tenant_id, quota.max_active_slices, quota.max_aggregate_mbps
+        )
+    service = SliceService(orchestrator, default_quota=default_quota)
     return sim, orchestrator, service, build_v1_api(service)
 
 

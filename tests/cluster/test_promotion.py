@@ -148,7 +148,8 @@ def test_promotion_from_the_warm_image_equals_a_cold_restore(seed, steps):
             cold = cluster._build_orchestrator(
                 shard.leader.testbed, VICTIM, store=cold_store
             )
-            cold_report = RecoveryManager(cold, service=SliceService(cold)).restore()
+            SliceService(cold)  # the broker's checkpoint section, as on the standby
+            cold_report = RecoveryManager(cold).restore()
 
             report = promotion.report
             assert report.slices_lost == cold_report.slices_lost == 0
@@ -249,6 +250,40 @@ def test_promotion_work_does_not_grow_with_live_slices(tmp_path, monkeypatch):
     # Reopening decodes the journal past the last checkpoint to repair a
     # torn tail: the checkpoint marker, whatever the fleet.
     assert small["journal lines decoded"] <= 2
+
+
+def test_a_promoted_shard_lists_cancels_and_counts_its_bookings(cluster):
+    """What the tenant sees again after a failover: the booking it made
+    is listed (start rebased onto the new clock), still counts against
+    its quota, and can still be cancelled, freeing the window."""
+    tenant = tenants_per_shard(cluster)[VICTIM]
+    headers = {"x-tenant-id": tenant}
+    router, leader = cluster.router, cluster.shard(VICTIM)
+    leader.orchestrator.set_quota(tenant, max_active_slices=1)
+    booked = router.post(
+        "/v1/bookings", body=slice_body(tenant, start_time=5_000.0), headers=headers
+    )
+    assert booked.status == 201, booked.body
+    booking_id = booked.body["booking_id"]
+    leader.run_until(130.0)  # the t=120 epoch is the last durable instant
+    standby = cluster.standby_for(VICTIM)
+    standby.poll()
+    cluster.kill_leader(VICTIM)
+    promotion = standby.promote(force=True)
+    cluster.adopt_promotion(VICTIM, promotion)
+    promoted = promotion.orchestrator
+    assert promoted.calendar.get(booking_id).start == 4_880.0
+
+    listing = router.get("/v1/bookings", headers=headers).body
+    assert [(b["booking_id"], b["start"]) for b in listing["bookings"]] == [
+        (booking_id, 4_880.0)
+    ]
+    over = router.post("/v1/slices", body=slice_body(tenant), headers=headers)
+    assert over.status == 429, over.body
+    assert router.delete(f"/v1/bookings/{booking_id}", headers=headers).status == 200
+    assert not promoted.calendar.has(booking_id)
+    assert router.get("/v1/bookings").body["count"] == 0
+    assert router.post("/v1/slices", body=slice_body(tenant), headers=headers).status == 201
 
 
 def test_replayed_records_is_the_lag_at_the_kill(cluster):

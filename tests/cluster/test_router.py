@@ -176,7 +176,7 @@ class TestQuotaAcrossFailover:
         owners = tenants_per_shard(cluster)
         shard_id, tenant = next(iter(owners.items()))
         shard = cluster.shard(shard_id)
-        shard.service.set_quota(tenant, max_active_slices=2)
+        shard.orchestrator.set_quota(tenant, max_active_slices=2)
 
         _create(cluster.router, tenant, n=2)
         over = cluster.router.post(

@@ -171,9 +171,7 @@ def test_the_calendar_never_promises_more_than_the_fleet_holds(steps, plmns):
         peak = orch.calendar.peak_usage(0.0, FOREVER)
         assert peak.fits_within(orch.calendar.capacity), peak
         holders = {s.request.request_id for s in orch.live_slices()}
-        holders |= {
-            r.request_id for r in offered if orch.advance_start_time(r.request_id) is not None
-        }
+        holders |= set(orch.pending_bookings())
         assert {b.booking_id for b in orch.calendar.bookings()} <= holders
         for request in offered:
             if (

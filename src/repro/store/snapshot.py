@@ -76,6 +76,21 @@ class SnapshotStore:
                 pass
         return path
 
+    def latest_lsn(self) -> int:
+        """LSN of the newest snapshot whose sorted-key head and closing
+        ``}}`` are intact (0 if none), read without decoding the body."""
+        for lsn in reversed(self.list_lsns()):
+            head = f'{{"lsn": {lsn}, "state": {{'.encode()
+            try:
+                with open(self._path_for(lsn), "rb") as handle:
+                    intact = handle.read(len(head)) == head
+                    handle.seek(-2, os.SEEK_END)
+                    if intact and handle.read() == b"}}":
+                        return lsn
+            except OSError:
+                continue
+        return 0
+
     def load_latest(self) -> Optional[Tuple[Dict[str, Any], int]]:
         """The newest parseable snapshot as ``(state, lsn)``.
 

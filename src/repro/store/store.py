@@ -134,8 +134,7 @@ class ControlPlaneStore:
             os.path.join(self.directory, "journal.jsonl"), fsync_every=fsync_every
         )
         self.snapshots = SnapshotStore(self.directory)
-        loaded = self.snapshots.load_latest()
-        self._snapshot_lsn = loaded[1] if loaded else 0
+        self._snapshot_lsn = self.snapshots.latest_lsn()
         # The snapshot LSN is durable state too: if a crash landed in
         # the window where compaction left the journal empty, the
         # journal alone would restart numbering at 1 — below the

@@ -1,6 +1,6 @@
 """A promotion costs the lag, not the fleet.
 
-Three guards on the warm-standby promotion path:
+Four guards on the warm-standby promotion path:
 
 - **Warm ≡ cold** — the image a standby folded record by record while
   the leader wrote (across a leader checkpoint it had to jump, writes
@@ -12,10 +12,15 @@ Three guards on the warm-standby promotion path:
   journal lines it parses do not grow with the live fleet.
 - **Lag accounting** — ``replayed_records == replay_lag_records ==``
   the writes the standby had not seen at the kill.
+- **Profiles on first use** — a promotion draws no adopted slice's
+  traffic profile; the first epoch (or a rescale) does, and a promoted
+  shard that draws them all at once serves the same demands and writes
+  the same journal.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import shutil
@@ -26,8 +31,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api.service import SliceService
 from repro.cluster import ClusterConfig, ControlPlaneCluster
-from repro.core.slices import SliceState
+import repro.core.slices as slices_module
+from repro.core.slices import SliceState, peek_request_counter
 from repro.experiments.testbed import TestbedConfig, build_testbed
+from repro.sim.randomness import RandomStreams
 from repro.store import ControlPlaneStore, RecoveryManager
 from repro.store.journal import JournalRecord
 from repro.store.snapshot import SnapshotStore
@@ -93,6 +100,12 @@ def lifecycle_timers(orchestrator) -> list:
         for event in orchestrator.sim._queue
         if not event.cancelled and event.name.startswith(("activate-", "expire-"))
     )
+
+
+def profile_image(orchestrator, slice_id: str) -> tuple:
+    """A live slice's traffic profile, read (and so drawn) here."""
+    profile = orchestrator.traffic_profile(orchestrator.runtime(slice_id))
+    return type(profile), vars(profile)
 
 
 def fleet_image(orchestrator) -> dict:
@@ -165,19 +178,25 @@ def test_promotion_from_the_warm_image_equals_a_cold_restore(seed, steps):
                 ]
             assert warm.store.load()[0] == cold_store.load()[0]
             assert warm.store.replay().digest() == cold_store.replay().digest()
+            # Neither drew an adopted slice's profile; both draw the same.
+            for network_slice in warm.live_slices():
+                slice_id = network_slice.slice_id
+                assert profile_image(warm, slice_id) == profile_image(cold, slice_id)
             cold_store.close()
         finally:
             cluster.close()
 
 
 class PromotionProbe:
-    """Counts what one promotion parses and writes."""
+    """Counts what one promotion parses, draws and writes."""
 
     def __init__(self, monkeypatch) -> None:
         self.snapshots_loaded = 0
         self.lines_decoded = 0
+        self.streams_derived = 0
         real_load = SnapshotStore.load_latest
         real_decode = JournalRecord.from_line.__func__
+        real_derive = RandomStreams.derive
 
         def load_latest(store):
             self.snapshots_loaded += 1
@@ -187,8 +206,13 @@ class PromotionProbe:
             self.lines_decoded += 1
             return real_decode(cls, text)
 
+        def derive(streams, name):
+            self.streams_derived += 1
+            return real_derive(streams, name)
+
         monkeypatch.setattr(SnapshotStore, "load_latest", load_latest)
         monkeypatch.setattr(JournalRecord, "from_line", classmethod(from_line))
+        monkeypatch.setattr(RandomStreams, "derive", derive)
 
 
 def promotion_costs(tmp_path, monkeypatch, live: int) -> dict:
@@ -226,11 +250,13 @@ def promotion_costs(tmp_path, monkeypatch, live: int) -> dict:
         monkeypatch.undo()
         report = promotion.report
         assert report.slices_adopted == live and report.slices_lost == 0
+        assert report.admissions_requeued == report.broker_requeued == 0
         assert len(promotion.orchestrator.live_slices()) == live
         return {
             "journal records": promotion.orchestrator.store.last_lsn - lsn_at_kill,
             "snapshots parsed": probe.snapshots_loaded,
             "journal lines decoded": probe.lines_decoded,
+            "profiles drawn": probe.streams_derived,
             "allowance": 4 + report.orphans_compensated + report.admissions_requeued,
         }
     finally:
@@ -244,12 +270,93 @@ def test_promotion_work_does_not_grow_with_live_slices(tmp_path, monkeypatch):
     # checkpoint.written + the recovery.completed event and record; at
     # the parent this was >= 3 x adopted (installed, activated, event).
     assert small["journal records"] <= small["allowance"]
-    # Reopening the store reads the snapshot LSN once; the standby's own
-    # image is the recovery input, so nothing else parses a snapshot.
-    assert small["snapshots parsed"] == 1
+    # Reopening the store reads the snapshot LSN off the file's head;
+    # the standby's own image is the recovery input, so nothing parses
+    # a snapshot.
+    assert small["snapshots parsed"] == 0
     # Reopening decodes the journal past the last checkpoint to repair a
     # torn tail: the checkpoint marker, whatever the fleet.
     assert small["journal lines decoded"] <= 2
+    # Nothing is requeued, and an adopted slice's profile waits for its
+    # first epoch: no generator is derived.
+    assert small["profiles drawn"] == 0
+
+
+SERVICE_TYPES = ("embb", "urllc", "mmtc", "automotive", "ehealth")
+
+
+def promoted_twin(root: str, first_ordinal: int, draw_all: bool) -> tuple:
+    """One shard of ten slices (two per vertical) promoted at t=130 s,
+    one of them rescaled before the first epoch, then five epochs
+    served.  ``draw_all`` reads every adopted profile right after the
+    promotion, as an eager adoption did.  Every call issues the same
+    request ids from ``first_ordinal`` on (the counter is left past
+    them), so twins differ in nothing else."""
+    slices_module._request_counter = itertools.count(first_ordinal)
+    cluster = build_cluster(Path(root), shards=1)
+    try:
+        tenant = tenants_per_shard(cluster)[VICTIM]
+        headers = {"x-tenant-id": tenant}
+        created = []
+        for service_type in SERVICE_TYPES * 2:
+            response = cluster.router.post(
+                "/v1/slices",
+                body=slice_body(tenant, service_type=service_type, throughput_mbps=4.0),
+                headers=headers,
+            )
+            assert response.status == 201, response.body
+            created.append(response.body["slice_id"])
+        cluster.shard(VICTIM).run_until(130.0)
+        standby = cluster.standby_for(VICTIM)
+        standby.poll()
+        cluster.kill_leader(VICTIM)
+        promotion = standby.promote(force=True)
+        cluster.adopt_promotion(VICTIM, promotion)
+        promoted = promotion.orchestrator
+        if draw_all:
+            for slice_id in created:
+                promoted.traffic_profile(promoted.runtime(slice_id))
+        rescaled = cluster.router.patch(
+            f"/v1/slices/{created[1]}", body={"throughput_mbps": 9.0}, headers=headers
+        )
+        assert rescaled.status == 200, rescaled.body
+        epochs = []
+        for _ in range(5):
+            promoted.sim.run_until(promoted.sim.now + promoted.config.monitoring_epoch_s)
+            runtimes = {slice_id: promoted.runtime(slice_id) for slice_id in created}
+            epochs.append(
+                {
+                    "violations": promoted.sla_monitor.total_violations,
+                    "served": {
+                        slice_id: (
+                            runtime.last_demand_mbps,
+                            runtime.last_delivered_mbps,
+                            runtime.network_slice.violation_epochs,
+                        )
+                        for slice_id, runtime in runtimes.items()
+                    },
+                }
+            )
+        profiles = {slice_id: profile_image(promoted, slice_id) for slice_id in created}
+        with open(os.path.join(standby.directory, "journal.jsonl"), "rb") as handle:
+            journal = handle.read()
+        return epochs, profiles, journal
+    finally:
+        cluster.close()
+
+
+def test_profiles_drawn_on_first_use_serve_what_eager_ones_did(tmp_path):
+    first_ordinal = peek_request_counter()
+    lazy = promoted_twin(str(tmp_path / "lazy"), first_ordinal, draw_all=False)
+    eager = promoted_twin(str(tmp_path / "eager"), first_ordinal, draw_all=True)
+    lazy_epochs, lazy_profiles, lazy_journal = lazy
+    eager_epochs, eager_profiles, eager_journal = eager
+    assert lazy_epochs == eager_epochs
+    served = [sample for epoch in lazy_epochs for sample in epoch["served"].values()]
+    assert all(demand > 0.0 for demand, _, _ in served)
+    assert lazy_profiles == eager_profiles
+    assert len({cls for cls, _ in lazy_profiles.values()}) == 4  # every profile class
+    assert lazy_journal == eager_journal
 
 
 def test_a_promoted_shard_lists_cancels_and_counts_its_bookings(cluster):

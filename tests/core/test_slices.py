@@ -90,6 +90,47 @@ class TestPlmnPool:
         with pytest.raises(SliceError):
             PlmnPool(size=0)
 
+    def test_a_pool_builds_an_identity_only_when_it_hands_one_out(self, monkeypatch):
+        built = []
+        real = PLMN.__post_init__
+
+        def counted(plmn):
+            built.append(plmn.plmn_id)
+            real(plmn)
+
+        monkeypatch.setattr(PLMN, "__post_init__", counted)
+        pool = PlmnPool(size=1024)
+        assert built == []
+        assert pool.capacity == pool.available == 1024
+        pool.claim("s1", "001512")
+        pool.allocate("s2")
+        assert built == ["001512", "00101"]
+
+    def test_identities_roll_into_the_next_mcc_past_999_mncs(self):
+        """Hand-out order and claim-by-id across the 3-digit MNCs and
+        the MCC rollover, against the identities written out."""
+        size, first_mnc = 1_210, 5
+        expected = [
+            f"{(1 + ordinal // 1000) % 1000:03d}{ordinal % 1000:02d}"
+            for ordinal in range(first_mnc, first_mnc + size)
+        ]
+        pool = PlmnPool(size=size, first_mnc=first_mnc)
+        claimed = expected[1_100]  # "002105": out of order, second MCC
+        assert pool.claim("early", claimed).plmn_id == claimed
+        order = [pool.allocate(f"s{i}").plmn_id for i in range(size - 1)]
+        assert order == [p for p in expected if p != claimed]
+        with pytest.raises(PlmnPoolExhausted):
+            pool.allocate("one-too-many")
+        pool.release("s3")
+        pool.release("early")
+        assert [pool.allocate(f"again-{i}").plmn_id for i in range(2)] == [
+            expected[3], claimed
+        ]
+        for unknown in ("00104", "002215", "0010005", "00199x", "001"):
+            assert pool.holder_of(unknown) is None
+            with pytest.raises(SliceError, match="not managed"):
+                pool.claim("ghost", unknown)
+
 
 class TestSla:
     def test_valid_sla(self):

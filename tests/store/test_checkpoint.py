@@ -102,6 +102,42 @@ class TestControlPlaneStore:
         assert snapshot["time"] == 19.0
         assert [r.record_type for r in tail] == ["checkpoint.written"]
 
+    @pytest.mark.parametrize("torn", ["{ torn checkpoi", "cut"], ids=["garbage", "truncated"])
+    def test_reopen_reads_the_snapshot_lsn_without_decoding_it(
+        self, tmp_path, monkeypatch, torn
+    ):
+        store = ControlPlaneStore(str(tmp_path))
+        store.append("t")
+        store.checkpoint({"time": 0.0, "live": {"s": {"window": [1.0, 2.0]}}})
+        for _ in range(4):
+            store.append("t")
+        latest_lsn = store.checkpoint({"time": 1.0, "live": {"s": {"window": [3.0, 4.0]}}})
+        store.close()
+        bodies = []  # per JSON decode: was it a snapshot body?
+        for name in ("load", "loads"):
+
+            def spy(*args, real=getattr(json, name), **kwargs):
+                decoded = real(*args, **kwargs)
+                bodies.append(isinstance(decoded, dict) and "state" in decoded)
+                return decoded
+
+            monkeypatch.setattr(json, name, spy)
+        reopened = ControlPlaneStore(str(tmp_path))
+        assert (reopened.snapshot_lsn, latest_lsn) == (6, 6)
+        assert not any(bodies)
+        assert reopened.snapshots.load_latest()[1] == 6 and any(bodies)  # the spy sees one
+        reopened.close()
+        # A torn latest (garbage, or a body cut short) is skipped for
+        # its predecessor, as a full load would.
+        path = reopened.snapshots._path_for(latest_lsn)
+        with open(path, "rb") as handle:
+            intact = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(intact[: len(intact) - 3] if torn == "cut" else torn.encode())
+        again = ControlPlaneStore(str(tmp_path))
+        assert again.snapshot_lsn == 1 == again.snapshots.load_latest()[1]
+        again.close()
+
     def test_should_checkpoint_threshold(self, tmp_path):
         store = ControlPlaneStore(str(tmp_path), checkpoint_every=5)
         for i in range(4):

@@ -257,13 +257,20 @@ class TestServiceRecovery:
         crash(first)
         store = reopen_store(directory)
         restarted = make_orchestrator(durable_testbed, store=store)
-        RecoveryManager(restarted).restore()
+        report = RecoveryManager(restarted).restore()
         # Recovery ends with a checkpoint: the journal is compact and a
         # *second* restart replays from the snapshot plus only the
         # post-recovery tail (checkpoint marker, recovery.completed
         # event + audit record).
         assert store.snapshot_lsn > 0
         assert store.records_since_checkpoint <= 3
+        # The audit record is the report minus its wall-clock duration,
+        # so one run journals the same bytes every time.
+        audit = [r for r in store.records() if r.record_type == "recovery.completed"]
+        assert [r.data["report"] for r in audit] == [
+            {k: v for k, v in report.to_dict().items() if k != "duration_s"}
+        ]
+        assert report.to_dict()["duration_s"] == report.duration_s > 0.0
 
 
 TENANT = {"X-Tenant-Id": "t1"}

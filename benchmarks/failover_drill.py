@@ -21,7 +21,14 @@ acceptance invariants:
   that promotes.  The CI gate holds both at 0: an adopted slice's
   profile waits for its first epoch, the reopened store reads the
   snapshot LSN off the file's head, and the standby's image is the
-  recovery input.
+  recovery input,
+- ``promotion_template_builds`` and ``promotion_fleet_serialisations``:
+  vEPC Heat templates built and full-fleet serialisations (snapshot
+  writes plus ``ReplayState.digest`` folds) inside the same watch cycle.
+  The CI gate holds both at 1 or below: the bulk adoption reads the vEPC
+  size once, and the closing snapshot's bytes are the report's digest,
+- ``recovery_split_s``: ``recovery_s`` cut into the adoption call, the
+  closing checkpoint and the rest (published, never gated).
 
 Usage::
 
@@ -65,14 +72,19 @@ def _chaos_testbed():
 
 
 @contextlib.contextmanager
-def _counting(owner, name: str, counts: dict, key: str):
-    """Count calls to ``owner.name`` into ``counts[key]`` while open."""
+def _spying(owner, name: str, tally: dict, key: str, clock: bool = False):
+    """Add to ``tally[key]`` for each call to ``owner.name`` while open:
+    1, or with ``clock`` the wall seconds the call took (several spies
+    may share one key)."""
     real = getattr(owner, name)
-    counts[key] = 0
+    tally.setdefault(key, 0)
 
     def spy(*args, **kwargs):
-        counts[key] += 1
-        return real(*args, **kwargs)
+        started = time.perf_counter()
+        try:
+            return real(*args, **kwargs)
+        finally:
+            tally[key] += time.perf_counter() - started if clock else 1
 
     setattr(owner, name, spy)
     try:
@@ -87,9 +99,11 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
     diagnosable from the numbers)."""
     import threading
 
+    import repro.core.allocation as allocation_module
     from repro.cluster import ClusterConfig, ControlPlaneCluster
     from repro.core.orchestrator import Orchestrator
     from repro.drivers.base import ReservationState
+    from repro.store.codec import ReplayState
     from repro.store.snapshot import SnapshotStore
     from repro.traffic.patterns import ConstantProfile
     from tests.conftest import make_request
@@ -179,9 +193,18 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
     # 5. the standby notices the stale lease and promotes.
     time.sleep(LEASE_TIMEOUT_S * 3)
     counts: dict = {}
-    with _counting(Orchestrator, "default_profile", counts, "profiles"), _counting(
-        SnapshotStore, "load_latest", counts, "snapshots"
-    ):
+    stages: dict = {}
+    with contextlib.ExitStack() as spies:
+        for owner, name, key in (
+            (Orchestrator, "default_profile", "profiles"),
+            (SnapshotStore, "load_latest", "snapshots"),
+            (allocation_module, "epc_template", "templates"),
+            (SnapshotStore, "write", "serialisations"),
+            (ReplayState, "digest", "serialisations"),
+        ):
+            spies.enter_context(_spying(owner, name, counts, key))
+        for name, key in (("adopt_recovered_slices", "adopt"), ("checkpoint", "checkpoint")):
+            spies.enter_context(_spying(Orchestrator, name, stages, key, clock=True))
         promotion = standby.tick()
     if promotion is None:
         failures.append("drill: standby never promoted")
@@ -239,6 +262,13 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
         "promotion_journal_records": promoted.store.last_lsn - lsn_at_kill,
         "promotion_profiles_derived": counts["profiles"],
         "promotion_snapshot_parses": counts["snapshots"],
+        "promotion_template_builds": counts["templates"],
+        "promotion_fleet_serialisations": counts["serialisations"],
+        "recovery_split_s": {
+            "adopt": round(stages["adopt"], 4),
+            "checkpoint": round(stages["checkpoint"], 4),
+            "rest": round(promotion.recovery_s - stages["adopt"] - stages["checkpoint"], 4),
+        },
         "replay_lag_records": promotion.replay_lag_records,
         "replay_floor_lsn": promotion.replay_floor_lsn,
         "lease_epoch": promotion.lease.epoch,

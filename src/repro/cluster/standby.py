@@ -30,10 +30,11 @@ promotion time it has already folded (nearly) the whole journal, so
 recovery neither re-reads the snapshot nor re-decodes the journal, and
 the store reopen reads the snapshot LSN off the file's head.  Per live
 slice a promotion still pays the adoption (PLMN claim, runtime,
-calendar window, timer) and its share of the state digest and the
-closing snapshot; its traffic profile waits for the first epoch or
-rescale that reads it.  A cold restart (no standby) folds both from
-disk and then runs the same lines.
+calendar window, timer) and its share of the closing snapshot, the one
+serialisation of the fleet (the report's digest hashes its bytes); the
+vEPC size is read once for the whole adoption, and a slice's traffic
+profile waits for the first epoch or rescale that reads it.  A cold
+restart (no standby) folds both from disk and then runs the same lines.
 """
 
 from __future__ import annotations

@@ -199,28 +199,40 @@ class MultiDomainAllocator:
     # ------------------------------------------------------------------
     # Demand estimation (admission input)
     # ------------------------------------------------------------------
-    def demand_vector(self, request: SliceRequest) -> ResourceVector:
+    def demand_vector(
+        self, request: SliceRequest, vcpus: Optional[float] = None
+    ) -> ResourceVector:
         """Nominal multi-domain footprint of a request.
 
         PRBs are dimensioned at the fleet's reference CQI; transport
         bandwidth equals the SLA throughput; vCPUs come from the vEPC
-        template.
+        template — or are ``vcpus``, when a caller sizing many requests
+        at once read :meth:`vepc_vcpus` once for all of them.
         """
         enbs = self.ran.enbs()
         if not enbs:
             raise AllocationError("ran", "no eNBs registered")
         prbs = enbs[0].prbs_for_throughput(request.sla.throughput_mbps)
-        template = epc_template("probe")
+        if vcpus is None:  # inline, not vepc_vcpus(): every admission runs this
+            vcpus = float(epc_template("probe").total_vcpus)
         return ResourceVector(
             prbs=float(prbs),
             mbps=request.sla.throughput_mbps,
-            vcpus=float(template.total_vcpus),
+            vcpus=vcpus,
         )
 
-    def size(self, request: SliceRequest, fraction: float) -> SliceSize:
+    @staticmethod
+    def vepc_vcpus() -> float:
+        """The vCPUs one slice's vEPC boots (built from its Heat template)."""
+        return float(epc_template("probe").total_vcpus)
+
+    def size(
+        self, request: SliceRequest, fraction: float, vcpus: Optional[float] = None
+    ) -> SliceSize:
         """The request's footprint with the overbooking shrinkage
-        applied: PRBs and transport bandwidth shrink, VMs do not."""
-        demand = self.demand_vector(request)
+        applied: PRBs and transport bandwidth shrink, VMs do not.
+        ``vcpus`` as for :meth:`demand_vector`."""
+        demand = self.demand_vector(request, vcpus)
         return SliceSize(
             fraction,
             ResourceVector(

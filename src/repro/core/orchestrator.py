@@ -40,7 +40,7 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 from time import perf_counter
 from types import MappingProxyType
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.admission import (
     AdmissionDecision,
@@ -226,6 +226,26 @@ class SliceRuntime:
         default_factory=lambda: TimeSeries(max_points=FORECAST_HISTORY_EPOCHS)
     )
     reservations: Dict[str, Reservation] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Adoption:
+    """One slice a restart found COMMITTED in every domain, as
+    :meth:`Orchestrator.adopt_recovered_slices` takes it.
+
+    ``admitted_at`` / ``active_at`` / ``window_end`` are the slice's
+    own instants moved onto the new process's clock (usually in the
+    past, possibly negative); ``active_at`` is ``None`` for a slice
+    still pending activation.
+    """
+
+    request: SliceRequest
+    plmn_id: Optional[str]
+    fraction: float
+    reservations: Dict[str, Reservation]
+    admitted_at: float
+    active_at: Optional[float] = None
+    window_end: Optional[float] = None
 
 
 class Orchestrator:
@@ -495,58 +515,51 @@ class Orchestrator:
             runtime.profile = self.default_profile(runtime.network_slice.request)
         return runtime.profile
 
-    def adopt_recovered_slice(
-        self,
-        request: SliceRequest,
-        *,
-        plmn_id: Optional[str],
-        fraction: float,
-        reservations: Dict[str, Reservation],
-        admitted_at: float,
-        active_at: Optional[float] = None,
-        window_end: Optional[float] = None,
-    ) -> NetworkSlice:
-        """Re-adopt a slice the southbound still holds COMMITTED after
-        a restart: re-claim its PLMN and bring it live through
-        :meth:`_go_live` around the drivers' live reservations (nothing
-        is re-prepared); its profile is drawn on first use.
+    def adopt_recovered_slices(self, adoptions: Iterable[Adoption]) -> List[NetworkSlice]:
+        """Re-adopt the slices the southbound still holds COMMITTED
+        after a restart, in order: re-claim each one's PLMN and bring it
+        live through :meth:`_go_live` around the drivers' live
+        reservations (nothing is re-prepared); its profile is drawn on
+        first use.  The vEPC vCPU term of the sizes is read once for
+        the whole batch, and the event feed's journal tee is lifted
+        once around it.
 
-        ``admitted_at`` / ``active_at`` / ``window_end`` are the
-        slice's own instants moved onto this process's clock (usually
-        in the past, possibly negative); ``active_at`` is ``None`` for
-        a slice still pending activation.
-
-        Nothing here is journaled, the ``slice.adopted`` event
+        Nothing here is journaled, the ``slice.adopted`` events
         included: the checkpoint recovery closes with is the one
         durable statement of the adoption, and a crash before it
         replays the same recovery from the same records.
         """
-        network_slice = NetworkSlice(request)
-        slice_id = network_slice.slice_id
-        self._all_slices[slice_id] = network_slice
-        if plmn_id:
-            network_slice.plmn = self.plmn_pool.claim(slice_id, plmn_id)
-        self._go_live(
-            network_slice,
-            None,  # the profile: drawn by traffic_profile on first read
-            self.allocator.size(request, fraction),
-            reservations,
-            admitted_at=admitted_at,
-            active_at=active_at,
-            window_end=window_end,
-        )
+        vcpus = self.allocator.vepc_vcpus()
+        adopted: List[NetworkSlice] = []
         tee, self.events.sink = self.events.sink, None  # in-memory feed only
         try:
-            self.events.emit(
-                self.sim.now,
-                "slice.adopted",
-                slice_id=slice_id,
-                tenant_id=request.tenant_id,
-                state=network_slice.state.value,
-            )
+            for adoption in adoptions:
+                request = adoption.request
+                network_slice = NetworkSlice(request)
+                slice_id = network_slice.slice_id
+                self._all_slices[slice_id] = network_slice
+                if adoption.plmn_id:
+                    network_slice.plmn = self.plmn_pool.claim(slice_id, adoption.plmn_id)
+                self._go_live(
+                    network_slice,
+                    None,  # the profile: drawn by traffic_profile on first read
+                    self.allocator.size(request, adoption.fraction, vcpus),
+                    adoption.reservations,
+                    admitted_at=adoption.admitted_at,
+                    active_at=adoption.active_at,
+                    window_end=adoption.window_end,
+                )
+                self.events.emit(
+                    self.sim.now,
+                    "slice.adopted",
+                    slice_id=slice_id,
+                    tenant_id=request.tenant_id,
+                    state=network_slice.state.value,
+                )
+                adopted.append(network_slice)
         finally:
             self.events.sink = tee
-        return network_slice
+        return adopted
 
     def restore_advance_booking(self, request: SliceRequest, *, start_in_s: float) -> None:
         """Re-promise a journaled advance booking after a restart.
@@ -1891,6 +1904,7 @@ class Orchestrator:
 
 
 __all__ = [
+    "Adoption",
     "Orchestrator",
     "OrchestratorConfig",
     "OrchestratorError",

@@ -35,10 +35,14 @@ enqueued, no install  —                          re-enqueue into the
 Pending advance bookings are re-promised on the calendar with their
 windows rebased to the new clock (a booking whose start time passed
 while the orchestrator was down is promoted straight into the
-admission queue).  Re-adoption is in-memory: it journals nothing, and
-the fresh checkpoint recovery ends with is its commit point — behind it
-the journal restarts compact and time-coherent on the new clock, and a
-crash before it replays the *same* recovery from the same records.
+admission queue).  Re-adoption is one in-memory call over every
+fully-COMMITTED slice (the vEPC size is read once for all of them): it
+journals nothing, and the fresh checkpoint recovery ends with is its
+commit point — behind it the journal restarts compact and
+time-coherent on the new clock, and a crash before it replays the
+*same* recovery from the same records.  That checkpoint is also the
+one full-fleet serialisation a recovery pays: the report's
+``state_digest`` is the SHA-256 of the snapshot bytes it wrote.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from repro.drivers.base import DriverError, Reservation, ReservationState
 from repro.store.codec import ReplayState, request_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.orchestrator import Orchestrator
+    from repro.core.orchestrator import Adoption, Orchestrator
 
 
 class RecoveryError(RuntimeError):
@@ -63,7 +67,12 @@ class RecoveryError(RuntimeError):
 
 @dataclass
 class RecoveryReport:
-    """What a restart rebuilt, reconciled and compensated."""
+    """What a restart rebuilt, reconciled and compensated.
+
+    ``state_digest`` is the SHA-256 of the closing snapshot file: the
+    recovered state as it went to disk (sorted keys, so two recoveries
+    that rebuilt the same state report the same digest).
+    """
 
     snapshot_lsn: int = 0
     replayed_records: int = 0
@@ -117,8 +126,8 @@ class RecoveryManager:
         past the snapshot.  Every line after the fold is shared.
 
         Returns the :class:`RecoveryReport`; finishes with a fresh
-        checkpoint, then the journaled ``recovery.completed`` event
-        and record.
+        checkpoint (whose bytes the report's ``state_digest`` hashes),
+        then the journaled ``recovery.completed`` event and record.
         """
         started = _time.monotonic()
         orch = self.orchestrator
@@ -127,7 +136,6 @@ class RecoveryManager:
             state = orch.store.replay()
         report.snapshot_lsn = orch.store.snapshot_lsn
         report.replayed_records = state.records_applied
-        report.state_digest = state.digest()
         crash_time = state.time
         # Fresh processes restart the global request counter; recovered
         # ids must never be re-issued to new requests.  The fold's
@@ -155,6 +163,7 @@ class RecoveryManager:
         # is journaled *after* it — the one record a consumer resuming
         # across the restart must be able to see.
         orch.checkpoint()
+        report.state_digest = orch.store.snapshot_digest
         report.duration_s = _time.monotonic() - started
         orch.events.emit(
             orch.sim.now, "recovery.completed", **{
@@ -204,10 +213,12 @@ class RecoveryManager:
         crash_time: float,
         report: RecoveryReport,
     ) -> set:
+        from repro.core.orchestrator import Adoption  # the orchestrator imports this package
+
         orch = self.orchestrator
         # One shift moves every journaled instant onto the new clock.
         shift = orch.sim.now - crash_time
-        adopted_ids: set = set()
+        adoptions: List["Adoption"] = []
         # Acknowledged installs first (their calendar promises outrank
         # everything), then never-acked in-flight installs.
         for slice_id, image in list(state.live.items()) + list(state.in_flight.items()):
@@ -219,19 +230,19 @@ class RecoveryManager:
                     "installed_at", image.get("started_at", crash_time)
                 )
                 window = image.get("window")
-                orch.adopt_recovered_slice(
-                    request,
-                    plmn_id=image.get("plmn"),
-                    fraction=image.get("fraction", 1.0),
-                    reservations=reservations,
-                    admitted_at=installed_at + shift,
-                    active_at=image["activated_at"] + shift
-                    if image.get("status") == "active"
-                    else None,
-                    window_end=window[1] + shift if window else None,
+                adoptions.append(
+                    Adoption(
+                        request,
+                        plmn_id=image.get("plmn"),
+                        fraction=image.get("fraction", 1.0),
+                        reservations=reservations,
+                        admitted_at=installed_at + shift,
+                        active_at=image["activated_at"] + shift
+                        if image.get("status") == "active"
+                        else None,
+                        window_end=window[1] + shift if window else None,
+                    )
                 )
-                adopted_ids.add(slice_id)
-                report.slices_adopted += 1
             elif acked:
                 # Journal promised this slice; the southbound lost it.
                 report.slices_lost += 1
@@ -241,7 +252,11 @@ class RecoveryManager:
                 # half-done install does not.
                 orch.enqueue_admitted(request, orch.default_profile(request))
                 report.admissions_requeued += 1
-        return adopted_ids
+        # One adoption call for the fleet; it journals nothing, so a
+        # crash inside it leaves the records a retry replays.
+        adopted = orch.adopt_recovered_slices(adoptions)
+        report.slices_adopted = len(adopted)
+        return {network_slice.slice_id for network_slice in adopted}
 
     # ------------------------------------------------------------------
     # Orphan compensation (async unwind)

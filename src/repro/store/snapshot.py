@@ -17,6 +17,7 @@ paranoia fallback against a corrupt latest).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -37,6 +38,10 @@ class SnapshotStore:
     def __init__(self, directory: str) -> None:
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
+        #: SHA-256 of the bytes the latest :meth:`write` put on disk
+        #: ("" before the first): sorted keys make them canonical, so it
+        #: names the checkpointed state without a second serialisation.
+        self.last_digest = ""
 
     def _path_for(self, lsn: int) -> str:
         return os.path.join(self.directory, f"snapshot-{lsn:012d}.json")
@@ -54,21 +59,25 @@ class SnapshotStore:
         """Checkpoint ``state`` as of journal position ``lsn``.
 
         Atomic: written to a temp file, fsynced, then renamed into
-        place.  Older snapshots beyond one predecessor are pruned.
-        Returns the snapshot path.
+        place (the rename is durable once the caller fsyncs the
+        directory, :func:`fsync_directory`).  Older snapshots beyond one
+        predecessor are pruned.  Returns the snapshot path; the bytes'
+        digest lands in :attr:`last_digest`.
         """
         if lsn < 0:
             raise SnapshotError(f"lsn must be >= 0, got {lsn}")
         path = self._path_for(lsn)
         tmp_path = path + ".tmp"
         payload = {"lsn": lsn, "state": state}
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            # dumps, not dump: one call into the C encoder instead of the
-            # pure-Python iterencode dump always takes — same bytes.
-            handle.write(json.dumps(payload, sort_keys=True, default=json_default))
+        # dumps, not dump: one call into the C encoder instead of the
+        # pure-Python iterencode dump always takes — same bytes.
+        data = json.dumps(payload, sort_keys=True, default=json_default).encode("utf-8")
+        with open(tmp_path, "wb") as handle:
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
+        self.last_digest = hashlib.sha256(data).hexdigest()
         for stale in self.list_lsns()[:-2]:  # keep latest + one fallback
             try:
                 os.remove(self._path_for(stale))
@@ -108,4 +117,14 @@ class SnapshotStore:
         return None
 
 
-__all__ = ["SnapshotError", "SnapshotStore"]
+def fsync_directory(directory: str) -> None:
+    """Make the renames into ``directory`` durable: a rename is a
+    directory entry, on disk only once the directory itself is fsynced."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+__all__ = ["SnapshotError", "SnapshotStore", "fsync_directory"]

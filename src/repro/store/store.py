@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.store.codec import ReplayState
 from repro.store.journal import Journal, JournalRecord
-from repro.store.snapshot import SnapshotStore
+from repro.store.snapshot import SnapshotStore, fsync_directory
 
 
 class StoreError(RuntimeError):
@@ -165,6 +165,13 @@ class ControlPlaneStore:
         return self._snapshot_lsn
 
     @property
+    def snapshot_digest(self) -> str:
+        """SHA-256 of the snapshot file this store last wrote ("" if
+        none since it was opened): what recovery reports as the
+        recovered state's digest."""
+        return self.snapshots.last_digest
+
+    @property
     def records_since_checkpoint(self) -> int:
         """How much churn a recovery would have to replay right now."""
         return max(0, self.journal.last_lsn - self._snapshot_lsn)
@@ -210,6 +217,9 @@ class ControlPlaneStore:
             self.journal.sync()
             lsn = self.journal.last_lsn
             self.snapshots.write(state, lsn)
+            # The snapshot's name must be on disk before compaction drops
+            # the records it covers: fsync the directory between renames.
+            fsync_directory(self.directory)
             self.journal.compact(lsn)
             self._snapshot_lsn = lsn
         # Audit record (lands *after* the snapshot, so replay past the

@@ -6,10 +6,12 @@ Four guards on the warm-standby promotion path:
   the leader wrote (across a leader checkpoint it had to jump, writes
   it never saw, a torn last line) is the image a cold fold of the
   reopened store produces, and a promotion from it ends exactly where a
-  cold ``RecoveryManager.restore()`` over a copy of the directory ends.
+  cold ``RecoveryManager.restore()`` over a copy of the directory ends;
+  both report the SHA-256 of their closing snapshot file as the digest.
 - **Flatness** (counts, not clocks; see ``test_request_path_flatness``)
-  — the journal LSNs one promotion consumes and the snapshots and
-  journal lines it parses do not grow with the live fleet.
+  — the journal LSNs one promotion consumes, the snapshots and journal
+  lines it parses, the vEPC templates it builds (at most one) and the
+  folded images it re-digests (none) do not grow with the live fleet.
 - **Lag accounting** — ``replayed_records == replay_lag_records ==``
   the writes the standby had not seen at the kill.
 - **Profiles on first use** — a promotion draws no adopted slice's
@@ -20,22 +22,26 @@ Four guards on the warm-standby promotion path:
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 import random
 import shutil
 import tempfile
+import time
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api.service import SliceService
 from repro.cluster import ClusterConfig, ControlPlaneCluster
+import repro.core.allocation as allocation_module
 import repro.core.slices as slices_module
 from repro.core.slices import SliceState, peek_request_counter
 from repro.experiments.testbed import TestbedConfig, build_testbed
 from repro.sim.randomness import RandomStreams
 from repro.store import ControlPlaneStore, RecoveryManager
+from repro.store.codec import ReplayState
 from repro.store.journal import JournalRecord
 from repro.store.snapshot import SnapshotStore
 
@@ -51,6 +57,7 @@ SLOW = settings(
 
 VICTIM = 0
 CELLS = 8  # radio and cloud capacity for the 64-slice fleet
+LEASE_TIMEOUT_S = 0.05  # how stale the killed leader's heartbeat must read
 
 
 class Shard:
@@ -91,6 +98,13 @@ class Shard:
             router.delete(f"/v1/slices/{victim}", headers=self.headers)
         else:  # activations, monitoring epochs, expiries
             self.leader.run_until(self.leader.sim.now + rng.choice((2.0, 45.0, 130.0)))
+
+
+def closing_snapshot_digest(store) -> str:
+    """SHA-256 of the newest snapshot file in ``store``."""
+    path = os.path.join(store.directory, f"snapshot-{store.snapshot_lsn:012d}.json")
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
 
 
 def lifecycle_timers(orchestrator) -> list:
@@ -154,9 +168,10 @@ def test_promotion_from_the_warm_image_equals_a_cold_restore(seed, steps):
             promotion = standby.promote(force=True)
             warm = promotion.orchestrator
 
+            # The reported digest names the closing snapshot's bytes.
+            assert promotion.report.state_digest == closing_snapshot_digest(warm.store)
             cold_store = ControlPlaneStore(cold_root, shard_id=VICTIM)
             cold_digest = cold_store.replay().digest()
-            assert promotion.report.state_digest == cold_digest
             assert standby.state.digest() == cold_digest  # untouched by recovery
             cold = cluster._build_orchestrator(
                 shard.leader.testbed, VICTIM, store=cold_store
@@ -167,6 +182,7 @@ def test_promotion_from_the_warm_image_equals_a_cold_restore(seed, steps):
             report = promotion.report
             assert report.slices_lost == cold_report.slices_lost == 0
             assert report.slices_adopted == cold_report.slices_adopted
+            assert cold_report.state_digest == closing_snapshot_digest(cold_store)
             assert report.state_digest == cold_report.state_digest
             assert fleet_image(warm) == fleet_image(cold)
             assert lifecycle_timers(warm) == lifecycle_timers(cold)
@@ -188,15 +204,19 @@ def test_promotion_from_the_warm_image_equals_a_cold_restore(seed, steps):
 
 
 class PromotionProbe:
-    """Counts what one promotion parses, draws and writes."""
+    """Counts what one promotion parses, draws, sizes and serialises."""
 
     def __init__(self, monkeypatch) -> None:
         self.snapshots_loaded = 0
         self.lines_decoded = 0
         self.streams_derived = 0
+        self.templates_built = 0
+        self.states_digested = 0
         real_load = SnapshotStore.load_latest
         real_decode = JournalRecord.from_line.__func__
         real_derive = RandomStreams.derive
+        real_template = allocation_module.epc_template
+        real_digest = ReplayState.digest
 
         def load_latest(store):
             self.snapshots_loaded += 1
@@ -210,7 +230,17 @@ class PromotionProbe:
             self.streams_derived += 1
             return real_derive(streams, name)
 
+        def epc_template(slice_id):
+            self.templates_built += 1
+            return real_template(slice_id)
+
+        def digest(state):
+            self.states_digested += 1
+            return real_digest(state)
+
         monkeypatch.setattr(SnapshotStore, "load_latest", load_latest)
+        monkeypatch.setattr(allocation_module, "epc_template", epc_template)
+        monkeypatch.setattr(ReplayState, "digest", digest)
         monkeypatch.setattr(JournalRecord, "from_line", classmethod(from_line))
         monkeypatch.setattr(RandomStreams, "derive", derive)
 
@@ -241,13 +271,15 @@ def promotion_costs(tmp_path, monkeypatch, live: int) -> dict:
         # The leader checkpointed and the standby has seen all of it:
         # the steady state a promotion is sized for.
         leader.orchestrator.checkpoint()
-        standby = cluster.standby_for(VICTIM)
+        standby = cluster.standby_for(VICTIM, lease_timeout_s=LEASE_TIMEOUT_S)
         standby.poll()
         cluster.kill_leader(VICTIM)
         lsn_at_kill = leader.store.last_lsn
+        time.sleep(LEASE_TIMEOUT_S * 3)  # the heartbeat goes stale
         probe = PromotionProbe(monkeypatch)
-        promotion = standby.promote(force=True)
+        promotion = standby.tick()
         monkeypatch.undo()
+        assert promotion is not None
         report = promotion.report
         assert report.slices_adopted == live and report.slices_lost == 0
         assert report.admissions_requeued == report.broker_requeued == 0
@@ -257,6 +289,8 @@ def promotion_costs(tmp_path, monkeypatch, live: int) -> dict:
             "snapshots parsed": probe.snapshots_loaded,
             "journal lines decoded": probe.lines_decoded,
             "profiles drawn": probe.streams_derived,
+            "vEPC templates built": probe.templates_built,
+            "states digested": probe.states_digested,
             "allowance": 4 + report.orphans_compensated + report.admissions_requeued,
         }
     finally:
@@ -280,6 +314,10 @@ def test_promotion_work_does_not_grow_with_live_slices(tmp_path, monkeypatch):
     # Nothing is requeued, and an adopted slice's profile waits for its
     # first epoch: no generator is derived.
     assert small["profiles drawn"] == 0
+    # One vEPC size for the whole adoption, and the closing snapshot is
+    # the only serialisation of the fleet: nothing re-digests the fold.
+    assert small["vEPC templates built"] <= 1
+    assert small["states digested"] == 0
 
 
 SERVICE_TYPES = ("embb", "urllc", "mmtc", "automotive", "ehealth")

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.forecasting import NaiveForecaster
-from repro.core.orchestrator import Orchestrator, OrchestratorConfig
+from repro.core.orchestrator import Adoption, Orchestrator, OrchestratorConfig
 from repro.core.overbooking import OverbookingDecision, OverbookingPolicy
 from repro.core.pricing import LedgerError
 from repro.core.slices import SliceState
@@ -164,16 +164,20 @@ def test_a_timer_already_due_at_adoption_fires_at_once(active_at, state):
     )
     second = make_orchestrator(testbed)  # same southbound, new control plane
     network_slice = first.slice(decision.slice_id)
-    adopted = second.adopt_recovered_slice(
-        network_slice.request,
-        plmn_id=network_slice.plmn.plmn_id,
-        fraction=1.0,
-        reservations={
-            d.domain: d.reservation_of(decision.slice_id)
-            for d in testbed.registry.drivers()
-        },
-        admitted_at=-6_000.0,
-        active_at=active_at,
+    [adopted] = second.adopt_recovered_slices(
+        [
+            Adoption(
+                network_slice.request,
+                plmn_id=network_slice.plmn.plmn_id,
+                fraction=1.0,
+                reservations={
+                    d.domain: d.reservation_of(decision.slice_id)
+                    for d in testbed.registry.drivers()
+                },
+                admitted_at=-6_000.0,
+                active_at=active_at,
+            )
+        ]
     )
     assert adopted.admitted_at == -6_000.0 and adopted.active_at == active_at
     second.sim.run_until(0.0)

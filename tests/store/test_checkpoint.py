@@ -4,8 +4,11 @@ wiring and the durable event cursor."""
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -137,6 +140,43 @@ class TestControlPlaneStore:
         again = ControlPlaneStore(str(tmp_path))
         assert again.snapshot_lsn == 1 == again.snapshots.load_latest()[1]
         again.close()
+
+    def test_snapshot_rename_is_made_durable_before_compaction(self, tmp_path, monkeypatch):
+        """Power loss must never keep the compacted journal while losing
+        the snapshot name that covers the records it dropped."""
+        store = ControlPlaneStore(str(tmp_path))
+        for _ in range(3):
+            store.append("t")
+        steps = []
+        real_replace, real_fsync = os.replace, os.fsync
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            steps.append(("rename", os.path.basename(dst)))
+
+        def fsync(fd):
+            real_fsync(fd)
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                steps.append(("fsync", "directory"))
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "fsync", fsync)
+        lsn = store.checkpoint({"time": 0.0})
+        assert steps == [
+            ("rename", f"snapshot-{lsn:012d}.json"),
+            ("fsync", "directory"),
+            ("rename", "journal.jsonl"),
+        ]
+        store.close()
+
+    def test_snapshot_digest_hashes_the_bytes_on_disk(self, tmp_path):
+        store = ControlPlaneStore(str(tmp_path))
+        assert store.snapshot_digest == ""
+        store.append("t")
+        lsn = store.checkpoint({"time": 2.0, "live": {"b": 1, "a": 2}})
+        with open(store.snapshots._path_for(lsn), "rb") as handle:
+            assert store.snapshot_digest == hashlib.sha256(handle.read()).hexdigest()
+        store.close()
 
     def test_should_checkpoint_threshold(self, tmp_path):
         store = ControlPlaneStore(str(tmp_path), checkpoint_every=5)

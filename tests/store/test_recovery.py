@@ -428,18 +428,23 @@ class TestAdoptionIsInMemory:
         untouched = str(tmp_path / "untouched")
         shutil.copytree(directory, untouched)
 
-        # The recovering process dies after its third adoption.
+        # The recovering process dies after its third adoption: the bulk
+        # verb asks for the fourth only once the third is live.
         second = self._restart(durable_testbed, directory)
-        real_adopt, adopted = second.adopt_recovered_slice, []
+        real_adopt, adopted = second.adopt_recovered_slices, []
 
-        def adopt_then_die(request, **kwargs):
-            real_adopt(request, **kwargs)
-            adopted.append(request.request_id)
-            if len(adopted) == 3:
-                crash(second)
-                raise _Died()
+        def adopt_then_die(adoptions):
+            def feed():
+                for adoption in adoptions:
+                    if len(adopted) == 3:
+                        crash(second)
+                        raise _Died()
+                    yield adoption
+                    adopted.append(adoption.request.request_id)
 
-        second.adopt_recovered_slice = adopt_then_die
+            return real_adopt(feed())
+
+        second.adopt_recovered_slices = adopt_then_die
         lsn_before = second.store.last_lsn
         try:
             RecoveryManager(second).restore()
@@ -447,6 +452,7 @@ class TestAdoptionIsInMemory:
             pass
         else:
             raise AssertionError("the recovery was supposed to die mid-adoption")
+        assert len(adopted) == 3
         assert second.store.last_lsn == lsn_before  # adoption wrote nothing
 
         third = self._restart(durable_testbed, directory)
@@ -467,6 +473,38 @@ class TestAdoptionIsInMemory:
         assert [third.slice(s).state for s in slice_ids] == [SliceState.ACTIVE] * 6
         third.sim.run_until(5_100.0)
         assert [third.slice(s).state for s in slice_ids] == [SliceState.EXPIRED] * 6
+
+    def test_adopted_events_keep_their_order_and_seqs_off_the_journal(
+        self, durable_testbed, tmp_path
+    ):
+        """One bulk adoption emits one ``slice.adopted`` per slice, in
+        the journal's order, numbered straight on from the pre-crash
+        feed — and none of them reaches the durable feed."""
+        directory = str(tmp_path / "store")
+        first = make_orchestrator(durable_testbed, directory=directory)
+        first.start()
+        slice_ids = []
+        for mbps in (3.0, 4.0, 5.0, 6.0):
+            decision = first.submit(make_request(throughput_mbps=mbps), ConstantProfile(mbps))
+            assert decision.admitted
+            slice_ids.append(decision.slice_id)
+        first.sim.run_until(10.0)
+        pre_crash_seq = first.events.last_seq
+        crash(first)
+
+        restarted = self._restart(durable_testbed, directory)
+        report = RecoveryManager(restarted).restore()
+        assert report.slices_adopted == 4
+        adopted = [
+            e for e in restarted.events.since(0) if e.event_type == "slice.adopted"
+        ]
+        assert [e.slice_id for e in adopted] == slice_ids
+        assert [e.seq for e in adopted] == list(
+            range(pre_crash_seq + 1, pre_crash_seq + 5)
+        )
+        assert restarted.events.sink is not None  # the tee is back
+        durable = [event["type"] for _, event in restarted.store.events_after(0)]
+        assert durable == ["recovery.completed"]
 
     def test_lifetime_is_carried_across_repeated_recoveries(
         self, durable_testbed, tmp_path
@@ -533,7 +571,7 @@ class TestAdoptionIsInMemory:
     raises=LedgerError,
     reason="Known defect 1: adoption opens no ledger account. The fix is one "
     "line — ledger.book_admission(slice_id, request) in "
-    "Orchestrator.adopt_recovered_slice — and waits for a benchmark PR: "
+    "Orchestrator.adopt_recovered_slices — and waits for a benchmark PR: "
     "benchmarks/e2e/test_harness.py::"
     "test_failover_counts_failed_deletes_and_excuses_only_their_loss "
     "asserts that a DELETE after a promotion still fails.",

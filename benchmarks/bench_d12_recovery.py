@@ -16,10 +16,11 @@ churn.  The asserted floor — **≥ 2× at 1 000 records** — is the
 acceptance criterion of the durability subsystem (a broken compaction
 path shows up as ~1×).
 
-The synthetic churn mirrors the real record mix (enqueue → install →
-activate → expire plus feed events), keeping a small live set at the
-end — exactly the "long uptime, bounded fleet" regime where
-checkpointing matters most.
+The synthetic churn mirrors the real record shape (enqueue → install →
+activate → expire, each transition carrying the feed event it raised,
+the install its driver trail), keeping a small live set at the end —
+exactly the "long uptime, bounded fleet" regime where checkpointing
+matters most.
 
 Usage::
 
@@ -48,7 +49,9 @@ FLOOR_SPEEDUP = 2.0
 #: Live slices kept at the end of the churn (snapshot size).
 LIVE_SLICES = 10
 #: Journal records one install→expire churn cycle costs.
-RECORDS_PER_CYCLE = 6
+RECORDS_PER_CYCLE = 5
+#: Journal records a slice still live at the end costs.
+RECORDS_PER_LIVE = 2
 
 
 def _request_payload(index: int) -> dict:
@@ -68,43 +71,49 @@ def build_journal(directory: str, records: int) -> ControlPlaneStore:
     """A store whose journal holds ~``records`` churn records with
     ``LIVE_SLICES`` slices still live at the end."""
     store = ControlPlaneStore(directory, fsync_every=0, checkpoint_every=0)
-    cycles = max(1, (records - LIVE_SLICES * 3) // RECORDS_PER_CYCLE)
+    cycles = max(1, (records - LIVE_SLICES * RECORDS_PER_LIVE) // RECORDS_PER_CYCLE)
+    seq = 0
+
+    def event(kind: str, slice_id: str, at: float) -> dict:
+        nonlocal seq
+        seq += 1
+        return {"seq": seq, "time": at, "type": kind, "slice_id": slice_id,
+                "tenant_id": "tenant-0", "data": {}}
+
+    def go_live(index: int, t: float) -> str:
+        slice_id = f"slice-{index:06d}"
+        reservations = {"ran": f"r{index}", "cloud": f"c{index}"}
+        store.append(
+            "slice.installed", time=t, request=_request_payload(index),
+            slice_id=slice_id, plmn="00101", fraction=1.0, window=[t, t + 600.0],
+            reservations=reservations, event=event("slice.admitted", slice_id, t),
+            trail=[[kind, domain, rid] for kind in ("prepared", "committed")
+                   for domain, rid in reservations.items()],
+        )
+        store.append(
+            "slice.activated", time=t + 3.0, slice_id=slice_id,
+            event=event("slice.activated", slice_id, t + 3.0),
+        )
+        return slice_id
+
     t = 0.0
     for index in range(cycles):
         t += 1.0
-        slice_id = f"slice-{index:06d}"
         payload = _request_payload(index)
         store.append("admission.enqueued", time=t, request=payload)
         store.append(
             "install.started", time=t, request=payload,
-            slice_id=slice_id, plmn="00101", fraction=1.0,
+            slice_id=f"slice-{index:06d}", plmn="00101", fraction=1.0,
         )
+        slice_id = go_live(index, t)
         store.append(
-            "slice.installed", time=t, request=payload, slice_id=slice_id,
-            plmn="00101", fraction=1.0, window=[t, t + 600.0],
-            reservations={"ran": f"r{index}", "cloud": f"c{index}"},
+            "slice.expired", time=t + 603.0, slice_id=slice_id,
+            event=event("slice.expired", slice_id, t + 603.0),
         )
-        store.append("slice.activated", time=t + 3.0, slice_id=slice_id)
-        store.append(
-            "event.emitted", time=t + 3.0,
-            event={"seq": index + 1, "type": "slice.activated"},
-        )
-        store.append("slice.expired", time=t + 603.0, slice_id=slice_id)
     # The live tail: installed + activated, never expired.
     for index in range(cycles, cycles + LIVE_SLICES):
         t += 1.0
-        slice_id = f"slice-{index:06d}"
-        payload = _request_payload(index)
-        store.append(
-            "slice.installed", time=t, request=payload, slice_id=slice_id,
-            plmn="00101", fraction=1.0, window=[t, t + 600.0],
-            reservations={"ran": f"r{index}", "cloud": f"c{index}"},
-        )
-        store.append("slice.activated", time=t + 3.0, slice_id=slice_id)
-        store.append(
-            "event.emitted", time=t + 3.0,
-            event={"seq": index + 1, "type": "slice.activated"},
-        )
+        go_live(index, t)
     return store
 
 

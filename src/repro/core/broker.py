@@ -71,10 +71,12 @@ class SliceBroker:
         self.windows_flushed = 0
         self.decisions: List[AdmissionDecision] = []
         # Durable windows: queued-but-undecided requests are journaled
-        # (``broker.enqueued`` / ``broker.decided``) and carried in
-        # every checkpoint, so a crash mid-window no longer silently
-        # drops them — recovery re-offers the survivors through online
-        # admission (see RecoveryManager._requeue_broker_windows).
+        # (``broker.enqueued``) and carried in every checkpoint, so a
+        # crash mid-window no longer silently drops them — recovery
+        # re-offers the survivors through online admission (see
+        # RecoveryManager._requeue_broker_windows).  A request's
+        # decision needs no record of its own: the ``install.started``
+        # or ``slice.rejected`` it produces ends the window's claim.
         orchestrator.durable_sections["broker_pending"] = self._pending_state
 
     def _pending_state(self) -> dict:
@@ -159,21 +161,6 @@ class SliceBroker:
             batch_decisions = self.policy.decide_batch(candidates, free)
         outcomes: List[Optional[AdmissionDecision]] = []
         winners: List[Tuple[int, PendingRequest]] = []
-        now = self.orchestrator.sim.now
-
-        def journal_decided(pending: PendingRequest, outcome) -> None:
-            # The window's durable claim on a request ends with its
-            # decision (the install/reject records already released it —
-            # this is the explicit audit record the replay fold keys on
-            # for requests with no lifecycle record yet).
-            self.orchestrator.store.append(
-                "broker.decided",
-                time=now,
-                request_id=pending.request.request_id,
-                admitted=bool(outcome.admitted) if outcome is not None else False,
-                reason=getattr(outcome, "reason", None),
-            )
-
         for index, (pending, decision, size) in enumerate(
             zip(batch, batch_decisions, sizes)
         ):
@@ -187,29 +174,25 @@ class SliceBroker:
                 else decision.reason
             )
             if refusal is not None:
-                outcome = self.orchestrator.reject(pending.request, refusal)
-                outcomes.append(outcome)
-                # Journal the loser the moment it is decided: if the
-                # install batch below dies mid-window, recovery must not
-                # re-offer an already-rejected request through admission
-                # (that would double-decide it).
-                journal_decided(pending, outcome)
+                # Journaled (``slice.rejected``) the moment it is
+                # decided: if the install batch below dies mid-window,
+                # recovery must not re-offer an already-rejected request
+                # through admission (that would double-decide it).
+                outcomes.append(self.orchestrator.reject(pending.request, refusal))
                 continue
             outcomes.append(None)  # resolved by the batched install below
             winners.append((index, pending))
         if winners:
-            # Winners are journaled only after their install resolves:
-            # a crash inside the batch leaves them undecided in the
-            # journal, minus any whose ``install.started`` record
-            # already landed — recovery re-offers exactly that set, so
-            # no request is ever decided twice.
+            # A crash inside the batch leaves undecided exactly the
+            # winners whose ``install.started`` (or staging-time
+            # ``slice.rejected``) never landed — recovery re-offers that
+            # set, so no request is ever decided twice.
             installed = self.orchestrator.install_admitted_batch(
                 [(pending.request, pending.profile) for _, pending in winners],
                 sizes=[sizes[index] for index, _ in winners],
             )
-            for (index, pending), outcome in zip(winners, installed):
+            for (index, _), outcome in zip(winners, installed):
                 outcomes[index] = outcome
-                journal_decided(pending, outcome)
         for pending, outcome in zip(batch, outcomes):
             if pending.on_decision is not None:
                 pending.on_decision(outcome)

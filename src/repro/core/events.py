@@ -65,9 +65,10 @@ class EventLog:
         self.capacity = int(capacity)
         self._events: Deque[OrchestrationEvent] = deque(maxlen=self.capacity)
         self._next_seq = 1
-        #: Optional durability tee: called with every appended event
-        #: (the orchestrator journals it, which is what backs the
-        #: ``GET /v1/events?after_lsn=`` durable cursor).
+        #: Optional durability tee: called with every :meth:`emit`-ted
+        #: event (the orchestrator journals it, which is what backs the
+        #: ``GET /v1/events?after_lsn=`` durable cursor), never an
+        #: :meth:`append`-ed one (its transition's record carries it).
         self.sink: Optional[Callable[[OrchestrationEvent], None]] = None
         #: Optional control-plane observability sink (emit counter +
         #: buffered-depth gauge); ``None`` keeps emit untouched.
@@ -86,7 +87,14 @@ class EventLog:
         """Sequence number of the oldest retained event (0 when empty)."""
         return self._events[0].seq if self._events else 0
 
-    def emit(
+    def emit(self, *args: object, **data: object) -> OrchestrationEvent:
+        """:meth:`append` one event and hand it to the :attr:`sink`."""
+        event = self.append(*args, **data)
+        if self.sink is not None:
+            self.sink(event)
+        return event
+
+    def append(
         self,
         time: float,
         event_type: str,
@@ -94,7 +102,8 @@ class EventLog:
         tenant_id: Optional[str] = None,
         **data: object,
     ) -> OrchestrationEvent:
-        """Append one event; old events are evicted beyond ``capacity``."""
+        """Append one event without the :attr:`sink`; old events are
+        evicted beyond ``capacity``."""
         event = OrchestrationEvent(
             seq=self._next_seq,
             time=time,
@@ -105,8 +114,6 @@ class EventLog:
         )
         self._next_seq += 1
         self._events.append(event)
-        if self.sink is not None:
-            self.sink(event)
         obs = self.obs
         if obs is not None and obs.enabled:
             obs.counter_add("events.emitted")

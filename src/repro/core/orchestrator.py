@@ -55,7 +55,7 @@ from repro.core.allocation import (
     MultiDomainAllocator,
     SliceSize,
 )
-from repro.core.events import EventLog
+from repro.core.events import EventLog, OrchestrationEvent
 from repro.drivers.adapters import build_default_registry
 from repro.drivers.base import (
     DomainSpec,
@@ -157,7 +157,8 @@ class OrchestratorConfig:
         journal_fsync_every: Journal group-commit size: fsync every N
             appended records (every append is still flushed to the OS
             immediately).  ``1`` = fully synchronous, ``0`` = never
-            fsync.
+            fsync.  A record is one state transition, its feed event
+            included, so N bounds the transitions a power loss can take.
         shard_id: Position of this orchestrator in a sharded control
             plane (:mod:`repro.cluster`).  When set together with
             ``durability_dir``, the store namespaces itself under
@@ -193,7 +194,7 @@ class OrchestratorConfig:
     install_timeout_s: Optional[float] = None
     durability_dir: Optional[str] = None
     checkpoint_every_records: int = 512
-    journal_fsync_every: int = 32
+    journal_fsync_every: int = 16
     shard_id: Optional[int] = None
     observability: bool = field(
         default_factory=lambda: os.environ.get("REPRO_OBS_ENABLED", "") == "1"
@@ -321,8 +322,9 @@ class Orchestrator:
         #: the service layer enforces it.
         self.quotas: Dict[str, TenantQuota] = {}
         if self.store.enabled:
-            # Tee the northbound feed into the journal: this is what
-            # backs the durable GET /v1/events?after_lsn= cursor.
+            # Events no transition raises (SLA violations, repairs,
+            # driver incidents) are journaled on their own; the rest
+            # ride in their transition's record (see _journal).
             self.events.sink = self._journal_event
         # Fleet-scale installs: admission bursts (broker windows, the
         # epoch-drained admission queue) run through the event-driven
@@ -383,14 +385,21 @@ class Orchestrator:
     # ------------------------------------------------------------------
     # Durability (write-ahead journal + snapshots + recovery support)
     # ------------------------------------------------------------------
-    def _journal(self, record_type: str, **data) -> int:
+    def _journal(
+        self, record_type: str, event: Optional[OrchestrationEvent] = None, **data
+    ) -> int:
         """Write-ahead one control-plane transition (no-op when the
-        store is a :class:`~repro.store.store.NullStore`)."""
+        store is a :class:`~repro.store.store.NullStore`), carrying the
+        feed ``event`` it raised: that event's durable LSN is this one."""
+        if not self.store.enabled:
+            return 0
+        if event is not None:
+            data["event"] = event.to_dict()
         return self.store.append(record_type, time=self.sim.now, **data)
 
-    def _journal_event(self, event) -> None:
-        """EventLog sink: tee every northbound event into the journal
-        (backs the durable ``GET /v1/events?after_lsn=`` cursor)."""
+    def _journal_event(self, event: OrchestrationEvent) -> None:
+        """EventLog sink: journal an event no transition raises (backs
+        the durable ``GET /v1/events?after_lsn=`` cursor)."""
         self.store.append("event.emitted", time=event.time, event=event.to_dict())
 
     def _journal_driver_record(
@@ -521,44 +530,40 @@ class Orchestrator:
         live through :meth:`_go_live` around the drivers' live
         reservations (nothing is re-prepared); its profile is drawn on
         first use.  The vEPC vCPU term of the sizes is read once for
-        the whole batch, and the event feed's journal tee is lifted
-        once around it.
+        the whole batch.
 
         Nothing here is journaled, the ``slice.adopted`` events
-        included: the checkpoint recovery closes with is the one
-        durable statement of the adoption, and a crash before it
-        replays the same recovery from the same records.
+        included (they join the in-memory feed only): the checkpoint
+        recovery closes with is the one durable statement of the
+        adoption, and a crash before it replays the same recovery from
+        the same records.
         """
         vcpus = self.allocator.vepc_vcpus()
         adopted: List[NetworkSlice] = []
-        tee, self.events.sink = self.events.sink, None  # in-memory feed only
-        try:
-            for adoption in adoptions:
-                request = adoption.request
-                network_slice = NetworkSlice(request)
-                slice_id = network_slice.slice_id
-                self._all_slices[slice_id] = network_slice
-                if adoption.plmn_id:
-                    network_slice.plmn = self.plmn_pool.claim(slice_id, adoption.plmn_id)
-                self._go_live(
-                    network_slice,
-                    None,  # the profile: drawn by traffic_profile on first read
-                    self.allocator.size(request, adoption.fraction, vcpus),
-                    adoption.reservations,
-                    admitted_at=adoption.admitted_at,
-                    active_at=adoption.active_at,
-                    window_end=adoption.window_end,
-                )
-                self.events.emit(
-                    self.sim.now,
-                    "slice.adopted",
-                    slice_id=slice_id,
-                    tenant_id=request.tenant_id,
-                    state=network_slice.state.value,
-                )
-                adopted.append(network_slice)
-        finally:
-            self.events.sink = tee
+        for adoption in adoptions:
+            request = adoption.request
+            network_slice = NetworkSlice(request)
+            slice_id = network_slice.slice_id
+            self._all_slices[slice_id] = network_slice
+            if adoption.plmn_id:
+                network_slice.plmn = self.plmn_pool.claim(slice_id, adoption.plmn_id)
+            self._go_live(
+                network_slice,
+                None,  # the profile: drawn by traffic_profile on first read
+                self.allocator.size(request, adoption.fraction, vcpus),
+                adoption.reservations,
+                admitted_at=adoption.admitted_at,
+                active_at=adoption.active_at,
+                window_end=adoption.window_end,
+            )
+            self.events.append(
+                self.sim.now,
+                "slice.adopted",
+                slice_id=slice_id,
+                tenant_id=request.tenant_id,
+                state=network_slice.state.value,
+            )
+            adopted.append(network_slice)
         return adopted
 
     def restore_advance_booking(self, request: SliceRequest, *, start_in_s: float) -> None:
@@ -743,14 +748,11 @@ class Orchestrator:
         request, start_time = pending
         if self.calendar.has(request_id):
             self.calendar.release(request_id)
-        self._journal("booking.cancelled", request_id=request_id)
-        self.events.emit(
-            self.sim.now,
-            "booking.cancelled",
-            tenant_id=request.tenant_id,
-            booking_id=request_id,
-            start_time=start_time,
+        event = self.events.append(
+            self.sim.now, "booking.cancelled", None, request.tenant_id,
+            booking_id=request_id, start_time=start_time,
         )
+        self._journal("booking.cancelled", event, request_id=request_id)
 
     def set_quota(
         self,
@@ -777,38 +779,34 @@ class Orchestrator:
         return self._book_install_rejection(network_slice, reason)
 
     def _book_install_rejection(
-        self, network_slice: NetworkSlice, reason: str
+        self, network_slice: NetworkSlice, reason: str, **record: Any
     ) -> AdmissionDecision:
         """Bookkeeping shared by every refusal — admission said no, or
         an install failed after it said yes: free the PLMN and the
-        calendar window (if held), record the rejection, emit the
-        event."""
+        calendar window (if held), record the rejection and its event.
+        ``record`` fields (a failed batched job's driver ``trail``) ride
+        in the same journal record."""
         request = network_slice.request
+        slice_id = network_slice.slice_id
         if network_slice.plmn is not None:
-            self.plmn_pool.release(network_slice.slice_id)
+            self.plmn_pool.release(slice_id)
             network_slice.plmn = None
         if self.calendar.has(request.request_id):
             self.calendar.release(request.request_id)
         network_slice.transition(SliceState.REJECTED, self.sim.now)
         self.ledger.book_rejection(request, reason, self.sim.now)
-        self._journal(
-            "slice.rejected",
-            request_id=request.request_id,
-            slice_id=network_slice.slice_id,
-            reason=reason,
+        event = self.events.append(
+            self.sim.now, "slice.rejected", slice_id, request.tenant_id, reason=reason
         )
-        self.events.emit(
-            self.sim.now,
-            "slice.rejected",
-            slice_id=network_slice.slice_id,
-            tenant_id=request.tenant_id,
-            reason=reason,
+        self._journal(
+            "slice.rejected", event, request_id=request.request_id,
+            slice_id=slice_id, reason=reason, **record,
         )
         return AdmissionDecision(
             request_id=request.request_id,
             admitted=False,
             reason=reason,
-            slice_id=network_slice.slice_id,
+            slice_id=slice_id,
         )
 
     def _go_live(
@@ -877,24 +875,18 @@ class Orchestrator:
         size: SliceSize,
         reservations: Dict[str, Reservation],
         span_parent: Any = None,
+        **record: Any,
     ) -> AdmissionDecision:
         """What an acknowledged install does on top of :meth:`_go_live`,
-        shared by both executors: the ledger account, the
-        ``slice.admitted`` event and the ``slice.installed`` WAL record.
+        shared by both executors: the ledger account and the
+        ``slice.installed`` WAL record carrying the ``slice.admitted``
+        event and any ``record`` fields (the batched job's ``trail``).
         ``span_parent`` (the batched path's per-job span context) hangs
-        the journal/event stages of this job under its trace; the
-        sequential path passes none and stays span-free."""
+        the journal stage of this job under its trace; the sequential
+        path passes none and stays span-free."""
         obs = self.obs if span_parent is not None else NOOP_OBS
         request = network_slice.request
         self.ledger.book_admission(network_slice.slice_id, request)
-        with obs.span("event", parent=span_parent):
-            self.events.emit(
-                self.sim.now,
-                "slice.admitted",
-                slice_id=network_slice.slice_id,
-                tenant_id=request.tenant_id,
-                price=request.price,
-            )
         self._go_live(
             network_slice, profile, size, reservations, admitted_at=self.sim.now
         )
@@ -904,12 +896,17 @@ class Orchestrator:
         with obs.span("journal", parent=span_parent):
             self._journal(
                 "slice.installed",
+                self.events.append(
+                    self.sim.now, "slice.admitted", network_slice.slice_id,
+                    request.tenant_id, price=request.price,
+                ),
                 request=request_to_dict(request),
                 slice_id=network_slice.slice_id,
                 plmn=network_slice.plmn.plmn_id if network_slice.plmn else None,
                 fraction=size.fraction,
                 reservations={d: r.reservation_id for d, r in reservations.items()},
                 window=[booking.start, booking.end],
+                **record,
             )
         return AdmissionDecision(
             request_id=request.request_id,
@@ -1108,10 +1105,8 @@ class Orchestrator:
             network_slice, profile, size, job_span = staged[index]
             # The job's whole southbound audit trail — every landed
             # prepare/commit/rollback/release of every attempt, in
-            # landing order — as one record (never folded on replay).
-            self._journal(
-                "driver.trail", slice_id=network_slice.slice_id, trail=outcome.trail
-            )
+            # landing order — rides in the record that settles the job
+            # (never folded on replay).
             if outcome.ok:
                 results[index] = self._finalize_install(
                     network_slice,
@@ -1119,6 +1114,7 @@ class Orchestrator:
                     size,
                     outcome.reservations,
                     span_parent=job_span.context,
+                    trail=outcome.trail,
                 )
                 job_span.finish()
             else:
@@ -1128,7 +1124,7 @@ class Orchestrator:
                 for domain, reservation, reason in outcome.rollbacks:
                     self._emit_rollback(domain, reservation, reason)
                 results[index] = self._book_install_rejection(
-                    network_slice, str(outcome.error)
+                    network_slice, str(outcome.error), trail=outcome.trail
                 )
                 job_span.finish("error", error=str(outcome.error))
         self._drain_planner_events()
@@ -1375,13 +1371,10 @@ class Orchestrator:
         if network_slice.state is not SliceState.DEPLOYING:
             return
         network_slice.transition(SliceState.ACTIVE, self.sim.now)
-        self._journal("slice.activated", slice_id=slice_id)
-        self.events.emit(
-            self.sim.now,
-            "slice.activated",
-            slice_id=slice_id,
-            tenant_id=network_slice.request.tenant_id,
+        event = self.events.append(
+            self.sim.now, "slice.activated", slice_id, network_slice.request.tenant_id
         )
+        self._journal("slice.activated", event, slice_id=slice_id)
         if self.config.simulate_ues:
             self._spawn_ues(runtime)
         self._schedule_expiry(network_slice)
@@ -1511,14 +1504,10 @@ class Orchestrator:
             self.calendar.release(request.request_id)
         network_slice.transition(terminal_state, self.sim.now)
         record_type = f"slice.{terminal_state.value}"
-        self._journal(record_type, slice_id=slice_id)
-        self.events.emit(
-            self.sim.now,
-            record_type,
-            slice_id=slice_id,
-            tenant_id=request.tenant_id,
-            **event_fields,
+        event = self.events.append(
+            self.sim.now, record_type, slice_id, request.tenant_id, **event_fields
         )
+        self._journal(record_type, event, slice_id=slice_id)
 
     def what_if(self, request: SliceRequest) -> dict:
         """Evaluate a hypothetical request without committing anything.
@@ -1811,17 +1800,12 @@ class Orchestrator:
                 # Growing back may not fit if newcomers took the space —
                 # the overbooking risk surfaces as SLA violations instead.
                 continue
-            self._journal(
-                "slice.reconfigured", slice_id=slice_id, fraction=new_fraction
+            event = self.events.append(
+                self.sim.now, "slice.reconfigured", slice_id,
+                runtime.network_slice.request.tenant_id,
+                old_fraction=old_fraction, new_fraction=new_fraction,
             )
-            self.events.emit(
-                self.sim.now,
-                "slice.reconfigured",
-                slice_id=slice_id,
-                tenant_id=runtime.network_slice.request.tenant_id,
-                old_fraction=old_fraction,
-                new_fraction=new_fraction,
-            )
+            self._journal("slice.reconfigured", event, slice_id=slice_id, fraction=new_fraction)
 
     # ------------------------------------------------------------------
     # Introspection (dashboard + tests)

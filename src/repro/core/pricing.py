@@ -9,8 +9,9 @@ left on the table (opportunity cost, reported but not subtracted).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Deque, Dict, List
 
 from repro.core.slices import SliceRequest
 
@@ -51,12 +52,18 @@ class RejectionRecord:
     at_time: float
 
 
+#: Rejection records a ledger keeps, newest; count and sum are running totals.
+RECENT_REJECTIONS = 1024
+
+
 class RevenueLedger:
     """Account book for admissions, penalties and rejections."""
 
     def __init__(self) -> None:
         self._entries: Dict[str, LedgerEntry] = {}
-        self._rejections: List[RejectionRecord] = []
+        self._rejections: Deque[RejectionRecord] = deque(maxlen=RECENT_REJECTIONS)
+        self._rejected_count = 0
+        self._rejected_revenue = 0.0
 
     # ------------------------------------------------------------------
     # Booking
@@ -109,6 +116,8 @@ class RevenueLedger:
 
     def book_rejection(self, request: SliceRequest, reason: str, at_time: float) -> None:
         """Record a rejected request and the revenue foregone."""
+        self._rejected_count += 1
+        self._rejected_revenue += request.price
         self._rejections.append(
             RejectionRecord(
                 request_id=request.request_id,
@@ -150,7 +159,7 @@ class RevenueLedger:
     @property
     def rejected_revenue(self) -> float:
         """Revenue of rejected requests (opportunity cost, informational)."""
-        return sum(r.price for r in self._rejections)
+        return self._rejected_revenue
 
     @property
     def admissions(self) -> int:
@@ -160,7 +169,7 @@ class RevenueLedger:
     @property
     def rejections(self) -> int:
         """Number of rejected requests."""
-        return len(self._rejections)
+        return self._rejected_count
 
     def acceptance_ratio(self) -> float:
         """Admitted / (admitted + rejected); 0.0 before any decision."""
@@ -168,7 +177,8 @@ class RevenueLedger:
         return self.admissions / total if total else 0.0
 
     def rejection_records(self) -> List[RejectionRecord]:
-        """All rejection records, oldest first."""
+        """The newest :data:`RECENT_REJECTIONS` rejection records,
+        oldest first."""
         return list(self._rejections)
 
     def summary(self) -> dict:

@@ -20,33 +20,40 @@ reasons only over record payloads, so it can run in benchmarks
 (``bench_d12_recovery``), in tests, and in the recovery path without a
 testbed.
 
-Record vocabulary (see ``docs/ARCHITECTURE.md`` for the full matrix):
+Record vocabulary (see ``docs/ARCHITECTURE.md`` for the full matrix),
+one record per state transition.  ``+event``: the record carries the
+feed event the transition raised (the durable ``after_lsn`` cursor
+reads any record with an ``event`` field); ``+trail``: a batched job's
+driver trail, every landed prepare/commit/rollback/release — not folded.
 
 ===================== ==========================================================
 ``admission.enqueued`` request queued for the next batched install
-``broker.enqueued``    request queued in an (undecided) broker window
-``broker.decided``     the broker window flushed a decision for the request
+``broker.enqueued``    request queued in a broker window, until its
+                       ``install.started`` or ``slice.rejected``
 ``install.started``    install staged southbound (PLMN held, specs planned)
-``slice.installed``    install committed end-to-end and acknowledged
-``slice.activated``    slice went ACTIVE (expiry clock started); both are
-                       written by installs and activations only — a
+``slice.installed``    install acknowledged; +event ``slice.admitted``, +trail
+``slice.activated``    slice went ACTIVE (expiry clock started), +event; both
+                       are written by installs and activations only — a
                        recovery re-adopts in memory and checkpoints
-``slice.expired``      lifetime ended, resources released
-``slice.cancelled``    torn down before/while active
-``slice.rejected``     admission or install failure booked
+``slice.expired``      lifetime ended, resources released, +event
+``slice.cancelled``    torn down before/while active, +event
+``slice.rejected``     admission or install failure booked, +event, +trail
 ``slice.modified``     tenant rescale (new SLA throughput)
-``slice.reconfigured`` overbooking loop resized the effective fraction
+``slice.reconfigured`` overbooking loop resized the effective fraction, +event
 ``booking.committed``  advance reservation promised on the calendar
-``booking.cancelled``  advance reservation withdrawn
+``booking.cancelled``  advance reservation withdrawn, +event
 ``quota.set``          per-tenant quota changed
-``event.emitted``      northbound feed event (durable ``after_lsn`` cursor)
-``driver.trail``       one per job a window installed: every landed
-                       prepare/commit/rollback/release — not folded
-``driver.*``           other southbound audit (``compensated`` stragglers;
-                       pre-trail per-operation records) — not folded
+``event.emitted``      a feed event no transition raises (``sla.violation``,
+                       ``slice.path_repaired``, ``driver.*``, ``lease.fenced``)
+``driver.*``           southbound audit (``compensated`` stragglers) — not folded
 ``checkpoint.written`` snapshot landed (audit)
-``recovery.completed`` a restart reconciled (audit)
+``recovery.completed`` a restart reconciled (audit), +event
 ===================== ==========================================================
+
+The previous format still folds: it also wrote every event as an
+``event.emitted``, each trail as a ``driver.trail`` and each window
+decision as a ``broker.decided`` record, after the decision's own
+``install.started``/``slice.rejected`` — none folds beyond its ``event``.
 """
 
 from __future__ import annotations
@@ -213,6 +220,9 @@ class ReplayState:
             self._note_ordinal(request.get("request_id"))
         self._note_ordinal(data.get("request_id"))
         self._note_ordinal(data.get("slice_id"))
+        event = data.get("event")
+        if event:
+            self.last_event_seq = max(self.last_event_seq, int(event.get("seq", 0)))
         if kind == "admission.enqueued":
             request = data["request"]
             self.queued[request["request_id"]] = request
@@ -222,8 +232,6 @@ class ReplayState:
         elif kind == "broker.enqueued":
             request = data["request"]
             self.broker_pending[request["request_id"]] = request
-        elif kind == "broker.decided":
-            self.broker_pending.pop(data.get("request_id"), None)
         elif kind == "install.started":
             request = data["request"]
             self.queued.pop(request["request_id"], None)
@@ -284,11 +292,9 @@ class ReplayState:
                 "max_active_slices": data.get("max_active_slices"),
                 "max_aggregate_mbps": data.get("max_aggregate_mbps"),
             }
-        elif kind == "event.emitted":
-            event = data.get("event") or {}
-            self.last_event_seq = max(self.last_event_seq, int(event.get("seq", 0)))
-        # driver.*, checkpoint.written, recovery.completed: audit trail
-        # only — driver *ground truth* is reconciled live, not replayed.
+        # event.emitted, driver.*, checkpoint.written, recovery.completed:
+        # the event (if any) above, else audit trail only — driver
+        # *ground truth* is reconciled live, not replayed.
 
     # ------------------------------------------------------------------
     # Snapshot round-trip + digest

@@ -127,7 +127,7 @@ class RecoveryManager:
 
         Returns the :class:`RecoveryReport`; finishes with a fresh
         checkpoint (whose bytes the report's ``state_digest`` hashes),
-        then the journaled ``recovery.completed`` event and record.
+        then the ``recovery.completed`` record carrying its event.
         """
         started = _time.monotonic()
         orch = self.orchestrator
@@ -165,17 +165,16 @@ class RecoveryManager:
         orch.checkpoint()
         report.state_digest = orch.store.snapshot_digest
         report.duration_s = _time.monotonic() - started
-        orch.events.emit(
-            orch.sim.now, "recovery.completed", **{
-                "adopted": report.slices_adopted,
-                "lost": report.slices_lost,
-                "requeued": report.admissions_requeued,
-                "compensated": report.orphans_compensated,
-            }
+        event = orch.events.append(
+            orch.sim.now, "recovery.completed", adopted=report.slices_adopted,
+            lost=report.slices_lost, requeued=report.admissions_requeued,
+            compensated=report.orphans_compensated,
         )
         # Wall-clock duration stays out of the journal: same run, same bytes.
         journaled = {k: v for k, v in report.to_dict().items() if k != "duration_s"}
-        orch.store.append("recovery.completed", time=orch.sim.now, report=journaled)
+        orch.store.append(
+            "recovery.completed", time=orch.sim.now, report=journaled, event=event.to_dict()
+        )
         return report
 
     # ------------------------------------------------------------------
@@ -359,7 +358,8 @@ class RecoveryManager:
     ) -> None:
         """Re-offer requests that were sitting in a broker decision
         window the crash cut short (``broker.enqueued`` with no
-        ``broker.decided``).  Unlike journaled admissions these were
+        ``install.started`` or ``slice.rejected`` after it).  Unlike
+        journaled admissions these were
         never *admitted* — the window died before deciding — so they go
         back through full online admission (``Orchestrator.submit``),
         not straight into the install queue; losers are booked as

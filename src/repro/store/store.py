@@ -120,7 +120,7 @@ class ControlPlaneStore:
     def __init__(
         self,
         directory: str,
-        fsync_every: int = 32,
+        fsync_every: int = 16,
         checkpoint_every: int = 512,
         shard_id: Optional[int] = None,
     ) -> None:
@@ -252,6 +252,10 @@ class ControlPlaneStore:
         """Northbound events journaled past ``after_lsn``, as
         ``(lsn, event_dict)`` pairs, oldest first.
 
+        A feed entry is any record carrying an ``event``: the transition
+        that raised it, or an ``event.emitted`` (an event no transition
+        raises — or, in the previous journal format, any event).
+
         Replay reaches back to the latest checkpoint (compaction drops
         older records); ``snapshot_lsn`` is the replay floor a consumer
         can detect a gap against.
@@ -266,8 +270,6 @@ class ControlPlaneStore:
             return []
         out: List[Tuple[int, Dict[str, Any]]] = []
         for record in self.journal.records(after_lsn):
-            if record.record_type != "event.emitted":
-                continue
             event = record.data.get("event")
             if not isinstance(event, dict):
                 continue
@@ -295,7 +297,7 @@ class ControlPlaneStore:
 
 def open_store(
     directory: Optional[str],
-    fsync_every: int = 32,
+    fsync_every: int = 16,
     checkpoint_every: int = 512,
     shard_id: Optional[int] = None,
 ) -> "ControlPlaneStore | NullStore":

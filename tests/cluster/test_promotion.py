@@ -187,11 +187,13 @@ def test_promotion_from_the_warm_image_equals_a_cold_restore(seed, steps):
             assert fleet_image(warm) == fleet_image(cold)
             assert lifecycle_timers(warm) == lifecycle_timers(cold)
             assert warm.durable_state() == cold.durable_state()
-            # Same snapshot, same three trailing records, in both stores.
+            # Same snapshot, same two trailing records, in both stores:
+            # the completion record carries its own feed event.
             for store in (warm.store, cold_store):
                 assert [r.record_type for r in store.records()] == [
-                    "checkpoint.written", "event.emitted", "recovery.completed",
+                    "checkpoint.written", "recovery.completed",
                 ]
+                assert store.records()[-1].data["event"]["type"] == "recovery.completed"
             assert warm.store.load()[0] == cold_store.load()[0]
             assert warm.store.replay().digest() == cold_store.replay().digest()
             # Neither drew an adopted slice's profile; both draw the same.

@@ -3,12 +3,15 @@
 With the four in-process adapters resolving their futures inline and
 the planner draining one run queue on the calling thread, a window's
 install is a pure function of its requests: same reservation ids, same
-journal, byte for byte.  What the window did southbound is journaled as
-one ``driver.trail`` record per job — every landed transition, in
-landing order — which replay never folds.
+journal, byte for byte.  What the window did southbound is journaled
+as each job's ``trail`` — every landed transition, in landing order —
+inside the ``slice.installed`` or ``slice.rejected`` record that settles
+the job; replay never folds it.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -53,7 +56,8 @@ def test_same_window_twice_yields_byte_identical_journals(tmp_path):
         with open(orchestrator.store.journal.path, "rb") as handle:
             journals.append(handle.read())
     assert journals[0] == journals[1]
-    assert b'"driver.trail"' in journals[0] and b"-res-" in journals[0]
+    assert b'"trail"' in journals[0] and b"-res-" in journals[0]
+    assert b'"driver.trail"' not in journals[0]
 
 
 class PickyTransport(TransportDriver):
@@ -111,6 +115,10 @@ def landed(monkeypatch):
 
 
 def test_one_trail_record_per_job_holds_every_landed_transition(tmp_path, landed):
+    """The record that settles a job — ``slice.installed`` for a
+    winner, ``slice.rejected`` for a job every attempt of which failed —
+    carries its whole trail, and carries the feed event too: the window
+    writes one record per settled job."""
     testbed, _, orchestrator = build_stack(tmp_path)
     # eMBB candidates: the core DC first, then the edge.
     first_dc, _ = sorted(
@@ -134,8 +142,16 @@ def test_one_trail_record_per_job_holds_every_landed_transition(tmp_path, landed
     assert [d.admitted for d in decisions] == [True, True, False]
 
     records = orchestrator.store.records()
-    trails = [r for r in records if r.record_type == "driver.trail"]
-    assert [r.data["slice_id"] for r in trails] == [first_try, second_dc, nowhere]
+    trails = [r for r in records if "trail" in r.data]
+    assert [(r.record_type, r.data["slice_id"]) for r in trails] == [
+        ("slice.installed", first_try),
+        ("slice.installed", second_dc),
+        ("slice.rejected", nowhere),
+    ]
+    assert [r.data["event"]["type"] for r in trails] == [
+        "slice.admitted", "slice.admitted", "slice.rejected"
+    ]
+    assert not [r for r in records if r.record_type.startswith("driver.")]
     by_slice = {r.data["slice_id"]: [tuple(t) for t in r.data["trail"]] for r in trails}
     # Exactly what landed in the drivers, exactly once, in landing order.
     for slice_id, trail in by_slice.items():
@@ -183,11 +199,13 @@ def test_one_trail_record_per_job_holds_every_landed_transition(tmp_path, landed
     assert {e.slice_id for e in rollbacks} == {nowhere}
     assert len(rollbacks) == 2 * len(gateways)
 
-    # Replay folds no driver.* record: the trail changes nothing, and a
-    # journal still holding the old per-operation records replays too.
+    # Replay folds no trail: stripping it changes nothing, and a
+    # journal holding the old per-operation records replays too.
     digest = ReplayState.restore(None, records).digest()
-    without = [r for r in records if not r.record_type.startswith("driver.")]
-    assert len(without) == len(records) - 3
+    without = [
+        replace(r, data={k: v for k, v in r.data.items() if k != "trail"})
+        for r in records
+    ]
     assert ReplayState.restore(None, without).digest() == digest
     legacy = []
     for record in without:

@@ -239,10 +239,11 @@ def test_every_exit_leaves_nothing_behind(durable, exit_, terminal, refund):
     assert orch.plmn_pool.available == testbed.config.plmn_pool_size
     assert not orch.calendar.has(request_id)
     name = f"slice.{terminal.value}"
+    # One record per exit, carrying the one feed event it raised.
+    [event] = [e for e in orch.events.since(0) if e.event_type == name]
     assert [r.data for r in orch.store.records() if r.record_type == name] == [
-        {"slice_id": slice_id}
+        {"slice_id": slice_id, "event": event.to_dict()}
     ]
-    assert len([e for e in orch.events.since(0) if e.event_type == name]) == 1
     assert orch.ledger.gross_revenue == pytest.approx(PRICE - refund)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.pricing import LedgerError, RevenueLedger
+from repro.core.pricing import RECENT_REJECTIONS, LedgerError, RevenueLedger
 from tests.conftest import make_request
 
 
@@ -55,6 +55,18 @@ def test_rejections_tracked_separately(ledger):
     record = ledger.rejection_records()[0]
     assert record.reason == "no capacity"
     assert record.at_time == 5.0
+
+
+def test_rejection_totals_are_exact_while_the_records_stay_bounded(ledger):
+    prices = [float(i % 7) + 0.1 for i in range(RECENT_REJECTIONS + 5)]
+    for i, price in enumerate(prices):
+        ledger.book_rejection(make_request(price=price), f"r{i}", at_time=float(i))
+    assert ledger.rejections == len(prices)
+    assert ledger.rejected_revenue == pytest.approx(sum(prices))
+    records = ledger.rejection_records()
+    assert len(records) == RECENT_REJECTIONS
+    assert [r.reason for r in records[:2]] == ["r5", "r6"]
+    assert records[-1].at_time == float(len(prices) - 1)
 
 
 def test_acceptance_ratio(ledger):

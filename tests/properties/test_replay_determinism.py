@@ -80,6 +80,13 @@ step = st.tuples(
 )
 
 
+#: Transitions whose record carries the feed event they raised.
+EVENT_CARRIERS = {
+    "slice.installed", "slice.activated", "slice.expired", "slice.cancelled",
+    "slice.rejected", "slice.reconfigured", "booking.cancelled",
+}
+
+
 def _materialize(steps) -> list:
     """Turn randomized (type, index) steps into valid journal records."""
     records = []
@@ -113,6 +120,8 @@ def _materialize(steps) -> list:
             data = {"epoch": lsn}
         else:
             data = {"slice_id": slice_id}
+        if kind in EVENT_CARRIERS:
+            data["event"] = {"seq": lsn, "type": kind, "tenant_id": None}
         records.append(
             JournalRecord(lsn=lsn, time=float(lsn), record_type=kind, data=data)
         )

@@ -2,11 +2,12 @@
 
 A batch-mode tenant's enqueue is *acknowledged* the moment ``submit``
 returns — so it must survive the process.  The broker write-aheads
-``broker.enqueued`` before the request joins the window and journals
-``broker.decided`` when the window flushes; recovery re-offers every
-enqueued-but-undecided request through full admission (the window died
-before any decision existed, so the requests were never admitted — a
-re-offer through admission control, not a blind re-install).
+``broker.enqueued`` before the request joins the window; the flush
+decides each request with the ``install.started`` or ``slice.rejected``
+record it produces.  Recovery re-offers every enqueued-but-undecided
+request through full admission (the window died before any decision
+existed, so the requests were never admitted — a re-offer through
+admission control, not a blind re-install).
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ def test_kill_mid_window_reoffers_enqueued_requests(durable_testbed, tmp_path):
 
 
 def test_flushed_window_is_not_reoffered(durable_testbed, tmp_path):
-    """``broker.decided`` closes the loop: a crash *after* the flush
-    re-adopts the installed slices but re-offers nothing."""
+    """The flush's decision records close the loop: a crash *after* the
+    flush re-adopts the installed slices but re-offers nothing."""
     directory = str(tmp_path / "store")
     first = make_orchestrator(durable_testbed, directory=directory)
     first.start()

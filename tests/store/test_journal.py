@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from repro.store.codec import json_default
 from repro.store.journal import Journal, JournalCorrupt, JournalError, JournalTail, _scan
 
 
@@ -36,9 +37,18 @@ class TestAppend:
         import numpy as np
 
         journal = Journal(path)
-        journal.append("t", value=np.float64(1.5), count=np.int64(3))
+        data = {"value": np.float64(1.5), "count": np.int64(3), "ids": {"b", "a"}}
+        journal.append("t", **data)
         (record,) = journal.records()
-        assert record.data == {"value": 1.5, "count": 3}
+        assert record.data == {"value": 1.5, "count": 3, "ids": ["a", "b"]}
+        # The line is the canonical dump, byte for byte.
+        with open(path) as handle:
+            assert handle.read() == json.dumps(
+                {"lsn": 1, "t": 0.0, "type": "t", "data": data},
+                sort_keys=True,
+                separators=(",", ":"),
+                default=json_default,
+            ) + "\n"
 
     def test_append_visible_on_disk_without_close(self, path):
         """Every append is flushed — a crash (no close) loses nothing."""

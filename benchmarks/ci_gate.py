@@ -36,19 +36,20 @@ asserted floor is broken:
 - **Failover drill** — SIGKILL a shard leader mid-16-job-batch; the
   warm standby must promote with zero lost and zero leaked
   reservations, and the measured ``recovery_s`` lands in the artifact.
-  The promotion must also consume fewer journal records than it adopts
-  slices (``promotion_journal_records < slices_adopted``): adoption
-  writes nothing before the closing checkpoint.  And it must draw no
+  The promotion must also consume at most two journal records and two
+  fsyncs (``promotion_journal_records <= 2``, ``promotion_fsyncs <=
+  2``): adoption is in-memory and one ``recovery.rebased`` record states
+  it, ``recovery.completed`` closes it, both under the group commit, and
+  the fsyncs are the lease file and its directory.  It must draw no
   traffic profile and decode no snapshot
   (``promotion_profiles_derived == promotion_snapshot_parses == 0``):
   adopted profiles wait for their first epoch, and the reopened store
   reads the snapshot LSN off the file's head.  It must build at most one
-  vEPC template and serialise the fleet at most once
+  vEPC template and never serialise the fleet
   (``promotion_template_builds <= 1``,
-  ``promotion_fleet_serialisations <= 1``): the bulk adoption sizes the
-  vEPC once, and the closing snapshot's bytes are the recovery digest.
-  The ``recovery_split_s`` (adopt / checkpoint / rest) is published,
-  not gated.
+  ``promotion_fleet_serialisations == 0``): the bulk adoption sizes the
+  vEPC once, and no checkpoint closes a recovery.  The
+  ``recovery_split_s`` (adopt / rest) is published, not gated.
 - **D13** — the mobility+failure scenario packs (scenario engine) at a
   fixed seed: every scheduled outage must heal inside the horizon and
   the end-of-run audit must show zero lost slices and zero leaked
@@ -121,7 +122,7 @@ FLOOR_D8B_SPEEDUP = 1.5
 #: Ceiling on ``count_src_lines()``: growth in ``src/`` is a reviewed
 #: diff to this one number, and a PR that shrinks ``src/`` lowers it in
 #: the same change.
-SRC_LINES_CEILING = 20_947
+SRC_LINES_CEILING = 21_029
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per
@@ -724,26 +725,16 @@ def run_gate() -> dict:
     from benchmarks.failover_drill import run_failover_drill
 
     drill = run_failover_drill(failures)
-    if drill.get("promoted") and (
-        drill["promotion_journal_records"] >= drill["slices_adopted"]
+    for count, ceiling, why in (
+        ("promotion_journal_records", 2, "the rebase and the completion record"),
+        ("promotion_fsyncs", 2, "the lease file and its directory"),
+        ("promotion_profiles_derived", 0, "no profile is drawn"),
+        ("promotion_snapshot_parses", 0, "no snapshot is decoded"),
+        ("promotion_template_builds", 1, "the vEPC is sized once"),
+        ("promotion_fleet_serialisations", 0, "no checkpoint closes a recovery"),
     ):
-        failures.append(
-            f"drill: the promotion journaled {drill['promotion_journal_records']} "
-            f"records to adopt {drill['slices_adopted']} slices "
-            "(must stay below one per slice)"
-        )
-    for count in ("promotion_profiles_derived", "promotion_snapshot_parses"):
-        if drill.get("promoted") and drill[count]:
-            failures.append(
-                f"drill: {count} = {drill[count]} (a promotion must draw no "
-                "profile and decode no snapshot)"
-            )
-    for count in ("promotion_template_builds", "promotion_fleet_serialisations"):
-        if drill.get("promoted") and drill[count] > 1:
-            failures.append(
-                f"drill: {count} = {drill[count]} (a promotion must size the "
-                "vEPC and serialise the fleet at most once)"
-            )
+        if drill.get("promoted") and drill[count] > ceiling:
+            failures.append(f"drill: {count} = {drill[count]} > {ceiling} ({why})")
     # The full promotion trace belongs to the drill's own artifact, not
     # the per-commit perf summary.
     drill.pop("promotion", None)
@@ -840,6 +831,7 @@ def main(argv=None) -> int:
         f"({payload['failover_drill']['slices_adopted']} adopted / "
         f"{payload['failover_drill']['slices_lost']} lost, "
         f"{payload['failover_drill']['promotion_journal_records']} journal records, "
+        f"{payload['failover_drill']['promotion_fsyncs']} fsyncs, "
         f"{payload['failover_drill']['promotion_profiles_derived']} profiles drawn, "
         f"{payload['failover_drill']['promotion_snapshot_parses']} snapshots parsed, "
         f"{payload['failover_drill']['promotion_template_builds']} vEPC templates, "

@@ -14,8 +14,9 @@ acceptance invariants:
   promoted standby's recovery trace are published, with
   ``recovery_ms_per_adopted_slice`` and ``promotion_journal_records``
   — the LSNs the promotion consumed on the victim shard, which the CI
-  gate holds below the number of slices adopted (adoption is in-memory;
-  the closing checkpoint is the one durable statement),
+  gate holds at 2 or below (adoption is in-memory; the
+  ``recovery.rebased`` record is its one durable statement, and
+  ``recovery.completed`` closes it),
 - ``promotion_profiles_derived`` and ``promotion_snapshot_parses``:
   traffic profiles drawn and snapshots decoded inside the watch cycle
   that promotes.  The CI gate holds both at 0: an adopted slice's
@@ -25,10 +26,15 @@ acceptance invariants:
 - ``promotion_template_builds`` and ``promotion_fleet_serialisations``:
   vEPC Heat templates built and full-fleet serialisations (snapshot
   writes plus ``ReplayState.digest`` folds) inside the same watch cycle.
-  The CI gate holds both at 1 or below: the bulk adoption reads the vEPC
-  size once, and the closing snapshot's bytes are the report's digest,
-- ``recovery_split_s``: ``recovery_s`` cut into the adoption call, the
-  closing checkpoint and the rest (published, never gated).
+  The CI gate holds the first at 1 or below (the bulk adoption reads
+  the vEPC size once) and the second at 0 (no checkpoint closes a
+  recovery),
+- ``promotion_fsyncs``: ``os.fsync`` calls inside the same watch cycle,
+  held at 2 or below by the CI gate — the lease file and the lease
+  directory its epoch bump renamed into; the two records wait for the
+  journal's group commit,
+- ``recovery_split_s``: ``recovery_s`` cut into the adoption call and
+  the rest (published, never gated).
 
 Usage::
 
@@ -201,10 +207,12 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
             (allocation_module, "epc_template", "templates"),
             (SnapshotStore, "write", "serialisations"),
             (ReplayState, "digest", "serialisations"),
+            (os, "fsync", "fsyncs"),
         ):
             spies.enter_context(_spying(owner, name, counts, key))
-        for name, key in (("adopt_recovered_slices", "adopt"), ("checkpoint", "checkpoint")):
-            spies.enter_context(_spying(Orchestrator, name, stages, key, clock=True))
+        spies.enter_context(
+            _spying(Orchestrator, "adopt_recovered_slices", stages, "adopt", clock=True)
+        )
         promotion = standby.tick()
     if promotion is None:
         failures.append("drill: standby never promoted")
@@ -264,10 +272,10 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
         "promotion_snapshot_parses": counts["snapshots"],
         "promotion_template_builds": counts["templates"],
         "promotion_fleet_serialisations": counts["serialisations"],
+        "promotion_fsyncs": counts["fsyncs"],
         "recovery_split_s": {
             "adopt": round(stages["adopt"], 4),
-            "checkpoint": round(stages["checkpoint"], 4),
-            "rest": round(promotion.recovery_s - stages["adopt"] - stages["checkpoint"], 4),
+            "rest": round(promotion.recovery_s - stages["adopt"], 4),
         },
         "replay_lag_records": promotion.replay_lag_records,
         "replay_floor_lsn": promotion.replay_floor_lsn,

@@ -16,7 +16,8 @@ directory) is the shared ground truth of who leads the shard:
   (the classic false-suspicion case), the moment it next heartbeats.
 
 Writes are atomic (tmp + rename, same discipline as the snapshot
-store), so a reader never sees a torn lease.  Timestamps are wall
+store), so a reader never sees a torn lease, and an acquire fsyncs the
+directory so its epoch bump survives a power loss.  Timestamps are wall
 clock (``time.time()``): the lease must be comparable *across*
 processes, where the simulators' virtual clocks don't exist.
 """
@@ -28,6 +29,8 @@ import os
 import time
 from dataclasses import dataclass
 from typing import Optional
+
+from repro.store.snapshot import fsync_directory
 
 
 class LeaseError(RuntimeError):
@@ -128,6 +131,8 @@ class Lease:
             return False  # a live leader holds it
         self.epoch = (state.epoch if state else 0) + 1
         self._write(self.epoch)
+        # The bump fences the old owner: a power loss must not undo it.
+        fsync_directory(os.path.dirname(self.path) or ".")
         return True
 
     def heartbeat(self) -> bool:

@@ -33,6 +33,7 @@ from repro.core.slices import PlmnPool
 from repro.experiments.testbed import Testbed, TestbedConfig, build_testbed
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
+from repro.store.journal import JournalTail
 from repro.store.store import ControlPlaneStore
 
 
@@ -144,15 +145,22 @@ class ControlPlaneCluster:
         testbed: Testbed,
         shard_id: int,
         store: Optional[ControlPlaneStore] = None,
+        journal_tail: Optional[JournalTail] = None,
     ) -> Orchestrator:
         """A fresh control-plane process over ``testbed``'s southbound
         (each call gets its own simulator + PLMN pool — exactly what a
-        process restart loses)."""
+        process restart loses); a promoting standby's ``journal_tail``
+        spares the reopen what it already decoded."""
         config = OrchestratorConfig(
             durability_dir=self.config.durability_root,
             shard_id=shard_id,
             **self.config.orchestrator,
         )
+        if journal_tail is not None:
+            store = ControlPlaneStore(
+                config.durability_dir, config.journal_fsync_every,
+                config.checkpoint_every_records, shard_id, journal_tail,
+            )
         return Orchestrator(
             sim=Simulator(),
             allocator=testbed.allocator,
@@ -247,8 +255,10 @@ class ControlPlaneCluster:
             raise ClusterError("standbys require a durability_root")
         worker = self.shard(shard_id)
 
-        def rebuild() -> "tuple[Orchestrator, SliceService]":
-            orchestrator = self._build_orchestrator(worker.testbed, shard_id)
+        def rebuild(journal_tail: JournalTail) -> "tuple[Orchestrator, SliceService]":
+            orchestrator = self._build_orchestrator(
+                worker.testbed, shard_id, journal_tail=journal_tail
+            )
             return orchestrator, SliceService(orchestrator)
 
         return WarmStandby(

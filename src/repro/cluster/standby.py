@@ -13,27 +13,31 @@ away), :meth:`WarmStandby.promote`:
 1. takes the lease with a bumped epoch (fencing the old leader if it
    was merely paused: its next heartbeat fails and it closes its own
    store),
-2. rebuilds a fresh orchestrator + service over the shard's
-   *surviving* southbound and its reopened store — reopening repairs a
-   torn last line, so nothing read after it can be half a record,
-3. polls one last time: what this poll folds is the replay lag, the
-   records that landed since the previous poll and nothing else, and
+2. polls one last time: what this poll folds is the replay lag, the
+   records that landed since the previous poll and nothing else (a torn
+   last line is never folded),
+3. rebuilds a fresh orchestrator + service over the shard's
+   *surviving* southbound and a store reopened over the standby's own
+   journal index — the reopen decodes only what lies past it, and
+   repairs a torn last line before the new leader appends, and
 4. hands the folded image to the existing
    :class:`~repro.store.recovery.RecoveryManager` reconciliation — the
    same matrix a restart uses: re-adopt fully-COMMITTED slices,
+   journal the ``recovery.rebased`` record that states the adoption,
    compensate orphans, re-enqueue admissions, rebase bookings, restore
-   quotas — finishing with a checkpoint that becomes the new replay
-   floor, past which the durable event feed resumes.
+   quotas, journal ``recovery.completed``.  No checkpoint closes it, so
+   the durable event feed's replay floor stays at the last snapshot and
+   a consumer's cursor sees no gap across the failover.
 
 The pre-promotion tailing is what makes the standby *warm*: at
 promotion time it has already folded (nearly) the whole journal, so
 recovery neither re-reads the snapshot nor re-decodes the journal, and
 the store reopen reads the snapshot LSN off the file's head.  Per live
 slice a promotion still pays the adoption (PLMN claim, runtime,
-calendar window, timer) and its share of the closing snapshot, the one
-serialisation of the fleet (the report's digest hashes its bytes); the
-vEPC size is read once for the whole adoption, and a slice's traffic
-profile waits for the first epoch or rescale that reads it.  A cold
+calendar window, timer) and nothing durable: the vEPC size is read once
+for the whole adoption, a slice's traffic profile waits for the first
+epoch or rescale that reads it, and the one durable statement is the
+rebase record, whose size is the reconciliation's exceptions.  A cold
 restart (no standby) folds both from disk and then runs the same lines.
 """
 
@@ -76,7 +80,7 @@ class PromotionReport:
     service: "SliceService"
     api: RestApi
     lease: Lease
-    replay_floor_lsn: int = 0  # post-promotion durable-cursor floor
+    replay_floor_lsn: int = 0  # durable-cursor floor: the last snapshot's LSN
     trace: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -100,8 +104,10 @@ class WarmStandby:
         store_root: The cluster's durability root (the standby resolves
             the same ``shard-<id>/`` namespace the leader journals to).
         rebuild: Factory returning a *fresh* ``(orchestrator, service)``
-            wired to the shard's surviving southbound and a reopened
-            store — the "new process" promotion boots.  Supplied by
+            wired to the shard's surviving southbound and a store
+            reopened over the :class:`~repro.store.journal.JournalTail`
+            it is handed (the standby's own) — the "new process"
+            promotion boots.  Supplied by
             :meth:`~repro.cluster.shard.ControlPlaneCluster.standby_for`.
         lease_timeout_s: Heartbeat staleness that reads as leader death.
         owner: Lease identity of this standby.
@@ -111,7 +117,7 @@ class WarmStandby:
         self,
         shard_id: int,
         store_root: str,
-        rebuild: Callable[[], Tuple["Orchestrator", "SliceService"]],
+        rebuild: Callable[[JournalTail], Tuple["Orchestrator", "SliceService"]],
         lease_timeout_s: float = 5.0,
         owner: Optional[str] = None,
     ) -> None:
@@ -194,10 +200,12 @@ class WarmStandby:
                 f"shard {self.shard_id} leader lease is still fresh; "
                 "refusing to split-brain (use force=True to fence it)"
             )
-        orchestrator, service = self._rebuild()
-        orchestrator.attach_lease(self.lease)
         self.state.records_applied = 0  # recovery reports what is folded from here on
         replay_lag = self.poll()
+        # The new leader's journal owns the index from here (it appends to it).
+        tail, self._tail = self._tail, JournalTail(self._tail.path)
+        orchestrator, service = self._rebuild(tail)
+        orchestrator.attach_lease(self.lease)
         from repro.store.recovery import RecoveryManager
 
         report = RecoveryManager(orchestrator).restore(self.state)

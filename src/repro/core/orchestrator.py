@@ -533,10 +533,10 @@ class Orchestrator:
         the whole batch.
 
         Nothing here is journaled, the ``slice.adopted`` events
-        included (they join the in-memory feed only): the checkpoint
-        recovery closes with is the one durable statement of the
-        adoption, and a crash before it replays the same recovery from
-        the same records.
+        included (they join the in-memory feed only): the
+        ``recovery.rebased`` record recovery writes next is the one
+        durable statement of the adoption, and a crash before it replays
+        the same recovery from the same records.
         """
         vcpus = self.allocator.vepc_vcpus()
         adopted: List[NetworkSlice] = []

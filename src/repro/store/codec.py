@@ -34,7 +34,7 @@ driver trail, every landed prepare/commit/rollback/release — not folded.
 ``slice.installed``    install acknowledged; +event ``slice.admitted``, +trail
 ``slice.activated``    slice went ACTIVE (expiry clock started), +event; both
                        are written by installs and activations only — a
-                       recovery re-adopts in memory and checkpoints
+                       recovery re-adopts in memory and journals its rebase
 ``slice.expired``      lifetime ended, resources released, +event
 ``slice.cancelled``    torn down before/while active, +event
 ``slice.rejected``     admission or install failure booked, +event, +trail
@@ -47,8 +47,15 @@ driver trail, every landed prepare/commit/rollback/release — not folded.
                        ``slice.path_repaired``, ``driver.*``, ``lease.fenced``)
 ``driver.*``           southbound audit (``compensated`` stragglers) — not folded
 ``checkpoint.written`` snapshot landed (audit)
+``recovery.rebased``   a restart re-adopted in memory: the clock ``shift``,
+                       the ``lost`` slices, the windows and reservations of
+                       the adopted in-flight installs; ``time`` resets here
 ``recovery.completed`` a restart reconciled (audit), +event
 ===================== ==========================================================
+
+``time`` is the newest folded instant, except at a ``recovery.rebased``:
+every record after it is on the new process's clock, so the fold moves
+its image onto that clock and restarts ``time`` there.
 
 The previous format still folds: it also wrote every event as an
 ``event.emitted``, each trail as a ``driver.trail`` and each window
@@ -137,7 +144,8 @@ class ReplayState:
 
     Attributes:
         time: Simulation instant of the newest folded record (the
-            "crash time" recovery rebases against).
+            "crash time" recovery rebases against); a
+            ``recovery.rebased`` restarts it on the new clock.
         live: slice_id → image of an acknowledged install.  Image keys:
             ``request`` (request dict), ``plmn``, ``fraction``,
             ``status`` (``"installed"`` | ``"active"``),
@@ -292,9 +300,50 @@ class ReplayState:
                 "max_active_slices": data.get("max_active_slices"),
                 "max_aggregate_mbps": data.get("max_aggregate_mbps"),
             }
+        elif kind == "recovery.rebased":
+            self._rebase(record.time, data)
         # event.emitted, driver.*, checkpoint.written, recovery.completed:
         # the event (if any) above, else audit trail only — driver
         # *ground truth* is reconciled live, not replayed.
+
+    def _rebase(self, now: float, data: Dict[str, Any]) -> None:
+        """Fold a recovery's in-memory re-adoption at ``now``, its first
+        instant on the new clock, with recovery's and ``_go_live``'s own
+        expressions (bit-equal floats).  What recovery re-queues joins
+        ``queued`` here, ahead as in the live queue: a crash before its
+        ``admission.enqueued`` must not lose it."""
+        shift, crash_time = data["shift"], data["crash_time"]
+        for slice_id in data["lost"]:
+            self.live.pop(slice_id, None)
+        for image in self.live.values():
+            image["installed_at"] += shift
+            if image["status"] == "active":
+                image["activated_at"] += shift
+            window = image.get("window")
+            if window:
+                image["window"] = [now, max(window[1] + shift, now + 1e-9)]
+        requeued: Dict[str, Dict[str, Any]] = {}
+        adopted = data["adopted_in_flight"]
+        for slice_id, image in self.in_flight.items():
+            request = image["request"]
+            if slice_id not in adopted:
+                requeued[request["request_id"]] = request
+                continue
+            self.live[slice_id] = {
+                "request": request, "plmn": image["plmn"], "fraction": image["fraction"],
+                "status": "installed", "installed_at": image["started_at"] + shift,
+                "activated_at": None, **adopted[slice_id],
+            }
+        self.in_flight = {}
+        for request_id, entry in list(self.advance.items()):
+            start_in_s = entry["start_time"] - crash_time
+            if start_in_s <= 0:
+                requeued[request_id] = self.advance.pop(request_id)["request"]
+            else:
+                entry["start_time"] = now + start_in_s
+        self.queued = {**requeued, **self.queued}
+        self.time = now
+        self.last_event_seq = max(self.last_event_seq, int(data["last_event_seq"]))
 
     # ------------------------------------------------------------------
     # Snapshot round-trip + digest

@@ -48,6 +48,7 @@ from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.store.codec import json_default
+from repro.store.snapshot import fsync_directory
 
 
 class JournalError(RuntimeError):
@@ -237,12 +238,17 @@ class Journal:
             sentinel.  Choose ``0`` only for throwaway stores
             (benchmarks, simulations replayed from scratch); negative
             values raise :class:`JournalError`.
+        tail: A :class:`JournalTail` of ``path`` that already indexed a
+            prefix of it (a promoting standby's): the reopen decodes only
+            the bytes past it, and owns it from here.
 
     Raises:
         JournalError: If ``fsync_every`` is negative.
     """
 
-    def __init__(self, path: str, fsync_every: int = 16) -> None:
+    def __init__(
+        self, path: str, fsync_every: int = 16, tail: Optional[JournalTail] = None
+    ) -> None:
         if fsync_every < 0:
             raise JournalError(f"fsync_every must be >= 0, got {fsync_every}")
         self.path = str(path)
@@ -255,13 +261,14 @@ class Journal:
         self._lock = threading.Lock()
         self._closed = False
         self._unsynced = 0
-        self._tail = JournalTail(self.path)
+        self._tail = tail or JournalTail(self.path)
         # Resume numbering after the last intact record, and *repair* a
         # torn tail before appending anything: new records must never
         # land behind half-written garbage (that would turn a benign
         # torn tail into mid-journal corruption).
         scan = self._tail.pull()
-        self._last_lsn = scan.records[-1].lsn if scan.records else 0
+        newest = scan.records[-1].lsn if scan.records else 0
+        self._last_lsn = max(newest, self._tail.lsns[-1] if self._tail.lsns else 0)
         if os.path.exists(self.path):
             size = os.path.getsize(self.path)
             if scan.tail_unterminated:
@@ -411,7 +418,8 @@ class Journal:
             if self._closed:
                 raise JournalError("journal is closed")
             self._handle.flush()
-            os.fsync(self._handle.fileno())
+            if self._unsynced:  # a checkpoint has just synced; a straggler may not be
+                os.fsync(self._handle.fileno())
             tail = self._tail
             tail.pull()
             dropped = bisect_right(tail.lsns, upto_lsn)
@@ -426,6 +434,7 @@ class Journal:
                 os.fsync(tmp.fileno())
             self._handle.close()
             os.replace(tmp_path, self.path)
+            fsync_directory(os.path.dirname(self.path) or ".")  # later appends land here
             self._handle = open(self.path, "a", encoding="utf-8")
             self._unsynced = 0
             tail.rebased(dropped, base)

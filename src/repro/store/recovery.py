@@ -36,13 +36,15 @@ Pending advance bookings are re-promised on the calendar with their
 windows rebased to the new clock (a booking whose start time passed
 while the orchestrator was down is promoted straight into the
 admission queue).  Re-adoption is one in-memory call over every
-fully-COMMITTED slice (the vEPC size is read once for all of them): it
-journals nothing, and the fresh checkpoint recovery ends with is its
-commit point — behind it the journal restarts compact and
-time-coherent on the new clock, and a crash before it replays the
-*same* recovery from the same records.  That checkpoint is also the
-one full-fleet serialisation a recovery pays: the report's
-``state_digest`` is the SHA-256 of the snapshot bytes it wrote.
+fully-COMMITTED slice (the vEPC size is read once for all of them).
+Its one durable statement, and the recovery's commit point, is the
+``recovery.rebased`` record written right after it: the clock shift
+plus the exceptions of the reconciliation (lost slices, adopted
+in-flight installs), which the replay fold applies to move its image
+onto the new clock — O(change), not O(fleet).  A crash before that
+record replays the *same* recovery from the same records; every record
+after it is on the new clock.  No checkpoint closes a recovery: the
+next auto-checkpoint compacts as it always does.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.admission import TenantQuota
-from repro.core.slices import ensure_request_counter_at_least
+from repro.core.slices import SliceRequest, ensure_request_counter_at_least
 from repro.drivers.base import DriverError, Reservation, ReservationState
 from repro.store.codec import ReplayState, request_from_dict
 
@@ -67,12 +69,7 @@ class RecoveryError(RuntimeError):
 
 @dataclass
 class RecoveryReport:
-    """What a restart rebuilt, reconciled and compensated.
-
-    ``state_digest`` is the SHA-256 of the closing snapshot file: the
-    recovered state as it went to disk (sorted keys, so two recoveries
-    that rebuilt the same state report the same digest).
-    """
+    """What a restart rebuilt, reconciled and compensated."""
 
     snapshot_lsn: int = 0
     replayed_records: int = 0
@@ -87,7 +84,6 @@ class RecoveryReport:
     quotas_restored: int = 0
     duration_s: float = 0.0
     lost_slice_ids: List[str] = field(default_factory=list)
-    state_digest: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -125,9 +121,10 @@ class RecoveryManager:
         catch-up, or (``None``: folded from disk here) the journal tail
         past the snapshot.  Every line after the fold is shared.
 
-        Returns the :class:`RecoveryReport`; finishes with a fresh
-        checkpoint (whose bytes the report's ``state_digest`` hashes),
-        then the ``recovery.completed`` record carrying its event.
+        Returns the :class:`RecoveryReport`; the ``recovery.rebased``
+        record follows the adoption, and the ``recovery.completed``
+        record carrying its event closes the recovery, both under the
+        journal's ordinary group commit.
         """
         started = _time.monotonic()
         orch = self.orchestrator
@@ -156,14 +153,6 @@ class RecoveryManager:
         self._requeue_admissions(state, report)
         self._requeue_broker_windows(state, report)
         self._restore_quotas(state, report)
-
-        # A fresh checkpoint makes the journal compact and time-coherent
-        # on the new clock (pre-crash records carry the old one); it is
-        # also the durable-cursor replay floor, so the completion event
-        # is journaled *after* it — the one record a consumer resuming
-        # across the restart must be able to see.
-        orch.checkpoint()
-        report.state_digest = orch.store.snapshot_digest
         report.duration_s = _time.monotonic() - started
         event = orch.events.append(
             orch.sim.now, "recovery.completed", adopted=report.slices_adopted,
@@ -212,12 +201,16 @@ class RecoveryManager:
         crash_time: float,
         report: RecoveryReport,
     ) -> set:
+        """One planning pass: decide every slice, adopt the survivors in
+        memory, journal the rebase that states it, then re-queue the
+        half-done installs — their records follow the rebase."""
         from repro.core.orchestrator import Adoption  # the orchestrator imports this package
 
         orch = self.orchestrator
         # One shift moves every journaled instant onto the new clock.
         shift = orch.sim.now - crash_time
         adoptions: List["Adoption"] = []
+        requeue: List[SliceRequest] = []
         # Acknowledged installs first (their calendar promises outrank
         # everything), then never-acked in-flight installs.
         for slice_id, image in list(state.live.items()) + list(state.in_flight.items()):
@@ -249,13 +242,32 @@ class RecoveryManager:
             else:
                 # Never acknowledged: the admission survives, the
                 # half-done install does not.
-                orch.enqueue_admitted(request, orch.default_profile(request))
-                report.admissions_requeued += 1
+                requeue.append(request)
         # One adoption call for the fleet; it journals nothing, so a
         # crash inside it leaves the records a retry replays.
-        adopted = orch.adopt_recovered_slices(adoptions)
+        adopted = {s.slice_id for s in orch.adopt_recovered_slices(adoptions)}
         report.slices_adopted = len(adopted)
-        return {network_slice.slice_id for network_slice in adopted}
+        # What the fold cannot derive for an adopted in-flight install:
+        # the window _go_live promised it, the reservations drivers hold.
+        adopted_in_flight = {}
+        for slice_id, image in state.in_flight.items():
+            if slice_id in adopted:
+                booking = orch.calendar.get(image["request"]["request_id"])
+                adopted_in_flight[slice_id] = {
+                    "window": [booking.start, booking.end],
+                    "reservations": {
+                        domain: held[slice_id].reservation_id for domain, held in truth.items()
+                    },
+                }
+        orch.store.append(
+            "recovery.rebased", time=orch.sim.now, shift=shift, crash_time=crash_time,
+            lost=report.lost_slice_ids, adopted_in_flight=adopted_in_flight,
+            last_event_seq=orch.events.last_seq,
+        )
+        for request in requeue:
+            orch.enqueue_admitted(request, orch.default_profile(request))
+        report.admissions_requeued += len(requeue)
+        return adopted
 
     # ------------------------------------------------------------------
     # Orphan compensation (async unwind)

@@ -17,7 +17,6 @@ paranoia fallback against a corrupt latest).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -38,10 +37,6 @@ class SnapshotStore:
     def __init__(self, directory: str) -> None:
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
-        #: SHA-256 of the bytes the latest :meth:`write` put on disk
-        #: ("" before the first): sorted keys make them canonical, so it
-        #: names the checkpointed state without a second serialisation.
-        self.last_digest = ""
 
     def _path_for(self, lsn: int) -> str:
         return os.path.join(self.directory, f"snapshot-{lsn:012d}.json")
@@ -61,8 +56,7 @@ class SnapshotStore:
         Atomic: written to a temp file, fsynced, then renamed into
         place (the rename is durable once the caller fsyncs the
         directory, :func:`fsync_directory`).  Older snapshots beyond one
-        predecessor are pruned.  Returns the snapshot path; the bytes'
-        digest lands in :attr:`last_digest`.
+        predecessor are pruned.  Returns the snapshot path.
         """
         if lsn < 0:
             raise SnapshotError(f"lsn must be >= 0, got {lsn}")
@@ -77,7 +71,6 @@ class SnapshotStore:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
-        self.last_digest = hashlib.sha256(data).hexdigest()
         for stale in self.list_lsns()[:-2]:  # keep latest + one fallback
             try:
                 os.remove(self._path_for(stale))

@@ -21,7 +21,7 @@ import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.store.codec import ReplayState
-from repro.store.journal import Journal, JournalRecord
+from repro.store.journal import Journal, JournalRecord, JournalTail
 from repro.store.snapshot import SnapshotStore, fsync_directory
 
 
@@ -113,6 +113,8 @@ class ControlPlaneStore:
             ``<directory>/shard-<id>/`` (see :func:`shard_directory`),
             giving every shard of a :mod:`repro.cluster` control plane
             its own journal + snapshot family under one root.
+        journal_tail: A promoting standby's index of the journal (see
+            :class:`~repro.store.journal.Journal`).
     """
 
     enabled = True
@@ -123,6 +125,7 @@ class ControlPlaneStore:
         fsync_every: int = 16,
         checkpoint_every: int = 512,
         shard_id: Optional[int] = None,
+        journal_tail: Optional[JournalTail] = None,
     ) -> None:
         self.shard_id = shard_id if shard_id is None else int(shard_id)
         if self.shard_id is not None:
@@ -131,7 +134,7 @@ class ControlPlaneStore:
         os.makedirs(self.directory, exist_ok=True)
         self.checkpoint_every = int(checkpoint_every)
         self.journal = Journal(
-            os.path.join(self.directory, "journal.jsonl"), fsync_every=fsync_every
+            os.path.join(self.directory, "journal.jsonl"), fsync_every, journal_tail
         )
         self.snapshots = SnapshotStore(self.directory)
         self._snapshot_lsn = self.snapshots.latest_lsn()
@@ -163,13 +166,6 @@ class ControlPlaneStore:
     def snapshot_lsn(self) -> int:
         """LSN the newest snapshot covers (0 = no snapshot)."""
         return self._snapshot_lsn
-
-    @property
-    def snapshot_digest(self) -> str:
-        """SHA-256 of the snapshot file this store last wrote ("" if
-        none since it was opened): what recovery reports as the
-        recovered state's digest."""
-        return self.snapshots.last_digest
 
     @property
     def records_since_checkpoint(self) -> int:

@@ -173,12 +173,14 @@ class TestDurableEventCursor:
         fresh_api = build_v1_api(SliceService(restarted))
         resumed = fresh_api.get(f"/v1/events?after_lsn={cursor}")
         assert resumed.ok
-        # Recovery compacted the journal; the floor tells the consumer
-        # where replay now starts (gap-detection, Kafka-retention style)
-        # — and the recovery.completed marker is always visible past it.
-        assert resumed.body["replay_floor_lsn"] >= cursor
+        # Recovery writes no checkpoint: the floor (where replay starts,
+        # gap-detection Kafka-retention style) stays at or below the
+        # cursor, so the consumer resumes without a gap — and the
+        # recovery.completed marker is visible past it.
+        assert resumed.body["replay_floor_lsn"] <= cursor
         types = [e["type"] for e in resumed.body["events"]]
         assert "recovery.completed" in types
+        assert all(e["lsn"] > cursor for e in resumed.body["events"])
         # Seq numbering never went backwards across the restart.
         seqs = [e["seq"] for e in resumed.body["events"]]
         assert all(s > feed["events"][-1]["seq"] for s in seqs if s)

@@ -15,8 +15,8 @@ acceptance drill of the cluster subsystem:
 
 Invariants: **zero lost** COMMITTED slices, **zero leaked**
 reservations (``held == Σ COMMITTED`` exactly), the other shard serves
-uninterrupted throughout, and the durable event feed resumes past the
-promotion's replay floor.
+uninterrupted throughout, and the durable event feed resumes across
+the promotion without a gap.
 """
 
 from __future__ import annotations
@@ -104,6 +104,7 @@ def test_leader_sigkill_mid_batch_promotes_standby(cluster):
     # --- 3. SIGKILL the leader --------------------------------------------
     cluster.kill_leader(KILLED)
     assert leader.dead
+    lsn_at_kill = leader.store.last_lsn
 
     # --- 4. the southbound finishes what was in flight --------------------
     firewall.release_stall()
@@ -156,19 +157,23 @@ def test_leader_sigkill_mid_batch_promotes_standby(cluster):
     assert listing.status == 200
     assert listing.body["total"] == FIRST_WAVE + BATCH
 
-    # The durable feed resumes past the promotion's replay floor: a
-    # consumer resuming at the floor sees only post-recovery history.
+    # The durable feed resumes across the promotion without a gap: no
+    # checkpoint closed the recovery, so the replay floor is still the
+    # last snapshot's (none yet), and a consumer resuming at the cursor
+    # it held at the kill sees exactly the history after it — the
+    # recovery's completion event included.
     floor = promotion.replay_floor_lsn
-    assert floor > 0
+    assert floor == 0 <= lsn_at_kill
     cursor = ",".join(
-        f"{k}:{floor if k == KILLED else 0}" for k in sorted(owners)
+        f"{k}:{lsn_at_kill if k == KILLED else 0}" for k in sorted(owners)
     )
     feed = router.get(f"/v1/events?after_lsn={cursor}&limit=1000")
     assert feed.status == 200, feed.body
     killed_shard_events = [
         e for e in feed.body["events"] if e["shard"] == KILLED
     ]
-    assert all(e["lsn"] > floor for e in killed_shard_events)
+    assert all(e["lsn"] > lsn_at_kill for e in killed_shard_events)
+    assert [e["type"] for e in killed_shard_events] == ["recovery.completed"]
     assert int(feed.body["replay_floor_lsn"][str(KILLED)]) == floor
 
     # The drill artifact is JSON-safe (the nightly job uploads it).

@@ -6,12 +6,13 @@ Four guards on the warm-standby promotion path:
   the leader wrote (across a leader checkpoint it had to jump, writes
   it never saw, a torn last line) is the image a cold fold of the
   reopened store produces, and a promotion from it ends exactly where a
-  cold ``RecoveryManager.restore()`` over a copy of the directory ends;
-  both report the SHA-256 of their closing snapshot file as the digest.
+  cold ``RecoveryManager.restore()`` over a copy of the directory ends:
+  the same state, timers and ``recovery.rebased`` record.
 - **Flatness** (counts, not clocks; see ``test_request_path_flatness``)
   — the journal LSNs one promotion consumes, the snapshots and journal
-  lines it parses, the vEPC templates it builds (at most one) and the
-  folded images it re-digests (none) do not grow with the live fleet.
+  lines it parses (none), the vEPC templates it builds (at most one)
+  and the folded images it re-digests (none) do not grow with the live
+  fleet.
 - **Lag accounting** — ``replayed_records == replay_lag_records ==``
   the writes the standby had not seen at the kill.
 - **Profiles on first use** — a promotion draws no adopted slice's
@@ -22,11 +23,11 @@ Four guards on the warm-standby promotion path:
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import os
 import random
 import shutil
+import stat
 import tempfile
 import time
 from pathlib import Path
@@ -76,8 +77,17 @@ class Shard:
 
     def op(self) -> None:
         router, rng = self.cluster.router, self.rng
-        kind = rng.choice(("create", "create", "rescale", "delete", "advance"))
-        if kind == "create":
+        kind = rng.choice(("create", "create", "rescale", "delete", "book", "advance"))
+        if kind == "book":
+            body = slice_body(
+                self.tenant,
+                throughput_mbps=2.0,
+                duration_s=400.0,
+                start_time=self.leader.sim.now + rng.choice((30.0, 200.0, 5_000.0)),
+            )
+            response = router.post("/v1/bookings", body=body, headers=self.headers)
+            assert response.status in (201, 409), response.body
+        elif kind == "create":
             body = slice_body(
                 self.tenant,
                 throughput_mbps=rng.choice((2.0, 3.0, 5.0)),
@@ -98,13 +108,6 @@ class Shard:
             router.delete(f"/v1/slices/{victim}", headers=self.headers)
         else:  # activations, monitoring epochs, expiries
             self.leader.run_until(self.leader.sim.now + rng.choice((2.0, 45.0, 130.0)))
-
-
-def closing_snapshot_digest(store) -> str:
-    """SHA-256 of the newest snapshot file in ``store``."""
-    path = os.path.join(store.directory, f"snapshot-{store.snapshot_lsn:012d}.json")
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
 
 
 def lifecycle_timers(orchestrator) -> list:
@@ -165,11 +168,10 @@ def test_promotion_from_the_warm_image_equals_a_cold_restore(seed, steps):
             cold_root = os.path.join(root, "cold")
             shutil.copytree(os.path.join(root, "store"), cold_root)
 
+            lsn_at_kill = shard.leader.store.last_lsn
             promotion = standby.promote(force=True)
             warm = promotion.orchestrator
 
-            # The reported digest names the closing snapshot's bytes.
-            assert promotion.report.state_digest == closing_snapshot_digest(warm.store)
             cold_store = ControlPlaneStore(cold_root, shard_id=VICTIM)
             cold_digest = cold_store.replay().digest()
             assert standby.state.digest() == cold_digest  # untouched by recovery
@@ -182,24 +184,91 @@ def test_promotion_from_the_warm_image_equals_a_cold_restore(seed, steps):
             report = promotion.report
             assert report.slices_lost == cold_report.slices_lost == 0
             assert report.slices_adopted == cold_report.slices_adopted
-            assert cold_report.state_digest == closing_snapshot_digest(cold_store)
-            assert report.state_digest == cold_report.state_digest
             assert fleet_image(warm) == fleet_image(cold)
             assert lifecycle_timers(warm) == lifecycle_timers(cold)
             assert warm.durable_state() == cold.durable_state()
-            # Same snapshot, same two trailing records, in both stores:
-            # the completion record carries its own feed event.
+            # No checkpoint: past the kill both stores hold the same
+            # records (re-promised bookings between them), from
+            # recovery.rebased to recovery.completed with its event;
+            # only the completion's report of what was folded differs.
+            warm_tail, cold_tail = (s.records(lsn_at_kill) for s in (warm.store, cold_store))
+            assert warm_tail[:-1] == cold_tail[:-1]
+            assert warm_tail[0].record_type == "recovery.rebased"
             for store in (warm.store, cold_store):
-                assert [r.record_type for r in store.records()] == [
-                    "checkpoint.written", "recovery.completed",
-                ]
                 assert store.records()[-1].data["event"]["type"] == "recovery.completed"
-            assert warm.store.load()[0] == cold_store.load()[0]
             assert warm.store.replay().digest() == cold_store.replay().digest()
             # Neither drew an adopted slice's profile; both draw the same.
             for network_slice in warm.live_slices():
                 slice_id = network_slice.slice_id
                 assert profile_image(warm, slice_id) == profile_image(cold, slice_id)
+            cold_store.close()
+        finally:
+            cluster.close()
+
+
+def live_image(orchestrator) -> dict:
+    """The running control plane's state in the fold's shape, minus the
+    process-wide request counter."""
+    image = ReplayState.from_dict(orchestrator.durable_state()).to_dict()
+    image.pop("last_request_ordinal")
+    return image
+
+
+def folded_image(store) -> dict:
+    """What a restart would fold from ``store`` right now, in the same shape."""
+    image = store.replay().to_dict()
+    image.pop("last_request_ordinal")
+    return image
+
+
+@SLOW
+@given(
+    seed=st.integers(0, 10_000),
+    promotions=st.integers(1, 3),
+    steps=st.integers(3, 16),
+)
+def test_the_fold_of_a_promotion_chain_is_the_live_state(seed, promotions, steps):
+    """Promotions in a row with no checkpoint between them: each one's
+    ``recovery.rebased`` is all the fold learns of its re-adoption, yet
+    the fold is the live state after every recovery and after the ops
+    that follow (on an epoch boundary, where the clock is journaled).
+    The last promotion also equals a cold restore of a copy."""
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as root:
+        shard = Shard(root, rng)
+        cluster = shard.cluster
+        try:
+            for promotion_index in range(promotions):
+                standby = cluster.standby_for(VICTIM)
+                for _ in range(steps):
+                    shard.op()
+                    if rng.random() < 0.3:
+                        standby.poll()
+                cluster.kill_leader(VICTIM)
+                last = promotion_index == promotions - 1
+                if last:
+                    cold_root = os.path.join(root, "cold")
+                    shutil.copytree(os.path.join(root, "store"), cold_root)
+                promotion = standby.promote(force=True)
+                cluster.adopt_promotion(VICTIM, promotion)
+                promoted = promotion.orchestrator
+                assert folded_image(promoted.store) == live_image(promoted)
+                if last:
+                    break
+                for _ in range(rng.randrange(1, 6)):
+                    shard.op()
+                epoch = promoted.config.monitoring_epoch_s
+                promoted.sim.run_until((promoted.sim.now // epoch + 1) * epoch)
+                assert folded_image(promoted.store) == live_image(promoted)
+                assert promoted.store.snapshot_lsn == 0  # no checkpoint between them
+
+            cold_store = ControlPlaneStore(cold_root, shard_id=VICTIM)
+            cold = cluster._build_orchestrator(shard.leader.testbed, VICTIM, store=cold_store)
+            SliceService(cold)
+            RecoveryManager(cold).restore()
+            assert live_image(cold) == live_image(promoted)
+            assert lifecycle_timers(cold) == lifecycle_timers(promoted)
+            assert folded_image(cold_store) == folded_image(promoted.store)
             cold_store.close()
         finally:
             cluster.close()
@@ -214,7 +283,9 @@ class PromotionProbe:
         self.streams_derived = 0
         self.templates_built = 0
         self.states_digested = 0
+        self.fsyncs = []  # "file" or "directory", in order
         real_load = SnapshotStore.load_latest
+        real_fsync = os.fsync
         real_decode = JournalRecord.from_line.__func__
         real_derive = RandomStreams.derive
         real_template = allocation_module.epc_template
@@ -240,6 +311,11 @@ class PromotionProbe:
             self.states_digested += 1
             return real_digest(state)
 
+        def fsync(fd):
+            self.fsyncs.append("directory" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(SnapshotStore, "load_latest", load_latest)
         monkeypatch.setattr(allocation_module, "epc_template", epc_template)
         monkeypatch.setattr(ReplayState, "digest", digest)
@@ -293,6 +369,7 @@ def promotion_costs(tmp_path, monkeypatch, live: int) -> dict:
             "profiles drawn": probe.streams_derived,
             "vEPC templates built": probe.templates_built,
             "states digested": probe.states_digested,
+            "fsyncs": probe.fsyncs,
             "allowance": 4 + report.orphans_compensated + report.admissions_requeued,
         }
     finally:
@@ -303,23 +380,26 @@ def test_promotion_work_does_not_grow_with_live_slices(tmp_path, monkeypatch):
     small = promotion_costs(tmp_path, monkeypatch, 8)
     large = promotion_costs(tmp_path, monkeypatch, 64)
     assert small == large, f"promotion work grew with the fleet: {small} -> {large}"
-    # checkpoint.written + the recovery.completed event and record; at
-    # the parent this was >= 3 x adopted (installed, activated, event).
+    # recovery.rebased + the recovery.completed record; once this was
+    # >= 3 x adopted (installed, activated, event).
     assert small["journal records"] <= small["allowance"]
     # Reopening the store reads the snapshot LSN off the file's head;
     # the standby's own image is the recovery input, so nothing parses
     # a snapshot.
     assert small["snapshots parsed"] == 0
-    # Reopening decodes the journal past the last checkpoint to repair a
-    # torn tail: the checkpoint marker, whatever the fleet.
-    assert small["journal lines decoded"] <= 2
+    # The reopen starts from the standby's index of the journal: what it
+    # decodes to repair a torn tail is what lies past it — nothing here.
+    assert small["journal lines decoded"] == 0
     # Nothing is requeued, and an adopted slice's profile waits for its
     # first epoch: no generator is derived.
     assert small["profiles drawn"] == 0
-    # One vEPC size for the whole adoption, and the closing snapshot is
-    # the only serialisation of the fleet: nothing re-digests the fold.
+    # One vEPC size for the whole adoption, and nothing serialises or
+    # re-digests the fleet: the rebase record states the adoption.
     assert small["vEPC templates built"] <= 1
     assert small["states digested"] == 0
+    # The lease file and the directory its epoch bump renamed into; the
+    # two records wait for the journal's group commit.
+    assert small["fsyncs"] == ["file", "directory"]
 
 
 SERVICE_TYPES = ("embb", "urllc", "mmtc", "automotive", "ehealth")

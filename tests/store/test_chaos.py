@@ -172,8 +172,10 @@ def test_kill_mid_batch_recovers_without_losing_slices(
 
 
 def test_double_crash_restores_from_snapshot(durable_testbed, tmp_path):
-    """Recovery checkpoints; a second crash replays snapshot + the tiny
-    post-recovery tail and converges to the same state."""
+    """A leader checkpoint, a crash, a recovery that writes no snapshot
+    of its own, and a second crash: the second restore replays the
+    leader's snapshot plus a tail holding the first recovery's rebase
+    record, and converges to the state the first recovery left."""
     directory = str(tmp_path / "store")
     first = make_orchestrator(durable_testbed, directory=directory)
     first.start()
@@ -184,21 +186,36 @@ def test_double_crash_restores_from_snapshot(durable_testbed, tmp_path):
         ]
     )
     assert all(d.admitted for d in decisions)
+    first.sim.run_until(70.0)  # ACTIVE, and one durable tick past them
+    snapshot_lsn = first.checkpoint()["checkpoint_lsn"]
+    first.sim.run_until(130.0)
     first.store.close()
 
     second = make_orchestrator(durable_testbed, store=reopen_store(directory))
     second.start()
     first_report = RecoveryManager(second).restore()
     assert first_report.slices_adopted == 4
+    second.sim.run_until(200.0)
+    recovered = second.durable_state()
     second.store.close()
 
-    third = make_orchestrator(durable_testbed, store=reopen_store(directory))
+    store = reopen_store(directory)
+    assert store.snapshot_lsn == snapshot_lsn
+    tail = [r.record_type for r in store.records(snapshot_lsn)]
+    assert tail.count("recovery.rebased") == 1
+    third = make_orchestrator(durable_testbed, store=store)
     third.start()
     second_report = RecoveryManager(third).restore()
     assert second_report.slices_adopted == 4
     assert second_report.slices_lost == 0
-    # The second restore came from the recovery checkpoint's snapshot.
-    assert second_report.snapshot_lsn > 0
+    assert second_report.snapshot_lsn == snapshot_lsn
     assert {s.slice_id for s in third.live_slices()} == {
         d.slice_id for d in decisions
     }
+    # The second crash came at the t=180 tick of the first recovery's
+    # clock: every adopted instant is shifted by exactly that much.
+    rebased = third.durable_state()
+    for slice_id, image in recovered["live"].items():
+        again = rebased["live"][slice_id]
+        assert again["activated_at"] == image["activated_at"] - 180.0
+        assert again["window"][1] == image["window"][1] - 180.0

@@ -162,21 +162,72 @@ class TestControlPlaneStore:
         monkeypatch.setattr(os, "replace", replace)
         monkeypatch.setattr(os, "fsync", fsync)
         lsn = store.checkpoint({"time": 0.0})
+        # ... and the compacted journal's name before anything lands in it.
         assert steps == [
             ("rename", f"snapshot-{lsn:012d}.json"),
             ("fsync", "directory"),
             ("rename", "journal.jsonl"),
+            ("fsync", "directory"),
+        ]
+        store.close()
+
+    @staticmethod
+    def count_fsyncs(monkeypatch) -> list:
+        calls = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            calls.append(fd)
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        return calls
+
+    def test_a_quiet_checkpoint_issues_five_fsyncs(self, tmp_path, monkeypatch):
+        """Journal sync, snapshot file, directory, compacted file,
+        directory: compaction skips the old handle ``sync`` just synced."""
+        store = ControlPlaneStore(str(tmp_path))
+        for _ in range(3):
+            store.append("t")
+        calls = self.count_fsyncs(monkeypatch)
+        store.checkpoint({"time": 0.0})
+        assert len(calls) == 5
+        store.close()
+
+    def test_an_append_between_sync_and_compaction_is_still_fsynced(
+        self, tmp_path, monkeypatch
+    ):
+        store = ControlPlaneStore(str(tmp_path))
+        store.append("t")
+        real_write = store.snapshots.write
+
+        def write_beside_a_straggler(state, lsn):
+            # A compensation landing on a backend thread meanwhile.
+            store.append("driver.compensated", slice_id="s")
+            return real_write(state, lsn)
+
+        store.snapshots.write = write_beside_a_straggler
+        calls = self.count_fsyncs(monkeypatch)
+        store.checkpoint({"time": 0.0})
+        assert len(calls) == 6  # the old handle's, for the straggler
+        assert [r.record_type for r in store.records()] == [
+            "driver.compensated", "checkpoint.written",
         ]
         store.close()
 
     def test_snapshot_digest_hashes_the_bytes_on_disk(self, tmp_path):
-        store = ControlPlaneStore(str(tmp_path))
-        assert store.snapshot_digest == ""
-        store.append("t")
-        lsn = store.checkpoint({"time": 2.0, "live": {"b": 1, "a": 2}})
-        with open(store.snapshots._path_for(lsn), "rb") as handle:
-            assert store.snapshot_digest == hashlib.sha256(handle.read()).hexdigest()
-        store.close()
+        """Snapshot bytes are canonical (sorted keys): two stores that
+        checkpoint the same state at the same LSN write byte-identical
+        files, so the SHA-256 of a snapshot file names its state."""
+        digests = []
+        for name, live in (("one", {"b": 1, "a": 2}), ("two", {"a": 2, "b": 1})):
+            store = ControlPlaneStore(str(tmp_path / name))
+            store.append("t")
+            lsn = store.checkpoint({"time": 2.0, "live": live})
+            with open(store.snapshots._path_for(lsn), "rb") as handle:
+                digests.append(hashlib.sha256(handle.read()).hexdigest())
+            store.close()
+        assert digests[0] == digests[1]
 
     def test_should_checkpoint_threshold(self, tmp_path):
         store = ControlPlaneStore(str(tmp_path), checkpoint_every=5)

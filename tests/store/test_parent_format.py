@@ -29,7 +29,7 @@ PARENT_DIGEST = "276d54b943e7729096a3a4d58eb4aec932774de19aa937cbe94b5c5657a55fe
 
 
 def open_copy(directory: str) -> ControlPlaneStore:
-    """The fixture, copied first: a recovery checkpoints into its store."""
+    """The fixture, copied first: a recovery journals into its store."""
     shutil.copytree(FIXTURE, directory)
     return ControlPlaneStore(directory, shard_id=window_scenario.SHARD)
 

@@ -15,7 +15,7 @@ from repro.api.v1 import build_v1_api
 from repro.core.pricing import LedgerError
 from repro.core.slices import SliceState
 from repro.store import RecoveryManager
-from repro.store.codec import request_to_dict
+from repro.store.codec import ReplayState, request_to_dict
 from repro.traffic.patterns import ConstantProfile
 
 from tests.conftest import make_request
@@ -195,16 +195,15 @@ class TestServiceRecovery:
     def test_quotas_survive_serviceless_recovery_and_second_restart(
         self, durable_testbed, tmp_path
     ):
-        """A restore run before any service exists must not let the
-        final checkpoint compact the quotas away: the orchestrator
-        carries them, a later service reads them, and a *second*
-        (snapshot-only) restart still sees them."""
+        """A restore run before any service exists must not lose the
+        quotas: the orchestrator carries them, a later service reads
+        them, and a *second* restart still sees them."""
         directory = str(tmp_path / "store")
         first = make_orchestrator(durable_testbed, directory=directory)
         first.set_quota("tenant-b", max_aggregate_mbps=25.0)
         crash(first)
 
-        # Restore with NO service attached (checkpoint runs at the end).
+        # Restore with NO service attached.
         second = make_orchestrator(durable_testbed, store=reopen_store(directory))
         report = RecoveryManager(second).restore()
         assert report.quotas_restored == 1
@@ -212,7 +211,7 @@ class TestServiceRecovery:
         assert late_service.quota_for("tenant-b").max_aggregate_mbps == 25.0
         crash(second)
 
-        # Second restart replays the recovery checkpoint's snapshot.
+        # The second restart folds the first recovery's records too.
         third = make_orchestrator(durable_testbed, store=reopen_store(directory))
         third_service = SliceService(third)
         report = RecoveryManager(third).restore()
@@ -256,14 +255,20 @@ class TestServiceRecovery:
             ).admitted
         crash(first)
         store = reopen_store(directory)
+        head = store.last_lsn
         restarted = make_orchestrator(durable_testbed, store=store)
         report = RecoveryManager(restarted).restore()
-        # Recovery ends with a checkpoint: the journal is compact and a
-        # *second* restart replays from the snapshot plus only the
-        # post-recovery tail (checkpoint marker, recovery.completed
-        # event + audit record).
-        assert store.snapshot_lsn > 0
-        assert store.records_since_checkpoint <= 3
+        # Recovery's durable statement is compact without a checkpoint:
+        # two records past the pre-recovery head, the rebase and the
+        # completion, whatever the fleet — and no snapshot.
+        assert store.snapshot_lsn == 0
+        assert [r.record_type for r in store.records(head)] == [
+            "recovery.rebased", "recovery.completed",
+        ]
+        # A second restart folds them to the state the first rebuilt.
+        assert reopen_store(directory).replay().live == (
+            ReplayState.from_dict(restarted.durable_state()).live
+        )
         # The audit record is the report minus its wall-clock duration,
         # so one run journals the same bytes every time.
         audit = [r for r in store.records() if r.record_type == "recovery.completed"]
@@ -342,7 +347,7 @@ class TestBookingsAndQuotasHaveOneOwner:
                 "active_slices": 1, "aggregate_mbps": 10.0
             }
             assert service.admin_state()["control_plane"]["quota_tenants"] == ["t1"]
-        # ... and the closing checkpoint kept the quota, whoever was built.
+        # ... and the journal still folds to the quota, whoever was built.
         assert reopen_store(directory).replay().quotas == {
             "t1": {"max_active_slices": 1, "max_aggregate_mbps": None}
         }
@@ -396,9 +401,10 @@ class _Died(Exception):
 
 
 class TestAdoptionIsInMemory:
-    """Adoption journals nothing: the closing checkpoint is the commit
-    point of a recovery, so a crash before it replays the *same*
-    recovery, and the clocks a slice already served are carried."""
+    """Adoption journals nothing: the ``recovery.rebased`` record after
+    it is the commit point of a recovery, so a crash before it replays
+    the *same* recovery, and the clocks a slice already served are
+    carried."""
 
     @staticmethod
     def _restart(testbed, directory):
@@ -460,7 +466,7 @@ class TestAdoptionIsInMemory:
         assert report.slices_adopted == 6 and report.slices_lost == 0
 
         # The interrupted and the uninterrupted recovery are the same
-        # recovery: same durable image behind the closing checkpoint.
+        # recovery: same durable image behind the rebase record.
         straight = self._restart(durable_testbed, untouched)
         assert RecoveryManager(straight).restore().slices_adopted == 6
         assert third.store.replay().digest() == straight.store.replay().digest()
@@ -493,6 +499,7 @@ class TestAdoptionIsInMemory:
         crash(first)
 
         restarted = self._restart(durable_testbed, directory)
+        head = restarted.store.last_lsn
         report = RecoveryManager(restarted).restore()
         assert report.slices_adopted == 4
         adopted = [
@@ -503,8 +510,12 @@ class TestAdoptionIsInMemory:
             range(pre_crash_seq + 1, pre_crash_seq + 5)
         )
         assert restarted.events.sink is not None  # the tee is back
-        durable = [event["type"] for _, event in restarted.store.events_after(0)]
+        durable = [event["type"] for _, event in restarted.store.events_after(head)]
         assert durable == ["recovery.completed"]
+        # The rebase record carries no event, only the seqs they used.
+        rebase = restarted.store.records(head)[0]
+        assert rebase.record_type == "recovery.rebased" and "event" not in rebase.data
+        assert rebase.data["last_event_seq"] == adopted[-1].seq
 
     def test_lifetime_is_carried_across_repeated_recoveries(
         self, durable_testbed, tmp_path

@@ -42,7 +42,6 @@ from repro.core.slices import (
     slice_id_for,
 )
 from repro.traffic.patterns import TrafficProfile
-from repro.traffic.verticals import vertical_for
 
 DEFAULT_TENANT = "anonymous"
 
@@ -372,10 +371,7 @@ class SliceService:
         """Build the (request, traffic profile) pair from a validated
         ``SLICE_CREATE`` payload."""
         request = self._slice_request(payload, tenant_id)
-        spec = vertical_for(request.service_type)
-        rng = self.orchestrator.streams.derive(f"api-profile-{request.request_id}")
-        profile = spec.sample_profile(request.sla.throughput_mbps, rng)
-        return request, profile
+        return request, self.orchestrator.default_profile(request)
 
     # ------------------------------------------------------------------
     # Slice collection

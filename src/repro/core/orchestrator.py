@@ -507,15 +507,17 @@ class Orchestrator:
             )
 
     def default_profile(self, request: SliceRequest) -> TrafficProfile:
-        """The vertical-preset traffic profile for a request — what
-        recovery (and re-enqueued admissions) attach when the original
-        profile object died with the old process.  Keyed by request id,
-        never a shared stream, so drawing it late (:meth:`traffic_profile`)
-        moves no other draw; the peak is the current throughput."""
+        """The vertical-preset traffic profile for a request: the one the
+        v1 API attaches at creation, and the one recovery (and re-enqueued
+        admissions) draws again when the original object died with the
+        old process — the same shape, since both read the same key.
+        Keyed by request id, never a shared stream, so drawing it late
+        (:meth:`traffic_profile`) moves no other draw; the peak is the
+        current throughput."""
         from repro.traffic.verticals import vertical_for
 
         spec = vertical_for(request.service_type)
-        rng = self.streams.derive(f"profile-{request.request_id}")
+        rng = self.streams.derive(f"api-profile-{request.request_id}")
         return spec.sample_profile(request.sla.throughput_mbps, rng)
 
     def traffic_profile(self, runtime: SliceRuntime) -> TrafficProfile:

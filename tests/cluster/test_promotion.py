@@ -479,6 +479,32 @@ def test_profiles_drawn_on_first_use_serve_what_eager_ones_did(tmp_path):
     assert lazy_journal == eager_journal
 
 
+def test_an_api_created_slice_keeps_its_traffic_profile_across_a_promotion(cluster):
+    """The profile a promotion draws again for an adopted slice is the one
+    the v1 API drew at creation: one key, so phase, period, on-fraction
+    and level survive the failover for every vertical."""
+    tenant = tenants_per_shard(cluster)[VICTIM]
+    leader = cluster.shard(VICTIM)
+    created = []
+    for service_type in SERVICE_TYPES:
+        response = cluster.router.post(
+            "/v1/slices",
+            body=slice_body(tenant, service_type=service_type, throughput_mbps=4.0),
+            headers={"x-tenant-id": tenant},
+        )
+        assert response.status == 201, response.body
+        created.append(response.body["slice_id"])
+    leader.run_until(10.0)
+    before = {slice_id: profile_image(leader.orchestrator, slice_id) for slice_id in created}
+    standby = cluster.standby_for(VICTIM)
+    standby.poll()
+    cluster.kill_leader(VICTIM)
+    promoted = standby.promote(force=True).orchestrator
+    after = {slice_id: profile_image(promoted, slice_id) for slice_id in created}
+    assert after == before
+    assert len({cls for cls, _ in before.values()}) == 4  # every profile class
+
+
 def test_a_promoted_shard_lists_cancels_and_counts_its_bookings(cluster):
     """What the tenant sees again after a failover: the booking it made
     is listed (start rebased onto the new clock), still counts against

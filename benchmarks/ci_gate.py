@@ -62,6 +62,12 @@ asserted floor is broken:
   link up, or when an epoch that reconfigures nothing looks up more
   links than the distinct paths in use hold.  ``epoch_us_per_slice`` is
   published and never judged (see Observability for why not).
+- **Durable writes** — counted, not timed, on one durable 32-slice
+  shard: a second checkpoint of an unchanged fleet must encode no slice
+  (``checkpoint_fragments_encoded == 0``), one after rescaling 3 slices
+  exactly 3, and a 64-request broker window must flush with exactly one
+  journal fsync (``window_journal_fsyncs == 1``), before the first
+  requester hears of its decision.
 - **Path searches** — counted, not timed: 64 sync creates (every other
   one URLLC, so both gateways are asked for) on an 8-cell testbed, one
   uplink failed and restored half-way.  Fails when ``_dijkstra`` ran more
@@ -122,7 +128,7 @@ FLOOR_D8B_SPEEDUP = 1.5
 #: Ceiling on ``count_src_lines()``: growth in ``src/`` is a reviewed
 #: diff to this one number, and a PR that shrinks ``src/`` lowers it in
 #: the same change.
-SRC_LINES_CEILING = 21_029
+SRC_LINES_CEILING = 21_166
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per
@@ -374,7 +380,7 @@ def run_recovery_smoke(failures: list) -> dict:
     first.enqueue_admitted(
         make_request(throughput_mbps=5.0), ConstantProfile(5.0)
     )
-    first.store.close()  # SIGKILL: the dead process's writes never land
+    first.store.close(sync=False)  # SIGKILL: the dead process's writes never land
 
     restarted = control_plane(store=ControlPlaneStore(directory))
     restarted.start()
@@ -662,6 +668,85 @@ def run_path_searches(failures: list) -> dict:
     }
 
 
+def run_durable_writes(failures: list) -> dict:
+    """What a shard's durable writes cost, as counts: slices a checkpoint
+    re-encodes, and fsyncs a broker window's group commit issues."""
+    import tempfile
+
+    from repro.core.broker import SliceBroker
+    from repro.core.orchestrator import Orchestrator, OrchestratorConfig
+    from repro.experiments.testbed import TestbedConfig, build_testbed
+    from repro.sim.engine import Simulator
+    from repro.sim.randomness import RandomStreams
+    from repro.traffic.patterns import ConstantProfile
+    from tests.conftest import make_request
+
+    testbed = build_testbed(
+        TestbedConfig(n_enbs=8, max_plmns_per_enb=12, plmn_pool_size=96,
+                      edge_nodes=8, core_nodes=16)
+    )
+    orch = Orchestrator(
+        sim=Simulator(),
+        allocator=testbed.allocator,
+        plmn_pool=testbed.plmn_pool,
+        config=OrchestratorConfig(durability_dir=tempfile.mkdtemp(prefix="durable-writes-")),
+        streams=RandomStreams(seed=11),
+        registry=testbed.registry,
+    )
+    orch.start()
+    orch.install_admitted_batch(
+        [(make_request(throughput_mbps=5.0, duration_s=1e6), ConstantProfile(5.0))
+         for _ in range(32)]
+    )
+    orch.sim.run_until(10.0)
+    live = orch.live_slices()
+    encoded = {"first": orch.checkpoint()["fragments_encoded"]}
+    encoded["unchanged"] = orch.checkpoint()["fragments_encoded"]
+    rescaled = sum(orch.modify_slice(s.slice_id, 6.0).admitted for s in live[:3])
+    encoded["rescaled"] = orch.checkpoint()["fragments_encoded"]
+
+    broker = SliceBroker(orch, window_s=300.0)
+    told = []
+    fsyncs = []
+    for _ in range(64):
+        broker.submit(
+            make_request(throughput_mbps=5.0, duration_s=1e6), ConstantProfile(5.0),
+            on_decision=lambda decision: told.append(len(fsyncs)),
+        )
+    orch.store.sync()
+    records_before = orch.store.last_lsn
+    plain_fsync = os.fsync
+    os.fsync = lambda fd: (fsyncs.append(fd), plain_fsync(fd))[1]
+    try:
+        broker.flush()
+    finally:
+        os.fsync = plain_fsync
+    orch.store.close()
+    if encoded["unchanged"]:
+        failures.append(
+            f"durable writes: a checkpoint of an unchanged fleet encoded "
+            f"{encoded['unchanged']} slices (0 expected)"
+        )
+    if encoded["rescaled"] != rescaled:
+        failures.append(
+            f"durable writes: a checkpoint after {rescaled} rescales encoded "
+            f"{encoded['rescaled']} slices"
+        )
+    if len(fsyncs) != 1 or told[:1] != [1]:
+        failures.append(
+            f"durable writes: a 64-request window issued {len(fsyncs)} fsyncs, "
+            f"{told[:1]} before its first callback (1 before it expected)"
+        )
+    return {
+        "live_slices": len(live),
+        "checkpoint_fragments_encoded": encoded,
+        "rescaled": rescaled,
+        "window_requests": len(told),
+        "window_journal_records": orch.store.last_lsn - records_before,
+        "window_journal_fsyncs": len(fsyncs),
+    }
+
+
 def count_src_lines() -> int:
     """Physical lines of ``src/**/*.py`` — the ROADMAP's tracked size."""
     src = Path(__file__).resolve().parent.parent / "src"
@@ -743,6 +828,7 @@ def run_gate() -> dict:
     d13 = run_scenario_scores(failures)
     upkeep = run_epoch_upkeep(failures)
     path_searches = run_path_searches(failures)
+    durable_writes = run_durable_writes(failures)
 
     return {
         "python": platform.python_version(),
@@ -797,6 +883,7 @@ def run_gate() -> dict:
         "d13_scenarios": d13,
         "epoch_upkeep": upkeep,
         "path_searches": path_searches,
+        "durable_writes": durable_writes,
         "failures": failures,
         "warnings": warnings,
         "ok": not failures,
@@ -844,6 +931,9 @@ def main(argv=None) -> int:
         f"path searches {payload['path_searches']['searches']} for "
         f"{payload['path_searches']['queries']} queries "
         f"({payload['path_searches']['us_per_query']} us per query, not gated), "
+        f"durable writes {payload['durable_writes']['checkpoint_fragments_encoded']} "
+        f"fragments encoded, {payload['durable_writes']['window_journal_fsyncs']} fsync "
+        f"per window, "
         f"src {payload['src_lines']} lines"
     )
     return 0

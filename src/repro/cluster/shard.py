@@ -221,12 +221,13 @@ class ControlPlaneCluster:
     def kill_leader(self, shard_id: int) -> ShardWorker:
         """SIGKILL the shard's leader mid-flight: its journal stops
         accepting writes (whatever in-flight work was never journaled
-        is simply gone, like a dead process's page cache), its
-        monitoring loop stops, and its lease is never heartbeat again —
-        the standby's watch condition."""
+        is simply gone), its monitoring loop stops, and its lease is
+        never heartbeat again — the standby's watch condition.  Nothing
+        is fsynced: what it flushed stays readable, as the page cache
+        keeps it, but a killed process makes none of it power-safe."""
         worker = self.shard(shard_id)
         worker.orchestrator.stop()
-        worker.store.close()
+        worker.store.close(sync=False)
         worker.dead = True
         return worker
 

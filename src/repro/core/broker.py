@@ -12,6 +12,9 @@ current free-capacity vector, winners are installed through the
 orchestrator, and losers are booked as rejections.  The window trades
 tenant-visible admission latency for revenue — the ``window_s`` knob is
 ablated in ``benchmarks/bench_d9_batch_window.py``.
+
+A flush is one group commit: the window's records are fsynced once,
+after the last of them and before any ``on_decision`` callback runs.
 """
 
 from __future__ import annotations
@@ -140,6 +143,9 @@ class SliceBroker:
         job: a hung southbound domain delays (or, with a configured
         ``install_timeout_s`` deadline, cleanly fails) only the winners
         that touched it, never the rest of the window.
+
+        The window is one group commit (``store.batch()``): requesters
+        hear of decisions only once all of them are fsynced.
         """
         self._flush_armed = False
         if not self._queue:
@@ -151,13 +157,26 @@ class SliceBroker:
             flush_started = perf_counter()
         batch, self._queue = self._queue, []
         self.windows_flushed += 1
+        with self.orchestrator.store.batch():
+            outcomes = self._decide(batch)
+        for pending, outcome in zip(batch, outcomes):
+            if pending.on_decision is not None:
+                pending.on_decision(outcome)
+        self.decisions.extend(outcomes)
+        if flush_started is not None:
+            obs.observe("broker.flush", (perf_counter() - flush_started) * 1000.0)
+        return outcomes
+
+    def _decide(self, batch: List[PendingRequest]) -> List[AdmissionDecision]:
+        """Batch-decide ``batch``; reject the losers and install the
+        winners as one batch.  Returns the decisions in window order."""
         sizes, free = self.orchestrator.size_window(
             [pending.request for pending in batch]
         )
         candidates = [
             (pending.request, size.demand) for pending, size in zip(batch, sizes)
         ]
-        with obs.timed("broker.decide", label=type(self.policy).__name__):
+        with self.orchestrator.obs.timed("broker.decide", label=type(self.policy).__name__):
             batch_decisions = self.policy.decide_batch(candidates, free)
         outcomes: List[Optional[AdmissionDecision]] = []
         winners: List[Tuple[int, PendingRequest]] = []
@@ -193,12 +212,6 @@ class SliceBroker:
             )
             for (index, _), outcome in zip(winners, installed):
                 outcomes[index] = outcome
-        for pending, outcome in zip(batch, outcomes):
-            if pending.on_decision is not None:
-                pending.on_decision(outcome)
-        self.decisions.extend(outcomes)
-        if flush_started is not None:
-            obs.observe("broker.flush", (perf_counter() - flush_started) * 1000.0)
         return outcomes
 
 

@@ -40,7 +40,7 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 from time import perf_counter
 from types import MappingProxyType
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.admission import (
     AdmissionDecision,
@@ -90,7 +90,8 @@ from repro.obs import NOOP_OBS, ControlPlaneObservability
 from repro.ran.controller import PlannedCellLoad
 from repro.ran.ue import UserEquipment
 from repro.sim.engine import Simulator
-from repro.store.codec import request_to_dict
+from repro.store.codec import live_image, request_to_dict
+from repro.store.snapshot import LiveFragments
 from repro.store.store import ControlPlaneStore, NullStore, open_store
 from repro.sim.processes import PeriodicProcess
 from repro.sim.randomness import RandomStreams
@@ -317,6 +318,9 @@ class Orchestrator:
         #: Extra state sections (name → provider) merged into every
         #: checkpoint — the broker registers its open window here.
         self.durable_sections: Dict[str, Callable[[], dict]] = {}
+        #: The live slices' encoded images, reused by the next checkpoint
+        #: for every slice whose image inputs did not change.
+        self.live_fragments = LiveFragments()
         #: The one tenant quota table: written by :meth:`set_quota`,
         #: checkpointed by :meth:`durable_state`, refilled by recovery;
         #: the service layer enforces it.
@@ -417,40 +421,45 @@ class Orchestrator:
             reservation_id=reservation_id,
         )
 
+    def _live_inputs(self) -> Iterator[Tuple[str, tuple, SliceRequest]]:
+        """(slice id, image inputs, request) of every live slice: the
+        inputs are the values its image reads that change while it lives
+        (see :func:`~repro.store.codec.live_image`), compared by value."""
+        now = self.sim.now
+        for slice_id, runtime in self._runtimes.items():
+            network_slice = runtime.network_slice
+            state = network_slice.state
+            if state not in (SliceState.ADMITTED, SliceState.DEPLOYING, SliceState.ACTIVE):
+                continue
+            request = network_slice.request
+            booking = self.calendar.get(request.request_id)
+            yield slice_id, (
+                "active" if state is SliceState.ACTIVE else "installed",
+                request.sla.throughput_mbps,
+                network_slice.plmn.plmn_id if network_slice.plmn else None,
+                runtime.effective_fraction,
+                network_slice.admitted_at if network_slice.admitted_at is not None else now,
+                network_slice.active_at,
+                (booking.start, booking.end) if booking else None,
+                tuple((domain, r.reservation_id) for domain, r in runtime.reservations.items()),
+            ), request
+
     def durable_state(self) -> dict:
         """The full-state checkpoint image (the
         :class:`~repro.store.codec.ReplayState` shape): live slices,
         the admission queue, pending advance bookings, tenant quotas,
         and any registered extra sections (the broker's window)."""
-        live: Dict[str, dict] = {}
-        for slice_id, runtime in self._runtimes.items():
-            network_slice = runtime.network_slice
-            if network_slice.state not in (
-                SliceState.ADMITTED, SliceState.DEPLOYING, SliceState.ACTIVE
-            ):
-                continue
-            request = network_slice.request
-            booking = self.calendar.get(request.request_id)
-            live[slice_id] = {
-                "request": request_to_dict(request),
-                "plmn": network_slice.plmn.plmn_id if network_slice.plmn else None,
-                "fraction": runtime.effective_fraction,
-                "status": "active"
-                if network_slice.state is SliceState.ACTIVE
-                else "installed",
-                "installed_at": network_slice.admitted_at
-                if network_slice.admitted_at is not None
-                else self.sim.now,
-                "activated_at": network_slice.active_at,
-                "window": [booking.start, booking.end] if booking else None,
-                "reservations": {
-                    domain: r.reservation_id
-                    for domain, r in runtime.reservations.items()
-                },
-            }
+        state = self._durable_sections()
+        state["live"] = {
+            slice_id: live_image(request, inputs)
+            for slice_id, inputs, request in self._live_inputs()
+        }
+        return state
+
+    def _durable_sections(self) -> dict:
+        """:meth:`durable_state` but for its ``live`` section."""
         state = {
             "time": self.sim.now,
-            "live": live,
             "in_flight": {},
             "queued": {
                 request.request_id: request_to_dict(request)
@@ -475,7 +484,9 @@ class Orchestrator:
         return state
 
     def checkpoint(self) -> dict:
-        """Write a full-state snapshot and compact the journal.
+        """Write a full-state snapshot and compact the journal: the bytes
+        of :meth:`durable_state`, with only the live slices whose image
+        inputs changed since the last checkpoint imaged and encoded.
 
         Raises:
             OrchestratorError: When durability is disabled.
@@ -484,11 +495,13 @@ class Orchestrator:
             raise OrchestratorError(
                 "durability is disabled (no durability_dir configured)"
             )
-        lsn = self.store.checkpoint(self.durable_state())
+        live = self.live_fragments.refresh(self._live_inputs(), live_image)
+        lsn = self.store.checkpoint(self._durable_sections(), live)
         return {
             "checkpoint_lsn": lsn,
             "time": self.sim.now,
             "records_since_checkpoint": self.store.records_since_checkpoint,
+            "fragments_encoded": self.live_fragments.encoded,
         }
 
     def _drain_planner_events(self) -> None:
@@ -1026,9 +1039,10 @@ class Orchestrator:
         if not self._admission_queue:
             return
         queued, self._admission_queue = self._admission_queue, []
-        decisions = self.install_admitted_batch(
-            [(request, profile) for request, profile, _ in queued]
-        )
+        with self.store.batch():  # one fsync, before any callback tells
+            decisions = self.install_admitted_batch(
+                [(request, profile) for request, profile, _ in queued]
+            )
         for (_, _, on_decision), decision in zip(queued, decisions):
             if on_decision is not None:
                 on_decision(decision)
@@ -1597,7 +1611,7 @@ class Orchestrator:
         # shard would interleave a deposed leader's records with the
         # promoted standby's WAL.
         if self.lease is not None and not self.lease.heartbeat():
-            self.store.close()  # fenced: same semantics as a crash
+            self.store.close(sync=False)  # fenced: same semantics as a crash
             self.events.emit(
                 now, "lease.fenced", shard_id=self.config.shard_id
             )

@@ -19,7 +19,13 @@ Durability discipline:
 - the file is **fsynced** every ``fsync_every`` records (bounding what
   an OS/power failure can lose without paying an fsync per record —
   the classic group-commit trade; ``fsync_every=1`` gives full
-  synchronous durability, ``0`` disables fsync entirely).
+  synchronous durability, ``0`` disables fsync entirely), except
+- inside a :meth:`Journal.batch` (a broker window, the admission-queue
+  drain): **one** group commit, fsynced on exit, before the caller
+  tells anyone of the batch's decisions.
+
+``close(sync=False)`` is a killed process: appends stop, and what was
+only flushed stays as unsynced as a dead process leaves it.
 
 LSNs (log sequence numbers) are monotonically increasing, never
 reused, and survive restarts: opening an existing journal resumes
@@ -43,6 +49,7 @@ import json
 import os
 import threading
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional
@@ -235,9 +242,9 @@ class Journal:
             record since the last explicit :meth:`sync` (a process crash
             still loses nothing — appends always flush to the OS).
             :meth:`sync` and :meth:`close` fsync regardless of the
-            sentinel.  Choose ``0`` only for throwaway stores
-            (benchmarks, simulations replayed from scratch); negative
-            values raise :class:`JournalError`.
+            sentinel, a :meth:`batch` exit does not.  Choose ``0`` only
+            for throwaway stores (benchmarks, simulations replayed from
+            scratch); negative values raise :class:`JournalError`.
         tail: A :class:`JournalTail` of ``path`` that already indexed a
             prefix of it (a promoting standby's): the reopen decodes only
             the bytes past it, and owns it from here.
@@ -261,6 +268,7 @@ class Journal:
         self._lock = threading.Lock()
         self._closed = False
         self._unsynced = 0
+        self._batch_depth = 0  # open batch() contexts
         self._tail = tail or JournalTail(self.path)
         # Resume numbering after the last intact record, and *repair* a
         # torn tail before appending anything: new records must never
@@ -349,10 +357,27 @@ class Journal:
         self._handle.flush()
         self._tail.appended(lsn, len(line))  # to_line() is ASCII: one byte a character
         self._unsynced += 1
-        if self.fsync_every and self._unsynced >= self.fsync_every:
+        if self.fsync_every and self._unsynced >= self.fsync_every and not self._batch_depth:
             self._fsync_locked(obs)
         self._last_lsn = lsn
         return lsn
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """One group commit around a batch of appends (nestable): the
+        ``fsync_every`` threshold waits, and the outermost exit fsyncs
+        what is unsynced, also when the body raised.  Appends still flush
+        one by one, so a process crash mid-batch loses nothing."""
+        with self._lock:
+            self._batch_depth += 1
+        try:
+            yield
+        finally:
+            obs = self.obs
+            with self._lock:
+                self._batch_depth -= 1
+                if not (self._batch_depth or self._closed) and self._unsynced and self.fsync_every:
+                    self._fsync_locked(obs if obs is not None and obs.enabled else None)
 
     def _fsync_locked(self, obs: Optional[Any] = None) -> None:
         """Group-commit fsync (call under ``_lock``)."""
@@ -367,23 +392,24 @@ class Journal:
         self._unsynced = 0
 
     def sync(self) -> None:
-        """Force an fsync of everything appended so far."""
+        """Force an fsync of everything appended so far (if unsynced)."""
         obs = self.obs
         with self._lock:
-            if self._closed:
+            if self._closed or not self._unsynced:
                 return
             self._handle.flush()
-            self._fsync_locked(
-                obs if obs is not None and obs.enabled and self._unsynced else None
-            )
+            self._fsync_locked(obs if obs is not None and obs.enabled else None)
 
-    def close(self) -> None:
-        """Stop accepting appends (idempotent); pending bytes are synced."""
+    def close(self, sync: bool = True) -> None:
+        """Stop accepting appends (idempotent), syncing what is unsynced
+        unless ``sync=False`` (a killed process: the flushed bytes stay
+        readable, as the page cache keeps them, but not power-safe)."""
         with self._lock:
             if self._closed:
                 return
             self._handle.flush()
-            os.fsync(self._handle.fileno())
+            if sync and self._unsynced:
+                os.fsync(self._handle.fileno())
             self._handle.close()
             self._closed = True
 

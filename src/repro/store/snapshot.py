@@ -13,6 +13,12 @@ Layout: ``snapshot-<lsn, zero-padded>.json`` inside the store
 directory; older snapshots are pruned after a successful write (the
 newest is kept as the only one needed, plus its predecessor as a
 paranoia fallback against a corrupt latest).
+
+Bytes: :func:`encode_snapshot` alone writes them, always those of
+``json.dumps({"lsn": lsn, "state": state}, sort_keys=True,
+default=json_default)``.  A checkpoint hands it the ``live`` section as
+per-slice fragments from a :class:`LiveFragments` cache, which re-encodes
+only the slices whose image inputs changed since the last checkpoint.
 """
 
 from __future__ import annotations
@@ -20,11 +26,61 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.store.codec import json_default
 
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d+)\.json$")
+
+#: ``json.dumps(..., sort_keys=True, default=json_default)``, built once.
+_ENCODER = json.JSONEncoder(sort_keys=True, default=json_default)
+
+
+def encode_member(key: str, value: Any) -> str:
+    """``"key": value``, as ``json.dumps`` writes an object's member."""
+    return f"{_ENCODER.encode(key)}: {_ENCODER.encode(value)}"
+
+
+def encode_snapshot(
+    lsn: int, state: Dict[str, Any], live: Optional[Dict[str, str]] = None
+) -> bytes:
+    """The snapshot of ``state`` at ``lsn``, byte for byte ``json.dumps``
+    of ``{"lsn": lsn, "state": state}`` as above.  ``live``, when given,
+    is the ``live`` section as :func:`encode_member` fragments by slice id."""
+    if live is None:
+        return _ENCODER.encode({"lsn": lsn, "state": state}).encode("utf-8")
+    members = [
+        f'"live": {{{", ".join(live[key] for key in sorted(live))}}}'
+        if name == "live"
+        else encode_member(name, value)
+        for name, value in sorted({**state, "live": None}.items())
+    ]
+    return f'{{"lsn": {int(lsn)}, "state": {{{", ".join(members)}}}}}'.encode("utf-8")
+
+
+class LiveFragments:
+    """slice id → (image inputs, fragment encoded from them): a fragment
+    is reused while its inputs compare equal; a slice gone from the live
+    set leaves with the next :meth:`refresh`."""
+
+    def __init__(self) -> None:
+        self.entries: Dict[str, Tuple[tuple, str]] = {}
+        #: Fragments the last :meth:`refresh` encoded afresh.
+        self.encoded = 0
+
+    def refresh(
+        self, live: Iterable[Tuple[str, tuple, Any]], image: Callable[[Any, tuple], Any]
+    ) -> Dict[str, str]:
+        """The fragments of ``live``'s (slice id, inputs, source) triples,
+        encoding ``image(source, inputs)`` where the inputs changed."""
+        cached, self.entries, self.encoded = self.entries, {}, 0
+        for slice_id, inputs, source in live:
+            entry = cached.get(slice_id)
+            if entry is None or entry[0] != inputs:
+                entry = (inputs, encode_member(slice_id, image(source, inputs)))
+                self.encoded += 1
+            self.entries[slice_id] = entry
+        return {slice_id: fragment for slice_id, (_, fragment) in self.entries.items()}
 
 
 class SnapshotError(RuntimeError):
@@ -50,8 +106,11 @@ class SnapshotStore:
                 out.append(int(match.group(1)))
         return sorted(out)
 
-    def write(self, state: Dict[str, Any], lsn: int) -> str:
-        """Checkpoint ``state`` as of journal position ``lsn``.
+    def write(
+        self, state: Dict[str, Any], lsn: int, live: Optional[Dict[str, str]] = None
+    ) -> str:
+        """Checkpoint ``state`` (``live``: see :func:`encode_snapshot`) as
+        of journal position ``lsn``.
 
         Atomic: written to a temp file, fsynced, then renamed into
         place (the rename is durable once the caller fsyncs the
@@ -62,10 +121,7 @@ class SnapshotStore:
             raise SnapshotError(f"lsn must be >= 0, got {lsn}")
         path = self._path_for(lsn)
         tmp_path = path + ".tmp"
-        payload = {"lsn": lsn, "state": state}
-        # dumps, not dump: one call into the C encoder instead of the
-        # pure-Python iterencode dump always takes — same bytes.
-        data = json.dumps(payload, sort_keys=True, default=json_default).encode("utf-8")
+        data = encode_snapshot(lsn, state, live)
         with open(tmp_path, "wb") as handle:
             handle.write(data)
             handle.flush()
@@ -120,4 +176,7 @@ def fsync_directory(directory: str) -> None:
         os.close(fd)
 
 
-__all__ = ["SnapshotError", "SnapshotStore", "fsync_directory"]
+__all__ = [
+    "LiveFragments", "SnapshotError", "SnapshotStore",
+    "encode_member", "encode_snapshot", "fsync_directory",
+]

@@ -2,6 +2,7 @@
 
 :class:`ControlPlaneStore` is what the orchestrator (and the service
 layer) actually talks to: ``append`` journals a state transition,
+``batch`` makes a batch verb's appends one group commit,
 ``checkpoint`` writes a full-state snapshot and compacts the journal,
 ``load`` hands recovery the newest snapshot plus the journal tail past
 it.  :class:`NullStore` is the disabled twin — same surface, no I/O —
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import nullcontext
+from typing import Any, ContextManager, Dict, List, Optional, Tuple
 
 from repro.store.codec import ReplayState
 from repro.store.journal import Journal, JournalRecord, JournalTail
@@ -72,7 +74,7 @@ class NullStore:
     def should_checkpoint(self) -> bool:
         return False
 
-    def checkpoint(self, state: Dict[str, Any]) -> int:
+    def checkpoint(self, state: Dict[str, Any], live: Optional[Dict[str, str]] = None) -> int:
         raise StoreError("durability is disabled (no durability_dir configured)")
 
     def load(self) -> Tuple[Optional[Dict[str, Any]], List[JournalRecord]]:
@@ -89,7 +91,10 @@ class NullStore:
     def sync(self) -> None:
         pass
 
-    def close(self) -> None:
+    def batch(self) -> ContextManager[None]:
+        return nullcontext()
+
+    def close(self, sync: bool = True) -> None:
         pass
 
     def bind_obs(self, obs: Any) -> None:
@@ -185,9 +190,14 @@ class ControlPlaneStore:
         """Force-fsync the journal."""
         self.journal.sync()
 
-    def close(self) -> None:
-        """Simulated crash / clean shutdown: further appends are dropped."""
-        self.journal.close()
+    def batch(self) -> ContextManager[None]:
+        """One group commit (:meth:`~repro.store.journal.Journal.batch`)."""
+        return self.journal.batch()
+
+    def close(self, sync: bool = True) -> None:
+        """Clean shutdown, or a simulated crash with ``sync=False`` (no
+        fsync): further appends are dropped."""
+        self.journal.close(sync)
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -199,20 +209,22 @@ class ControlPlaneStore:
             and self.records_since_checkpoint >= self.checkpoint_every
         )
 
-    def checkpoint(self, state: Dict[str, Any]) -> int:
+    def checkpoint(self, state: Dict[str, Any], live: Optional[Dict[str, str]] = None) -> int:
         """Write a full-state snapshot at the current journal position
-        and compact the journal up to it.  Returns the snapshot LSN."""
+        and compact the journal up to it (``live``: pre-encoded, see
+        :func:`~repro.store.snapshot.encode_snapshot`).  Returns the
+        snapshot LSN."""
         obs = self.obs
         if obs is not None:
             with obs.timed("store.checkpoint"):
-                return self._checkpoint(state)
-        return self._checkpoint(state)
+                return self._checkpoint(state, live)
+        return self._checkpoint(state, live)
 
-    def _checkpoint(self, state: Dict[str, Any]) -> int:
+    def _checkpoint(self, state: Dict[str, Any], live: Optional[Dict[str, str]]) -> int:
         with self._lock:
             self.journal.sync()
             lsn = self.journal.last_lsn
-            self.snapshots.write(state, lsn)
+            self.snapshots.write(state, lsn, live)
             # The snapshot's name must be on disk before compaction drops
             # the records it covers: fsync the directory between renames.
             fsync_directory(self.directory)

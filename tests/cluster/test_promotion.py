@@ -18,12 +18,17 @@ Four guards on the warm-standby promotion path:
 - **Profiles on first use** — a promotion draws no adopted slice's
   traffic profile; the first epoch (or a rescale) does, and a promoted
   shard that draws them all at once serves the same demands and writes
-  the same journal.
+  the same journal; it is the profile the v1 API drew at creation.
+- **Cached checkpoints are exact** — across a random history with a
+  promotion in it, every checkpoint (leader's and promoted's) writes the
+  bytes of ``json.dumps`` of ``durable_state()``, and its fragment cache
+  holds exactly the live slice ids.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import random
 import shutil
@@ -31,6 +36,7 @@ import stat
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -38,11 +44,14 @@ from repro.api.service import SliceService
 from repro.cluster import ClusterConfig, ControlPlaneCluster
 import repro.core.allocation as allocation_module
 import repro.core.slices as slices_module
+from repro.core.orchestrator import Orchestrator
+from repro.core.overbooking import ForecastOverbooking
+from repro.core.pricing import LedgerError
 from repro.core.slices import SliceState, peek_request_counter
 from repro.experiments.testbed import TestbedConfig, build_testbed
 from repro.sim.randomness import RandomStreams
 from repro.store import ControlPlaneStore, RecoveryManager
-from repro.store.codec import ReplayState
+from repro.store.codec import ReplayState, json_default
 from repro.store.journal import JournalRecord
 from repro.store.snapshot import SnapshotStore
 
@@ -64,8 +73,8 @@ LEASE_TIMEOUT_S = 0.05  # how stale the killed leader's heartbeat must read
 class Shard:
     """One durable shard under a random client (the v1 surface only)."""
 
-    def __init__(self, root: str, rng: random.Random) -> None:
-        self.cluster = build_cluster(Path(root), shards=1)
+    def __init__(self, root: str, rng: random.Random, **overrides) -> None:
+        self.cluster = build_cluster(Path(root), shards=1, **overrides)
         self.tenant = tenants_per_shard(self.cluster)[VICTIM]
         self.headers = {"x-tenant-id": self.tenant}
         self.rng = rng
@@ -574,3 +583,121 @@ def test_replayed_records_is_the_lag_at_the_kill(cluster):
     assert len(promoted.live_slices()) == 5
     assert promoted.slice(shipped[0]).request.sla.throughput_mbps == 4.0
     assert all(s.state is SliceState.ACTIVE for s in promoted.live_slices()[:4])
+
+
+class BusyShard(Shard):
+    """:class:`Shard` plus what makes consecutive checkpoints differ:
+    epochs that reconfigure (forecast overbooking on a short history), a
+    link outage that repairs paths, broker windows, explicit checkpoints
+    and auto-checkpoints every 48 records."""
+
+    def __init__(self, root: str, rng: random.Random) -> None:
+        super().__init__(root, rng, orchestrator={
+            "monitoring_epoch_s": 60.0, "min_history_for_forecast": 3,
+            "reconfig_every_epochs": 1, "checkpoint_every_records": 48,
+        })
+        self.broken = None
+        self.overbook()
+
+    def overbook(self) -> None:
+        self.leader.orchestrator.overbooking = ForecastOverbooking(0.5)
+
+    def op(self) -> None:
+        rng = self.rng
+        kind = rng.choice(("client",) * 4 + ("window", "outage", "checkpoint"))
+        if kind == "client":
+            super().op()
+        elif kind == "window":
+            response = self.cluster.router.post(
+                "/v1/slices?mode=batch",
+                body=slice_body(self.tenant, throughput_mbps=rng.choice((2.0, 3.0))),
+                headers=self.headers,
+            )
+            assert response.status == 202, response.body
+        elif kind == "outage":
+            if self.broken is None:
+                self.broken = rng.choice(self.leader.testbed.transport.topology.links())
+                self.broken.fail()
+            else:
+                self.broken.restore()
+                self.broken = None
+        else:
+            self.leader.orchestrator.checkpoint()
+
+
+@SLOW
+@given(seed=st.integers(0, 10_000), steps=st.integers(10, 40))
+def test_every_checkpoint_of_a_history_writes_the_reference_bytes(seed, steps):
+    rng = random.Random(seed)
+    checkpoints = []  # (fragments encoded, live slices) per checkpoint
+    real_checkpoint = Orchestrator.checkpoint
+
+    def checked(orchestrator):
+        result = real_checkpoint(orchestrator)
+        lsn = result["checkpoint_lsn"]
+        with open(orchestrator.store.snapshots._path_for(lsn), "rb") as handle:
+            written = handle.read()
+        state = orchestrator.durable_state()
+        reference = json.dumps({"lsn": lsn, "state": state}, sort_keys=True, default=json_default)
+        assert written == reference.encode("utf-8")
+        assert set(orchestrator.live_fragments.entries) == set(state["live"])
+        checkpoints.append((result["fragments_encoded"], len(state["live"])))
+        return result
+
+    with tempfile.TemporaryDirectory() as root, mock.patch.object(
+        Orchestrator, "checkpoint", checked
+    ):
+        shard = BusyShard(root, rng)
+        cluster = shard.cluster
+        try:
+            promote_at = rng.randrange(steps)
+            for step in range(steps):
+                shard.op()
+                if step == promote_at:
+                    standby = cluster.standby_for(VICTIM)
+                    cluster.kill_leader(VICTIM)
+                    promotion = standby.promote(force=True)
+                    cluster.adopt_promotion(VICTIM, promotion)
+                    promoted = promotion.orchestrator
+                    shard.overbook()
+                    # Known defect 1: adoption opens no ledger account, and
+                    # an adopted slice's first violation would raise.
+                    for network_slice in promoted.live_slices():
+                        try:
+                            promoted.ledger.entry(network_slice.slice_id)
+                        except LedgerError:
+                            promoted.ledger.book_admission(
+                                network_slice.slice_id, network_slice.request
+                            )
+            shard.leader.run_until(shard.leader.sim.now + 400.0)  # windows flush
+            shard.leader.orchestrator.checkpoint()
+        finally:
+            cluster.close()
+    assert checkpoints
+
+
+def test_a_killed_leader_issues_no_fsync_and_the_standby_replays_all_it_appended(
+    cluster, monkeypatch
+):
+    """A SIGKILL makes nothing power-safe: the kill fsyncs nothing, yet
+    every record the dead leader flushed is there for the standby."""
+    tenant = tenants_per_shard(cluster)[VICTIM]
+    leader = cluster.shard(VICTIM)
+    for _ in range(3):
+        response = cluster.router.post(
+            "/v1/slices", body=slice_body(tenant), headers={"x-tenant-id": tenant}
+        )
+        assert response.status == 201, response.body
+    leader.run_until(10.0)
+    standby = cluster.standby_for(VICTIM)  # has seen nothing yet
+    appended = leader.store.last_lsn
+    assert appended % leader.orchestrator.config.journal_fsync_every  # some unsynced
+    fsyncs = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))[1])
+    cluster.kill_leader(VICTIM)
+    assert fsyncs == []
+    monkeypatch.undo()
+    promotion = standby.promote(force=True)
+    assert promotion.replay_lag_records == promotion.report.replayed_records == appended
+    assert len(promotion.orchestrator.live_slices()) == 3

@@ -201,10 +201,10 @@ class TestControlPlaneStore:
         store.append("t")
         real_write = store.snapshots.write
 
-        def write_beside_a_straggler(state, lsn):
+        def write_beside_a_straggler(state, lsn, live=None):
             # A compensation landing on a backend thread meanwhile.
             store.append("driver.compensated", slice_id="s")
-            return real_write(state, lsn)
+            return real_write(state, lsn, live)
 
         store.snapshots.write = write_beside_a_straggler
         calls = self.count_fsyncs(monkeypatch)

@@ -128,7 +128,7 @@ FLOOR_D8B_SPEEDUP = 1.5
 #: Ceiling on ``count_src_lines()``: growth in ``src/`` is a reviewed
 #: diff to this one number, and a PR that shrinks ``src/`` lowers it in
 #: the same change.
-SRC_LINES_CEILING = 21_166
+SRC_LINES_CEILING = 21_395
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per
@@ -466,17 +466,22 @@ def run_scenario_scores(failures: list) -> dict:
 def run_epoch_upkeep(failures: list) -> dict:
     """What a monitoring epoch costs a fleet nothing is happening to, as
     call counts (a µs figure on a shared runner is weather): from-scratch
-    forecaster fits, heal-loop health polls, and link lookups in the
-    epochs that reconfigure nothing."""
+    forecaster fits, heal-loop health polls, link lookups in the epochs
+    that reconfigure nothing, scalar demand draws, scheduler dispatches
+    and live-slot rows re-read."""
     import time
+
+    import numpy as np
 
     from repro.core.forecasting import Forecaster
     from repro.core.orchestrator import Orchestrator
     from repro.core.overbooking import ForecastOverbooking
     from repro.experiments.testbed import TestbedConfig, build_testbed
+    from repro.ran.controller import RanController
+    from repro.ran.scheduler import SliceAwareScheduler
     from repro.sim.engine import Simulator
     from repro.sim.randomness import RandomStreams
-    from repro.traffic.patterns import DiurnalProfile
+    from repro.traffic import patterns
     from repro.transport.topology import Topology
     from tests.conftest import make_request
 
@@ -501,7 +506,7 @@ def run_epoch_upkeep(failures: list) -> dict:
         [
             (
                 make_request(throughput_mbps=5.0, duration_s=1e6),
-                DiurnalProfile(5.0, period_s=3_600.0, phase=i / UPKEEP_SLICES),
+                patterns.DiurnalProfile(5.0, period_s=3_600.0, phase=i / UPKEEP_SLICES),
             )
             for i in range(UPKEEP_SLICES)
         ]
@@ -510,7 +515,7 @@ def run_epoch_upkeep(failures: list) -> dict:
     if live != UPKEEP_SLICES:
         failures.append(f"epoch upkeep: only {live}/{UPKEEP_SLICES} slices installed")
 
-    counts = {"fit": 0, "health": 0, "link": 0}
+    counts = {"fit": 0, "health": 0, "link": 0, "demand": 0, "dispatch": 0, "unmet": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -519,25 +524,56 @@ def run_epoch_upkeep(failures: list) -> dict:
 
         return wrapper
 
+    def unmet_cells(ran, slice_ids, cells, demand, prbs, priorities):
+        """Cells where some slice wants more PRBs than it reserved."""
+        on = cells >= 0
+        rate = np.array([enb.throughput_per_prb() for enb in ran.enbs()])[cells[on]]
+        counts["unmet"] += len(np.unique(cells[on][demand[on] / rate > prbs[on]]))
+        return plain_serve(ran, slice_ids, cells, demand, prbs, priorities)
+
     plain_fit, plain_link = Forecaster.fit, Topology.link
+    plain_serve, plain_dispatch = RanController.serve_epoch, SliceAwareScheduler.dispatch
+    scalar_draws = [  # the scalar demand of the four classes the pass evaluates as arrays
+        (cls, name, cls.__dict__[name])
+        for cls in (
+            patterns.TrafficProfile, patterns.ConstantProfile, patterns.DiurnalProfile,
+            patterns.OnOffProfile, patterns.SpikeProfile,
+        )
+        for name in ("demand", "fraction")
+        if name in cls.__dict__
+    ]
     healers = [d for d in orch.registry.drivers() if d.capabilities().supports_repair]
     epoch_s = orch.config.monitoring_epoch_s
     quiet_lookups = 0  # the most any non-reconfiguring epoch made
+    row_refreshes = []  # per epoch: (rows re-read, slices resized the epoch before)
     Forecaster.fit = counted("fit", plain_fit)
     Topology.link = counted("link", plain_link)
+    RanController.serve_epoch = unmet_cells
+    SliceAwareScheduler.dispatch = counted("dispatch", plain_dispatch)
+    for cls, name, fn in scalar_draws:
+        setattr(cls, name, counted("demand", fn))
     for driver in healers:
         driver.health = counted("health", driver.health)
     try:
         sim.run_until(epoch_s / 2)  # every slice ACTIVE, no epoch served yet
+        cursor = resized = 0
         started = time.perf_counter()
         for epoch in range(1, UPKEEP_EPOCHS + 1):
-            before = counts["link"]
+            before, refreshes = counts["link"], orch.live_slots.refreshes
             sim.run_until(epoch * epoch_s + epoch_s / 2)
             if epoch % orch.config.reconfig_every_epochs:
                 quiet_lookups = max(quiet_lookups, counts["link"] - before)
+            if epoch > 1:
+                row_refreshes.append((orch.live_slots.refreshes - refreshes, resized))
+            fresh = orch.events.since(cursor)
+            cursor = fresh[-1].seq if fresh else cursor
+            resized = sum(e.event_type == "slice.reconfigured" for e in fresh)
         elapsed_s = time.perf_counter() - started
     finally:
         Forecaster.fit, Topology.link = plain_fit, plain_link
+        RanController.serve_epoch, SliceAwareScheduler.dispatch = plain_serve, plain_dispatch
+        for cls, name, fn in scalar_draws:
+            setattr(cls, name, fn)
         for driver in healers:
             del driver.health
     paths = {s.allocation.transport.path.link_ids for s in orch.active_slices()}
@@ -562,6 +598,22 @@ def run_epoch_upkeep(failures: list) -> dict:
         )
     if not reconfigured:
         failures.append("epoch upkeep: overbooking never moved a reservation")
+    if counts["demand"]:
+        failures.append(
+            f"epoch upkeep: {counts['demand']} scalar demand/fraction calls on the "
+            "four profile classes the epoch pass evaluates as arrays"
+        )
+    if counts["dispatch"] > counts["unmet"]:
+        failures.append(
+            f"epoch upkeep: {counts['dispatch']} scheduler dispatches > "
+            f"{counts['unmet']} cell-epochs with unmet demand"
+        )
+    drifted = [(read, want) for read, want in row_refreshes if read != want]
+    if drifted:
+        failures.append(
+            f"epoch upkeep: live-slot rows re-read != slices resized the epoch "
+            f"before in {len(drifted)} epochs (first: {drifted[0][0]} vs {drifted[0][1]})"
+        )
     return {
         "slices": live,
         "epochs": UPKEEP_EPOCHS,
@@ -571,6 +623,11 @@ def run_epoch_upkeep(failures: list) -> dict:
         "distinct_paths": len(paths),
         "distinct_path_links": path_links,
         "reconfigurations": reconfigured,
+        "epoch_scalar_demands": counts["demand"],
+        "epoch_dispatch_cells": counts["dispatch"],
+        "epoch_unmet_cells": counts["unmet"],
+        "epoch_row_refreshes": sum(read for read, _ in row_refreshes),
+        "epoch_rows_resized": sum(want for _, want in row_refreshes),
         "epoch_us_per_slice": round(elapsed_s * 1e6 / (UPKEEP_EPOCHS * max(live, 1)), 2),
     }
 

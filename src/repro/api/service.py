@@ -31,6 +31,7 @@ from repro.api.schemas import (
 )
 from repro.core.admission import AdmissionDecision, TenantQuota
 from repro.core.broker import SliceBroker
+from repro.core.epoch import sim_gauges
 from repro.core.events import OrchestrationEvent
 from repro.core.orchestrator import Orchestrator, OrchestratorError
 from repro.core.slices import (
@@ -187,45 +188,6 @@ class OperationStore:
         if tenant_id is not None:
             ops = [op for op in ops if op.tenant_id == tenant_id]
         return ops
-
-
-def sim_gauges(orchestrator: Orchestrator) -> Dict[Tuple[str, str], float]:
-    """The simulated world's telemetry, read off live state for one
-    scrape: ``(metric, slice id or "") -> value``.
-
-    Per slice that is live and has served a monitoring epoch: that
-    epoch's demand, delivery and violated flag plus the effective
-    fraction; per domain, the controllers' utilisation ratios.  Nothing
-    is kept between scrapes, so a slice that expired or was cancelled
-    has no series.
-    """
-    gauges: Dict[Tuple[str, str], float] = {}
-    for network_slice in orchestrator.live_slices():
-        slice_id = network_slice.slice_id
-        runtime = orchestrator.runtime(slice_id)
-        if runtime.demand_history.empty:
-            continue  # not ACTIVE through an epoch yet
-        gauges["slice.demand_mbps", slice_id] = runtime.last_demand_mbps
-        gauges["slice.delivered_mbps", slice_id] = runtime.last_delivered_mbps
-        gauges["slice.violated", slice_id] = float(runtime.last_violated)
-        gauges["slice.effective_fraction", slice_id] = runtime.effective_fraction
-    allocator = orchestrator.allocator
-    ran = allocator.ran.utilization()
-    prbs = max(1, ran["total_prbs"])
-    gauges["ran.effective_utilization", ""] = ran["effective_reserved"] / prbs
-    gauges["ran.nominal_utilization", ""] = ran["nominal_reserved"] / prbs
-    transport = allocator.transport.utilization()
-    mbps = max(1e-9, transport["total_capacity_mbps"])
-    gauges["transport.effective_utilization", ""] = (
-        transport["effective_reserved_mbps"] / mbps
-    )
-    gauges["transport.nominal_utilization", ""] = (
-        transport["nominal_reserved_mbps"] / mbps
-    )
-    cloud = allocator.cloud.utilization()
-    vcpus = max(1, cloud["total_vcpus"])
-    gauges["cloud.vcpu_utilization", ""] = (vcpus - cloud["free_vcpus"]) / vcpus
-    return gauges
 
 
 class SliceService:
@@ -759,9 +721,9 @@ class SliceService:
         """Prometheus text exposition for ``GET /v1/admin/metrics``.
 
         Control-plane histograms/counters/gauges under the ``cp_``
-        namespace, sim telemetry read off live state (:func:`sim_gauges`)
-        under ``sim_``.  With observability disabled only the sim
-        namespace is rendered.
+        namespace, sim telemetry read off live state
+        (:func:`~repro.core.epoch.sim_gauges`) under ``sim_``.  With
+        observability disabled only the sim namespace is rendered.
         """
         from repro.obs.export import render_prometheus
 
@@ -836,5 +798,4 @@ __all__ = [
     "ServiceError",
     "SliceService",
     "TenantQuota",
-    "sim_gauges",
 ]

@@ -55,6 +55,7 @@ from repro.core.allocation import (
     MultiDomainAllocator,
     SliceSize,
 )
+from repro.core.epoch import LiveSlots
 from repro.core.events import EventLog, OrchestrationEvent
 from repro.drivers.adapters import build_default_registry
 from repro.drivers.base import (
@@ -296,6 +297,8 @@ class Orchestrator:
         self.events.obs = self.obs
         self.sla_monitor = SlaMonitor()
         self.gain_tracker = MultiplexingGainTracker()
+        #: The monitoring epoch's table: one row per ACTIVE slice.
+        self.live_slots = LiveSlots()
         from repro.core.calendar import ResourceCalendar
 
         self.calendar = ResourceCalendar(allocator.aggregate_capacity_vector())
@@ -1628,47 +1631,36 @@ class Orchestrator:
         self._drain_planner_events()
         if self._stuck_releases:
             self._retry_stuck_releases()
-        active = {
-            sid: rt
-            for sid, rt in self._runtimes.items()
-            if rt.network_slice.state is SliceState.ACTIVE
-        }
         if self.config.self_healing:
-            self._heal_paths(active)
-        rng = self.streams.stream("demand-noise")
-        demands: Dict[str, float] = {}
-        priorities: Dict[str, int] = {}
-        for slice_id, runtime in active.items():
-            demands[slice_id] = self.traffic_profile(runtime).demand(now, rng)
-            priorities[slice_id] = runtime.network_slice.request.priority
-            runtime.last_demand_mbps = demands[slice_id]
-        delivered_ran = (
-            self.allocator.ran.serve_epoch(demands, priorities=priorities)
-            if demands
-            else {}
+            self._heal_paths()
+        # Demand → RAN serve → transport cap → SLA check over the ACTIVE
+        # slices, one array pass (core/epoch.py); what stays per slice is
+        # the bookkeeping.
+        served = self.live_slots.serve(
+            self, self._runtimes, self.streams.stream("demand-noise")
         )
+        active = served.active
         observe = (
             self.overbooking.observe
             if isinstance(self.overbooking, AdaptiveOverbooking)
             else None
         )
-        spare: Dict[Tuple[str, ...], float] = {}  # this epoch's path memo
-        for slice_id, runtime in active.items():
+        for (slice_id, runtime), demand, delivered, violated in zip(
+            active.items(),
+            served.demand.tolist(),
+            served.delivered.tolist(),
+            served.violated.tolist(),
+        ):
             network_slice = runtime.network_slice
-            demand = demands[slice_id]
-            delivered = delivered_ran.get(slice_id, 0.0)
-            delivered = min(delivered, self._transport_cap_mbps(runtime, spare))
+            runtime.last_demand_mbps = demand
             runtime.last_delivered_mbps = delivered
-            history = runtime.demand_history
-            slid = len(history) == FORECAST_HISTORY_EPOCHS
-            history.append(now, demand)
+            slid = runtime.demand_history.append(now, demand)
             if not runtime.forecast_stale:
                 try:
-                    runtime.forecast_stale = slid or not runtime.forecaster.update(demand)
+                    if slid or not runtime.forecaster.update(demand):
+                        runtime.forecast_stale = True
                 except ForecastError:
                     runtime.forecast_stale = True  # the refit reports it
-            nominal = network_slice.request.sla.throughput_mbps
-            violated = self.sla_monitor.check_epoch(slice_id, demand, delivered, nominal)
             runtime.last_violated = violated
             network_slice.record_epoch(violated)
             if violated:
@@ -1698,9 +1690,9 @@ class Orchestrator:
                 "orchestrator.epoch", (perf_counter() - epoch_started) * 1000.0
             )
 
-    def _heal_paths(self, active: Dict[str, SliceRuntime]) -> None:
+    def _heal_paths(self) -> None:
         """Attempt re-routing, via any repair-capable driver (transport
-        in the default wiring), for slices whose domain reports ill."""
+        in the default wiring), for ACTIVE slices whose domain reports ill."""
         healers = [
             d
             for d in self.registry.drivers()
@@ -1708,8 +1700,9 @@ class Orchestrator:
         ]
         if not healers:
             return
-        for slice_id, runtime in active.items():
-            if runtime.network_slice.allocation is None:
+        for slice_id, runtime in self._runtimes.items():
+            network_slice = runtime.network_slice
+            if network_slice.state is not SliceState.ACTIVE or network_slice.allocation is None:
                 continue
             for driver in healers:
                 try:
@@ -1740,40 +1733,6 @@ class Orchestrator:
                     slice_id=slice_id,
                     tenant_id=runtime.network_slice.request.tenant_id,
                 )
-
-    def _transport_cap_mbps(
-        self, runtime: SliceRuntime, spare: Dict[Tuple[str, ...], float]
-    ) -> float:
-        """Throughput ceiling the transport path imposes this epoch.
-
-        A path traversing a failed link delivers nothing.  Otherwise the
-        slice is always entitled to its effective reservation; beyond
-        it, it may borrow the bottleneck link's residual (unused,
-        never-reserved) capacity.  Borrowed residual is not contended
-        between slices within one epoch — an approximation that slightly
-        favours transport, keeping the RAN the binding domain as in the
-        demo testbed.
-
-        ``spare`` memoises the borrowable residual per distinct path
-        (``-inf``: a link is down) for the one epoch whose serve pass
-        owns it — nothing mutates a link inside that pass, so N slices
-        over P paths cost P walks.
-        """
-        allocation = runtime.network_slice.allocation
-        if allocation is None:
-            return 0.0
-        link_ids = allocation.transport.path.link_ids
-        if not link_ids:
-            return float("inf")
-        borrowable = spare.get(link_ids)
-        if borrowable is None:
-            topo = self.allocator.transport.topology
-            borrowable = spare[link_ids] = (
-                max(0.0, topo.path_residual_mbps(link_ids))
-                if topo.down_link_ids.isdisjoint(link_ids)
-                else float("-inf")
-            )
-        return max(0.0, allocation.transport.effective_mbps + borrowable)
 
     def _reconfigure(self, active: Dict[str, SliceRuntime]) -> None:
         """Forecast each trusted slice and resize effective reservations.

@@ -24,6 +24,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.forecasting import Forecaster
 from repro.monitoring.timeseries import TimeSeries
 
@@ -315,21 +317,17 @@ class SlaMonitor:
         self.total_epochs = 0
         self.total_violations = 0
 
-    def check_epoch(
-        self,
-        slice_id: str,
-        demand: float,
-        delivered: float,
-        nominal: float,
-    ) -> bool:
-        """Evaluate one epoch; returns True when the SLA was violated."""
-        if nominal <= 0:
-            raise OverbookingError(f"nominal must be positive, got {nominal}")
-        entitled = min(demand, nominal)
+    def check(
+        self, demand: np.ndarray, delivered: np.ndarray, nominal: np.ndarray
+    ) -> np.ndarray:
+        """Evaluate one epoch of every slice (elementwise over the three
+        arrays); returns the violated mask."""
+        if (nominal <= 0).any():
+            raise OverbookingError(f"nominal must be positive, got {nominal.min()}")
+        entitled = np.where(nominal < demand, nominal, demand)
         violated = delivered < entitled * (1.0 - self.tolerance) - 1e-9
-        self.total_epochs += 1
-        if violated:
-            self.total_violations += 1
+        self.total_epochs += violated.size
+        self.total_violations += int(np.count_nonzero(violated))
         return violated
 
     def violation_rate(self) -> float:

@@ -6,7 +6,7 @@ forecasting engine.  What is *kept* of that is one
 :class:`~repro.monitoring.timeseries.TimeSeries` per live slice (its
 demand tail, on the slice's runtime) plus the multiplexing-gain series;
 everything a scrape shows is read off live state when it asks
-(:func:`repro.api.service.sim_gauges`).
+(:func:`repro.core.epoch.sim_gauges`).
 """
 
 from repro.monitoring.timeseries import TimeSeries, TimeSeriesError

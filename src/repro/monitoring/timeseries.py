@@ -36,8 +36,9 @@ class TimeSeries:
         """Whether the series holds no points."""
         return not self._points
 
-    def append(self, t: float, value: float) -> None:
-        """Append a sample.
+    def append(self, t: float, value: float) -> bool:
+        """Append a sample; ``True`` when the retention cap dropped the
+        oldest one to make room.
 
         Raises:
             TimeSeriesError: If ``t`` precedes the latest sample.
@@ -46,7 +47,9 @@ class TimeSeries:
             raise TimeSeriesError(
                 f"out-of-order append: t={t} < last t={self._points[-1][0]}"
             )
+        slid = len(self._points) == self._points.maxlen
         self._points.append((float(t), float(value)))
+        return slid
 
     def last(self) -> Tuple[float, float]:
         """Latest (time, value) sample.

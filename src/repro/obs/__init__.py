@@ -5,7 +5,7 @@ time — where a 32-slice batch install actually spends its
 milliseconds, stage by stage, whichever thread closed each stage.  It
 holds the one metrics registry and the one Prometheus writer; the
 *simulated world's* telemetry is not stored anywhere but read off live
-state per scrape (:func:`repro.api.service.sim_gauges`) and rendered
+state per scrape (:func:`repro.core.epoch.sim_gauges`) and rendered
 by the same writer.
 
 Enabled per orchestrator via ``OrchestratorConfig.observability``

@@ -11,11 +11,13 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.slices import PLMN
 from repro.ran.enb import ENodeB, RanConfigError
-from repro.ran.scheduler import SliceAwareScheduler
+from repro.ran.scheduler import SchedulerError, SliceAwareScheduler
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,10 @@ class RanController:
         self._index: List[Tuple[int, int, str]] = []
         self._entry: Dict[str, Tuple[int, int, str]] = {}
         self._seq: Dict[str, int] = {}
+        # Per cell, in registration order (a cell's reference CQI and
+        # carrier are fixed at construction): what serve_epoch reads.
+        self._per_prb = np.zeros(0)
+        self._total_prbs = np.zeros(0, dtype=np.int64)
         self._total_free = 0
         #: Bumped whenever a cell is registered; consumers caching
         #: derived per-cell state (the allocator's uplink aggregates)
@@ -97,6 +103,8 @@ class RanController:
         self._enbs[enb.enb_id] = enb
         seq = len(self._seq)
         self._seq[enb.enb_id] = seq
+        self._per_prb = np.append(self._per_prb, enb.throughput_per_prb())
+        self._total_prbs = np.append(self._total_prbs, enb.grid.total_prbs)
         entry = (enb.grid.free_prbs, -seq, enb.enb_id)
         insort(self._index, entry)
         self._entry[enb.enb_id] = entry
@@ -332,41 +340,60 @@ class RanController:
     # ------------------------------------------------------------------
     # Per-epoch service (monitoring input)
     # ------------------------------------------------------------------
+    def cell_of(self, enb_id: str) -> int:
+        """A cell's index in :meth:`serve_epoch` rows (registration
+        order), -1 for a cell this controller does not have."""
+        return self._seq.get(enb_id, -1)
+
     def serve_epoch(
         self,
-        demands_mbps: Dict[str, float],
-        priorities: Optional[Dict[str, int]] = None,
-    ) -> Dict[str, float]:
-        """Serve one epoch of traffic and return delivered Mb/s per slice.
+        slice_ids: Sequence[str],
+        cells: np.ndarray,
+        demands_mbps: np.ndarray,
+        effective_prbs: np.ndarray,
+        priorities: np.ndarray,
+    ) -> np.ndarray:
+        """Serve one epoch of traffic: delivered Mb/s per row, row ``i``
+        being slice ``slice_ids[i]`` with ``effective_prbs[i]`` on cell
+        ``cells[i]`` (:meth:`cell_of`; -1 delivers nothing).  A slice
+        wanting no more than its reservation gets its demand; a cell
+        where one wants more runs :class:`SliceAwareScheduler` over its
+        rows in installation order (unused reservations go to higher
+        ``priorities`` first, so delivery can exceed a reservation).
 
-        Demands of slices installed on the same cell contend for that
-        cell's PRBs via :class:`SliceAwareScheduler`; unused reservations
-        are redistributed (to higher ``priorities`` first when given), so
-        delivered throughput can exceed a slice's effective reservation
-        when neighbours are idle.
+        Raises:
+            SchedulerError: If a cell's rows reserve more than its PRBs.
         """
-        delivered: Dict[str, float] = {}
-        for enb_id, enb in self._enbs.items():
-            local = {
-                s: demands_mbps[s]
-                for s in enb.installed_slices()
-                if s in demands_mbps
-            }
-            if not local:
-                continue
-            per_prb = enb.throughput_per_prb()
-            demands_prbs = {s: d / per_prb for s, d in local.items()}
-            reservations = {
-                s: enb.grid.reservation(s).effective for s in local
-            }
-            local_priorities = (
-                {s: priorities.get(s, 0) for s in local} if priorities else None
+        delivered = np.zeros(len(cells))
+        on = np.flatnonzero(cells >= 0)
+        if not on.size:
+            return delivered
+        cell = cells[on]
+        rate = self._per_prb[cell]
+        wanted = demands_mbps[on] / rate
+        reserved = effective_prbs[on]
+        held = np.bincount(cell, weights=reserved, minlength=len(self._per_prb))
+        over = np.flatnonzero(held > self._total_prbs)
+        if over.size:
+            raise SchedulerError(
+                f"reservations ({held[over[0]]:.0f}) exceed cell budget "
+                f"({self._total_prbs[over[0]]})"
             )
+        delivered[on] = wanted * rate
+        contended = np.unique(cell[wanted > reserved]).tolist()
+        enbs = list(self._enbs.values()) if contended else []
+        for index in contended:
+            enb = enbs[index]
+            row_of = {slice_ids[row]: row for row in on[cell == index].tolist()}
+            local = [s for s in enb.installed_slices() if s in row_of]
+            per_prb = enb.throughput_per_prb()
             grants = SliceAwareScheduler(enb.grid.total_prbs).dispatch(
-                demands_prbs, reservations, priorities=local_priorities
+                {s: float(demands_mbps[row_of[s]]) / per_prb for s in local},
+                {s: enb.grid.reservation(s).effective for s in local},
+                priorities={s: int(priorities[row_of[s]]) for s in local},
             )
             for slice_id, prbs in grants.items():
-                delivered[slice_id] = prbs * per_prb
+                delivered[row_of[slice_id]] = prbs * per_prb
         return delivered
 
     def nominal_load(self) -> Tuple[int, int]:

@@ -669,6 +669,10 @@ def test_every_checkpoint_of_a_history_writes_the_reference_bytes(seed, steps):
                             promoted.ledger.book_admission(
                                 network_slice.slice_id, network_slice.request
                             )
+                # Every live-slot row whose key is current is what a re-read
+                # gives, and every ACTIVE allocation matches its cell's grid.
+                leader = shard.leader.orchestrator
+                leader.live_slots.verify(leader)
             shard.leader.run_until(shard.leader.sim.now + 400.0)  # windows flush
             shard.leader.orchestrator.checkpoint()
         finally:

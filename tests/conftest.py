@@ -81,6 +81,25 @@ def make_request(
     )
 
 
+def serve_slices(controller, demands_mbps, priorities=None) -> dict:
+    """One epoch of ``demands_mbps`` (slice id → Mb/s) through the array
+    ``RanController.serve_epoch``, each slice on the cell and with the
+    reservation the controller holds for it: slice id → delivered Mb/s."""
+    ids = list(demands_mbps)
+    cells = [controller.serving_enb_of(s) for s in ids]
+    delivered = controller.serve_epoch(
+        ids,
+        np.array([controller.cell_of(c) for c in cells], dtype=np.intp),
+        np.array([demands_mbps[s] for s in ids], dtype=float),
+        np.array(
+            [controller.enb(c).grid.reservation(s).effective for s, c in zip(ids, cells)],
+            dtype=np.int64,
+        ),
+        np.array([(priorities or {}).get(s, 0) for s in ids], dtype=np.int64),
+    )
+    return dict(zip(ids, delivered.tolist()))
+
+
 @pytest.fixture
 def request_factory():
     """Expose :func:`make_request` as a fixture."""

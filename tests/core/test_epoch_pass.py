@@ -1,0 +1,300 @@
+"""The monitoring epoch's array pass against the per-slice loop it replaced.
+
+``scalar_epoch`` is that loop, kept here as the oracle only: demand drawn
+slice by slice in ``active`` order, the dict-in/dict-out RAN serve, the
+per-path transport-cap memo and the scalar SLA check.  The pass must give
+the same bits and leave the noise generator in the same state.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core.epoch import LiveSlots, LiveSlotsError
+from repro.core.orchestrator import Orchestrator, OrchestratorConfig
+from repro.core.overbooking import FixedOverbooking
+from repro.core.slices import SLA, ServiceType, SliceRequest, SliceState
+from repro.experiments.testbed import TestbedConfig, build_testbed
+from repro.ran.scheduler import SliceAwareScheduler
+from repro.sim.engine import Simulator
+from repro.sim.randomness import RandomStreams
+from repro.traffic.patterns import (
+    ConstantProfile,
+    DiurnalProfile,
+    OnOffProfile,
+    SpikeProfile,
+    TrafficProfile,
+)
+from repro.traffic.traces import TraceProfile
+
+
+# ----------------------------------------------------------------------
+# The oracle: the per-slice epoch loop, as it was
+# ----------------------------------------------------------------------
+def scalar_epoch(orch: Orchestrator, rng: np.random.Generator) -> list:
+    """``(slice id, demand, delivered, violated)`` per ACTIVE slice."""
+    now = orch.sim.now
+    active = {
+        sid: rt
+        for sid, rt in orch._runtimes.items()
+        if rt.network_slice.state is SliceState.ACTIVE
+    }
+    demands, priorities = {}, {}
+    for slice_id, runtime in active.items():
+        demands[slice_id] = orch.traffic_profile(runtime).demand(now, rng)
+        priorities[slice_id] = runtime.network_slice.request.priority
+    delivered_ran = serve_dicts(orch.allocator.ran, demands, priorities) if demands else {}
+    spare: dict = {}
+    rows = []
+    for slice_id, runtime in active.items():
+        demand = demands[slice_id]
+        delivered = min(delivered_ran.get(slice_id, 0.0), transport_cap(orch, runtime, spare))
+        entitled = min(demand, runtime.network_slice.request.sla.throughput_mbps)
+        tolerance = orch.sla_monitor.tolerance
+        rows.append((slice_id, demand, delivered, delivered < entitled * (1.0 - tolerance) - 1e-9))
+    return rows
+
+
+def serve_dicts(ran, demands_mbps: dict, priorities: dict) -> dict:
+    delivered = {}
+    for enb in ran.enbs():
+        local = {s: demands_mbps[s] for s in enb.installed_slices() if s in demands_mbps}
+        if not local:
+            continue
+        per_prb = enb.throughput_per_prb()
+        grants = SliceAwareScheduler(enb.grid.total_prbs).dispatch(
+            {s: d / per_prb for s, d in local.items()},
+            {s: enb.grid.reservation(s).effective for s in local},
+            priorities={s: priorities.get(s, 0) for s in local},
+        )
+        for slice_id, prbs in grants.items():
+            delivered[slice_id] = prbs * per_prb
+    return delivered
+
+
+def transport_cap(orch: Orchestrator, runtime, spare: dict) -> float:
+    allocation = runtime.network_slice.allocation
+    if allocation is None:
+        return 0.0
+    link_ids = allocation.transport.path.link_ids
+    if not link_ids:
+        return float("inf")
+    borrowable = spare.get(link_ids)
+    if borrowable is None:
+        topo = orch.allocator.transport.topology
+        borrowable = spare[link_ids] = (
+            max(0.0, topo.path_residual_mbps(link_ids))
+            if topo.down_link_ids.isdisjoint(link_ids)
+            else float("-inf")
+        )
+    return max(0.0, allocation.transport.effective_mbps + borrowable)
+
+
+def bits(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+# ----------------------------------------------------------------------
+# Fleets
+# ----------------------------------------------------------------------
+unit = st.floats(min_value=0.0, max_value=0.99)
+
+
+@st.composite
+def profiles(draw) -> TrafficProfile:
+    peak = draw(st.sampled_from([1.0, 2.5, 5.0, 12.0, 20.0]))
+    sigma = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    kind = draw(st.sampled_from(["constant", "diurnal", "onoff", "spike", "trace"]))
+    if kind == "constant":
+        return ConstantProfile(peak, level=draw(st.floats(0.0, 1.5)), noise_std=sigma)
+    if kind == "diurnal":
+        return DiurnalProfile(
+            peak, base=draw(unit), phase=draw(st.floats(0.0, 3.0)),
+            period_s=draw(st.sampled_from([3_600.0, 7_777.7, 43_200.0, 86_400.0])),
+            noise_std=sigma,
+        )
+    if kind == "onoff":
+        return OnOffProfile(
+            peak, on_fraction=draw(st.floats(0.05, 1.0)),
+            period_s=draw(st.floats(600.0, 5_400.0)), floor=draw(unit), noise_std=sigma,
+        )
+    if kind == "spike":
+        every = draw(st.floats(300.0, 900.0))
+        return SpikeProfile(
+            peak, baseline=draw(unit), spike_every_s=every,
+            spike_duration_s=draw(st.floats(10.0, every / 2)), noise_std=sigma,
+        )
+    return TraceProfile(
+        peak, draw(st.lists(st.floats(0.0, 1.8), min_size=1, max_size=12)),
+        sample_period_s=draw(st.sampled_from([60.0, 450.0, 900.0])),
+        wrap=draw(st.booleans()), noise_std=sigma,
+    )
+
+
+def request(throughput_mbps: float, priority: int) -> SliceRequest:
+    return SliceRequest(
+        tenant_id="t", service_type=ServiceType.EMBB,
+        sla=SLA(throughput_mbps=throughput_mbps, max_latency_ms=50.0, duration_s=1e7),
+        price=10.0, penalty_rate=1.0, priority=priority,
+    )
+
+
+def fleet(cells: int, factor: float, slices: list) -> Orchestrator:
+    testbed = build_testbed(TestbedConfig(n_enbs=cells, max_plmns_per_enb=12, plmn_pool_size=32))
+    orch = Orchestrator(
+        sim=Simulator(), allocator=testbed.allocator, plmn_pool=testbed.plmn_pool,
+        overbooking=FixedOverbooking(factor), streams=RandomStreams(seed=3),
+        registry=testbed.registry, config=OrchestratorConfig(deploy_time_s=1.0),
+    )
+    for profile, priority in slices:
+        orch.submit(request(profile.peak_mbps, priority), profile)
+    orch.sim.run_until(2.0)  # every admitted slice ACTIVE; no epoch runs
+    return orch
+
+
+def slice_ids(orch: Orchestrator) -> list:
+    return [s.slice_id for s in orch.active_slices()]
+
+
+def apply(orch: Orchestrator, op: tuple, extra: TrafficProfile) -> None:
+    """One state change between two epochs."""
+    kind, pick, value = op
+    live = slice_ids(orch)
+    target = orch.runtime(live[pick % len(live)]) if live else None
+    links = orch.allocator.transport.topology.links()
+    if kind == "advance":
+        orch.sim.run_until(orch.sim.now + value)
+    elif kind == "modify" and target is not None:
+        orch.modify_slice(target.network_slice.slice_id, value)
+    elif kind == "sla" and target is not None:  # replaced outside _resize_domains
+        wanted = target.network_slice.request
+        wanted.sla = replace(wanted.sla, throughput_mbps=value)
+    elif kind == "peak" and target is not None:  # set in place, as modify_slice does
+        target.profile.peak_mbps = value
+    elif kind == "profile" and target is not None:
+        target.profile = extra
+    elif kind == "drop" and target is not None:  # as under a third-party data-plane driver
+        target.network_slice.allocation = None
+    elif kind == "terminate" and target is not None:
+        orch.terminate_early(target.network_slice.slice_id)
+    elif kind == "add":
+        orch.submit(request(value, 1 + pick % 3), extra)
+        orch.sim.run_until(orch.sim.now + 1.5)
+    elif kind == "fail":
+        links[pick % len(links)].fail()
+    elif kind == "restore":
+        links[pick % len(links)].restore()
+
+
+ops = st.tuples(
+    st.sampled_from(
+        ["advance", "advance", "modify", "sla", "peak", "profile", "drop",
+         "terminate", "add", "fail", "restore"]
+    ),
+    st.integers(0, 50),
+    st.sampled_from([0.5, 3.0, 9.0, 25.0, 60.0, 777.7, 3_600.0]),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    cells=st.integers(1, 3),
+    factor=st.sampled_from([1.0, 2.0, 4.0]),
+    slices=st.lists(st.tuples(profiles(), st.integers(1, 3)), min_size=1, max_size=10),
+    steps=st.lists(st.tuples(ops, profiles()), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_pass_gives_the_bits_of_the_per_slice_loop(cells, factor, slices, steps, seed):
+    orch = fleet(cells, factor, slices)
+    slots = LiveSlots()
+    oracle_rng, pass_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for op, extra in [(("advance", 0, 0.0), None), *steps]:
+        apply(orch, op, extra)
+        expected = scalar_epoch(orch, oracle_rng)
+        served = slots.serve(orch, orch._runtimes, pass_rng)
+        assert list(served.active) == [row[0] for row in expected]
+        assert bits(served.demand) == bits(row[1] for row in expected)
+        assert bits(served.delivered) == bits(row[2] for row in expected)
+        assert served.violated.tolist() == [row[3] for row in expected]
+        assert pass_rng.bit_generator.state == oracle_rng.bit_generator.state
+        slots.verify(orch)
+
+
+# ----------------------------------------------------------------------
+# The row key
+# ----------------------------------------------------------------------
+def test_a_row_is_re_read_exactly_when_its_key_moves():
+    orch = fleet(2, 2.0, [(DiurnalProfile(5.0, phase=i / 4), 1) for i in range(4)])
+    slots, rng = LiveSlots(), np.random.default_rng(0)
+    first, second, third, fourth = (orch.runtime(s) for s in slice_ids(orch))
+
+    def rows_read() -> int:
+        before = slots.refreshes
+        slots.serve(orch, orch._runtimes, rng)
+        slots.verify(orch)
+        return slots.refreshes - before
+
+    assert rows_read() == 4  # every slice claims a slot
+    assert rows_read() == 0  # a quiet epoch reads nothing
+    assert orch.modify_slice(first.network_slice.slice_id, 7.0).admitted  # allocation
+    assert rows_read() == 1
+    wanted = second.network_slice.request
+    wanted.sla = replace(wanted.sla, throughput_mbps=2.0)  # the SLA alone
+    assert rows_read() == 1
+    third.profile.peak_mbps = 9.0  # the peak alone, in place
+    assert rows_read() == 1
+    fourth.profile = ConstantProfile(5.0)  # the profile object
+    assert rows_read() == 1
+    orch.terminate_early(first.network_slice.slice_id)
+    assert rows_read() == 0 and len(slots._slot_of) == 3  # its slot freed
+
+
+def test_verify_names_a_row_that_drifted_from_its_slice():
+    orch = fleet(1, 1.0, [(ConstantProfile(5.0, level=0.5), 1)])
+    slots = LiveSlots()
+    slots.serve(orch, orch._runtimes, np.random.default_rng(0))
+    slots._floats[slots._slot_of[slice_ids(orch)[0]], 6] = 123.0  # the SLA column
+    with pytest.raises(LiveSlotsError, match="re-read"):
+        slots.verify(orch)
+
+
+def test_a_profile_that_draws_its_own_demand_is_refused():
+    class Bespoke(TrafficProfile):
+        def fraction(self, t: float) -> float:
+            return 0.5
+
+        def demand(self, t, rng=None):
+            return 1.0
+
+    orch = fleet(1, 1.0, [(Bespoke(5.0), 1)])
+    with pytest.raises(TypeError, match="Bespoke"):
+        LiveSlots().serve(orch, orch._runtimes, np.random.default_rng(0))
+
+
+# ----------------------------------------------------------------------
+# The host
+# ----------------------------------------------------------------------
+def test_numpy_cos_is_math_cos_on_the_diurnal_argument_grid():
+    """The diurnal shape runs ``np.cos`` where the scalar loop ran
+    ``math.cos``: 2π·cycle for epoch instants over two days, every
+    period and a spread of phases the verticals and tests draw."""
+    rng = np.random.default_rng(7)
+    t = np.arange(0.0, 2 * 86_400.0, 60.0)
+    cycles = [
+        (t / period - phase) % 1.0
+        for period in (3_600.0, 7_777.7, 43_200.0, 86_400.0)
+        for phase in [0.0, *rng.uniform(0.0, 1.0, 12).tolist()]
+    ]
+    arguments = 2.0 * math.pi * np.concatenate([*cycles, rng.uniform(0.0, 1.0, 100_000)])
+    mismatched = np.flatnonzero(np.cos(arguments) != [math.cos(a) for a in arguments.tolist()])
+    assert not mismatched.size, (
+        f"np.cos differs from math.cos at {mismatched.size} of {arguments.size} "
+        f"arguments (first: {arguments[mismatched[0]]!r}) on this host: numpy's "
+        "vectorised cos is not this libm's, so the epoch pass would draw "
+        "different demand than the scalar profiles and every digest would move"
+    )

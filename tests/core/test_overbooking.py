@@ -173,29 +173,38 @@ class TestGainTracker:
         assert tracker.mean_gain() == 0.0
 
 
+def check(monitor, demand, delivered, nominal):
+    """One slice's epoch through the array check: its violated flag."""
+    (violated,) = monitor.check(
+        np.array([demand], float), np.array([delivered], float), np.array([nominal], float)
+    ).tolist()
+    return violated
+
+
 class TestSlaMonitor:
     def test_shortfall_is_violation(self):
         monitor = SlaMonitor()
-        assert monitor.check_epoch("s", demand=10.0, delivered=5.0, nominal=10.0)
+        assert check(monitor, demand=10.0, delivered=5.0, nominal=10.0)
 
     def test_full_delivery_no_violation(self):
         monitor = SlaMonitor()
-        assert not monitor.check_epoch("s", demand=10.0, delivered=10.0, nominal=10.0)
+        assert not check(monitor, demand=10.0, delivered=10.0, nominal=10.0)
 
     def test_demand_above_nominal_not_violation(self):
         """Delivering the nominal is enough even when demand exceeds it."""
         monitor = SlaMonitor()
-        assert not monitor.check_epoch("s", demand=20.0, delivered=10.0, nominal=10.0)
+        assert not check(monitor, demand=20.0, delivered=10.0, nominal=10.0)
 
     def test_tolerance_absorbs_noise(self):
         monitor = SlaMonitor(tolerance=0.05)
-        assert not monitor.check_epoch("s", demand=10.0, delivered=9.6, nominal=10.0)
+        assert not check(monitor, demand=10.0, delivered=9.6, nominal=10.0)
 
     def test_rates(self):
         monitor = SlaMonitor()
-        monitor.check_epoch("a", 10, 5, 10)
-        monitor.check_epoch("a", 10, 10, 10)
-        monitor.check_epoch("b", 10, 10, 10)
+        violated = monitor.check(
+            np.array([10.0, 10.0, 10.0]), np.array([5.0, 10.0, 10.0]), np.array([10.0] * 3)
+        )
+        assert violated.tolist() == [True, False, False]
         assert (monitor.total_epochs, monitor.total_violations) == (3, 1)
         assert monitor.violation_rate() == pytest.approx(1 / 3)
 
@@ -205,7 +214,7 @@ class TestSlaMonitor:
 
     def test_nonpositive_nominal_rejected(self):
         with pytest.raises(OverbookingError):
-            SlaMonitor().check_epoch("s", 1.0, 1.0, 0.0)
+            check(SlaMonitor(), 1.0, 1.0, 0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -216,5 +225,5 @@ class TestSlaMonitor:
     def test_delivering_entitlement_never_violates(self, demand, delivered, nominal):
         monitor = SlaMonitor()
         entitled = min(demand, nominal)
-        violated = monitor.check_epoch("s", demand, max(delivered, entitled), nominal)
+        violated = check(monitor, demand, max(delivered, entitled), nominal)
         assert not violated

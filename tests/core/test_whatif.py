@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.api import build_orchestrator_api
-from repro.api.service import WHAT_IF_REQUEST_ID, sim_gauges
+from repro.api.service import WHAT_IF_REQUEST_ID
+from repro.core.epoch import sim_gauges
 from repro.core.orchestrator import Orchestrator
 from repro.core.slices import peek_request_counter
 from repro.obs.export import _SAMPLE_RE, render_prometheus

@@ -25,7 +25,7 @@ import os
 
 import pytest
 
-from repro.api.service import sim_gauges
+from repro.core.epoch import sim_gauges
 from repro.core.admission import KnapsackPolicy
 from repro.core.broker import SliceBroker
 from repro.core.forecasting import HoltWintersForecaster

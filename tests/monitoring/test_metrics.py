@@ -1,5 +1,5 @@
 """Sim telemetry is a read, not a store: what a scrape shows is gathered
-off live state when it asks (:func:`repro.api.service.sim_gauges`), and
+off live state when it asks (:func:`repro.core.epoch.sim_gauges`), and
 the only thing kept per slice is the demand tail on its runtime."""
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from types import FunctionType, ModuleType
 import pytest
 
 from repro.api import build_orchestrator_api
-from repro.api.service import sim_gauges
+from repro.core.epoch import sim_gauges
 from repro.core.orchestrator import Orchestrator, OrchestratorConfig
 from repro.core.overbooking import FixedOverbooking
 from repro.core.slices import PLMN, SliceState, slice_id_for

@@ -47,8 +47,9 @@ class TestAppend:
 
     def test_retention_cap(self):
         ts = TimeSeries(max_points=3)
-        for i in range(10):
-            ts.append(float(i), float(i))
+        slid = [ts.append(float(i), float(i)) for i in range(10)]
+        assert slid == [False] * 3 + [True] * 7  # the cap dropped the oldest
+        assert not any(TimeSeries().append(float(i), 1.0) for i in range(5))
         assert len(ts) == 3
         assert ts.values().tolist() == [7.0, 8.0, 9.0]
 

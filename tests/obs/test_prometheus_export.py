@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from repro.api.service import sim_gauges
+from repro.core.epoch import sim_gauges
 from repro.core.orchestrator import Orchestrator
 from repro.obs import export
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE, render_prometheus

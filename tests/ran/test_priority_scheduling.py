@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.slices import ServiceType
 from repro.ran.scheduler import SchedulerError, SliceAwareScheduler
-from tests.conftest import make_request
+from tests.conftest import make_request, serve_slices
 
 
 class TestPriorityDispatch:
@@ -117,8 +117,8 @@ class TestControllerIntegration:
         cell_capacity = 100 * per_prb
         # Both demand 60% of the cell: together infeasible.
         demand = cell_capacity * 0.6
-        delivered = controller.serve_epoch(
-            {"hi": demand, "lo": demand}, priorities={"hi": 3, "lo": 1}
+        delivered = serve_slices(
+            controller, {"hi": demand, "lo": demand}, priorities={"hi": 3, "lo": 1}
         )
         assert delivered["hi"] > delivered["lo"]
         assert delivered["hi"] == pytest.approx(demand, rel=0.01)

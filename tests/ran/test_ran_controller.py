@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.slices import PLMN
 from repro.ran.controller import RanController
 from repro.ran.enb import ENodeB, RanConfigError
+from repro.ran.scheduler import SchedulerError
+from tests.conftest import serve_slices
 
 
 @pytest.fixture
@@ -98,13 +101,13 @@ class TestLifecycle:
 class TestServeEpoch:
     def test_delivered_caps_at_demand(self, controller):
         controller.install_slice("s1", plmn(1), 20.0)
-        delivered = controller.serve_epoch({"s1": 5.0})
+        delivered = serve_slices(controller, {"s1": 5.0})
         assert delivered["s1"] == pytest.approx(5.0, rel=0.01)
 
     def test_two_slices_one_cell_share(self, controller):
         controller.install_slice("s1", plmn(1), 20.0, enb_id="enb1")
         controller.install_slice("s2", plmn(2), 20.0, enb_id="enb1")
-        delivered = controller.serve_epoch({"s1": 20.0, "s2": 20.0})
+        delivered = serve_slices(controller, {"s1": 20.0, "s2": 20.0})
         assert delivered["s1"] == pytest.approx(20.0, rel=0.05)
         assert delivered["s2"] == pytest.approx(20.0, rel=0.05)
 
@@ -114,13 +117,22 @@ class TestServeEpoch:
         controller.install_slice("s1", plmn(1), 30.0, effective_fraction=0.5, enb_id="enb1")
         controller.install_slice("s2", plmn(2), 30.0, effective_fraction=0.5, enb_id="enb1")
         controller.install_slice("s3", plmn(3), 30.0, effective_fraction=0.5, enb_id="enb1")
-        delivered = controller.serve_epoch({"s1": 30.0, "s2": 30.0, "s3": 30.0})
+        delivered = serve_slices(controller, {"s1": 30.0, "s2": 30.0, "s3": 30.0})
         total_capacity = controller.enb("enb1").capacity_mbps()
         assert sum(delivered.values()) <= total_capacity * 1.01
         assert any(d < 30.0 for d in delivered.values())
 
     def test_empty_epoch(self, controller):
-        assert controller.serve_epoch({}) == {}
+        assert serve_slices(controller, {}) == {}
+
+    def test_rows_reserving_more_than_their_cell_are_refused(self, controller):
+        cell = controller.cell_of("enb1")
+        with pytest.raises(SchedulerError, match="exceed cell budget"):
+            controller.serve_epoch(
+                ["s1", "s2"], np.array([cell, cell]), np.array([1.0, 1.0]),
+                np.array([60, 60]), np.array([1, 1]),
+            )
+        assert controller.cell_of("ghost") == -1
 
     def test_utilization_aggregates(self, controller):
         controller.install_slice("s1", plmn(1), 20.0)

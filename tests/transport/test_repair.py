@@ -254,14 +254,14 @@ class TestPathMemoLastsOneEpoch:
             lambda self, link_id: lookups.append(link_id) or plain_link(self, link_id),
         )
         caps = {}  # epoch -> [cap of first, cap of second]
-        plain_cap = orch._transport_cap_mbps
+        plain_serve = orch.live_slots.serve
 
-        def recording_cap(runtime, spare):
-            cap = plain_cap(runtime, spare)
-            caps.setdefault(orch._epoch_counter, []).append(cap)
-            return cap
+        def recording_serve(*args):
+            served = plain_serve(*args)
+            caps[orch._epoch_counter] = served.cap.tolist()
+            return served
 
-        orch._transport_cap_mbps = recording_cap
+        orch.live_slots.serve = recording_serve
 
         def fresh_walk(runtime):
             links = [plain_link(testbed.transport.topology, lid) for lid in path]

@@ -17,13 +17,6 @@ asserted floor is broken:
   recovery smoke (churn → crash → fresh control plane → reconcile)
   must come back with zero lost slices and zero leaked reservations;
   the measured recovery time is published in the artifact.
-- **Observability** (published, not gated) — one interleaved min-of-N
-  measurement of the tracing/histogram instrumentation over the
-  disabled no-op path on the same batched burst, with the per-stage
-  latency breakdown it produces.  A 16-slice, ~20 ms burst read
-  anywhere from -2.7 % to 8.2 % across identical runs, so nothing
-  fails on it; an overhead figure sized to be judged belongs to the
-  end-to-end benchmark.
 - **D8 sweep** (soft gate) — the per-request decision cost across
   testbed scales is recorded so the scaling curve is inspectable per
   commit.  Two bands: past ``D8_FLATNESS_RATIO`` the gate warns
@@ -61,7 +54,9 @@ asserted floor is broken:
   second season), when the heal loop polls ``health`` at all with every
   link up, or when an epoch that reconfigures nothing looks up more
   links than the distinct paths in use hold.  ``epoch_us_per_slice`` is
-  published and never judged (see Observability for why not).
+  published and never judged: a wall-clock figure this small swings
+  more between identical runs than any change it could catch, so a
+  timing sized to be judged belongs to the end-to-end benchmark.
 - **Durable writes** — counted, not timed, on one durable 32-slice
   shard: a second checkpoint of an unchanged fleet must encode no slice
   (``checkpoint_fragments_encoded == 0``), one after rescaling 3 slices
@@ -118,7 +113,6 @@ from benchmarks.bench_d8_scalability import (  # noqa: E402
     STALL_TIMEOUT_S,
     _install_burst,
     _stalled_batch,
-    measure_obs_overhead,
     run_live_slice_point,
     run_scale_measured,
 )
@@ -127,8 +121,10 @@ from benchmarks.bench_d8_scalability import (  # noqa: E402
 FLOOR_D8B_SPEEDUP = 1.5
 #: Ceiling on ``count_src_lines()``: growth in ``src/`` is a reviewed
 #: diff to this one number, and a PR that shrinks ``src/`` lowers it in
-#: the same change.
-SRC_LINES_CEILING = 21_395
+#: the same change.  +49 for the Cephes ``ndtri`` port in
+#: ``core/forecasting.py``, which replaced the control plane's only
+#: runtime scipy import.
+SRC_LINES_CEILING = 21_444
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per
@@ -845,11 +841,6 @@ def run_gate() -> dict:
             f"D8d: async engine took {async_s:.2f}s — it waited out the stall"
         )
 
-    # Observability: instrumentation overhead and the per-stage latency
-    # breakdown, published per commit and never judged (see the module
-    # docstring: the burst is too small for its overhead to be a gate).
-    obs_off_s, obs_on_s, obs_overhead, obs_stages = measure_obs_overhead(BATCH_SLICES)
-
     sweep = run_scale_sweep(warnings, failures)
     sharded = run_sharded_sweep(warnings, failures)
     live_slices = run_live_slice_sweep(warnings, failures)
@@ -916,22 +907,6 @@ def run_gate() -> dict:
             "speedup": round(d12["speedup"], 2),
             "floor": FLOOR_D12_SPEEDUP,
         },
-        "observability": {
-            "slices": BATCH_SLICES,
-            "disabled_s": round(obs_off_s, 4),
-            "enabled_s": round(obs_on_s, 4),
-            "overhead": round(obs_overhead, 4),
-            "stages": {
-                name: {
-                    "count": stats["count"],
-                    "p50_ms": stats["p50_ms"],
-                    "p95_ms": stats["p95_ms"],
-                    "p99_ms": stats["p99_ms"],
-                    "max_ms": stats["max_ms"],
-                }
-                for name, stats in obs_stages.items()
-            },
-        },
         "d8_sweep": sweep,
         "d8_sharded": sharded,
         "d8_live_slices": live_slices,
@@ -969,7 +944,6 @@ def main(argv=None) -> int:
         f"(floor {FLOOR_D8B_SPEEDUP}x), "
         f"D8d {payload['d8d']['isolation']}x, "
         f"D12 {payload['d12']['speedup']}x (floor {FLOOR_D12_SPEEDUP}x), "
-        f"obs overhead {payload['observability']['overhead']:.1%} (not gated), "
         f"recovery smoke {payload['recovery_smoke']['recovery_s']}s, "
         f"failover drill {payload['failover_drill']['recovery_s']}s "
         f"({payload['failover_drill']['slices_adopted']} adopted / "

@@ -47,7 +47,14 @@ asserted floor is broken:
   (``promotion_cell_scans <= 1``, ``promotion_calendar_commits <= 1``),
   and format no PLMN identity and take no legality-checked transition
   (``promotion_plmn_formats == promotion_checked_transitions == 0``).
-  The ``recovery_split_s`` (adopt / rest) and
+  The standby that re-arms the promoted shard starts from the promoted
+  fold: its first poll must decode no snapshot and fold no more records
+  than the promotion journaled (``successor_snapshot_parses == 0``,
+  ``successor_first_poll_records <= promotion_journal_records``).  The
+  promoted shard's first epoch, which draws every adopted profile, must
+  construct no ``numpy.random.SeedSequence``
+  (``first_epoch_seed_sequences == 0``): profiles are seeded by
+  arithmetic.  The ``recovery_split_s`` (adopt / rest) and
   ``promotion_tracked_objects_per_slice`` are published, not gated.
 - **D13** — the mobility+failure scenario packs (scenario engine) at a
   fixed seed: every scheduled outage must heal inside the horizon and
@@ -129,8 +136,11 @@ FLOOR_D8B_SPEEDUP = 1.5
 #: diff to this one number, and a PR that shrinks ``src/`` lowers it in
 #: the same change.  +49 for the Cephes ``ndtri`` port in
 #: ``core/forecasting.py``, which replaced the control plane's only
-#: runtime scipy import; −2 for the batch re-adoption.
-SRC_LINES_CEILING = 21_442
+#: runtime scipy import; −2 for the batch re-adoption; +66 for the
+#: integer port of numpy's keyed-stream seeding in ``sim/randomness.py``
+#: (+74), which takes ``SeedSequence`` and ``PCG64`` construction off every
+#: traffic-profile draw, less the standby hand-off's net −8.
+SRC_LINES_CEILING = 21_508
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per
@@ -875,9 +885,19 @@ def run_gate() -> dict:
         ("promotion_calendar_commits", 1, "the windows enter the calendar at once"),
         ("promotion_plmn_formats", 0, "a PLMN claim validates by arithmetic"),
         ("promotion_checked_transitions", 0, "a slice goes live with one check"),
+        ("successor_snapshot_parses", 0, "the successor starts from the promoted fold"),
+        ("first_epoch_seed_sequences", 0, "profiles are seeded by arithmetic"),
     ):
         if drill.get("promoted") and drill[count] > ceiling:
             failures.append(f"drill: {count} = {drill[count]} > {ceiling} ({why})")
+    if drill.get("promoted") and (
+        drill["successor_first_poll_records"] > drill["promotion_journal_records"]
+    ):
+        failures.append(
+            f"drill: successor_first_poll_records = {drill['successor_first_poll_records']} "
+            f"> promotion_journal_records = {drill['promotion_journal_records']} "
+            "(the successor folds only what was journaled since the promoted fold)"
+        )
     # The full promotion trace belongs to the drill's own artifact, not
     # the per-commit perf summary.
     drill.pop("promotion", None)
@@ -964,7 +984,10 @@ def main(argv=None) -> int:
         f"{payload['failover_drill']['promotion_snapshot_parses']} snapshots parsed, "
         f"{payload['failover_drill']['promotion_template_builds']} vEPC templates, "
         f"{payload['failover_drill']['promotion_fleet_serialisations']} fleet serialisations, "
-        f"{payload['failover_drill']['recovery_ms_per_adopted_slice']} ms per slice), "
+        f"{payload['failover_drill']['recovery_ms_per_adopted_slice']} ms per slice; "
+        f"successor first poll {payload['failover_drill']['successor_first_poll_records']} "
+        f"records / {payload['failover_drill']['successor_snapshot_parses']} snapshots, "
+        f"first epoch {payload['failover_drill']['first_epoch_seed_sequences']} SeedSequences), "
         f"D13 {len(payload['d13_scenarios']['packs'])} scenario packs clean, "
         f"epoch upkeep {payload['epoch_upkeep']['fits']} fits / "
         f"{payload['epoch_upkeep']['slices']} slices "

@@ -18,8 +18,9 @@ acceptance invariants:
   ``recovery.rebased`` record is its one durable statement, and
   ``recovery.completed`` closes it),
 - ``promotion_profiles_derived`` and ``promotion_snapshot_parses``:
-  traffic profiles drawn and snapshots decoded inside the watch cycle
-  that promotes.  The CI gate holds both at 0: an adopted slice's
+  traffic profiles drawn (``default_profile``, ``RandomStreams.derive``
+  and ``RandomStreams.draws`` calls) and snapshots decoded inside the
+  watch cycle that promotes.  The CI gate holds both at 0: an adopted slice's
   profile waits for its first epoch, the reopened store reads the
   snapshot LSN off the file's head, and the standby's image is the
   recovery input,
@@ -43,6 +44,19 @@ acceptance invariants:
   validates an identity by arithmetic) and
   ``promotion_checked_transitions`` (``NetworkSlice.transition`` calls,
   0: an adopted slice goes live with one state check),
+- what re-arming the promoted shard costs, gated by the CI gate: the
+  successor standby's first poll must decode no snapshot
+  (``successor_snapshot_parses == 0``; the leader checkpointed before
+  the standby first polled, so a cold successor would decode one) and
+  fold no more than the promotion journaled
+  (``successor_first_poll_records <= promotion_journal_records``): it
+  starts from the promoted fold,
+- ``first_epoch_seed_sequences``: ``numpy.random.SeedSequence``
+  constructions in the promoted shard's first monitoring epoch, which
+  draws every adopted slice's profile (``first_epoch_profiles_drawn``).
+  The CI gate holds it at 0: profiles are seeded by arithmetic
+  (``RandomStreams.draws``), and the epoch's shared ``demand-noise``
+  stream is made when the loop starts,
 - ``promotion_tracked_objects_per_slice``: GC-tracked objects the
   adoption batch leaves alive per slice, replayed on a memory-only twin
   after the drill (published, never gated: CPython versions differ),
@@ -168,6 +182,8 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
     diagnosable from the numbers)."""
     import threading
 
+    import numpy as np
+
     import repro.core.allocation as allocation_module
     from repro.cluster import ClusterConfig, ControlPlaneCluster
     from repro.core.calendar import ResourceCalendar
@@ -175,6 +191,7 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
     from repro.core.slices import NetworkSlice, PlmnPool
     from repro.drivers.base import ReservationState
     from repro.ran.controller import RanController
+    from repro.sim.randomness import RandomStreams
     from repro.store.codec import ReplayState
     from repro.store.recovery import RecoveryManager
     from repro.store.snapshot import SnapshotStore
@@ -221,6 +238,9 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
         )
         if response.status != 201:
             failures.append(f"drill: first-wave create -> {response.status}")
+    # A snapshot the standby decodes on its first poll, as a cold
+    # successor would on its own.
+    leader.orchestrator.checkpoint()
     standby = cluster.standby_for(KILLED)
     standby.poll()
 
@@ -272,6 +292,8 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
     with contextlib.ExitStack() as spies:
         for owner, name, key in (
             (Orchestrator, "default_profile", "profiles"),
+            (RandomStreams, "derive", "profiles"),
+            (RandomStreams, "draws", "profiles"),
             (SnapshotStore, "load_latest", "snapshots"),
             (allocation_module, "epc_template", "templates"),
             (SnapshotStore, "write", "serialisations"),
@@ -301,6 +323,12 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
         cluster.close()
         return {"promoted": False}
     cluster.adopt_promotion(KILLED, promotion)
+    promoted = cluster.shard(KILLED)
+    journal_records = promoted.store.last_lsn - lsn_at_kill
+    # The standby that re-arms the shard, and its first poll.
+    successor = cluster.standby_for(KILLED)
+    with _spying(SnapshotStore, "load_latest", counts, "successor_snapshots"):
+        successor_records = successor.poll()
 
     report = promotion.report
     expected = FIRST_WAVE + BATCH
@@ -309,7 +337,6 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
             f"drill: adopted {report.slices_adopted}/{expected}, "
             f"lost {report.slices_lost} ({report.lost_slice_ids})"
         )
-    promoted = cluster.shard(KILLED)
     live_ids = {s.slice_id for s in promoted.orchestrator.live_slices()}
     committed = sum(
         r.spec.throughput_mbps * r.spec.effective_fraction
@@ -349,7 +376,7 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
         "recovery_ms_per_adopted_slice": round(
             promotion.recovery_s * 1000.0 / max(report.slices_adopted, 1), 4
         ),
-        "promotion_journal_records": promoted.store.last_lsn - lsn_at_kill,
+        "promotion_journal_records": journal_records,
         "promotion_profiles_derived": counts["profiles"],
         "promotion_snapshot_parses": counts["snapshots"],
         "promotion_template_builds": counts["templates"],
@@ -359,6 +386,8 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
         "promotion_calendar_commits": counts["calendar_commits"],
         "promotion_plmn_formats": counts["plmn_formats"],
         "promotion_checked_transitions": counts["checked_transitions"],
+        "successor_snapshot_parses": counts["successor_snapshots"],
+        "successor_first_poll_records": successor_records,
         "promotion_tracked_objects_per_slice": _tracked_objects_per_slice(
             leader.testbed, promoted.orchestrator.plmn_pool.capacity,
             adopt_calls[0][1] if adopt_calls else [],
@@ -379,6 +408,15 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
             str(k): cluster.shard(k).store.status() for k in owners
         },
     }
+    # The promoted shard's first epoch draws every adopted profile.
+    with _spying(np.random, "SeedSequence", payload, "first_epoch_seed_sequences"), \
+            _spying(Orchestrator, "default_profile", payload, "first_epoch_profiles_drawn"):
+        promoted.run_until(promoted.sim.now + promoted.orchestrator.config.monitoring_epoch_s)
+    if payload["first_epoch_profiles_drawn"] < report.slices_adopted:
+        failures.append(
+            f"drill: the first epoch drew {payload['first_epoch_profiles_drawn']} "
+            f"profiles for {report.slices_adopted} adopted slices"
+        )
     cluster.close()
     return payload
 

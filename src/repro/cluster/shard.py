@@ -127,6 +127,7 @@ class ControlPlaneCluster:
             for shard_id in range(self.config.shards)
         ]
         self.router = ShardRouter(self.ring, self.shards)
+        self._handoffs: Dict[int, Any] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -242,14 +243,15 @@ class ControlPlaneCluster:
         worker.api = promotion.api
         worker.lease = promotion.lease
         worker.dead = False
+        self._handoffs[shard_id], promotion.handoff = promotion.handoff, None
         promotion.orchestrator.start()
         return worker
 
     def standby_for(
         self, shard_id: int, lease_timeout_s: Optional[float] = None
     ) -> "Any":
-        """A warm standby tailing ``shard_id``'s WAL, ready to promote
-        itself over the shard's surviving southbound."""
+        """A warm standby tailing ``shard_id``'s WAL, ready to promote; the
+        first after an adopted promotion starts from the promoted fold."""
         from repro.cluster.standby import WarmStandby
 
         if not self.config.durability_root:
@@ -267,6 +269,7 @@ class ControlPlaneCluster:
             store_root=self.config.durability_root,
             rebuild=rebuild,
             lease_timeout_s=lease_timeout_s or self.config.lease_timeout_s,
+            handoff=self._handoffs.pop(shard_id, None),
         )
 
     def close(self) -> None:

@@ -1,52 +1,32 @@
 """Journal-tailing warm standby with lease-watch promotion.
 
 The standby is the survivability half of the sharded control plane: a
-second worker that follows one shard's write-ahead journal *as it is
-written* — folding each record into a live
-:class:`~repro.store.codec.ReplayState` image, so its lag behind the
-leader is bounded by its polling cadence, not by journal size — and
-watches the shard's :class:`~repro.cluster.lease.Lease` heartbeat.
+second worker that folds one shard's write-ahead journal *as it is
+written* into a live :class:`~repro.store.codec.ReplayState` image (its
+lag is bounded by its polling cadence) and watches the shard's
+:class:`~repro.cluster.lease.Lease`.  When the heartbeat goes stale,
+:meth:`WarmStandby.promote` takes the lease with a bumped epoch (fencing
+a merely paused leader), folds the replay lag, rebuilds an orchestrator
+over the *surviving* southbound and a store reopened over the standby's
+journal index, and hands the fold to the
+:class:`~repro.store.recovery.RecoveryManager` reconciliation a restart
+runs: a batch re-adoption stated by one ``recovery.rebased`` record,
+then ``recovery.completed`` and no checkpoint, so feed cursors hold.  A
+promotion costs the lag, not the fleet.
 
-When the heartbeat goes stale (leader SIGKILLed, wedged, partitioned
-away), :meth:`WarmStandby.promote`:
-
-1. takes the lease with a bumped epoch (fencing the old leader if it
-   was merely paused: its next heartbeat fails and it closes its own
-   store),
-2. polls one last time: what this poll folds is the replay lag, the
-   records that landed since the previous poll and nothing else (a torn
-   last line is never folded),
-3. rebuilds a fresh orchestrator + service over the shard's
-   *surviving* southbound and a store reopened over the standby's own
-   journal index — the reopen decodes only what lies past it, and
-   repairs a torn last line before the new leader appends, and
-4. hands the folded image to the existing
-   :class:`~repro.store.recovery.RecoveryManager` reconciliation — the
-   same matrix a restart uses: re-adopt fully-COMMITTED slices,
-   journal the ``recovery.rebased`` record that states the adoption,
-   compensate orphans, re-enqueue admissions, rebase bookings, restore
-   quotas, journal ``recovery.completed``.  No checkpoint closes it, so
-   the durable event feed's replay floor stays at the last snapshot and
-   a consumer's cursor sees no gap across the failover.
-
-The pre-promotion tailing is what makes the standby *warm*: at
-promotion time it has already folded (nearly) the whole journal, so
-recovery neither re-reads the snapshot nor re-decodes the journal, and
-the store reopen reads the snapshot LSN off the file's head.  Per live
-slice a promotion pays only what the slice owns (request, record, PLMN
-claim, runtime, calendar window, timer, event) and nothing durable:
-the adoption is one batch pass that sizes the fleet off one cell and
-one vEPC read, sorts the windows into the calendar once and binds the
-timer callbacks once, where each slice used to rescan the cells, take
-three checked transitions, bisect the calendar twice and close a
-lambda over two cells.  A slice's traffic profile waits for the first
-epoch or rescale that reads it, and the one durable statement is the
-rebase record, whose size is the reconciliation's exceptions.  A cold
-restart (no standby) folds both from disk and then runs the same lines.
+Re-arming the shard costs what changed, too.  A cold standby's first
+poll decodes the latest snapshot and every record since: for one that
+re-arms a promoted shard, the whole fleet again.  So the promoted
+standby gives its fold, LSN and a copy of the journal index up
+(``PromotionReport.handoff``, kept by the cluster for the shard's next
+``standby_for``), and the successor's first poll decodes only the
+rebase, the completion record and what followed; a newer snapshot or a
+replaced journal file is handled as in any poll.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 import time as _time
 from dataclasses import dataclass, field
@@ -86,6 +66,7 @@ class PromotionReport:
     lease: Lease
     replay_floor_lsn: int = 0  # durable-cursor floor: the last snapshot's LSN
     trace: Dict[str, Any] = field(default_factory=dict)
+    handoff: Optional[Tuple[ReplayState, int, JournalTail]] = None  # fold, LSN, index copy
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe image (the failover drill's artifact payload)."""
@@ -115,6 +96,7 @@ class WarmStandby:
             :meth:`~repro.cluster.shard.ControlPlaneCluster.standby_for`.
         lease_timeout_s: Heartbeat staleness that reads as leader death.
         owner: Lease identity of this standby.
+        handoff: A promoted predecessor's ``PromotionReport.handoff``.
     """
 
     def __init__(
@@ -124,10 +106,10 @@ class WarmStandby:
         rebuild: Callable[[JournalTail], Tuple["Orchestrator", "SliceService"]],
         lease_timeout_s: float = 5.0,
         owner: Optional[str] = None,
+        handoff: Optional[Tuple[ReplayState, int, JournalTail]] = None,
     ) -> None:
         self.shard_id = int(shard_id)
         self.directory = shard_directory(store_root, self.shard_id)
-        self._tail = JournalTail(os.path.join(self.directory, "journal.jsonl"))
         self._snapshots = SnapshotStore(self.directory)
         self._rebuild = rebuild
         self.lease = Lease(
@@ -135,8 +117,9 @@ class WarmStandby:
             owner=owner or f"shard-{self.shard_id}-standby",
             timeout_s=lease_timeout_s,
         )
-        self.state = ReplayState()
-        self.applied_lsn = 0
+        self.state, self.applied_lsn, self._tail = handoff or (
+            ReplayState(), 0, JournalTail(os.path.join(self.directory, "journal.jsonl"))
+        )
         self.polls = 0
         self.promoted: Optional[PromotionReport] = None
 
@@ -206,13 +189,17 @@ class WarmStandby:
             )
         self.state.records_applied = 0  # recovery reports what is folded from here on
         replay_lag = self.poll()
-        # The new leader's journal owns the index from here (it appends to it).
-        tail, self._tail = self._tail, JournalTail(self._tail.path)
+        # The new leader's journal owns the index from here (it appends
+        # to it); the successor gets the fold and a copy of the index.
+        tail = self._tail
+        handoff = (self.state, self.applied_lsn, copy.copy(tail))
+        handoff[2].lsns, handoff[2].starts = tail.lsns[:], tail.starts[:]
         orchestrator, service = self._rebuild(tail)
         orchestrator.attach_lease(self.lease)
         from repro.store.recovery import RecoveryManager
 
         report = RecoveryManager(orchestrator).restore(self.state)
+        self.state, self.applied_lsn, self._tail = ReplayState(), 0, JournalTail(tail.path)
         recovery_s = _time.monotonic() - started
         self.promoted = PromotionReport(
             shard_id=self.shard_id,
@@ -228,6 +215,7 @@ class WarmStandby:
                 "standby_polls": self.polls,
                 "standby_applied_lsn": pre_promotion_lsn,
             },
+            handoff=handoff,
         )
         return self.promoted
 

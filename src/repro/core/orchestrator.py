@@ -357,6 +357,7 @@ class Orchestrator:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Begin the periodic monitoring loop."""
+        self.streams.stream("demand-noise")  # the epochs' shared stream, made before the first
         self._monitor_process.start()
 
     def attach_lease(self, lease: Any) -> None:
@@ -514,7 +515,7 @@ class Orchestrator:
         from repro.traffic.verticals import vertical_for
 
         spec = vertical_for(request.service_type)
-        rng = self.streams.derive(f"api-profile-{request.request_id}")
+        rng = self.streams.draws(f"api-profile-{request.request_id}")
         return spec.sample_profile(request.sla.throughput_mbps, rng)
 
     def traffic_profile(self, runtime: SliceRuntime) -> TrafficProfile:

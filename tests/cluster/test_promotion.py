@@ -1,6 +1,6 @@
 """A promotion costs the lag, not the fleet.
 
-Four guards on the warm-standby promotion path:
+Five guards on the warm-standby promotion path:
 
 - **Warm ≡ cold** — the image a standby folded record by record while
   the leader wrote (across a leader checkpoint it had to jump, writes
@@ -23,6 +23,13 @@ Four guards on the warm-standby promotion path:
   promotion in it, every checkpoint (leader's and promoted's) writes the
   bytes of ``json.dumps`` of ``durable_state()``, and its fragment cache
   holds exactly the live slice ids.
+- **The successor inherits the fold** — the standby that re-arms a
+  promoted shard starts from the promoted fold and a copy (not the
+  leader's own) of its journal index, decodes no snapshot and only the
+  records journaled since, and stays equal to a cold fold across later
+  writes, a checkpoint that compacts the journal and a torn tail; it
+  promotes to what a cold restore builds.  The promoted standby keeps
+  nothing of what it handed over, and any other standby starts cold.
 """
 
 from __future__ import annotations
@@ -183,7 +190,8 @@ def test_promotion_from_the_warm_image_equals_a_cold_restore(seed, steps):
 
             cold_store = ControlPlaneStore(cold_root, shard_id=VICTIM)
             cold_digest = cold_store.replay().digest()
-            assert standby.state.digest() == cold_digest  # untouched by recovery
+            folded, _, _ = promotion.handoff
+            assert folded.digest() == cold_digest  # untouched by recovery
             cold = cluster._build_orchestrator(
                 shard.leader.testbed, VICTIM, store=cold_store
             )
@@ -297,6 +305,7 @@ class PromotionProbe:
         real_fsync = os.fsync
         real_decode = JournalRecord.from_line.__func__
         real_derive = RandomStreams.derive
+        real_draws = RandomStreams.draws
         real_template = allocation_module.epc_template
         real_digest = ReplayState.digest
 
@@ -311,6 +320,10 @@ class PromotionProbe:
         def derive(streams, name):
             self.streams_derived += 1
             return real_derive(streams, name)
+
+        def draws(streams, name):
+            self.streams_derived += 1
+            return real_draws(streams, name)
 
         def epc_template(slice_id):
             self.templates_built += 1
@@ -330,6 +343,7 @@ class PromotionProbe:
         monkeypatch.setattr(ReplayState, "digest", digest)
         monkeypatch.setattr(JournalRecord, "from_line", classmethod(from_line))
         monkeypatch.setattr(RandomStreams, "derive", derive)
+        monkeypatch.setattr(RandomStreams, "draws", draws)
 
 
 def promotion_costs(tmp_path, monkeypatch, live: int) -> dict:
@@ -705,3 +719,96 @@ def test_a_killed_leader_issues_no_fsync_and_the_standby_replays_all_it_appended
     promotion = standby.promote(force=True)
     assert promotion.replay_lag_records == promotion.report.replayed_records == appended
     assert len(promotion.orchestrator.live_slices()) == 3
+
+
+def restored_cold(cluster, root: str, cold_root: str):
+    """A cold restart's orchestrator over a copy of ``root``'s store."""
+    shutil.copytree(os.path.join(root, "store"), cold_root)
+    cold_store = ControlPlaneStore(cold_root, shard_id=VICTIM)
+    cold = cluster._build_orchestrator(cluster.shard(VICTIM).testbed, VICTIM, store=cold_store)
+    SliceService(cold)
+    return cold, RecoveryManager(cold).restore()
+
+
+@SLOW
+@given(seed=st.integers(0, 10_000), steps=st.integers(3, 16), more=st.integers(0, 16))
+def test_a_successor_standby_inherits_the_promoted_fold(seed, steps, more):
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as root:
+        shard = Shard(root, rng)
+        cluster = shard.cluster
+        try:
+            standby = cluster.standby_for(VICTIM)
+            for _ in range(steps):
+                shard.op()
+                if rng.random() < 0.3:
+                    standby.poll()
+            cluster.kill_leader(VICTIM)
+            promotion = standby.promote(force=True)
+            folded, applied_lsn, index = promotion.handoff
+            handed_over = folded.digest()
+            cluster.adopt_promotion(VICTIM, promotion)
+            assert promotion.handoff is None  # kept by the cluster, for one use
+            promoted = promotion.orchestrator
+            leader_index = promoted.store.journal._tail
+            assert index is not leader_index
+            assert index.lsns is not leader_index.lsns
+            assert index.starts is not leader_index.starts
+
+            # The promoted standby gave the image up: it folds elsewhere now.
+            standby.poll()
+            assert standby.state is not folded and folded.digest() == handed_over
+
+            successor = cluster.standby_for(VICTIM)
+            assert successor.state is folded and successor.applied_lsn == applied_lsn
+            loads, decoded = [], []
+            real_load, real_decode = SnapshotStore.load_latest, JournalRecord.from_line.__func__
+            with mock.patch.object(
+                SnapshotStore, "load_latest", lambda store: loads.append(1) or real_load(store)
+            ), mock.patch.object(
+                JournalRecord, "from_line",
+                classmethod(lambda cls, text: decoded.append(1) or real_decode(cls, text)),
+            ):
+                first_poll = successor.poll()
+            # The rebase, the completion record and what followed: no snapshot.
+            assert first_poll == len(decoded) == promoted.store.last_lsn - applied_lsn >= 2
+            assert loads == []
+
+            # Any other standby for the shard starts cold.
+            cold_standby = cluster.standby_for(VICTIM)
+            assert cold_standby.applied_lsn == 0
+            assert cold_standby.state.digest() == ReplayState().digest()
+
+            checkpoint_at = rng.randrange(more + 1)  # == more: no checkpoint
+            for step in range(more):
+                shard.op()
+                if step == checkpoint_at:
+                    shard.op()  # unseen, then compacted away
+                    shard.leader.orchestrator.checkpoint()
+                elif rng.random() < 0.3:
+                    successor.poll()
+            cluster.kill_leader(VICTIM)
+            if rng.random() < 0.5:
+                with open(os.path.join(successor.directory, "journal.jsonl"), "a") as handle:
+                    handle.write('{"lsn": 999999, "t": 1.0, "type": "slice.ins')
+            cold_store = ControlPlaneStore(os.path.join(root, "store"), shard_id=VICTIM)
+            cold_digest = cold_store.replay().digest()
+            cold_store.close()
+            successor.poll()
+            assert successor.state.digest() == cold_digest
+            cold_standby.poll()
+            assert cold_standby.state.digest() == cold_digest
+
+            # Promoting the successor ends where a cold restore ends.
+            cold, cold_report = restored_cold(cluster, root, os.path.join(root, "cold"))
+            again = successor.promote(force=True)
+            warm = again.orchestrator
+            assert again.report.slices_lost == cold_report.slices_lost == 0
+            assert again.report.slices_adopted == cold_report.slices_adopted
+            assert fleet_image(warm) == fleet_image(cold)
+            assert lifecycle_timers(warm) == lifecycle_timers(cold)
+            assert warm.durable_state() == cold.durable_state()
+            assert warm.store.replay().digest() == cold.store.replay().digest()
+            cold.store.close()
+        finally:
+            cluster.close()

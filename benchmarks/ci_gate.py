@@ -139,8 +139,10 @@ FLOOR_D8B_SPEEDUP = 1.5
 #: runtime scipy import; −2 for the batch re-adoption; +66 for the
 #: integer port of numpy's keyed-stream seeding in ``sim/randomness.py``
 #: (+74), which takes ``SeedSequence`` and ``PCG64`` construction off every
-#: traffic-profile draw, less the standby hand-off's net −8.
-SRC_LINES_CEILING = 21_508
+#: traffic-profile draw, less the standby hand-off's net −8; −724 for
+#: deleting what no workload, experiment, route or CLI verb reaches
+#: (``benchmarks/reachability.py``).
+SRC_LINES_CEILING = 20_784
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per

@@ -76,10 +76,6 @@ class CloudController:
             dcs = [dc for dc in dcs if dc.tier is tier]
         return dcs
 
-    def feasible_dcs(self, template: HeatTemplate) -> List[Datacenter]:
-        """Datacenters that can currently host the template."""
-        return [dc for dc in self._dcs.values() if dc.can_host_flavors(template.flavors())]
-
     def stack_of(self, slice_id: str) -> Optional[HeatStack]:
         """The slice's Heat stack (None if absent)."""
         return self._stacks.get(slice_id)

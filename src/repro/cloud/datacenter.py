@@ -54,10 +54,6 @@ class VirtualMachine:
         """Terminal delete."""
         self.state = VmState.DELETED
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VM({self.vm_id}, {self.name}, {self.flavor.name}, {self.state.value})"
-
-
 class ComputeNode:
     """One hypervisor with fixed vCPU/RAM/disk capacity."""
 

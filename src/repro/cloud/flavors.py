@@ -53,15 +53,4 @@ FLAVORS: Dict[str, Flavor] = {
 }
 
 
-def flavor(name: str) -> Flavor:
-    """Lookup a preset flavor by name.
-
-    Raises:
-        KeyError: If no preset with that name exists.
-    """
-    if name not in FLAVORS:
-        raise KeyError(f"unknown flavor {name!r}; presets: {sorted(FLAVORS)}")
-    return FLAVORS[name]
-
-
-__all__ = ["FLAVORS", "Flavor", "flavor"]
+__all__ = ["FLAVORS", "Flavor"]

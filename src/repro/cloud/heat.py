@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.cloud.datacenter import CloudError, Datacenter, VirtualMachine
 from repro.cloud.flavors import Flavor
@@ -56,15 +56,6 @@ class HeatTemplate:
     def total_vcpus(self) -> int:
         """Aggregate vCPUs the template needs."""
         return sum(r.flavor.vcpus for r in self.resources)
-
-    @property
-    def total_ram_gb(self) -> float:
-        """Aggregate RAM the template needs."""
-        return sum(r.flavor.ram_gb for r in self.resources)
-
-    def flavors(self) -> List[Flavor]:
-        """Flavor list, one entry per resource."""
-        return [r.flavor for r in self.resources]
 
 
 _stack_counter = itertools.count(1)
@@ -117,20 +108,6 @@ class HeatStack:
             if vm.node_id is not None:
                 self.datacenter.node(vm.node_id).destroy(vm.vm_id)
         self.state = StackState.DELETE_COMPLETE
-
-    def vm(self, name: str) -> VirtualMachine:
-        """Lookup a stack VM by resource name.
-
-        Raises:
-            CloudError: If the stack has no such VM.
-        """
-        try:
-            return self.vms[name]
-        except KeyError:
-            raise CloudError(f"stack {self.stack_id} has no VM {name!r}") from None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"HeatStack({self.stack_id}, {self.template.name}, {self.state.value})"
 
 
 __all__ = ["HeatStack", "HeatTemplate", "StackResource", "StackState"]

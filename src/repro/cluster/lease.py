@@ -153,15 +153,5 @@ class Lease:
         self._write(self.epoch)
         return True
 
-    def release(self) -> None:
-        """Drop the lease (clean shutdown); best-effort."""
-        state = self.read()
-        if state is not None and state.owner == self.owner:
-            try:
-                os.remove(self.path)
-            except OSError:
-                pass
-        self.epoch = 0
-
 
 __all__ = ["Lease", "LeaseError", "LeaseState"]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 #: The ring is the full 32-bit hash space.
 RING_BITS = 32
@@ -76,13 +76,6 @@ class HashRing:
         if index == len(self._points):
             index = 0  # wrap: past the last vnode belongs to the first
         return self._owners[index]
-
-    def spread(self, tenant_ids: List[str]) -> Dict[int, int]:
-        """shard_id → tenant count, for balance diagnostics."""
-        out: Dict[int, int] = {shard: 0 for shard in range(self.shard_count)}
-        for tenant in tenant_ids:
-            out[self.shard_for(tenant)] += 1
-        return out
 
 
 __all__ = ["HashRing", "RING_BITS", "RING_SIZE"]

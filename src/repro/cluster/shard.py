@@ -201,10 +201,6 @@ class ControlPlaneCluster:
     # ------------------------------------------------------------------
     # Addressing
     # ------------------------------------------------------------------
-    def shard_for(self, tenant_id: str) -> ShardWorker:
-        """The worker owning ``tenant_id``."""
-        return self.shards[self.ring.shard_for(tenant_id)]
-
     def shard(self, shard_id: int) -> ShardWorker:
         if not 0 <= shard_id < len(self.shards):
             raise ClusterError(f"unknown shard {shard_id}")

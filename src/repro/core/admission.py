@@ -86,12 +86,6 @@ class ResourceVector:
             fractions.append(demand / cap)
         return max(fractions) if fractions else 0.0
 
-    def scale(self, factor: float) -> "ResourceVector":
-        """Multiply every component by ``factor`` (≥ 0)."""
-        if factor < 0:
-            raise AdmissionError(f"scale factor cannot be negative, got {factor}")
-        return ResourceVector(self.prbs * factor, self.mbps * factor, self.vcpus * factor)
-
 
 @dataclass(frozen=True)
 class AdmissionDecision:
@@ -133,22 +127,6 @@ class TenantQuota:
 #: revenue-max policies subtract it from the price.  Signature:
 #: ``(request) -> expected penalty``.
 PenaltyEstimator = Callable[[SliceRequest], float]
-
-
-def default_penalty_estimator(risk: float = 0.02) -> PenaltyEstimator:
-    """Expected penalty = risk × violation epochs × penalty rate.
-
-    ``risk`` is the assumed per-epoch violation probability under the
-    current overbooking posture; monitoring epochs are 60 s.
-    """
-    if not 0.0 <= risk <= 1.0:
-        raise AdmissionError(f"risk must be in [0, 1], got {risk}")
-
-    def estimate(request: SliceRequest) -> float:
-        epochs = max(1.0, request.sla.duration_s / 60.0)
-        return risk * epochs * request.penalty_rate
-
-    return estimate
 
 
 class AdmissionPolicy(ABC):
@@ -415,5 +393,4 @@ __all__ = [
     "PenaltyEstimator",
     "ResourceVector",
     "TenantQuota",
-    "default_penalty_estimator",
 ]

@@ -49,10 +49,6 @@ class Booking:
                 f"start ({self.start})"
             )
 
-    def active_at(self, t: float) -> bool:
-        """Whether the booking occupies capacity at instant ``t``."""
-        return self.start <= t < self.end
-
 
 _WHEN = itemgetter(0)
 
@@ -191,10 +187,6 @@ class ResourceCalendar:
     # ------------------------------------------------------------------
     # Capacity queries
     # ------------------------------------------------------------------
-    def usage_at(self, t: float) -> ResourceVector:
-        """Committed usage at instant ``t``."""
-        return self._peak(t, t)
-
     def peak_usage(self, start: float, end: float) -> ResourceVector:
         """Component-wise peak committed usage over ``[start, end)``.
 

@@ -257,7 +257,7 @@ def sim_gauges(orchestrator: "Orchestrator") -> Dict[Tuple[str, str], float]:
     for network_slice in orchestrator.live_slices():
         slice_id = network_slice.slice_id
         runtime = orchestrator.runtime(slice_id)
-        if runtime.demand_history.empty:
+        if not runtime.demand_history:
             continue  # not ACTIVE through an epoch yet
         gauges["slice.demand_mbps", slice_id] = runtime.last_demand_mbps
         gauges["slice.delivered_mbps", slice_id] = runtime.last_delivered_mbps

@@ -74,9 +74,6 @@ class EventLog:
         #: buffered-depth gauge); ``None`` keeps emit untouched.
         self.obs = None
 
-    def __len__(self) -> int:
-        return len(self._events)
-
     @property
     def last_seq(self) -> int:
         """Sequence number of the newest event (0 when empty)."""

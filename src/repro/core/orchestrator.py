@@ -37,11 +37,12 @@ abstraction (see ``docs/ARCHITECTURE.md``).
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from time import perf_counter
 from types import MappingProxyType
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.admission import (
     AdmissionDecision,
@@ -87,7 +88,6 @@ from repro.core.slices import (
 )
 from repro.epc.attach import AttachProcedure
 from repro.epc.instance import EpcInstance
-from repro.monitoring.timeseries import TimeSeries
 from repro.obs import NOOP_OBS, ControlPlaneObservability
 from repro.ran.controller import PlannedCellLoad
 from repro.ran.ue import UserEquipment
@@ -224,12 +224,20 @@ class SliceRuntime:
     last_demand_mbps: float = 0.0
     last_delivered_mbps: float = 0.0
     last_violated: bool = False
-    #: One demand sample per served epoch: what the forecaster refits on,
-    #: and it dies with the runtime.
-    demand_history: TimeSeries = field(
-        default_factory=lambda: TimeSeries(max_points=FORECAST_HISTORY_EPOCHS)
+    #: One ``(epoch time, demand)`` sample per served epoch; the demands
+    #: are what the forecaster refits on, and it dies with the runtime.
+    demand_history: Deque[Tuple[float, float]] = field(
+        default_factory=lambda: deque(maxlen=FORECAST_HISTORY_EPOCHS)
     )
     reservations: Dict[str, Reservation] = field(default_factory=dict)
+
+    def push_demand(self, now: float, demand: float) -> bool:
+        """Keep one more epoch's sample; ``True`` when the cap dropped
+        the oldest one to make room."""
+        history = self.demand_history
+        slid = len(history) == history.maxlen
+        history.append((now, demand))
+        return slid
 
 
 class Orchestrator:
@@ -790,7 +798,7 @@ class Orchestrator:
         if self.calendar.has(request.request_id):
             self.calendar.release(request.request_id)
         network_slice.transition(SliceState.REJECTED, self.sim.now)
-        self.ledger.book_rejection(request, reason, self.sim.now)
+        self.ledger.book_rejection(request)
         event = self.events.append(
             self.sim.now, "slice.rejected", slice_id, request.tenant_id, reason=reason
         )
@@ -1628,7 +1636,7 @@ class Orchestrator:
             network_slice = runtime.network_slice
             runtime.last_demand_mbps = demand
             runtime.last_delivered_mbps = delivered
-            slid = runtime.demand_history.append(now, demand)
+            slid = runtime.push_demand(now, demand)
             if not runtime.forecast_stale:
                 try:
                     if slid or not runtime.forecaster.update(demand):
@@ -1651,7 +1659,7 @@ class Orchestrator:
             if observe is not None:
                 observe(violated)
         nominal_prbs, total_prbs = self.allocator.ran.nominal_load()
-        self.gain_tracker.record(now, nominal_prbs, max(1, total_prbs))
+        self.gain_tracker.record(nominal_prbs, max(1, total_prbs))
         if self._epoch_counter % self.config.reconfig_every_epochs == 0:
             self.calendar.prune_before(now)
             self._reconfigure(active)
@@ -1731,7 +1739,7 @@ class Orchestrator:
                 runtime.forecaster = self.forecaster_factory()
             if runtime.forecast_stale:
                 try:
-                    runtime.forecaster.fit(history.values())
+                    runtime.forecaster.fit([demand for _, demand in history])
                 except ForecastError:
                     continue
                 runtime.forecast_stale = False

@@ -21,13 +21,13 @@ series the demo dashboard plots: achieved gain and accrued penalties.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from array import array
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.forecasting import Forecaster
-from repro.monitoring.timeseries import TimeSeries
 
 
 class OverbookingError(RuntimeError):
@@ -241,10 +241,6 @@ class AdaptiveOverbooking(OverbookingPolicy):
         new_q = self._inner.quantile + self.gain * error
         self._inner.quantile = min(self.Q_MAX, max(self.Q_MIN, new_q))
 
-    def observed_violation_rate(self) -> float:
-        """Empirical violation rate seen so far."""
-        return self._violations / self._epochs if self._epochs else 0.0
-
     def decide(
         self,
         slice_id: str,
@@ -266,12 +262,13 @@ class MultiplexingGainTracker:
 
     Gain is defined per domain as ``nominal committed / physical
     capacity`` — 1.0 means no overbooking; 1.6 means the broker sold 60%
-    more nominal capacity than physically exists.  The tracker keeps a
-    time series so the dashboard can plot gain alongside penalties.
+    more nominal capacity than physically exists.  The tracker keeps
+    every recorded gain, one double per monitoring epoch, so the
+    dashboard can plot gain alongside penalties.
     """
 
     def __init__(self) -> None:
-        self.series = TimeSeries(name="multiplexing_gain")
+        self.series = array("d")
 
     @staticmethod
     def gain(nominal_committed: float, capacity: float) -> float:
@@ -286,19 +283,19 @@ class MultiplexingGainTracker:
             return 0.0
         return nominal_committed / capacity
 
-    def record(self, t: float, nominal_committed: float, capacity: float) -> float:
-        """Record the instantaneous gain at ``t`` and return it."""
+    def record(self, nominal_committed: float, capacity: float) -> float:
+        """Record this epoch's instantaneous gain and return it."""
         g = self.gain(nominal_committed, capacity)
-        self.series.append(t, g)
+        self.series.append(g)
         return g
 
     def peak_gain(self) -> float:
         """Highest recorded gain (0.0 before any record)."""
-        return float(self.series.values().max()) if len(self.series) else 0.0
+        return float(np.asarray(self.series).max()) if self.series else 0.0
 
     def mean_gain(self) -> float:
-        """Average recorded gain."""
-        return self.series.mean()
+        """Average recorded gain (0.0 before any record)."""
+        return float(np.asarray(self.series).mean()) if self.series else 0.0
 
 
 class SlaMonitor:

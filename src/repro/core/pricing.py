@@ -9,9 +9,8 @@ left on the table (opportunity cost, reported but not subtracted).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List
+from typing import Dict
 
 from repro.core.slices import SliceRequest
 
@@ -36,32 +35,12 @@ class LedgerEntry:
     penalties: float = 0.0
     violation_epochs: int = 0
 
-    @property
-    def net(self) -> float:
-        """Price minus penalties for this slice."""
-        return self.price - self.penalties
-
-
-@dataclass
-class RejectionRecord:
-    """One rejected request (opportunity-cost reporting)."""
-
-    request_id: str
-    price: float
-    reason: str
-    at_time: float
-
-
-#: Rejection records a ledger keeps, newest; count and sum are running totals.
-RECENT_REJECTIONS = 1024
-
 
 class RevenueLedger:
     """Account book for admissions, penalties and rejections."""
 
     def __init__(self) -> None:
         self._entries: Dict[str, LedgerEntry] = {}
-        self._rejections: Deque[RejectionRecord] = deque(maxlen=RECENT_REJECTIONS)
         self._rejected_count = 0
         self._rejected_revenue = 0.0
 
@@ -114,33 +93,14 @@ class RevenueLedger:
             )
         entry.price -= amount
 
-    def book_rejection(self, request: SliceRequest, reason: str, at_time: float) -> None:
-        """Record a rejected request and the revenue foregone."""
+    def book_rejection(self, request: SliceRequest) -> None:
+        """Count a rejected request and the revenue foregone."""
         self._rejected_count += 1
         self._rejected_revenue += request.price
-        self._rejections.append(
-            RejectionRecord(
-                request_id=request.request_id,
-                price=request.price,
-                reason=reason,
-                at_time=at_time,
-            )
-        )
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def entry(self, slice_id: str) -> LedgerEntry:
-        """The slice's account.
-
-        Raises:
-            LedgerError: If unknown.
-        """
-        try:
-            return self._entries[slice_id]
-        except KeyError:
-            raise LedgerError(f"slice {slice_id} has no account") from None
-
     @property
     def gross_revenue(self) -> float:
         """Sum of booked prices."""
@@ -176,11 +136,6 @@ class RevenueLedger:
         total = self.admissions + self.rejections
         return self.admissions / total if total else 0.0
 
-    def rejection_records(self) -> List[RejectionRecord]:
-        """The newest :data:`RECENT_REJECTIONS` rejection records,
-        oldest first."""
-        return list(self._rejections)
-
     def summary(self) -> dict:
         """Dashboard-ready totals."""
         return {
@@ -194,4 +149,4 @@ class RevenueLedger:
         }
 
 
-__all__ = ["LedgerEntry", "LedgerError", "RejectionRecord", "RevenueLedger"]
+__all__ = ["LedgerEntry", "LedgerError", "RevenueLedger"]

@@ -180,11 +180,6 @@ class PlmnPool:
         del self._holders[plmn.plmn_id]
         self._released[plmn.plmn_id] = plmn
 
-    def holder_of(self, plmn_id: str) -> Optional[str]:
-        """Slice id currently mapped onto ``plmn_id`` (None if free)."""
-        return self._holders.get(plmn_id)
-
-
 @dataclass(frozen=True)
 class SLA:
     """Service-level agreement attached to a slice request.
@@ -294,15 +289,6 @@ class SliceRequest:
         if self.priority == 0:
             self.priority = self.DEFAULT_PRIORITIES[self.service_type]
 
-    @property
-    def expiry_time(self) -> float:
-        """Absolute time the slice would expire if started on arrival."""
-        return self.arrival_time + self.sla.duration_s
-
-    def price_density(self) -> float:
-        """Price per requested Mb/s·s — the greedy admission ranking key."""
-        return self.price / (self.sla.throughput_mbps * self.sla.duration_s)
-
 
 def slice_id_for(request_id: str) -> str:
     """The slice id a request maps onto (single source of truth — the
@@ -390,16 +376,6 @@ class NetworkSlice:
             self.state, self.active_at = SliceState.ACTIVE, active_at
             self.history.append((active_at, SliceState.ACTIVE))
 
-    @property
-    def is_terminal(self) -> bool:
-        """True once the slice can never change state again."""
-        return not _LEGAL_TRANSITIONS[self.state]
-
-    @property
-    def sla(self) -> SLA:
-        """Shortcut to the request's SLA."""
-        return self.request.sla
-
     def end_time(self) -> Optional[float]:
         """Absolute time the slice should expire (None before activation)."""
         if self.active_at is None:
@@ -446,10 +422,6 @@ class NetworkSlice:
             "sla_met": self.sla_met(),
             "priority": self.request.priority,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"NetworkSlice({self.slice_id}, {self.state.value})"
-
 
 __all__ = [
     "IllegalTransition",

@@ -7,9 +7,6 @@ per-domain utilization bars, and the gain-vs-penalty headline.
 
 from __future__ import annotations
 
-import json
-from typing import Optional
-
 from repro.core.orchestrator import Orchestrator
 from repro.dashboard.reports import format_table, gain_vs_penalty_report, sparkline
 
@@ -105,9 +102,9 @@ class Dashboard:
     def gain_sparkline(self, width: int = 40) -> str:
         """Sparkline of the recorded multiplexing-gain series."""
         series = self.orchestrator.gain_tracker.series
-        if series.empty:
+        if not series:
             return ""
-        return sparkline(series.values().tolist(), width=width)
+        return sparkline(series.tolist(), width=width)
 
     def calendar_panel(self) -> str:
         """Upcoming advance bookings (empty string when none pending)."""
@@ -147,10 +144,5 @@ class Dashboard:
         if calendar:
             parts.extend(["", "--- Upcoming bookings ---", calendar])
         return "\n".join(parts)
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Machine-readable snapshot (what a web UI would poll)."""
-        return json.dumps(self.orchestrator.snapshot(), indent=indent, sort_keys=True)
-
 
 __all__ = ["Dashboard"]

@@ -49,7 +49,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.cloud.controller import CloudController
 from repro.cloud.datacenter import CloudError
-from repro.cloud.heat import HeatStack, StackState
+from repro.cloud.heat import HeatStack
 from repro.drivers.base import (
     BaseDriver,
     DomainSpec,
@@ -148,15 +148,6 @@ class RanDriver(_InProcessDriver):
         except RanConfigError as exc:
             raise DriverError(self.domain, str(exc)) from exc
         return {"allocation": allocation, "enb_id": allocation.enb_id}
-
-    def _do_health(self, slice_id: str) -> Dict[str, Any]:
-        enb_id = self.controller.serving_enb_of(slice_id)
-        return {
-            "domain": self.domain,
-            "slice_id": slice_id,
-            "healthy": enb_id is not None,
-            "enb_id": enb_id,
-        }
 
     def utilization(self) -> dict:
         return self.controller.utilization()
@@ -330,16 +321,6 @@ class CloudDriver(_InProcessDriver):
         except CloudError as exc:
             raise DriverError(self.domain, str(exc)) from exc
 
-    def _do_health(self, slice_id: str) -> Dict[str, Any]:
-        stack = self.controller.stack_of(slice_id)
-        healthy = stack is not None and stack.state is StackState.CREATE_COMPLETE
-        return {
-            "domain": self.domain,
-            "slice_id": slice_id,
-            "healthy": healthy,
-            "stack_state": stack.state.value if stack is not None else None,
-        }
-
     def utilization(self) -> dict:
         return self.controller.utilization()
 
@@ -402,15 +383,6 @@ class EpcDriver(_InProcessDriver):
         if instance is None:
             raise DriverError(self.domain, f"slice {slice_id} has no EPC instance")
         instance.shutdown()
-
-    def _do_health(self, slice_id: str) -> Dict[str, Any]:
-        instance = self._instances.get(slice_id)
-        return {
-            "domain": self.domain,
-            "slice_id": slice_id,
-            "healthy": instance is not None and instance.running,
-            "active_sessions": instance.active_sessions if instance else 0,
-        }
 
     def utilization(self) -> dict:
         return {

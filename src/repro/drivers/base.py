@@ -118,15 +118,6 @@ class Reservation:
     state: ReservationState = ReservationState.PREPARED
     details: Dict[str, Any] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        """JSON-safe summary (telemetry / debugging)."""
-        return {
-            "reservation_id": self.reservation_id,
-            "domain": self.domain,
-            "slice_id": self.slice_id,
-            "state": self.state.value,
-        }
-
 
 @dataclass(frozen=True)
 class DriverCapabilities:

@@ -17,7 +17,7 @@ placement provider (see ``docs/ARCHITECTURE.md``).
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.drivers.base import DomainDriver, DriverError
 
@@ -63,19 +63,6 @@ class DriverRegistry:
             self._drivers[domain] = driver
             return previous if previous is not None else driver
 
-    def unregister(self, domain: str) -> DomainDriver:
-        """Remove and return the driver serving ``domain``.
-
-        Raises:
-            DriverError: If unknown.
-        """
-        with self._lock:
-            try:
-                driver = self._drivers.pop(domain)
-            except KeyError:
-                raise DriverError(domain, "domain not registered") from None
-            return driver
-
     def get(self, domain: str) -> DomainDriver:
         """Lookup the driver serving ``domain``.
 
@@ -105,13 +92,6 @@ class DriverRegistry:
     def __len__(self) -> int:
         with self._lock:
             return len(self._drivers)
-
-    def __iter__(self) -> Iterator[DomainDriver]:
-        return iter(self.drivers())
-
-    def utilization(self) -> dict:
-        """Per-domain telemetry snapshot."""
-        return {d.domain: d.utilization() for d in self.drivers()}
 
     def capabilities(self) -> dict:
         """Per-domain capability summary (API/debugging surface)."""

@@ -32,8 +32,8 @@ EPC_COMPONENT_FLAVORS: Dict[EpcComponentType, Flavor] = {
     EpcComponentType.PGW: FLAVORS["m1.medium"],
 }
 
-#: The flavors one vEPC boots — what ``epc_template(...).flavors()``
-#: lists, for callers that need no named template.
+#: The flavors one vEPC boots, one per resource of ``epc_template(...)``,
+#: for callers that need no named template.
 EPC_FLAVORS = tuple(EPC_COMPONENT_FLAVORS.values())
 
 #: Per-component processing latency (ms) added to control-plane procedures.

@@ -116,11 +116,4 @@ class EpcInstance:
         """Summed per-component processing latency of one attach pass."""
         return sum(EPC_PROCESSING_MS.values())
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"EpcInstance({self.slice_id}, plmn={self.plmn_id}, "
-            f"subs={self.subscriber_count}, sessions={self.active_sessions})"
-        )
-
-
 __all__ = ["EpcError", "EpcInstance"]

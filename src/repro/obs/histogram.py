@@ -98,21 +98,6 @@ class LatencyHistogram:
         self._drain()
         return self._count
 
-    @property
-    def sum_ms(self) -> float:
-        self._drain()
-        return self._sum_ms
-
-    @property
-    def max_ms(self) -> float:
-        self._drain()
-        return self._max_ms
-
-    @property
-    def min_ms(self) -> float:
-        self._drain()
-        return self._min_ms
-
     # ------------------------------------------------------------------
     # Read side
     # ------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import threading
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.obs.histogram import DEFAULT_BUCKETS_MS, LatencyHistogram
 from repro.obs.span import Span, SpanContext, Tracer
@@ -142,12 +142,6 @@ class ControlPlaneObservability:
         # Every finished span feeds the histogram of its name — the
         # per-stage latency distributions fall out of tracing for free.
         self.observe(span.name, span.duration_ms or 0.0, label=span.label)
-
-    def traces(self, limit: Optional[int] = None) -> List[Dict[str, Any]]:
-        return self.tracer.traces(limit)
-
-    def slow_spans(self, limit: Optional[int] = None) -> List[Dict[str, Any]]:
-        return self.tracer.slow_spans(limit)
 
     # ------------------------------------------------------------------
     # Histograms / counters / gauges
@@ -294,12 +288,6 @@ class NoopObservability:
 
     def span(self, name, parent=None, label="", **attributes) -> _NoopSpan:
         return NOOP_SPAN
-
-    def traces(self, limit=None) -> List[Dict[str, Any]]:
-        return []
-
-    def slow_spans(self, limit=None) -> List[Dict[str, Any]]:
-        return []
 
     def histogram(self, name, label="") -> None:
         return None

@@ -55,12 +55,6 @@ class SpanContext:
         self.span_id = span_id
         self.parent_id = parent_id
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SpanContext(trace_id={self.trace_id!r}, "
-            f"span_id={self.span_id!r}, parent_id={self.parent_id!r})"
-        )
-
 
 def _trace_name(trace_id: int) -> str:
     return f"t{trace_id:08d}"

@@ -5,18 +5,13 @@ Spectral efficiency is bits per resource element; throughput per PRB
 follows from the 12 subcarriers × 14 OFDM symbols per 1 ms subframe,
 minus a control/reference-signal overhead fraction.
 
-UE channel quality evolves as a mean-reverting (AR(1)/Ornstein-Uhlenbeck
-style) SNR process mapped onto CQI, which yields realistic CQI
-autocorrelation without simulating fading at symbol granularity.
+A UE's channel quality is its mean SNR (cell-center vs. cell-edge)
+mapped onto CQI; fading is not simulated.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -100,51 +95,14 @@ def throughput_per_prb_mbps(cqi: int, overhead: float = DEFAULT_OVERHEAD) -> flo
 
 
 class ChannelModel:
-    """Mean-reverting SNR process producing a CQI report stream.
+    """A UE's radio condition: ``mean_snr_db`` (cell-center vs.
+    cell-edge) and the CQI it reports."""
 
-    ``snr(t+dt) = snr + θ (mean - snr) dt + σ √dt N(0,1)`` — an
-    Ornstein-Uhlenbeck discretization.  ``mean_snr_db`` encodes the UE's
-    average radio condition (cell-center vs. cell-edge).
-    """
-
-    def __init__(
-        self,
-        mean_snr_db: float = 12.0,
-        volatility_db: float = 3.0,
-        reversion_rate: float = 0.2,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        if volatility_db < 0:
-            raise ValueError(f"volatility must be non-negative, got {volatility_db}")
-        if reversion_rate <= 0:
-            raise ValueError(f"reversion rate must be positive, got {reversion_rate}")
+    def __init__(self, mean_snr_db: float = 12.0) -> None:
         self.mean_snr_db = float(mean_snr_db)
-        self.volatility_db = float(volatility_db)
-        self.reversion_rate = float(reversion_rate)
-        self._rng = rng or np.random.default_rng(0)
-        self._snr_db = self.mean_snr_db
-
-    @property
-    def snr_db(self) -> float:
-        """Current SNR sample in dB."""
-        return self._snr_db
-
-    def advance(self, dt_s: float = 1.0) -> int:
-        """Advance the SNR process by ``dt_s`` seconds and report a CQI."""
-        if dt_s <= 0:
-            raise ValueError(f"dt must be positive, got {dt_s}")
-        theta = self.reversion_rate
-        drift = theta * (self.mean_snr_db - self._snr_db) * dt_s
-        diffusion = self.volatility_db * math.sqrt(dt_s) * float(self._rng.normal())
-        self._snr_db += drift + diffusion
-        return self.cqi()
 
     def cqi(self) -> int:
-        """CQI corresponding to the current SNR sample."""
-        return cqi_for_snr(self._snr_db)
-
-    def expected_cqi(self) -> int:
-        """CQI at the long-run mean SNR (ignores fading)."""
+        """CQI corresponding to the mean SNR."""
         return cqi_for_snr(self.mean_snr_db)
 
 

@@ -171,10 +171,6 @@ class RanController:
     # ------------------------------------------------------------------
     # Availability / admission support
     # ------------------------------------------------------------------
-    def free_prbs(self) -> Dict[str, int]:
-        """Per-cell physically free PRBs."""
-        return {enb_id: enb.grid.free_prbs for enb_id, enb in self._enbs.items()}
-
     def total_free_prbs(self) -> int:
         """Fleet-wide free PRBs — O(1) via the running total."""
         return self._total_free

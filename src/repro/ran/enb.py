@@ -79,10 +79,6 @@ class ENodeB:
         per_prb = self.throughput_per_prb(cqi)
         return max(1, math.ceil(mbps / per_prb))
 
-    def capacity_mbps(self, cqi: Optional[int] = None) -> float:
-        """Cell capacity at the reference CQI in Mb/s."""
-        return self.grid.total_prbs * self.throughput_per_prb(cqi)
-
     # ------------------------------------------------------------------
     # Slice installation (MOCN)
     # ------------------------------------------------------------------
@@ -159,22 +155,6 @@ class ENodeB:
             )
         self._ues[ue.slice_id].append(ue)
 
-    def ues_of(self, slice_id: str) -> List[UserEquipment]:
-        """UEs camped on this cell for ``slice_id``."""
-        return list(self._ues.get(slice_id, []))
-
-    def attached_count(self, slice_id: str) -> int:
-        """Number of currently attached UEs of the slice."""
-        return sum(1 for ue in self._ues.get(slice_id, []) if ue.attached)
-
-    # ------------------------------------------------------------------
-    # Capacity delivered to a slice in one epoch
-    # ------------------------------------------------------------------
-    def slice_capacity_mbps(self, slice_id: str, cqi: Optional[int] = None) -> float:
-        """Throughput the slice's *effective* PRBs sustain at ``cqi``."""
-        reservation = self.grid.reservation(slice_id)
-        return reservation.effective * self.throughput_per_prb(cqi)
-
     def utilization(self) -> dict:
         """Telemetry snapshot consumed by the RAN controller."""
         return {
@@ -187,12 +167,5 @@ class ENodeB:
             "plmns": [str(p) for p in self.broadcast_plmns],
             "slices": self.installed_slices(),
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ENodeB({self.enb_id}, {self.grid.bandwidth_mhz}MHz, "
-            f"{self.grid.effective_reserved}/{self.grid.total_prbs} PRBs)"
-        )
-
 
 __all__ = ["ENodeB", "RanConfigError"]

@@ -117,14 +117,6 @@ class PrbGrid:
         except KeyError:
             raise PrbError(f"slice {slice_id} holds no PRBs on this carrier") from None
 
-    def slices(self) -> list[str]:
-        """Slice ids with a reservation, insertion-ordered."""
-        return list(self._reservations)
-
-    def has(self, slice_id: str) -> bool:
-        """Whether ``slice_id`` holds a reservation."""
-        return slice_id in self._reservations
-
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------

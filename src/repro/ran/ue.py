@@ -43,7 +43,8 @@ class UserEquipment:
     Args:
         plmn: The PLMN identity the UE is provisioned for.
         slice_id: Owning slice (for telemetry attribution).
-        channel: Radio-quality process; defaults to a cell-center profile.
+        channel: Radio condition; defaults to a cell-center one, or to a
+            mean SNR drawn from ``rng`` when one is given.
         imsi: 15-digit IMSI; auto-derived from the PLMN when omitted.
     """
 
@@ -63,7 +64,7 @@ class UserEquipment:
             raise UeError(f"IMSI must be 15 digits, got {self.imsi!r}")
         if channel is None:
             mean_snr = 12.0 if rng is None else float(rng.uniform(4.0, 20.0))
-            channel = ChannelModel(mean_snr_db=mean_snr, rng=rng or np.random.default_rng(serial))
+            channel = ChannelModel(mean_snr_db=mean_snr)
         self.channel = channel
         self.state = AttachState.IDLE
         self.serving_enb: Optional[str] = None
@@ -101,13 +102,6 @@ class UserEquipment:
     def attached(self) -> bool:
         """Whether the UE currently has a default bearer."""
         return self.state is AttachState.ATTACHED
-
-    def report_cqi(self, dt_s: float = 1.0) -> int:
-        """Advance the channel process and return the fresh CQI report."""
-        return self.channel.advance(dt_s)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"UE(imsi={self.imsi}, plmn={self.plmn}, {self.state.value})"
 
 
 __all__ = ["AttachState", "UeError", "UserEquipment"]

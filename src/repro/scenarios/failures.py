@@ -204,6 +204,3 @@ class FailurePack:
         for record in self.records:
             if record.converged_at is None and record.start_s <= now:
                 record.converged_at = now
-
-    def any_links_down(self) -> bool:
-        return bool(self._down_count)

@@ -25,6 +25,7 @@ handover times are broken by (time, user index) so sorting is total.
 from __future__ import annotations
 
 import json
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -86,9 +87,10 @@ class MobilityTimeline:
             current[event.user] = event.to_cell
 
 
-class MobilityModel:
+class MobilityModel(ABC):
     """Interface: produce a timeline for ``n_users`` over ``n_cells``."""
 
+    @abstractmethod
     def timeline(
         self,
         n_users: int,
@@ -96,7 +98,7 @@ class MobilityModel:
         horizon_s: float,
         rng: np.random.Generator,
     ) -> MobilityTimeline:
-        raise NotImplementedError
+        """The timeline, drawn from ``rng``."""
 
 
 class CommuterTides(MobilityModel):

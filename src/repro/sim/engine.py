@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 
 class SimulationError(RuntimeError):
@@ -27,7 +27,7 @@ class Event:
         priority: Tie-break among events at the same time; lower fires first.
         seq: Monotonic sequence number assigned by the simulator.
         callback: Zero-argument callable invoked when the event fires.
-        name: Optional human-readable label used in traces.
+        name: Optional human-readable label.
     """
 
     time: float
@@ -46,21 +46,6 @@ class EventHandle:
     def __init__(self, event: Event) -> None:
         self._event = event
 
-    @property
-    def time(self) -> float:
-        """Scheduled firing time of the underlying event."""
-        return self._event.time
-
-    @property
-    def name(self) -> str:
-        """Label of the underlying event."""
-        return self._event.name
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._event.cancelled
-
     def cancel(self) -> None:
         """Prevent the event from firing (idempotent)."""
         self._event.cancelled = True
@@ -72,7 +57,7 @@ class Simulator:
     The simulator owns the virtual clock.  Components schedule callbacks
     with :meth:`schedule` (relative delay) or :meth:`schedule_at`
     (absolute time) and the experiment driver advances the clock with
-    :meth:`run_until`, :meth:`run` or :meth:`step`.
+    :meth:`run_until` or :meth:`step`.
 
     Example:
         >>> sim = Simulator()
@@ -88,8 +73,6 @@ class Simulator:
         self._queue: list[Event] = []
         self._seq = itertools.count()
         self._events_processed = 0
-        self._running = False
-        self._trace: Optional[list[tuple[float, str]]] = None
 
     # ------------------------------------------------------------------
     # Clock
@@ -103,11 +86,6 @@ class Simulator:
     def events_processed(self) -> int:
         """Total number of events fired so far."""
         return self._events_processed
-
-    @property
-    def pending(self) -> int:
-        """Number of scheduled, not-yet-cancelled events."""
-        return sum(1 for event in self._queue if not event.cancelled)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -126,7 +104,7 @@ class Simulator:
             delay: Non-negative offset from the current time.
             callback: Zero-argument callable.
             priority: Tie-break among simultaneous events (lower first).
-            name: Optional label recorded in traces.
+            name: Optional label carried on the event.
 
         Returns:
             Handle that can cancel the event.
@@ -180,8 +158,6 @@ class Simulator:
                 continue
             self._now = event.time
             self._events_processed += 1
-            if self._trace is not None:
-                self._trace.append((event.time, event.name))
             event.callback()
             return True
         return False
@@ -196,38 +172,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot run backwards to t={end_time} (now t={self._now})"
             )
-        self._running = True
-        try:
-            while self._queue and not self._peek_cancelled_pruned_empty():
-                if self._queue[0].time > end_time:
-                    break
-                if not self._running:
-                    break
-                self.step()
-        finally:
-            self._running = False
+        while self._queue and not self._peek_cancelled_pruned_empty():
+            if self._queue[0].time > end_time:
+                break
+            self.step()
         self._now = max(self._now, end_time)
-
-    def run(self, max_events: Optional[int] = None) -> int:
-        """Fire events until the queue drains (or ``max_events`` fire).
-
-        Returns:
-            Number of events fired by this call.
-        """
-        fired = 0
-        self._running = True
-        try:
-            while self._running and (max_events is None or fired < max_events):
-                if not self.step():
-                    break
-                fired += 1
-        finally:
-            self._running = False
-        return fired
-
-    def stop(self) -> None:
-        """Request that the current :meth:`run`/:meth:`run_until` stop."""
-        self._running = False
 
     def _peek_cancelled_pruned_empty(self) -> bool:
         """Drop leading cancelled events; return True if queue is empty."""
@@ -235,72 +184,10 @@ class Simulator:
             heapq.heappop(self._queue)
         return not self._queue
 
-    # ------------------------------------------------------------------
-    # Tracing
-    # ------------------------------------------------------------------
-    def enable_trace(self) -> None:
-        """Start recording ``(time, name)`` pairs for every fired event."""
-        self._trace = []
-
-    def trace(self) -> list[tuple[float, str]]:
-        """Return the recorded trace (empty if tracing is disabled)."""
-        return list(self._trace or [])
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Simulator(now={self._now:.3f}, pending={self.pending}, "
-            f"processed={self._events_processed})"
-        )
-
-
-def every(
-    sim: Simulator,
-    period: float,
-    callback: Callable[[], None],
-    *,
-    start: Optional[float] = None,
-    name: str = "periodic",
-) -> "PeriodicHandle":
-    """Schedule ``callback`` to fire every ``period`` seconds.
-
-    Returns a :class:`PeriodicHandle` that can stop the recurrence.
-    """
-    if period <= 0:
-        raise SimulationError(f"period must be positive, got {period}")
-    handle = PeriodicHandle()
-
-    first = sim.now + period if start is None else start
-
-    def _fire() -> None:
-        if handle.stopped:
-            return
-        callback()
-        if not handle.stopped:
-            handle._event = sim.schedule(period, _fire, name=name)
-
-    handle._event = sim.schedule_at(first, _fire, name=name)
-    return handle
-
-
-class PeriodicHandle:
-    """Handle controlling a recurrence created by :func:`every`."""
-
-    def __init__(self) -> None:
-        self._event: Optional[EventHandle] = None
-        self.stopped = False
-
-    def stop(self) -> None:
-        """Stop the recurrence (idempotent)."""
-        self.stopped = True
-        if self._event is not None:
-            self._event.cancel()
-
 
 __all__ = [
     "Event",
     "EventHandle",
-    "PeriodicHandle",
     "SimulationError",
     "Simulator",
-    "every",
 ]

@@ -8,11 +8,9 @@ from repro.sim.engine import EventHandle, SimulationError, Simulator
 
 
 class PeriodicProcess:
-    """A restartable periodic activity bound to a simulator.
-
-    Unlike :func:`repro.sim.engine.every`, this class supports
-    start/stop/restart cycles and exposes how many times it has fired.
-    """
+    """A restartable periodic activity bound to a simulator: it first
+    fires one period after :meth:`start`, supports start/stop/restart
+    cycles and counts how many times it has fired."""
 
     def __init__(
         self,
@@ -21,7 +19,6 @@ class PeriodicProcess:
         callback: Callable[[], None],
         *,
         name: str = "process",
-        immediate: bool = False,
     ) -> None:
         if period <= 0:
             raise SimulationError(f"period must be positive, got {period}")
@@ -29,28 +26,16 @@ class PeriodicProcess:
         self._period = float(period)
         self._callback = callback
         self._name = name
-        self._immediate = immediate
         self._handle: Optional[EventHandle] = None
         self._running = False
         self.fire_count = 0
 
-    @property
-    def period(self) -> float:
-        """Interval between firings in seconds."""
-        return self._period
-
-    @property
-    def running(self) -> bool:
-        """Whether the process is currently scheduled."""
-        return self._running
-
     def start(self) -> None:
-        """Begin firing; the first firing is now (if ``immediate``) or one period out."""
+        """Begin firing; the first firing is one period out."""
         if self._running:
             return
         self._running = True
-        delay = 0.0 if self._immediate else self._period
-        self._handle = self._sim.schedule(delay, self._tick, name=self._name)
+        self._handle = self._sim.schedule(self._period, self._tick, name=self._name)
 
     def stop(self) -> None:
         """Cease firing (idempotent); :meth:`start` may be called again."""

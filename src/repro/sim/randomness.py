@@ -86,11 +86,6 @@ class RandomStreams:
         self._streams: Dict[str, np.random.Generator] = {}
         self._pool: Optional[Tuple[List[int], List[Tuple[int, int]]]] = None
 
-    @property
-    def seed(self) -> int:
-        """Root experiment seed."""
-        return self._seed
-
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it on first use.
 
@@ -122,14 +117,6 @@ class RandomStreams:
         hashed = [(key ^ xor) * mult & M32 for xor, mult in pairs]
         mixed = [(MIX_L * word - MIX_R * (h ^ h >> 16)) & M32 for word, h in zip(pool, hashed)]
         return KeyedDraws([word ^ word >> 16 for word in mixed])
-
-    def names(self) -> list[str]:
-        """Names of streams created so far, in creation order."""
-        return list(self._streams)
-
-    def fork(self, salt: int) -> "RandomStreams":
-        """Derive a fresh registry for a sub-experiment (e.g. one sweep point)."""
-        return RandomStreams(seed=(self._seed * 1_000_003 + int(salt)) & 0x7FFFFFFF)
 
 
 __all__ = ["KeyedDraws", "RandomStreams"]

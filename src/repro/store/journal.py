@@ -423,12 +423,6 @@ class Journal:
                 self._handle.flush()
             return self._tail.records(after_lsn)
 
-    def __iter__(self) -> Iterator[JournalRecord]:
-        return iter(self.records())
-
-    def __len__(self) -> int:
-        return len(self.records())
-
     # ------------------------------------------------------------------
     # Compaction
     # ------------------------------------------------------------------

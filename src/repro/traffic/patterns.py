@@ -49,11 +49,6 @@ class TrafficProfile(ABC):
             base *= max(0.0, 1.0 + rng.normal(0.0, self.noise_std))
         return max(0.0, base)
 
-    def mean_fraction(self, horizon_s: float = SECONDS_PER_DAY, samples: int = 288) -> float:
-        """Time-averaged fraction of peak over ``horizon_s`` (deterministic part)."""
-        times = np.linspace(0.0, horizon_s, samples, endpoint=False)
-        return float(np.mean([self.fraction(float(t)) for t in times]))
-
 
 class ConstantProfile(TrafficProfile):
     """Flat demand at ``level`` × peak — the no-multiplexing-gain case."""

@@ -54,11 +54,6 @@ class TraceProfile(TrafficProfile):
         self.sample_period_s = float(sample_period_s)
         self.wrap = bool(wrap)
 
-    @property
-    def duration_s(self) -> float:
-        """Length of one full trace pass."""
-        return self.samples.size * self.sample_period_s
-
     def fraction(self, t: float) -> float:
         idx = int(t / self.sample_period_s)
         if self.wrap:

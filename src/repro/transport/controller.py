@@ -76,13 +76,6 @@ class TransportController:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def switch(self, switch_id: str) -> OpenFlowSwitch:
-        """Lookup a managed switch."""
-        try:
-            return self._switches[switch_id]
-        except KeyError:
-            raise TransportError(f"unknown switch {switch_id}") from None
-
     def allocation_of(self, slice_id: str) -> Optional[TransportAllocation]:
         """The slice's current path allocation (None if absent)."""
         return self._paths.get(slice_id)

@@ -230,11 +230,4 @@ class Link:
             "slices": self.slices(),
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Link({self.link_id}: {self.src}->{self.dst}, {self.kind.value}, "
-            f"{self.effective_reserved_mbps:.0f}/{self.capacity_mbps:.0f} Mb/s)"
-        )
-
-
 __all__ = ["DEFAULT_LINK_SPECS", "Link", "LinkError", "LinkKind", "LinkState", "Reservation"]

@@ -3,7 +3,7 @@
 Models the demo's NEC ProgrammableFlow PF5240: a flow table whose
 entries match on slice markers (we match on PLMN-id, standing in for
 the VLAN/tunnel tags the real deployment used) and forward to an output
-port, with per-entry packet/byte counters and priority-ordered lookup.
+port, kept in priority order, with per-entry packet/byte counters.
 """
 
 from __future__ import annotations
@@ -23,14 +23,6 @@ class FlowMatch:
 
     plmn_id: Optional[str] = None
     in_port: Optional[int] = None
-
-    def matches(self, plmn_id: str, in_port: int) -> bool:
-        """Whether a packet with the given headers hits this match."""
-        if self.plmn_id is not None and self.plmn_id != plmn_id:
-            return False
-        if self.in_port is not None and self.in_port != in_port:
-            return False
-        return True
 
     @property
     def specificity(self) -> int:
@@ -120,38 +112,6 @@ class OpenFlowSwitch:
             raise SwitchError("duplicate-detection set drifted from the table")
         if {s: sorted(k) for s, k in self._by_slice.items()} != by_slice:
             raise SwitchError("per-slice index drifted from the table")
-
-    def flows(self) -> List[FlowEntry]:
-        """Current table, priority-ordered."""
-        return list(self._table)
-
-    def flows_of(self, slice_id: str) -> List[FlowEntry]:
-        """Flows belonging to one slice."""
-        return [e for e in self._table if e.slice_id == slice_id]
-
-    # ------------------------------------------------------------------
-    # Data plane
-    # ------------------------------------------------------------------
-    def lookup(self, plmn_id: str, in_port: int) -> Optional[FlowEntry]:
-        """Highest-priority entry matching the packet (None = table miss)."""
-        if not 0 <= in_port < self.n_ports:
-            raise SwitchError(f"in_port {in_port} outside port range")
-        for entry in self._table:
-            if entry.match.matches(plmn_id, in_port):
-                return entry
-        return None
-
-    def forward(self, plmn_id: str, in_port: int, n_bytes: int = 1_500) -> Optional[int]:
-        """Forward one packet; returns the output port or None on miss.
-
-        Updates the matched entry's counters.
-        """
-        entry = self.lookup(plmn_id, in_port)
-        if entry is None:
-            return None
-        entry.packets += 1
-        entry.bytes += int(n_bytes)
-        return entry.out_port
 
     def stats(self) -> dict:
         """Per-flow counters (telemetry)."""

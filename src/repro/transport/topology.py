@@ -109,11 +109,6 @@ class Topology:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    @property
-    def nodes(self) -> Set[str]:
-        """All node names."""
-        return set(self._nodes)
-
     def links(self) -> List[Link]:
         """All links, insertion-ordered."""
         return list(self._links.values())

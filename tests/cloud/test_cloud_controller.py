@@ -6,7 +6,7 @@ import pytest
 
 from repro.cloud.controller import CloudController
 from repro.cloud.datacenter import CloudError, ComputeNode, Datacenter, DatacenterTier
-from repro.cloud.flavors import flavor
+from repro.cloud.flavors import FLAVORS
 from repro.cloud.heat import HeatTemplate, StackResource
 
 
@@ -23,7 +23,7 @@ def make_controller(edge_vcpus: int = 8, core_vcpus: int = 32):
 def template(n: int = 2):
     return HeatTemplate(
         name="t",
-        resources=tuple(StackResource(f"vm{i}", flavor("m1.medium")) for i in range(n)),
+        resources=tuple(StackResource(f"vm{i}", FLAVORS["m1.medium"]) for i in range(n)),
     )
 
 
@@ -42,12 +42,6 @@ def test_duplicate_dc_rejected():
 def test_tier_filter():
     controller = make_controller()
     assert [dc.dc_id for dc in controller.datacenters(DatacenterTier.EDGE)] == ["edge"]
-
-
-def test_feasible_dcs():
-    controller = make_controller(edge_vcpus=2)
-    feasible = controller.feasible_dcs(template(2))  # needs 4 vCPUs
-    assert [dc.dc_id for dc in feasible] == ["core"]
 
 
 def test_deploy_and_teardown():

@@ -12,31 +12,27 @@ from repro.cloud.datacenter import (
     VirtualMachine,
     VmState,
 )
-from repro.cloud.flavors import Flavor, flavor
+from repro.cloud.flavors import FLAVORS, Flavor
 
 
 class TestFlavors:
     def test_presets_exist(self):
-        assert flavor("m1.small").vcpus == 1
-        assert flavor("m1.medium").vcpus == 2
-
-    def test_unknown_flavor_rejected(self):
-        with pytest.raises(KeyError):
-            flavor("m1.gigantic")
+        assert FLAVORS["m1.small"].vcpus == 1
+        assert FLAVORS["m1.medium"].vcpus == 2
 
     def test_invalid_flavor_rejected(self):
         with pytest.raises(ValueError):
             Flavor("bad", vcpus=0, ram_gb=1, disk_gb=1)
 
     def test_fits_within(self):
-        f = flavor("m1.medium")
+        f = FLAVORS["m1.medium"]
         assert f.fits_within(2, 4.0, 40.0)
         assert not f.fits_within(1, 4.0, 40.0)
 
 
 class TestVm:
     def test_lifecycle(self):
-        vm = VirtualMachine("mme", flavor("m1.small"))
+        vm = VirtualMachine("mme", FLAVORS["m1.small"])
         assert vm.state is VmState.BUILDING
         vm.activate()
         assert vm.state is VmState.ACTIVE
@@ -44,21 +40,21 @@ class TestVm:
         assert vm.state is VmState.DELETED
 
     def test_double_activate_rejected(self):
-        vm = VirtualMachine("mme", flavor("m1.small"))
+        vm = VirtualMachine("mme", FLAVORS["m1.small"])
         vm.activate()
         with pytest.raises(CloudError):
             vm.activate()
 
     def test_vm_ids_unique(self):
-        a = VirtualMachine("x", flavor("m1.tiny"))
-        b = VirtualMachine("x", flavor("m1.tiny"))
+        a = VirtualMachine("x", FLAVORS["m1.tiny"])
+        b = VirtualMachine("x", FLAVORS["m1.tiny"])
         assert a.vm_id != b.vm_id
 
 
 class TestComputeNode:
     def test_boot_accounts_resources(self):
         node = ComputeNode("n1", vcpus=4, ram_gb=8.0, disk_gb=100.0)
-        vm = VirtualMachine("x", flavor("m1.medium"))
+        vm = VirtualMachine("x", FLAVORS["m1.medium"])
         node.boot(vm)
         assert node.used_vcpus == 2
         assert node.free_vcpus == 2
@@ -68,11 +64,11 @@ class TestComputeNode:
     def test_boot_beyond_capacity_rejected(self):
         node = ComputeNode("n1", vcpus=1, ram_gb=1.0, disk_gb=10.0)
         with pytest.raises(CloudError):
-            node.boot(VirtualMachine("x", flavor("m1.medium")))
+            node.boot(VirtualMachine("x", FLAVORS["m1.medium"]))
 
     def test_destroy_reclaims(self):
         node = ComputeNode("n1", vcpus=4, ram_gb=8.0, disk_gb=100.0)
-        vm = VirtualMachine("x", flavor("m1.medium"))
+        vm = VirtualMachine("x", FLAVORS["m1.medium"])
         node.boot(vm)
         node.destroy(vm.vm_id)
         assert node.used_vcpus == 0
@@ -84,7 +80,7 @@ class TestComputeNode:
 
     def test_invariants_hold(self):
         node = ComputeNode("n1", vcpus=4, ram_gb=8.0, disk_gb=100.0)
-        node.boot(VirtualMachine("x", flavor("m1.medium")))
+        node.boot(VirtualMachine("x", FLAVORS["m1.medium"]))
         node.check_invariants()
 
     def test_bad_capacity_rejected(self):
@@ -120,12 +116,12 @@ class TestDatacenter:
             DatacenterTier.EDGE,
             nodes=[ComputeNode("n1", vcpus=4, ram_gb=8.0, disk_gb=200.0)],
         )
-        assert dc.can_host_flavors([flavor("m1.medium"), flavor("m1.medium")])
-        assert not dc.can_host_flavors([flavor("m1.medium")] * 3)
+        assert dc.can_host_flavors([FLAVORS["m1.medium"], FLAVORS["m1.medium"]])
+        assert not dc.can_host_flavors([FLAVORS["m1.medium"]] * 3)
 
     def test_can_host_does_not_mutate(self):
         dc = Datacenter("dc1", DatacenterTier.EDGE, nodes=[ComputeNode("n1", vcpus=4)])
-        dc.can_host_flavors([flavor("m1.medium")])
+        dc.can_host_flavors([FLAVORS["m1.medium"]])
         assert dc.free_vcpus == 4
 
     def test_unknown_node_rejected(self):

@@ -53,7 +53,6 @@ import repro.core.allocation as allocation_module
 import repro.core.slices as slices_module
 from repro.core.orchestrator import Orchestrator
 from repro.core.overbooking import ForecastOverbooking
-from repro.core.pricing import LedgerError
 from repro.core.slices import SliceState, peek_request_counter
 from repro.experiments.testbed import TestbedConfig, build_testbed
 from repro.sim.randomness import RandomStreams
@@ -677,9 +676,7 @@ def test_every_checkpoint_of_a_history_writes_the_reference_bytes(seed, steps):
                     # Known defect 1: adoption opens no ledger account, and
                     # an adopted slice's first violation would raise.
                     for network_slice in promoted.live_slices():
-                        try:
-                            promoted.ledger.entry(network_slice.slice_id)
-                        except LedgerError:
+                        if network_slice.slice_id not in promoted.ledger._entries:
                             promoted.ledger.book_admission(
                                 network_slice.slice_id, network_slice.request
                             )

@@ -52,6 +52,21 @@ def path_searches(monkeypatch) -> list:
     return calls
 
 
+def free_prbs(ran) -> dict:
+    """Physically free PRBs per cell of a RAN controller."""
+    return {enb.enb_id: enb.grid.free_prbs for enb in ran.enbs()}
+
+
+def flows_of(switch, slice_id) -> list:
+    """A switch's flow entries for one slice, in table order."""
+    return [entry for entry in switch._table if entry.slice_id == slice_id]
+
+
+def usage_at(calendar, t: float):
+    """A resource calendar's committed usage at instant ``t``."""
+    return calendar._peak(t, t)
+
+
 def make_request(
     throughput_mbps: float = 20.0,
     max_latency_ms: float = 50.0,

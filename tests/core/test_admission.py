@@ -12,7 +12,6 @@ from repro.core.admission import (
     GreedyPricePolicy,
     KnapsackPolicy,
     ResourceVector,
-    default_penalty_estimator,
 )
 from tests.conftest import make_request
 
@@ -46,15 +45,6 @@ class TestResourceVector:
 
     def test_max_fraction_zero_demand(self):
         assert ResourceVector().max_fraction_of(ResourceVector(1, 1, 1)) == 0.0
-
-    def test_scale(self):
-        v = ResourceVector(10, 20, 4).scale(0.5)
-        assert (v.prbs, v.mbps, v.vcpus) == (5, 10, 2)
-
-    def test_scale_negative_rejected(self):
-        with pytest.raises(AdmissionError):
-            ResourceVector(1, 1, 1).scale(-0.1)
-
 
 class TestFcfs:
     def test_accepts_when_fits(self):
@@ -176,15 +166,3 @@ class TestKnapsack:
         # Dominance by construction: knapsack keeps the better of
         # {DP + greedy fill, pure greedy}.
         assert knap_value >= greedy_value - 1e-6
-
-
-class TestPenaltyEstimator:
-    def test_scales_with_duration_and_rate(self):
-        estimator = default_penalty_estimator(risk=0.1)
-        short = make_request(duration_s=600.0, penalty_rate=2.0)
-        long = make_request(duration_s=6_000.0, penalty_rate=2.0)
-        assert estimator(long) == pytest.approx(10 * estimator(short))
-
-    def test_bad_risk_rejected(self):
-        with pytest.raises(AdmissionError):
-            default_penalty_estimator(risk=1.5)

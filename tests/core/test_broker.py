@@ -146,8 +146,11 @@ class TestBatchDecisions:
         sim.run_until(301.0)
         slice_id = conflict.request_id.replace("req-", "slice-")
         assert orchestrator.slice(slice_id).state is SliceState.REJECTED
-        record = orchestrator.ledger.rejection_records()[-1]
-        assert "advance reservations" in record.reason
+        (rejected,) = [
+            e for e in orchestrator.events.since(0)
+            if e.event_type == "slice.rejected" and e.slice_id == slice_id
+        ]
+        assert "advance reservations" in rejected.data["reason"]
 
     def test_broker_revenue_at_least_online_fcfs(self, testbed):
         """On the adversarial pattern, the windowed knapsack broker books

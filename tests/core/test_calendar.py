@@ -12,7 +12,7 @@ from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.core.slices import SliceState
 from repro.traffic.patterns import ConstantProfile
-from tests.conftest import make_request
+from tests.conftest import make_request, usage_at
 
 
 CAP = ResourceVector(prbs=100.0, mbps=100.0, vcpus=10.0)
@@ -23,13 +23,6 @@ def vec(prbs=10.0, mbps=10.0, vcpus=1.0):
 
 
 class TestBooking:
-    def test_active_interval_half_open(self):
-        booking = Booking("b", 10.0, 20.0, vec())
-        assert not booking.active_at(9.9)
-        assert booking.active_at(10.0)
-        assert booking.active_at(19.999)
-        assert not booking.active_at(20.0)
-
     def test_empty_interval_rejected(self):
         with pytest.raises(CalendarError):
             Booking("b", 10.0, 10.0, vec())
@@ -40,9 +33,9 @@ class TestCalendar:
         calendar = ResourceCalendar(CAP)
         calendar.commit("a", 0.0, 100.0, vec(prbs=30.0))
         calendar.commit("b", 50.0, 150.0, vec(prbs=40.0))
-        assert calendar.usage_at(25.0).prbs == 30.0
-        assert calendar.usage_at(75.0).prbs == 70.0
-        assert calendar.usage_at(125.0).prbs == 40.0
+        assert usage_at(calendar, 25.0).prbs == 30.0
+        assert usage_at(calendar, 75.0).prbs == 70.0
+        assert usage_at(calendar, 125.0).prbs == 40.0
 
     def test_peak_over_window(self):
         calendar = ResourceCalendar(CAP)
@@ -68,7 +61,7 @@ class TestCalendar:
         calendar = ResourceCalendar(CAP)
         calendar.commit("a", 0.0, 10.0, vec(prbs=50.0))
         calendar.release("a")
-        assert calendar.usage_at(5.0).prbs == 0.0
+        assert usage_at(calendar, 5.0).prbs == 0.0
         with pytest.raises(CalendarError):
             calendar.release("a")
 
@@ -108,7 +101,7 @@ class TestCalendar:
         peak = calendar.peak_usage(w_start, w_start + w_len)
         for k in range(10):
             t = w_start + w_len * k / 10.0
-            assert calendar.usage_at(t).prbs <= peak.prbs + 1e-9
+            assert usage_at(calendar, t).prbs <= peak.prbs + 1e-9
 
 
 class TestAdvanceReservations:
@@ -198,7 +191,7 @@ class TestAdvanceReservations:
         calendar.commit("a", 10.0, 20.0, vec(prbs=50.0))
         updated = calendar.update_demand("a", vec(prbs=20.0))
         assert (updated.start, updated.end) == (10.0, 20.0)
-        assert calendar.usage_at(15.0).prbs == 20.0
+        assert usage_at(calendar, 15.0).prbs == 20.0
         with pytest.raises(CalendarError):
             calendar.update_demand("ghost", vec())
 
@@ -225,9 +218,9 @@ class TestAdvanceReservations:
         orchestrator.start()
         request = make_request(throughput_mbps=40.0, duration_s=7_200.0)
         orchestrator.submit(request, ConstantProfile(40.0, level=0.25, noise_std=0.02))
-        booked_before = orchestrator.calendar.usage_at(sim.now + 100.0).prbs
+        booked_before = usage_at(orchestrator.calendar, sim.now + 100.0).prbs
         sim.run_until(1_800.0)
-        booked_after = orchestrator.calendar.usage_at(sim.now + 100.0).prbs
+        booked_after = usage_at(orchestrator.calendar, sim.now + 100.0).prbs
         assert booked_after < booked_before
 
     def test_calendar_released_on_expiry(self, orch):

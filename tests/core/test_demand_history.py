@@ -1,9 +1,10 @@
-"""Tests for the time-series store."""
+"""A slice's demand history: capped at the tail its forecaster refits
+on (``FORECAST_HISTORY_EPOCHS``), and the cap must be invisible to the
+fit."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.forecasting import Forecaster, HoltWintersForecaster, NaiveForecaster
@@ -11,122 +12,18 @@ from repro.core.orchestrator import (
     FORECAST_HISTORY_EPOCHS,
     Orchestrator,
     OrchestratorConfig,
+    SliceRuntime,
 )
 from repro.core.overbooking import ForecastOverbooking
 from repro.core.slices import slice_id_for
 from repro.experiments.testbed import TestbedConfig, build_testbed
-from repro.monitoring.timeseries import TimeSeries, TimeSeriesError
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.traffic.patterns import ConstantProfile, DiurnalProfile, OnOffProfile
 from tests.conftest import make_request
 
 
-@pytest.fixture
-def series():
-    ts = TimeSeries("demand")
-    for i in range(10):
-        ts.append(float(i), float(i * 2))
-    return ts
-
-
-class TestAppend:
-    def test_append_and_len(self, series):
-        assert len(series) == 10
-        assert not series.empty
-
-    def test_out_of_order_rejected(self, series):
-        with pytest.raises(TimeSeriesError):
-            series.append(5.0, 1.0)
-
-    def test_equal_timestamps_allowed(self):
-        ts = TimeSeries()
-        ts.append(1.0, 1.0)
-        ts.append(1.0, 2.0)
-        assert len(ts) == 2
-
-    def test_retention_cap(self):
-        ts = TimeSeries(max_points=3)
-        slid = [ts.append(float(i), float(i)) for i in range(10)]
-        assert slid == [False] * 3 + [True] * 7  # the cap dropped the oldest
-        assert not any(TimeSeries().append(float(i), 1.0) for i in range(5))
-        assert len(ts) == 3
-        assert ts.values().tolist() == [7.0, 8.0, 9.0]
-
-    def test_bad_cap_rejected(self):
-        with pytest.raises(TimeSeriesError):
-            TimeSeries(max_points=0)
-
-
-class TestQueries:
-    def test_last(self, series):
-        assert series.last() == (9.0, 18.0)
-
-    def test_last_on_empty_rejected(self):
-        with pytest.raises(TimeSeriesError):
-            TimeSeries().last()
-
-    def test_window_half_open(self, series):
-        window = series.window(2.0, 5.0)
-        assert [t for t, _ in window] == [2.0, 3.0, 4.0]
-
-    def test_bad_window_rejected(self, series):
-        with pytest.raises(TimeSeriesError):
-            series.window(5.0, 2.0)
-
-    def test_tail(self, series):
-        assert series.tail(3).tolist() == [14.0, 16.0, 18.0]
-        assert series.tail(100).size == 10
-        with pytest.raises(TimeSeriesError):
-            series.tail(0)
-
-    def test_stats(self, series):
-        assert series.mean() == pytest.approx(9.0)
-        assert series.std() > 0
-        assert series.quantile(0.5) == pytest.approx(9.0)
-        assert series.quantile(1.0) == 18.0
-
-    def test_stats_on_empty(self):
-        ts = TimeSeries()
-        assert ts.mean() == 0.0
-        assert ts.std() == 0.0
-        with pytest.raises(TimeSeriesError):
-            ts.quantile(0.5)
-
-    def test_bad_quantile_rejected(self, series):
-        with pytest.raises(TimeSeriesError):
-            series.quantile(1.1)
-
-
-class TestResample:
-    def test_bins_average(self):
-        ts = TimeSeries()
-        ts.append(0.0, 10.0)
-        ts.append(0.5, 20.0)
-        ts.append(1.0, 30.0)
-        out = ts.resample(1.0)
-        assert out.tolist() == [15.0, 30.0]
-
-    def test_empty_bins_carry_forward(self):
-        ts = TimeSeries()
-        ts.append(0.0, 5.0)
-        ts.append(3.0, 9.0)
-        out = ts.resample(1.0)
-        assert out.tolist() == [5.0, 5.0, 5.0, 9.0]
-
-    def test_empty_series(self):
-        assert TimeSeries().resample(1.0).size == 0
-
-    def test_bad_period_rejected(self, series):
-        with pytest.raises(TimeSeriesError):
-            series.resample(0.0)
-
-
 class TestForecastTailRetention:
-    """A slice's demand history is capped at the tail its forecaster
-    refits on (``FORECAST_HISTORY_EPOCHS``): the cap must be invisible
-    to the fit."""
-
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(
@@ -135,15 +32,14 @@ class TestForecastTailRetention:
             max_size=700,
         )
     )
-    def test_capped_series_is_the_tail_of_the_uncapped_one(self, values):
-        capped = TimeSeries(max_points=FORECAST_HISTORY_EPOCHS)
-        uncapped = TimeSeries(max_points=10_000)
-        for t, value in enumerate(values):
-            capped.append(float(t), value)
-            uncapped.append(float(t), value)
-        assert np.array_equal(
-            capped.values(), uncapped.tail(FORECAST_HISTORY_EPOCHS)
-        )
+    def test_history_slides_exactly_when_the_cap_drops_a_sample(self, values):
+        runtime = SliceRuntime(network_slice=None, profile=None)
+        uncapped = []
+        for epoch, value in enumerate(values):
+            slid = runtime.push_demand(float(epoch), value)
+            assert slid == (len(uncapped) >= FORECAST_HISTORY_EPOCHS)
+            uncapped.append((float(epoch), value))
+        assert list(runtime.demand_history) == uncapped[-FORECAST_HISTORY_EPOCHS:]
 
     def test_forecaster_is_fitted_on_the_uncapped_tail(self, testbed):
         fits = []  # (sim time, the array handed to fit)
@@ -166,17 +62,17 @@ class TestForecastTailRetention:
         request = make_request(duration_s=10_000.0)
         orchestrator.submit(request, ConstantProfile(20.0, level=0.5, noise_std=0.2))
         runtime = orchestrator.runtime(slice_id_for(request.request_id))
-        shadow = TimeSeries(max_points=10_000)
+        shadow = []  # (epoch time, demand), uncapped
         epochs = FORECAST_HISTORY_EPOCHS + 120
         for epoch in range(1, epochs + 1):
             sim.run_until(epoch + 0.25)
-            shadow.append(float(epoch), runtime.last_demand_mbps)
+            shadow.append((float(epoch), runtime.last_demand_mbps))
         assert len(shadow) == epochs
         assert len(runtime.demand_history) == FORECAST_HISTORY_EPOCHS
         # Refits from before the cap bites and from after it.
         assert len(fits[0][1]) < FORECAST_HISTORY_EPOCHS == len(fits[-1][1])
         for now, seen in fits:
-            uncapped = np.array([v for _, v in shadow.window(0.0, now + 0.5)])
+            uncapped = np.array([v for t, v in shadow if t < now + 0.5])
             assert np.array_equal(seen, uncapped[-FORECAST_HISTORY_EPOCHS:])
 
     def test_streaming_equals_refitting_through_the_cap(self, tmp_path, monkeypatch):

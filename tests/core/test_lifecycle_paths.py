@@ -352,7 +352,7 @@ def _everything(testbed, orch, slice_ids) -> dict:
         "cells": {
             enb.enb_id: sorted(
                 (s, enb.grid.reservation(s).nominal, enb.grid.reservation(s).effective)
-                for s in enb.grid.slices()
+                for s in enb.grid._reservations
             )
             for enb in testbed.enbs
         },

@@ -132,7 +132,7 @@ class TestAdmissionQueue:
         slice_id = request.request_id.replace("req-", "slice-")
         assert orchestrator.slice(slice_id).state is SliceState.REJECTED
         # Zero residue anywhere.
-        for driver in orchestrator.registry:
+        for driver in orchestrator.registry.drivers():
             assert driver.reservation_of(slice_id) is None
 
 
@@ -143,7 +143,7 @@ class TestMonitoring:
         orchestrator.sim.run_until(300.0)
         runtime = orchestrator.runtime(slice_id)
         assert len(runtime.demand_history) >= 4
-        assert runtime.demand_history.last() == (300.0, runtime.last_demand_mbps)
+        assert runtime.demand_history[-1] == (300.0, runtime.last_demand_mbps)
         assert runtime.last_delivered_mbps > 0
 
     def test_no_violations_without_overbooking(self, orchestrator):

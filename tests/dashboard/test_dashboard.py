@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.core.orchestrator import Orchestrator
@@ -75,7 +73,3 @@ class TestDashboard:
         assert "active slices: 1" in rendered
         assert "--- Domains ---" in rendered
         assert "--- Slices ---" in rendered
-
-    def test_json_round_trip(self, dashboard):
-        payload = json.loads(dashboard.to_json())
-        assert payload["active"] == 1

@@ -54,8 +54,6 @@ class TestRegistry:
         registry = mock_registry(1)
         with pytest.raises(DriverError):
             registry.get("nope")
-        with pytest.raises(DriverError):
-            registry.unregister("nope")
 
 
 class TestTransaction:
@@ -92,7 +90,7 @@ class TestTransaction:
         with pytest.raises(TransactionError):
             txn.run(specs_for(registry))
         assert rolled == []
-        assert all(d.held_mbps == 0.0 for d in registry)
+        assert all(d.held_mbps == 0.0 for d in registry.drivers())
 
     def test_commit_failure_releases_committed_domains(self):
         registry = mock_registry(3)
@@ -106,7 +104,7 @@ class TestTransaction:
         assert excinfo.value.domain == "d2"
         # d0/d1 were already committed (released), d2's hold rolled back.
         assert set(rolled) == {"d0", "d1", "d2"}
-        assert all(d.held_mbps == 0.0 for d in registry)
+        assert all(d.held_mbps == 0.0 for d in registry.drivers())
 
     def test_validate_hook_aborts_and_unwinds(self):
         registry = mock_registry(2)
@@ -117,7 +115,7 @@ class TestTransaction:
         with pytest.raises(TransactionError) as excinfo:
             InstallTransaction(registry).run(specs_for(registry), validate=validate)
         assert excinfo.value.domain == "orchestrator"
-        assert all(d.held_mbps == 0.0 for d in registry)
+        assert all(d.held_mbps == 0.0 for d in registry.drivers())
 
     def test_spec_domain_mismatch_fails_before_any_prepare(self):
         registry = mock_registry(2)
@@ -125,7 +123,7 @@ class TestTransaction:
         del specs["d1"]
         with pytest.raises(TransactionError):
             InstallTransaction(registry).run(specs)
-        assert all(d.prepares == 0 for d in registry)
+        assert all(d.prepares == 0 for d in registry.drivers())
 
     def test_retry_after_failure_succeeds(self):
         registry = mock_registry(2)
@@ -221,7 +219,7 @@ class TestOrchestratorRollback:
             ["ran", "transport", "cloud", "epc"] * chaos.prepares
         )
         assert all(e.slice_id == slice_id for e in rollbacks)
-        assert all(not driver.reservations() for driver in registry)
+        assert all(not driver.reservations() for driver in registry.drivers())
         assert_indices_clean(testbed)
 
     def test_commit_failure_in_extra_domain_leaves_zero_residue(self, testbed):
@@ -275,11 +273,11 @@ class TestOrchestratorRollback:
         request, decision = submit(orch)
         assert decision.admitted
         slice_id = decision.slice_id
-        reservations = {d.domain: d.reservation_of(slice_id) for d in registry}
+        reservations = {d.domain: d.reservation_of(slice_id) for d in registry.drivers()}
         assert all(
             r.state is ReservationState.COMMITTED for r in reservations.values()
         )
-        assert all(len(d.reservations()) == 1 for d in registry)
+        assert all(len(d.reservations()) == 1 for d in registry.drivers())
         assert reservations["cloud"].details["dc_id"] == second_dc.dc_id
         assert first_dc.free_vcpus == first_dc.total_vcpus
         assert not any(

@@ -39,7 +39,7 @@ class TestComponents:
         assert {r.name for r in t.resources} == {"mme", "hss", "sgw", "pgw"}
         assert t.total_vcpus == 6  # 2 small (1) + 2 medium (2)
         # The placement probe reads the constant instead of building this.
-        assert list(EPC_FLAVORS) == t.flavors()
+        assert list(EPC_FLAVORS) == [r.flavor for r in t.resources]
 
 
 class TestInstance:
@@ -104,7 +104,7 @@ class TestAttach:
         epc = make_epc()
         enb.install_slice("slice-1", plmn, nominal_prbs=10, effective_prbs=10)
         procedure = AttachProcedure(enb, epc, transport_delay_ms)
-        ue = UserEquipment(plmn, "slice-1", channel=ChannelModel(mean_snr_db=15.0, volatility_db=0.0))
+        ue = UserEquipment(plmn, "slice-1", channel=ChannelModel(mean_snr_db=15.0))
         enb.register_ue(ue)
         return plmn, enb, epc, procedure, ue
 
@@ -115,7 +115,7 @@ class TestAttach:
         assert outcome.success
         assert ue.attached
         assert outcome.bearer_id == 1
-        assert enb.attached_count("slice-1") == 1
+        assert [u.attached for u in enb._ues["slice-1"]] == [True]
 
     def test_latency_accounting(self):
         _, _, epc, procedure, ue = self._setup(transport_delay_ms=3.0)
@@ -143,7 +143,7 @@ class TestAttach:
         weak = UserEquipment(
             PLMN("001", "01"),
             "slice-1",
-            channel=ChannelModel(mean_snr_db=-30.0, volatility_db=0.0),
+            channel=ChannelModel(mean_snr_db=-30.0),
         )
         epc.provision_subscriber(weak.imsi)
         outcome = procedure.attach(weak)

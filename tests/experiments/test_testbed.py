@@ -5,11 +5,12 @@ from __future__ import annotations
 
 from repro.cloud.datacenter import DatacenterTier
 from repro.experiments.testbed import TestbedConfig, build_testbed
+from tests.conftest import free_prbs
 
 
 def test_default_layout(testbed):
     assert len(testbed.enbs) == 2
-    assert testbed.ran.free_prbs() == {"enb1": 100, "enb2": 100}
+    assert free_prbs(testbed.ran) == {"enb1": 100, "enb2": 100}
     tiers = {dc.tier for dc in testbed.cloud.datacenters()}
     assert tiers == {DatacenterTier.EDGE, DatacenterTier.CORE}
 
@@ -50,4 +51,4 @@ def test_scaled_config():
 
 
 def test_switch_registered(testbed):
-    assert testbed.transport.switch("of-switch") is testbed.switch
+    assert testbed.transport._switches["of-switch"] is testbed.switch

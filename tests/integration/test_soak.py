@@ -330,7 +330,7 @@ class TestConcurrentChurn:
                 node.check_invariants()
         # Every driver's reservation table matches the live slices.
         live = {s.slice_id for s in orch.live_slices()}
-        for driver in orch.registry:
+        for driver in orch.registry.drivers():
             tracked = {r.slice_id for r in driver.reservations()}
             assert tracked <= live, f"{driver.domain} leaked {tracked - live}"
 
@@ -385,8 +385,8 @@ class TestSoakObservability:
             _json.dump(
                 {
                     "tracer": orch.obs.tracer.status(),
-                    "slow_spans": orch.obs.slow_spans(),
-                    "traces": orch.obs.traces(limit=10),
+                    "slow_spans": orch.obs.tracer.slow_spans(),
+                    "traces": orch.obs.tracer.traces(limit=10),
                 },
                 fh,
                 indent=2,

@@ -5,16 +5,16 @@ the only thing kept per slice is the demand tail on its runtime."""
 from __future__ import annotations
 
 import gc
+from collections import deque
 from types import FunctionType, ModuleType
 
 import pytest
 
 from repro.api import build_orchestrator_api
 from repro.core.epoch import sim_gauges
-from repro.core.orchestrator import Orchestrator, OrchestratorConfig
+from repro.core.orchestrator import FORECAST_HISTORY_EPOCHS, Orchestrator, OrchestratorConfig
 from repro.core.overbooking import FixedOverbooking
 from repro.core.slices import PLMN, SliceState, slice_id_for
-from repro.monitoring.timeseries import TimeSeries
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.traffic.patterns import ConstantProfile
@@ -102,7 +102,7 @@ class TestCollector:
         assert gauges["slice.delivered_mbps", slice_id] == runtime.last_delivered_mbps
         assert gauges["slice.violated", slice_id] == 0.0
         assert len(runtime.demand_history) == 1
-        assert runtime.demand_history.last() == (60.0, runtime.last_demand_mbps)
+        assert runtime.demand_history[-1] == (60.0, runtime.last_demand_mbps)
 
 
 class TestPullEqualsState:
@@ -182,14 +182,18 @@ class TestRepairFailuresAreCounted:
 
 
 def reachable_time_series(root) -> int:
-    """``TimeSeries`` objects reachable from ``root`` through data
-    (closures are followed; code, classes and modules are not)."""
+    """Time series reachable from ``root`` through data — per-slice
+    demand histories and the gain tracker's series (closures are
+    followed; code, classes and modules are not)."""
+    gain_series = root.gain_tracker.series
     seen = {id(root)}
     stack = [root]
     found = 0
     while stack:
         obj = stack.pop()
-        if isinstance(obj, TimeSeries):
+        if obj is gain_series or (
+            isinstance(obj, deque) and obj.maxlen == FORECAST_HISTORY_EPOCHS
+        ):
             found += 1
         if isinstance(obj, FunctionType):
             referents = obj.__closure__ or ()

@@ -37,9 +37,9 @@ class TestBucketCorrectness:
         for v in (2.0, 4.0, 6.0):
             hist.observe(v)
         assert hist.count == 3
-        assert hist.sum_ms == pytest.approx(12.0)
-        assert hist.max_ms == pytest.approx(6.0)
-        assert hist.min_ms == pytest.approx(2.0)
+        assert hist.to_dict()["sum_ms"] == pytest.approx(12.0)
+        assert hist.to_dict()["max_ms"] == pytest.approx(6.0)
+        assert hist.to_dict()["min_ms"] == pytest.approx(2.0)
         data = hist.to_dict()
         assert data["mean_ms"] == pytest.approx(4.0)
 
@@ -114,7 +114,7 @@ class TestLockFreeWritePath:
         for t in threads:
             t.join()
         assert hist.count == 4 * per_writer
-        assert hist.sum_ms == pytest.approx(4 * per_writer * 0.25)
+        assert hist.to_dict()["sum_ms"] == pytest.approx(4 * per_writer * 0.25)
 
 
 class TestMerge:
@@ -128,9 +128,9 @@ class TestMerge:
         a.merge_into(merged)
         b.merge_into(merged)
         assert merged.count == 3
-        assert merged.max_ms == pytest.approx(100.0)
-        assert merged.min_ms == pytest.approx(0.1)
-        assert merged.sum_ms == pytest.approx(101.1)
+        assert merged.to_dict()["max_ms"] == pytest.approx(100.0)
+        assert merged.to_dict()["min_ms"] == pytest.approx(0.1)
+        assert merged.to_dict()["sum_ms"] == pytest.approx(101.1)
 
     def test_merge_rejects_mismatched_bounds(self):
         a = LatencyHistogram("x", buckets_ms=(1.0, 2.0))

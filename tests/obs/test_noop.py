@@ -35,8 +35,6 @@ class TestNoopSingletons:
         assert NOOP_OBS.histograms() == {}
         assert NOOP_OBS.counters() == {}
         assert NOOP_OBS.gauges() == {}
-        assert NOOP_OBS.traces() == []
-        assert NOOP_OBS.slow_spans() == []
         assert NOOP_OBS.stage_summary(["admission"]) == {}
         assert NOOP_OBS.merged_histogram("admission") is None
 

@@ -39,7 +39,7 @@ class TestTimedHelpers:
             pass
         hist = obs.histogram("broker.decide")
         assert hist.count == 1
-        assert hist.max_ms >= 0.0
+        assert hist.to_dict()["max_ms"] >= 0.0
 
     def test_timed_lock_records_wait_and_hold(self, obs):
         lock = threading.Lock()
@@ -68,7 +68,7 @@ class TestSummaries:
         obs.observe("driver.commit", 3.0, label="epc")
         merged = obs.merged_histogram("driver.commit")
         assert merged.count == 2
-        assert merged.max_ms == pytest.approx(3.0)
+        assert merged.to_dict()["max_ms"] == pytest.approx(3.0)
 
     def test_stage_summary_skips_silent_stages(self, obs):
         obs.observe("admission", 0.5)

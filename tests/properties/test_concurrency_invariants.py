@@ -136,7 +136,7 @@ def test_concurrent_schedule_conserves_capacity(ops, capacity, batch_size):
     # *retryable* shape the invariant below accepts; what it rejects is
     # any PREPARED/half-unwound straggler or held-vs-committed skew.
     # --- The invariant ------------------------------------------------
-    for driver in registry:
+    for driver in registry.drivers():
         committed = _committed_demand(driver)
         assert driver.held_mbps == pytest.approx(committed), (
             f"{driver.domain}: holds {driver.held_mbps} but commitments "
@@ -178,7 +178,7 @@ def test_oversubscribed_batch_admits_exactly_what_fits(n_jobs, mbps, seed):
     ]
     outcomes = planner.install(jobs)
     winners = {o.job.slice_id for o in outcomes if o.ok}
-    for driver in registry:
+    for driver in registry.drivers():
         assert driver.held_mbps == pytest.approx(len(winners) * mbps)
         assert driver.held_mbps <= driver.capacity_mbps + 1e-9
         assert {r.slice_id for r in driver.reservations()} == winners

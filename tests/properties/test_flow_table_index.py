@@ -5,8 +5,8 @@ duplicates from a ``(match, priority)`` set and removes a slice's
 entries through a per-slice index.  A model that does what the table
 used to do — linear duplicate scan, append + stable sort, rebuild on
 removal — is driven through the same random schedule; after every step
-the table, the removal counts, the rejections and ``lookup`` must agree
-and ``verify_index`` must pass.
+the table, the removal counts and the rejections must agree and
+``verify_index`` must pass.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.transport.switch import FlowEntry, FlowMatch, OpenFlowSwitch, SwitchError
+from tests.conftest import flows_of
 
 EXAMPLE_MULTIPLIER = int(os.environ.get("HYPOTHESIS_EXAMPLE_MULTIPLIER", "1"))
 
@@ -48,12 +49,6 @@ class ScanTable:
         before = len(self.table)
         self.table = [e for e in self.table if e.slice_id != slice_id]
         return before - len(self.table)
-
-    def lookup(self, plmn_id: str, in_port: int):
-        for entry in self.table:
-            if entry.match.matches(plmn_id, in_port):
-                return entry
-        return None
 
 
 def random_entry(rng: random.Random) -> FlowEntry:
@@ -86,12 +81,10 @@ def test_flow_table_matches_append_and_stable_sort(seed, steps):
         else:
             slice_id = rng.choice((None, "s1", "s2", "s3", "s4"))
             assert switch.remove_slice_flows(slice_id) == model.remove_slice_flows(slice_id)
-            assert switch.flows_of(slice_id) == []
+            assert flows_of(switch, slice_id) == []
         switch.verify_index()
         # Same entries in the same order — identity, not just equality.
-        assert [id(e) for e in switch.flows()] == [id(e) for e in model.table]
-        plmn, port = rng.choice(("00101", "00102", "00109")), rng.randrange(3)
-        assert switch.lookup(plmn, port) is model.lookup(plmn, port)
+        assert [id(e) for e in switch._table] == [id(e) for e in model.table]
 
 
 def test_duplicate_is_rejected_again_after_remove_and_reinstall():
@@ -105,7 +98,7 @@ def test_duplicate_is_rejected_again_after_remove_and_reinstall():
     with pytest.raises(SwitchError):
         switch.install(FlowEntry(out_port=3, slice_id="s1", **rule))
     assert switch.remove_slice_flows("s1") == 0
-    assert [e.slice_id for e in switch.flows()] == ["s2"]
+    assert [e.slice_id for e in switch._table] == ["s2"]
     switch.verify_index()
 
 

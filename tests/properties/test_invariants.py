@@ -25,7 +25,7 @@ from repro.experiments.testbed import build_testbed
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.traffic.patterns import ConstantProfile
-from tests.conftest import make_request
+from tests.conftest import free_prbs, make_request
 
 #: The nightly CI flake-hunt multiplies every property suite's example
 #: budget (HYPOTHESIS_EXAMPLE_MULTIPLIER=5) without touching the fast
@@ -135,7 +135,7 @@ def test_expiry_returns_every_resource(seed, n):
     its pristine free state."""
     rng = np.random.default_rng(seed)
     testbed = build_testbed()
-    pristine_prbs = dict(testbed.ran.free_prbs())
+    pristine_prbs = free_prbs(testbed.ran)
     pristine_vcpus = sum(dc.free_vcpus for dc in testbed.cloud.datacenters())
     sim = Simulator()
     orch = Orchestrator(
@@ -152,7 +152,7 @@ def test_expiry_returns_every_resource(seed, n):
         )
         orch.submit(request, ConstantProfile(request.sla.throughput_mbps, level=0.4))
     sim.run_until(2_000.0)  # all durations elapsed
-    assert testbed.ran.free_prbs() == pristine_prbs
+    assert free_prbs(testbed.ran) == pristine_prbs
     assert sum(dc.free_vcpus for dc in testbed.cloud.datacenters()) == pristine_vcpus
     for link in testbed.transport.topology.links():
         assert link.effective_reserved_mbps == pytest.approx(0.0)

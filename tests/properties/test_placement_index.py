@@ -274,7 +274,7 @@ def test_datacenter_fit_index_matches_best_fit_scan(n_nodes, vcpus, steps):
     for every flavor size."""
     from repro.cloud.datacenter import ComputeNode, Datacenter, DatacenterTier
     from repro.cloud.datacenter import VirtualMachine
-    from repro.cloud.flavors import FLAVORS, flavor
+    from repro.cloud.flavors import FLAVORS
     from repro.cloud.placement import BestFitPlacement
 
     dc = Datacenter(
@@ -291,7 +291,7 @@ def test_datacenter_fit_index_matches_best_fit_scan(n_nodes, vcpus, steps):
     for action, which, flavor_name in steps:
         if action % 3 != 0 or not booted:  # boot (2/3 of steps)
             counter += 1
-            vm = VirtualMachine(f"vm{counter}", flavor(flavor_name))
+            vm = VirtualMachine(f"vm{counter}", FLAVORS[flavor_name])
             node = dc.best_fit_node(vm.flavor)
             if node is not None:
                 node.boot(vm)

@@ -30,9 +30,6 @@ class TestDimensioning:
         with pytest.raises(RanConfigError):
             enb.prbs_for_throughput(0.0)
 
-    def test_capacity_is_prbs_times_rate(self, enb):
-        assert enb.capacity_mbps() == pytest.approx(100 * enb.throughput_per_prb())
-
     def test_bad_reference_cqi_rejected(self):
         with pytest.raises(RanConfigError):
             ENodeB("x", reference_cqi=0)
@@ -87,8 +84,8 @@ class TestUes:
         enb.install_slice("s1", plmn(1), 5, 5)
         ue = UserEquipment(plmn(1), "s1")
         enb.register_ue(ue)
-        assert len(enb.ues_of("s1")) == 1
-        assert enb.attached_count("s1") == 0  # not attached yet
+        assert enb._ues["s1"] == [ue]
+        assert not ue.attached  # not attached yet
 
     def test_remove_slice_detaches_ues(self, enb):
         enb.install_slice("s1", plmn(1), 5, 5)
@@ -102,12 +99,6 @@ class TestUes:
 
 
 class TestSliceCapacity:
-    def test_slice_capacity_uses_effective(self, enb):
-        enb.install_slice("s1", plmn(1), nominal_prbs=20, effective_prbs=10)
-        assert enb.slice_capacity_mbps("s1") == pytest.approx(
-            10 * enb.throughput_per_prb()
-        )
-
     def test_utilization_snapshot(self, enb):
         enb.install_slice("s1", plmn(1), 20, 10)
         snap = enb.utilization()

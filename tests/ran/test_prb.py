@@ -27,7 +27,7 @@ class TestReservations:
         assert grid.effective_reserved == 15
         assert grid.nominal_reserved == 20
         assert grid.free_prbs == 35
-        assert grid.has("s1")
+        assert "s1" in grid._reservations
 
     def test_duplicate_rejected(self):
         grid = PrbGrid(10.0)
@@ -59,7 +59,7 @@ class TestReservations:
         grid.reserve("s1", 20, 20)
         grid.release("s1")
         assert grid.free_prbs == 50
-        assert not grid.has("s1")
+        assert "s1" not in grid._reservations
 
     def test_release_unknown_rejected(self):
         with pytest.raises(PrbError):

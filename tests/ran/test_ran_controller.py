@@ -9,7 +9,7 @@ from repro.core.slices import PLMN
 from repro.ran.controller import RanController
 from repro.ran.enb import ENodeB, RanConfigError
 from repro.ran.scheduler import SchedulerError
-from tests.conftest import serve_slices
+from tests.conftest import free_prbs, serve_slices
 
 
 @pytest.fixture
@@ -31,7 +31,7 @@ class TestInventory:
             controller.enb("ghost")
 
     def test_free_prbs_per_cell(self, controller):
-        assert controller.free_prbs() == {"enb1": 100, "enb2": 100}
+        assert free_prbs(controller) == {"enb1": 100, "enb2": 100}
 
 
 class TestInstall:
@@ -79,7 +79,7 @@ class TestLifecycle:
         controller.install_slice("s1", plmn(1), 20.0)
         controller.remove_slice("s1")
         assert controller.serving_enb_of("s1") is None
-        assert controller.free_prbs() == {"enb1": 100, "enb2": 100}
+        assert free_prbs(controller) == {"enb1": 100, "enb2": 100}
 
     def test_remove_unknown_rejected(self, controller):
         with pytest.raises(RanConfigError):
@@ -118,7 +118,8 @@ class TestServeEpoch:
         controller.install_slice("s2", plmn(2), 30.0, effective_fraction=0.5, enb_id="enb1")
         controller.install_slice("s3", plmn(3), 30.0, effective_fraction=0.5, enb_id="enb1")
         delivered = serve_slices(controller, {"s1": 30.0, "s2": 30.0, "s3": 30.0})
-        total_capacity = controller.enb("enb1").capacity_mbps()
+        cell = controller.enb("enb1")
+        total_capacity = cell.grid.total_prbs * cell.throughput_per_prb()
         assert sum(delivered.values()) <= total_capacity * 1.01
         assert any(d < 30.0 for d in delivered.values())
 

@@ -75,5 +75,4 @@ def test_negative_attach_latency_rejected(ue):
 
 
 def test_cqi_reports_in_range(ue):
-    for _ in range(50):
-        assert 0 <= ue.report_cqi(1.0) <= 15
+    assert 0 <= ue.channel.cqi() <= 15

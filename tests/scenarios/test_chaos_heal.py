@@ -54,11 +54,11 @@ class TestOverlappingWindowsRefcount:
         assert not link.up
         sim.run_until(350.0)  # window 1 restored at 300, window 2 holds
         assert not link.up
-        assert pack.any_links_down()
+        assert pack._down_count
         sim.run_until(450.0)  # last window ended at 400
         assert link.up
         assert topology.link("enb1-mmwave-rev").up
-        assert not pack.any_links_down()
+        assert not pack._down_count
 
     def test_sequential_windows_strike_twice(self):
         sim, topology, _ = self._pack(
@@ -160,7 +160,7 @@ class TestRepeatedFailureHeal:
 
     def test_no_links_left_down_or_double_restored(self, chaos_run):
         runner, _ = chaos_run
-        assert not runner.pack.any_links_down()
+        assert not runner.pack._down_count
         assert all(
             link.up for link in runner.testbed.transport.topology.links()
         )

@@ -106,11 +106,11 @@ def test_draws_keep_nothing_and_mix_the_seed_once(monkeypatch):
     calls = []
     real = randomness._seed_pool
     monkeypatch.setattr(randomness, "_seed_pool", lambda seed: calls.append(seed) or real(seed))
-    streams = RandomStreams(seed=11).fork(3)
+    streams = RandomStreams(seed=11)
     for ordinal in range(50):
         streams.draws(f"api-profile-req-{ordinal:06d}").uniform(0.0, 1.0)
-    assert calls == [streams.seed]
-    assert streams.names() == []
+    assert calls == [11]
+    assert streams._streams == {}
 
 
 def test_a_negative_seed_is_refused_like_derive():

@@ -17,14 +17,6 @@ def test_process_fires_periodically(sim):
     assert proc.fire_count == 3
 
 
-def test_immediate_process_fires_at_start(sim):
-    fired = []
-    proc = PeriodicProcess(sim, 10.0, lambda: fired.append(sim.now), immediate=True)
-    proc.start()
-    sim.run_until(15.0)
-    assert fired == [0.0, 10.0]
-
-
 def test_stop_halts_firings(sim):
     fired = []
     proc = PeriodicProcess(sim, 5.0, lambda: fired.append(sim.now))
@@ -32,7 +24,6 @@ def test_stop_halts_firings(sim):
     sim.schedule(12.0, proc.stop)
     sim.run_until(50.0)
     assert fired == [5.0, 10.0]
-    assert not proc.running
 
 
 def test_restart_after_stop(sim):
@@ -59,12 +50,3 @@ def test_double_start_is_noop(sim):
 def test_nonpositive_period_rejected(sim):
     with pytest.raises(SimulationError):
         PeriodicProcess(sim, 0.0, lambda: None)
-
-
-def test_running_property(sim):
-    proc = PeriodicProcess(sim, 5.0, lambda: None)
-    assert not proc.running
-    proc.start()
-    assert proc.running
-    proc.stop()
-    assert not proc.running

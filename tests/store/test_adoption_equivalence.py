@@ -209,7 +209,7 @@ def observed(orch, directory):
             (e.time, e.priority, e.seq, e.name, e.cancelled) for e in orch.sim._queue
         ),
         "plmn_available": pool.available,
-        "plmn_holders": {s.slice_id: pool.holder_of(s.plmn.plmn_id)
+        "plmn_holders": {s.slice_id: pool._holders.get(s.plmn.plmn_id)
                          for s in orch.live_slices() if s.plmn},
         "plmn_hand_out": hand_out_order(pool),
         "bookings": calendar.bookings(),

@@ -249,8 +249,8 @@ class TestTailReader:
                 journal.append(f"t.{round_}.{i}", n=i)
             for after in (0, 2, journal.last_lsn - 1, journal.last_lsn, 99):
                 assert journal.records(after) == from_scratch(path, after)
-            assert len(journal) == journal.last_lsn
-        assert [r.lsn for r in journal] == list(range(1, 13))
+            assert len(journal.records()) == journal.last_lsn
+        assert [r.lsn for r in journal.records()] == list(range(1, 13))
 
     def test_steady_state_poll_decodes_only_new_lines(self, path, monkeypatch):
         from repro.store.journal import JournalRecord
@@ -313,7 +313,7 @@ class TestTailReader:
             handle.write(line(2, "b"))  # another writer, newline pending
         assert [r.lsn for r in journal.records()] == [1, 2]
         assert [r.lsn for r in journal.records()] == [1, 2]
-        assert len(journal) == 2
+        assert len(journal.records()) == 2
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("\n")
         assert [r.lsn for r in journal.records()] == [1, 2]
@@ -335,7 +335,7 @@ class TestTailReader:
         assert [r.lsn for r in follower.records(9)] == [10, 11]
         assert follower.lsns == [8, 9, 10, 11]
         assert journal.compact(upto_lsn=11) == 4
-        assert journal.records() == [] and len(journal) == 0
+        assert journal.records() == [] and len(journal.records()) == 0
         assert follower.records() == []
         journal.append("again")
         assert [r.lsn for r in follower.records(11)] == [12]
@@ -384,7 +384,7 @@ class TestTailReader:
         successor.append("c")
         successor.compact(upto_lsn=2)
         assert [r.record_type for r in journal.records()] == ["c"]
-        assert journal.records(3) == [] and len(journal) == 1
+        assert journal.records(3) == [] and len(journal.records()) == 1
 
     def test_corrupt_middle_line_raises_on_every_read(self, path):
         journal = Journal(path)
@@ -400,7 +400,7 @@ class TestTailReader:
             with pytest.raises(JournalCorrupt):
                 follower.pull()
         with pytest.raises(JournalCorrupt):
-            len(journal)
+            journal.records()
 
     def test_missing_file_reads_empty(self, tmp_path):
         follower = JournalTail(str(tmp_path / "not-yet.jsonl"))

@@ -25,10 +25,6 @@ class TestTraceProfile:
         profile = TraceProfile(10.0, [0.1, 0.9], sample_period_s=100.0, wrap=False)
         assert profile.fraction(10_000.0) == 0.9
 
-    def test_duration(self):
-        profile = TraceProfile(10.0, [0.1] * 6, sample_period_s=600.0)
-        assert profile.duration_s == 3_600.0
-
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             TraceProfile(10.0, [])
@@ -117,7 +113,7 @@ class TestSyntheticCityTrace:
         )
         assert isinstance(profile, TraceProfile)
         assert profile.peak_mbps == 25.0
-        assert profile.duration_s == pytest.approx(SECONDS_PER_DAY)
+        assert profile.samples.size * profile.sample_period_s == pytest.approx(SECONDS_PER_DAY)
 
     def test_forecastable_by_holt_winters(self):
         """The generated structure is learnable — HW beats naive on it."""

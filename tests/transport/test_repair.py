@@ -12,6 +12,7 @@ from repro.sim.randomness import RandomStreams
 from repro.transport.controller import TransportError
 from repro.transport.paths import PathRequest
 from repro.transport.topology import Topology
+from tests.conftest import flows_of
 from repro.traffic.patterns import ConstantProfile
 from tests.conftest import make_request
 
@@ -52,7 +53,7 @@ class TestRepairPath:
         testbed, controller, _ = reserved
         testbed.transport.topology.link("enb1-mmwave-fwd").fail()
         controller.repair_path("s1")
-        flows = testbed.switch.flows_of("s1")
+        flows = flows_of(testbed.switch, "s1")
         assert len(flows) == 1
         assert flows[0].match.plmn_id == "00101"
 

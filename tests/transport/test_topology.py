@@ -20,7 +20,7 @@ def topo():
 
 
 def test_nodes_auto_added(topo):
-    assert topo.nodes == {"a", "b", "c"}
+    assert topo.utilization()["nodes"] == ["a", "b", "c"]
 
 
 def test_duplicate_link_rejected(topo):

@@ -9,6 +9,7 @@ from repro.transport.links import Link
 from repro.transport.paths import PathRequest
 from repro.transport.switch import OpenFlowSwitch
 from repro.transport.topology import Topology
+from tests.conftest import flows_of
 
 
 @pytest.fixture
@@ -31,7 +32,7 @@ class TestReserve:
         assert allocation.path.link_ids == ("a-sw", "sw-b")
         for lid in allocation.path.link_ids:
             assert controller.topology.link(lid).has("s1")
-        flows = controller.switch("sw").flows_of("s1")
+        flows = flows_of(controller._switches["sw"], "s1")
         assert len(flows) == 1
         assert flows[0].match.plmn_id == "00101"
 
@@ -69,7 +70,7 @@ class TestReleaseResize:
         controller.release_path("s1")
         assert controller.allocation_of("s1") is None
         assert controller.topology.link("a-sw").residual_mbps == pytest.approx(100.0)
-        assert controller.switch("sw").flows_of("s1") == []
+        assert flows_of(controller._switches["sw"], "s1") == []
 
     def test_release_unknown_rejected(self, controller):
         with pytest.raises(TransportError):
@@ -91,10 +92,6 @@ class TestQueries:
     def test_feasible(self, controller):
         assert controller.feasible(request())
         assert not controller.feasible(request(bw=500.0))
-
-    def test_unknown_switch_rejected(self, controller):
-        with pytest.raises(TransportError):
-            controller.switch("ghost")
 
     def test_utilization(self, controller):
         controller.reserve_path("s1", "00101", request(bw=40.0))

@@ -18,29 +18,14 @@ import json
 import re
 from dataclasses import dataclass, field
 from heapq import merge
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
+
+from repro.store.codec import json_default
 
 
 class ApiError(RuntimeError):
     """Raised for router misconfiguration (not for 4xx/5xx responses)."""
-
-
-def _json_default(obj: Any) -> Any:
-    """Coerce numpy scalars/arrays (and sets) into JSON-native values."""
-    import numpy as np
-
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -96,7 +81,7 @@ class Response:
         snapshots and domain utilization dicts) are coerced to their
         Python equivalents instead of raising ``TypeError``.
         """
-        return json.dumps(self.body, sort_keys=True, default=_json_default)
+        return json.dumps(self.body, sort_keys=True, default=json_default)
 
 
 Handler = Callable[[Request], "Response | dict"]

@@ -50,6 +50,9 @@ DEFAULT_TENANT = "anonymous"
 #: ordinals, so a probe draws nothing from the process-wide id counter.
 WHAT_IF_REQUEST_ID = "whatif"
 
+#: The ``state`` values ``GET /v1/slices`` filters by.
+SLICE_STATES = [state.value for state in SliceState]
+
 
 class ServiceError(Exception):
     """A service-layer failure with an HTTP status and stable code."""
@@ -201,7 +204,6 @@ class SliceService:
         orchestrator: The live orchestrator.
         broker: Batch-window broker used by ``mode=batch`` submissions;
             one with the default 300 s window is created when omitted.
-        operation_capacity: Retention of the async-operation registry.
         default_quota: Quota applied to tenants without one of their own
             (None — the default — disables quota enforcement for them).
     """
@@ -210,12 +212,11 @@ class SliceService:
         self,
         orchestrator: Orchestrator,
         broker: Optional[SliceBroker] = None,
-        operation_capacity: int = 1024,
         default_quota: Optional[TenantQuota] = None,
     ) -> None:
         self.orchestrator = orchestrator
         self.broker = broker or SliceBroker(orchestrator)
-        self.operations = OperationStore(capacity=operation_capacity)
+        self.operations = OperationStore()
         self.default_quota = default_quota
 
     # ------------------------------------------------------------------
@@ -483,25 +484,19 @@ class SliceService:
         offset: int = 0,
         limit: Optional[int] = None,
     ) -> Tuple[List[NetworkSlice], int]:
-        """Filtered, paginated inventory; returns (page, total_matched).
+        """Filtered, paginated inventory in ``slice_id`` order, cut from the
+        slice index; returns (page, total_matched).
 
         ``limit=None`` returns everything past ``offset``."""
-        if state is not None:
-            valid = [s.value for s in SliceState]
-            if state not in valid:
-                raise ValidationError(
-                    "invalid_parameter",
-                    f"unknown state {state!r}; valid: {valid}",
-                    field="state",
-                )
-        slices = self.orchestrator.all_slices()
-        if tenant_id is not None:
-            slices = [s for s in slices if s.request.tenant_id == tenant_id]
-        if state is not None:
-            slices = [s for s in slices if s.state.value == state]
-        total = len(slices)
+        if state is not None and state not in SLICE_STATES:
+            raise ValidationError(
+                "invalid_parameter",
+                f"unknown state {state!r}; valid: {SLICE_STATES}",
+                field="state",
+            )
+        ids = self.orchestrator.slice_index.view(tenant_id, state)
         end = None if limit is None else offset + limit
-        return slices[offset:end], total
+        return [self.orchestrator.slice(slice_id) for slice_id in ids[offset:end]], len(ids)
 
     def get_slice(
         self, slice_id: str, tenant_id: Optional[str] = None

@@ -77,7 +77,7 @@ def _rejection_response(code: str, decision) -> Response:
     return Response(status=409, body=body)
 
 
-def _guarded(handler: Handler) -> Handler:
+def guarded(handler: Handler) -> Handler:
     """Translate schema/service exceptions into enveloped responses."""
 
     def wrapped(request: Request):
@@ -258,25 +258,25 @@ def build_v1_api(service: SliceService, api: Optional[RestApi] = None) -> RestAp
             },
         )
 
-    api.route("GET", "/v1", _guarded(get_index))
-    api.route("POST", "/v1/slices", _guarded(post_slice))
-    api.route("GET", "/v1/slices", _guarded(get_slices))
-    api.route("GET", "/v1/slices/{slice_id}", _guarded(get_slice))
-    api.route("PATCH", "/v1/slices/{slice_id}", _guarded(patch_slice))
-    api.route("DELETE", "/v1/slices/{slice_id}", _guarded(delete_slice))
-    api.route("POST", "/v1/bookings", _guarded(post_booking))
-    api.route("GET", "/v1/bookings", _guarded(get_bookings))
-    api.route("DELETE", "/v1/bookings/{booking_id}", _guarded(delete_booking))
-    api.route("POST", "/v1/whatif", _guarded(post_whatif))
-    api.route("GET", "/v1/operations", _guarded(get_operations))
-    api.route("GET", "/v1/operations/{op_id}", _guarded(get_operation))
-    api.route("GET", "/v1/events", _guarded(get_events))
-    api.route("GET", "/v1/dashboard", _guarded(get_dashboard))
-    api.route("GET", "/v1/domains/{domain}", _guarded(get_domain))
-    api.route("GET", "/v1/admin/state", _guarded(get_admin_state))
-    api.route("POST", "/v1/admin/checkpoint", _guarded(post_admin_checkpoint))
-    api.route("GET", "/v1/admin/metrics", _guarded(get_admin_metrics))
-    api.route("GET", "/v1/admin/traces", _guarded(get_admin_traces))
+    api.route("GET", "/v1", guarded(get_index))
+    api.route("POST", "/v1/slices", guarded(post_slice))
+    api.route("GET", "/v1/slices", guarded(get_slices))
+    api.route("GET", "/v1/slices/{slice_id}", guarded(get_slice))
+    api.route("PATCH", "/v1/slices/{slice_id}", guarded(patch_slice))
+    api.route("DELETE", "/v1/slices/{slice_id}", guarded(delete_slice))
+    api.route("POST", "/v1/bookings", guarded(post_booking))
+    api.route("GET", "/v1/bookings", guarded(get_bookings))
+    api.route("DELETE", "/v1/bookings/{booking_id}", guarded(delete_booking))
+    api.route("POST", "/v1/whatif", guarded(post_whatif))
+    api.route("GET", "/v1/operations", guarded(get_operations))
+    api.route("GET", "/v1/operations/{op_id}", guarded(get_operation))
+    api.route("GET", "/v1/events", guarded(get_events))
+    api.route("GET", "/v1/dashboard", guarded(get_dashboard))
+    api.route("GET", "/v1/domains/{domain}", guarded(get_domain))
+    api.route("GET", "/v1/admin/state", guarded(get_admin_state))
+    api.route("POST", "/v1/admin/checkpoint", guarded(post_admin_checkpoint))
+    api.route("GET", "/v1/admin/metrics", guarded(get_admin_metrics))
+    api.route("GET", "/v1/admin/traces", guarded(get_admin_traces))
     return api
 
 
@@ -291,4 +291,4 @@ def build_orchestrator_api(
     return build_v1_api(service or SliceService(orchestrator, broker=broker))
 
 
-__all__ = ["CREATE_MODES", "TENANT_HEADER", "build_orchestrator_api", "build_v1_api"]
+__all__ = ["CREATE_MODES", "TENANT_HEADER", "build_orchestrator_api", "build_v1_api", "guarded"]

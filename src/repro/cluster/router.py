@@ -9,10 +9,11 @@ paths, same error envelope — but in front of N shards:
   :class:`~repro.cluster.ring.HashRing` assigns the tenant, and the
   shard's own API answers verbatim.  Detail reads without a tenant
   header fall back to scatter-gather (first non-404 wins).
-- **Collection** calls fan out to every shard and merge: pagination is
-  re-cut over the globally sorted union (duplicate-free and ordered —
-  the cross-shard semantics suite pins this), every item annotated
-  with its ``shard``.
+- **Collection** calls fan out to every shard and merge, every item
+  annotated with its ``shard``.  A slice page is cut in the global
+  ``(slice_id, shard)`` order from the shards' sorted slice-index views
+  (duplicate-free and ordered — the cross-shard semantics suite pins
+  this), without building the union.
 - **The durable event feed** merges per-shard WAL cursors as a
   *vector*: LSNs are per-shard sequences, so one integer cannot
   address a cluster position.  ``GET /v1/events?after_lsn=`` accepts
@@ -32,6 +33,9 @@ router surgery.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left, bisect_right
+from itertools import islice
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlencode
 
@@ -42,7 +46,7 @@ from repro.api.schemas import (
     parse_int_param,
     parse_pagination,
 )
-from repro.api.v1 import TENANT_HEADER
+from repro.api.v1 import TENANT_HEADER, guarded
 from repro.cluster.ring import HashRing
 from repro.obs.registry import NOOP_OBS
 
@@ -101,8 +105,20 @@ class VectorCursor:
         )
 
 
-class ShardRouter:
-    """Routes, fans out, and merges the v1 surface over N shards.
+def _merge_starts(views: Sequence[Sequence[str]], offset: int) -> List[int]:
+    """How many ids of each shard's sorted view rank below ``offset`` in the merged
+    ``(slice_id, shard)`` order: a bisection over ranks, each one bisect per view."""
+
+    def rank(k: int, slice_id: str) -> int:
+        return sum((bisect_right if i < k else bisect_left)(v, slice_id) for i, v in enumerate(views))
+
+    return [bisect_left(range(len(v)), offset, key=lambda p: rank(k, v[p])) for k, v in enumerate(views)]
+
+
+class ShardRouter(RestApi):
+    """Routes, fans out, and merges the v1 surface over N shards: a
+    :class:`RestApi` whose routes are the v1 surface's and whose
+    :meth:`dispatch` is timed.
 
     Args:
         ring: The tenant → shard map (shared with the cluster builder).
@@ -120,15 +136,12 @@ class ShardRouter:
             raise ValueError(
                 f"ring covers {ring.shard_count} shards, got {len(shards)}"
             )
+        super().__init__(enveloped_prefixes=("/v1",))
         self.ring = ring
         self.shards = list(shards)
         self.obs = obs if obs is not None else NOOP_OBS
-        self.api = RestApi(enveloped_prefixes=("/v1",))
         self._register()
 
-    # ------------------------------------------------------------------
-    # Public dispatch surface (mirrors RestApi)
-    # ------------------------------------------------------------------
     def dispatch(
         self,
         method: str,
@@ -137,29 +150,7 @@ class ShardRouter:
         headers: Optional[Dict[str, str]] = None,
     ) -> Response:
         with self.obs.timed("router.dispatch", label=method.upper()):
-            return self.api.dispatch(method, path, body, headers)
-
-    def get(self, path: str, headers: Optional[Dict[str, str]] = None) -> Response:
-        return self.dispatch("GET", path, headers=headers)
-
-    def post(
-        self,
-        path: str,
-        body: Optional[dict] = None,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> Response:
-        return self.dispatch("POST", path, body, headers=headers)
-
-    def patch(
-        self,
-        path: str,
-        body: Optional[dict] = None,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> Response:
-        return self.dispatch("PATCH", path, body, headers=headers)
-
-    def delete(self, path: str, headers: Optional[Dict[str, str]] = None) -> Response:
-        return self.dispatch("DELETE", path, headers=headers)
+            return super().dispatch(method, path, body, headers)
 
     # ------------------------------------------------------------------
     # Routing primitives
@@ -206,15 +197,11 @@ class ShardRouter:
         tenant = self._tenant_of(request)
         if tenant:
             return self._forward(self._owner(tenant), request)
-        fallback: Optional[Response] = None
-        for shard in self.shards:
+        for shard in self.shards:  # the ring has at least one
             response = self._forward(shard, request)
             if response.status != 404:
                 return response
-            fallback = response
-        return fallback if fallback is not None else Response(
-            status=404, body={"error": {"code": "not_found", "message": "no shards"}}
-        )
+        return response
 
     # ------------------------------------------------------------------
     # Fan-out + merge handlers
@@ -223,34 +210,25 @@ class ShardRouter:
         offset, limit = parse_pagination(request.query)
         tenant = request.header(TENANT_HEADER) or request.query.get("tenant") or None
         state = request.query.get("state")
-        merged: List[Tuple[str, int, Any]] = []
-        total = 0
-        for shard in self.shards:
-            page, shard_total = shard.service.list_slices(
-                tenant_id=tenant, state=state, offset=0, limit=None
-            )
+        # Global order: (slice_id, shard), so re-cut pages are duplicate-free and
+        # seam-consistent.  Only ``limit`` ids are merged, from each shard's share
+        # of ``offset`` on; only the slices they name are fetched and serialised.
+        views = [s.service.orchestrator.slice_index.view(tenant, state) for s in self.shards]
+        starts = _merge_starts(views, offset)
+        heads = [
+            [(slice_id, k) for slice_id in view[start : start + limit]]
+            for k, (view, start) in enumerate(zip(views, starts))
+        ]
+        order = [k for _, k in islice(heapq.merge(*heads), limit)]
+        pages, total = [], 0
+        for k, shard in enumerate(self.shards):
+            page, shard_total = shard.service.list_slices(tenant, state, starts[k], order.count(k))
+            pages.append(iter(page))
             total += shard_total
-            merged.extend((s.slice_id, shard.shard_id, s) for s in page)
-        # Global order: (slice_id, shard) — stable, total, and
-        # independent of per-shard arrival order, so re-cut pages are
-        # duplicate-free and seam-consistent.  Only the returned window
-        # is serialised.
-        merged.sort(key=lambda entry: entry[:2])
-        window = []
-        for _, shard_id, network_slice in merged[offset : offset + limit]:
-            item = network_slice.to_dict()
-            item["shard"] = shard_id
-            window.append(item)
-        return Response(
-            status=200,
-            body={
-                "slices": window,
-                "count": len(window),
-                "total": total,
-                "offset": offset,
-                "limit": limit,
-            },
-        )
+        window = [dict(next(pages[k]).to_dict(), shard=self.shards[k].shard_id) for k in order]
+        return Response(status=200, body={
+            "slices": window, "count": len(window), "total": total, "offset": offset, "limit": limit,
+        })
 
     def _get_bookings(self, request: Request) -> Response:
         tenant = request.header(TENANT_HEADER) or request.query.get("tenant") or None
@@ -423,7 +401,7 @@ class ShardRouter:
                     "ring_vnodes": self.ring.vnodes,
                     "event_cursor": "vector (after_lsn=<shard>:<lsn>,...)",
                 },
-                "routes": self.api.routes(),
+                "routes": self.routes(),
             },
         )
 
@@ -431,39 +409,29 @@ class ShardRouter:
     # Route table
     # ------------------------------------------------------------------
     def _register(self) -> None:
-        def guarded(handler):
-            def wrapped(request: Request):
-                try:
-                    return handler(request)
-                except ValidationError as exc:
-                    return exc.to_response(400)
-
-            return wrapped
-
-        api = self.api
-        api.route("GET", "/v1", guarded(self._get_index))
+        self.route("GET", "/v1", guarded(self._get_index))
         # Tenant-affine writes → one shard.
-        api.route("POST", "/v1/slices", guarded(self._route_by_tenant))
-        api.route("POST", "/v1/bookings", guarded(self._route_by_tenant))
-        api.route("POST", "/v1/whatif", guarded(self._route_by_tenant))
+        self.route("POST", "/v1/slices", guarded(self._route_by_tenant))
+        self.route("POST", "/v1/bookings", guarded(self._route_by_tenant))
+        self.route("POST", "/v1/whatif", guarded(self._route_by_tenant))
         # Detail endpoints → owner (or scatter-gather when unscoped).
-        api.route("GET", "/v1/slices/{slice_id}", guarded(self._route_detail))
-        api.route("PATCH", "/v1/slices/{slice_id}", guarded(self._route_detail))
-        api.route("DELETE", "/v1/slices/{slice_id}", guarded(self._route_detail))
-        api.route("DELETE", "/v1/bookings/{booking_id}", guarded(self._route_detail))
-        api.route("GET", "/v1/operations/{op_id}", guarded(self._route_detail))
+        self.route("GET", "/v1/slices/{slice_id}", guarded(self._route_detail))
+        self.route("PATCH", "/v1/slices/{slice_id}", guarded(self._route_detail))
+        self.route("DELETE", "/v1/slices/{slice_id}", guarded(self._route_detail))
+        self.route("DELETE", "/v1/bookings/{booking_id}", guarded(self._route_detail))
+        self.route("GET", "/v1/operations/{op_id}", guarded(self._route_detail))
         # Collections → fan out + merge.
-        api.route("GET", "/v1/slices", guarded(self._get_slices))
-        api.route("GET", "/v1/bookings", guarded(self._get_bookings))
-        api.route("GET", "/v1/operations", guarded(self._get_operations))
-        api.route("GET", "/v1/events", guarded(self._get_events))
+        self.route("GET", "/v1/slices", guarded(self._get_slices))
+        self.route("GET", "/v1/bookings", guarded(self._get_bookings))
+        self.route("GET", "/v1/operations", guarded(self._get_operations))
+        self.route("GET", "/v1/events", guarded(self._get_events))
         # Observability + admin → fan out.
-        api.route("GET", "/v1/dashboard", guarded(self._get_dashboard))
-        api.route("GET", "/v1/domains/{domain}", guarded(self._get_domain))
-        api.route("GET", "/v1/admin/state", guarded(self._get_admin_state))
-        api.route("POST", "/v1/admin/checkpoint", guarded(self._post_admin_checkpoint))
-        api.route("GET", "/v1/admin/metrics", guarded(self._get_admin_metrics))
-        api.route("GET", "/v1/admin/traces", guarded(self._get_admin_traces))
+        self.route("GET", "/v1/dashboard", guarded(self._get_dashboard))
+        self.route("GET", "/v1/domains/{domain}", guarded(self._get_domain))
+        self.route("GET", "/v1/admin/state", guarded(self._get_admin_state))
+        self.route("POST", "/v1/admin/checkpoint", guarded(self._post_admin_checkpoint))
+        self.route("GET", "/v1/admin/metrics", guarded(self._get_admin_metrics))
+        self.route("GET", "/v1/admin/traces", guarded(self._get_admin_traces))
 
 
 __all__ = ["ShardRouter", "VectorCursor"]

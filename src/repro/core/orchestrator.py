@@ -82,6 +82,7 @@ from repro.core.slices import (
     NetworkSlice,
     PlmnPool,
     PlmnPoolExhausted,
+    SliceIndex,
     SliceRequest,
     SliceState,
     peek_request_counter,
@@ -254,7 +255,6 @@ class Orchestrator:
         config: Optional[OrchestratorConfig] = None,
         streams: Optional[RandomStreams] = None,
         registry: Optional[DriverRegistry] = None,
-        planner: Optional[BatchInstallPlanner] = None,
         store: Optional["ControlPlaneStore | NullStore"] = None,
     ) -> None:
         self.sim = sim
@@ -325,7 +325,7 @@ class Orchestrator:
         # Fleet-scale installs: admission bursts (broker windows, the
         # epoch-drained admission queue) run through the event-driven
         # async batch planner instead of looping slice-by-slice.
-        self.planner = planner or BatchInstallPlanner(
+        self.planner = BatchInstallPlanner(
             self.registry,
             max_workers=self.config.install_workers,
             batch_size=self.config.install_batch_size,
@@ -334,15 +334,13 @@ class Orchestrator:
             obs=self.obs,
         )
         if self.obs.enabled:
-            # Pull an externally supplied planner and the southbound
-            # drivers into the same trace/metric space (a planner with
-            # its own live sink keeps it).
-            if not self.planner.obs.enabled:
-                self.planner.obs = self.obs
+            # Pull the southbound drivers into the same trace/metric space.
             for driver in self.registry.drivers():
                 driver.obs = self.obs
         self._runtimes: Dict[str, SliceRuntime] = {}
         self._all_slices: Dict[str, NetworkSlice] = {}
+        #: The ``slice_id``-sorted views ``GET /v1/slices`` pages are cut from.
+        self.slice_index = SliceIndex()
         #: (request, profile, optional decision callback) awaiting the
         #: next batched install (drained every monitoring epoch).
         self._admission_queue: List[Tuple[SliceRequest, TrafficProfile, Optional[Callable[[AdmissionDecision], None]]]] = []
@@ -421,13 +419,10 @@ class Orchestrator:
         now = self.sim.now
         for slice_id, runtime in self._runtimes.items():
             network_slice = runtime.network_slice
-            state = network_slice.state
-            if state not in (SliceState.ADMITTED, SliceState.DEPLOYING, SliceState.ACTIVE):
-                continue
             request = network_slice.request
             booking = self.calendar.get(request.request_id)
             yield slice_id, (
-                "active" if state is SliceState.ACTIVE else "installed",
+                "active" if network_slice.state is SliceState.ACTIVE else "installed",
                 request.sla.throughput_mbps,
                 network_slice.plmn.plmn_id if network_slice.plmn else None,
                 runtime.effective_fraction,
@@ -563,6 +558,7 @@ class Orchestrator:
         self._go_live(launches)
         now, append = self.sim.now, self.events.append
         adopted = [launch[0] for launch in launches]
+        self.slice_index.add(adopted)
         for network_slice in adopted:
             append(
                 now, "slice.adopted", slice_id=network_slice.slice_id,
@@ -778,9 +774,14 @@ class Orchestrator:
 
     def reject(self, request: SliceRequest, reason: str) -> AdmissionDecision:
         """Record a rejection (admission said no, or the broker dropped it)."""
+        return self._book_install_rejection(self._register(request), reason)
+
+    def _register(self, request: SliceRequest) -> NetworkSlice:
+        """A new slice record for ``request``, in the slice index."""
         network_slice = NetworkSlice(request)
         self._all_slices[network_slice.slice_id] = network_slice
-        return self._book_install_rejection(network_slice, reason)
+        self.slice_index.add((network_slice,))
+        return network_slice
 
     def _book_install_rejection(
         self, network_slice: NetworkSlice, reason: str, **record: Any
@@ -938,8 +939,7 @@ class Orchestrator:
         single-request path passes none and stays span-free.
         """
         obs = self.obs if span_parent is not None else NOOP_OBS
-        network_slice = NetworkSlice(request)
-        self._all_slices[network_slice.slice_id] = network_slice
+        network_slice = self._register(request)
         job_span = obs.span(
             "install.job", parent=span_parent, slice_id=network_slice.slice_id
         )
@@ -1365,9 +1365,7 @@ class Orchestrator:
         runtime = self._runtimes.get(slice_id)
         if runtime is None:
             return
-        network_slice = runtime.network_slice
-        if network_slice.state is not SliceState.DEPLOYING:
-            return
+        network_slice = runtime.network_slice  # DEPLOYING: only _go_live set this timer
         network_slice.transition(SliceState.ACTIVE, self.sim.now)
         event = self.events.append(
             self.sim.now, "slice.activated", slice_id, network_slice.request.tenant_id
@@ -1447,8 +1445,8 @@ class Orchestrator:
         An ADMITTED/DEPLOYING slice has committed resources but serves no
         traffic yet, so cancelling releases everything and (optionally)
         refunds the full price.  The already-scheduled activation event
-        fires harmlessly: ``_activate`` ignores slices whose state left
-        DEPLOYING.  Returns the refund amount.
+        fires harmlessly: ``_activate`` ignores a slice whose runtime is
+        gone.  Returns the refund amount.
 
         Raises:
             OrchestratorError: If the slice is unknown or already ACTIVE
@@ -1473,9 +1471,7 @@ class Orchestrator:
         runtime = self._runtimes.get(slice_id)
         if runtime is None:
             return
-        network_slice = runtime.network_slice
-        if network_slice.state is not SliceState.ACTIVE:
-            return
+        network_slice = runtime.network_slice  # ACTIVE: a live runtime's expiry timer
         self._retire(
             runtime,
             SliceState.EXPIRED,
@@ -1779,16 +1775,12 @@ class Orchestrator:
             raise OrchestratorError(f"unknown slice {slice_id}") from None
 
     def active_slices(self) -> List[NetworkSlice]:
-        """Slices currently ACTIVE."""
-        return [
-            rt.network_slice
-            for rt in self._runtimes.values()
-            if rt.network_slice.state is SliceState.ACTIVE
-        ]
+        """Slices currently ACTIVE, in ``slice_id`` order."""
+        return [self._all_slices[i] for i in self.slice_index.view(state=SliceState.ACTIVE.value)]
 
     def live_slices(self) -> List[NetworkSlice]:
         """Slices currently holding resources (ADMITTED/DEPLOYING/ACTIVE) —
-        O(live), unlike :meth:`all_slices` which scans history."""
+        O(live), not O(history)."""
         return [rt.network_slice for rt in self._runtimes.values()]
 
     def has_slice(self, slice_id: str) -> bool:
@@ -1798,10 +1790,6 @@ class Orchestrator:
     def runtime(self, slice_id: str) -> Optional[SliceRuntime]:
         """Live runtime of an installed slice (None once expired)."""
         return self._runtimes.get(slice_id)
-
-    def all_slices(self) -> List[NetworkSlice]:
-        """Every slice ever submitted, in submission order."""
-        return list(self._all_slices.values())
 
     def snapshot(self) -> dict:
         """Dashboard-ready state snapshot."""

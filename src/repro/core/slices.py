@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections import OrderedDict
+from bisect import bisect_left, insort
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class SliceError(RuntimeError):
@@ -329,6 +330,8 @@ class NetworkSlice:
     tests can assert lifecycle legality.
     """
 
+    index: Optional["SliceIndex"] = None  #: the index that lists the slice, once registered
+
     def __init__(self, request: SliceRequest) -> None:
         self.request = request
         self.slice_id = slice_id_for(request.request_id)
@@ -356,6 +359,8 @@ class NetworkSlice:
             raise IllegalTransition(
                 f"{self.slice_id}: {self.state.value} -> {new_state.value}"
             )
+        if self.index is not None:
+            self.index.move(self, self.state, new_state)
         self.state = new_state
         self.history.append((at_time, new_state))
         if new_state is SliceState.ADMITTED:
@@ -370,6 +375,9 @@ class NetworkSlice:
         ``admitted_at``, and ACTIVE at ``active_at`` if given: one check."""
         if self.state is not SliceState.PENDING:
             raise IllegalTransition(f"{self.slice_id}: {self.state.value} -> admitted")
+        if self.index is not None:
+            live = SliceState.DEPLOYING if active_at is None else SliceState.ACTIVE
+            self.index.move(self, self.state, live)
         self.state, self.admitted_at = SliceState.DEPLOYING, admitted_at
         self.history += [(admitted_at, SliceState.ADMITTED), (admitted_at, SliceState.DEPLOYING)]
         if active_at is not None:
@@ -423,6 +431,61 @@ class NetworkSlice:
             "priority": self.request.priority,
         }
 
+
+class SliceIndex:
+    """The ``slice_id``-sorted ids of each view ``(tenant | None, state | None)``
+    of an orchestrator's slices, which ``GET /v1/slices`` pages are cut from.
+    A registered slice enters its four views (:meth:`add`); ``transition``
+    and ``go_live`` then :meth:`move` it between the two that carry a state."""
+
+    def __init__(self) -> None:
+        self._views: Dict[Tuple[Optional[str], Optional[str]], List[str]] = defaultdict(list)
+
+    def view(self, tenant_id: Optional[str] = None, state: Optional[str] = None) -> List[str]:
+        """A view's ids in ``slice_id`` order (the caller must not mutate it)."""
+        return self._views.get((tenant_id, state), [])
+
+    def add(self, slices: Sequence[NetworkSlice]) -> None:
+        """Index and track ``slices``: one by bisect, a recovered batch by one sort per view."""
+        for key, ids in _grouped(slices).items():
+            view = self._views[key]
+            if len(ids) == 1:
+                insort(view, ids[0])
+            else:
+                view += ids
+                view.sort()
+        for network_slice in slices:
+            network_slice.index = self
+
+    def move(self, network_slice: NetworkSlice, old: SliceState, new: SliceState) -> None:
+        """Move a slice's id out of its ``old`` state's views into ``new``'s."""
+        for tenant_id in (None, network_slice.request.tenant_id):
+            view = self._views[tenant_id, old.value]
+            del view[bisect_left(view, network_slice.slice_id)]
+            insort(self._views[tenant_id, new.value], network_slice.slice_id)
+
+    def verify(self, orch: Any) -> None:
+        """Check that every slice record of ``orch`` is tracked and that each
+        view equals a recompute from the records; raises :class:`SliceError`."""
+        slices = orch._all_slices.values()
+        if any(network_slice.index is not self for network_slice in slices):
+            raise SliceError("a slice record is not tracked by the index")
+        recomputed = _grouped(slices)
+        for key in self._views.keys() | recomputed.keys():
+            if self.view(*key) != sorted(recomputed[key]):
+                raise SliceError(f"slice index view {key} drifted")
+
+
+def _grouped(slices: Iterable[NetworkSlice]) -> Dict[tuple, List[str]]:
+    """The ids of ``slices`` under each of the four views they belong to."""
+    grouped: Dict[tuple, List[str]] = defaultdict(list)
+    for network_slice in slices:
+        tenant_id, state = network_slice.request.tenant_id, network_slice.state.value
+        for key in ((None, None), (tenant_id, None), (None, state), (tenant_id, state)):
+            grouped[key].append(network_slice.slice_id)
+    return grouped
+
+
 __all__ = [
     "IllegalTransition",
     "NetworkSlice",
@@ -432,6 +495,7 @@ __all__ = [
     "SLA",
     "ServiceType",
     "SliceError",
+    "SliceIndex",
     "SliceRequest",
     "SliceState",
     "ensure_request_counter_at_least",

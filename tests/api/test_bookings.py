@@ -147,9 +147,7 @@ class TestCreateBooking:
         # never produces a slice record for its tenant.
         sim.run_until(1_100.0)
         assert not orchestrator.has_slice(booking_id.replace("req-", "slice-"))
-        assert all(
-            s.request.tenant_id != "t1" for s in orchestrator.all_slices()
-        )
+        assert orchestrator.slice_index.view("t1") == []
 
     def test_cancel_booking_tenant_scoped(self, stack):
         _, _, api = stack

@@ -12,7 +12,10 @@ whole fleet or the whole journal:
 - journal lines decoded by a steady-state ``GET /v1/events`` poll (the
   journal was re-read from its start),
 - ``NetworkSlice.to_dict`` calls behind ``GET /v1/slices?limit=20``
-  (every matching slice was serialised before the page was cut).
+  (every matching slice was serialised before the page was cut),
+- ``NetworkSlice.state`` reads behind a ``?state=active`` page from the
+  middle of the fleet, and behind a tenant-scoped one (every shard
+  filtered every slice it ever held, and the router sorted the union).
 
 The counts are taken through the router over two durable shards, on
 the real create path; they are exact, so the suite stays deterministic.
@@ -107,6 +110,17 @@ class Probe:
         monkeypatch.setattr(JournalRecord, "from_line", classmethod(from_line))
         counted(NetworkSlice, "to_dict", "to_dict")
 
+        def read_state(network_slice):
+            counts["state_reads"] += 1
+            return network_slice.__dict__["state"]
+
+        def write_state(network_slice, value):
+            network_slice.__dict__["state"] = value
+
+        monkeypatch.setattr(
+            NetworkSlice, "state", property(read_state, write_state), raising=False
+        )
+
     @contextmanager
     def measuring(self):
         """The counts of the requests sent inside the block."""
@@ -147,6 +161,18 @@ def measure(cluster: ControlPlaneCluster, probe: Probe, tenants) -> dict:
     with probe.measuring() as page:
         listing = router.get(f"/v1/slices?offset={total // 2}&limit=20")
         assert listing.body["count"] == 20 and listing.body["total"] == total
+    active = router.get("/v1/slices?state=active&limit=1").body["total"]
+    with probe.measuring() as active_page:
+        listing = router.get(f"/v1/slices?state=active&offset={active // 2}&limit=20")
+        assert listing.body["count"] == 20 and listing.body["total"] == active
+    owned = router.get("/v1/slices?limit=1", headers={"x-tenant-id": tenants[0]})
+    middle = owned.body["total"] // 2
+    with probe.measuring() as tenant_page:
+        listing = router.get(
+            f"/v1/slices?state=active&offset={middle}&limit=20",
+            headers={"x-tenant-id": tenants[0]},
+        )
+        assert listing.body["count"] == 20
     assert create["fits_calls"] == len(tenants)
     assert create["install_calls"] >= len(tenants)
     return {
@@ -155,6 +181,8 @@ def measure(cluster: ControlPlaneCluster, probe: Probe, tenants) -> dict:
         "lines decoded per poll": poll["lines_decoded"],
         "lines decoded per idle poll": idle_poll["lines_decoded"],
         "to_dict per page of 20": page["to_dict"],
+        "state reads per active page": active_page["state_reads"],
+        "state reads per tenant page": tenant_page["state_reads"],
     }
 
 
@@ -192,3 +220,6 @@ def test_request_path_work_does_not_grow_with_live_slices(tmp_path, monkeypatch)
     # Only what trails the last event each shard journaled.
     assert small["lines decoded per idle poll"] <= SHARDS
     assert small["to_dict per page of 20"] == 20
+    # Only the ones the 20 serialised items read.
+    assert small["state reads per active page"] == 20
+    assert small["state reads per tenant page"] == 20

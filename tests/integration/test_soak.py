@@ -124,7 +124,7 @@ class TestSoak:
 
     def test_every_slice_in_legal_state(self, soak_run):
         _, orch, _, _, _, _ = soak_run
-        for network_slice in orch.all_slices():
+        for network_slice in map(orch.slice, orch.slice_index.view()):
             assert network_slice.state in (
                 SliceState.ACTIVE,
                 SliceState.DEPLOYING,

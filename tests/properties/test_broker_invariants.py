@@ -77,13 +77,15 @@ def test_broker_never_overcommits_and_accounts_everything(
         for node in dc.nodes():
             node.check_invariants()
     # No slice stuck in a transient state after the window settled.
-    for network_slice in orch.all_slices():
+    for network_slice in map(orch.slice, orch.slice_index.view()):
         assert network_slice.state in (
             SliceState.ACTIVE,
             SliceState.DEPLOYING,
             SliceState.EXPIRED,
             SliceState.REJECTED,
         )
+    # The list index agrees with a recompute from the slice records.
+    orch.slice_index.verify(orch)
 
 
 @SLOW

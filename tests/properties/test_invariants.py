@@ -87,13 +87,15 @@ def test_orchestrator_never_overcommits_physical_resources(seed, n_requests, fac
     )
     assert ledger.admissions + ledger.rejections == n_requests
     # Every slice is in a legal, explainable state.
-    for network_slice in orch.all_slices():
+    for network_slice in map(orch.slice, orch.slice_index.view()):
         assert network_slice.state in (
             SliceState.ACTIVE,
             SliceState.DEPLOYING,
             SliceState.EXPIRED,
             SliceState.REJECTED,
         )
+    # The list index agrees with a recompute from the slice records.
+    orch.slice_index.verify(orch)
 
 
 @SLOW

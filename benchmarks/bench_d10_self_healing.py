@@ -62,7 +62,7 @@ def run_with_failures(self_healing: bool, seed: int = 3) -> dict:
     sim.run_until(HORIZON_S - 100.0)
     return {
         "self_healing": self_healing,
-        "violation_rate": orch.sla_monitor.violation_rate(),
+        "violation_rate": orch.fleet.sla_monitor.violation_rate(),
         "penalties": orch.ledger.total_penalties,
         "repairs": testbed.transport.repairs_performed,
         "net_revenue": orch.ledger.net_revenue,

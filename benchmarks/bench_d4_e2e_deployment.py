@@ -91,13 +91,13 @@ def test_d4_acceptance_vs_load(benchmark):
 
     # Expose a tiny helper for the kernel without polluting the public API.
     def _expire(slice_id):
-        runtime = orch._runtimes.pop(slice_id, None)
+        runtime = orch.fleet.runtimes.pop(slice_id, None)
         if runtime is None:
             return
         # Release through the driver registry, not the raw allocator —
         # otherwise every timed iteration leaks a reservation record
         # (and a running EpcInstance) inside the drivers.
-        orch._release_domains(runtime.network_slice)
+        orch.releases.release(slice_id)
         orch.plmn_pool.release(slice_id)
         request_id = runtime.network_slice.request.request_id
         if orch.calendar.has(request_id):

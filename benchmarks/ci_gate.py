@@ -142,7 +142,7 @@ FLOOR_D8B_SPEEDUP = 1.5
 #: traffic-profile draw, less the standby hand-off's net −8; −724 for
 #: deleting what no workload, experiment, route or CLI verb reaches
 #: (``benchmarks/reachability.py``).
-SRC_LINES_CEILING = 20_784
+SRC_LINES_CEILING = 20_768
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per
@@ -573,12 +573,12 @@ def run_epoch_upkeep(failures: list) -> dict:
         cursor = resized = 0
         started = time.perf_counter()
         for epoch in range(1, UPKEEP_EPOCHS + 1):
-            before, refreshes = counts["link"], orch.live_slots.refreshes
+            before, refreshes = counts["link"], orch.fleet.live_slots.refreshes
             sim.run_until(epoch * epoch_s + epoch_s / 2)
             if epoch % orch.config.reconfig_every_epochs:
                 quiet_lookups = max(quiet_lookups, counts["link"] - before)
             if epoch > 1:
-                row_refreshes.append((orch.live_slots.refreshes - refreshes, resized))
+                row_refreshes.append((orch.fleet.live_slots.refreshes - refreshes, resized))
             fresh = orch.events.since(cursor)
             cursor = fresh[-1].seq if fresh else cursor
             resized = sum(e.event_type == "slice.reconfigured" for e in fresh)
@@ -771,10 +771,10 @@ def run_durable_writes(failures: list) -> dict:
     )
     orch.sim.run_until(10.0)
     live = orch.live_slices()
-    encoded = {"first": orch.checkpoint()["fragments_encoded"]}
-    encoded["unchanged"] = orch.checkpoint()["fragments_encoded"]
+    encoded = {"first": orch.durable.checkpoint()["fragments_encoded"]}
+    encoded["unchanged"] = orch.durable.checkpoint()["fragments_encoded"]
     rescaled = sum(orch.modify_slice(s.slice_id, 6.0).admitted for s in live[:3])
-    encoded["rescaled"] = orch.checkpoint()["fragments_encoded"]
+    encoded["rescaled"] = orch.durable.checkpoint()["fragments_encoded"]
 
     broker = SliceBroker(orch, window_s=300.0)
     told = []

@@ -240,7 +240,7 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
             failures.append(f"drill: first-wave create -> {response.status}")
     # A snapshot the standby decodes on its first poll, as a cold
     # successor would on its own.
-    leader.orchestrator.checkpoint()
+    leader.orchestrator.durable.checkpoint()
     standby = cluster.standby_for(KILLED)
     standby.poll()
 

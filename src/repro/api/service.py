@@ -703,13 +703,7 @@ class SliceService:
                 "plmn_available": orchestrator.plmn_pool.available,
                 "quota_tenants": sorted(orchestrator.quotas),
             },
-            "planner": {
-                "batches_run": orchestrator.planner.batches_run,
-                "jobs_installed": orchestrator.planner.jobs_installed,
-                "jobs_failed": orchestrator.planner.jobs_failed,
-                "ops_timed_out": orchestrator.planner.ops_timed_out,
-                "ops_compensated": orchestrator.planner.ops_compensated,
-            },
+            "planner": orchestrator.planner.status(),
         }
 
     def metrics_prometheus(self) -> str:
@@ -780,7 +774,7 @@ class SliceService:
             raise Conflict(
                 "durability is disabled (no durability_dir configured)"
             )
-        return self.orchestrator.checkpoint()
+        return self.orchestrator.durable.checkpoint()
 
 
 __all__ = [

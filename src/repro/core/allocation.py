@@ -32,13 +32,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.cloud.controller import CloudAllocation, CloudController
 from repro.cloud.datacenter import Datacenter, DatacenterTier
 from repro.core.admission import ResourceVector
 from repro.core.slices import NetworkSlice, SliceRequest
-from repro.drivers.base import DomainSpec
+from repro.drivers.base import DomainSpec, Reservation
 from repro.epc.components import EPC_FLAVORS, epc_template
 from repro.ran.controller import (
     RAN_SEGMENT_LATENCY_MS,
@@ -79,6 +79,20 @@ class EndToEndAllocation:
             + self.transport.delay_ms
             + self.cloud.processing_delay_ms
         )
+
+
+def compose_allocation(reservations: Mapping[str, Reservation]) -> Optional[EndToEndAllocation]:
+    """The end-to-end view of a slice's driver reservations, when all
+    three data-plane domains participated (custom registries may omit
+    some)."""
+    try:
+        return EndToEndAllocation(
+            ran=reservations["ran"].details["allocation"],
+            transport=reservations["transport"].details["allocation"],
+            cloud=reservations["cloud"].details["allocation"],
+        )
+    except KeyError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -446,4 +460,5 @@ __all__ = [
     "EndToEndAllocation",
     "MultiDomainAllocator",
     "SliceSize",
+    "compose_allocation",
 ]

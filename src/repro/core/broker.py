@@ -80,7 +80,7 @@ class SliceBroker:
         # RecoveryManager._requeue_broker_windows).  A request's
         # decision needs no record of its own: the ``install.started``
         # or ``slice.rejected`` it produces ends the window's claim.
-        orchestrator.durable_sections["broker_pending"] = self._pending_state
+        orchestrator.durable.sections["broker_pending"] = self._pending_state
 
     def _pending_state(self) -> dict:
         """Checkpoint section: the current window's undecided requests."""
@@ -111,11 +111,8 @@ class SliceBroker:
         """
         # Write-ahead before the request is visible in the window: an
         # acknowledged enqueue must survive a crash of the process.
-        self.orchestrator.store.append(
-            "broker.enqueued",
-            time=self.orchestrator.sim.now,
-            request=request_to_dict(request),
-            window_s=self.window_s,
+        self.orchestrator.durable.journal(
+            "broker.enqueued", request=request_to_dict(request), window_s=self.window_s
         )
         self._queue.append(
             PendingRequest(

@@ -1,21 +1,31 @@
-"""The monitoring epoch's data-plane pass: demand → RAN serve → transport
-cap → SLA check over every ACTIVE slice as one array pass, bit for bit
-what the per-slice loop it replaced gave (``docs/ARCHITECTURE.md``, "The
-hot path", says why).  A :class:`LiveSlots` row is re-read only when its
-key moves: the identities of the slice's ``allocation``, ``request.sla``
-and profile, and the profile's ``peak_mbps`` (set in place by
+"""The monitoring epoch's per-slice work, owned by :class:`LiveFleet`:
+the live slices' runtimes, self-healing, the data-plane pass, each
+slice's books and the forecast step of the overbooking loop.
+
+The data-plane pass — demand → RAN serve → transport cap → SLA check
+over every ACTIVE slice — is one array pass (:class:`LiveSlots`), bit
+for bit what the per-slice loop it replaced gave (``docs/ARCHITECTURE.md``,
+"The hot path", says why).  A row is re-read only when its key moves:
+the identities of the slice's ``allocation``, ``request.sla`` and
+profile, and the profile's ``peak_mbps`` (set in place by
 ``modify_slice``).  Every allocation writer replaces the frozen object.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.slices import SliceState
+from repro.core.allocation import compose_allocation
+from repro.core.forecasting import Forecaster, ForecastError
+from repro.core.overbooking import AdaptiveOverbooking, MultiplexingGainTracker, SlaMonitor
+from repro.core.slices import NetworkSlice, SliceRequest, SliceState
+from repro.drivers.base import DriverAbsentError, DriverError, Reservation
+from repro.ran.ue import UserEquipment
 from repro.traffic.patterns import (
     ConstantProfile,
     DiurnalProfile,
@@ -25,7 +35,54 @@ from repro.traffic.patterns import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - the orchestrator imports this module
-    from repro.core.orchestrator import Orchestrator, SliceRuntime
+    from repro.core.orchestrator import Orchestrator
+    from repro.epc.instance import EpcInstance
+
+#: Demand samples a live slice keeps — the tail its forecaster refits on.
+FORECAST_HISTORY_EPOCHS = 288
+
+
+@dataclass
+class SliceRuntime:
+    """Per-slice live state: what the lifecycle holds (reservations,
+    fraction, profile, vEPC, UEs) and what the epoch books."""
+
+    network_slice: NetworkSlice
+    profile: Optional[TrafficProfile]  # re-adopted: None until first read
+    #: Built by the first reconfiguration that finds the history long
+    #: enough to trust; fed one sample per epoch from then on.
+    forecaster: Optional[Forecaster] = None
+    #: The forecaster does not equal ``fit(demand_history)`` — there is
+    #: none yet, it declined a sample or the capped window slid — so the
+    #: next reconfiguration that trusts the history (re)fits on it.
+    forecast_stale: bool = True
+    effective_fraction: float = 1.0
+    epc: Optional["EpcInstance"] = None  # the EPC domain's, when it reports one
+    ues: List[UserEquipment] = field(default_factory=list)
+    last_demand_mbps: float = 0.0
+    last_delivered_mbps: float = 0.0
+    last_violated: bool = False
+    #: One ``(epoch time, demand)`` sample per served epoch; the demands
+    #: are what the forecaster refits on, and it dies with the runtime.
+    demand_history: Deque[Tuple[float, float]] = field(
+        default_factory=lambda: deque(maxlen=FORECAST_HISTORY_EPOCHS)
+    )
+    reservations: Dict[str, Reservation] = field(default_factory=dict)
+
+    def push_demand(self, now: float, demand: float) -> bool:
+        """Keep one more epoch's sample; ``True`` when the cap dropped
+        the oldest one to make room."""
+        history = self.demand_history
+        slid = len(history) == history.maxlen
+        history.append((now, demand))
+        return slid
+
+    def hold(self, reservations: Dict[str, Reservation]) -> None:
+        """Take ``reservations`` (some domains or all) and recompose the
+        slice's end-to-end allocation from what it now holds."""
+        self.reservations.update(reservations)
+        self.network_slice.allocation = compose_allocation(self.reservations)
+
 
 #: Profile kinds the pass evaluates as arrays; any other class is asked
 #: for its own ``fraction(t)``.
@@ -55,7 +112,7 @@ class EpochOutcome:
     """One epoch's pass over its ACTIVE slices; row ``i`` is the i-th of
     ``active`` (the orchestrator's runtime order)."""
 
-    active: Dict[str, "SliceRuntime"]
+    active: Dict[str, SliceRuntime]
     demand: np.ndarray
     delivered: np.ndarray
     cap: np.ndarray  # the transport ceiling each row was held to
@@ -82,16 +139,16 @@ class LiveSlots:
         #: Rows read since construction (the epoch-upkeep gate counts them).
         self.refreshes = 0
 
-    def _read(self, orch: "Orchestrator", slice_id: str, runtime: "SliceRuntime") -> tuple:
+    def _read(self, fleet: "LiveFleet", slice_id: str, runtime: SliceRuntime) -> tuple:
         """One slice's key, float row and integer row, off live state."""
         request = runtime.network_slice.request
         allocation = runtime.network_slice.allocation
-        profile = orch.traffic_profile(runtime)
+        profile = fleet.profile(runtime)
         kind, names = _SHAPES.get(type(profile), (OTHER, ()))
         if kind == OTHER and type(profile).demand is not TrafficProfile.demand:
             raise TypeError(f"{type(profile).__name__} overrides demand(); the pass draws it")
         shape = [getattr(profile, name) for name in names] + [0.0] * (3 - len(names))
-        ran = orch.allocator.ran
+        ran = fleet.allocator.ran
         if allocation is None:
             enb_id = ran.serving_enb_of(slice_id)
             cell = -1 if enb_id is None else ran.cell_of(enb_id)
@@ -109,16 +166,14 @@ class LiveSlots:
                   request.sla.throughput_mbps)
         return key, floats, (kind, cell, prbs, path, request.priority)
 
-    def sync(
-        self, orch: "Orchestrator", runtimes: Dict[str, "SliceRuntime"]
-    ) -> Tuple[Dict[str, "SliceRuntime"], np.ndarray]:
-        """The ACTIVE slices of ``runtimes`` and their slots, in its order:
-        a slice new to ACTIVE claims a slot, a row whose key moved is
+    def sync(self, fleet: "LiveFleet") -> Tuple[Dict[str, SliceRuntime], np.ndarray]:
+        """The fleet's ACTIVE slices and their slots, in runtime order: a
+        slice new to ACTIVE claims a slot, a row whose key moved is
         re-read, a slice no longer ACTIVE frees its slot."""
         slot_of, (allocations, slas, profiles, peaks) = self._slot_of, self._keys
-        active: Dict[str, "SliceRuntime"] = {}
+        active: Dict[str, SliceRuntime] = {}
         order = []
-        for slice_id, runtime in runtimes.items():
+        for slice_id, runtime in fleet.runtimes.items():
             network_slice = runtime.network_slice
             if network_slice.state is not SliceState.ACTIVE:
                 continue
@@ -141,7 +196,7 @@ class LiveSlots:
                 ):
                     order.append(slot)
                     continue
-            key, self._floats[slot], self._ints[slot] = self._read(orch, slice_id, runtime)
+            key, self._floats[slot], self._ints[slot] = self._read(fleet, slice_id, runtime)
             allocations[slot], slas[slot], profiles[slot], peaks[slot] = key
             self.refreshes += 1
             order.append(slot)
@@ -152,26 +207,23 @@ class LiveSlots:
                     column[self._free[-1]] = None
         return active, np.array(order, dtype=np.intp)
 
-    def serve(
-        self, orch: "Orchestrator", runtimes: Dict[str, "SliceRuntime"],
-        rng: np.random.Generator,
-    ) -> EpochOutcome:
-        """Demand → RAN serve → transport cap → SLA check for the ACTIVE
-        slices of ``runtimes``: one ``rng`` normal per row with σ > 0, in
-        row order, and every row counted by ``orch.sla_monitor``."""
-        active, order = self.sync(orch, runtimes)
+    def serve(self, fleet: "LiveFleet", rng: np.random.Generator) -> EpochOutcome:
+        """Demand → RAN serve → transport cap → SLA check for the fleet's
+        ACTIVE slices: one ``rng`` normal per row with σ > 0, in row
+        order, and every row counted by ``fleet.sla_monitor``."""
+        active, order = self.sync(fleet)
         if not len(order):
             none = np.zeros(0)
             return EpochOutcome(active, none, none, none, none > 0)
         f, i = self._floats[order], self._ints[order]
-        demand = self._demand(order, f, i[:, _KIND], orch.sim.now, rng)
-        delivered = orch.allocator.ran.serve_epoch(
+        demand = self._demand(order, f, i[:, _KIND], fleet.sim.now, rng)
+        delivered = fleet.allocator.ran.serve_epoch(
             list(active), i[:, _CELL], demand, i[:, _PRBS], i[:, _PRIORITY]
         )
-        cap = f[:, _LINK_MBPS] + self._borrowable(i[:, _PATH], orch.allocator.transport.topology)
+        cap = f[:, _LINK_MBPS] + self._borrowable(i[:, _PATH], fleet.allocator.transport.topology)
         cap = np.where(cap > 0.0, cap, 0.0)
         delivered = np.where(cap < delivered, cap, delivered)
-        violated = orch.sla_monitor.check(demand, delivered, f[:, _SLA_MBPS])
+        violated = fleet.sla_monitor.check(demand, delivered, f[:, _SLA_MBPS])
         return EpochOutcome(active, demand, delivered, cap, violated)
 
     def _demand(self, order, f, kind, now: float, rng: np.random.Generator) -> np.ndarray:
@@ -211,28 +263,30 @@ class LiveSlots:
                 borrowable[index] = max(0.0, topology.path_residual_mbps(link_ids))
         return borrowable[path]
 
-    def verify(self, orch: "Orchestrator") -> None:
+    def verify(self, fleet: "LiveFleet") -> None:
         """Check each ACTIVE slice's RAN allocation against its cell's
         grid, and re-read every row whose key is current and compare.
 
         Raises:
             LiveSlotsError: On the first allocation or row that drifted.
         """
-        ran = orch.allocator.ran
+        ran = fleet.allocator.ran
         if sorted([*self._slot_of.values(), *self._free]) != list(range(len(self._keys[0]))):
             raise LiveSlotsError("a slot is lost, held twice, or held and free")
-        for network_slice in orch.active_slices():
-            slice_id, allocation = network_slice.slice_id, network_slice.allocation
+        for slice_id, runtime in fleet.runtimes.items():
+            network_slice, allocation = runtime.network_slice, runtime.network_slice.allocation
+            if network_slice.state is not SliceState.ACTIVE:
+                continue
             if allocation is not None:
                 enb_id, prbs = allocation.ran.enb_id, allocation.ran.effective_prbs
                 held = ran.enb(enb_id).grid.reservation(slice_id).effective
                 if ran.serving_enb_of(slice_id) != enb_id or held != prbs:
                     raise LiveSlotsError(f"{slice_id}: allocated {prbs} PRBs on {enb_id}, "
                                          f"{held} held on {ran.serving_enb_of(slice_id)}")
-            slot, runtime = self._slot_of.get(slice_id), orch.runtime(slice_id)
+            slot = self._slot_of.get(slice_id)
             if slot is None or runtime.profile is None:
                 continue  # claimed (its profile drawn) at the next epoch
-            key, floats, ints = self._read(orch, slice_id, runtime)
+            key, floats, ints = self._read(fleet, slice_id, runtime)
             held_key = [column[slot] for column in self._keys]
             if held_key[0] is _UNTRACKED or held_key[3] != key[3] or any(
                 held is not read for held, read in zip(held_key[:3], key)
@@ -241,6 +295,172 @@ class LiveSlots:
             row = (tuple(self._floats[slot].tolist()), tuple(self._ints[slot].tolist()))
             if row != (floats, ints):
                 raise LiveSlotsError(f"{slice_id}: row {row} != re-read {(floats, ints)}")
+
+
+class LiveFleet:
+    """The live slices (their runtimes, in go-live order; the lifecycle
+    adds and retires them) and the epoch's per-slice work on them.  The
+    live-slot table, the SLA monitor and the multiplexing-gain tracker
+    are held and written here only; the policies are handed in per call."""
+
+    def __init__(
+        self, sim: Any, allocator: Any, registry: Any, events: Any, ledger: Any,
+        config: Any, obs: Any, draw_profile: Callable[[SliceRequest], TrafficProfile],
+    ) -> None:
+        self.sim = sim
+        self.allocator = allocator
+        self.registry = registry
+        self.events = events
+        self.ledger = ledger
+        self.config = config
+        self.obs = obs
+        #: Draws the profile of a slice whose runtime has none (re-adopted).
+        self.draw_profile = draw_profile
+        #: slice id → runtime of every slice holding resources.
+        self.runtimes: Dict[str, SliceRuntime] = {}
+        #: The data-plane pass's table: one row per ACTIVE slice.
+        self.live_slots = LiveSlots()
+        self.sla_monitor = SlaMonitor()
+        self.gain_tracker = MultiplexingGainTracker()
+
+    def profile(self, runtime: SliceRuntime) -> TrafficProfile:
+        """A live slice's traffic profile; a re-adopted one's is drawn here."""
+        if runtime.profile is None:
+            runtime.profile = self.draw_profile(runtime.network_slice.request)
+        return runtime.profile
+
+    def epoch(self, rng: np.random.Generator, overbooking: Any) -> Dict[str, SliceRuntime]:
+        """One monitoring epoch's per-slice work: heal, then demand →
+        serve → cap → SLA check over the ACTIVE slices in one array
+        pass, then each one's books — demand history, forecaster fold,
+        SLA count, penalty and ``sla.violation`` event, the adaptive
+        policy's observation — and the fleet's multiplexing gain.
+        Returns the ACTIVE slices, in runtime order."""
+        now = self.sim.now
+        if self.config.self_healing:
+            self.heal()
+        served = self.live_slots.serve(self, rng)
+        observe = overbooking.observe if isinstance(overbooking, AdaptiveOverbooking) else None
+        for (slice_id, runtime), demand, delivered, violated in zip(
+            served.active.items(),
+            served.demand.tolist(),
+            served.delivered.tolist(),
+            served.violated.tolist(),
+        ):
+            network_slice = runtime.network_slice
+            runtime.last_demand_mbps = demand
+            runtime.last_delivered_mbps = delivered
+            slid = runtime.push_demand(now, demand)
+            if not runtime.forecast_stale:
+                try:
+                    if slid or not runtime.forecaster.update(demand):
+                        runtime.forecast_stale = True
+                except ForecastError:
+                    runtime.forecast_stale = True  # the refit reports it
+            runtime.last_violated = violated
+            network_slice.record_epoch(violated)
+            if violated:
+                self.ledger.book_penalty(slice_id, network_slice.request.penalty_rate)
+                self.events.emit(
+                    now,
+                    "sla.violation",
+                    slice_id=slice_id,
+                    tenant_id=network_slice.request.tenant_id,
+                    demand_mbps=float(demand),
+                    delivered_mbps=float(delivered),
+                    penalty=network_slice.request.penalty_rate,
+                )
+            if observe is not None:
+                observe(violated)
+        nominal_prbs, total_prbs = self.allocator.ran.nominal_load()
+        self.gain_tracker.record(nominal_prbs, max(1, total_prbs))
+        return served.active
+
+    def heal(self) -> None:
+        """Attempt re-routing, via any repair-capable driver (transport
+        in the default wiring), for ACTIVE slices whose domain reports ill."""
+        healers = [
+            d
+            for d in self.registry.drivers()
+            if d.capabilities().supports_repair and d.degraded()
+        ]
+        if not healers:
+            return
+        for slice_id, runtime in self.runtimes.items():
+            network_slice = runtime.network_slice
+            if network_slice.state is not SliceState.ACTIVE or network_slice.allocation is None:
+                continue
+            for driver in healers:
+                try:
+                    healthy = driver.health(slice_id).get("healthy", True)
+                except DriverAbsentError:
+                    continue  # slice not installed in this domain — benign
+                except DriverError:
+                    # A real health-check failure must not pass silently.
+                    self.obs.counter_add("slice.repair_failed", label=driver.domain)
+                    continue
+                if healthy:
+                    continue
+                try:
+                    repaired = driver.repair(slice_id)
+                except DriverError:
+                    # No feasible detour right now; the slice will violate
+                    # its SLA until a link recovers — exactly the penalty
+                    # the overbooking ledger accounts for.
+                    self.obs.counter_add("slice.repair_failed", label=driver.domain)
+                    continue
+                runtime.hold({driver.domain: repaired})
+                self.events.emit(
+                    self.sim.now,
+                    "slice.path_repaired",
+                    slice_id=slice_id,
+                    tenant_id=network_slice.request.tenant_id,
+                )
+
+    def forecast(
+        self, active: Dict[str, SliceRuntime], overbooking: Any,
+        forecaster_factory: Callable[[], Forecaster],
+    ) -> Iterator[Tuple[str, SliceRuntime, float]]:
+        """The forecast-and-decide step of the overbooking loop — the
+        "dynamic configuration solution that maximizes the statistical
+        multiplexing of network slices resources": ``(slice id, runtime,
+        new fraction)``, yielded as decided, for each slice of ``active``
+        whose history is long enough to trust and whose effective
+        fraction the policy moves by 0.02 or more (shrunk to the
+        forecast's safe level, or grown back toward nominal).
+
+        A slice's forecaster is built and fitted here the first time its
+        history is long enough to trust — a slice that never lives that
+        long never pays for a model — and refitted only when stale; in
+        between the epoch folds each sample in, which leaves it equal to
+        a refit on the history.
+        """
+        for slice_id, runtime in active.items():
+            history = runtime.demand_history
+            if len(history) < self.config.min_history_for_forecast:
+                continue
+            if runtime.forecaster is None:
+                runtime.forecaster = forecaster_factory()
+            if runtime.forecast_stale:
+                try:
+                    runtime.forecaster.fit([demand for _, demand in history])
+                except ForecastError:
+                    continue
+                runtime.forecast_stale = False
+            nominal = runtime.network_slice.request.sla.throughput_mbps
+            decision = overbooking.decide(slice_id, nominal, forecaster=runtime.forecaster)
+            if abs(decision.fraction - runtime.effective_fraction) >= 0.02:
+                yield slice_id, runtime, decision.fraction
+
+    def figures(self, ran: Dict[str, Any]) -> Dict[str, float]:
+        """The dashboard's SLA and overbooking figures, against ``ran``'s
+        utilisation."""
+        return {
+            "violation_rate": self.sla_monitor.violation_rate(),
+            "multiplexing_gain": self.gain_tracker.gain(
+                ran["nominal_reserved"], max(1, ran["total_prbs"])
+            ),
+        }
 
 
 def sim_gauges(orchestrator: "Orchestrator") -> Dict[Tuple[str, str], float]:
@@ -254,9 +474,7 @@ def sim_gauges(orchestrator: "Orchestrator") -> Dict[Tuple[str, str], float]:
     was cancelled has no series.
     """
     gauges: Dict[Tuple[str, str], float] = {}
-    for network_slice in orchestrator.live_slices():
-        slice_id = network_slice.slice_id
-        runtime = orchestrator.runtime(slice_id)
+    for slice_id, runtime in orchestrator.fleet.runtimes.items():
         if not runtime.demand_history:
             continue  # not ACTIVE through an epoch yet
         gauges["slice.demand_mbps", slice_id] = runtime.last_demand_mbps
@@ -278,4 +496,12 @@ def sim_gauges(orchestrator: "Orchestrator") -> Dict[Tuple[str, str], float]:
     return gauges
 
 
-__all__ = ["EpochOutcome", "LiveSlots", "LiveSlotsError", "sim_gauges"]
+__all__ = [
+    "FORECAST_HISTORY_EPOCHS",
+    "EpochOutcome",
+    "LiveFleet",
+    "LiveSlots",
+    "LiveSlotsError",
+    "SliceRuntime",
+    "sim_gauges",
+]

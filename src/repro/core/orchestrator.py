@@ -1,48 +1,39 @@
 """End-to-end network slicing orchestrator.
 
-The top of the Fig. 1 hierarchy.  The orchestrator sits above the three
-domain controllers and closes the demo's loop:
+The top of the Fig. 1 hierarchy.  Above the three domain controllers, it
+closes the demo's loop — collect utilization → analyse/forecast →
+optimize allocation → reconfigure the network → (repeat):
 
-    collect utilization → analyse/forecast → optimize allocation →
-    reconfigure the network → (repeat)
-
-Responsibilities, mapped to the paper:
-
-- **Admission control** (§1-i): every arriving request is evaluated by a
-  pluggable :class:`~repro.core.admission.AdmissionPolicy` against the
-  live free-capacity vector, with demand already shrunk by the
-  overbooking posture.
-- **Multi-domain allocation** (§1-ii): admitted slices are committed
-  across RAN/transport/cloud by the
-  :class:`~repro.core.allocation.MultiDomainAllocator`, incl. edge/core
-  selection and the latency-budget split.
+- **Admission control** (§1-i): a pluggable
+  :class:`~repro.core.admission.AdmissionPolicy` judges each request
+  against the live free-capacity vector, its demand already shrunk by
+  the overbooking posture.
+- **Multi-domain allocation** (§1-ii): the
+  :class:`~repro.core.allocation.MultiDomainAllocator` plans RAN,
+  transport and cloud, incl. edge/core selection and the latency split.
 - **Monitoring, forecasting, dynamic reconfiguration** (§1-iii): a
-  periodic monitoring epoch samples real demand, serves it through the
-  slice-aware RAN scheduler, detects SLA violations and books penalties;
-  a slower reconfiguration loop refits per-slice forecasters and
-  resizes effective reservations (the *overbooking* step), freeing
-  capacity to accommodate new slice requests.
+  periodic epoch serves real demand, books SLA violations, and every few
+  epochs resizes reservations to their forecasts (the *overbooking*
+  step), freeing capacity for new slice requests.
 
-Southbound, the orchestrator speaks only the uniform
-:class:`~repro.drivers.base.DomainDriver` contract: installs run as a
-two-phase prepare/commit transaction across every driver in the
-:class:`~repro.drivers.registry.DriverRegistry` (with automatic
-rollback of already-prepared domains on any failure), and resizes,
-releases and self-healing route through the same drivers.  Placement
-planning (cell/DC selection, free-capacity vectors) still consults the
-allocator's topology views — the documented boundary of the driver
-abstraction (see ``docs/ARCHITECTURE.md``).
+This class coordinates: the request verbs, each slice's lifecycle and
+the epoch's cross-cutting sequence.  Three decisions live behind one
+module each (``docs/ARCHITECTURE.md``, "Module map"): the epoch's
+per-slice work in :class:`~repro.core.epoch.LiveFleet`, the durable
+image in :class:`~repro.store.image.DurableImage`, and the southbound
+unwind — both install executors, resize and release — in
+:mod:`repro.drivers`, over the uniform
+:class:`~repro.drivers.base.DomainDriver` contract.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from time import perf_counter
 from types import MappingProxyType
-from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.admission import (
     AdmissionDecision,
@@ -53,30 +44,26 @@ from repro.core.admission import (
 )
 from repro.core.allocation import (
     AllocationError,
-    EndToEndAllocation,
     MultiDomainAllocator,
     SliceSize,
+    compose_allocation,
 )
-from repro.core.epoch import LiveSlots
-from repro.core.events import EventLog, OrchestrationEvent
+from repro.core.calendar import ResourceCalendar
+from repro.core.epoch import LiveFleet, SliceRuntime
+from repro.core.events import EventLog
 from repro.drivers.adapters import build_default_registry
-from repro.drivers.base import (
-    DomainSpec,
-    DriverAbsentError,
-    DriverError,
-    Reservation,
-)
-from repro.drivers.planner import BatchInstallPlanner, InstallJob
+from repro.drivers.base import DomainSpec, DriverError, Reservation
+from repro.drivers.planner import BatchInstallPlanner
 from repro.drivers.registry import DriverRegistry
-from repro.drivers.transaction import InstallTransaction, TransactionError
-from repro.core.forecasting import Forecaster, ForecastError, HoltWintersForecaster
-from repro.core.overbooking import (
-    AdaptiveOverbooking,
-    MultiplexingGainTracker,
-    NoOverbooking,
-    OverbookingPolicy,
-    SlaMonitor,
+from repro.drivers.transaction import (
+    InstallJob,
+    InstallOutcome,
+    StuckReleases,
+    install_sequentially,
+    resize_everywhere,
 )
+from repro.core.forecasting import Forecaster, HoltWintersForecaster
+from repro.core.overbooking import NoOverbooking, OverbookingPolicy
 from repro.core.pricing import RevenueLedger
 from repro.core.slices import (
     NetworkSlice,
@@ -85,24 +72,18 @@ from repro.core.slices import (
     SliceIndex,
     SliceRequest,
     SliceState,
-    peek_request_counter,
 )
 from repro.epc.attach import AttachProcedure
-from repro.epc.instance import EpcInstance
 from repro.obs import NOOP_OBS, ControlPlaneObservability
 from repro.ran.controller import PlannedCellLoad
 from repro.ran.ue import UserEquipment
 from repro.sim.engine import Simulator
-from repro.store.codec import live_image, request_to_dict
-from repro.store.snapshot import LiveFragments
+from repro.store.codec import request_to_dict
+from repro.store.image import DurableImage
 from repro.store.store import ControlPlaneStore, NullStore, open_store
 from repro.sim.processes import PeriodicProcess
 from repro.sim.randomness import RandomStreams
 from repro.traffic.patterns import TrafficProfile
-
-
-#: Demand samples a live slice keeps — the tail its forecaster refits on.
-FORECAST_HISTORY_EPOCHS = 288
 
 
 class OrchestratorError(RuntimeError):
@@ -138,20 +119,17 @@ class OrchestratorConfig:
         install_batch_size: Maximum installs one planner batch runs
             concurrently; larger admission bursts are split.
         install_timeout_s: Default per-operation southbound deadline
-            (wall-clock) for batched installs; a domain driver that has
-            not completed a prepare/commit within this budget is
-            treated as hung — the job unwinds cleanly while healthy
-            jobs proceed, and the straggler is compensated when it
-            completes.  Drivers declaring their own
-            ``DriverCapabilities.operation_timeout_s`` override it;
+            (wall-clock) for batched installs: a driver that has not
+            completed a prepare/commit within it is treated as hung — its
+            job unwinds while healthy jobs proceed, and the straggler is
+            compensated when it completes.  A driver's own
+            ``DriverCapabilities.operation_timeout_s`` overrides it;
             ``None`` waits forever (the blocking path's behavior).
         durability_dir: Root directory of the durable control-plane
-            store (write-ahead journal + snapshots).  ``None`` (the
-            default) keeps the control plane memory-only, exactly the
-            pre-durability behavior; set it and every state transition
-            is journaled before it is acknowledged, making
-            restart-without-losing-slices possible (see
-            :mod:`repro.store` and ``docs/ARCHITECTURE.md``).
+            store (write-ahead journal + snapshots, :mod:`repro.store`).
+            ``None`` (the default) keeps the control plane memory-only;
+            set, every state transition is journaled before it is
+            acknowledged, so a restart loses no slice.
         checkpoint_every_records: Auto-checkpoint threshold — once this
             many journal records accumulate past the latest snapshot,
             the monitoring loop writes a full-state snapshot and
@@ -170,15 +148,13 @@ class OrchestratorConfig:
             own journal + snapshot family (and a warm standby can tail
             exactly one shard's WAL).  ``None`` (the default) keeps the
             single-process layout.
-        observability: Switch for the control-plane observability
-            subsystem (:mod:`repro.obs`): tracing spans across
-            admission → placement → per-domain prepare/commit →
-            journal → event emission, per-stage wall-clock latency
-            histograms, and the ``GET /v1/admin/metrics`` /
-            ``/v1/admin/traces`` surfaces.  Defaults to the
-            ``REPRO_OBS_ENABLED=1`` environment flag (i.e. off); when
-            off, every instrumentation point resolves to a shared
-            no-op singleton — no allocation, no locks, no timing.
+        observability: Switch for :mod:`repro.obs`: tracing spans from
+            admission through per-domain prepare/commit to the journal and
+            event emission, per-stage latency histograms, and the
+            ``GET /v1/admin/metrics`` / ``/v1/admin/traces`` surfaces.
+            Defaults to the ``REPRO_OBS_ENABLED=1`` flag (i.e. off); off,
+            every instrumentation point resolves to a shared no-op
+            singleton — no allocation, no locks, no timing.
         observability_slow_span_ms: Spans at least this slow (wall
             clock) are retained in the slow-op audit log with their
             full ancestry.
@@ -204,41 +180,6 @@ class OrchestratorConfig:
         default_factory=lambda: os.environ.get("REPRO_OBS_ENABLED", "") == "1"
     )
     observability_slow_span_ms: float = 250.0
-
-
-@dataclass
-class SliceRuntime:
-    """Per-slice live state the orchestrator tracks."""
-
-    network_slice: NetworkSlice
-    profile: Optional[TrafficProfile]  # re-adopted: None until first read
-    #: Built by the first reconfiguration that finds the history long
-    #: enough to trust; fed one sample per epoch from then on.
-    forecaster: Optional[Forecaster] = None
-    #: The forecaster does not equal ``fit(demand_history)`` — there is
-    #: none yet, it declined a sample or the capped window slid — so the
-    #: next reconfiguration that trusts the history (re)fits on it.
-    forecast_stale: bool = True
-    effective_fraction: float = 1.0
-    epc: Optional[EpcInstance] = None
-    ues: List[UserEquipment] = field(default_factory=list)
-    last_demand_mbps: float = 0.0
-    last_delivered_mbps: float = 0.0
-    last_violated: bool = False
-    #: One ``(epoch time, demand)`` sample per served epoch; the demands
-    #: are what the forecaster refits on, and it dies with the runtime.
-    demand_history: Deque[Tuple[float, float]] = field(
-        default_factory=lambda: deque(maxlen=FORECAST_HISTORY_EPOCHS)
-    )
-    reservations: Dict[str, Reservation] = field(default_factory=dict)
-
-    def push_demand(self, now: float, demand: float) -> bool:
-        """Keep one more epoch's sample; ``True`` when the cap dropped
-        the oldest one to make room."""
-        history = self.demand_history
-        slid = len(history) == history.maxlen
-        history.append((now, demand))
-        return slid
 
 
 class Orchestrator:
@@ -275,22 +216,19 @@ class Orchestrator:
         # across the install pipeline.  Disabled (the default) resolves
         # to the shared no-op singleton — zero per-call allocation.
         self.obs: Any = (
-            ControlPlaneObservability(
-                slow_span_ms=self.config.observability_slow_span_ms
-            )
-            if self.config.observability
-            else NOOP_OBS
+            ControlPlaneObservability(slow_span_ms=self.config.observability_slow_span_ms)
+            if self.config.observability else NOOP_OBS
         )
         self.ledger = RevenueLedger()
         self.events = EventLog(capacity=self.config.event_log_capacity)
         self.events.obs = self.obs
-        self.sla_monitor = SlaMonitor()
-        self.gain_tracker = MultiplexingGainTracker()
-        #: The monitoring epoch's table: one row per ACTIVE slice.
-        self.live_slots = LiveSlots()
-        from repro.core.calendar import ResourceCalendar
-
         self.calendar = ResourceCalendar(allocator.aggregate_capacity_vector())
+        #: The live slices and the epoch's per-slice work on them (the
+        #: profile drawer resolves ``default_profile`` at each draw).
+        self.fleet = LiveFleet(
+            sim, allocator, self.registry, self.events, self.ledger, self.config,
+            self.obs, lambda request: self.default_profile(request),
+        )
         # Durable control plane: every state transition is journaled
         # (write-ahead) before it is acknowledged; a NullStore makes
         # all of this free when no durability_dir is configured.
@@ -307,21 +245,27 @@ class Orchestrator:
         #: writes) instead of split-braining the shard's WAL.
         self.lease: Optional[Any] = None
         self.store.bind_obs(self.obs)
-        #: Extra state sections (name → provider) merged into every
-        #: checkpoint — the broker registers its open window here.
-        self.durable_sections: Dict[str, Callable[[], dict]] = {}
-        #: The live slices' encoded images, reused by the next checkpoint
-        #: for every slice whose image inputs did not change.
-        self.live_fragments = LiveFragments()
         #: The one tenant quota table: written by :meth:`set_quota`,
-        #: checkpointed by :meth:`durable_state`, refilled by recovery;
-        #: the service layer enforces it.
+        #: checkpointed by the durable image, refilled by recovery; the
+        #: service layer enforces it.
         self.quotas: Dict[str, TenantQuota] = {}
+        #: (request, profile, optional decision callback) awaiting the
+        #: next batched install (drained every monitoring epoch).
+        self._admission_queue: List[Tuple[SliceRequest, TrafficProfile, Optional[Callable[[AdmissionDecision], None]]]] = []
+        #: Advance bookings promised and not yet installed:
+        #: ``request_id -> (request, start_time)`` (checkpointed so the
+        #: promises survive a restart).
+        self._pending_advance: Dict[str, Tuple[SliceRequest, float]] = {}
+        #: The journal hooks and the checkpoint image, off the state above.
+        self.durable = DurableImage(
+            self.store, sim, self.events, self.calendar, self.fleet.runtimes,
+            self._admission_queue, self._pending_advance, self.quotas,
+        )
         if self.store.enabled:
             # Events no transition raises (SLA violations, repairs,
             # driver incidents) are journaled on their own; the rest
-            # ride in their transition's record (see _journal).
-            self.events.sink = self._journal_event
+            # ride in their transition's record.
+            self.events.sink = self.durable.journal_event
         # Fleet-scale installs: admission bursts (broker windows, the
         # epoch-drained admission queue) run through the event-driven
         # async batch planner instead of looping slice-by-slice.
@@ -330,26 +274,18 @@ class Orchestrator:
             max_workers=self.config.install_workers,
             batch_size=self.config.install_batch_size,
             operation_timeout_s=self.config.install_timeout_s,
-            on_record=self._journal_driver_record if self.store.enabled else None,
+            on_record=self.durable.journal_driver_record if self.store.enabled else None,
             obs=self.obs,
         )
         if self.obs.enabled:
             # Pull the southbound drivers into the same trace/metric space.
             for driver in self.registry.drivers():
                 driver.obs = self.obs
-        self._runtimes: Dict[str, SliceRuntime] = {}
+        #: Releases a backend refused, retried every monitoring epoch.
+        self.releases = StuckReleases(self.registry)
         self._all_slices: Dict[str, NetworkSlice] = {}
         #: The ``slice_id``-sorted views ``GET /v1/slices`` pages are cut from.
         self.slice_index = SliceIndex()
-        #: (request, profile, optional decision callback) awaiting the
-        #: next batched install (drained every monitoring epoch).
-        self._admission_queue: List[Tuple[SliceRequest, TrafficProfile, Optional[Callable[[AdmissionDecision], None]]]] = []
-        #: Advance bookings promised and not yet installed:
-        #: ``request_id -> (request, start_time)`` (checkpointed so the
-        #: promises survive a restart).
-        self._pending_advance: Dict[str, Tuple[SliceRequest, float]] = {}
-        # slice_id -> (slice, domains whose backend refused to release)
-        self._stuck_releases: Dict[str, Tuple[NetworkSlice, List[str]]] = {}
         self._epoch_counter = 0
         self._monitor_process = PeriodicProcess(
             sim,
@@ -378,154 +314,21 @@ class Orchestrator:
         self._monitor_process.stop()
 
     # ------------------------------------------------------------------
-    # Durability (write-ahead journal + snapshots + recovery support)
+    # Recovery support
     # ------------------------------------------------------------------
-    def _journal(
-        self, record_type: str, event: Optional[OrchestrationEvent] = None, **data
-    ) -> int:
-        """Write-ahead one control-plane transition (no-op when the
-        store is a :class:`~repro.store.store.NullStore`), carrying the
-        feed ``event`` it raised: that event's durable LSN is this one."""
-        if not self.store.enabled:
-            return 0
-        if event is not None:
-            data["event"] = event.to_dict()
-        return self.store.append(record_type, time=self.sim.now, **data)
-
-    def _journal_event(self, event: OrchestrationEvent) -> None:
-        """EventLog sink: journal an event no transition raises (backs
-        the durable ``GET /v1/events?after_lsn=`` cursor)."""
-        self.store.append("event.emitted", time=event.time, event=event.to_dict())
-
-    def _journal_driver_record(
-        self, record_type: str, domain: str, slice_id: str, reservation_id: str
-    ) -> None:
-        """Planner durability hook for the one reservation transition
-        no job's trail carries — a straggler compensated after its job
-        settled.  Called from whichever thread that compensation landed
-        on, possibly a backend's own (the journal is thread-safe)."""
-        self.store.append(
-            record_type,
-            time=self.sim.now,
-            domain=domain,
-            slice_id=slice_id,
-            reservation_id=reservation_id,
-        )
-
-    def _live_inputs(self) -> Iterator[Tuple[str, tuple, SliceRequest]]:
-        """(slice id, image inputs, request) of every live slice: the
-        inputs are the values its image reads that change while it lives
-        (see :func:`~repro.store.codec.live_image`), compared by value."""
-        now = self.sim.now
-        for slice_id, runtime in self._runtimes.items():
-            network_slice = runtime.network_slice
-            request = network_slice.request
-            booking = self.calendar.get(request.request_id)
-            yield slice_id, (
-                "active" if network_slice.state is SliceState.ACTIVE else "installed",
-                request.sla.throughput_mbps,
-                network_slice.plmn.plmn_id if network_slice.plmn else None,
-                runtime.effective_fraction,
-                network_slice.admitted_at if network_slice.admitted_at is not None else now,
-                network_slice.active_at,
-                (booking.start, booking.end) if booking else None,
-                tuple((domain, r.reservation_id) for domain, r in runtime.reservations.items()),
-            ), request
-
-    def durable_state(self) -> dict:
-        """The full-state checkpoint image (the
-        :class:`~repro.store.codec.ReplayState` shape): live slices,
-        the admission queue, pending advance bookings, tenant quotas,
-        and any registered extra sections (the broker's window)."""
-        state = self._durable_sections()
-        state["live"] = {
-            slice_id: live_image(request, inputs)
-            for slice_id, inputs, request in self._live_inputs()
-        }
-        return state
-
-    def _durable_sections(self) -> dict:
-        """:meth:`durable_state` but for its ``live`` section."""
-        state = {
-            "time": self.sim.now,
-            "in_flight": {},
-            "queued": {
-                request.request_id: request_to_dict(request)
-                for request, _, _ in self._admission_queue
-            },
-            "advance": {
-                request_id: {
-                    "request": request_to_dict(request),
-                    "start_time": start_time,
-                }
-                for request_id, (request, start_time) in self._pending_advance.items()
-            },
-            "quotas": {tenant: asdict(quota) for tenant, quota in self.quotas.items()},
-            "last_event_seq": self.events.last_seq,
-            # High-water mark of issued request ordinals: a snapshot-only
-            # restore must never re-issue an id, even when every slice
-            # that carried it already terminated.
-            "last_request_ordinal": peek_request_counter() - 1,
-        }
-        for name, provider in self.durable_sections.items():
-            state[name] = provider()
-        return state
-
-    def checkpoint(self) -> dict:
-        """Write a full-state snapshot and compact the journal: the bytes
-        of :meth:`durable_state`, with only the live slices whose image
-        inputs changed since the last checkpoint imaged and encoded.
-
-        Raises:
-            OrchestratorError: When durability is disabled.
-        """
-        if not self.store.enabled:
-            raise OrchestratorError(
-                "durability is disabled (no durability_dir configured)"
-            )
-        live = self.live_fragments.refresh(self._live_inputs(), live_image)
-        lsn = self.store.checkpoint(self._durable_sections(), live)
-        return {
-            "checkpoint_lsn": lsn,
-            "time": self.sim.now,
-            "records_since_checkpoint": self.store.records_since_checkpoint,
-            "fragments_encoded": self.live_fragments.encoded,
-        }
-
-    def _drain_planner_events(self) -> None:
-        """Surface the planner's buffered incidents (op timeouts,
-        background compensations) on the northbound feed — on this
-        thread, never a completion thread."""
-        for event_type, payload in self.planner.drain_events():
-            slice_id = payload.pop("slice_id", None)
-            record = self._all_slices.get(slice_id) if slice_id else None
-            self.events.emit(
-                self.sim.now,
-                event_type,
-                slice_id=slice_id,
-                tenant_id=record.request.tenant_id if record else None,
-                **payload,
-            )
-
     def default_profile(self, request: SliceRequest) -> TrafficProfile:
         """The vertical-preset traffic profile for a request: the one the
         v1 API attaches at creation, and the one recovery (and re-enqueued
         admissions) draws again when the original object died with the
         old process — the same shape, since both read the same key.
         Keyed by request id, never a shared stream, so drawing it late
-        (:meth:`traffic_profile`) moves no other draw; the peak is the
-        current throughput."""
+        (:meth:`~repro.core.epoch.LiveFleet.profile`) moves no other
+        draw; the peak is the current throughput."""
         from repro.traffic.verticals import vertical_for
 
         spec = vertical_for(request.service_type)
         rng = self.streams.draws(f"api-profile-{request.request_id}")
         return spec.sample_profile(request.sla.throughput_mbps, rng)
-
-    def traffic_profile(self, runtime: SliceRuntime) -> TrafficProfile:
-        """A live slice's traffic profile; a re-adopted one's is drawn here."""
-        if runtime.profile is None:
-            runtime.profile = self.default_profile(runtime.network_slice.request)
-        return runtime.profile
 
     def adopt_recovered_slices(self, adoptions: Iterable[tuple]) -> List[NetworkSlice]:
         """Re-adopt, as one batch and in order, the slices a restart found
@@ -592,7 +395,7 @@ class Orchestrator:
         :meth:`restore_advance_booking`, which differ only in whether
         the promise is checked first."""
         self._pending_advance[request.request_id] = (request, start_time)
-        self._journal(
+        self.durable.journal(
             "booking.committed",
             request=request_to_dict(request),
             start_time=start_time,
@@ -633,13 +436,6 @@ class Orchestrator:
             for request, decision in zip(requests, decisions)
         ]
         return sizes, self.allocator.aggregate_free_vector()
-
-    def shrunk_demand(self, request: SliceRequest, fraction: float) -> ResourceVector:
-        """Multi-domain demand with the overbooking shrinkage applied.
-
-        PRBs and transport bandwidth shrink; VMs are not overbookable.
-        """
-        return self.allocator.size(request, fraction).demand
 
     def _promise_end(self, request: SliceRequest, start: float) -> float:
         """End of the calendar window promised to a slice admitted (or
@@ -691,7 +487,7 @@ class Orchestrator:
         refusal = self.calendar_gate(request, size)
         if refusal is not None:
             return self.reject(request, refusal)
-        return self._install(request, profile, size)
+        return self.install_admitted(request, profile, size)
 
     def submit_advance(
         self,
@@ -752,7 +548,7 @@ class Orchestrator:
             self.sim.now, "booking.cancelled", None, request.tenant_id,
             booking_id=request_id, start_time=start_time,
         )
-        self._journal("booking.cancelled", event, request_id=request_id)
+        self.durable.journal("booking.cancelled", event, request_id=request_id)
 
     def set_quota(
         self,
@@ -764,7 +560,7 @@ class Orchestrator:
         ceiling survives a restart and a promotion."""
         quota = TenantQuota(max_active_slices, max_aggregate_mbps)
         self.quotas[tenant_id] = quota
-        self._journal(
+        self.durable.journal(
             "quota.set",
             tenant_id=tenant_id,
             max_active_slices=max_active_slices,
@@ -803,7 +599,7 @@ class Orchestrator:
         event = self.events.append(
             self.sim.now, "slice.rejected", slice_id, request.tenant_id, reason=reason
         )
-        self._journal(
+        self.durable.journal(
             "slice.rejected", event, request_id=request.request_id,
             slice_id=slice_id, reason=reason, **record,
         )
@@ -829,7 +625,7 @@ class Orchestrator:
         timer that is already due fires at once.  ``window_end``
         defaults to the end of the promise an install makes.
         """
-        now, windows, calendar, runtimes = self.sim.now, [], self.calendar, self._runtimes
+        now, windows, calendar, runtimes = self.sim.now, [], self.calendar, self.fleet.runtimes
         schedule_at, deploy_time_s = self.sim.schedule_at, self.config.deploy_time_s
         # Bound once per batch: each timer holds a partial, no method of its own.
         activate, expire = self._activate, self._expire
@@ -854,10 +650,9 @@ class Orchestrator:
             )
             # Contract-clean EPC binding: whatever backend serves the "epc"
             # domain reports its instance (if any) in the reservation.
-            epc_reservation = reservations.get("epc")
-            if epc_reservation is not None:
-                runtime.epc = epc_reservation.details.get("instance")
-            network_slice.allocation = self._compose_allocation(reservations)
+            if "epc" in reservations:
+                runtime.epc = reservations["epc"].details.get("instance")
+            network_slice.allocation = compose_allocation(reservations)
             if active_at is None:
                 schedule_at(
                     max(admitted_at + deploy_time_s, now),
@@ -867,52 +662,6 @@ class Orchestrator:
             else:
                 self._schedule_expiry(network_slice, expire)
         calendar.commit_many(windows)
-
-    def _finalize_install(
-        self,
-        network_slice: NetworkSlice,
-        profile: TrafficProfile,
-        size: SliceSize,
-        reservations: Dict[str, Reservation],
-        span_parent: Any = None,
-        **record: Any,
-    ) -> AdmissionDecision:
-        """What an acknowledged install does on top of :meth:`_go_live`,
-        shared by both executors: the ledger account and the
-        ``slice.installed`` WAL record carrying the ``slice.admitted``
-        event and any ``record`` fields (the batched job's ``trail``).
-        ``span_parent`` (the batched path's per-job span context) hangs
-        the journal stage of this job under its trace; the sequential
-        path passes none and stays span-free."""
-        obs = self.obs if span_parent is not None else NOOP_OBS
-        request = network_slice.request
-        self.ledger.book_admission(network_slice.slice_id, request)
-        self._go_live([(network_slice, profile, size, reservations, self.sim.now, None, None)])
-        # WAL: the install is durable from here — a crash after this
-        # record must re-adopt the slice, not forfeit it.
-        booking = self.calendar.get(request.request_id)  # _go_live saw to it
-        with obs.span("journal", parent=span_parent):
-            self._journal(
-                "slice.installed",
-                self.events.append(
-                    self.sim.now, "slice.admitted", network_slice.slice_id,
-                    request.tenant_id, price=request.price,
-                ),
-                request=request_to_dict(request),
-                slice_id=network_slice.slice_id,
-                plmn=network_slice.plmn.plmn_id if network_slice.plmn else None,
-                fraction=size.fraction,
-                reservations={d: r.reservation_id for d, r in reservations.items()},
-                window=[booking.start, booking.end],
-                **record,
-            )
-        return AdmissionDecision(
-            request_id=request.request_id,
-            admitted=True,
-            reason="installed",
-            expected_value=request.price,
-            slice_id=network_slice.slice_id,
-        )
 
     def _stage_install(
         self,
@@ -931,12 +680,9 @@ class Orchestrator:
 
         ``size`` is the one the request was judged on (:meth:`submit`, a
         broker window); ``None`` — an advance booking firing, a
-        re-admission — sizes it here, where a fleet that cannot be sized
-        is a planning failure like any other.
-
-        ``span_parent`` (the batch span's context) opens the batched
-        path's per-job span with its admission/placement stages; the
-        single-request path passes none and stays span-free.
+        re-admission — sizes it here.  ``span_parent`` (the batch span's
+        context) opens the batched path's per-job span with its
+        admission/placement stages; the single-request path passes none.
         """
         obs = self.obs if span_parent is not None else NOOP_OBS
         network_slice = self._register(request)
@@ -961,7 +707,7 @@ class Orchestrator:
             stage_span.finish("error", error=str(exc))
             job_span.finish("error", error=str(exc))
             return self._book_install_rejection(network_slice, str(exc))
-        self._journal(
+        self.durable.journal(
             "install.started",
             request=request_to_dict(request),
             slice_id=network_slice.slice_id,
@@ -971,31 +717,26 @@ class Orchestrator:
         return network_slice, size, attempts, job_span
 
     def install_admitted(
-        self, request: SliceRequest, profile: TrafficProfile
+        self, request: SliceRequest, profile: TrafficProfile, size: Optional[SliceSize] = None
     ) -> AdmissionDecision:
         """Install a slice whose admission decision was already positive
-        (an advance booking's promise, or an external broker's), on the
-        calling thread.
+        — :meth:`submit`'s, with the ``size`` it judged; an advance
+        booking's promise or an external broker's — on the calling
+        thread, through the single-request executor.
 
-        The install can still fail on PLMN exhaustion or an allocation
-        race; such failures are booked as rejections.
+        The install can still fail on PLMN exhaustion, an allocation
+        race or a driver refusal; such failures are booked as rejections.
         """
-        return self._install(request, profile, None)
-
-    def _install(
-        self, request: SliceRequest, profile: TrafficProfile, size: Optional[SliceSize]
-    ) -> AdmissionDecision:
-        """The single-request executor's install, behind :meth:`submit`
-        (with the size it judged) and :meth:`install_admitted` (none)."""
         staged = self._stage_install(request, size)
         if isinstance(staged, AdmissionDecision):
             return staged
-        network_slice, size, attempts, _ = staged
-        try:
-            reservations = self._install_via_drivers(network_slice, attempts)
-        except TransactionError as exc:
-            return self._book_install_rejection(network_slice, str(exc))
-        return self._finalize_install(network_slice, profile, size, reservations)
+        network_slice, size, attempts, job_span = staged
+        job = InstallJob(
+            network_slice.slice_id, attempts, partial(self._validate_latency, network_slice)
+        )
+        return self._settle(
+            network_slice, profile, size, job_span, install_sequentially(self.registry, job)
+        )
 
     def enqueue_admitted(
         self,
@@ -1008,7 +749,7 @@ class Orchestrator:
         concurrent :class:`~repro.drivers.planner.BatchInstallPlanner`
         instead of installing slice-by-slice.  ``on_decision`` (if any)
         fires with the final install outcome when the batch lands."""
-        self._journal("admission.enqueued", request=request_to_dict(request))
+        self.durable.journal("admission.enqueued", request=request_to_dict(request))
         self._admission_queue.append((request, profile, on_decision))
 
     @property
@@ -1020,7 +761,8 @@ class Orchestrator:
         """Monitoring-epoch drain: batch-install everything queued."""
         if not self._admission_queue:
             return
-        queued, self._admission_queue = self._admission_queue, []
+        queued = self._admission_queue[:]
+        self._admission_queue.clear()  # the durable image reads this list
         with self.store.batch():  # one fsync, before any callback tells
             decisions = self.install_admitted_batch(
                 [(request, profile) for request, profile, _ in queued]
@@ -1044,22 +786,14 @@ class Orchestrator:
         concurrent batch planner.  Two jobs planned onto the same scarce
         resource race like any concurrent installer's would: the loser's
         prepare fails, its job unwinds with zero residue, and the slice
-        is booked as rejected (the same contract the aggregate batch
-        admission already documents).
+        is booked as rejected.  A hung domain delays (or, under
+        ``config.install_timeout_s``, cleanly fails) only the jobs that
+        touched it.
 
-        Decisions are returned in submission order; rollback events are
-        emitted only for installs that ultimately failed, matching the
-        sequential path's deferred-rollback semantics.
-
-        Installs are stall-isolated per job: the planner drives the
-        drivers' futures-based lifecycle, so a hung southbound domain
-        delays (or, under ``config.install_timeout_s``, cleanly fails)
-        only the jobs that touched it — every other job in the batch
-        commits in its own latency.
-
-        ``sizes`` (one per admission) are what a broker window already
-        judged the batch on; without them each request is sized as it
-        is staged.
+        Decisions are returned in submission order, each settled as a
+        single install's is (:meth:`_settle`).  ``sizes`` (one per
+        admission) are what a broker window already judged the batch on;
+        without them each request is sized as it is staged.
         """
         batch_span = self.obs.span("install.batch", jobs=len(admissions))
         results: List[Optional[AdmissionDecision]] = [None] * len(admissions)
@@ -1086,11 +820,7 @@ class Orchestrator:
                 InstallJob(
                     slice_id=network_slice.slice_id,
                     attempts=attempts,
-                    validate=(
-                        lambda reservations, ns=network_slice: self._validate_latency(
-                            ns, reservations
-                        )
-                    ),
+                    validate=partial(self._validate_latency, network_slice),
                     tag=index,
                     # The job span's context rides through the planner's
                     # state machine so every per-domain prepare/commit
@@ -1099,56 +829,80 @@ class Orchestrator:
                 )
             )
         for outcome in self.planner.install(jobs):
-            index = outcome.job.tag
-            network_slice, profile, size, job_span = staged[index]
-            # The job's whole southbound audit trail — every landed
-            # prepare/commit/rollback/release of every attempt, in
-            # landing order — rides in the record that settles the job
-            # (never folded on replay).
-            if outcome.ok:
-                results[index] = self._finalize_install(
-                    network_slice,
-                    profile,
-                    size,
-                    outcome.reservations,
-                    span_parent=job_span.context,
-                    trail=outcome.trail,
-                )
-                job_span.finish()
-            else:
-                # Surface the failed install's unwinds on the feed (the
-                # planner withheld rollbacks of retried-then-successful
-                # attempts, per the deferred-rollback contract).
-                for domain, reservation, reason in outcome.rollbacks:
-                    self._emit_rollback(domain, reservation, reason)
-                results[index] = self._book_install_rejection(
-                    network_slice, str(outcome.error), trail=outcome.trail
-                )
-                job_span.finish("error", error=str(outcome.error))
+            results[outcome.job.tag] = self._settle(*staged[outcome.job.tag], outcome)
         self._drain_planner_events()
         batch_span.finish()
         assert all(decision is not None for decision in results)
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-    # Southbound driver plumbing
+    # Southbound: the drivers unwind (repro.drivers.transaction); the
+    # lifecycle's books follow what they did
     # ------------------------------------------------------------------
-    def _emit_rollback(self, domain: str, reservation: Reservation, reason: str) -> None:
-        """Surface a rolled-back domain on the northbound event feed."""
-        self.events.emit(
-            self.sim.now,
-            "driver.rollback",
-            slice_id=reservation.slice_id,
-            tenant_id=reservation.spec.tenant_id,
-            domain=domain,
-            reason=reason,
+    def _settle(
+        self,
+        network_slice: NetworkSlice,
+        profile: TrafficProfile,
+        size: SliceSize,
+        job_span: Any,
+        outcome: InstallOutcome,
+    ) -> AdmissionDecision:
+        """Book either executor's install outcome.  Failed: the rollback
+        notices its executor held surface on the feed and the slice is
+        rejected.  Acknowledged: the ledger account, :meth:`_go_live`
+        and the ``slice.installed`` WAL record carrying the
+        ``slice.admitted`` event.  A batched job's southbound trail —
+        every landed prepare/commit/rollback/release of every attempt,
+        in landing order — rides in the record that settles it (never
+        folded on replay), and its job span hangs the journal stage
+        under its trace; the single-request path's span is a no-op."""
+        record = {} if outcome.trail is None else {"trail": outcome.trail}
+        request = network_slice.request
+        if not outcome.ok:
+            for domain, reservation, reason in outcome.rollbacks:
+                self.events.emit(
+                    self.sim.now, "driver.rollback", slice_id=reservation.slice_id,
+                    tenant_id=reservation.spec.tenant_id, domain=domain, reason=reason,
+                )
+            decision = self._book_install_rejection(network_slice, str(outcome.error), **record)
+            job_span.finish("error", error=str(outcome.error))
+            return decision
+        reservations = outcome.reservations
+        self.ledger.book_admission(network_slice.slice_id, request)
+        self._go_live([(network_slice, profile, size, reservations, self.sim.now, None, None)])
+        # WAL: the install is durable from here — a crash after this
+        # record must re-adopt the slice, not forfeit it.
+        booking = self.calendar.get(request.request_id)  # _go_live saw to it
+        obs = self.obs if job_span.context is not None else NOOP_OBS
+        with obs.span("journal", parent=job_span.context):
+            self.durable.journal(
+                "slice.installed",
+                self.events.append(
+                    self.sim.now, "slice.admitted", network_slice.slice_id,
+                    request.tenant_id, price=request.price,
+                ),
+                request=request_to_dict(request),
+                slice_id=network_slice.slice_id,
+                plmn=network_slice.plmn.plmn_id if network_slice.plmn else None,
+                fraction=size.fraction,
+                reservations={d: r.reservation_id for d, r in reservations.items()},
+                window=[booking.start, booking.end],
+                **record,
+            )
+        job_span.finish()
+        return AdmissionDecision(
+            request_id=request.request_id,
+            admitted=True,
+            reason="installed",
+            expected_value=request.price,
+            slice_id=network_slice.slice_id,
         )
 
     def _validate_latency(
         self, network_slice: NetworkSlice, reservations: Dict[str, Reservation]
     ) -> None:
         """Never commit a latency-violating end-to-end allocation."""
-        allocation = self._compose_allocation(reservations)
+        allocation = compose_allocation(reservations)
         if allocation is None:
             return
         bound = network_slice.request.sla.max_latency_ms
@@ -1159,126 +913,23 @@ class Orchestrator:
                 f"exceeds SLA {bound:.2f} ms",
             )
 
-    @staticmethod
-    def _compose_allocation(
-        reservations: Dict[str, Reservation]
-    ) -> Optional[EndToEndAllocation]:
-        """The legacy end-to-end view, when all three data-plane domains
-        participated (custom registries may omit some)."""
-        try:
-            return EndToEndAllocation(
-                ran=reservations["ran"].details["allocation"],
-                transport=reservations["transport"].details["allocation"],
-                cloud=reservations["cloud"].details["allocation"],
-            )
-        except KeyError:
-            return None
-
-    def _install_via_drivers(
-        self, network_slice: NetworkSlice, attempts: List[Dict[str, DomainSpec]]
-    ) -> Dict[str, Reservation]:
-        """The single-request executor: one blocking prepare → validate
-        → commit :class:`InstallTransaction` per staged attempt, on the
-        calling thread, until one commits end-to-end.  A failed attempt
-        unwinds every domain it touched before the next is tried —
-        nothing is left reserved anywhere.
-
-        Raises:
-            TransactionError: When no attempt yields a committed
-                end-to-end install.
-        """
-        # Rollback events buffer until the install's fate is known: a
-        # retried-then-successful install must not put driver.rollback
-        # noise on the feed (consumers treat it as an install failure).
-        deferred_rollbacks: List[Tuple[str, Reservation, str]] = []
-        transaction = InstallTransaction(
-            self.registry,
-            on_rollback=lambda *rollback: deferred_rollbacks.append(rollback),
-        )
-
-        def validate(reservations: Dict[str, Reservation]) -> None:
-            self._validate_latency(network_slice, reservations)
-
-        for specs in attempts:
-            try:
-                return transaction.run(specs, validate=validate)
-            except TransactionError as exc:
-                last_error = exc
-        for domain, reservation, reason in deferred_rollbacks:
-            self._emit_rollback(domain, reservation, reason)
-        raise last_error
-
-    def _release_domains(self, network_slice: NetworkSlice) -> List[str]:
-        """Free the slice in every domain, newest-registered first.
-
-        Domains holding nothing are skipped silently (idempotent-ish);
-        a *real* backend release failure is surfaced on the event feed
-        — the driver keeps the reservation COMMITTED, the failing
-        domains are returned, and the monitoring loop retries them
-        every epoch until the capacity is actually freed.
-        """
-        slice_id = network_slice.slice_id
-        failed: List[str] = []
-        for driver in reversed(self.registry.drivers()):
-            try:
-                driver.release(slice_id)
-            except DriverAbsentError:
-                continue
-            except DriverError as exc:
-                failed.append(driver.domain)
-                self.events.emit(
-                    self.sim.now,
-                    "driver.release_failed",
-                    slice_id=slice_id,
-                    tenant_id=network_slice.request.tenant_id,
-                    domain=driver.domain,
-                    reason=str(exc),
-                )
-                continue
-        network_slice.allocation = None
-        return failed
-
     def _teardown_slice(self, network_slice: NetworkSlice) -> None:
         """Release every domain; free the PLMN only once all succeed.
 
-        A stuck backend release keeps the PLMN out of the pool — handing
-        it to a new slice while the old backend still serves under it
-        would put two slices on one PLMN.  The stuck domains are retried
-        each monitoring epoch.
+        A backend's refusal is surfaced on the event feed and its
+        release retried each monitoring epoch; meanwhile the PLMN stays
+        out of the pool — handing it to a new slice while the old
+        backend still serves under it would put two slices on one PLMN.
         """
         slice_id = network_slice.slice_id
-        failed = self._release_domains(network_slice)
-        if failed:
-            self._stuck_releases[slice_id] = (network_slice, failed)
-        else:
-            self.plmn_pool.release(slice_id)
-
-    def _retry_stuck_releases(self) -> None:
-        """Monitoring-epoch sweep over releases a backend refused."""
-        for slice_id in list(self._stuck_releases):
-            network_slice, domains = self._stuck_releases[slice_id]
-            remaining: List[str] = []
-            for domain in domains:
-                if domain not in self.registry:
-                    continue  # driver unregistered — nothing left to free
-                try:
-                    self.registry.get(domain).release(slice_id)
-                except DriverAbsentError:
-                    continue  # freed out-of-band
-                except DriverError:
-                    remaining.append(domain)
-            if remaining:
-                self._stuck_releases[slice_id] = (network_slice, remaining)
-                continue
-            del self._stuck_releases[slice_id]
-            self.plmn_pool.release(slice_id)
+        for domain, exc in self.releases.release(slice_id):
             self.events.emit(
-                self.sim.now,
-                "driver.release_recovered",
-                slice_id=slice_id,
-                tenant_id=network_slice.request.tenant_id,
-                domains=list(domains),
+                self.sim.now, "driver.release_failed", slice_id=slice_id,
+                tenant_id=network_slice.request.tenant_id, domain=domain, reason=str(exc),
             )
+        network_slice.allocation = None
+        if slice_id not in self.releases.stuck:
+            self.plmn_pool.release(slice_id)
 
     def _resize_domains(
         self,
@@ -1287,82 +938,28 @@ class Orchestrator:
         new_fraction: float,
     ) -> None:
         """The one place a live slice changes size — a tenant's new
-        throughput or the overbooking engine's new fraction: every
-        resize-capable domain is re-dimensioned, then the SLA, the
-        runtime's fraction and reservations, the composed allocation
-        and the calendar booking follow.
-
-        Applied in registry order with compensation: a failing domain
-        rolls the already-resized ones back to their previous spec, so
-        the domains never disagree about the slice's size — and nothing
-        above them has moved yet.
-
-        Raises:
-            DriverError: When some domain cannot fit the new size (after
-                compensation).
-        """
-        network_slice = runtime.network_slice
-        request = network_slice.request
-        slice_id = network_slice.slice_id
-        if not 0.0 < new_fraction <= 1.0:
-            raise DriverError(
-                "orchestrator",
-                f"effective fraction must be in (0, 1], got {new_fraction}",
-            )
-        if new_throughput_mbps <= 0:
-            raise DriverError(
-                "orchestrator",
-                f"throughput must be positive, got {new_throughput_mbps}",
-            )
-        resized = []  # [(driver, previous spec, live reservation)]
-        for driver in self.registry.drivers():
-            if not driver.capabilities().supports_resize:
-                continue
-            reservation = driver.reservation_of(slice_id)
-            if reservation is None:
-                continue
-            old_spec = reservation.spec
-            new_spec = DomainSpec(
-                slice_id=slice_id,
-                tenant_id=request.tenant_id,
-                throughput_mbps=new_throughput_mbps,
-                max_latency_ms=request.sla.max_latency_ms,
-                duration_s=request.sla.duration_s,
-                effective_fraction=new_fraction,
-                vcpus=old_spec.vcpus,
-                attributes=dict(old_spec.attributes),
-            )
-            try:
-                resized.append((driver, old_spec, driver.resize(slice_id, new_spec)))
-            except DriverError:
-                # Compensate: restore the previous size everywhere.
-                for done, prev_spec, _ in reversed(resized):
-                    try:
-                        done.resize(slice_id, prev_spec)
-                    except DriverError:  # pragma: no cover - best effort
-                        continue
-                raise
-        if not resized:
-            # No domain actually re-dimensioned anything — succeeding
-            # here would rewrite the SLA/calendar with no backing change
-            # (the legacy allocator raised in this situation too).
-            raise DriverError(
-                "orchestrator", f"slice {slice_id} is not allocated"
-            )
-        for driver, _, reservation in resized:
-            runtime.reservations[driver.domain] = reservation
-        network_slice.allocation = self._compose_allocation(runtime.reservations)
+        throughput or the overbooking engine's new fraction: the drivers
+        re-dimension it (:func:`~repro.drivers.transaction.resize_everywhere`
+        raises DriverError, compensated, before anything here moves), then
+        the runtime's reservations and allocation, its fraction, the SLA
+        and the calendar booking follow."""
+        request = runtime.network_slice.request
+        runtime.hold(resize_everywhere(
+            self.registry, runtime.network_slice.slice_id, tenant_id=request.tenant_id,
+            throughput_mbps=new_throughput_mbps, max_latency_ms=request.sla.max_latency_ms,
+            duration_s=request.sla.duration_s, effective_fraction=new_fraction,
+        ))
         runtime.effective_fraction = new_fraction
         request.sla = replace(request.sla, throughput_mbps=new_throughput_mbps)
         # Keep the calendar booking in step with the commitment, so
         # admission sees what a shrink freed.
         if self.calendar.has(request.request_id):
             self.calendar.update_demand(
-                request.request_id, self.shrunk_demand(request, new_fraction)
+                request.request_id, self.allocator.size(request, new_fraction).demand
             )
 
     def _activate(self, slice_id: str) -> None:
-        runtime = self._runtimes.get(slice_id)
+        runtime = self.fleet.runtimes.get(slice_id)
         if runtime is None:
             return
         network_slice = runtime.network_slice  # DEPLOYING: only _go_live set this timer
@@ -1370,7 +967,7 @@ class Orchestrator:
         event = self.events.append(
             self.sim.now, "slice.activated", slice_id, network_slice.request.tenant_id
         )
-        self._journal("slice.activated", event, slice_id=slice_id)
+        self.durable.journal("slice.activated", event, slice_id=slice_id)
         if self.config.simulate_ues:
             self._spawn_ues(runtime)
         self._schedule_expiry(network_slice)
@@ -1388,21 +985,12 @@ class Orchestrator:
         )
 
     def _spawn_ues(self, runtime: SliceRuntime) -> None:
-        """Create the slice's vEPC binding + UE population and attach them."""
+        """Create the slice's UE population and attach it through the
+        vEPC instance its EPC domain reported (none, no UEs)."""
         network_slice = runtime.network_slice
         slice_id = network_slice.slice_id
-        if network_slice.plmn is None or network_slice.allocation is None:
+        if network_slice.plmn is None or network_slice.allocation is None or runtime.epc is None:
             return
-        if runtime.epc is None:
-            if "epc" in runtime.reservations:
-                # An EPC domain owns the core but exposed no instance
-                # (custom backend) — never bind a duplicate inline.
-                return
-            # No EPC domain in the registry — bind the instance inline.
-            stack = self.allocator.cloud.stack_of(slice_id)
-            if stack is None:
-                return
-            runtime.epc = EpcInstance(slice_id, network_slice.plmn.plmn_id, stack)
         enb = self.allocator.ran.enb(network_slice.allocation.ran.enb_id)
         rng = self.streams.derive(f"ues-{slice_id}")
         n_ues = min(network_slice.request.n_users, self.config.max_ues_per_slice)
@@ -1425,7 +1013,7 @@ class Orchestrator:
         Raises:
             OrchestratorError: If the slice is not ACTIVE.
         """
-        runtime = self._runtimes.get(slice_id)
+        runtime = self.fleet.runtimes.get(slice_id)
         if runtime is None or runtime.network_slice.state is not SliceState.ACTIVE:
             raise OrchestratorError(f"slice {slice_id} is not active")
         network_slice = runtime.network_slice
@@ -1452,7 +1040,7 @@ class Orchestrator:
             OrchestratorError: If the slice is unknown or already ACTIVE
                 (use :meth:`terminate_early`) or terminal.
         """
-        runtime = self._runtimes.get(slice_id)
+        runtime = self.fleet.runtimes.get(slice_id)
         if runtime is None or runtime.network_slice.state not in (
             SliceState.ADMITTED,
             SliceState.DEPLOYING,
@@ -1468,7 +1056,7 @@ class Orchestrator:
         return amount
 
     def _expire(self, slice_id: str) -> None:
-        runtime = self._runtimes.get(slice_id)
+        runtime = self.fleet.runtimes.get(slice_id)
         if runtime is None:
             return
         network_slice = runtime.network_slice  # ACTIVE: a live runtime's expiry timer
@@ -1489,14 +1077,11 @@ class Orchestrator:
         network_slice = runtime.network_slice
         slice_id = network_slice.slice_id
         request = network_slice.request
-        del self._runtimes[slice_id]
+        del self.fleet.runtimes[slice_id]
         for ue in runtime.ues:
             if ue.attached:
                 ue.detach()
         self._teardown_slice(network_slice)
-        if runtime.epc is not None and runtime.epc.running:
-            # Inline-bound instance (no EPC driver released it above).
-            runtime.epc.shutdown()
         if self.calendar.has(request.request_id):
             self.calendar.release(request.request_id)
         network_slice.transition(terminal_state, self.sim.now)
@@ -1504,7 +1089,7 @@ class Orchestrator:
         event = self.events.append(
             self.sim.now, record_type, slice_id, request.tenant_id, **event_fields
         )
-        self._journal(record_type, event, slice_id=slice_id)
+        self.durable.journal(record_type, event, slice_id=slice_id)
 
     def what_if(self, request: SliceRequest) -> dict:
         """Evaluate a hypothetical request without committing anything.
@@ -1552,7 +1137,7 @@ class Orchestrator:
             An admission-style decision (admitted=False if the grow does
             not fit; the slice then continues unchanged).
         """
-        runtime = self._runtimes.get(slice_id)
+        runtime = self.fleet.runtimes.get(slice_id)
         if runtime is None or runtime.network_slice.state is not SliceState.ACTIVE:
             return AdmissionDecision(
                 request_id=slice_id,
@@ -1567,8 +1152,8 @@ class Orchestrator:
             return AdmissionDecision(
                 request_id=slice_id, admitted=False, reason=str(exc)
             )
-        self.traffic_profile(runtime).peak_mbps = new_throughput_mbps
-        self._journal(
+        self.fleet.profile(runtime).peak_mbps = new_throughput_mbps
+        self.durable.journal(
             "slice.modified", slice_id=slice_id, throughput_mbps=new_throughput_mbps
         )
         return AdmissionDecision(
@@ -1578,14 +1163,14 @@ class Orchestrator:
         )
 
     # ------------------------------------------------------------------
-    # Monitoring + reconfiguration loop
+    # Monitoring + reconfiguration loop (its per-slice work: LiveFleet)
     # ------------------------------------------------------------------
     def _monitoring_epoch(self) -> None:
         obs = self.obs
         epoch_started = perf_counter() if obs.enabled else None
         if epoch_started is not None:
             obs.gauge_set("queue.pending_installs", float(len(self._admission_queue)))
-            obs.gauge_set("queue.stuck_releases", float(len(self._stuck_releases)))
+            obs.gauge_set("queue.stuck_releases", float(len(self.releases.stuck)))
         self._epoch_counter += 1
         now = self.sim.now
         # Leader lease first: journaling anything after losing the
@@ -1593,162 +1178,66 @@ class Orchestrator:
         # promoted standby's WAL.
         if self.lease is not None and not self.lease.heartbeat():
             self.store.close(sync=False)  # fenced: same semantics as a crash
-            self.events.emit(
-                now, "lease.fenced", shard_id=self.config.shard_id
-            )
+            self.events.emit(now, "lease.fenced", shard_id=self.config.shard_id)
             self.lease = None
         # Durable heartbeat: recovery rebases lifecycle clocks against
         # the newest journaled time, so an idle control plane must
         # still bound its crash-time estimate to one epoch.
-        self._journal("clock.tick", epoch=self._epoch_counter)
+        self.durable.journal("clock.tick", epoch=self._epoch_counter)
         # Fleet-scale installs: drain everything admitted since the last
         # epoch through the concurrent batch planner in one go.
         self._drain_admission_queue()
         # Late stragglers compensated since the last epoch surface as
         # events now, on this thread.
         self._drain_planner_events()
-        if self._stuck_releases:
-            self._retry_stuck_releases()
-        if self.config.self_healing:
-            self._heal_paths()
-        # Demand → RAN serve → transport cap → SLA check over the ACTIVE
-        # slices, one array pass (core/epoch.py); what stays per slice is
-        # the bookkeeping.
-        served = self.live_slots.serve(
-            self, self._runtimes, self.streams.stream("demand-noise")
-        )
-        active = served.active
-        observe = (
-            self.overbooking.observe
-            if isinstance(self.overbooking, AdaptiveOverbooking)
-            else None
-        )
-        for (slice_id, runtime), demand, delivered, violated in zip(
-            active.items(),
-            served.demand.tolist(),
-            served.delivered.tolist(),
-            served.violated.tolist(),
-        ):
-            network_slice = runtime.network_slice
-            runtime.last_demand_mbps = demand
-            runtime.last_delivered_mbps = delivered
-            slid = runtime.push_demand(now, demand)
-            if not runtime.forecast_stale:
-                try:
-                    if slid or not runtime.forecaster.update(demand):
-                        runtime.forecast_stale = True
-                except ForecastError:
-                    runtime.forecast_stale = True  # the refit reports it
-            runtime.last_violated = violated
-            network_slice.record_epoch(violated)
-            if violated:
-                self.ledger.book_penalty(slice_id, network_slice.request.penalty_rate)
+        if self.releases.stuck:
+            for slice_id, domains in self.releases.retry():
+                self.plmn_pool.release(slice_id)
                 self.events.emit(
-                    now,
-                    "sla.violation",
-                    slice_id=slice_id,
-                    tenant_id=network_slice.request.tenant_id,
-                    demand_mbps=float(demand),
-                    delivered_mbps=float(delivered),
-                    penalty=network_slice.request.penalty_rate,
+                    now, "driver.release_recovered", slice_id=slice_id,
+                    tenant_id=self._all_slices[slice_id].request.tenant_id,
+                    domains=list(domains),
                 )
-            if observe is not None:
-                observe(violated)
-        nominal_prbs, total_prbs = self.allocator.ran.nominal_load()
-        self.gain_tracker.record(nominal_prbs, max(1, total_prbs))
+        active = self.fleet.epoch(self.streams.stream("demand-noise"), self.overbooking)
         if self._epoch_counter % self.config.reconfig_every_epochs == 0:
             self.calendar.prune_before(now)
             self._reconfigure(active)
         # Durable store hygiene: once enough churn accumulated past the
         # latest snapshot, checkpoint + compact so recovery stays fast.
         if self.store.should_checkpoint():
-            self.checkpoint()
+            self.durable.checkpoint()
         if epoch_started is not None:
             obs.observe(
                 "orchestrator.epoch", (perf_counter() - epoch_started) * 1000.0
             )
 
-    def _heal_paths(self) -> None:
-        """Attempt re-routing, via any repair-capable driver (transport
-        in the default wiring), for ACTIVE slices whose domain reports ill."""
-        healers = [
-            d
-            for d in self.registry.drivers()
-            if d.capabilities().supports_repair and d.degraded()
-        ]
-        if not healers:
-            return
-        for slice_id, runtime in self._runtimes.items():
-            network_slice = runtime.network_slice
-            if network_slice.state is not SliceState.ACTIVE or network_slice.allocation is None:
-                continue
-            for driver in healers:
-                try:
-                    healthy = driver.health(slice_id).get("healthy", True)
-                except DriverAbsentError:
-                    continue  # slice not installed in this domain — benign
-                except DriverError:
-                    # A real health-check failure must not pass silently.
-                    self.obs.counter_add("slice.repair_failed", label=driver.domain)
-                    continue
-                if healthy:
-                    continue
-                try:
-                    repaired = driver.repair(slice_id)
-                except DriverError:
-                    # No feasible detour right now; the slice will violate
-                    # its SLA until a link recovers — exactly the penalty
-                    # the overbooking ledger accounts for.
-                    self.obs.counter_add("slice.repair_failed", label=driver.domain)
-                    continue
-                runtime.reservations[driver.domain] = repaired
-                runtime.network_slice.allocation = self._compose_allocation(
-                    runtime.reservations
-                )
-                self.events.emit(
-                    self.sim.now,
-                    "slice.path_repaired",
-                    slice_id=slice_id,
-                    tenant_id=runtime.network_slice.request.tenant_id,
-                )
+    def _drain_planner_events(self) -> None:
+        """Surface the planner's buffered incidents (op timeouts,
+        background compensations) on the northbound feed — on this
+        thread, never a completion thread."""
+        for event_type, payload in self.planner.drain_events():
+            slice_id = payload.pop("slice_id", None)
+            record = self._all_slices.get(slice_id) if slice_id else None
+            self.events.emit(
+                self.sim.now,
+                event_type,
+                slice_id=slice_id,
+                tenant_id=record.request.tenant_id if record else None,
+                **payload,
+            )
 
     def _reconfigure(self, active: Dict[str, SliceRuntime]) -> None:
-        """Forecast each trusted slice and resize effective reservations.
-
-        This is the "dynamic configuration solution that maximizes the
-        statistical multiplexing of network slices resources": slices
-        with enough history get their commitment shrunk to the
-        forecast's safe level; slices trending up are grown back toward
-        nominal (when capacity allows).
-
-        A slice's forecaster is built and fitted here the first time its
-        history is long enough to trust — not at its first epoch: a
-        slice that never lives that long never pays for a model — and
-        refitted only when stale; in between the epoch loop folds each
-        sample in, which leaves it equal to a refit on the history.
-        """
-        for slice_id, runtime in active.items():
-            history = runtime.demand_history
-            if len(history) < self.config.min_history_for_forecast:
-                continue
-            if runtime.forecaster is None:
-                runtime.forecaster = self.forecaster_factory()
-            if runtime.forecast_stale:
-                try:
-                    runtime.forecaster.fit([demand for _, demand in history])
-                except ForecastError:
-                    continue
-                runtime.forecast_stale = False
-            nominal = runtime.network_slice.request.sla.throughput_mbps
-            decision = self.overbooking.decide(
-                slice_id, nominal, forecaster=runtime.forecaster
-            )
-            new_fraction = decision.fraction
-            if abs(new_fraction - runtime.effective_fraction) < 0.02:
-                continue
+        """The overbooking step: resize each slice of ``active`` the
+        fleet's forecasts move (:meth:`~repro.core.epoch.LiveFleet.forecast`),
+        each move journaled with its ``slice.reconfigured`` event."""
+        for slice_id, runtime, new_fraction in self.fleet.forecast(
+            active, self.overbooking, self.forecaster_factory
+        ):
             old_fraction = runtime.effective_fraction
             try:
-                self._resize_domains(runtime, nominal, new_fraction)
+                self._resize_domains(
+                    runtime, runtime.network_slice.request.sla.throughput_mbps, new_fraction
+                )
             except DriverError:
                 # Growing back may not fit if newcomers took the space —
                 # the overbooking risk surfaces as SLA violations instead.
@@ -1758,7 +1247,9 @@ class Orchestrator:
                 runtime.network_slice.request.tenant_id,
                 old_fraction=old_fraction, new_fraction=new_fraction,
             )
-            self._journal("slice.reconfigured", event, slice_id=slice_id, fraction=new_fraction)
+            self.durable.journal(
+                "slice.reconfigured", event, slice_id=slice_id, fraction=new_fraction
+            )
 
     # ------------------------------------------------------------------
     # Introspection (dashboard + tests)
@@ -1781,7 +1272,7 @@ class Orchestrator:
     def live_slices(self) -> List[NetworkSlice]:
         """Slices currently holding resources (ADMITTED/DEPLOYING/ACTIVE) —
         O(live), not O(history)."""
-        return [rt.network_slice for rt in self._runtimes.values()]
+        return [rt.network_slice for rt in self.fleet.runtimes.values()]
 
     def has_slice(self, slice_id: str) -> bool:
         """Whether a slice record (any state) exists — O(1)."""
@@ -1789,7 +1280,7 @@ class Orchestrator:
 
     def runtime(self, slice_id: str) -> Optional[SliceRuntime]:
         """Live runtime of an installed slice (None once expired)."""
-        return self._runtimes.get(slice_id)
+        return self.fleet.runtimes.get(slice_id)
 
     def snapshot(self) -> dict:
         """Dashboard-ready state snapshot."""
@@ -1801,32 +1292,20 @@ class Orchestrator:
             "slices": [s.to_dict() for s in self._all_slices.values()],
             "active": len(self.active_slices()),
             "ledger": self.ledger.summary(),
-            "violation_rate": self.sla_monitor.violation_rate(),
-            "multiplexing_gain": self.gain_tracker.gain(
-                ran_util["nominal_reserved"], max(1, ran_util["total_prbs"])
-            ),
+            **self.fleet.figures(ran_util),
             "southbound": {
                 "domains": self.registry.domains(),
                 "capabilities": self.registry.capabilities(),
-                "planner": {
-                    "batches_run": self.planner.batches_run,
-                    "jobs_installed": self.planner.jobs_installed,
-                    "jobs_failed": self.planner.jobs_failed,
-                    "ops_timed_out": self.planner.ops_timed_out,
-                    "ops_compensated": self.planner.ops_compensated,
-                    "pending_installs": self.pending_installs,
-                },
+                "planner": {**self.planner.status(), "pending_installs": self.pending_installs},
             },
             "durability": self.store.status(),
             "observability": self.obs.status(),
             "domains": {
                 "ran": ran_util,
-                "transport": {
-                    "total_capacity_mbps": transport_util["total_capacity_mbps"],
-                    "effective_reserved_mbps": transport_util["effective_reserved_mbps"],
-                    "nominal_reserved_mbps": transport_util["nominal_reserved_mbps"],
-                    "active_paths": transport_util["active_paths"],
-                },
+                "transport": {key: transport_util[key] for key in (
+                    "total_capacity_mbps", "effective_reserved_mbps",
+                    "nominal_reserved_mbps", "active_paths",
+                )},
                 "cloud": cloud_util,
             },
         }
@@ -1836,5 +1315,4 @@ __all__ = [
     "Orchestrator",
     "OrchestratorConfig",
     "OrchestratorError",
-    "SliceRuntime",
 ]

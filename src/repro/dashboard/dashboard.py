@@ -101,7 +101,7 @@ class Dashboard:
 
     def gain_sparkline(self, width: int = 40) -> str:
         """Sparkline of the recorded multiplexing-gain series."""
-        series = self.orchestrator.gain_tracker.series
+        series = self.orchestrator.fleet.gain_tracker.series
         if not series:
             return ""
         return sparkline(series.tolist(), width=width)

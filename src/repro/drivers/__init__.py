@@ -9,7 +9,9 @@ domain backend:
 - :mod:`repro.drivers.registry` — :class:`DriverRegistry`, the ordered
   pluggable mapping of domain name → driver.
 - :mod:`repro.drivers.transaction` — :class:`InstallTransaction`, the
-  two-phase prepare/commit coordinator with automatic rollback.
+  two-phase prepare/commit coordinator with automatic rollback, the
+  blocking single-request executor over it, and the resize and release
+  loops that unwind a live slice.
 - :mod:`repro.drivers.planner` — :class:`BatchInstallPlanner`, the
   concurrent (fleet-scale) install engine running batches of install
   jobs over a thread pool with per-driver concurrency caps.
@@ -30,8 +32,9 @@ from repro.drivers.base import (
     ReservationState,
 )
 from repro.drivers.registry import DriverRegistry
+from repro.drivers.transaction import InstallJob, InstallOutcome
 from repro.drivers.transaction import InstallTransaction, TransactionError
-from repro.drivers.planner import BatchInstallPlanner, InstallJob, InstallOutcome
+from repro.drivers.planner import BatchInstallPlanner
 from repro.drivers.adapters import (
     CloudDriver,
     EpcDriver,

@@ -1,7 +1,7 @@
 """Fleet-scale asynchronous install engine over the driver registry.
 
 The window executor.  A single request is installed by the blocking
-:class:`~repro.drivers.transaction.InstallTransaction` on the calling
+:func:`~repro.drivers.transaction.install_sequentially` on the calling
 thread, which bounds deployment latency by the *sum* of every domain's
 southbound latency, slice after slice.  For a window of admitted
 installs :class:`BatchInstallPlanner` removes both serializations while
@@ -74,7 +74,6 @@ import itertools
 import threading
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field
 from time import monotonic, perf_counter
 from typing import (
     Any,
@@ -97,77 +96,15 @@ from repro.drivers.base import (
 from repro.drivers.registry import DriverRegistry
 from repro.obs import NOOP_SPAN, default_observability
 from repro.drivers.transaction import (
+    HOLDING,
+    InstallJob,
+    InstallOutcome,
     OperationTimeout,
     RollbackHook,
     TransactionError,
     compose_unwind_error,
+    undo_async,
 )
-
-
-@dataclass
-class InstallJob:
-    """One slice's install work: attempts tried in order until one
-    commits end-to-end.
-
-    Attributes:
-        slice_id: The slice being installed (labels outcomes/unwinds).
-        attempts: One spec-map per install attempt — typically one per
-            candidate datacenter, each covering every registered domain.
-        validate: Optional cross-domain check run over the full
-            reservation set of an attempt before commit (raise
-            :class:`DriverError` to abort the attempt).
-        tag: Opaque caller correlation (e.g. the admission index).
-        span_context: Optional :class:`~repro.obs.span.SpanContext` of
-            the caller's per-job span.  Carried through the job state
-            machine so every southbound operation span parents
-            correctly whichever thread resolved the operation — the
-            explicit propagation that replaces thread-locals in the
-            async engine.
-    """
-
-    slice_id: str
-    attempts: Sequence[Mapping[str, DomainSpec]]
-    validate: Optional[Callable[[Dict[str, Reservation]], None]] = None
-    tag: Any = None
-    span_context: Any = None
-
-
-@dataclass
-class InstallOutcome:
-    """What became of one :class:`InstallJob`.
-
-    Exactly one of ``reservations`` (success: the COMMITTED reservation
-    per domain) and ``error`` (every attempt failed) is set.
-    ``rollbacks`` holds the unwind notifications the job buffered —
-    the caller decides whether to surface them (the orchestrator only
-    does for failed installs).  ``trail`` is the job's audit trail:
-    ``(kind, domain, reservation_id)`` for every reservation transition
-    that *landed* — ``prepared`` / ``committed`` / ``rolled_back`` /
-    ``released`` — across all attempts, in landing order; the
-    orchestrator journals it as one record per job.
-    """
-
-    job: InstallJob
-    reservations: Optional[Dict[str, Reservation]] = None
-    error: Optional[TransactionError] = None
-    rollbacks: List[Tuple[str, Reservation, str]] = field(default_factory=list)
-    trail: List[Tuple[str, str, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.reservations is not None
-
-
-#: States in which a reservation still holds resources in its backend.
-_HOLDING = (ReservationState.PREPARED, ReservationState.COMMITTED)
-
-
-def _undo_async(driver: DomainDriver, reservation: Reservation) -> Future:
-    """Launch what takes a holding reservation back out of its backend:
-    release if it was COMMITTED, rollback while still PREPARED."""
-    if reservation.state is ReservationState.COMMITTED:
-        return driver.release_async(reservation.slice_id)
-    return driver.rollback_async(reservation)
 
 
 class _TokenPool:
@@ -291,7 +228,7 @@ class _Op:
             return self.driver.prepare_async(self.run.specs[self.domain])
         if self.kind == "commit":
             return self.driver.commit_async(self.reservation)
-        return _undo_async(self.driver, self.reservation)
+        return undo_async(self.driver, self.reservation)
 
     def _completed(self, future: Future) -> None:
         """Done-callback — the one planner function foreign threads run
@@ -582,7 +519,7 @@ class _JobRun:
     def _unwind_next(self) -> None:
         while self._to_unwind:
             reservation = self._to_unwind.popleft()
-            if reservation.state in _HOLDING:  # else: already unwound
+            if reservation.state in HOLDING:  # else: already unwound
                 self._submit(reservation.domain, "unwind", reservation)
                 return
         # A backend that hung mid-compensation will refuse this slice
@@ -901,6 +838,13 @@ class BatchInstallPlanner:
                         self.on_rollback(domain, reservation, reason)
         return outcomes
 
+    def status(self) -> Dict[str, int]:
+        """The planner's counters, as the dashboard and the admin state
+        report them."""
+        return {name: getattr(self, name) for name in (
+            "batches_run", "jobs_installed", "jobs_failed", "ops_timed_out", "ops_compensated",
+        )}
+
     # ------------------------------------------------------------------
     # Deadlines + compensation
     # ------------------------------------------------------------------
@@ -945,7 +889,7 @@ class BatchInstallPlanner:
             else:
                 return  # the straggler failed on its own — no hold
             if not isinstance(reservation, Reservation) or (
-                reservation.state not in _HOLDING
+                reservation.state not in HOLDING
             ):
                 return  # nothing held; a late unwind that landed undid itself
             with self._counter_lock:
@@ -960,7 +904,7 @@ class BatchInstallPlanner:
                         },
                     )
                 )
-            _undo_async(op.driver, reservation).add_done_callback(
+            undo_async(op.driver, reservation).add_done_callback(
                 lambda done: self._compensation_done(reservation, done)
             )
         except Exception:  # pragma: no cover - best effort by design

@@ -305,7 +305,7 @@ class ScenarioRunner:
                         f"{reservation.state.name.lower()}"
                     )
         report.leaked_reservations = sorted(leaked)
-        monitor = orchestrator.sla_monitor
+        monitor = orchestrator.fleet.sla_monitor
         report.sla_epochs = monitor.total_epochs
         report.sla_violations = monitor.total_violations
         report.outages = len(self.pack.records)
@@ -321,8 +321,8 @@ class ScenarioRunner:
         report.gross_revenue = ledger.gross_revenue
         report.total_penalties = ledger.total_penalties
         report.net_revenue = ledger.net_revenue
-        report.mean_multiplexing_gain = orchestrator.gain_tracker.mean_gain()
-        report.peak_multiplexing_gain = orchestrator.gain_tracker.peak_gain()
+        report.mean_multiplexing_gain = orchestrator.fleet.gain_tracker.mean_gain()
+        report.peak_multiplexing_gain = orchestrator.fleet.gain_tracker.peak_gain()
 
 
 def run_scenario(

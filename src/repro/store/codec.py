@@ -115,19 +115,6 @@ def request_to_dict(request: SliceRequest) -> Dict[str, Any]:
     }
 
 
-def live_image(request: SliceRequest, inputs: tuple) -> Dict[str, Any]:
-    """A live slice's image (:attr:`ReplayState.live`) from its request
-    and ``inputs`` — (status, SLA throughput, PLMN id, fraction,
-    ``installed_at``, ``activated_at``, window, reservation ``(domain,
-    id)`` pairs): every image value that changes while the slice lives."""
-    status, _, plmn, fraction, installed_at, activated_at, window, reservations = inputs
-    return {
-        "request": request_to_dict(request), "plmn": plmn, "fraction": fraction,
-        "status": status, "installed_at": installed_at, "activated_at": activated_at,
-        "window": list(window) if window else None, "reservations": dict(reservations),
-    }
-
-
 def request_from_dict(payload: Dict[str, Any]) -> SliceRequest:
     """Rebuild the :class:`SliceRequest` a journal record captured."""
     return SliceRequest(
@@ -402,5 +389,4 @@ class ReplayState:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-__all__ = ["ReplayState", "json_default", "live_image", "request_from_dict",
-           "request_to_dict"]
+__all__ = ["ReplayState", "json_default", "request_from_dict", "request_to_dict"]

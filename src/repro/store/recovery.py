@@ -63,6 +63,7 @@ from typing import Any, Dict, List, Optional, TYPE_CHECKING
 from repro.core.admission import TenantQuota
 from repro.core.slices import SliceRequest, ensure_request_counter_at_least
 from repro.drivers.base import DriverError, Reservation, ReservationState
+from repro.drivers.transaction import HOLDING, undo_async
 from repro.store.codec import ReplayState, request_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -167,9 +168,7 @@ class RecoveryManager:
         )
         # Wall-clock duration stays out of the journal: same run, same bytes.
         journaled = {k: v for k, v in report.to_dict().items() if k != "duration_s"}
-        orch.store.append(
-            "recovery.completed", time=orch.sim.now, report=journaled, event=event.to_dict()
-        )
+        orch.durable.journal("recovery.completed", event, report=journaled)
         return report
 
     # ------------------------------------------------------------------
@@ -244,8 +243,8 @@ class RecoveryManager:
                         domain: held[slice_id].reservation_id for domain, held in truth.items()
                     },
                 }
-        orch.store.append(
-            "recovery.rebased", time=orch.sim.now, shift=shift, crash_time=crash_time,
+        orch.durable.journal(
+            "recovery.rebased", shift=shift, crash_time=crash_time,
             lost=report.lost_slice_ids, adopted_in_flight=adopted_in_flight,
             last_event_seq=orch.events.last_seq,
         )
@@ -278,13 +277,10 @@ class RecoveryManager:
             for slice_id, reservation in held.items():
                 if slice_id in adopted_ids:
                     continue
+                if reservation.state not in HOLDING:
+                    continue
                 try:
-                    if reservation.state is ReservationState.PREPARED:
-                        future = driver.rollback_async(reservation)
-                    elif reservation.state is ReservationState.COMMITTED:
-                        future = driver.release_async(slice_id)
-                    else:
-                        continue
+                    future = undo_async(driver, reservation)
                 except Exception:
                     report.compensation_failures += 1
                     continue
@@ -299,13 +295,9 @@ class RecoveryManager:
                     # cancelled unwind must not leave a durable record
                     # claiming the reservation was compensated.
                     landed = not done.cancelled() and done.exception() is None
-                    orch.store.append(
+                    orch.durable.journal_driver_record(
                         "driver.compensated" if landed else "driver.compensation_failed",
-                        time=orch.sim.now,
-                        domain=domain,
-                        slice_id=slice_id,
-                        reservation_id=reservation_id,
-                        reason="recovery orphan",
+                        domain, slice_id, reservation_id, reason="recovery orphan",
                     )
 
                 future.add_done_callback(audit)

@@ -193,7 +193,7 @@ class TestQuotaDurability:
         kinds = [r.record_type for r in orchestrator.store.records()]
         assert "quota.set" in kinds
         # And the checkpoint carries it too.
-        state = orchestrator.durable_state()
+        state = orchestrator.durable.state()
         assert state["quotas"]["tenant-a"]["max_active_slices"] == 2
 
 

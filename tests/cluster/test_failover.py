@@ -77,6 +77,9 @@ def test_leader_sigkill_mid_batch_promotes_standby(cluster):
         assert response.status == 201, response.body
     standby = cluster.standby_for(KILLED)
     assert standby.poll() > 0  # warm: the wave is already folded
+    # Heartbeat as the leader's monitoring epoch would: a collection
+    # pause since the wave must not read as a dead leader.
+    assert leader.lease.heartbeat()
     assert standby.leader_alive()
     with pytest.raises(StandbyError):
         standby.promote()  # refuses to split-brain a live leader
@@ -250,10 +253,10 @@ def test_standby_tails_across_checkpoints_without_rereading(cluster, monkeypatch
     assert standby.lag_records() == leader.store.last_lsn - standby.applied_lsn > 0
     assert standby.poll() > 0 and standby.lag_records() == 0
 
-    leader.orchestrator.checkpoint()  # snapshot at our position: not ahead
+    leader.orchestrator.durable.checkpoint()  # snapshot at our position: not ahead
     assert standby.poll() > 0 and loads == []
     create()  # unseen records, then covered by a snapshot and compacted away
-    leader.orchestrator.checkpoint()
+    leader.orchestrator.durable.checkpoint()
     create()
     assert standby.poll() > 0
     assert len(loads) == 1

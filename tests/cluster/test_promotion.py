@@ -51,13 +51,13 @@ from repro.api.service import SliceService
 from repro.cluster import ClusterConfig, ControlPlaneCluster
 import repro.core.allocation as allocation_module
 import repro.core.slices as slices_module
-from repro.core.orchestrator import Orchestrator
 from repro.core.overbooking import ForecastOverbooking
 from repro.core.slices import SliceState, peek_request_counter
 from repro.experiments.testbed import TestbedConfig, build_testbed
 from repro.sim.randomness import RandomStreams
 from repro.store import ControlPlaneStore, RecoveryManager
 from repro.store.codec import ReplayState, json_default
+from repro.store.image import DurableImage
 from repro.store.journal import JournalRecord
 from repro.store.snapshot import SnapshotStore
 
@@ -136,7 +136,7 @@ def lifecycle_timers(orchestrator) -> list:
 
 def profile_image(orchestrator, slice_id: str) -> tuple:
     """A live slice's traffic profile, read (and so drawn) here."""
-    profile = orchestrator.traffic_profile(orchestrator.runtime(slice_id))
+    profile = orchestrator.fleet.profile(orchestrator.runtime(slice_id))
     return type(profile), vars(profile)
 
 
@@ -170,7 +170,7 @@ def test_promotion_from_the_warm_image_equals_a_cold_restore(seed, steps):
                     # Unseen writes, then a snapshot that covers them and
                     # compacts them away: the standby has to jump it.
                     shard.op()
-                    shard.leader.orchestrator.checkpoint()
+                    shard.leader.orchestrator.durable.checkpoint()
                 elif rng.random() < 0.3:
                     standby.poll()
             for _ in range(rng.randrange(4)):  # un-shipped at the kill
@@ -202,7 +202,7 @@ def test_promotion_from_the_warm_image_equals_a_cold_restore(seed, steps):
             assert report.slices_adopted == cold_report.slices_adopted
             assert fleet_image(warm) == fleet_image(cold)
             assert lifecycle_timers(warm) == lifecycle_timers(cold)
-            assert warm.durable_state() == cold.durable_state()
+            assert warm.durable.state() == cold.durable.state()
             # No checkpoint: past the kill both stores hold the same
             # records (re-promised bookings between them), from
             # recovery.rebased to recovery.completed with its event;
@@ -225,7 +225,7 @@ def test_promotion_from_the_warm_image_equals_a_cold_restore(seed, steps):
 def live_image(orchestrator) -> dict:
     """The running control plane's state in the fold's shape, minus the
     process-wide request counter."""
-    image = ReplayState.from_dict(orchestrator.durable_state()).to_dict()
+    image = ReplayState.from_dict(orchestrator.durable.state()).to_dict()
     image.pop("last_request_ordinal")
     return image
 
@@ -370,7 +370,7 @@ def promotion_costs(tmp_path, monkeypatch, live: int) -> dict:
         leader.run_until(10.0)  # everything ACTIVE
         # The leader checkpointed and the standby has seen all of it:
         # the steady state a promotion is sized for.
-        leader.orchestrator.checkpoint()
+        leader.orchestrator.durable.checkpoint()
         standby = cluster.standby_for(VICTIM, lease_timeout_s=LEASE_TIMEOUT_S)
         standby.poll()
         cluster.kill_leader(VICTIM)
@@ -457,7 +457,7 @@ def promoted_twin(root: str, first_ordinal: int, draw_all: bool) -> tuple:
         promoted = promotion.orchestrator
         if draw_all:
             for slice_id in created:
-                promoted.traffic_profile(promoted.runtime(slice_id))
+                promoted.fleet.profile(promoted.runtime(slice_id))
         rescaled = cluster.router.patch(
             f"/v1/slices/{created[1]}", body={"throughput_mbps": 9.0}, headers=headers
         )
@@ -468,7 +468,7 @@ def promoted_twin(root: str, first_ordinal: int, draw_all: bool) -> tuple:
             runtimes = {slice_id: promoted.runtime(slice_id) for slice_id in created}
             epochs.append(
                 {
-                    "violations": promoted.sla_monitor.total_violations,
+                    "violations": promoted.fleet.sla_monitor.total_violations,
                     "served": {
                         slice_id: (
                             runtime.last_demand_mbps,
@@ -635,7 +635,7 @@ class BusyShard(Shard):
                 self.broken.restore()
                 self.broken = None
         else:
-            self.leader.orchestrator.checkpoint()
+            self.leader.orchestrator.durable.checkpoint()
 
 
 @SLOW
@@ -643,22 +643,22 @@ class BusyShard(Shard):
 def test_every_checkpoint_of_a_history_writes_the_reference_bytes(seed, steps):
     rng = random.Random(seed)
     checkpoints = []  # (fragments encoded, live slices) per checkpoint
-    real_checkpoint = Orchestrator.checkpoint
+    real_checkpoint = DurableImage.checkpoint
 
-    def checked(orchestrator):
-        result = real_checkpoint(orchestrator)
+    def checked(image):
+        result = real_checkpoint(image)
         lsn = result["checkpoint_lsn"]
-        with open(orchestrator.store.snapshots._path_for(lsn), "rb") as handle:
+        with open(image.store.snapshots._path_for(lsn), "rb") as handle:
             written = handle.read()
-        state = orchestrator.durable_state()
+        state = image.state()
         reference = json.dumps({"lsn": lsn, "state": state}, sort_keys=True, default=json_default)
         assert written == reference.encode("utf-8")
-        assert set(orchestrator.live_fragments.entries) == set(state["live"])
+        assert set(image.fragments.entries) == set(state["live"])
         checkpoints.append((result["fragments_encoded"], len(state["live"])))
         return result
 
     with tempfile.TemporaryDirectory() as root, mock.patch.object(
-        Orchestrator, "checkpoint", checked
+        DurableImage, "checkpoint", checked
     ):
         shard = BusyShard(root, rng)
         cluster = shard.cluster
@@ -683,9 +683,9 @@ def test_every_checkpoint_of_a_history_writes_the_reference_bytes(seed, steps):
                 # Every live-slot row whose key is current is what a re-read
                 # gives, and every ACTIVE allocation matches its cell's grid.
                 leader = shard.leader.orchestrator
-                leader.live_slots.verify(leader)
+                leader.fleet.live_slots.verify(leader.fleet)
             shard.leader.run_until(shard.leader.sim.now + 400.0)  # windows flush
-            shard.leader.orchestrator.checkpoint()
+            shard.leader.orchestrator.durable.checkpoint()
         finally:
             cluster.close()
     assert checkpoints
@@ -781,7 +781,7 @@ def test_a_successor_standby_inherits_the_promoted_fold(seed, steps, more):
                 shard.op()
                 if step == checkpoint_at:
                     shard.op()  # unseen, then compacted away
-                    shard.leader.orchestrator.checkpoint()
+                    shard.leader.orchestrator.durable.checkpoint()
                 elif rng.random() < 0.3:
                     successor.poll()
             cluster.kill_leader(VICTIM)
@@ -804,7 +804,7 @@ def test_a_successor_standby_inherits_the_promoted_fold(seed, steps, more):
             assert again.report.slices_adopted == cold_report.slices_adopted
             assert fleet_image(warm) == fleet_image(cold)
             assert lifecycle_timers(warm) == lifecycle_timers(cold)
-            assert warm.durable_state() == cold.durable_state()
+            assert warm.durable.state() == cold.durable.state()
             assert warm.store.replay().digest() == cold.store.replay().digest()
             cold.store.close()
         finally:

@@ -328,14 +328,18 @@ def test_the_promise_window_is_one_formula():
 def test_placement_is_planned_on_the_allocator_only():
     probes = r"\b(best_enb_for|candidate_datacenters|transport_budget_ms)\("
     assert src_lines_matching(probes, "core/orchestrator.py", "core/broker.py") == []
-    assert set(enclosing_functions(ORCHESTRATOR, r"\bDomainSpec\(")) == {"_resize_domains"}
+    assert enclosing_functions(ORCHESTRATOR, r"\bDomainSpec\(") == []
     assert enclosing_functions(ALLOCATION, r"\bbest_enb_for\(") == ["probe"]
     assert enclosing_functions(ALLOCATION, r"\bDomainSpec\(") == ["install_attempts"]
-    # The allocator holds the only install-spec builder in src/.
+    # Install specs are built by the allocator only; a resize re-dimensions,
+    # in one function, the spec each driver already holds.
     builders = src_lines_matching(r"\bDomainSpec\(")
     assert {hit.split(":")[0] for hit in builders} <= {
-        "core/allocation.py", "core/orchestrator.py", "drivers/base.py",
+        "core/allocation.py", "drivers/base.py", "drivers/transaction.py",
     }
+    assert enclosing_functions(source_of("drivers/transaction.py"), r"\bDomainSpec\(") == [
+        "resize_everywhere"
+    ]
 
 
 def test_the_broker_reaches_the_fleet_through_the_orchestrators_verbs():

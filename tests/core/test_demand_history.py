@@ -8,12 +8,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.forecasting import Forecaster, HoltWintersForecaster, NaiveForecaster
-from repro.core.orchestrator import (
-    FORECAST_HISTORY_EPOCHS,
-    Orchestrator,
-    OrchestratorConfig,
-    SliceRuntime,
-)
+from repro.core.epoch import FORECAST_HISTORY_EPOCHS, SliceRuntime
+from repro.core.orchestrator import Orchestrator, OrchestratorConfig
 from repro.core.overbooking import ForecastOverbooking
 from repro.core.slices import slice_id_for
 from repro.experiments.testbed import TestbedConfig, build_testbed

@@ -41,12 +41,12 @@ def scalar_epoch(orch: Orchestrator, rng: np.random.Generator) -> list:
     now = orch.sim.now
     active = {
         sid: rt
-        for sid, rt in orch._runtimes.items()
+        for sid, rt in orch.fleet.runtimes.items()
         if rt.network_slice.state is SliceState.ACTIVE
     }
     demands, priorities = {}, {}
     for slice_id, runtime in active.items():
-        demands[slice_id] = orch.traffic_profile(runtime).demand(now, rng)
+        demands[slice_id] = orch.fleet.profile(runtime).demand(now, rng)
         priorities[slice_id] = runtime.network_slice.request.priority
     delivered_ran = serve_dicts(orch.allocator.ran, demands, priorities) if demands else {}
     spare: dict = {}
@@ -55,7 +55,7 @@ def scalar_epoch(orch: Orchestrator, rng: np.random.Generator) -> list:
         demand = demands[slice_id]
         delivered = min(delivered_ran.get(slice_id, 0.0), transport_cap(orch, runtime, spare))
         entitled = min(demand, runtime.network_slice.request.sla.throughput_mbps)
-        tolerance = orch.sla_monitor.tolerance
+        tolerance = orch.fleet.sla_monitor.tolerance
         rows.append((slice_id, demand, delivered, delivered < entitled * (1.0 - tolerance) - 1e-9))
     return rows
 
@@ -216,13 +216,13 @@ def test_the_pass_gives_the_bits_of_the_per_slice_loop(cells, factor, slices, st
     for op, extra in [(("advance", 0, 0.0), None), *steps]:
         apply(orch, op, extra)
         expected = scalar_epoch(orch, oracle_rng)
-        served = slots.serve(orch, orch._runtimes, pass_rng)
+        served = slots.serve(orch.fleet, pass_rng)
         assert list(served.active) == [row[0] for row in expected]
         assert bits(served.demand) == bits(row[1] for row in expected)
         assert bits(served.delivered) == bits(row[2] for row in expected)
         assert served.violated.tolist() == [row[3] for row in expected]
         assert pass_rng.bit_generator.state == oracle_rng.bit_generator.state
-        slots.verify(orch)
+        slots.verify(orch.fleet)
 
 
 # ----------------------------------------------------------------------
@@ -235,8 +235,8 @@ def test_a_row_is_re_read_exactly_when_its_key_moves():
 
     def rows_read() -> int:
         before = slots.refreshes
-        slots.serve(orch, orch._runtimes, rng)
-        slots.verify(orch)
+        slots.serve(orch.fleet, rng)
+        slots.verify(orch.fleet)
         return slots.refreshes - before
 
     assert rows_read() == 4  # every slice claims a slot
@@ -257,10 +257,10 @@ def test_a_row_is_re_read_exactly_when_its_key_moves():
 def test_verify_names_a_row_that_drifted_from_its_slice():
     orch = fleet(1, 1.0, [(ConstantProfile(5.0, level=0.5), 1)])
     slots = LiveSlots()
-    slots.serve(orch, orch._runtimes, np.random.default_rng(0))
+    slots.serve(orch.fleet, np.random.default_rng(0))
     slots._floats[slots._slot_of[slice_ids(orch)[0]], 6] = 123.0  # the SLA column
     with pytest.raises(LiveSlotsError, match="re-read"):
-        slots.verify(orch)
+        slots.verify(orch.fleet)
 
 
 def test_a_profile_that_draws_its_own_demand_is_refused():
@@ -273,7 +273,7 @@ def test_a_profile_that_draws_its_own_demand_is_refused():
 
     orch = fleet(1, 1.0, [(Bespoke(5.0), 1)])
     with pytest.raises(TypeError, match="Bespoke"):
-        LiveSlots().serve(orch, orch._runtimes, np.random.default_rng(0))
+        LiveSlots().serve(orch.fleet, np.random.default_rng(0))
 
 
 # ----------------------------------------------------------------------

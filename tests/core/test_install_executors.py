@@ -79,7 +79,7 @@ def reservation_view(orchestrator):
             }
             for domain, r in runtime.reservations.items()
         }
-        for slice_id, runtime in orchestrator._runtimes.items()
+        for slice_id, runtime in orchestrator.fleet.runtimes.items()
     }
 
 

@@ -402,9 +402,9 @@ def _check_agreement(testbed, orch, slice_ids) -> None:
             assert getattr(allocation, domain) == (
                 runtime.reservations[domain].details["allocation"]
             )
-        assert orch.calendar.get(request.request_id).demand == orch.shrunk_demand(
+        assert orch.calendar.get(request.request_id).demand == orch.allocator.size(
             request, runtime.effective_fraction
-        )
+        ).demand
 
 
 STEP = st.tuples(
@@ -562,13 +562,22 @@ def test_a_size_is_applied_in_one_function():
         "_resize_domains"
     ]
     assert src_lines_matching(r"\bEndToEndAllocation\(") == src_lines_matching(
-        r"\bEndToEndAllocation\(", "core/orchestrator.py"
+        r"\bEndToEndAllocation\(", "core/allocation.py"
     )
-    assert enclosing_functions(ORCHESTRATOR, r"\bEndToEndAllocation\(") == [
-        "_compose_allocation"
+    assert enclosing_functions(source_of("core/allocation.py"), r"\bEndToEndAllocation\(") == [
+        "compose_allocation"
+    ]
+    # A live slice's allocation is recomposed from what it holds in one place.
+    assert enclosing_functions(source_of("core/epoch.py"), r"\bcompose_allocation\(") == [
+        "hold"
+    ]
+    assert enclosing_functions(ORCHESTRATOR, r"\bcompose_allocation\(") == [
+        "_go_live", "_validate_latency"
     ]
     # No special case for one domain's reservation anywhere above the drivers.
-    assert src_lines_matching(r"driver\.domain\s*[=!]=\s*[\"']", "core/orchestrator.py") == []
+    assert src_lines_matching(
+        r"driver\.domain\s*[=!]=\s*[\"']", "core/orchestrator.py", "core/epoch.py"
+    ) == []
 
 
 def test_the_forked_chains_are_gone():

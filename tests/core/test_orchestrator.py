@@ -149,12 +149,12 @@ class TestMonitoring:
     def test_no_violations_without_overbooking(self, orchestrator):
         submit(orchestrator)
         orchestrator.sim.run_until(600.0)
-        assert orchestrator.sla_monitor.violation_rate() == 0.0
+        assert orchestrator.fleet.sla_monitor.violation_rate() == 0.0
 
     def test_gain_tracked_each_epoch(self, orchestrator):
         submit(orchestrator)
         orchestrator.sim.run_until(300.0)
-        assert len(orchestrator.gain_tracker.series) >= 4
+        assert len(orchestrator.fleet.gain_tracker.series) >= 4
 
     def test_active_slices_listing(self, orchestrator):
         submit(orchestrator)

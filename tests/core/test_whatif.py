@@ -65,7 +65,7 @@ class TestWhatIf:
         )
         assert response.body["request_id"] == WHAT_IF_REQUEST_ID
         assert peek_request_counter() == next_ordinal
-        assert orchestrator.durable_state()["last_request_ordinal"] == next_ordinal - 1
+        assert orchestrator.durable.state()["last_request_ordinal"] == next_ordinal - 1
 
     def test_infeasible_ran_reported(self, orch):
         _, orchestrator = orch

@@ -1059,7 +1059,7 @@ class TestWindowOverRealAdapters:
         """Durable orchestrator: a commit that outlives its deadline is
         released when it finally lands, after its window settled — the
         one reservation transition no job trail carries, so the planner
-        hands it to ``Orchestrator._journal_driver_record``."""
+        hands it to ``DurableImage.journal_driver_record``."""
         hung = MockDriver("hung", capacity_mbps=1e6, max_concurrent_installs=8)
         _, orchestrator = build_window_stack(
             (hung,), install_timeout_s=0.15, durability_dir=str(tmp_path)

@@ -152,7 +152,7 @@ class TestSoak:
 
     def test_adaptive_kept_violations_low(self, soak_run):
         _, orch, _, _, _, _ = soak_run
-        assert orch.sla_monitor.violation_rate() < 0.15
+        assert orch.fleet.sla_monitor.violation_rate() < 0.15
 
     def test_rescale_applied(self, soak_run):
         _, orch, _, _, _, walk_ins = soak_run

@@ -12,7 +12,8 @@ import pytest
 
 from repro.api import build_orchestrator_api
 from repro.core.epoch import sim_gauges
-from repro.core.orchestrator import FORECAST_HISTORY_EPOCHS, Orchestrator, OrchestratorConfig
+from repro.core.epoch import FORECAST_HISTORY_EPOCHS
+from repro.core.orchestrator import Orchestrator, OrchestratorConfig
 from repro.core.overbooking import FixedOverbooking
 from repro.core.slices import PLMN, SliceState, slice_id_for
 from repro.sim.engine import Simulator
@@ -185,7 +186,7 @@ def reachable_time_series(root) -> int:
     """Time series reachable from ``root`` through data — per-slice
     demand histories and the gain tracker's series (closures are
     followed; code, classes and modules are not)."""
-    gain_series = root.gain_tracker.series
+    gain_series = root.fleet.gain_tracker.series
     seen = {id(root)}
     stack = [root]
     found = 0

@@ -24,7 +24,8 @@ import tempfile
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.orchestrator import SliceRuntime
+from repro.core.allocation import compose_allocation
+from repro.core.epoch import SliceRuntime
 from repro.core.slices import NetworkSlice, ServiceType, SliceState
 from repro.drivers.base import ReservationState
 from repro.drivers.mock import MockDriver
@@ -65,8 +66,8 @@ def adopt_one(orch, request, plmn_id, fraction, reservations, *,
     epc_reservation = reservations.get("epc")
     if epc_reservation is not None:
         runtime.epc = epc_reservation.details.get("instance")
-    network_slice.allocation = orch._compose_allocation(reservations)
-    orch._runtimes[slice_id] = runtime
+    network_slice.allocation = compose_allocation(reservations)
+    orch.fleet.runtimes[slice_id] = runtime
     network_slice.transition(SliceState.DEPLOYING, admitted_at)
     if active_at is None:
         orch.sim.schedule_at(
@@ -202,7 +203,7 @@ def observed(orch, directory):
     pool, calendar = orch.plmn_pool, orch.calendar
     calendar.verify_index()
     return {
-        "durable_state": orch.durable_state(),
+        "durable_state": orch.durable.state(),
         "journal": open(os.path.join(directory, "journal.jsonl"), "rb").read(),
         "feed": [event.to_dict() for event in orch.events.since(0)],
         "queue": sorted(
@@ -245,15 +246,15 @@ def test_the_batch_adoption_equals_the_per_slice_loop(fleet):
         # The first epoch serves the same table from the same rows.
         for orch in twins.values():
             orch.sim.run_until(orch.config.monitoring_epoch_s)
-            orch.live_slots.verify(orch)
+            orch.fleet.live_slots.verify(orch.fleet)
         oracle, batch = twins["oracle"], twins["batch"]
-        assert batch.durable_state() == oracle.durable_state()
+        assert batch.durable.state() == oracle.durable.state()
         assert [
             (r.network_slice.slice_id, r.last_demand_mbps, r.last_delivered_mbps)
-            for r in batch._runtimes.values()
+            for r in batch.fleet.runtimes.values()
         ] == [
             (r.network_slice.slice_id, r.last_demand_mbps, r.last_delivered_mbps)
-            for r in oracle._runtimes.values()
+            for r in oracle.fleet.runtimes.values()
         ]
     finally:
         shutil.rmtree(root, ignore_errors=True)

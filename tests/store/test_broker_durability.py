@@ -110,7 +110,7 @@ def test_pending_window_rides_in_checkpoints(durable_testbed, tmp_path):
     broker = SliceBroker(first, window_s=WINDOW_S)
     request = make_request(throughput_mbps=MBPS)
     broker.submit(request, ConstantProfile(MBPS))
-    first.checkpoint()  # compacts the journal mid-window
+    first.durable.checkpoint()  # compacts the journal mid-window
     first.store.close()
 
     restarted = make_orchestrator(durable_testbed, store=reopen_store(directory))

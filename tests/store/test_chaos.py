@@ -187,7 +187,7 @@ def test_double_crash_restores_from_snapshot(durable_testbed, tmp_path):
     )
     assert all(d.admitted for d in decisions)
     first.sim.run_until(70.0)  # ACTIVE, and one durable tick past them
-    snapshot_lsn = first.checkpoint()["checkpoint_lsn"]
+    snapshot_lsn = first.durable.checkpoint()["checkpoint_lsn"]
     first.sim.run_until(130.0)
     first.store.close()
 
@@ -196,7 +196,7 @@ def test_double_crash_restores_from_snapshot(durable_testbed, tmp_path):
     first_report = RecoveryManager(second).restore()
     assert first_report.slices_adopted == 4
     second.sim.run_until(200.0)
-    recovered = second.durable_state()
+    recovered = second.durable.state()
     second.store.close()
 
     store = reopen_store(directory)
@@ -214,7 +214,7 @@ def test_double_crash_restores_from_snapshot(durable_testbed, tmp_path):
     }
     # The second crash came at the t=180 tick of the first recovery's
     # clock: every adopted instant is shifted by exactly that much.
-    rebased = third.durable_state()
+    rebased = third.durable.state()
     for slice_id, image in recovered["live"].items():
         again = rebased["live"][slice_id]
         assert again["activated_at"] == image["activated_at"] - 180.0

@@ -274,7 +274,7 @@ class TestOrchestratorCheckpoint:
         decision = orch.submit(make_request(throughput_mbps=10.0), ConstantProfile(10.0))
         assert decision.admitted
         orch.sim.run_until(10.0)  # activate
-        result = orch.checkpoint()
+        result = orch.durable.checkpoint()
         assert result["checkpoint_lsn"] > 0
         snapshot, tail = orch.store.load()
         state = ReplayState.restore(snapshot, tail)
@@ -298,8 +298,6 @@ class TestOrchestratorCheckpoint:
         assert not orch.store.should_checkpoint()
 
     def test_checkpoint_requires_durability(self, durable_testbed):
-        from repro.core.orchestrator import OrchestratorError
-
         orch = make_orchestrator(durable_testbed)  # NullStore
-        with pytest.raises(OrchestratorError):
-            orch.checkpoint()
+        with pytest.raises(StoreError, match="durability is disabled"):
+            orch.durable.checkpoint()

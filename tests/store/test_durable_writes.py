@@ -52,14 +52,14 @@ def count_fsyncs(monkeypatch) -> list:
 def checked_checkpoint(orch) -> int:
     """Checkpoint ``orch``, assert the file holds the reference bytes and
     the cache exactly the live slice ids; returns the fragments encoded."""
-    result = orch.checkpoint()
+    result = orch.durable.checkpoint()
     lsn = result["checkpoint_lsn"]
     with open(orch.store.snapshots._path_for(lsn), "rb") as handle:
         written = handle.read()
-    state = orch.durable_state()
+    state = orch.durable.state()
     reference = json.dumps({"lsn": lsn, "state": state}, sort_keys=True, default=json_default)
     assert written == reference.encode("utf-8")
-    assert set(orch.live_fragments.entries) == set(state["live"])
+    assert set(orch.durable.fragments.entries) == set(state["live"])
     return result["fragments_encoded"]
 
 
@@ -129,7 +129,7 @@ def test_an_unchanged_fleet_re_encodes_nothing_and_a_rescale_what_it_touched(fle
     assert checked_checkpoint(fleet) == 2
     fleet.terminate_early(live[0].slice_id)  # leaves the cache with it
     assert checked_checkpoint(fleet) == 0
-    assert len(fleet.live_fragments.entries) == 3
+    assert len(fleet.durable.fragments.entries) == 3
 
 
 def test_a_plain_state_dict_still_checkpoints_to_the_same_bytes(tmp_path):

@@ -53,7 +53,7 @@ class TestEdgeCases:
         )
         assert decision.admitted
         first.sim.run_until(10.0)  # ACTIVE
-        first.checkpoint()
+        first.durable.checkpoint()
         crash(first)
         restarted = make_orchestrator(
             durable_testbed, store=reopen_store(directory)
@@ -267,7 +267,7 @@ class TestServiceRecovery:
         ]
         # A second restart folds them to the state the first rebuilt.
         assert reopen_store(directory).replay().live == (
-            ReplayState.from_dict(restarted.durable_state()).live
+            ReplayState.from_dict(restarted.durable.state()).live
         )
         # The audit record is the report minus its wall-clock duration,
         # so one run journals the same bytes every time.
@@ -470,7 +470,7 @@ class TestAdoptionIsInMemory:
         straight = self._restart(durable_testbed, untouched)
         assert RecoveryManager(straight).restore().slices_adopted == 6
         assert third.store.replay().digest() == straight.store.replay().digest()
-        assert third.durable_state() == straight.durable_state()
+        assert third.durable.state() == straight.durable.state()
 
         # ~5 000 s of the 10 000 s were served before the crash: nothing
         # may expire 4 000 s into the new clock (at the parent the three

@@ -104,7 +104,7 @@ def image(orchestrator: Orchestrator) -> dict:
     process-wide request counter, and the feed's newest seq — a killed
     recovery's rebase record keeps the seqs its adoption events took
     from ever being reused, so the next one numbers on past them."""
-    state = orchestrator.durable_state()
+    state = orchestrator.durable.state()
     state.pop("last_request_ordinal")
     state.pop("last_event_seq")
     return {

@@ -105,7 +105,7 @@ def run(directory: str, through: str = "open") -> Tuple[Testbed, Orchestrator]:
     for name, (mbps, lifetime) in SYNC.items():
         assert orchestrator.submit(request(name, mbps, lifetime), ConstantProfile(mbps)).admitted
     orchestrator.sim.run_until(CHECKPOINT_AT)
-    orchestrator.checkpoint()
+    orchestrator.durable.checkpoint()
     broker = SliceBroker(orchestrator, window_s=WINDOW_S)
     for name, (mbps, lifetime) in WINDOW.items():
         broker.submit(request(name, mbps, lifetime), ConstantProfile(mbps))

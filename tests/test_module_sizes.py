@@ -1,0 +1,21 @@
+"""No ``src/repro`` module outgrows 1 000 lines.
+
+``core/orchestrator.py`` is the one module above that bar; it is held at
+its present size until request handling and the lifecycle are split out
+of it (ROADMAP item 6), and may only shrink meanwhile.
+"""
+
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+MODULE_LINES_CEILING = 1_000
+ORCHESTRATOR_LINES_CEILING = 1_318
+
+
+def test_no_module_outgrows_the_ceiling():
+    sizes = {
+        path.relative_to(SRC).as_posix(): path.read_bytes().count(b"\n")
+        for path in SRC.rglob("*.py")
+    }
+    assert sizes.pop("core/orchestrator.py") <= ORCHESTRATOR_LINES_CEILING
+    assert {name: lines for name, lines in sizes.items() if lines > MODULE_LINES_CEILING} == {}

@@ -255,14 +255,14 @@ class TestPathMemoLastsOneEpoch:
             lambda self, link_id: lookups.append(link_id) or plain_link(self, link_id),
         )
         caps = {}  # epoch -> [cap of first, cap of second]
-        plain_serve = orch.live_slots.serve
+        plain_serve = orch.fleet.live_slots.serve
 
         def recording_serve(*args):
             served = plain_serve(*args)
             caps[orch._epoch_counter] = served.cap.tolist()
             return served
 
-        orch.live_slots.serve = recording_serve
+        orch.fleet.live_slots.serve = recording_serve
 
         def fresh_walk(runtime):
             links = [plain_link(testbed.transport.topology, lid) for lid in path]

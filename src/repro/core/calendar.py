@@ -155,11 +155,15 @@ class ResourceCalendar:
         """All bookings, start-ordered."""
         return [self._bookings[bid] for _, bid in self._by_start]
 
+    def ending_by(self, t: float) -> List[str]:
+        """Ids of the bookings that ended at or before ``t``, by end."""
+        return [booking_id for _, booking_id in self._by_end[: bisect_right(self._by_end, t, key=_WHEN)]]
+
     def prune_before(self, t: float) -> int:
         """Drop bookings that ended at or before ``t`` (returns count)
         and re-anchor the running total on what is left."""
-        stale = self._by_end[: bisect_right(self._by_end, t, key=_WHEN)]
-        for _, booking_id in stale:
+        stale = self.ending_by(t)
+        for booking_id in stale:
             self.release(booking_id)
         self._total = self._summed_demand()
         return len(stale)

@@ -5,9 +5,10 @@ slice's books and the forecast step of the overbooking loop.
 The data-plane pass — demand → RAN serve → transport cap → SLA check
 over every ACTIVE slice — is one array pass (:class:`LiveSlots`), bit
 for bit what the per-slice loop it replaced gave (``docs/ARCHITECTURE.md``,
-"The hot path", says why).  A row is re-read only when its key moves:
-the identities of the slice's ``allocation``, ``request.sla`` and
-profile, and the profile's ``peak_mbps`` (set in place by
+"The hot path", says why).  Its rows stand across epochs, and one is
+re-read when its slice was touched (:meth:`LiveFleet.touch`) and its
+key moved: the identities of the slice's ``allocation``, ``request.sla``
+and profile, and the profile's ``peak_mbps`` (set in place by
 ``modify_slice``).  Every allocation writer replaces the frozen object.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -49,12 +50,12 @@ class SliceRuntime:
 
     network_slice: NetworkSlice
     profile: Optional[TrafficProfile]  # re-adopted: None until first read
-    #: Built by the first reconfiguration that finds the history long
-    #: enough to trust; fed one sample per epoch from then on.
+    #: Built when a policy first reads a forecast (:meth:`forecast_quantile`);
+    #: fed one sample per epoch from then on.
     forecaster: Optional[Forecaster] = None
     #: The forecaster does not equal ``fit(demand_history)`` — there is
     #: none yet, it declined a sample or the capped window slid — so the
-    #: next reconfiguration that trusts the history (re)fits on it.
+    #: next read (re)fits it on the history.
     forecast_stale: bool = True
     effective_fraction: float = 1.0
     epc: Optional["EpcInstance"] = None  # the EPC domain's, when it reports one
@@ -82,6 +83,18 @@ class SliceRuntime:
         slice's end-to-end allocation from what it now holds."""
         self.reservations.update(reservations)
         self.network_slice.allocation = compose_allocation(self.reservations)
+        self.network_slice.fleet.touch(self.network_slice.slice_id)
+
+    def forecast_quantile(self, h: int = 1, q: float = 0.95) -> float:
+        """What a policy reads of the slice's forecaster, which is built
+        here at the first read and (re)fitted on the history when stale
+        (raising :class:`ForecastError` if the fit refuses it)."""
+        if self.forecaster is None:
+            self.forecaster = self.network_slice.fleet.forecaster_factory()
+        if self.forecast_stale:
+            self.forecaster.fit([demand for _, demand in self.demand_history])
+            self.forecast_stale = False
+        return self.forecaster.forecast_quantile(h, q)
 
 
 #: Profile kinds the pass evaluates as arrays; any other class is asked
@@ -124,7 +137,8 @@ def _grow(table: np.ndarray) -> np.ndarray:
 
 
 class LiveSlots:
-    """The live-slot table: one dense row per ACTIVE slice."""
+    """The live-slot table: one dense row per ACTIVE slice, standing
+    across epochs; :meth:`sync` visits the touched slices alone."""
 
     def __init__(self) -> None:
         self._slot_of: Dict[str, int] = {}
@@ -136,8 +150,14 @@ class LiveSlots:
         self._ints = np.zeros((0, 5), dtype=np.int64)
         self._path_of: Dict[Tuple[str, ...], int] = {}
         self._path_links: List[Optional[Tuple[str, ...]]] = [None]  # _NO_PATH
-        #: Rows read since construction (the epoch-upkeep gate counts them).
-        self.refreshes = 0
+        #: Slices touched since the last sync; rows with no allocation to
+        #: follow (re-read every sync); the ACTIVE slices in runtime order.
+        self.touched: Set[str] = set()
+        self._untracked: Set[str] = set()
+        self._ids: List[str] = []
+        self._order = np.zeros(0, dtype=np.intp)
+        #: Rows read, row keys compared (the epoch-upkeep gate counts both).
+        self.refreshes = self.compared = 0
 
     def _read(self, fleet: "LiveFleet", slice_id: str, runtime: SliceRuntime) -> tuple:
         """One slice's key, float row and integer row, off live state."""
@@ -167,18 +187,23 @@ class LiveSlots:
         return key, floats, (kind, cell, prbs, path, request.priority)
 
     def sync(self, fleet: "LiveFleet") -> Tuple[Dict[str, SliceRuntime], np.ndarray]:
-        """The fleet's ACTIVE slices and their slots, in runtime order: a
-        slice new to ACTIVE claims a slot, a row whose key moved is
-        re-read, a slice no longer ACTIVE frees its slot."""
+        """The fleet's ACTIVE slices and their slots, in runtime order,
+        visiting the touched and untracked ones only: one new to ACTIVE
+        claims a slot, one no longer ACTIVE frees it, a moved key is re-read."""
         slot_of, (allocations, slas, profiles, peaks) = self._slot_of, self._keys
-        active: Dict[str, SliceRuntime] = {}
-        order = []
-        for slice_id, runtime in fleet.runtimes.items():
-            network_slice = runtime.network_slice
-            if network_slice.state is not SliceState.ACTIVE:
+        runtimes, untracked, moved = fleet.runtimes, self._untracked, False
+        visits, self.touched = self.touched | untracked, set()
+        for slice_id in visits:
+            runtime, slot = runtimes.get(slice_id), slot_of.get(slice_id)
+            if runtime is None or runtime.network_slice.state is not SliceState.ACTIVE:
+                if slot is not None:
+                    self._free.append(slot_of.pop(slice_id))
+                    for column in self._keys:
+                        column[slot] = None
+                    untracked.discard(slice_id)
+                    moved = True
                 continue
-            active[slice_id] = runtime
-            slot = slot_of.get(slice_id)
+            network_slice = runtime.network_slice
             if slot is None:
                 slot = slot_of[slice_id] = self._free.pop() if self._free else len(peaks)
                 if slot == len(peaks):
@@ -186,7 +211,9 @@ class LiveSlots:
                         column.append(None)
                     if slot == len(self._floats):
                         self._floats, self._ints = _grow(self._floats), _grow(self._ints)
-            else:
+                moved = True
+            elif slice_id not in untracked:
+                self.compared += 1
                 profile = runtime.profile
                 if (
                     allocations[slot] is network_slice.allocation
@@ -194,18 +221,15 @@ class LiveSlots:
                     and profiles[slot] is profile
                     and peaks[slot] == profile.peak_mbps
                 ):
-                    order.append(slot)
                     continue
             key, self._floats[slot], self._ints[slot] = self._read(fleet, slice_id, runtime)
             allocations[slot], slas[slot], profiles[slot], peaks[slot] = key
+            (untracked.add if key[0] is _UNTRACKED else untracked.discard)(slice_id)
             self.refreshes += 1
-            order.append(slot)
-        if len(slot_of) > len(order):
-            for slice_id in [s for s in slot_of if s not in active]:
-                self._free.append(slot_of.pop(slice_id))
-                for column in self._keys:
-                    column[self._free[-1]] = None
-        return active, np.array(order, dtype=np.intp)
+        if moved:
+            self._ids = [s for s in runtimes if s in slot_of]
+            self._order = np.array([slot_of[s] for s in self._ids], dtype=np.intp)
+        return {s: runtimes[s] for s in self._ids}, self._order
 
     def serve(self, fleet: "LiveFleet", rng: np.random.Generator) -> EpochOutcome:
         """Demand → RAN serve → transport cap → SLA check for the fleet's
@@ -264,15 +288,21 @@ class LiveSlots:
         return borrowable[path]
 
     def verify(self, fleet: "LiveFleet") -> None:
-        """Check each ACTIVE slice's RAN allocation against its cell's
-        grid, and re-read every row whose key is current and compare.
+        """Check the standing rows and their order against a recompute
+        from ``fleet.runtimes``, each ACTIVE slice's RAN allocation
+        against its cell's grid, and every untouched row against a
+        re-read: neither its key nor its row may have moved.
 
         Raises:
-            LiveSlotsError: On the first allocation or row that drifted.
+            LiveSlotsError: On the first row, order or allocation that drifted.
         """
-        ran = fleet.allocator.ran
+        ran, pending = fleet.allocator.ran, self.touched
         if sorted([*self._slot_of.values(), *self._free]) != list(range(len(self._keys[0]))):
             raise LiveSlotsError("a slot is lost, held twice, or held and free")
+        active = [s for s, rt in fleet.runtimes.items() if rt.network_slice.state is SliceState.ACTIVE]
+        unmoved = [[s for s in ids if s not in pending] for ids in (active, self._ids)]
+        if unmoved[0] != unmoved[1] or self._order.tolist() != [self._slot_of[s] for s in self._ids]:
+            raise LiveSlotsError("the standing rows are not the ACTIVE runtimes, in order")
         for slice_id, runtime in fleet.runtimes.items():
             network_slice, allocation = runtime.network_slice, runtime.network_slice.allocation
             if network_slice.state is not SliceState.ACTIVE:
@@ -284,14 +314,12 @@ class LiveSlots:
                     raise LiveSlotsError(f"{slice_id}: allocated {prbs} PRBs on {enb_id}, "
                                          f"{held} held on {ran.serving_enb_of(slice_id)}")
             slot = self._slot_of.get(slice_id)
-            if slot is None or runtime.profile is None:
-                continue  # claimed (its profile drawn) at the next epoch
+            if slot is None or slice_id in pending or slice_id in self._untracked:
+                continue  # visited at the next sync
             key, floats, ints = self._read(fleet, slice_id, runtime)
             held_key = [column[slot] for column in self._keys]
-            if held_key[0] is _UNTRACKED or held_key[3] != key[3] or any(
-                held is not read for held, read in zip(held_key[:3], key)
-            ):
-                continue  # stale by its key: re-read at the next epoch
+            if held_key[3] != key[3] or any(held is not read for held, read in zip(held_key[:3], key)):
+                raise LiveSlotsError(f"{slice_id}: its row key moved untouched")
             row = (tuple(self._floats[slot].tolist()), tuple(self._ints[slot].tolist()))
             if row != (floats, ints):
                 raise LiveSlotsError(f"{slice_id}: row {row} != re-read {(floats, ints)}")
@@ -322,6 +350,24 @@ class LiveFleet:
         self.live_slots = LiveSlots()
         self.sla_monitor = SlaMonitor()
         self.gain_tracker = MultiplexingGainTracker()
+        #: The durable image's set of slices to re-image (with a store).
+        self.changed: Optional[Set[str]] = None
+        #: Builds a slice's forecaster at its first read (set per :meth:`forecast`).
+        self.forecaster_factory: Optional[Callable[[], Forecaster]] = None
+
+    def add(self, runtime: SliceRuntime) -> SliceRuntime:
+        """Hold ``runtime``, last in go-live order; its slice's
+        transitions touch it from here."""
+        self.runtimes[runtime.network_slice.slice_id] = runtime
+        runtime.network_slice.fleet = self
+        return runtime
+
+    def touch(self, slice_id: str) -> None:
+        """Name a slice whose row key or image inputs may have moved: the
+        next sync re-checks its slot, the next checkpoint its image."""
+        self.live_slots.touched.add(slice_id)
+        if self.changed is not None:
+            self.changed.add(slice_id)
 
     def profile(self, runtime: SliceRuntime) -> TrafficProfile:
         """A live slice's traffic profile; a re-adopted one's is drawn here."""
@@ -429,26 +475,21 @@ class LiveFleet:
         fraction the policy moves by 0.02 or more (shrunk to the
         forecast's safe level, or grown back toward nominal).
 
-        A slice's forecaster is built and fitted here the first time its
-        history is long enough to trust — a slice that never lives that
-        long never pays for a model — and refitted only when stale; in
-        between the epoch folds each sample in, which leaves it equal to
-        a refit on the history.
+        The policy is handed the slice's runtime as its forecaster: a
+        model is built (``forecaster_factory``) and fitted when a policy
+        first reads it, and refitted only when stale; in between the
+        epoch folds each sample in, which leaves it equal to a refit on
+        the history.  A policy that reads no forecast never pays for one.
         """
+        self.forecaster_factory = forecaster_factory
         for slice_id, runtime in active.items():
-            history = runtime.demand_history
-            if len(history) < self.config.min_history_for_forecast:
+            if len(runtime.demand_history) < self.config.min_history_for_forecast:
                 continue
-            if runtime.forecaster is None:
-                runtime.forecaster = forecaster_factory()
-            if runtime.forecast_stale:
-                try:
-                    runtime.forecaster.fit([demand for _, demand in history])
-                except ForecastError:
-                    continue
-                runtime.forecast_stale = False
             nominal = runtime.network_slice.request.sla.throughput_mbps
-            decision = overbooking.decide(slice_id, nominal, forecaster=runtime.forecaster)
+            try:
+                decision = overbooking.decide(slice_id, nominal, forecaster=runtime)
+            except ForecastError:
+                continue  # the fit refused the history: no decision this time
             if abs(decision.fraction - runtime.effective_fraction) >= 0.02:
                 yield slice_id, runtime, decision.fraction
 

@@ -72,6 +72,7 @@ from repro.core.slices import (
     SliceIndex,
     SliceRequest,
     SliceState,
+    slice_id_for,
 )
 from repro.epc.attach import AttachProcedure
 from repro.obs import NOOP_OBS, ControlPlaneObservability
@@ -258,7 +259,7 @@ class Orchestrator:
         self._pending_advance: Dict[str, Tuple[SliceRequest, float]] = {}
         #: The journal hooks and the checkpoint image, off the state above.
         self.durable = DurableImage(
-            self.store, sim, self.events, self.calendar, self.fleet.runtimes,
+            self.store, sim, self.events, self.calendar, self.fleet,
             self._admission_queue, self._pending_advance, self.quotas,
         )
         if self.store.enabled:
@@ -615,8 +616,8 @@ class Orchestrator:
         drivers just acknowledged (a batch of one), or a recovery
         re-adopting what they still hold (the whole fleet).  Each launch
         is ``(slice, profile, size, reservations, admitted_at, active_at,
-        window_end)``: ADMITTED and DEPLOYING, the runtime around
-        ``reservations``, then the activation timer or, for a slice that
+        window_end)``: the runtime around ``reservations``, ADMITTED and
+        DEPLOYING, then the activation timer or, for a slice that
         already turned ACTIVE at ``active_at``, ACTIVE and the expiry
         timer; the calendar windows go in after the batch, in one commit.
 
@@ -625,7 +626,7 @@ class Orchestrator:
         timer that is already due fires at once.  ``window_end``
         defaults to the end of the promise an install makes.
         """
-        now, windows, calendar, runtimes = self.sim.now, [], self.calendar, self.fleet.runtimes
+        now, windows, calendar, add = self.sim.now, [], self.calendar, self.fleet.add
         schedule_at, deploy_time_s = self.sim.schedule_at, self.config.deploy_time_s
         # Bound once per batch: each timer holds a partial, no method of its own.
         activate, expire = self._activate, self._expire
@@ -633,6 +634,17 @@ class Orchestrator:
             network_slice, profile, size, reservations, admitted_at, active_at, window_end = launch
             request = network_slice.request
             slice_id = network_slice.slice_id
+            runtime = add(SliceRuntime(
+                network_slice=network_slice,
+                profile=profile,
+                effective_fraction=size.fraction,
+                reservations=reservations,
+            ))
+            # Contract-clean EPC binding: whatever backend serves the "epc"
+            # domain reports its instance (if any) in the reservation.
+            if "epc" in reservations:
+                runtime.epc = reservations["epc"].details.get("instance")
+            network_slice.allocation = compose_allocation(reservations)
             network_slice.go_live(admitted_at, active_at)
             # A request that passed the calendar gate — online, in a broker
             # window, or booking ahead — holds its window already.
@@ -642,17 +654,6 @@ class Orchestrator:
                 windows.append(
                     (request.request_id, now, max(window_end, now + 1e-9), size.demand)
                 )
-            runtime = runtimes[slice_id] = SliceRuntime(
-                network_slice=network_slice,
-                profile=profile,
-                effective_fraction=size.fraction,
-                reservations=reservations,
-            )
-            # Contract-clean EPC binding: whatever backend serves the "epc"
-            # domain reports its instance (if any) in the reservation.
-            if "epc" in reservations:
-                runtime.epc = reservations["epc"].details.get("instance")
-            network_slice.allocation = compose_allocation(reservations)
             if active_at is None:
                 schedule_at(
                     max(admitted_at + deploy_time_s, now),
@@ -1139,11 +1140,7 @@ class Orchestrator:
         """
         runtime = self.fleet.runtimes.get(slice_id)
         if runtime is None or runtime.network_slice.state is not SliceState.ACTIVE:
-            return AdmissionDecision(
-                request_id=slice_id,
-                admitted=False,
-                reason="slice not active",
-            )
+            return AdmissionDecision(request_id=slice_id, admitted=False, reason="slice not active")
         try:
             self._resize_domains(
                 runtime, new_throughput_mbps, runtime.effective_fraction
@@ -1200,6 +1197,8 @@ class Orchestrator:
                 )
         active = self.fleet.epoch(self.streams.stream("demand-noise"), self.overbooking)
         if self._epoch_counter % self.config.reconfig_every_epochs == 0:
+            for booking_id in self.calendar.ending_by(now):  # their images lose the window
+                self.fleet.touch(slice_id_for(booking_id))
             self.calendar.prune_before(now)
             self._reconfigure(active)
         # Durable store hygiene: once enough churn accumulated past the

@@ -7,12 +7,13 @@ through, and the checkpoint image (the
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Set, Tuple
 
 from repro.core.events import OrchestrationEvent
 from repro.core.slices import SliceRequest, SliceState, peek_request_counter
 from repro.store.codec import request_to_dict
-from repro.store.snapshot import LiveFragments
+from repro.store.snapshot import LiveFragments, encode_member
+from repro.store.store import StoreError
 
 
 def live_image(request: SliceRequest, inputs: tuple) -> Dict[str, Any]:
@@ -31,11 +32,11 @@ def live_image(request: SliceRequest, inputs: tuple) -> Dict[str, Any]:
 class DurableImage:
     """The journal hooks and the checkpoint image of one orchestrator,
     which reads, and never writes, the live state it is handed: the
-    slice runtimes, the calendar, the admission queue, the pending
-    advance bookings and the tenant quotas."""
+    live fleet's slice runtimes, the calendar, the admission queue, the
+    pending advance bookings and the tenant quotas."""
 
     def __init__(
-        self, store: Any, sim: Any, events: Any, calendar: Any, runtimes: Dict[str, Any],
+        self, store: Any, sim: Any, events: Any, calendar: Any, fleet: Any,
         queue: List[tuple], advance: Dict[str, Tuple[SliceRequest, float]],
         quotas: Dict[str, Any],
     ) -> None:
@@ -43,7 +44,7 @@ class DurableImage:
         self.sim = sim
         self.events = events
         self.calendar = calendar
-        self.runtimes = runtimes
+        self.runtimes: Dict[str, Any] = fleet.runtimes
         self.queue = queue
         self.advance = advance
         self.quotas = quotas
@@ -53,6 +54,11 @@ class DurableImage:
         #: The live slices' encoded images, reused by the next checkpoint
         #: for every slice whose image inputs did not change.
         self.fragments = LiveFragments()
+        #: Slices whose image inputs may have moved since the last
+        #: checkpoint, which the fleet's touches name (with a store).
+        self.changed: Set[str] = set()
+        if store.enabled:
+            fleet.changed = self.changed
 
     def journal(
         self, record_type: str, event: OrchestrationEvent | None = None, **data: Any
@@ -84,12 +90,13 @@ class DurableImage:
             reservation_id=reservation_id, **data,
         )
 
-    def _live_inputs(self) -> Iterator[Tuple[str, tuple, SliceRequest]]:
-        """(slice id, image inputs, request) of every live slice: the
-        inputs are the values its image reads that change while it lives
-        (see :func:`live_image`), compared by value."""
-        now = self.sim.now
-        for slice_id, runtime in self.runtimes.items():
+    def _live_inputs(self, slice_ids: Iterable[str]) -> Iterator[Tuple[str, tuple, SliceRequest]]:
+        """(slice id, image inputs, request) of each live slice of
+        ``slice_ids``: the inputs are the values its image reads that
+        change while it lives (see :func:`live_image`), compared by value."""
+        now, runtimes = self.sim.now, self.runtimes
+        for slice_id in slice_ids:
+            runtime = runtimes[slice_id]
             network_slice = runtime.network_slice
             request = network_slice.request
             booking = self.calendar.get(request.request_id)
@@ -111,7 +118,7 @@ class DurableImage:
         and any registered extra sections (the broker's window)."""
         return {**self._sections(), "live": {
             slice_id: live_image(request, inputs)
-            for slice_id, inputs, request in self._live_inputs()
+            for slice_id, inputs, request in self._live_inputs(self.runtimes)
         }}
 
     def _sections(self) -> dict:
@@ -137,13 +144,16 @@ class DurableImage:
 
     def checkpoint(self) -> dict:
         """Write a full-state snapshot and compact the journal: the bytes
-        of :meth:`state`, with only the live slices whose image inputs
-        changed since the last checkpoint imaged and encoded.
+        of :meth:`state`, with only the live slices touched since the last
+        checkpoint imaged (encoded where their inputs changed).
 
         Raises:
             StoreError: When durability is disabled.
         """
-        live = self.fragments.refresh(self._live_inputs(), live_image)
+        changed, runtimes = self.changed, self.runtimes
+        held, gone = changed & runtimes.keys(), changed - runtimes.keys()
+        live = self.fragments.refresh(self._live_inputs(held), gone, live_image)
+        changed.clear()
         lsn = self.store.checkpoint(self._sections(), live)
         return {
             "checkpoint_lsn": lsn,
@@ -151,6 +161,21 @@ class DurableImage:
             "records_since_checkpoint": self.store.records_since_checkpoint,
             "fragments_encoded": self.fragments.encoded,
         }
+
+    def verify(self) -> None:
+        """Check the held fragments against a fresh :meth:`state`: each
+        slice untouched since the last checkpoint is held iff it is live
+        (never without a store), as the fragment of its image now.
+
+        Raises:
+            StoreError: On the first slice whose held image drifted.
+        """
+        pending, live = self.changed, self.state()["live"] if self.store.enabled else {}
+        held = {s: fragment for s, (_, fragment) in self.fragments.entries.items()}
+        for slice_id in (held.keys() | live.keys()) - pending:
+            image = live.get(slice_id)
+            if held.get(slice_id) != (image and encode_member(slice_id, image)):
+                raise StoreError(f"{slice_id}: its held image is not its live one")
 
 
 __all__ = ["DurableImage", "live_image"]

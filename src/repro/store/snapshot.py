@@ -18,7 +18,7 @@ Bytes: :func:`encode_snapshot` alone writes them, always those of
 ``json.dumps({"lsn": lsn, "state": state}, sort_keys=True,
 default=json_default)``.  A checkpoint hands it the ``live`` section as
 per-slice fragments from a :class:`LiveFragments` cache, which re-encodes
-only the slices whose image inputs changed since the last checkpoint.
+only the touched slices whose image inputs changed since the last one.
 """
 
 from __future__ import annotations
@@ -60,27 +60,31 @@ def encode_snapshot(
 
 class LiveFragments:
     """slice id → (image inputs, fragment encoded from them): a fragment
-    is reused while its inputs compare equal; a slice gone from the live
-    set leaves with the next :meth:`refresh`."""
+    is reused while its inputs compare equal, and leaves when its slice
+    is named gone."""
 
     def __init__(self) -> None:
         self.entries: Dict[str, Tuple[tuple, str]] = {}
-        #: Fragments the last :meth:`refresh` encoded afresh.
-        self.encoded = 0
+        #: Slices the last :meth:`refresh` re-checked, and encoded afresh.
+        self.visited = self.encoded = 0
 
     def refresh(
-        self, live: Iterable[Tuple[str, tuple, Any]], image: Callable[[Any, tuple], Any]
+        self, live: Iterable[Tuple[str, tuple, Any]], gone: Iterable[str],
+        image: Callable[[Any, tuple], Any],
     ) -> Dict[str, str]:
-        """The fragments of ``live``'s (slice id, inputs, source) triples,
-        encoding ``image(source, inputs)`` where the inputs changed."""
-        cached, self.entries, self.encoded = self.entries, {}, 0
+        """Every fragment held, once the ``gone`` slices are dropped and
+        ``live``'s (slice id, inputs, source) triples re-checked, encoding
+        ``image(source, inputs)`` where the inputs changed."""
+        entries, self.visited, self.encoded = self.entries, 0, 0
+        for slice_id in gone:
+            entries.pop(slice_id, None)
         for slice_id, inputs, source in live:
-            entry = cached.get(slice_id)
+            self.visited += 1
+            entry = entries.get(slice_id)
             if entry is None or entry[0] != inputs:
-                entry = (inputs, encode_member(slice_id, image(source, inputs)))
+                entries[slice_id] = (inputs, encode_member(slice_id, image(source, inputs)))
                 self.encoded += 1
-            self.entries[slice_id] = entry
-        return {slice_id: fragment for slice_id, (_, fragment) in self.entries.items()}
+        return {slice_id: fragment for slice_id, (_, fragment) in entries.items()}
 
 
 class SnapshotError(RuntimeError):

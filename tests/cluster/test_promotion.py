@@ -203,6 +203,9 @@ def test_promotion_from_the_warm_image_equals_a_cold_restore(seed, steps):
             assert fleet_image(warm) == fleet_image(cold)
             assert lifecycle_timers(warm) == lifecycle_timers(cold)
             assert warm.durable.state() == cold.durable.state()
+            for orchestrator in (warm, cold):  # rows and images follow the adopted fleet
+                orchestrator.fleet.live_slots.verify(orchestrator.fleet)
+                orchestrator.durable.verify()
             # No checkpoint: past the kill both stores hold the same
             # records (re-promised bookings between them), from
             # recovery.rebased to recovery.completed with its event;
@@ -680,10 +683,11 @@ def test_every_checkpoint_of_a_history_writes_the_reference_bytes(seed, steps):
                             promoted.ledger.book_admission(
                                 network_slice.slice_id, network_slice.request
                             )
-                # Every live-slot row whose key is current is what a re-read
-                # gives, and every ACTIVE allocation matches its cell's grid.
+                # Every untouched live-slot row and held image is what a
+                # re-read gives, and every ACTIVE allocation matches its grid.
                 leader = shard.leader.orchestrator
                 leader.fleet.live_slots.verify(leader.fleet)
+                leader.durable.verify()
             shard.leader.run_until(shard.leader.sim.now + 400.0)  # windows flush
             shard.leader.orchestrator.durable.checkpoint()
         finally:

@@ -5,12 +5,13 @@ fit."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.forecasting import Forecaster, HoltWintersForecaster, NaiveForecaster
 from repro.core.epoch import FORECAST_HISTORY_EPOCHS, SliceRuntime
 from repro.core.orchestrator import Orchestrator, OrchestratorConfig
-from repro.core.overbooking import ForecastOverbooking
+from repro.core.overbooking import FixedOverbooking, ForecastOverbooking, NoOverbooking
 from repro.core.slices import slice_id_for
 from repro.experiments.testbed import TestbedConfig, build_testbed
 from repro.sim.engine import Simulator
@@ -50,6 +51,7 @@ class TestForecastTailRetention:
             sim=sim,
             allocator=testbed.allocator,
             plmn_pool=testbed.plmn_pool,
+            overbooking=ForecastOverbooking(0.95),
             forecaster_factory=Recording,
             config=OrchestratorConfig(monitoring_epoch_s=1.0, deploy_time_s=0.5),
             streams=RandomStreams(seed=3),
@@ -153,6 +155,7 @@ class TestForecastTailRetention:
             sim=sim,
             allocator=testbed.allocator,
             plmn_pool=testbed.plmn_pool,
+            overbooking=ForecastOverbooking(0.95),
             config=OrchestratorConfig(
                 monitoring_epoch_s=1.0, deploy_time_s=0.5, reconfig_every_epochs=1
             ),
@@ -169,3 +172,83 @@ class TestForecastTailRetention:
             assert runtime.forecaster is None
         sim.run_until(trusted + 0.25)
         assert runtime.forecaster is not None
+
+
+class Reading:
+    """Mixed into a policy: ``decide`` reads the forecast, then discards it."""
+
+    def decide(self, slice_id, nominal, forecaster=None):
+        if forecaster is not None:
+            forecaster.forecast_quantile(1, 0.95)
+        return super().decide(slice_id, nominal, forecaster)
+
+
+class ReadingNone(Reading, NoOverbooking):
+    pass
+
+
+class ReadingFixed(Reading, FixedOverbooking):
+    pass
+
+
+@pytest.mark.parametrize(
+    "plain, reading",
+    [(NoOverbooking, ReadingNone), (lambda: FixedOverbooking(1.5), lambda: ReadingFixed(1.5))],
+    ids=["none", "fixed"],
+)
+def test_a_model_exists_because_a_policy_read_it(tmp_path, monkeypatch, plain, reading):
+    """Twin durable runs well past the history cap: a policy that never
+    reads a forecast builds, fits and folds no model; the same policy
+    reading (and discarding) one fits each slice's at most twice before
+    the cap bites — and the two runs agree on every event, fraction and
+    journal line."""
+    fits = []  # (sim time, model) of every from-scratch fit
+    plain_fit = Forecaster.fit
+
+    def counted_fit(self, history):
+        fits.append((sim.now, self))
+        return plain_fit(self, history)
+
+    monkeypatch.setattr(Forecaster, "fit", counted_fit)
+    requests = [make_request(throughput_mbps=20.0, duration_s=10_000.0) for _ in range(3)]
+    outcomes, fitted = {}, {}
+    for label, policy in (("plain", plain), ("reading", reading)):
+        del fits[:]
+        testbed = build_testbed(TestbedConfig())
+        sim = Simulator()
+        orchestrator = Orchestrator(
+            sim=sim,
+            allocator=testbed.allocator,
+            plmn_pool=testbed.plmn_pool,
+            overbooking=policy(),
+            config=OrchestratorConfig(
+                monitoring_epoch_s=1.0,
+                deploy_time_s=0.5,
+                durability_dir=str(tmp_path / label),
+                checkpoint_every_records=0,
+            ),
+            streams=RandomStreams(seed=3),
+        )
+        orchestrator.start()
+        profiles = (
+            ConstantProfile(20.0, level=0.5, noise_std=0.2),
+            DiurnalProfile(20.0, period_s=120.0, noise_std=0.1),
+            OnOffProfile(20.0, period_s=37.0, noise_std=0.1),
+        )
+        for request, profile in zip(requests, profiles):
+            assert orchestrator.submit(request, profile).admitted
+        sim.run_until(FORECAST_HISTORY_EPOCHS + 120 + 0.75)
+        runtimes = [orchestrator.runtime(slice_id_for(r.request_id)) for r in requests]
+        outcomes[label] = (
+            [e.to_dict() for e in orchestrator.events.since(0)],
+            [rt.effective_fraction for rt in runtimes],
+            [r.to_line() for r in orchestrator.store.records()],
+        )
+        fitted[label] = ([rt.forecaster for rt in runtimes], list(fits))
+    assert outcomes["plain"] == outcomes["reading"]
+    models, fits_made = fitted["plain"]
+    assert models == [None] * 3 and fits_made == []
+    models, fits_made = fitted["reading"]
+    before_the_cap = [model for t, model in fits_made if t <= FORECAST_HISTORY_EPOCHS]
+    assert all(model is not None for model in models)
+    assert {before_the_cap.count(model) for model in models} <= {1, 2}

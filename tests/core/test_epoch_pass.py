@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.epoch import LiveSlots, LiveSlotsError
+from repro.core.epoch import LiveSlotsError
 from repro.core.orchestrator import Orchestrator, OrchestratorConfig
 from repro.core.overbooking import FixedOverbooking
 from repro.core.slices import SLA, ServiceType, SliceRequest, SliceState
@@ -162,7 +162,8 @@ def slice_ids(orch: Orchestrator) -> list:
 
 
 def apply(orch: Orchestrator, op: tuple, extra: TrafficProfile) -> None:
-    """One state change between two epochs."""
+    """One state change between two epochs; a change made here, outside
+    the orchestrator, touches its slice as every writer there does."""
     kind, pick, value = op
     live = slice_ids(orch)
     target = orch.runtime(live[pick % len(live)]) if live else None
@@ -174,12 +175,16 @@ def apply(orch: Orchestrator, op: tuple, extra: TrafficProfile) -> None:
     elif kind == "sla" and target is not None:  # replaced outside _resize_domains
         wanted = target.network_slice.request
         wanted.sla = replace(wanted.sla, throughput_mbps=value)
+        orch.fleet.touch(target.network_slice.slice_id)
     elif kind == "peak" and target is not None:  # set in place, as modify_slice does
         target.profile.peak_mbps = value
+        orch.fleet.touch(target.network_slice.slice_id)
     elif kind == "profile" and target is not None:
         target.profile = extra
+        orch.fleet.touch(target.network_slice.slice_id)
     elif kind == "drop" and target is not None:  # as under a third-party data-plane driver
         target.network_slice.allocation = None
+        orch.fleet.touch(target.network_slice.slice_id)
     elif kind == "terminate" and target is not None:
         orch.terminate_early(target.network_slice.slice_id)
     elif kind == "add":
@@ -211,7 +216,7 @@ ops = st.tuples(
 )
 def test_the_pass_gives_the_bits_of_the_per_slice_loop(cells, factor, slices, steps, seed):
     orch = fleet(cells, factor, slices)
-    slots = LiveSlots()
+    slots = orch.fleet.live_slots
     oracle_rng, pass_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for op, extra in [(("advance", 0, 0.0), None), *steps]:
         apply(orch, op, extra)
@@ -230,7 +235,7 @@ def test_the_pass_gives_the_bits_of_the_per_slice_loop(cells, factor, slices, st
 # ----------------------------------------------------------------------
 def test_a_row_is_re_read_exactly_when_its_key_moves():
     orch = fleet(2, 2.0, [(DiurnalProfile(5.0, phase=i / 4), 1) for i in range(4)])
-    slots, rng = LiveSlots(), np.random.default_rng(0)
+    slots, rng = orch.fleet.live_slots, np.random.default_rng(0)
     first, second, third, fourth = (orch.runtime(s) for s in slice_ids(orch))
 
     def rows_read() -> int:
@@ -245,21 +250,59 @@ def test_a_row_is_re_read_exactly_when_its_key_moves():
     assert rows_read() == 1
     wanted = second.network_slice.request
     wanted.sla = replace(wanted.sla, throughput_mbps=2.0)  # the SLA alone
+    orch.fleet.touch(second.network_slice.slice_id)
     assert rows_read() == 1
     third.profile.peak_mbps = 9.0  # the peak alone, in place
+    orch.fleet.touch(third.network_slice.slice_id)
     assert rows_read() == 1
     fourth.profile = ConstantProfile(5.0)  # the profile object
+    orch.fleet.touch(fourth.network_slice.slice_id)
     assert rows_read() == 1
+    orch.fleet.touch(fourth.network_slice.slice_id)  # touched, its key where it was
+    assert rows_read() == 0
     orch.terminate_early(first.network_slice.slice_id)
     assert rows_read() == 0 and len(slots._slot_of) == 3  # its slot freed
 
 
 def test_verify_names_a_row_that_drifted_from_its_slice():
     orch = fleet(1, 1.0, [(ConstantProfile(5.0, level=0.5), 1)])
-    slots = LiveSlots()
+    slots = orch.fleet.live_slots
     slots.serve(orch.fleet, np.random.default_rng(0))
     slots._floats[slots._slot_of[slice_ids(orch)[0]], 6] = 123.0  # the SLA column
     with pytest.raises(LiveSlotsError, match="re-read"):
+        slots.verify(orch.fleet)
+
+
+def test_a_quiet_epoch_compares_no_row_key():
+    orch = fleet(2, 2.0, [(DiurnalProfile(5.0, phase=i / 4), 1) for i in range(4)])
+    slots, rng = orch.fleet.live_slots, np.random.default_rng(0)
+    slots.serve(orch.fleet, rng)
+    compared = slots.compared
+    slots.serve(orch.fleet, rng)
+    assert slots.compared == compared  # nothing touched, nothing compared
+    assert orch.modify_slice(slice_ids(orch)[0], 7.0).admitted
+    slots.serve(orch.fleet, rng)
+    assert slots.compared == compared + 1
+
+
+def test_verify_names_a_key_that_moved_untouched():
+    orch = fleet(2, 1.0, [(ConstantProfile(5.0, level=0.5), 1) for _ in range(2)])
+    slots = orch.fleet.live_slots
+    slots.serve(orch.fleet, np.random.default_rng(0))
+    orch.runtime(slice_ids(orch)[1]).profile.peak_mbps = 9.0  # no touch
+    with pytest.raises(LiveSlotsError, match="untouched"):
+        slots.verify(orch.fleet)
+
+
+def test_verify_names_standing_rows_that_missed_a_transition():
+    orch = fleet(2, 1.0, [(ConstantProfile(5.0, level=0.5), 1) for _ in range(2)])
+    slots = orch.fleet.live_slots
+    slots.serve(orch.fleet, np.random.default_rng(0))
+    gone = slice_ids(orch)[0]
+    orch.terminate_early(gone)
+    slots.verify(orch.fleet)  # its slot is freed at the next sync
+    slots.touched.discard(gone)  # as if the transition had not touched it
+    with pytest.raises(LiveSlotsError, match="standing rows"):
         slots.verify(orch.fleet)
 
 
@@ -273,7 +316,7 @@ def test_a_profile_that_draws_its_own_demand_is_refused():
 
     orch = fleet(1, 1.0, [(Bespoke(5.0), 1)])
     with pytest.raises(TypeError, match="Bespoke"):
-        LiveSlots().serve(orch.fleet, np.random.default_rng(0))
+        orch.fleet.live_slots.serve(orch.fleet, np.random.default_rng(0))
 
 
 # ----------------------------------------------------------------------

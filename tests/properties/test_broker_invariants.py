@@ -84,8 +84,11 @@ def test_broker_never_overcommits_and_accounts_everything(
             SliceState.EXPIRED,
             SliceState.REJECTED,
         )
-    # The list index agrees with a recompute from the slice records.
+    # The list index, the live-slot table and the durable image agree
+    # with a recompute from the slice records and runtimes.
     orch.slice_index.verify(orch)
+    orch.fleet.live_slots.verify(orch.fleet)
+    orch.durable.verify()
 
 
 @SLOW

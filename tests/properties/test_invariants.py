@@ -94,8 +94,11 @@ def test_orchestrator_never_overcommits_physical_resources(seed, n_requests, fac
             SliceState.EXPIRED,
             SliceState.REJECTED,
         )
-    # The list index agrees with a recompute from the slice records.
+    # The list index, the live-slot table and the durable image agree
+    # with a recompute from the slice records and runtimes.
     orch.slice_index.verify(orch)
+    orch.fleet.live_slots.verify(orch.fleet)
+    orch.durable.verify()
 
 
 @SLOW

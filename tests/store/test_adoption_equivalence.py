@@ -67,7 +67,7 @@ def adopt_one(orch, request, plmn_id, fraction, reservations, *,
     if epc_reservation is not None:
         runtime.epc = epc_reservation.details.get("instance")
     network_slice.allocation = compose_allocation(reservations)
-    orch.fleet.runtimes[slice_id] = runtime
+    orch.fleet.add(runtime)
     network_slice.transition(SliceState.DEPLOYING, admitted_at)
     if active_at is None:
         orch.sim.schedule_at(

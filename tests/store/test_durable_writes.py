@@ -24,7 +24,7 @@ import pytest
 
 from repro.core.broker import SliceBroker
 from repro.core.slices import SliceState
-from repro.store import ControlPlaneStore
+from repro.store import ControlPlaneStore, StoreError
 from repro.store.codec import json_default
 from repro.store.journal import Journal
 from repro.store.snapshot import encode_member, encode_snapshot
@@ -60,6 +60,7 @@ def checked_checkpoint(orch) -> int:
     reference = json.dumps({"lsn": lsn, "state": state}, sort_keys=True, default=json_default)
     assert written == reference.encode("utf-8")
     assert set(orch.durable.fragments.entries) == set(state["live"])
+    orch.durable.verify()
     return result["fragments_encoded"]
 
 
@@ -95,7 +96,9 @@ def rescale(orch, runtime) -> None:
     request.sla = dataclasses.replace(request.sla, throughput_mbps=2 * MBPS)
 
 
-#: One edit per image input, each touching nothing else the image reads.
+#: One edit per image input, each changing nothing else the image reads
+#: (a writer in the orchestrator touches the slice it edits; these are
+#: made beside it, so the test touches).
 INPUT_EDITS = {
     "status": lambda orch, rt: setattr(rt.network_slice, "state", SliceState.DEPLOYING),
     "throughput": rescale,
@@ -118,7 +121,28 @@ def test_a_fragment_is_re_encoded_when_any_image_input_changes(fleet, edit):
     one slice re-encodes that slice alone, and the bytes stay exact."""
     runtime = fleet.runtime(fleet.live_slices()[1].slice_id)
     INPUT_EDITS[edit](fleet, runtime)
+    fleet.fleet.touch(runtime.network_slice.slice_id)
     assert checked_checkpoint(fleet) == 1
+
+
+@pytest.mark.parametrize("edit", sorted(INPUT_EDITS))
+def test_verify_names_an_image_input_that_changed_untouched(fleet, edit):
+    runtime = fleet.runtime(fleet.live_slices()[1].slice_id)
+    INPUT_EDITS[edit](fleet, runtime)
+    with pytest.raises(StoreError, match="held image"):
+        fleet.durable.verify()
+
+
+def test_a_checkpoint_visits_only_the_slices_touched_since_the_last(fleet):
+    assert checked_checkpoint(fleet) == 0 and fleet.durable.fragments.visited == 0
+    live = fleet.live_slices()
+    assert fleet.modify_slice(live[2].slice_id, 2 * MBPS).admitted
+    assert checked_checkpoint(fleet) == 1 and fleet.durable.fragments.visited == 1
+    fleet.terminate_early(live[0].slice_id)
+    fleet.durable.verify()  # its image leaves at the next checkpoint
+    fleet.durable.changed.discard(live[0].slice_id)  # as if its expiry had not touched it
+    with pytest.raises(StoreError, match="held image"):
+        fleet.durable.verify()
 
 
 def test_an_unchanged_fleet_re_encodes_nothing_and_a_rescale_what_it_touched(fleet):
@@ -130,6 +154,22 @@ def test_an_unchanged_fleet_re_encodes_nothing_and_a_rescale_what_it_touched(fle
     fleet.terminate_early(live[0].slice_id)  # leaves the cache with it
     assert checked_checkpoint(fleet) == 0
     assert len(fleet.durable.fragments.entries) == 3
+
+
+def test_a_window_the_calendar_prunes_re_images_its_live_slice(fleet):
+    """A window can end before its slice expires (a re-adopted slice's
+    promise may): the reconfiguration's prune that drops it touches the
+    slice, and the next checkpoint re-images it without its window."""
+    runtime = fleet.runtime(fleet.live_slices()[1].slice_id)
+    request_id = runtime.network_slice.request.request_id
+    booking = fleet.calendar.get(request_id)
+    fleet.calendar.release(request_id)
+    fleet.calendar.commit(request_id, booking.start, 200.0, booking.demand)
+    fleet.fleet.touch(runtime.network_slice.slice_id)
+    assert checked_checkpoint(fleet) == 1
+    fleet.sim.run_until(301.0)  # the first reconfiguring epoch prunes it
+    assert not fleet.calendar.has(request_id) and runtime.network_slice.state is SliceState.ACTIVE
+    assert checked_checkpoint(fleet) == 1
 
 
 def test_a_plain_state_dict_still_checkpoints_to_the_same_bytes(tmp_path):

@@ -276,6 +276,15 @@ class TestServiceRecovery:
             {k: v for k, v in report.to_dict().items() if k != "duration_s"}
         ]
         assert report.to_dict()["duration_s"] == report.duration_s > 0.0
+        # The live-slot rows and the held images follow the adopted fleet,
+        # before its first epoch and checkpoint and after them.
+        restarted.fleet.live_slots.verify(restarted.fleet)
+        restarted.durable.verify()
+        restarted.start()
+        restarted.sim.run_until(restarted.sim.now + 61.0)
+        assert restarted.durable.checkpoint()["fragments_encoded"] == 2
+        restarted.fleet.live_slots.verify(restarted.fleet)
+        restarted.durable.verify()
 
 
 TENANT = {"X-Tenant-Id": "t1"}

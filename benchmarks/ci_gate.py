@@ -53,8 +53,8 @@ asserted floor is broken:
   ``successor_first_poll_records <= promotion_journal_records``).  The
   promoted shard's first epoch, which draws every adopted profile, must
   construct no ``numpy.random.SeedSequence``
-  (``first_epoch_seed_sequences == 0``): profiles are seeded by
-  arithmetic.  The ``recovery_split_s`` (adopt / rest) and
+  (``first_epoch_seed_sequences == 0``): every id-keyed draw is a
+  counter (``RandomStreams.draws``).  The ``recovery_split_s`` (adopt / rest) and
   ``promotion_tracked_objects_per_slice`` are published, not gated.
 - **D13** — the mobility+failure scenario packs (scenario engine) at a
   fixed seed: every scheduled outage must heal inside the horizon and
@@ -140,16 +140,18 @@ FLOOR_D8B_SPEEDUP = 1.5
 #: diff to this one number, and a PR that shrinks ``src/`` lowers it in
 #: the same change.  +49 for the Cephes ``ndtri`` port in
 #: ``core/forecasting.py``, which replaced the control plane's only
-#: runtime scipy import; −2 for the batch re-adoption; +66 for the
+#: runtime scipy import; −2 for the batch re-adoption; +66 for an
 #: integer port of numpy's keyed-stream seeding in ``sim/randomness.py``
-#: (+74), which takes ``SeedSequence`` and ``PCG64`` construction off every
+#: (+74), which took ``SeedSequence`` and ``PCG64`` construction off every
 #: traffic-profile draw, less the standby hand-off's net −8; −724 for
 #: deleting what no workload, experiment, route or CLI verb reaches
 #: (``benchmarks/reachability.py``); +78 for an epoch that pays only for
 #: what a policy reads and what changed (forecasters built at the first
 #: read, the touched-slice sets that the live-slot sync and the
-#: checkpoint visit, and their verifiers).
-SRC_LINES_CEILING = 20_846
+#: checkpoint visit, and their verifiers); −34 for one counter-based
+#: keyed draw in place of that port and ``derive``, the epoch's
+#: slice-id order and the ``NullDriver`` alias's removal.
+SRC_LINES_CEILING = 20_812
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per

@@ -18,12 +18,12 @@ acceptance invariants:
   ``recovery.rebased`` record is its one durable statement, and
   ``recovery.completed`` closes it),
 - ``promotion_profiles_derived`` and ``promotion_snapshot_parses``:
-  traffic profiles drawn (``default_profile``, ``RandomStreams.derive``
-  and ``RandomStreams.draws`` calls) and snapshots decoded inside the
-  watch cycle that promotes.  The CI gate holds both at 0: an adopted slice's
-  profile waits for its first epoch, the reopened store reads the
-  snapshot LSN off the file's head, and the standby's image is the
-  recovery input,
+  keyed draws made (``default_profile`` and ``RandomStreams.draws``
+  calls: traffic profiles and UE populations) and snapshots decoded
+  inside the watch cycle that promotes.  The CI gate holds both at 0:
+  an adopted slice's profile waits for its first epoch, the reopened
+  store reads the snapshot LSN off the file's head, and the standby's
+  image is the recovery input,
 - ``promotion_template_builds`` and ``promotion_fleet_serialisations``:
   vEPC Heat templates built and full-fleet serialisations (snapshot
   writes plus ``ReplayState.digest`` folds) inside the same watch cycle.
@@ -54,7 +54,7 @@ acceptance invariants:
 - ``first_epoch_seed_sequences``: ``numpy.random.SeedSequence``
   constructions in the promoted shard's first monitoring epoch, which
   draws every adopted slice's profile (``first_epoch_profiles_drawn``).
-  The CI gate holds it at 0: profiles are seeded by arithmetic
+  The CI gate holds it at 0: every id-keyed draw is a counter
   (``RandomStreams.draws``), and the epoch's shared ``demand-noise``
   stream is made when the loop starts,
 - ``promotion_tracked_objects_per_slice``: GC-tracked objects the
@@ -292,7 +292,6 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
     with contextlib.ExitStack() as spies:
         for owner, name, key in (
             (Orchestrator, "default_profile", "profiles"),
-            (RandomStreams, "derive", "profiles"),
             (RandomStreams, "draws", "profiles"),
             (SnapshotStore, "load_latest", "snapshots"),
             (allocation_module, "epc_template", "templates"),

@@ -13,7 +13,7 @@ count too):
 - ``benchmarks/failover_drill.py`` and ``benchmarks/ci_gate.py``;
 - every CLI verb, ``scenarios run <spec.json>`` included;
 - ``tests/api`` and ``tests/cluster/test_router.py``;
-- ``examples/*.py``.
+- ``examples/*.py``, each from request id 1, as it runs on its own.
 
 It then lists every named function in ``src/repro`` whose code was
 never entered, and counts the executable lines that never ran.  It
@@ -33,6 +33,7 @@ import contextlib
 import dis
 import inspect
 import io
+import itertools
 import json
 import os
 import runpy
@@ -284,9 +285,15 @@ def _api_tests(scratch: str) -> int:
 
 
 def _examples(scratch: str) -> int:
+    from repro.core import slices
+
     folder = os.path.join(REPO_ROOT, "examples")
     for name in sorted(os.listdir(folder)):
         if name.endswith(".py"):
+            # Each example runs as it does on its own: request ids (and so
+            # the profiles keyed by them) restart, not continue from the
+            # count the wall-clock-bounded entries above left behind.
+            slices._request_counter = itertools.count(1)
             runpy.run_path(os.path.join(folder, name), run_name="__main__")
     return 0
 

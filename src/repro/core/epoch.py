@@ -123,7 +123,9 @@ class LiveSlotsError(RuntimeError):
 @dataclass
 class EpochOutcome:
     """One epoch's pass over its ACTIVE slices; row ``i`` is the i-th of
-    ``active`` (the orchestrator's runtime order)."""
+    ``active``, in slice-id order — so the shared stream's normals, the
+    SLA books and events and the resize order depend on the live set
+    alone, never on the order the slices went live in."""
 
     active: Dict[str, SliceRuntime]
     demand: np.ndarray
@@ -151,7 +153,7 @@ class LiveSlots:
         self._path_of: Dict[Tuple[str, ...], int] = {}
         self._path_links: List[Optional[Tuple[str, ...]]] = [None]  # _NO_PATH
         #: Slices touched since the last sync; rows with no allocation to
-        #: follow (re-read every sync); the ACTIVE slices in runtime order.
+        #: follow (re-read every sync); the ACTIVE slices in slice-id order.
         self.touched: Set[str] = set()
         self._untracked: Set[str] = set()
         self._ids: List[str] = []
@@ -187,7 +189,7 @@ class LiveSlots:
         return key, floats, (kind, cell, prbs, path, request.priority)
 
     def sync(self, fleet: "LiveFleet") -> Tuple[Dict[str, SliceRuntime], np.ndarray]:
-        """The fleet's ACTIVE slices and their slots, in runtime order,
+        """The fleet's ACTIVE slices and their slots, in slice-id order,
         visiting the touched and untracked ones only: one new to ACTIVE
         claims a slot, one no longer ACTIVE frees it, a moved key is re-read."""
         slot_of, (allocations, slas, profiles, peaks) = self._slot_of, self._keys
@@ -227,7 +229,7 @@ class LiveSlots:
             (untracked.add if key[0] is _UNTRACKED else untracked.discard)(slice_id)
             self.refreshes += 1
         if moved:
-            self._ids = [s for s in runtimes if s in slot_of]
+            self._ids = sorted(slot_of)
             self._order = np.array([slot_of[s] for s in self._ids], dtype=np.intp)
         return {s: runtimes[s] for s in self._ids}, self._order
 
@@ -288,8 +290,8 @@ class LiveSlots:
         return borrowable[path]
 
     def verify(self, fleet: "LiveFleet") -> None:
-        """Check the standing rows and their order against a recompute
-        from ``fleet.runtimes``, each ACTIVE slice's RAN allocation
+        """Check the standing rows and their slice-id order against a
+        recompute from ``fleet.runtimes``, each ACTIVE slice's RAN allocation
         against its cell's grid, and every untouched row against a
         re-read: neither its key nor its row may have moved.
 
@@ -299,10 +301,11 @@ class LiveSlots:
         ran, pending = fleet.allocator.ran, self.touched
         if sorted([*self._slot_of.values(), *self._free]) != list(range(len(self._keys[0]))):
             raise LiveSlotsError("a slot is lost, held twice, or held and free")
-        active = [s for s, rt in fleet.runtimes.items() if rt.network_slice.state is SliceState.ACTIVE]
+        active = sorted(s for s, rt in fleet.runtimes.items()
+                        if rt.network_slice.state is SliceState.ACTIVE)
         unmoved = [[s for s in ids if s not in pending] for ids in (active, self._ids)]
         if unmoved[0] != unmoved[1] or self._order.tolist() != [self._slot_of[s] for s in self._ids]:
-            raise LiveSlotsError("the standing rows are not the ACTIVE runtimes, in order")
+            raise LiveSlotsError("the standing rows are not the ACTIVE runtimes, in slice-id order")
         for slice_id, runtime in fleet.runtimes.items():
             network_slice, allocation = runtime.network_slice, runtime.network_slice.allocation
             if network_slice.state is not SliceState.ACTIVE:
@@ -381,7 +384,7 @@ class LiveFleet:
         pass, then each one's books — demand history, forecaster fold,
         SLA count, penalty and ``sla.violation`` event, the adaptive
         policy's observation — and the fleet's multiplexing gain.
-        Returns the ACTIVE slices, in runtime order."""
+        Returns the ACTIVE slices, in slice-id order."""
         now = self.sim.now
         if self.config.self_healing:
             self.heal()
@@ -424,7 +427,8 @@ class LiveFleet:
 
     def heal(self) -> None:
         """Attempt re-routing, via any repair-capable driver (transport
-        in the default wiring), for ACTIVE slices whose domain reports ill."""
+        in the default wiring), for ACTIVE slices whose domain reports
+        ill, in slice-id order."""
         healers = [
             d
             for d in self.registry.drivers()
@@ -432,7 +436,7 @@ class LiveFleet:
         ]
         if not healers:
             return
-        for slice_id, runtime in self.runtimes.items():
+        for slice_id, runtime in sorted(self.runtimes.items()):
             network_slice = runtime.network_slice
             if network_slice.state is not SliceState.ACTIVE or network_slice.allocation is None:
                 continue

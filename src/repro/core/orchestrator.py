@@ -993,7 +993,7 @@ class Orchestrator:
         if network_slice.plmn is None or network_slice.allocation is None or runtime.epc is None:
             return
         enb = self.allocator.ran.enb(network_slice.allocation.ran.enb_id)
-        rng = self.streams.derive(f"ues-{slice_id}")
+        rng = self.streams.draws(f"ues-{slice_id}")
         n_ues = min(network_slice.request.n_users, self.config.max_ues_per_slice)
         procedure = AttachProcedure(
             enb, runtime.epc, network_slice.allocation.transport.delay_ms

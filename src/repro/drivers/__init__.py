@@ -42,7 +42,7 @@ from repro.drivers.adapters import (
     TransportDriver,
     build_default_registry,
 )
-from repro.drivers.mock import MockDriver, NullDriver
+from repro.drivers.mock import MockDriver
 
 __all__ = [
     "BaseDriver",
@@ -58,7 +58,6 @@ __all__ = [
     "InstallOutcome",
     "InstallTransaction",
     "MockDriver",
-    "NullDriver",
     "RanDriver",
     "Reservation",
     "ReservationState",

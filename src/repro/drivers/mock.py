@@ -310,9 +310,4 @@ class MockDriver(BaseDriver):
             }
 
 
-#: Back-compat friendly alias: a registry wired purely from mocks is a
-#: "null" backend (nothing simulated, everything accounted).
-NullDriver = MockDriver
-
-
-__all__ = ["MockDriver", "NullDriver"]
+__all__ = ["MockDriver"]

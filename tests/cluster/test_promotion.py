@@ -306,7 +306,6 @@ class PromotionProbe:
         real_load = SnapshotStore.load_latest
         real_fsync = os.fsync
         real_decode = JournalRecord.from_line.__func__
-        real_derive = RandomStreams.derive
         real_draws = RandomStreams.draws
         real_template = allocation_module.epc_template
         real_digest = ReplayState.digest
@@ -318,10 +317,6 @@ class PromotionProbe:
         def from_line(cls, text):
             self.lines_decoded += 1
             return real_decode(cls, text)
-
-        def derive(streams, name):
-            self.streams_derived += 1
-            return real_derive(streams, name)
 
         def draws(streams, name):
             self.streams_derived += 1
@@ -344,7 +339,6 @@ class PromotionProbe:
         monkeypatch.setattr(allocation_module, "epc_template", epc_template)
         monkeypatch.setattr(ReplayState, "digest", digest)
         monkeypatch.setattr(JournalRecord, "from_line", classmethod(from_line))
-        monkeypatch.setattr(RandomStreams, "derive", derive)
         monkeypatch.setattr(RandomStreams, "draws", draws)
 
 

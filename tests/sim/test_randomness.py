@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
+import pytest
 
 from repro.sim.randomness import RandomStreams
 
@@ -40,12 +43,16 @@ def test_stream_is_cached():
     assert reg.stream("cache") is reg.stream("cache")
 
 
-def test_derive_draws_what_stream_would_and_keeps_nothing():
-    reg = RandomStreams(seed=5)
-    derived = reg.derive("profile-req-000001").random(5)
-    assert reg._streams == {}
-    assert np.array_equal(derived, reg.stream("profile-req-000001").random(5))
-    assert np.array_equal(derived, reg.derive("profile-req-000001").random(5))
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", ["arrivals", "mobility", "demand-noise"])
+def test_stream_is_the_keyed_seed_sequence_pcg64(seed, name):
+    """A stream is ``SeedSequence(seed, spawn_key=(crc32(name),))`` +
+    PCG64, so the shared streams' draws stay where they were."""
+    key = zlib.crc32(name.encode("utf-8"))
+    oracle = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,)))
+    )
+    assert np.array_equal(RandomStreams(seed=seed).stream(name).random(1_000), oracle.random(1_000))
 
 
 def test_per_request_streams_are_not_retained(testbed):

@@ -87,6 +87,14 @@ asserted floor is broken:
   flips)`` — a search per request instead of per link-state change — or
   at all during the last 16 creates.  ``queries``, ``searches``,
   ``memo_share`` and ``us_per_query`` are published and never judged.
+- **Driver overhead** — counted, not timed: 64 sync creates, 64
+  rescales and 64 deletes on the same 8-cell testbed and its default
+  registry.  ``driver_ops``, the driver lifecycle calls they made
+  (prepare, commit, rollback, release, resize, repair), is published;
+  the gate fails unless ``capabilities_built == 0``: every lifecycle
+  call reads ``capabilities()``, and the in-process adapters return one
+  prebuilt instance instead of building a ``DriverCapabilities`` per
+  read.
 - **src_lines** — the physical line count of ``src/**/*.py`` is
   published and must not exceed ``SRC_LINES_CEILING``.
 
@@ -150,8 +158,9 @@ FLOOR_D8B_SPEEDUP = 1.5
 #: read, the touched-slice sets that the live-slot sync and the
 #: checkpoint visit, and their verifiers); −34 for one counter-based
 #: keyed draw in place of that port and ``derive``, the epoch's
-#: slice-id order and the ``NullDriver`` alias's removal.
-SRC_LINES_CEILING = 20_812
+#: slice-id order and the ``NullDriver`` alias's removal; −3 for one
+#: prebuilt ``DriverCapabilities`` per in-process adapter.
+SRC_LINES_CEILING = 20_809
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per
@@ -197,6 +206,10 @@ UPKEEP_EPOCHS = 120
 #: answered from memory alone.
 PATH_CREATES = 64
 PATH_QUIET_TAIL = 16
+
+#: The driver-overhead gate's slices: each is created, rescaled and
+#: deleted once.
+DRIVER_SLICES = 64
 
 #: Scenario packs the D13 gate runs (tiny scales; the full
 #: commuter-failure pack runs in the nightly scenario job).
@@ -758,6 +771,89 @@ def run_path_searches(failures: list) -> dict:
     }
 
 
+def run_driver_overhead(failures: list) -> dict:
+    """What the southbound pays beyond its domain work, as a count:
+    capability records built over a create, rescale and delete of every
+    slice, against the driver lifecycle calls those made."""
+    from repro.core.orchestrator import Orchestrator
+    from repro.drivers.base import DriverCapabilities
+    from repro.experiments.testbed import TestbedConfig, build_testbed
+    from repro.sim.engine import Simulator
+    from repro.sim.randomness import RandomStreams
+    from repro.traffic.patterns import ConstantProfile
+    from tests.conftest import make_request
+
+    testbed = build_testbed(
+        TestbedConfig(
+            n_enbs=8, max_plmns_per_enb=12, plmn_pool_size=DRIVER_SLICES,
+            edge_nodes=16, core_nodes=8,
+        )
+    )
+    orch = Orchestrator(
+        sim=Simulator(),
+        allocator=testbed.allocator,
+        plmn_pool=testbed.plmn_pool,
+        streams=RandomStreams(seed=11),
+        registry=testbed.registry,
+    )
+    orch.start()
+
+    built, calls = [], []
+    plain_init = DriverCapabilities.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        plain_init(self, *args, **kwargs)
+
+    def counted(driver, name):
+        plain = getattr(driver, name)
+
+        def call(*args, **kwargs):
+            calls.append((driver.domain, name))
+            return plain(*args, **kwargs)
+
+        setattr(driver, name, call)
+
+    lifecycle = ("prepare", "commit", "rollback", "release", "resize", "repair")
+    for driver in testbed.registry.drivers():
+        for name in lifecycle:
+            counted(driver, name)
+    DriverCapabilities.__init__ = counted_init
+    try:
+        decisions = [
+            orch.submit(make_request(throughput_mbps=5.0, duration_s=1e6), ConstantProfile(5.0))
+            for _ in range(DRIVER_SLICES)
+        ]
+        created = [decision.slice_id for decision in decisions if decision.admitted]
+        orch.sim.run_until(10.0)
+        rescaled = sum(orch.modify_slice(slice_id, 4.0).admitted for slice_id in created)
+        for slice_id in created:
+            orch.terminate_early(slice_id)
+    finally:
+        DriverCapabilities.__init__ = plain_init
+        for driver in testbed.registry.drivers():
+            for name in lifecycle:
+                vars(driver).pop(name)
+    deleted = len(created) - len(orch.live_slices())
+    if not len(created) == rescaled == deleted == DRIVER_SLICES:
+        failures.append(
+            f"driver overhead: {len(created)} creates, {rescaled} rescales and "
+            f"{deleted} deletes of {DRIVER_SLICES} done"
+        )
+    if built:
+        failures.append(
+            f"driver overhead: {len(built)} DriverCapabilities built over "
+            f"{len(calls)} driver lifecycle calls (0 expected: they are constants)"
+        )
+    return {
+        "creates": len(created),
+        "rescales": rescaled,
+        "deletes": deleted,
+        "driver_ops": len(calls),
+        "capabilities_built": len(built),
+    }
+
+
 def run_durable_writes(failures: list) -> dict:
     """What a shard's durable writes cost, as counts: slices a checkpoint
     re-encodes, and fsyncs a broker window's group commit issues."""
@@ -940,6 +1036,7 @@ def run_gate() -> dict:
     upkeep = run_epoch_upkeep(failures)
     path_searches = run_path_searches(failures)
     durable_writes = run_durable_writes(failures)
+    driver_overhead = run_driver_overhead(failures)
 
     return {
         "python": platform.python_version(),
@@ -979,6 +1076,7 @@ def run_gate() -> dict:
         "epoch_upkeep": upkeep,
         "path_searches": path_searches,
         "durable_writes": durable_writes,
+        "driver_overhead": driver_overhead,
         "failures": failures,
         "warnings": warnings,
         "ok": not failures,
@@ -1033,6 +1131,8 @@ def main(argv=None) -> int:
         f"fragments encoded, {payload['durable_writes']['checkpoint_slices_visited']} "
         f"slices re-checked, {payload['durable_writes']['window_journal_fsyncs']} fsync "
         f"per window, "
+        f"driver overhead {payload['driver_overhead']['capabilities_built']} "
+        f"capabilities built over {payload['driver_overhead']['driver_ops']} driver ops, "
         f"src {payload['src_lines']} lines"
     )
     return 0

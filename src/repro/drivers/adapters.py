@@ -70,7 +70,15 @@ from repro.transport.paths import PathRequest
 class _InProcessDriver(BaseDriver):
     """A driver over an in-memory controller: nothing behind
     ``prepare``/``commit``/``rollback``/``release`` can block, so their
-    ``*_async`` futures are resolved before they are returned."""
+    ``*_async`` futures are resolved before they are returned.
+
+    Its capabilities are constants, read on every lifecycle call, so
+    each adapter builds them once as ``CAPABILITIES``."""
+
+    CAPABILITIES: DriverCapabilities
+
+    def capabilities(self) -> DriverCapabilities:
+        return self.CAPABILITIES
 
     def _shim_async(self, label: str, fn: Callable[..., Any], *args: Any) -> Future:
         future: Future = Future()
@@ -89,6 +97,9 @@ class RanDriver(_InProcessDriver):
     """
 
     domain = "ran"
+    CAPABILITIES = DriverCapabilities(
+        domain=domain, resource_units=("prbs",), supports_resize=True
+    )
 
     def __init__(
         self,
@@ -97,13 +108,6 @@ class RanDriver(_InProcessDriver):
     ) -> None:
         super().__init__(serial_lock=serial_lock)
         self.controller = controller
-
-    def capabilities(self) -> DriverCapabilities:
-        return DriverCapabilities(
-            domain=self.domain,
-            resource_units=("prbs",),
-            supports_resize=True,
-        )
 
     def _do_prepare(self, spec: DomainSpec) -> Dict[str, Any]:
         plmn = spec.attributes.get("plmn")
@@ -162,6 +166,12 @@ class TransportDriver(_InProcessDriver):
     """
 
     domain = "transport"
+    CAPABILITIES = DriverCapabilities(
+        domain=domain,
+        resource_units=("mbps",),
+        supports_resize=True,
+        supports_repair=True,
+    )
 
     def __init__(
         self,
@@ -170,14 +180,6 @@ class TransportDriver(_InProcessDriver):
     ) -> None:
         super().__init__(serial_lock=serial_lock)
         self.controller = controller
-
-    def capabilities(self) -> DriverCapabilities:
-        return DriverCapabilities(
-            domain=self.domain,
-            resource_units=("mbps",),
-            supports_resize=True,
-            supports_repair=True,
-        )
 
     def _path_request(self, spec: DomainSpec) -> PathRequest:
         try:
@@ -278,6 +280,7 @@ class CloudDriver(_InProcessDriver):
     """
 
     domain = "cloud"
+    CAPABILITIES = DriverCapabilities(domain=domain, resource_units=("vcpus",))
 
     def __init__(
         self,
@@ -286,12 +289,6 @@ class CloudDriver(_InProcessDriver):
     ) -> None:
         super().__init__(serial_lock=serial_lock)
         self.controller = controller
-
-    def capabilities(self) -> DriverCapabilities:
-        return DriverCapabilities(
-            domain=self.domain,
-            resource_units=("vcpus",),
-        )
 
     def _do_prepare(self, spec: DomainSpec) -> Dict[str, Any]:
         dc_id = spec.attributes.get("dc_id")
@@ -339,6 +336,9 @@ class EpcDriver(_InProcessDriver):
     """
 
     domain = "epc"
+    # The vEPC binds to the cloud stack, so within one install its
+    # prepare must wait for the cloud domain's prepare to land.
+    CAPABILITIES = DriverCapabilities(domain=domain, prepare_after=("cloud",))
 
     def __init__(
         self,
@@ -348,14 +348,6 @@ class EpcDriver(_InProcessDriver):
         super().__init__(serial_lock=serial_lock)
         self.stack_lookup = stack_lookup
         self._instances: Dict[str, EpcInstance] = {}
-
-    def capabilities(self) -> DriverCapabilities:
-        # The vEPC binds to the cloud stack, so within one install its
-        # prepare must wait for the cloud domain's prepare to land.
-        return DriverCapabilities(
-            domain=self.domain,
-            prepare_after=("cloud",),
-        )
 
     def _do_prepare(self, spec: DomainSpec) -> Dict[str, Any]:
         plmn_id = spec.attributes.get("plmn_id")

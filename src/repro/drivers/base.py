@@ -183,7 +183,11 @@ class DomainDriver(abc.ABC):
 
     @abc.abstractmethod
     def capabilities(self) -> DriverCapabilities:
-        """Static description of what this backend supports."""
+        """Static description of what this backend supports.
+
+        Read on every lifecycle call (the serial-lock guard, ``resize``,
+        the planner's per-batch snapshot), so return a prebuilt
+        instance rather than building one per call."""
 
     @abc.abstractmethod
     def prepare(self, spec: DomainSpec) -> Reservation:

@@ -95,16 +95,17 @@ class DriverRegistry:
 
     def capabilities(self) -> dict:
         """Per-domain capability summary (API/debugging surface)."""
-        return {
-            d.domain: {
-                "resource_units": list(d.capabilities().resource_units),
-                "supports_resize": d.capabilities().supports_resize,
-                "supports_repair": d.capabilities().supports_repair,
-                "transactional": d.capabilities().transactional,
-                "max_concurrent_installs": d.capabilities().max_concurrent_installs,
+        summary = {}
+        for d in self.drivers():
+            caps = d.capabilities()
+            summary[d.domain] = {
+                "resource_units": list(caps.resource_units),
+                "supports_resize": caps.supports_resize,
+                "supports_repair": caps.supports_repair,
+                "transactional": caps.transactional,
+                "max_concurrent_installs": caps.max_concurrent_installs,
             }
-            for d in self.drivers()
-        }
+        return summary
 
 
 __all__ = ["DriverRegistry"]

@@ -76,7 +76,8 @@ asserted floor is broken:
 - **Durable writes** — counted, not timed, on one durable 32-slice
   shard: a second checkpoint of an unchanged fleet must encode no slice
   (``checkpoint_fragments_encoded == 0``) and re-check none
-  (``checkpoint_slices_visited == 0``), one after rescaling 3 slices
+  (``checkpoint_slices_visited == 0``: no folded record named a slice
+  since the last checkpoint), one after rescaling 3 slices
   must encode and re-check exactly 3, and a 64-request broker window
   must flush with exactly one journal fsync (``window_journal_fsyncs ==
   1``), before the first requester hears of its decision.
@@ -160,7 +161,7 @@ FLOOR_D8B_SPEEDUP = 1.5
 #: keyed draw in place of that port and ``derive``, the epoch's
 #: slice-id order and the ``NullDriver`` alias's removal; −3 for one
 #: prebuilt ``DriverCapabilities`` per in-process adapter.
-SRC_LINES_CEILING = 20_809
+SRC_LINES_CEILING = 20_707
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per
@@ -889,8 +890,8 @@ def run_durable_writes(failures: list) -> dict:
     encoded, visited = {}, {}  # per checkpoint: slices encoded, slices re-checked
 
     def checkpoint(phase):
+        visited[phase] = len(orch.durable.fold.changed)  # the slices folded records named
         encoded[phase] = orch.durable.checkpoint()["fragments_encoded"]
-        visited[phase] = orch.durable.fragments.visited
 
     checkpoint("first")
     checkpoint("unchanged")

@@ -17,7 +17,7 @@ promotion costs the lag, not the fleet.
 Re-arming the shard costs what changed, too.  A cold standby's first
 poll decodes the latest snapshot and every record since: for one that
 re-arms a promoted shard, the whole fleet again.  So the promoted
-standby gives its fold, LSN and a copy of the journal index up
+standby gives a copy of its fold, its LSN and a copy of the journal index up
 (``PromotionReport.handoff``, kept by the cluster for the shard's next
 ``standby_for``), and the successor's first poll decodes only the
 rebase, the completion record and what followed; a newer snapshot or a
@@ -117,8 +117,10 @@ class WarmStandby:
             owner=owner or f"shard-{self.shard_id}-standby",
             timeout_s=lease_timeout_s,
         )
+        #: LSN folded through; -1 before anything, so that even a
+        #: snapshot at LSN 0 (a checkpoint before any record) is ahead.
         self.state, self.applied_lsn, self._tail = handoff or (
-            ReplayState(), 0, JournalTail(os.path.join(self.directory, "journal.jsonl"))
+            ReplayState(), -1, JournalTail(os.path.join(self.directory, "journal.jsonl"))
         )
         self.polls = 0
         self.promoted: Optional[PromotionReport] = None
@@ -142,7 +144,7 @@ class WarmStandby:
             applied += 1
             self.applied_lsn = lsn
         for record in self._tail.records(self.applied_lsn):
-            self.state.apply(record)
+            self.state.apply(record.record_type, record.time, record.data)
             self.applied_lsn = record.lsn
             applied += 1
         self.polls += 1
@@ -190,16 +192,18 @@ class WarmStandby:
         self.state.records_applied = 0  # recovery reports what is folded from here on
         replay_lag = self.poll()
         # The new leader's journal owns the index from here (it appends
-        # to it); the successor gets the fold and a copy of the index.
+        # to it) and its image folds on from ours; the successor gets a
+        # copy of each.  One to_dict/from_dict round trip is a real copy:
+        # a fold replaces, never writes into, the values nested in it.
         tail = self._tail
-        handoff = (self.state, self.applied_lsn, copy.copy(tail))
+        handoff = (ReplayState.from_dict(self.state.to_dict()), self.applied_lsn, copy.copy(tail))
         handoff[2].lsns, handoff[2].starts = tail.lsns[:], tail.starts[:]
         orchestrator, service = self._rebuild(tail)
         orchestrator.attach_lease(self.lease)
         from repro.store.recovery import RecoveryManager
 
         report = RecoveryManager(orchestrator).restore(self.state)
-        self.state, self.applied_lsn, self._tail = ReplayState(), 0, JournalTail(tail.path)
+        self.state, self.applied_lsn, self._tail = ReplayState(), -1, JournalTail(tail.path)
         recovery_s = _time.monotonic() - started
         self.promoted = PromotionReport(
             shard_id=self.shard_id,

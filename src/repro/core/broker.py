@@ -74,20 +74,13 @@ class SliceBroker:
         self.windows_flushed = 0
         self.decisions: List[AdmissionDecision] = []
         # Durable windows: queued-but-undecided requests are journaled
-        # (``broker.enqueued``) and carried in every checkpoint, so a
-        # crash mid-window no longer silently drops them — recovery
-        # re-offers the survivors through online admission (see
-        # RecoveryManager._requeue_broker_windows).  A request's
-        # decision needs no record of its own: the ``install.started``
-        # or ``slice.rejected`` it produces ends the window's claim.
-        orchestrator.durable.sections["broker_pending"] = self._pending_state
-
-    def _pending_state(self) -> dict:
-        """Checkpoint section: the current window's undecided requests."""
-        return {
-            pending.request.request_id: request_to_dict(pending.request)
-            for pending in self._queue
-        }
+        # (``broker.enqueued``), so the fold carries them into every
+        # checkpoint and a crash mid-window no longer silently drops
+        # them — recovery re-offers the survivors through online
+        # admission (see RecoveryManager._requeue_broker_windows).  A
+        # request's decision needs no record of its own: the
+        # ``install.started`` or ``slice.rejected`` it produces ends the
+        # window's claim.
 
     @property
     def pending(self) -> int:

@@ -353,8 +353,6 @@ class LiveFleet:
         self.live_slots = LiveSlots()
         self.sla_monitor = SlaMonitor()
         self.gain_tracker = MultiplexingGainTracker()
-        #: The durable image's set of slices to re-image (with a store).
-        self.changed: Optional[Set[str]] = None
         #: Builds a slice's forecaster at its first read (set per :meth:`forecast`).
         self.forecaster_factory: Optional[Callable[[], Forecaster]] = None
 
@@ -366,11 +364,9 @@ class LiveFleet:
         return runtime
 
     def touch(self, slice_id: str) -> None:
-        """Name a slice whose row key or image inputs may have moved: the
-        next sync re-checks its slot, the next checkpoint its image."""
+        """Name a slice whose row key may have moved: the next sync
+        re-checks its slot."""
         self.live_slots.touched.add(slice_id)
-        if self.changed is not None:
-            self.changed.add(slice_id)
 
     def profile(self, runtime: SliceRuntime) -> TrafficProfile:
         """A live slice's traffic profile; a re-adopted one's is drawn here."""

@@ -72,7 +72,6 @@ from repro.core.slices import (
     SliceIndex,
     SliceRequest,
     SliceState,
-    slice_id_for,
 )
 from repro.epc.attach import AttachProcedure
 from repro.obs import NOOP_OBS, ControlPlaneObservability
@@ -246,22 +245,18 @@ class Orchestrator:
         #: writes) instead of split-braining the shard's WAL.
         self.lease: Optional[Any] = None
         self.store.bind_obs(self.obs)
-        #: The one tenant quota table: written by :meth:`set_quota`,
-        #: checkpointed by the durable image, refilled by recovery; the
-        #: service layer enforces it.
+        #: The one tenant quota table: written by :meth:`set_quota`
+        #: (journaled), refilled by recovery; the service layer enforces it.
         self.quotas: Dict[str, TenantQuota] = {}
         #: (request, profile, optional decision callback) awaiting the
         #: next batched install (drained every monitoring epoch).
         self._admission_queue: List[Tuple[SliceRequest, TrafficProfile, Optional[Callable[[AdmissionDecision], None]]]] = []
         #: Advance bookings promised and not yet installed:
-        #: ``request_id -> (request, start_time)`` (checkpointed so the
+        #: ``request_id -> (request, start_time)`` (journaled, so the
         #: promises survive a restart).
         self._pending_advance: Dict[str, Tuple[SliceRequest, float]] = {}
-        #: The journal hooks and the checkpoint image, off the state above.
-        self.durable = DurableImage(
-            self.store, sim, self.events, self.calendar, self.fleet,
-            self._admission_queue, self._pending_advance, self.quotas,
-        )
+        #: The journal hooks and the durable state they fold.
+        self.durable = DurableImage(self.store, sim)
         if self.store.enabled:
             # Events no transition raises (SLA violations, repairs,
             # driver incidents) are journaled on their own; the rest
@@ -762,8 +757,7 @@ class Orchestrator:
         """Monitoring-epoch drain: batch-install everything queued."""
         if not self._admission_queue:
             return
-        queued = self._admission_queue[:]
-        self._admission_queue.clear()  # the durable image reads this list
+        queued, self._admission_queue = self._admission_queue, []
         with self.store.batch():  # one fsync, before any callback tells
             decisions = self.install_admitted_batch(
                 [(request, profile) for request, profile, _ in queued]
@@ -1197,8 +1191,6 @@ class Orchestrator:
                 )
         active = self.fleet.epoch(self.streams.stream("demand-noise"), self.overbooking)
         if self._epoch_counter % self.config.reconfig_every_epochs == 0:
-            for booking_id in self.calendar.ending_by(now):  # their images lose the window
-                self.fleet.touch(slice_id_for(booking_id))
             self.calendar.prune_before(now)
             self._reconfigure(active)
         # Durable store hygiene: once enough churn accumulated past the

@@ -8,17 +8,18 @@ Two halves:
    scalars that leak out of domain telemetry into JSON natives.
 
 2. **Replay fold** — :class:`ReplayState`, the pure in-memory image of
-   the durable control plane.  ``ReplayState.restore(snapshot, tail)``
-   folds a snapshot (if any) plus the journal tail into the state a
-   recovering orchestrator must rebuild; the fold is a deterministic
-   function of its inputs (the replay-determinism property test pins
-   this down by comparing :meth:`ReplayState.digest` across repeated
-   folds of the same journal).
+   the durable control plane, and its one derivation: the leader folds
+   every record it appends (:class:`~repro.store.image.DurableImage`)
+   and checkpoints that fold, a standby folds what it tails, and
+   ``ReplayState.restore(snapshot, tail)`` folds a snapshot (if any)
+   plus the journal tail into the state a recovering orchestrator must
+   rebuild.  The fold is a deterministic function of its inputs (the
+   replay-determinism property test pins this down by comparing
+   :meth:`ReplayState.digest` across repeated folds of the same journal).
 
-The fold is deliberately decoupled from the live orchestrator: it
-reasons only over record payloads, so it can run in benchmarks
-(``bench_d12_recovery``), in tests, and in the recovery path without a
-testbed.
+The fold reasons only over record payloads, never the live
+orchestrator, so it can run in benchmarks (``bench_d12_recovery``), in
+tests, and in the recovery path without a testbed.
 
 Record vocabulary (see ``docs/ARCHITECTURE.md`` for the full matrix),
 one record per state transition.  ``+event``: the record carries the
@@ -67,9 +68,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, TYPE_CHECKING
+from typing import Any, Dict, Iterable, Optional, Set, TYPE_CHECKING
 
 from repro.core.slices import SLA, ServiceType, SliceRequest
 
@@ -175,6 +175,9 @@ class ReplayState:
             ``live``.  Recovery advances the request-id counter past
             it so a recovered id is never re-issued to a new request.
         records_applied: Fold-size telemetry (excluded from the digest).
+        changed: Slices whose ``live`` image a folded record changed,
+            added or dropped since the leader's last checkpoint emptied
+            it: the images that checkpoint re-encodes (excluded too).
     """
 
     time: float = 0.0
@@ -187,17 +190,16 @@ class ReplayState:
     last_event_seq: int = 0
     last_request_ordinal: int = 0
     records_applied: int = 0
-
-    _ORDINAL = re.compile(r"-(\d+)$")
+    changed: Set[str] = field(default_factory=set, compare=False, repr=False)
 
     def _note_ordinal(self, identifier: Optional[str]) -> None:
-        if not identifier:
-            return
-        match = self._ORDINAL.search(str(identifier))
-        if match:
-            self.last_request_ordinal = max(
-                self.last_request_ordinal, int(match.group(1))
-            )
+        """Raise the ordinal high-water mark to ``identifier``'s
+        ``-<digits>`` suffix, if it has one: ``-(\\d+)$`` without a regex
+        (a trailing newline is let through, as ``$`` lets it)."""
+        if identifier:
+            _, dash, digits = str(identifier).removesuffix("\n").rpartition("-")
+            if dash and digits.isdecimal():
+                self.last_request_ordinal = max(self.last_request_ordinal, int(digits))
 
     # ------------------------------------------------------------------
     # Folding
@@ -212,13 +214,14 @@ class ReplayState:
         into the recovered state image."""
         state = cls.from_dict(snapshot) if snapshot else cls()
         for record in records:
-            state.apply(record)
+            state.apply(record.record_type, record.time, record.data)
         return state
 
-    def apply(self, record: "JournalRecord") -> None:
-        """Fold one journal record into the image (pure, deterministic)."""
-        kind, data = record.record_type, record.data
-        self.time = max(self.time, record.time)
+    def apply(self, kind: str, time: float, data: Dict[str, Any]) -> None:
+        """Fold one journal record (its type, time and data) into the
+        image: pure and deterministic, and never writing into a value
+        nested in the image (a handed-off fold shares those with its copy)."""
+        self.time = max(self.time, time)
         self.records_applied += 1
         # Every record naming a request or slice advances the ordinal
         # high-water mark — terminated slices included, or a restart
@@ -249,19 +252,20 @@ class ReplayState:
                 "request": request,
                 "plmn": data.get("plmn"),
                 "fraction": data.get("fraction", 1.0),
-                "started_at": record.time,
+                "started_at": time,
             }
         elif kind == "slice.installed":
             request = data["request"]
             self.queued.pop(request["request_id"], None)
             self.advance.pop(request["request_id"], None)
             self.in_flight.pop(data["slice_id"], None)
+            self.changed.add(data["slice_id"])
             self.live[data["slice_id"]] = {
                 "request": request,
                 "plmn": data.get("plmn"),
                 "fraction": data.get("fraction", 1.0),
                 "status": "installed",
-                "installed_at": record.time,
+                "installed_at": time,
                 "activated_at": None,
                 "window": data.get("window"),
                 "reservations": dict(data.get("reservations") or {}),
@@ -270,9 +274,11 @@ class ReplayState:
             image = self.live.get(data["slice_id"])
             if image is not None:
                 image["status"] = "active"
-                image["activated_at"] = record.time
+                image["activated_at"] = time
+                self.changed.add(data["slice_id"])
         elif kind in ("slice.expired", "slice.cancelled"):
-            self.live.pop(data["slice_id"], None)
+            if self.live.pop(data["slice_id"], None) is not None:
+                self.changed.add(data["slice_id"])
             self.in_flight.pop(data["slice_id"], None)
         elif kind == "slice.rejected":
             self.queued.pop(data.get("request_id"), None)
@@ -282,11 +288,13 @@ class ReplayState:
         elif kind == "slice.modified":
             image = self.live.get(data["slice_id"])
             if image is not None:
-                image["request"]["throughput_mbps"] = data["throughput_mbps"]
+                image["request"] = {**image["request"], "throughput_mbps": data["throughput_mbps"]}
+                self.changed.add(data["slice_id"])
         elif kind == "slice.reconfigured":
             image = self.live.get(data["slice_id"])
             if image is not None:
                 image["fraction"] = data["fraction"]
+                self.changed.add(data["slice_id"])
         elif kind == "booking.committed":
             request = data["request"]
             self.advance[request["request_id"]] = {
@@ -301,7 +309,7 @@ class ReplayState:
                 "max_aggregate_mbps": data.get("max_aggregate_mbps"),
             }
         elif kind == "recovery.rebased":
-            self._rebase(record.time, data)
+            self._rebase(time, data)
         # event.emitted, driver.*, checkpoint.written, recovery.completed:
         # the event (if any) above, else audit trail only — driver
         # *ground truth* is reconciled live, not replayed.
@@ -335,6 +343,7 @@ class ReplayState:
                 "activated_at": None, **adopted[slice_id],
             }
         self.in_flight = {}
+        self.changed.update(data["lost"], self.live)
         for request_id, entry in list(self.advance.items()):
             start_in_s = entry["start_time"] - crash_time
             if start_in_s <= 0:

@@ -3,8 +3,9 @@
 :class:`RecoveryManager.restore` is the restart path of an
 orchestrator whose process died: take the folded image of the durable
 store (a cold restart folds snapshot + journal tail itself; a promoted
-warm standby hands over the one it already holds), rebuild the
-orchestrator/calendar/quota state from it, and — crucially —
+warm standby hands over the one it already holds) as the new
+process's own, which it folds its records into from then on; rebuild
+the orchestrator/calendar/quota state from it, and — crucially —
 **reconcile against the southbound**, because the domain controllers
 (real hardware, or the long-lived simulator controllers in tests) kept
 running while the control plane was down.
@@ -153,12 +154,19 @@ class RecoveryManager:
         # cursors rely on seqs rising monotonically across restarts).
         orch.events.resume_from(state.last_event_seq)
 
+        # This process folds what it journals into ``state`` from here
+        # on, and recovery's first record, its rebase, moves it: what
+        # the restore re-promises and re-offers is read before.
+        orch.durable.seed(state)
+        advance = [(entry["request"], entry["start_time"]) for entry in state.advance.values()]
+        queued = list(state.queued.values())
+        offered = [p for rid, p in state.broker_pending.items() if rid not in state.queued]
         truth = self._southbound_truth()
         adopted_ids = self._reconcile_slices(state, truth, crash_time, report)
         self._compensate_orphans(truth, adopted_ids, report)
-        self._restore_bookings(state, crash_time, report)
-        self._requeue_admissions(state, report)
-        self._requeue_broker_windows(state, report)
+        self._restore_bookings(advance, crash_time, report)
+        self._requeue_admissions(queued, report)
+        self._requeue_broker_windows(offered, report)
         self._restore_quotas(state, report)
         report.duration_s = _time.monotonic() - started
         event = orch.events.append(
@@ -316,12 +324,12 @@ class RecoveryManager:
     # Calendar + queue + quotas
     # ------------------------------------------------------------------
     def _restore_bookings(
-        self, state: ReplayState, crash_time: float, report: RecoveryReport
+        self, advance: List[tuple], crash_time: float, report: RecoveryReport
     ) -> None:
         orch = self.orchestrator
-        for request_id, entry in state.advance.items():
-            request = request_from_dict(entry["request"])
-            start_in_s = entry["start_time"] - crash_time
+        for payload, start_time in advance:
+            request = request_from_dict(payload)
+            start_in_s = start_time - crash_time
             if start_in_s <= 0:
                 # The promised start passed while we were down; install
                 # as soon as the control plane breathes again.
@@ -331,19 +339,18 @@ class RecoveryManager:
                 orch.restore_advance_booking(request, start_in_s=start_in_s)
                 report.bookings_restored += 1
 
-    def _requeue_admissions(self, state: ReplayState, report: RecoveryReport) -> None:
+    def _requeue_admissions(self, queued: List[dict], report: RecoveryReport) -> None:
         orch = self.orchestrator
-        for request_id, payload in state.queued.items():
+        for payload in queued:
             request = request_from_dict(payload)
             orch.enqueue_admitted(request, orch.default_profile(request))
             report.admissions_requeued += 1
 
-    def _requeue_broker_windows(
-        self, state: ReplayState, report: RecoveryReport
-    ) -> None:
+    def _requeue_broker_windows(self, offered: List[dict], report: RecoveryReport) -> None:
         """Re-offer requests that were sitting in a broker decision
         window the crash cut short (``broker.enqueued`` with no
-        ``install.started`` or ``slice.rejected`` after it).  Unlike
+        ``install.started`` or ``slice.rejected`` after it, and not
+        re-queued by :meth:`_requeue_admissions` already).  Unlike
         journaled admissions these were
         never *admitted* — the window died before deciding — so they go
         back through full online admission (``Orchestrator.submit``),
@@ -351,9 +358,7 @@ class RecoveryManager:
         ordinary rejections.  The original ``on_decision`` callbacks
         died with the process."""
         orch = self.orchestrator
-        for request_id, payload in state.broker_pending.items():
-            if request_id in state.queued:
-                continue  # already re-offered by _requeue_admissions
+        for payload in offered:
             request = request_from_dict(payload)
             orch.submit(request, orch.default_profile(request))
             report.broker_requeued += 1

@@ -17,8 +17,9 @@ paranoia fallback against a corrupt latest).
 Bytes: :func:`encode_snapshot` alone writes them, always those of
 ``json.dumps({"lsn": lsn, "state": state}, sort_keys=True,
 default=json_default)``.  A checkpoint hands it the ``live`` section as
-per-slice fragments from a :class:`LiveFragments` cache, which re-encodes
-only the touched slices whose image inputs changed since the last one.
+per-slice fragments, of which the leader re-encodes only those of the
+slices a folded record changed since the last one
+(:meth:`~repro.store.image.DurableImage.checkpoint`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.store.codec import json_default
 
@@ -56,35 +57,6 @@ def encode_snapshot(
         for name, value in sorted({**state, "live": None}.items())
     ]
     return f'{{"lsn": {int(lsn)}, "state": {{{", ".join(members)}}}}}'.encode("utf-8")
-
-
-class LiveFragments:
-    """slice id → (image inputs, fragment encoded from them): a fragment
-    is reused while its inputs compare equal, and leaves when its slice
-    is named gone."""
-
-    def __init__(self) -> None:
-        self.entries: Dict[str, Tuple[tuple, str]] = {}
-        #: Slices the last :meth:`refresh` re-checked, and encoded afresh.
-        self.visited = self.encoded = 0
-
-    def refresh(
-        self, live: Iterable[Tuple[str, tuple, Any]], gone: Iterable[str],
-        image: Callable[[Any, tuple], Any],
-    ) -> Dict[str, str]:
-        """Every fragment held, once the ``gone`` slices are dropped and
-        ``live``'s (slice id, inputs, source) triples re-checked, encoding
-        ``image(source, inputs)`` where the inputs changed."""
-        entries, self.visited, self.encoded = self.entries, 0, 0
-        for slice_id in gone:
-            entries.pop(slice_id, None)
-        for slice_id, inputs, source in live:
-            self.visited += 1
-            entry = entries.get(slice_id)
-            if entry is None or entry[0] != inputs:
-                entries[slice_id] = (inputs, encode_member(slice_id, image(source, inputs)))
-                self.encoded += 1
-        return {slice_id: fragment for slice_id, (_, fragment) in entries.items()}
 
 
 class SnapshotError(RuntimeError):
@@ -181,6 +153,6 @@ def fsync_directory(directory: str) -> None:
 
 
 __all__ = [
-    "LiveFragments", "SnapshotError", "SnapshotStore",
+    "SnapshotError", "SnapshotStore",
     "encode_member", "encode_snapshot", "fsync_directory",
 ]

@@ -192,9 +192,8 @@ class TestQuotaDurability:
         orchestrator.set_quota("tenant-a", max_active_slices=2)
         kinds = [r.record_type for r in orchestrator.store.records()]
         assert "quota.set" in kinds
-        # And the checkpoint carries it too.
-        state = orchestrator.durable.state()
-        assert state["quotas"]["tenant-a"]["max_active_slices"] == 2
+        # And the fold a checkpoint writes carries it too.
+        assert orchestrator.durable.fold.quotas["tenant-a"]["max_active_slices"] == 2
 
 
 class TestAdminObservability:

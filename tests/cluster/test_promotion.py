@@ -21,8 +21,9 @@ Five guards on the warm-standby promotion path:
   the same journal; it is the profile the v1 API drew at creation.
 - **Cached checkpoints are exact** — across a random history with a
   promotion in it, every checkpoint (leader's and promoted's) writes the
-  bytes of ``json.dumps`` of ``durable_state()``, and its fragment cache
-  holds exactly the live slice ids.
+  bytes of ``json.dumps`` of the leader's fold, which is what the store
+  folds to and what the live objects say, and its fragment cache holds
+  exactly the live slice ids.
 - **The successor inherits the fold** — the standby that re-arms a
   promoted shard starts from the promoted fold and a copy (not the
   leader's own) of its journal index, decodes no snapshot and only the
@@ -62,6 +63,7 @@ from repro.store.journal import JournalRecord
 from repro.store.snapshot import SnapshotStore
 
 from tests.cluster.conftest import build_cluster, slice_body, tenants_per_shard
+from tests.store.durable_reference import check_durable, live_state
 
 EXAMPLE_MULTIPLIER = int(os.environ.get("HYPOTHESIS_EXAMPLE_MULTIPLIER", "1"))
 
@@ -202,10 +204,11 @@ def test_promotion_from_the_warm_image_equals_a_cold_restore(seed, steps):
             assert report.slices_adopted == cold_report.slices_adopted
             assert fleet_image(warm) == fleet_image(cold)
             assert lifecycle_timers(warm) == lifecycle_timers(cold)
-            assert warm.durable.state() == cold.durable.state()
-            for orchestrator in (warm, cold):  # rows and images follow the adopted fleet
+            assert live_state(warm) == live_state(cold)
+            assert warm.durable.fold.digest() == cold.durable.fold.digest()
+            for orchestrator in (warm, cold):  # rows and folds follow the adopted fleet
                 orchestrator.fleet.live_slots.verify(orchestrator.fleet)
-                orchestrator.durable.verify()
+                check_durable(orchestrator)
             # No checkpoint: past the kill both stores hold the same
             # records (re-promised bookings between them), from
             # recovery.rebased to recovery.completed with its event;
@@ -226,10 +229,11 @@ def test_promotion_from_the_warm_image_equals_a_cold_restore(seed, steps):
 
 
 def live_image(orchestrator) -> dict:
-    """The running control plane's state in the fold's shape, minus the
-    process-wide request counter."""
-    image = ReplayState.from_dict(orchestrator.durable.state()).to_dict()
+    """The running control plane's state in the fold's shape, read off
+    its live objects, minus the process-wide request counter."""
+    image = live_state(orchestrator)
     image.pop("last_request_ordinal")
+    image["broker_pending"] = orchestrator.durable.fold.broker_pending  # no live twin
     return image
 
 
@@ -647,10 +651,11 @@ def test_every_checkpoint_of_a_history_writes_the_reference_bytes(seed, steps):
         lsn = result["checkpoint_lsn"]
         with open(image.store.snapshots._path_for(lsn), "rb") as handle:
             written = handle.read()
-        state = image.state()
+        state = image.fold.to_dict()
         reference = json.dumps({"lsn": lsn, "state": state}, sort_keys=True, default=json_default)
         assert written == reference.encode("utf-8")
-        assert set(image.fragments.entries) == set(state["live"])
+        assert set(image.fragments) == set(state["live"])
+        assert image.fold.digest() == ReplayState.restore(*image.store.load()).digest()
         checkpoints.append((result["fragments_encoded"], len(state["live"])))
         return result
 
@@ -681,7 +686,7 @@ def test_every_checkpoint_of_a_history_writes_the_reference_bytes(seed, steps):
                 # re-read gives, and every ACTIVE allocation matches its grid.
                 leader = shard.leader.orchestrator
                 leader.fleet.live_slots.verify(leader.fleet)
-                leader.durable.verify()
+                check_durable(leader)
             shard.leader.run_until(shard.leader.sim.now + 400.0)  # windows flush
             shard.leader.orchestrator.durable.checkpoint()
         finally:
@@ -771,7 +776,7 @@ def test_a_successor_standby_inherits_the_promoted_fold(seed, steps, more):
 
             # Any other standby for the shard starts cold.
             cold_standby = cluster.standby_for(VICTIM)
-            assert cold_standby.applied_lsn == 0
+            assert cold_standby.applied_lsn == -1  # not even a snapshot at LSN 0
             assert cold_standby.state.digest() == ReplayState().digest()
 
             checkpoint_at = rng.randrange(more + 1)  # == more: no checkpoint
@@ -802,7 +807,8 @@ def test_a_successor_standby_inherits_the_promoted_fold(seed, steps, more):
             assert again.report.slices_adopted == cold_report.slices_adopted
             assert fleet_image(warm) == fleet_image(cold)
             assert lifecycle_timers(warm) == lifecycle_timers(cold)
-            assert warm.durable.state() == cold.durable.state()
+            assert live_state(warm) == live_state(cold)
+            assert warm.durable.fold.digest() == cold.durable.fold.digest()
             assert warm.store.replay().digest() == cold.store.replay().digest()
             cold.store.close()
         finally:

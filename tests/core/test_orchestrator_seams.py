@@ -4,7 +4,7 @@ source reads.
 - ``core/epoch.py`` owns the epoch: the live-slot table, the SLA
   monitor, the multiplexing-gain tracker and each live slice's books.
 - ``store/image.py`` owns the durable image: the journal hooks and the
-  checkpoint image built off live state.
+  fold of what they append, which a checkpoint writes.
 - ``drivers/`` owns the southbound unwind: both install executors, the
   resize that compensates a refusal and the releases a backend refused.
 
@@ -43,17 +43,26 @@ def test_the_epoch_state_is_held_and_written_in_core_epoch_only():
 
 
 def test_the_durable_image_is_built_in_store_only():
-    assert files(r"\blive_image\b") == {"store/image.py"}
-    image = source_of("store/image.py")
-    assert enclosing_functions(image, r"\blive_image[()]") == ["state", "checkpoint"]
-    assert enclosing_functions(image, r"\bself\._live_inputs\(") == ["state", "checkpoint"]
-    assert files(r"\b_live_inputs\b|\bLiveFragments\(|(?<!def )\bpeek_request_counter\(\)") == {
-        "store/image.py"
+    # One derivation: a fold of the records.  Only the store (the
+    # leader's journal hooks, a restart) and the standby build or apply
+    # one; nothing re-reads live objects into an image.
+    built_or_applied = r"\bReplayState(\.\w+)?\(|\.apply\((record|\"event)"
+    assert files(built_or_applied) == {
+        "store/codec.py", "store/image.py", "store/store.py", "cluster/standby.py",
     }
-    # The checkpoint's sections are written beside the live images; the
-    # fold reads them back.
+    gone = (
+        r"\blive_image\b|\b_live_inputs\b|\b_sections\b|\bLiveFragments\b|\b_pending_state\b"
+        r"|\bdurable\.(state|verify|sections|changed)\b|\bdef (state|verify)\(self\)"
+        r"|\bfleet\.changed\b"
+    )
+    assert src_lines_matching(gone) == []
+    # The image's fields are written by the fold alone; the checkpoint
+    # tops up the two it cannot see, the clock and the request counter.
     sections = r'"(in_flight|queued|advance|quotas|last_event_seq|last_request_ordinal)":'
-    assert files(sections) == {"store/image.py", "store/codec.py"}
+    assert files(sections) == {"store/codec.py"}
+    assert files(r"(?<!def )\bpeek_request_counter\(\)") == {"store/image.py"}
+    image = source_of("store/image.py")
+    assert enclosing_functions(image, r"\bpeek_request_counter\(\)") == ["checkpoint"]
     # The orchestrator reaches its store through the image's hooks only.
     assert src_lines_matching(
         r"store\.(append|checkpoint)\(|\basdict\(|request_to_dict\(request\) for",

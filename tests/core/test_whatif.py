@@ -14,6 +14,7 @@ from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.traffic.patterns import ConstantProfile
 from tests.conftest import make_request
+from tests.store.durable_reference import live_state
 
 
 WHAT_IF_BODY = {
@@ -65,7 +66,7 @@ class TestWhatIf:
         )
         assert response.body["request_id"] == WHAT_IF_REQUEST_ID
         assert peek_request_counter() == next_ordinal
-        assert orchestrator.durable.state()["last_request_ordinal"] == next_ordinal - 1
+        assert live_state(orchestrator)["last_request_ordinal"] == next_ordinal - 1
 
     def test_infeasible_ran_reported(self, orch):
         _, orchestrator = orch

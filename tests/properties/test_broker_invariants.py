@@ -15,6 +15,7 @@ from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.traffic.patterns import ConstantProfile
 from tests.conftest import make_request
+from tests.store.durable_reference import check_durable
 
 #: The nightly CI flake-hunt multiplies every property suite's example
 #: budget (HYPOTHESIS_EXAMPLE_MULTIPLIER=5) without touching the fast
@@ -88,7 +89,7 @@ def test_broker_never_overcommits_and_accounts_everything(
     # with a recompute from the slice records and runtimes.
     orch.slice_index.verify(orch)
     orch.fleet.live_slots.verify(orch.fleet)
-    orch.durable.verify()
+    check_durable(orch)
 
 
 @SLOW

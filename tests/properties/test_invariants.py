@@ -26,6 +26,7 @@ from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.traffic.patterns import ConstantProfile
 from tests.conftest import free_prbs, make_request
+from tests.store.durable_reference import check_durable
 
 #: The nightly CI flake-hunt multiplies every property suite's example
 #: budget (HYPOTHESIS_EXAMPLE_MULTIPLIER=5) without touching the fast
@@ -98,7 +99,7 @@ def test_orchestrator_never_overcommits_physical_resources(seed, n_requests, fac
     # with a recompute from the slice records and runtimes.
     orch.slice_index.verify(orch)
     orch.fleet.live_slots.verify(orch.fleet)
-    orch.durable.verify()
+    check_durable(orch)
 
 
 @SLOW

@@ -37,6 +37,7 @@ from repro.traffic.patterns import ConstantProfile
 from tests.conftest import make_request
 from tests.properties.test_plmn_pool_index import hand_out_order
 from tests.store.conftest import make_orchestrator, reopen_store
+from tests.store.durable_reference import live_state
 
 EXAMPLE_MULTIPLIER = int(os.environ.get("HYPOTHESIS_EXAMPLE_MULTIPLIER", "1"))
 
@@ -131,8 +132,8 @@ class PerSliceRecovery(RecoveryManager):
                         domain: held[slice_id].reservation_id for domain, held in truth.items()
                     },
                 }
-        orch.store.append(
-            "recovery.rebased", time=orch.sim.now, shift=shift, crash_time=crash_time,
+        orch.durable.journal(
+            "recovery.rebased", shift=shift, crash_time=crash_time,
             lost=report.lost_slice_ids, adopted_in_flight=adopted_in_flight,
             last_event_seq=orch.events.last_seq,
         )
@@ -203,7 +204,8 @@ def observed(orch, directory):
     pool, calendar = orch.plmn_pool, orch.calendar
     calendar.verify_index()
     return {
-        "durable_state": orch.durable.state(),
+        "durable_state": live_state(orch),
+        "fold": orch.durable.fold.to_dict(),
         "journal": open(os.path.join(directory, "journal.jsonl"), "rb").read(),
         "feed": [event.to_dict() for event in orch.events.since(0)],
         "queue": sorted(
@@ -248,7 +250,8 @@ def test_the_batch_adoption_equals_the_per_slice_loop(fleet):
             orch.sim.run_until(orch.config.monitoring_epoch_s)
             orch.fleet.live_slots.verify(orch.fleet)
         oracle, batch = twins["oracle"], twins["batch"]
-        assert batch.durable.state() == oracle.durable.state()
+        assert live_state(batch) == live_state(oracle)
+        assert batch.durable.fold.to_dict() == oracle.durable.fold.to_dict()
         assert [
             (r.network_slice.slice_id, r.last_demand_mbps, r.last_delivered_mbps)
             for r in batch.fleet.runtimes.values()

@@ -37,6 +37,7 @@ from repro.traffic.patterns import ConstantProfile
 
 from tests.conftest import make_request
 from tests.store.conftest import make_orchestrator, reopen_store
+from tests.store.durable_reference import live_state
 
 MBPS = 5.0
 FIRST_WAVE = 8
@@ -196,7 +197,7 @@ def test_double_crash_restores_from_snapshot(durable_testbed, tmp_path):
     first_report = RecoveryManager(second).restore()
     assert first_report.slices_adopted == 4
     second.sim.run_until(200.0)
-    recovered = second.durable.state()
+    recovered = live_state(second)
     second.store.close()
 
     store = reopen_store(directory)
@@ -214,7 +215,7 @@ def test_double_crash_restores_from_snapshot(durable_testbed, tmp_path):
     }
     # The second crash came at the t=180 tick of the first recovery's
     # clock: every adopted instant is shifted by exactly that much.
-    rebased = third.durable.state()
+    rebased = live_state(third)
     for slice_id, image in recovered["live"].items():
         again = rebased["live"][slice_id]
         assert again["activated_at"] == image["activated_at"] - 180.0

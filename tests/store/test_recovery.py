@@ -15,12 +15,13 @@ from repro.api.v1 import build_v1_api
 from repro.core.pricing import LedgerError
 from repro.core.slices import SliceState
 from repro.store import RecoveryManager
-from repro.store.codec import ReplayState, request_to_dict
+from repro.store.codec import request_to_dict
 from repro.traffic.patterns import ConstantProfile
 
 from tests.conftest import make_request
 from tests.source_reading import enclosing_functions, source_of, src_lines_matching
 from tests.store.conftest import make_orchestrator, reopen_store
+from tests.store.durable_reference import check_durable, live_images, live_state
 
 
 def crash(orchestrator):
@@ -266,9 +267,7 @@ class TestServiceRecovery:
             "recovery.rebased", "recovery.completed",
         ]
         # A second restart folds them to the state the first rebuilt.
-        assert reopen_store(directory).replay().live == (
-            ReplayState.from_dict(restarted.durable.state()).live
-        )
+        assert reopen_store(directory).replay().live == live_images(restarted)
         # The audit record is the report minus its wall-clock duration,
         # so one run journals the same bytes every time.
         audit = [r for r in store.records() if r.record_type == "recovery.completed"]
@@ -276,15 +275,15 @@ class TestServiceRecovery:
             {k: v for k, v in report.to_dict().items() if k != "duration_s"}
         ]
         assert report.to_dict()["duration_s"] == report.duration_s > 0.0
-        # The live-slot rows and the held images follow the adopted fleet,
-        # before its first epoch and checkpoint and after them.
+        # The live-slot rows and the fold follow the adopted fleet, before
+        # its first epoch and checkpoint and after them.
         restarted.fleet.live_slots.verify(restarted.fleet)
-        restarted.durable.verify()
+        check_durable(restarted)
         restarted.start()
         restarted.sim.run_until(restarted.sim.now + 61.0)
         assert restarted.durable.checkpoint()["fragments_encoded"] == 2
         restarted.fleet.live_slots.verify(restarted.fleet)
-        restarted.durable.verify()
+        check_durable(restarted)
 
 
 TENANT = {"X-Tenant-Id": "t1"}
@@ -479,7 +478,8 @@ class TestAdoptionIsInMemory:
         straight = self._restart(durable_testbed, untouched)
         assert RecoveryManager(straight).restore().slices_adopted == 6
         assert third.store.replay().digest() == straight.store.replay().digest()
-        assert third.durable.state() == straight.durable.state()
+        assert live_state(third) == live_state(straight)
+        assert third.durable.fold.digest() == straight.durable.fold.digest()
 
         # ~5 000 s of the 10 000 s were served before the crash: nothing
         # may expire 4 000 s into the new clock (at the parent the three

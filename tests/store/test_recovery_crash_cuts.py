@@ -32,6 +32,7 @@ from repro.experiments.testbed import Testbed
 from repro.store import ControlPlaneStore, RecoveryManager
 from repro.traffic.patterns import ConstantProfile
 from tests.store import window_scenario
+from tests.store.durable_reference import live_state
 
 MBPS = 4.0
 
@@ -104,7 +105,7 @@ def image(orchestrator: Orchestrator) -> dict:
     process-wide request counter, and the feed's newest seq — a killed
     recovery's rebase record keeps the seqs its adoption events took
     from ever being reused, so the next one numbers on past them."""
-    state = orchestrator.durable.state()
+    state = live_state(orchestrator)
     state.pop("last_request_ordinal")
     state.pop("last_event_seq")
     return {

@@ -2,16 +2,17 @@
 
 Runs the two install-engine experiments at a CI-friendly scale, writes
 the numbers to a JSON artifact (``BENCH_ci.json``) so the performance
-trajectory is inspectable per commit, and exits non-zero if either
-asserted floor is broken:
+trajectory is inspectable per commit, and exits non-zero if a gate is
+broken:
 
-- **D8b** — batched vs. sequential install of a slice burst: the
-  concurrent engine must keep a healthy speedup over the sequential
-  seed path.
+- **D8b** — batched vs. sequential install of a slice burst, timed on
+  the driver registry's virtual clock: the speedup is exact and must
+  equal ``D8B_SPEEDUP``.
 - **D8d** — stall isolation: with one southbound operation hung, the
-  async engine must commit every healthy job and settle the batch
-  before the backend comes back; ``isolation`` is the stall length over
-  the batch's wall clock.
+  async engine must commit every healthy job and settle the batch at
+  the hung operation's deadline, ``D8D_SETTLED_S`` on the same clock,
+  long before the backend comes back; ``isolation`` is the stall length
+  over that instant.
 - **D12** — crash recovery: snapshot+tail restore must stay ≥ 2×
   faster than full-journal replay at 1k records, and a SIGKILL-style
   recovery smoke (churn → crash → fresh control plane → reconcile)
@@ -99,10 +100,10 @@ asserted floor is broken:
 - **src_lines** — the physical line count of ``src/**/*.py`` is
   published and must not exceed ``SRC_LINES_CEILING``.
 
-The floors are deliberately *below* the full-scale assertions in
-``bench_d8_scalability.py`` (2.0× at 32 slices) so the gate is robust
-on loaded shared runners while still catching real regressions — a
-broken batch path shows up as ~1.0×, not ~1.6×.
+D8b and D8d are exact because the southbound's latency, deadlines and
+stall release are events on the registry's clock, not host time: any
+change to either figure is a change to the install engine, and the pin
+moves with it in the same diff.
 
 Usage::
 
@@ -143,8 +144,13 @@ from benchmarks.bench_d8_scalability import (  # noqa: E402
     run_scale_measured,
 )
 
-#: Asserted regression floors (see module docstring for the rationale).
-FLOOR_D8B_SPEEDUP = 1.5
+#: D8b pinned at the gate's 16-slice burst: sequentially every slice
+#: costs 4 x 2 ms prepare + 4 x 0.5 ms commit (160 ms in all); batched,
+#: two rounds of eight jobs each take one 2 ms prepare wave, the vEPC's
+#: 2 ms prepare and four commits (12 ms in all).
+D8B_SPEEDUP = 13.33
+#: D8d pinned: the batch settles at the hung operation's deadline.
+D8D_SETTLED_S = 0.15
 #: Ceiling on ``count_src_lines()``: growth in ``src/`` is a reviewed
 #: diff to this one number, and a PR that shrinks ``src/`` lowers it in
 #: the same change.  +49 for the Cephes ``ndtri`` port in
@@ -160,8 +166,10 @@ FLOOR_D8B_SPEEDUP = 1.5
 #: checkpoint visit, and their verifiers); −34 for one counter-based
 #: keyed draw in place of that port and ``derive``, the epoch's
 #: slice-id order and the ``NullDriver`` alias's removal; −3 for one
-#: prebuilt ``DriverCapabilities`` per in-process adapter.
-SRC_LINES_CEILING = 20_707
+#: prebuilt ``DriverCapabilities`` per in-process adapter; −3 for one
+#: virtual southbound clock in place of the mock's timers and the
+#: planner's wall-clock deadline heap.
+SRC_LINES_CEILING = 20_704
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per
@@ -972,9 +980,9 @@ def run_gate() -> dict:
     sequential_s = _install_burst(BATCH_SLICES, batched=False)
     batched_s = _install_burst(BATCH_SLICES, batched=True)
     d8b_speedup = sequential_s / max(batched_s, 1e-9)
-    if d8b_speedup < FLOOR_D8B_SPEEDUP:
+    if round(d8b_speedup, 2) != D8B_SPEEDUP:
         failures.append(
-            f"D8b: batched speedup {d8b_speedup:.2f}x < floor {FLOOR_D8B_SPEEDUP}x"
+            f"D8b: batched speedup {d8b_speedup:.4f}x != pinned {D8B_SPEEDUP}x"
         )
 
     async_s, async_ok, async_timeouts = _stalled_batch()
@@ -982,9 +990,10 @@ def run_gate() -> dict:
         failures.append(
             f"D8d: only {async_ok}/{STALL_JOBS} healthy jobs committed under stall"
         )
-    if async_s >= STALL_RELEASE_S:
+    if round(async_s, 6) != D8D_SETTLED_S:
         failures.append(
-            f"D8d: async engine took {async_s:.2f}s — it waited out the stall"
+            f"D8d: the stalled batch settled at {async_s:.6f}s != pinned "
+            f"{D8D_SETTLED_S}s (its deadline)"
         )
 
     sweep = run_scale_sweep(warnings, failures)
@@ -1049,13 +1058,14 @@ def run_gate() -> dict:
             "sequential_s": round(sequential_s, 4),
             "batched_s": round(batched_s, 4),
             "speedup": round(d8b_speedup, 2),
-            "floor": FLOOR_D8B_SPEEDUP,
+            "pinned": D8B_SPEEDUP,
         },
         "d8d": {
             "jobs": STALL_JOBS,
             "stall_release_s": STALL_RELEASE_S,
             "deadline_s": STALL_TIMEOUT_S,
             "async_s": round(async_s, 4),
+            "pinned_s": D8D_SETTLED_S,
             "async_jobs_ok": async_ok,
             "async_ops_timed_out": async_timeouts,
             "isolation": round(STALL_RELEASE_S / max(async_s, 1e-9), 2),
@@ -1103,8 +1113,8 @@ def main(argv=None) -> int:
         return 1
     print(
         f"\nperf gate ok: D8b {payload['d8b']['speedup']}x "
-        f"(floor {FLOOR_D8B_SPEEDUP}x), "
-        f"D8d {payload['d8d']['isolation']}x, "
+        f"(pinned {D8B_SPEEDUP}x), "
+        f"D8d {payload['d8d']['isolation']}x (settled at {D8D_SETTLED_S}s), "
         f"D12 {payload['d12']['speedup']}x (floor {FLOOR_D12_SPEEDUP}x), "
         f"recovery smoke {payload['recovery_smoke']['recovery_s']}s, "
         f"failover drill {payload['failover_drill']['recovery_s']}s "

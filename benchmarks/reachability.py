@@ -3,8 +3,8 @@
     PYTHONPATH=src:. python benchmarks/reachability.py [--report PATH]
 
 Runs the union of the repository's entry points under a line tracer
-(``sys.settrace`` plus ``threading.settrace``, so pool and timer threads
-count too):
+(``sys.settrace`` plus ``threading.settrace``, so pool and worker
+threads count too):
 
 - the four e2e workloads through ``benchmarks.e2e.harness.run_workload``
   at seed 1, a few seconds each;

@@ -118,11 +118,11 @@ class OrchestratorConfig:
             BatchInstallPlanner`; a token pool, not a thread pool).
         install_batch_size: Maximum installs one planner batch runs
             concurrently; larger admission bursts are split.
-        install_timeout_s: Default per-operation southbound deadline
-            (wall-clock) for batched installs: a driver that has not
-            completed a prepare/commit within it is treated as hung — its
-            job unwinds while healthy jobs proceed, and the straggler is
-            compensated when it completes.  A driver's own
+        install_timeout_s: Per-operation deadline of batched installs
+            in seconds of the registry's clock (wall seconds on the
+            worker hand-off): a driver not done with a prepare/commit by
+            then is hung — its job unwinds, healthy jobs proceed, and
+            the straggler is compensated when it completes.  A driver's own
             ``DriverCapabilities.operation_timeout_s`` overrides it;
             ``None`` waits forever (the blocking path's behavior).
         durability_dir: Root directory of the durable control-plane

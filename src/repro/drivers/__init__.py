@@ -7,19 +7,18 @@ domain backend:
   :class:`DomainSpec`/:class:`Reservation` dataclasses and the
   reservation lifecycle state machine.
 - :mod:`repro.drivers.registry` — :class:`DriverRegistry`, the ordered
-  pluggable mapping of domain name → driver.
+  pluggable mapping of domain name → driver, and its southbound clock.
 - :mod:`repro.drivers.transaction` — :class:`InstallTransaction`, the
   two-phase prepare/commit coordinator with automatic rollback, the
   blocking single-request executor over it, and the resize and release
   loops that unwind a live slice.
 - :mod:`repro.drivers.planner` — :class:`BatchInstallPlanner`, the
-  concurrent (fleet-scale) install engine running batches of install
-  jobs over a thread pool with per-driver concurrency caps.
+  event-driven (fleet-scale) install engine running batches of install
+  jobs on one thread with per-driver concurrency caps.
 - :mod:`repro.drivers.adapters` — drivers wrapping the simulator's RAN,
   transport, cloud and vEPC controllers (+ the default registry).
-- :mod:`repro.drivers.mock` — an in-memory backend used as the
-  conformance reference, for failure injection, and as the thread-safe
-  concurrency harness.
+- :mod:`repro.drivers.mock` — an in-memory backend on the southbound
+  clock: the conformance reference and the failure-injection harness.
 """
 
 from repro.drivers.base import (

@@ -169,6 +169,24 @@ class DriverCapabilities:
     operation_timeout_s: Optional[float] = None
 
 
+def deferred_call(fn: Callable[..., Any], *args: Any) -> Tuple[Future, Callable[[], None]]:
+    """A pending future and the call that resolves it with ``fn(*args)``
+    (its result or its error, never raised) — unless it was cancelled
+    first, and then ``fn`` never runs.  A future already marked running
+    (a backend that took the call and hung) stays so."""
+    future: Future = Future()
+
+    def run() -> None:
+        if not (future.running() or future.set_running_or_notify_cancel()):
+            return  # cancelled before the backend was touched
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:  # resolve, never propagate
+            future.set_exception(exc)
+
+    return future, run
+
+
 class DomainDriver(abc.ABC):
     """Abstract southbound driver every domain backend implements."""
 
@@ -291,13 +309,14 @@ class DomainDriver(abc.ABC):
     #
     # - The default below knows nothing about the backend behind the
     #   blocking methods, so it assumes the worst — a call that may
-    #   block — and hands it to a dedicated daemon worker.  A stalled
-    #   call then parks that worker, never the planner.
+    #   really block — and hands it to a daemon worker: a hung call
+    #   parks that worker, never the planner, which bounds it with the
+    #   one southbound deadline in wall time.
     # - A driver that knows its backend is an in-memory object that
     #   cannot block (the four simulator adapters) resolves the future
     #   inline, on the caller's thread, before returning it.
-    # - A natively asynchronous backend (MockDriver, a real controller
-    #   with async RPCs) resolves it from its own completion machinery.
+    # - A natively asynchronous backend resolves it from its own
+    #   completion machinery: ``MockDriver`` from events on ``clock``.
     #
     # Contract notes shared by all four:
     # - The future may be cancelled while still pending; a backend that
@@ -309,21 +328,14 @@ class DomainDriver(abc.ABC):
     # - Done-callbacks run on whichever thread resolved the future —
     #   possibly the caller's own, before ``*_async`` returns.
 
+    #: The southbound clock (a :class:`~repro.sim.engine.Simulator`);
+    #: :meth:`DriverRegistry.register` binds the registry's own.
+    clock: Any = None
+
     def _shim_async(self, label: str, fn: Callable[..., Any], *args: Any) -> Future:
         """Run blocking ``fn(*args)`` on a daemon worker, resolving a
         future — the async surface of a driver that may block."""
-        future: Future = Future()
-
-        def run() -> None:
-            if not future.set_running_or_notify_cancel():
-                return  # cancelled before the backend was touched
-            try:
-                result = fn(*args)
-            except BaseException as exc:  # resolve, never propagate
-                future.set_exception(exc)
-            else:
-                future.set_result(result)
-
+        future, run = deferred_call(fn, *args)
         threading.Thread(
             target=run, name=f"{self.domain}-{label}-async", daemon=True
         ).start()
@@ -591,4 +603,5 @@ __all__ = [
     "DriverError",
     "Reservation",
     "ReservationState",
+    "deferred_call",
 ]

@@ -4,31 +4,21 @@ Three uses:
 
 1. **Conformance reference** — the driver conformance suite runs the
    identical contract tests against :class:`MockDriver` and the four
-   real adapters, so any future backend (a real SDN controller, an
-   alternate simulator) has an executable specification to pass.
+   real adapters (the mock's hooks are thread-safe, so the concurrency
+   half hammers it from a thread pool).
 2. **Failure injection** — ``fail_next_prepare`` / ``fail_next_commit``
-   let tests (and chaos experiments) break the install transaction at a
-   chosen domain and verify the rollback discipline leaves zero
-   residue in the other domains.
-3. **Concurrency harness** — the mock declares
-   ``max_concurrent_installs > 1`` and implements thread-safe hooks, so
-   the batch planner's parallel prepare path (and the concurrency
-   conformance suite) can hammer it from a thread pool.  The
-   ``*_latency_s`` knobs emulate the southbound RPC time a real
-   controller would cost; the sleep happens *outside* the pool lock, so
-   concurrent operations genuinely overlap (this is what the batched
-   install benchmarks measure).
-4. **Native async backend** — the mock overrides the futures-based
-   lifecycle (``prepare_async``/``commit_async``/``release_async``)
-   with *true* asynchronous completion: the emulated southbound latency
-   elapses on a background daemon timer that then performs the quick
-   bookkeeping and resolves the future, instead of parking a worker
-   thread in ``time.sleep``.  A future cancelled before its timer fires
-   never touches the backend at all.  The :meth:`stall` chaos hook
-   makes the next N operations hang — blocking callers park on a gate,
-   async futures simply never resolve — until :meth:`release_stall`,
-   which is how the "one hung domain, N healthy jobs" scenario of the
-   async planner is driven in tests and in benchmark D8d.
+   / ``fail_next_release`` break a lifecycle call at a chosen domain,
+   and :meth:`MockDriver.stall` hangs the next N operations until
+   :meth:`MockDriver.release_stall`: an async future stays unresolved,
+   while a blocking call fails with a :class:`DriverError` naming the
+   stall rather than park its caller.
+3. **A southbound on a virtual clock** — the ``*_latency_s`` knobs are
+   a real controller's RPC time in seconds of ``clock``, the
+   :class:`~repro.drivers.registry.DriverRegistry`'s
+   :class:`~repro.sim.engine.Simulator` once registered: an async
+   operation completes ``latency`` after now, a blocking one advances
+   the clock by it.  Nothing sleeps and no thread starts, so deployment
+   latency comes out exactly, run after run.
 
 Capacity is a single scalar pool accounted in ``throughput_mbps``
 (``effective_fraction`` applied), which is enough to exercise both the
@@ -38,9 +28,8 @@ Capacity is a single scalar pool accounted in ``throughput_mbps``
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.drivers.base import (
     BaseDriver,
@@ -48,7 +37,9 @@ from repro.drivers.base import (
     DriverCapabilities,
     DriverError,
     Reservation,
+    deferred_call,
 )
+from repro.sim.engine import Simulator
 
 
 class MockDriver(BaseDriver):
@@ -74,8 +65,8 @@ class MockDriver(BaseDriver):
         self.release_latency_s = float(release_latency_s)
         self.prepare_after = tuple(prepare_after)
         self.operation_timeout_s = operation_timeout_s
-        #: Guards the capacity pool, the counters and the injection
-        #: knobs — *not* held while sleeping, so concurrency overlaps.
+        self.clock = Simulator()
+        #: Guards the capacity pool, the counters and the injection knobs.
         self._pool_lock = threading.RLock()
         self._held: Dict[str, float] = {}  # slice_id -> held mbps
         #: Remaining prepare calls to fail (failure injection).
@@ -89,17 +80,13 @@ class MockDriver(BaseDriver):
         self.rollbacks = 0
         self.releases = 0
         # Stall injection: the next `_stall_remaining` operations (of
-        # `_stall_kinds`, when set) hang on `_stall_gate` until
-        # release_stall() opens it.
-        self._stall_gate = threading.Event()
-        self._stall_gate.set()
+        # `_stall_kinds`, when set) stall until release_stall().
         self._stall_remaining = 0
         self._stall_kinds: Optional[frozenset] = None
-        #: Operations that hit the stall gate so far (telemetry).
+        #: Completions of stalled async operations, in launch order.
+        self._parked: List[Callable[[], None]] = []
+        #: Operations that stalled so far (telemetry).
         self.stalled_ops = 0
-        # Set on threads completing an async operation: the emulated
-        # latency already elapsed on the timer, so `_nap` skips it.
-        self._async_ctx = threading.local()
 
     # ------------------------------------------------------------------
     # Contract
@@ -121,10 +108,10 @@ class MockDriver(BaseDriver):
     def stall(self, count: int = 1, kinds: Optional[tuple] = None) -> None:
         """Make the next ``count`` lifecycle operations hang.
 
-        A stalled operation parks on an internal gate *after* claiming
-        its in-flight slot: blocking callers block, async futures stay
-        unresolved — exactly a hung southbound controller.  Nothing
-        completes until :meth:`release_stall`.
+        A stalled async operation resolves its future only on
+        :meth:`release_stall` — a hung southbound controller.  A stalled
+        blocking call raises :class:`DriverError` at once: its caller
+        would wait on the very clock (or thread) that releases it.
 
         Args:
             count: How many operations to stall.
@@ -138,92 +125,72 @@ class MockDriver(BaseDriver):
         with self._pool_lock:
             self._stall_remaining += int(count)
             self._stall_kinds = frozenset(kinds) if kinds is not None else None
-            self._stall_gate.clear()
 
     def release_stall(self) -> None:
-        """Open the stall gate: parked operations resume and complete,
-        and no further operations stall."""
+        """End the stall: no further operation stalls, and every parked
+        completion runs now, in launch order, on the calling thread."""
         with self._pool_lock:
             self._stall_remaining = 0
-            self._stall_gate.set()
+            parked, self._parked = self._parked, []
+        for complete in parked:
+            complete()
 
-    @property
-    def stalled(self) -> bool:
-        """Whether some upcoming operation would hit the stall gate."""
+    def _takes_stall(self, kind: str) -> bool:
+        """Consume one stall token if one is armed for ``kind``."""
         with self._pool_lock:
-            return self._stall_remaining > 0
-
-    def _maybe_stall(self, kind: str) -> None:
-        """Consume one stall token (if armed and the kind matches) and
-        park until released.  Called at the top of every ``_do_*``
-        hook, outside the pool lock, so a stalled operation never
-        wedges healthy ones."""
-        with self._pool_lock:
-            if self._stall_remaining <= 0:
-                return
-            if self._stall_kinds is not None and kind not in self._stall_kinds:
-                return
+            if self._stall_remaining <= 0 or (
+                self._stall_kinds is not None and kind not in self._stall_kinds
+            ):
+                return False
             self._stall_remaining -= 1
             self.stalled_ops += 1
-            gate = self._stall_gate
-        gate.wait()
-
-    def _nap(self, seconds: float) -> None:
-        """Emulate southbound RPC latency — skipped on async completion
-        threads, where the delay already elapsed on the timer."""
-        if seconds > 0 and not getattr(self._async_ctx, "active", False):
-            time.sleep(seconds)
+            return True
 
     # ------------------------------------------------------------------
-    # Native async lifecycle
+    # Lifecycle on the clock
     # ------------------------------------------------------------------
-    def _async_op(self, label: str, latency_s: float,
-                  fn: Callable[..., Any], *args: Any) -> Future:
-        """True async completion: the emulated latency elapses on a
-        daemon timer, then the quick bookkeeping runs and resolves the
-        future.  A future cancelled before the timer fires never
-        touches the backend."""
-        future: Future = Future()
-
-        def complete() -> None:
-            if not future.set_running_or_notify_cancel():
-                return  # cancelled while pending — no side effects
-            self._async_ctx.active = True
-            try:
-                result = fn(*args)
-            except BaseException as exc:
-                future.set_exception(exc)
-            else:
-                future.set_result(result)
-            finally:
-                self._async_ctx.active = False
-
+    def _elapse(self, kind: str) -> None:
+        """The southbound half of a blocking call: a stall fails it, and
+        its latency passes on the clock before the bookkeeping runs."""
+        if self._takes_stall(kind):
+            raise DriverError(self.domain, f"{kind} stalled until release_stall()")
+        latency_s = getattr(self, f"{kind}_latency_s", 0.0)
         if latency_s > 0:
-            timer = threading.Timer(latency_s, complete)
-            timer.daemon = True
-            timer.name = f"{self.domain}-{label}-timer"
-            timer.start()
-        elif self.stalled:
-            # Zero latency but armed to stall: completing inline would
-            # park the *caller* — hang a background thread instead.
-            threading.Thread(
-                target=complete, name=f"{self.domain}-{label}-stalled", daemon=True
-            ).start()
+            self.clock.run_until(self.clock.now + latency_s)
+
+    def prepare(self, spec: DomainSpec) -> Reservation:
+        self._elapse("prepare")
+        return super().prepare(spec)
+
+    def commit(self, reservation: Reservation) -> None:
+        self._elapse("commit")
+        super().commit(reservation)
+
+    def rollback(self, reservation: Reservation) -> None:
+        self._elapse("rollback")
+        super().rollback(reservation)
+
+    def release(self, slice_id: str) -> None:
+        self._elapse("release")
+        super().release(slice_id)
+
+    def _shim_async(self, label: str, fn: Callable[..., Any], *args: Any) -> Future:
+        """Native async completion: the bookkeeping of ``label`` runs
+        when the clock reaches now + its latency (at once for none),
+        or, when the operation stalls, on :meth:`release_stall`."""
+        future, complete = deferred_call(getattr(super(), label), *args)
+        latency_s = getattr(self, f"{label}_latency_s", 0.0)
+        with self._pool_lock:  # one step, or a release_stall() between loses it
+            if self._takes_stall(label):
+                # The backend took the call and hangs: no longer cancellable.
+                future.set_running_or_notify_cancel()
+                self._parked.append(complete)
+                return future
+        if latency_s > 0:
+            self.clock.schedule(latency_s, complete, name=f"{self.domain}-{label}")
         else:
             complete()
         return future
-
-    def prepare_async(self, spec: DomainSpec) -> Future:
-        return self._async_op("prepare", self.prepare_latency_s, self.prepare, spec)
-
-    def commit_async(self, reservation: Reservation) -> Future:
-        return self._async_op("commit", self.commit_latency_s, self.commit, reservation)
-
-    def rollback_async(self, reservation: Reservation) -> Future:
-        return self._async_op("rollback", 0.0, self.rollback, reservation)
-
-    def release_async(self, slice_id: str) -> Future:
-        return self._async_op("release", self.release_latency_s, self.release, slice_id)
 
     @property
     def held_mbps(self) -> float:
@@ -235,8 +202,6 @@ class MockDriver(BaseDriver):
         return spec.throughput_mbps * spec.effective_fraction
 
     def _do_prepare(self, spec: DomainSpec) -> Dict[str, Any]:
-        self._maybe_stall("prepare")
-        self._nap(self.prepare_latency_s)
         with self._pool_lock:
             self.prepares += 1
             if self.fail_next_prepare > 0:
@@ -253,8 +218,6 @@ class MockDriver(BaseDriver):
             return {"held_mbps": demand}
 
     def _do_commit(self, reservation: Reservation) -> None:
-        self._maybe_stall("commit")
-        self._nap(self.commit_latency_s)
         with self._pool_lock:
             self.commits += 1
             if self.fail_next_commit > 0:
@@ -265,14 +228,11 @@ class MockDriver(BaseDriver):
                 raise DriverError(self.domain, "injected commit failure")
 
     def _do_rollback(self, reservation: Reservation) -> None:
-        self._maybe_stall("rollback")
         with self._pool_lock:
             self.rollbacks += 1
             self._held.pop(reservation.slice_id, None)
 
     def _do_release(self, slice_id: str) -> None:
-        self._maybe_stall("release")
-        self._nap(self.release_latency_s)
         with self._pool_lock:
             self.releases += 1
             if self.fail_next_release > 0:

@@ -16,11 +16,16 @@ job — and without starting one at all when every backend is in-process:
   calls it: stack depth is constant in batch size, and the order things
   happen in — hence reservation ids and the audit trail — follows from
   the order completions arrive in, which in-process backends fix.
+- **One clock** — the registry's ``clock`` carries backend completions
+  (:class:`~repro.drivers.mock.MockDriver`'s) and deadlines as events;
+  with the run queue empty the drainer *jumps* it to the next event
+  instead of sleeping, so a batch replays exactly.
 - **One hand-off** — a future's done-callback is the only planner code
-  a foreign thread (a backend's completion timer, the worker running a
-  blocking driver) ever executes, and all it does is append the
+  a foreign thread (the worker running a blocking driver, a caller of
+  ``release_stall``) ever executes, and all it does is append the
   completion to the run queue under the hand-off lock.  A future
-  resolved inline, on the drainer, goes through the very same append.
+  resolved inline or from a clock event, on the drainer, goes through
+  the very same append.
 - **Across slices** — each job owns one slice's whole prepare →
   validate → commit attempt sequence; ``max_workers`` job tokens bound
   how many are in flight.
@@ -44,13 +49,14 @@ how a future gets resolved is the driver's business.  The drainer only
 ever *launches* operations and consumes completions, so **one hung
 domain cannot stall the batch**: a per-operation deadline
 (``DriverCapabilities.operation_timeout_s``, or the planner's
-``operation_timeout_s`` default — a heap the drainer sleeps against, no
-timer threads) converts the hung operation into a clean per-job unwind:
+``operation_timeout_s`` default — an event on the clock, no timer
+thread) converts the hung operation into a clean per-job unwind:
 the job fails with :class:`~repro.drivers.transaction.OperationTimeout`,
 its other domains are rolled back immediately, and the straggler is
 *compensated* (rolled back or released) the moment it eventually
 completes — batch still draining or long since returned — so no residue
-survives a late success.
+survives a late success.  The one wall-time deadline is that of an op
+on ``DomainDriver._shim_async``'s worker: a backend that really blocks.
 
 Transaction semantics are the blocking executor's: any failure inside a
 job unwinds *that job's* reservations in reverse registry order
@@ -69,11 +75,10 @@ the window path.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import threading
 from collections import deque
 from concurrent.futures import Future
+from functools import partial
 from time import monotonic, perf_counter
 from typing import (
     Any,
@@ -150,16 +155,17 @@ class _Op:
     hung backend is never handed more than its declared concurrency)
     and whatever it did is compensated.
 
-    The deadline is armed at *submission*, before any token is granted:
-    time spent queued behind a hung serial backend counts against the
-    budget, so a cap-1 driver with one stuck operation cannot wedge
-    every queued job past its deadline.  An op settled while still
-    queued declines to launch when its token finally arrives.
+    The deadline (``due``, in wall time for a ``walled`` op) starts at
+    *submission*, before any token is granted: time spent queued behind
+    a hung serial backend counts against the budget, so a cap-1 driver
+    with one stuck operation cannot wedge every queued job past its
+    deadline.  An op settled while still queued declines to launch when
+    its token finally arrives.
     """
 
     __slots__ = (
-        "run", "domain", "kind", "driver", "pool", "timeout_s",
-        "reservation", "future", "settled", "span", "queued_at",
+        "run", "domain", "kind", "driver", "pool", "timeout_s", "walled",
+        "due", "reservation", "future", "settled", "span", "queued_at",
     )
 
     def __init__(
@@ -173,7 +179,7 @@ class _Op:
         self.run = run
         self.domain = domain
         self.kind = kind
-        self.driver, pool, self.timeout_s = batch.lanes[domain]
+        self.driver, pool, self.timeout_s, self.walled = batch.lanes[domain]
         # Compensations bypass the token pools: they must not queue
         # behind the very operations they are cleaning up after.
         self.pool = pool if kind != "unwind" else None
@@ -331,6 +337,8 @@ class _JobRun:
 
     def op_timed_out(self, op: _Op) -> None:
         """``op``'s deadline passed before its completion was seen."""
+        if op.settled:  # completed (or aborted) first
+            return
         self.batch.planner._count_timeout(op)
         # A still-queued op (future is None) never launches; a pending
         # future (backend never started) cancels cleanly — no side
@@ -556,8 +564,8 @@ class _JobRun:
 
 class _Batch:
     """One :meth:`BatchInstallPlanner.install_batch` call: its jobs,
-    the run queue they advance through, the deadline heap, the token
-    pools, and the registry as it stood when the first job started.
+    the run queue they advance through, the ops under a deadline, the
+    token pools, and the registry as it stood at the first job.
 
     Everything here belongs to the draining thread except the run
     queue's producer side: ``_handoff`` guards ``_queue`` and
@@ -570,16 +578,16 @@ class _Batch:
         self._unsettled = len(jobs)
         self._job_tokens = _TokenPool(planner.max_workers)
         #: Registry snapshot (see snapshot_registry), in registry order:
-        #: domain → (driver, its token pool, its per-op deadline).
-        self.lanes: Dict[str, Tuple[DomainDriver, _TokenPool, Optional[float]]] = {}
+        #: domain → (driver, token pool, per-op deadline, walled).
+        self.lanes: Dict[str, Tuple[DomainDriver, _TokenPool, Optional[float], bool]] = {}
         self.waves: Optional[List[List[str]]] = None
+        self.clock = planner.registry.clock
         self._queue: deque = deque()
         self._handoff = threading.Condition()
         self._closed = False
-        #: (deadline, arm order, op) min-heap; settled ops are dropped
-        #: lazily when they surface.
-        self._deadlines: List[Tuple[float, int, _Op]] = []
-        self._arm_order = itertools.count()
+        #: Ops under a deadline not yet on the clock (walled ones never
+        #: are); settled ones drop out when the drainer next idles.
+        self._timed: List[_Op] = []
         for index, job in enumerate(jobs):
             run = _JobRun(self, job, index)
             if self._job_tokens.acquire(run, run.next_attempt):
@@ -601,6 +609,7 @@ class _Batch:
                 driver,
                 _TokenPool(capabilities.max_concurrent_installs),
                 declared if declared is not None else planner.operation_timeout_s,
+                type(driver)._shim_async is DomainDriver._shim_async,
             )
         self.lanes = lanes
         self.waves = planner.prepare_waves(list(lanes))
@@ -626,11 +635,10 @@ class _Batch:
             self.enqueue(*waiter)
 
     def arm(self, op: _Op) -> None:
+        """Start ``op``'s deadline, if its lane has one."""
         if op.timeout_s is not None and op.timeout_s > 0:
-            heapq.heappush(
-                self._deadlines,
-                (monotonic() + op.timeout_s, next(self._arm_order), op),
-            )
+            op.due = (monotonic() if op.walled else self.clock.now) + op.timeout_s
+            self._timed.append(op)
 
     def job_settled(self, run: _JobRun, outcome: InstallOutcome) -> None:
         self.outcomes[run.index] = outcome
@@ -638,31 +646,25 @@ class _Batch:
         self.release(self._job_tokens)
 
     def drain(self) -> List[InstallOutcome]:
-        """Run continuations until every job settled.  Sleeps only when
-        the queue is empty, and then only until the next live deadline.
-        ``KeyboardInterrupt``/``SystemExit`` propagate; whatever is
-        still out then compensates itself on completion."""
+        """Run continuations until every job settled; when none is
+        queued, :meth:`_idle` moves time on.  ``KeyboardInterrupt``/
+        ``SystemExit`` propagate; whatever is still out then
+        compensates itself on completion."""
         handoff = self._handoff
         try:
             while self._unsettled:
                 with handoff:
-                    while not self._queue:
-                        wait_s = self._until_next_deadline()
-                        if wait_s is not None and wait_s <= 0:
-                            break
-                        handoff.wait(wait_s)
                     steps, self._queue = self._queue, deque()
-                # Completions already queued beat a deadline that
-                # passed while the drainer was busy.
+                if not steps:
+                    self._idle()
                 for step in steps:
                     self._run(*step)
-                self._expire_deadlines()
         finally:
             with handoff:
                 self._closed = True
                 steps, self._queue = self._queue, deque()
         # Stragglers that completed between the last job settling and
-        # the close: compensated here; later ones by their own thread.
+        # the close: compensated here; later ones where they complete.
         for step in steps:
             self._run(*step)
         return self.outcomes  # type: ignore[return-value]
@@ -676,18 +678,33 @@ class _Batch:
             except Exception as again:
                 run.abort(again)
 
-    def _until_next_deadline(self) -> Optional[float]:
-        deadlines = self._deadlines
-        while deadlines and deadlines[0][2].settled:
-            heapq.heappop(deadlines)
-        return deadlines[0][0] - monotonic() if deadlines else None
-
-    def _expire_deadlines(self) -> None:
-        deadlines = self._deadlines
-        while deadlines and deadlines[0][0] <= monotonic():
-            op = heapq.heappop(deadlines)[2]
-            if not op.settled:
+    def _idle(self) -> None:
+        """Nothing is runnable: expire the walled ops past their
+        deadline, put the others' deadlines on the clock and jump it to
+        its next event.  With none left, wait for a foreign completion
+        until the next wall-time deadline."""
+        clock, now, expired = self.clock, monotonic(), False
+        timed, self._timed = self._timed, []
+        for op in timed:
+            if op.settled:
+                continue
+            if not op.walled:
+                clock.schedule_at(  # a completion at the same instant goes first
+                    op.due, partial(self.enqueue, op.run, op.run.op_timed_out, op), priority=1
+                )
+            elif op.due <= now:
+                expired = True
                 self._run(op.run, op.run.op_timed_out, (op,))
+            else:
+                self._timed.append(op)
+        if expired or clock.step():
+            return
+        walled = self._timed
+        with self._handoff:
+            if not self._queue:
+                self._handoff.wait(
+                    min(op.due for op in walled) - monotonic() if walled else None
+                )
 
 
 class BatchInstallPlanner:

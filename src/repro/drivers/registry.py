@@ -20,6 +20,7 @@ import threading
 from typing import Dict, List, Optional
 
 from repro.drivers.base import DomainDriver, DriverError
+from repro.sim.engine import Simulator
 
 
 class DriverRegistry:
@@ -29,9 +30,15 @@ class DriverRegistry:
     lock, and every iteration surface hands out a point-in-time
     *snapshot*, so a batch draining on one thread never observes a
     half-applied ``register``/``unregister`` from another.
+
+    It owns the southbound ``clock`` (a :class:`~repro.sim.engine.
+    Simulator`, apart from the orchestrator's), bound to every driver it
+    registers: mock completions and planner deadlines are its events,
+    and one thread at a time (a drainer, a blocking caller) advances it.
     """
 
     def __init__(self, drivers: Optional[List[DomainDriver]] = None) -> None:
+        self.clock = Simulator()
         self._drivers: Dict[str, DomainDriver] = {}
         self._lock = threading.RLock()
         for driver in drivers or []:
@@ -61,6 +68,7 @@ class DriverRegistry:
             if previous is not None and not replace:
                 raise DriverError(domain, "domain already registered")
             self._drivers[domain] = driver
+            driver.clock = self.clock
             return previous if previous is not None else driver
 
     def get(self, domain: str) -> DomainDriver:

@@ -1,9 +1,9 @@
 """Tracing spans with explicit context propagation.
 
 The install planner interleaves many jobs' continuations on the one
-thread draining its run queue, natively asynchronous backends complete
-on their own timer threads and blocking third-party drivers on
-workers.  Thread-local "current span" tricks are useless there, so
+thread draining its run queue, and a blocking third-party driver
+completes on a worker.  Thread-local "current span" tricks are useless
+there, so
 propagation is *explicit*: a :class:`SpanContext` (trace id, span id,
 parent id) is carried through job state machines
 (``InstallJob.span_context``) and handed to every child span at
@@ -69,8 +69,8 @@ class Span:
 
     Created via :meth:`Tracer.start_span` (or the observability
     registry's ``span``), finished exactly once via :meth:`finish` —
-    idempotent, because a completion callback and a deadline timer may
-    race to close the same operation.  Usable as a context manager; an
+    idempotent, because a completion callback and a deadline may race
+    to close the same operation.  Usable as a context manager; an
     exception escaping the block marks the span as an error.
     """
 
@@ -93,8 +93,8 @@ class Span:
         self.context = context
         self.attributes = attributes
         # Atomic close claim: list.pop() is atomic under the GIL, so
-        # whichever of a completion callback and a deadline timer pops
-        # first owns the close — no lock on the finish fast path.
+        # whichever of a completion callback and a deadline pops first
+        # owns the close — no lock on the finish fast path.
         self._open = [True]
         self.start = perf_counter()
         self.duration_ms: Optional[float] = None

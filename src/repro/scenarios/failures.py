@@ -11,8 +11,8 @@ testbed and schedules the fail/restore pairs on the simulator:
   for restoration; ``core-rtr-dc`` for the core DC);
 * ``enb``   → all four directed links of the cell's two uplinks
   (mmWave + µwave), isolating the cell;
-* ``driver-stall`` → arms the stall gate of a chaos
-  :class:`~repro.drivers.mock.MockDriver` for the window.
+* ``driver-stall`` → stalls a chaos :class:`~repro.drivers.mock.MockDriver`
+  for the window (its blocking calls fail, naming the stall).
 
 Overlapping windows are safe: link state is reference-counted, so a
 link shared by two concurrent outages only restores when the *last*

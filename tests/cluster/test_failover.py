@@ -101,7 +101,7 @@ def test_leader_sigkill_mid_batch_promotes_standby(cluster):
     worker = threading.Thread(target=run_batch, daemon=True)
     worker.start()
     assert _wait_until(lambda: firewall.stalled_ops >= STALLED), (
-        f"only {firewall.stalled_ops}/{STALLED} commits reached the stall gate"
+        f"only {firewall.stalled_ops}/{STALLED} commits stalled"
     )
 
     # --- 3. SIGKILL the leader --------------------------------------------

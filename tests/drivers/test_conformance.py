@@ -17,6 +17,7 @@ PRBs, no paths, no flavors are leaked anywhere.
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -408,17 +409,39 @@ class TestAsyncLifecycle:
 
 def test_mock_cancelled_pending_future_never_touches_backend():
     """True-async backends honour cancellation: a future cancelled
-    before its completion timer fires performs no side effects at all
-    (this is what makes a timed-out pending operation free to abandon)."""
-    import time
-
+    before its completion fires on the clock performs no side effects
+    at all (this is what makes a timed-out pending operation free to
+    abandon)."""
     driver = MockDriver(domain="m", prepare_latency_s=0.2)
     future = driver.prepare_async(DomainSpec(slice_id="s0", throughput_mbps=5.0))
     assert future.cancel()
-    time.sleep(0.3)  # past the would-be completion
+    driver.clock.run_until(0.3)  # past the would-be completion
     assert driver.prepares == 0
     assert driver.reservations() == []
     assert driver.held_mbps == 0.0
+
+
+def test_mock_release_stall_racing_a_launch_strands_no_future():
+    """Taking a stall token and parking the completion are one step
+    under the pool lock, so a ``release_stall()`` on another thread
+    either finds the completion parked and runs it, or ends the stall
+    before the launch: no future is left unresolved either way."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for i in range(500):
+            driver = MockDriver(domain="m", capacity_mbps=1e6)
+            driver.stall()
+            both = threading.Barrier(2)
+            releaser = threading.Thread(target=lambda: (both.wait(), driver.release_stall()))
+            releaser.start()
+            both.wait()
+            future = driver.prepare_async(DomainSpec(slice_id=f"s{i}", throughput_mbps=1.0))
+            releaser.join(timeout=10)
+            assert not releaser.is_alive()
+            assert future.done() and future.result().state is ReservationState.PREPARED
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import sys
 import threading
-import time
 from typing import Dict, List
 
 import pytest
@@ -238,24 +237,25 @@ class TestUnwindDiscipline:
 class TestConcurrencyCaps:
     def test_per_driver_semaphore_bounds_inflight_prepares(self):
         class Probe(MockDriver):
+            """Counts prepares launched and not yet landed (all on the
+            draining thread: the completions are clock events)."""
+
             def __init__(self):
-                super().__init__(domain="probe", max_concurrent_installs=2)
+                super().__init__(
+                    domain="probe", max_concurrent_installs=2, prepare_latency_s=0.002
+                )
                 self.inflight = 0
                 self.max_inflight = 0
-                self._gauge = threading.Lock()
 
-            def _do_prepare(self, spec):
-                with self._gauge:
-                    self.inflight += 1
-                    self.max_inflight = max(self.max_inflight, self.inflight)
-                try:
-                    import time
+            def prepare_async(self, spec):
+                self.inflight += 1
+                self.max_inflight = max(self.max_inflight, self.inflight)
+                future = super().prepare_async(spec)
+                future.add_done_callback(self._landed)
+                return future
 
-                    time.sleep(0.002)
-                    return super()._do_prepare(spec)
-                finally:
-                    with self._gauge:
-                        self.inflight -= 1
+            def _landed(self, future):
+                self.inflight -= 1
 
         probe = Probe()
         registry = DriverRegistry([probe])
@@ -267,7 +267,9 @@ class TestConcurrencyCaps:
             ]
         )
         assert all(o.ok for o in outcomes)
-        assert probe.max_inflight <= 2
+        assert probe.max_inflight == 2
+        # Twelve prepares, two at a time: six latencies back to back.
+        assert registry.clock.now == pytest.approx(6 * 0.002)
 
     def test_engine_installs_every_job_with_zero_residue(self):
         registry = make_registry()
@@ -321,8 +323,9 @@ class TestConcurrencyCaps:
 class TestStallIsolation:
     """One hung southbound domain must not stall the batch: the job
     that hit it times out and unwinds cleanly, every other job commits
-    in its own latency, and the straggling operation is compensated in
-    the background once the backend comes back."""
+    in its own latency, and the straggling operation is compensated
+    once the backend comes back.  Time is the registry's clock, so each
+    test reads the instant the batch settled exactly."""
 
     TIMEOUT_S = 0.25
 
@@ -340,15 +343,6 @@ class TestStallIsolation:
             ]
         )
 
-    @staticmethod
-    def _wait_for(predicate, timeout_s: float = 5.0) -> bool:
-        deadline = time.time() + timeout_s
-        while time.time() < deadline:
-            if predicate():
-                return True
-            time.sleep(0.01)
-        return predicate()
-
     def test_stalled_job_times_out_while_healthy_jobs_commit(self):
         registry = self._registry()
         stalled_driver = registry.get("beta")
@@ -356,34 +350,27 @@ class TestStallIsolation:
         planner = BatchInstallPlanner(
             registry, max_workers=16, operation_timeout_s=self.TIMEOUT_S
         )
-        jobs = [job_for(f"s{i}") for i in range(16)]
-        start = time.perf_counter()
-        outcomes = planner.install(jobs)
-        elapsed = time.perf_counter() - start
-        try:
-            failed = [o for o in outcomes if not o.ok]
-            healthy = [o for o in outcomes if o.ok]
-            # Exactly the job that hit the stall failed — with a timeout.
-            assert len(failed) == 1 and len(healthy) == 15
-            assert isinstance(failed[0].error, OperationTimeout)
-            assert "timed out" in str(failed[0].error)
-            assert planner.ops_timed_out == 1
-            # The batch settled at ~the deadline, not at stall release
-            # (which has not happened yet) — the 15 healthy jobs never
-            # waited on the hung domain.
-            assert elapsed < 3.0, f"batch took {elapsed:.2f}s under one stall"
-            assert stalled_driver.stalled_ops == 1
-        finally:
-            stalled_driver.release_stall()
-        # The straggler completes after release and is compensated:
-        # eventually the failed job holds nothing anywhere.
+        outcomes = planner.install([job_for(f"s{i}") for i in range(16)])
+        failed = [o for o in outcomes if not o.ok]
+        healthy = [o for o in outcomes if o.ok]
+        # Exactly the job that hit the stall failed — with a timeout.
+        assert len(failed) == 1 and len(healthy) == 15
+        assert isinstance(failed[0].error, OperationTimeout)
+        assert "timed out" in str(failed[0].error)
+        assert planner.ops_timed_out == 1
+        # The batch settled at the deadline, not at stall release
+        # (which has not happened yet) — the 15 healthy jobs never
+        # waited on the hung domain.
+        assert registry.clock.now == self.TIMEOUT_S
+        assert stalled_driver.stalled_ops == 1
+        # The straggler completes on release and is compensated there
+        # and then: the failed job holds nothing anywhere.
+        stalled_driver.release_stall()
         failed_id = failed[0].job.slice_id
-        assert self._wait_for(
-            lambda: all(
-                r.slice_id != failed_id
-                for driver in registry.drivers()
-                for r in driver.reservations()
-            )
+        assert all(
+            r.slice_id != failed_id
+            for driver in registry.drivers()
+            for r in driver.reservations()
         ), "late completion of the stalled operation was not compensated"
         assert_zero_residue(registry)
         # Healthy jobs still hold everywhere.
@@ -395,79 +382,82 @@ class TestStallIsolation:
     def test_batch_settles_at_deadline_before_stall_release(self):
         """A thread-per-job engine cannot settle a batch before a hung
         blocking call returns; the event-driven engine settles at the
-        deadline, healthy jobs long since committed."""
+        deadline, healthy jobs long since committed, and the release —
+        an event on the same clock — comes later."""
         release_after_s = 0.5
         registry = self._registry()
         stalled_driver = registry.get("beta")
         stalled_driver.stall()
-        releaser = threading.Timer(release_after_s, stalled_driver.release_stall)
-        releaser.daemon = True
-        releaser.start()
+        registry.clock.schedule(release_after_s, stalled_driver.release_stall)
         planner = BatchInstallPlanner(
             registry, max_workers=8, operation_timeout_s=0.1
         )
-        start = time.perf_counter()
         outcomes = planner.install([job_for(f"s{i}") for i in range(8)])
-        elapsed = time.perf_counter() - start
-        still_stalled = releaser.is_alive()
-        releaser.cancel()
-        stalled_driver.release_stall()
-        assert still_stalled and elapsed < release_after_s
+        assert registry.clock.now == 0.1 < release_after_s
+        assert stalled_driver.prepares == 7  # the eighth is still parked
         assert sum(o.ok for o in outcomes) == 7
         assert sum(isinstance(o.error, OperationTimeout)
                    for o in outcomes if not o.ok) == 1
+        registry.clock.run_until(release_after_s)
+        assert planner.ops_compensated == 1
+        assert_zero_residue(registry)
 
     def test_blocking_driver_on_the_default_worker_handoff_is_isolated(self):
         """A driver that only has blocking methods inherits
         ``DomainDriver``'s async surface: each call runs on its own
         worker, so a hung one parks that worker — not the thread
-        draining the batch — and is compensated when it returns."""
-
-        class BlockingMock(MockDriver):
-            prepare_async = DomainDriver.prepare_async
-            commit_async = DomainDriver.commit_async
-            rollback_async = DomainDriver.rollback_async
-            release_async = DomainDriver.release_async
-
+        draining the batch — under a wall-time deadline, and is
+        compensated when it returns."""
         drainer = threading.get_ident()
         callers = set()
 
-        class Probe(BlockingMock):
+        class Blocking(MockDriver):
+            """Calls that really block: the first prepare waits on
+            ``gate``, on whichever worker the hand-off gave it."""
+
+            _shim_async = DomainDriver._shim_async
+
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                self.gate = threading.Event()
+                self.hangs = 1
+
             def _do_prepare(self, spec):
-                callers.add(threading.get_ident())
+                with self._pool_lock:
+                    callers.add(threading.get_ident())
+                    hang, self.hangs = self.hangs > 0, self.hangs - 1
+                if hang:
+                    self.gate.wait(timeout=30)
                 return super()._do_prepare(spec)
 
         registry = DriverRegistry(
             [
                 MockDriver(domain="alpha", capacity_mbps=1e4),
-                Probe(domain="beta", capacity_mbps=1e4, max_concurrent_installs=8),
+                Blocking(domain="beta", capacity_mbps=1e4, max_concurrent_installs=8),
                 MockDriver(domain="gamma", capacity_mbps=1e4),
             ]
         )
         blocking = registry.get("beta")
-        blocking.stall()
+        compensated = threading.Event()
         planner = BatchInstallPlanner(
-            registry, max_workers=8, operation_timeout_s=self.TIMEOUT_S
+            registry, max_workers=8, operation_timeout_s=self.TIMEOUT_S,
+            on_record=lambda *record: compensated.set(),
         )
-        start = time.perf_counter()
-        outcomes = planner.install([job_for(f"s{i}") for i in range(8)])
-        elapsed = time.perf_counter() - start
         try:
-            assert blocking.stalled_ops == 1 and elapsed < 3.0
+            outcomes = planner.install([job_for(f"s{i}") for i in range(8)])
             assert sum(o.ok for o in outcomes) == 7
             (failed,) = [o for o in outcomes if not o.ok]
             assert isinstance(failed.error, OperationTimeout)
             assert callers and drainer not in callers
+            assert registry.clock.now == 0.0  # a wall-time deadline
         finally:
-            blocking.release_stall()
-        assert self._wait_for(
-            lambda: planner.ops_compensated == 1
-            and all(
-                {r.slice_id for r in d.reservations()}
-                == {o.job.slice_id for o in outcomes if o.ok}
-                for d in registry.drivers()
-            )
-        ), "late completion on the worker was not compensated"
+            blocking.gate.set()
+        assert compensated.wait(timeout=30), "late completion on the worker was not compensated"
+        assert planner.ops_compensated == 1
+        for driver in registry.drivers():
+            assert {r.slice_id for r in driver.reservations()} == {
+                o.job.slice_id for o in outcomes if o.ok
+            }
         assert_zero_residue(registry)
 
     def test_deadline_covers_token_queueing_on_serial_driver(self):
@@ -492,22 +482,16 @@ class TestStallIsolation:
             )
             for i in range(4)
         ]
-        start = time.perf_counter()
         outcomes = planner.install(jobs)
-        elapsed = time.perf_counter() - start
-        try:
-            assert all(not o.ok for o in outcomes)
-            assert all(isinstance(o.error, OperationTimeout) for o in outcomes)
-            assert planner.ops_timed_out == 4
-            assert elapsed < 3.0, f"queued jobs wedged for {elapsed:.2f}s"
-        finally:
-            driver.release_stall()
+        assert all(not o.ok for o in outcomes)
+        assert all(isinstance(o.error, OperationTimeout) for o in outcomes)
+        assert planner.ops_timed_out == 4
+        assert registry.clock.now == 0.15, "queued jobs outlived their deadline"
+        driver.release_stall()
         # Only the op that actually held the token launched; its late
         # completion is compensated, the queued ones never ran.
-        assert self._wait_for(
-            lambda: all(not d.reservations() for d in registry.drivers())
-        )
-        assert driver.prepares <= 1
+        assert all(not d.reservations() for d in registry.drivers())
+        assert (driver.prepares, driver.rollbacks) == (1, 1)
 
     def test_timeout_fails_the_job_without_retrying_attempts(self):
         """A hung domain fails the *job*, not just the attempt: further
@@ -519,21 +503,15 @@ class TestStallIsolation:
         stalled_driver.stall()
         planner = BatchInstallPlanner(registry, operation_timeout_s=0.15)
         (outcome,) = planner.install([job_for("s0", attempts=3)])
-        try:
-            assert not outcome.ok
-            assert isinstance(outcome.error, OperationTimeout)
-            # Attempts 2 and 3 never ran: the straggler is still parked
-            # (its counter bumps only past the stall gate) and no other
-            # beta prepare was issued.
-            assert stalled_driver.prepares == 0
-            assert registry.get("alpha").prepares == 1
-        finally:
-            stalled_driver.release_stall()
-        assert self._wait_for(
-            lambda: all(
-                not driver.reservations() for driver in registry.drivers()
-            )
-        )
+        assert not outcome.ok
+        assert isinstance(outcome.error, OperationTimeout)
+        # Attempts 2 and 3 never ran: the straggler is still parked
+        # (its counter bumps only once it completes) and no other beta
+        # prepare was issued.
+        assert stalled_driver.prepares == 0
+        assert registry.get("alpha").prepares == 1
+        stalled_driver.release_stall()
+        assert all(not driver.reservations() for driver in registry.drivers())
 
     def test_hung_rollback_during_unwind_does_not_block_settlement(self):
         """The unwind chain is deadline-covered too: a backend that
@@ -545,23 +523,18 @@ class TestStallIsolation:
         hung = registry.get("beta")
         hung.stall(kinds=("rollback",))  # forward path runs; unwind hangs
         planner = BatchInstallPlanner(registry, operation_timeout_s=0.15)
-        start = time.perf_counter()
         (outcome,) = planner.install([job_for("s0")])
-        elapsed = time.perf_counter() - start
-        try:
-            assert not outcome.ok
-            assert "unwind also failed" in str(outcome.error)
-            assert "timed out" in str(outcome.error)
-            assert elapsed < 3.0, f"hung rollback held the batch {elapsed:.2f}s"
-            # alpha's compensation landed on time; beta's is parked.
-            assert registry.get("alpha").rollbacks == 1
-        finally:
-            hung.release_stall()
-        # The parked rollback completes after release — it *is* the
+        assert not outcome.ok
+        assert "unwind also failed" in str(outcome.error)
+        assert "timed out" in str(outcome.error)
+        # The prepares took 5 ms; the hung rollback its deadline.
+        assert registry.clock.now == pytest.approx(0.005 + 0.15)
+        # alpha's compensation landed on time; beta's is parked.
+        assert registry.get("alpha").rollbacks == 1
+        hung.release_stall()
+        # The parked rollback completes on release — it *is* the
         # compensation, so the residue clears without further action.
-        assert self._wait_for(
-            lambda: all(not driver.reservations() for driver in registry.drivers())
-        )
+        assert all(not driver.reservations() for driver in registry.drivers())
         assert hung.held_mbps == 0.0
 
     def test_timed_out_pending_operation_is_cancelled_without_side_effects(self):
@@ -584,8 +557,9 @@ class TestStallIsolation:
         (outcome,) = planner.install([job])
         assert not outcome.ok
         assert isinstance(outcome.error, OperationTimeout)
+        assert registry.clock.now == 0.05
         driver = registry.get("slow")
-        time.sleep(0.6)  # past the would-be completion
+        registry.clock.run_until(0.6)  # past the would-be completion
         assert driver.prepares == 0
         assert driver.reservations() == []
         assert planner.ops_compensated == 0
@@ -668,15 +642,12 @@ class TestDurabilityHooks:
         payload = dict(drained)[("driver.op_timeout")]
         assert payload["domain"] == "beta"
         assert payload["slice_id"] == "s-hang"
-        # The straggler completes and is compensated in the background.
+        # The straggler completes on release and is compensated there.
         stalled.release_stall()
-        deadline = time.time() + 5.0
-        while time.time() < deadline and planner.ops_compensated == 0:
-            time.sleep(0.01)
         assert planner.ops_compensated == 1
         # ... and that compensation, landing after the job settled,
         # keeps its own audit record.
-        assert TestStallIsolation._wait_for(lambda: len(records) == 1)
+        assert len(records) == 1
         (kind, domain, slice_id, reservation_id) = records[0]
         assert (kind, domain, slice_id) == ("driver.compensated", "beta", "s-hang")
         assert reservation_id.startswith("beta-res-")
@@ -691,8 +662,8 @@ class TestDurabilityHooks:
 class TestObservability:
     """Span propagation through the async engine: the job's carried
     SpanContext must pin every southbound op span to the right parent
-    no matter which completion/timer thread closes it, and a timed-out
-    op must close its span as an error rather than leak it."""
+    no matter which completion closes it, and a timed-out op must close
+    its span as an error rather than leak it."""
 
     def _obs(self):
         return ControlPlaneObservability()
@@ -749,14 +720,16 @@ class TestObservability:
 
     def test_op_spans_feed_per_domain_histograms(self):
         obs = self._obs()
-        planner = BatchInstallPlanner(self._registry(), max_workers=8, obs=obs)
+        registry = self._registry()
+        planner = BatchInstallPlanner(registry, max_workers=8, obs=obs)
         outcomes = planner.install([job_for(f"s{i}") for i in range(4)])
         assert all(o.ok for o in outcomes)
         for domain in DOMAINS:
-            prepare = obs.histogram("driver.prepare", domain)
-            assert prepare.count == 4
-            # The emulated southbound latency is visible in the data.
-            assert prepare.to_dict()["max_ms"] >= 1.0
+            assert obs.histogram("driver.prepare", domain).count == 4
+        # The spans time the control plane in wall time; the emulated
+        # southbound latency passes on the clock: one prepare wave, then
+        # the three commits in registry order.
+        assert registry.clock.now == pytest.approx(0.003 + 3 * 0.001)
         # One token wait per southbound op (prepare + commit).
         assert obs.histogram("planner.token_wait", "alpha").count == 8
 
@@ -793,11 +766,9 @@ class TestObservability:
             assert obs.tracer.active_span_count == 0
         finally:
             stalled.release_stall()
-        # Late completion is compensated in the background; the span
+        # The late completion is compensated on release; the span
         # bookkeeping must stay settled (finish is idempotent).
-        deadline = time.time() + 5.0
-        while time.time() < deadline and planner.ops_compensated == 0:
-            time.sleep(0.01)
+        assert planner.ops_compensated == 1
         assert obs.tracer.active_span_count == 0
 
     def test_disabled_observability_keeps_engine_behavior(self):
@@ -810,17 +781,20 @@ class TestObservability:
 
 class DepthProbe(MockDriver):
     """Records the deepest Python stack any ``_do_prepare`` ran under,
-    and can resolve its *first* ``prepare_async`` from a timer thread
+    and can resolve its *first* ``prepare_async`` from a clock event
     while every later future is already done when it is returned."""
 
     def __init__(self, domain: str, first_prepare_delay_s: float = 0.0, **kwargs):
-        super().__init__(domain=domain, capacity_mbps=1e9, **kwargs)
+        super().__init__(
+            domain=domain, capacity_mbps=1e9, prepare_latency_s=first_prepare_delay_s,
+            **kwargs,
+        )
         self.deepest = 0
-        self._first_prepare_delay_s = first_prepare_delay_s
 
     def prepare_async(self, spec):
-        delay_s, self._first_prepare_delay_s = self._first_prepare_delay_s, 0.0
-        return self._async_op("prepare", delay_s, self.prepare, spec)
+        future = super().prepare_async(spec)
+        self.prepare_latency_s = 0.0
+        return future
 
     def _do_prepare(self, spec):
         depth, frame = 0, sys._getframe()
@@ -881,11 +855,11 @@ class TestRunQueue:
 
     @pytest.mark.parametrize("first_prepare_delay_s", [0.05, 0.0])
     def test_stack_depth_is_constant_in_batch_size(self, first_prepare_delay_s):
-        """Known defect 4.  One completion from a timer thread with
-        every other future done at attach used to start each queued job
-        nested inside the previous one's completion (86 frames at 16
-        jobs, ``RecursionError`` and a hung ``install_batch`` at 256);
-        the all-inline batch is the same chain without the timer."""
+        """Known defect 4.  One late completion with every other future
+        done at attach used to start each queued job nested inside the
+        previous one's completion (86 frames at 16 jobs,
+        ``RecursionError`` and a hung ``install_batch`` at 256); the
+        all-inline batch is the same chain without the clock event."""
         small = self._settle(16, first_prepare_delay_s)
         large = self._settle(256, first_prepare_delay_s)
         assert small == large < 30
@@ -976,11 +950,22 @@ def window_of(n: int):
 class TestWindowOverRealAdapters:
     def test_in_process_window_starts_no_thread(self, monkeypatch):
         """The four simulator adapters resolve their futures on the
-        caller's thread and deadlines are a heap: a 64-job window costs
-        zero thread starts (eight per job — 512 — before)."""
-        _, orchestrator = build_window_stack(
-            install_workers=64, install_batch_size=64, install_timeout_s=5.0
+        caller's thread, a ``MockDriver`` completes on the registry's
+        clock and deadlines are events on it: a 64-job window with
+        southbound latency, one hung commit under a deadline, and the
+        compensation of that straggler once the stall is released,
+        costs zero thread starts (eight per job — 512 — before the
+        adapters resolved inline; one per mock operation before the
+        clock)."""
+        slow = MockDriver(
+            "slow", capacity_mbps=1e6, max_concurrent_installs=8,
+            prepare_latency_s=0.005, commit_latency_s=0.001,
         )
+        hung = MockDriver("hung", capacity_mbps=1e6, max_concurrent_installs=8)
+        _, orchestrator = build_window_stack(
+            (slow, hung), install_workers=64, install_batch_size=64, install_timeout_s=5.0
+        )
+        hung.stall(kinds=("commit",))
         started: List[str] = []
         start = threading.Thread.start
 
@@ -990,12 +975,16 @@ class TestWindowOverRealAdapters:
 
         monkeypatch.setattr(threading.Thread, "start", counting_start)
         decisions = orchestrator.install_admitted_batch(window_of(64))
+        hung.release_stall()  # the straggler lands and is released
         monkeypatch.undo()
-        assert all(d.admitted for d in decisions)
         assert started == []
+        assert sum(d.admitted for d in decisions) == 63
+        assert orchestrator.planner.ops_timed_out == 1
+        assert orchestrator.planner.ops_compensated == 1
+        assert hung.releases == 1 and hung.held_mbps == pytest.approx(committed_mbps(hung))
 
     def test_mixed_completion_modes_in_one_batch(self):
-        """Inline adapters, a timer-completed backend, a cap-1 backend
+        """Inline adapters, a clock-completed backend, a cap-1 backend
         with waiters queued on its token and one hung operation under a
         deadline, all in one batch: the run queue takes completions
         from every source, healthy jobs commit inside the stall, the
@@ -1012,43 +1001,31 @@ class TestWindowOverRealAdapters:
             install_workers=n_jobs, install_batch_size=n_jobs,
             install_timeout_s=timeout_s, observability=True,
         )
+        clock = testbed.registry.clock
         hung.stall(kinds=("commit",))
-        releaser = threading.Timer(release_after_s, hung.release_stall)
-        releaser.daemon = True
-        releaser.start()
-        start = time.perf_counter()
+        clock.schedule(release_after_s, hung.release_stall)
         decisions = orchestrator.install_admitted_batch(window_of(n_jobs))
-        elapsed = time.perf_counter() - start
-        still_stalled = releaser.is_alive()
-        releaser.cancel()
-        try:
-            # Settled at the deadline, the stall still in force.
-            assert still_stalled and elapsed < release_after_s
-            admitted = {d.slice_id for d in decisions if d.admitted}
-            (failed,) = [d for d in decisions if not d.admitted]
-            assert len(admitted) == n_jobs - 1
-            assert "commit timed out" in failed.reason
-            assert orchestrator.planner.ops_timed_out == 1
-            # Healthy jobs hold everywhere already.
-            for driver in testbed.registry.drivers():
-                held = {
-                    r.slice_id
-                    for r in driver.reservations()
-                    if r.state is ReservationState.COMMITTED
-                }
-                assert admitted <= held, driver.domain
-            assert orchestrator.obs.tracer.active_span_count == 0
-        finally:
-            hung.release_stall()
-        # The parked commit lands late and is released again.
-        assert TestStallIsolation._wait_for(
-            lambda: orchestrator.planner.ops_compensated == 1
-            and all(
-                {r.slice_id for r in driver.reservations()} == admitted
-                for driver in testbed.registry.drivers()
-            )
-        ), "straggler was not compensated"
+        # Settled at the deadline, the stall still in force.
+        assert clock.now < release_after_s and hung.commits == n_jobs - 1
+        admitted = {d.slice_id for d in decisions if d.admitted}
+        (failed,) = [d for d in decisions if not d.admitted]
+        assert len(admitted) == n_jobs - 1
+        assert "commit timed out" in failed.reason
+        assert orchestrator.planner.ops_timed_out == 1
+        # Healthy jobs hold everywhere already.
         for driver in testbed.registry.drivers():
+            held = {
+                r.slice_id
+                for r in driver.reservations()
+                if r.state is ReservationState.COMMITTED
+            }
+            assert admitted <= held, driver.domain
+        assert orchestrator.obs.tracer.active_span_count == 0
+        # The parked commit lands at the release and is released again.
+        clock.run_until(release_after_s)
+        assert orchestrator.planner.ops_compensated == 1
+        for driver in testbed.registry.drivers():
+            assert {r.slice_id for r in driver.reservations()} == admitted
             assert all(
                 r.state is ReservationState.COMMITTED for r in driver.reservations()
             )
@@ -1071,9 +1048,7 @@ class TestWindowOverRealAdapters:
             settled_lsn = orchestrator.store.last_lsn
         finally:
             hung.release_stall()
-        assert TestStallIsolation._wait_for(
-            lambda: orchestrator.store.last_lsn > settled_lsn
-        ), "the late compensation was never journaled"
+        assert orchestrator.store.last_lsn > settled_lsn, "the late compensation was never journaled"
         late = orchestrator.store.records(after_lsn=settled_lsn)
         assert [r.record_type for r in late] == ["driver.compensated"]
         (record,) = [

@@ -101,7 +101,7 @@ def test_kill_mid_batch_recovers_without_losing_slices(
     worker = threading.Thread(target=run_batch, daemon=True)
     worker.start()
     assert _wait_until(lambda: firewall.stalled_ops >= STALLED), (
-        f"only {firewall.stalled_ops}/{STALLED} commits reached the stall gate"
+        f"only {firewall.stalled_ops}/{STALLED} commits stalled"
     )
 
     # --- 3. SIGKILL the control plane ------------------------------------

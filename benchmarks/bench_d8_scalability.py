@@ -433,6 +433,7 @@ def _latency_orchestrator(observability: bool = False) -> Orchestrator:
                 prepare_latency_s=PREPARE_LATENCY_S,
                 commit_latency_s=COMMIT_LATENCY_S,
                 prepare_after=("cloud",) if domain == "epc" else (),
+                operation_timeout_s=STALL_TIMEOUT_S,
             )
             for domain in ("ran", "transport", "cloud", "epc")
         ]
@@ -610,7 +611,7 @@ STALL_JOBS = int(os.environ.get("D8_STALL_JOBS", "16"))
 #: ratio: an engine that parks one thread per job on a blocking call by
 #: construction waits the stall out.
 STALL_RELEASE_S = 0.5
-#: Per-operation deadline the async engine applies.
+#: Per-operation deadline every stall-registry driver declares.
 STALL_TIMEOUT_S = 0.15
 
 
@@ -624,6 +625,7 @@ def _stall_registry() -> DriverRegistry:
                 prepare_latency_s=PREPARE_LATENCY_S,
                 commit_latency_s=COMMIT_LATENCY_S,
                 prepare_after=("cloud",) if domain == "epc" else (),
+                operation_timeout_s=STALL_TIMEOUT_S,
             )
             for domain in ("ran", "transport", "cloud", "epc")
         ]
@@ -638,12 +640,7 @@ def _stalled_batch():
     hung = registry.get("transport")
     hung.stall()
     releaser = registry.clock.schedule(STALL_RELEASE_S, hung.release_stall)
-    planner = BatchInstallPlanner(
-        registry,
-        max_workers=8,
-        batch_size=STALL_JOBS,
-        operation_timeout_s=STALL_TIMEOUT_S,
-    )
+    planner = BatchInstallPlanner(registry, max_workers=8, batch_size=STALL_JOBS)
     jobs = [
         InstallJob(
             slice_id=f"stall-{i}",

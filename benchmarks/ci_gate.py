@@ -168,8 +168,11 @@ D8D_SETTLED_S = 0.15
 #: slice-id order and the ``NullDriver`` alias's removal; −3 for one
 #: prebuilt ``DriverCapabilities`` per in-process adapter; −3 for one
 #: virtual southbound clock in place of the mock's timers and the
-#: planner's wall-clock deadline heap.
-SRC_LINES_CEILING = 20_704
+#: planner's wall-clock deadline heap; −97 for declaring each install
+#: setting once (the deadline on the driver, rollback notices on the
+#: outcome, the planner's sizes off ``OrchestratorConfig``, one router
+#: error shape).
+SRC_LINES_CEILING = 20_607
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per

@@ -180,8 +180,6 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
     """Run the drill; appends invariant violations to ``failures`` and
     returns the artifact payload (always, so a failed drill is still
     diagnosable from the numbers)."""
-    import threading
-
     import numpy as np
 
     import repro.core.allocation as allocation_module
@@ -251,28 +249,22 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
         for _ in range(BATCH)
     ]
     firewall.stall(STALLED, kinds=("commit",))
-    decisions = []
-    worker = threading.Thread(
-        target=lambda: decisions.extend(
-            leader.orchestrator.install_admitted_batch(batch)
-        ),
-        daemon=True,
-    )
-    worker.start()
-    deadline = time.monotonic() + 10.0
-    while firewall.stalled_ops < STALLED and time.monotonic() < deadline:
-        time.sleep(0.005)
-    if firewall.stalled_ops < STALLED:
-        failures.append(
-            f"drill: only {firewall.stalled_ops}/{STALLED} commits stalled"
-        )
 
-    # 3. SIGKILL the leader; 4. the southbound finishes in flight.
-    cluster.kill_leader(KILLED)
+    def kill() -> None:
+        # 3. SIGKILL the leader; 4. the southbound finishes in flight.
+        # An event on the southbound clock: the batch's drainer reaches
+        # it once the stalled commits are all that is left in flight.
+        if firewall.stalled_ops != STALLED:
+            failures.append(
+                f"drill: {firewall.stalled_ops}/{STALLED} commits stalled at the kill"
+            )
+        cluster.kill_leader(KILLED)
+        firewall.release_stall()
+
+    leader.testbed.registry.clock.schedule(0.0, kill)
+    decisions = leader.orchestrator.install_admitted_batch(batch)
     lsn_at_kill = leader.store.last_lsn
-    firewall.release_stall()
-    worker.join(timeout=30.0)
-    if worker.is_alive() or not all(d.admitted for d in decisions):
+    if not leader.dead or not all(d.admitted for d in decisions):
         failures.append("drill: the mid-flight batch did not settle admitted")
 
     # The other shard serves through the outage.

@@ -18,7 +18,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from heapq import merge
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.store.codec import json_default
@@ -89,30 +89,27 @@ Handler = Callable[[Request], "Response | dict"]
 _PARAM_RE = re.compile(r"\{([a-zA-Z_][a-zA-Z0-9_]*)\}")
 
 
+def error_body(code: str, message: str, field: Optional[str] = None) -> dict:
+    """Build the v1 structured error envelope."""
+    error: Dict[str, Any] = {"code": code, "message": message}
+    if field is not None:
+        error["field"] = field
+    return {"error": error}
+
+
 class RestApi:
     """Minimal in-process REST router.
 
-    Args:
-        enveloped_prefixes: Path prefixes for which router-generated
-            errors (no route, wrong method, handler crash) are rendered
-            as the structured envelope
-            ``{"error": {"code": ..., "message": ...}}`` instead of the
-            flat ``{"error": "..."}`` string.  The v1 surface
-            registers itself here so *every* 4xx/5xx under ``/v1`` is
-            enveloped, including errors raised before a handler runs.
+    Errors the router makes itself (no route, wrong method, handler
+    crash) carry the v1 envelope ``{"error": {"code": ..., "message":
+    ...}}``, as every handler's own 4xx/5xx does.
     """
 
-    def __init__(self, enveloped_prefixes: Tuple[str, ...] = ()) -> None:
+    def __init__(self) -> None:
         self._routes: List[Tuple[str, re.Pattern, str, Handler]] = []
         # Positions in ``_routes``: exact-path templates by path, and the rest.
         self._literal: Dict[str, List[int]] = {}
         self._patterned: List[int] = []
-        self._enveloped_prefixes = tuple(enveloped_prefixes)
-
-    def _error_body(self, path: str, code: str, message: str) -> dict:
-        if any(path.startswith(prefix) for prefix in self._enveloped_prefixes):
-            return {"error": {"code": code, "message": message}}
-        return {"error": message}
 
     def route(self, method: str, template: str, handler: Handler) -> None:
         """Register a handler for ``method template``.
@@ -174,24 +171,16 @@ class RestApi:
             try:
                 result = handler(request)
             except Exception as exc:  # handler bug → 500, never crash the caller
-                return Response(
-                    status=500,
-                    body=self._error_body(bare_path, "internal_error", str(exc)),
-                )
+                return Response(status=500, body=error_body("internal_error", str(exc)))
             if isinstance(result, Response):
                 return result
             return Response(status=200, body=result)
         if path_matched:
             return Response(
                 status=405,
-                body=self._error_body(
-                    bare_path, "method_not_allowed", f"method {method} not allowed"
-                ),
+                body=error_body("method_not_allowed", f"method {method} not allowed"),
             )
-        return Response(
-            status=404,
-            body=self._error_body(bare_path, "not_found", f"no route for {bare_path}"),
-        )
+        return Response(status=404, body=error_body("not_found", f"no route for {bare_path}"))
 
     # Convenience verbs -------------------------------------------------
     def get(

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple, Type
 
-from repro.api.rest import Response
+from repro.api.rest import Response, error_body
 from repro.core.slices import ServiceType
 
 
@@ -55,14 +55,6 @@ class ValidationError(Exception):
     def to_response(self, status: int = 400) -> Response:
         """Render as an API response."""
         return Response(status=status, body=self.envelope())
-
-
-def error_body(code: str, message: str, field: Optional[str] = None) -> dict:
-    """Build the v1 structured error envelope."""
-    error: Dict[str, Any] = {"code": code, "message": message}
-    if field is not None:
-        error["field"] = field
-    return {"error": error}
 
 
 def error_response(

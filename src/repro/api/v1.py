@@ -93,7 +93,7 @@ def guarded(handler: Handler) -> Handler:
 
 def build_v1_api(service: SliceService, api: Optional[RestApi] = None) -> RestApi:
     """Register the ``/v1`` routes for ``service`` on ``api``."""
-    api = api or RestApi(enveloped_prefixes=("/v1",))
+    api = api or RestApi()
 
     def post_slice(request: Request) -> Response:
         mode = request.query.get("mode", "sync")

@@ -136,7 +136,7 @@ class ShardRouter(RestApi):
             raise ValueError(
                 f"ring covers {ring.shard_count} shards, got {len(shards)}"
             )
-        super().__init__(enveloped_prefixes=("/v1",))
+        super().__init__()
         self.ring = ring
         self.shards = list(shards)
         self.obs = obs if obs is not None else NOOP_OBS

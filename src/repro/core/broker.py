@@ -130,9 +130,9 @@ class SliceBroker:
         — a window of N admitted slices deploys in roughly the time the
         slowest single install takes, not the sum of all N.  Since the
         planner's async rewrite the batch is also stall-isolated per
-        job: a hung southbound domain delays (or, with a configured
-        ``install_timeout_s`` deadline, cleanly fails) only the winners
-        that touched it, never the rest of the window.
+        job: a hung southbound domain delays (or, past the deadline its
+        driver declares, cleanly fails) only the winners that touched
+        it, never the rest of the window.
 
         The window is one group commit (``store.batch()``): requesters
         hear of decisions only once all of them are fsynced.

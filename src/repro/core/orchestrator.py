@@ -113,18 +113,6 @@ class OrchestratorConfig:
             promise-breaking a myopic broker causes.
         event_log_capacity: Retention of the northbound event feed
             (``GET /v1/events``); oldest events are evicted beyond it.
-        install_workers: Concurrent-job cap of the async batch install
-            planner (see :class:`~repro.drivers.planner.
-            BatchInstallPlanner`; a token pool, not a thread pool).
-        install_batch_size: Maximum installs one planner batch runs
-            concurrently; larger admission bursts are split.
-        install_timeout_s: Per-operation deadline of batched installs
-            in seconds of the registry's clock (wall seconds on the
-            worker hand-off): a driver not done with a prepare/commit by
-            then is hung — its job unwinds, healthy jobs proceed, and
-            the straggler is compensated when it completes.  A driver's own
-            ``DriverCapabilities.operation_timeout_s`` overrides it;
-            ``None`` waits forever (the blocking path's behavior).
         durability_dir: Root directory of the durable control-plane
             store (write-ahead journal + snapshots, :mod:`repro.store`).
             ``None`` (the default) keeps the control plane memory-only;
@@ -169,9 +157,6 @@ class OrchestratorConfig:
     self_healing: bool = True
     respect_calendar: bool = True
     event_log_capacity: int = 1024
-    install_workers: int = 8
-    install_batch_size: int = 16
-    install_timeout_s: Optional[float] = None
     durability_dir: Optional[str] = None
     checkpoint_every_records: int = 512
     journal_fsync_every: int = 16
@@ -267,9 +252,6 @@ class Orchestrator:
         # async batch planner instead of looping slice-by-slice.
         self.planner = BatchInstallPlanner(
             self.registry,
-            max_workers=self.config.install_workers,
-            batch_size=self.config.install_batch_size,
-            operation_timeout_s=self.config.install_timeout_s,
             on_record=self.durable.journal_driver_record if self.store.enabled else None,
             obs=self.obs,
         )
@@ -781,9 +763,9 @@ class Orchestrator:
         concurrent batch planner.  Two jobs planned onto the same scarce
         resource race like any concurrent installer's would: the loser's
         prepare fails, its job unwinds with zero residue, and the slice
-        is booked as rejected.  A hung domain delays (or, under
-        ``config.install_timeout_s``, cleanly fails) only the jobs that
-        touched it.
+        is booked as rejected.  A hung domain delays (or, under its
+        ``DriverCapabilities.operation_timeout_s``, cleanly fails) only
+        the jobs that touched it.
 
         Decisions are returned in submission order, each settled as a
         single install's is (:meth:`_settle`).  ``sizes`` (one per

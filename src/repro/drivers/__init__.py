@@ -8,10 +8,10 @@ domain backend:
   reservation lifecycle state machine.
 - :mod:`repro.drivers.registry` — :class:`DriverRegistry`, the ordered
   pluggable mapping of domain name → driver, and its southbound clock.
-- :mod:`repro.drivers.transaction` — :class:`InstallTransaction`, the
-  two-phase prepare/commit coordinator with automatic rollback, the
-  blocking single-request executor over it, and the resize and release
-  loops that unwind a live slice.
+- :mod:`repro.drivers.transaction` — the install job and outcome, the
+  blocking single-request executor (two-phase prepare/commit with
+  automatic rollback), and the resize and release loops that unwind a
+  live slice.
 - :mod:`repro.drivers.planner` — :class:`BatchInstallPlanner`, the
   event-driven (fleet-scale) install engine running batches of install
   jobs on one thread with per-driver concurrency caps.
@@ -31,8 +31,7 @@ from repro.drivers.base import (
     ReservationState,
 )
 from repro.drivers.registry import DriverRegistry
-from repro.drivers.transaction import InstallJob, InstallOutcome
-from repro.drivers.transaction import InstallTransaction, TransactionError
+from repro.drivers.transaction import InstallJob, InstallOutcome, TransactionError
 from repro.drivers.planner import BatchInstallPlanner
 from repro.drivers.adapters import (
     CloudDriver,
@@ -55,7 +54,6 @@ __all__ = [
     "EpcDriver",
     "InstallJob",
     "InstallOutcome",
-    "InstallTransaction",
     "MockDriver",
     "RanDriver",
     "Reservation",

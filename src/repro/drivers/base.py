@@ -155,8 +155,8 @@ class DriverCapabilities:
             cleanly (its other domains are rolled back / released) while
             the hung operation is compensated in the background the
             moment it eventually completes.  ``None`` (the default)
-            means no deadline — the planner then falls back to its own
-            configured default, or waits forever like the blocking path.
+            means no deadline: the planner waits forever, like the
+            blocking path.
     """
 
     domain: str

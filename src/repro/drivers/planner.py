@@ -48,9 +48,8 @@ Southbound calls go through the drivers' futures-based lifecycle
 how a future gets resolved is the driver's business.  The drainer only
 ever *launches* operations and consumes completions, so **one hung
 domain cannot stall the batch**: a per-operation deadline
-(``DriverCapabilities.operation_timeout_s``, or the planner's
-``operation_timeout_s`` default — an event on the clock, no timer
-thread) converts the hung operation into a clean per-job unwind:
+(``DriverCapabilities.operation_timeout_s`` — an event on the clock, no
+timer thread) converts the hung operation into a clean per-job unwind:
 the job fails with :class:`~repro.drivers.transaction.OperationTimeout`,
 its other domains are rolled back immediately, and the straggler is
 *compensated* (rolled back or released) the moment it eventually
@@ -65,12 +64,12 @@ deadline-covered async chain whose error message comes from
 :func:`~repro.drivers.transaction.compose_unwind_error`.  An exception
 escaping a continuation is that job's failure too (``[planner]
 unexpected …``, after the same unwind) — never the batch's, and never a
-job nobody settles.  Rollback notifications are buffered per job and
-surfaced only for jobs that ultimately fail, matching the blocking
-path's deferred-rollback contract.  Every reservation transition that
-landed is kept, in landing order, as the job's audit *trail*
-(:attr:`InstallOutcome.trail`); the planner journals nothing itself on
-the window path.
+job nobody settles.  Rollback notices are held in the job's
+:attr:`InstallOutcome.rollbacks`, as the blocking executor holds them;
+the caller surfaces them for failed installs only.  Every reservation
+transition that landed is kept, in landing order, as the job's audit
+*trail* (:attr:`InstallOutcome.trail`); the planner journals nothing
+itself on the window path.
 """
 
 from __future__ import annotations
@@ -105,7 +104,6 @@ from repro.drivers.transaction import (
     InstallJob,
     InstallOutcome,
     OperationTimeout,
-    RollbackHook,
     TransactionError,
     compose_unwind_error,
     undo_async,
@@ -552,8 +550,8 @@ class _JobRun:
                     reservation.reservation_id,
                 )
             )
-            # Same contract as InstallTransaction.unwind: the rollback
-            # notification fires only for compensations that landed.
+            # The blocking executor's contract: a rollback notice only
+            # for a compensation that landed.
             self.rollbacks.append((op.domain, reservation, str(self._unwind_exc)))
         else:  # a failing compensation never stops the rest
             if isinstance(exc, OperationTimeout):
@@ -604,11 +602,10 @@ class _Batch:
         lanes = {}
         for driver in planner.registry.drivers():
             capabilities = driver.capabilities()
-            declared = capabilities.operation_timeout_s
             lanes[driver.domain] = (
                 driver,
                 _TokenPool(capabilities.max_concurrent_installs),
-                declared if declared is not None else planner.operation_timeout_s,
+                capabilities.operation_timeout_s,
                 type(driver)._shim_async is DomainDriver._shim_async,
             )
         self.lanes = lanes
@@ -718,13 +715,6 @@ class BatchInstallPlanner:
         batch_size: :meth:`install` splits larger job lists into groups
             of this size so one giant admission burst cannot monopolize
             the drivers for unbounded wall-clock time.
-        on_rollback: Fired (on the *calling* thread, after the batch
-            completes) for each unwound reservation of each **failed**
-            job — successful installs surface none of their retries.
-        operation_timeout_s: Default per-operation deadline applied to
-            drivers that do not declare their own
-            ``DriverCapabilities.operation_timeout_s``.  ``None``: wait
-            forever, like the blocking path.
         on_record: Durability hook for the one reservation transition
             no job's :attr:`InstallOutcome.trail` can carry — a
             straggler compensated after its job settled:
@@ -745,8 +735,6 @@ class BatchInstallPlanner:
         registry: DriverRegistry,
         max_workers: int = 8,
         batch_size: int = 16,
-        on_rollback: Optional[RollbackHook] = None,
-        operation_timeout_s: Optional[float] = None,
         on_record: Optional[Callable[[str, str, str, str], None]] = None,
         obs: Any = None,
     ) -> None:
@@ -757,8 +745,6 @@ class BatchInstallPlanner:
         self.registry = registry
         self.max_workers = int(max_workers)
         self.batch_size = int(batch_size)
-        self.on_rollback = on_rollback
-        self.operation_timeout_s = operation_timeout_s
         self.on_record = on_record
         self.obs = obs if obs is not None else default_observability()
         #: Completed-batch counters (telemetry/debugging).
@@ -836,9 +822,7 @@ class BatchInstallPlanner:
         settles (commits, exhausts its attempts, or times out per the
         per-operation deadline).  It only ever *launches* southbound
         operations and consumes their completions, so a hung domain
-        stalls only the job that touched it.  ``on_rollback``
-        notifications for failed jobs fire here, after every job
-        settled.
+        stalls only the job that touched it.
         """
         batch = list(batch)
         if not batch:
@@ -850,9 +834,6 @@ class BatchInstallPlanner:
                 self.jobs_installed += 1
             else:
                 self.jobs_failed += 1
-                if self.on_rollback is not None:
-                    for domain, reservation, reason in outcome.rollbacks:
-                        self.on_rollback(domain, reservation, reason)
         return outcomes
 
     def status(self) -> Dict[str, int]:

@@ -2,8 +2,8 @@
 
 The broker admits a slice only when it embeds end-to-end; a partial
 install (radio reserved, path reserved, but no compute) must leave
-*zero* residue.  :class:`InstallTransaction` runs the reserve-then-
-commit discipline across every registered driver:
+*zero* residue.  Each install attempt runs the reserve-then-commit
+discipline across every registered driver:
 
 1. **Prepare phase** — drivers are prepared in registry order; each
    returns a PREPARED :class:`~repro.drivers.base.Reservation`.
@@ -12,21 +12,21 @@ commit discipline across every registered driver:
 3. **Commit phase** — every reservation is committed, again in order.
 
 Any :class:`~repro.drivers.base.DriverError` in any phase unwinds the
-transaction in reverse order: PREPARED reservations are rolled back,
-already-COMMITTED ones released, each reported to ``on_rollback``.
-Unwind is best-effort: a failing compensation is reported in the final
-error but never stops the remaining unwinds.
+attempt in reverse order: PREPARED reservations are rolled back,
+already-COMMITTED ones released, each noted in the outcome's
+``rollbacks``.  Unwind is best-effort: a failing compensation is
+reported in the final error but never stops the remaining unwinds.
 
 :func:`install_sequentially`, the blocking one of the two install
-executors, runs one transaction per attempt on the calling thread; a
-window goes to the event-driven
-:class:`~repro.drivers.planner.BatchInstallPlanner`, which keeps the
-same discipline over the drivers' futures (its failure messages come
-from :func:`compose_unwind_error`).  Both answer an :class:`InstallJob`
-with an :class:`InstallOutcome` holding its rollback notices until the
-install's fate is known.  A live slice's other unwinds live here too:
-the resize that compensates a refusal (:func:`resize_everywhere`) and
-the releases a backend refused (:class:`StuckReleases`).
+executors, runs the attempts on the calling thread; a window goes to
+the event-driven :class:`~repro.drivers.planner.BatchInstallPlanner`,
+which keeps the same discipline over the drivers' futures (both compose
+their failure messages with :func:`compose_unwind_error`).  Both answer
+an :class:`InstallJob` with an :class:`InstallOutcome` holding its
+rollback notices until the install's fate is known.  A live slice's
+other unwinds live here too: the resize that compensates a refusal
+(:func:`resize_everywhere`) and the releases a backend refused
+(:class:`StuckReleases`).
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ from repro.drivers.base import (
     ReservationState,
 )
 from repro.drivers.registry import DriverRegistry
-
-#: Callback fired for each unwound reservation: (domain, reservation, reason).
-RollbackHook = Callable[[str, Reservation, str], None]
 
 #: States in which a reservation still holds resources in its backend.
 HOLDING = (ReservationState.PREPARED, ReservationState.COMMITTED)
@@ -82,7 +79,7 @@ def compose_unwind_error(
 ) -> TransactionError:
     """The one place a transaction-failure message (including
     compensation failures) is composed — shared by the blocking
-    :meth:`InstallTransaction.run` and the async planner's
+    :func:`install_sequentially` and the async planner's
     deadline-covered unwind chain.  A deadline failure keeps its type
     through the unwind, so callers can tell "domain hung" from "domain
     refused"."""
@@ -151,108 +148,74 @@ class InstallOutcome:
         return self.reservations is not None
 
 
-class InstallTransaction:
-    """Prepare/commit coordinator over a :class:`DriverRegistry`."""
-
-    def __init__(
-        self,
-        registry: DriverRegistry,
-        on_rollback: Optional[RollbackHook] = None,
-    ) -> None:
-        self.registry = registry
-        self.on_rollback = on_rollback
-
-    def run(
-        self,
-        specs: Mapping[str, DomainSpec],
-        validate: Optional[Callable[[Dict[str, Reservation]], None]] = None,
-    ) -> Dict[str, Reservation]:
-        """Execute the transaction; returns COMMITTED reservations by domain.
-
-        Args:
-            specs: One :class:`DomainSpec` per *registered* domain; a
-                missing or surplus domain is a caller bug and fails the
-                transaction before anything is prepared.
-            validate: Optional cross-domain check run after all prepares
-                (raise :class:`DriverError` to abort and unwind).
-
-        Raises:
-            TransactionError: On any failure, after unwinding every
-                already-prepared/committed domain.
-        """
-        domains = self.registry.domains()
+def install_sequentially(registry: DriverRegistry, job: InstallJob) -> InstallOutcome:
+    """The single-request executor: one blocking prepare → validate →
+    commit per attempt of ``job``, on the calling thread, until one
+    commits end-to-end.  Every attempt needs one spec per *registered*
+    domain — a missing or surplus one fails it before anything is
+    prepared — and a failed attempt unwinds every domain it touched
+    before the next is tried.  The rollback notices are held in the
+    outcome, as the planner holds a job's; the caller surfaces them for
+    a failed install only."""
+    outcome = InstallOutcome(job)
+    domains = registry.domains()
+    for specs in job.attempts:
         missing = [d for d in domains if d not in specs]
         surplus = [d for d in specs if d not in domains]
         if missing or surplus:
-            raise TransactionError(
+            outcome.error = TransactionError(
                 "orchestrator",
                 f"spec/domain mismatch (missing={missing}, surplus={surplus})",
             )
+            continue
         prepared: List[Tuple[DomainDriver, Reservation]] = []
         reservations: Dict[str, Reservation] = {}
         failed_domain = "orchestrator"
         try:
             for domain in domains:
                 failed_domain = domain
-                driver = self.registry.get(domain)
+                driver = registry.get(domain)
                 reservations[domain] = driver.prepare(specs[domain])
                 prepared.append((driver, reservations[domain]))
             failed_domain = "orchestrator"
-            if validate is not None:
-                validate(reservations)
+            if job.validate is not None:
+                job.validate(reservations)
             for driver, reservation in prepared:
                 failed_domain = driver.domain
                 driver.commit(reservation)
         except Exception as exc:
             # Any failure unwinds — a third-party driver raising
             # something other than DriverError included.
-            unwind_errors = self.unwind(prepared, reason=str(exc))
-            raise compose_unwind_error(exc, failed_domain, unwind_errors) from exc
-        return reservations
-
-    def unwind(
-        self, prepared: List[Tuple[DomainDriver, Reservation]], reason: str
-    ) -> List[str]:
-        """Best-effort reverse unwind of ``(driver, reservation)`` pairs —
-        COMMITTED ones released, PREPARED ones rolled back, each firing
-        ``on_rollback``.  Returns compensation failures."""
-        errors: List[str] = []
-        for driver, reservation in reversed(prepared):
-            try:
-                if reservation.state is ReservationState.COMMITTED:
-                    driver.release(reservation.slice_id)
-                elif reservation.state is ReservationState.PREPARED:
-                    driver.rollback(reservation)
-                else:  # already unwound — nothing to do
-                    continue
-            except Exception as exc:  # a failing compensation never stops
-                errors.append(f"[{driver.domain}] {exc}")  # the remaining unwinds
-                continue
-            if self.on_rollback is not None:
-                self.on_rollback(driver.domain, reservation, reason)
-        return errors
-
-
-def install_sequentially(registry: DriverRegistry, job: InstallJob) -> InstallOutcome:
-    """The single-request executor: one blocking prepare → validate →
-    commit :class:`InstallTransaction` per attempt of ``job``, on the
-    calling thread, until one commits end-to-end; a failed attempt
-    unwinds every domain it touched before the next is tried.  The
-    rollback notices are held in the outcome, as the planner holds a
-    job's (a retried-then-successful install surfaces none)."""
-    outcome = InstallOutcome(job)
-    transaction = InstallTransaction(
-        registry, on_rollback=lambda *rollback: outcome.rollbacks.append(rollback)
-    )
-    for specs in job.attempts:
-        try:
-            outcome.reservations = transaction.run(specs, validate=job.validate)
-        except TransactionError as exc:
-            outcome.error = exc
+            unwind_errors = _unwind(prepared, str(exc), outcome.rollbacks)
+            outcome.error = compose_unwind_error(exc, failed_domain, unwind_errors)
             continue
-        outcome.error = None
+        outcome.reservations, outcome.error = reservations, None
         break
     return outcome
+
+
+def _unwind(
+    prepared: List[Tuple[DomainDriver, Reservation]],
+    reason: str,
+    rollbacks: List[Tuple[str, Reservation, str]],
+) -> List[str]:
+    """Best-effort reverse unwind of ``(driver, reservation)`` pairs —
+    COMMITTED ones released, PREPARED ones rolled back, each noted in
+    ``rollbacks``.  Returns compensation failures."""
+    errors: List[str] = []
+    for driver, reservation in reversed(prepared):
+        try:
+            if reservation.state is ReservationState.COMMITTED:
+                driver.release(reservation.slice_id)
+            elif reservation.state is ReservationState.PREPARED:
+                driver.rollback(reservation)
+            else:  # already unwound — nothing to do
+                continue
+        except Exception as exc:  # a failing compensation never stops
+            errors.append(f"[{driver.domain}] {exc}")  # the remaining unwinds
+            continue
+        rollbacks.append((driver.domain, reservation, reason))
+    return errors
 
 
 def resize_everywhere(
@@ -352,9 +315,7 @@ class StuckReleases:
 __all__ = [
     "InstallJob",
     "InstallOutcome",
-    "InstallTransaction",
     "OperationTimeout",
-    "RollbackHook",
     "StuckReleases",
     "TransactionError",
     "compose_unwind_error",

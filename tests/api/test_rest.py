@@ -40,11 +40,17 @@ def test_post_with_body(api):
 
 
 def test_404_on_unknown_path(api):
-    assert api.get("/nope").status == 404
+    response = api.get("/nope")
+    assert response.status == 404
+    assert response.body == {"error": {"code": "not_found", "message": "no route for /nope"}}
 
 
 def test_405_on_wrong_method(api):
-    assert api.delete("/things").status == 405
+    response = api.delete("/things")
+    assert response.status == 405
+    assert response.body == {
+        "error": {"code": "method_not_allowed", "message": "method DELETE not allowed"}
+    }
 
 
 def test_handler_exception_becomes_500(api):
@@ -54,7 +60,7 @@ def test_handler_exception_becomes_500(api):
     api.route("GET", "/boom", boom)
     response = api.get("/boom")
     assert response.status == 500
-    assert "kaput" in response.body["error"]
+    assert response.body == {"error": {"code": "internal_error", "message": "kaput"}}
 
 
 def test_duplicate_route_rejected(api):
@@ -144,7 +150,7 @@ def test_overlapping_literal_and_parameterised_first_registered_wins(literal_fir
     first answers, whether it is looked up or pattern-matched."""
     literal = ("GET", "/things/all", lambda request: {"via": "literal"})
     pattern = ("GET", "/things/{thing_id}", lambda request: {"via": request.params})
-    router = RestApi(enveloped_prefixes=("/things",))
+    router = RestApi()
     for route in (literal, pattern) if literal_first else (pattern, literal):
         router.route(*route)
     router.route("DELETE", "/things/all", lambda request: {"via": "delete-all"})
@@ -157,7 +163,7 @@ def test_overlapping_literal_and_parameterised_first_registered_wins(literal_fir
     assert router.post("/things/all").status == 405
     assert router.delete("/things/other").status == 405
     missing = router.get("/nothing/here")
-    assert missing.status == 404 and "error" in missing.body
+    assert missing.status == 404 and missing.body["error"]["code"] == "not_found"
     assert router.post("/things/all").body["error"]["code"] == "method_not_allowed"
     assert router.routes() == [
         f"{method} {template}"

@@ -59,10 +59,9 @@ class TestIndex:
         ):
             assert api.dispatch(method, path, body={}).status == 404
 
-    def test_router_errors_enveloped_on_v1_only(self, stack):
-        """404/405/500 produced by the router itself (before any handler
-        runs) must carry the envelope under /v1 — the router's flat
-        strings stay outside the enveloped prefix only."""
+    def test_router_errors_are_enveloped(self, stack):
+        """404/405 produced by the router itself (before any handler
+        runs) carry the envelope, under /v1 and outside it alike."""
         _, _, _, api = stack
         unknown = api.get("/v1/nope")
         assert unknown.status == 404
@@ -72,7 +71,9 @@ class TestIndex:
         assert wrong_verb.body["error"]["code"] == "method_not_allowed"
         outside = api.get("/nope")
         assert outside.status == 404
-        assert isinstance(outside.body["error"], str)
+        assert outside.body == {
+            "error": {"code": "not_found", "message": "no route for /nope"}
+        }
 
     def test_nan_throughput_is_400_not_500(self, stack):
         _, _, _, api = stack

@@ -22,7 +22,6 @@ the promotion without a gap.
 from __future__ import annotations
 
 import json
-import threading
 import time
 
 import pytest
@@ -39,15 +38,6 @@ FIRST_WAVE = 4
 BATCH = 16
 STALLED = 4
 KILLED = 0  # the shard whose leader dies
-
-
-def _wait_until(predicate, timeout_s: float = 10.0) -> bool:
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.005)
-    return predicate()
 
 
 def _committed_demand(driver) -> float:
@@ -93,26 +83,23 @@ def test_leader_sigkill_mid_batch_promotes_standby(cluster):
         for _ in range(BATCH)
     ]
     firewall.stall(STALLED, kinds=("commit",))
-    batch_decisions = []
+    at_kill = {}
 
-    def run_batch() -> None:
-        batch_decisions.extend(leader.orchestrator.install_admitted_batch(batch))
+    def kill() -> None:
+        # --- 3. SIGKILL the leader ----------------------------------------
+        # An event on the southbound clock: the batch's drainer reaches
+        # it once the stalled commits are all that is left in flight.
+        at_kill["stalled"] = firewall.stalled_ops
+        cluster.kill_leader(KILLED)
+        at_kill["lsn"] = leader.store.last_lsn
+        # --- 4. the southbound finishes what was in flight ----------------
+        firewall.release_stall()
 
-    worker = threading.Thread(target=run_batch, daemon=True)
-    worker.start()
-    assert _wait_until(lambda: firewall.stalled_ops >= STALLED), (
-        f"only {firewall.stalled_ops}/{STALLED} commits stalled"
-    )
-
-    # --- 3. SIGKILL the leader --------------------------------------------
-    cluster.kill_leader(KILLED)
+    leader.testbed.registry.clock.schedule(0.0, kill)
+    batch_decisions = leader.orchestrator.install_admitted_batch(batch)
+    assert at_kill["stalled"] == STALLED
     assert leader.dead
-    lsn_at_kill = leader.store.last_lsn
-
-    # --- 4. the southbound finishes what was in flight --------------------
-    firewall.release_stall()
-    worker.join(timeout=30.0)
-    assert not worker.is_alive()
+    lsn_at_kill = at_kill["lsn"]
     assert all(d.admitted for d in batch_decisions)  # southbound truth
 
     # The *other* shard serves through the outage.

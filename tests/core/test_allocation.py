@@ -17,7 +17,7 @@ import pytest
 from repro.cloud.datacenter import DatacenterTier
 from repro.core.allocation import AllocationError, MultiDomainAllocator
 from repro.core.slices import NetworkSlice
-from repro.drivers.transaction import InstallTransaction, TransactionError
+from repro.drivers.transaction import InstallJob, TransactionError, install_sequentially
 from tests.conftest import make_request
 
 
@@ -29,7 +29,7 @@ def make_slice(testbed, **kwargs) -> NetworkSlice:
 
 def install_e2e(testbed, network_slice, effective_fraction=1.0):
     """End-to-end install through the driver registry: the allocator's
-    install plan, one two-phase transaction per attempt."""
+    install plan, tried attempt by attempt by the blocking executor."""
     allocator = testbed.allocator
     try:
         attempts = allocator.install_attempts(
@@ -39,13 +39,12 @@ def install_e2e(testbed, network_slice, effective_fraction=1.0):
         )
     except AllocationError as exc:
         raise TransactionError(exc.domain, exc.message) from exc
-    transaction = InstallTransaction(testbed.registry)
-    for specs in attempts:
-        try:
-            return transaction.run(specs)
-        except TransactionError as exc:
-            last_error = exc
-    raise last_error
+    outcome = install_sequentially(
+        testbed.registry, InstallJob(network_slice.slice_id, attempts)
+    )
+    if not outcome.ok:
+        raise outcome.error
+    return outcome.reservations
 
 
 class TestLifecycleRetired:

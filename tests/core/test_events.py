@@ -106,20 +106,22 @@ class TestPlannerIncidentEvents:
         """Satellite of the durability PR: planner op timeouts and
         compensations are *events*, not just counters — attributed to
         the slice's tenant on the northbound feed."""
-        from repro.core.orchestrator import Orchestrator, OrchestratorConfig
+        from repro.core.orchestrator import Orchestrator
         from repro.core.slices import PlmnPool
         from repro.drivers.mock import MockDriver
         from repro.sim.engine import Simulator
         from repro.traffic.patterns import ConstantProfile
         from tests.conftest import make_request
 
-        chaos = MockDriver("chaos", capacity_mbps=10_000.0, max_concurrent_installs=8)
+        chaos = MockDriver(
+            "chaos", capacity_mbps=10_000.0, max_concurrent_installs=8,
+            operation_timeout_s=0.15,
+        )
         testbed.registry.register(chaos)
         orchestrator = Orchestrator(
             sim=Simulator(),
             allocator=testbed.allocator,
             plmn_pool=PlmnPool(size=12),
-            config=OrchestratorConfig(install_timeout_s=0.15),
             registry=testbed.registry,
         )
         chaos.stall()  # the next chaos-domain operation hangs

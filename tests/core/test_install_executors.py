@@ -1,6 +1,6 @@
 """The two install executors are one contract.
 
-``Orchestrator.install_admitted`` (blocking ``InstallTransaction`` on
+``Orchestrator.install_admitted`` (blocking ``install_sequentially`` on
 the calling thread) and ``install_admitted_batch`` (the async
 ``BatchInstallPlanner``) stage a slice through the same helper and
 finish in the same bookkeeping, so the same request stream must leave

@@ -78,10 +78,12 @@ def test_only_the_drivers_unwind_a_slice():
     assert enclosing_functions(transaction, r"\bregistry\.get\(domain\)\.release\(") == [
         "release"
     ]
-    assert files(r"\bInstallTransaction\(") == {"drivers/transaction.py"}
-    assert enclosing_functions(transaction, r"\bInstallTransaction\(") == [
+    # One blocking executor: install_sequentially alone prepares and
+    # commits on the calling thread, and only the orchestrator calls it.
+    assert enclosing_functions(transaction, r"\bdriver\.(prepare|commit)\(") == [
         "install_sequentially"
-    ]
+    ] * 2
+    assert files(r"(?<!def )\binstall_sequentially\(") == {"core/orchestrator.py"}
     # The orchestrator frees only its own books, and surfaces the
     # rollback notices either executor held in one place.
     lines = ORCHESTRATOR.splitlines()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 import threading
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import pytest
 
@@ -207,31 +207,26 @@ class TestUnwindDiscipline:
         for driver in registry.drivers():
             assert driver.reservations() == []
 
-    def test_second_attempt_succeeds_and_hides_first_attempt_rollbacks(self):
-        fired: List[tuple] = []
+    def test_retried_job_keeps_first_attempt_rollbacks(self):
+        """A retried-then-successful job still notes its first attempt's
+        unwind; the caller, not the planner, leaves it unsurfaced."""
         registry = make_registry()
         registry.get("beta").fail_next_prepare = 1
-        planner = BatchInstallPlanner(
-            registry, max_workers=1, on_rollback=lambda *a: fired.append(a)
-        )
+        planner = BatchInstallPlanner(registry, max_workers=1)
         (outcome,) = planner.install([job_for("s0", attempts=2)])
         assert outcome.ok
-        # First attempt's unwind was buffered but never surfaced.
-        assert fired == []
-        assert outcome.rollbacks  # the buffer does record the retry
+        assert [domain for domain, _, _ in outcome.rollbacks] == ["gamma", "alpha"]
         assert_zero_residue(registry)
 
-    def test_rollback_hook_fires_for_failed_jobs_only(self):
-        fired: List[tuple] = []
+    def test_each_outcome_holds_only_its_own_rollbacks(self):
         registry = make_registry()
         registry.get("gamma").fail_next_prepare = 1
-        planner = BatchInstallPlanner(
-            registry, max_workers=1, on_rollback=lambda *a: fired.append(a)
-        )
-        outcomes = planner.install([job_for("s0"), job_for("s1")])
-        assert [o.ok for o in outcomes] == [False, True]
-        assert fired  # the failed job surfaced its unwinds
-        assert {r.slice_id for _, r, _ in fired} == {"s0"}
+        planner = BatchInstallPlanner(registry, max_workers=1)
+        failed, installed = planner.install([job_for("s0"), job_for("s1")])
+        assert (failed.ok, installed.ok) == (False, True)
+        assert {domain for domain, _, _ in failed.rollbacks} == {"alpha", "beta"}
+        assert {r.slice_id for _, r, _ in failed.rollbacks} == {"s0"}
+        assert installed.rollbacks == []
 
 
 class TestConcurrencyCaps:
@@ -329,7 +324,7 @@ class TestStallIsolation:
 
     TIMEOUT_S = 0.25
 
-    def _registry(self) -> DriverRegistry:
+    def _registry(self, operation_timeout_s: float) -> DriverRegistry:
         return DriverRegistry(
             [
                 MockDriver(
@@ -338,18 +333,17 @@ class TestStallIsolation:
                     max_concurrent_installs=8,
                     prepare_latency_s=0.005,
                     commit_latency_s=0.001,
+                    operation_timeout_s=operation_timeout_s,
                 )
                 for d in DOMAINS
             ]
         )
 
     def test_stalled_job_times_out_while_healthy_jobs_commit(self):
-        registry = self._registry()
+        registry = self._registry(self.TIMEOUT_S)
         stalled_driver = registry.get("beta")
         stalled_driver.stall()  # next beta operation hangs
-        planner = BatchInstallPlanner(
-            registry, max_workers=16, operation_timeout_s=self.TIMEOUT_S
-        )
+        planner = BatchInstallPlanner(registry, max_workers=16)
         outcomes = planner.install([job_for(f"s{i}") for i in range(16)])
         failed = [o for o in outcomes if not o.ok]
         healthy = [o for o in outcomes if o.ok]
@@ -385,13 +379,11 @@ class TestStallIsolation:
         deadline, healthy jobs long since committed, and the release —
         an event on the same clock — comes later."""
         release_after_s = 0.5
-        registry = self._registry()
+        registry = self._registry(0.1)
         stalled_driver = registry.get("beta")
         stalled_driver.stall()
         registry.clock.schedule(release_after_s, stalled_driver.release_stall)
-        planner = BatchInstallPlanner(
-            registry, max_workers=8, operation_timeout_s=0.1
-        )
+        planner = BatchInstallPlanner(registry, max_workers=8)
         outcomes = planner.install([job_for(f"s{i}") for i in range(8)])
         assert registry.clock.now == 0.1 < release_after_s
         assert stalled_driver.prepares == 7  # the eighth is still parked
@@ -432,16 +424,18 @@ class TestStallIsolation:
 
         registry = DriverRegistry(
             [
-                MockDriver(domain="alpha", capacity_mbps=1e4),
-                Blocking(domain="beta", capacity_mbps=1e4, max_concurrent_installs=8),
-                MockDriver(domain="gamma", capacity_mbps=1e4),
+                MockDriver(domain="alpha", capacity_mbps=1e4, operation_timeout_s=self.TIMEOUT_S),
+                Blocking(
+                    domain="beta", capacity_mbps=1e4, max_concurrent_installs=8,
+                    operation_timeout_s=self.TIMEOUT_S,
+                ),
+                MockDriver(domain="gamma", capacity_mbps=1e4, operation_timeout_s=self.TIMEOUT_S),
             ]
         )
         blocking = registry.get("beta")
         compensated = threading.Event()
         planner = BatchInstallPlanner(
-            registry, max_workers=8, operation_timeout_s=self.TIMEOUT_S,
-            on_record=lambda *record: compensated.set(),
+            registry, max_workers=8, on_record=lambda *record: compensated.set()
         )
         try:
             outcomes = planner.install([job_for(f"s{i}") for i in range(8)])
@@ -467,13 +461,11 @@ class TestStallIsolation:
         the real adapters (all serial) would otherwise hit."""
         registry = DriverRegistry(
             [MockDriver(domain="serial", capacity_mbps=1e9,
-                        max_concurrent_installs=1)]
+                        max_concurrent_installs=1, operation_timeout_s=0.15)]
         )
         driver = registry.get("serial")
         driver.stall()
-        planner = BatchInstallPlanner(
-            registry, max_workers=8, operation_timeout_s=0.15
-        )
+        planner = BatchInstallPlanner(registry, max_workers=8)
         jobs = [
             InstallJob(
                 slice_id=f"s{i}",
@@ -498,10 +490,10 @@ class TestStallIsolation:
         candidate-DC attempts would hammer the hung backend and trip
         the per-slice in-flight guard while the straggler is still out,
         masking the timeout behind a confusing refusal."""
-        registry = self._registry()
+        registry = self._registry(0.15)
         stalled_driver = registry.get("beta")
         stalled_driver.stall()
-        planner = BatchInstallPlanner(registry, operation_timeout_s=0.15)
+        planner = BatchInstallPlanner(registry)
         (outcome,) = planner.install([job_for("s0", attempts=3)])
         assert not outcome.ok
         assert isinstance(outcome.error, OperationTimeout)
@@ -518,11 +510,11 @@ class TestStallIsolation:
         hangs *during rollback* costs the job its deadline, not the
         batch its liveness — and the late rollback, being itself the
         compensation, still lands once the backend returns."""
-        registry = self._registry()
+        registry = self._registry(0.15)
         registry.get("gamma").fail_next_prepare = 1  # forces an unwind
         hung = registry.get("beta")
         hung.stall(kinds=("rollback",))  # forward path runs; unwind hangs
-        planner = BatchInstallPlanner(registry, operation_timeout_s=0.15)
+        planner = BatchInstallPlanner(registry)
         (outcome,) = planner.install([job_for("s0")])
         assert not outcome.ok
         assert "unwind also failed" in str(outcome.error)
@@ -547,10 +539,11 @@ class TestStallIsolation:
                     domain="slow",
                     capacity_mbps=1_000.0,
                     prepare_latency_s=0.5,
+                    operation_timeout_s=0.05,
                 )
             ]
         )
-        planner = BatchInstallPlanner(registry, operation_timeout_s=0.05)
+        planner = BatchInstallPlanner(registry)
         job = InstallJob(
             slice_id="s0", attempts=[{"slow": DomainSpec(slice_id="s0")}]
         )
@@ -616,14 +609,12 @@ class TestDurabilityHooks:
         assert len(outcome.trail) == 2 * len(DOMAINS)
 
     def test_timeout_and_compensation_buffered_as_events(self):
-        registry = make_registry(max_concurrent_installs=8)
+        registry = make_registry(max_concurrent_installs=8, operation_timeout_s=0.15)
         stalled = registry.get("beta")
         stalled.stall()
         records: List[tuple] = []
         planner = BatchInstallPlanner(
-            registry,
-            operation_timeout_s=0.15,
-            on_record=lambda *record: records.append(record),
+            registry, on_record=lambda *record: records.append(record)
         )
         (outcome,) = planner.install([job_for("s-hang")])
         assert not outcome.ok
@@ -668,7 +659,7 @@ class TestObservability:
     def _obs(self):
         return ControlPlaneObservability()
 
-    def _registry(self) -> DriverRegistry:
+    def _registry(self, operation_timeout_s: Optional[float] = None) -> DriverRegistry:
         return DriverRegistry(
             [
                 MockDriver(
@@ -677,6 +668,7 @@ class TestObservability:
                     max_concurrent_installs=8,
                     prepare_latency_s=0.003,
                     commit_latency_s=0.001,
+                    operation_timeout_s=operation_timeout_s,
                 )
                 for d in DOMAINS
             ]
@@ -735,12 +727,10 @@ class TestObservability:
 
     def test_timed_out_op_span_closes_as_error_and_does_not_leak(self):
         obs = self._obs()
-        registry = self._registry()
+        registry = self._registry(0.15)
         stalled = registry.get("beta")
         stalled.stall()
-        planner = BatchInstallPlanner(
-            registry, max_workers=8, operation_timeout_s=0.15, obs=obs
-        )
+        planner = BatchInstallPlanner(registry, max_workers=8, obs=obs)
         root = obs.span("install.batch")
         job_span = obs.span("install.job", parent=root.context)
         job = InstallJob(
@@ -959,12 +949,12 @@ class TestWindowOverRealAdapters:
         clock)."""
         slow = MockDriver(
             "slow", capacity_mbps=1e6, max_concurrent_installs=8,
-            prepare_latency_s=0.005, commit_latency_s=0.001,
+            prepare_latency_s=0.005, commit_latency_s=0.001, operation_timeout_s=5.0,
         )
-        hung = MockDriver("hung", capacity_mbps=1e6, max_concurrent_installs=8)
-        _, orchestrator = build_window_stack(
-            (slow, hung), install_workers=64, install_batch_size=64, install_timeout_s=5.0
+        hung = MockDriver(
+            "hung", capacity_mbps=1e6, max_concurrent_installs=8, operation_timeout_s=5.0
         )
+        _, orchestrator = build_window_stack((slow, hung))
         hung.stall(kinds=("commit",))
         started: List[str] = []
         start = threading.Thread.start
@@ -992,14 +982,18 @@ class TestWindowOverRealAdapters:
         timeout_s, release_after_s, n_jobs = 0.2, 1.5, 12
         slow = MockDriver(
             "slow", capacity_mbps=1e6, max_concurrent_installs=8,
-            prepare_latency_s=0.005,
+            prepare_latency_s=0.005, operation_timeout_s=timeout_s,
         )
-        serial = MockDriver("serial", capacity_mbps=1e6, max_concurrent_installs=1)
-        hung = MockDriver("hung", capacity_mbps=1e6, max_concurrent_installs=8)
+        serial = MockDriver(
+            "serial", capacity_mbps=1e6, max_concurrent_installs=1,
+            operation_timeout_s=timeout_s,
+        )
+        hung = MockDriver(
+            "hung", capacity_mbps=1e6, max_concurrent_installs=8,
+            operation_timeout_s=timeout_s,
+        )
         testbed, orchestrator = build_window_stack(
-            (slow, serial, hung),
-            install_workers=n_jobs, install_batch_size=n_jobs,
-            install_timeout_s=timeout_s, observability=True,
+            (slow, serial, hung), observability=True
         )
         clock = testbed.registry.clock
         hung.stall(kinds=("commit",))
@@ -1037,10 +1031,10 @@ class TestWindowOverRealAdapters:
         released when it finally lands, after its window settled — the
         one reservation transition no job trail carries, so the planner
         hands it to ``DurableImage.journal_driver_record``."""
-        hung = MockDriver("hung", capacity_mbps=1e6, max_concurrent_installs=8)
-        _, orchestrator = build_window_stack(
-            (hung,), install_timeout_s=0.15, durability_dir=str(tmp_path)
+        hung = MockDriver(
+            "hung", capacity_mbps=1e6, max_concurrent_installs=8, operation_timeout_s=0.15
         )
+        _, orchestrator = build_window_stack((hung,), durability_dir=str(tmp_path))
         hung.stall(kinds=("commit",))
         try:
             (decision,) = orchestrator.install_admitted_batch(window_of(1))

@@ -16,7 +16,7 @@ from repro.drivers.adapters import TransportDriver, build_default_registry
 from repro.drivers.base import DomainSpec, DriverError, ReservationState
 from repro.drivers.mock import MockDriver
 from repro.drivers.registry import DriverRegistry
-from repro.drivers.transaction import InstallTransaction, TransactionError
+from repro.drivers.transaction import InstallJob, TransactionError, install_sequentially
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.traffic.patterns import ConstantProfile
@@ -56,26 +56,37 @@ class TestRegistry:
             registry.get("nope")
 
 
+def install(registry: DriverRegistry, *attempts, validate=None):
+    """One blocking install of ``slice-x``, one attempt per spec map."""
+    return install_sequentially(
+        registry,
+        InstallJob("slice-x", attempts or [specs_for(registry)], validate=validate),
+    )
+
+
+def rolled_back(outcome):
+    return [domain for domain, _reservation, _reason in outcome.rollbacks]
+
+
 class TestTransaction:
     def test_success_commits_every_domain(self):
         registry = mock_registry(3)
-        reservations = InstallTransaction(registry).run(specs_for(registry))
-        assert set(reservations) == {"d0", "d1", "d2"}
+        outcome = install(registry)
+        assert outcome.ok and outcome.error is None
+        assert set(outcome.reservations) == {"d0", "d1", "d2"}
         assert all(
-            r.state is ReservationState.COMMITTED for r in reservations.values()
+            r.state is ReservationState.COMMITTED for r in outcome.reservations.values()
         )
+        assert outcome.rollbacks == []
 
     def test_prepare_failure_rolls_back_prepared_domains(self):
         registry = mock_registry(3)
         registry.get("d1").fail_next_prepare = 1
-        rolled = []
-        txn = InstallTransaction(
-            registry, on_rollback=lambda d, res, reason: rolled.append(d)
-        )
-        with pytest.raises(TransactionError) as excinfo:
-            txn.run(specs_for(registry))
-        assert excinfo.value.domain == "d1"
-        assert rolled == ["d0"]  # reverse order; d1/d2 never held anything
+        outcome = install(registry)
+        assert not outcome.ok
+        assert isinstance(outcome.error, TransactionError)
+        assert outcome.error.domain == "d1"
+        assert rolled_back(outcome) == ["d0"]  # reverse order; d1/d2 never held anything
         for domain in registry.domains():
             assert registry.get(domain).held_mbps == 0.0
             assert registry.get(domain).reservation_of("slice-x") is None
@@ -83,27 +94,18 @@ class TestTransaction:
     def test_first_domain_failure_needs_no_rollback(self):
         registry = mock_registry(3)
         registry.get("d0").fail_next_prepare = 1
-        rolled = []
-        txn = InstallTransaction(
-            registry, on_rollback=lambda d, res, reason: rolled.append(d)
-        )
-        with pytest.raises(TransactionError):
-            txn.run(specs_for(registry))
-        assert rolled == []
+        outcome = install(registry)
+        assert not outcome.ok
+        assert outcome.rollbacks == []
         assert all(d.held_mbps == 0.0 for d in registry.drivers())
 
     def test_commit_failure_releases_committed_domains(self):
         registry = mock_registry(3)
         registry.get("d2").fail_next_commit = 1
-        rolled = []
-        txn = InstallTransaction(
-            registry, on_rollback=lambda d, res, reason: rolled.append(d)
-        )
-        with pytest.raises(TransactionError) as excinfo:
-            txn.run(specs_for(registry))
-        assert excinfo.value.domain == "d2"
+        outcome = install(registry)
+        assert outcome.error.domain == "d2"
         # d0/d1 were already committed (released), d2's hold rolled back.
-        assert set(rolled) == {"d0", "d1", "d2"}
+        assert set(rolled_back(outcome)) == {"d0", "d1", "d2"}
         assert all(d.held_mbps == 0.0 for d in registry.drivers())
 
     def test_validate_hook_aborts_and_unwinds(self):
@@ -112,29 +114,29 @@ class TestTransaction:
         def validate(reservations):
             raise DriverError("orchestrator", "latency bound violated")
 
-        with pytest.raises(TransactionError) as excinfo:
-            InstallTransaction(registry).run(specs_for(registry), validate=validate)
-        assert excinfo.value.domain == "orchestrator"
+        outcome = install(registry, validate=validate)
+        assert outcome.error.domain == "orchestrator"
         assert all(d.held_mbps == 0.0 for d in registry.drivers())
 
     def test_spec_domain_mismatch_fails_before_any_prepare(self):
         registry = mock_registry(2)
         specs = specs_for(registry)
         del specs["d1"]
-        with pytest.raises(TransactionError):
-            InstallTransaction(registry).run(specs)
+        outcome = install(registry, specs)
+        assert not outcome.ok
+        assert "spec/domain mismatch" in str(outcome.error)
         assert all(d.prepares == 0 for d in registry.drivers())
 
     def test_retry_after_failure_succeeds(self):
         registry = mock_registry(2)
         registry.get("d1").fail_next_prepare = 1
-        txn = InstallTransaction(registry)
-        with pytest.raises(TransactionError):
-            txn.run(specs_for(registry))
-        reservations = txn.run(specs_for(registry))
+        outcome = install(registry, specs_for(registry), specs_for(registry))
+        assert outcome.ok and outcome.error is None
         assert all(
-            r.state is ReservationState.COMMITTED for r in reservations.values()
+            r.state is ReservationState.COMMITTED for r in outcome.reservations.values()
         )
+        # The failed first attempt's unwind is still noted in the outcome.
+        assert rolled_back(outcome) == ["d0"]
 
 
 def build_orchestrator(testbed, registry):

@@ -25,9 +25,6 @@ Invariants verified after recovery:
 
 from __future__ import annotations
 
-import threading
-import time
-
 import pytest
 
 from repro.core.slices import SliceState
@@ -43,15 +40,6 @@ MBPS = 5.0
 FIRST_WAVE = 8
 BATCH = 16
 STALLED = 4
-
-
-def _wait_until(predicate, timeout_s: float = 10.0) -> bool:
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.005)
-    return predicate()
 
 
 def _committed_demand(driver) -> float:
@@ -93,26 +81,21 @@ def test_kill_mid_batch_recovers_without_losing_slices(
         for _ in range(BATCH)
     ]
     firewall.stall(STALLED, kinds=("commit",))
-    batch_decisions = []
+    at_kill = {}
 
-    def run_batch() -> None:
-        batch_decisions.extend(first.install_admitted_batch(batch))
+    def kill() -> None:
+        # --- 3. SIGKILL the control plane --------------------------------
+        # An event on the southbound clock: the batch's drainer reaches
+        # it once the stalled commits are all that is left in flight.
+        at_kill.update(stalled=firewall.stalled_ops, lsn=first.store.last_lsn)
+        first.store.close()  # writes from the dead process never land
+        # --- 4. the southbound finishes what was in flight ----------------
+        firewall.release_stall()
 
-    worker = threading.Thread(target=run_batch, daemon=True)
-    worker.start()
-    assert _wait_until(lambda: firewall.stalled_ops >= STALLED), (
-        f"only {firewall.stalled_ops}/{STALLED} commits stalled"
-    )
-
-    # --- 3. SIGKILL the control plane ------------------------------------
-    pre_crash_lsn = first.store.last_lsn
-    first.store.close()  # writes from the dead process never land
-    assert pre_crash_lsn > 0
-
-    # --- 4. the southbound finishes what was in flight --------------------
-    firewall.release_stall()
-    worker.join(timeout=30.0)
-    assert not worker.is_alive()
+    durable_testbed.registry.clock.schedule(0.0, kill)
+    batch_decisions = first.install_admitted_batch(batch)
+    assert at_kill["stalled"] == STALLED
+    assert at_kill["lsn"] > 0
     assert all(d.admitted for d in batch_decisions)  # southbound truth
 
     # Orphans: residue of installs that died before any journal record

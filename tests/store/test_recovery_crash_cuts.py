@@ -23,9 +23,6 @@ record's new-clock start met the old clock's crash time.
 
 from __future__ import annotations
 
-import threading
-import time
-
 from repro.core.broker import SliceBroker
 from repro.core.orchestrator import Orchestrator
 from repro.experiments.testbed import Testbed
@@ -66,16 +63,19 @@ def crashed(directory: str) -> Testbed:
         (request("landed"), ConstantProfile(MBPS)),
         (request("too-big", 30.0), ConstantProfile(30.0)),
     ]
-    worker = threading.Thread(target=first.install_admitted_batch, args=(batch,), daemon=True)
-    worker.start()
-    deadline = time.monotonic() + 10.0
-    while firewall.stalled_ops < 1 and time.monotonic() < deadline:
-        time.sleep(0.002)
-    assert firewall.stalled_ops == 1
-    first.stop()
-    first.store.close()
-    firewall.release_stall()
-    worker.join(timeout=30.0)
+    stalled_at_kill = []
+
+    def kill() -> None:
+        # The drainer reaches this clock event once the parked commit is
+        # all that is left in flight.
+        stalled_at_kill.append(firewall.stalled_ops)
+        first.stop()
+        first.store.close()
+        firewall.release_stall()
+
+    testbed.registry.clock.schedule(0.0, kill)
+    first.install_admitted_batch(batch)
+    assert stalled_at_kill == [1]
     firewall.release("slice-lost")  # the southbound loses an acked slice
     return testbed
 

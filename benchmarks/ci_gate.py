@@ -171,8 +171,10 @@ D8D_SETTLED_S = 0.15
 #: planner's wall-clock deadline heap; −97 for declaring each install
 #: setting once (the deadline on the driver, rollback notices on the
 #: outcome, the planner's sizes off ``OrchestratorConfig``, one router
-#: error shape).
-SRC_LINES_CEILING = 20_607
+#: error shape); −13 for undoing a recovery's orphans through the batch
+#: planner (no wall-clock wait or compensation budget of its own) and
+#: one lease timeout, ``ClusterConfig.lease_timeout_s``.
+SRC_LINES_CEILING = 20_594
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per
@@ -383,7 +385,7 @@ def run_recovery_smoke(failures: list) -> dict:
 
     from repro.core.orchestrator import Orchestrator, OrchestratorConfig
     from repro.core.slices import PlmnPool
-    from repro.drivers.base import ReservationState
+    from repro.drivers.base import DomainSpec, ReservationState
     from repro.drivers.mock import MockDriver
     from repro.experiments.testbed import TestbedConfig, build_testbed
     from repro.sim.engine import Simulator
@@ -395,7 +397,7 @@ def run_recovery_smoke(failures: list) -> dict:
     testbed = build_testbed(
         TestbedConfig(n_enbs=4, max_plmns_per_enb=12, plmn_pool_size=40)
     )
-    testbed.registry.register(
+    firewall = testbed.registry.register(
         MockDriver("firewall", capacity_mbps=1e6, max_concurrent_installs=8)
     )
     directory = tempfile.mkdtemp(prefix="recovery-smoke-")
@@ -429,6 +431,11 @@ def run_recovery_smoke(failures: list) -> dict:
         make_request(throughput_mbps=5.0), ConstantProfile(5.0)
     )
     first.store.close(sync=False)  # SIGKILL: the dead process's writes never land
+    # Residue no journal record owns: the restart must undo both orphans.
+    firewall.prepare(DomainSpec(slice_id="smoke-orphan-prepared", throughput_mbps=5.0))
+    firewall.commit(
+        firewall.prepare(DomainSpec(slice_id="smoke-orphan-committed", throughput_mbps=5.0))
+    )
 
     restarted = control_plane(store=ControlPlaneStore(directory))
     restarted.start()
@@ -441,6 +448,11 @@ def run_recovery_smoke(failures: list) -> dict:
         failures.append(
             f"recovery smoke: adopted {report.slices_adopted}/{admitted}, "
             f"lost {report.slices_lost}"
+        )
+    if report.orphans_compensated != 2 or report.compensation_failures:
+        failures.append(
+            f"recovery smoke: orphans_compensated={report.orphans_compensated}, "
+            f"compensation_failures={report.compensation_failures} (2/0 expected)"
         )
     if report.bookings_restored != 1 or report.admissions_requeued != 1:
         failures.append(
@@ -464,6 +476,7 @@ def run_recovery_smoke(failures: list) -> dict:
         "replayed_records": report.replayed_records,
         "slices_adopted": report.slices_adopted,
         "slices_lost": report.slices_lost,
+        "orphans_compensated": report.orphans_compensated,
         "recovery_s": round(recovery_s, 4),
     }
 

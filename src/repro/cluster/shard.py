@@ -243,9 +243,7 @@ class ControlPlaneCluster:
         promotion.orchestrator.start()
         return worker
 
-    def standby_for(
-        self, shard_id: int, lease_timeout_s: Optional[float] = None
-    ) -> "Any":
+    def standby_for(self, shard_id: int) -> "Any":
         """A warm standby tailing ``shard_id``'s WAL, ready to promote; the
         first after an adopted promotion starts from the promoted fold."""
         from repro.cluster.standby import WarmStandby
@@ -264,7 +262,7 @@ class ControlPlaneCluster:
             shard_id=shard_id,
             store_root=self.config.durability_root,
             rebuild=rebuild,
-            lease_timeout_s=lease_timeout_s or self.config.lease_timeout_s,
+            lease_timeout_s=self.config.lease_timeout_s,
             handoff=self._handoffs.pop(shard_id, None),
         )
 

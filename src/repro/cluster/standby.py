@@ -94,8 +94,7 @@ class WarmStandby:
             it is handed (the standby's own) — the "new process"
             promotion boots.  Supplied by
             :meth:`~repro.cluster.shard.ControlPlaneCluster.standby_for`.
-        lease_timeout_s: Heartbeat staleness that reads as leader death.
-        owner: Lease identity of this standby.
+        lease_timeout_s: ``ClusterConfig.lease_timeout_s``, the staleness read as leader death.
         handoff: A promoted predecessor's ``PromotionReport.handoff``.
     """
 
@@ -104,8 +103,7 @@ class WarmStandby:
         shard_id: int,
         store_root: str,
         rebuild: Callable[[JournalTail], Tuple["Orchestrator", "SliceService"]],
-        lease_timeout_s: float = 5.0,
-        owner: Optional[str] = None,
+        lease_timeout_s: float,
         handoff: Optional[Tuple[ReplayState, int, JournalTail]] = None,
     ) -> None:
         self.shard_id = int(shard_id)
@@ -114,7 +112,7 @@ class WarmStandby:
         self._rebuild = rebuild
         self.lease = Lease(
             os.path.join(self.directory, Lease.FILENAME),
-            owner=owner or f"shard-{self.shard_id}-standby",
+            owner=f"shard-{self.shard_id}-standby",
             timeout_s=lease_timeout_s,
         )
         #: LSN folded through; -1 before anything, so that even a

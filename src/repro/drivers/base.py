@@ -154,9 +154,9 @@ class DriverCapabilities:
             batch planner treats the domain as hung: the *job* unwinds
             cleanly (its other domains are rolled back / released) while
             the hung operation is compensated in the background the
-            moment it eventually completes.  ``None`` (the default)
-            means no deadline: the planner waits forever, like the
-            blocking path.
+            moment it eventually completes; a recovery's orphan undo is
+            bound by it too.  ``None`` (the default) means no deadline:
+            the planner waits forever, like the blocking path.
     """
 
     domain: str

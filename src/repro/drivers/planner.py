@@ -61,10 +61,11 @@ Transaction semantics are the blocking executor's: any failure inside a
 job unwinds *that job's* reservations in reverse registry order
 (COMMITTED domains released, PREPARED ones rolled back) through a
 deadline-covered async chain whose error message comes from
-:func:`~repro.drivers.transaction.compose_unwind_error`.  An exception
-escaping a continuation is that job's failure too (``[planner]
-unexpected …``, after the same unwind) — never the batch's, and never a
-job nobody settles.  Rollback notices are held in the job's
+:func:`~repro.drivers.transaction.compose_unwind_error`; a recovery's
+orphans enter that chain directly (:meth:`BatchInstallPlanner.undo`).
+An exception escaping a continuation is that job's failure too
+(``[planner] unexpected …``, after the same unwind) — never the batch's,
+and never a job nobody settles.  Rollback notices are held in the job's
 :attr:`InstallOutcome.rollbacks`, as the blocking executor holds them;
 the caller surfaces them for failed installs only.  Every reservation
 transition that landed is kept, in landing order, as the job's audit
@@ -355,6 +356,14 @@ class _JobRun:
             ),
         )
 
+    def undo(self) -> None:
+        """Start of an undo job (:meth:`BatchInstallPlanner.undo`): the
+        unwind chain over its job's ``tag``, one holding reservation."""
+        reservation = self.job.tag
+        self.batch.snapshot_registry()
+        self._prepared = {reservation.domain: reservation}
+        self._unwind_and_fail(DriverError(reservation.domain, "undo"), reservation.domain)
+
     def abort(self, exc: Exception) -> None:
         """An exception escaped one of this job's continuations: the
         job fails with ``[planner] unexpected …`` after unwinding what
@@ -561,7 +570,7 @@ class _JobRun:
 
 
 class _Batch:
-    """One :meth:`BatchInstallPlanner.install_batch` call: its jobs,
+    """One :meth:`BatchInstallPlanner.install_batch` (or ``undo``) call: its jobs,
     the run queue they advance through, the ops under a deadline, the
     token pools, and the registry as it stood at the first job.
 
@@ -570,7 +579,12 @@ class _Batch:
     ``_closed``, which is all a foreign thread ever touches.
     """
 
-    def __init__(self, planner: "BatchInstallPlanner", jobs: Sequence[InstallJob]) -> None:
+    def __init__(
+        self,
+        planner: "BatchInstallPlanner",
+        jobs: Sequence[InstallJob],
+        start: Callable[..., None] = _JobRun.next_attempt,
+    ) -> None:
         self.planner = planner
         self.outcomes: List[Optional[InstallOutcome]] = [None] * len(jobs)
         self._unsettled = len(jobs)
@@ -588,8 +602,9 @@ class _Batch:
         self._timed: List[_Op] = []
         for index, job in enumerate(jobs):
             run = _JobRun(self, job, index)
-            if self._job_tokens.acquire(run, run.next_attempt):
-                self.enqueue(run, run.next_attempt)
+            step = partial(start, run)
+            if self._job_tokens.acquire(run, step):
+                self.enqueue(run, step)
 
     def snapshot_registry(self) -> None:
         """Resolve drivers, caps, deadlines and prepare waves once per
@@ -835,6 +850,17 @@ class BatchInstallPlanner:
             else:
                 self.jobs_failed += 1
         return outcomes
+
+    def undo(self, reservations: Sequence[Reservation]) -> List[InstallOutcome]:
+        """Release each COMMITTED reservation, roll back each PREPARED
+        one: a batch of one-reservation jobs started in the unwind chain
+        (its driver's deadline, the token bypass, straggler compensation).
+        Outcomes keep input order, each job's ``tag`` its reservation; a
+        rollback notice marks an undo that landed.  Job counters stay."""
+        jobs = [InstallJob(r.slice_id, attempts=(), tag=r) for r in reservations]
+        if not jobs:
+            return []
+        return _Batch(self, jobs, _JobRun.undo).drain()
 
     def status(self) -> Dict[str, int]:
         """The planner's counters, as the dashboard and the admin state

@@ -62,11 +62,11 @@ class DurableImage:
         self, record_type: str, domain: str, slice_id: str, reservation_id: str, **data: Any
     ) -> None:
         """Journal a reservation transition no job's trail carries — a
-        straggler the planner compensated after its job settled, or an
-        orphan a recovery compensated.  Called from whichever thread
-        that compensation landed on, possibly a backend's own (the
-        journal is thread-safe).  Not folded: the fold is the loop
-        thread's, and a ``driver.*`` record moves nothing it writes."""
+        straggler the planner compensated after its job settled (from
+        whichever thread it landed on, possibly a backend's own; the
+        journal is thread-safe), or a recovery's orphan undo (from the
+        recovering thread).  Not folded: the fold is the loop thread's,
+        and a ``driver.*`` record moves nothing it writes."""
         self.store.append(
             record_type, time=self.sim.now, domain=domain, slice_id=slice_id,
             reservation_id=reservation_id, **data,

@@ -24,9 +24,9 @@ installed (acked)     missing/partial            slice is *lost*: compensate
 install started,      COMMITTED in every domain  re-adopt (the southbound
 never acked                                      finished what the dead
                                                  process started)
-install started,      partial (PREPARED holds,   compensate the residue via
-never acked           some domains missing)      the async unwind, then
-                                                 re-enqueue the admission
+install started,      partial (PREPARED holds,   compensate the residue as
+never acked           some domains missing)      orphans, then re-enqueue
+                                                 the admission
 enqueued, no install  —                          re-enqueue into the
                                                  admission queue
 (nothing)             any reservation            orphan: rollback PREPARED,
@@ -57,14 +57,13 @@ next auto-checkpoint compacts as it always does.
 from __future__ import annotations
 
 import time as _time
-from concurrent.futures import Future, wait as _wait
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.admission import TenantQuota
 from repro.core.slices import SliceRequest, ensure_request_counter_at_least
-from repro.drivers.base import DriverError, Reservation, ReservationState
-from repro.drivers.transaction import HOLDING, undo_async
+from repro.drivers.base import Reservation, ReservationState
+from repro.drivers.transaction import HOLDING
 from repro.store.codec import ReplayState, request_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -104,19 +103,12 @@ class RecoveryManager:
     Args:
         orchestrator: A *new, empty* orchestrator wired to the
             surviving driver registry and to the reopened store.
-        compensation_timeout_s: Wall-clock budget for the async orphan
-            unwind (a hung backend must not wedge the restart).
     """
 
-    def __init__(
-        self,
-        orchestrator: "Orchestrator",
-        compensation_timeout_s: float = 10.0,
-    ) -> None:
+    def __init__(self, orchestrator: "Orchestrator") -> None:
         if not orchestrator.store.enabled:
             raise RecoveryError("orchestrator has no durable store to recover from")
         self.orchestrator = orchestrator
-        self.compensation_timeout_s = float(compensation_timeout_s)
 
     # ------------------------------------------------------------------
     # Entry point
@@ -262,7 +254,7 @@ class RecoveryManager:
         return adopted
 
     # ------------------------------------------------------------------
-    # Orphan compensation (async unwind)
+    # Orphan compensation
     # ------------------------------------------------------------------
     def _compensate_orphans(
         self,
@@ -271,54 +263,27 @@ class RecoveryManager:
         report: RecoveryReport,
     ) -> None:
         """Every reservation not adopted is residue of a dead install
-        (or of a slice the journal already closed out): roll back the
-        PREPARED ones, release the COMMITTED ones — through the
-        drivers' async surface so one hung backend cannot wedge the
-        restart past the compensation budget."""
+        (or of a slice the journal already closed out): the planner
+        rolls back the PREPARED ones and releases the COMMITTED ones as
+        one batch on the registry clock, each under its driver's
+        deadline.  One record per orphan says whether its undo landed."""
         orch = self.orchestrator
-        futures: List[Future] = []
-        for domain, held in truth.items():
-            try:
-                driver = orch.registry.get(domain)
-            except DriverError:  # pragma: no cover - unregistered mid-restore
-                continue
-            for slice_id, reservation in held.items():
-                if slice_id in adopted_ids:
-                    continue
-                if reservation.state not in HOLDING:
-                    continue
-                try:
-                    future = undo_async(driver, reservation)
-                except Exception:
-                    report.compensation_failures += 1
-                    continue
-
-                def audit(
-                    done: Future,
-                    domain: str = domain,
-                    slice_id: str = slice_id,
-                    reservation_id: str = reservation.reservation_id,
-                ) -> None:
-                    # Journal only what actually happened: a failed or
-                    # cancelled unwind must not leave a durable record
-                    # claiming the reservation was compensated.
-                    landed = not done.cancelled() and done.exception() is None
-                    orch.durable.journal_driver_record(
-                        "driver.compensated" if landed else "driver.compensation_failed",
-                        domain, slice_id, reservation_id, reason="recovery orphan",
-                    )
-
-                future.add_done_callback(audit)
-                futures.append(future)
-        if not futures:
-            return
-        done, not_done = _wait(futures, timeout=self.compensation_timeout_s)
-        for future in done:
-            if future.exception() is not None:
-                report.compensation_failures += 1
-            else:
+        orphans = [
+            reservation
+            for held in truth.values()
+            for slice_id, reservation in held.items()
+            if slice_id not in adopted_ids and reservation.state in HOLDING
+        ]
+        for outcome in orch.planner.undo(orphans):
+            orphan = outcome.job.tag
+            if outcome.rollbacks:
                 report.orphans_compensated += 1
-        report.compensation_failures += len(not_done)
+            else:
+                report.compensation_failures += 1
+            orch.durable.journal_driver_record(
+                "driver.compensated" if outcome.rollbacks else "driver.compensation_failed",
+                orphan.domain, orphan.slice_id, orphan.reservation_id, reason="recovery orphan",
+            )
 
     # ------------------------------------------------------------------
     # Calendar + queue + quotas

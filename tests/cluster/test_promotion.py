@@ -356,7 +356,8 @@ def promotion_costs(tmp_path, monkeypatch, live: int) -> dict:
     )
     config = ClusterConfig(
         shards=1, durability_root=str(tmp_path / f"fleet-{live}"),
-        plmn_pool_size=128, orchestrator={"monitoring_epoch_s": 60.0},
+        plmn_pool_size=128, lease_timeout_s=LEASE_TIMEOUT_S,
+        orchestrator={"monitoring_epoch_s": 60.0},
     )
     cluster = ControlPlaneCluster(config, testbeds=[testbed])
     try:
@@ -372,7 +373,7 @@ def promotion_costs(tmp_path, monkeypatch, live: int) -> dict:
         # The leader checkpointed and the standby has seen all of it:
         # the steady state a promotion is sized for.
         leader.orchestrator.durable.checkpoint()
-        standby = cluster.standby_for(VICTIM, lease_timeout_s=LEASE_TIMEOUT_S)
+        standby = cluster.standby_for(VICTIM)
         standby.poll()
         cluster.kill_leader(VICTIM)
         lsn_at_kill = leader.store.last_lsn

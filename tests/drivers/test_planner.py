@@ -650,6 +650,38 @@ class TestDurabilityHooks:
         assert planner.drain_events() == []
 
 
+class TestUndo:
+    """``BatchInstallPlanner.undo``: holding reservations taken back out
+    of their backends as one batch of one-reservation unwind jobs."""
+
+    def test_outcomes_keep_input_order_with_a_notice_per_landed_undo(self):
+        registry = make_registry(release_latency_s=0.5)
+        alpha, beta, gamma = registry.drivers()
+        held = [
+            alpha.prepare(DomainSpec(slice_id="s-committed", throughput_mbps=10.0)),
+            beta.prepare(DomainSpec(slice_id="s-prepared", throughput_mbps=10.0)),
+            gamma.prepare(DomainSpec(slice_id="s-refused", throughput_mbps=10.0)),
+        ]
+        alpha.commit(held[0])
+        gamma.commit(held[2])
+        gamma.fail_next_release = 1
+        planner = BatchInstallPlanner(registry)
+        outcomes = planner.undo(held)
+        # The rollback lands at once and the releases 0.5 s later, yet
+        # the outcomes keep the order the reservations came in.
+        assert [o.job.tag for o in outcomes] == held
+        assert registry.clock.now == 0.5
+        assert outcomes[0].rollbacks == [("alpha", held[0], "[alpha] undo")]
+        assert outcomes[1].rollbacks == [("beta", held[1], "[beta] undo")]
+        assert outcomes[2].rollbacks == []
+        assert "injected release failure" in str(outcomes[2].error)
+        assert [r.state for r in held] == [
+            ReservationState.RELEASED, ReservationState.ROLLED_BACK, ReservationState.COMMITTED,
+        ]
+        status = planner.status()
+        assert (status["batches_run"], status["jobs_installed"], status["jobs_failed"]) == (0, 0, 0)
+        assert planner.undo([]) == []
+
 class TestObservability:
     """Span propagation through the async engine: the job's carried
     SpanContext must pin every southbound op span to the right parent

@@ -14,6 +14,8 @@ from repro.api.service import SliceService, TenantQuota
 from repro.api.v1 import build_v1_api
 from repro.core.pricing import LedgerError
 from repro.core.slices import SliceState
+from repro.drivers.base import DomainSpec
+from repro.drivers.mock import MockDriver
 from repro.store import RecoveryManager
 from repro.store.codec import request_to_dict
 from repro.traffic.patterns import ConstantProfile
@@ -638,3 +640,65 @@ def test_readopted_slices_keep_their_ledger_accounts(durable_testbed, tmp_path):
     cancelled = api.delete(f"/v1/slices/{pending.slice_id}")
     assert cancelled.status == 200
     assert cancelled.body["refund"] == pytest.approx(80.0)
+
+
+class TestOrphanUndo:
+    """Recovery hands its orphans to the planner: each undo is an event
+    on the registry clock under its driver's own deadline, and no wall
+    clock is waited on."""
+
+    @staticmethod
+    def restore_with_orphans(testbed, tmp_path, firewall, stall=False):
+        """Crash an empty control plane, leave one PREPARED and one
+        COMMITTED orphan on ``firewall``, restore; returns the report,
+        the restarted orchestrator and its ``driver.*`` records."""
+        testbed.registry.register(firewall, replace=True)
+        directory = str(tmp_path / "store")
+        crash(make_orchestrator(testbed, directory=directory))
+        firewall.prepare(DomainSpec(slice_id="slice-orphan-prepared", throughput_mbps=7.0))
+        committed = firewall.prepare(
+            DomainSpec(slice_id="slice-orphan-committed", throughput_mbps=9.0)
+        )
+        firewall.commit(committed)
+        if stall:
+            firewall.stall(1, kinds=("release",))
+        restarted = make_orchestrator(testbed, store=reopen_store(directory))
+        report = RecoveryManager(restarted).restore()
+        records = [
+            (r.record_type, r.data["slice_id"]) for r in restarted.store.records()
+            if r.record_type.startswith("driver.")
+        ]
+        return report, restarted, records
+
+    def test_orphans_are_undone_on_the_registry_clock(self, durable_testbed, tmp_path):
+        firewall = MockDriver("firewall", capacity_mbps=100_000.0, release_latency_s=0.5)
+        report, _, records = self.restore_with_orphans(durable_testbed, tmp_path, firewall)
+        assert report.orphans_compensated == 2
+        assert report.compensation_failures == 0
+        assert firewall.reservations() == [] and firewall.held_mbps == 0.0
+        # The rollback lands at once, the release 0.5 s of southbound time later.
+        assert durable_testbed.registry.clock.now == 0.5
+        assert records == [
+            ("driver.compensated", "slice-orphan-prepared"),
+            ("driver.compensated", "slice-orphan-committed"),
+        ]
+
+    def test_an_orphan_undo_fails_at_its_drivers_deadline(self, durable_testbed, tmp_path):
+        firewall = MockDriver(
+            "firewall", capacity_mbps=100_000.0, release_latency_s=0.5, operation_timeout_s=1.0
+        )
+        report, restarted, records = self.restore_with_orphans(
+            durable_testbed, tmp_path, firewall, stall=True
+        )
+        assert report.orphans_compensated == 1
+        assert report.compensation_failures == 1
+        assert durable_testbed.registry.clock.now == 1.0
+        assert restarted.planner.ops_timed_out == 1
+        assert records == [
+            ("driver.compensated", "slice-orphan-prepared"),
+            ("driver.compensation_failed", "slice-orphan-committed"),
+        ]
+        assert firewall.held_mbps == 9.0
+        # The hung release lands on release_stall(); nothing is held then.
+        firewall.release_stall()
+        assert firewall.reservations() == [] and firewall.held_mbps == 0.0

@@ -173,8 +173,10 @@ D8D_SETTLED_S = 0.15
 #: outcome, the planner's sizes off ``OrchestratorConfig``, one router
 #: error shape); −13 for undoing a recovery's orphans through the batch
 #: planner (no wall-clock wait or compensation budget of its own) and
-#: one lease timeout, ``ClusterConfig.lease_timeout_s``.
-SRC_LINES_CEILING = 20_594
+#: one lease timeout, ``ClusterConfig.lease_timeout_s``; −237 for one
+#: thread per shard (a walled driver's completions come back through the
+#: registry's door, and the locks below it are gone).
+SRC_LINES_CEILING = 20_357
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per

@@ -8,7 +8,6 @@ selected, and reports utilization.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -51,13 +50,6 @@ class CloudController:
             self._dcs[dc.dc_id] = dc
         self.placement = placement or BestFitPlacement()
         self._stacks: Dict[str, HeatStack] = {}  # slice_id -> stack
-        #: Serialization lock for this controller: the methods here are
-        #: not thread-safe, so every concurrent caller must hold it
-        #: across a call.  ``build_default_registry`` wires it as the
-        #: serial lock of *both* the cloud and EPC drivers (the EPC
-        #: binds to the stacks deployed here), so under the batch
-        #: install planner this controller sees one caller at a time.
-        self.lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Inventory / queries

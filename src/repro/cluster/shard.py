@@ -74,7 +74,15 @@ class ClusterConfig:
 
 @dataclass
 class ShardWorker:
-    """One shard's live control plane (leader side)."""
+    """One shard's live control plane (leader side).
+
+    A shard is entered by one thread at a time: its orchestrator,
+    planner, driver registry, drivers and controllers, journal, store
+    and obs sink take no lock.  Shards share nothing, so two shards may
+    run on two threads.  Another thread reaches a shard only through
+    its registry's door, ``testbed.registry.post(fn)``: the shard's
+    thread runs ``fn`` at its next drain.
+    """
 
     shard_id: int
     testbed: Testbed

@@ -255,10 +255,6 @@ class Orchestrator:
             on_record=self.durable.journal_driver_record if self.store.enabled else None,
             obs=self.obs,
         )
-        if self.obs.enabled:
-            # Pull the southbound drivers into the same trace/metric space.
-            for driver in self.registry.drivers():
-                driver.obs = self.obs
         #: Releases a backend refused, retried every monitoring epoch.
         self.releases = StuckReleases(self.registry)
         self._all_slices: Dict[str, NetworkSlice] = {}
@@ -801,7 +797,7 @@ class Orchestrator:
                     tag=index,
                     # The job span's context rides through the planner's
                     # state machine so every per-domain prepare/commit
-                    # span parents here whichever thread resolved it.
+                    # span parents here.
                     span_context=job_span.context,
                 )
             )
@@ -1160,8 +1156,8 @@ class Orchestrator:
         # Fleet-scale installs: drain everything admitted since the last
         # epoch through the concurrent batch planner in one go.
         self._drain_admission_queue()
-        # Late stragglers compensated since the last epoch surface as
-        # events now, on this thread.
+        # Late stragglers are compensated (a walled one only now, at
+        # this drain) and surface as events.
         self._drain_planner_events()
         if self.releases.stuck:
             for slice_id, domains in self.releases.retry():
@@ -1186,8 +1182,8 @@ class Orchestrator:
 
     def _drain_planner_events(self) -> None:
         """Surface the planner's buffered incidents (op timeouts,
-        background compensations) on the northbound feed — on this
-        thread, never a completion thread."""
+        background compensations) on the northbound feed, after the
+        planner's drain of its door compensated any walled straggler."""
         for event_type, payload in self.planner.drain_events():
             slice_id = payload.pop("slice_id", None)
             record = self._all_slices.get(slice_id) if slice_id else None

@@ -19,16 +19,11 @@ bookkeeping step.  :func:`build_default_registry` wires all four in
 install order — the registry any alternative backend (or an injected
 :class:`~repro.drivers.mock.MockDriver`) extends.
 
-None of the simulator controllers is thread-safe either, so every
-adapter declares ``max_concurrent_installs=1``: under the concurrent
-batch planner, :class:`~repro.drivers.base.BaseDriver` then serializes
-each adapter's lifecycle calls.  The cloud and EPC adapters touch the
-*same* controller (the EPC binds to the stack the cloud deployed), so
-:func:`build_default_registry` hands them one shared serialization
-lock — the per-controller half of the locking discipline.  The EPC
-adapter additionally declares ``prepare_after=("cloud",)``: within one
-install its prepare runs only after the cloud stack exists, while the
-other domains prepare in parallel.
+Every adapter declares ``max_concurrent_installs=1`` (one call at a
+time per controller).  The EPC adapter additionally declares
+``prepare_after=("cloud",)``: within one install its prepare runs only
+after the cloud stack exists, while the other domains prepare in
+parallel.
 
 All four controllers are in-memory objects whose calls cannot block,
 and each adapter knows it: :class:`_InProcessDriver` resolves the
@@ -43,7 +38,6 @@ worker hand-off it inherits, and declare its RPC deadline.
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import Future
 from typing import Any, Callable, Dict, Optional
 
@@ -77,6 +71,10 @@ class _InProcessDriver(BaseDriver):
 
     CAPABILITIES: DriverCapabilities
 
+    def __init__(self, controller: Any) -> None:
+        super().__init__()
+        self.controller = controller
+
     def capabilities(self) -> DriverCapabilities:
         return self.CAPABILITIES
 
@@ -100,14 +98,7 @@ class RanDriver(_InProcessDriver):
     CAPABILITIES = DriverCapabilities(
         domain=domain, resource_units=("prbs",), supports_resize=True
     )
-
-    def __init__(
-        self,
-        controller: RanController,
-        serial_lock: Optional[threading.RLock] = None,
-    ) -> None:
-        super().__init__(serial_lock=serial_lock)
-        self.controller = controller
+    controller: RanController
 
     def _do_prepare(self, spec: DomainSpec) -> Dict[str, Any]:
         plmn = spec.attributes.get("plmn")
@@ -172,14 +163,7 @@ class TransportDriver(_InProcessDriver):
         supports_resize=True,
         supports_repair=True,
     )
-
-    def __init__(
-        self,
-        controller: TransportController,
-        serial_lock: Optional[threading.RLock] = None,
-    ) -> None:
-        super().__init__(serial_lock=serial_lock)
-        self.controller = controller
+    controller: TransportController
 
     def _path_request(self, spec: DomainSpec) -> PathRequest:
         try:
@@ -281,14 +265,7 @@ class CloudDriver(_InProcessDriver):
 
     domain = "cloud"
     CAPABILITIES = DriverCapabilities(domain=domain, resource_units=("vcpus",))
-
-    def __init__(
-        self,
-        controller: CloudController,
-        serial_lock: Optional[threading.RLock] = None,
-    ) -> None:
-        super().__init__(serial_lock=serial_lock)
-        self.controller = controller
+    controller: CloudController
 
     def _do_prepare(self, spec: DomainSpec) -> Dict[str, Any]:
         dc_id = spec.attributes.get("dc_id")
@@ -340,12 +317,8 @@ class EpcDriver(_InProcessDriver):
     # prepare must wait for the cloud domain's prepare to land.
     CAPABILITIES = DriverCapabilities(domain=domain, prepare_after=("cloud",))
 
-    def __init__(
-        self,
-        stack_lookup: Callable[[str], Optional[HeatStack]],
-        serial_lock: Optional[threading.RLock] = None,
-    ) -> None:
-        super().__init__(serial_lock=serial_lock)
+    def __init__(self, stack_lookup: Callable[[str], Optional[HeatStack]]) -> None:
+        BaseDriver.__init__(self)
         self.stack_lookup = stack_lookup
         self._instances: Dict[str, EpcInstance] = {}
 
@@ -397,26 +370,12 @@ def build_default_registry(allocator: Any) -> DriverRegistry:
     in practice).  Registration order is install order: RAN pins the
     ingress, transport reaches the DC, cloud hosts the stack, EPC binds
     to it.
-
-    Each adapter serializes on *its controller's own lock* (the
-    per-controller half of the locking discipline), so a direct caller
-    honouring ``controller.lock`` and the drivers never interleave.
-    The cloud and EPC drivers share the cloud controller's lock because
-    they drive the same backend (the EPC's ``stack_lookup`` reads the
-    stacks the cloud driver deploys); under the concurrent batch
-    planner that controller therefore sees one caller at a time.
     """
     registry = DriverRegistry()
-    registry.register(RanDriver(allocator.ran, serial_lock=allocator.ran.lock))
-    registry.register(
-        TransportDriver(allocator.transport, serial_lock=allocator.transport.lock)
-    )
-    registry.register(
-        CloudDriver(allocator.cloud, serial_lock=allocator.cloud.lock)
-    )
-    registry.register(
-        EpcDriver(allocator.cloud.stack_of, serial_lock=allocator.cloud.lock)
-    )
+    registry.register(RanDriver(allocator.ran))
+    registry.register(TransportDriver(allocator.transport))
+    registry.register(CloudDriver(allocator.cloud))
+    registry.register(EpcDriver(allocator.cloud.stack_of))
     return registry
 
 

@@ -41,9 +41,8 @@ import itertools
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, ContextManager, Dict, List, Optional, Set, Tuple
-
-from repro.obs import NOOP_OBS
 
 
 class DriverError(RuntimeError):
@@ -136,13 +135,11 @@ class DriverCapabilities:
         transactional: True when the backend has *native* two-phase
             semantics; False when ``rollback`` is compensating.
         max_concurrent_installs: How many install operations the backend
-            can absorb *simultaneously*.  ``1`` (the default) declares a
-            serial backend: :class:`BaseDriver` then holds its
-            serialization lock across every lifecycle call, so wrapping
-            a non-thread-safe controller stays safe under the concurrent
-            batch planner.  A driver declaring ``> 1`` promises its
-            ``_do_*`` hooks are thread-safe; the planner bounds its
-            in-flight operations with a semaphore of this size.
+            can absorb *simultaneously*; the planner bounds a driver's
+            in-flight operations with a token pool of this size.  ``1``
+            (the default) declares a serial backend: :class:`BaseDriver`
+            then holds its serial lock across every lifecycle call, so a
+            walled driver's worker never overlaps another of its calls.
         prepare_after: Domains whose ``prepare`` must complete before
             this one's can start within a single install (e.g. the vEPC
             binding needs the cloud stack to exist).  The batch planner
@@ -169,20 +166,30 @@ class DriverCapabilities:
     operation_timeout_s: Optional[float] = None
 
 
-def deferred_call(fn: Callable[..., Any], *args: Any) -> Tuple[Future, Callable[[], None]]:
+def deferred_call(
+    fn: Callable[..., Any],
+    *args: Any,
+    post: Optional[Callable[[Callable[[], None]], None]] = None,
+) -> Tuple[Future, Callable[[], None]]:
     """A pending future and the call that resolves it with ``fn(*args)``
     (its result or its error, never raised) — unless it was cancelled
     first, and then ``fn`` never runs.  A future already marked running
-    (a backend that took the call and hung) stays so."""
+    (a backend that took the call and hung) stays so.  With ``post``,
+    the call runs ``fn`` and hands the resolution to ``post`` instead
+    of resolving the future itself."""
     future: Future = Future()
 
     def run() -> None:
         if not (future.running() or future.set_running_or_notify_cancel()):
             return  # cancelled before the backend was touched
         try:
-            future.set_result(fn(*args))
+            resolve = partial(future.set_result, fn(*args))
         except BaseException as exc:  # resolve, never propagate
-            future.set_exception(exc)
+            resolve = partial(future.set_exception, exc)
+        if post is None:
+            resolve()
+        else:
+            post(resolve)
 
     return future, run
 
@@ -192,12 +199,6 @@ class DomainDriver(abc.ABC):
 
     #: Domain name; also the :class:`~repro.drivers.registry.DriverRegistry` key.
     domain: str = "unknown"
-
-    #: Control-plane observability sink.  The class default is the
-    #: shared no-op singleton (zero overhead); an observability-enabled
-    #: orchestrator rebinds its registry's drivers to the live registry
-    #: so serial-lock wait/hold times are histogrammed per domain.
-    obs = NOOP_OBS
 
     @abc.abstractmethod
     def capabilities(self) -> DriverCapabilities:
@@ -311,7 +312,9 @@ class DomainDriver(abc.ABC):
     #   blocking methods, so it assumes the worst — a call that may
     #   really block — and hands it to a daemon worker: a hung call
     #   parks that worker, never the planner, which bounds it with the
-    #   one southbound deadline in wall time.
+    #   one southbound deadline in wall time.  Such a driver is
+    #   *walled*: the worker posts the future's resolution through its
+    #   registry's door, so it lands on the thread draining the shard.
     # - A driver that knows its backend is an in-memory object that
     #   cannot block (the four simulator adapters) resolves the future
     #   inline, on the caller's thread, before returning it.
@@ -325,17 +328,25 @@ class DomainDriver(abc.ABC):
     #   operation_timeout_s``; the worker hand-off itself never times
     #   out (the blocking call keeps running on its thread, and the
     #   planner compensates the straggler when it eventually completes).
-    # - Done-callbacks run on whichever thread resolved the future —
-    #   possibly the caller's own, before ``*_async`` returns.
+    # - Done-callbacks run on the thread that resolved the future: the
+    #   shard's own — possibly the caller, before ``*_async`` returns.
 
     #: The southbound clock (a :class:`~repro.sim.engine.Simulator`);
     #: :meth:`DriverRegistry.register` binds the registry's own.
     clock: Any = None
 
+    #: The door a walled worker resolves its future through:
+    #: :meth:`DriverRegistry.register` binds the registry's ``post``.
+    #: An unregistered driver belongs to no shard; its worker resolves
+    #: the future itself.
+    post: Optional[Callable[[Callable[[], None]], None]] = None
+
     def _shim_async(self, label: str, fn: Callable[..., Any], *args: Any) -> Future:
-        """Run blocking ``fn(*args)`` on a daemon worker, resolving a
-        future — the async surface of a driver that may block."""
-        future, run = deferred_call(fn, *args)
+        """Run blocking ``fn(*args)`` on a daemon worker and post the
+        future's resolution — the async surface of a driver that may
+        block.  A future cancelled before the worker started never
+        touches the backend."""
+        future, run = deferred_call(fn, *args, post=self.post)
         threading.Thread(
             target=run, name=f"{self.domain}-{label}-async", daemon=True
         ).start()
@@ -372,46 +383,35 @@ class BaseDriver(DomainDriver):
       reservation table is the truth; the backend is never probed for
       state the table does not know.
 
-    Locking discipline (a driver may be called at once from a planner
-    draining a window, from another driver's completion thread
-    compensating a straggler, and from direct callers):
+    Synchronisation.  A shard's control plane is entered by one thread
+    at a time, but a walled driver (one on :class:`DomainDriver`'s
+    worker hand-off) runs its blocking methods on a worker, so these
+    two locks stay:
 
     - ``_lock`` guards the reservation table and the in-flight set; it
-      is held only around bookkeeping, never across a backend call.
+      is held only around bookkeeping, never across a backend call.  A
+      second concurrent prepare/commit/release of the same slice fails
+      fast instead of corrupting the record.
     - ``_serial_lock`` is held across the *whole* lifecycle operation —
-      including the ``_do_*`` backend call — whenever the driver
-      declares ``max_concurrent_installs == 1``.  Drivers wrapping one
-      shared backend (cloud + EPC over one controller) may be handed
-      the same lock so the controller sees one caller at a time.
-    - Drivers declaring ``max_concurrent_installs > 1`` run their
-      ``_do_*`` hooks without the serialization lock and must make them
-      thread-safe; per-slice races are still excluded by the in-flight
-      set (a second concurrent prepare/commit/release of the same slice
-      fails fast instead of corrupting the record).
+      including the ``_do_*`` backend call — when the driver declares
+      ``max_concurrent_installs == 1``.  For a walled cap-1 backend it
+      is the one thing that keeps apart a straggler from an earlier
+      batch and the next batch's operation, or a straggler and a
+      blocking call made on the shard's thread.
     """
 
-    def __init__(self, serial_lock: Optional[threading.RLock] = None) -> None:
+    def __init__(self) -> None:
         self._reservations: Dict[str, Reservation] = {}
         self._ids = itertools.count(1)
         self._lock = threading.RLock()
-        self._serial_lock = serial_lock or threading.RLock()
+        self._serial_lock = threading.RLock()
         self._in_flight: Set[str] = set()
 
     def _backend_guard(self) -> ContextManager:
-        """The context held across a lifecycle operation: the shared
-        serialization lock for serial backends, nothing for backends
-        that declared concurrent capacity.
-
-        With observability enabled the serial lock — the hot lock of
-        every single-capacity backend — is wrapped so its wait and hold
-        times land in the ``driver.serial_lock.{wait,hold}`` histograms
-        (labelled by domain)."""
+        """The context held across a lifecycle operation: the serial
+        lock for serial backends, nothing for backends that declared
+        concurrent capacity."""
         if self.capabilities().max_concurrent_installs <= 1:
-            obs = self.obs
-            if obs.enabled:
-                return obs.timed_lock(
-                    self._serial_lock, "driver.serial_lock", label=self.domain
-                )
             return self._serial_lock
         return contextlib.nullcontext()
 

@@ -4,8 +4,9 @@ Three uses:
 
 1. **Conformance reference** — the driver conformance suite runs the
    identical contract tests against :class:`MockDriver` and the four
-   real adapters (the mock's hooks are thread-safe, so the concurrency
-   half hammers it from a thread pool).
+   real adapters.  Like them, the mock is entered by its shard's one
+   thread; a foreign thread reaches it only through the registry's
+   door (``registry.post(mock.release_stall)``).
 2. **Failure injection** — ``fail_next_prepare`` / ``fail_next_commit``
    / ``fail_next_release`` break a lifecycle call at a chosen domain,
    and :meth:`MockDriver.stall` hangs the next N operations until
@@ -27,7 +28,6 @@ Capacity is a single scalar pool accounted in ``throughput_mbps``
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional
 
@@ -66,8 +66,6 @@ class MockDriver(BaseDriver):
         self.prepare_after = tuple(prepare_after)
         self.operation_timeout_s = operation_timeout_s
         self.clock = Simulator()
-        #: Guards the capacity pool, the counters and the injection knobs.
-        self._pool_lock = threading.RLock()
         self._held: Dict[str, float] = {}  # slice_id -> held mbps
         #: Remaining prepare calls to fail (failure injection).
         self.fail_next_prepare = 0
@@ -122,29 +120,26 @@ class MockDriver(BaseDriver):
                 ``stall(kinds=("rollback",))`` lets the forward path
                 run and hangs the compensation instead.
         """
-        with self._pool_lock:
-            self._stall_remaining += int(count)
-            self._stall_kinds = frozenset(kinds) if kinds is not None else None
+        self._stall_remaining += int(count)
+        self._stall_kinds = frozenset(kinds) if kinds is not None else None
 
     def release_stall(self) -> None:
         """End the stall: no further operation stalls, and every parked
-        completion runs now, in launch order, on the calling thread."""
-        with self._pool_lock:
-            self._stall_remaining = 0
-            parked, self._parked = self._parked, []
+        completion runs now, in launch order."""
+        self._stall_remaining = 0
+        parked, self._parked = self._parked, []
         for complete in parked:
             complete()
 
     def _takes_stall(self, kind: str) -> bool:
         """Consume one stall token if one is armed for ``kind``."""
-        with self._pool_lock:
-            if self._stall_remaining <= 0 or (
-                self._stall_kinds is not None and kind not in self._stall_kinds
-            ):
-                return False
-            self._stall_remaining -= 1
-            self.stalled_ops += 1
-            return True
+        if self._stall_remaining <= 0 or (
+            self._stall_kinds is not None and kind not in self._stall_kinds
+        ):
+            return False
+        self._stall_remaining -= 1
+        self.stalled_ops += 1
+        return True
 
     # ------------------------------------------------------------------
     # Lifecycle on the clock
@@ -180,12 +175,11 @@ class MockDriver(BaseDriver):
         or, when the operation stalls, on :meth:`release_stall`."""
         future, complete = deferred_call(getattr(super(), label), *args)
         latency_s = getattr(self, f"{label}_latency_s", 0.0)
-        with self._pool_lock:  # one step, or a release_stall() between loses it
-            if self._takes_stall(label):
-                # The backend took the call and hangs: no longer cancellable.
-                future.set_running_or_notify_cancel()
-                self._parked.append(complete)
-                return future
+        if self._takes_stall(label):
+            # The backend took the call and hangs: no longer cancellable.
+            future.set_running_or_notify_cancel()
+            self._parked.append(complete)
+            return future
         if latency_s > 0:
             self.clock.schedule(latency_s, complete, name=f"{self.domain}-{label}")
         else:
@@ -195,64 +189,58 @@ class MockDriver(BaseDriver):
     @property
     def held_mbps(self) -> float:
         """Total capacity currently held or committed."""
-        with self._pool_lock:
-            return sum(self._held.values())
+        return sum(self._held.values())
 
     def _demand(self, spec: DomainSpec) -> float:
         return spec.throughput_mbps * spec.effective_fraction
 
     def _do_prepare(self, spec: DomainSpec) -> Dict[str, Any]:
-        with self._pool_lock:
-            self.prepares += 1
-            if self.fail_next_prepare > 0:
-                self.fail_next_prepare -= 1
-                raise DriverError(self.domain, "injected prepare failure")
-            demand = self._demand(spec)
-            free = self.capacity_mbps - sum(self._held.values())
-            if demand > free + 1e-9:
-                raise DriverError(
-                    self.domain,
-                    f"{demand:.1f} Mb/s requested but only {free:.1f} free",
-                )
-            self._held[spec.slice_id] = demand
-            return {"held_mbps": demand}
+        self.prepares += 1
+        if self.fail_next_prepare > 0:
+            self.fail_next_prepare -= 1
+            raise DriverError(self.domain, "injected prepare failure")
+        demand = self._demand(spec)
+        free = self.capacity_mbps - sum(self._held.values())
+        if demand > free + 1e-9:
+            raise DriverError(
+                self.domain,
+                f"{demand:.1f} Mb/s requested but only {free:.1f} free",
+            )
+        self._held[spec.slice_id] = demand
+        return {"held_mbps": demand}
 
     def _do_commit(self, reservation: Reservation) -> None:
-        with self._pool_lock:
-            self.commits += 1
-            if self.fail_next_commit > 0:
-                self.fail_next_commit -= 1
-                # The failed commit loses the hold; the reservation stays
-                # PREPARED so the transaction's unwind rolls it back.
-                self._held.pop(reservation.slice_id, None)
-                raise DriverError(self.domain, "injected commit failure")
+        self.commits += 1
+        if self.fail_next_commit > 0:
+            self.fail_next_commit -= 1
+            # The failed commit loses the hold; the reservation stays
+            # PREPARED so the transaction's unwind rolls it back.
+            self._held.pop(reservation.slice_id, None)
+            raise DriverError(self.domain, "injected commit failure")
 
     def _do_rollback(self, reservation: Reservation) -> None:
-        with self._pool_lock:
-            self.rollbacks += 1
-            self._held.pop(reservation.slice_id, None)
+        self.rollbacks += 1
+        self._held.pop(reservation.slice_id, None)
 
     def _do_release(self, slice_id: str) -> None:
-        with self._pool_lock:
-            self.releases += 1
-            if self.fail_next_release > 0:
-                self.fail_next_release -= 1
-                raise DriverError(self.domain, "injected release failure")
-            if slice_id not in self._held:
-                raise DriverError(self.domain, f"slice {slice_id} holds nothing")
-            del self._held[slice_id]
+        self.releases += 1
+        if self.fail_next_release > 0:
+            self.fail_next_release -= 1
+            raise DriverError(self.domain, "injected release failure")
+        if slice_id not in self._held:
+            raise DriverError(self.domain, f"slice {slice_id} holds nothing")
+        del self._held[slice_id]
 
     def _do_resize(self, slice_id: str, spec: DomainSpec,
                    reservation: Reservation) -> Dict[str, Any]:
-        with self._pool_lock:
-            if slice_id not in self._held:
-                raise DriverError(self.domain, f"slice {slice_id} holds nothing")
-            new_demand = self._demand(spec)
-            others = sum(self._held.values()) - self._held[slice_id]
-            if others + new_demand > self.capacity_mbps + 1e-9:
-                raise DriverError(self.domain, "resize does not fit")
-            self._held[slice_id] = new_demand
-            return {"held_mbps": new_demand}
+        if slice_id not in self._held:
+            raise DriverError(self.domain, f"slice {slice_id} holds nothing")
+        new_demand = self._demand(spec)
+        others = sum(self._held.values()) - self._held[slice_id]
+        if others + new_demand > self.capacity_mbps + 1e-9:
+            raise DriverError(self.domain, "resize does not fit")
+        self._held[slice_id] = new_demand
+        return {"held_mbps": new_demand}
 
     def repair(self, slice_id: str) -> Reservation:
         reservation = self.reservation_of(slice_id)
@@ -261,13 +249,12 @@ class MockDriver(BaseDriver):
         return reservation
 
     def utilization(self) -> dict:
-        with self._pool_lock:
-            return {
-                "domain": self.domain,
-                "capacity_mbps": self.capacity_mbps,
-                "held_mbps": sum(self._held.values()),
-                "active_reservations": len(self._held),
-            }
+        return {
+            "domain": self.domain,
+            "capacity_mbps": self.capacity_mbps,
+            "held_mbps": sum(self._held.values()),
+            "active_reservations": len(self._held),
+        }
 
 
 __all__ = ["MockDriver"]

@@ -20,12 +20,13 @@ job — and without starting one at all when every backend is in-process:
   (:class:`~repro.drivers.mock.MockDriver`'s) and deadlines as events;
   with the run queue empty the drainer *jumps* it to the next event
   instead of sleeping, so a batch replays exactly.
-- **One hand-off** — a future's done-callback is the only planner code
-  a foreign thread (the worker running a blocking driver, a caller of
-  ``release_stall``) ever executes, and all it does is append the
-  completion to the run queue under the hand-off lock.  A future
-  resolved inline or from a clock event, on the drainer, goes through
-  the very same append.
+- **One door** — no planner code runs on a foreign thread.  A walled
+  driver's worker (see :class:`~repro.drivers.base.DomainDriver`)
+  *posts* its future's resolution through the registry's door, and the
+  drainer runs what was posted whenever it loops; with nothing
+  runnable it waits on the door up to the next walled deadline.  A
+  future's done-callback — resolved inline, from a clock event or from
+  the door — appends the completion to the run queue.
 - **Across slices** — each job owns one slice's whole prepare →
   validate → commit attempt sequence; ``max_workers`` job tokens bound
   how many are in flight.
@@ -38,10 +39,7 @@ job — and without starting one at all when every backend is in-process:
   in-flight operations a backend absorbs at once, batch-wide.  Tokens
   are granted at *submission* time: an operation either launches
   immediately or queues FIFO until a token frees — nothing ever blocks
-  on a semaphore.  Serial backends (all simulator adapters)
-  additionally self-serialize via :class:`~repro.drivers.base.
-  BaseDriver`'s locking discipline, so correctness never depends on the
-  planner being the only caller.
+  on a semaphore.
 
 Southbound calls go through the drivers' futures-based lifecycle
 (:meth:`~repro.drivers.base.DomainDriver.prepare_async` and friends);
@@ -52,10 +50,12 @@ domain cannot stall the batch**: a per-operation deadline
 timer thread) converts the hung operation into a clean per-job unwind:
 the job fails with :class:`~repro.drivers.transaction.OperationTimeout`,
 its other domains are rolled back immediately, and the straggler is
-*compensated* (rolled back or released) the moment it eventually
-completes — batch still draining or long since returned — so no residue
-survives a late success.  The one wall-time deadline is that of an op
-on ``DomainDriver._shim_async``'s worker: a backend that really blocks.
+*compensated* (rolled back or released) once its completion is seen —
+by the batch while it drains, else where it lands: on the clock, at
+``release_stall``, or for a walled straggler at the next drain of the
+door — so no residue survives a late success.  The one wall-time
+deadline is that of an op on ``DomainDriver._shim_async``'s worker: a
+backend that really blocks.
 
 Transaction semantics are the blocking executor's: any failure inside a
 job unwinds *that job's* reservations in reverse registry order
@@ -75,7 +75,6 @@ itself on the window path.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from concurrent.futures import Future
 from functools import partial
@@ -236,9 +235,8 @@ class _Op:
         return undo_async(self.driver, self.reservation)
 
     def _completed(self, future: Future) -> None:
-        """Done-callback — the one planner function foreign threads run
-        (and the drainer itself, for a future resolved inline).  While
-        the batch drains, the completion joins the run queue; after
+        """Done-callback, on the shard's thread.  While the batch
+        drains, the completion joins the run queue; after
         :meth:`BatchInstallPlanner.install_batch` returned there is no
         job left to tell, only residue to undo."""
         run = self.run
@@ -574,9 +572,8 @@ class _Batch:
     the run queue they advance through, the ops under a deadline, the
     token pools, and the registry as it stood at the first job.
 
-    Everything here belongs to the draining thread except the run
-    queue's producer side: ``_handoff`` guards ``_queue`` and
-    ``_closed``, which is all a foreign thread ever touches.
+    Everything here belongs to the draining thread; foreign threads
+    reach it only through the registry's door.
     """
 
     def __init__(
@@ -593,10 +590,11 @@ class _Batch:
         #: domain → (driver, token pool, per-op deadline, walled).
         self.lanes: Dict[str, Tuple[DomainDriver, _TokenPool, Optional[float], bool]] = {}
         self.waves: Optional[List[List[str]]] = None
+        self.registry = planner.registry
         self.clock = planner.registry.clock
         self._queue: deque = deque()
-        self._handoff = threading.Condition()
-        self._closed = False
+        #: Set once the batch returned: later completions are stragglers.
+        self.closed = False
         #: Ops under a deadline not yet on the clock (walled ones never
         #: are); settled ones drop out when the drainer next idles.
         self._timed: List[_Op] = []
@@ -630,14 +628,11 @@ class _Batch:
     # Run queue
     # ------------------------------------------------------------------
     def enqueue(self, run: _JobRun, step: Callable[..., None], *args: Any) -> bool:
-        """Append a continuation — the single thread-safe hand-off into
-        the batch.  False once the batch has returned (the caller then
-        owns whatever it was about to report)."""
-        with self._handoff:
-            if self._closed:
-                return False
-            self._queue.append((run, step, args))
-            self._handoff.notify()
+        """Append a continuation.  False once the batch has returned
+        (the caller then owns whatever it was about to report)."""
+        if self.closed:
+            return False
+        self._queue.append((run, step, args))
         return True
 
     def release(self, pool: _TokenPool) -> None:
@@ -658,23 +653,22 @@ class _Batch:
         self.release(self._job_tokens)
 
     def drain(self) -> List[InstallOutcome]:
-        """Run continuations until every job settled; when none is
-        queued, :meth:`_idle` moves time on.  ``KeyboardInterrupt``/
-        ``SystemExit`` propagate; whatever is still out then
-        compensates itself on completion."""
-        handoff = self._handoff
+        """Run what the door holds and the queued continuations until
+        every job settled; when none is queued, :meth:`_idle` moves time
+        on.  ``KeyboardInterrupt``/``SystemExit`` propagate; whatever is
+        still out then compensates itself on completion."""
+        run_posted = self.registry.run_posted
         try:
             while self._unsettled:
-                with handoff:
-                    steps, self._queue = self._queue, deque()
+                run_posted()
+                steps, self._queue = self._queue, deque()
                 if not steps:
                     self._idle()
                 for step in steps:
                     self._run(*step)
         finally:
-            with handoff:
-                self._closed = True
-                steps, self._queue = self._queue, deque()
+            self.closed = True
+            steps, self._queue = self._queue, deque()
         # Stragglers that completed between the last job settling and
         # the close: compensated here; later ones where they complete.
         for step in steps:
@@ -693,8 +687,8 @@ class _Batch:
     def _idle(self) -> None:
         """Nothing is runnable: expire the walled ops past their
         deadline, put the others' deadlines on the clock and jump it to
-        its next event.  With none left, wait for a foreign completion
-        until the next wall-time deadline."""
+        its next event.  With none left, wait on the door until the next
+        wall-time deadline, and run what was posted."""
         clock, now, expired = self.clock, monotonic(), False
         timed, self._timed = self._timed, []
         for op in timed:
@@ -712,11 +706,9 @@ class _Batch:
         if expired or clock.step():
             return
         walled = self._timed
-        with self._handoff:
-            if not self._queue:
-                self._handoff.wait(
-                    min(op.due for op in walled) - monotonic() if walled else None
-                )
+        self.registry.run_posted(
+            min(op.due for op in walled) - monotonic() if walled else None
+        )
 
 
 class BatchInstallPlanner:
@@ -734,10 +726,9 @@ class BatchInstallPlanner:
             no job's :attr:`InstallOutcome.trail` can carry — a
             straggler compensated after its job settled:
             ``("driver.compensated", domain, slice_id,
-            reservation_id)``.  Called from whichever thread the
-            compensation completed on, so the hook must be thread-safe
-            (the control-plane journal is); a raising hook is swallowed
-            — residue removal never depends on the audit trail.
+            reservation_id)``.  Called on the shard's thread; a raising
+            hook is swallowed — residue removal never depends on the
+            audit trail.
         obs: Control-plane observability sink (spans per southbound
             op, token-wait histograms).  Defaults to the process-wide
             :func:`~repro.obs.registry.default_observability` — the
@@ -771,16 +762,8 @@ class BatchInstallPlanner:
         #: Late completions of timed-out operations that the background
         #: compensation path had to roll back or release.
         self.ops_compensated = 0
-        # Compensation runs on whichever thread the straggler finished
-        # on — after install_batch returned, a foreign one — so the
-        # counters and the event buffer it shares with the drainer are
-        # locked; the batch counters above only ever change on the
-        # calling thread.
-        self._counter_lock = threading.Lock()
-        # Northbound-worthy incidents (op timeouts, background
-        # compensations) buffered for the orchestrator to drain on
-        # *its* thread — completion threads must never touch the event
-        # feed directly.
+        # Northbound-worthy incidents (op timeouts, compensations)
+        # buffered for the orchestrator to put on its event feed.
         self._pending_events: List[Tuple[str, Dict[str, Any]]] = []
 
     # ------------------------------------------------------------------
@@ -873,35 +856,36 @@ class BatchInstallPlanner:
     # Deadlines + compensation
     # ------------------------------------------------------------------
     def _count_timeout(self, op: _Op) -> None:
-        with self._counter_lock:
-            self.ops_timed_out += 1
-            self._pending_events.append(
-                (
-                    "driver.op_timeout",
-                    {
-                        "domain": op.domain,
-                        "kind": op.kind,
-                        "slice_id": op.run.job.slice_id,
-                        "timeout_s": op.timeout_s,
-                    },
-                )
+        self.ops_timed_out += 1
+        self._pending_events.append(
+            (
+                "driver.op_timeout",
+                {
+                    "domain": op.domain,
+                    "kind": op.kind,
+                    "slice_id": op.run.job.slice_id,
+                    "timeout_s": op.timeout_s,
+                },
             )
+        )
 
     def drain_events(self) -> List[Tuple[str, Dict[str, Any]]]:
-        """Hand buffered incidents to the caller (the orchestrator
-        emits them on the event feed from its own thread) and clear."""
-        with self._counter_lock:
-            drained, self._pending_events = self._pending_events, []
+        """Run what the door holds — a walled straggler that landed
+        after its batch returned is compensated and journaled here —
+        then hand buffered incidents to the caller and clear."""
+        self.registry.run_posted()
+        drained, self._pending_events = self._pending_events, []
         return drained
 
     def _compensate(self, op: _Op) -> None:
         """A settled-without-it operation eventually finished: undo
         whatever it did, best-effort, so a late success leaves zero
         residue (the owning job already unwound without this domain).
-        Runs on the drainer while the batch is open and on the
-        completing thread afterwards, so the undo itself goes through
-        the driver's async surface — neither may block on a backend
-        that has just proven it can hang."""
+        The undo goes through the driver's async surface — nothing may
+        block on a backend that has just proven it can hang — except
+        for a walled straggler of a returned batch: that one came
+        through the door at a drain point, which drains its undo too,
+        under the driver's deadline."""
         future = op.future
         if future.cancelled():
             return  # never touched the backend
@@ -916,29 +900,34 @@ class BatchInstallPlanner:
                 reservation.state not in HOLDING
             ):
                 return  # nothing held; a late unwind that landed undid itself
-            with self._counter_lock:
-                self.ops_compensated += 1
-                self._pending_events.append(
-                    (
-                        "driver.compensated",
-                        {
-                            "domain": op.domain,
-                            "kind": op.kind,
-                            "slice_id": op.run.job.slice_id,
-                        },
-                    )
+            self.ops_compensated += 1
+            self._pending_events.append(
+                (
+                    "driver.compensated",
+                    {
+                        "domain": op.domain,
+                        "kind": op.kind,
+                        "slice_id": op.run.job.slice_id,
+                    },
                 )
+            )
+            if op.walled and op.run.batch.closed:
+                (outcome,) = self.undo([reservation])
+                self._compensation_done(reservation, bool(outcome.rollbacks))
+                return
             undo_async(op.driver, reservation).add_done_callback(
-                lambda done: self._compensation_done(reservation, done)
+                lambda done: self._compensation_done(
+                    reservation, not done.cancelled() and done.exception() is None
+                )
             )
         except Exception:  # pragma: no cover - best effort by design
             pass
 
-    def _compensation_done(self, reservation: Reservation, done: Future) -> None:
+    def _compensation_done(self, reservation: Reservation, landed: bool) -> None:
         """Fire the durability hook for a compensation that landed; an
         audit failure never matters to the backend (and a closed
         journal drops writes by design)."""
-        if self.on_record is None or done.cancelled() or done.exception() is not None:
+        if self.on_record is None or not landed:
             return
         try:
             self.on_record(

@@ -17,7 +17,8 @@ placement provider (see ``docs/ARCHITECTURE.md``).
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from collections import deque
+from typing import Callable, Dict, List, Optional
 
 from repro.drivers.base import DomainDriver, DriverError
 from repro.sim.engine import Simulator
@@ -26,23 +27,52 @@ from repro.sim.engine import Simulator
 class DriverRegistry:
     """Ordered mapping of domain name → :class:`DomainDriver`.
 
-    Thread-safe: registration, lookup and iteration take an internal
-    lock, and every iteration surface hands out a point-in-time
-    *snapshot*, so a batch draining on one thread never observes a
-    half-applied ``register``/``unregister`` from another.
+    Like the rest of its shard's control plane, a registry is entered
+    by one thread at a time, so it takes no lock.  It owns the two
+    things its drivers share with that thread:
 
-    It owns the southbound ``clock`` (a :class:`~repro.sim.engine.
-    Simulator`, apart from the orchestrator's), bound to every driver it
-    registers: mock completions and planner deadlines are its events,
-    and one thread at a time (a drainer, a blocking caller) advances it.
+    - the southbound ``clock`` (a :class:`~repro.sim.engine.Simulator`,
+      apart from the orchestrator's): mock completions and planner
+      deadlines are its events;
+    - the *door*, the shard's one thread-safe entry: :meth:`post` queues
+      a call from any thread, and whoever drains the shard (a batch,
+      :meth:`~repro.drivers.planner.BatchInstallPlanner.drain_events`)
+      runs it with :meth:`run_posted`.  A walled driver's worker posts
+      its future's resolution here.
+
+    ``register`` binds both to the driver.
     """
 
     def __init__(self, drivers: Optional[List[DomainDriver]] = None) -> None:
         self.clock = Simulator()
         self._drivers: Dict[str, DomainDriver] = {}
-        self._lock = threading.RLock()
+        self._posted: deque = deque()
+        self._door = threading.Condition()
         for driver in drivers or []:
             self.register(driver)
+
+    def post(self, fn: Callable[[], None]) -> None:
+        """Queue ``fn`` for the thread draining this shard (any thread
+        may call this)."""
+        with self._door:
+            self._posted.append(fn)
+            self._door.notify()
+
+    def run_posted(self, wait: Optional[float] = 0.0) -> None:
+        """Run everything posted, in posting order, on the calling
+        thread; with nothing posted, first wait up to ``wait`` seconds
+        (``None``: until something is)."""
+        posted = self._posted
+        if not posted:
+            if wait is not None and wait <= 0:
+                return
+            with self._door:
+                if not posted:
+                    self._door.wait(wait)
+        while posted:
+            with self._door:
+                fn = posted.popleft()
+            fn()
 
     def register(self, driver: DomainDriver, replace: bool = False) -> DomainDriver:
         """Add a driver under its ``domain`` name.
@@ -63,13 +93,13 @@ class DriverRegistry:
         if not isinstance(driver, DomainDriver):
             raise TypeError(f"drivers must be DomainDriver instances, got {driver!r}")
         domain = driver.domain
-        with self._lock:
-            previous = self._drivers.get(domain)
-            if previous is not None and not replace:
-                raise DriverError(domain, "domain already registered")
-            self._drivers[domain] = driver
-            driver.clock = self.clock
-            return previous if previous is not None else driver
+        previous = self._drivers.get(domain)
+        if previous is not None and not replace:
+            raise DriverError(domain, "domain already registered")
+        self._drivers[domain] = driver
+        driver.clock = self.clock
+        driver.post = self.post
+        return previous if previous is not None else driver
 
     def get(self, domain: str) -> DomainDriver:
         """Lookup the driver serving ``domain``.
@@ -77,29 +107,24 @@ class DriverRegistry:
         Raises:
             DriverError: If unknown.
         """
-        with self._lock:
-            try:
-                return self._drivers[domain]
-            except KeyError:
-                raise DriverError(domain, "domain not registered") from None
+        try:
+            return self._drivers[domain]
+        except KeyError:
+            raise DriverError(domain, "domain not registered") from None
 
     def domains(self) -> List[str]:
         """Registered domain names, in registration (install) order."""
-        with self._lock:
-            return list(self._drivers)
+        return list(self._drivers)
 
     def drivers(self) -> List[DomainDriver]:
         """Registered drivers, in registration (install) order."""
-        with self._lock:
-            return list(self._drivers.values())
+        return list(self._drivers.values())
 
     def __contains__(self, domain: str) -> bool:
-        with self._lock:
-            return domain in self._drivers
+        return domain in self._drivers
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._drivers)
+        return len(self._drivers)
 
     def capabilities(self) -> dict:
         """Per-domain capability summary (API/debugging surface)."""

@@ -109,7 +109,7 @@ class InstallJob:
         span_context: Optional :class:`~repro.obs.span.SpanContext` of
             the caller's per-job span.  Carried through the job state
             machine so every southbound operation span parents
-            correctly whichever thread resolved the operation — the
+            correctly however many jobs' continuations interleave — the
             explicit propagation that replaces thread-locals in the
             async engine.
     """

@@ -2,7 +2,7 @@
 
 This package profiles the orchestrator process itself, in wall-clock
 time — where a 32-slice batch install actually spends its
-milliseconds, stage by stage, whichever thread closed each stage.  It
+milliseconds, stage by stage.  It
 holds the one metrics registry and the one Prometheus writer; the
 *simulated world's* telemetry is not stored anywhere but read off live
 state per scrape (:func:`repro.core.epoch.sim_gauges`) and rendered

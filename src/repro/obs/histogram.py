@@ -1,29 +1,18 @@
 """Fixed-bucket wall-clock latency histograms.
 
 Prometheus-style cumulative buckets over a fixed bound list.
-``observe`` is a single lock-free deque append — the write path sits
-directly on the install hot path (token-grant thunks, span finishes on
-planner worker threads), where a contended lock acquisition costs a
-futex wait that gets amplified by the GIL into pipeline-visible
-latency.  Pending observations are folded into the bucket counts
-lazily, under the lock, whenever a read-side method runs (or when the
-pending queue grows past a backstop).  Percentiles (p50/p95/p99) are
-estimated by linear interpolation inside the bucket that crosses the
-target rank, which is exact enough for the "where did the
-milliseconds go" question this subsystem answers; ``max`` is tracked
-exactly.
+``observe`` folds one value into the bucket counts directly: a
+histogram belongs to its shard's obs sink, entered by one thread at a
+time, so it takes no lock.  Percentiles (p50/p95/p99) are estimated by
+linear interpolation inside the bucket that crosses the target rank,
+which is exact enough for the "where did the milliseconds go" question
+this subsystem answers; ``max`` is tracked exactly.
 """
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
-from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-#: A writer that finds this many undrained observations folds them
-#: itself (keeps memory bounded if nothing ever reads the histogram).
-_DRAIN_BACKSTOP = 4096
 
 #: Default bounds (milliseconds): sub-ms resolution for the in-process
 #: simulator drivers up through multi-second southbound stalls.
@@ -34,11 +23,12 @@ DEFAULT_BUCKETS_MS: Tuple[float, ...] = (
 
 
 class LatencyHistogram:
-    """One fixed-bucket histogram (thread-safe).
+    """One fixed-bucket histogram.
 
     Attributes:
         name: Metric name, dotted (``"driver.prepare"``).
         label: Optional sub-label (the domain, for driver ops).
+        count: Observations recorded.
     """
 
     def __init__(
@@ -55,57 +45,28 @@ class LatencyHistogram:
         # counts[i] = observations <= bounds[i] (non-cumulative here;
         # the final slot is the +Inf overflow bucket).
         self._counts = [0] * (len(self.bounds) + 1)
-        self._count = 0
+        self.count = 0
         self._sum_ms = 0.0
         self._max_ms = 0.0
         self._min_ms = float("inf")
-        # Lock-free write side: deque.append is atomic under the GIL.
-        self._pending: deque = deque()
-        self._lock = threading.Lock()
 
     def observe(self, value_ms: float) -> None:
-        """Record one observation (lock-free; folded on read)."""
-        self._pending.append(value_ms)
-        if len(self._pending) >= _DRAIN_BACKSTOP:
-            self._drain()
-
-    def _drain(self) -> None:
-        """Fold pending observations into the bucket counts.
-
-        Safe against concurrent writers: popleft is atomic, so an
-        append racing the drain either gets folded now or stays queued
-        for the next one.
-        """
-        pending = self._pending
-        if not pending:
-            return
-        with self._lock:
-            while True:
-                try:
-                    value_ms = float(pending.popleft())
-                except IndexError:
-                    break
-                self._counts[bisect_left(self.bounds, value_ms)] += 1
-                self._count += 1
-                self._sum_ms += value_ms
-                if value_ms > self._max_ms:
-                    self._max_ms = value_ms
-                if value_ms < self._min_ms:
-                    self._min_ms = value_ms
-
-    @property
-    def count(self) -> int:
-        self._drain()
-        return self._count
+        """Record one observation."""
+        value_ms = float(value_ms)
+        self._counts[bisect_left(self.bounds, value_ms)] += 1
+        self.count += 1
+        self._sum_ms += value_ms
+        if value_ms > self._max_ms:
+            self._max_ms = value_ms
+        if value_ms < self._min_ms:
+            self._min_ms = value_ms
 
     # ------------------------------------------------------------------
     # Read side
     # ------------------------------------------------------------------
     def bucket_counts(self) -> List[Tuple[float, int]]:
         """Cumulative ``(upper_bound_ms, count)`` pairs, +Inf last."""
-        self._drain()
-        with self._lock:
-            counts = list(self._counts)
+        counts = self._counts
         out: List[Tuple[float, int]] = []
         running = 0
         for bound, count in zip(self.bounds, counts):
@@ -116,11 +77,7 @@ class LatencyHistogram:
 
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile (``0 < q <= 1``) in milliseconds."""
-        self._drain()
-        with self._lock:
-            counts = list(self._counts)
-            total = self._count
-            max_ms = self._max_ms
+        counts, total, max_ms = self._counts, self.count, self._max_ms
         if total == 0:
             return 0.0
         rank = q * total
@@ -137,13 +94,8 @@ class LatencyHistogram:
         return max_ms  # rank falls in the +Inf overflow bucket
 
     def to_dict(self) -> Dict[str, Any]:
-        self._drain()
-        with self._lock:
-            counts = list(self._counts)
-            count = self._count
-            sum_ms = self._sum_ms
-            max_ms = self._max_ms
-            min_ms = self._min_ms if count else 0.0
+        count, sum_ms, max_ms = self.count, self._sum_ms, self._max_ms
+        min_ms = self._min_ms if count else 0.0
         return {
             "name": self.name,
             "label": self.label,
@@ -168,23 +120,14 @@ class LatencyHistogram:
                 f"cannot merge histograms with different bounds "
                 f"({self.name} vs {other.name})"
             )
-        self._drain()
-        other._drain()
-        with self._lock:
-            counts = list(self._counts)
-            count = self._count
-            sum_ms = self._sum_ms
-            max_ms = self._max_ms
-            min_ms = self._min_ms
-        with other._lock:
-            for i, c in enumerate(counts):
-                other._counts[i] += c
-            other._count += count
-            other._sum_ms += sum_ms
-            if max_ms > other._max_ms:
-                other._max_ms = max_ms
-            if min_ms < other._min_ms:
-                other._min_ms = min_ms
+        for i, c in enumerate(self._counts):
+            other._counts[i] += c
+        other.count += self.count
+        other._sum_ms += self._sum_ms
+        if self._max_ms > other._max_ms:
+            other._max_ms = self._max_ms
+        if self._min_ms < other._min_ms:
+            other._min_ms = self._min_ms
 
 
 __all__ = ["DEFAULT_BUCKETS_MS", "LatencyHistogram"]

@@ -11,8 +11,11 @@ API layers talks to one of two objects with the same surface:
 - :class:`NoopObservability` — the default.  A *shared singleton*
   (:data:`NOOP_OBS`) whose every span-producing method returns the one
   shared :data:`NOOP_SPAN` and whose every recording method is a bare
-  ``pass`` — the disabled path allocates nothing and takes no locks,
-  so instrumentation can stay unconditional at most call sites.
+  ``pass`` — the disabled path allocates nothing, so instrumentation
+  can stay unconditional at most call sites.
+
+A sink belongs to one shard's control plane and, like it, is entered by
+one thread at a time, so neither takes a lock.
 
 Call sites that would otherwise pay for argument construction (an
 extra ``perf_counter()``, a dict of attributes) guard on
@@ -22,7 +25,6 @@ extra ``perf_counter()``, a dict of attributes) guard on
 from __future__ import annotations
 
 import os
-import threading
 from time import perf_counter
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -47,47 +49,6 @@ class _Timed:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self._obs.observe(
             self._name, (perf_counter() - self._start) * 1000.0, label=self._label
-        )
-        return False
-
-
-class _TimedLock:
-    """Context manager: acquire ``lock`` while histogramming both the
-    wait for it and the time it is held (``<name>.wait`` /
-    ``<name>.hold``)."""
-
-    __slots__ = ("_obs", "_lock", "_name", "_label", "_acquired")
-
-    def __init__(
-        self,
-        obs: "ControlPlaneObservability",
-        lock: "threading.Lock",
-        name: str,
-        label: str,
-    ) -> None:
-        self._obs = obs
-        self._lock = lock
-        self._name = name
-        self._label = label
-
-    def __enter__(self) -> "_TimedLock":
-        requested = perf_counter()
-        self._lock.acquire()
-        self._acquired = perf_counter()
-        self._obs.observe(
-            self._name + ".wait",
-            (self._acquired - requested) * 1000.0,
-            label=self._label,
-        )
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        released = perf_counter()
-        self._lock.release()
-        self._obs.observe(
-            self._name + ".hold",
-            (released - self._acquired) * 1000.0,
-            label=self._label,
         )
         return False
 
@@ -118,7 +79,6 @@ class ControlPlaneObservability:
             slow_threshold_ms=self.slow_span_ms,
             on_finish=self._span_finished,
         )
-        self._lock = threading.Lock()
         self._hists: Dict[Tuple[str, str], LatencyHistogram] = {}
         self._counters: Dict[Tuple[str, str], float] = {}
         self._gauges: Dict[Tuple[str, str], float] = {}
@@ -148,17 +108,10 @@ class ControlPlaneObservability:
     # ------------------------------------------------------------------
     def histogram(self, name: str, label: str = "") -> LatencyHistogram:
         key = (name, label)
-        # Lock-free fast path: histograms are created once and never
-        # removed, and dict reads are atomic under the GIL — every
-        # observe() after the first skips the registry lock.
         hist = self._hists.get(key)
-        if hist is not None:
-            return hist
-        with self._lock:
-            hist = self._hists.get(key)
-            if hist is None:
-                hist = LatencyHistogram(name, label=label, buckets_ms=self._buckets_ms)
-                self._hists[key] = hist
+        if hist is None:
+            hist = LatencyHistogram(name, label=label, buckets_ms=self._buckets_ms)
+            self._hists[key] = hist
         return hist
 
     def observe(self, name: str, value_ms: float, label: str = "") -> None:
@@ -166,37 +119,26 @@ class ControlPlaneObservability:
 
     def counter_add(self, name: str, amount: float = 1.0, label: str = "") -> None:
         key = (name, label)
-        with self._lock:
-            self._counters[key] = self._counters.get(key, 0.0) + amount
+        self._counters[key] = self._counters.get(key, 0.0) + amount
 
     def gauge_set(self, name: str, value: float, label: str = "") -> None:
-        with self._lock:
-            self._gauges[(name, label)] = float(value)
+        self._gauges[(name, label)] = float(value)
 
     def timed(self, name: str, label: str = "") -> _Timed:
         """Histogram a block's duration without creating a span."""
         return _Timed(self, name, label)
 
-    def timed_lock(
-        self, lock: "threading.Lock", name: str, label: str = ""
-    ) -> _TimedLock:
-        """Acquire ``lock`` for a block, histogramming wait and hold."""
-        return _TimedLock(self, lock, name, label)
-
     # ------------------------------------------------------------------
     # Read side (export + breakdown tables)
     # ------------------------------------------------------------------
     def histograms(self) -> Dict[Tuple[str, str], LatencyHistogram]:
-        with self._lock:
-            return dict(self._hists)
+        return dict(self._hists)
 
     def counters(self) -> Dict[Tuple[str, str], float]:
-        with self._lock:
-            return dict(self._counters)
+        return dict(self._counters)
 
     def gauges(self) -> Dict[Tuple[str, str], float]:
-        with self._lock:
-            return dict(self._gauges)
+        return dict(self._gauges)
 
     def merged_histogram(self, name: str) -> Optional[LatencyHistogram]:
         """One histogram folding every label of ``name`` together
@@ -220,15 +162,11 @@ class ControlPlaneObservability:
         return out
 
     def status(self) -> Dict[str, Any]:
-        with self._lock:
-            histograms = len(self._hists)
-            counters = len(self._counters)
-            gauges = len(self._gauges)
         return {
             "enabled": True,
-            "histograms": histograms,
-            "counters": counters,
-            "gauges": gauges,
+            "histograms": len(self._hists),
+            "counters": len(self._counters),
+            "gauges": len(self._gauges),
             "tracer": self.tracer.status(),
         }
 
@@ -277,7 +215,7 @@ class NoopObservability:
     """Same surface as :class:`ControlPlaneObservability`, zero cost.
 
     All span factories return the shared :data:`NOOP_SPAN`; nothing is
-    allocated, locked, or timed.  One shared instance
+    allocated or timed.  One shared instance
     (:data:`NOOP_OBS`) serves every disabled orchestrator/planner in
     the process.
     """
@@ -303,9 +241,6 @@ class NoopObservability:
 
     def timed(self, name, label="") -> _NoopContext:
         return _NOOP_CONTEXT
-
-    def timed_lock(self, lock, name, label=""):
-        return lock  # still a context manager — correctness without timing
 
     def histograms(self) -> Dict[Tuple[str, str], LatencyHistogram]:
         return {}

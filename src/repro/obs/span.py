@@ -1,14 +1,13 @@
 """Tracing spans with explicit context propagation.
 
 The install planner interleaves many jobs' continuations on the one
-thread draining its run queue, and a blocking third-party driver
-completes on a worker.  Thread-local "current span" tricks are useless
-there, so
-propagation is *explicit*: a :class:`SpanContext` (trace id, span id,
-parent id) is carried through job state machines
-(``InstallJob.span_context``) and handed to every child span at
-creation time.  Whatever thread finishes the span, its ancestry is
-already pinned.
+thread draining its run queue, so a "current span" kept per thread
+would name whichever job ran last.  Propagation is *explicit*: a
+:class:`SpanContext` (trace id, span id, parent id) is carried through
+job state machines (``InstallJob.span_context``) and handed to every
+child span at creation time, so its ancestry is pinned wherever the
+span finishes.  A tracer belongs to one shard's obs sink, entered by
+one thread at a time, so it takes no lock.
 
 The :class:`Tracer` keeps two bounded buffers:
 
@@ -28,15 +27,14 @@ profiles the orchestrator process itself, not the simulated world.
 from __future__ import annotations
 
 import itertools
-import threading
 from collections import deque
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional
 
 
 class SpanContext:
-    """The portable identity of a span — everything a child (possibly
-    created on another thread) needs to attach itself correctly.
+    """The portable identity of a span — everything a child needs to
+    attach itself correctly.
 
     A plain ``__slots__`` class rather than a dataclass, and the ids
     are plain ints: one context is created per span on the install hot
@@ -69,14 +67,14 @@ class Span:
 
     Created via :meth:`Tracer.start_span` (or the observability
     registry's ``span``), finished exactly once via :meth:`finish` —
-    idempotent, because a completion callback and a deadline may race
-    to close the same operation.  Usable as a context manager; an
+    idempotent, because a completion and a deadline may both try to
+    close the same operation.  Usable as a context manager; an
     exception escaping the block marks the span as an error.
     """
 
     __slots__ = (
         "name", "label", "context", "attributes",
-        "start", "duration_ms", "status", "error", "_tracer", "_open",
+        "start", "duration_ms", "status", "error", "_tracer",
     )
 
     def __init__(
@@ -92,10 +90,6 @@ class Span:
         self.label = label
         self.context = context
         self.attributes = attributes
-        # Atomic close claim: list.pop() is atomic under the GIL, so
-        # whichever of a completion callback and a deadline pops first
-        # owns the close — no lock on the finish fast path.
-        self._open = [True]
         self.start = perf_counter()
         self.duration_ms: Optional[float] = None
         self.status = "in_flight"
@@ -131,7 +125,7 @@ class Span:
 
 
 class Tracer:
-    """Thread-safe span factory + bounded trace/slow-span retention.
+    """Span factory + bounded trace/slow-span retention.
 
     Args:
         capacity: How many finished traces (and, separately, slow
@@ -159,20 +153,7 @@ class Tracer:
         self.max_active_traces = int(max_active_traces)
         self.max_spans_per_trace = int(max_spans_per_trace)
         self.on_finish = on_finish
-        # The lock guards the *structural* slow paths only: root
-        # creation/eviction, root finish (trace retention), and the
-        # slow-span buffer.  Non-root span start/finish — the install
-        # hot path, hit from every planner worker thread — is lock-free:
-        # single dict reads/writes are atomic under the GIL, and the
-        # counters below are maintained by storing the value of an
-        # atomic itertools.count (a read may transiently observe a
-        # slightly stale value mid-flight; they are exact at quiescence,
-        # which is when tests and the status endpoint read them).
-        self._lock = threading.Lock()
         self._ids = itertools.count(1)
-        self._started_ids = itertools.count(1)
-        self._finished_ids = itertools.count(1)
-        self._dropped_ids = itertools.count(1)
         # trace_id -> span_id -> Span, in creation order (root first);
         # plain dicts — insertion-ordered since 3.7 and cheaper than
         # OrderedDict on this hot path.
@@ -197,10 +178,6 @@ class Tracer:
     ) -> Span:
         """Open a span; a ``parent`` context attaches it to that trace,
         no parent starts a new trace rooted here."""
-        # Id generation and span construction stay outside the lock:
-        # next() on itertools.count is atomic under the GIL, and eight
-        # planner worker threads finishing driver ops all funnel
-        # through this tracer.
         serial = next(self._ids)
         if parent is None:
             context = SpanContext(trace_id=serial, span_id=serial)
@@ -211,65 +188,51 @@ class Tracer:
                 parent_id=parent.span_id,
             )
         span = Span(self, name, context, label=label, attributes=attributes)
-        self.spans_started = next(self._started_ids)
+        self.spans_started += 1
         if parent is None:
-            # Roots are rare (one per batch): take the lock to register
-            # the trace and enforce the active-trace bound.
-            with self._lock:
-                spans = {context.span_id: span}
-                self._active[context.trace_id] = spans
-                while len(self._active) > self.max_active_traces:
-                    del self._active[next(iter(self._active))]
-                    self.spans_dropped = next(self._dropped_ids)
+            self._active[context.trace_id] = {context.span_id: span}
+            while len(self._active) > self.max_active_traces:
+                del self._active[next(iter(self._active))]
+                self.spans_dropped += 1
             return span
         spans = self._active.get(context.trace_id)
         if spans is None:
             # Child of an already-assembled (or evicted) trace: still
             # timed and histogrammed, just not retained.
-            self.spans_dropped = next(self._dropped_ids)
+            self.spans_dropped += 1
             return span
         if len(spans) >= self.max_spans_per_trace:
-            self.spans_dropped = next(self._dropped_ids)
+            self.spans_dropped += 1
             return span
-        # Lock-free insert: dict __setitem__ is atomic under the GIL.
-        # If the root finishes concurrently, `spans` is the same dict
-        # the retained trace references, so the child still lands in
-        # the assembled payload; the size bound above is approximate
-        # under that race, which is fine for a backstop.
         spans[context.span_id] = span
         return span
 
     def _finish(self, span: Span, status: str, error: Optional[str]) -> None:
         ended = perf_counter()
-        try:
-            span._open.pop()  # atomic claim — first close wins
-        except IndexError:
-            return  # completion/timeout race: the other side closed it
+        if span.duration_ms is not None:
+            return  # already closed: the first close wins
         span.duration_ms = (ended - span.start) * 1000.0
         span.status = status
         span.error = error
-        self.spans_finished = next(self._finished_ids)
+        self.spans_finished += 1
         if span.duration_ms >= self.slow_threshold_ms:
-            with self._lock:
-                entry = span.to_dict()
-                entry["ancestry"] = self._ancestry_locked(span)
-                self._slow.append(entry)
+            entry = span.to_dict()
+            entry["ancestry"] = self._ancestry(span)
+            self._slow.append(entry)
         if span.context.parent_id is None:
-            with self._lock:
-                spans = self._active.pop(span.context.trace_id, None)
-                if spans is not None and span.context.span_id in spans:
-                    # Retention is lazy: keep the live span tree and
-                    # assemble the JSON payload only when traces() is
-                    # read — root finish sits on the install critical
-                    # path.
-                    self._traces.append((span, spans))
+            spans = self._active.pop(span.context.trace_id, None)
+            if spans is not None and span.context.span_id in spans:
+                # Retention is lazy: keep the live span tree and
+                # assemble the JSON payload only when traces() is
+                # read — root finish sits on the install critical path.
+                self._traces.append((span, spans))
         if self.on_finish is not None:
             try:
                 self.on_finish(span)
             except Exception:  # pragma: no cover - metrics never fail ops
                 pass
 
-    def _ancestry_locked(self, span: Span) -> List[Dict[str, str]]:
+    def _ancestry(self, span: Span) -> List[Dict[str, str]]:
         """Root→parent chain of span names/ids, for slow-span triage."""
         spans = self._active.get(span.context.trace_id, {})
         chain: List[Dict[str, str]] = []
@@ -314,8 +277,7 @@ class Tracer:
     # ------------------------------------------------------------------
     def traces(self, limit: Optional[int] = None) -> List[Dict[str, Any]]:
         """Finished traces, newest first."""
-        with self._lock:
-            raw = list(self._traces)
+        raw = list(self._traces)
         raw.reverse()
         if limit is not None:
             raw = raw[:limit]
@@ -323,33 +285,30 @@ class Tracer:
 
     def slow_spans(self, limit: Optional[int] = None) -> List[Dict[str, Any]]:
         """Slow-op audit entries, newest first."""
-        with self._lock:
-            out = list(self._slow)
+        out = list(self._slow)
         out.reverse()
         return out[:limit] if limit is not None else out
 
     @property
     def active_span_count(self) -> int:
         """Unfinished spans of still-active traces (leak detector)."""
-        with self._lock:
-            return sum(
-                1
-                for spans in self._active.values()
-                for span in spans.values()
-                if span.duration_ms is None
-            )
+        return sum(
+            1
+            for spans in self._active.values()
+            for span in spans.values()
+            if span.duration_ms is None
+        )
 
     def status(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "spans_started": self.spans_started,
-                "spans_finished": self.spans_finished,
-                "spans_dropped": self.spans_dropped,
-                "active_traces": len(self._active),
-                "retained_traces": len(self._traces),
-                "slow_spans": len(self._slow),
-                "slow_threshold_ms": self.slow_threshold_ms,
-            }
+        return {
+            "spans_started": self.spans_started,
+            "spans_finished": self.spans_finished,
+            "spans_dropped": self.spans_dropped,
+            "active_traces": len(self._active),
+            "retained_traces": len(self._traces),
+            "slow_spans": len(self._slow),
+            "slow_threshold_ms": self.slow_threshold_ms,
+        }
 
 
 __all__ = ["Span", "SpanContext", "Tracer"]

@@ -8,7 +8,6 @@ monitoring epoch and reports delivered throughput per slice.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -84,12 +83,6 @@ class RanController:
         #: derived per-cell state (the allocator's uplink aggregates)
         #: use it to notice fleet growth cheaply.
         self.inventory_version = 0
-        #: Serialization lock for this controller: the methods here are
-        #: not thread-safe, so every concurrent caller (the RAN driver
-        #: under the batch install planner, or any direct user) must
-        #: hold it across a call.  ``build_default_registry`` wires it
-        #: as the RanDriver's serial lock.
-        self.lock = threading.RLock()
         for enb in enbs or []:
             self.add_enb(enb)
 

@@ -62,11 +62,9 @@ class DurableImage:
         self, record_type: str, domain: str, slice_id: str, reservation_id: str, **data: Any
     ) -> None:
         """Journal a reservation transition no job's trail carries — a
-        straggler the planner compensated after its job settled (from
-        whichever thread it landed on, possibly a backend's own; the
-        journal is thread-safe), or a recovery's orphan undo (from the
-        recovering thread).  Not folded: the fold is the loop thread's,
-        and a ``driver.*`` record moves nothing it writes."""
+        straggler the planner compensated after its job settled, or a
+        recovery's orphan undo.  Not folded: a ``driver.*`` record moves
+        nothing the fold writes."""
         self.store.append(
             record_type, time=self.sim.now, domain=domain, slice_id=slice_id,
             reservation_id=reservation_id, **data,

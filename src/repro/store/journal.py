@@ -38,16 +38,18 @@ is correct.  A corrupt record in the *middle* of the journal is real
 damage and raises :class:`JournalCorrupt`.
 
 A closed journal silently drops appends instead of raising: the chaos
-harness simulates a crash by closing the store while driver threads
-are still completing, exactly like a dead process whose writes never
-reach the disk.
+harness simulates a crash by closing the store while southbound
+operations are still completing, exactly like a dead process whose
+writes never reach the disk.
+
+A journal belongs to one shard's control plane and, like it, is
+entered by one thread at a time, so it takes no lock.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -67,7 +69,7 @@ class JournalCorrupt(JournalError):
     torn final write."""
 
 
-#: The one record encoder (stateless, so shared by every thread):
+#: The one record encoder (stateless, so shared by every journal):
 #: ``json.dumps`` with these arguments would build one per line.
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=json_default)
 
@@ -230,7 +232,7 @@ class JournalTail:
 
 
 class Journal:
-    """Thread-safe append-only JSONL journal with monotonic LSNs.
+    """Append-only JSONL journal with monotonic LSNs.
 
     Args:
         path: Journal file; created on first append, reopened (with
@@ -265,7 +267,6 @@ class Journal:
         #: ``None`` keeps the write path exactly as before — the
         #: timed branch is never entered.
         self.obs: Optional[Any] = None
-        self._lock = threading.Lock()
         self._closed = False
         self._unsynced = 0
         self._batch_depth = 0  # open batch() contexts
@@ -296,13 +297,11 @@ class Journal:
     @property
     def last_lsn(self) -> int:
         """LSN of the newest appended record (0 when empty)."""
-        with self._lock:
-            return self._last_lsn
+        return self._last_lsn
 
     @property
     def closed(self) -> bool:
-        with self._lock:
-            return self._closed
+        return self._closed
 
     def ensure_lsn_at_least(self, lsn: int) -> None:
         """Never issue LSNs at or below ``lsn``.
@@ -313,8 +312,7 @@ class Journal:
         1 — reused LSNs would freeze durable consumer cursors and make
         the stale snapshot outrank every newer one.
         """
-        with self._lock:
-            self._last_lsn = max(self._last_lsn, int(lsn))
+        self._last_lsn = max(self._last_lsn, int(lsn))
 
     def append(self, record_type: str, time: float = 0.0, **data: Any) -> int:
         """Durably append one record; returns its LSN.
@@ -325,23 +323,15 @@ class Journal:
         """
         obs = self.obs
         if obs is not None and obs.enabled:
-            # Instrumented twin of the plain path below: lock wait and
-            # hold (the journal lock is shared by the orchestrator loop
-            # and threads compensating stragglers), plus fsync timing
-            # and group-commit batch size inside _append_locked.
-            requested = perf_counter()
-            with self._lock:
-                acquired = perf_counter()
-                lsn = self._append_locked(record_type, time, data, obs=obs)
-                done = perf_counter()
-            obs.observe("journal.lock.wait", (acquired - requested) * 1000.0)
-            obs.observe("journal.lock.hold", (done - acquired) * 1000.0)
-            obs.observe("journal.append", (done - requested) * 1000.0)
+            # Instrumented twin of the plain path below: append time,
+            # plus fsync timing and group-commit batch size inside _write.
+            started = perf_counter()
+            lsn = self._write(record_type, time, data, obs=obs)
+            obs.observe("journal.append", (perf_counter() - started) * 1000.0)
             return lsn
-        with self._lock:
-            return self._append_locked(record_type, time, data)
+        return self._write(record_type, time, data)
 
-    def _append_locked(
+    def _write(
         self,
         record_type: str,
         time: float,
@@ -358,7 +348,7 @@ class Journal:
         self._tail.appended(lsn, len(line))  # to_line() is ASCII: one byte a character
         self._unsynced += 1
         if self.fsync_every and self._unsynced >= self.fsync_every and not self._batch_depth:
-            self._fsync_locked(obs)
+            self._fsync(obs)
         self._last_lsn = lsn
         return lsn
 
@@ -368,19 +358,17 @@ class Journal:
         ``fsync_every`` threshold waits, and the outermost exit fsyncs
         what is unsynced, also when the body raised.  Appends still flush
         one by one, so a process crash mid-batch loses nothing."""
-        with self._lock:
-            self._batch_depth += 1
+        self._batch_depth += 1
         try:
             yield
         finally:
             obs = self.obs
-            with self._lock:
-                self._batch_depth -= 1
-                if not (self._batch_depth or self._closed) and self._unsynced and self.fsync_every:
-                    self._fsync_locked(obs if obs is not None and obs.enabled else None)
+            self._batch_depth -= 1
+            if not (self._batch_depth or self._closed) and self._unsynced and self.fsync_every:
+                self._fsync(obs if obs is not None and obs.enabled else None)
 
-    def _fsync_locked(self, obs: Optional[Any] = None) -> None:
-        """Group-commit fsync (call under ``_lock``)."""
+    def _fsync(self, obs: Optional[Any] = None) -> None:
+        """Group-commit fsync."""
         if obs is not None:
             batch = self._unsynced
             started = perf_counter()
@@ -394,34 +382,31 @@ class Journal:
     def sync(self) -> None:
         """Force an fsync of everything appended so far (if unsynced)."""
         obs = self.obs
-        with self._lock:
-            if self._closed or not self._unsynced:
-                return
-            self._handle.flush()
-            self._fsync_locked(obs if obs is not None and obs.enabled else None)
+        if self._closed or not self._unsynced:
+            return
+        self._handle.flush()
+        self._fsync(obs if obs is not None and obs.enabled else None)
 
     def close(self, sync: bool = True) -> None:
         """Stop accepting appends (idempotent), syncing what is unsynced
         unless ``sync=False`` (a killed process: the flushed bytes stay
         readable, as the page cache keeps them, but not power-safe)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._handle.flush()
-            if sync and self._unsynced:
-                os.fsync(self._handle.fileno())
-            self._handle.close()
-            self._closed = True
+        if self._closed:
+            return
+        self._handle.flush()
+        if sync and self._unsynced:
+            os.fsync(self._handle.fileno())
+        self._handle.close()
+        self._closed = True
 
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
     def records(self, after_lsn: int = 0) -> List[JournalRecord]:
         """Every intact record with ``lsn > after_lsn``, oldest first."""
-        with self._lock:
-            if not self._closed:
-                self._handle.flush()
-            return self._tail.records(after_lsn)
+        if not self._closed:
+            self._handle.flush()
+        return self._tail.records(after_lsn)
 
     # ------------------------------------------------------------------
     # Compaction
@@ -434,31 +419,30 @@ class Journal:
 
         Returns the number of records dropped.
         """
-        with self._lock:
-            if self._closed:
-                raise JournalError("journal is closed")
-            self._handle.flush()
-            if self._unsynced:  # a checkpoint has just synced; a straggler may not be
-                os.fsync(self._handle.fileno())
-            tail = self._tail
-            tail.pull()
-            dropped = bisect_right(tail.lsns, upto_lsn)
-            base = tail.starts[dropped] if dropped < len(tail.starts) else tail.offset
-            with open(self.path, "rb") as current:
-                current.seek(base)
-                survivors = current.read(tail.offset - base)
-            tmp_path = self.path + ".compact"
-            with open(tmp_path, "wb") as tmp:
-                tmp.write(survivors)
-                tmp.flush()
-                os.fsync(tmp.fileno())
-            self._handle.close()
-            os.replace(tmp_path, self.path)
-            fsync_directory(os.path.dirname(self.path) or ".")  # later appends land here
-            self._handle = open(self.path, "a", encoding="utf-8")
-            self._unsynced = 0
-            tail.rebased(dropped, base)
-            return dropped
+        if self._closed:
+            raise JournalError("journal is closed")
+        self._handle.flush()
+        if self._unsynced:  # a checkpoint has just synced; a direct caller may not have
+            os.fsync(self._handle.fileno())
+        tail = self._tail
+        tail.pull()
+        dropped = bisect_right(tail.lsns, upto_lsn)
+        base = tail.starts[dropped] if dropped < len(tail.starts) else tail.offset
+        with open(self.path, "rb") as current:
+            current.seek(base)
+            survivors = current.read(tail.offset - base)
+        tmp_path = self.path + ".compact"
+        with open(tmp_path, "wb") as tmp:
+            tmp.write(survivors)
+            tmp.flush()
+            os.fsync(tmp.fileno())
+        self._handle.close()
+        os.replace(tmp_path, self.path)
+        fsync_directory(os.path.dirname(self.path) or ".")  # later appends land here
+        self._handle = open(self.path, "a", encoding="utf-8")
+        self._unsynced = 0
+        tail.rebased(dropped, base)
+        return dropped
 
     def size_bytes(self) -> int:
         """Current on-disk size of the journal file."""

@@ -9,16 +9,15 @@ it.  :class:`NullStore` is the disabled twin — same surface, no I/O —
 so every call site stays unconditional and an orchestrator without a
 ``durability_dir`` behaves exactly as before this subsystem existed.
 
-The store is thread-safe where it must be: besides the orchestrator
-loop, ``append`` is called from whichever backend thread a straggling
-southbound operation is compensated on after its window returned
-(``driver.compensated``), and delegates to the journal's internal lock.
+A store belongs to one shard's control plane and, like it, is entered
+by one thread at a time — a straggler compensated after its window
+returned (``driver.compensated``) is journaled on that thread too, at
+the planner's next drain — so it takes no lock.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from contextlib import nullcontext
 from typing import Any, ContextManager, Dict, List, Optional, Tuple
 
@@ -148,12 +147,11 @@ class ControlPlaneStore:
         # journal alone would restart numbering at 1 — below the
         # snapshot — reusing LSNs consumers already hold.
         self.journal.ensure_lsn_at_least(self._snapshot_lsn)
-        self._lock = threading.Lock()
         self.obs: Optional[Any] = None
 
     def bind_obs(self, obs: Any) -> None:
         """Attach a control-plane observability sink: journal append /
-        lock / fsync / batch-size histograms, checkpoint timing.  A
+        fsync / batch-size histograms, checkpoint timing.  A
         disabled (no-op) sink unbinds — the write path stays pristine."""
         live = obs if (obs is not None and getattr(obs, "enabled", False)) else None
         self.obs = live
@@ -221,15 +219,14 @@ class ControlPlaneStore:
         return self._checkpoint(state, live)
 
     def _checkpoint(self, state: Dict[str, Any], live: Optional[Dict[str, str]]) -> int:
-        with self._lock:
-            self.journal.sync()
-            lsn = self.journal.last_lsn
-            self.snapshots.write(state, lsn, live)
-            # The snapshot's name must be on disk before compaction drops
-            # the records it covers: fsync the directory between renames.
-            fsync_directory(self.directory)
-            self.journal.compact(lsn)
-            self._snapshot_lsn = lsn
+        self.journal.sync()
+        lsn = self.journal.last_lsn
+        self.snapshots.write(state, lsn, live)
+        # The snapshot's name must be on disk before compaction drops
+        # the records it covers: fsync the directory between renames.
+        fsync_directory(self.directory)
+        self.journal.compact(lsn)
+        self._snapshot_lsn = lsn
         # Audit record (lands *after* the snapshot, so replay past the
         # snapshot sees it and ignores it).
         self.append("checkpoint.written", time=float(state.get("time", 0.0)), lsn=lsn)

@@ -8,7 +8,6 @@ when the overbooking engine reconfigures, and reports utilization.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -19,7 +18,7 @@ from repro.transport.paths import (
     PathRequest,
     constrained_shortest_path,
 )
-from repro.transport.switch import FlowEntry, FlowMatch, OpenFlowSwitch
+from repro.transport.switch import FlowEntry, FlowMatch, OpenFlowSwitch, SwitchError
 from repro.transport.topology import Topology
 
 
@@ -66,12 +65,6 @@ class TransportController:
         self._plmns: Dict[str, str] = {}  # slice_id -> plmn_id (for re-programming)
         self._port_counter: Dict[str, int] = {}
         self.repairs_performed = 0
-        #: Serialization lock for this controller: the methods here are
-        #: not thread-safe, so every concurrent caller (the transport
-        #: driver under the batch install planner, or any direct user)
-        #: must hold it across a call.  ``build_default_registry`` wires
-        #: it as the TransportDriver's serial lock.
-        self.lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Queries
@@ -105,8 +98,9 @@ class TransportController:
         matching the slice's PLMN-id are installed on traversed switches.
 
         Raises:
-            TransportError: If no feasible path exists or the slice
-                already holds one.
+            TransportError: If no feasible path exists, the slice
+                already holds one, or a switch refuses its flows
+                (another live slice matches the same PLMN-id).
         """
         if slice_id in self._paths:
             raise TransportError(f"slice {slice_id} already holds a path")
@@ -146,7 +140,11 @@ class TransportController:
         )
         self._paths[slice_id] = allocation
         self._plmns[slice_id] = plmn_id
-        self._program_flows(slice_id, plmn_id, path)
+        try:
+            self._program_flows(slice_id, plmn_id, path)
+        except SwitchError as exc:
+            self.release_path(slice_id)  # a refused flow leaves no residue
+            raise TransportError(f"cannot program flows for {slice_id}: {exc}") from exc
         return allocation
 
     def _program_flows(self, slice_id: str, plmn_id: str, path: ComputedPath) -> None:

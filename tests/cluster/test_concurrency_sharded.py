@@ -2,8 +2,9 @@
 
 The single-store concurrency suite pins conservation inside one
 control plane; this one runs concurrent 12-job batches against both
-shards *simultaneously* (each shard has its own lock domain, WAL and
-southbound — nothing is shared but the router) and then asserts:
+shards *simultaneously*, one thread per shard (each shard has its own
+WAL and southbound — nothing is shared but the router) and then
+asserts:
 
 - conservation holds exactly in every domain of every shard
   (``held == Σ COMMITTED``),
@@ -124,7 +125,9 @@ def test_stalled_commits_on_one_shard_do_not_block_the_other(cluster):
     assert all(d.admitted for d in other_decisions)
     assert len(other.orchestrator.live_slices()) == BATCH
 
-    firewall.release_stall()
+    # Shard 0 is entered by its draining worker only: this thread posts
+    # the release through the shard's door.
+    stalled_shard.testbed.registry.post(firewall.release_stall)
     worker.join(timeout=60.0)
     assert not worker.is_alive()
     assert all(d.admitted for d in stalled_decisions)

@@ -65,7 +65,7 @@ class PickyTransport(TransportDriver):
     placement planning cannot see."""
 
     def __init__(self, controller, refuse):
-        super().__init__(controller, serial_lock=controller.lock)
+        super().__init__(controller)
         self.refuse = refuse
 
     def _do_prepare(self, spec):

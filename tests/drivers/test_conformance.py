@@ -8,15 +8,17 @@ has an executable specification: build a ``DriverCase`` for it, add it
 to ``CASES``, and the full lifecycle/state-machine surface is covered.
 
 The concurrency half of the suite (``TestConcurrency``) interleaves N
-worker threads of install/release transactions — with prepare failures
-injected via each backend's own refusal path — and asserts the
-zero-residue rollback invariant: after quiescence no reservations, no
-PRBs, no paths, no flavors are leaked anywhere.
+install/release transactions step by step in a seeded order on one
+thread — a shard's control plane is entered by one thread at a time —
+with prepare failures injected via each backend's own refusal path, and
+asserts the zero-residue rollback invariant: after quiescence no
+reservations, no PRBs, no paths, no flavors are leaked anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 import sys
 import threading
 from dataclasses import dataclass
@@ -37,6 +39,7 @@ from repro.drivers.base import (
     ReservationState,
 )
 from repro.drivers.mock import MockDriver
+from repro.drivers.registry import DriverRegistry
 from repro.epc.components import epc_template
 from repro.experiments.testbed import build_testbed
 from repro.core.slices import PlmnPool
@@ -97,16 +100,19 @@ def _ran_case() -> DriverCase:
 
 def _transport_case() -> DriverCase:
     testbed = build_testbed()
+    pool = PlmnPool(size=32)
     driver = TransportDriver(testbed.transport)
 
     def new_spec() -> DomainSpec:
+        # Every live slice has a PLMN of its own (the orchestrator's
+        # pool); its flows match on it.
         slice_id = f"slice-conf-{next(_ids):04d}"
         return DomainSpec(
             attributes={
                 "src": "enb1-agg",
                 "dst": "edge-dc-gw",
                 "max_delay_ms": 10.0,
-                "plmn_id": "00101",
+                "plmn_id": pool.allocate(slice_id).plmn_id,
             },
             **_common(slice_id),
         )
@@ -422,23 +428,28 @@ def test_mock_cancelled_pending_future_never_touches_backend():
 
 
 def test_mock_release_stall_racing_a_launch_strands_no_future():
-    """Taking a stall token and parking the completion are one step
-    under the pool lock, so a ``release_stall()`` on another thread
-    either finds the completion parked and runs it, or ends the stall
-    before the launch: no future is left unresolved either way."""
+    """Another thread posts ``release_stall()`` through the registry's
+    door while the shard's thread launches a stalled operation: the post
+    runs when the shard next drains its door, on the shard's thread, so
+    it finds the completion parked and runs it — no future is left
+    unresolved, whenever the post landed."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for i in range(500):
             driver = MockDriver(domain="m", capacity_mbps=1e6)
+            registry = DriverRegistry([driver])
             driver.stall()
             both = threading.Barrier(2)
-            releaser = threading.Thread(target=lambda: (both.wait(), driver.release_stall()))
+            releaser = threading.Thread(
+                target=lambda: (both.wait(), registry.post(driver.release_stall))
+            )
             releaser.start()
             both.wait()
             future = driver.prepare_async(DomainSpec(slice_id=f"s{i}", throughput_mbps=1.0))
             releaser.join(timeout=10)
             assert not releaser.is_alive()
+            registry.run_posted()
             assert future.done() and future.result().state is ReservationState.PREPARED
     finally:
         sys.setswitchinterval(interval)
@@ -470,47 +481,56 @@ def _assert_matches(before, after, path="utilization"):
         assert before == after, path
 
 
-def _run_interleaved(driver: DomainDriver, per_worker: List[List]) -> List[Exception]:
-    """Drive one lifecycle plan per worker thread, all released together
-    from a barrier so the interleaving is real.  Each plan entry is
+def _run_interleaved(
+    driver: DomainDriver, per_worker: List[List], seed: int = 0
+) -> List[Exception]:
+    """Drive one lifecycle plan per worker, interleaved call by call in
+    an order drawn from ``seed``, on this thread (a shard's control
+    plane is entered by one thread at a time).  Each plan entry is
     ``(spec, action)`` with action in {"install", "rollback", "refuse"}:
     install = prepare→commit→release, rollback = prepare→rollback,
     refuse = a spec the backend must reject at prepare."""
-    barrier = threading.Barrier(len(per_worker))
     unexpected: List[Exception] = []
 
-    def worker(plan) -> None:
+    def worker(plan):
+        """One driver call per step."""
         try:
-            barrier.wait(timeout=10)
             for spec, action in plan:
                 if action == "refuse":
                     with pytest.raises(DriverError):
                         driver.prepare(spec)
+                    yield
                     continue
                 reservation = driver.prepare(spec)
+                yield
                 if action == "rollback":
                     driver.rollback(reservation)
+                    yield
                     continue
                 try:
                     driver.commit(reservation)
                 except DriverError:
                     # Injected commit failure: the unwind discipline says
                     # roll the still-PREPARED reservation back.
+                    yield
                     driver.rollback(reservation)
+                    yield
                     continue
+                yield
                 driver.release(spec.slice_id)
+                yield
         except Exception as exc:  # pragma: no cover - the assertion payload
             unexpected.append(exc)
 
-    threads = [
-        threading.Thread(target=worker, args=(plan,), name=f"conf-worker-{i}")
-        for i, plan in enumerate(per_worker)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
-        assert not t.is_alive(), "worker deadlocked"
+    rng = random.Random(seed)
+    live = [worker(plan) for plan in per_worker]
+    for _ in range(4 * sum(len(plan) + 1 for plan in per_worker)):
+        if not live:
+            break
+        step = rng.choice(live)
+        if next(step, StopIteration) is StopIteration:
+            live.remove(step)
+    assert not live, "worker never finished"
     return unexpected
 
 
@@ -572,24 +592,15 @@ class TestConcurrency:
             assert case.driver.held_mbps == pytest.approx(0.0)
 
     def test_concurrent_duplicate_prepare_single_winner(self, case):
-        """Two threads racing to prepare the *same* slice: exactly one
+        """Two interleaved prepares of the *same* slice: exactly one
         reservation may exist afterwards (no double-hold)."""
         spec = case.new_spec()
-        barrier = threading.Barrier(2)
         outcomes: List[object] = []
-
-        def racer() -> None:
+        for _ in range(2):
             try:
-                barrier.wait(timeout=10)
                 outcomes.append(case.driver.prepare(spec))
             except DriverError as exc:
                 outcomes.append(exc)
-
-        threads = [threading.Thread(target=racer) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
         wins = [o for o in outcomes if isinstance(o, Reservation)]
         assert len(wins) == 1, outcomes
         assert case.driver.reservation_of(spec.slice_id) is wins[0]

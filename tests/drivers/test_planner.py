@@ -5,7 +5,7 @@ run concurrently over the driver registry, prepares fan out in
 dependency waves under per-driver concurrency caps, and the two-phase
 reverse-order unwind discipline must hold no matter how jobs
 interleave.  The :class:`~repro.drivers.mock.MockDriver` provides the
-thread-safe backend plus prepare/commit/release failure injection.
+backend plus prepare/commit/release failure injection.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 from repro.core.orchestrator import Orchestrator, OrchestratorConfig
 from repro.drivers.base import DomainDriver, DomainSpec, DriverError, ReservationState
 from repro.drivers.mock import MockDriver
-from repro.drivers.planner import BatchInstallPlanner, InstallJob
+from repro.drivers.planner import BatchInstallPlanner, InstallJob, _JobRun, _Op
 from repro.drivers.registry import DriverRegistry
 from repro.drivers.transaction import OperationTimeout, TransactionError
 from repro.experiments.testbed import TestbedConfig, build_testbed
@@ -275,9 +275,10 @@ class TestConcurrencyCaps:
         assert planner.jobs_installed == 6
 
     def test_interleaved_batches_keep_invariant_under_failure_injection(self):
-        """Two planners hammer the same registry from two threads with
-        failures injected everywhere; after quiescence the conservation
-        invariant holds and no reservation is stranded."""
+        """Two planners share one registry and take turns, batch by
+        batch, on its one thread, with failures injected everywhere;
+        after quiescence the conservation invariant holds and no
+        reservation is stranded."""
         registry = make_registry(capacity_mbps=10_000.0)
         for driver in registry.drivers():
             driver.fail_next_prepare = 3
@@ -288,19 +289,16 @@ class TestConcurrencyCaps:
         ]
         results: List[List] = [[], []]
         errors: List[Exception] = []
-
-        def run(which: int) -> None:
-            try:
-                jobs = [job_for(f"p{which}-s{i}") for i in range(16)]
-                results[which] = planners[which].install(jobs)
-            except Exception as exc:  # pragma: no cover - must not happen
-                errors.append(exc)
-
-        threads = [threading.Thread(target=run, args=(w,)) for w in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
+        batches = [
+            planner.plan([job_for(f"p{which}-s{i}") for i in range(16)])
+            for which, planner in enumerate(planners)
+        ]
+        for turn in zip(*batches):
+            for which, batch in enumerate(turn):
+                try:
+                    results[which].extend(planners[which].install_batch(batch))
+                except Exception as exc:  # pragma: no cover - must not happen
+                    errors.append(exc)
         assert not errors
         outcomes = results[0] + results[1]
         assert len(outcomes) == 32
@@ -313,6 +311,51 @@ class TestConcurrencyCaps:
                 if any(r.slice_id == outcome.job.slice_id for r in d.reservations())
             }
             assert held_in == (set(DOMAINS) if outcome.ok else set())
+
+
+class Blocking(MockDriver):
+    """A walled driver with calls that really block: its first prepare
+    waits on ``gate``, on whichever worker the hand-off gave it.  Its
+    hooks run on those workers, so a lock of its own guards them."""
+
+    _shim_async = DomainDriver._shim_async
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.gate = threading.Event()
+        self.hangs = 1
+        self.callers = set()
+        self._hooks = threading.Lock()
+
+    def _do_prepare(self, spec):
+        with self._hooks:
+            self.callers.add(threading.get_ident())
+            hang, self.hangs = self.hangs > 0, self.hangs - 1
+        if hang:
+            self.gate.wait(timeout=30)
+        with self._hooks:
+            return super()._do_prepare(spec)
+
+    def _do_commit(self, reservation):
+        with self._hooks:
+            super()._do_commit(reservation)
+
+    def _do_rollback(self, reservation):
+        with self._hooks:
+            super()._do_rollback(reservation)
+
+    def _do_release(self, slice_id):
+        with self._hooks:
+            super()._do_release(slice_id)
+
+
+def join_workers(domain: str) -> None:
+    """Wait for every hand-off worker of ``domain`` to finish (and so
+    to have posted its resolution)."""
+    for thread in threading.enumerate():
+        if thread.name.startswith(f"{domain}-"):
+            thread.join(timeout=30)
+            assert not thread.is_alive(), f"{thread.name} still blocked"
 
 
 class TestStallIsolation:
@@ -399,29 +442,8 @@ class TestStallIsolation:
         ``DomainDriver``'s async surface: each call runs on its own
         worker, so a hung one parks that worker — not the thread
         draining the batch — under a wall-time deadline, and is
-        compensated when it returns."""
+        compensated at the next drain once it returned."""
         drainer = threading.get_ident()
-        callers = set()
-
-        class Blocking(MockDriver):
-            """Calls that really block: the first prepare waits on
-            ``gate``, on whichever worker the hand-off gave it."""
-
-            _shim_async = DomainDriver._shim_async
-
-            def __init__(self, **kwargs):
-                super().__init__(**kwargs)
-                self.gate = threading.Event()
-                self.hangs = 1
-
-            def _do_prepare(self, spec):
-                with self._pool_lock:
-                    callers.add(threading.get_ident())
-                    hang, self.hangs = self.hangs > 0, self.hangs - 1
-                if hang:
-                    self.gate.wait(timeout=30)
-                return super()._do_prepare(spec)
-
         registry = DriverRegistry(
             [
                 MockDriver(domain="alpha", capacity_mbps=1e4, operation_timeout_s=self.TIMEOUT_S),
@@ -442,10 +464,12 @@ class TestStallIsolation:
             assert sum(o.ok for o in outcomes) == 7
             (failed,) = [o for o in outcomes if not o.ok]
             assert isinstance(failed.error, OperationTimeout)
-            assert callers and drainer not in callers
+            assert blocking.callers and drainer not in blocking.callers
             assert registry.clock.now == 0.0  # a wall-time deadline
         finally:
             blocking.gate.set()
+        join_workers("beta")
+        planner.drain_events()
         assert compensated.wait(timeout=30), "late completion on the worker was not compensated"
         assert planner.ops_compensated == 1
         for driver in registry.drivers():
@@ -453,6 +477,74 @@ class TestStallIsolation:
                 o.job.slice_id for o in outcomes if o.ok
             }
         assert_zero_residue(registry)
+
+    def test_walled_completions_come_back_through_the_door(self, monkeypatch):
+        """A walled driver's worker posts its future's resolution
+        through the registry's door instead of resolving it: an
+        in-batch completion's callback and ``op_done`` run on the
+        draining thread, and a straggler that returns after its batch
+        does is left alone by the worker — the next
+        ``drain_events()`` compensates and journals it on the caller's
+        thread."""
+        drainer = threading.get_ident()
+        ran_on = {"_completed": set(), "op_done": set()}
+
+        def spy(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(*args):
+                ran_on[name].add(threading.get_ident())
+                return original(*args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        spy(_Op, "_completed")
+        spy(_JobRun, "op_done")
+        registry = DriverRegistry(
+            [
+                Blocking(
+                    domain="walled", capacity_mbps=1e4, max_concurrent_installs=8,
+                    operation_timeout_s=self.TIMEOUT_S,
+                )
+            ]
+        )
+        blocking = registry.get("walled")
+        recorded_on: List[int] = []
+        planner = BatchInstallPlanner(
+            registry, on_record=lambda *record: recorded_on.append(threading.get_ident())
+        )
+        jobs = [
+            InstallJob(slice_id=f"s{i}", attempts=[{"walled": DomainSpec(slice_id=f"s{i}")}])
+            for i in range(4)
+        ]
+        try:
+            outcomes = planner.install(jobs)
+            assert sum(o.ok for o in outcomes) == 3
+            (failed,) = [o for o in outcomes if not o.ok]
+            assert isinstance(failed.error, OperationTimeout)
+            assert ran_on == {"_completed": {drainer}, "op_done": {drainer}}
+        finally:
+            blocking.gate.set()
+        join_workers("walled")
+        straggler = blocking.reservation_of(failed.job.slice_id)
+        assert straggler is not None and straggler.state is ReservationState.PREPARED
+        assert planner.ops_compensated == 0 and recorded_on == []
+        assert planner.drain_events() == [
+            ("driver.op_timeout", {
+                "domain": "walled", "kind": "prepare", "slice_id": failed.job.slice_id,
+                "timeout_s": self.TIMEOUT_S,
+            }),
+            ("driver.compensated", {
+                "domain": "walled", "kind": "prepare", "slice_id": failed.job.slice_id,
+            }),
+        ]
+        assert recorded_on == [drainer]
+        assert planner.ops_compensated == 1
+        assert straggler.state is ReservationState.ROLLED_BACK
+        assert ran_on == {"_completed": {drainer}, "op_done": {drainer}}
+        assert {r.slice_id for r in blocking.reservations()} == {
+            o.job.slice_id for o in outcomes if o.ok
+        }
 
     def test_deadline_covers_token_queueing_on_serial_driver(self):
         """The deadline clock starts at submission, not at token grant:

@@ -3,7 +3,6 @@ real observability object, and zero retained state."""
 
 from __future__ import annotations
 
-import threading
 
 from repro.obs.registry import (
     NOOP_OBS,
@@ -45,14 +44,6 @@ class TestNoopSingletons:
     def test_timed_is_a_working_context_manager(self):
         with NOOP_OBS.timed("broker.decide"):
             pass
-
-    def test_timed_lock_still_locks(self):
-        # Correctness must not depend on observability: the no-op
-        # variant skips the timing but must still acquire the lock.
-        lock = threading.Lock()
-        with NOOP_OBS.timed_lock(lock, "journal.lock"):
-            assert lock.locked()
-        assert not lock.locked()
 
 
 class TestSurfaceParity:

@@ -3,7 +3,6 @@ timed blocks/locks, counters/gauges, and the cross-label summary."""
 
 from __future__ import annotations
 
-import threading
 
 import pytest
 
@@ -40,14 +39,6 @@ class TestTimedHelpers:
         hist = obs.histogram("broker.decide")
         assert hist.count == 1
         assert hist.to_dict()["max_ms"] >= 0.0
-
-    def test_timed_lock_records_wait_and_hold(self, obs):
-        lock = threading.Lock()
-        with obs.timed_lock(lock, "journal.lock"):
-            assert lock.locked()
-        assert not lock.locked()
-        assert obs.histogram("journal.lock.wait").count == 1
-        assert obs.histogram("journal.lock.hold").count == 1
 
 
 class TestCountersAndGauges:

@@ -10,13 +10,17 @@ conservation invariant must hold *exactly* in every domain:
 
 and no reservation may be stranded in a transient state (PREPARED /
 mid-unwind).  This is the concurrent generalization of the zero-residue
-rollback invariant the sequential transaction tests pin down.
+rollback invariant the sequential transaction tests pin down.  Cancels
+come from other threads, as a tenant's would: each *posts* its release
+through the registry's door, and the shard's thread runs it at its next
+drain.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from functools import partial
 from typing import List
 
 import pytest
@@ -87,9 +91,9 @@ def test_concurrent_schedule_conserves_capacity(ops, capacity, batch_size):
                 installed.append(outcome.job.slice_id)
 
     def release_all(slice_id: str) -> None:
-        """Concurrent cancel: free the slice in every domain (reverse
-        install order), tolerating injected release failures — a failed
-        release must leave the reservation COMMITTED (retryable), never
+        """Cancel: free the slice in every domain (reverse install
+        order), tolerating injected release failures — a failed release
+        must leave the reservation COMMITTED (retryable), never
         stranded."""
         for domain in reversed(DOMAINS):
             driver = registry.get(domain)
@@ -118,7 +122,9 @@ def test_concurrent_schedule_conserves_capacity(ops, capacity, batch_size):
             flush_installs()
             if installed:
                 victim = installed.pop(value % len(installed))
-                thread = threading.Thread(target=release_all, args=(victim,))
+                thread = threading.Thread(
+                    target=registry.post, args=(partial(release_all, victim),)
+                )
                 thread.start()
                 cancel_threads.append(thread)
         elif op == "fail_prepare":
@@ -131,6 +137,7 @@ def test_concurrent_schedule_conserves_capacity(ops, capacity, batch_size):
     for thread in cancel_threads:
         thread.join(timeout=30)
         assert not thread.is_alive(), "cancel thread deadlocked"
+    registry.run_posted()  # the cancels no batch drained yet
     # A cancel that hit an injected release failure leaves its
     # reservation COMMITTED and its capacity held — that is the
     # *retryable* shape the invariant below accepts; what it rejects is

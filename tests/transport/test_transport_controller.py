@@ -41,6 +41,19 @@ class TestReserve:
         with pytest.raises(TransportError):
             controller.reserve_path("s1", "00101", request())
 
+    def test_refused_flow_leaves_no_residue(self, controller):
+        """A second live slice on the same PLMN-id: the switch refuses
+        its flow, and the reservation is refused whole — links and
+        flows as before, and the slice id free to try again."""
+        controller.reserve_path("s1", "00101", request())
+        before = controller.utilization()
+        with pytest.raises(TransportError, match="cannot program flows"):
+            controller.reserve_path("s2", "00101", request())
+        assert controller.utilization() == before
+        assert not controller.topology.link("a-sw").has("s2")
+        assert flows_of(controller._switches["sw"], "s2") == []
+        controller.reserve_path("s2", "00102", request())
+
     def test_infeasible_raises(self, controller):
         with pytest.raises(TransportError):
             controller.reserve_path("s1", "00101", request(bw=500.0))

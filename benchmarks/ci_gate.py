@@ -55,7 +55,15 @@ broken:
   promoted shard's first epoch, which draws every adopted profile, must
   construct no ``numpy.random.SeedSequence``
   (``first_epoch_seed_sequences == 0``): every id-keyed draw is a
-  counter (``RandomStreams.draws``).  The ``recovery_split_s`` (adopt / rest) and
+  counter (``RandomStreams.draws``).  Two counts are exact.  The
+  promotion decodes only the requests of its lag, the drill's 16-job
+  batch (``promotion_requests_decoded == 16``): the warm standby keeps
+  each live and in-flight request decoded as it folds it.  Dropping
+  the deposed plane leaves the cyclic collector nothing
+  (``deposed_plane_garbage == 0``, ``gc.collect()`` right after the
+  adoption with the collector disabled): no object of a control plane
+  points back at its owner, so reference counting frees it where the
+  adoption replaces it.  The ``recovery_split_s`` (adopt / rest) and
   ``promotion_tracked_objects_per_slice`` are published, not gated.
 - **D13** — the mobility+failure scenario packs (scenario engine) at a
   fixed seed: every scheduled outage must heal inside the horizon and
@@ -175,8 +183,10 @@ D8D_SETTLED_S = 0.15
 #: planner (no wall-clock wait or compensation budget of its own) and
 #: one lease timeout, ``ClusterConfig.lease_timeout_s``; −237 for one
 #: thread per shard (a walled driver's completions come back through the
-#: registry's door, and the locks below it are gone).
-SRC_LINES_CEILING = 20_357
+#: registry's door, and the locks below it are gone); −1 for a control
+#: plane with no back-reference to its owner (no ``PeriodicProcess``, no
+#: fleet on a slice), net of the warm standby's decoded requests.
+SRC_LINES_CEILING = 20_356
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per
@@ -1047,6 +1057,12 @@ def run_gate() -> dict:
     ):
         if drill.get("promoted") and drill[count] > ceiling:
             failures.append(f"drill: {count} = {drill[count]} > {ceiling} ({why})")
+    for count, exact, why in (
+        ("promotion_requests_decoded", drill.get("batch"), "the standby decoded all but the lag"),
+        ("deposed_plane_garbage", 0, "reference counting frees the deposed plane"),
+    ):
+        if drill.get("promoted") and drill[count] != exact:
+            failures.append(f"drill: {count} = {drill[count]} != {exact} ({why})")
     if drill.get("promoted") and (
         drill["successor_first_poll_records"] > drill["promotion_journal_records"]
     ):
@@ -1144,6 +1160,8 @@ def main(argv=None) -> int:
         f"{payload['failover_drill']['promotion_snapshot_parses']} snapshots parsed, "
         f"{payload['failover_drill']['promotion_template_builds']} vEPC templates, "
         f"{payload['failover_drill']['promotion_fleet_serialisations']} fleet serialisations, "
+        f"{payload['failover_drill']['promotion_requests_decoded']} requests decoded, "
+        f"{payload['failover_drill']['deposed_plane_garbage']} deposed objects collected, "
         f"{payload['failover_drill']['recovery_ms_per_adopted_slice']} ms per slice; "
         f"successor first poll {payload['failover_drill']['successor_first_poll_records']} "
         f"records / {payload['failover_drill']['successor_snapshot_parses']} snapshots, "

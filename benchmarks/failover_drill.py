@@ -57,6 +57,15 @@ acceptance invariants:
   The CI gate holds it at 0: every id-keyed draw is a counter
   (``RandomStreams.draws``), and the epoch's shared ``demand-noise``
   stream is made when the loop starts,
+- ``promotion_requests_decoded``: ``request_from_dict`` calls inside
+  the promoting watch cycle, the standby's last poll and the
+  reconciliation together.  The CI gate holds it at ``BATCH``, the
+  requests the standby had not yet folded: it decodes each request as
+  it folds it, and recovery takes those,
+- ``deposed_plane_garbage``: what ``gc.collect()`` finds after the
+  adoption drops the deposed control plane with the collector
+  disabled.  The CI gate holds it at 0: nothing in a control plane
+  points back at its owner, so reference counting frees it,
 - ``promotion_tracked_objects_per_slice``: GC-tracked objects the
   adoption batch leaves alive per slice, replayed on a memory-only twin
   after the drill (published, never gated: CPython versions differ),
@@ -180,11 +189,16 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
     """Run the drill; appends invariant violations to ``failures`` and
     returns the artifact payload (always, so a failed drill is still
     diagnosable from the numbers)."""
+    import gc
+
     import numpy as np
 
+    import repro.cluster.standby as standby_module
     import repro.core.allocation as allocation_module
+    import repro.store.recovery as recovery_module
     from repro.cluster import ClusterConfig, ControlPlaneCluster
     from repro.core.calendar import ResourceCalendar
+    from repro.core.epoch import LiveFleet
     from repro.core.orchestrator import Orchestrator
     from repro.core.slices import NetworkSlice, PlmnPool
     from repro.drivers.base import ReservationState
@@ -283,9 +297,11 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
     adopt_calls: list = []
     with contextlib.ExitStack() as spies:
         for owner, name, key in (
-            (Orchestrator, "default_profile", "profiles"),
+            (LiveFleet, "default_profile", "profiles"),
             (RandomStreams, "draws", "profiles"),
             (SnapshotStore, "load_latest", "snapshots"),
+            (standby_module, "request_from_dict", "requests_decoded"),
+            (recovery_module, "request_from_dict", "requests_decoded"),
             (allocation_module, "epc_template", "templates"),
             (SnapshotStore, "write", "serialisations"),
             (ReplayState, "digest", "serialisations"),
@@ -313,7 +329,15 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
         failures.append("drill: standby never promoted")
         cluster.close()
         return {"promoted": False}
-    cluster.adopt_promotion(KILLED, promotion)
+    # The deposed plane dies when the adoption drops it: reference
+    # counting frees it, and the collector finds nothing.
+    gc.collect()
+    gc.disable()
+    try:
+        cluster.adopt_promotion(KILLED, promotion)
+        deposed_plane_garbage = gc.collect()
+    finally:
+        gc.enable()
     promoted = cluster.shard(KILLED)
     journal_records = promoted.store.last_lsn - lsn_at_kill
     # The standby that re-arms the shard, and its first poll.
@@ -369,6 +393,8 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
         ),
         "promotion_journal_records": journal_records,
         "promotion_profiles_derived": counts["profiles"],
+        "promotion_requests_decoded": counts["requests_decoded"],
+        "deposed_plane_garbage": deposed_plane_garbage,
         "promotion_snapshot_parses": counts["snapshots"],
         "promotion_template_builds": counts["templates"],
         "promotion_fleet_serialisations": counts["serialisations"],
@@ -401,7 +427,7 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
     }
     # The promoted shard's first epoch draws every adopted profile.
     with _spying(np.random, "SeedSequence", payload, "first_epoch_seed_sequences"), \
-            _spying(Orchestrator, "default_profile", payload, "first_epoch_profiles_drawn"):
+            _spying(LiveFleet, "default_profile", payload, "first_epoch_profiles_drawn"):
         promoted.run_until(promoted.sim.now + promoted.orchestrator.config.monitoring_epoch_s)
     if payload["first_epoch_profiles_drawn"] < report.slices_adopted:
         failures.append(

@@ -334,7 +334,7 @@ class SliceService:
         """Build the (request, traffic profile) pair from a validated
         ``SLICE_CREATE`` payload."""
         request = self._slice_request(payload, tenant_id)
-        return request, self.orchestrator.default_profile(request)
+        return request, self.orchestrator.fleet.default_profile(request)
 
     # ------------------------------------------------------------------
     # Slice collection

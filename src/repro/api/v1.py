@@ -91,9 +91,10 @@ def guarded(handler: Handler) -> Handler:
     return wrapped
 
 
-def build_v1_api(service: SliceService, api: Optional[RestApi] = None) -> RestApi:
-    """Register the ``/v1`` routes for ``service`` on ``api``."""
-    api = api or RestApi()
+def build_v1_api(service: SliceService) -> RestApi:
+    """A router serving the ``/v1`` routes for ``service``; no handler
+    points back at it, so it dies with its control plane."""
+    api = RestApi()
 
     def post_slice(request: Request) -> Response:
         mode = request.query.get("mode", "sync")
@@ -250,13 +251,7 @@ def build_v1_api(service: SliceService, api: Optional[RestApi] = None) -> RestAp
         return Response(status=200, body=service.domain(request.params["domain"]))
 
     def get_index(request: Request) -> Response:
-        return Response(
-            status=200,
-            body={
-                "version": "v1",
-                "routes": api.routes(),
-            },
-        )
+        return Response(status=200, body={"version": "v1", "routes": list(routes)})
 
     api.route("GET", "/v1", guarded(get_index))
     api.route("POST", "/v1/slices", guarded(post_slice))
@@ -277,6 +272,7 @@ def build_v1_api(service: SliceService, api: Optional[RestApi] = None) -> RestAp
     api.route("POST", "/v1/admin/checkpoint", guarded(post_admin_checkpoint))
     api.route("GET", "/v1/admin/metrics", guarded(get_admin_metrics))
     api.route("GET", "/v1/admin/traces", guarded(get_admin_traces))
+    routes = api.routes()
     return api
 
 

@@ -103,14 +103,10 @@ class Lease:
         os.makedirs(directory, exist_ok=True)
         tmp = f"{self.path}.tmp.{self.owner}"
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "owner": self.owner,
-                    "epoch": epoch,
-                    "heartbeat_at": time.time(),
-                },
-                handle,
-            )
+            # dumps, not dump: dump's encoder leaves a reference cycle per call.
+            handle.write(json.dumps(
+                {"owner": self.owner, "epoch": epoch, "heartbeat_at": time.time()}
+            ))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.path)

@@ -240,8 +240,12 @@ class ControlPlaneCluster:
         """Install a promoted standby (see :class:`~repro.cluster.
         standby.PromotionReport`) as the shard's new leader.  The
         router holds the :class:`ShardWorker` object, not its fields,
-        so traffic flows to the new control plane immediately."""
+        so traffic flows to the new control plane immediately.  The
+        deposed one is stopped (a fenced leader was still running, and a
+        killed one's batch in flight may have set timers since) and is
+        freed by reference counting as its last reference goes here."""
         worker = self.shard(shard_id)
+        worker.orchestrator.stop()
         worker.orchestrator = promotion.orchestrator
         worker.service = promotion.service
         worker.api = promotion.api

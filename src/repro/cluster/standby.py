@@ -11,8 +11,14 @@ over the *surviving* southbound and a store reopened over the standby's
 journal index, and hands the fold to the
 :class:`~repro.store.recovery.RecoveryManager` reconciliation a restart
 runs: a batch re-adoption stated by one ``recovery.rebased`` record,
-then ``recovery.completed`` and no checkpoint, so feed cursors hold.  A
-promotion costs the lag, not the fleet.
+then ``recovery.completed`` and no checkpoint, so feed cursors hold.
+
+A promotion decodes the lag, not the fleet: the standby keeps each live
+and in-flight request decoded as it folds it (``requests``).  Per slice
+it still pays for the southbound's reservations it reads, the batch
+re-adoption (record, PLMN claim, runtime, calendar window, timer,
+event), and one copy of the slice's image in the handoff; the deposed
+plane's free follows in ``adopt_promotion``.
 
 Re-arming the shard costs what changed, too.  A cold standby's first
 poll decodes the latest snapshot and every record since: for one that
@@ -21,7 +27,9 @@ standby gives a copy of its fold, its LSN and a copy of the journal index up
 (``PromotionReport.handoff``, kept by the cluster for the shard's next
 ``standby_for``), and the successor's first poll decodes only the
 rebase, the completion record and what followed; a newer snapshot or a
-replaced journal file is handled as in any poll.
+replaced journal file is handled as in any poll.  It decodes the handed
+fold's requests once, when built: a request object the new leader
+holds is rescaled in place, so none is shared with a standby.
 """
 
 from __future__ import annotations
@@ -30,12 +38,13 @@ import copy
 import os
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple, TYPE_CHECKING
 
 from repro.api.rest import RestApi
 from repro.api.v1 import build_v1_api
 from repro.cluster.lease import Lease
-from repro.store.codec import ReplayState
+from repro.core.slices import SliceRequest
+from repro.store.codec import ReplayState, request_from_dict
 from repro.store.journal import JournalTail
 from repro.store.snapshot import SnapshotStore
 from repro.store.store import shard_directory
@@ -120,6 +129,12 @@ class WarmStandby:
         self.state, self.applied_lsn, self._tail = handoff or (
             ReplayState(), -1, JournalTail(os.path.join(self.directory, "journal.jsonl"))
         )
+        #: slice id → (request dict, decoded request) of each live and
+        #: in-flight image, so that a promotion decodes only the lag.  A
+        #: fold replaces a request dict and never writes into one: an
+        #: entry stands while its dict is the one the image holds.
+        self.requests: Dict[str, Tuple[Dict[str, Any], SliceRequest]] = {}
+        self._decode_ahead([*self.state.live, *self.state.in_flight])
         self.polls = 0
         self.promoted: Optional[PromotionReport] = None
 
@@ -132,21 +147,38 @@ class WarmStandby:
         checkpoint compacted the journal, the standby jumps to the
         snapshot (its pre-compaction fold reached at least that LSN
         anyway — LSNs are monotonic across compactions)."""
-        applied = 0
+        applied, named = 0, set()
         # Snapshot LSNs are in the file names: parse one only when ahead.
         ahead = any(lsn > self.applied_lsn for lsn in self._snapshots.list_lsns())
         loaded = self._snapshots.load_latest() if ahead else None
         if loaded is not None and loaded[1] > self.applied_lsn:
             snapshot, lsn = loaded
             self.state = ReplayState.from_dict(snapshot)
+            named.update(self.state.live, self.state.in_flight)
             applied += 1
             self.applied_lsn = lsn
         for record in self._tail.records(self.applied_lsn):
             self.state.apply(record.record_type, record.time, record.data)
+            named.add(record.data.get("slice_id"))
             self.applied_lsn = record.lsn
             applied += 1
+        self._decode_ahead(named)
+        if len(self.requests) > len(self.state.live) + len(self.state.in_flight):
+            self._decode_ahead(list(self.requests))  # a jump or a rebase dropped them unnamed
         self.polls += 1
         return applied
+
+    def _decode_ahead(self, slice_ids: Iterable[Optional[str]]) -> None:
+        """Bring the decoded request of each slice in ``slice_ids`` up to
+        its image: decode a dict the entry does not hold, drop a slice
+        that is neither live nor in flight."""
+        live, in_flight, requests = self.state.live, self.state.in_flight, self.requests
+        for slice_id in slice_ids:
+            image = live.get(slice_id) or in_flight.get(slice_id)
+            if image is None:
+                requests.pop(slice_id, None)
+            elif (entry := requests.get(slice_id)) is None or entry[0] is not image["request"]:
+                requests[slice_id] = (image["request"], request_from_dict(image["request"]))
 
     def lag_records(self) -> int:
         """Records the leader has journaled that we have not folded —
@@ -191,8 +223,9 @@ class WarmStandby:
         replay_lag = self.poll()
         # The new leader's journal owns the index from here (it appends
         # to it) and its image folds on from ours; the successor gets a
-        # copy of each.  One to_dict/from_dict round trip is a real copy:
-        # a fold replaces, never writes into, the values nested in it.
+        # copy of each.  One to_dict/from_dict round trip copies each
+        # image, which a fold writes into; the request dicts in them are
+        # shared, as a fold replaces a request dict and never writes into one.
         tail = self._tail
         handoff = (ReplayState.from_dict(self.state.to_dict()), self.applied_lsn, copy.copy(tail))
         handoff[2].lsns, handoff[2].starts = tail.lsns[:], tail.starts[:]
@@ -200,8 +233,9 @@ class WarmStandby:
         orchestrator.attach_lease(self.lease)
         from repro.store.recovery import RecoveryManager
 
-        report = RecoveryManager(orchestrator).restore(self.state)
+        report = RecoveryManager(orchestrator).restore(self.state, self.requests)
         self.state, self.applied_lsn, self._tail = ReplayState(), -1, JournalTail(tail.path)
+        self.requests = {}  # the new leader's now
         recovery_s = _time.monotonic() - started
         self.promoted = PromotionReport(
             shard_id=self.shard_id,

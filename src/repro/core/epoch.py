@@ -6,7 +6,8 @@ The data-plane pass — demand → RAN serve → transport cap → SLA check
 over every ACTIVE slice — is one array pass (:class:`LiveSlots`), bit
 for bit what the per-slice loop it replaced gave (``docs/ARCHITECTURE.md``,
 "The hot path", says why).  Its rows stand across epochs, and one is
-re-read when its slice was touched (:meth:`LiveFleet.touch`) and its
+re-read when its slice was touched (its id put in ``LiveSlots.touched``,
+the set each live slice holds) and its
 key moved: the identities of the slice's ``allocation``, ``request.sla``
 and profile, and the profile's ``peak_mbps`` (set in place by
 ``modify_slice``).  Every allocation writer replaces the frozen object.
@@ -50,9 +51,11 @@ class SliceRuntime:
 
     network_slice: NetworkSlice
     profile: Optional[TrafficProfile]  # re-adopted: None until first read
-    #: Built when a policy first reads a forecast (:meth:`forecast_quantile`);
-    #: fed one sample per epoch from then on.
+    #: Built when a policy first reads a forecast (:meth:`forecast_quantile`),
+    #: by the factory the fleet's forecast step hands it; fed one sample
+    #: per epoch from then on.
     forecaster: Optional[Forecaster] = None
+    forecaster_factory: Optional[Callable[[], Forecaster]] = None
     #: The forecaster does not equal ``fit(demand_history)`` — there is
     #: none yet, it declined a sample or the capped window slid — so the
     #: next read (re)fits it on the history.
@@ -83,14 +86,14 @@ class SliceRuntime:
         slice's end-to-end allocation from what it now holds."""
         self.reservations.update(reservations)
         self.network_slice.allocation = compose_allocation(self.reservations)
-        self.network_slice.fleet.touch(self.network_slice.slice_id)
+        self.network_slice.touched.add(self.network_slice.slice_id)
 
     def forecast_quantile(self, h: int = 1, q: float = 0.95) -> float:
         """What a policy reads of the slice's forecaster, which is built
         here at the first read and (re)fitted on the history when stale
         (raising :class:`ForecastError` if the fit refuses it)."""
         if self.forecaster is None:
-            self.forecaster = self.network_slice.fleet.forecaster_factory()
+            self.forecaster = self.forecaster_factory()
         if self.forecast_stale:
             self.forecaster.fit([demand for _, demand in self.demand_history])
             self.forecast_stale = False
@@ -194,7 +197,8 @@ class LiveSlots:
         claims a slot, one no longer ACTIVE frees it, a moved key is re-read."""
         slot_of, (allocations, slas, profiles, peaks) = self._slot_of, self._keys
         runtimes, untracked, moved = fleet.runtimes, self._untracked, False
-        visits, self.touched = self.touched | untracked, set()
+        visits = self.touched | untracked
+        self.touched.clear()  # in place: each live slice holds this set
         for slice_id in visits:
             runtime, slot = runtimes.get(slice_id), slot_of.get(slice_id)
             if runtime is None or runtime.network_slice.state is not SliceState.ACTIVE:
@@ -336,7 +340,7 @@ class LiveFleet:
 
     def __init__(
         self, sim: Any, allocator: Any, registry: Any, events: Any, ledger: Any,
-        config: Any, obs: Any, draw_profile: Callable[[SliceRequest], TrafficProfile],
+        config: Any, obs: Any, streams: Any,
     ) -> None:
         self.sim = sim
         self.allocator = allocator
@@ -345,34 +349,40 @@ class LiveFleet:
         self.ledger = ledger
         self.config = config
         self.obs = obs
-        #: Draws the profile of a slice whose runtime has none (re-adopted).
-        self.draw_profile = draw_profile
+        self.streams = streams
         #: slice id → runtime of every slice holding resources.
         self.runtimes: Dict[str, SliceRuntime] = {}
         #: The data-plane pass's table: one row per ACTIVE slice.
         self.live_slots = LiveSlots()
         self.sla_monitor = SlaMonitor()
         self.gain_tracker = MultiplexingGainTracker()
-        #: Builds a slice's forecaster at its first read (set per :meth:`forecast`).
-        self.forecaster_factory: Optional[Callable[[], Forecaster]] = None
 
     def add(self, runtime: SliceRuntime) -> SliceRuntime:
         """Hold ``runtime``, last in go-live order; its slice's
         transitions touch it from here."""
         self.runtimes[runtime.network_slice.slice_id] = runtime
-        runtime.network_slice.fleet = self
+        runtime.network_slice.touched = self.live_slots.touched
         return runtime
-
-    def touch(self, slice_id: str) -> None:
-        """Name a slice whose row key may have moved: the next sync
-        re-checks its slot."""
-        self.live_slots.touched.add(slice_id)
 
     def profile(self, runtime: SliceRuntime) -> TrafficProfile:
         """A live slice's traffic profile; a re-adopted one's is drawn here."""
         if runtime.profile is None:
-            runtime.profile = self.draw_profile(runtime.network_slice.request)
+            runtime.profile = self.default_profile(runtime.network_slice.request)
         return runtime.profile
+
+    def default_profile(self, request: SliceRequest) -> TrafficProfile:
+        """The vertical-preset traffic profile for a request: the one the
+        v1 API attaches at creation, and the one recovery (and re-enqueued
+        admissions) draws again when the original object died with the
+        old process — the same shape, since both read the same key.
+        Keyed by request id, never a shared stream, so drawing it late
+        (:meth:`profile`) moves no other draw; the peak is the current
+        throughput."""
+        from repro.traffic.verticals import vertical_for
+
+        spec = vertical_for(request.service_type)
+        rng = self.streams.draws(f"api-profile-{request.request_id}")
+        return spec.sample_profile(request.sla.throughput_mbps, rng)
 
     def epoch(self, rng: np.random.Generator, overbooking: Any) -> Dict[str, SliceRuntime]:
         """One monitoring epoch's per-slice work: heal, then demand →
@@ -481,10 +491,10 @@ class LiveFleet:
         epoch folds each sample in, which leaves it equal to a refit on
         the history.  A policy that reads no forecast never pays for one.
         """
-        self.forecaster_factory = forecaster_factory
         for slice_id, runtime in active.items():
             if len(runtime.demand_history) < self.config.min_history_for_forecast:
                 continue
+            runtime.forecaster_factory = forecaster_factory
             nominal = runtime.network_slice.request.sla.throughput_mbps
             try:
                 decision = overbooking.decide(slice_id, nominal, forecaster=runtime)

@@ -81,7 +81,6 @@ from repro.sim.engine import Simulator
 from repro.store.codec import request_to_dict
 from repro.store.image import DurableImage
 from repro.store.store import ControlPlaneStore, NullStore, open_store
-from repro.sim.processes import PeriodicProcess
 from repro.sim.randomness import RandomStreams
 from repro.traffic.patterns import TrafficProfile
 
@@ -196,6 +195,8 @@ class Orchestrator:
             lambda: HoltWintersForecaster(season_length=24)
         )
         self.config = config or OrchestratorConfig()
+        if self.config.monitoring_epoch_s <= 0:
+            raise OrchestratorError(f"monitoring_epoch_s {self.config.monitoring_epoch_s} <= 0")
         self.streams = streams or RandomStreams(seed=0)
         # Control-plane observability (repro.obs): spans + histograms
         # across the install pipeline.  Disabled (the default) resolves
@@ -208,11 +209,10 @@ class Orchestrator:
         self.events = EventLog(capacity=self.config.event_log_capacity)
         self.events.obs = self.obs
         self.calendar = ResourceCalendar(allocator.aggregate_capacity_vector())
-        #: The live slices and the epoch's per-slice work on them (the
-        #: profile drawer resolves ``default_profile`` at each draw).
+        #: The live slices and the epoch's per-slice work on them.
         self.fleet = LiveFleet(
             sim, allocator, self.registry, self.events, self.ledger, self.config,
-            self.obs, lambda request: self.default_profile(request),
+            self.obs, self.streams,
         )
         # Durable control plane: every state transition is journaled
         # (write-ahead) before it is acknowledged; a NullStore makes
@@ -261,20 +261,20 @@ class Orchestrator:
         #: The ``slice_id``-sorted views ``GET /v1/slices`` pages are cut from.
         self.slice_index = SliceIndex()
         self._epoch_counter = 0
-        self._monitor_process = PeriodicProcess(
-            sim,
-            self.config.monitoring_epoch_s,
-            self._monitoring_epoch,
-            name="monitoring-epoch",
-        )
+        self._running = False
 
     # ------------------------------------------------------------------
     # Lifecycle of the orchestrator itself
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Begin the periodic monitoring loop."""
-        self.streams.stream("demand-noise")  # the epochs' shared stream, made before the first
-        self._monitor_process.start()
+        """Begin the periodic monitoring loop, its first epoch one period
+        out (a second call is a no-op)."""
+        if not self._running:
+            self._running = True
+            self.streams.stream("demand-noise")  # the epochs' shared stream, made before the first
+            self.sim.schedule(
+                self.config.monitoring_epoch_s, self._epoch_tick, name="monitoring-epoch"
+            )
 
     def attach_lease(self, lease: Any) -> None:
         """Adopt a leader lease (sharded deployments): the monitoring
@@ -284,26 +284,16 @@ class Orchestrator:
         self.lease = lease
 
     def stop(self) -> None:
-        """Halt the monitoring loop."""
-        self._monitor_process.stop()
+        """Halt this control plane as a process death does: no epoch and
+        no timer on its clock fires again.  The pending timers were the
+        only references back to it, so the plane its owner drops next
+        is freed by reference counting."""
+        self._running = False
+        self.sim.clear()
 
     # ------------------------------------------------------------------
     # Recovery support
     # ------------------------------------------------------------------
-    def default_profile(self, request: SliceRequest) -> TrafficProfile:
-        """The vertical-preset traffic profile for a request: the one the
-        v1 API attaches at creation, and the one recovery (and re-enqueued
-        admissions) draws again when the original object died with the
-        old process — the same shape, since both read the same key.
-        Keyed by request id, never a shared stream, so drawing it late
-        (:meth:`~repro.core.epoch.LiveFleet.profile`) moves no other
-        draw; the peak is the current throughput."""
-        from repro.traffic.verticals import vertical_for
-
-        spec = vertical_for(request.service_type)
-        rng = self.streams.draws(f"api-profile-{request.request_id}")
-        return spec.sample_profile(request.sla.throughput_mbps, rng)
-
     def adopt_recovered_slices(self, adoptions: Iterable[tuple]) -> List[NetworkSlice]:
         """Re-adopt, as one batch and in order, the slices a restart found
         COMMITTED in every domain: each ``(request, plmn_id, fraction,
@@ -358,7 +348,7 @@ class Orchestrator:
                 self._promise_end(request, start_time),
                 self._size(request).demand,
             )
-        self._schedule_advance_install(request, self.default_profile(request), start_time)
+        self._schedule_advance_install(request, self.fleet.default_profile(request), start_time)
 
     def _schedule_advance_install(
         self, request: SliceRequest, profile: TrafficProfile, start_time: float
@@ -1134,6 +1124,13 @@ class Orchestrator:
     # ------------------------------------------------------------------
     # Monitoring + reconfiguration loop (its per-slice work: LiveFleet)
     # ------------------------------------------------------------------
+    def _epoch_tick(self) -> None:
+        self._monitoring_epoch()
+        if self._running:  # a stop inside the epoch ends the loop
+            self.sim.schedule(
+                self.config.monitoring_epoch_s, self._epoch_tick, name="monitoring-epoch"
+            )
+
     def _monitoring_epoch(self) -> None:
         obs = self.obs
         epoch_started = perf_counter() if obs.enabled else None

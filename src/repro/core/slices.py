@@ -14,7 +14,7 @@ import itertools
 from bisect import bisect_left, insort
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 
 class SliceError(RuntimeError):
@@ -331,7 +331,7 @@ class NetworkSlice:
     """
 
     index: Optional["SliceIndex"] = None  #: the index that lists the slice, once registered
-    fleet: Any = None  #: the live fleet holding its runtime, touched at each transition
+    touched: Optional[Set[str]] = None  #: the live fleet's touched ids, once it holds the slice
 
     def __init__(self, request: SliceRequest) -> None:
         self.request = request
@@ -362,8 +362,8 @@ class NetworkSlice:
             )
         if self.index is not None:
             self.index.move(self, self.state, new_state)
-        if self.fleet is not None:
-            self.fleet.touch(self.slice_id)
+        if self.touched is not None:
+            self.touched.add(self.slice_id)
         self.state = new_state
         self.history.append((at_time, new_state))
         if new_state is SliceState.ADMITTED:
@@ -381,8 +381,8 @@ class NetworkSlice:
         if self.index is not None:
             live = SliceState.DEPLOYING if active_at is None else SliceState.ACTIVE
             self.index.move(self, self.state, live)
-        if self.fleet is not None:
-            self.fleet.touch(self.slice_id)
+        if self.touched is not None:
+            self.touched.add(self.slice_id)
         self.state, self.admitted_at = SliceState.DEPLOYING, admitted_at
         self.history += [(admitted_at, SliceState.ADMITTED), (admitted_at, SliceState.DEPLOYING)]
         if active_at is not None:

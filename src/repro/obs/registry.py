@@ -53,6 +53,22 @@ class _Timed:
         return False
 
 
+class _Histograms(dict):
+    """``(name, label)`` → histogram, made at first lookup; fed each finished
+    span, so the tracer's hook holds no way back to the sink owning both."""
+
+    def __init__(self, buckets_ms: Tuple[float, ...]) -> None:
+        super().__init__()
+        self.buckets_ms = buckets_ms
+
+    def __missing__(self, key: Tuple[str, str]) -> LatencyHistogram:
+        hist = self[key] = LatencyHistogram(key[0], label=key[1], buckets_ms=self.buckets_ms)
+        return hist
+
+    def span_finished(self, span: Span) -> None:
+        self[span.name, span.label].observe(span.duration_ms or 0.0)
+
+
 class ControlPlaneObservability:
     """Tracing + histograms + counters/gauges behind one object.
 
@@ -73,13 +89,12 @@ class ControlPlaneObservability:
         buckets_ms: Optional[Sequence[float]] = None,
     ) -> None:
         self.slow_span_ms = float(slow_span_ms)
-        self._buckets_ms = tuple(buckets_ms or DEFAULT_BUCKETS_MS)
+        self._hists = _Histograms(tuple(buckets_ms or DEFAULT_BUCKETS_MS))
         self.tracer = Tracer(
             capacity=trace_capacity,
             slow_threshold_ms=self.slow_span_ms,
-            on_finish=self._span_finished,
+            on_finish=self._hists.span_finished,
         )
-        self._hists: Dict[Tuple[str, str], LatencyHistogram] = {}
         self._counters: Dict[Tuple[str, str], float] = {}
         self._gauges: Dict[Tuple[str, str], float] = {}
 
@@ -98,21 +113,11 @@ class ControlPlaneObservability:
             name, parent=parent, label=label, attributes=attributes or None
         )
 
-    def _span_finished(self, span: Span) -> None:
-        # Every finished span feeds the histogram of its name — the
-        # per-stage latency distributions fall out of tracing for free.
-        self.observe(span.name, span.duration_ms or 0.0, label=span.label)
-
     # ------------------------------------------------------------------
     # Histograms / counters / gauges
     # ------------------------------------------------------------------
     def histogram(self, name: str, label: str = "") -> LatencyHistogram:
-        key = (name, label)
-        hist = self._hists.get(key)
-        if hist is None:
-            hist = LatencyHistogram(name, label=label, buckets_ms=self._buckets_ms)
-            self._hists[key] = hist
-        return hist
+        return self._hists[name, label]
 
     def observe(self, name: str, value_ms: float, label: str = "") -> None:
         self.histogram(name, label).observe(value_ms)
@@ -146,7 +151,7 @@ class ControlPlaneObservability:
         parts = [h for (n, _), h in self.histograms().items() if n == name]
         if not parts:
             return None
-        merged = LatencyHistogram(name, buckets_ms=self._buckets_ms)
+        merged = LatencyHistogram(name, buckets_ms=self._hists.buckets_ms)
         for part in parts:
             part.merge_into(merged)
         return merged

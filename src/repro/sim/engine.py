@@ -143,6 +143,10 @@ class Simulator:
         heapq.heappush(self._queue, event)
         return EventHandle(event)
 
+    def clear(self) -> None:
+        """Drop every pending event: nothing scheduled so far fires."""
+        self._queue.clear()
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

@@ -219,8 +219,9 @@ class ReplayState:
 
     def apply(self, kind: str, time: float, data: Dict[str, Any]) -> None:
         """Fold one journal record (its type, time and data) into the
-        image: pure and deterministic, and never writing into a value
-        nested in the image (a handed-off fold shares those with its copy)."""
+        image: pure and deterministic.  A request dict is replaced, never
+        written into (a warm standby's decoded requests rest on that); an
+        image around one is written into, so a handed-off fold copies each."""
         self.time = max(self.time, time)
         self.records_applied += 1
         # Every record naming a request or slice advances the ordinal

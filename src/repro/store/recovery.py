@@ -58,7 +58,8 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, TYPE_CHECKING
 
 from repro.core.admission import TenantQuota
 from repro.core.slices import SliceRequest, ensure_request_counter_at_least
@@ -113,13 +114,20 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
-    def restore(self, state: Optional[ReplayState] = None) -> RecoveryReport:
+    def restore(
+        self,
+        state: Optional[ReplayState] = None,
+        requests: Mapping[str, tuple] = MappingProxyType({}),
+    ) -> RecoveryReport:
         """Rebuild state from the fold, reconcile the southbound.
 
         ``state`` is the folded store image, ``records_applied``
         counting what was folded for this recovery: a standby's final
         catch-up, or (``None``: folded from disk here) the journal tail
-        past the snapshot.  Every line after the fold is shared.
+        past the snapshot.  ``requests`` holds a warm standby's decoded
+        requests (slice id → (request dict, request)); an image whose
+        dict is not the one held there is decoded here.  Every line
+        after the fold is shared.
 
         Returns the :class:`RecoveryReport`; the ``recovery.rebased``
         record follows the adoption, and the ``recovery.completed``
@@ -154,7 +162,7 @@ class RecoveryManager:
         queued = list(state.queued.values())
         offered = [p for rid, p in state.broker_pending.items() if rid not in state.queued]
         truth = self._southbound_truth()
-        adopted_ids = self._reconcile_slices(state, truth, crash_time, report)
+        adopted_ids = self._reconcile_slices(state, requests, truth, crash_time, report)
         self._compensate_orphans(truth, adopted_ids, report)
         self._restore_bookings(advance, crash_time, report)
         self._requeue_admissions(queued, report)
@@ -187,6 +195,7 @@ class RecoveryManager:
     def _reconcile_slices(
         self,
         state: ReplayState,
+        requests: Mapping[str, tuple],
         truth: Dict[str, Dict[str, Reservation]],
         crash_time: float,
         report: RecoveryReport,
@@ -204,7 +213,8 @@ class RecoveryManager:
         # Acknowledged installs first (their calendar promises outrank
         # everything), then never-acked in-flight installs.
         for slice_id, image in list(state.live.items()) + list(state.in_flight.items()):
-            request = request_from_dict(image["request"])
+            payload, known = image["request"], requests.get(slice_id)
+            request = known[1] if known and known[0] is payload else request_from_dict(payload)
             reservations = {
                 d: r for d, held in truth.items()
                 if (r := held.get(slice_id)) is not None and r.state is committed
@@ -249,7 +259,7 @@ class RecoveryManager:
             last_event_seq=orch.events.last_seq,
         )
         for request in requeue:
-            orch.enqueue_admitted(request, orch.default_profile(request))
+            orch.enqueue_admitted(request, orch.fleet.default_profile(request))
         report.admissions_requeued += len(requeue)
         return adopted
 
@@ -298,7 +308,7 @@ class RecoveryManager:
             if start_in_s <= 0:
                 # The promised start passed while we were down; install
                 # as soon as the control plane breathes again.
-                orch.enqueue_admitted(request, orch.default_profile(request))
+                orch.enqueue_admitted(request, orch.fleet.default_profile(request))
                 report.bookings_promoted += 1
             else:
                 orch.restore_advance_booking(request, start_in_s=start_in_s)
@@ -308,7 +318,7 @@ class RecoveryManager:
         orch = self.orchestrator
         for payload in queued:
             request = request_from_dict(payload)
-            orch.enqueue_admitted(request, orch.default_profile(request))
+            orch.enqueue_admitted(request, orch.fleet.default_profile(request))
             report.admissions_requeued += 1
 
     def _requeue_broker_windows(self, offered: List[dict], report: RecoveryReport) -> None:
@@ -325,7 +335,7 @@ class RecoveryManager:
         orch = self.orchestrator
         for payload in offered:
             request = request_from_dict(payload)
-            orch.submit(request, orch.default_profile(request))
+            orch.submit(request, orch.fleet.default_profile(request))
             report.broker_requeued += 1
 
     def _restore_quotas(self, state: ReplayState, report: RecoveryReport) -> None:

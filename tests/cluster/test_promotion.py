@@ -57,6 +57,9 @@ from repro.core.slices import SliceState, peek_request_counter
 from repro.experiments.testbed import TestbedConfig, build_testbed
 from repro.sim.randomness import RandomStreams
 from repro.store import ControlPlaneStore, RecoveryManager
+import repro.cluster.standby as standby_module
+import repro.store.codec as codec
+import repro.store.recovery as recovery_module
 from repro.store.codec import ReplayState, json_default
 from repro.store.image import DurableImage
 from repro.store.journal import JournalRecord
@@ -306,6 +309,7 @@ class PromotionProbe:
         self.streams_derived = 0
         self.templates_built = 0
         self.states_digested = 0
+        self.requests_decoded = 0
         self.fsyncs = []  # "file" or "directory", in order
         real_load = SnapshotStore.load_latest
         real_fsync = os.fsync
@@ -338,12 +342,18 @@ class PromotionProbe:
             self.fsyncs.append("directory" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
             return real_fsync(fd)
 
+        def request_from_dict(payload):
+            self.requests_decoded += 1
+            return codec.request_from_dict(payload)
+
         monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(SnapshotStore, "load_latest", load_latest)
         monkeypatch.setattr(allocation_module, "epc_template", epc_template)
         monkeypatch.setattr(ReplayState, "digest", digest)
         monkeypatch.setattr(JournalRecord, "from_line", classmethod(from_line))
         monkeypatch.setattr(RandomStreams, "draws", draws)
+        for decoder in (standby_module, recovery_module):  # the standby's poll, the restore
+            monkeypatch.setattr(decoder, "request_from_dict", request_from_dict)
 
 
 def promotion_costs(tmp_path, monkeypatch, live: int) -> dict:
@@ -393,6 +403,7 @@ def promotion_costs(tmp_path, monkeypatch, live: int) -> dict:
             "profiles drawn": probe.streams_derived,
             "vEPC templates built": probe.templates_built,
             "states digested": probe.states_digested,
+            "requests decoded": probe.requests_decoded,
             "fsyncs": probe.fsyncs,
             "allowance": 4 + report.orphans_compensated + report.admissions_requeued,
         }
@@ -421,6 +432,9 @@ def test_promotion_work_does_not_grow_with_live_slices(tmp_path, monkeypatch):
     # re-digests the fleet: the rebase record states the adoption.
     assert small["vEPC templates built"] <= 1
     assert small["states digested"] == 0
+    # The standby decoded each request as it folded it: the promotion
+    # decodes only the lag, none here.
+    assert small["requests decoded"] == 0
     # The lease file and the directory its epoch bump renamed into; the
     # two records wait for the journal's group commit.
     assert small["fsyncs"] == ["file", "directory"]
@@ -722,6 +736,16 @@ def test_a_killed_leader_issues_no_fsync_and_the_standby_replays_all_it_appended
     assert len(promotion.orchestrator.live_slices()) == 3
 
 
+def assert_decoded_ahead(standby) -> None:
+    """The standby holds each live and in-flight slice's request decoded,
+    from the very dict its image holds, and nothing else."""
+    images = {**standby.state.in_flight, **standby.state.live}
+    assert set(standby.requests) == set(images)
+    for slice_id, (payload, request) in standby.requests.items():
+        assert payload is images[slice_id]["request"]
+        assert request == codec.request_from_dict(payload)
+
+
 def restored_cold(cluster, root: str, cold_root: str):
     """A cold restart's orchestrator over a copy of ``root``'s store."""
     shutil.copytree(os.path.join(root, "store"), cold_root)
@@ -744,6 +768,7 @@ def test_a_successor_standby_inherits_the_promoted_fold(seed, steps, more):
                 shard.op()
                 if rng.random() < 0.3:
                     standby.poll()
+            assert_decoded_ahead(standby)
             cluster.kill_leader(VICTIM)
             promotion = standby.promote(force=True)
             folded, applied_lsn, index = promotion.handoff
@@ -775,6 +800,7 @@ def test_a_successor_standby_inherits_the_promoted_fold(seed, steps, more):
             # (LSNs start at 1: a leader that journaled nothing hands over -1.)
             assert first_poll == len(decoded) == promoted.store.last_lsn - max(applied_lsn, 0) >= 2
             assert loads == []
+            assert_decoded_ahead(successor)  # across the rebase
 
             # Any other standby for the shard starts cold.
             cold_standby = cluster.standby_for(VICTIM)
@@ -798,8 +824,10 @@ def test_a_successor_standby_inherits_the_promoted_fold(seed, steps, more):
             cold_store.close()
             successor.poll()
             assert successor.state.digest() == cold_digest
+            assert_decoded_ahead(successor)  # across a compaction and a torn tail
             cold_standby.poll()
             assert cold_standby.state.digest() == cold_digest
+            assert_decoded_ahead(cold_standby)
 
             # Promoting the successor ends where a cold restore ends.
             cold, cold_report = restored_cold(cluster, root, os.path.join(root, "cold"))

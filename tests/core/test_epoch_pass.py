@@ -179,16 +179,16 @@ def apply(orch: Orchestrator, op: tuple, extra: TrafficProfile) -> None:
     elif kind == "sla" and target is not None:  # replaced outside _resize_domains
         wanted = target.network_slice.request
         wanted.sla = replace(wanted.sla, throughput_mbps=value)
-        orch.fleet.touch(target.network_slice.slice_id)
+        orch.fleet.live_slots.touched.add(target.network_slice.slice_id)
     elif kind == "peak" and target is not None:  # set in place, as modify_slice does
         target.profile.peak_mbps = value
-        orch.fleet.touch(target.network_slice.slice_id)
+        orch.fleet.live_slots.touched.add(target.network_slice.slice_id)
     elif kind == "profile" and target is not None:
         target.profile = extra
-        orch.fleet.touch(target.network_slice.slice_id)
+        orch.fleet.live_slots.touched.add(target.network_slice.slice_id)
     elif kind == "drop" and target is not None:  # as under a third-party data-plane driver
         target.network_slice.allocation = None
-        orch.fleet.touch(target.network_slice.slice_id)
+        orch.fleet.live_slots.touched.add(target.network_slice.slice_id)
     elif kind == "terminate" and target is not None:
         orch.terminate_early(target.network_slice.slice_id)
     elif kind == "add":
@@ -331,15 +331,15 @@ def test_a_row_is_re_read_exactly_when_its_key_moves():
     assert rows_read() == 1
     wanted = second.network_slice.request
     wanted.sla = replace(wanted.sla, throughput_mbps=2.0)  # the SLA alone
-    orch.fleet.touch(second.network_slice.slice_id)
+    orch.fleet.live_slots.touched.add(second.network_slice.slice_id)
     assert rows_read() == 1
     third.profile.peak_mbps = 9.0  # the peak alone, in place
-    orch.fleet.touch(third.network_slice.slice_id)
+    orch.fleet.live_slots.touched.add(third.network_slice.slice_id)
     assert rows_read() == 1
     fourth.profile = ConstantProfile(5.0)  # the profile object
-    orch.fleet.touch(fourth.network_slice.slice_id)
+    orch.fleet.live_slots.touched.add(fourth.network_slice.slice_id)
     assert rows_read() == 1
-    orch.fleet.touch(fourth.network_slice.slice_id)  # touched, its key where it was
+    orch.fleet.live_slots.touched.add(fourth.network_slice.slice_id)  # touched, its key where it was
     assert rows_read() == 0
     orch.terminate_early(first.network_slice.slice_id)
     assert rows_read() == 0 and len(slots._slot_of) == 3  # its slot freed

@@ -1,6 +1,6 @@
 """Property-based invariants of the durable store's replay fold.
 
-Two pillars of crash recovery:
+Three pillars of crash recovery:
 
 1. **Replay determinism** — folding the same journal (or the same
    snapshot + tail) twice yields byte-identical state digests; the
@@ -11,10 +11,16 @@ Two pillars of crash recovery:
    still holds exactly in the chaos domain, and every domain holds
    exactly the adopted slices (the concurrent-install invariant of
    ``test_concurrency_invariants`` survives the restart).
+3. **Request dicts are replaced, never written into** — a request dict
+   the image holds keeps its content while it is held, and a slice's
+   stays the same object until a record replaces it.  A warm standby
+   keeps each request decoded on that ground, so that a promotion
+   decodes only its lag.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 
 import pytest
@@ -93,7 +99,7 @@ def _materialize(steps) -> list:
     for lsn, (kind, index) in enumerate(steps, start=1):
         slice_id = f"slice-{index:06d}"
         request_id = f"req-{index:06d}"
-        if kind in ("admission.enqueued", "install.started", "slice.installed"):
+        if kind in ("admission.enqueued", "broker.enqueued", "install.started", "slice.installed"):
             data = {"request": _request_payload(index), "slice_id": slice_id}
             if kind == "slice.installed":
                 data.update(
@@ -118,6 +124,17 @@ def _materialize(steps) -> list:
             data = {"event": {"seq": lsn, "type": "x", "tenant_id": None}}
         elif kind == "clock.tick":
             data = {"epoch": lsn}
+        elif kind == "recovery.rebased":
+            data = {
+                "shift": 7.5, "crash_time": float(lsn), "lost": [slice_id],
+                "adopted_in_flight": {
+                    f"slice-{(index + 1) % 8:06d}": {
+                        "window": [float(lsn), float(lsn) + 600.0],
+                        "reservations": {"mock": f"mock-res-{index:06d}"},
+                    }
+                },
+                "last_event_seq": lsn,
+            }
         else:
             data = {"slice_id": slice_id}
         if kind in EVENT_CARRIERS:
@@ -126,6 +143,39 @@ def _materialize(steps) -> list:
             JournalRecord(lsn=lsn, time=float(lsn), record_type=kind, data=data)
         )
     return records
+
+
+#: Every record kind the fold reads a request or an image from.
+fold_step = st.tuples(
+    st.sampled_from(
+        [
+            "admission.enqueued", "broker.enqueued", "install.started", "slice.installed",
+            "slice.activated", "slice.expired", "slice.cancelled", "slice.rejected",
+            "slice.modified", "slice.reconfigured", "booking.committed",
+            "booking.cancelled", "recovery.rebased", "clock.tick",
+        ]
+    ),
+    st.integers(min_value=0, max_value=2),  # few slices: records meet on one
+)
+
+#: The records that give the slice they name a new request dict.
+REPLACES_REQUEST = {"install.started", "slice.installed", "slice.modified"}
+
+
+def replaced_by(record: JournalRecord) -> set:
+    """The slices ``record`` hands a request dict they did not hold: the
+    one it names, or the in-flight installs a rebase makes live."""
+    if record.record_type in REPLACES_REQUEST:
+        return {record.data["slice_id"]}
+    return set(record.data.get("adopted_in_flight", ()))
+
+
+def held_requests(state: ReplayState) -> list:
+    """Every request dict the image holds."""
+    images = [*state.live.values(), *state.in_flight.values(), *state.advance.values()]
+    return [image["request"] for image in images] + [
+        *state.queued.values(), *state.broker_pending.values()
+    ]
 
 
 class TestFoldDeterminism:
@@ -148,6 +198,26 @@ class TestFoldDeterminism:
         via_snapshot = ReplayState.restore(prefix_state.to_dict(), records[cut:])
         full = ReplayState.restore(None, records)
         assert via_snapshot.digest() == full.digest()
+
+    @settings(SLOW, max_examples=150 * EXAMPLE_MULTIPLIER)
+    @given(st.lists(fold_step, min_size=20, max_size=80))
+    def test_a_fold_replaces_request_dicts_and_never_writes_into_one(self, steps):
+        state, first_seen = ReplayState(), {}  # id → (dict, its content when first held)
+        for record in _materialize(steps):
+            before = {
+                (table, slice_id): image["request"]
+                for table in ("live", "in_flight")
+                for slice_id, image in getattr(state, table).items()
+            }
+            state.apply(record.record_type, record.time, record.data)
+            for request in held_requests(state):
+                _, content = first_seen.setdefault(id(request), (request, copy.deepcopy(request)))
+                assert request == content, f"{record.record_type} wrote into a request dict"
+            replaced = replaced_by(record)
+            for (table, slice_id), request in before.items():
+                image = getattr(state, table).get(slice_id)
+                if image is not None and slice_id not in replaced:
+                    assert image["request"] is request, f"{record.record_type} swapped {slice_id}"
 
     @SLOW
     @given(st.lists(step, min_size=0, max_size=40))

@@ -92,7 +92,7 @@ def adopt_one(orch, request, plmn_id, fraction, reservations, *,
 class PerSliceRecovery(RecoveryManager):
     """Recovery with the per-slice reconcile + adopt loop (the oracle)."""
 
-    def _reconcile_slices(self, state, truth, crash_time, report):
+    def _reconcile_slices(self, state, requests, truth, crash_time, report):
         orch = self.orchestrator
         shift = orch.sim.now - crash_time
         adopted, requeue = set(), []
@@ -138,7 +138,7 @@ class PerSliceRecovery(RecoveryManager):
             last_event_seq=orch.events.last_seq,
         )
         for request in requeue:
-            orch.enqueue_admitted(request, orch.default_profile(request))
+            orch.enqueue_admitted(request, orch.fleet.default_profile(request))
         report.admissions_requeued += len(requeue)
         return adopted
 

@@ -14,7 +14,7 @@ from repro.core.orchestrator import OrchestratorConfig
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 MODULE_LINES_CEILING = 1_000
-ORCHESTRATOR_LINES_CEILING = 1_287
+ORCHESTRATOR_LINES_CEILING = 1_284
 ORCHESTRATOR_CONFIG_FIELDS_CEILING = 15
 
 

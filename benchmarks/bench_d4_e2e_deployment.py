@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.orchestrator import Orchestrator, OrchestratorConfig
+from repro.core.slices import SliceState
 from repro.experiments.testbed import build_testbed
 from repro.scenarios import ArrivalSpec, ScenarioSpec, run_scenario
 from repro.sim.engine import Simulator
@@ -81,29 +82,15 @@ def test_d4_acceptance_vs_load(benchmark):
     orch.start()
 
     def submit_and_release():
-        request = make_request(throughput_mbps=10.0)
         decision = orch.submit(
-            request, ConstantProfile(10.0, level=0.5, noise_std=0.0)
+            make_request(throughput_mbps=10.0), ConstantProfile(10.0, level=0.5, noise_std=0.0)
         )
         assert decision.admitted
-        slice_id = request.request_id.replace("req-", "slice-")
-        orch._expire_immediately_for_benchmark(slice_id)
+        # The fleet's own retire frees what the install took — every
+        # driver's reservation, the PLMN, the calendar window — so each
+        # timed iteration starts from the same southbound.
+        orch.fleet.retire(orch.runtime(decision.slice_id), SliceState.CANCELLED)
 
-    # Expose a tiny helper for the kernel without polluting the public API.
-    def _expire(slice_id):
-        runtime = orch.fleet.runtimes.pop(slice_id, None)
-        if runtime is None:
-            return
-        # Release through the driver registry, not the raw allocator —
-        # otherwise every timed iteration leaks a reservation record
-        # (and a running EpcInstance) inside the drivers.
-        orch.releases.release(slice_id)
-        orch.plmn_pool.release(slice_id)
-        request_id = runtime.network_slice.request.request_id
-        if orch.calendar.has(request_id):
-            orch.calendar.release(request_id)
-
-    orch._expire_immediately_for_benchmark = _expire
     benchmark(submit_and_release)
 
 

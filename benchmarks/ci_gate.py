@@ -185,8 +185,10 @@ D8D_SETTLED_S = 0.15
 #: thread per shard (a walled driver's completions come back through the
 #: registry's door, and the locks below it are gone); −1 for a control
 #: plane with no back-reference to its owner (no ``PeriodicProcess``, no
-#: fleet on a slice), net of the warm standby's decoded requests.
-SRC_LINES_CEILING = 20_356
+#: fleet on a slice), net of the warm standby's decoded requests; −5 for
+#: the live fleet owning the slice lifecycle (one writer of the runtime
+#: table, no pointer back on a slice, one slice-record table).
+SRC_LINES_CEILING = 20_351
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per

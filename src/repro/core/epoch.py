@@ -1,32 +1,37 @@
-"""The monitoring epoch's per-slice work, owned by :class:`LiveFleet`:
-the live slices' runtimes, self-healing, the data-plane pass, each
-slice's books and the forecast step of the overbooking loop.
+"""The live slices, owned by :class:`LiveFleet`: each slice's lifecycle
+once it is admitted — go live, activate, resize, retire, and the timers
+and stuck releases between — and the monitoring epoch's per-slice work:
+self-healing, the data-plane pass, each slice's books and the
+overbooking step.
 
 The data-plane pass — demand → RAN serve → transport cap → SLA check
 over every ACTIVE slice — is one array pass (:class:`LiveSlots`), bit
 for bit what the per-slice loop it replaced gave (``docs/ARCHITECTURE.md``,
 "The hot path", says why).  Its rows stand across epochs, and one is
 re-read when its slice was touched (its id put in ``LiveSlots.touched``,
-the set each live slice holds) and its
+which the fleet does wherever it changes a live slice) and its
 key moved: the identities of the slice's ``allocation``, ``request.sla``
 and profile, and the profile's ``peak_mbps`` (set in place by
-``modify_slice``).  Every allocation writer replaces the frozen object.
+:meth:`LiveFleet.rescale`).  Every allocation writer replaces the frozen object.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.allocation import compose_allocation
 from repro.core.forecasting import Forecaster, ForecastError
 from repro.core.overbooking import AdaptiveOverbooking, MultiplexingGainTracker, SlaMonitor
-from repro.core.slices import NetworkSlice, SliceRequest, SliceState
+from repro.core.slices import NetworkSlice, SliceIndex, SliceRequest, SliceState
 from repro.drivers.base import DriverAbsentError, DriverError, Reservation
+from repro.drivers.transaction import StuckReleases, resize_everywhere
+from repro.epc.attach import AttachProcedure
 from repro.ran.ue import UserEquipment
 from repro.traffic.patterns import (
     ConstantProfile,
@@ -52,8 +57,8 @@ class SliceRuntime:
     network_slice: NetworkSlice
     profile: Optional[TrafficProfile]  # re-adopted: None until first read
     #: Built when a policy first reads a forecast (:meth:`forecast_quantile`),
-    #: by the factory the fleet's forecast step hands it; fed one sample
-    #: per epoch from then on.
+    #: by the fleet's factory, which its overbooking step hands it; fed
+    #: one sample per epoch from then on.
     forecaster: Optional[Forecaster] = None
     forecaster_factory: Optional[Callable[[], Forecaster]] = None
     #: The forecaster does not equal ``fit(demand_history)`` — there is
@@ -80,13 +85,6 @@ class SliceRuntime:
         slid = len(history) == history.maxlen
         history.append((now, demand))
         return slid
-
-    def hold(self, reservations: Dict[str, Reservation]) -> None:
-        """Take ``reservations`` (some domains or all) and recompose the
-        slice's end-to-end allocation from what it now holds."""
-        self.reservations.update(reservations)
-        self.network_slice.allocation = compose_allocation(self.reservations)
-        self.network_slice.touched.add(self.network_slice.slice_id)
 
     def forecast_quantile(self, h: int = 1, q: float = 0.95) -> float:
         """What a policy reads of the slice's forecaster, which is built
@@ -198,7 +196,7 @@ class LiveSlots:
         slot_of, (allocations, slas, profiles, peaks) = self._slot_of, self._keys
         runtimes, untracked, moved = fleet.runtimes, self._untracked, False
         visits = self.touched | untracked
-        self.touched.clear()  # in place: each live slice holds this set
+        self.touched.clear()
         for slice_id in visits:
             runtime, slot = runtimes.get(slice_id), slot_of.get(slice_id)
             if runtime is None or runtime.network_slice.state is not SliceState.ACTIVE:
@@ -333,14 +331,22 @@ class LiveSlots:
 
 
 class LiveFleet:
-    """The live slices (their runtimes, in go-live order; the lifecycle
-    adds and retires them) and the epoch's per-slice work on them.  The
-    live-slot table, the SLA monitor and the multiplexing-gain tracker
-    are held and written here only; the policies are handed in per call."""
+    """The live slices and their lifecycle — deploy, ACTIVE "after few
+    seconds", monitor, reconfigure, expire — and the epoch's per-slice work.
+
+    The one writer of the runtime table (slice id → runtime, in go-live
+    order): a slice goes live (:meth:`go_live`), changes size
+    (:meth:`resize`) and stops holding resources (:meth:`retire`) here
+    only, each marking it in ``live_slots.touched``.  The fleet owns the
+    activation and expiry timers, the releases a backend refused, the
+    live-slot table, the SLA monitor and the gain tracker; it is handed
+    the calendar, PLMN pool, slice index and durable image its lifecycle
+    writes, never the orchestrator, and the policies per call."""
 
     def __init__(
         self, sim: Any, allocator: Any, registry: Any, events: Any, ledger: Any,
-        config: Any, obs: Any, streams: Any,
+        config: Any, obs: Any, streams: Any, *, calendar: Any, plmn_pool: Any,
+        index: SliceIndex, durable: Any, forecaster_factory: Callable[[], Forecaster],
     ) -> None:
         self.sim = sim
         self.allocator = allocator
@@ -350,20 +356,216 @@ class LiveFleet:
         self.config = config
         self.obs = obs
         self.streams = streams
+        self.calendar = calendar
+        self.plmn_pool = plmn_pool
+        self.index = index
+        self.durable = durable
+        #: What builds a live slice's forecaster, at a policy's first read.
+        self.forecaster_factory = forecaster_factory
         #: slice id → runtime of every slice holding resources.
         self.runtimes: Dict[str, SliceRuntime] = {}
+        #: Releases a backend refused, retried every monitoring epoch.
+        self.releases = StuckReleases(registry)
         #: The data-plane pass's table: one row per ACTIVE slice.
         self.live_slots = LiveSlots()
         self.sla_monitor = SlaMonitor()
         self.gain_tracker = MultiplexingGainTracker()
 
-    def add(self, runtime: SliceRuntime) -> SliceRuntime:
-        """Hold ``runtime``, last in go-live order; its slice's
-        transitions touch it from here."""
-        self.runtimes[runtime.network_slice.slice_id] = runtime
-        runtime.network_slice.touched = self.live_slots.touched
-        return runtime
+    # ------------------------------------------------------------------
+    # The lifecycle: go live, activate, resize, retire
+    # ------------------------------------------------------------------
+    def go_live(self, launches: Iterable[tuple]) -> None:
+        """The one way slices start holding a runtime: an install the
+        drivers just acknowledged (a batch of one), or a recovery
+        re-adopting what they still hold (the whole fleet).  Each launch
+        is ``(slice, profile, size, reservations, admitted_at, active_at,
+        window_end)`` of a PENDING slice the caller indexes: the runtime
+        around ``reservations``, ADMITTED and DEPLOYING, then the
+        activation timer or, for a slice that already turned ACTIVE at
+        ``active_at``, ACTIVE and the expiry timer; the windows of the
+        requests that hold none yet (to ``window_end``) go in after the
+        batch, in one commit.
 
+        The instants are absolute on this sim clock and may lie in the
+        past (a re-adopted slice keeps the time it already served); a
+        timer that is already due fires at once.
+        """
+        now, windows, calendar, runtimes = self.sim.now, [], self.calendar, self.runtimes
+        schedule_at, deploy_time_s = self.sim.schedule_at, self.config.deploy_time_s
+        # Bound once per batch: each timer holds a partial, no method of its own.
+        activate, expire = self._activate, self.expire
+        for launch in launches:
+            network_slice, profile, size, reservations, admitted_at, active_at, window_end = launch
+            request = network_slice.request
+            slice_id = network_slice.slice_id
+            runtime = runtimes[slice_id] = SliceRuntime(
+                network_slice=network_slice, profile=profile,
+                effective_fraction=size.fraction, reservations=reservations,
+            )
+            self._hold(runtime, reservations)  # composes its allocation, marks it touched
+            # Contract-clean EPC binding: whatever backend serves the "epc"
+            # domain reports its instance (if any) in the reservation.
+            if "epc" in reservations:
+                runtime.epc = reservations["epc"].details.get("instance")
+            network_slice.go_live(admitted_at, active_at)
+            # A request that passed the calendar gate — online, in a broker
+            # window, or booking ahead — holds its window already.
+            if not calendar.has(request.request_id):
+                windows.append(
+                    (request.request_id, now, max(window_end, now + 1e-9), size.demand)
+                )
+            if active_at is None:
+                schedule_at(
+                    max(admitted_at + deploy_time_s, now),
+                    partial(activate, slice_id),
+                    name=f"activate-{slice_id}",
+                )
+            else:
+                self._schedule_expiry(network_slice, expire)
+        calendar.commit_many(windows)
+
+    def _hold(self, runtime: SliceRuntime, reservations: Dict[str, Reservation]) -> None:
+        """Give ``runtime`` ``reservations`` (some domains or all), recompose
+        its slice's end-to-end allocation from what it now holds, and mark
+        the slice touched."""
+        runtime.reservations.update(reservations)
+        runtime.network_slice.allocation = compose_allocation(runtime.reservations)
+        self.live_slots.touched.add(runtime.network_slice.slice_id)
+
+    def _transition(self, network_slice: NetworkSlice, state: SliceState) -> None:
+        """Take a live slice to ``state`` now; its views follow, it is marked touched."""
+        self.index.transition(network_slice, state, self.sim.now)
+        self.live_slots.touched.add(network_slice.slice_id)
+
+    def _activate(self, slice_id: str) -> None:
+        runtime = self.runtimes.get(slice_id)
+        if runtime is None:
+            return  # cancelled while it deployed
+        network_slice = runtime.network_slice  # DEPLOYING: only go_live set this timer
+        self._transition(network_slice, SliceState.ACTIVE)
+        event = self.events.append(
+            self.sim.now, "slice.activated", slice_id, network_slice.request.tenant_id
+        )
+        self.durable.journal("slice.activated", event, slice_id=slice_id)
+        if self.config.simulate_ues:
+            self._spawn_ues(runtime)
+        self._schedule_expiry(network_slice)
+
+    def _schedule_expiry(
+        self, network_slice: NetworkSlice, expire: Optional[Callable] = None
+    ) -> None:
+        """Expiry is measured from activation (the SLA's duration).
+        ``expire`` is :meth:`expire`, bound once by a batch."""
+        slice_id = network_slice.slice_id
+        self.sim.schedule_at(
+            max(network_slice.end_time(), self.sim.now),
+            partial(expire or self.expire, slice_id),
+            name=f"expire-{slice_id}",
+        )
+
+    def _spawn_ues(self, runtime: SliceRuntime) -> None:
+        """Create the slice's UE population and attach it through the
+        vEPC instance its EPC domain reported (none, no UEs)."""
+        network_slice = runtime.network_slice
+        slice_id = network_slice.slice_id
+        if network_slice.plmn is None or network_slice.allocation is None or runtime.epc is None:
+            return
+        enb = self.allocator.ran.enb(network_slice.allocation.ran.enb_id)
+        rng = self.streams.draws(f"ues-{slice_id}")
+        n_ues = min(network_slice.request.n_users, self.config.max_ues_per_slice)
+        procedure = AttachProcedure(
+            enb, runtime.epc, network_slice.allocation.transport.delay_ms
+        )
+        for _ in range(n_ues):
+            ue = UserEquipment(network_slice.plmn, slice_id, rng=rng)
+            runtime.epc.provision_subscriber(ue.imsi)
+            enb.register_ue(ue)
+            runtime.ues.append(ue)
+            procedure.attach(ue)
+
+    def resize(self, runtime: SliceRuntime, throughput_mbps: float, fraction: float) -> None:
+        """The one place a live slice changes size — a tenant's new
+        throughput (:meth:`rescale`) or the overbooking engine's new
+        fraction (:meth:`reconfigure`): the drivers re-dimension it
+        (:func:`~repro.drivers.transaction.resize_everywhere` raises
+        DriverError, compensated, before anything here moves), then the
+        runtime's reservations and allocation, its fraction, the SLA and
+        the calendar booking follow."""
+        request = runtime.network_slice.request
+        self._hold(runtime, resize_everywhere(
+            self.registry, runtime.network_slice.slice_id, tenant_id=request.tenant_id,
+            throughput_mbps=throughput_mbps, max_latency_ms=request.sla.max_latency_ms,
+            duration_s=request.sla.duration_s, effective_fraction=fraction,
+        ))
+        runtime.effective_fraction = fraction
+        request.sla = replace(request.sla, throughput_mbps=throughput_mbps)
+        # Keep the calendar booking in step with the commitment, so
+        # admission sees what a shrink freed.
+        if self.calendar.has(request.request_id):
+            self.calendar.update_demand(
+                request.request_id, self.allocator.size(request, fraction).demand
+            )
+
+    def rescale(self, runtime: SliceRuntime, throughput_mbps: float) -> None:
+        """A tenant's new throughput for a live slice: its resize at an
+        unchanged fraction, its profile's peak (set in place) and the
+        ``slice.modified`` record; a DriverError leaves it unchanged."""
+        self.resize(runtime, throughput_mbps, runtime.effective_fraction)
+        self.profile(runtime).peak_mbps = throughput_mbps
+        self.durable.journal(
+            "slice.modified", slice_id=runtime.network_slice.slice_id,
+            throughput_mbps=throughput_mbps,
+        )
+
+    def retire(self, runtime: SliceRuntime, terminal_state: SliceState, **event_fields) -> None:
+        """The one way a live slice stops holding resources: runtime
+        out, UEs detached, every domain released, calendar window
+        freed, then the terminal transition with its ``slice.<state>``
+        journal record and event.
+
+        A backend's refused release is surfaced on the event feed and
+        retried each monitoring epoch; meanwhile the PLMN stays out of
+        the pool — handing it to a new slice while the old backend still
+        serves under it would put two slices on one PLMN."""
+        network_slice = runtime.network_slice
+        slice_id = network_slice.slice_id
+        request = network_slice.request
+        del self.runtimes[slice_id]
+        for ue in runtime.ues:
+            if ue.attached:
+                ue.detach()
+        for domain, exc in self.releases.release(slice_id):
+            self.events.emit(
+                self.sim.now, "driver.release_failed", slice_id=slice_id,
+                tenant_id=request.tenant_id, domain=domain, reason=str(exc),
+            )
+        network_slice.allocation = None
+        if slice_id not in self.releases.stuck:
+            self.plmn_pool.release(slice_id)
+        if self.calendar.has(request.request_id):
+            self.calendar.release(request.request_id)
+        self._transition(network_slice, terminal_state)
+        record_type = f"slice.{terminal_state.value}"
+        event = self.events.append(
+            self.sim.now, record_type, slice_id, request.tenant_id, **event_fields
+        )
+        self.durable.journal(record_type, event, slice_id=slice_id)
+
+    def expire(self, slice_id: str) -> None:
+        """Retire an ACTIVE slice as EXPIRED, its SLA books on the event (its
+        timer, or a tenant's early exit); one already gone is left alone."""
+        runtime = self.runtimes.get(slice_id)
+        if runtime is None:
+            return
+        network_slice = runtime.network_slice
+        self.retire(
+            runtime, SliceState.EXPIRED, violation_epochs=network_slice.violation_epochs,
+            served_epochs=network_slice.served_epochs,
+        )
+
+    # ------------------------------------------------------------------
+    # The epoch: heal, serve, books, overbooking
+    # ------------------------------------------------------------------
     def profile(self, runtime: SliceRuntime) -> TrafficProfile:
         """A live slice's traffic profile; a re-adopted one's is drawn here."""
         if runtime.profile is None:
@@ -390,8 +592,17 @@ class LiveFleet:
         pass, then each one's books — demand history, forecaster fold,
         SLA count, penalty and ``sla.violation`` event, the adaptive
         policy's observation — and the fleet's multiplexing gain.
-        Returns the ACTIVE slices, in slice-id order."""
+        Returns the ACTIVE slices, in slice-id order.  The releases a
+        backend refused are asked again first."""
         now = self.sim.now
+        if self.releases.stuck:
+            for slice_id, domains in self.releases.retry():
+                self.plmn_pool.release(slice_id)
+                self.events.emit(
+                    now, "driver.release_recovered", slice_id=slice_id,
+                    tenant_id=self.index.records[slice_id].request.tenant_id,
+                    domains=list(domains),
+                )
         if self.config.self_healing:
             self.heal()
         served = self.live_slots.serve(self, rng)
@@ -465,7 +676,7 @@ class LiveFleet:
                     # the overbooking ledger accounts for.
                     self.obs.counter_add("slice.repair_failed", label=driver.domain)
                     continue
-                runtime.hold({driver.domain: repaired})
+                self._hold(runtime, {driver.domain: repaired})
                 self.events.emit(
                     self.sim.now,
                     "slice.path_repaired",
@@ -473,35 +684,48 @@ class LiveFleet:
                     tenant_id=network_slice.request.tenant_id,
                 )
 
-    def forecast(
-        self, active: Dict[str, SliceRuntime], overbooking: Any,
-        forecaster_factory: Callable[[], Forecaster],
-    ) -> Iterator[Tuple[str, SliceRuntime, float]]:
-        """The forecast-and-decide step of the overbooking loop — the
-        "dynamic configuration solution that maximizes the statistical
-        multiplexing of network slices resources": ``(slice id, runtime,
-        new fraction)``, yielded as decided, for each slice of ``active``
-        whose history is long enough to trust and whose effective
-        fraction the policy moves by 0.02 or more (shrunk to the
-        forecast's safe level, or grown back toward nominal).
+    def reconfigure(self, active: Dict[str, SliceRuntime], overbooking: Any) -> None:
+        """The overbooking step — the "dynamic configuration solution that
+        maximizes the statistical multiplexing of network slices
+        resources": each slice of ``active`` whose history is long enough
+        to trust and whose effective fraction the policy moves by 0.02 or
+        more (shrunk to the forecast's safe level, or grown back toward
+        nominal) is resized as decided, each move journaled with its
+        ``slice.reconfigured`` event.
 
         The policy is handed the slice's runtime as its forecaster: a
-        model is built (``forecaster_factory``) and fitted when a policy
-        first reads it, and refitted only when stale; in between the
-        epoch folds each sample in, which leaves it equal to a refit on
-        the history.  A policy that reads no forecast never pays for one.
+        model is built (:attr:`forecaster_factory`) and fitted when a
+        policy first reads it, and refitted only when stale; in between
+        the epoch folds each sample in, which leaves it equal to a refit
+        on the history.  A policy that reads no forecast never pays for one.
         """
         for slice_id, runtime in active.items():
             if len(runtime.demand_history) < self.config.min_history_for_forecast:
                 continue
-            runtime.forecaster_factory = forecaster_factory
-            nominal = runtime.network_slice.request.sla.throughput_mbps
+            runtime.forecaster_factory = self.forecaster_factory
+            request = runtime.network_slice.request
             try:
-                decision = overbooking.decide(slice_id, nominal, forecaster=runtime)
+                decision = overbooking.decide(
+                    slice_id, request.sla.throughput_mbps, forecaster=runtime
+                )
             except ForecastError:
                 continue  # the fit refused the history: no decision this time
-            if abs(decision.fraction - runtime.effective_fraction) >= 0.02:
-                yield slice_id, runtime, decision.fraction
+            old_fraction, new_fraction = runtime.effective_fraction, decision.fraction
+            if abs(new_fraction - old_fraction) < 0.02:
+                continue
+            try:
+                self.resize(runtime, request.sla.throughput_mbps, new_fraction)
+            except DriverError:
+                # Growing back may not fit if newcomers took the space —
+                # the overbooking risk surfaces as SLA violations instead.
+                continue
+            event = self.events.append(
+                self.sim.now, "slice.reconfigured", slice_id, request.tenant_id,
+                old_fraction=old_fraction, new_fraction=new_fraction,
+            )
+            self.durable.journal(
+                "slice.reconfigured", event, slice_id=slice_id, fraction=new_fraction
+            )
 
     def figures(self, ran: Dict[str, Any]) -> Dict[str, float]:
         """The dashboard's SLA and overbooking figures, against ``ran``'s

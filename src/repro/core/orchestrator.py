@@ -16,20 +16,21 @@ optimize allocation → reconfigure the network → (repeat):
   epochs resizes reservations to their forecasts (the *overbooking*
   step), freeing capacity for new slice requests.
 
-This class coordinates: the request verbs, each slice's lifecycle and
+This class coordinates: it handles requests (sizing, the calendar gate,
+staging, both install entry points, advance bookings, quotas) and runs
 the epoch's cross-cutting sequence.  Three decisions live behind one
-module each (``docs/ARCHITECTURE.md``, "Module map"): the epoch's
-per-slice work in :class:`~repro.core.epoch.LiveFleet`, the durable
-image in :class:`~repro.store.image.DurableImage`, and the southbound
-unwind — both install executors, resize and release — in
-:mod:`repro.drivers`, over the uniform
-:class:`~repro.drivers.base.DomainDriver` contract.
+module each (``docs/ARCHITECTURE.md``, "Module map"): each admitted
+slice's lifecycle and the epoch's per-slice work in
+:class:`~repro.core.epoch.LiveFleet`, the durable image in
+:class:`~repro.store.image.DurableImage`, and the southbound unwind —
+both install executors, resize and release — in :mod:`repro.drivers`,
+over the uniform :class:`~repro.drivers.base.DomainDriver` contract.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
 from types import MappingProxyType
@@ -55,13 +56,7 @@ from repro.drivers.adapters import build_default_registry
 from repro.drivers.base import DomainSpec, DriverError, Reservation
 from repro.drivers.planner import BatchInstallPlanner
 from repro.drivers.registry import DriverRegistry
-from repro.drivers.transaction import (
-    InstallJob,
-    InstallOutcome,
-    StuckReleases,
-    install_sequentially,
-    resize_everywhere,
-)
+from repro.drivers.transaction import InstallJob, InstallOutcome, install_sequentially
 from repro.core.forecasting import Forecaster, HoltWintersForecaster
 from repro.core.overbooking import NoOverbooking, OverbookingPolicy
 from repro.core.pricing import RevenueLedger
@@ -73,10 +68,8 @@ from repro.core.slices import (
     SliceRequest,
     SliceState,
 )
-from repro.epc.attach import AttachProcedure
 from repro.obs import NOOP_OBS, ControlPlaneObservability
 from repro.ran.controller import PlannedCellLoad
-from repro.ran.ue import UserEquipment
 from repro.sim.engine import Simulator
 from repro.store.codec import request_to_dict
 from repro.store.image import DurableImage
@@ -191,9 +184,6 @@ class Orchestrator:
         self.plmn_pool = plmn_pool or PlmnPool(size=12)
         self.admission = admission or FcfsPolicy()
         self.overbooking = overbooking or NoOverbooking()
-        self.forecaster_factory = forecaster_factory or (
-            lambda: HoltWintersForecaster(season_length=24)
-        )
         self.config = config or OrchestratorConfig()
         if self.config.monitoring_epoch_s <= 0:
             raise OrchestratorError(f"monitoring_epoch_s {self.config.monitoring_epoch_s} <= 0")
@@ -209,11 +199,6 @@ class Orchestrator:
         self.events = EventLog(capacity=self.config.event_log_capacity)
         self.events.obs = self.obs
         self.calendar = ResourceCalendar(allocator.aggregate_capacity_vector())
-        #: The live slices and the epoch's per-slice work on them.
-        self.fleet = LiveFleet(
-            sim, allocator, self.registry, self.events, self.ledger, self.config,
-            self.obs, self.streams,
-        )
         # Durable control plane: every state transition is journaled
         # (write-ahead) before it is acknowledged; a NullStore makes
         # all of this free when no durability_dir is configured.
@@ -255,11 +240,17 @@ class Orchestrator:
             on_record=self.durable.journal_driver_record if self.store.enabled else None,
             obs=self.obs,
         )
-        #: Releases a backend refused, retried every monitoring epoch.
-        self.releases = StuckReleases(self.registry)
-        self._all_slices: Dict[str, NetworkSlice] = {}
-        #: The ``slice_id``-sorted views ``GET /v1/slices`` pages are cut from.
+        #: Every slice record, and the ``slice_id``-sorted views
+        #: ``GET /v1/slices`` pages are cut from.
         self.slice_index = SliceIndex()
+        #: The live slices: their lifecycle and the epoch's per-slice work.
+        self.fleet = LiveFleet(
+            sim, allocator, self.registry, self.events, self.ledger, self.config,
+            self.obs, self.streams, calendar=self.calendar, plmn_pool=self.plmn_pool,
+            index=self.slice_index, durable=self.durable,
+            forecaster_factory=forecaster_factory
+            or (lambda: HoltWintersForecaster(season_length=24)),
+        )
         self._epoch_counter = 0
         self._running = False
 
@@ -300,9 +291,10 @@ class Orchestrator:
         reservations, admitted_at, active_at, window_end)``, its instants
         on the new clock (possibly negative; ``active_at`` is ``None`` for
         a slice pending activation, ``window_end`` for one without a
-        window).  The batch is sized at once, each PLMN re-claimed, and
-        all go live in one :meth:`_go_live` around the drivers' live
-        reservations (nothing is re-prepared); a profile is drawn on
+        window, which is then promised from its admission).  The batch is
+        sized at once, each PLMN re-claimed, and all go live in one
+        :meth:`~repro.core.epoch.LiveFleet.go_live` around the drivers'
+        live reservations (nothing is re-prepared); a profile is drawn on
         first use.
 
         Nothing here is journaled, the ``slice.adopted`` events included:
@@ -312,20 +304,20 @@ class Orchestrator:
         """
         adoptions = list(adoptions)
         sizes = self.allocator.sizes((adoption[0], adoption[2]) for adoption in adoptions)
-        all_slices, claim, launches = self._all_slices, self.plmn_pool.claim, []
-        for adoption, size in zip(adoptions, sizes):
+        adopted = [NetworkSlice(adoption[0]) for adoption in adoptions]
+        claim, launches = self.plmn_pool.claim, []
+        for network_slice, adoption, size in zip(adopted, adoptions, sizes):
             request, plmn_id, _, reservations, admitted_at, active_at, window_end = adoption
-            network_slice = NetworkSlice(request)
-            all_slices[network_slice.slice_id] = network_slice
             if plmn_id:
                 network_slice.plmn = claim(network_slice.slice_id, plmn_id)
+            if window_end is None:
+                window_end = self._promise_end(request, admitted_at)
             launches.append(
                 (network_slice, None, size, reservations, admitted_at, active_at, window_end)
             )
-        self._go_live(launches)
-        now, append = self.sim.now, self.events.append
-        adopted = [launch[0] for launch in launches]
+        self.fleet.go_live(launches)
         self.slice_index.add(adopted)
+        now, append = self.sim.now, self.events.append
         for network_slice in adopted:
             append(
                 now, "slice.adopted", slice_id=network_slice.slice_id,
@@ -419,7 +411,7 @@ class Orchestrator:
         ``start_time`` for an advance booking.  Returns the refusal
         reason, or ``None``: the window fits, and unless ``hold`` is off
         (what-if) the request holds it from this moment, against the
-        next one judged — :meth:`_go_live` keeps it, a failed install
+        next one judged — going live keeps it, a failed install
         frees it.  With ``respect_calendar`` off (D11's myopic broker)
         nothing is checked or held."""
         if not self.config.respect_calendar:
@@ -539,7 +531,6 @@ class Orchestrator:
     def _register(self, request: SliceRequest) -> NetworkSlice:
         """A new slice record for ``request``, in the slice index."""
         network_slice = NetworkSlice(request)
-        self._all_slices[network_slice.slice_id] = network_slice
         self.slice_index.add((network_slice,))
         return network_slice
 
@@ -558,7 +549,7 @@ class Orchestrator:
             network_slice.plmn = None
         if self.calendar.has(request.request_id):
             self.calendar.release(request.request_id)
-        network_slice.transition(SliceState.REJECTED, self.sim.now)
+        self.slice_index.transition(network_slice, SliceState.REJECTED, self.sim.now)
         self.ledger.book_rejection(request)
         event = self.events.append(
             self.sim.now, "slice.rejected", slice_id, request.tenant_id, reason=reason
@@ -573,59 +564,6 @@ class Orchestrator:
             reason=reason,
             slice_id=slice_id,
         )
-
-    def _go_live(self, launches: Iterable[tuple]) -> None:
-        """The one way slices start holding a runtime: an install the
-        drivers just acknowledged (a batch of one), or a recovery
-        re-adopting what they still hold (the whole fleet).  Each launch
-        is ``(slice, profile, size, reservations, admitted_at, active_at,
-        window_end)``: the runtime around ``reservations``, ADMITTED and
-        DEPLOYING, then the activation timer or, for a slice that
-        already turned ACTIVE at ``active_at``, ACTIVE and the expiry
-        timer; the calendar windows go in after the batch, in one commit.
-
-        The instants are absolute on this sim clock and may lie in the
-        past (a re-adopted slice keeps the time it already served); a
-        timer that is already due fires at once.  ``window_end``
-        defaults to the end of the promise an install makes.
-        """
-        now, windows, calendar, add = self.sim.now, [], self.calendar, self.fleet.add
-        schedule_at, deploy_time_s = self.sim.schedule_at, self.config.deploy_time_s
-        # Bound once per batch: each timer holds a partial, no method of its own.
-        activate, expire = self._activate, self._expire
-        for launch in launches:
-            network_slice, profile, size, reservations, admitted_at, active_at, window_end = launch
-            request = network_slice.request
-            slice_id = network_slice.slice_id
-            runtime = add(SliceRuntime(
-                network_slice=network_slice,
-                profile=profile,
-                effective_fraction=size.fraction,
-                reservations=reservations,
-            ))
-            # Contract-clean EPC binding: whatever backend serves the "epc"
-            # domain reports its instance (if any) in the reservation.
-            if "epc" in reservations:
-                runtime.epc = reservations["epc"].details.get("instance")
-            network_slice.allocation = compose_allocation(reservations)
-            network_slice.go_live(admitted_at, active_at)
-            # A request that passed the calendar gate — online, in a broker
-            # window, or booking ahead — holds its window already.
-            if not calendar.has(request.request_id):
-                if window_end is None:
-                    window_end = self._promise_end(request, admitted_at)
-                windows.append(
-                    (request.request_id, now, max(window_end, now + 1e-9), size.demand)
-                )
-            if active_at is None:
-                schedule_at(
-                    max(admitted_at + deploy_time_s, now),
-                    partial(activate, slice_id),
-                    name=f"activate-{slice_id}",
-                )
-            else:
-                self._schedule_expiry(network_slice, expire)
-        calendar.commit_many(windows)
 
     def _stage_install(
         self,
@@ -812,7 +750,7 @@ class Orchestrator:
     ) -> AdmissionDecision:
         """Book either executor's install outcome.  Failed: the rollback
         notices its executor held surface on the feed and the slice is
-        rejected.  Acknowledged: the ledger account, :meth:`_go_live`
+        rejected.  Acknowledged: the ledger account, the fleet's go-live
         and the ``slice.installed`` WAL record carrying the
         ``slice.admitted`` event.  A batched job's southbound trail —
         every landed prepare/commit/rollback/release of every attempt,
@@ -832,10 +770,13 @@ class Orchestrator:
             return decision
         reservations = outcome.reservations
         self.ledger.book_admission(network_slice.slice_id, request)
-        self._go_live([(network_slice, profile, size, reservations, self.sim.now, None, None)])
+        now, old = self.sim.now, network_slice.state
+        self.fleet.go_live([(network_slice, profile, size, reservations, now, None,
+                             self._promise_end(request, now))])
+        self.slice_index.move(network_slice, old)
         # WAL: the install is durable from here — a crash after this
         # record must re-adopt the slice, not forfeit it.
-        booking = self.calendar.get(request.request_id)  # _go_live saw to it
+        booking = self.calendar.get(request.request_id)  # go_live saw to it
         obs = self.obs if job_span.context is not None else NOOP_OBS
         with obs.span("journal", parent=job_span.context):
             self.durable.journal(
@@ -876,97 +817,6 @@ class Orchestrator:
                 f"exceeds SLA {bound:.2f} ms",
             )
 
-    def _teardown_slice(self, network_slice: NetworkSlice) -> None:
-        """Release every domain; free the PLMN only once all succeed.
-
-        A backend's refusal is surfaced on the event feed and its
-        release retried each monitoring epoch; meanwhile the PLMN stays
-        out of the pool — handing it to a new slice while the old
-        backend still serves under it would put two slices on one PLMN.
-        """
-        slice_id = network_slice.slice_id
-        for domain, exc in self.releases.release(slice_id):
-            self.events.emit(
-                self.sim.now, "driver.release_failed", slice_id=slice_id,
-                tenant_id=network_slice.request.tenant_id, domain=domain, reason=str(exc),
-            )
-        network_slice.allocation = None
-        if slice_id not in self.releases.stuck:
-            self.plmn_pool.release(slice_id)
-
-    def _resize_domains(
-        self,
-        runtime: SliceRuntime,
-        new_throughput_mbps: float,
-        new_fraction: float,
-    ) -> None:
-        """The one place a live slice changes size — a tenant's new
-        throughput or the overbooking engine's new fraction: the drivers
-        re-dimension it (:func:`~repro.drivers.transaction.resize_everywhere`
-        raises DriverError, compensated, before anything here moves), then
-        the runtime's reservations and allocation, its fraction, the SLA
-        and the calendar booking follow."""
-        request = runtime.network_slice.request
-        runtime.hold(resize_everywhere(
-            self.registry, runtime.network_slice.slice_id, tenant_id=request.tenant_id,
-            throughput_mbps=new_throughput_mbps, max_latency_ms=request.sla.max_latency_ms,
-            duration_s=request.sla.duration_s, effective_fraction=new_fraction,
-        ))
-        runtime.effective_fraction = new_fraction
-        request.sla = replace(request.sla, throughput_mbps=new_throughput_mbps)
-        # Keep the calendar booking in step with the commitment, so
-        # admission sees what a shrink freed.
-        if self.calendar.has(request.request_id):
-            self.calendar.update_demand(
-                request.request_id, self.allocator.size(request, new_fraction).demand
-            )
-
-    def _activate(self, slice_id: str) -> None:
-        runtime = self.fleet.runtimes.get(slice_id)
-        if runtime is None:
-            return
-        network_slice = runtime.network_slice  # DEPLOYING: only _go_live set this timer
-        network_slice.transition(SliceState.ACTIVE, self.sim.now)
-        event = self.events.append(
-            self.sim.now, "slice.activated", slice_id, network_slice.request.tenant_id
-        )
-        self.durable.journal("slice.activated", event, slice_id=slice_id)
-        if self.config.simulate_ues:
-            self._spawn_ues(runtime)
-        self._schedule_expiry(network_slice)
-
-    def _schedule_expiry(
-        self, network_slice: NetworkSlice, expire: Optional[Callable] = None
-    ) -> None:
-        """Expiry is measured from activation (the SLA's duration).
-        ``expire`` is :meth:`_expire`, bound once by a batch."""
-        slice_id = network_slice.slice_id
-        self.sim.schedule_at(
-            max(network_slice.end_time(), self.sim.now),
-            partial(expire or self._expire, slice_id),
-            name=f"expire-{slice_id}",
-        )
-
-    def _spawn_ues(self, runtime: SliceRuntime) -> None:
-        """Create the slice's UE population and attach it through the
-        vEPC instance its EPC domain reported (none, no UEs)."""
-        network_slice = runtime.network_slice
-        slice_id = network_slice.slice_id
-        if network_slice.plmn is None or network_slice.allocation is None or runtime.epc is None:
-            return
-        enb = self.allocator.ran.enb(network_slice.allocation.ran.enb_id)
-        rng = self.streams.draws(f"ues-{slice_id}")
-        n_ues = min(network_slice.request.n_users, self.config.max_ues_per_slice)
-        procedure = AttachProcedure(
-            enb, runtime.epc, network_slice.allocation.transport.delay_ms
-        )
-        for _ in range(n_ues):
-            ue = UserEquipment(network_slice.plmn, slice_id, rng=rng)
-            runtime.epc.provision_subscriber(ue.imsi)
-            enb.register_ue(ue)
-            runtime.ues.append(ue)
-            procedure.attach(ue)
-
     def terminate_early(self, slice_id: str, refund: bool = True) -> float:
         """Tenant-initiated teardown of an ACTIVE slice.
 
@@ -987,7 +837,7 @@ class Orchestrator:
             unused = max(0.0, 1.0 - served / total)
             amount = network_slice.request.price * unused
             self.ledger.book_refund(slice_id, amount)
-        self._expire(slice_id)
+        self.fleet.expire(slice_id)
         return amount
 
     def cancel(self, slice_id: str, refund: bool = True) -> float:
@@ -996,8 +846,8 @@ class Orchestrator:
         An ADMITTED/DEPLOYING slice has committed resources but serves no
         traffic yet, so cancelling releases everything and (optionally)
         refunds the full price.  The already-scheduled activation event
-        fires harmlessly: ``_activate`` ignores a slice whose runtime is
-        gone.  Returns the refund amount.
+        fires harmlessly: the fleet's activation ignores a slice whose
+        runtime is gone.  Returns the refund amount.
 
         Raises:
             OrchestratorError: If the slice is unknown or already ACTIVE
@@ -1015,44 +865,8 @@ class Orchestrator:
         if refund:
             amount = runtime.network_slice.request.price
             self.ledger.book_refund(slice_id, amount)
-        self._retire(runtime, SliceState.CANCELLED, refund=amount)
+        self.fleet.retire(runtime, SliceState.CANCELLED, refund=amount)
         return amount
-
-    def _expire(self, slice_id: str) -> None:
-        runtime = self.fleet.runtimes.get(slice_id)
-        if runtime is None:
-            return
-        network_slice = runtime.network_slice  # ACTIVE: a live runtime's expiry timer
-        self._retire(
-            runtime,
-            SliceState.EXPIRED,
-            violation_epochs=network_slice.violation_epochs,
-            served_epochs=network_slice.served_epochs,
-        )
-
-    def _retire(
-        self, runtime: SliceRuntime, terminal_state: SliceState, **event_fields
-    ) -> None:
-        """The one way a live slice stops holding resources: runtime
-        out, UEs detached, every domain released, calendar window
-        freed, then the terminal transition with its ``slice.<state>``
-        journal record and event."""
-        network_slice = runtime.network_slice
-        slice_id = network_slice.slice_id
-        request = network_slice.request
-        del self.fleet.runtimes[slice_id]
-        for ue in runtime.ues:
-            if ue.attached:
-                ue.detach()
-        self._teardown_slice(network_slice)
-        if self.calendar.has(request.request_id):
-            self.calendar.release(request.request_id)
-        network_slice.transition(terminal_state, self.sim.now)
-        record_type = f"slice.{terminal_state.value}"
-        event = self.events.append(
-            self.sim.now, record_type, slice_id, request.tenant_id, **event_fields
-        )
-        self.durable.journal(record_type, event, slice_id=slice_id)
 
     def what_if(self, request: SliceRequest) -> dict:
         """Evaluate a hypothetical request without committing anything.
@@ -1104,17 +918,11 @@ class Orchestrator:
         if runtime is None or runtime.network_slice.state is not SliceState.ACTIVE:
             return AdmissionDecision(request_id=slice_id, admitted=False, reason="slice not active")
         try:
-            self._resize_domains(
-                runtime, new_throughput_mbps, runtime.effective_fraction
-            )
+            self.fleet.rescale(runtime, new_throughput_mbps)
         except DriverError as exc:
             return AdmissionDecision(
                 request_id=slice_id, admitted=False, reason=str(exc)
             )
-        self.fleet.profile(runtime).peak_mbps = new_throughput_mbps
-        self.durable.journal(
-            "slice.modified", slice_id=slice_id, throughput_mbps=new_throughput_mbps
-        )
         return AdmissionDecision(
             request_id=slice_id,
             admitted=True,
@@ -1136,7 +944,7 @@ class Orchestrator:
         epoch_started = perf_counter() if obs.enabled else None
         if epoch_started is not None:
             obs.gauge_set("queue.pending_installs", float(len(self._admission_queue)))
-            obs.gauge_set("queue.stuck_releases", float(len(self.releases.stuck)))
+            obs.gauge_set("queue.stuck_releases", float(len(self.fleet.releases.stuck)))
         self._epoch_counter += 1
         now = self.sim.now
         # Leader lease first: journaling anything after losing the
@@ -1156,18 +964,10 @@ class Orchestrator:
         # Late stragglers are compensated (a walled one only now, at
         # this drain) and surface as events.
         self._drain_planner_events()
-        if self.releases.stuck:
-            for slice_id, domains in self.releases.retry():
-                self.plmn_pool.release(slice_id)
-                self.events.emit(
-                    now, "driver.release_recovered", slice_id=slice_id,
-                    tenant_id=self._all_slices[slice_id].request.tenant_id,
-                    domains=list(domains),
-                )
         active = self.fleet.epoch(self.streams.stream("demand-noise"), self.overbooking)
         if self._epoch_counter % self.config.reconfig_every_epochs == 0:
             self.calendar.prune_before(now)
-            self._reconfigure(active)
+            self.fleet.reconfigure(active, self.overbooking)
         # Durable store hygiene: once enough churn accumulated past the
         # latest snapshot, checkpoint + compact so recovery stays fast.
         if self.store.should_checkpoint():
@@ -1183,38 +983,13 @@ class Orchestrator:
         planner's drain of its door compensated any walled straggler."""
         for event_type, payload in self.planner.drain_events():
             slice_id = payload.pop("slice_id", None)
-            record = self._all_slices.get(slice_id) if slice_id else None
+            record = self.slice_index.records.get(slice_id) if slice_id else None
             self.events.emit(
                 self.sim.now,
                 event_type,
                 slice_id=slice_id,
                 tenant_id=record.request.tenant_id if record else None,
                 **payload,
-            )
-
-    def _reconfigure(self, active: Dict[str, SliceRuntime]) -> None:
-        """The overbooking step: resize each slice of ``active`` the
-        fleet's forecasts move (:meth:`~repro.core.epoch.LiveFleet.forecast`),
-        each move journaled with its ``slice.reconfigured`` event."""
-        for slice_id, runtime, new_fraction in self.fleet.forecast(
-            active, self.overbooking, self.forecaster_factory
-        ):
-            old_fraction = runtime.effective_fraction
-            try:
-                self._resize_domains(
-                    runtime, runtime.network_slice.request.sla.throughput_mbps, new_fraction
-                )
-            except DriverError:
-                # Growing back may not fit if newcomers took the space —
-                # the overbooking risk surfaces as SLA violations instead.
-                continue
-            event = self.events.append(
-                self.sim.now, "slice.reconfigured", slice_id,
-                runtime.network_slice.request.tenant_id,
-                old_fraction=old_fraction, new_fraction=new_fraction,
-            )
-            self.durable.journal(
-                "slice.reconfigured", event, slice_id=slice_id, fraction=new_fraction
             )
 
     # ------------------------------------------------------------------
@@ -1227,13 +1002,14 @@ class Orchestrator:
             OrchestratorError: If unknown.
         """
         try:
-            return self._all_slices[slice_id]
+            return self.slice_index.records[slice_id]
         except KeyError:
             raise OrchestratorError(f"unknown slice {slice_id}") from None
 
     def active_slices(self) -> List[NetworkSlice]:
         """Slices currently ACTIVE, in ``slice_id`` order."""
-        return [self._all_slices[i] for i in self.slice_index.view(state=SliceState.ACTIVE.value)]
+        records = self.slice_index.records
+        return [records[i] for i in self.slice_index.view(state=SliceState.ACTIVE.value)]
 
     def live_slices(self) -> List[NetworkSlice]:
         """Slices currently holding resources (ADMITTED/DEPLOYING/ACTIVE) —
@@ -1242,7 +1018,7 @@ class Orchestrator:
 
     def has_slice(self, slice_id: str) -> bool:
         """Whether a slice record (any state) exists — O(1)."""
-        return slice_id in self._all_slices
+        return slice_id in self.slice_index.records
 
     def runtime(self, slice_id: str) -> Optional[SliceRuntime]:
         """Live runtime of an installed slice (None once expired)."""
@@ -1255,7 +1031,7 @@ class Orchestrator:
         cloud_util = self.allocator.cloud.utilization()
         return {
             "time": self.sim.now,
-            "slices": [s.to_dict() for s in self._all_slices.values()],
+            "slices": [s.to_dict() for s in self.slice_index.records.values()],
             "active": len(self.active_slices()),
             "ledger": self.ledger.summary(),
             **self.fleet.figures(ran_util),

@@ -14,7 +14,7 @@ import itertools
 from bisect import bisect_left, insort
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class SliceError(RuntimeError):
@@ -330,9 +330,6 @@ class NetworkSlice:
     tests can assert lifecycle legality.
     """
 
-    index: Optional["SliceIndex"] = None  #: the index that lists the slice, once registered
-    touched: Optional[Set[str]] = None  #: the live fleet's touched ids, once it holds the slice
-
     def __init__(self, request: SliceRequest) -> None:
         self.request = request
         self.slice_id = slice_id_for(request.request_id)
@@ -360,10 +357,6 @@ class NetworkSlice:
             raise IllegalTransition(
                 f"{self.slice_id}: {self.state.value} -> {new_state.value}"
             )
-        if self.index is not None:
-            self.index.move(self, self.state, new_state)
-        if self.touched is not None:
-            self.touched.add(self.slice_id)
         self.state = new_state
         self.history.append((at_time, new_state))
         if new_state is SliceState.ADMITTED:
@@ -378,11 +371,6 @@ class NetworkSlice:
         ``admitted_at``, and ACTIVE at ``active_at`` if given: one check."""
         if self.state is not SliceState.PENDING:
             raise IllegalTransition(f"{self.slice_id}: {self.state.value} -> admitted")
-        if self.index is not None:
-            live = SliceState.DEPLOYING if active_at is None else SliceState.ACTIVE
-            self.index.move(self, self.state, live)
-        if self.touched is not None:
-            self.touched.add(self.slice_id)
         self.state, self.admitted_at = SliceState.DEPLOYING, admitted_at
         self.history += [(admitted_at, SliceState.ADMITTED), (admitted_at, SliceState.DEPLOYING)]
         if active_at is not None:
@@ -438,12 +426,15 @@ class NetworkSlice:
 
 
 class SliceIndex:
-    """The ``slice_id``-sorted ids of each view ``(tenant | None, state | None)``
-    of an orchestrator's slices, which ``GET /v1/slices`` pages are cut from.
-    A registered slice enters its four views (:meth:`add`); ``transition``
-    and ``go_live`` then :meth:`move` it between the two that carry a state."""
+    """The one table of an orchestrator's slice records, by id, and the
+    ``slice_id``-sorted ids of each view ``(tenant | None, state | None)``
+    of them that ``GET /v1/slices`` pages are cut from.  A slice enters
+    its four views (:meth:`add`) and moves between the two with a state
+    as it transitions (:meth:`transition`; :meth:`move` after a go-live)."""
 
     def __init__(self) -> None:
+        #: slice id → record, for every slice registered.
+        self.records: Dict[str, NetworkSlice] = {}
         self._views: Dict[Tuple[Optional[str], Optional[str]], List[str]] = defaultdict(list)
 
     def view(self, tenant_id: Optional[str] = None, state: Optional[str] = None) -> List[str]:
@@ -451,7 +442,9 @@ class SliceIndex:
         return self._views.get((tenant_id, state), [])
 
     def add(self, slices: Sequence[NetworkSlice]) -> None:
-        """Index and track ``slices``: one by bisect, a recovered batch by one sort per view."""
+        """Register and index ``slices``: one by bisect, a recovered batch by one sort per view."""
+        for network_slice in slices:
+            self.records[network_slice.slice_id] = network_slice
         for key, ids in _grouped(slices).items():
             view = self._views[key]
             if len(ids) == 1:
@@ -459,23 +452,25 @@ class SliceIndex:
             else:
                 view += ids
                 view.sort()
-        for network_slice in slices:
-            network_slice.index = self
 
-    def move(self, network_slice: NetworkSlice, old: SliceState, new: SliceState) -> None:
-        """Move a slice's id out of its ``old`` state's views into ``new``'s."""
+    def transition(self, network_slice: NetworkSlice, state: SliceState, at_time: float) -> None:
+        """:meth:`NetworkSlice.transition` a registered slice; its views follow."""
+        old = network_slice.state
+        network_slice.transition(state, at_time)
+        self.move(network_slice, old)
+
+    def move(self, network_slice: NetworkSlice, old: SliceState) -> None:
+        """Move a slice's id out of its ``old`` state's views into its present state's."""
+        slice_id, old, new = network_slice.slice_id, old.value, network_slice.state.value
         for tenant_id in (None, network_slice.request.tenant_id):
-            view = self._views[tenant_id, old.value]
-            del view[bisect_left(view, network_slice.slice_id)]
-            insort(self._views[tenant_id, new.value], network_slice.slice_id)
+            view = self._views[tenant_id, old]
+            del view[bisect_left(view, slice_id)]
+            insort(self._views[tenant_id, new], slice_id)
 
-    def verify(self, orch: Any) -> None:
-        """Check that every slice record of ``orch`` is tracked and that each
-        view equals a recompute from the records; raises :class:`SliceError`."""
-        slices = orch._all_slices.values()
-        if any(network_slice.index is not self for network_slice in slices):
-            raise SliceError("a slice record is not tracked by the index")
-        recomputed = _grouped(slices)
+    def verify(self) -> None:
+        """Check that each view equals a recompute from the records' present
+        states; raises :class:`SliceError`."""
+        recomputed = _grouped(self.records.values())
         for key in self._views.keys() | recomputed.keys():
             if self.view(*key) != sorted(recomputed[key]):
                 raise SliceError(f"slice index view {key} drifted")

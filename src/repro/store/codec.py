@@ -317,7 +317,7 @@ class ReplayState:
 
     def _rebase(self, now: float, data: Dict[str, Any]) -> None:
         """Fold a recovery's in-memory re-adoption at ``now``, its first
-        instant on the new clock, with recovery's and ``_go_live``'s own
+        instant on the new clock, with recovery's and the adoption's own
         expressions (bit-equal floats).  What recovery re-queues joins
         ``queued`` here, ahead as in the live queue: a crash before its
         ``admission.enqueued`` must not lose it."""

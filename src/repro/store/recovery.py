@@ -242,7 +242,7 @@ class RecoveryManager:
         adopted = {s.slice_id for s in orch.adopt_recovered_slices(adoptions)}
         report.slices_adopted = len(adopted)
         # What the fold cannot derive for an adopted in-flight install:
-        # the window _go_live promised it, the reservations drivers hold.
+        # the window its go-live promised, the reservations drivers hold.
         adopted_in_flight = {}
         for slice_id, image in state.in_flight.items():
             if slice_id in adopted:

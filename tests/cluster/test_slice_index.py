@@ -149,7 +149,7 @@ def test_the_fleet_holds_every_listed_state_and_refuses_an_unknown_one(fleet):
     }
     assert {"deploying", "active", "rejected", "cancelled"} <= held
     for worker in fleet.cluster.shards:
-        worker.orchestrator.slice_index.verify(worker.orchestrator)
+        worker.orchestrator.slice_index.verify()
     for api in (fleet.cluster.router, *(worker.api for worker in fleet.cluster.shards)):
         response = api.get("/v1/slices?state=bogus")
         assert response.status == 400

@@ -176,7 +176,7 @@ def apply(orch: Orchestrator, op: tuple, extra: TrafficProfile) -> None:
         orch.sim.run_until(orch.sim.now + value)
     elif kind == "modify" and target is not None:
         orch.modify_slice(target.network_slice.slice_id, value)
-    elif kind == "sla" and target is not None:  # replaced outside _resize_domains
+    elif kind == "sla" and target is not None:  # replaced outside LiveFleet.resize
         wanted = target.network_slice.request
         wanted.sla = replace(wanted.sla, throughput_mbps=value)
         orch.fleet.live_slots.touched.add(target.network_slice.slice_id)
@@ -315,12 +315,19 @@ def test_the_epoch_does_not_depend_on_the_runtimes_order(
 # The row key
 # ----------------------------------------------------------------------
 def test_a_row_is_re_read_exactly_when_its_key_moves():
+    """Each change to a live slice, by hand or by a lifecycle verb — go
+    live, activate, tenant rescale, overbooking resize, repair, cancel,
+    expire, adoption — re-reads exactly the rows it moved, and the table
+    verifies before the next pass as after it: the fleet marked every
+    slice it changed."""
     orch = fleet(2, 2.0, [(DiurnalProfile(5.0, phase=i / 4), 1) for i in range(4)])
     slots, rng = orch.fleet.live_slots, np.random.default_rng(0)
     first, second, third, fourth = (orch.runtime(s) for s in slice_ids(orch))
 
-    def rows_read() -> int:
+    def rows_read(orch: Orchestrator = orch) -> int:
+        slots = orch.fleet.live_slots
         before = slots.refreshes
+        slots.verify(orch.fleet)
         slots.serve(orch.fleet, rng)
         slots.verify(orch.fleet)
         return slots.refreshes - before
@@ -343,6 +350,52 @@ def test_a_row_is_re_read_exactly_when_its_key_moves():
     assert rows_read() == 0
     orch.terminate_early(first.network_slice.slice_id)
     assert rows_read() == 0 and len(slots._slot_of) == 3  # its slot freed
+
+    added = orch.submit(request(5.0, 2), DiurnalProfile(5.0)).slice_id  # go live
+    assert rows_read() == 0  # DEPLOYING holds no row
+    orch.sim.run_until(orch.sim.now + 1.5)  # activate
+    assert rows_read() == 1 and len(slots._slot_of) == 4
+    orch.config.min_history_for_forecast = 0  # overbooking resize
+    orch.fleet.reconfigure({added: orch.runtime(added)}, FixedOverbooking(4.0))
+    assert orch.runtime(added).effective_fraction == 0.25
+    assert rows_read() == 1
+    transport = orch.allocator.transport  # repair
+    link = orch.slice(added).allocation.transport.path.link_ids[0]
+    transport.topology.link(link).fail()
+    repairs = transport.repairs_performed
+    orch.fleet.heal()
+    assert link not in orch.slice(added).allocation.transport.path.link_ids
+    assert rows_read() == transport.repairs_performed - repairs
+    transport.topology.link(link).restore()
+    cancelled = orch.submit(request(5.0, 1), ConstantProfile(5.0)).slice_id  # cancel
+    orch.cancel(cancelled)
+    assert rows_read() == 0
+    brief = SliceRequest(
+        tenant_id="t", service_type=ServiceType.EMBB, price=10.0, penalty_rate=1.0,
+        sla=SLA(throughput_mbps=5.0, max_latency_ms=50.0, duration_s=100.0),
+    )
+    expiring = orch.submit(brief, ConstantProfile(5.0)).slice_id
+    orch.sim.run_until(orch.sim.now + 1.5)
+    assert rows_read() == 1 and len(slots._slot_of) == 5
+    orch.sim.run_until(orch.sim.now + 100.0)  # expire
+    assert orch.slice(expiring).state is SliceState.EXPIRED
+    assert rows_read() == 0 and len(slots._slot_of) == 4
+
+    # Adoption: a new control plane over the same southbound takes the
+    # live slices over, ACTIVE, in one batch.
+    successor = Orchestrator(
+        sim=Simulator(), allocator=orch.allocator, plmn_pool=orch.plmn_pool,
+        overbooking=FixedOverbooking(2.0), streams=RandomStreams(seed=3),
+        registry=orch.registry, config=OrchestratorConfig(deploy_time_s=1.0),
+    )
+    live = [orch.slice(slice_id) for slice_id in slice_ids(orch)]
+    successor.adopt_recovered_slices(
+        (s.request, s.plmn.plmn_id, orch.runtime(s.slice_id).effective_fraction,
+         dict(orch.runtime(s.slice_id).reservations), 0.0, 0.0, None)
+        for s in live
+    )
+    assert rows_read(successor) == len(live) == 4
+    assert rows_read(successor) == 0
 
 
 def test_verify_names_a_row_that_drifted_from_its_slice():

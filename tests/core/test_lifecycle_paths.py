@@ -1,12 +1,13 @@
 """One code path per lifecycle verb.
 
-A slice goes live through ``Orchestrator._go_live`` (an acknowledged
+A slice goes live through ``LiveFleet.go_live`` (an acknowledged
 install or a recovery's re-adoption), changes size through
-``_resize_domains`` (a tenant's rescale or an overbooking move) and
-stops holding resources through ``_retire`` (timer expiry, early
-termination or cancellation).  Each section pins what the two callers
-of one path must agree on — the disagreements the forked
-implementations had.
+``LiveFleet.resize`` (a tenant's rescale or an overbooking move) and
+stops holding resources through ``LiveFleet.retire`` (timer expiry,
+early termination or cancellation).  Each section pins what the two
+callers of one path must agree on — the disagreements the forked
+implementations had — and the last that the fleet is the one writer
+of what a live slice holds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from repro.core.forecasting import NaiveForecaster
 from repro.core.orchestrator import Orchestrator, OrchestratorConfig
 from repro.core.overbooking import OverbookingDecision, OverbookingPolicy
 from repro.core.pricing import LedgerError
-from repro.core.slices import SliceState
+from repro.core.epoch import LiveFleet, SliceRuntime
+from repro.core.slices import NetworkSlice, SliceState
 from repro.drivers.base import DriverError, ReservationState
 from repro.experiments.testbed import TestbedConfig, build_testbed
 from repro.sim.engine import Simulator
@@ -442,7 +444,7 @@ def test_rescales_and_overbooking_moves_keep_every_copy_in_step(
         else:
             wanted = (was[0], fraction)
             policy.fractions = {slice_id: fraction}
-            orch._reconfigure({slice_id: runtime})
+            orch.fleet.reconfigure({slice_id: runtime}, policy)
             # Refused, or too small a move for the engine to bother.
             accepted = runtime.effective_fraction != was[1]
         if accepted:
@@ -461,14 +463,14 @@ def test_a_grow_back_that_fails_on_the_second_link_changes_nothing():
     testbed, orch, policy, (slice_id,) = _resize_bed([40.0], spare_mbps=0.0)
     runtime = orch.runtime(slice_id)
     policy.fractions = {slice_id: 0.5}
-    orch._reconfigure({slice_id: runtime})
+    orch.fleet.reconfigure({slice_id: runtime}, policy)
     assert runtime.effective_fraction == 0.5
     shared = testbed.transport.topology.link(SHARED_LINK)
     shared.reserve("newcomer", shared.residual_mbps, shared.residual_mbps)
     before = _everything(testbed, orch, [slice_id])
 
     with pytest.raises(DriverError, match="transport"):
-        orch._resize_domains(runtime, 40.0, 1.0)
+        orch.fleet.resize(runtime, 40.0, 1.0)
     assert _everything(testbed, orch, [slice_id]) == before
     _check_agreement(testbed, orch, [slice_id])
     path = orch.slice(slice_id).allocation.transport.path.link_ids
@@ -480,7 +482,7 @@ def test_a_grow_back_that_fails_on_the_second_link_changes_nothing():
     # The engine's own loop swallows the refusal: the overbooking risk
     # surfaces as SLA violations instead.
     policy.fractions = {slice_id: 1.0}
-    orch._reconfigure({slice_id: runtime})
+    orch.fleet.reconfigure({slice_id: runtime}, policy)
     assert runtime.effective_fraction == 0.5
     assert _everything(testbed, orch, [slice_id]) == before
 
@@ -544,23 +546,28 @@ def test_a_repair_recomposes_the_allocation_from_the_reservations():
 # One path per verb, as the source reads
 # ----------------------------------------------------------------------
 ORCHESTRATOR = source_of("core/orchestrator.py")
+EPOCH = source_of("core/epoch.py")
 
 
 def test_a_runtime_is_constructed_in_one_function():
     assert src_lines_matching(r"\bSliceRuntime\(") == src_lines_matching(
-        r"\bSliceRuntime\(", "core/orchestrator.py"
+        r"\bSliceRuntime\(", "core/epoch.py"
     )
-    assert enclosing_functions(ORCHESTRATOR, r"\bSliceRuntime\(") == ["_go_live"]
+    assert enclosing_functions(EPOCH, r"\bSliceRuntime\(") == ["go_live"]
 
 
 def test_a_slice_is_torn_down_from_one_function():
-    assert enclosing_functions(ORCHESTRATOR, r"self\._teardown_slice\(") == ["_retire"]
+    assert src_lines_matching(r"\breleases\.release\(") == src_lines_matching(
+        r"\breleases\.release\(", "core/epoch.py"
+    )
+    assert enclosing_functions(EPOCH, r"\breleases\.release\(") == ["retire"]
 
 
 def test_a_size_is_applied_in_one_function():
-    assert enclosing_functions(ORCHESTRATOR, r"calendar\.update_demand\(") == [
-        "_resize_domains"
-    ]
+    assert src_lines_matching(r"calendar\.update_demand\(") == src_lines_matching(
+        r"calendar\.update_demand\(", "core/epoch.py"
+    )
+    assert enclosing_functions(EPOCH, r"calendar\.update_demand\(") == ["resize"]
     assert src_lines_matching(r"\bEndToEndAllocation\(") == src_lines_matching(
         r"\bEndToEndAllocation\(", "core/allocation.py"
     )
@@ -568,16 +575,44 @@ def test_a_size_is_applied_in_one_function():
         "compose_allocation"
     ]
     # A live slice's allocation is recomposed from what it holds in one place.
-    assert enclosing_functions(source_of("core/epoch.py"), r"\bcompose_allocation\(") == [
-        "hold"
-    ]
+    assert enclosing_functions(EPOCH, r"\bcompose_allocation\(") == ["_hold"]
     assert enclosing_functions(ORCHESTRATOR, r"\bcompose_allocation\(") == [
-        "_go_live", "_validate_latency"
+        "_validate_latency"
     ]
     # No special case for one domain's reservation anywhere above the drivers.
     assert src_lines_matching(
         r"driver\.domain\s*[=!]=\s*[\"']", "core/orchestrator.py", "core/epoch.py"
     ) == []
+
+
+#: A write to the runtime table: an item set or deleted, or a mutating method.
+RUNTIMES_WRITTEN = (
+    r"\bruntimes\[[^\]]*\]\s*=[^=]|\bdel\s+[\w.]*runtimes\["
+    r"|\bruntimes\.(pop|popitem|clear|update|setdefault)\("
+)
+
+
+def test_the_live_fleet_is_the_one_writer_of_what_a_live_slice_holds():
+    """The runtime table is written, and a runtime built, in
+    ``core/epoch.py`` only; a slice carries no pointer back into the
+    control plane, and the slice records live in the index alone."""
+    assert {hit.split(":")[0] for hit in src_lines_matching(RUNTIMES_WRITTEN)} == {
+        "core/epoch.py"
+    }
+    assert {hit.split(":")[0] for hit in src_lines_matching(r"\bSliceRuntime\(")} == {
+        "core/epoch.py"
+    }
+    network_slice = NetworkSlice(make_request())
+    for pointer in ("touched", "index", "fleet"):
+        assert not hasattr(network_slice, pointer), pointer
+    assert not hasattr(SliceRuntime, "hold")
+    assert not any(hasattr(LiveFleet, gone) for gone in ("add", "forecast"))
+    testbed = build_testbed(TestbedConfig(plmn_pool_size=8))
+    orch = make_orchestrator(testbed)
+    assert not hasattr(orch, "_all_slices") and not hasattr(orch, "forecaster_factory")
+    assert src_lines_matching(r"\b_all_slices\b") == []
+    decision = orch.submit(make_request(throughput_mbps=10.0), quiet_profile(10.0))
+    assert orch.slice(decision.slice_id) is orch.slice_index.records[decision.slice_id]
 
 
 def test_the_forked_chains_are_gone():

@@ -87,7 +87,7 @@ def test_broker_never_overcommits_and_accounts_everything(
         )
     # The list index, the live-slot table and the durable image agree
     # with a recompute from the slice records and runtimes.
-    orch.slice_index.verify(orch)
+    orch.slice_index.verify()
     orch.fleet.live_slots.verify(orch.fleet)
     check_durable(orch)
 

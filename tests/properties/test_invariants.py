@@ -97,7 +97,7 @@ def test_orchestrator_never_overcommits_physical_resources(seed, n_requests, fac
         )
     # The list index, the live-slot table and the durable image agree
     # with a recompute from the slice records and runtimes.
-    orch.slice_index.verify(orch)
+    orch.slice_index.verify()
     orch.fleet.live_slots.verify(orch.fleet)
     check_durable(orch)
 

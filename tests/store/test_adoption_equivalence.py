@@ -45,10 +45,9 @@ EXAMPLE_MULTIPLIER = int(os.environ.get("HYPOTHESIS_EXAMPLE_MULTIPLIER", "1"))
 def adopt_one(orch, request, plmn_id, fraction, reservations, *,
               admitted_at, active_at, window_end):
     """One slice through the adoption as it was: ``adopt_recovered_slice``
-    and its ``_go_live``, in their order."""
+    and its go-live, in their order."""
     network_slice = NetworkSlice(request)
     slice_id = network_slice.slice_id
-    orch._all_slices[slice_id] = network_slice
     if plmn_id:
         network_slice.plmn = orch.plmn_pool.claim(slice_id, plmn_id)
     size = orch.allocator.size(request, fraction)
@@ -68,21 +67,23 @@ def adopt_one(orch, request, plmn_id, fraction, reservations, *,
     if epc_reservation is not None:
         runtime.epc = epc_reservation.details.get("instance")
     network_slice.allocation = compose_allocation(reservations)
-    orch.fleet.add(runtime)
+    orch.fleet.runtimes[slice_id] = runtime
+    orch.fleet.live_slots.touched.add(slice_id)
     network_slice.transition(SliceState.DEPLOYING, admitted_at)
     if active_at is None:
         orch.sim.schedule_at(
             max(admitted_at + orch.config.deploy_time_s, now),
-            lambda: orch._activate(slice_id),
+            lambda: orch.fleet._activate(slice_id),
             name=f"activate-{slice_id}",
         )
     else:
         network_slice.transition(SliceState.ACTIVE, active_at)
         orch.sim.schedule_at(
             max(network_slice.end_time(), now),
-            lambda: orch._expire(slice_id),
+            lambda: orch.fleet.expire(slice_id),
             name=f"expire-{slice_id}",
         )
+    orch.slice_index.add((network_slice,))
     orch.events.append(
         now, "slice.adopted", slice_id=slice_id, tenant_id=request.tenant_id,
         state=network_slice.state.value,

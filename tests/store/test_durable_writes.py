@@ -25,6 +25,7 @@ import pytest
 
 from repro.core import slices
 from repro.core.broker import SliceBroker
+from repro.core.overbooking import FixedOverbooking
 from repro.core.slices import SliceState
 from repro.store import ControlPlaneStore, RecoveryManager
 from repro.store.codec import ReplayState, json_default
@@ -101,8 +102,8 @@ def install_one(orch, testbed, activate: bool = False):
 def reconfigure(orch, testbed):
     slice_id = orch.live_slices()[1].slice_id
     runtime = orch.runtime(slice_id)
-    orch.fleet.forecast = lambda *_: iter([(slice_id, runtime, 0.5)])
-    orch._reconfigure({})
+    orch.config.min_history_for_forecast = 0  # no epoch has served it yet
+    orch.fleet.reconfigure({slice_id: runtime}, FixedOverbooking(2.0))
     assert runtime.effective_fraction == 0.5
     return orch, {slice_id}
 

@@ -75,7 +75,7 @@ def test_durable_feed_equals_the_in_memory_feed_across_a_promotion(tmp_path):
         leader.overbooking = ScriptedOverbooking()
         leader.overbooking.fractions = {created["long"]: 0.5}
         leader.config.min_history_for_forecast = 1
-        leader.forecaster_factory = NaiveForecaster
+        leader.fleet.forecaster_factory = NaiveForecaster
         step()
         leader.sim.run_until(400.0)  # reconfigures at 300, the window flushes at 301
         leader.cancel_advance("req-feed-booking-1")

@@ -104,7 +104,10 @@ broken:
   the gate fails unless ``capabilities_built == 0``: every lifecycle
   call reads ``capabilities()``, and the in-process adapters return one
   prebuilt instance instead of building a ``DriverCapabilities`` per
-  read.
+  read.  It also counts every frozen dataclass built over the drive,
+  publishes ``frozen_built_by_class`` and fails unless ``frozen_built``
+  equals ``DRIVER_FROZEN_BUILT`` exactly: a record built and dropped
+  inside one operation is plain, so re-freezing one moves the count.
 - **src_lines** — the physical line count of ``src/**/*.py`` is
   published and must not exceed ``SRC_LINES_CEILING``.
 
@@ -125,6 +128,7 @@ import json
 import os
 import platform
 import sys
+from collections import Counter
 from pathlib import Path
 
 # CI scale: big enough that batching visibly wins, small enough for a
@@ -238,6 +242,13 @@ PATH_QUIET_TAIL = 16
 #: The driver-overhead gate's slices: each is created, rescaled and
 #: deleted once.
 DRIVER_SLICES = 64
+#: Frozen dataclasses built over that drive, pinned exactly: a record
+#: built and dropped inside one operation is a plain dataclass, because
+#: a frozen one pays an ``object.__setattr__`` per field.  What is left
+#: are the records something keys, sorts or shares (allocations, sizes,
+#: SLAs, bookings, PLMNs, flow matches).  A change to the drive's record
+#: traffic moves the pin in the same diff.
+DRIVER_FROZEN_BUILT = 1472
 
 #: Scenario packs the D13 gate runs (tiny scales; the full
 #: commuter-failure pack runs in the nightly scenario job).
@@ -811,16 +822,17 @@ def run_path_searches(failures: list) -> dict:
 
 
 def run_driver_overhead(failures: list) -> dict:
-    """What the southbound pays beyond its domain work, as a count:
-    capability records built over a create, rescale and delete of every
-    slice, against the driver lifecycle calls those made."""
+    """What the southbound pays beyond its domain work, as counts:
+    capability records, and frozen records of any kind, built over a
+    create, rescale and delete of every slice, against the driver
+    lifecycle calls those made."""
     from repro.core.orchestrator import Orchestrator
-    from repro.drivers.base import DriverCapabilities
     from repro.experiments.testbed import TestbedConfig, build_testbed
     from repro.sim.engine import Simulator
     from repro.sim.randomness import RandomStreams
     from repro.traffic.patterns import ConstantProfile
     from tests.conftest import make_request
+    from tests.test_value_records import frozen_dataclasses
 
     testbed = build_testbed(
         TestbedConfig(
@@ -837,12 +849,15 @@ def run_driver_overhead(failures: list) -> dict:
     )
     orch.start()
 
-    built, calls = [], []
-    plain_init = DriverCapabilities.__init__
+    built, calls = Counter(), []
+    frozen = {cls: cls.__init__ for cls in frozen_dataclasses().values()}
 
-    def counted_init(self, *args, **kwargs):
-        built.append(1)
-        plain_init(self, *args, **kwargs)
+    def counted_init(cls, plain_init):
+        def init(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            plain_init(self, *args, **kwargs)
+
+        return init
 
     def counted(driver, name):
         plain = getattr(driver, name)
@@ -857,7 +872,8 @@ def run_driver_overhead(failures: list) -> dict:
     for driver in testbed.registry.drivers():
         for name in lifecycle:
             counted(driver, name)
-    DriverCapabilities.__init__ = counted_init
+    for cls, plain_init in frozen.items():
+        cls.__init__ = counted_init(cls, plain_init)
     try:
         decisions = [
             orch.submit(make_request(throughput_mbps=5.0, duration_s=1e6), ConstantProfile(5.0))
@@ -869,7 +885,8 @@ def run_driver_overhead(failures: list) -> dict:
         for slice_id in created:
             orch.terminate_early(slice_id)
     finally:
-        DriverCapabilities.__init__ = plain_init
+        for cls, plain_init in frozen.items():
+            cls.__init__ = plain_init
         for driver in testbed.registry.drivers():
             for name in lifecycle:
                 vars(driver).pop(name)
@@ -879,17 +896,27 @@ def run_driver_overhead(failures: list) -> dict:
             f"driver overhead: {len(created)} creates, {rescaled} rescales and "
             f"{deleted} deletes of {DRIVER_SLICES} done"
         )
-    if built:
+    capabilities_built = built["DriverCapabilities"]
+    if capabilities_built:
         failures.append(
-            f"driver overhead: {len(built)} DriverCapabilities built over "
+            f"driver overhead: {capabilities_built} DriverCapabilities built over "
             f"{len(calls)} driver lifecycle calls (0 expected: they are constants)"
+        )
+    frozen_built = built.total()
+    if frozen_built != DRIVER_FROZEN_BUILT:
+        failures.append(
+            f"driver overhead: {frozen_built} frozen records built != pinned "
+            f"{DRIVER_FROZEN_BUILT} ({dict(sorted(built.items()))}; a per-operation "
+            "record is a plain dataclass)"
         )
     return {
         "creates": len(created),
         "rescales": rescaled,
         "deletes": deleted,
         "driver_ops": len(calls),
-        "capabilities_built": len(built),
+        "capabilities_built": capabilities_built,
+        "frozen_built": frozen_built,
+        "frozen_built_by_class": dict(sorted(built.items())),
     }
 
 
@@ -1181,7 +1208,8 @@ def main(argv=None) -> int:
         f"slices re-checked, {payload['durable_writes']['window_journal_fsyncs']} fsync "
         f"per window, "
         f"driver overhead {payload['driver_overhead']['capabilities_built']} "
-        f"capabilities built over {payload['driver_overhead']['driver_ops']} driver ops, "
+        f"capabilities / {payload['driver_overhead']['frozen_built']} frozen records "
+        f"built over {payload['driver_overhead']['driver_ops']} driver ops, "
         f"src {payload['src_lines']} lines"
     )
     return 0

@@ -68,7 +68,9 @@ acceptance invariants:
   points back at its owner, so reference counting frees it,
 - ``promotion_tracked_objects_per_slice``: GC-tracked objects the
   adoption batch leaves alive per slice, replayed on a memory-only twin
-  after the drill (published, never gated: CPython versions differ),
+  after the drill from a fresh copy of the recorded batch, so that only
+  what the adoption keeps counts (published, never gated: CPython
+  versions differ),
 - ``recovery_split_s``: ``recovery_s`` cut into the adoption call and
   the rest (published, never gated).
 
@@ -167,7 +169,13 @@ def _tracked_objects_per_slice(testbed, pool_size: int, adoptions: list) -> floa
     """GC-tracked objects one adoption batch leaves alive, per adopted
     slice: the promotion's batch replayed on a memory-only twin control
     plane over the same southbound, outside every timed window.  Never
-    gated: the figure differs between CPython versions."""
+    gated: the figure differs between CPython versions.
+
+    ``adoptions`` is the recorded batch, alive before and after.  The
+    twin is handed a fresh batch with fresh per-slice reservation maps,
+    built after the first count and dropped before the second, as a
+    promotion hands recovery's: an adoption that keeps the maps it is
+    handed and one that copies them read the same."""
     import gc
 
     from repro.core.orchestrator import Orchestrator
@@ -180,7 +188,9 @@ def _tracked_objects_per_slice(testbed, pool_size: int, adoptions: list) -> floa
     )
     gc.collect()
     before = len(gc.get_objects())
-    adopted = twin.adopt_recovered_slices(adoptions)
+    handed = [(*adoption[:3], dict(adoption[3]), *adoption[4:]) for adoption in adoptions]
+    adopted = twin.adopt_recovered_slices(handed)
+    del handed
     gc.collect()
     return round((len(gc.get_objects()) - before) / max(len(adopted), 1), 2)
 

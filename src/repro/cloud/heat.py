@@ -28,7 +28,7 @@ class StackState(enum.Enum):
     DELETE_COMPLETE = "delete_complete"
 
 
-@dataclass(frozen=True)
+@dataclass
 class StackResource:
     """One resource declaration inside a template (a VM to boot)."""
 
@@ -36,7 +36,7 @@ class StackResource:
     flavor: Flavor
 
 
-@dataclass(frozen=True)
+@dataclass
 class HeatTemplate:
     """Declarative description of a stack.
 

@@ -87,7 +87,7 @@ class ResourceVector:
         return max(fractions) if fractions else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdmissionDecision:
     """Outcome of one admission evaluation.
 

@@ -24,7 +24,7 @@ class EventLogError(RuntimeError):
     """Raised on event-log misuse."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class OrchestrationEvent:
     """One externally visible orchestration event.
 

@@ -34,7 +34,7 @@ class OverbookingError(RuntimeError):
     """Raised on invalid overbooking configuration."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class OverbookingDecision:
     """Effective commitment for one slice in one domain.
 

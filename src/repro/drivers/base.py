@@ -68,7 +68,7 @@ class ReservationState(enum.Enum):
     RELEASED = "released"
 
 
-@dataclass(frozen=True)
+@dataclass
 class DomainSpec:
     """What a slice asks of one domain, in domain-neutral terms.
 

@@ -25,7 +25,7 @@ RRC_SETUP_MS = 15.0
 SIGNALLING_TRAVERSALS = 5
 
 
-@dataclass(frozen=True)
+@dataclass
 class AttachOutcome:
     """Result of one attach attempt.
 

@@ -74,7 +74,7 @@ class JournalCorrupt(JournalError):
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=json_default)
 
 
-@dataclass(frozen=True)
+@dataclass
 class JournalRecord:
     """One durable state transition.
 

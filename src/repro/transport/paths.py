@@ -21,7 +21,7 @@ class PathComputationError(RuntimeError):
     """Raised when no feasible path exists for a request."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class PathRequest:
     """A constrained-path query.
 
@@ -44,7 +44,7 @@ class PathRequest:
             raise ValueError("delay bound must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass
 class ComputedPath:
     """A feasible path: ordered link ids plus its aggregate metrics."""
 

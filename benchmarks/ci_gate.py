@@ -108,6 +108,13 @@ broken:
   publishes ``frozen_built_by_class`` and fails unless ``frozen_built``
   equals ``DRIVER_FROZEN_BUILT`` exactly: a record built and dropped
   inside one operation is plain, so re-freezing one moves the count.
+  Then one ``install_admitted_batch`` of 64 slices drives the window
+  path (the batch planner and the adapters' ``*_async``) while a spy
+  counts ``concurrent.futures.Future.__init__`` calls; it fails unless
+  ``locked_futures_built == 0`` — an in-process adapter answers with a
+  future born resolved, which builds no lock — and unless one operation
+  on a walled driver (``DomainDriver``'s worker hand-off) counts
+  exactly 1, so the spy cannot pass vacuously.
 - **src_lines** — the physical line count of ``src/**/*.py`` is
   published and must not exceed ``SRC_LINES_CEILING``.
 
@@ -191,8 +198,10 @@ D8D_SETTLED_S = 0.15
 #: plane with no back-reference to its owner (no ``PeriodicProcess``, no
 #: fleet on a slice), net of the warm standby's decoded requests; −5 for
 #: the live fleet owning the slice lifecycle (one writer of the runtime
-#: table, no pointer back on a slice, one slice-record table).
-SRC_LINES_CEILING = 20_351
+#: table, no pointer back on a slice, one slice-record table); +70 for
+#: in-process drivers answering with lock-free resolved futures and the
+#: batch knapsack's DP as one array step per item.
+SRC_LINES_CEILING = 20_421
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per
@@ -825,8 +834,13 @@ def run_driver_overhead(failures: list) -> dict:
     """What the southbound pays beyond its domain work, as counts:
     capability records, and frozen records of any kind, built over a
     create, rescale and delete of every slice, against the driver
-    lifecycle calls those made."""
+    lifecycle calls those made; then locked futures built by one
+    broker-sized window through the batch planner."""
+    from concurrent.futures import Future
+
     from repro.core.orchestrator import Orchestrator
+    from repro.drivers.adapters import RanDriver
+    from repro.drivers.base import DomainDriver
     from repro.experiments.testbed import TestbedConfig, build_testbed
     from repro.sim.engine import Simulator
     from repro.sim.randomness import RandomStreams
@@ -896,6 +910,43 @@ def run_driver_overhead(failures: list) -> dict:
             f"driver overhead: {len(created)} creates, {rescaled} rescales and "
             f"{deleted} deletes of {DRIVER_SLICES} done"
         )
+
+    class WalledRan(RanDriver):
+        """The RAN adapter back on ``DomainDriver``'s worker hand-off."""
+
+        _shim_async = DomainDriver._shim_async
+
+    futures_built = []
+    stock_init = Future.__init__
+
+    def counted_future(future):
+        futures_built.append(future)
+        stock_init(future)
+
+    Future.__init__ = counted_future
+    try:
+        window = orch.install_admitted_batch(
+            [(make_request(throughput_mbps=5.0, duration_s=1e6), ConstantProfile(5.0))
+             for _ in range(DRIVER_SLICES)]
+        )
+        locked_futures_built = len(futures_built)
+        walled = WalledRan(testbed.registry.get("ran").controller)
+        walled.release_async("slice-never-installed").exception(timeout=10.0)
+        walled_futures_built = len(futures_built) - locked_futures_built
+    finally:
+        Future.__init__ = stock_init
+    window_installs = sum(decision.admitted for decision in window)
+    if window_installs != DRIVER_SLICES:
+        failures.append(
+            f"driver overhead: the window installed {window_installs} of {DRIVER_SLICES}"
+        )
+    if locked_futures_built or walled_futures_built != 1:
+        failures.append(
+            f"driver overhead: a {DRIVER_SLICES}-slice window built "
+            f"{locked_futures_built} locked futures (0 expected: an in-process adapter "
+            f"answers with a resolved one) and a walled operation {walled_futures_built} "
+            "(1 expected: its future crosses a thread)"
+        )
     capabilities_built = built["DriverCapabilities"]
     if capabilities_built:
         failures.append(
@@ -917,6 +968,9 @@ def run_driver_overhead(failures: list) -> dict:
         "capabilities_built": capabilities_built,
         "frozen_built": frozen_built,
         "frozen_built_by_class": dict(sorted(built.items())),
+        "window_installs": window_installs,
+        "locked_futures_built": locked_futures_built,
+        "walled_futures_built": walled_futures_built,
     }
 
 
@@ -1210,6 +1264,7 @@ def main(argv=None) -> int:
         f"driver overhead {payload['driver_overhead']['capabilities_built']} "
         f"capabilities / {payload['driver_overhead']['frozen_built']} frozen records "
         f"built over {payload['driver_overhead']['driver_ops']} driver ops, "
+        f"{payload['driver_overhead']['locked_futures_built']} locked futures per window, "
         f"src {payload['src_lines']} lines"
     )
     return 0

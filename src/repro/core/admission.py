@@ -22,7 +22,9 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core.slices import SliceRequest
 
@@ -292,6 +294,30 @@ class KnapsackPolicy(AdmissionPolicy):
     ) -> AdmissionDecision:
         return self._greedy.decide(request, demand, free)
 
+    def _select(self, weights: List[int], values: List[float]) -> Set[int]:
+        """The candidates the 0/1 DP over the unit budget picks: one array
+        step per item, each level b ≥ w reading the row as it stood before
+        the item (as a descending scalar loop does), taking a strict gain."""
+        budget = self.resolution
+        dp = np.full(budget + 1, -np.inf)
+        dp[0] = 0.0
+        take = np.zeros((len(weights), budget + 1), dtype=bool)
+        for i, (w, v) in enumerate(zip(weights, values)):
+            if w > budget or v <= 0:
+                continue
+            cand = dp[: budget + 1 - w] + v
+            better = cand > dp[w:]
+            take[i, w:] = better
+            dp[w:] = np.where(better, cand, dp[w:])
+        # Backtrack from the best budget level (the first, on a tie).
+        chosen = set()
+        b = int(np.argmax(dp))
+        for i in range(len(weights) - 1, -1, -1):
+            if take[i, b]:
+                chosen.add(i)
+                b -= weights[i]
+        return chosen
+
     def decide_batch(
         self,
         candidates: Sequence[Tuple[SliceRequest, ResourceVector]],
@@ -309,28 +335,7 @@ class KnapsackPolicy(AdmissionPolicy):
                 weights.append(self.resolution + 1)  # can never fit
             else:
                 weights.append(max(1, math.ceil(fraction * self.resolution)))
-        budget = self.resolution
-        # 1-D DP over unit budget; keep the chosen set via bitmask-free
-        # backtracking table (parent pointers).
-        NEG = float("-inf")
-        dp = [0.0] + [NEG] * budget
-        take: List[List[bool]] = [[False] * (budget + 1) for _ in range(n)]
-        for i in range(n):
-            w, v = weights[i], values[i]
-            if w > budget or v <= 0:
-                continue
-            for b in range(budget, w - 1, -1):
-                if dp[b - w] != NEG and dp[b - w] + v > dp[b]:
-                    dp[b] = dp[b - w] + v
-                    take[i][b] = True
-        # Backtrack from the best budget level.
-        best_budget = max(range(budget + 1), key=lambda b: dp[b] if dp[b] != NEG else NEG)
-        chosen = set()
-        b = best_budget
-        for i in range(n - 1, -1, -1):
-            if take[i][b]:
-                chosen.add(i)
-                b -= weights[i]
+        chosen = self._select(weights, values)
         # Repair pass: the scalarization (Σ max-fractions ≤ 1) is
         # conservative, so vector capacity usually remains after the DP
         # selection.  Greedily fill it with the remaining positive-value

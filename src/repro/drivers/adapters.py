@@ -51,6 +51,7 @@ from repro.drivers.base import (
     DriverCapabilities,
     DriverError,
     Reservation,
+    ResolvedFuture,
 )
 from repro.drivers.registry import DriverRegistry
 from repro.epc.components import epc_template
@@ -63,8 +64,11 @@ from repro.transport.paths import PathRequest
 
 class _InProcessDriver(BaseDriver):
     """A driver over an in-memory controller: nothing behind
-    ``prepare``/``commit``/``rollback``/``release`` can block, so their
-    ``*_async`` futures are resolved before they are returned.
+    ``prepare``/``commit``/``rollback``/``release`` can block, so each
+    ``*_async`` runs its blocking call on the caller's thread and
+    returns a :class:`~repro.drivers.base.ResolvedFuture` — a
+    ``concurrent.futures.Future`` born finished, which builds and takes
+    no lock, because nothing on another thread ever touches it.
 
     Its capabilities are constants, read on every lifecycle call, so
     each adapter builds them once as ``CAPABILITIES``."""
@@ -79,12 +83,10 @@ class _InProcessDriver(BaseDriver):
         return self.CAPABILITIES
 
     def _shim_async(self, label: str, fn: Callable[..., Any], *args: Any) -> Future:
-        future: Future = Future()
         try:
-            future.set_result(fn(*args))
+            return ResolvedFuture(fn(*args))
         except Exception as exc:
-            future.set_exception(exc)
-        return future
+            return ResolvedFuture(exception=exc)
 
 
 class RanDriver(_InProcessDriver):

@@ -38,8 +38,9 @@ import abc
 import contextlib
 import enum
 import itertools
+import logging
 import threading
-from concurrent.futures import Future
+from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, ContextManager, Dict, List, Optional, Set, Tuple
@@ -194,8 +195,68 @@ def deferred_call(
     return future, run
 
 
+class ResolvedFuture(Future):
+    """A ``Future`` born finished, holding the result or ``Exception`` of
+    a call already run on the caller's thread.  ``Future.__init__`` never
+    runs: nothing waits on, cancels or resolves a finished future, so no
+    ``Condition`` is built or taken.  It answers as a finished ``Future``
+    does: done, not cancellable, ``set_*`` raise ``InvalidStateError``,
+    and a done-callback runs at once (one that raises is logged on the
+    ``concurrent.futures`` logger and swallowed).  ``wait`` and
+    ``as_completed`` take a stock ``Future``'s lock, so they take only
+    those; the southbound calls neither."""
+
+    def __init__(self, result: Any = None, exception: Optional[BaseException] = None) -> None:
+        self._result = result
+        self._exception = exception
+
+    def __repr__(self) -> str:
+        verb, outcome = ("returned", self._result) if self._exception is None else (
+            "raised", self._exception)
+        return (f"<{type(self).__name__} at {id(self):#x} state=finished "
+                f"{verb} {type(outcome).__name__}>")
+
+    def done(self) -> bool:
+        return True
+
+    def cancel(self) -> bool:
+        return False
+
+    cancelled = running = cancel
+
+    def result(self, timeout: Optional[float] = None) -> Any:
+        if self._exception is None:
+            return self._result
+        try:
+            raise self._exception
+        finally:
+            self = None  # the traceback's frame must not hold the future
+
+    def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
+        return self._exception
+
+    def add_done_callback(self, fn: Callable[[Future], Any]) -> None:
+        try:
+            fn(self)
+        except Exception:
+            logging.getLogger("concurrent.futures").exception(
+                "exception calling callback for %r", self)
+
+    def set_running_or_notify_cancel(self) -> bool:
+        raise RuntimeError("Future in unexpected state")
+
+    def set_result(self, outcome: Any) -> None:
+        raise InvalidStateError(f"finished: {self!r}")
+
+    set_exception = set_result
+
+
 class DomainDriver(abc.ABC):
-    """Abstract southbound driver every domain backend implements."""
+    """Abstract southbound driver every domain backend implements.
+
+    Its ``*_async`` methods return a stock, locked ``Future`` by default
+    (:meth:`_shim_async`): a worker resolves it through the registry's
+    door while the shard may race a cancel, so it crosses a thread."""
 
     #: Domain name; also the :class:`~repro.drivers.registry.DriverRegistry` key.
     domain: str = "unknown"
@@ -316,8 +377,9 @@ class DomainDriver(abc.ABC):
     #   *walled*: the worker posts the future's resolution through its
     #   registry's door, so it lands on the thread draining the shard.
     # - A driver that knows its backend is an in-memory object that
-    #   cannot block (the four simulator adapters) resolves the future
-    #   inline, on the caller's thread, before returning it.
+    #   cannot block (the four simulator adapters) runs the call inline,
+    #   on the caller's thread, and returns a ``ResolvedFuture``: born
+    #   finished, so it builds and takes no lock.
     # - A natively asynchronous backend resolves it from its own
     #   completion machinery: ``MockDriver`` from events on ``clock``.
     #
@@ -603,5 +665,6 @@ __all__ = [
     "DriverError",
     "Reservation",
     "ReservationState",
+    "ResolvedFuture",
     "deferred_call",
 ]

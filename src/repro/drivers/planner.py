@@ -96,6 +96,7 @@ from repro.drivers.base import (
     DriverError,
     Reservation,
     ReservationState,
+    ResolvedFuture,
 )
 from repro.drivers.registry import DriverRegistry
 from repro.obs import NOOP_SPAN, default_observability
@@ -222,8 +223,7 @@ class _Op:
         except Exception as exc:
             # The driver's async entry point itself blew up (broken
             # backend): same path as a future that resolved to an error.
-            future = Future()
-            future.set_exception(exc)
+            future = ResolvedFuture(exception=exc)
         self.future = future
         future.add_done_callback(self._completed)
 

@@ -166,3 +166,88 @@ class TestKnapsack:
         # Dominance by construction: knapsack keeps the better of
         # {DP + greedy fill, pure greedy}.
         assert knap_value >= greedy_value - 1e-6
+
+
+class ScalarKnapsack(KnapsackPolicy):
+    """The DP as the descending scalar double loop it used to be: the
+    oracle the array step must match bit for bit."""
+
+    def _select(self, weights, values):
+        budget = self.resolution
+        NEG = float("-inf")
+        dp = [0.0] + [NEG] * budget
+        take = [[False] * (budget + 1) for _ in weights]
+        for i, (w, v) in enumerate(zip(weights, values)):
+            if w > budget or v <= 0:
+                continue
+            for b in range(budget, w - 1, -1):
+                if dp[b - w] != NEG and dp[b - w] + v > dp[b]:
+                    dp[b] = dp[b - w] + v
+                    take[i][b] = True
+        b = max(range(budget + 1), key=lambda b: dp[b])
+        chosen = set()
+        for i in range(len(weights) - 1, -1, -1):
+            if take[i][b]:
+                chosen.add(i)
+                b -= weights[i]
+        return chosen
+
+
+#: One candidate: a price (often one of a few, so values tie), a
+#: demand that may exceed the capacity in any dimension (infeasible).
+_candidate = st.tuples(
+    st.sampled_from([5.0, 12.5, 40.0, 99.0]) | st.floats(min_value=0.5, max_value=500.0),
+    st.floats(min_value=0.0, max_value=150.0),
+    st.floats(min_value=0.0, max_value=150.0),
+    st.floats(min_value=0.0, max_value=40.0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    window=st.lists(_candidate, min_size=1, max_size=64),
+    penalty=st.sampled_from([0.0, 10.0, 60.0]),
+    resolution=st.sampled_from([10, 57, 200]),
+    capacity=st.sampled_from([ResourceVector(100, 100, 32), ResourceVector(100, 0, 32)]),
+)
+def test_array_knapsack_decides_as_the_scalar_loop(window, penalty, resolution, capacity):
+    """Repeated prices tie in the DP, a penalty makes some values
+    non-positive, a zero capacity dimension makes a demand infinitely
+    heavy: the window's decisions are the same to the last bit."""
+    candidates = [
+        (make_request(price=price), ResourceVector(prbs, mbps, vcpus))
+        for price, prbs, mbps, vcpus in window
+    ]
+    policies = [
+        cls(resolution=resolution, penalty_estimator=lambda request: penalty)
+        for cls in (KnapsackPolicy, ScalarKnapsack)
+    ]
+    array, scalar = (
+        [
+            (d.request_id, d.admitted, d.reason, d.expected_value)
+            for d in policy.decide_batch(candidates, capacity)
+        ]
+        for policy in policies
+    )
+    assert array == scalar
+
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    items=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=60),
+            st.sampled_from([-1.0, 0.0, 7.0, 7.5, 30.0]) | st.floats(-50.0, 500.0),
+        ),
+        max_size=64,
+    )
+)
+def test_array_dp_selects_as_the_scalar_loop(items):
+    """The DP alone, where greedy cannot mask it: the same chosen set
+    for any weights (some over the 50-unit budget) and tied values."""
+    weights = [w for w, _ in items]
+    values = [v for _, v in items]
+    assert KnapsackPolicy(resolution=50)._select(weights, values) == ScalarKnapsack(
+        resolution=50
+    )._select(weights, values)

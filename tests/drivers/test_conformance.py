@@ -18,9 +18,11 @@ reservations, no PRBs, no paths, no flavors are leaked anywhere.
 from __future__ import annotations
 
 import itertools
+import logging
 import random
 import sys
 import threading
+from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -37,6 +39,7 @@ from repro.drivers.base import (
     DriverError,
     Reservation,
     ReservationState,
+    ResolvedFuture,
 )
 from repro.drivers.mock import MockDriver
 from repro.drivers.registry import DriverRegistry
@@ -411,6 +414,203 @@ class TestAsyncLifecycle:
         future = case.driver.release_async("slice-never-installed")
         with pytest.raises(DriverError):
             future.result(timeout=10)
+
+
+# ----------------------------------------------------------------------
+# Resolved futures: the in-process adapters' async answers
+# ----------------------------------------------------------------------
+
+IN_PROCESS = ("cloud", "epc", "ran", "transport")
+
+
+@pytest.fixture(params=IN_PROCESS)
+def in_process(request) -> DriverCase:
+    return CASES[request.param]()
+
+
+def _arguments(case: DriverCase, call: str) -> tuple:
+    """(an argument ``call`` succeeds on, one it refuses).  A refusal
+    changes nothing, so its blocking twin sees the same state."""
+    driver = case.driver
+    if call == "prepare":
+        return case.new_spec(), case.bad_spec()
+    held = driver.prepare(case.new_spec())
+    committed = driver.prepare(case.new_spec())
+    driver.commit(committed)
+    if call == "release":
+        return committed.slice_id, "slice-never-installed"
+    return held, committed  # a PREPARED hold; a COMMITTED one is refused
+
+
+def _call_async(case: DriverCase, call: str, argument) -> Future:
+    return getattr(case.driver, f"{call}_async")(argument)
+
+
+@pytest.mark.parametrize("call", ["prepare", "commit", "rollback", "release"])
+class TestResolvedFutures:
+    """An in-process adapter runs the call before ``*_async`` returns,
+    so its future is born finished and carries no lock — yet answers
+    every question as a finished ``concurrent.futures.Future`` does."""
+
+    def test_done_at_return_and_a_future(self, in_process, call):
+        for argument in _arguments(in_process, call):
+            future = _call_async(in_process, call, argument)
+            assert isinstance(future, Future)
+            assert future.done() and not future.running()
+
+    def test_callbacks_run_once_at_once(self, in_process, call):
+        for argument in _arguments(in_process, call):
+            future = _call_async(in_process, call, argument)
+            seen = []
+            future.add_done_callback(lambda done: seen.append(("first", done)))
+            assert seen == [("first", future)]
+            future.add_done_callback(lambda done: seen.append(("second", done)))
+            assert seen == [("first", future), ("second", future)]
+
+    def test_outcome_mirrors_the_blocking_call(self, in_process, call):
+        ok, refused = _arguments(in_process, call)
+        future = _call_async(in_process, call, ok)
+        assert future.exception(timeout=0.0) is None
+        result = future.result(timeout=0.0)
+        if call == "prepare":
+            assert result is in_process.driver.reservation_of(ok.slice_id)
+            assert result.state is ReservationState.PREPARED
+        else:
+            assert result is None
+        future = _call_async(in_process, call, refused)
+        with pytest.raises(DriverError) as blocking:
+            getattr(in_process.driver, call)(refused)
+        error = future.exception(timeout=0.0)
+        assert type(error) is type(blocking.value) and str(error) == str(blocking.value)
+        with pytest.raises(DriverError) as raised:
+            future.result(timeout=0.0)
+        assert raised.value is error
+
+    def test_cannot_be_cancelled_or_resolved_again(self, in_process, call):
+        for argument in _arguments(in_process, call):
+            future = _call_async(in_process, call, argument)
+            assert future.cancel() is False and future.cancelled() is False
+            assert "state=finished" in repr(future)
+            with pytest.raises(InvalidStateError):
+                future.set_result(None)
+            with pytest.raises(InvalidStateError):
+                future.set_exception(DriverError(in_process.name, "late"))
+            assert future.done() and not future.cancelled()
+
+    def test_builds_no_condition(self, in_process, call, monkeypatch):
+        arguments = _arguments(in_process, call)
+        built = []
+        stock = threading.Condition
+        monkeypatch.setattr(
+            threading, "Condition", lambda *a, **k: built.append(1) or stock(*a, **k)
+        )
+        for argument in arguments:
+            future = _call_async(in_process, call, argument)
+            future.add_done_callback(lambda done: done.exception())
+            future.exception()
+            future.cancel()
+        assert built == []
+        Future()  # the spy sees a stock future's lock
+        assert built == [1]
+
+
+def test_a_raising_callback_is_logged_and_swallowed_as_a_finished_future_does(caplog):
+    """Pinned: a done-callback that raises does not reach the caller of
+    ``add_done_callback``; it is logged on the ``concurrent.futures``
+    logger, and later callbacks still run — the same for a stock
+    ``Future`` that has finished and for a resolved one."""
+
+    def boom(_):
+        raise ValueError("callback bug")
+
+    stock = Future()
+    stock.set_result(1)
+    for future in (stock, ResolvedFuture(1), ResolvedFuture(exception=KeyError("k"))):
+        caplog.clear()
+        seen = []
+        with caplog.at_level(logging.ERROR, logger="concurrent.futures"):
+            future.add_done_callback(boom)
+            future.add_done_callback(seen.append)
+        assert seen == [future]
+        (record,) = caplog.records
+        assert record.name == "concurrent.futures"
+        assert "exception calling callback for" in record.getMessage()
+        assert isinstance(record.exc_info[1], ValueError)
+
+
+def test_resolved_future_answers_as_a_finished_stock_future():
+    """Side by side with a stock ``Future`` resolved the same way, every
+    answer matches (``repr`` up to the class name and address)."""
+    error = DriverError("ran", "refused")
+    for outcome in ({"result": "r"}, {"exception": error}):
+        stock = Future()
+        if "result" in outcome:
+            stock.set_result(outcome["result"])
+        else:
+            stock.set_exception(outcome["exception"])
+        resolved = ResolvedFuture(**outcome)
+        for future in (stock, resolved):
+            assert (future.done(), future.running(), future.cancelled()) == (True, False, False)
+            assert future.cancel() is False
+            assert future.exception() is stock.exception()
+            with pytest.raises(RuntimeError):
+                future.set_running_or_notify_cancel()
+        assert repr(resolved).split(" state=")[1] == repr(stock).split(" state=")[1]
+        if "result" in outcome:
+            assert resolved.result() == stock.result() == "r"
+
+
+def test_window_journal_is_the_same_with_stock_futures(tmp_path, monkeypatch):
+    """One broker window (three winners, a knapsack loser, a winner
+    whose every attempt unwinds) written twice: with the adapters'
+    resolved futures, then with each swapped back to a stock, locked
+    ``Future`` resolved the same way.  The journal bytes, the decisions
+    and the planner's trails are identical."""
+    from repro.core.orchestrator import Orchestrator
+    from repro.drivers.adapters import _InProcessDriver
+    from repro.drivers.planner import BatchInstallPlanner
+    from tests.store import window_scenario
+
+    def stock_shim(self, label, fn, *args):
+        stocks.append(1)
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def run(directory):
+        decisions, trails = [], []
+        install_admitted = Orchestrator.install_admitted_batch
+        install_batch = BatchInstallPlanner.install_batch
+
+        def deciding(orchestrator, admissions, **kwargs):
+            told = install_admitted(orchestrator, admissions, **kwargs)
+            decisions.extend((d.request_id, d.admitted, d.reason, d.slice_id) for d in told)
+            return told
+
+        def installing(planner, batch):
+            outcomes = install_batch(planner, batch)
+            trails.extend((o.job.slice_id, o.ok, o.trail) for o in outcomes)
+            return outcomes
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Orchestrator, "install_admitted_batch", deciding)
+            patch.setattr(BatchInstallPlanner, "install_batch", installing)
+            window_scenario.run(str(directory), through="window")
+        journal = directory / f"shard-{window_scenario.SHARD:03d}" / "journal.jsonl"
+        return journal.read_bytes(), decisions, trails
+
+    stocks = []
+    resolved = run(tmp_path / "resolved")
+    assert stocks == []
+    monkeypatch.setattr(_InProcessDriver, "_shim_async", stock_shim)
+    locked = run(tmp_path / "locked")
+    assert stocks  # the swap was exercised
+    assert resolved == locked
+    # The window's four installs ran, one of them unwinding every attempt.
+    assert [ok for _, ok, _ in resolved[2]] == [True, True, True, False]
 
 
 def test_mock_cancelled_pending_future_never_touches_backend():

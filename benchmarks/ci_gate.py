@@ -113,7 +113,7 @@ broken:
   counts ``concurrent.futures.Future.__init__`` calls; it fails unless
   ``locked_futures_built == 0`` — an in-process adapter answers with a
   future born resolved, which builds no lock — and unless one operation
-  on a walled driver (``DomainDriver``'s worker hand-off) counts
+  on a walled driver (``Walled``'s worker hand-off) counts
   exactly 1, so the spy cannot pass vacuously.
 - **src_lines** — the physical line count of ``src/**/*.py`` is
   published and must not exceed ``SRC_LINES_CEILING``.
@@ -200,7 +200,9 @@ D8D_SETTLED_S = 0.15
 #: the live fleet owning the slice lifecycle (one writer of the runtime
 #: table, no pointer back on a slice, one slice-record table); +70 for
 #: in-process drivers answering with lock-free resolved futures and the
-#: batch knapsack's DP as one array step per item.
+#: batch knapsack's DP as one array step per item; ±0 for one wrapper
+#: owning every driver thread and lock (``drivers/walled.py``) and a
+#: lock-free ``BaseDriver``.
 SRC_LINES_CEILING = 20_421
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
@@ -840,7 +842,7 @@ def run_driver_overhead(failures: list) -> dict:
 
     from repro.core.orchestrator import Orchestrator
     from repro.drivers.adapters import RanDriver
-    from repro.drivers.base import DomainDriver
+    from repro.drivers.walled import Walled
     from repro.experiments.testbed import TestbedConfig, build_testbed
     from repro.sim.engine import Simulator
     from repro.sim.randomness import RandomStreams
@@ -911,11 +913,6 @@ def run_driver_overhead(failures: list) -> dict:
             f"{deleted} deletes of {DRIVER_SLICES} done"
         )
 
-    class WalledRan(RanDriver):
-        """The RAN adapter back on ``DomainDriver``'s worker hand-off."""
-
-        _shim_async = DomainDriver._shim_async
-
     futures_built = []
     stock_init = Future.__init__
 
@@ -930,7 +927,8 @@ def run_driver_overhead(failures: list) -> dict:
              for _ in range(DRIVER_SLICES)]
         )
         locked_futures_built = len(futures_built)
-        walled = WalledRan(testbed.registry.get("ran").controller)
+        # The RAN adapter behind the worker hand-off.
+        walled = Walled(RanDriver(testbed.registry.get("ran").controller))
         walled.release_async("slice-never-installed").exception(timeout=10.0)
         walled_futures_built = len(futures_built) - locked_futures_built
     finally:

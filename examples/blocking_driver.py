@@ -3,10 +3,12 @@
 
 A real SDN/NFV controller answers over RPC, so a driver for it blocks.
 Such a driver writes only ``BaseDriver``'s ``_do_*`` hooks and declares
-its RPC deadline: it inherits ``DomainDriver``'s worker hand-off, so
-each call runs on a worker thread while the orchestrator's thread
-drains the window, and the worker hands its answer back through the
-driver registry's door, to be run on the orchestrator's thread.
+its RPC deadline.  It brings no async surface of its own, so the driver
+registry registers it behind ``Walled``: each call runs on a worker
+thread while the orchestrator's thread drains the window, and the
+worker hands its answer back through the registry's door, to be run on
+the orchestrator's thread.  ``firewall`` below stays the driver inside
+the wall, so its ``rules`` are read directly.
 
 Here the firewall's RPCs for one tenant hang past the deadline: that
 slice is refused and unwound, the rest of the window installs.  When

@@ -8,6 +8,7 @@ domain backend:
   reservation lifecycle state machine.
 - :mod:`repro.drivers.registry` — :class:`DriverRegistry`, the ordered
   pluggable mapping of domain name → driver, and its southbound clock.
+- :mod:`repro.drivers.walled` — :class:`Walled`, a blocking driver's wall.
 - :mod:`repro.drivers.transaction` — the install job and outcome, the
   blocking single-request executor (two-phase prepare/commit with
   automatic rollback), and the resize and release loops that unwind a

@@ -32,8 +32,8 @@ window installed by the batch planner runs entirely on the thread that
 flushed it — no thread per southbound call, no hop back.  For the same
 reason the adapters declare no ``operation_timeout_s``: there is no RPC
 to bound.  An adapter wrapping a *remote* SDN/NFV controller would
-derive from :class:`~repro.drivers.base.BaseDriver` directly, keep the
-worker hand-off it inherits, and declare its RPC deadline.
+derive from :class:`~repro.drivers.base.BaseDriver` directly, so the
+registry walls it (``Walled``), and declare its RPC deadline.
 """
 
 from __future__ import annotations

@@ -35,15 +35,12 @@ state machine so concrete drivers only write the five ``_do_*`` hooks.
 from __future__ import annotations
 
 import abc
-import contextlib
 import enum
 import itertools
 import logging
-import threading
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Any, Callable, ContextManager, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 class DriverError(RuntimeError):
@@ -138,9 +135,9 @@ class DriverCapabilities:
         max_concurrent_installs: How many install operations the backend
             can absorb *simultaneously*; the planner bounds a driver's
             in-flight operations with a token pool of this size.  ``1``
-            (the default) declares a serial backend: :class:`BaseDriver`
-            then holds its serial lock across every lifecycle call, so a
-            walled driver's worker never overlaps another of its calls.
+            (the default) declares a serial backend: behind ``Walled``
+            its serial lock is held across every lifecycle call, so a
+            worker never overlaps another call into the backend.
         prepare_after: Domains whose ``prepare`` must complete before
             this one's can start within a single install (e.g. the vEPC
             binding needs the cloud stack to exist).  The batch planner
@@ -167,30 +164,20 @@ class DriverCapabilities:
     operation_timeout_s: Optional[float] = None
 
 
-def deferred_call(
-    fn: Callable[..., Any],
-    *args: Any,
-    post: Optional[Callable[[Callable[[], None]], None]] = None,
-) -> Tuple[Future, Callable[[], None]]:
+def deferred_call(fn: Callable[..., Any], *args: Any) -> Tuple[Future, Callable[[], None]]:
     """A pending future and the call that resolves it with ``fn(*args)``
     (its result or its error, never raised) — unless it was cancelled
     first, and then ``fn`` never runs.  A future already marked running
-    (a backend that took the call and hung) stays so.  With ``post``,
-    the call runs ``fn`` and hands the resolution to ``post`` instead
-    of resolving the future itself."""
+    (a backend that took the call and hung) stays so."""
     future: Future = Future()
 
     def run() -> None:
         if not (future.running() or future.set_running_or_notify_cancel()):
             return  # cancelled before the backend was touched
         try:
-            resolve = partial(future.set_result, fn(*args))
+            future.set_result(fn(*args))
         except BaseException as exc:  # resolve, never propagate
-            resolve = partial(future.set_exception, exc)
-        if post is None:
-            resolve()
-        else:
-            post(resolve)
+            future.set_exception(exc)
 
     return future, run
 
@@ -254,9 +241,9 @@ class ResolvedFuture(Future):
 class DomainDriver(abc.ABC):
     """Abstract southbound driver every domain backend implements.
 
-    Its ``*_async`` methods return a stock, locked ``Future`` by default
-    (:meth:`_shim_async`): a worker resolves it through the registry's
-    door while the shard may race a cancel, so it crosses a thread."""
+    Its ``*_async`` methods go through :meth:`_shim_async`; a driver
+    that does not override it may block, and runs behind
+    :class:`~repro.drivers.walled.Walled`."""
 
     #: Domain name; also the :class:`~repro.drivers.registry.DriverRegistry` key.
     domain: str = "unknown"
@@ -265,9 +252,10 @@ class DomainDriver(abc.ABC):
     def capabilities(self) -> DriverCapabilities:
         """Static description of what this backend supports.
 
-        Read on every lifecycle call (the serial-lock guard, ``resize``,
-        the planner's per-batch snapshot), so return a prebuilt
-        instance rather than building one per call."""
+        Read over and over (``resize``, the resize sweep, the heal loop,
+        the planner's per-batch snapshot and, behind :class:`~repro.
+        drivers.walled.Walled`, every lifecycle call), so return a
+        prebuilt instance rather than building one per call."""
 
     @abc.abstractmethod
     def prepare(self, spec: DomainSpec) -> Reservation:
@@ -364,55 +352,29 @@ class DomainDriver(abc.ABC):
     # Async lifecycle (futures-based southbound)
     # ------------------------------------------------------------------
     # The batch planner drives installs through these non-blocking
-    # variants: each returns a ``concurrent.futures.Future`` that
-    # resolves to the blocking method's result (or raises its error).
-    # *How* the future gets resolved is the driver's own choice, made
-    # by overriding ``_shim_async`` (or the four methods themselves):
-    #
-    # - The default below knows nothing about the backend behind the
-    #   blocking methods, so it assumes the worst — a call that may
-    #   really block — and hands it to a daemon worker: a hung call
-    #   parks that worker, never the planner, which bounds it with the
-    #   one southbound deadline in wall time.  Such a driver is
-    #   *walled*: the worker posts the future's resolution through its
-    #   registry's door, so it lands on the thread draining the shard.
-    # - A driver that knows its backend is an in-memory object that
-    #   cannot block (the four simulator adapters) runs the call inline,
-    #   on the caller's thread, and returns a ``ResolvedFuture``: born
-    #   finished, so it builds and takes no lock.
-    # - A natively asynchronous backend resolves it from its own
-    #   completion machinery: ``MockDriver`` from events on ``clock``.
-    #
-    # Contract notes shared by all four:
-    # - The future may be cancelled while still pending; a backend that
-    #   honours cancellation must then perform no side effects.
-    # - Callers bound waiting via ``DriverCapabilities.
-    #   operation_timeout_s``; the worker hand-off itself never times
-    #   out (the blocking call keeps running on its thread, and the
-    #   planner compensates the straggler when it eventually completes).
-    # - Done-callbacks run on the thread that resolved the future: the
-    #   shard's own — possibly the caller, before ``*_async`` returns.
+    # variants: each returns a ``concurrent.futures.Future`` resolving
+    # to the blocking method's result (or raising its error).  How it
+    # resolves is the driver's choice, made in ``_shim_async``: inline on
+    # the caller's thread into a ``ResolvedFuture`` (the in-process
+    # adapters), or from the backend's own completions (``MockDriver``,
+    # on ``clock``).  A driver that overrides nothing may block, and
+    # runs behind :class:`~repro.drivers.walled.Walled`'s worker.
+    # A pending future may be cancelled; a backend that honours that
+    # performs no side effects.  Callers bound waiting with
+    # ``DriverCapabilities.operation_timeout_s``.  Done-callbacks run on
+    # the shard's thread — possibly the caller's, before ``*_async``
+    # returns.
 
     #: The southbound clock (a :class:`~repro.sim.engine.Simulator`);
     #: :meth:`DriverRegistry.register` binds the registry's own.
     clock: Any = None
 
-    #: The door a walled worker resolves its future through:
-    #: :meth:`DriverRegistry.register` binds the registry's ``post``.
-    #: An unregistered driver belongs to no shard; its worker resolves
-    #: the future itself.
-    post: Optional[Callable[[Callable[[], None]], None]] = None
-
     def _shim_async(self, label: str, fn: Callable[..., Any], *args: Any) -> Future:
-        """Run blocking ``fn(*args)`` on a daemon worker and post the
-        future's resolution — the async surface of a driver that may
-        block.  A future cancelled before the worker started never
-        touches the backend."""
-        future, run = deferred_call(fn, *args, post=self.post)
-        threading.Thread(
-            target=run, name=f"{self.domain}-{label}-async", daemon=True
-        ).start()
-        return future
+        """Marks a backend that may block, so it runs only behind
+        ``Walled``; reached unwrapped, it refuses rather than block."""
+        raise DriverError(
+            self.domain, f"{label}_async on a driver that may block: wrap it in Walled"
+        )
 
     def prepare_async(self, spec: DomainSpec) -> Future:
         """Non-blocking :meth:`prepare`; resolves to the Reservation."""
@@ -445,52 +407,17 @@ class BaseDriver(DomainDriver):
       reservation table is the truth; the backend is never probed for
       state the table does not know.
 
-    Synchronisation.  A shard's control plane is entered by one thread
-    at a time, but a walled driver (one on :class:`DomainDriver`'s
-    worker hand-off) runs its blocking methods on a worker, so these
-    two locks stay:
-
-    - ``_lock`` guards the reservation table and the in-flight set; it
-      is held only around bookkeeping, never across a backend call.  A
-      second concurrent prepare/commit/release of the same slice fails
-      fast instead of corrupting the record.
-    - ``_serial_lock`` is held across the *whole* lifecycle operation —
-      including the ``_do_*`` backend call — when the driver declares
-      ``max_concurrent_installs == 1``.  For a walled cap-1 backend it
-      is the one thing that keeps apart a straggler from an earlier
-      batch and the next batch's operation, or a straggler and a
-      blocking call made on the shard's thread.
+    It takes no lock: a shard is entered by one thread at a time.
+    Behind :class:`~repro.drivers.walled.Walled` with a cap above 1,
+    several workers may be inside one driver at once, and it stays safe
+    because every table access is a single dict operation, which
+    CPython makes atomic, and ``Walled``'s in-flight guard keeps two
+    threads off any one slice's record.
     """
 
     def __init__(self) -> None:
         self._reservations: Dict[str, Reservation] = {}
         self._ids = itertools.count(1)
-        self._lock = threading.RLock()
-        self._serial_lock = threading.RLock()
-        self._in_flight: Set[str] = set()
-
-    def _backend_guard(self) -> ContextManager:
-        """The context held across a lifecycle operation: the serial
-        lock for serial backends, nothing for backends that declared
-        concurrent capacity."""
-        if self.capabilities().max_concurrent_installs <= 1:
-            return self._serial_lock
-        return contextlib.nullcontext()
-
-    def _claim(self, slice_id: str, operation: str) -> None:
-        """Mark ``slice_id`` as having a lifecycle call in flight (call
-        under ``_lock``); a concurrent second call fails fast."""
-        if slice_id in self._in_flight:
-            raise DriverError(
-                self.domain,
-                f"slice {slice_id} already has an operation in flight "
-                f"(refusing concurrent {operation})",
-            )
-        self._in_flight.add(slice_id)
-
-    def _unclaim(self, slice_id: str) -> None:
-        with self._lock:
-            self._in_flight.discard(slice_id)
 
     # ------------------------------------------------------------------
     # Hooks for subclasses
@@ -520,124 +447,79 @@ class BaseDriver(DomainDriver):
     # ------------------------------------------------------------------
     def reservation_of(self, slice_id: str) -> Optional[Reservation]:
         """The live (PREPARED/COMMITTED) reservation for a slice."""
-        with self._lock:
-            return self._reservations.get(slice_id)
-
-    def reservations(self) -> List[Reservation]:
-        """All live reservations (point-in-time snapshot)."""
-        with self._lock:
-            return list(self._reservations.values())
+        return self._reservations.get(slice_id)
 
     def list_reservations(self) -> List[Reservation]:
-        """Recovery ground truth — the shared bookkeeping *is* the
-        backend's reservation table for every driver built on this
-        base class."""
-        return self.reservations()
+        """All live reservations (point-in-time snapshot): recovery's
+        ground truth, as this table *is* the backend's."""
+        return list(self._reservations.values())
+
+    reservations = list_reservations
 
     def prepare(self, spec: DomainSpec) -> Reservation:
-        with self._backend_guard():
-            with self._lock:
-                if spec.slice_id in self._reservations:
-                    raise DriverError(
-                        self.domain,
-                        f"slice {spec.slice_id} already holds a reservation",
-                    )
-                self._claim(spec.slice_id, "prepare")
-            try:
-                details = self._do_prepare(spec)
-                with self._lock:
-                    reservation = Reservation(
-                        reservation_id=f"{self.domain}-res-{next(self._ids):06d}",
-                        domain=self.domain,
-                        slice_id=spec.slice_id,
-                        spec=spec,
-                        state=ReservationState.PREPARED,
-                        details=details,
-                    )
-                    self._reservations[spec.slice_id] = reservation
-            finally:
-                self._unclaim(spec.slice_id)
-            return reservation
+        if spec.slice_id in self._reservations:
+            raise DriverError(
+                self.domain, f"slice {spec.slice_id} already holds a reservation"
+            )
+        details = self._do_prepare(spec)
+        reservation = Reservation(
+            reservation_id=f"{self.domain}-res-{next(self._ids):06d}",
+            domain=self.domain,
+            slice_id=spec.slice_id,
+            spec=spec,
+            state=ReservationState.PREPARED,
+            details=details,
+        )
+        self._reservations[spec.slice_id] = reservation
+        return reservation
 
     def commit(self, reservation: Reservation) -> None:
         self._check_owned(reservation)
-        with self._backend_guard():
-            with self._lock:
-                if reservation.state is not ReservationState.PREPARED:
-                    raise DriverError(
-                        self.domain,
-                        f"cannot commit reservation in state {reservation.state.value}",
-                    )
-                self._claim(reservation.slice_id, "commit")
-            try:
-                self._do_commit(reservation)
-                reservation.state = ReservationState.COMMITTED
-            finally:
-                self._unclaim(reservation.slice_id)
+        if reservation.state is not ReservationState.PREPARED:
+            raise DriverError(
+                self.domain,
+                f"cannot commit reservation in state {reservation.state.value}",
+            )
+        self._do_commit(reservation)
+        reservation.state = ReservationState.COMMITTED
 
     def rollback(self, reservation: Reservation) -> None:
         self._check_owned(reservation)
-        with self._backend_guard():
-            with self._lock:
-                if reservation.state is not ReservationState.PREPARED:
-                    raise DriverError(
-                        self.domain,
-                        f"cannot roll back reservation in state {reservation.state.value}",
-                    )
-                self._claim(reservation.slice_id, "rollback")
-            try:
-                self._do_rollback(reservation)
-                with self._lock:
-                    reservation.state = ReservationState.ROLLED_BACK
-                    self._reservations.pop(reservation.slice_id, None)
-            finally:
-                self._unclaim(reservation.slice_id)
+        if reservation.state is not ReservationState.PREPARED:
+            raise DriverError(
+                self.domain,
+                f"cannot roll back reservation in state {reservation.state.value}",
+            )
+        self._do_rollback(reservation)
+        reservation.state = ReservationState.ROLLED_BACK
+        self._reservations.pop(reservation.slice_id, None)
 
     def release(self, slice_id: str) -> None:
-        with self._backend_guard():
-            with self._lock:
-                reservation = self._reservations.get(slice_id)
-                if reservation is None:
-                    raise DriverAbsentError(
-                        self.domain, f"slice {slice_id} holds nothing"
-                    )
-                if reservation.state is not ReservationState.COMMITTED:
-                    raise DriverError(
-                        self.domain,
-                        f"cannot release reservation in state "
-                        f"{reservation.state.value}",
-                    )
-                self._claim(slice_id, "release")
-            # Free the backend *first*: if it fails, the reservation stays
-            # COMMITTED so the caller can retry instead of stranding the
-            # backend's capacity behind a forgotten record.
-            try:
-                self._do_release(slice_id)
-                with self._lock:
-                    self._reservations.pop(slice_id, None)
-                    reservation.state = ReservationState.RELEASED
-            finally:
-                self._unclaim(slice_id)
+        reservation = self._reservations.get(slice_id)
+        if reservation is None:
+            raise DriverAbsentError(self.domain, f"slice {slice_id} holds nothing")
+        if reservation.state is not ReservationState.COMMITTED:
+            raise DriverError(
+                self.domain,
+                f"cannot release reservation in state {reservation.state.value}",
+            )
+        # Free the backend *first*: if it fails, the reservation stays
+        # COMMITTED so the caller can retry instead of stranding the
+        # backend's capacity behind a forgotten record.
+        self._do_release(slice_id)
+        self._reservations.pop(slice_id, None)
+        reservation.state = ReservationState.RELEASED
 
     def resize(self, slice_id: str, spec: DomainSpec) -> Reservation:
         if not self.capabilities().supports_resize:
             raise DriverError(self.domain, "driver does not support resize")
-        with self._backend_guard():
-            with self._lock:
-                reservation = self._reservations.get(slice_id)
-                if reservation is None:
-                    raise DriverAbsentError(
-                        self.domain, f"slice {slice_id} holds nothing"
-                    )
-                self._claim(slice_id, "resize")
-            try:
-                details = self._do_resize(slice_id, spec, reservation)
-                with self._lock:
-                    reservation.spec = spec
-                    reservation.details.update(details)
-            finally:
-                self._unclaim(slice_id)
-            return reservation
+        reservation = self._reservations.get(slice_id)
+        if reservation is None:
+            raise DriverAbsentError(self.domain, f"slice {slice_id} holds nothing")
+        details = self._do_resize(slice_id, spec, reservation)
+        reservation.spec = spec
+        reservation.details.update(details)
+        return reservation
 
     def health(self, slice_id: str) -> Dict[str, Any]:
         if self.reservation_of(slice_id) is None:

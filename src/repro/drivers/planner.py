@@ -21,7 +21,7 @@ job — and without starting one at all when every backend is in-process:
   with the run queue empty the drainer *jumps* it to the next event
   instead of sleeping, so a batch replays exactly.
 - **One door** — no planner code runs on a foreign thread.  A walled
-  driver's worker (see :class:`~repro.drivers.base.DomainDriver`)
+  driver's worker (see :class:`~repro.drivers.walled.Walled`)
   *posts* its future's resolution through the registry's door, and the
   drainer runs what was posted whenever it loops; with nothing
   runnable it waits on the door up to the next walled deadline.  A
@@ -54,8 +54,8 @@ its other domains are rolled back immediately, and the straggler is
 by the batch while it drains, else where it lands: on the clock, at
 ``release_stall``, or for a walled straggler at the next drain of the
 door — so no residue survives a late success.  The one wall-time
-deadline is that of an op on ``DomainDriver._shim_async``'s worker: a
-backend that really blocks.
+deadline is that of an op on a :class:`~repro.drivers.walled.Walled`
+worker: a backend that really blocks.
 
 Transaction semantics are the blocking executor's: any failure inside a
 job unwinds *that job's* reservations in reverse registry order
@@ -99,6 +99,7 @@ from repro.drivers.base import (
     ResolvedFuture,
 )
 from repro.drivers.registry import DriverRegistry
+from repro.drivers.walled import Walled
 from repro.obs import NOOP_SPAN, default_observability
 from repro.drivers.transaction import (
     HOLDING,
@@ -619,7 +620,7 @@ class _Batch:
                 driver,
                 _TokenPool(capabilities.max_concurrent_installs),
                 capabilities.operation_timeout_s,
-                type(driver)._shim_async is DomainDriver._shim_async,
+                isinstance(driver, Walled),
             )
         self.lanes = lanes
         self.waves = planner.prepare_waves(list(lanes))

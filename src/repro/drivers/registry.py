@@ -21,6 +21,7 @@ from collections import deque
 from typing import Callable, Dict, List, Optional
 
 from repro.drivers.base import DomainDriver, DriverError
+from repro.drivers.walled import Walled
 from repro.sim.engine import Simulator
 
 
@@ -40,7 +41,7 @@ class DriverRegistry:
       runs it with :meth:`run_posted`.  A walled driver's worker posts
       its future's resolution here.
 
-    ``register`` binds both to the driver.
+    ``register`` decides which drivers are walled and binds both.
     """
 
     def __init__(self, drivers: Optional[List[DomainDriver]] = None) -> None:
@@ -77,6 +78,10 @@ class DriverRegistry:
     def register(self, driver: DomainDriver, replace: bool = False) -> DomainDriver:
         """Add a driver under its ``domain`` name.
 
+        A driver whose class keeps :meth:`DomainDriver._shim_async` may
+        block: it goes inside a :class:`~repro.drivers.walled.Walled`
+        bound to the door.  ``clock`` is bound on the driver itself.
+
         Args:
             driver: The backend to plug in.
             replace: Allow swapping out an already-registered domain —
@@ -84,7 +89,8 @@ class DriverRegistry:
                 care (it may still track reservations to drain).
 
         Returns:
-            The displaced driver when one was replaced, else ``driver``.
+            The displaced driver when one was replaced, else the one
+            registered (``driver``, or its ``Walled`` wrapper).
 
         Raises:
             TypeError: If ``driver`` is not a :class:`DomainDriver`.
@@ -96,9 +102,14 @@ class DriverRegistry:
         previous = self._drivers.get(domain)
         if previous is not None and not replace:
             raise DriverError(domain, "domain already registered")
+        if type(driver)._shim_async is DomainDriver._shim_async:
+            driver = Walled(driver)
         self._drivers[domain] = driver
-        driver.clock = self.clock
-        driver.post = self.post
+        if isinstance(driver, Walled):
+            driver.post = self.post
+            driver.inner.clock = self.clock
+        else:
+            driver.clock = self.clock
         return previous if previous is not None else driver
 
     def get(self, domain: str) -> DomainDriver:

@@ -1,9 +1,9 @@
 """The in-process adapters' capabilities are constants, built once.
 
-``capabilities()`` is read on every lifecycle call (the serial-lock
-guard, ``resize``, the resize filter, the planner's snapshot), so each
-adapter hands back one frozen instance instead of building four
-constants per read.  These tests pin the instance and every field.
+``capabilities()`` is read over and over (``resize``, the resize
+filter, the heal loop, the planner's snapshot), so each adapter hands
+back one frozen instance instead of building four constants per read.
+These tests pin the instance and every field.
 """
 
 from __future__ import annotations

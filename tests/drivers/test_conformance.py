@@ -2,7 +2,8 @@
 
 The *same* contract tests run against every registered backend — the
 four adapters over the simulator controllers, the in-memory mock and a
-minimal third-party driver that inherits every default — so any future
+minimal third-party driver that inherits every default, behind the
+``Walled`` wrapper the registry would put it in — so any future
 driver (a real SDN controller, an alternate simulator)
 has an executable specification: build a ``DriverCase`` for it, add it
 to ``CASES``, and the full lifecycle/state-machine surface is covered.
@@ -43,6 +44,7 @@ from repro.drivers.base import (
 )
 from repro.drivers.mock import MockDriver
 from repro.drivers.registry import DriverRegistry
+from repro.drivers.walled import Walled
 from repro.epc.components import epc_template
 from repro.experiments.testbed import build_testbed
 from repro.core.slices import PlmnPool
@@ -201,8 +203,8 @@ def _mock_case() -> DriverCase:
 
 class ThirdPartyDriver(BaseDriver):
     """A backend this codebase knows nothing about: blocking ``_do_*``
-    hooks over a scalar pool, and the async surface it *inherits* —
-    ``DomainDriver``'s hand-off of every call to a worker thread."""
+    hooks over a scalar pool and no async surface of its own, so it runs
+    behind ``Walled``'s hand-off of every call to a worker thread."""
 
     domain = "thirdparty"
 
@@ -236,7 +238,7 @@ def _thirdparty_case() -> DriverCase:
 
     return DriverCase(
         "thirdparty",
-        ThirdPartyDriver(),
+        Walled(ThirdPartyDriver()),
         new_spec,
         lambda: new_spec(throughput_mbps=10_000.0),  # over the whole pool
     )
@@ -377,8 +379,9 @@ class TestRepair:
 class TestAsyncLifecycle:
     """The futures-based lifecycle is part of the driver contract: a
     natively asynchronous backend (the mock), the in-process adapters,
-    which resolve inline on the caller's thread, and a driver inheriting
-    the default hand-off to a worker thread must expose the same surface — the future resolves to the blocking method's
+    which resolve inline on the caller's thread, and a driver behind
+    ``Walled``'s hand-off to a worker thread must expose the same
+    surface — the future resolves to the blocking method's
     result, and backend errors resolve the future instead of raising at
     the call site."""
 
@@ -749,7 +752,7 @@ class TestConcurrency:
             plans.append(plan)
         unexpected = _run_interleaved(case.driver, plans)
         assert not unexpected, unexpected
-        assert case.driver.reservations() == []
+        assert case.driver.list_reservations() == []
         _assert_matches(before, case.driver.utilization())
 
     def test_injected_prepare_failures_leave_zero_residue(self, case):
@@ -769,7 +772,7 @@ class TestConcurrency:
             )
         unexpected = _run_interleaved(case.driver, plans)
         assert not unexpected, unexpected
-        assert case.driver.reservations() == []
+        assert case.driver.list_reservations() == []
         _assert_matches(before, case.driver.utilization())
 
     def test_injected_commit_failures_leave_zero_residue(self, case):
@@ -780,14 +783,14 @@ class TestConcurrency:
         specs = [case.new_spec() for _ in range(N_WORKERS * 2)]
         if isinstance(case.driver, MockDriver):
             case.driver.fail_next_commit = 3
-        before_reservations = len(case.driver.reservations())
+        before_reservations = len(case.driver.list_reservations())
         plans = [
             [(spec, "install") for spec in specs[w::N_WORKERS]]
             for w in range(N_WORKERS)
         ]
         unexpected = _run_interleaved(case.driver, plans)
         assert not unexpected, unexpected
-        assert len(case.driver.reservations()) == before_reservations
+        assert len(case.driver.list_reservations()) == before_reservations
         if isinstance(case.driver, MockDriver):
             assert case.driver.held_mbps == pytest.approx(0.0)
 
@@ -805,4 +808,4 @@ class TestConcurrency:
         assert len(wins) == 1, outcomes
         assert case.driver.reservation_of(spec.slice_id) is wins[0]
         case.driver.rollback(wins[0])
-        assert case.driver.reservations() == []
+        assert case.driver.list_reservations() == []

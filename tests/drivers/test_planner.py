@@ -22,6 +22,7 @@ from repro.drivers.mock import MockDriver
 from repro.drivers.planner import BatchInstallPlanner, InstallJob, _JobRun, _Op
 from repro.drivers.registry import DriverRegistry
 from repro.drivers.transaction import OperationTimeout, TransactionError
+from repro.drivers.walled import Walled
 from repro.experiments.testbed import TestbedConfig, build_testbed
 from repro.obs.registry import ControlPlaneObservability
 from repro.sim.engine import Simulator
@@ -76,11 +77,16 @@ def committed_mbps(driver: MockDriver) -> float:
     )
 
 
+def backends(registry: DriverRegistry) -> List[MockDriver]:
+    """The registered drivers, each walled one as the driver inside."""
+    return [d.inner if isinstance(d, Walled) else d for d in registry.drivers()]
+
+
 def assert_zero_residue(registry: DriverRegistry) -> None:
     """The global conservation invariant: what a backend physically
     holds equals exactly the sum of its COMMITTED reservations, and no
     reservation is stranded mid-lifecycle."""
-    for driver in registry.drivers():
+    for driver in backends(registry):
         for reservation in driver.reservations():
             assert reservation.state is ReservationState.COMMITTED
         assert driver.held_mbps == pytest.approx(committed_mbps(driver))
@@ -314,9 +320,11 @@ class TestConcurrencyCaps:
 
 
 class Blocking(MockDriver):
-    """A walled driver with calls that really block: its first prepare
-    waits on ``gate``, on whichever worker the hand-off gave it.  Its
-    hooks run on those workers, so a lock of its own guards them."""
+    """A driver with calls that really block: it puts back
+    ``DomainDriver``'s ``_shim_async`` (no async surface of its own), so
+    the registry walls it.  Its first prepare waits on ``gate``, on
+    whichever worker the hand-off gave it.  Its hooks run on those
+    workers, so a lock of its own guards them."""
 
     _shim_async = DomainDriver._shim_async
 
@@ -444,17 +452,17 @@ class TestStallIsolation:
         draining the batch — under a wall-time deadline, and is
         compensated at the next drain once it returned."""
         drainer = threading.get_ident()
+        blocking = Blocking(
+            domain="beta", capacity_mbps=1e4, max_concurrent_installs=8,
+            operation_timeout_s=self.TIMEOUT_S,
+        )
         registry = DriverRegistry(
             [
                 MockDriver(domain="alpha", capacity_mbps=1e4, operation_timeout_s=self.TIMEOUT_S),
-                Blocking(
-                    domain="beta", capacity_mbps=1e4, max_concurrent_installs=8,
-                    operation_timeout_s=self.TIMEOUT_S,
-                ),
+                blocking,
                 MockDriver(domain="gamma", capacity_mbps=1e4, operation_timeout_s=self.TIMEOUT_S),
             ]
         )
-        blocking = registry.get("beta")
         compensated = threading.Event()
         planner = BatchInstallPlanner(
             registry, max_workers=8, on_record=lambda *record: compensated.set()
@@ -472,7 +480,7 @@ class TestStallIsolation:
         planner.drain_events()
         assert compensated.wait(timeout=30), "late completion on the worker was not compensated"
         assert planner.ops_compensated == 1
-        for driver in registry.drivers():
+        for driver in backends(registry):
             assert {r.slice_id for r in driver.reservations()} == {
                 o.job.slice_id for o in outcomes if o.ok
             }
@@ -500,15 +508,11 @@ class TestStallIsolation:
 
         spy(_Op, "_completed")
         spy(_JobRun, "op_done")
-        registry = DriverRegistry(
-            [
-                Blocking(
-                    domain="walled", capacity_mbps=1e4, max_concurrent_installs=8,
-                    operation_timeout_s=self.TIMEOUT_S,
-                )
-            ]
+        blocking = Blocking(
+            domain="walled", capacity_mbps=1e4, max_concurrent_installs=8,
+            operation_timeout_s=self.TIMEOUT_S,
         )
-        blocking = registry.get("walled")
+        registry = DriverRegistry([blocking])
         recorded_on: List[int] = []
         planner = BatchInstallPlanner(
             registry, on_record=lambda *record: recorded_on.append(threading.get_ident())

@@ -1,11 +1,11 @@
 """A shard's control plane is entered by one thread at a time.
 
-Only two modules deal in threads: ``drivers/base.py``, whose walled
-drivers run blocking calls on a worker (and keep the locks that worker
-shares with the shard), and ``drivers/registry.py``, whose door is the
-one thread-safe way into a shard.  A lock anywhere else would guard
-against a caller the contract rules out, so a new ``threading`` import
-fails here by name.
+Only two modules deal in threads: ``drivers/walled.py``, whose wrapper
+runs a driver that may block on worker threads (and keeps the serial
+lock and in-flight guard those workers need), and
+``drivers/registry.py``, whose door is the one thread-safe way into a
+shard.  A lock anywhere else would guard against a caller the contract
+rules out, so a new ``threading`` import fails here by name.
 """
 
 from __future__ import annotations
@@ -18,4 +18,4 @@ def test_only_the_worker_hand_off_and_the_door_import_threading():
         hit.rpartition(":")[0]
         for hit in src_lines_matching(r"^\s*(import threading|from threading import)")
     }
-    assert modules == {"drivers/base.py", "drivers/registry.py"}
+    assert modules == {"drivers/registry.py", "drivers/walled.py"}

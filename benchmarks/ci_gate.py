@@ -69,7 +69,8 @@ broken:
   fixed seed: every scheduled outage must heal inside the horizon and
   the end-of-run audit must show zero lost slices and zero leaked
   reservations; the scenario scores (admission yield, violation rate,
-  heal convergence, report digest) are published in the artifact.
+  heal convergence, report digest) are published in the artifact, and
+  at the default packs and seed each digest must equal its pin.
 - **Epoch upkeep** — counted, not timed: 64 live slices, forecast
   overbooking on, 120 epochs, no outage.  Fails when a forecaster is
   fitted from scratch more than twice per slice (trust time, then the
@@ -202,8 +203,10 @@ D8D_SETTLED_S = 0.15
 #: in-process drivers answering with lock-free resolved futures and the
 #: batch knapsack's DP as one array step per item; ±0 for one wrapper
 #: owning every driver thread and lock (``drivers/walled.py``) and a
-#: lock-free ``BaseDriver``.
-SRC_LINES_CEILING = 20_421
+#: lock-free ``BaseDriver``; +29 for the scenario engine's draw-identity
+#: loops (no ``Generator.choice``/``uniform``; ``RequestMix`` keeps its
+#: cdf) and a serial walled backend's wait bounded by its deadline.
+SRC_LINES_CEILING = 20_450
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per
@@ -263,14 +266,16 @@ DRIVER_FROZEN_BUILT = 1472
 
 #: Scenario packs the D13 gate runs (tiny scales; the full
 #: commuter-failure pack runs in the nightly scenario job).
+DEFAULT_SCENARIO_PACKS = ("commuter-failure-smoke", "vehicular-corridor")
+DEFAULT_SCENARIO_SEED = 42
 SCENARIO_PACKS = tuple(
-    token
+    token.strip()
     for token in os.environ.get(
-        "D13_SCENARIO_PACKS", "commuter-failure-smoke,vehicular-corridor"
+        "D13_SCENARIO_PACKS", ",".join(DEFAULT_SCENARIO_PACKS)
     ).split(",")
     if token.strip()
 )
-SCENARIO_SEED = int(os.environ.get("D13_SCENARIO_SEED", "42"))
+SCENARIO_SEED = int(os.environ.get("D13_SCENARIO_SEED", str(DEFAULT_SCENARIO_SEED)))
 
 
 def _check_flatness(
@@ -522,10 +527,21 @@ def run_scenario_scores(failures: list) -> dict:
 
     A dirty audit (lost slices / leaked reservations) or an outage that
     never converges fails the gate; the scores themselves are published
-    so the survivability trajectory is inspectable per commit.
+    so the survivability trajectory is inspectable per commit.  At the
+    default packs and seed each report digest must also equal its pin
+    (``tests/scenarios/test_pinned_digests.py::D13_DIGESTS``): same
+    seed, same run, bit for bit.  Other packs or another seed have no
+    pin, so an override skips the comparison and says so.
     """
     from repro.scenarios import run_named
+    from tests.scenarios.test_pinned_digests import D13_DIGESTS
 
+    compared = (SCENARIO_PACKS, SCENARIO_SEED) == (DEFAULT_SCENARIO_PACKS, DEFAULT_SCENARIO_SEED)
+    if not compared:
+        print(
+            f"D13: packs {','.join(SCENARIO_PACKS)} at seed {SCENARIO_SEED} override "
+            "the defaults; digests published, not compared with the pins"
+        )
     packs = {}
     for name in SCENARIO_PACKS:
         report = run_named(name, seed=SCENARIO_SEED)
@@ -538,6 +554,11 @@ def run_scenario_scores(failures: list) -> dict:
             failures.append(
                 f"D13 {name}: only {report.outages_healed}/{report.outages} "
                 "outages converged inside the horizon"
+            )
+        if compared and report.digest != D13_DIGESTS[name]:
+            failures.append(
+                f"D13 {name}: digest {report.digest} != pinned {D13_DIGESTS[name]} "
+                f"at seed {SCENARIO_SEED}"
             )
         packs[name] = {
             "seed": SCENARIO_SEED,
@@ -557,7 +578,7 @@ def run_scenario_scores(failures: list) -> dict:
             "wall_s": round(report.wall_s, 3),
             "digest": report.digest,
         }
-    return {"seed": SCENARIO_SEED, "packs": packs}
+    return {"seed": SCENARIO_SEED, "digests_compared": compared, "packs": packs}
 
 
 def run_epoch_upkeep(failures: list) -> dict:
@@ -1247,7 +1268,8 @@ def main(argv=None) -> int:
         f"successor first poll {payload['failover_drill']['successor_first_poll_records']} "
         f"records / {payload['failover_drill']['successor_snapshot_parses']} snapshots, "
         f"first epoch {payload['failover_drill']['first_epoch_seed_sequences']} SeedSequences), "
-        f"D13 {len(payload['d13_scenarios']['packs'])} scenario packs clean, "
+        f"D13 {len(payload['d13_scenarios']['packs'])} scenario packs clean"
+        f"{', digests as pinned' if payload['d13_scenarios']['digests_compared'] else ''}, "
         f"epoch upkeep {payload['epoch_upkeep']['fits']} fits / "
         f"{payload['epoch_upkeep']['slices']} slices, "
         f"{payload['epoch_upkeep']['quiet_epoch_slots_checked']} keys compared in a quiet epoch "

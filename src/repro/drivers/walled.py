@@ -5,7 +5,9 @@ async surface of its own inside a :class:`Walled`: its ``*_async`` calls
 run on daemon workers that post each resolution through the registry's
 door, so a blocking backend never parks the shard's thread.  As the one
 place a second thread enters a driver, it guards it: a slice with a call
-in flight refuses another, and a serial backend takes one at a time.
+in flight refuses another, and a serial backend takes one at a time,
+a call waiting its turn no longer than the driver's
+``operation_timeout_s``.
 """
 
 from __future__ import annotations
@@ -68,7 +70,9 @@ class Walled(DomainDriver):
         return future
 
     def _guarded(self, operation: str, slice_id: str, *args: Any) -> Any:
-        """``inner.<operation>(*args)``, ``slice_id`` claimed."""
+        """``inner.<operation>(*args)``, ``slice_id`` claimed.  A serial
+        backend's call waits its turn up to ``operation_timeout_s`` (with
+        none, as long as it takes, as the planner waits) and then fails."""
         with self._claims:
             if slice_id in self._in_flight:
                 raise DriverError(
@@ -79,10 +83,20 @@ class Walled(DomainDriver):
             self._in_flight.add(slice_id)
         try:
             call = getattr(self.inner, operation)
-            if self.inner.capabilities().max_concurrent_installs > 1:
+            capabilities = self.inner.capabilities()
+            if capabilities.max_concurrent_installs > 1:
                 return call(*args)
-            with self._serial:
+            deadline_s = capabilities.operation_timeout_s
+            if not self._serial.acquire(timeout=-1 if deadline_s is None else deadline_s):
+                raise DriverError(
+                    self.domain,
+                    f"serial backend busy: {operation} of slice {slice_id} "
+                    f"waited {deadline_s} s behind the call in flight",
+                )
+            try:
                 return call(*args)
+            finally:
+                self._serial.release()
         finally:
             self._in_flight.discard(slice_id)
 

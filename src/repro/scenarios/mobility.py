@@ -20,6 +20,11 @@ plug into later.
 Determinism: models draw only from the ``numpy`` generator they are
 handed; the same generator state yields the same timeline.  Ties in
 handover times are broken by (time, user index) so sorting is total.
+Each value comes from the cheapest call that reads the same stream and
+returns the same bits as the textbook one: ``seq[rng.integers(len(seq))]``
+for ``Generator.choice`` over ``seq``, ``lo + (hi - lo) * rng.random()``
+for ``rng.uniform(lo, hi)`` (``tests/properties/test_draw_identity.py``
+keeps the textbook loops as the oracle).
 """
 
 from __future__ import annotations
@@ -148,18 +153,21 @@ class CommuterTides(MobilityModel):
     ) -> MobilityTimeline:
         edge_cells = list(range(n_cells // 2))
         core_cells = list(range(n_cells // 2, n_cells))
-        initial = [int(rng.choice(edge_cells)) for _ in range(n_users)]
+        initial = rng.integers(0, len(edge_cells), size=n_users).tolist()
         commutes = rng.random(n_users) < self.commuter_fraction
+        out_lo, out_hi = self.morning
+        back_lo, back_hi = self.evening
+        out_span, back_span = out_hi - out_lo, back_hi - back_lo
         events: List[HandoverEvent] = []
         for user in range(n_users):
             if not commutes[user]:
                 continue
-            work_cell = int(rng.choice(core_cells))
-            out_t = float(rng.uniform(*self.morning)) * horizon_s
+            work_cell = core_cells[rng.integers(len(core_cells))]
+            out_t = (out_lo + out_span * rng.random()) * horizon_s
             events.append(HandoverEvent(out_t, user, initial[user], work_cell))
-            back_t = float(rng.uniform(*self.evening)) * horizon_s
+            back_t = (back_lo + back_span * rng.random()) * horizon_s
             if back_t < horizon_s:
-                home_cell = int(rng.choice(edge_cells))
+                home_cell = edge_cells[rng.integers(len(edge_cells))]
                 events.append(HandoverEvent(back_t, user, work_cell, home_cell))
         events.sort(key=lambda e: (e.time_s, e.user))
         return MobilityTimeline(n_cells, initial, events)
@@ -205,13 +213,15 @@ class VehicularCorridor(MobilityModel):
     ) -> MobilityTimeline:
         initial = [0] * n_users
         dwell_base = self.dwell_fraction * horizon_s / max(1, n_cells)
+        depart_lo, depart_hi = self.depart
+        depart_span = depart_hi - depart_lo
+        jitter_lo = -self.dwell_jitter
+        jitter_span = self.dwell_jitter - jitter_lo
         events: List[HandoverEvent] = []
         for vehicle in range(n_users):
-            t = float(rng.uniform(*self.depart)) * horizon_s
+            t = (depart_lo + depart_span * rng.random()) * horizon_s
             for cell in range(n_cells - 1):
-                jitter = 1.0 + float(
-                    rng.uniform(-self.dwell_jitter, self.dwell_jitter)
-                )
+                jitter = 1.0 + (jitter_lo + jitter_span * rng.random())
                 t += dwell_base * jitter
                 if t >= horizon_s:
                     break  # vehicle leaves the corridor past the horizon

@@ -9,6 +9,7 @@ admission benchmarks.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -41,16 +42,20 @@ class RequestMix:
     def __post_init__(self) -> None:
         if not self.weights:
             raise ValueError("request mix must contain at least one vertical")
+        if not all(weight >= 0 for weight in self.weights.values()):
+            raise ValueError("request mix weights must be non-negative")
         total = sum(self.weights.values())
-        if total <= 0:
+        if not 0 < total < np.inf:
             raise ValueError("request mix weights must sum to a positive value")
         self._types = list(self.weights)
-        self._probs = np.array([self.weights[t] for t in self._types]) / total
+        # The cdf ``Generator.choice`` builds from ``p`` per call, built
+        # once: one ``random()`` and a bisection draw the same vertical.
+        cdf = (np.array([self.weights[t] for t in self._types]) / total).cumsum()
+        self._cdf = (cdf / cdf[-1]).tolist()
 
     def sample_type(self, rng: np.random.Generator) -> ServiceType:
         """Draw one vertical according to the mix weights."""
-        idx = int(rng.choice(len(self._types), p=self._probs))
-        return self._types[idx]
+        return self._types[bisect_right(self._cdf, rng.random())]
 
     @classmethod
     def single(cls, service_type: ServiceType) -> "RequestMix":

@@ -6,7 +6,8 @@ class brings no async surface of its own is registered behind
 ``*_async`` call runs on a worker thread, so the wrapper keeps the two
 guards a second thread needs: a slice with a call in flight refuses
 another, and a serial backend (``max_concurrent_installs == 1``) never
-has two calls inside it at once.  These tests hang real workers on
+has two calls inside it at once, a call waiting its turn no longer than
+the driver's ``operation_timeout_s``.  These tests hang real workers on
 ``threading.Event``s, so the concurrency suite repeats them.
 """
 
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 import sys
 import threading
-from typing import Any, Dict
+import time
+from typing import Any, Dict, Optional
 
 import pytest
 
@@ -37,6 +39,11 @@ from tests.drivers.test_planner import Blocking
 #: Long enough for any worker to be parked on an event it waits for.
 PATIENCE_S = 30.0
 
+#: The serial-deadline tests' ``operation_timeout_s``, and how late past
+#: it a refused call may return on a loaded host.
+DEADLINE_S = 0.2
+SLACK_S = 2.0
+
 LOCK_TYPES = (type(threading.Lock()), type(threading.RLock()), threading.Condition)
 
 
@@ -47,10 +54,17 @@ class Hooked(BaseDriver):
 
     domain = "hooked"
 
-    def __init__(self, max_concurrent_installs: int, linger_s: float = 0.0) -> None:
+    def __init__(
+        self,
+        max_concurrent_installs: int,
+        linger_s: float = 0.0,
+        operation_timeout_s: Optional[float] = None,
+    ) -> None:
         super().__init__()
         self.caps = DriverCapabilities(
-            domain=self.domain, max_concurrent_installs=max_concurrent_installs
+            domain=self.domain,
+            max_concurrent_installs=max_concurrent_installs,
+            operation_timeout_s=operation_timeout_s,
         )
         self.linger_s = linger_s
         self.gate = threading.Event()
@@ -207,6 +221,62 @@ class TestSerialLock:
         settle(registry, *futures)
         assert [f.result(timeout=0).slice_id for f in futures] == ["s0", "s1"]
         assert inner.peak == peak
+
+
+class TestSerialDeadline:
+    def test_a_call_behind_a_hung_serial_backend_gives_up_at_the_deadline(self):
+        """A cap-1 backend with a 0.2 s deadline, its prepare of ``s0``
+        hung on a worker: a blocking release of ``s1`` on the shard's
+        thread gives up at the deadline, names the busy backend and
+        leaves ``s1`` unclaimed.  Once the worker is let go, the release
+        goes through and the straggler's PREPARED record is intact."""
+        inner = Hooked(max_concurrent_installs=1, operation_timeout_s=DEADLINE_S)
+        registry = DriverRegistry([inner])
+        walled = registry.get("hooked")
+        walled.commit(walled.prepare(DomainSpec(slice_id="s1", throughput_mbps=1.0)))
+        inner.gate.clear()
+        inner.entered.clear()
+        spec = DomainSpec(slice_id="s0", throughput_mbps=1.0)
+        future = walled.prepare_async(spec)
+        try:
+            assert inner.entered.wait(timeout=PATIENCE_S)
+            for attempt in range(2):
+                # The blocking call runs on a helper joined with a
+                # timeout: a wait that ignores the deadline fails here
+                # instead of hanging the suite.  The second attempt
+                # would be refused as in flight had the first kept
+                # its claim on ``s1``.
+                outcome: Dict[str, Any] = {}
+
+                def release_s1() -> None:
+                    started = time.monotonic()
+                    try:
+                        walled.release("s1")
+                    except DriverError as exc:
+                        outcome["error"] = exc
+                    outcome["waited_s"] = time.monotonic() - started
+
+                helper = threading.Thread(target=release_s1, name=f"shard-{attempt}", daemon=True)
+                helper.start()
+                helper.join(timeout=DEADLINE_S + SLACK_S)
+                assert not helper.is_alive(), "release('s1') waits past the deadline"
+                assert outcome["error"].domain == "hooked"
+                assert outcome["error"].message == (
+                    "serial backend busy: release of slice s1 "
+                    f"waited {DEADLINE_S} s behind the call in flight"
+                )
+                assert DEADLINE_S <= outcome["waited_s"] < DEADLINE_S + SLACK_S
+            assert inner.reservation_of("s1").state is ReservationState.COMMITTED
+            assert not future.done()
+        finally:
+            inner.gate.set()
+        settle(registry, future)
+        walled.release("s1")
+        assert inner.reservation_of("s1") is None
+        reservation = future.result(timeout=0)
+        assert inner.reservations() == [reservation]
+        assert reservation.state is ReservationState.PREPARED
+        assert reservation.spec is spec and reservation.details == {"hooked": "s0"}
 
 
 def test_many_workers_in_one_driver_lose_no_record():

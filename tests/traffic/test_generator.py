@@ -65,6 +65,14 @@ class TestMix:
         with pytest.raises(ValueError):
             RequestMix(weights={ServiceType.EMBB: 0.0})
 
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_weights_that_make_no_distribution_are_rejected_up_front(self, bad):
+        """A draw bisects a cdf built once, which checks nothing per
+        call, so a negative, NaN or infinite weight fails at
+        construction, not at a later draw."""
+        with pytest.raises(ValueError):
+            RequestMix(weights={ServiceType.EMBB: 2.0, ServiceType.URLLC: bad})
+
 
 class TestGenerator:
     def test_batch_respects_horizon(self, rng):

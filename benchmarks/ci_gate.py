@@ -205,8 +205,10 @@ D8D_SETTLED_S = 0.15
 #: owning every driver thread and lock (``drivers/walled.py``) and a
 #: lock-free ``BaseDriver``; +29 for the scenario engine's draw-identity
 #: loops (no ``Generator.choice``/``uniform``; ``RequestMix`` keeps its
-#: cdf) and a serial walled backend's wait bounded by its deadline.
-SRC_LINES_CEILING = 20_450
+#: cdf) and a serial walled backend's wait bounded by its deadline; −28
+#: for one admission queue, the fold's (recovery installs what its
+#: rebase queued; the orchestrator's epoch-drained queue is gone).
+SRC_LINES_CEILING = 20_422
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per
@@ -425,13 +427,14 @@ def run_recovery_smoke(failures: list) -> dict:
     import time
 
     from repro.core.orchestrator import Orchestrator, OrchestratorConfig
-    from repro.core.slices import PlmnPool
+    from repro.core.slices import PlmnPool, slice_id_for
     from repro.drivers.base import DomainSpec, ReservationState
     from repro.drivers.mock import MockDriver
     from repro.experiments.testbed import TestbedConfig, build_testbed
     from repro.sim.engine import Simulator
     from repro.sim.randomness import RandomStreams
     from repro.store import ControlPlaneStore, RecoveryManager
+    from repro.store.codec import request_to_dict
     from repro.traffic.patterns import ConstantProfile
     from tests.conftest import make_request
 
@@ -468,9 +471,10 @@ def run_recovery_smoke(failures: list) -> dict:
         ConstantProfile(5.0),
         start_time=1_000.0,
     )
-    first.enqueue_admitted(
-        make_request(throughput_mbps=5.0), ConstantProfile(5.0)
-    )
+    # A queued admission as the previous format journaled it: nothing
+    # writes one today, and the restart must install it.
+    queued = make_request(throughput_mbps=5.0)
+    first.store.append("admission.enqueued", time=first.sim.now, request=request_to_dict(queued))
     first.store.close(sync=False)  # SIGKILL: the dead process's writes never land
     # Residue no journal record owns: the restart must undo both orphans.
     firewall.prepare(DomainSpec(slice_id="smoke-orphan-prepared", throughput_mbps=5.0))
@@ -500,6 +504,11 @@ def run_recovery_smoke(failures: list) -> dict:
             f"recovery smoke: bookings_restored={report.bookings_restored}, "
             f"admissions_requeued={report.admissions_requeued} (1/1 expected)"
         )
+    if slice_id_for(queued.request_id) not in live_ids or restarted.durable.fold.queued:
+        failures.append(
+            "recovery smoke: the queued admission was not installed by the restart "
+            f"(still queued: {sorted(restarted.durable.fold.queued)})"
+        )
     for driver in testbed.registry.drivers():
         reservations = driver.list_reservations()
         leaked = {r.slice_id for r in reservations} - live_ids
@@ -518,6 +527,8 @@ def run_recovery_smoke(failures: list) -> dict:
         "slices_adopted": report.slices_adopted,
         "slices_lost": report.slices_lost,
         "orphans_compensated": report.orphans_compensated,
+        "admissions_requeued": report.admissions_requeued,
+        "bookings_promoted": report.bookings_promoted,
         "recovery_s": round(recovery_s, 4),
     }
 

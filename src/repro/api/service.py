@@ -698,7 +698,6 @@ class SliceService:
                 "time": orchestrator.sim.now,
                 "live_slices": len(live),
                 "active_slices": len(orchestrator.active_slices()),
-                "pending_installs": orchestrator.pending_installs,
                 "pending_bookings": len(orchestrator.pending_bookings()),
                 "plmn_available": orchestrator.plmn_pool.available,
                 "quota_tenants": sorted(orchestrator.quotas),

@@ -319,7 +319,7 @@ class ShardRouter(RestApi):
     # ------------------------------------------------------------------
     def _get_admin_state(self, request: Request) -> Response:
         shards: Dict[str, dict] = {}
-        totals = {"live_slices": 0, "active_slices": 0, "pending_installs": 0}
+        totals = {"live_slices": 0, "active_slices": 0}
         for shard in self.shards:
             state = shard.service.admin_state()
             shards[str(shard.shard_id)] = state

@@ -574,8 +574,8 @@ class LiveFleet:
 
     def default_profile(self, request: SliceRequest) -> TrafficProfile:
         """The vertical-preset traffic profile for a request: the one the
-        v1 API attaches at creation, and the one recovery (and re-enqueued
-        admissions) draws again when the original object died with the
+        v1 API attaches at creation, and the one recovery (and its queued
+        installs) draws again when the original object died with the
         old process — the same shape, since both read the same key.
         Keyed by request id, never a shared stream, so drawing it late
         (:meth:`profile`) moves no other draw; the peak is the current

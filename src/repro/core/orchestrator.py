@@ -29,7 +29,6 @@ over the uniform :class:`~repro.drivers.base.DomainDriver` contract.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
@@ -68,7 +67,7 @@ from repro.core.slices import (
     SliceRequest,
     SliceState,
 )
-from repro.obs import NOOP_OBS, ControlPlaneObservability
+from repro.obs import NOOP_OBS, ControlPlaneObservability, enabled_by_env
 from repro.ran.controller import PlannedCellLoad
 from repro.sim.engine import Simulator
 from repro.store.codec import request_to_dict
@@ -153,9 +152,7 @@ class OrchestratorConfig:
     checkpoint_every_records: int = 512
     journal_fsync_every: int = 16
     shard_id: Optional[int] = None
-    observability: bool = field(
-        default_factory=lambda: os.environ.get("REPRO_OBS_ENABLED", "") == "1"
-    )
+    observability: bool = field(default_factory=enabled_by_env)
     observability_slow_span_ms: float = 250.0
 
 
@@ -218,9 +215,6 @@ class Orchestrator:
         #: The one tenant quota table: written by :meth:`set_quota`
         #: (journaled), refilled by recovery; the service layer enforces it.
         self.quotas: Dict[str, TenantQuota] = {}
-        #: (request, profile, optional decision callback) awaiting the
-        #: next batched install (drained every monitoring epoch).
-        self._admission_queue: List[Tuple[SliceRequest, TrafficProfile, Optional[Callable[[AdmissionDecision], None]]]] = []
         #: Advance bookings promised and not yet installed:
         #: ``request_id -> (request, start_time)`` (journaled, so the
         #: promises survive a restart).
@@ -232,8 +226,8 @@ class Orchestrator:
             # driver incidents) are journaled on their own; the rest
             # ride in their transition's record.
             self.events.sink = self.durable.journal_event
-        # Fleet-scale installs: admission bursts (broker windows, the
-        # epoch-drained admission queue) run through the event-driven
+        # Fleet-scale installs: admission bursts (broker windows, a
+        # recovery's queued admissions) run through the event-driven
         # async batch planner instead of looping slice-by-slice.
         self.planner = BatchInstallPlanner(
             self.registry,
@@ -640,38 +634,6 @@ class Orchestrator:
             network_slice, profile, size, job_span, install_sequentially(self.registry, job)
         )
 
-    def enqueue_admitted(
-        self,
-        request: SliceRequest,
-        profile: TrafficProfile,
-        on_decision: Optional[Callable[[AdmissionDecision], None]] = None,
-    ) -> None:
-        """Queue an already-admitted request for the next batched
-        install — the monitoring-epoch loop drains the queue through the
-        concurrent :class:`~repro.drivers.planner.BatchInstallPlanner`
-        instead of installing slice-by-slice.  ``on_decision`` (if any)
-        fires with the final install outcome when the batch lands."""
-        self.durable.journal("admission.enqueued", request=request_to_dict(request))
-        self._admission_queue.append((request, profile, on_decision))
-
-    @property
-    def pending_installs(self) -> int:
-        """Admitted requests queued for the next batched install."""
-        return len(self._admission_queue)
-
-    def _drain_admission_queue(self) -> None:
-        """Monitoring-epoch drain: batch-install everything queued."""
-        if not self._admission_queue:
-            return
-        queued, self._admission_queue = self._admission_queue, []
-        with self.store.batch():  # one fsync, before any callback tells
-            decisions = self.install_admitted_batch(
-                [(request, profile) for request, profile, _ in queued]
-            )
-        for (_, _, on_decision), decision in zip(queued, decisions):
-            if on_decision is not None:
-                on_decision(decision)
-
     def install_admitted_batch(
         self,
         admissions: List[Tuple[SliceRequest, TrafficProfile]],
@@ -943,7 +905,6 @@ class Orchestrator:
         obs = self.obs
         epoch_started = perf_counter() if obs.enabled else None
         if epoch_started is not None:
-            obs.gauge_set("queue.pending_installs", float(len(self._admission_queue)))
             obs.gauge_set("queue.stuck_releases", float(len(self.fleet.releases.stuck)))
         self._epoch_counter += 1
         now = self.sim.now
@@ -958,9 +919,6 @@ class Orchestrator:
         # the newest journaled time, so an idle control plane must
         # still bound its crash-time estimate to one epoch.
         self.durable.journal("clock.tick", epoch=self._epoch_counter)
-        # Fleet-scale installs: drain everything admitted since the last
-        # epoch through the concurrent batch planner in one go.
-        self._drain_admission_queue()
         # Late stragglers are compensated (a walled one only now, at
         # this drain) and surface as events.
         self._drain_planner_events()
@@ -1038,7 +996,7 @@ class Orchestrator:
             "southbound": {
                 "domains": self.registry.domains(),
                 "capabilities": self.registry.capabilities(),
-                "planner": {**self.planner.status(), "pending_installs": self.pending_installs},
+                "planner": self.planner.status(),
             },
             "durability": self.store.status(),
             "observability": self.obs.status(),

@@ -24,6 +24,7 @@ from repro.obs.registry import (
     ControlPlaneObservability,
     NoopObservability,
     default_observability,
+    enabled_by_env,
 )
 from repro.obs.span import Span, SpanContext, Tracer
 
@@ -38,4 +39,5 @@ __all__ = [
     "SpanContext",
     "Tracer",
     "default_observability",
+    "enabled_by_env",
 ]

@@ -269,13 +269,16 @@ class NoopObservability:
 NOOP_OBS = NoopObservability()
 
 
-def default_observability() -> "ControlPlaneObservability | NoopObservability":
-    """The process default: enabled only when ``REPRO_OBS_ENABLED=1``
+def enabled_by_env() -> bool:
+    """The process-wide switch: on only when ``REPRO_OBS_ENABLED=1``
     (how CI's concurrency-repeat and soak jobs switch it on without
     threading a config through every harness)."""
-    if os.environ.get("REPRO_OBS_ENABLED", "") == "1":
-        return ControlPlaneObservability()
-    return NOOP_OBS
+    return os.environ.get("REPRO_OBS_ENABLED", "") == "1"
+
+
+def default_observability() -> "ControlPlaneObservability | NoopObservability":
+    """The process default: a live registry when :func:`enabled_by_env`."""
+    return ControlPlaneObservability() if enabled_by_env() else NOOP_OBS
 
 
 __all__ = [
@@ -284,4 +287,5 @@ __all__ = [
     "NOOP_SPAN",
     "NoopObservability",
     "default_observability",
+    "enabled_by_env",
 ]

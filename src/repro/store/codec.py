@@ -28,7 +28,8 @@ reads any record with an ``event`` field); ``+trail``: a batched job's
 driver trail, every landed prepare/commit/rollback/release — not folded.
 
 ===================== ==========================================================
-``admission.enqueued`` request queued for the next batched install
+``admission.enqueued`` read only: the previous format's request queued for
+                       the next batched install (recovery installs it)
 ``broker.enqueued``    request queued in a broker window, until its
                        ``install.started`` or ``slice.rejected``
 ``install.started``    install staged southbound (PLMN held, specs planned)
@@ -156,8 +157,9 @@ class ReplayState:
             (PLMN held, southbound work dispatched) but was never
             acknowledged — the reconciliation matrix decides its fate
             against driver ground truth.
-        queued: request_id → request dict of journaled-but-uninstalled
-            admissions (re-enqueued on recovery).
+        queued: request_id → request dict of admitted-but-uninstalled
+            requests, filled by a recovery's rebase (and a previous
+            format's records); the recovery installs them.
         broker_pending: request_id → request dict of requests sitting
             in a broker decision window that never flushed — the
             requests that used to die silently with the process.
@@ -238,8 +240,8 @@ class ReplayState:
         if kind == "admission.enqueued":
             request = data["request"]
             self.queued[request["request_id"]] = request
-            # A broker window resolves into the admission queue via the
-            # same journal; the window's claim on the request ends here.
+            # Only a previous format wrote it; the window's claim on the
+            # request ends here.
             self.broker_pending.pop(request["request_id"], None)
         elif kind == "broker.enqueued":
             request = data["request"]
@@ -318,9 +320,11 @@ class ReplayState:
     def _rebase(self, now: float, data: Dict[str, Any]) -> None:
         """Fold a recovery's in-memory re-adoption at ``now``, its first
         instant on the new clock, with recovery's and the adoption's own
-        expressions (bit-equal floats).  What recovery re-queues joins
-        ``queued`` here, ahead as in the live queue: a crash before its
-        ``admission.enqueued`` must not lose it."""
+        expressions (bit-equal floats).  The non-adopted in-flight
+        installs and the bookings that fell due join ``queued`` here,
+        in that order and ahead of what it held: this is the one
+        decision of what a recovery installs, and it reads ``queued``
+        back once the record is folded."""
         shift, crash_time = data["shift"], data["crash_time"]
         for slice_id in data["lost"]:
             self.live.pop(slice_id, None)

@@ -20,8 +20,8 @@ Durability discipline:
   an OS/power failure can lose without paying an fsync per record —
   the classic group-commit trade; ``fsync_every=1`` gives full
   synchronous durability, ``0`` disables fsync entirely), except
-- inside a :meth:`Journal.batch` (a broker window, the admission-queue
-  drain): **one** group commit, fsynced on exit, before the caller
+- inside a :meth:`Journal.batch` (a broker window, a recovery's queued
+  installs): **one** group commit, fsynced on exit, before the caller
   tells anyone of the batch's decisions.
 
 ``close(sync=False)`` is a killed process: appends stop, and what was

@@ -25,21 +25,19 @@ install started,      COMMITTED in every domain  re-adopt (the southbound
 never acked                                      finished what the dead
                                                  process started)
 install started,      partial (PREPARED holds,   compensate the residue as
-never acked           some domains missing)      orphans, then re-enqueue
-                                                 the admission
-enqueued, no install  —                          re-enqueue into the
-                                                 admission queue
+never acked           some domains missing)      orphans, then install it
+                                                 again in the queued batch
+queued, no install    —                          install it in the queued
+(previous format)                                batch
 (nothing)             any reservation            orphan: rollback PREPARED,
                                                  release COMMITTED
 ====================  =========================  ===========================
 
 Pending advance bookings are re-promised on the calendar with their
-windows rebased to the new clock (a booking whose start time passed
-while the orchestrator was down is promoted straight into the
-admission queue).  Re-adoption is one in-memory batch pass over every
-fully-COMMITTED slice.  Once per batch: the fleet is sized off one
-cell and one vEPC read, the calendar windows enter the index by one
-sort, the timer callbacks are bound.  Per slice only what it owns:
+windows rebased to the new clock.  Re-adoption is one in-memory batch
+pass over every fully-COMMITTED slice.  Once per batch: the fleet is
+sized off one cell and one vEPC read, the calendar windows enter the
+index by one sort, the timer callbacks are bound.  Per slice only what it owns:
 request, record, PLMN, runtime, window, timer, event.  (The per-slice
 loop before it also scanned the cells, sized anew, checked three
 transitions, bisected the calendar twice, formatted the PLMN and
@@ -52,6 +50,13 @@ onto the new clock — O(change), not O(fleet).  A crash before that
 record replays the *same* recovery from the same records; every record
 after it is on the new clock.  No checkpoint closes a recovery: the
 next auto-checkpoint compacts as it always does.
+
+The rebase also moves the half-done installs and the bookings that fell
+due during the outage into the fold's ``queued``, ahead of any queued
+admission a previous format journaled.  Recovery reads ``queued`` once,
+then, and installs it in that order as one batch under one group
+commit, before it re-offers the broker's undecided requests: an
+admitted request outranks an undecided one.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, TYPE_CHECKING
 
 from repro.core.admission import TenantQuota
-from repro.core.slices import SliceRequest, ensure_request_counter_at_least
+from repro.core.slices import ensure_request_counter_at_least
 from repro.drivers.base import Reservation, ReservationState
 from repro.drivers.transaction import HOLDING
 from repro.store.codec import ReplayState, request_from_dict
@@ -132,7 +137,8 @@ class RecoveryManager:
         Returns the :class:`RecoveryReport`; the ``recovery.rebased``
         record follows the adoption, and the ``recovery.completed``
         record carrying its event closes the recovery, both under the
-        journal's ordinary group commit.
+        journal's ordinary group commit; the queued installs between
+        them commit as one group.
         """
         started = _time.monotonic()
         orch = self.orchestrator
@@ -155,17 +161,16 @@ class RecoveryManager:
         orch.events.resume_from(state.last_event_seq)
 
         # This process folds what it journals into ``state`` from here
-        # on, and recovery's first record, its rebase, moves it: what
-        # the restore re-promises and re-offers is read before.
+        # on, and recovery's first record, its rebase, moves it: the
+        # bookings' old-clock starts and the re-offers are read before.
         orch.durable.seed(state)
-        advance = [(entry["request"], entry["start_time"]) for entry in state.advance.values()]
-        queued = list(state.queued.values())
+        advance = [(rid, e["request"], e["start_time"]) for rid, e in state.advance.items()]
         offered = [p for rid, p in state.broker_pending.items() if rid not in state.queued]
         truth = self._southbound_truth()
         adopted_ids = self._reconcile_slices(state, requests, truth, crash_time, report)
         self._compensate_orphans(truth, adopted_ids, report)
         self._restore_bookings(advance, crash_time, report)
-        self._requeue_admissions(queued, report)
+        self._install_queued(report)
         self._requeue_broker_windows(offered, report)
         self._restore_quotas(state, report)
         report.duration_s = _time.monotonic() - started
@@ -201,20 +206,16 @@ class RecoveryManager:
         report: RecoveryReport,
     ) -> set:
         """One planning pass: decide every slice, adopt the survivors in
-        memory as one batch, journal the rebase that states it, then
-        re-queue the half-done installs — their records follow the
-        rebase."""
+        memory as one batch and journal the rebase that states it; the
+        rebase moves the half-done installs into the fold's ``queued``."""
         orch = self.orchestrator
         # One shift moves every journaled instant onto the new clock.
         shift = orch.sim.now - crash_time
         adoptions: List[tuple] = []
-        requeue: List[SliceRequest] = []
         committed = ReservationState.COMMITTED
         # Acknowledged installs first (their calendar promises outrank
         # everything), then never-acked in-flight installs.
         for slice_id, image in list(state.live.items()) + list(state.in_flight.items()):
-            payload, known = image["request"], requests.get(slice_id)
-            request = known[1] if known and known[0] is payload else request_from_dict(payload)
             reservations = {
                 d: r for d, held in truth.items()
                 if (r := held.get(slice_id)) is not None and r.state is committed
@@ -222,6 +223,8 @@ class RecoveryManager:
             if truth and len(reservations) == len(truth):
                 # COMMITTED in every domain: adopt it, its instants moved
                 # onto the new clock.
+                payload, known = image["request"], requests.get(slice_id)
+                request = known[1] if known and known[0] is payload else request_from_dict(payload)
                 window = image.get("window")
                 adoptions.append((
                     request, image.get("plmn"), image.get("fraction", 1.0), reservations,
@@ -233,10 +236,8 @@ class RecoveryManager:
                 # Journal promised this slice; the southbound lost it.
                 report.slices_lost += 1
                 report.lost_slice_ids.append(slice_id)
-            else:
-                # Never acknowledged: the admission survives, the
-                # half-done install does not.
-                requeue.append(request)
+            # Else never acknowledged: the admission survives (the
+            # rebase queues it), the half-done install does not.
         # One adoption call for the fleet; it journals nothing, so a
         # crash inside it leaves the records a retry replays.
         adopted = {s.slice_id for s in orch.adopt_recovered_slices(adoptions)}
@@ -258,9 +259,6 @@ class RecoveryManager:
             lost=report.lost_slice_ids, adopted_in_flight=adopted_in_flight,
             last_event_seq=orch.events.last_seq,
         )
-        for request in requeue:
-            orch.enqueue_admitted(request, orch.fleet.default_profile(request))
-        report.admissions_requeued += len(requeue)
         return adopted
 
     # ------------------------------------------------------------------
@@ -301,37 +299,44 @@ class RecoveryManager:
     def _restore_bookings(
         self, advance: List[tuple], crash_time: float, report: RecoveryReport
     ) -> None:
+        """Re-promise each booking the rebase left in the fold's
+        ``advance``, its start as far out as at the crash; the rest fell
+        due during the outage and wait in ``queued``."""
         orch = self.orchestrator
-        for payload, start_time in advance:
-            request = request_from_dict(payload)
-            start_in_s = start_time - crash_time
-            if start_in_s <= 0:
-                # The promised start passed while we were down; install
-                # as soon as the control plane breathes again.
-                orch.enqueue_admitted(request, orch.fleet.default_profile(request))
-                report.bookings_promoted += 1
-            else:
-                orch.restore_advance_booking(request, start_in_s=start_in_s)
+        pending = orch.durable.fold.advance
+        for request_id, payload, start_time in advance:
+            if request_id in pending:
+                orch.restore_advance_booking(
+                    request_from_dict(payload), start_in_s=start_time - crash_time
+                )
                 report.bookings_restored += 1
+            else:
+                report.bookings_promoted += 1
 
-    def _requeue_admissions(self, queued: List[dict], report: RecoveryReport) -> None:
+    def _install_queued(self, report: RecoveryReport) -> None:
+        """Install every request the rebased fold holds admitted and not
+        installed, in its order, as one batch under one group commit:
+        one fsync, none when nothing is queued.  A failed install is
+        booked as a rejection, as any install's is."""
         orch = self.orchestrator
-        for payload in queued:
-            request = request_from_dict(payload)
-            orch.enqueue_admitted(request, orch.fleet.default_profile(request))
-            report.admissions_requeued += 1
+        queued = [request_from_dict(payload) for payload in orch.durable.fold.queued.values()]
+        report.admissions_requeued = len(queued) - report.bookings_promoted
+        if queued:
+            with orch.store.batch():
+                orch.install_admitted_batch(
+                    [(request, orch.fleet.default_profile(request)) for request in queued]
+                )
 
     def _requeue_broker_windows(self, offered: List[dict], report: RecoveryReport) -> None:
         """Re-offer requests that were sitting in a broker decision
         window the crash cut short (``broker.enqueued`` with no
         ``install.started`` or ``slice.rejected`` after it, and not
-        re-queued by :meth:`_requeue_admissions` already).  Unlike
-        journaled admissions these were
-        never *admitted* — the window died before deciding — so they go
-        back through full online admission (``Orchestrator.submit``),
-        not straight into the install queue; losers are booked as
-        ordinary rejections.  The original ``on_decision`` callbacks
-        died with the process."""
+        queued).  Unlike queued admissions these were never *admitted*
+        — the window died before deciding — so they go back through
+        full online admission (``Orchestrator.submit``) once the
+        admitted ones are installed; losers are booked as ordinary
+        rejections.  The original ``on_decision`` callbacks died with
+        the process."""
         orch = self.orchestrator
         for payload in offered:
             request = request_from_dict(payload)

@@ -31,6 +31,10 @@ Five guards on the warm-standby promotion path:
   writes, a checkpoint that compacts the journal and a torn tail; it
   promotes to what a cold restore builds.  The promoted standby keeps
   nothing of what it handed over, and any other standby starts cold.
+- **A promotion settles its queue** — an in-flight install the
+  southbound could not finish and a booking that fell due during the
+  outage, both queued by the rebase, are installed inside ``promote()``,
+  and the successor folds to what a cold fold of a copy reads.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from repro.cluster import ClusterConfig, ControlPlaneCluster
 import repro.core.allocation as allocation_module
 import repro.core.slices as slices_module
 from repro.core.overbooking import ForecastOverbooking
-from repro.core.slices import SliceState, peek_request_counter
+from repro.core.slices import SliceState, peek_request_counter, slice_id_for
 from repro.experiments.testbed import TestbedConfig, build_testbed
 from repro.sim.randomness import RandomStreams
 from repro.store import ControlPlaneStore, RecoveryManager
@@ -64,9 +68,11 @@ from repro.store.codec import ReplayState, json_default
 from repro.store.image import DurableImage
 from repro.store.journal import JournalRecord
 from repro.store.snapshot import SnapshotStore
+from repro.traffic.patterns import ConstantProfile
 
 from tests.cluster.conftest import build_cluster, slice_body, tenants_per_shard
-from tests.store.durable_reference import check_durable, live_state
+from tests.conftest import make_request
+from tests.store.durable_reference import check_durable, check_queue_settled, live_state
 
 EXAMPLE_MULTIPLIER = int(os.environ.get("HYPOTHESIS_EXAMPLE_MULTIPLIER", "1"))
 
@@ -843,3 +849,54 @@ def test_a_successor_standby_inherits_the_promoted_fold(seed, steps, more):
             cold.store.close()
         finally:
             cluster.close()
+
+
+def test_a_promotion_installs_what_its_rebase_queued(tmp_path):
+    """The leader dies with one install in flight, whose firewall commit
+    then fails, as does every other candidate's prepare there (the
+    southbound unwinds it: nothing to adopt), and with a booking due at
+    the crash instant whose install timer died with it.  The rebase
+    queues both; ``promote()`` installs both, and the successor standby,
+    starting from the handed-off fold, folds to what a cold fold of a
+    copy of the store reads."""
+    cluster = build_cluster(tmp_path, shards=1)
+    try:
+        worker = cluster.shard(VICTIM)
+        leader, firewall = worker.orchestrator, worker.testbed.registry.get("firewall")
+        standby = cluster.standby_for(VICTIM)
+        leader.sim.run_until(70.0)  # the t=60 epoch is durable
+        due = make_request(throughput_mbps=2.0, duration_s=600.0)
+        assert leader.submit_advance(due, ConstantProfile(2.0), start_time=leader.sim.now).admitted
+        standby.poll()
+
+        def kill() -> None:
+            cluster.kill_leader(VICTIM)
+            firewall.fail_next_commit, firewall.fail_next_prepare = 1, 99
+            firewall.release_stall()
+
+        firewall.stall(1, kinds=("commit",))
+        worker.testbed.registry.clock.schedule(0.0, kill)
+        half_done = make_request(throughput_mbps=2.0)
+        (decision,) = leader.install_admitted_batch([(half_done, ConstantProfile(2.0))])
+        assert not decision.admitted and worker.dead
+        firewall.fail_next_prepare = 0
+        for driver in worker.testbed.registry.drivers():
+            assert driver.reservation_of(slice_id_for(half_done.request_id)) is None
+
+        promotion = standby.promote(force=True)
+        promoted, report = promotion.orchestrator, promotion.report
+        assert (report.admissions_requeued, report.bookings_promoted) == (1, 1)
+        for request in (half_done, due):
+            assert promoted.slice(slice_id_for(request.request_id)).state is SliceState.DEPLOYING
+        check_queue_settled(promoted, [half_done.request_id, due.request_id])
+        check_durable(promoted)
+
+        cluster.adopt_promotion(VICTIM, promotion)
+        successor = cluster.standby_for(VICTIM)
+        successor.poll()
+        shutil.copytree(tmp_path / "store", tmp_path / "copy")
+        cold = ControlPlaneStore(str(tmp_path / "copy"), shard_id=VICTIM)
+        assert successor.state.digest() == cold.replay().digest() == promoted.durable.fold.digest()
+        cold.close()
+    finally:
+        cluster.close()

@@ -89,49 +89,32 @@ class TestSubmission:
             orchestrator.slice("slice-999999")
 
 
-class TestAdmissionQueue:
-    """The epoch-drained admission queue over the batch planner."""
+class TestBatchInstall:
+    """``install_admitted_batch``: already-admitted requests through the
+    batch planner, decided when the call returns."""
 
-    def test_enqueued_admissions_install_on_the_next_epoch(self, orchestrator):
-        decisions = []
-        requests = []
-        for i in range(3):
-            request = make_request(throughput_mbps=8.0 + i)
-            requests.append(request)
-            orchestrator.enqueue_admitted(
-                request,
-                ConstantProfile(request.sla.throughput_mbps, level=0.5, noise_std=0.0),
-                on_decision=decisions.append,
-            )
-        assert orchestrator.pending_installs == 3
-        assert decisions == []  # nothing installs before the epoch fires
-        orchestrator.sim.run_until(61.0)
-        assert orchestrator.pending_installs == 0
-        assert len(decisions) == 3
+    def test_admitted_requests_install_as_one_planner_batch(self, orchestrator):
+        requests = [make_request(throughput_mbps=8.0 + i) for i in range(3)]
+        decisions = orchestrator.install_admitted_batch([
+            (request, ConstantProfile(request.sla.throughput_mbps, level=0.5, noise_std=0.0))
+            for request in requests
+        ])
+        assert [d.request_id for d in decisions] == [r.request_id for r in requests]
         assert all(d.admitted for d in decisions)
         assert orchestrator.planner.batches_run == 1
         assert orchestrator.planner.jobs_installed == 3
         for request in requests:
             slice_id = request.request_id.replace("req-", "slice-")
-            assert orchestrator.slice(slice_id).state in (
-                SliceState.DEPLOYING,
-                SliceState.ACTIVE,
-            )
+            assert orchestrator.slice(slice_id).state is SliceState.DEPLOYING
 
-    def test_queued_failure_books_rejection_and_fires_callback(self, orchestrator):
-        decisions = []
+    def test_a_failed_install_books_a_rejection_with_zero_residue(self, orchestrator):
         request = make_request(throughput_mbps=500.0)  # beyond any cell
-        orchestrator.enqueue_admitted(
-            request,
-            ConstantProfile(500.0, level=0.5, noise_std=0.0),
-            on_decision=decisions.append,
+        (decision,) = orchestrator.install_admitted_batch(
+            [(request, ConstantProfile(500.0, level=0.5, noise_std=0.0))]
         )
-        orchestrator.sim.run_until(61.0)
-        assert len(decisions) == 1
-        assert not decisions[0].admitted
+        assert not decision.admitted
         slice_id = request.request_id.replace("req-", "slice-")
         assert orchestrator.slice(slice_id).state is SliceState.REJECTED
-        # Zero residue anywhere.
         for driver in orchestrator.registry.drivers():
             assert driver.reservation_of(slice_id) is None
 

@@ -1,9 +1,12 @@
 """The disabled path: shared no-op singletons, surface parity with the
-real observability object, and zero retained state."""
+real observability object, zero retained state, and the one function
+that reads the process-wide switch."""
 
 from __future__ import annotations
 
+import pytest
 
+from repro.core.orchestrator import OrchestratorConfig
 from repro.obs.registry import (
     NOOP_OBS,
     NOOP_SPAN,
@@ -11,6 +14,7 @@ from repro.obs.registry import (
     NoopObservability,
     default_observability,
 )
+from tests.source_reading import enclosing_functions, source_of, src_lines_matching
 
 
 class TestNoopSingletons:
@@ -30,7 +34,7 @@ class TestNoopSingletons:
     def test_recording_methods_are_noops(self):
         NOOP_OBS.observe("journal.append", 1.23)
         NOOP_OBS.counter_add("events.emitted")
-        NOOP_OBS.gauge_set("queue.pending_installs", 4)
+        NOOP_OBS.gauge_set("queue.stuck_releases", 4)
         assert NOOP_OBS.histograms() == {}
         assert NOOP_OBS.counters() == {}
         assert NOOP_OBS.gauges() == {}
@@ -71,3 +75,20 @@ class TestDefaultObservability:
     def test_other_values_stay_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_OBS_ENABLED", "0")
         assert default_observability() is NOOP_OBS
+
+    @pytest.mark.parametrize("value, enabled", [(None, False), ("1", True), ("0", False)])
+    def test_the_orchestrator_config_reads_the_same_switch(self, monkeypatch, value, enabled):
+        if value is None:
+            monkeypatch.delenv("REPRO_OBS_ENABLED", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_OBS_ENABLED", value)
+        assert OrchestratorConfig().observability is enabled
+        assert (default_observability() is not NOOP_OBS) is enabled
+
+    def test_one_function_reads_the_switch_as_the_source_reads(self):
+        assert [hit.split(":")[0] for hit in src_lines_matching(r'"REPRO_OBS_ENABLED"')] == [
+            "obs/registry.py"
+        ]
+        assert enclosing_functions(source_of("obs/registry.py"), r'"REPRO_OBS_ENABLED"') == [
+            "enabled_by_env"
+        ]

@@ -43,7 +43,7 @@ def populated_obs() -> ControlPlaneObservability:
         obs.span("driver.prepare", parent=root.context, label="ran").finish()
     obs.observe("journal.append", 0.7)
     obs.counter_add("events.emitted", 3)
-    obs.gauge_set("queue.pending_installs", 2)
+    obs.gauge_set("queue.stuck_releases", 2)
     return obs
 
 
@@ -75,7 +75,7 @@ class TestExposition:
     def test_counters_gauges_and_tracer_series(self):
         text = render_prometheus(populated_obs())
         assert "cp_events_emitted_total 3" in text
-        assert "cp_queue_pending_installs 2" in text
+        assert "cp_queue_stuck_releases 2" in text
         assert "cp_tracer_spans_started_total 2" in text
         assert "cp_tracer_spans_finished_total 2" in text
 

@@ -48,9 +48,9 @@ class TestCountersAndGauges:
         assert obs.counters()[("events.emitted", "")] == pytest.approx(3.0)
 
     def test_gauge_overwrites(self, obs):
-        obs.gauge_set("queue.pending_installs", 5)
-        obs.gauge_set("queue.pending_installs", 2)
-        assert obs.gauges()[("queue.pending_installs", "")] == pytest.approx(2.0)
+        obs.gauge_set("queue.stuck_releases", 5)
+        obs.gauge_set("queue.stuck_releases", 2)
+        assert obs.gauges()[("queue.stuck_releases", "")] == pytest.approx(2.0)
 
 
 class TestSummaries:

@@ -4,9 +4,10 @@ leader's fold is checked against.
 The leader derives its durable image one way only — by folding every
 record it appends (``orch.durable.fold``), as a standby and a restart
 fold what they read back.  This module derives it the other way, off
-the slice runtimes and records, the calendar, the admission queue, the
-pending advance bookings and the quota table, so a fold bug shows as a
-difference in any leader test, not only after a failover.
+the slice runtimes and records, the calendar, the pending advance
+bookings and the quota table, so a fold bug shows as a difference in
+any leader test, not only after a failover.  A live plane queues no
+admission: recovery installs what its fold queued before it returns.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ def live_state(orch) -> dict:
         "time": orch.sim.now,
         "live": live_images(orch),
         "in_flight": {},
-        "queued": {request.request_id: request_to_dict(request)
-                   for request, _, _ in orch._admission_queue},
+        "queued": {},
         "advance": {
             request_id: {"request": request_to_dict(request), "start_time": start_time}
             for request_id, (request, start_time) in orch._pending_advance.items()
@@ -67,8 +67,9 @@ def live_state(orch) -> dict:
 def check_durable(orch) -> None:
     """The leader's fold is what a restart would fold from its store
     (same digest) and what its live objects say: the live images, the
-    admission queue, the advance bookings, the quotas and the feed's
-    newest seq.  A memory-only orchestrator folds nothing.
+    advance bookings, the quotas and the feed's newest seq, with nothing
+    in flight and nothing queued.  A memory-only orchestrator folds
+    nothing.
 
     A window the calendar pruned (a reconfiguring epoch drops every
     window that ended) stays in the fold until its slice leaves, as no
@@ -92,6 +93,20 @@ def check_durable(orch) -> None:
             assert folded["window"][1] <= orch.sim.now, slice_id
             image = {**image, "window": folded["window"]}
         assert folded == image, slice_id
-    for name in ("queued", "advance", "quotas", "last_event_seq"):
+    for name in ("advance", "quotas", "last_event_seq"):
         assert getattr(fold, name) == state[name], name
-    assert fold.in_flight == {}
+    assert fold.in_flight == {} and fold.queued == {}
+
+
+def check_queue_settled(orch, request_ids) -> None:
+    """A recovery settles what its fold queued before it returns:
+    nothing is left queued, and each of ``request_ids`` is live or
+    journaled its ``slice.rejected``."""
+    assert orch.durable.fold.queued == {}
+    live = {s.request.request_id for s in orch.live_slices()}
+    rejected = {
+        record.data.get("request_id")
+        for record in orch.store.records()
+        if record.record_type == "slice.rejected"
+    }
+    assert [rid for rid in request_ids if rid not in live | rejected] == []

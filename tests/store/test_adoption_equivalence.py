@@ -96,7 +96,7 @@ class PerSliceRecovery(RecoveryManager):
     def _reconcile_slices(self, state, requests, truth, crash_time, report):
         orch = self.orchestrator
         shift = orch.sim.now - crash_time
-        adopted, requeue = set(), []
+        adopted = set()
         for slice_id, image in list(state.live.items()) + list(state.in_flight.items()):
             request = request_from_dict(image["request"])
             reservations = {}
@@ -120,8 +120,6 @@ class PerSliceRecovery(RecoveryManager):
             elif slice_id in state.live:
                 report.slices_lost += 1
                 report.lost_slice_ids.append(slice_id)
-            else:
-                requeue.append(request)
         report.slices_adopted = len(adopted)
         adopted_in_flight = {}
         for slice_id, image in state.in_flight.items():
@@ -138,9 +136,6 @@ class PerSliceRecovery(RecoveryManager):
             lost=report.lost_slice_ids, adopted_in_flight=adopted_in_flight,
             last_event_seq=orch.events.last_seq,
         )
-        for request in requeue:
-            orch.enqueue_admitted(request, orch.fleet.default_profile(request))
-        report.admissions_requeued += len(requeue)
         return adopted
 
 

@@ -17,9 +17,10 @@ Invariants verified after recovery:
 - **zero lost COMMITTED slices** — every slice the southbound holds
   fully committed is re-adopted (acked *and* never-acked ones),
 - **zero leaked reservations** — driver state contains exactly the
-  adopted slices; injected orphans are compensated,
+  live slices; injected orphans are compensated,
 - **advance bookings intact** — the promised window survives, rebased,
-- the journaled-but-uninstalled admission is back in the queue,
+- the journaled-but-uninstalled admission (a previous format's
+  ``admission.enqueued``) is installed by the restore itself,
 - ``held == Σ COMMITTED`` exactly, per domain.
 """
 
@@ -27,14 +28,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.slices import SliceState
+from repro.core.slices import SliceState, slice_id_for
 from repro.drivers.base import DomainSpec, ReservationState
 from repro.store import RecoveryManager
+from repro.store.codec import request_to_dict
 from repro.traffic.patterns import ConstantProfile
 
 from tests.conftest import make_request
 from tests.store.conftest import make_orchestrator, reopen_store
-from tests.store.durable_reference import live_state
+from tests.store.durable_reference import check_queue_settled, live_state
 
 MBPS = 5.0
 FIRST_WAVE = 8
@@ -67,13 +69,16 @@ def test_kill_mid_batch_recovers_without_losing_slices(
     assert all(d.admitted for d in decisions)
     acked_ids = {d.slice_id for d in decisions}
 
-    # A promise for the future + a journaled admission still queued.
+    # A promise for the future + a journaled admission still queued, as
+    # a previous format wrote it (nothing journals one today).
     booking_request = make_request(throughput_mbps=MBPS, duration_s=600.0)
     assert first.submit_advance(
         booking_request, ConstantProfile(MBPS), start_time=1_000.0
     ).admitted
     queued_request = make_request(throughput_mbps=MBPS)
-    first.enqueue_admitted(queued_request, ConstantProfile(MBPS))
+    first.store.append(
+        "admission.enqueued", time=first.sim.now, request=request_to_dict(queued_request)
+    )
 
     # --- 2. the 16-job batch, 4 commits stalled mid-flight ---------------
     batch = [
@@ -118,11 +123,17 @@ def test_kill_mid_batch_recovers_without_losing_slices(
     # mid-flight batch (southbound committed it all) are adopted.
     assert report.slices_lost == 0, report.lost_slice_ids
     assert report.slices_adopted == FIRST_WAVE + BATCH
+    # The journaled-but-uninstalled admission is installed before the
+    # restore returns, and nothing is left queued.
+    assert report.admissions_requeued == 1
+    check_queue_settled(restarted, [queued_request.request_id])
+    queued_slice = restarted.slice(slice_id_for(queued_request.request_id))
+    assert queued_slice.state is SliceState.DEPLOYING
     live_ids = {s.slice_id for s in restarted.live_slices()}
     assert acked_ids <= live_ids
-    assert len(live_ids) == FIRST_WAVE + BATCH
+    assert len(live_ids) == FIRST_WAVE + BATCH + 1
 
-    # Zero leaked reservations: every domain holds exactly the adopted
+    # Zero leaked reservations: every domain holds exactly the live
     # slices, all COMMITTED; the injected orphans were compensated.
     assert report.orphans_compensated == 2
     for driver in durable_testbed.registry.drivers():
@@ -133,7 +144,7 @@ def test_kill_mid_batch_recovers_without_losing_slices(
         ), driver.domain
 
     # held == Σ COMMITTED, exactly, on the chaos domain.
-    assert firewall.held_mbps == pytest.approx((FIRST_WAVE + BATCH) * MBPS)
+    assert firewall.held_mbps == pytest.approx((FIRST_WAVE + BATCH + 1) * MBPS)
     assert firewall.held_mbps == pytest.approx(_committed_demand(firewall))
 
     # Advance booking intact (window rebased onto the new clock).
@@ -143,15 +154,11 @@ def test_kill_mid_batch_recovers_without_losing_slices(
         600.0 + restarted.config.deploy_time_s
     )
 
-    # The journaled-but-uninstalled admission is queued again.
-    assert restarted.pending_installs == 1
-
-    # And the recovered control plane actually *runs*: slices activate,
-    # the queued admission installs on the next epoch.
+    # And the recovered control plane actually *runs*: slices activate.
     restarted.sim.run_until(restarted.config.monitoring_epoch_s + 5.0)
     states = {s.state for s in restarted.live_slices()}
     assert states <= {SliceState.ACTIVE, SliceState.DEPLOYING}
-    assert restarted.pending_installs == 0
+    assert queued_slice.state is SliceState.ACTIVE
     assert len(restarted.live_slices()) == FIRST_WAVE + BATCH + 1
 
 

@@ -5,8 +5,8 @@
   fold of every record it appended, while it re-encodes only the live
   images a folded record changed since the last one: the fold names
   them itself, and the held fragments are exactly the live slice ids.
-- **Group commit** — a batch verb (a broker window's flush, the
-  admission-queue drain) journals its records with the ``fsync_every``
+- **Group commit** — a batch verb (a broker window's flush, a
+  recovery's queued installs) journals its records with the ``fsync_every``
   threshold suspended and one fsync on exit, before any requester is
   told; outside a batch the threshold is unchanged, and a ``sync()``
   with nothing unsynced issues no fsync.
@@ -28,7 +28,7 @@ from repro.core.broker import SliceBroker
 from repro.core.overbooking import FixedOverbooking
 from repro.core.slices import SliceState
 from repro.store import ControlPlaneStore, RecoveryManager
-from repro.store.codec import ReplayState, json_default
+from repro.store.codec import ReplayState, json_default, request_to_dict
 from repro.store.journal import Journal
 from repro.store.snapshot import encode_member, encode_snapshot
 from repro.traffic.patterns import ConstantProfile
@@ -385,22 +385,27 @@ def test_a_64_request_window_is_one_fsync_before_the_first_callback(
     orch.store.close()
 
 
-def test_the_admission_drain_is_one_fsync_before_the_first_callback(
-    durable_testbed, tmp_path, monkeypatch
+@pytest.mark.parametrize("queued", [0, 24])
+def test_a_restore_installs_its_queue_with_one_fsync_and_none_when_empty(
+    durable_testbed, tmp_path, monkeypatch, queued
 ):
-    orch = make_orchestrator(durable_testbed, directory=str(tmp_path / "store"))
-    told = []
-    for _ in range(24):
-        orch.enqueue_admitted(
-            make_request(throughput_mbps=MBPS), ConstantProfile(MBPS),
-            on_decision=lambda decision: told.append(len(calls)),
-        )
-    orch.store.sync()
+    directory = str(tmp_path / "store")
+    first = make_orchestrator(durable_testbed, directory=directory)
+    assert first.submit(make_request(throughput_mbps=MBPS), ConstantProfile(MBPS)).admitted
+    for _ in range(queued):  # as the previous format journaled them
+        request = make_request(throughput_mbps=MBPS)
+        first.store.append("admission.enqueued", time=0.0, request=request_to_dict(request))
+    first.store.close()
+    restarted = make_orchestrator(durable_testbed, store=reopen_store(directory))
+    head = restarted.store.last_lsn
     calls = count_fsyncs(monkeypatch)
-    orch._drain_admission_queue()
-    assert len(calls) == 1
-    assert told == [1] * 24
-    orch.store.close()
+    report = RecoveryManager(restarted).restore()
+    assert report.admissions_requeued == queued
+    assert len(restarted.live_slices()) == 1 + queued
+    assert len(calls) == min(queued, 1)
+    if queued:
+        assert restarted.store.last_lsn - head > restarted.config.journal_fsync_every
+    restarted.store.close()
 
 
 def test_a_batch_whose_body_raises_still_syncs(tmp_path, monkeypatch):

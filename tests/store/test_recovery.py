@@ -13,7 +13,7 @@ from repro.api import build_orchestrator_api
 from repro.api.service import SliceService, TenantQuota
 from repro.api.v1 import build_v1_api
 from repro.core.pricing import LedgerError
-from repro.core.slices import SliceState
+from repro.core.slices import SliceState, slice_id_for
 from repro.drivers.base import DomainSpec
 from repro.drivers.mock import MockDriver
 from repro.store import RecoveryManager
@@ -115,16 +115,14 @@ class TestEdgeCases:
         # clock (crash-time precision is bounded by the epoch).
         assert booking.start == 440.0
         restarted.sim.run_until(450.0)
-        from repro.core.slices import slice_id_for
-
         network_slice = restarted.slice(slice_id_for(request.request_id))
         assert network_slice.state in (SliceState.DEPLOYING, SliceState.ACTIVE)
 
     def test_booking_whose_start_passed_is_promoted(
         self, durable_testbed, tmp_path
     ):
-        """A booking whose start time elapsed during the outage goes
-        straight into the admission queue."""
+        """A booking whose start time elapsed during the outage is
+        installed by the restore itself."""
         directory = str(tmp_path / "store")
         first = make_orchestrator(durable_testbed, directory=directory)
         request = make_request(throughput_mbps=8.0)
@@ -139,26 +137,51 @@ class TestEdgeCases:
             durable_testbed, store=reopen_store(directory)
         )
         report = RecoveryManager(restarted).restore()
-        assert report.bookings_promoted == 1
-        assert restarted.pending_installs == 1
+        assert (report.bookings_promoted, report.bookings_restored) == (1, 0)
+        assert report.admissions_requeued == 0
+        assert restarted.slice(slice_id_for(request.request_id)).state is SliceState.DEPLOYING
+        assert restarted.pending_bookings() == {}
+        check_durable(restarted)
 
-    def test_queued_admissions_are_reenqueued(self, durable_testbed, tmp_path):
+    def test_a_previous_formats_queued_admissions_are_installed_by_the_restore(
+        self, durable_testbed, tmp_path
+    ):
+        """Nothing journals ``admission.enqueued`` any more, but a store
+        the previous format wrote may hold some (as D12's journal does):
+        the restore installs them, in journal order, before it returns."""
         directory = str(tmp_path / "store")
         first = make_orchestrator(durable_testbed, directory=directory)
-        request = make_request(throughput_mbps=6.0)
-        first.enqueue_admitted(request, ConstantProfile(6.0))
+        requests = [make_request(throughput_mbps=6.0) for _ in range(3)]
+        for at, request in enumerate(requests):
+            first.store.append(
+                "admission.enqueued", time=float(at), request=request_to_dict(request)
+            )
         crash(first)
         restarted = make_orchestrator(
             durable_testbed, store=reopen_store(directory)
         )
-        restarted.start()
+        head = restarted.store.last_lsn
         report = RecoveryManager(restarted).restore()
-        assert report.admissions_requeued == 1
-        assert restarted.pending_installs == 1
-        # The next monitoring epoch installs it.
-        restarted.sim.run_until(61.0)
-        assert restarted.pending_installs == 0
-        assert len(restarted.live_slices()) == 1
+        assert report.admissions_requeued == 3
+        assert restarted.durable.fold.queued == {}
+        assert [s.request.request_id for s in restarted.live_slices()] == [
+            r.request_id for r in requests
+        ]
+        started = [
+            record.data["request"]["request_id"]
+            for record in restarted.store.records(head)
+            if record.record_type == "install.started"
+        ]
+        assert started == [r.request_id for r in requests]
+        check_durable(restarted)
+
+    def test_only_the_fold_names_admission_enqueued_as_the_source_reads(self):
+        """Nothing writes the record any more; the fold still reads it."""
+        hits = src_lines_matching(r"admission\.enqueued")
+        assert hits and {hit.split(":")[0] for hit in hits} == {"store/codec.py"}
+        assert enclosing_functions(source_of("store/codec.py"), r'"admission\.enqueued"') == [
+            "apply"
+        ]
 
     def test_terminal_slices_stay_terminal(self, durable_testbed, tmp_path):
         """Expired/cancelled slices must not be resurrected."""

@@ -3,20 +3,21 @@
 One crashed shard whose recovery meets every branch of the
 reconciliation matrix: an ACTIVE slice it re-adopts, an acknowledged
 slice the southbound lost, an in-flight install the southbound
-finished (re-adopted) and one it could not (re-queued), a booking
-still in the future (re-promised on the new clock) and one due at the
-crash instant (its install timer died with the process: promoted into
-the admission queue), and a broker request its window never decided
-(re-offered).
+finished (re-adopted) and one it could not (queued by the rebase,
+installed again and rejected again), a booking still in the future
+(re-promised on the new clock) and one due at the crash instant (its
+install timer died with the process: queued by the rebase and
+installed), and a broker request its window never decided (re-offered
+after the queued installs).
 
 The recovering process is killed after each record it writes — the
 next write raises, so nothing the process would do after it happens —
 and a second recovery over the same southbound must reach what the
-uninterrupted one reached: the same durable state (admission queue
-order included), lifecycle timers and calendar.  Both recoveries start
-their clocks at 0 over a journal whose newest instant is the first
-recovery's, so the second shift is zero and the states compare as they
-are.  A cut after a re-promised ``booking.committed`` is the hole the
+uninterrupted one reached: the same durable state (nothing left
+queued, each queued request live or rejected), lifecycle timers and
+calendar.  Both recoveries start their clocks at 0 over a journal
+whose newest instant is the first recovery's, so the second shift is
+zero and the states compare as they are.  A cut after a re-promised ``booking.committed`` is the hole the
 closing checkpoint used to hide: folded with ``time = max(...)`` that
 record's new-clock start met the old clock's crash time.
 """
@@ -29,9 +30,12 @@ from repro.experiments.testbed import Testbed
 from repro.store import ControlPlaneStore, RecoveryManager
 from repro.traffic.patterns import ConstantProfile
 from tests.store import window_scenario
-from tests.store.durable_reference import live_state
+from tests.store.durable_reference import check_queue_settled, live_state
 
 MBPS = 4.0
+#: What the rebase queues, in its order: the in-flight install the
+#: southbound could not finish, then the booking that fell due.
+QUEUED = ["req-too-big", "req-due"]
 
 
 class _Killed(Exception):
@@ -100,17 +104,30 @@ def killed_after(orchestrator: Orchestrator, last_lsn: int) -> None:
 
 
 def image(orchestrator: Orchestrator) -> dict:
-    """What the cut must not change: the durable state (queue order
-    included), the lifecycle timers and the calendar.  Left out: the
+    """What the cut must not change: the durable state, the lifecycle
+    timers and the calendar.  Left out: the
     process-wide request counter, and the feed's newest seq — a killed
     recovery's rebase record keeps the seqs its adoption events took
-    from ever being reused, so the next one numbers on past them."""
+    from ever being reused, so the next one numbers on past them.
+
+    Nor do the names of what a live slice holds compare: a PLMN id and
+    a reservation id are handed out in the order the pool and each
+    driver have seen, and a kill inside the queued installs leaves that
+    order moved (the killed process drew some; a half-done install the
+    next one adopts draws none).  Each is checked against its holder
+    instead: the pool holds the PLMN for the slice, each driver the
+    reservation."""
     state = live_state(orchestrator)
     state.pop("last_request_ordinal")
     state.pop("last_event_seq")
+    for slice_id, live in state["live"].items():
+        assert orchestrator.plmn_pool._holders[live.pop("plmn")] == slice_id
+        assert live.pop("reservations") == {
+            driver.domain: driver.reservation_of(slice_id).reservation_id
+            for driver in orchestrator.registry.drivers()
+        }, slice_id
     return {
         "state": state,
-        "queue order": list(state["queued"]),
         "timers": sorted(
             (event.time, event.name)
             for event in orchestrator.sim._queue
@@ -131,8 +148,16 @@ def test_every_cut_of_a_recovery_recovers_to_the_same_state(tmp_path):
     assert (report.bookings_restored, report.broker_requeued) == (1, 1)
     assert report.orphans_compensated > 0
     expected = image(straight)
-    assert set(expected["state"]["live"]) == {"slice-active", "slice-landed", "slice-undecided"}
-    assert expected["queue order"] == ["req-too-big", "req-due"]
+    assert set(expected["state"]["live"]) == {
+        "slice-active", "slice-landed", "slice-due", "slice-undecided"
+    }
+    # The queued installs run in the fold's order, before the re-offer.
+    assert [
+        record.data["request"]["request_id"]
+        for record in straight.store.records(head)
+        if record.record_type == "install.started"
+    ] == QUEUED + ["req-undecided"]
+    check_queue_settled(straight, QUEUED)
     written = straight.store.last_lsn - head
 
     for cut in range(written + 1):
@@ -149,6 +174,7 @@ def test_every_cut_of_a_recovery_recovers_to_the_same_state(tmp_path):
         again = restarted(testbed, directory)
         RecoveryManager(again).restore()
         assert image(again) == expected, cut
+        check_queue_settled(again, QUEUED)
         assert again.events.last_seq >= straight.events.last_seq, cut
         live = set(expected["state"]["live"])
         for driver in testbed.registry.drivers():

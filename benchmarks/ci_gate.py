@@ -116,6 +116,15 @@ broken:
   future born resolved, which builds no lock — and unless one operation
   on a walled driver (``Walled``'s worker hand-off) counts
   exactly 1, so the spy cannot pass vacuously.
+- **Edge work** — counted, not timed: a fixed router workload over two
+  durable shards (``EDGE_CREATES`` creates, and a head-following
+  ``GET /v1/events?after_lsn=`` poll every ``EDGE_POLL_EVERY``
+  requests).  It fails unless ``url_parses_per_request == 1`` (the
+  router hands a shard the request it parsed) and
+  ``feed_lines_decoded == 0`` (a consumer at the head reads the
+  leaders' event logs, never the journals); a poll that returned no
+  event would make the second vacuous, so the events read are published
+  and must be non-zero.
 - **src_lines** — the physical line count of ``src/**/*.py`` is
   published and must not exceed ``SRC_LINES_CEILING``.
 
@@ -207,8 +216,11 @@ D8D_SETTLED_S = 0.15
 #: loops (no ``Generator.choice``/``uniform``; ``RequestMix`` keeps its
 #: cdf) and a serial walled backend's wait bounded by its deadline; −28
 #: for one admission queue, the fold's (recovery installs what its
-#: rebase queued; the orchestrator's epoch-drained queue is gone).
-SRC_LINES_CEILING = 20_422
+#: rebase queued; the orchestrator's epoch-drained queue is gone); +25
+#: for the v1 edge doing its work once (the router hands a shard the
+#: request it parsed, routes come from a table, the durable event cursor
+#: reads the leader's event log) and a stopped plane settling nothing.
+SRC_LINES_CEILING = 20_447
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per
@@ -1004,6 +1016,98 @@ def run_driver_overhead(failures: list) -> dict:
     }
 
 
+#: The edge-work drive: creates through the router, and one
+#: head-following durable feed poll every ``EDGE_POLL_EVERY`` requests.
+EDGE_CREATES = 120
+EDGE_POLL_EVERY = 10
+
+
+def run_edge_work(failures: list) -> dict:
+    """What the v1 edge does per request, as counts: URL parses (the
+    router's own, and none again at the shard) and journal lines a
+    head-following ``after_lsn`` poll decodes (none: the leaders' event
+    logs serve it)."""
+    import tempfile
+
+    import repro.api.rest as rest
+    from repro.cluster import ClusterConfig, ControlPlaneCluster
+    from repro.experiments.testbed import TestbedConfig, build_testbed
+    from repro.store.journal import JournalRecord
+
+    shards = 2
+    cluster = ControlPlaneCluster(
+        ClusterConfig(shards=shards, durability_root=tempfile.mkdtemp(prefix="edge-work-"),
+                      plmn_pool_size=128),
+        testbeds=[
+            build_testbed(TestbedConfig(n_enbs=8, max_plmns_per_enb=16, plmn_pool_size=128,
+                                        edge_nodes=8, core_nodes=16))
+            for _ in range(shards)
+        ],
+    )
+    router = cluster.router
+    tenants = [f"tenant-{i}" for i in range(8)]
+    counts = Counter()
+    plain_urlsplit, plain_decode = rest.urlsplit, JournalRecord.from_line.__func__
+
+    def urlsplit(url, *args):
+        counts["url_parses"] += 1
+        return plain_urlsplit(url, *args)
+
+    def from_line(cls, line):
+        counts["lines_decoded"] += 1
+        return plain_decode(cls, line)
+
+    cursor = "0"
+    while True:  # a consumer at the head before the drive starts
+        body = router.get(f"/v1/events?after_lsn={cursor}&limit=1000").body
+        if not body["events"]:
+            break
+        cursor = body["next_after_lsn"]
+    rest.urlsplit = urlsplit
+    try:
+        for index in range(EDGE_CREATES):
+            tenant = tenants[index % len(tenants)]
+            response = router.post("/v1/slices", headers={"x-tenant-id": tenant}, body={
+                "tenant_id": tenant, "service_type": "embb", "throughput_mbps": 2.0,
+                "max_latency_ms": 50.0, "duration_s": 3600.0, "price": 10.0, "penalty_rate": 1.0,
+            })
+            counts["requests"] += 1
+            counts["created"] += response.status == 201
+            if counts["requests"] % EDGE_POLL_EVERY == 0:
+                JournalRecord.from_line = classmethod(from_line)
+                try:
+                    feed = router.get(f"/v1/events?after_lsn={cursor}&limit=1000").body
+                finally:
+                    JournalRecord.from_line = classmethod(plain_decode)
+                counts["requests"] += 1
+                counts["polls"] += 1
+                counts["events_read"] += len(feed["events"])
+                cursor = feed["next_after_lsn"]
+    finally:
+        rest.urlsplit = plain_urlsplit
+        cluster.close()
+    parses_per_request = counts["url_parses"] / counts["requests"]
+    if parses_per_request != 1:
+        failures.append(
+            f"edge work: {counts['url_parses']} URL parses for {counts['requests']} "
+            "requests (1 per request expected: the router hands a shard the request it parsed)"
+        )
+    if counts["lines_decoded"] or not counts["events_read"]:
+        failures.append(
+            f"edge work: head-following polls decoded {counts['lines_decoded']} journal "
+            f"lines for {counts['events_read']} events (0 lines expected: the leaders' "
+            "event logs serve a consumer at the head)"
+        )
+    return {
+        "requests": counts["requests"],
+        "created": counts["created"],
+        "polls": counts["polls"],
+        "events_read": counts["events_read"],
+        "url_parses_per_request": parses_per_request,
+        "feed_lines_decoded": counts["lines_decoded"],
+    }
+
+
 def run_durable_writes(failures: list) -> dict:
     """What a shard's durable writes cost, as counts: slices a checkpoint
     re-encodes, and fsyncs a broker window's group commit issues."""
@@ -1194,6 +1298,7 @@ def run_gate() -> dict:
     path_searches = run_path_searches(failures)
     durable_writes = run_durable_writes(failures)
     driver_overhead = run_driver_overhead(failures)
+    edge_work = run_edge_work(failures)
 
     return {
         "python": platform.python_version(),
@@ -1235,6 +1340,7 @@ def run_gate() -> dict:
         "path_searches": path_searches,
         "durable_writes": durable_writes,
         "driver_overhead": driver_overhead,
+        "edge_work": edge_work,
         "failures": failures,
         "warnings": warnings,
         "ok": not failures,
@@ -1296,6 +1402,8 @@ def main(argv=None) -> int:
         f"capabilities / {payload['driver_overhead']['frozen_built']} frozen records "
         f"built over {payload['driver_overhead']['driver_ops']} driver ops, "
         f"{payload['driver_overhead']['locked_futures_built']} locked futures per window, "
+        f"edge work {payload['edge_work']['url_parses_per_request']} URL parses per request / "
+        f"{payload['edge_work']['feed_lines_decoded']} feed lines decoded, "
         f"src {payload['src_lines']} lines"
     )
     return 0

@@ -5,7 +5,9 @@ Routes are ``(method, path-template)`` pairs; templates may contain
 Concrete paths may carry a query string (``/v1/slices?limit=10``) which
 is parsed into ``Request.query``, and callers may attach headers
 (``X-Tenant-Id``) which arrive case-insensitively in ``Request.headers``.
-Handlers receive a :class:`Request` and return a :class:`Response`
+``dispatch`` parses once and ``handle`` routes the parsed
+:class:`Request`; the sharded router hands a shard the request it
+parsed (``handle``).  Handlers return a :class:`Response`
 (or a plain dict, auto-wrapped as 200).  All bodies are JSON-serializable
 dicts — the same contract a real REST deployment would enforce; numpy
 scalars/arrays that leak out of domain telemetry are coerced by the
@@ -17,7 +19,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from heapq import merge
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
@@ -110,6 +111,8 @@ class RestApi:
         # Positions in ``_routes``: exact-path templates by path, and the rest.
         self._literal: Dict[str, List[int]] = {}
         self._patterned: List[int] = []
+        #: literal path → route indices to try; built by the first handle() after a route().
+        self._table: Optional[Dict[str, List[int]]] = None
 
     def route(self, method: str, template: str, handler: Handler) -> None:
         """Register a handler for ``method template``.
@@ -127,6 +130,7 @@ class RestApi:
         else:
             self._patterned.append(len(self._routes))
         self._routes.append((method, pattern, template, handler))
+        self._table = None
 
     @staticmethod
     def _compile(template: str) -> re.Pattern:
@@ -142,32 +146,35 @@ class RestApi:
         body: Optional[dict] = None,
         headers: Optional[Dict[str, str]] = None,
     ) -> Response:
-        """Route a request; returns 404/405 responses instead of raising."""
-        method = method.upper()
+        """Parse a request (path, query string, headers) and :meth:`handle` it."""
         split = urlsplit(path)
-        bare_path = split.path
-        query = dict(parse_qsl(split.query, keep_blank_values=True))
-        normalized_headers = {
-            str(k).lower(): str(v) for k, v in (headers or {}).items()
-        }
+        return self.handle(Request(
+            method.upper(), split.path, body,
+            query=dict(parse_qsl(split.query, keep_blank_values=True)),
+            headers={str(k).lower(): str(v) for k, v in (headers or {}).items()},
+        ))
+
+    def handle(self, request: Request) -> Response:
+        """Route a parsed request; returns 404/405 responses instead of raising."""
+        table = self._table
+        if table is None:
+            # One index list per literal path, in registration order
+            # (first wins): its own routes and every patterned one.
+            table = self._table = {
+                path: sorted(indices + self._patterned)
+                for path, indices in self._literal.items()
+            }
+        path, method = request.path, request.method
         path_matched = False
-        # Registration order over the routes that can match: first wins.
-        for index in merge(self._literal.get(bare_path, ()), self._patterned):
+        for index in table.get(path, self._patterned):
             m, pattern, _, handler = self._routes[index]
-            match = pattern.match(bare_path)
+            match = pattern.match(path)
             if match is None:
                 continue
             path_matched = True
             if m != method:
                 continue
-            request = Request(
-                method=method,
-                path=bare_path,
-                body=body,
-                params=match.groupdict(),
-                query=query,
-                headers=normalized_headers,
-            )
+            request.params = match.groupdict()
             try:
                 result = handler(request)
             except Exception as exc:  # handler bug → 500, never crash the caller
@@ -180,12 +187,10 @@ class RestApi:
                 status=405,
                 body=error_body("method_not_allowed", f"method {method} not allowed"),
             )
-        return Response(status=404, body=error_body("not_found", f"no route for {bare_path}"))
+        return Response(status=404, body=error_body("not_found", f"no route for {path}"))
 
     # Convenience verbs -------------------------------------------------
-    def get(
-        self, path: str, headers: Optional[Dict[str, str]] = None
-    ) -> Response:
+    def get(self, path: str, headers: Optional[Dict[str, str]] = None) -> Response:
         """Dispatch a GET."""
         return self.dispatch("GET", path, headers=headers)
 
@@ -207,9 +212,7 @@ class RestApi:
         """Dispatch a PATCH."""
         return self.dispatch("PATCH", path, body, headers=headers)
 
-    def delete(
-        self, path: str, headers: Optional[Dict[str, str]] = None
-    ) -> Response:
+    def delete(self, path: str, headers: Optional[Dict[str, str]] = None) -> Response:
         """Dispatch a DELETE."""
         return self.dispatch("DELETE", path, headers=headers)
 

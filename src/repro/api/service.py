@@ -193,6 +193,13 @@ class OperationStore:
         return ops
 
 
+def _tenant_page(
+    events: List[OrchestrationEvent], tenant_id: Optional[str], limit: int
+) -> List[OrchestrationEvent]:
+    """The first ``limit`` of ``events`` that ``tenant_id`` sees (all, without one)."""
+    return [e for e in events if tenant_id is None or e.tenant_id in (None, tenant_id)][:limit]
+
+
 class SliceService:
     """Typed facade over :class:`Orchestrator` + :class:`SliceBroker`.
 
@@ -609,6 +616,7 @@ class SliceService:
           resume across orchestrator restarts and beyond the in-memory
           buffer.  Replay reaches back to the latest checkpoint
           (``replay_floor_lsn``); requires durability to be enabled.
+          A cursor the in-memory log still covers reads the same page there.
         """
         log = self.orchestrator.events
         limit = parse_int_param(query, "limit", default=100, minimum=1, maximum=1000)
@@ -618,14 +626,8 @@ class SliceService:
         # Tenant-filter BEFORE limiting: a short page then means "scanned
         # to the end", so advancing the cursor to the last returned seq
         # (or last_seq on an empty page) never skips the tenant's events.
-        events: List[OrchestrationEvent] = log.since(cursor)
-        if tenant_id is not None:
-            events = [
-                e for e in events if e.tenant_id is None or e.tenant_id == tenant_id
-            ]
-        events = events[:limit]
         return {
-            "events": [e.to_dict() for e in events],
+            "events": [e.to_dict() for e in _tenant_page(log.since(cursor), tenant_id, limit)],
             "last_seq": log.last_seq,
             "first_retained_seq": log.first_seq,
         }
@@ -633,8 +635,9 @@ class SliceService:
     def _events_after_lsn(
         self, query: Dict[str, str], tenant_id: Optional[str], limit: int
     ) -> Dict[str, Any]:
-        """Durable event replay from the journal (see
-        :meth:`events_since`)."""
+        """Durable event replay (see :meth:`events_since`): from the
+        in-memory log when it still holds every event past the cursor,
+        else from the journal."""
         store = self.orchestrator.store
         if not store.enabled:
             raise ValidationError(
@@ -643,12 +646,18 @@ class SliceService:
                 field="after_lsn",
             )
         after_lsn = parse_int_param(query, "after_lsn", default=0, minimum=0)
+        # Replay reaches back to the latest checkpoint; the log holds
+        # every event journaled past both of its floors.
+        cursor, log = max(after_lsn, store.snapshot_lsn), self.orchestrator.events
+        if cursor >= max(self.orchestrator.durable.floor_lsn, log.evicted_lsn):
+            events = _tenant_page(log.after_lsn(cursor), tenant_id, limit)
+            pairs = [(e.lsn, e.to_dict()) for e in events]
         # Tenant-filter BEFORE limiting, same contract as the in-memory
         # path: a short page means "scanned to the end of the journal",
         # and only then is last_lsn a safe cursor to jump to — otherwise
         # consumers advance to the last *returned* event's lsn.  Without
         # a tenant filter the limit pushes down into the journal scan.
-        if tenant_id is None:
+        elif tenant_id is None:
             pairs = store.events_after(after_lsn, limit=limit)
         else:
             pairs = [

@@ -7,8 +7,9 @@ paths, same error envelope — but in front of N shards:
 - **Tenant-affine** calls (create/rescale/delete slices, bookings,
   what-if) are routed to the one shard the
   :class:`~repro.cluster.ring.HashRing` assigns the tenant, and the
-  shard's own API answers verbatim.  Detail reads without a tenant
-  header fall back to scatter-gather (first non-404 wins).
+  shard's own API answers verbatim, handed the request the router
+  parsed (``RestApi.handle``).  Detail reads without a tenant header
+  fall back to scatter-gather (first non-404 wins).
 - **Collection** calls fan out to every shard and merge, every item
   annotated with its ``shard``.  A slice page is cut in the global
   ``(slice_id, shard)`` order from the shards' sorted slice-index views
@@ -37,7 +38,6 @@ import heapq
 from bisect import bisect_left, bisect_right
 from itertools import islice
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-from urllib.parse import urlencode
 
 from repro.api.rest import Request, Response, RestApi
 from repro.api.schemas import (
@@ -143,10 +143,7 @@ class ShardRouter(RestApi):
         self._register()
 
     def dispatch(
-        self,
-        method: str,
-        path: str,
-        body: Optional[dict] = None,
+        self, method: str, path: str, body: Optional[dict] = None,
         headers: Optional[Dict[str, str]] = None,
     ) -> Response:
         with self.obs.timed("router.dispatch", label=method.upper()):
@@ -169,15 +166,6 @@ class ShardRouter(RestApi):
     def _owner(self, tenant_id: str) -> Any:
         return self.shards[self.ring.shard_for(tenant_id)]
 
-    def _forward(self, shard: Any, request: Request) -> Response:
-        """Replay ``request`` verbatim against one shard's API."""
-        path = request.path
-        if request.query:
-            path = f"{path}?{urlencode(request.query)}"
-        return shard.api.dispatch(
-            request.method, path, request.body, request.headers
-        )
-
     def _route_by_tenant(self, request: Request) -> Response:
         """Tenant-affine: one shard owns the call.  Without any tenant
         context the request cannot be partitioned — reject loudly
@@ -186,7 +174,7 @@ class ShardRouter(RestApi):
         from repro.api.service import DEFAULT_TENANT
 
         tenant = self._tenant_of(request) or DEFAULT_TENANT
-        return self._forward(self._owner(tenant), request)
+        return self._owner(tenant).api.handle(request)
 
     def _route_detail(self, request: Request) -> Response:
         """Detail endpoints (``/v1/slices/{id}`` etc.): route by tenant
@@ -196,9 +184,9 @@ class ShardRouter(RestApi):
         id), so at most one shard answers non-404."""
         tenant = self._tenant_of(request)
         if tenant:
-            return self._forward(self._owner(tenant), request)
+            return self._owner(tenant).api.handle(request)
         for shard in self.shards:  # the ring has at least one
-            response = self._forward(shard, request)
+            response = shard.api.handle(request)
             if response.status != 404:
                 return response
         return response
@@ -270,13 +258,9 @@ class ShardRouter(RestApi):
                 "use the durable vector cursor (after_lsn=)",
                 field="since",
             )
-        limit = parse_int_param(
-            request.query, "limit", default=100, minimum=1, maximum=1000
-        )
+        limit = parse_int_param(request.query, "limit", default=100, minimum=1, maximum=1000)
         tenant = request.header(TENANT_HEADER) or request.query.get("tenant") or None
-        cursor = VectorCursor.parse(
-            request.query.get("after_lsn", "0"), len(self.shards)
-        )
+        cursor = VectorCursor.parse(request.query.get("after_lsn", "0"), len(self.shards))
         candidates: List[Tuple[float, int, int, dict]] = []
         floors: Dict[int, int] = {}
         heads: Dict[int, int] = {}
@@ -338,7 +322,7 @@ class ShardRouter(RestApi):
         results: Dict[str, dict] = {}
         worst = 200
         for shard in self.shards:
-            response = self._forward(shard, request)
+            response = shard.api.handle(request)
             results[str(shard.shard_id)] = response.body
             worst = max(worst, response.status)
         return Response(status=worst, body={"shards": results})
@@ -382,7 +366,7 @@ class ShardRouter(RestApi):
         shards: Dict[str, dict] = {}
         last_404: Optional[Response] = None
         for shard in self.shards:
-            response = self._forward(shard, request)
+            response = shard.api.handle(request)
             if response.status == 404:
                 last_404 = response
                 continue

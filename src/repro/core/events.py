@@ -11,12 +11,18 @@ trail — consumers that fall further behind than ``capacity`` events see
 a gap, exactly like a Kafka topic with retention.  Sequence numbers are
 monotonically increasing and never reused, so a consumer can detect the
 gap by comparing the first returned ``seq`` with its cursor.
+
+A journaled event carries its record's LSN (rising with ``seq``), so the
+log serves a durable ``after_lsn`` cursor it covers; the journal serves
+the rest.  Both cursors walk the log from its newest end to the first
+event at or below the cursor: a poll costs what it returns.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Deque, Dict, List, Optional
 
 
@@ -35,6 +41,7 @@ class OrchestrationEvent:
         slice_id: Subject slice (None for system-wide events).
         tenant_id: Owning tenant (None when not slice-scoped).
         data: Small JSON-safe payload with event-specific details.
+        lsn: LSN of the journal record that carried the event (0: none).
     """
 
     seq: int
@@ -43,6 +50,7 @@ class OrchestrationEvent:
     slice_id: Optional[str] = None
     tenant_id: Optional[str] = None
     data: Dict[str, object] = field(default_factory=dict)
+    lsn: int = 0
 
     def to_dict(self) -> dict:
         """JSON-friendly form served by ``GET /v1/events``."""
@@ -65,6 +73,8 @@ class EventLog:
         self.capacity = int(capacity)
         self._events: Deque[OrchestrationEvent] = deque(maxlen=self.capacity)
         self._next_seq = 1
+        #: The highest LSN among events evicted beyond ``capacity``.
+        self.evicted_lsn = 0
         #: Optional durability tee: called with every :meth:`emit`-ted
         #: event (the orchestrator journals it, which is what backs the
         #: ``GET /v1/events?after_lsn=`` durable cursor), never an
@@ -110,6 +120,8 @@ class EventLog:
             data=data,
         )
         self._next_seq += 1
+        if len(self._events) == self.capacity and self._events[0].lsn:  # LSNs rise with seq
+            self.evicted_lsn = self._events[0].lsn
         self._events.append(event)
         obs = self.obs
         if obs is not None and obs.enabled:
@@ -129,9 +141,23 @@ class EventLog:
         """Events with ``seq > cursor``, oldest first, at most ``limit``."""
         if cursor < 0:
             raise EventLogError(f"cursor must be non-negative, got {cursor}")
-        out = [e for e in self._events if e.seq > cursor]
-        if limit is not None:
-            out = out[: max(0, int(limit))]
+        out = self._after(attrgetter("seq"), cursor)
+        return out if limit is None else out[: max(0, int(limit))]
+
+    def after_lsn(self, lsn: int) -> List[OrchestrationEvent]:
+        """Retained journaled events with an LSN past ``lsn``, oldest first."""
+        return self._after(attrgetter("lsn"), lsn)
+
+    def _after(self, position: Callable, cursor: int) -> List[OrchestrationEvent]:
+        """Events past ``cursor`` by ``position`` (rising with seq; 0 skipped), newest-in walk."""
+        out = []
+        for event in reversed(self._events):
+            at = position(event)
+            if at > cursor:
+                out.append(event)
+            elif at:
+                break
+        out.reverse()
         return out
 
 

@@ -246,7 +246,7 @@ class Orchestrator:
             or (lambda: HoltWintersForecaster(season_length=24)),
         )
         self._epoch_counter = 0
-        self._running = False
+        self._running = self._stopped = False  # only stop() sets _stopped
 
     # ------------------------------------------------------------------
     # Lifecycle of the orchestrator itself
@@ -272,8 +272,10 @@ class Orchestrator:
         """Halt this control plane as a process death does: no epoch and
         no timer on its clock fires again.  The pending timers were the
         only references back to it, so the plane its owner drops next
-        is freed by reference counting."""
+        is freed by reference counting.  A batch it was stopped inside
+        settles nothing more: its outcomes are answered, never booked."""
         self._running = False
+        self._stopped = True
         self.sim.clear()
 
     # ------------------------------------------------------------------
@@ -719,8 +721,12 @@ class Orchestrator:
         in landing order — rides in the record that settles it (never
         folded on replay), and its job span hangs the journal stage
         under its trace; the single-request path's span is a no-op."""
-        record = {} if outcome.trail is None else {"trail": outcome.trail}
         request = network_slice.request
+        if self._stopped:  # stopped inside its batch: the drivers' word, no books
+            verdict = "installed" if outcome.ok else str(outcome.error)
+            return AdmissionDecision(request.request_id, outcome.ok, verdict,
+                                     slice_id=network_slice.slice_id)
+        record = {} if outcome.trail is None else {"trail": outcome.trail}
         if not outcome.ok:
             for domain, reservation, reason in outcome.rollbacks:
                 self.events.emit(
@@ -931,9 +937,7 @@ class Orchestrator:
         if self.store.should_checkpoint():
             self.durable.checkpoint()
         if epoch_started is not None:
-            obs.observe(
-                "orchestrator.epoch", (perf_counter() - epoch_started) * 1000.0
-            )
+            obs.observe("orchestrator.epoch", (perf_counter() - epoch_started) * 1000.0)
 
     def _drain_planner_events(self) -> None:
         """Surface the planner's buffered incidents (op timeouts,
@@ -1011,8 +1015,4 @@ class Orchestrator:
         }
 
 
-__all__ = [
-    "Orchestrator",
-    "OrchestratorConfig",
-    "OrchestratorError",
-]
+__all__ = ["Orchestrator", "OrchestratorConfig", "OrchestratorError"]

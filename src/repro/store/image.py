@@ -27,6 +27,8 @@ class DurableImage:
         self.fold = ReplayState()
         #: slice id → its ``live`` member as the last checkpoint encoded it.
         self.fragments: Dict[str, str] = {}
+        #: The journal's head when this plane began (older events are not in its log).
+        self.floor_lsn = store.last_lsn
 
     def seed(self, state: ReplayState) -> None:
         """Fold on from ``state`` (what a recovery restores from), before
@@ -49,13 +51,16 @@ class DurableImage:
         lsn = self.store.append(record_type, time=now, **data)
         if lsn:  # a closed (killed, fenced) store drops the record
             self.fold.apply(record_type, now, data)
+            if event is not None:
+                event.lsn = lsn
         return lsn
 
     def journal_event(self, event: OrchestrationEvent) -> None:
         """EventLog sink: journal an event no transition raises (backs
         the durable ``GET /v1/events?after_lsn=`` cursor)."""
         data = {"event": event.to_dict()}
-        if self.store.append("event.emitted", time=event.time, **data):
+        event.lsn = self.store.append("event.emitted", time=event.time, **data)
+        if event.lsn:
             self.fold.apply("event.emitted", event.time, data)
 
     def journal_driver_record(

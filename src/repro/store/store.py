@@ -79,11 +79,6 @@ class NullStore:
     def load(self) -> Tuple[Optional[Dict[str, Any]], List[JournalRecord]]:
         return None, []
 
-    def events_after(
-        self, after_lsn: int = 0, limit: Optional[int] = None
-    ) -> List[Tuple[int, Dict[str, Any]]]:
-        return []
-
     def status(self) -> Dict[str, Any]:
         return {"enabled": False}
 
@@ -255,7 +250,10 @@ class ControlPlaneStore:
         self, after_lsn: int = 0, limit: Optional[int] = None
     ) -> List[Tuple[int, Dict[str, Any]]]:
         """Northbound events journaled past ``after_lsn``, as
-        ``(lsn, event_dict)`` pairs, oldest first.
+        ``(lsn, event_dict)`` pairs, oldest first: the durable cursor's
+        fallback, read only when the leader's in-memory event log no
+        longer covers the cursor (an evicted event, or a record an
+        earlier process journaled) — see ``SliceService.events_since``.
 
         A feed entry is any record carrying an ``event``: the transition
         that raised it, or an ``event.emitted`` (an event no transition

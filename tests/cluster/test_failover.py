@@ -84,6 +84,7 @@ def test_leader_sigkill_mid_batch_promotes_standby(cluster):
     ]
     firewall.stall(STALLED, kinds=("commit",))
     at_kill = {}
+    killed = leader.orchestrator
 
     def kill() -> None:
         # --- 3. SIGKILL the leader ----------------------------------------
@@ -92,6 +93,7 @@ def test_leader_sigkill_mid_batch_promotes_standby(cluster):
         at_kill["stalled"] = firewall.stalled_ops
         cluster.kill_leader(KILLED)
         at_kill["lsn"] = leader.store.last_lsn
+        at_kill["runtimes"] = dict(killed.fleet.runtimes)
         # --- 4. the southbound finishes what was in flight ----------------
         firewall.release_stall()
 
@@ -101,6 +103,11 @@ def test_leader_sigkill_mid_batch_promotes_standby(cluster):
     assert leader.dead
     lsn_at_kill = at_kill["lsn"]
     assert all(d.admitted for d in batch_decisions)  # southbound truth
+    # The killed plane settled nothing after its stop: no runtime, no
+    # timer on its stopped clock.
+    assert killed.fleet.runtimes == at_kill["runtimes"]
+    assert len(at_kill["runtimes"]) == FIRST_WAVE
+    assert killed.sim.step() is False
 
     # The *other* shard serves through the outage.
     response = router.post(

@@ -9,8 +9,9 @@ whole fleet or the whole journal:
   (the calendar re-summed every booking),
 - sort-key evaluations inside ``OpenFlowSwitch.install`` (the table was
   re-sorted through a Python key function),
-- journal lines decoded by a steady-state ``GET /v1/events`` poll (the
-  journal was re-read from its start),
+- journal lines decoded by a head-following ``GET /v1/events`` poll (the
+  journal was re-read from its start; then from the cursor; now the
+  leader's event log serves it, and none is decoded),
 - ``NetworkSlice.to_dict`` calls behind ``GET /v1/slices?limit=20``
   (every matching slice was serialised before the page was cut),
 - ``NetworkSlice.state`` reads behind a ``?state=active`` page from the
@@ -217,8 +218,9 @@ def test_request_path_work_does_not_grow_with_live_slices(tmp_path, monkeypatch)
     assert small == large, f"per-request work grew with the fleet: {small} -> {large}"
     assert small["vectors per fits"] <= 4
     assert small["keys per install"] <= 2
-    # Only what trails the last event each shard journaled.
-    assert small["lines decoded per idle poll"] <= SHARDS
+    # A consumer at the head reads the leaders' event logs, not the journals.
+    assert small["lines decoded per poll"] == 0
+    assert small["lines decoded per idle poll"] == 0
     assert small["to_dict per page of 20"] == 20
     # Only the ones the 20 serialised items read.
     assert small["state reads per active page"] == 20

@@ -140,3 +140,64 @@ class TestPlannerIncidentEvents:
             assert timeouts[0].data["domain"] == "chaos"
         finally:
             chaos.release_stall()
+
+
+class TestNewestEndWalk:
+    """``since`` and ``after_lsn`` walk the log from its newest end and
+    stop at the first event at or below the cursor; the comprehension
+    over the whole log they replaced is the oracle."""
+
+    @staticmethod
+    def filled(rng, capacity: int, count: int, gap_at: int) -> EventLog:
+        log = EventLog(capacity=capacity)
+        lsn = 0
+        for i in range(count):
+            if i == gap_at:
+                log.resume_from(log.last_seq + rng.randint(1, 50))
+            event = log.append(float(i), "tick")
+            if rng.random() < 0.7:  # journaled; LSNs rise with seq, with holes
+                lsn += rng.randint(1, 3)
+                event.lsn = lsn
+        return log
+
+    def test_since_equals_the_full_scan(self):
+        import random
+
+        rng = random.Random(1)
+        for _ in range(300):
+            capacity = rng.randint(1, 12)
+            log = self.filled(rng, capacity, rng.randint(0, 30), rng.randint(0, 30))
+            retained = list(log._events)
+            cursor = rng.randint(0, log.last_seq + 2)
+            limit = rng.choice([None, 0, 1, 2, 5, 100])
+            expected = [e for e in retained if e.seq > cursor]
+            if limit is not None:
+                expected = expected[:limit]
+            assert log.since(cursor, limit=limit) == expected
+
+    def test_after_lsn_equals_the_full_scan(self):
+        import random
+
+        rng = random.Random(2)
+        for _ in range(300):
+            log = self.filled(rng, rng.randint(1, 12), rng.randint(0, 30), rng.randint(0, 30))
+            retained = list(log._events)
+            top = max((e.lsn for e in retained), default=0)
+            cursor = rng.randint(0, top + 2)
+            assert log.after_lsn(cursor) == [e for e in retained if e.lsn > cursor]
+
+    def test_eviction_floor_is_the_highest_evicted_lsn(self):
+        log = EventLog(capacity=2)
+        for lsn in (1, 0, 4, 0, 7):
+            log.append(0.0, "tick").lsn = lsn
+        # 1, 0 and 4 are evicted; the unjournaled one never lowers it.
+        assert log.evicted_lsn == 4
+        assert [e.lsn for e in log.after_lsn(0)] == [7]
+
+    def test_the_walk_stops_at_the_cursor(self):
+        log = EventLog(capacity=1024)
+        for i in range(1000):
+            log.append(float(i), "tick").lsn = i + 1
+        seen = []
+        log._after(lambda e: seen.append(e) or e.seq, 995)
+        assert len(seen) == 6  # 1000..996, then 995 stops it

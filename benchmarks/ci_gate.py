@@ -125,6 +125,16 @@ broken:
   leaders' event logs, never the journals); a poll that returned no
   event would make the second vacuous, so the events read are published
   and must be non-zero.
+- **Journal bytes** — counted, not timed: the journal that
+  ``tests/store/window_scenario.py`` writes (two sync creates, a
+  checkpoint, a five-request broker window, one request left open),
+  as records and bytes per record type, against ``JOURNAL_BYTES``.
+  The table is printed; a type that writes more records or bytes than
+  its pin fails the gate, and one that writes fewer asks for the pin
+  to be lowered (a warning).  Each request image is written once, at
+  its first durable sight; later records name it by id, and a
+  ``slice.installed`` trail leaves out the ids its ``reservations``
+  name (``trail_entries`` counts what the trails still say).
 - **src_lines** — the physical line count of ``src/**/*.py`` is
   published and must not exceed ``SRC_LINES_CEILING``.
 
@@ -219,8 +229,25 @@ D8D_SETTLED_S = 0.15
 #: rebase queued; the orchestrator's epoch-drained queue is gone); +25
 #: for the v1 edge doing its work once (the router hands a shard the
 #: request it parsed, routes come from a table, the durable event cursor
-#: reads the leader's event log) and a stopped plane settling nothing.
-SRC_LINES_CEILING = 20_447
+#: reads the leader's event log) and a stopped plane settling nothing;
+#: +196 for a journal that writes each request image once under a
+#: declared format (references resolved by the fold, packed trails, a
+#: format line and snapshot member, the readers that refuse a newer
+#: format, the upgrade of an undeclared journal) and one prebuilt encoder.
+SRC_LINES_CEILING = 20_643
+
+#: The window scenario's journal, record type -> (records, bytes of
+#: their lines with newlines).  Format 2 wrote ``install.started`` in
+#: 1 401 bytes and ``slice.installed`` in 3 231 (9 238 in all): each
+#: repeated the request image, and each trail every reservation id.
+JOURNAL_BYTES = {
+    "broker.enqueued": (6, 1883),
+    "checkpoint.written": (1, 64),
+    "event.emitted": (6, 1492),
+    "install.started": (4, 524),
+    "slice.installed": (3, 1986),
+    "slice.rejected": (2, 1167),
+}
 
 #: D8 scalability sweep points (eNB counts) and their shortened-horizon
 #: simulated hour — the gate records the ms-per-request curve per
@@ -1199,6 +1226,54 @@ def run_durable_writes(failures: list) -> dict:
     }
 
 
+def run_journal_bytes(failures: list, warnings: list) -> dict:
+    """Records and bytes per record type of the window scenario's
+    journal, against ``JOURNAL_BYTES``; prints the table."""
+    import tempfile
+
+    from repro.store.codec import trail_of
+    from repro.store.journal import FORMAT_LINE, JournalRecord
+    from tests.store import window_scenario
+
+    directory = tempfile.mkdtemp(prefix="journal-bytes-")
+    window_scenario.run(directory)
+    path = os.path.join(directory, f"shard-{window_scenario.SHARD:03d}", "journal.jsonl")
+    with open(path, encoding="ascii") as handle:
+        lines = handle.read().splitlines(keepends=True)
+    if lines[:1] != [FORMAT_LINE]:
+        failures.append(f"journal bytes: the journal does not open with {FORMAT_LINE!r}")
+    table: dict = {}
+    trail_entries = 0
+    for line in lines[1:]:
+        record = JournalRecord.from_line(line)
+        row = table.setdefault(record.record_type, [0, 0])
+        row[0] += 1
+        row[1] += len(line)
+        trail_entries += len(trail_of(record.data))
+    print("journal bytes (window scenario): type, records, bytes, pinned")
+    for kind in sorted({*table, *JOURNAL_BYTES}):
+        records, size = table.get(kind, (0, 0))
+        pinned = JOURNAL_BYTES.get(kind, (0, 0))
+        print(f"  {kind:<20} {records:>4} {size:>6}   {pinned[0]:>4} {pinned[1]:>6}")
+        if records > pinned[0] or size > pinned[1]:
+            failures.append(
+                f"journal bytes: {kind} wrote {records} records / {size} bytes "
+                f"> pinned {pinned[0]} / {pinned[1]}"
+            )
+        elif (records, size) != pinned:
+            warnings.append(
+                f"journal bytes: {kind} wrote {records} records / {size} bytes, "
+                f"below pinned {pinned[0]} / {pinned[1]}: lower JOURNAL_BYTES"
+            )
+    return {
+        "by_type": {kind: {"records": n, "bytes": b} for kind, (n, b) in sorted(table.items())},
+        "records": sum(n for n, _ in table.values()),
+        "bytes": sum(b for _, b in table.values()),
+        "format_line_bytes": len(lines[0]) if lines else 0,
+        "trail_entries": trail_entries,
+    }
+
+
 def count_src_lines() -> int:
     """Physical lines of ``src/**/*.py`` — the ROADMAP's tracked size."""
     src = Path(__file__).resolve().parent.parent / "src"
@@ -1299,6 +1374,7 @@ def run_gate() -> dict:
     durable_writes = run_durable_writes(failures)
     driver_overhead = run_driver_overhead(failures)
     edge_work = run_edge_work(failures)
+    journal_bytes = run_journal_bytes(failures, warnings)
 
     return {
         "python": platform.python_version(),
@@ -1341,6 +1417,7 @@ def run_gate() -> dict:
         "durable_writes": durable_writes,
         "driver_overhead": driver_overhead,
         "edge_work": edge_work,
+        "journal_bytes": journal_bytes,
         "failures": failures,
         "warnings": warnings,
         "ok": not failures,
@@ -1404,6 +1481,8 @@ def main(argv=None) -> int:
         f"{payload['driver_overhead']['locked_futures_built']} locked futures per window, "
         f"edge work {payload['edge_work']['url_parses_per_request']} URL parses per request / "
         f"{payload['edge_work']['feed_lines_decoded']} feed lines decoded, "
+        f"journal bytes {payload['journal_bytes']['bytes']} in "
+        f"{payload['journal_bytes']['records']} records, "
         f"src {payload['src_lines']} lines"
     )
     return 0

@@ -26,7 +26,6 @@ from typing import Callable, List, Optional, Tuple
 from repro.core.admission import AdmissionDecision, AdmissionPolicy, KnapsackPolicy
 from repro.core.orchestrator import Orchestrator
 from repro.core.slices import SliceRequest
-from repro.store.codec import request_to_dict
 from repro.traffic.patterns import TrafficProfile
 
 
@@ -105,7 +104,7 @@ class SliceBroker:
         # Write-ahead before the request is visible in the window: an
         # acknowledged enqueue must survive a crash of the process.
         self.orchestrator.durable.journal(
-            "broker.enqueued", request=request_to_dict(request), window_s=self.window_s
+            "broker.enqueued", request=request, window_s=self.window_s
         )
         self._queue.append(
             PendingRequest(

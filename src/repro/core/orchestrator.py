@@ -70,7 +70,6 @@ from repro.core.slices import (
 from repro.obs import NOOP_OBS, ControlPlaneObservability, enabled_by_env
 from repro.ran.controller import PlannedCellLoad
 from repro.sim.engine import Simulator
-from repro.store.codec import request_to_dict
 from repro.store.image import DurableImage
 from repro.store.store import ControlPlaneStore, NullStore, open_store
 from repro.sim.randomness import RandomStreams
@@ -349,7 +348,7 @@ class Orchestrator:
         self._pending_advance[request.request_id] = (request, start_time)
         self.durable.journal(
             "booking.committed",
-            request=request_to_dict(request),
+            request=request,
             start_time=start_time,
         )
 
@@ -607,7 +606,7 @@ class Orchestrator:
             return self._book_install_rejection(network_slice, str(exc))
         self.durable.journal(
             "install.started",
-            request=request_to_dict(request),
+            request=request,
             slice_id=network_slice.slice_id,
             plmn=network_slice.plmn.plmn_id,
             fraction=size.fraction,
@@ -753,7 +752,7 @@ class Orchestrator:
                     self.sim.now, "slice.admitted", network_slice.slice_id,
                     request.tenant_id, price=request.price,
                 ),
-                request=request_to_dict(request),
+                request=request,
                 slice_id=network_slice.slice_id,
                 plmn=network_slice.plmn.plmn_id if network_slice.plmn else None,
                 fraction=size.fraction,

@@ -26,14 +26,20 @@ one record per state transition.  ``+event``: the record carries the
 feed event the transition raised (the durable ``after_lsn`` cursor
 reads any record with an ``event`` field); ``+trail``: a batched job's
 driver trail, every landed prepare/commit/rollback/release — not folded.
+``image``: the record writes a ``request`` image when its fold holds
+none for the request, else a ``request_id`` reference (``ref``).
 
 ===================== ==========================================================
 ``admission.enqueued`` read only: the previous format's request queued for
                        the next batched install (recovery installs it)
 ``broker.enqueued``    request queued in a broker window, until its
-                       ``install.started`` or ``slice.rejected``
-``install.started``    install staged southbound (PLMN held, specs planned)
-``slice.installed``    install acknowledged; +event ``slice.admitted``, +trail
+                       ``install.started`` or ``slice.rejected``; image
+                       (ref when a recovery re-offers it)
+``install.started``    install staged southbound (PLMN held, specs planned);
+                       image for an online create, ref for a window winner,
+                       a booking falling due or a recovery's queued install
+``slice.installed``    install acknowledged; ref, +event ``slice.admitted``,
+                       +trail with each id ``reservations`` names left out
 ``slice.activated``    slice went ACTIVE (expiry clock started), +event; both
                        are written by installs and activations only — a
                        recovery re-adopts in memory and journals its rebase
@@ -42,7 +48,8 @@ driver trail, every landed prepare/commit/rollback/release — not folded.
 ``slice.rejected``     admission or install failure booked, +event, +trail
 ``slice.modified``     tenant rescale (new SLA throughput)
 ``slice.reconfigured`` overbooking loop resized the effective fraction, +event
-``booking.committed``  advance reservation promised on the calendar
+``booking.committed``  advance reservation promised on the calendar; image
+                       (ref when a recovery re-promises it)
 ``booking.cancelled``  advance reservation withdrawn, +event
 ``quota.set``          per-tenant quota changed
 ``event.emitted``      a feed event no transition raises (``sla.violation``,
@@ -59,10 +66,25 @@ driver trail, every landed prepare/commit/rollback/release — not folded.
 every record after it is on the new process's clock, so the fold moves
 its image onto that clock and restarts ``time`` there.
 
-The previous format still folds: it also wrote every event as an
+A reference resolves against the table that holds the image
+(:meth:`ReplayState.held_request`): the in-flight install of the
+record's ``slice_id``, else ``broker_pending``, ``queued`` or
+``advance``.  The fold hands that same dict on, so a request is decoded
+once however many records name it.  A record names a request by id
+alone only while its fold holds one for that id, which is why request
+ids must be unique among pending and in-flight requests.
+
+Format versions, declared once per file: a journal's first line is
+``{"format":3}`` and a snapshot's object carries ``"format": 3``
+(:data:`FORMAT_VERSION`).  A file that declares none is an older
+format, and still folds: format 2 wrote every request image in full
+and every ``slice.installed`` trail with all its ids; format 1, from
+before one record per transition, also wrote every event as an
 ``event.emitted``, each trail as a ``driver.trail`` and each window
 decision as a ``broker.decided`` record, after the decision's own
-``install.started``/``slice.rejected`` — none folds beyond its ``event``.
+``install.started``/``slice.rejected`` — none folds beyond its
+``event``.  A file declaring a newer format than this code's is
+refused, never guessed at.
 """
 
 from __future__ import annotations
@@ -70,7 +92,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Set, TYPE_CHECKING
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, TYPE_CHECKING
 
 from repro.core.slices import SLA, ServiceType, SliceRequest
 
@@ -93,6 +116,34 @@ def json_default(obj: Any) -> Any:
     if isinstance(obj, (set, frozenset)):
         return sorted(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+#: The journal and snapshot format this code writes (module docstring).
+FORMAT_VERSION = 3
+#: The format of a file that declares none.
+UNDECLARED_FORMAT = 2
+
+
+def prebuilt_encoder(item_separator: str, key_separator: str) -> Callable[[Any], str]:
+    """``json.dumps(obj, sort_keys=True, default=json_default,
+    separators=(item_separator, key_separator))``, byte for byte, as one
+    encoder built here: ``JSONEncoder.encode`` builds a C encoder and a
+    circular-reference memo on every call.  This one keeps no memo (a
+    self-containing value recurses until ``RecursionError``); without
+    the C accelerator it is a prebuilt ``JSONEncoder``."""
+    if c_make_encoder is None:  # pragma: no cover - CPython ships it
+        return json.JSONEncoder(
+            sort_keys=True, separators=(item_separator, key_separator), default=json_default
+        ).encode
+    chunks = c_make_encoder(
+        None, json_default, encode_basestring_ascii, None,
+        key_separator, item_separator, True, False, True,
+    )
+    return lambda obj: "".join(chunks(obj, 0))
+
+
+#: Compact canonical JSON: journal lines and :meth:`ReplayState.digest`.
+encode_json = prebuilt_encoder(",", ":")
 
 
 # ----------------------------------------------------------------------
@@ -134,6 +185,27 @@ def request_from_dict(payload: Dict[str, Any]) -> SliceRequest:
         priority=payload.get("priority", 0),
         request_id=payload["request_id"],
     )
+
+
+def pack_trail(trail: Iterable[Any], reservations: Dict[str, str]) -> List[List[str]]:
+    """A settled install's driver trail as ``slice.installed`` writes it:
+    ``[kind, domain]`` where the entry's reservation is the one
+    ``reservations`` names for its domain, else ``[kind, domain, id]``."""
+    return [
+        [kind, domain] if reservations.get(domain) == reservation_id
+        else [kind, domain, reservation_id]
+        for kind, domain, reservation_id in trail
+    ]
+
+
+def trail_of(data: Dict[str, Any]) -> List[tuple]:
+    """A record's driver trail, every entry ``(kind, domain, reservation
+    id)`` — a :func:`pack_trail` entry takes its id from ``reservations``."""
+    reservations = data.get("reservations") or {}
+    return [
+        (entry[0], entry[1], entry[2] if len(entry) > 2 else reservations[entry[1]])
+        for entry in data.get("trail") or ()
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -244,10 +316,10 @@ class ReplayState:
             # request ends here.
             self.broker_pending.pop(request["request_id"], None)
         elif kind == "broker.enqueued":
-            request = data["request"]
+            request = self._request_of(kind, data)
             self.broker_pending[request["request_id"]] = request
         elif kind == "install.started":
-            request = data["request"]
+            request = self._request_of(kind, data)
             self.queued.pop(request["request_id"], None)
             self.broker_pending.pop(request["request_id"], None)
             self.advance.pop(request["request_id"], None)
@@ -258,7 +330,7 @@ class ReplayState:
                 "started_at": time,
             }
         elif kind == "slice.installed":
-            request = data["request"]
+            request = self._request_of(kind, data)
             self.queued.pop(request["request_id"], None)
             self.advance.pop(request["request_id"], None)
             self.in_flight.pop(data["slice_id"], None)
@@ -299,7 +371,7 @@ class ReplayState:
                 image["fraction"] = data["fraction"]
                 self.changed.add(data["slice_id"])
         elif kind == "booking.committed":
-            request = data["request"]
+            request = self._request_of(kind, data)
             self.advance[request["request_id"]] = {
                 "request": request,
                 "start_time": data["start_time"],
@@ -316,6 +388,35 @@ class ReplayState:
         # event.emitted, driver.*, checkpoint.written, recovery.completed:
         # the event (if any) above, else audit trail only — driver
         # *ground truth* is reconciled live, not replayed.
+
+    def held_request(
+        self, request_id: str, slice_id: Optional[str] = None
+    ) -> Optional[Dict[str, Any]]:
+        """The request dict this image holds for a record naming
+        ``request_id`` (and ``slice_id``), or None: the in-flight install
+        of that slice, else the request pending in a window, queued, or
+        booked ahead.  The writer and every fold resolve a reference
+        here, so both hand on the same image."""
+        image = self.in_flight.get(slice_id) if slice_id else None
+        if image is not None and image["request"]["request_id"] == request_id:
+            return image["request"]
+        held = self.broker_pending.get(request_id) or self.queued.get(request_id)
+        if held is None and (entry := self.advance.get(request_id)) is not None:
+            held = entry["request"]
+        return held
+
+    def _request_of(self, kind: str, data: Dict[str, Any]) -> Dict[str, Any]:
+        """The request a record carries: its image, or the one its
+        ``request_id`` reference resolves to."""
+        request = data.get("request")
+        if request is None:
+            request = self.held_request(data["request_id"], data.get("slice_id"))
+            if request is None:
+                raise ValueError(
+                    f"{kind} refers to request {data['request_id']!r}, "
+                    "which no folded record holds"
+                )
+        return request
 
     def _rebase(self, now: float, data: Dict[str, Any]) -> None:
         """Fold a recovery's in-memory re-adoption at ``now``, its first
@@ -397,10 +498,10 @@ class ReplayState:
         """SHA-256 over the canonical JSON image.  Two folds of the
         same snapshot+journal must produce the same digest — the
         replay-determinism invariant."""
-        canonical = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":"), default=json_default
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return hashlib.sha256(encode_json(self.to_dict()).encode("utf-8")).hexdigest()
 
 
-__all__ = ["ReplayState", "json_default", "request_from_dict", "request_to_dict"]
+__all__ = [
+    "FORMAT_VERSION", "ReplayState", "UNDECLARED_FORMAT", "encode_json", "json_default",
+    "pack_trail", "prebuilt_encoder", "request_from_dict", "request_to_dict", "trail_of",
+]

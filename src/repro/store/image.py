@@ -6,11 +6,11 @@ through, and the one :class:`~repro.store.codec.ReplayState` they fold
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.core.events import OrchestrationEvent
-from repro.core.slices import peek_request_counter
-from repro.store.codec import ReplayState
+from repro.core.slices import SliceRequest, peek_request_counter
+from repro.store.codec import ReplayState, pack_trail, request_to_dict
 from repro.store.snapshot import encode_member
 
 
@@ -38,13 +38,30 @@ class DurableImage:
         state.changed.update(state.live)
 
     def journal(
-        self, record_type: str, event: OrchestrationEvent | None = None, **data: Any
+        self,
+        record_type: str,
+        event: OrchestrationEvent | None = None,
+        request: Optional[SliceRequest] = None,
+        **data: Any,
     ) -> int:
         """Write-ahead one control-plane transition (no-op when the
         store is a :class:`~repro.store.store.NullStore`), carrying the
-        feed ``event`` it raised: that event's durable LSN is this one."""
+        feed ``event`` it raised: that event's durable LSN is this one.
+        A ``request`` is written as its image the first time the fold
+        sees it, and as a ``request_id`` reference while the fold holds
+        it (:meth:`~repro.store.codec.ReplayState.held_request`); a
+        ``trail`` beside ``reservations`` leaves out the ids they name
+        (:func:`~repro.store.codec.pack_trail`)."""
         if not self.store.enabled:
             return 0
+        if request is not None:
+            request_id = request.request_id
+            if self.fold.held_request(request_id, data.get("slice_id")) is None:
+                data["request"] = request_to_dict(request)
+            else:
+                data["request_id"] = request_id
+        if "reservations" in data and data.get("trail") is not None:
+            data["trail"] = pack_trail(data["trail"], data["reservations"])
         if event is not None:
             data["event"] = event.to_dict()
         now = self.sim.now

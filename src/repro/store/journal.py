@@ -8,9 +8,18 @@ the transition is acknowledged northbound.  On restart,
 :class:`~repro.store.recovery.RecoveryManager` folds the journal (on
 top of the latest snapshot) back into control-plane state.
 
-Format: one JSON object per line::
+Format: a declaration, then one JSON object per record line::
 
-    {"lsn": 17, "t": 120.0, "type": "slice.installed", "data": {...}}
+    {"format":3}
+    {"data":{...},"lsn":17,"t":120.0,"type":"slice.installed"}
+
+The first line declares the file's format version
+(:data:`~repro.store.codec.FORMAT_VERSION`).  A file without it is in
+an older format, which still reads; the first append to such a file
+rewrites it behind this code's declaration (atomically, as compaction
+does), so a file never holds records newer than it declares.  A file
+declaring a newer format than this code's is refused
+(:class:`JournalError`).
 
 Durability discipline:
 
@@ -56,7 +65,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.store.codec import json_default
+from repro.store.codec import FORMAT_VERSION, encode_json
 from repro.store.snapshot import fsync_directory
 
 
@@ -69,9 +78,9 @@ class JournalCorrupt(JournalError):
     torn final write."""
 
 
-#: The one record encoder (stateless, so shared by every journal):
-#: ``json.dumps`` with these arguments would build one per line.
-_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=json_default)
+#: The line that declares a journal's format: its first.
+FORMAT_LINE = encode_json({"format": FORMAT_VERSION}) + "\n"
+_DECLARATION = b'{"format":'
 
 
 @dataclass
@@ -91,7 +100,7 @@ class JournalRecord:
     data: Dict[str, Any] = field(default_factory=dict)
 
     def to_line(self) -> str:
-        return _LINE_ENCODER.encode(
+        return encode_json(
             {"lsn": self.lsn, "t": self.time, "type": self.record_type, "data": self.data}
         )
 
@@ -119,6 +128,19 @@ class _ScanResult:
     #: The final line is an intact record but lacks its newline (the
     #: process died between write and terminator); repair appends one.
     tail_unterminated: bool = False
+    #: The format the file's first line declares, when the scan read it.
+    declared: Optional[int] = None
+
+
+def _declared_format(path: str, line: bytes) -> int:
+    """The version a format line declares; a newer one than this code's
+    is refused."""
+    version = int(json.loads(line)["format"])
+    if version > FORMAT_VERSION:
+        raise JournalError(
+            f"{path}: journal format {version} is newer than this reader's {FORMAT_VERSION}"
+        )
+    return version
 
 
 def _scan(path: str, offset: int = 0) -> _ScanResult:
@@ -129,6 +151,7 @@ def _scan(path: str, offset: int = 0) -> _ScanResult:
     :class:`JournalCorrupt` on damage anywhere else.
     """
     result = _ScanResult(clean_end=offset)
+    at_head = offset == 0
     if not os.path.exists(path):
         return result
     with open(path, "rb") as handle:
@@ -151,6 +174,13 @@ def _scan(path: str, offset: int = 0) -> _ScanResult:
             offset = line_end
             continue
         try:
+            if at_head and index == 0 and stripped.startswith(_DECLARATION):
+                declared = _declared_format(path, stripped)
+                if not terminated:
+                    break  # torn with the record written beside it
+                result.declared, result.clean_end = declared, line_end
+                offset = line_end
+                continue
             record = JournalRecord.from_line(stripped.decode("utf-8"))
         except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
             if is_last and not terminated:
@@ -185,6 +215,8 @@ class JournalTail:
         self.lsns: List[int] = []
         self.starts: List[int] = []
         self.offset = 0
+        #: The format the file declares (None: an older one, or empty).
+        self.declared: Optional[int] = None
         self._inode: Optional[int] = None
 
     def pull(self) -> _ScanResult:
@@ -199,6 +231,8 @@ class JournalTail:
             self._inode, self.offset = stat.st_ino, 0
             self.lsns, self.starts = [], []
         scan = _scan(self.path, self.offset)
+        if not self.offset:
+            self.declared = scan.declared
         count = len(scan.records) - scan.tail_unterminated
         self.lsns.extend(record.lsn for record in scan.records[:count])
         self.starts.extend(scan.starts[:count])
@@ -212,11 +246,14 @@ class JournalTail:
         self.offset += size
 
     def rebased(self, dropped: int, base: int) -> None:
-        """This tail's owner replaced the file by its own bytes from
-        ``base`` on: keep the index of all but the ``dropped`` first."""
+        """This tail's owner replaced the file by a format line and its
+        own bytes from ``base`` on: keep the index of all but the
+        ``dropped`` first."""
+        shift = base - len(FORMAT_LINE)
         del self.lsns[:dropped]
-        self.starts = [start - base for start in self.starts[dropped:]]
-        self.offset -= base
+        self.starts = [start - shift for start in self.starts[dropped:]]
+        self.offset -= shift
+        self.declared = FORMAT_VERSION
         self._inode = os.stat(self.path).st_ino
 
     def records(self, after_lsn: int = 0) -> List[JournalRecord]:
@@ -340,6 +377,8 @@ class Journal:
     ) -> int:
         if self._closed:
             return 0
+        if self._tail.declared != FORMAT_VERSION:
+            self._declare()
         lsn = self._last_lsn + 1
         record = JournalRecord(lsn=lsn, time=float(time), record_type=record_type, data=data)
         line = record.to_line() + "\n"
@@ -351,6 +390,17 @@ class Journal:
             self._fsync(obs)
         self._last_lsn = lsn
         return lsn
+
+    def _declare(self) -> None:
+        """Declare this code's format ahead of its first record: an empty
+        file starts with the format line, one in an older format is
+        rewritten behind it."""
+        tail = self._tail
+        if tail.offset:
+            self._rewrite(0)
+        else:
+            self._handle.write(FORMAT_LINE)
+            tail.offset, tail.declared = len(FORMAT_LINE), FORMAT_VERSION
 
     @contextmanager
     def batch(self) -> Iterator[None]:
@@ -422,17 +472,25 @@ class Journal:
         if self._closed:
             raise JournalError("journal is closed")
         self._handle.flush()
+        self._tail.pull()
+        dropped = bisect_right(self._tail.lsns, upto_lsn)
+        self._rewrite(dropped)
+        return dropped
+
+    def _rewrite(self, dropped: int) -> None:
+        """Replace the file by the format line and every record but the
+        ``dropped`` first.  Atomic: a temp file renamed over the journal."""
+        self._handle.flush()
         if self._unsynced:  # a checkpoint has just synced; a direct caller may not have
             os.fsync(self._handle.fileno())
         tail = self._tail
-        tail.pull()
-        dropped = bisect_right(tail.lsns, upto_lsn)
         base = tail.starts[dropped] if dropped < len(tail.starts) else tail.offset
         with open(self.path, "rb") as current:
             current.seek(base)
             survivors = current.read(tail.offset - base)
         tmp_path = self.path + ".compact"
         with open(tmp_path, "wb") as tmp:
+            tmp.write(FORMAT_LINE.encode("ascii"))
             tmp.write(survivors)
             tmp.flush()
             os.fsync(tmp.fileno())
@@ -442,7 +500,6 @@ class Journal:
         self._handle = open(self.path, "a", encoding="utf-8")
         self._unsynced = 0
         tail.rebased(dropped, base)
-        return dropped
 
     def size_bytes(self) -> int:
         """Current on-disk size of the journal file."""

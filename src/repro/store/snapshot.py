@@ -15,10 +15,14 @@ newest is kept as the only one needed, plus its predecessor as a
 paranoia fallback against a corrupt latest).
 
 Bytes: :func:`encode_snapshot` alone writes them, always those of
-``json.dumps({"lsn": lsn, "state": state}, sort_keys=True,
-default=json_default)``.  A checkpoint hands it the ``live`` section as
-per-slice fragments, of which the leader re-encodes only those of the
-slices a folded record changed since the last one
+``json.dumps({"format": FORMAT_VERSION, "lsn": lsn, "state": state},
+sort_keys=True, default=json_default)``: the object declares the
+format it is in (:data:`~repro.store.codec.FORMAT_VERSION`).  One that
+declares none is an older format and still loads; one that declares a
+newer format than this code's is refused (:class:`SnapshotError`).  A
+checkpoint hands it the ``live`` section as per-slice fragments, of
+which the leader re-encodes only those of the slices a folded record
+changed since the last one
 (:meth:`~repro.store.image.DurableImage.checkpoint`).
 """
 
@@ -29,38 +33,49 @@ import os
 import re
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.store.codec import json_default
+from repro.store.codec import FORMAT_VERSION, UNDECLARED_FORMAT, prebuilt_encoder
 
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d+)\.json$")
+#: A snapshot's head, before its state: the declared format, if any, and the LSN.
+_HEAD_RE = re.compile(rb'^\{(?:"format": (\d+), )?"lsn": (\d+), "state": \{')
 
 #: ``json.dumps(..., sort_keys=True, default=json_default)``, built once.
-_ENCODER = json.JSONEncoder(sort_keys=True, default=json_default)
+_encode = prebuilt_encoder(", ", ": ")
 
 
 def encode_member(key: str, value: Any) -> str:
     """``"key": value``, as ``json.dumps`` writes an object's member."""
-    return f"{_ENCODER.encode(key)}: {_ENCODER.encode(value)}"
+    return f"{_encode(key)}: {_encode(value)}"
 
 
 def encode_snapshot(
     lsn: int, state: Dict[str, Any], live: Optional[Dict[str, str]] = None
 ) -> bytes:
     """The snapshot of ``state`` at ``lsn``, byte for byte ``json.dumps``
-    of ``{"lsn": lsn, "state": state}`` as above.  ``live``, when given,
-    is the ``live`` section as :func:`encode_member` fragments by slice id."""
+    of ``{"format": FORMAT_VERSION, "lsn": lsn, "state": state}`` as
+    above.  ``live``, when given, is the ``live`` section as
+    :func:`encode_member` fragments by slice id."""
     if live is None:
-        return _ENCODER.encode({"lsn": lsn, "state": state}).encode("utf-8")
+        return _encode({"format": FORMAT_VERSION, "lsn": lsn, "state": state}).encode("utf-8")
     members = [
         f'"live": {{{", ".join(live[key] for key in sorted(live))}}}'
         if name == "live"
         else encode_member(name, value)
         for name, value in sorted({**state, "live": None}.items())
     ]
-    return f'{{"lsn": {int(lsn)}, "state": {{{", ".join(members)}}}}}'.encode("utf-8")
+    head = f'{{"format": {FORMAT_VERSION}, "lsn": {int(lsn)}, "state": {{'
+    return f'{head}{", ".join(members)}}}}}'.encode("utf-8")
 
 
 class SnapshotError(RuntimeError):
-    """Raised on snapshot-store misuse."""
+    """Raised on snapshot-store misuse, and on a newer format."""
+
+
+def _refuse_newer(version: int, path: str) -> None:
+    if version > FORMAT_VERSION:
+        raise SnapshotError(
+            f"{path}: snapshot format {version} is newer than this reader's {FORMAT_VERSION}"
+        )
 
 
 class SnapshotStore:
@@ -112,14 +127,17 @@ class SnapshotStore:
 
     def latest_lsn(self) -> int:
         """LSN of the newest snapshot whose sorted-key head and closing
-        ``}}`` are intact (0 if none), read without decoding the body."""
+        ``}}`` are intact (0 if none), read without decoding the body;
+        :class:`SnapshotError` if that head declares a newer format."""
         for lsn in reversed(self.list_lsns()):
-            head = f'{{"lsn": {lsn}, "state": {{'.encode()
+            path = self._path_for(lsn)
             try:
-                with open(self._path_for(lsn), "rb") as handle:
-                    intact = handle.read(len(head)) == head
+                with open(path, "rb") as handle:
+                    head = _HEAD_RE.match(handle.read(64))
                     handle.seek(-2, os.SEEK_END)
+                    intact = head is not None and int(head[2]) == lsn
                     if intact and handle.read() == b"}}":
+                        _refuse_newer(int(head[1] or UNDECLARED_FORMAT), path)
                         return lsn
             except OSError:
                 continue
@@ -130,15 +148,20 @@ class SnapshotStore:
 
         A corrupt latest snapshot (crash-truncated before the atomic
         rename discipline existed, disk damage) falls back to its
-        predecessor; None when no usable snapshot exists.
+        predecessor; None when no usable snapshot exists.  One in a newer
+        format raises :class:`SnapshotError`: falling back past it would
+        miss the records compaction dropped behind it.
         """
         for lsn in reversed(self.list_lsns()):
+            path = self._path_for(lsn)
             try:
-                with open(self._path_for(lsn), "r", encoding="utf-8") as handle:
+                with open(path, "r", encoding="utf-8") as handle:
                     payload = json.load(handle)
-                return dict(payload["state"]), int(payload["lsn"])
+                state, loaded_lsn = dict(payload["state"]), int(payload["lsn"])
             except (ValueError, KeyError, OSError):
                 continue
+            _refuse_newer(int(payload.get("format", UNDECLARED_FORMAT)), path)
+            return state, loaded_lsn
         return None
 
 

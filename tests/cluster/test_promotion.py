@@ -64,7 +64,7 @@ from repro.store import ControlPlaneStore, RecoveryManager
 import repro.cluster.standby as standby_module
 import repro.store.codec as codec
 import repro.store.recovery as recovery_module
-from repro.store.codec import ReplayState, json_default
+from repro.store.codec import FORMAT_VERSION, ReplayState, json_default
 from repro.store.image import DurableImage
 from repro.store.journal import JournalRecord
 from repro.store.snapshot import SnapshotStore
@@ -673,7 +673,10 @@ def test_every_checkpoint_of_a_history_writes_the_reference_bytes(seed, steps):
         with open(image.store.snapshots._path_for(lsn), "rb") as handle:
             written = handle.read()
         state = image.fold.to_dict()
-        reference = json.dumps({"lsn": lsn, "state": state}, sort_keys=True, default=json_default)
+        reference = json.dumps(
+            {"format": FORMAT_VERSION, "lsn": lsn, "state": state},
+            sort_keys=True, default=json_default,
+        )
         assert written == reference.encode("utf-8")
         assert set(image.fragments) == set(state["live"])
         assert image.fold.digest() == ReplayState.restore(*image.store.load()).digest()
@@ -750,6 +753,41 @@ def assert_decoded_ahead(standby) -> None:
     for slice_id, (payload, request) in standby.requests.items():
         assert payload is images[slice_id]["request"]
         assert request == codec.request_from_dict(payload)
+
+
+def test_a_standby_decodes_a_request_once_from_install_to_installed(tmp_path, monkeypatch):
+    """A standby polling after every record decodes each request at its
+    ``install.started`` and never again: ``slice.installed`` names the
+    request by id, and the fold hands on the very dict the standby
+    decoded.  (A format that re-wrote the image decoded twice.)"""
+    from repro.core.broker import SliceBroker
+    from tests.store.conftest import make_orchestrator
+
+    testbed = build_testbed(TestbedConfig(n_enbs=2, max_plmns_per_enb=8, plmn_pool_size=16))
+    root = str(tmp_path / "store")
+    orch = make_orchestrator(testbed, store=ControlPlaneStore(root, shard_id=VICTIM))
+    standby = standby_module.WarmStandby(VICTIM, root, None, lease_timeout_s=60.0)
+    decoded = []
+    decode = standby_module.request_from_dict
+    monkeypatch.setattr(
+        standby_module, "request_from_dict", lambda p: decoded.append(p) or decode(p)
+    )
+    append = orch.store.append
+    monkeypatch.setattr(orch.store, "append", lambda *a, **k: (append(*a, **k), standby.poll())[0])
+    orch.start()
+    assert orch.submit(make_request(throughput_mbps=4.0), ConstantProfile(4.0)).admitted
+    broker = SliceBroker(orch, window_s=30.0)
+    for _ in range(3):
+        broker.submit(make_request(throughput_mbps=4.0), ConstantProfile(4.0))
+    orch.sim.run_until(31.0)
+    assert [d.admitted for d in broker.decisions] == [True, True, True]
+    records = orch.store.records()
+    started = [r for r in records if r.record_type == "install.started"]
+    assert len(started) == len([r for r in records if r.record_type == "slice.installed"]) == 4
+    assert [p["request_id"] for p in decoded] == [r.data.get("request_id") or
+                                                  r.data["request"]["request_id"] for r in started]
+    assert_decoded_ahead(standby)
+    orch.store.close()
 
 
 def restored_cold(cluster, root: str, cold_root: str):

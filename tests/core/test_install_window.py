@@ -18,7 +18,7 @@ import pytest
 from repro.core.slices import SLA, ServiceType, SliceRequest
 from repro.drivers.adapters import TransportDriver
 from repro.drivers.base import BaseDriver, DriverError
-from repro.store.codec import ReplayState
+from repro.store.codec import ReplayState, trail_of
 from repro.store.journal import JournalRecord
 from repro.traffic.patterns import ConstantProfile
 from tests.core.test_install_executors import build_stack, request_stream
@@ -152,7 +152,11 @@ def test_one_trail_record_per_job_holds_every_landed_transition(tmp_path, landed
         "slice.admitted", "slice.admitted", "slice.rejected"
     ]
     assert not [r for r in records if r.record_type.startswith("driver.")]
-    by_slice = {r.data["slice_id"]: [tuple(t) for t in r.data["trail"]] for r in trails}
+    by_slice = {r.data["slice_id"]: trail_of(r.data) for r in trails}
+    # A settled install writes each id its reservations name once.
+    for record in trails[:2]:
+        ids = set(record.data["reservations"].values())
+        assert not [entry for entry in record.data["trail"] if entry[2:] and entry[2] in ids]
     # Exactly what landed in the drivers, exactly once, in landing order.
     for slice_id, trail in by_slice.items():
         assert trail == [entry for owner, entry in landed if owner == slice_id]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import os
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -29,7 +30,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.slices import SLA, ServiceType, SliceRequest
 from repro.drivers.base import ReservationState
 from repro.store import RecoveryManager
-from repro.store.codec import ReplayState, request_to_dict
+from repro.store.codec import ReplayState, request_from_dict, request_to_dict, trail_of
+from repro.store.image import DurableImage
 from repro.store.journal import JournalRecord
 from repro.traffic.patterns import ConstantProfile
 
@@ -224,6 +226,53 @@ class TestFoldDeterminism:
     def test_snapshot_round_trip_is_lossless(self, steps):
         state = ReplayState.restore(None, _materialize(steps))
         assert ReplayState.from_dict(state.to_dict()).digest() == state.digest()
+
+
+class _Recorder:
+    """A store that keeps what :class:`DurableImage` appends."""
+
+    enabled = True
+    last_lsn = 0
+
+    def __init__(self) -> None:
+        self.records: list = []
+
+    def append(self, record_type: str, time: float = 0.0, **data) -> int:
+        self.records.append(JournalRecord(len(self.records) + 1, time, record_type, data))
+        return len(self.records)
+
+
+class TestReferences:
+    @settings(SLOW, max_examples=150 * EXAMPLE_MULTIPLIER)
+    @given(st.lists(fold_step.filter(lambda s: s[0] != "admission.enqueued"), max_size=80))
+    def test_the_writers_references_fold_like_the_images(self, steps):
+        """Journaled by :class:`DurableImage` — a request written as a
+        reference wherever its fold holds it, a trail without the ids
+        its reservations name — the records fold, after every one, to
+        the digest the all-images records fold to, and keep every
+        trail entry."""
+        store, clock = _Recorder(), type("Clock", (), {"now": 0.0})()
+        image, plain = DurableImage(store, clock), ReplayState()
+        for record in _materialize(steps):
+            data = dict(record.data)
+            payload = data.pop("request", None)
+            if record.record_type == "slice.installed":
+                rid = data["reservations"]["mock"]
+                data["trail"] = [("prepared", "mock", "mock-res-x"), ("rolled_back", "mock",
+                                 "mock-res-x"), ("prepared", "mock", rid), ("committed", "mock", rid)]
+            clock.now = record.time
+            request = None if payload is None else request_from_dict(payload)
+            event = data.pop("event", None)
+            raised = None if event is None else SimpleNamespace(to_dict=lambda e=event: e)
+            image.journal(record.record_type, raised, request=request, **data)
+            plain.apply(record.record_type, record.time, {**record.data, **data, "event": event})
+            assert image.fold.digest() == plain.digest(), record.record_type
+            written = store.records[-1].data
+            assert trail_of(written) == [tuple(entry) for entry in data.get("trail", ())]
+        assert ReplayState.restore(None, store.records).digest() == plain.digest()
+        kinds = {r.record_type for r in store.records if "request_id" in r.data}
+        assert kinds <= {"broker.enqueued", "install.started", "slice.installed",
+                         "booking.committed", "booking.cancelled", "slice.rejected"}
 
 
 class TestRecoveryConservation:

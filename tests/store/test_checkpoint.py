@@ -13,7 +13,7 @@ import stat
 import numpy as np
 import pytest
 
-from repro.store.codec import ReplayState, json_default
+from repro.store.codec import FORMAT_VERSION, ReplayState, json_default
 from repro.store.snapshot import SnapshotStore
 from repro.store.store import ControlPlaneStore, NullStore, StoreError, open_store
 
@@ -79,7 +79,8 @@ class TestSnapshotStore:
         path = snapshots.write(state, lsn=7)
         reference = io.StringIO()
         json.dump(
-            {"lsn": 7, "state": state}, reference, sort_keys=True, default=json_default
+            {"format": FORMAT_VERSION, "lsn": 7, "state": state}, reference,
+            sort_keys=True, default=json_default,
         )
         with open(path, "rb") as handle:
             assert handle.read() == reference.getvalue().encode("utf-8")

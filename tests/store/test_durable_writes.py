@@ -1,7 +1,7 @@
 """A shard's durable writes cost what changed.
 
 - **Checkpoint fragments** — a checkpoint writes exactly the bytes of
-  ``json.dumps({"lsn": lsn, "state": fold.to_dict()})``, the leader's
+  ``json.dumps({"format": 3, "lsn": lsn, "state": fold.to_dict()})``, the leader's
   fold of every record it appended, while it re-encodes only the live
   images a folded record changed since the last one: the fold names
   them itself, and the held fragments are exactly the live slice ids.
@@ -28,7 +28,7 @@ from repro.core.broker import SliceBroker
 from repro.core.overbooking import FixedOverbooking
 from repro.core.slices import SliceState
 from repro.store import ControlPlaneStore, RecoveryManager
-from repro.store.codec import ReplayState, json_default, request_to_dict
+from repro.store.codec import FORMAT_VERSION, ReplayState, json_default, request_to_dict
 from repro.store.journal import Journal
 from repro.store.snapshot import encode_member, encode_snapshot
 from repro.traffic.patterns import ConstantProfile
@@ -66,7 +66,10 @@ def checked_checkpoint(orch) -> int:
         written = handle.read()
     state = orch.durable.fold.to_dict()
     assert written == encode_snapshot(lsn, state)
-    reference = json.dumps({"lsn": lsn, "state": state}, sort_keys=True, default=json_default)
+    reference = json.dumps(
+        {"format": FORMAT_VERSION, "lsn": lsn, "state": state},
+        sort_keys=True, default=json_default,
+    )
     assert written == reference.encode("utf-8")
     assert set(orch.durable.fragments) == set(state["live"])
     assert not orch.durable.fold.changed
@@ -283,11 +286,13 @@ def test_a_plain_state_dict_still_checkpoints_to_the_same_bytes(tmp_path):
              "live": {"slice-b": {"x": [1.0, None]}, "slice-a": {"é": 1}}}
     fragments = {key: encode_member(key, value) for key, value in state["live"].items()}
     plain = encode_snapshot(7, state)
-    assert plain == json.dumps({"lsn": 7, "state": state}, sort_keys=True).encode()
+    assert plain == json.dumps(
+        {"format": FORMAT_VERSION, "lsn": 7, "state": state}, sort_keys=True
+    ).encode()
     sections = {key: value for key, value in state.items() if key != "live"}
     assert encode_snapshot(7, sections, fragments) == plain
     empty = encode_snapshot(7, {"time": 0.0}, {})
-    assert empty == b'{"lsn": 7, "state": {"live": {}, "time": 0.0}}'
+    assert empty == b'{"format": 3, "lsn": 7, "state": {"live": {}, "time": 0.0}}'
     store = ControlPlaneStore(str(tmp_path))
     store.append("t")
     lsn = store.checkpoint(state)
@@ -297,9 +302,10 @@ def test_a_plain_state_dict_still_checkpoints_to_the_same_bytes(tmp_path):
 
 
 def test_a_shard_without_a_broker_checkpoints_an_empty_window(tmp_path, monkeypatch):
-    """The one byte difference from the image the previous revision
-    built off live objects: a shard with no broker writes
-    ``"broker_pending": {}``, where that image had no such member.  The
+    """The byte differences from the image the previous revision built
+    off live objects: a shard with no broker writes
+    ``"broker_pending": {}``, where that image had no such member, and
+    the snapshot declares its format.  The
     fixture is :mod:`tests.store.window_scenario`'s checkpoint (taken
     before its broker exists) as that revision wrote it, from a fresh
     process; both forms restore to the same state.  Regenerate it with
@@ -317,7 +323,9 @@ def test_a_shard_without_a_broker_checkpoints_an_empty_window(tmp_path, monkeypa
     with open(os.path.join(tmp_path, "shard-000", name), "rb") as handle:
         written = handle.read()
     assert b'"broker_pending"' not in before
-    assert written == before.replace(b'"advance": {}, ', b'"advance": {}, "broker_pending": {}, ')
+    assert written == before.replace(
+        b'"advance": {}, ', b'"advance": {}, "broker_pending": {}, '
+    ).replace(b'{"lsn": ', b'{"format": 3, "lsn": ', 1)
     states = [json.loads(raw)["state"] for raw in (before, written)]
     assert len({ReplayState.from_dict(state).digest() for state in states}) == 1
 

@@ -9,7 +9,9 @@ import os
 import pytest
 
 from repro.store.codec import json_default
-from repro.store.journal import Journal, JournalCorrupt, JournalError, JournalTail, _scan
+from repro.store.journal import (
+    FORMAT_LINE, Journal, JournalCorrupt, JournalError, JournalTail, _scan,
+)
 
 
 @pytest.fixture
@@ -41,9 +43,10 @@ class TestAppend:
         journal.append("t", **data)
         (record,) = journal.records()
         assert record.data == {"value": 1.5, "count": 3, "ids": ["a", "b"]}
-        # The line is the canonical dump, byte for byte.
+        # The line is the canonical dump, byte for byte, after the
+        # format line.
         with open(path) as handle:
-            assert handle.read() == json.dumps(
+            assert handle.read() == FORMAT_LINE + json.dumps(
                 {"lsn": 1, "t": 0.0, "type": "t", "data": data},
                 sort_keys=True,
                 separators=(",", ":"),
@@ -349,7 +352,7 @@ class TestTailReader:
             before = handle.read().split(b"\n")
         journal.compact(upto_lsn=4)
         with open(path, "rb") as handle:
-            assert handle.read().split(b"\n") == before[4:]
+            assert handle.read().split(b"\n") == before[:1] + before[5:]
 
     def test_follower_restarts_on_a_shrunken_file(self, path):
         journal = Journal(path)

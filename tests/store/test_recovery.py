@@ -167,8 +167,8 @@ class TestEdgeCases:
         assert [s.request.request_id for s in restarted.live_slices()] == [
             r.request_id for r in requests
         ]
-        started = [
-            record.data["request"]["request_id"]
+        started = [  # references: the rebase queued each request's image
+            record.data["request_id"]
             for record in restarted.store.records(head)
             if record.record_type == "install.started"
         ]

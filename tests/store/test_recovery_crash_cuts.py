@@ -151,9 +151,10 @@ def test_every_cut_of_a_recovery_recovers_to_the_same_state(tmp_path):
     assert set(expected["state"]["live"]) == {
         "slice-active", "slice-landed", "slice-due", "slice-undecided"
     }
-    # The queued installs run in the fold's order, before the re-offer.
+    # The queued installs run in the fold's order, before the re-offer;
+    # each names a request the fold holds, by id alone.
     assert [
-        record.data["request"]["request_id"]
+        record.data["request_id"]
         for record in straight.store.records(head)
         if record.record_type == "install.started"
     ] == QUEUED + ["req-undecided"]

@@ -3,8 +3,8 @@
 The window of :mod:`tests.store.window_scenario` — five
 ``broker.enqueued``, a loser, three installs and one install every
 attempt of which unwinds — is cut after each of its records, in the
-previous journal format (the committed fixture) and in today's; the
-southbound finished what the window started.  At every cut recovery
+two previous journal formats (the committed fixtures) and in today's;
+the southbound finished what the window started.  At every cut recovery
 must re-offer exactly the requests whose ``install.started`` or
 ``slice.rejected`` had not landed, and re-adopt exactly the slices
 whose install had started and committed — nothing lost, nothing
@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import os
 import shutil
-from typing import List
+from typing import List, Tuple
 
 from repro.store import ControlPlaneStore, RecoveryManager
-from repro.store.journal import JournalRecord
+from repro.store.journal import FORMAT_LINE, JournalRecord
 from tests.store import window_scenario
+from tests.store.test_current_format import FIXTURE as CURRENT_FIXTURE
 from tests.store.test_parent_format import FIXTURE
 
 #: Slices the window's installs committed southbound.
@@ -36,18 +37,21 @@ def request_of(record: JournalRecord) -> str:
     return data["request"]["request_id"] if "request" in data else data["request_id"]
 
 
-def journal_lines(store_root: str) -> List[str]:
-    """The window's journal as written, up to the flush (the open
-    request's enqueue after it is outside the window)."""
+def journal_lines(store_root: str) -> Tuple[List[str], List[str]]:
+    """The window's journal as written: its format line (if it declares
+    one) and its records up to the flush (the open request's enqueue
+    after it is outside the window)."""
     with open(os.path.join(store_root, SHARD_DIR, "journal.jsonl")) as handle:
         lines = handle.read().splitlines(keepends=True)
+    head = lines[:1] if lines[:1] == [FORMAT_LINE] else []
+    lines = lines[len(head):]
     last = max(
         index
         for index, line in enumerate(lines)
         if JournalRecord.from_line(line).time <= window_scenario.CHECKPOINT_AT
         + window_scenario.WINDOW_S
     )
-    return lines[: last + 1]
+    return head, lines[: last + 1]
 
 
 def cut_store(store_root: str, lines: List[str], directory: str) -> ControlPlaneStore:
@@ -64,7 +68,7 @@ def cut_store(store_root: str, lines: List[str], directory: str) -> ControlPlane
 
 
 def check_every_cut(store_root: str, tmp_path) -> int:
-    lines = journal_lines(store_root)
+    head, lines = journal_lines(store_root)
     for cut in range(1, len(lines) + 1):
         prefix = [JournalRecord.from_line(line) for line in lines[:cut]]
         enqueued, decided, started, settled = [], set(), set(), set()
@@ -81,7 +85,7 @@ def check_every_cut(store_root: str, tmp_path) -> int:
         undecided = {request_id for request_id in enqueued if request_id not in decided}
         # The southbound as the window left it, journal cut short.
         testbed, _ = window_scenario.run(str(tmp_path / f"run-{cut}"), through="window")
-        store = cut_store(store_root, lines[:cut], str(tmp_path / f"cut-{cut}"))
+        store = cut_store(store_root, head + lines[:cut], str(tmp_path / f"cut-{cut}"))
         assert set(store.replay().broker_pending) == undecided, cut
         restarted = window_scenario.control_plane(testbed, store=store)
         report = RecoveryManager(restarted).restore()
@@ -104,6 +108,10 @@ def check_every_cut(store_root: str, tmp_path) -> int:
 
 def test_every_cut_of_a_previous_format_window_recovers_exactly(tmp_path):
     assert check_every_cut(FIXTURE, tmp_path) == 35
+
+
+def test_every_cut_of_a_format_2_window_recovers_exactly(tmp_path):
+    assert check_every_cut(CURRENT_FIXTURE, tmp_path) == 21
 
 
 def test_every_cut_of_todays_window_recovers_exactly(tmp_path):

@@ -1,5 +1,5 @@
 """One small durable shard run that every revision of the control plane
-drives the same way — the source of the previous-format fixture.
+drives the same way — the source of the older-format fixtures.
 
 Two synchronous creates (one expires), a checkpoint, then one broker
 window: three winners, a request the knapsack drops, and a winner no
@@ -9,12 +9,14 @@ strings and every driver resolves inline, so the southbound state and
 the journal are a pure function of the revision that ran it.
 
 ``fixtures/parent-format/`` is this run written by the revision before
-a transition record carried its own feed event and driver trail, plus
-that revision's ``events_after(0)`` of it.  Regenerate it with that
-revision's ``src`` first on the path::
+a transition record carried its own feed event and driver trail (format
+1), and ``fixtures/current-format/`` by the revision before the journal
+declared its format and wrote each request image once (format 2); each
+holds its revision's ``events_after(0)`` of it too.  Regenerate one with
+that revision's ``src`` first on the path::
 
-    PYTHONPATH=<previous revision's src>:. \\
-        python -m tests.store.window_scenario tests/store/fixtures/parent-format
+    PYTHONPATH=<that revision's src>:. \\
+        python -m tests.store.window_scenario tests/store/fixtures/<format dir>
 """
 
 from __future__ import annotations

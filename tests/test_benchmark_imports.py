@@ -45,3 +45,23 @@ def test_ci_gate_fails_when_src_outgrows_its_ceiling(monkeypatch):
     ci_gate.check_src_lines(ci_gate.SRC_LINES_CEILING + 1, failures)
     assert len(failures) == 1 and "SRC_LINES_CEILING" in failures[0]
     assert ci_gate.count_src_lines() <= ci_gate.SRC_LINES_CEILING
+
+
+def test_ci_gate_journal_bytes_hold_their_pins(monkeypatch):
+    pytest.importorskip("pytest_benchmark", reason="bench deps not installed")
+    for knob, default in (
+        ("D8_BATCH_SLICES", "16"), ("D8_STALL_JOBS", "16"), ("D12_RECORDS", "1000")
+    ):
+        monkeypatch.setenv(knob, os.environ.get(knob, default))
+    ci_gate = importlib.import_module("benchmarks.ci_gate")
+    failures: list = []
+    warnings: list = []
+    section = ci_gate.run_journal_bytes(failures, warnings)
+    assert (failures, warnings) == ([], [])
+    assert section["by_type"] == {
+        kind: {"records": n, "bytes": b} for kind, (n, b) in ci_gate.JOURNAL_BYTES.items()
+    }
+    # A growth fails the gate.
+    monkeypatch.setitem(ci_gate.JOURNAL_BYTES, "slice.installed", (3, 1985))
+    ci_gate.run_journal_bytes(failures, warnings)
+    assert len(failures) == 1 and "slice.installed" in failures[0]

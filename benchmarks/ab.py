@@ -1,0 +1,157 @@
+"""A/B the end-to-end benchmark across two revisions, in alternating pairs.
+
+    PYTHONPATH=src:. python benchmarks/ab.py --base 26db55c [--head REV] \
+        [--workload failover] [--pairs 10] [--seeds 1,2] [--seconds 12] [--out VERDICT.json]
+
+Each revision is checked out with ``git worktree add --detach`` under a
+temporary directory (``--head`` defaults to the working tree as it is,
+uncommitted changes included).  Pair *i* runs ``benchmarks/e2e/run.py``
+of both trees, one process at a time, base first on even pairs and head
+first on odd ones, and reads the JSON result line each prints.  The
+worktrees are removed when done.
+
+The verdict (stdout, and ``--out``) holds per workload and seed, for
+each end-to-end metric ``BENCHMARK.json`` names: both sides' median and
+quartiles, every run's value, the change of the medians in %, the pairs
+the head won in the metric's direction, and ``met`` — at least 10
+pairs, at least 9 in 10 of them won, and the head's median beyond the
+base's quartile on the better side.  Each side's ``attempted`` and
+``failed`` are listed per run: a change that moves them changed the
+work, not its speed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from typing import Dict, List
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: Pairs below this never meet a claim; at or above it, 9 in 10 must be won.
+MIN_PAIRS, WIN_SHARE = 10, 0.9
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", "-C", ROOT, *args], check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """One ``run.py`` process of ``tree``; its last stdout line, parsed."""
+    command = [
+        sys.executable, os.path.join(tree, "benchmarks", "e2e", "run.py"),
+        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode or not lines:
+        raise RuntimeError(f"{tree}: {workload} seed {seed} exited {done.returncode}: "
+                           f"{done.stderr.strip()[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def spread(values: List[float]) -> Dict[str, float]:
+    """Median and quartiles (inclusive method; one value is its own quartiles)."""
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def verdict(metric: dict, base: List[float], head: List[float]) -> dict:
+    """One metric's comparison of paired runs, in its ``better`` direction."""
+    lower = metric["better"] == "lower"
+    sides = {"base": spread(base), "head": spread(head)}
+    wins = sum((h < b) if lower else (h > b) for b, h in zip(base, head))
+    base_median, head_median = sides["base"]["median"], sides["head"]["median"]
+    beyond = head_median < sides["base"]["q1"] if lower else head_median > sides["base"]["q3"]
+    pairs = len(base)
+    return {
+        **sides,
+        "values": {"base": base, "head": head},  # pair i is the i-th of each
+        "change_pct": (head_median - base_median) / base_median * 100.0 if base_median else None,
+        "wins": f"{wins}/{pairs}",
+        "better": metric["better"],
+        "met": pairs >= MIN_PAIRS and wins >= math.ceil(WIN_SHARE * pairs) and beyond,
+    }
+
+
+def compare(trees: Dict[str, str], workload: str, seed: int, pairs: int, seconds: float,
+            metrics: List[dict]) -> dict:
+    """``pairs`` alternating pairs of runs of one workload and seed."""
+    runs: Dict[str, List[dict]] = {"base": [], "head": []}
+    for pair in range(pairs):
+        for side in ("base", "head") if pair % 2 == 0 else ("head", "base"):
+            runs[side].append(run_once(trees[side], workload, seed, seconds))
+            print(f"  {workload} seed {seed} pair {pair + 1}/{pairs} {side}: "
+                  f"cpu_ms_per_op {runs[side][-1]['metrics']['cpu_ms_per_op']['value']:.4f}",
+                  file=sys.stderr)
+    return {
+        "runs": {side: [{key: run[key] for key in ("correct", "attempted", "failed")}
+                        for run in side_runs] for side, side_runs in runs.items()},
+        "metrics": {
+            metric["name"]: verdict(
+                metric, *([run["metrics"][metric["name"]]["value"] for run in runs[side]]
+                          for side in ("base", "head")),
+            )
+            for metric in metrics
+        },
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="the parent revision")
+    parser.add_argument("--head", default=None, help="the change (default: the working tree)")
+    parser.add_argument("--workload", action="append", help="repeatable (default: failover)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seeds", default="1", help="comma-separated")
+    parser.add_argument("--seconds", type=float, default=12.0)
+    parser.add_argument("--out", default=None, help="also write the verdict here")
+    args = parser.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
+        metrics = json.load(handle)["end_to_end"]
+    scratch = tempfile.mkdtemp(prefix="ab-")
+    trees, added = {"head": ROOT}, []
+    try:
+        for side, rev in (("base", args.base), ("head", args.head)):
+            if rev is not None:
+                trees[side] = os.path.join(scratch, side)
+                git("worktree", "add", "--detach", trees[side], rev)
+                added.append(trees[side])
+        result = {
+            "base": git("rev-parse", args.base),
+            "head": git("rev-parse", args.head) if args.head else "working tree",
+            "seconds": args.seconds,
+            "pairs": args.pairs,
+            "workloads": {
+                workload: {
+                    str(seed): compare(trees, workload, seed, args.pairs, args.seconds, metrics)
+                    for seed in (int(s) for s in args.seeds.split(","))
+                }
+                for workload in args.workload or ["failover"]
+            },
+        }
+    finally:
+        for tree in added:
+            git("worktree", "remove", "--force", tree)
+        shutil.rmtree(scratch, ignore_errors=True)
+        git("worktree", "prune")
+    text = json.dumps(result, indent=2, sort_keys=True)
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(text + "\n")
+    print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -48,17 +48,19 @@ broken:
   (``promotion_cell_scans <= 1``, ``promotion_calendar_commits <= 1``),
   and format no PLMN identity and take no legality-checked transition
   (``promotion_plmn_formats == promotion_checked_transitions == 0``).
-  The standby that re-arms the promoted shard starts from the promoted
-  fold: its first poll must decode no snapshot and fold no more records
-  than the promotion journaled (``successor_snapshot_parses == 0``,
-  ``successor_first_poll_records <= promotion_journal_records``).  The
-  promoted shard's first epoch, which draws every adopted profile, must
-  construct no ``numpy.random.SeedSequence``
-  (``first_epoch_seed_sequences == 0``): every id-keyed draw is a
-  counter (``RandomStreams.draws``).  Two counts are exact.  The
-  promotion decodes only the requests of its lag, the drill's 16-job
-  batch (``promotion_requests_decoded == 16``): the warm standby keeps
-  each live and in-flight request decoded as it folds it.  Dropping
+  The promoted shard's first epoch must construct no
+  ``numpy.random.SeedSequence`` (``first_epoch_seed_sequences == 0``):
+  every id-keyed draw is a counter.  Seven counts are exact.  The
+  standby that re-arms the promoted shard is armed from the serving
+  leader: building it decodes no request and its first poll folds
+  nothing and decodes no snapshot (``successor_requests_decoded ==
+  successor_first_poll_records == successor_snapshot_parses == 0``).
+  The first epoch draws every adopted profile in one batch
+  (``first_epoch_profiles_drawn == slices_adopted``,
+  ``first_epoch_profile_batches == 1``).  The promotion decodes only the
+  requests of its lag, the drill's 16-job batch
+  (``promotion_requests_decoded == 16``): the warm standby keeps each
+  live and in-flight request decoded as it folds it.  Dropping
   the deposed plane leaves the cyclic collector nothing
   (``deposed_plane_garbage == 0``, ``gc.collect()`` right after the
   adoption with the collector disabled): no object of a control plane
@@ -233,8 +235,11 @@ D8D_SETTLED_S = 0.15
 #: +196 for a journal that writes each request image once under a
 #: declared format (references resolved by the fold, packed trails, a
 #: format line and snapshot member, the readers that refuse a newer
-#: format, the upgrade of an undeclared journal) and one prebuilt encoder.
-SRC_LINES_CEILING = 20_643
+#: format, the upgrade of an undeclared journal) and one prebuilt encoder;
+#: +50 for a failover that re-arms without redoing the fleet (a standby
+#: armed from the promoted leader, adopted profiles drawn in one numpy
+#: batch, a lag decoded once, the leader folding its driver records).
+SRC_LINES_CEILING = 20_693
 
 #: The window scenario's journal, record type -> (records, bytes of
 #: their lines with newlines).  Format 2 wrote ``install.started`` in
@@ -1344,7 +1349,6 @@ def run_gate() -> dict:
         ("promotion_calendar_commits", 1, "the windows enter the calendar at once"),
         ("promotion_plmn_formats", 0, "a PLMN claim validates by arithmetic"),
         ("promotion_checked_transitions", 0, "a slice goes live with one check"),
-        ("successor_snapshot_parses", 0, "the successor starts from the promoted fold"),
         ("first_epoch_seed_sequences", 0, "profiles are seeded by arithmetic"),
     ):
         if drill.get("promoted") and drill[count] > ceiling:
@@ -1352,17 +1356,14 @@ def run_gate() -> dict:
     for count, exact, why in (
         ("promotion_requests_decoded", drill.get("batch"), "the standby decoded all but the lag"),
         ("deposed_plane_garbage", 0, "reference counting frees the deposed plane"),
+        ("successor_requests_decoded", 0, "the successor clones the leader's requests"),
+        ("successor_snapshot_parses", 0, "the successor starts from the leader's fold"),
+        ("successor_first_poll_records", 0, "the successor starts at the leader's LSN"),
+        ("first_epoch_profiles_drawn", drill.get("slices_adopted"), "every adopted profile"),
+        ("first_epoch_profile_batches", 1, "drawn in one batch"),
     ):
         if drill.get("promoted") and drill[count] != exact:
             failures.append(f"drill: {count} = {drill[count]} != {exact} ({why})")
-    if drill.get("promoted") and (
-        drill["successor_first_poll_records"] > drill["promotion_journal_records"]
-    ):
-        failures.append(
-            f"drill: successor_first_poll_records = {drill['successor_first_poll_records']} "
-            f"> promotion_journal_records = {drill['promotion_journal_records']} "
-            "(the successor folds only what was journaled since the promoted fold)"
-        )
     # The full promotion trace belongs to the drill's own artifact, not
     # the per-commit perf summary.
     drill.pop("promotion", None)
@@ -1459,9 +1460,12 @@ def main(argv=None) -> int:
         f"{payload['failover_drill']['promotion_requests_decoded']} requests decoded, "
         f"{payload['failover_drill']['deposed_plane_garbage']} deposed objects collected, "
         f"{payload['failover_drill']['recovery_ms_per_adopted_slice']} ms per slice; "
-        f"successor first poll {payload['failover_drill']['successor_first_poll_records']} "
+        f"successor {payload['failover_drill']['successor_requests_decoded']} requests "
+        f"decoded, first poll {payload['failover_drill']['successor_first_poll_records']} "
         f"records / {payload['failover_drill']['successor_snapshot_parses']} snapshots, "
-        f"first epoch {payload['failover_drill']['first_epoch_seed_sequences']} SeedSequences), "
+        f"first epoch {payload['failover_drill']['first_epoch_profiles_drawn']} profiles in "
+        f"{payload['failover_drill']['first_epoch_profile_batches']} batch(es), "
+        f"{payload['failover_drill']['first_epoch_seed_sequences']} SeedSequences), "
         f"D13 {len(payload['d13_scenarios']['packs'])} scenario packs clean"
         f"{', digests as pinned' if payload['d13_scenarios']['digests_compared'] else ''}, "
         f"epoch upkeep {payload['epoch_upkeep']['fits']} fits / "

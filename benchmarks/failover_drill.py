@@ -18,8 +18,9 @@ acceptance invariants:
   ``recovery.rebased`` record is its one durable statement, and
   ``recovery.completed`` closes it),
 - ``promotion_profiles_derived`` and ``promotion_snapshot_parses``:
-  keyed draws made (``default_profile`` and ``RandomStreams.draws``
-  calls: traffic profiles and UE populations) and snapshots decoded
+  keyed draws made (``default_profile``, ``RandomStreams.draws`` and
+  ``RandomStreams.draws_many`` calls: traffic profiles and UE
+  populations) and snapshots decoded
   inside the watch cycle that promotes.  The CI gate holds both at 0:
   an adopted slice's profile waits for its first epoch, the reopened
   store reads the snapshot LSN off the file's head, and the standby's
@@ -44,19 +45,23 @@ acceptance invariants:
   validates an identity by arithmetic) and
   ``promotion_checked_transitions`` (``NetworkSlice.transition`` calls,
   0: an adopted slice goes live with one state check),
-- what re-arming the promoted shard costs, gated by the CI gate: the
-  successor standby's first poll must decode no snapshot
-  (``successor_snapshot_parses == 0``; the leader checkpointed before
-  the standby first polled, so a cold successor would decode one) and
-  fold no more than the promotion journaled
-  (``successor_first_poll_records <= promotion_journal_records``): it
-  starts from the promoted fold,
-- ``first_epoch_seed_sequences``: ``numpy.random.SeedSequence``
-  constructions in the promoted shard's first monitoring epoch, which
-  draws every adopted slice's profile (``first_epoch_profiles_drawn``).
-  The CI gate holds it at 0: every id-keyed draw is a counter
-  (``RandomStreams.draws``), and the epoch's shared ``demand-noise``
-  stream is made when the loop starts,
+- what re-arming the promoted shard costs, gated exactly by the CI
+  gate.  ``standby_for`` arms the successor from the serving leader: a
+  copy of its fold, LSN and journal index, and a clone of each live
+  request, so building it decodes no request
+  (``successor_requests_decoded == 0``; a cold successor would decode
+  the fleet) and its first poll decodes no snapshot and folds nothing
+  (``successor_snapshot_parses == successor_first_poll_records == 0``;
+  the leader checkpointed before the standby first polled, so a cold
+  successor would decode one snapshot and fold the records since),
+- the promoted shard's first monitoring epoch draws every adopted
+  slice's profile in one batch: ``first_epoch_profiles_drawn``
+  (``VerticalSpec.sample_profile`` calls, scalar or batched) must equal
+  ``slices_adopted`` and ``first_epoch_profile_batches``
+  (``RandomStreams.draws_many`` calls) be 1.  It constructs no
+  ``numpy.random.SeedSequence`` (``first_epoch_seed_sequences == 0``):
+  every id-keyed draw is a counter, and the epoch's shared
+  ``demand-noise`` stream is made when the loop starts,
 - ``promotion_requests_decoded``: ``request_from_dict`` calls inside
   the promoting watch cycle, the standby's last poll and the
   reconciliation together.  The CI gate holds it at ``BATCH``, the
@@ -218,6 +223,7 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
     from repro.store.recovery import RecoveryManager
     from repro.store.snapshot import SnapshotStore
     from repro.traffic.patterns import ConstantProfile
+    from repro.traffic.verticals import VerticalSpec
     from tests.conftest import make_request
 
     root = root or tempfile.mkdtemp(prefix="failover-drill-")
@@ -309,6 +315,7 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
         for owner, name, key in (
             (LiveFleet, "default_profile", "profiles"),
             (RandomStreams, "draws", "profiles"),
+            (RandomStreams, "draws_many", "profiles"),
             (SnapshotStore, "load_latest", "snapshots"),
             (standby_module, "request_from_dict", "requests_decoded"),
             (recovery_module, "request_from_dict", "requests_decoded"),
@@ -351,9 +358,10 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
     promoted = cluster.shard(KILLED)
     journal_records = promoted.store.last_lsn - lsn_at_kill
     # The standby that re-arms the shard, and its first poll.
-    successor = cluster.standby_for(KILLED)
-    with _spying(SnapshotStore, "load_latest", counts, "successor_snapshots"):
-        successor_records = successor.poll()
+    with _spying(standby_module, "request_from_dict", counts, "successor_requests_decoded"):
+        successor = cluster.standby_for(KILLED)
+        with _spying(SnapshotStore, "load_latest", counts, "successor_snapshots"):
+            successor_records = successor.poll()
 
     report = promotion.report
     expected = FIRST_WAVE + BATCH
@@ -413,6 +421,7 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
         "promotion_calendar_commits": counts["calendar_commits"],
         "promotion_plmn_formats": counts["plmn_formats"],
         "promotion_checked_transitions": counts["checked_transitions"],
+        "successor_requests_decoded": counts["successor_requests_decoded"],
         "successor_snapshot_parses": counts["successor_snapshots"],
         "successor_first_poll_records": successor_records,
         "promotion_tracked_objects_per_slice": _tracked_objects_per_slice(
@@ -435,9 +444,10 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
             str(k): cluster.shard(k).store.status() for k in owners
         },
     }
-    # The promoted shard's first epoch draws every adopted profile.
+    # The promoted shard's first epoch draws every adopted profile, at once.
     with _spying(np.random, "SeedSequence", payload, "first_epoch_seed_sequences"), \
-            _spying(LiveFleet, "default_profile", payload, "first_epoch_profiles_drawn"):
+            _spying(VerticalSpec, "sample_profile", payload, "first_epoch_profiles_drawn"), \
+            _spying(RandomStreams, "draws_many", payload, "first_epoch_profile_batches"):
         promoted.run_until(promoted.sim.now + promoted.orchestrator.config.monitoring_epoch_s)
     if payload["first_epoch_profiles_drawn"] < report.slices_adopted:
         failures.append(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from repro.api.rest import RestApi
 from repro.api.service import SliceService
@@ -135,7 +135,7 @@ class ControlPlaneCluster:
             for shard_id in range(self.config.shards)
         ]
         self.router = ShardRouter(self.ring, self.shards)
-        self._handoffs: Dict[int, Any] = {}
+        self._promoted: Set[int] = set()  # shards a promoted standby leads
 
     # ------------------------------------------------------------------
     # Construction
@@ -251,13 +251,13 @@ class ControlPlaneCluster:
         worker.api = promotion.api
         worker.lease = promotion.lease
         worker.dead = False
-        self._handoffs[shard_id], promotion.handoff = promotion.handoff, None
+        self._promoted.add(shard_id)
         promotion.orchestrator.start()
         return worker
 
     def standby_for(self, shard_id: int) -> "Any":
-        """A warm standby tailing ``shard_id``'s WAL, ready to promote; the
-        first after an adopted promotion starts from the promoted fold."""
+        """A warm standby tailing ``shard_id``'s WAL, ready to promote; for a
+        shard a promotion took over, armed from its serving leader."""
         from repro.cluster.standby import WarmStandby
 
         if not self.config.durability_root:
@@ -275,7 +275,8 @@ class ControlPlaneCluster:
             store_root=self.config.durability_root,
             rebuild=rebuild,
             lease_timeout_s=self.config.lease_timeout_s,
-            handoff=self._handoffs.pop(shard_id, None),
+            leader=worker.orchestrator
+            if shard_id in self._promoted and not worker.store.journal.closed else None,
         )
 
     def close(self) -> None:

@@ -15,26 +15,21 @@ then ``recovery.completed`` and no checkpoint, so feed cursors hold.
 
 A promotion decodes the lag, not the fleet: the standby keeps each live
 and in-flight request decoded as it folds it (``requests``).  Per slice
-it still pays for the southbound's reservations it reads, the batch
+it still pays for the southbound's reservations it reads and the batch
 re-adoption (record, PLMN claim, runtime, calendar window, timer,
-event), and one copy of the slice's image in the handoff; the deposed
-plane's free follows in ``adopt_promotion``.
+event); the deposed plane's free follows in ``adopt_promotion``.
 
-Re-arming the shard costs what changed, too.  A cold standby's first
-poll decodes the latest snapshot and every record since: for one that
-re-arms a promoted shard, the whole fleet again.  So the promoted
-standby gives a copy of its fold, its LSN and a copy of the journal index up
-(``PromotionReport.handoff``, kept by the cluster for the shard's next
-``standby_for``), and the successor's first poll decodes only the
-rebase, the completion record and what followed; a newer snapshot or a
-replaced journal file is handled as in any poll.  It decodes the handed
-fold's requests once, when built: a request object the new leader
-holds is rescaled in place, so none is shared with a standby.
+Re-arming the shard costs nothing inside the outage: for a shard a
+promotion took over, :meth:`~repro.cluster.shard.ControlPlaneCluster.standby_for`
+arms the standby from the serving leader, with a copy of its fold, its
+last LSN and its journal index, and per live slice a clone of its
+request (the frozen ``SLA`` shared: the leader rebinds ``sla``, never
+writes into one).  Only an install in flight is decoded, and the first
+poll folds what the leader journaled since: no snapshot, no rebase.
 """
 
 from __future__ import annotations
 
-import copy
 import os
 import time as _time
 from dataclasses import dataclass, field
@@ -75,7 +70,6 @@ class PromotionReport:
     lease: Lease
     replay_floor_lsn: int = 0  # durable-cursor floor: the last snapshot's LSN
     trace: Dict[str, Any] = field(default_factory=dict)
-    handoff: Optional[Tuple[ReplayState, int, JournalTail]] = None  # fold, LSN, index copy
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe image (the failover drill's artifact payload)."""
@@ -104,7 +98,7 @@ class WarmStandby:
             promotion boots.  Supplied by
             :meth:`~repro.cluster.shard.ControlPlaneCluster.standby_for`.
         lease_timeout_s: ``ClusterConfig.lease_timeout_s``, the staleness read as leader death.
-        handoff: A promoted predecessor's ``PromotionReport.handoff``.
+        leader: A promoted shard's serving leader to start from (else cold).
     """
 
     def __init__(
@@ -113,7 +107,7 @@ class WarmStandby:
         store_root: str,
         rebuild: Callable[[JournalTail], Tuple["Orchestrator", "SliceService"]],
         lease_timeout_s: float,
-        handoff: Optional[Tuple[ReplayState, int, JournalTail]] = None,
+        leader: Optional["Orchestrator"] = None,
     ) -> None:
         self.shard_id = int(shard_id)
         self.directory = shard_directory(store_root, self.shard_id)
@@ -126,14 +120,21 @@ class WarmStandby:
         )
         #: LSN folded through; -1 before anything, so that even a
         #: snapshot at LSN 0 (a checkpoint before any record) is ahead.
-        self.state, self.applied_lsn, self._tail = handoff or (
-            ReplayState(), -1, JournalTail(os.path.join(self.directory, "journal.jsonl"))
-        )
+        self.state, self.applied_lsn = ReplayState(), -1
+        self._tail = JournalTail(os.path.join(self.directory, "journal.jsonl"))
         #: slice id → (request dict, decoded request) of each live and
         #: in-flight image, so that a promotion decodes only the lag.  A
         #: fold replaces a request dict and never writes into one: an
         #: entry stands while its dict is the one the image holds.
         self.requests: Dict[str, Tuple[Dict[str, Any], SliceRequest]] = {}
+        if leader is not None:
+            self.state = ReplayState.from_dict(leader.durable.fold.to_dict())
+            self.applied_lsn, self._tail = leader.store.last_lsn, leader.store.journal.index()
+            for slice_id, image in self.state.live.items():
+                if (runtime := leader.fleet.runtimes.get(slice_id)) is not None:
+                    clone = object.__new__(SliceRequest)  # copy.copy costs what a decode does
+                    clone.__dict__ = runtime.network_slice.request.__dict__.copy()
+                    self.requests[slice_id] = (image["request"], clone)
         self._decode_ahead([*self.state.live, *self.state.in_flight])
         self.polls = 0
         self.promoted: Optional[PromotionReport] = None
@@ -221,20 +222,13 @@ class WarmStandby:
             )
         self.state.records_applied = 0  # recovery reports what is folded from here on
         replay_lag = self.poll()
-        # The new leader's journal owns the index from here (it appends
-        # to it) and its image folds on from ours; the successor gets a
-        # copy of each.  One to_dict/from_dict round trip copies each
-        # image, which a fold writes into; the request dicts in them are
-        # shared, as a fold replaces a request dict and never writes into one.
-        tail = self._tail
-        handoff = (ReplayState.from_dict(self.state.to_dict()), self.applied_lsn, copy.copy(tail))
-        handoff[2].lsns, handoff[2].starts = tail.lsns[:], tail.starts[:]
-        orchestrator, service = self._rebuild(tail)
+        # The new leader's journal owns our index (it appends to it); it folds on from ours.
+        orchestrator, service = self._rebuild(self._tail)
         orchestrator.attach_lease(self.lease)
         from repro.store.recovery import RecoveryManager
 
         report = RecoveryManager(orchestrator).restore(self.state, self.requests)
-        self.state, self.applied_lsn, self._tail = ReplayState(), -1, JournalTail(tail.path)
+        self.state, self.applied_lsn, self._tail = ReplayState(), -1, JournalTail(self._tail.path)
         self.requests = {}  # the new leader's now
         recovery_s = _time.monotonic() - started
         self.promoted = PromotionReport(
@@ -251,7 +245,6 @@ class WarmStandby:
                 "standby_polls": self.polls,
                 "standby_applied_lsn": pre_promotion_lsn,
             },
-            handoff=handoff,
         )
         return self.promoted
 

@@ -33,6 +33,7 @@ from repro.drivers.base import DriverAbsentError, DriverError, Reservation
 from repro.drivers.transaction import StuckReleases, resize_everywhere
 from repro.epc.attach import AttachProcedure
 from repro.ran.ue import UserEquipment
+from repro.sim.randomness import DrawnUniforms
 from repro.traffic.patterns import (
     ConstantProfile,
     DiurnalProfile,
@@ -193,6 +194,8 @@ class LiveSlots:
         """The fleet's ACTIVE slices and their slots, in slice-id order,
         visiting the touched and untracked ones only: one new to ACTIVE
         claims a slot, one no longer ACTIVE frees it, a moved key is re-read."""
+        if fleet.undrawn:
+            fleet.draw_profiles()
         slot_of, (allocations, slas, profiles, peaks) = self._slot_of, self._keys
         runtimes, untracked, moved = fleet.runtimes, self._untracked, False
         visits = self.touched | untracked
@@ -370,6 +373,8 @@ class LiveFleet:
         self.live_slots = LiveSlots()
         self.sla_monitor = SlaMonitor()
         self.gain_tracker = MultiplexingGainTracker()
+        #: Re-adopted slices, whose profiles the next sync draws.
+        self.undrawn: List[str] = []
 
     # ------------------------------------------------------------------
     # The lifecycle: go live, activate, resize, retire
@@ -567,10 +572,23 @@ class LiveFleet:
     # The epoch: heal, serve, books, overbooking
     # ------------------------------------------------------------------
     def profile(self, runtime: SliceRuntime) -> TrafficProfile:
-        """A live slice's traffic profile; a re-adopted one's is drawn here."""
+        """A live slice's traffic profile; drawn here for a re-adopted one read before a sync."""
         if runtime.profile is None:
             runtime.profile = self.default_profile(runtime.network_slice.request)
         return runtime.profile
+
+    def draw_profiles(self) -> None:
+        """Draw each re-adopted slice's profile still undrawn, in one
+        batch: :meth:`default_profile`'s, bit for bit."""
+        from repro.traffic.verticals import vertical_for
+
+        pending = [r for s in self.undrawn if (r := self.runtimes.get(s)) and r.profile is None]
+        self.undrawn = []
+        requests = [runtime.network_slice.request for runtime in pending]
+        drawn = self.streams.draws_many([f"api-profile-{r.request_id}" for r in requests], 2)
+        for runtime, request, units in zip(pending, requests, drawn.tolist()):
+            rng, spec = DrawnUniforms(iter(units)), vertical_for(request.service_type)
+            runtime.profile = spec.sample_profile(request.sla.throughput_mbps, rng)
 
     def default_profile(self, request: SliceRequest) -> TrafficProfile:
         """The vertical-preset traffic profile for a request: the one the

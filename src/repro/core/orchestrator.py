@@ -289,8 +289,7 @@ class Orchestrator:
         window, which is then promised from its admission).  The batch is
         sized at once, each PLMN re-claimed, and all go live in one
         :meth:`~repro.core.epoch.LiveFleet.go_live` around the drivers'
-        live reservations (nothing is re-prepared); a profile is drawn on
-        first use.
+        live reservations (nothing is re-prepared), their profiles drawn later.
 
         Nothing here is journaled, the ``slice.adopted`` events included:
         the ``recovery.rebased`` record recovery writes next is the one
@@ -311,6 +310,7 @@ class Orchestrator:
                 (network_slice, None, size, reservations, admitted_at, active_at, window_end)
             )
         self.fleet.go_live(launches)
+        self.fleet.undrawn.extend(network_slice.slice_id for network_slice in adopted)
         self.slice_index.add(adopted)
         now, append = self.sim.now, self.events.append
         for network_slice in adopted:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from typing import Dict
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ M64 = (1 << 64) - 1
 
 
 def _mix(z: int) -> int:
-    """SplitMix64's finaliser of one 64-bit word."""
+    """SplitMix64's finaliser of one 64-bit word, or of each in a ``uint64`` array."""
     z = (z ^ z >> 30) * MIX_A & M64
     z = (z ^ z >> 27) * MIX_B & M64
     return z ^ z >> 31
@@ -49,9 +49,22 @@ class KeyedDraws:
             raise OverflowError("high - low range exceeds valid bounds")
         if math.copysign(1.0, span) < 0.0:
             raise ValueError("high - low < 0")
+        return float(low) + span * self._unit()
+
+    def _unit(self) -> float:
         counter = self._counter
         self._counter = counter + GAMMA & M64
-        return float(low) + span * ((_mix(counter) >> 11) * (1.0 / 9007199254740992.0))
+        return (_mix(counter) >> 11) * (1.0 / 9007199254740992.0)
+
+
+class DrawnUniforms(KeyedDraws):
+    """``uniform`` over units drawn ahead: built on an iterator over a
+    :meth:`RandomStreams.draws_many` row, which stands for the counter."""
+
+    __slots__ = ()
+
+    def _unit(self) -> float:
+        return next(self._counter)
 
 
 class RandomStreams:
@@ -79,12 +92,21 @@ class RandomStreams:
         not keep, for names keyed by an id that never comes back (one
         request, one slice).  The key SplitMix64-mixes every 64-bit word
         of the seed, lowest first, into the name's CRC32."""
+        return KeyedDraws(self._key(zlib.crc32(name.encode("utf-8"))))
+
+    def draws_many(self, names: Sequence[str], count: int) -> np.ndarray:
+        """Row ``i``: the first ``count`` ``draws(names[i]).uniform()``, the
+        same bits, drawn for every name at once; ``DrawnUniforms(iter(row))`` scales them."""
+        keys = self._key(np.array([zlib.crc32(n.encode("utf-8")) for n in names], np.uint64))
+        counters = keys[:, None] + np.arange(count, dtype=np.uint64) * GAMMA
+        return (_mix(counters) >> 11) * (1.0 / 9007199254740992.0)
+
+    def _key(self, key):
         if self._seed < 0:
             raise ValueError(f"expected a non-negative integer seed, got {self._seed}")
-        key, seed = zlib.crc32(name.encode("utf-8")), self._seed
-        for shift in range(0, max(seed.bit_length(), 1), 64):
-            key = _mix(key + GAMMA & M64 ^ seed >> shift & M64)
-        return KeyedDraws(key)
+        for shift in range(0, max(self._seed.bit_length(), 1), 64):
+            key = _mix(key + GAMMA & M64 ^ self._seed >> shift & M64)
+        return key
 
 
-__all__ = ["KeyedDraws", "RandomStreams"]
+__all__ = ["DrawnUniforms", "KeyedDraws", "RandomStreams"]

@@ -85,12 +85,11 @@ class DurableImage:
     ) -> None:
         """Journal a reservation transition no job's trail carries — a
         straggler the planner compensated after its job settled, or a
-        recovery's orphan undo.  Not folded: a ``driver.*`` record moves
-        nothing the fold writes."""
-        self.store.append(
-            record_type, time=self.sim.now, domain=domain, slice_id=slice_id,
-            reservation_id=reservation_id, **data,
-        )
+        recovery's orphan undo.  Folded for its instant and slice id
+        alone, as a restart folds it: it moves no image."""
+        data.update(domain=domain, slice_id=slice_id, reservation_id=reservation_id)
+        if self.store.append(record_type, time=self.sim.now, **data):
+            self.fold.apply(record_type, self.sim.now, data)
 
     def checkpoint(self) -> dict:
         """Write the fold as a full-state snapshot and compact the

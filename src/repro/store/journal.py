@@ -57,6 +57,7 @@ entered by one thread at a time, so it takes no lock.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from bisect import bisect_right
@@ -218,6 +219,8 @@ class JournalTail:
         #: The format the file declares (None: an older one, or empty).
         self.declared: Optional[int] = None
         self._inode: Optional[int] = None
+        #: The records the last :meth:`records` call that pulled any decoded.
+        self._recent: List[JournalRecord] = []
 
     def pull(self) -> _ScanResult:
         """Decode and index what was appended since the last pull.  An
@@ -259,13 +262,21 @@ class JournalTail:
     def records(self, after_lsn: int = 0) -> List[JournalRecord]:
         """Every intact record with ``lsn > after_lsn``, oldest first,
         as the file says: what this call's pull decoded when the cursor
-        is at that point, else decoded from the cursor's byte offset."""
-        scan = self.pull()
+        is at that point (or the last that decoded any, if the index has
+        not moved since), else decoded from the cursor's byte offset."""
+        scan, recent = self.pull(), self._recent
         first = bisect_right(self.lsns, after_lsn)
         pulled = len(scan.records) - scan.tail_unterminated  # the index's newest entries
+        records = scan.records
+        if pulled:
+            self._recent = records[:pulled]
         if first < len(self.lsns) - pulled:
-            scan = _scan(self.path, self.starts[first])
-        return [record for record in scan.records if record.lsn > after_lsn]
+            if not pulled and recent and recent[0].lsn <= self.lsns[first] \
+                    and recent[-1].lsn == self.lsns[-1]:
+                records = recent + records
+            else:
+                records = _scan(self.path, self.starts[first]).records
+        return [record for record in records if record.lsn > after_lsn]
 
 
 class Journal:
@@ -457,6 +468,12 @@ class Journal:
         if not self._closed:
             self._handle.flush()
         return self._tail.records(after_lsn)
+
+    def index(self) -> JournalTail:
+        """A copy of this journal's index, at its last append, to read on apart."""
+        index = copy.copy(self._tail)
+        index.lsns, index.starts, index._recent = index.lsns[:], index.starts[:], []
+        return index
 
     # ------------------------------------------------------------------
     # Compaction

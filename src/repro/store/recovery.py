@@ -212,22 +212,22 @@ class RecoveryManager:
         # One shift moves every journaled instant onto the new clock.
         shift = orch.sim.now - crash_time
         adoptions: List[tuple] = []
+        # The slices COMMITTED in every domain, by one set per domain.
         committed = ReservationState.COMMITTED
+        everywhere = set.intersection(*(
+            {s for s, r in held.items() if r.state is committed} for held in truth.values()
+        )) if truth else set()
         # Acknowledged installs first (their calendar promises outrank
         # everything), then never-acked in-flight installs.
         for slice_id, image in list(state.live.items()) + list(state.in_flight.items()):
-            reservations = {
-                d: r for d, held in truth.items()
-                if (r := held.get(slice_id)) is not None and r.state is committed
-            }
-            if truth and len(reservations) == len(truth):
-                # COMMITTED in every domain: adopt it, its instants moved
-                # onto the new clock.
+            if slice_id in everywhere:
+                # Adopt it, its instants moved onto the new clock.
                 payload, known = image["request"], requests.get(slice_id)
                 request = known[1] if known and known[0] is payload else request_from_dict(payload)
                 window = image.get("window")
                 adoptions.append((
-                    request, image.get("plmn"), image.get("fraction", 1.0), reservations,
+                    request, image.get("plmn"), image.get("fraction", 1.0),
+                    {domain: held[slice_id] for domain, held in truth.items()},
                     image.get("installed_at", image.get("started_at", crash_time)) + shift,
                     image["activated_at"] + shift if image.get("status") == "active" else None,
                     window[1] + shift if window else None,
@@ -278,7 +278,7 @@ class RecoveryManager:
         orch = self.orchestrator
         orphans = [
             reservation
-            for held in truth.values()
+            for held in truth.values() if not held.keys() <= adopted_ids
             for slice_id, reservation in held.items()
             if slice_id not in adopted_ids and reservation.state in HOLDING
         ]

@@ -16,21 +16,24 @@ Five guards on the warm-standby promotion path:
 - **Lag accounting** — ``replayed_records == replay_lag_records ==``
   the writes the standby had not seen at the kill.
 - **Profiles on first use** — a promotion draws no adopted slice's
-  traffic profile; the first epoch (or a rescale) does, and a promoted
-  shard that draws them all at once serves the same demands and writes
-  the same journal; it is the profile the v1 API drew at creation.
+  traffic profile; the first epoch draws them in one batch (a rescale
+  before it draws its own), and a promoted shard that draws them one by
+  one serves the same demands and writes the same journal; it is the
+  profile the v1 API drew at creation.
 - **Cached checkpoints are exact** — across a random history with a
   promotion in it, every checkpoint (leader's and promoted's) writes the
   bytes of ``json.dumps`` of the leader's fold, which is what the store
   folds to and what the live objects say, and its fragment cache holds
   exactly the live slice ids.
-- **The successor inherits the fold** — the standby that re-arms a
-  promoted shard starts from the promoted fold and a copy (not the
-  leader's own) of its journal index, decodes no snapshot and only the
-  records journaled since, and stays equal to a cold fold across later
-  writes, a checkpoint that compacts the journal and a torn tail; it
-  promotes to what a cold restore builds.  The promoted standby keeps
-  nothing of what it handed over, and any other standby starts cold.
+- **The successor is armed from the leader** — the standby that re-arms
+  a promoted shard starts from a copy of the serving leader's fold, its
+  LSN, a copy (not the leader's own) of its journal index and a clone
+  of each live request, decodes no request and no snapshot and folds
+  nothing on its first poll, and stays equal to a cold standby and a
+  cold fold across a rescale on the leader, later writes, a checkpoint
+  that compacts the journal and a torn tail; promoting it or the cold
+  standby builds what a cold restore builds.  A promotion decodes its
+  lag once.
 - **A promotion settles its queue** — an in-flight install the
   southbound could not finish and a booking that fell due during the
   outage, both queued by the rebase, are installed inside ``promote()``,
@@ -195,13 +198,18 @@ def test_promotion_from_the_warm_image_equals_a_cold_restore(seed, steps):
             shutil.copytree(os.path.join(root, "store"), cold_root)
 
             lsn_at_kill = shard.leader.store.last_lsn
-            promotion = standby.promote(force=True)
+            handed, real_restore = [], RecoveryManager.restore
+
+            def restore(manager, state=None, requests=None):
+                handed.append(state.digest())  # what the standby folded, before recovery
+                return real_restore(manager, state, requests)
+
+            with mock.patch.object(RecoveryManager, "restore", restore):
+                promotion = standby.promote(force=True)
             warm = promotion.orchestrator
 
             cold_store = ControlPlaneStore(cold_root, shard_id=VICTIM)
-            cold_digest = cold_store.replay().digest()
-            folded, _, _ = promotion.handoff
-            assert folded.digest() == cold_digest  # untouched by recovery
+            assert handed == [cold_store.replay().digest()]
             cold = cluster._build_orchestrator(
                 shard.leader.testbed, VICTIM, store=cold_store
             )
@@ -477,6 +485,10 @@ def promoted_twin(root: str, first_ordinal: int, draw_all: bool) -> tuple:
         promotion = standby.promote(force=True)
         cluster.adopt_promotion(VICTIM, promotion)
         promoted = promotion.orchestrator
+        batches, draws_many = [], promoted.streams.draws_many
+        promoted.streams.draws_many = lambda names, count: (
+            batches.append(len(names)) or draws_many(names, count)
+        )
         if draw_all:
             for slice_id in created:
                 promoted.fleet.profile(promoted.runtime(slice_id))
@@ -504,17 +516,20 @@ def promoted_twin(root: str, first_ordinal: int, draw_all: bool) -> tuple:
         profiles = {slice_id: profile_image(promoted, slice_id) for slice_id in created}
         with open(os.path.join(standby.directory, "journal.jsonl"), "rb") as handle:
             journal = handle.read()
-        return epochs, profiles, journal
+        return epochs, profiles, journal, batches
     finally:
         cluster.close()
 
 
 def test_profiles_drawn_on_first_use_serve_what_eager_ones_did(tmp_path):
+    """The first epoch draws the adopted profiles the rescale did not
+    read in one batch; one by one, eagerly, they are the same bits."""
     first_ordinal = peek_request_counter()
     lazy = promoted_twin(str(tmp_path / "lazy"), first_ordinal, draw_all=False)
     eager = promoted_twin(str(tmp_path / "eager"), first_ordinal, draw_all=True)
-    lazy_epochs, lazy_profiles, lazy_journal = lazy
-    eager_epochs, eager_profiles, eager_journal = eager
+    lazy_epochs, lazy_profiles, lazy_journal, lazy_batches = lazy
+    eager_epochs, eager_profiles, eager_journal, eager_batches = eager
+    assert (lazy_batches, eager_batches) == ([9], [0])  # the rescaled one drew alone
     assert lazy_epochs == eager_epochs
     served = [sample for epoch in lazy_epochs for sample in epoch["served"].values()]
     assert all(demand > 0.0 for demand, _, _ in served)
@@ -618,6 +633,34 @@ def test_replayed_records_is_the_lag_at_the_kill(cluster):
     assert len(promoted.live_slices()) == 5
     assert promoted.slice(shipped[0]).request.sla.throughput_mbps == 4.0
     assert all(s.state is SliceState.ACTIVE for s in promoted.live_slices()[:4])
+
+
+def test_a_promotion_decodes_its_lag_once(cluster, monkeypatch):
+    """``lag_records()`` decodes the records the standby has not folded;
+    the promotion's final poll folds those very records, decoding none
+    again: the tail serves a read behind its last pull from that pull."""
+    tenant = tenants_per_shard(cluster)[VICTIM]
+    headers = {"x-tenant-id": tenant}
+    standby = cluster.standby_for(VICTIM)
+    for _ in range(3):
+        assert cluster.router.post(
+            "/v1/slices", body=slice_body(tenant), headers=headers
+        ).status == 201
+    standby.poll()
+    seen = cluster.shard(VICTIM).store.last_lsn
+    for _ in range(2):
+        cluster.router.post("/v1/slices", body=slice_body(tenant), headers=headers)
+    cluster.kill_leader(VICTIM)
+    decoded = []
+    real = JournalRecord.from_line.__func__
+    monkeypatch.setattr(
+        JournalRecord, "from_line",
+        classmethod(lambda cls, text: decoded.append(json.loads(text)["lsn"]) or real(cls, text)),
+    )
+    lag = standby.lag_records()
+    promotion = standby.promote(force=True)
+    assert lag == promotion.replay_lag_records == cluster.shard(VICTIM).store.last_lsn - seen > 0
+    assert sorted(decoded) == list(range(seen + 1, seen + lag + 1))  # each once
 
 
 class BusyShard(Shard):
@@ -799,6 +842,19 @@ def restored_cold(cluster, root: str, cold_root: str):
     return cold, RecoveryManager(cold).restore()
 
 
+def cold_standby_over(cluster, store_root: str):
+    """A cold standby of the victim shard over ``store_root`` (the
+    cluster's own, or a copy), whose promotion rebuilds over it."""
+    testbed = cluster.shard(VICTIM).testbed
+
+    def rebuild(journal_tail):
+        store = ControlPlaneStore(store_root, shard_id=VICTIM, journal_tail=journal_tail)
+        orchestrator = cluster._build_orchestrator(testbed, VICTIM, store=store)
+        return orchestrator, SliceService(orchestrator)
+
+    return standby_module.WarmStandby(VICTIM, store_root, rebuild, LEASE_TIMEOUT_S)
+
+
 @SLOW
 @given(seed=st.integers(0, 10_000), steps=st.integers(3, 16), more=st.integers(0, 16))
 def test_a_successor_standby_inherits_the_promoted_fold(seed, steps, more):
@@ -815,41 +871,60 @@ def test_a_successor_standby_inherits_the_promoted_fold(seed, steps, more):
             assert_decoded_ahead(standby)
             cluster.kill_leader(VICTIM)
             promotion = standby.promote(force=True)
-            folded, applied_lsn, index = promotion.handoff
-            handed_over = folded.digest()
+            assert not hasattr(promotion, "handoff")
             cluster.adopt_promotion(VICTIM, promotion)
-            assert promotion.handoff is None  # kept by the cluster, for one use
             promoted = promotion.orchestrator
+            for _ in range(rng.randrange(3)):  # the promoted leader serves first
+                shard.op()
+
+            # Armed from the serving leader: a copy of its fold, its LSN and
+            # its journal index, and a clone of each live request.
+            decoded = []
+            decode = standby_module.request_from_dict
+            with mock.patch.object(
+                standby_module, "request_from_dict", lambda p: decoded.append(p) or decode(p)
+            ):
+                successor = cluster.standby_for(VICTIM)
+            fold = promoted.durable.fold
+            assert successor.state is not fold and successor.state.digest() == fold.digest()
+            assert successor.applied_lsn == promoted.store.last_lsn
             leader_index = promoted.store.journal._tail
-            assert index is not leader_index
-            assert index.lsns is not leader_index.lsns
-            assert index.starts is not leader_index.starts
-
-            # The promoted standby gave the image up: it folds elsewhere now.
-            standby.poll()
-            assert standby.state is not folded and folded.digest() == handed_over
-
-            successor = cluster.standby_for(VICTIM)
-            assert successor.state is folded and successor.applied_lsn == applied_lsn
-            loads, decoded = [], []
+            assert successor._tail is not leader_index
+            assert successor._tail.lsns == leader_index.lsns
+            assert successor._tail.lsns is not leader_index.lsns
+            assert successor._tail.starts is not leader_index.starts
+            assert decoded == [image["request"] for image in fold.in_flight.values()]
+            assert_decoded_ahead(successor)
+            for slice_id, (payload, clone) in successor.requests.items():
+                request = promoted.runtime(slice_id).network_slice.request
+                assert codec.request_to_dict(clone) == payload
+                assert clone is not request and clone.sla is request.sla
+            loads, lines = [], []
             real_load, real_decode = SnapshotStore.load_latest, JournalRecord.from_line.__func__
             with mock.patch.object(
                 SnapshotStore, "load_latest", lambda store: loads.append(1) or real_load(store)
             ), mock.patch.object(
                 JournalRecord, "from_line",
-                classmethod(lambda cls, text: decoded.append(1) or real_decode(cls, text)),
+                classmethod(lambda cls, text: lines.append(1) or real_decode(cls, text)),
             ):
-                first_poll = successor.poll()
-            # The rebase, the completion record and what followed: no snapshot.
-            # (LSNs start at 1: a leader that journaled nothing hands over -1.)
-            assert first_poll == len(decoded) == promoted.store.last_lsn - max(applied_lsn, 0) >= 2
-            assert loads == []
-            assert_decoded_ahead(successor)  # across the rebase
+                assert successor.poll() == 0  # no rebase folded again, no snapshot
+            assert loads == lines == []
 
-            # Any other standby for the shard starts cold.
-            cold_standby = cluster.standby_for(VICTIM)
+            # A rescale on the leader never reaches the successor's clone.
+            active = [s.slice_id for s in promoted.live_slices() if s.state is SliceState.ACTIVE]
+            if active:
+                clone = successor.requests[active[0]][1]
+                before = codec.request_to_dict(clone)
+                assert promoted.modify_slice(active[0], clone.sla.throughput_mbps / 2).admitted
+                assert codec.request_to_dict(clone) == before
+                assert successor.poll() == 1
+                assert_decoded_ahead(successor)
+
+            # A cold standby of the same shard folds to the same image.
+            cold_standby = cold_standby_over(cluster, os.path.join(root, "store"))
             assert cold_standby.applied_lsn == -1  # not even a snapshot at LSN 0
-            assert cold_standby.state.digest() == ReplayState().digest()
+            cold_standby.poll()
+            assert cold_standby.state.digest() == successor.state.digest()
 
             checkpoint_at = rng.randrange(more + 1)  # == more: no checkpoint
             for step in range(more):
@@ -873,17 +948,24 @@ def test_a_successor_standby_inherits_the_promoted_fold(seed, steps, more):
             assert cold_standby.state.digest() == cold_digest
             assert_decoded_ahead(cold_standby)
 
-            # Promoting the successor ends where a cold restore ends.
+            # Promoting either one builds the same plane, which is what a
+            # cold restore builds.
+            copy_root = os.path.join(root, "copy")
+            shutil.copytree(os.path.join(root, "store"), copy_root)
             cold, cold_report = restored_cold(cluster, root, os.path.join(root, "cold"))
-            again = successor.promote(force=True)
-            warm = again.orchestrator
-            assert again.report.slices_lost == cold_report.slices_lost == 0
-            assert again.report.slices_adopted == cold_report.slices_adopted
-            assert fleet_image(warm) == fleet_image(cold)
-            assert lifecycle_timers(warm) == lifecycle_timers(cold)
-            assert live_state(warm) == live_state(cold)
-            assert warm.durable.fold.digest() == cold.durable.fold.digest()
-            assert warm.store.replay().digest() == cold.store.replay().digest()
+            from_cold = cold_standby_over(cluster, copy_root)
+            from_cold.poll()
+            again, other = successor.promote(force=True), from_cold.promote(force=True)
+            for promoted_again in (again, other):
+                warm = promoted_again.orchestrator
+                assert promoted_again.report.slices_lost == cold_report.slices_lost == 0
+                assert promoted_again.report.slices_adopted == cold_report.slices_adopted
+                assert fleet_image(warm) == fleet_image(cold)
+                assert lifecycle_timers(warm) == lifecycle_timers(cold)
+                assert live_state(warm) == live_state(cold)
+                assert warm.durable.fold.digest() == cold.durable.fold.digest()
+                assert warm.store.replay().digest() == cold.store.replay().digest()
+                warm.store.close()
             cold.store.close()
         finally:
             cluster.close()

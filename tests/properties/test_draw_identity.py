@@ -16,6 +16,9 @@ random shapes, windows, fractions, jitters, weights and seeds, each
 model must give the same timeline event for event (times compared as
 ``float.hex``) and leave its generator in the same state.  The last
 test reads the source: no ``src/repro`` line calls ``.choice(``.
+
+The keyed draws' batch, ``RandomStreams.draws_many``, has the scalar
+``RandomStreams.draws`` as its oracle, draw for draw and bound for bound.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.slices import ServiceType
 from repro.scenarios.mobility import CommuterTides, HandoverEvent, VehicularCorridor
+from repro.sim.randomness import DrawnUniforms, RandomStreams
 from repro.traffic.generator import RequestMix
 from tests.source_reading import src_lines_matching
 
@@ -170,6 +174,28 @@ def test_request_mix_draws_the_textbook_vertical(weights, draws, seed):
     drawn = [mix.sample_type(rng) for _ in range(draws)]
     assert drawn == [reference_sample_type(weights, oracle) for _ in range(draws)]
     assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+@PROPERTY
+@given(
+    seed=st.one_of(st.just(0), st.integers(0, 2**64 - 1), st.integers(2**64, 2**200)),
+    names=st.lists(st.text(max_size=24), max_size=12),
+    count=st.integers(0, 4),
+    bounds=st.lists(
+        st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e6)).map(lambda b: (b[0], b[0] + b[1])),
+        min_size=4, max_size=4,
+    ),
+)
+def test_a_batch_of_keyed_draws_is_the_scalar_draws(seed, names, count, bounds):
+    streams = RandomStreams(seed)
+    drawn = streams.draws_many(names, count)
+    assert drawn.shape == (len(names), count)
+    for name, units in zip(names, drawn.tolist()):
+        scalar, batch = streams.draws(name), DrawnUniforms(iter(units))
+        assert [scalar.uniform().hex() for _ in range(count)] == [u.hex() for u in units]
+        scalar, pairs = streams.draws(name), bounds[:count]
+        assert [scalar.uniform(lo, hi).hex() for lo, hi in pairs] == \
+            [batch.uniform(lo, hi).hex() for lo, hi in pairs]
 
 
 def test_no_source_line_calls_generator_choice():

@@ -499,3 +499,17 @@ def test_a_crash_close_issues_no_fsync_and_a_clean_one_syncs(tmp_path, monkeypat
     reopened.close()
     clean.close()
     assert len(calls) == 1
+
+
+def test_a_driver_record_moves_the_fold_as_it_moves_a_restart(fleet):
+    """A compensation journaled after the last folded record, at a later
+    instant and naming a slice no folded record named, moves a restart's
+    crash time and id high-water mark: the leader's fold moves with it,
+    so a standby armed from it folds what a cold one does."""
+    fleet.sim.run_until(fleet.sim.now + 7.5)  # no record lands meanwhile
+    fleet.durable.journal_driver_record(
+        "driver.compensated", "ran", "slice-990001", "r-1", reason="straggler"
+    )
+    assert fleet.durable.fold.time == fleet.sim.now
+    assert fleet.durable.fold.last_request_ordinal == 990001
+    check_durable(fleet)

@@ -129,6 +129,31 @@ class TestFsyncSentinel:
         journal.append("b")
         assert len(fsync_calls) == 2
 
+    def test_an_observed_group_commit_fsyncs_and_reports_its_batch(self, path, fsync_calls):
+        from repro.obs.registry import ControlPlaneObservability
+
+        journal = Journal(path, fsync_every=3)
+        journal.obs = obs = ControlPlaneObservability()
+        for kind in ("a", "b"):
+            journal.append(kind)
+        assert fsync_calls == []
+        journal.append("c")
+        assert fsync_calls == [journal._handle.fileno()]
+        assert obs.histogram("journal.fsync").count == 1
+        assert obs.histogram("journal.batch_records").to_dict()["sum_ms"] == 3.0
+
+    def test_close_fsyncs_unsynced_appends_and_a_kill_does_not(self, path, fsync_calls):
+        journal = Journal(path, fsync_every=100)
+        journal.append("a")
+        journal.append("b")
+        journal.close()
+        assert len(fsync_calls) == 1
+        killed = Journal(path, fsync_every=100)
+        killed.append("c")
+        killed.close(sync=False)
+        assert len(fsync_calls) == 1
+        assert [r.lsn for r in Journal(path).records()] == [1, 2, 3]
+
 
 class TestCrashTolerance:
     def test_torn_tail_ignored(self, path):
@@ -308,6 +333,44 @@ class TestTailReader:
         done = reader.pull()
         assert [r.lsn for r in done.records] == [2, 3] and not done.tail_unterminated
         assert reader.pull().records == []
+
+    def test_blank_lines_mid_file_keep_the_index_on_line_starts(self, path):
+        lines = [FORMAT_LINE, line(1, "a") + "\n", "  \n", line(2, "b") + "\n", "\n",
+                 line(3, "c") + "\n", line(4, "d") + "\n"]
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("".join(lines))
+        offsets = [sum(map(len, lines[:at])) for at in (1, 3, 5, 6)]
+        tail = JournalTail(path)
+        assert [r.lsn for r in tail.pull().records] == [1, 2, 3, 4]
+        assert tail.starts == offsets
+        for after in (1, 2, 3):  # decoded afresh from the cursor's line start
+            assert tail.records(after) == from_scratch(path, after)
+
+    def test_a_read_behind_the_last_pull_is_served_from_it(self, path, monkeypatch):
+        from repro.store.journal import JournalRecord
+
+        writer, reader = Journal(path), JournalTail(path)
+        for kind in ("a", "b", "c"):
+            writer.append(kind)
+        assert [r.lsn for r in reader.records(0)] == [1, 2, 3]
+        for kind in ("d", "e"):
+            writer.append(kind)
+        assert [r.lsn for r in reader.records(3)] == [4, 5]
+        expected = {after: from_scratch(path, after) for after in (3, 4)}
+        decoded = []
+        real = JournalRecord.from_line.__func__
+        monkeypatch.setattr(
+            JournalRecord, "from_line",
+            classmethod(lambda cls, text: decoded.append(text) or real(cls, text)),
+        )
+        assert reader.records(3) == expected[3]
+        assert reader.records(4) == expected[4]
+        assert decoded == []
+        assert [r.lsn for r in reader.records(2)] == [3, 4, 5]  # behind it: from disk
+        assert len(decoded) == 3
+        writer.append("f")
+        assert [r.lsn for r in reader.records(4)] == [5, 6]  # behind the new pull of 6
+        assert len(decoded) == 3 + 1 + 2
 
     def test_journal_serves_an_unterminated_last_record_once(self, path):
         journal = Journal(path)

@@ -18,6 +18,15 @@ pairs, at least 9 in 10 of them won, and the head's median beyond the
 base's quartile on the better side.  Each side's ``attempted`` and
 ``failed`` are listed per run: a change that moves them changed the
 work, not its speed.
+
+Each run also carries the host slowdown the harness measured
+(``host.slowdown_p50`` and ``host.slowdown_max``, read from
+``run.py --detail``).  The runs of one side repeat one revision, so the
+spread of their slowdown medians is an A/A spread; a pair whose two
+runs' ``host.slowdown_p50`` differ by more than the larger side's
+(interquartile) spread ran on a host that changed under it, and is
+listed under ``flagged_pairs`` and printed — kept in the verdict, never
+dropped silently.
 """
 
 from __future__ import annotations
@@ -36,6 +45,8 @@ from typing import Dict, List
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Pairs below this never meet a claim; at or above it, 9 in 10 must be won.
 MIN_PAIRS, WIN_SHARE = 10, 0.9
+#: The host slowdown each run records, read from its ``--detail`` file.
+SLOWDOWNS = ("host.slowdown_p50", "host.slowdown_max")
 
 
 def git(*args: str) -> str:
@@ -45,17 +56,25 @@ def git(*args: str) -> str:
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One ``run.py`` process of ``tree``; its last stdout line, parsed."""
-    command = [
-        sys.executable, os.path.join(tree, "benchmarks", "e2e", "run.py"),
-        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
-    ]
-    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
-    lines = done.stdout.strip().splitlines()
-    if done.returncode or not lines:
-        raise RuntimeError(f"{tree}: {workload} seed {seed} exited {done.returncode}: "
-                           f"{done.stderr.strip()[-2000:]}")
-    return json.loads(lines[-1])
+    """One ``run.py`` process of ``tree``: its last stdout line, parsed,
+    with the host slowdown of its ``--detail`` file under ``host``."""
+    with tempfile.TemporaryDirectory(prefix="ab-run-") as scratch:
+        detail_path = os.path.join(scratch, "detail.json")
+        command = [
+            sys.executable, os.path.join(tree, "benchmarks", "e2e", "run.py"),
+            "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+            "--trace", "0", "--detail", detail_path,
+        ]
+        done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+        lines = done.stdout.strip().splitlines()
+        if done.returncode or not lines:
+            raise RuntimeError(f"{tree}: {workload} seed {seed} exited {done.returncode}: "
+                               f"{done.stderr.strip()[-2000:]}")
+        with open(detail_path) as handle:
+            info = json.load(handle)["info"]
+    result = json.loads(lines[-1])
+    result["host"] = {key: info[key] for key in SLOWDOWNS}
+    return result
 
 
 def spread(values: List[float]) -> Dict[str, float]:
@@ -64,6 +83,20 @@ def spread(values: List[float]) -> Dict[str, float]:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def flag_pairs(base: List[float], head: List[float]) -> dict:
+    """The A/A spread of two sides' per-run host slowdown medians (the
+    larger interquartile range of a side) and each pair whose two runs
+    differ by more than it."""
+    aa_spread = max(spread(side)["q3"] - spread(side)["q1"] for side in (base, head))
+    return {
+        "aa_spread": aa_spread,
+        "flagged_pairs": [
+            {"pair": pair + 1, "base": b, "head": h, "difference": h - b}
+            for pair, (b, h) in enumerate(zip(base, head)) if abs(h - b) > aa_spread
+        ],
+    }
 
 
 def verdict(metric: dict, base: List[float], head: List[float]) -> dict:
@@ -94,9 +127,17 @@ def compare(trees: Dict[str, str], workload: str, seed: int, pairs: int, seconds
             print(f"  {workload} seed {seed} pair {pair + 1}/{pairs} {side}: "
                   f"cpu_ms_per_op {runs[side][-1]['metrics']['cpu_ms_per_op']['value']:.4f}",
                   file=sys.stderr)
+    host = flag_pairs(*([run["host"]["host.slowdown_p50"] for run in runs[side]]
+                        for side in ("base", "head")))
+    for flagged in host["flagged_pairs"]:
+        print(f"  {workload} seed {seed} pair {flagged['pair']} FLAGGED: host slowdown p50 "
+              f"{flagged['base']:.3f} (base) vs {flagged['head']:.3f} (head), A/A spread "
+              f"{host['aa_spread']:.3f}", file=sys.stderr)
     return {
-        "runs": {side: [{key: run[key] for key in ("correct", "attempted", "failed")}
+        "runs": {side: [{**{key: run[key] for key in ("correct", "attempted", "failed")},
+                         **run["host"]}
                         for run in side_runs] for side, side_runs in runs.items()},
+        "host": host,
         "metrics": {
             metric["name"]: verdict(
                 metric, *([run["metrics"][metric["name"]]["value"] for run in runs[side]]

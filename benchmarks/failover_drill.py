@@ -21,10 +21,17 @@ acceptance invariants:
   keyed draws made (``default_profile``, ``RandomStreams.draws`` and
   ``RandomStreams.draws_many`` calls: traffic profiles and UE
   populations) and snapshots decoded
-  inside the watch cycle that promotes.  The CI gate holds both at 0:
-  an adopted slice's profile waits for its first epoch, the reopened
-  store reads the snapshot LSN off the file's head, and the standby's
-  image is the recovery input,
+  inside the watch cycle that promotes.  The CI gate holds the first at
+  1 (the lag's slices, built by that cycle's poll, draw in one batch)
+  and the second at 0: the reopened store reads the snapshot LSN off
+  the file's head, and the standby's image is the recovery input,
+- what the watch cycle that promotes builds, gated exactly at the
+  lag's ``BATCH`` slices by the CI gate: ``promotion_slices_built``
+  (``NetworkSlice`` constructions), ``promotion_plmn_claims``,
+  ``promotion_calendar_windows`` (entries of ``commit_many`` calls) and
+  ``promotion_profiles_drawn`` (``VerticalSpec.sample_profile`` calls).
+  The standby's ready plane built the four slices acknowledged before
+  its first poll then; the promotion builds none of them again,
 - ``promotion_template_builds`` and ``promotion_fleet_serialisations``:
   vEPC Heat templates built and full-fleet serialisations (snapshot
   writes plus ``ReplayState.digest`` folds) inside the same watch cycle.
@@ -54,30 +61,35 @@ acceptance invariants:
   (``successor_snapshot_parses == successor_first_poll_records == 0``;
   the leader checkpointed before the standby first polled, so a cold
   successor would decode one snapshot and fold the records since),
-- the promoted shard's first monitoring epoch draws every adopted
-  slice's profile in one batch: ``first_epoch_profiles_drawn``
-  (``VerticalSpec.sample_profile`` calls, scalar or batched) must equal
-  ``slices_adopted`` and ``first_epoch_profile_batches``
-  (``RandomStreams.draws_many`` calls) be 1.  It constructs no
+- the promoted shard's first monitoring epoch draws no profile: the
+  build drew each adopted slice's (``first_epoch_profiles_drawn``,
+  ``VerticalSpec.sample_profile`` calls, and
+  ``first_epoch_profile_batches``, ``RandomStreams.draws_many`` calls,
+  both held at 0).  It constructs no
   ``numpy.random.SeedSequence`` (``first_epoch_seed_sequences == 0``):
   every id-keyed draw is a counter, and the epoch's shared
   ``demand-noise`` stream is made when the loop starts,
 - ``promotion_requests_decoded``: ``request_from_dict`` calls inside
   the promoting watch cycle, the standby's last poll and the
   reconciliation together.  The CI gate holds it at ``BATCH``, the
-  requests the standby had not yet folded: it decodes each request as
-  it folds it, and recovery takes those,
+  requests the standby had not yet folded: it decodes a request as it
+  builds its slice,
 - ``deposed_plane_garbage``: what ``gc.collect()`` finds after the
   adoption drops the deposed control plane with the collector
   disabled.  The CI gate holds it at 0: nothing in a control plane
   points back at its owner, so reference counting frees it,
 - ``promotion_tracked_objects_per_slice``: GC-tracked objects the
-  adoption batch leaves alive per slice, replayed on a memory-only twin
-  after the drill from a fresh copy of the recorded batch, so that only
-  what the adoption keeps counts (published, never gated: CPython
-  versions differ),
-- ``recovery_split_s``: ``recovery_s`` cut into the adoption call and
-  the rest (published, never gated).
+  promotion's bind step leaves alive per slice, replayed on a
+  memory-only twin after the drill from a fresh copy of the recorded
+  batch, so that only what the bind keeps counts (pinned as a ceiling
+  by the CI gate, for the CPython it was measured on),
+- ``recovery_split_s``: ``recovery_s`` cut into the bind step and the
+  rest (published, never gated),
+- ``promotion_ladder``: a one-shard promotion at each of
+  ``LADDER_SIZES`` live slices with the same lag (two creates, four
+  rescales, two deletes), its ``promotion_ms_per_adopted_slice``
+  (published) and what the outage built beyond the slices the lag
+  touched (``untouched_*``, held at 0 by the CI gate).
 
 Usage::
 
@@ -105,6 +117,8 @@ BATCH = 16
 STALLED = 4
 KILLED = 0
 LEASE_TIMEOUT_S = 0.05
+#: Live fleets the promotion ladder promotes, each with the same lag.
+LADDER_SIZES = (40, 400)
 
 
 def _chaos_testbed():
@@ -170,34 +184,142 @@ def _marking(owner, name: str, marks: list):
         setattr(owner, name, real)
 
 
-def _tracked_objects_per_slice(testbed, pool_size: int, adoptions: list) -> float:
-    """GC-tracked objects one adoption batch leaves alive, per adopted
-    slice: the promotion's batch replayed on a memory-only twin control
-    plane over the same southbound, outside every timed window.  Never
-    gated: the figure differs between CPython versions.
+def _adoption_of(orchestrator, slice_id: str) -> tuple:
+    """The build step's input for one of ``orchestrator``'s live slices."""
+    network_slice = orchestrator.slice(slice_id)
+    return (
+        network_slice.request, network_slice.plmn.plmn_id if network_slice.plmn else None,
+        orchestrator.runtime(slice_id).effective_fraction, network_slice.admitted_at,
+        network_slice.active_at, None,
+    )
 
-    ``adoptions`` is the recorded batch, alive before and after.  The
-    twin is handed a fresh batch with fresh per-slice reservation maps,
-    built after the first count and dropped before the second, as a
-    promotion hands recovery's: an adoption that keeps the maps it is
-    handed and one that copies them read the same."""
+
+def _tracked_objects_per_slice(
+    testbed, pool_size: int, adoptions: list, bindings: list
+) -> float:
+    """GC-tracked objects one promotion's bind step leaves alive, per
+    bound slice: the batch replayed on a memory-only twin control plane
+    over the same southbound, outside every timed window, its slices
+    built (``adoptions``) before the first count.  Never gated exactly:
+    the figure differs between CPython versions.
+
+    ``bindings`` is the recorded ``(slice_id, reservations)`` batch,
+    alive before and after.  The twin is handed a fresh batch with fresh
+    per-slice reservation maps, built after the first count and dropped
+    before the second, as a promotion hands recovery's: a bind that keeps
+    the maps it is handed and one that copies them read the same."""
     import gc
 
     from repro.core.orchestrator import Orchestrator
     from repro.core.slices import PlmnPool
     from repro.sim.engine import Simulator
+    from repro.store.recovery import bind_recovered
 
     twin = Orchestrator(
         sim=Simulator(), allocator=testbed.allocator, registry=testbed.registry,
         plmn_pool=PlmnPool(size=pool_size),
     )
+    twin.build_recovered_slices(adoptions)
     gc.collect()
     before = len(gc.get_objects())
-    handed = [(*adoption[:3], dict(adoption[3]), *adoption[4:]) for adoption in adoptions]
-    adopted = twin.adopt_recovered_slices(handed)
+    handed = [(slice_id, dict(reservations)) for slice_id, reservations in bindings]
+    bind_recovered(twin, handed)
     del handed
     gc.collect()
-    return round((len(gc.get_objects()) - before) / max(len(adopted), 1), 2)
+    return round((len(gc.get_objects()) - before) / max(len(bindings), 1), 2)
+
+
+def _ladder_point(root: str, live: int) -> dict:
+    """One promotion of a one-shard cluster of ``live`` ACTIVE slices
+    whose standby had folded all but :data:`LADDER_LAG`: what the outage
+    builds (slice records, PLMN claims, calendar windows, profiles) next
+    to what the lag touched, and its wall time per adopted slice."""
+    from repro.cluster import ClusterConfig, ControlPlaneCluster
+    from repro.core.calendar import ResourceCalendar
+    from repro.core.slices import NetworkSlice, PlmnPool
+    from repro.experiments.testbed import TestbedConfig, build_testbed
+    from repro.traffic.verticals import VerticalSpec
+
+    cells = 32
+    testbed = build_testbed(TestbedConfig(
+        n_enbs=cells, max_plmns_per_enb=16, plmn_pool_size=512,
+        edge_nodes=cells, core_nodes=2 * cells,
+    ))
+    cluster = ControlPlaneCluster(
+        ClusterConfig(
+            shards=1, durability_root=root, plmn_pool_size=512,
+            lease_timeout_s=LEASE_TIMEOUT_S, orchestrator={"monitoring_epoch_s": 60.0},
+        ),
+        testbeds=[testbed],
+    )
+    try:
+        headers = {"x-tenant-id": "tenant-0"}
+        body = {
+            "service_type": "embb", "throughput_mbps": 2.0, "max_latency_ms": 50.0,
+            "duration_s": 360_000.0, "price": 100.0, "penalty_rate": 1.0,
+            "tenant_id": "tenant-0",
+        }
+        created = [
+            cluster.router.post("/v1/slices", body=body, headers=headers).body["slice_id"]
+            for _ in range(live)
+        ]
+        leader = cluster.shard(0)
+        leader.run_until(10.0)  # everything ACTIVE
+        leader.orchestrator.durable.checkpoint()
+        standby = cluster.standby_for(0)
+        standby.poll()
+        # The lag: two creates, four rescales, two deletes, none folded.
+        lagged = [
+            cluster.router.post("/v1/slices", body=body, headers=headers).body["slice_id"]
+            for _ in range(2)
+        ]
+        for slice_id in created[:4]:
+            cluster.router.patch(
+                f"/v1/slices/{slice_id}", body={"throughput_mbps": 3.0}, headers=headers
+            )
+        for slice_id in created[4:6]:
+            cluster.router.delete(f"/v1/slices/{slice_id}", headers=headers)
+        touched = len(lagged) + 4
+        cluster.kill_leader(0)
+        counts: dict = {}
+        windows: list = []
+        with contextlib.ExitStack() as spies:
+            for owner, name, key in (
+                (NetworkSlice, "__init__", "built"),
+                (PlmnPool, "claim", "claims"),
+                (VerticalSpec, "sample_profile", "profiles"),
+            ):
+                spies.enter_context(_spying(owner, name, counts, key))
+            spies.enter_context(
+                _spying(ResourceCalendar, "commit_many", counts, "commits", calls=windows)
+            )
+            started = time.perf_counter()
+            promotion = standby.promote(force=True)
+            elapsed = time.perf_counter() - started
+        adopted = promotion.report.slices_adopted
+        return {
+            "live": live,
+            "adopted": adopted,
+            "lost": promotion.report.slices_lost,
+            "lag_touched": touched,
+            "untouched_slices_built": counts["built"] - touched,
+            "untouched_plmn_claims": counts["claims"] - touched,
+            "untouched_calendar_windows": sum(len(call[1]) for call in windows) - touched,
+            "untouched_profiles_drawn": counts["profiles"] - touched,
+            "promotion_ms": round(elapsed * 1000.0, 3),
+            "promotion_ms_per_adopted_slice": round(elapsed * 1000.0 / max(adopted, 1), 4),
+        }
+    finally:
+        cluster.close()
+
+
+def run_promotion_ladder(root: str | None = None) -> dict:
+    """:func:`_ladder_point` at each of :data:`LADDER_SIZES` live slices."""
+    root = root or tempfile.mkdtemp(prefix="promotion-ladder-")
+    return {
+        str(live): _ladder_point(os.path.join(root, f"fleet-{live}"), live)
+        for live in LADDER_SIZES
+    }
 
 
 def run_failover_drill(failures: list, root: str | None = None) -> dict:
@@ -208,13 +330,11 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
 
     import numpy as np
 
-    import repro.cluster.standby as standby_module
     import repro.core.allocation as allocation_module
     import repro.store.recovery as recovery_module
     from repro.cluster import ClusterConfig, ControlPlaneCluster
     from repro.core.calendar import ResourceCalendar
     from repro.core.epoch import LiveFleet
-    from repro.core.orchestrator import Orchestrator
     from repro.core.slices import NetworkSlice, PlmnPool
     from repro.drivers.base import ReservationState
     from repro.ran.controller import RanController
@@ -310,21 +430,27 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
     counts: dict = {}
     stages: dict = {}
     restoring: list = []
-    adopt_calls: list = []
+    bind_calls: list = []
+    window_calls: list = []
     with contextlib.ExitStack() as spies:
         for owner, name, key in (
             (LiveFleet, "default_profile", "profiles"),
             (RandomStreams, "draws", "profiles"),
             (RandomStreams, "draws_many", "profiles"),
             (SnapshotStore, "load_latest", "snapshots"),
-            (standby_module, "request_from_dict", "requests_decoded"),
             (recovery_module, "request_from_dict", "requests_decoded"),
             (allocation_module, "epc_template", "templates"),
             (SnapshotStore, "write", "serialisations"),
             (ReplayState, "digest", "serialisations"),
             (os, "fsync", "fsyncs"),
+            (NetworkSlice, "__init__", "slices_built"),
+            (PlmnPool, "claim", "plmn_claims"),
+            (VerticalSpec, "sample_profile", "profiles_drawn"),
         ):
             spies.enter_context(_spying(owner, name, counts, key))
+        spies.enter_context(_spying(
+            ResourceCalendar, "commit_many", counts, "window_commits", calls=window_calls
+        ))
         # Per-slice work the batch adoption does once, or not at all,
         # counted inside the reconciliation only.
         spies.enter_context(_marking(RecoveryManager, "restore", restoring))
@@ -336,10 +462,7 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
         ):
             spies.enter_context(_spying(owner, name, counts, key, within=restoring))
         spies.enter_context(
-            _spying(
-                Orchestrator, "adopt_recovered_slices", stages, "adopt", clock=True,
-                calls=adopt_calls,
-            )
+            _spying(recovery_module, "bind_recovered", stages, "bind", clock=True, calls=bind_calls)
         )
         promotion = standby.tick()
     if promotion is None:
@@ -358,12 +481,13 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
     promoted = cluster.shard(KILLED)
     journal_records = promoted.store.last_lsn - lsn_at_kill
     # The standby that re-arms the shard, and its first poll.
-    with _spying(standby_module, "request_from_dict", counts, "successor_requests_decoded"):
+    with _spying(recovery_module, "request_from_dict", counts, "successor_requests_decoded"):
         successor = cluster.standby_for(KILLED)
         with _spying(SnapshotStore, "load_latest", counts, "successor_snapshots"):
             successor_records = successor.poll()
 
     report = promotion.report
+    bindings = bind_calls[0][1] if bind_calls else []
     expected = FIRST_WAVE + BATCH
     if report.slices_lost or report.slices_adopted != expected:
         failures.append(
@@ -424,13 +548,18 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
         "successor_requests_decoded": counts["successor_requests_decoded"],
         "successor_snapshot_parses": counts["successor_snapshots"],
         "successor_first_poll_records": successor_records,
+        "promotion_slices_built": counts["slices_built"],
+        "promotion_plmn_claims": counts["plmn_claims"],
+        "promotion_calendar_windows": sum(len(call[1]) for call in window_calls),
+        "promotion_profiles_drawn": counts["profiles_drawn"],
         "promotion_tracked_objects_per_slice": _tracked_objects_per_slice(
             leader.testbed, promoted.orchestrator.plmn_pool.capacity,
-            adopt_calls[0][1] if adopt_calls else [],
+            [_adoption_of(promoted.orchestrator, s) for s, _ in bindings],
+            bindings,
         ),
         "recovery_split_s": {
-            "adopt": round(stages["adopt"], 4),
-            "rest": round(promotion.recovery_s - stages["adopt"], 4),
+            "bind": round(stages["bind"], 4),
+            "rest": round(promotion.recovery_s - stages["bind"], 4),
         },
         "replay_lag_records": promotion.replay_lag_records,
         "replay_floor_lsn": promotion.replay_floor_lsn,
@@ -444,17 +573,13 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
             str(k): cluster.shard(k).store.status() for k in owners
         },
     }
-    # The promoted shard's first epoch draws every adopted profile, at once.
+    # The promoted shard's first epoch draws no profile: the build did.
     with _spying(np.random, "SeedSequence", payload, "first_epoch_seed_sequences"), \
             _spying(VerticalSpec, "sample_profile", payload, "first_epoch_profiles_drawn"), \
             _spying(RandomStreams, "draws_many", payload, "first_epoch_profile_batches"):
         promoted.run_until(promoted.sim.now + promoted.orchestrator.config.monitoring_epoch_s)
-    if payload["first_epoch_profiles_drawn"] < report.slices_adopted:
-        failures.append(
-            f"drill: the first epoch drew {payload['first_epoch_profiles_drawn']} "
-            f"profiles for {report.slices_adopted} adopted slices"
-        )
     cluster.close()
+    payload["promotion_ladder"] = run_promotion_ladder(os.path.join(root, "ladder"))
     return payload
 
 

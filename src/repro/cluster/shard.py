@@ -33,8 +33,7 @@ from repro.core.slices import PlmnPool
 from repro.experiments.testbed import Testbed, TestbedConfig, build_testbed
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
-from repro.store.journal import JournalTail
-from repro.store.store import ControlPlaneStore
+from repro.store.store import NullStore
 
 
 class ClusterError(RuntimeError):
@@ -150,26 +149,17 @@ class ControlPlaneCluster:
         )
 
     def _build_orchestrator(
-        self,
-        testbed: Testbed,
-        shard_id: int,
-        store: Optional[ControlPlaneStore] = None,
-        journal_tail: Optional[JournalTail] = None,
+        self, testbed: Testbed, shard_id: int, store: Optional[Any] = None
     ) -> Orchestrator:
         """A fresh control-plane process over ``testbed``'s southbound
         (each call gets its own simulator + PLMN pool — exactly what a
-        process restart loses); a promoting standby's ``journal_tail``
-        spares the reopen what it already decoded."""
+        process restart loses), over ``store`` when given (a standby's
+        ready plane: a :class:`NullStore` until its promotion)."""
         config = OrchestratorConfig(
             durability_dir=self.config.durability_root,
             shard_id=shard_id,
             **self.config.orchestrator,
         )
-        if journal_tail is not None:
-            store = ControlPlaneStore(
-                config.durability_dir, config.journal_fsync_every,
-                config.checkpoint_every_records, shard_id, journal_tail,
-            )
         return Orchestrator(
             sim=Simulator(),
             allocator=testbed.allocator,
@@ -256,18 +246,16 @@ class ControlPlaneCluster:
         return worker
 
     def standby_for(self, shard_id: int) -> "Any":
-        """A warm standby tailing ``shard_id``'s WAL, ready to promote; for a
-        shard a promotion took over, armed from its serving leader."""
+        """A warm standby tailing ``shard_id``'s WAL and keeping its ready
+        plane; for a shard a promotion took over, armed from its serving leader."""
         from repro.cluster.standby import WarmStandby
 
         if not self.config.durability_root:
             raise ClusterError("standbys require a durability_root")
         worker = self.shard(shard_id)
 
-        def rebuild(journal_tail: JournalTail) -> "tuple[Orchestrator, SliceService]":
-            orchestrator = self._build_orchestrator(
-                worker.testbed, shard_id, journal_tail=journal_tail
-            )
+        def rebuild() -> "tuple[Orchestrator, SliceService]":
+            orchestrator = self._build_orchestrator(worker.testbed, shard_id, store=NullStore())
             return orchestrator, SliceService(orchestrator)
 
         return WarmStandby(

@@ -4,28 +4,39 @@ The standby is the survivability half of the sharded control plane: a
 second worker that folds one shard's write-ahead journal *as it is
 written* into a live :class:`~repro.store.codec.ReplayState` image (its
 lag is bounded by its polling cadence) and watches the shard's
-:class:`~repro.cluster.lease.Lease`.  When the heartbeat goes stale,
-:meth:`WarmStandby.promote` takes the lease with a bumped epoch (fencing
-a merely paused leader), folds the replay lag, rebuilds an orchestrator
-over the *surviving* southbound and a store reopened over the standby's
-journal index, and hands the fold to the
-:class:`~repro.store.recovery.RecoveryManager` reconciliation a restart
-runs: a batch re-adoption stated by one ``recovery.rebased`` record,
-then ``recovery.completed`` and no checkpoint, so feed cursors hold.
+:class:`~repro.cluster.lease.Lease`.
 
-A promotion decodes the lag, not the fleet: the standby keeps each live
-and in-flight request decoded as it folds it (``requests``).  Per slice
-it still pays for the southbound's reservations it reads and the batch
-re-adoption (record, PLMN claim, runtime, calendar window, timer,
-event); the deposed plane's free follows in ``adopt_promotion``.
+As it tails it keeps a **ready plane**: the orchestrator a promotion
+would build, wired to the shard's surviving southbound but over no store
+(it opens nothing for writing and journals nothing), holding each live
+slice of the fold *built* — its record and runtime, PLMN claim, calendar
+window, index entry and drawn traffic profile — by the adoption's own
+build step (:func:`~repro.store.recovery.build_from_images`).  A poll
+unbuilds each slice its folded records named and builds it again from
+its new image; a snapshot jump or a folded ``recovery.rebased`` rebuilds
+the plane's fleet.  Every built instant is a journaled one, none read off
+a clock, so no part of the plane depends on when the leader dies.
+
+When the heartbeat goes stale, :meth:`WarmStandby.promote` takes the
+lease with a bumped epoch (fencing a merely paused leader), folds the
+replay lag (building what it touched), opens the store over the
+standby's journal index and hands the plane and the fold to the
+:class:`~repro.store.recovery.RecoveryManager` reconciliation a restart
+runs: the plane's simulator runs, empty, to the fold's time — the shard
+has one clock, and the rebase shifts nothing — the southbound is listed,
+and what it still holds is *bound*: reservations, composed allocation,
+vEPC instance, activation and expiry timers in one batch, and the
+``slice.adopted`` events.  One ``recovery.rebased`` record states it,
+then ``recovery.completed``, and no checkpoint, so feed cursors hold.  A
+cold restart builds and binds back to back, through the same two steps.
 
 Re-arming the shard costs nothing inside the outage: for a shard a
 promotion took over, :meth:`~repro.cluster.shard.ControlPlaneCluster.standby_for`
 arms the standby from the serving leader, with a copy of its fold, its
-last LSN and its journal index, and per live slice a clone of its
-request (the frozen ``SLA`` shared: the leader rebinds ``sla``, never
-writes into one).  Only an install in flight is decoded, and the first
-poll folds what the leader journaled since: no snapshot, no rebase.
+last LSN and its journal index, and builds the ready plane around a clone
+of each live slice's request (the frozen ``SLA`` shared: the leader
+rebinds ``sla``, never writes into one).  The first poll folds what the
+leader journaled since: no snapshot, no rebase.
 """
 
 from __future__ import annotations
@@ -33,16 +44,17 @@ from __future__ import annotations
 import os
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.api.rest import RestApi
 from repro.api.v1 import build_v1_api
 from repro.cluster.lease import Lease
-from repro.core.slices import SliceRequest
-from repro.store.codec import ReplayState, request_from_dict
+from repro.core.slices import SliceRequest, SliceState
+from repro.store.codec import ReplayState
 from repro.store.journal import JournalTail
+from repro.store.recovery import RecoveryManager, build_from_images
 from repro.store.snapshot import SnapshotStore
-from repro.store.store import shard_directory
+from repro.store.store import ControlPlaneStore, shard_directory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.service import SliceService
@@ -85,17 +97,17 @@ class PromotionReport:
 
 
 class WarmStandby:
-    """Tails one shard's WAL; promotes itself when the lease goes stale.
+    """Tails one shard's WAL, keeps its ready plane; promotes itself when
+    the lease goes stale.
 
     Args:
         shard_id: The shard being shadowed.
         store_root: The cluster's durability root (the standby resolves
             the same ``shard-<id>/`` namespace the leader journals to).
         rebuild: Factory returning a *fresh* ``(orchestrator, service)``
-            wired to the shard's surviving southbound and a store
-            reopened over the :class:`~repro.store.journal.JournalTail`
-            it is handed (the standby's own) — the "new process"
-            promotion boots.  Supplied by
+            wired to the shard's surviving southbound over a
+            :class:`~repro.store.store.NullStore` — the "new process"
+            promotion boots, kept as the ready plane.  Supplied by
             :meth:`~repro.cluster.shard.ControlPlaneCluster.standby_for`.
         lease_timeout_s: ``ClusterConfig.lease_timeout_s``, the staleness read as leader death.
         leader: A promoted shard's serving leader to start from (else cold).
@@ -105,14 +117,13 @@ class WarmStandby:
         self,
         shard_id: int,
         store_root: str,
-        rebuild: Callable[[JournalTail], Tuple["Orchestrator", "SliceService"]],
+        rebuild: Callable[[], Tuple["Orchestrator", "SliceService"]],
         lease_timeout_s: float,
         leader: Optional["Orchestrator"] = None,
     ) -> None:
-        self.shard_id = int(shard_id)
+        self.shard_id, self._root = int(shard_id), store_root
         self.directory = shard_directory(store_root, self.shard_id)
         self._snapshots = SnapshotStore(self.directory)
-        self._rebuild = rebuild
         self.lease = Lease(
             os.path.join(self.directory, Lease.FILENAME),
             owner=f"shard-{self.shard_id}-standby",
@@ -122,20 +133,22 @@ class WarmStandby:
         #: snapshot at LSN 0 (a checkpoint before any record) is ahead.
         self.state, self.applied_lsn = ReplayState(), -1
         self._tail = JournalTail(os.path.join(self.directory, "journal.jsonl"))
-        #: slice id → (request dict, decoded request) of each live and
-        #: in-flight image, so that a promotion decodes only the lag.  A
-        #: fold replaces a request dict and never writes into one: an
-        #: entry stands while its dict is the one the image holds.
-        self.requests: Dict[str, Tuple[Dict[str, Any], SliceRequest]] = {}
+        #: The ready plane (module docstring), its service facade and v1 API.
+        self.plane: Optional["Orchestrator"]
+        self.plane, self.service = rebuild()
+        self.api = build_v1_api(self.service)
+        requests: Dict[str, SliceRequest] = {}
         if leader is not None:
             self.state = ReplayState.from_dict(leader.durable.fold.to_dict())
             self.applied_lsn, self._tail = leader.store.last_lsn, leader.store.journal.index()
-            for slice_id, image in self.state.live.items():
-                if (runtime := leader.fleet.runtimes.get(slice_id)) is not None:
-                    clone = object.__new__(SliceRequest)  # copy.copy costs what a decode does
-                    clone.__dict__ = runtime.network_slice.request.__dict__.copy()
-                    self.requests[slice_id] = (image["request"], clone)
-        self._decode_ahead([*self.state.live, *self.state.in_flight])
+            for runtime in leader.fleet.runtimes.values():
+                clone = object.__new__(SliceRequest)  # copy.copy costs what a decode does
+                clone.__dict__ = runtime.network_slice.request.__dict__.copy()
+                requests[clone.request_id] = clone
+        build_from_images(self.plane, list(self.state.live.values()), requests)
+        #: The tail's re-index count as last seen: a snapshot can be ahead
+        #: of the fold only after the journal was rewritten (or first read).
+        self._reindexed = self._tail.reindexed
         self.polls = 0
         self.promoted: Optional[PromotionReport] = None
 
@@ -143,43 +156,63 @@ class WarmStandby:
     # Tailing
     # ------------------------------------------------------------------
     def poll(self) -> int:
-        """Fold everything the leader journaled past our position;
-        returns the number of records applied.  After a leader
-        checkpoint compacted the journal, the standby jumps to the
-        snapshot (its pre-compaction fold reached at least that LSN
-        anyway — LSNs are monotonic across compactions)."""
-        applied, named = 0, set()
+        """Fold everything the leader journaled past our position and
+        bring the ready plane to it; returns the number of records
+        applied.  After a leader checkpoint compacted away records not
+        yet folded, the standby jumps to the snapshot (LSNs are
+        monotonic across compactions); it lists the snapshots only when
+        one can be ahead: the journal was rewritten, or a folded
+        ``checkpoint.written`` names an LSN past its position."""
+        records, applied = self._tail.records(self.applied_lsn), 0
+        named: Optional[Dict[Optional[str], None]] = {}
+        ahead = self._tail.reindexed != self._reindexed or any(
+            r.record_type == "checkpoint.written" and r.data["lsn"] > self.applied_lsn
+            for r in records
+        )
+        self._reindexed = self._tail.reindexed
         # Snapshot LSNs are in the file names: parse one only when ahead.
-        ahead = any(lsn > self.applied_lsn for lsn in self._snapshots.list_lsns())
-        loaded = self._snapshots.load_latest() if ahead else None
-        if loaded is not None and loaded[1] > self.applied_lsn:
-            snapshot, lsn = loaded
-            self.state = ReplayState.from_dict(snapshot)
-            named.update(self.state.live, self.state.in_flight)
-            applied += 1
-            self.applied_lsn = lsn
-        for record in self._tail.records(self.applied_lsn):
-            self.state.apply(record.record_type, record.time, record.data)
-            named.add(record.data.get("slice_id"))
+        if ahead and any(lsn > self.applied_lsn for lsn in self._snapshots.list_lsns()):
+            loaded = self._snapshots.load_latest()
+            if loaded is not None and loaded[1] > self.applied_lsn:
+                snapshot, self.applied_lsn = loaded
+                self.state, named = ReplayState.from_dict(snapshot), None
+                records = [record for record in records if record.lsn > self.applied_lsn]
+                applied += 1
+        built = self.plane.fleet.runtimes if self.plane is not None else {}
+        for record in records:
+            kind, slice_id = record.record_type, record.data.get("slice_id")
+            self.state.apply(kind, record.time, record.data)
+            if kind == "recovery.rebased":
+                named = None  # it may move every image
+            elif named is None:
+                pass  # the whole fleet is rebuilt
+            elif kind == "slice.activated" and slice_id not in named and slice_id in built:
+                # The one change a built slice takes in place: its image
+                # moves to ACTIVE at this instant, and nothing else.
+                self.plane.slice_index.transition(
+                    built[slice_id].network_slice, SliceState.ACTIVE, record.time
+                )
+            else:
+                named[slice_id] = None
             self.applied_lsn = record.lsn
             applied += 1
-        self._decode_ahead(named)
-        if len(self.requests) > len(self.state.live) + len(self.state.in_flight):
-            self._decode_ahead(list(self.requests))  # a jump or a rebase dropped them unnamed
+        self._ready(named)
         self.polls += 1
         return applied
 
-    def _decode_ahead(self, slice_ids: Iterable[Optional[str]]) -> None:
-        """Bring the decoded request of each slice in ``slice_ids`` up to
-        its image: decode a dict the entry does not hold, drop a slice
-        that is neither live nor in flight."""
-        live, in_flight, requests = self.state.live, self.state.in_flight, self.requests
-        for slice_id in slice_ids:
-            image = live.get(slice_id) or in_flight.get(slice_id)
-            if image is None:
-                requests.pop(slice_id, None)
-            elif (entry := requests.get(slice_id)) is None or entry[0] is not image["request"]:
-                requests[slice_id] = (image["request"], request_from_dict(image["request"]))
+    def _ready(self, named: Optional[Dict[Optional[str], None]]) -> None:
+        """Bring the ready plane to the fold: unbuild each slice in
+        ``named`` and build again, in that order, those the fold holds
+        live; on ``None``, unbuild every slice and build the fold's."""
+        if self.plane is None:
+            return  # promoted: the plane leads the shard now
+        fleet, live = self.plane.fleet, self.state.live
+        if named is None:
+            fleet.unbuild(list(fleet.runtimes))
+            named = dict.fromkeys(live)
+        else:
+            fleet.unbuild([slice_id for slice_id in named if slice_id in fleet.runtimes])
+        build_from_images(self.plane, [live[s] for s in named if s in live])
 
     def lag_records(self) -> int:
         """Records the leader has journaled that we have not folded —
@@ -222,14 +255,16 @@ class WarmStandby:
             )
         self.state.records_applied = 0  # recovery reports what is folded from here on
         replay_lag = self.poll()
+        orchestrator, config = self.plane, self.plane.config
         # The new leader's journal owns our index (it appends to it); it folds on from ours.
-        orchestrator, service = self._rebuild(self._tail)
+        orchestrator.attach_store(ControlPlaneStore(
+            self._root, config.journal_fsync_every, config.checkpoint_every_records,
+            self.shard_id, self._tail,
+        ))
         orchestrator.attach_lease(self.lease)
-        from repro.store.recovery import RecoveryManager
-
-        report = RecoveryManager(orchestrator).restore(self.state, self.requests)
+        report = RecoveryManager(orchestrator).restore(self.state)
         self.state, self.applied_lsn, self._tail = ReplayState(), -1, JournalTail(self._tail.path)
-        self.requests = {}  # the new leader's now
+        self.plane = None
         recovery_s = _time.monotonic() - started
         self.promoted = PromotionReport(
             shard_id=self.shard_id,
@@ -237,8 +272,8 @@ class WarmStandby:
             replay_lag_records=replay_lag,
             report=report,
             orchestrator=orchestrator,
-            service=service,
-            api=build_v1_api(service),
+            service=self.service,
+            api=self.api,
             lease=self.lease,
             replay_floor_lsn=orchestrator.store.snapshot_lsn,
             trace={

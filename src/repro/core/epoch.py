@@ -48,6 +48,9 @@ if TYPE_CHECKING:  # pragma: no cover - the orchestrator imports this module
 
 #: Demand samples a live slice keeps — the tail its forecaster refits on.
 FORECAST_HISTORY_EPOCHS = 288
+#: Profiles a build draws in one numpy batch from this many on; fewer
+#: draw one by one (a batch's fixed cost is that of about eight draws).
+BATCHED_DRAWS = 8
 
 
 @dataclass
@@ -56,7 +59,7 @@ class SliceRuntime:
     fraction, profile, vEPC, UEs) and what the epoch books."""
 
     network_slice: NetworkSlice
-    profile: Optional[TrafficProfile]  # re-adopted: None until first read
+    profile: TrafficProfile
     #: Built when a policy first reads a forecast (:meth:`forecast_quantile`),
     #: by the fleet's factory, which its overbooking step hands it; fed
     #: one sample per epoch from then on.
@@ -74,7 +77,9 @@ class SliceRuntime:
     last_violated: bool = False
     #: One ``(epoch time, demand)`` sample per served epoch; the demands
     #: are what the forecaster refits on, and it dies with the runtime.
-    demand_history: Deque[Tuple[float, float]] = field(
+    #: ``None`` while built and not bound (a standby's ready plane holds
+    #: no deque per slice): :meth:`LiveFleet.bind` starts it.
+    demand_history: Optional[Deque[Tuple[float, float]]] = field(
         default_factory=lambda: deque(maxlen=FORECAST_HISTORY_EPOCHS)
     )
     reservations: Dict[str, Reservation] = field(default_factory=dict)
@@ -167,7 +172,7 @@ class LiveSlots:
         """One slice's key, float row and integer row, off live state."""
         request = runtime.network_slice.request
         allocation = runtime.network_slice.allocation
-        profile = fleet.profile(runtime)
+        profile = runtime.profile
         kind, names = _SHAPES.get(type(profile), (OTHER, ()))
         if kind == OTHER and type(profile).demand is not TrafficProfile.demand:
             raise TypeError(f"{type(profile).__name__} overrides demand(); the pass draws it")
@@ -194,8 +199,6 @@ class LiveSlots:
         """The fleet's ACTIVE slices and their slots, in slice-id order,
         visiting the touched and untracked ones only: one new to ACTIVE
         claims a slot, one no longer ACTIVE frees it, a moved key is re-read."""
-        if fleet.undrawn:
-            fleet.draw_profiles()
         slot_of, (allocations, slas, profiles, peaks) = self._slot_of, self._keys
         runtimes, untracked, moved = fleet.runtimes, self._untracked, False
         visits = self.touched | untracked
@@ -373,61 +376,92 @@ class LiveFleet:
         self.live_slots = LiveSlots()
         self.sla_monitor = SlaMonitor()
         self.gain_tracker = MultiplexingGainTracker()
-        #: Re-adopted slices, whose profiles the next sync draws.
-        self.undrawn: List[str] = []
 
     # ------------------------------------------------------------------
     # The lifecycle: go live, activate, resize, retire
     # ------------------------------------------------------------------
-    def go_live(self, launches: Iterable[tuple]) -> None:
+    def go_live(self, launches: List[tuple]) -> None:
         """The one way slices start holding a runtime: an install the
-        drivers just acknowledged (a batch of one), or a recovery
-        re-adopting what they still hold (the whole fleet).  Each launch
-        is ``(slice, profile, size, reservations, admitted_at, active_at,
-        window_end)`` of a PENDING slice the caller indexes: the runtime
-        around ``reservations``, ADMITTED and DEPLOYING, then the
-        activation timer or, for a slice that already turned ACTIVE at
-        ``active_at``, ACTIVE and the expiry timer; the windows of the
-        requests that hold none yet (to ``window_end``) go in after the
-        batch, in one commit.
+        drivers just acknowledged (a batch of one) is built and bound back
+        to back; a recovery builds what it re-adopts first and binds it
+        once the southbound said what it still holds.  Each launch is
+        ``(slice, profile, size, reservations, admitted_at, active_at,
+        window)`` of a PENDING slice the caller indexes."""
+        runtimes = self.build(launches)
+        self.bind([(runtime, launch[3]) for runtime, launch in zip(runtimes, launches)])
 
-        The instants are absolute on this sim clock and may lie in the
-        past (a re-adopted slice keeps the time it already served); a
-        timer that is already due fires at once.
-        """
-        now, windows, calendar, runtimes = self.sim.now, [], self.calendar, self.runtimes
-        schedule_at, deploy_time_s = self.sim.schedule_at, self.config.deploy_time_s
+    def build(self, launches: List[tuple]) -> List[SliceRuntime]:
+        """The control-plane side of each launch, holding nothing
+        southbound and setting no timer: the runtime, ADMITTED and
+        DEPLOYING at ``admitted_at`` and, for a slice that turned ACTIVE
+        at ``active_at``, ACTIVE; a ``None`` profile drawn (all of them in
+        one batch, :meth:`default_profile`'s bits); the ``window`` (start,
+        end) of each request that holds none yet, all in one commit.
+        Every instant comes from the launch, none from the clock: a
+        standby builds its ready plane (``cluster/standby.py``) ahead of
+        the promotion that binds it."""
+        windows, built, calendar, runtimes = [], [], self.calendar, self.runtimes
+        for network_slice, profile, size, _, admitted_at, active_at, window in launches:
+            request = network_slice.request
+            runtime = runtimes[network_slice.slice_id] = SliceRuntime(
+                network_slice=network_slice, profile=profile, effective_fraction=size.fraction,
+                demand_history=None,
+            )
+            built.append(runtime)
+            network_slice.go_live(admitted_at, active_at)
+            # A request that passed the calendar gate — online, in a broker
+            # window, or booking ahead — holds its window already.
+            if not calendar.has(request.request_id):
+                windows.append((request.request_id, window[0], window[1], size.demand))
+        calendar.commit_many(windows)
+        undrawn = [runtime for runtime in built if runtime.profile is None]
+        if undrawn:
+            self._draw_profiles(undrawn)
+        return built
+
+    def bind(self, bindings: List[tuple]) -> None:
+        """Give each built ``(runtime, reservations)`` what the drivers
+        hold: its reservations and the allocation they compose, its vEPC
+        instance, and its activation timer or, once ACTIVE, its expiry
+        timer, all timers in one batch.  A timer that is already due
+        fires at the clock's next step.  Each runtime's demand history
+        starts here."""
+        now, timers, deploy_time_s = self.sim.now, [], self.config.deploy_time_s
         # Bound once per batch: each timer holds a partial, no method of its own.
         activate, expire = self._activate, self.expire
-        for launch in launches:
-            network_slice, profile, size, reservations, admitted_at, active_at, window_end = launch
-            request = network_slice.request
-            slice_id = network_slice.slice_id
-            runtime = runtimes[slice_id] = SliceRuntime(
-                network_slice=network_slice, profile=profile,
-                effective_fraction=size.fraction, reservations=reservations,
-            )
+        for runtime, reservations in bindings:
+            runtime.demand_history = deque(maxlen=FORECAST_HISTORY_EPOCHS)
             self._hold(runtime, reservations)  # composes its allocation, marks it touched
             # Contract-clean EPC binding: whatever backend serves the "epc"
             # domain reports its instance (if any) in the reservation.
             if "epc" in reservations:
                 runtime.epc = reservations["epc"].details.get("instance")
-            network_slice.go_live(admitted_at, active_at)
-            # A request that passed the calendar gate — online, in a broker
-            # window, or booking ahead — holds its window already.
-            if not calendar.has(request.request_id):
-                windows.append(
-                    (request.request_id, now, max(window_end, now + 1e-9), size.demand)
-                )
-            if active_at is None:
-                schedule_at(
-                    max(admitted_at + deploy_time_s, now),
-                    partial(activate, slice_id),
-                    name=f"activate-{slice_id}",
-                )
+            network_slice = runtime.network_slice
+            slice_id = network_slice.slice_id
+            if network_slice.active_at is None:
+                timers.append((
+                    max(network_slice.admitted_at + deploy_time_s, now),
+                    partial(activate, slice_id), f"activate-{slice_id}",
+                ))
             else:
-                self._schedule_expiry(network_slice, expire)
-        calendar.commit_many(windows)
+                timers.append((
+                    max(network_slice.end_time(), now), partial(expire, slice_id),
+                    f"expire-{slice_id}",
+                ))
+        self.sim.schedule_many(timers)
+
+    def unbuild(self, slice_ids: Iterable[str]) -> None:
+        """Undo :meth:`build` for slices never bound — a ready plane's
+        slice that the journal changed or ended, or that the southbound
+        lost: its runtime, PLMN claim, window and index entry go as if
+        never made."""
+        gone = [self.runtimes.pop(slice_id).network_slice for slice_id in slice_ids]
+        for network_slice in gone:
+            if network_slice.plmn is not None:
+                self.plmn_pool.unclaim(network_slice.slice_id)
+            if self.calendar.has(network_slice.request.request_id):
+                self.calendar.release(network_slice.request.request_id)
+        self.index.discard(gone)
 
     def _hold(self, runtime: SliceRuntime, reservations: Dict[str, Reservation]) -> None:
         """Give ``runtime`` ``reservations`` (some domains or all), recompose
@@ -456,16 +490,12 @@ class LiveFleet:
             self._spawn_ues(runtime)
         self._schedule_expiry(network_slice)
 
-    def _schedule_expiry(
-        self, network_slice: NetworkSlice, expire: Optional[Callable] = None
-    ) -> None:
-        """Expiry is measured from activation (the SLA's duration).
-        ``expire`` is :meth:`expire`, bound once by a batch."""
+    def _schedule_expiry(self, network_slice: NetworkSlice) -> None:
+        """Expiry is measured from activation (the SLA's duration)."""
         slice_id = network_slice.slice_id
         self.sim.schedule_at(
             max(network_slice.end_time(), self.sim.now),
-            partial(expire or self.expire, slice_id),
-            name=f"expire-{slice_id}",
+            partial(self.expire, slice_id), name=f"expire-{slice_id}",
         )
 
     def _spawn_ues(self, runtime: SliceRuntime) -> None:
@@ -516,7 +546,7 @@ class LiveFleet:
         unchanged fraction, its profile's peak (set in place) and the
         ``slice.modified`` record; a DriverError leaves it unchanged."""
         self.resize(runtime, throughput_mbps, runtime.effective_fraction)
-        self.profile(runtime).peak_mbps = throughput_mbps
+        runtime.profile.peak_mbps = throughput_mbps
         self.durable.journal(
             "slice.modified", slice_id=runtime.network_slice.slice_id,
             throughput_mbps=throughput_mbps,
@@ -571,22 +601,18 @@ class LiveFleet:
     # ------------------------------------------------------------------
     # The epoch: heal, serve, books, overbooking
     # ------------------------------------------------------------------
-    def profile(self, runtime: SliceRuntime) -> TrafficProfile:
-        """A live slice's traffic profile; drawn here for a re-adopted one read before a sync."""
-        if runtime.profile is None:
-            runtime.profile = self.default_profile(runtime.network_slice.request)
-        return runtime.profile
-
-    def draw_profiles(self) -> None:
-        """Draw each re-adopted slice's profile still undrawn, in one
-        batch: :meth:`default_profile`'s, bit for bit."""
+    def _draw_profiles(self, runtimes: List[SliceRuntime]) -> None:
+        """Draw each runtime's profile: :meth:`default_profile`'s, bit for
+        bit, a few one by one and more in one numpy batch."""
         from repro.traffic.verticals import vertical_for
 
-        pending = [r for s in self.undrawn if (r := self.runtimes.get(s)) and r.profile is None]
-        self.undrawn = []
-        requests = [runtime.network_slice.request for runtime in pending]
+        if len(runtimes) < BATCHED_DRAWS:
+            for runtime in runtimes:
+                runtime.profile = self.default_profile(runtime.network_slice.request)
+            return
+        requests = [runtime.network_slice.request for runtime in runtimes]
         drawn = self.streams.draws_many([f"api-profile-{r.request_id}" for r in requests], 2)
-        for runtime, request, units in zip(pending, requests, drawn.tolist()):
+        for runtime, request, units in zip(runtimes, requests, drawn.tolist()):
             rng, spec = DrawnUniforms(iter(units)), vertical_for(request.service_type)
             runtime.profile = spec.sample_profile(request.sla.throughput_mbps, rng)
 
@@ -596,7 +622,7 @@ class LiveFleet:
         installs) draws again when the original object died with the
         old process — the same shape, since both read the same key.
         Keyed by request id, never a shared stream, so drawing it late
-        (:meth:`profile`) moves no other draw; the peak is the current
+        (a re-adoption) moves no other draw; the peak is the current
         throughput."""
         from repro.traffic.verticals import vertical_for
 

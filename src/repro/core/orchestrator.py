@@ -195,22 +195,12 @@ class Orchestrator:
         self.events = EventLog(capacity=self.config.event_log_capacity)
         self.events.obs = self.obs
         self.calendar = ResourceCalendar(allocator.aggregate_capacity_vector())
-        # Durable control plane: every state transition is journaled
-        # (write-ahead) before it is acknowledged; a NullStore makes
-        # all of this free when no durability_dir is configured.
-        self.store = store if store is not None else open_store(
-            self.config.durability_dir,
-            fsync_every=self.config.journal_fsync_every,
-            checkpoint_every=self.config.checkpoint_every_records,
-            shard_id=self.config.shard_id,
-        )
         #: Leader lease of a sharded deployment (duck-typed — anything
         #: with ``heartbeat() -> bool``; see :mod:`repro.cluster.lease`).
         #: Refreshed every monitoring epoch; a failed refresh means a
         #: standby promoted itself over us, and we fence (stop durable
         #: writes) instead of split-braining the shard's WAL.
         self.lease: Optional[Any] = None
-        self.store.bind_obs(self.obs)
         #: The one tenant quota table: written by :meth:`set_quota`
         #: (journaled), refilled by recovery; the service layer enforces it.
         self.quotas: Dict[str, TenantQuota] = {}
@@ -218,21 +208,21 @@ class Orchestrator:
         #: ``request_id -> (request, start_time)`` (journaled, so the
         #: promises survive a restart).
         self._pending_advance: Dict[str, Tuple[SliceRequest, float]] = {}
-        #: The journal hooks and the durable state they fold.
-        self.durable = DurableImage(self.store, sim)
-        if self.store.enabled:
-            # Events no transition raises (SLA violations, repairs,
-            # driver incidents) are journaled on their own; the rest
-            # ride in their transition's record.
-            self.events.sink = self.durable.journal_event
         # Fleet-scale installs: admission bursts (broker windows, a
         # recovery's queued admissions) run through the event-driven
         # async batch planner instead of looping slice-by-slice.
-        self.planner = BatchInstallPlanner(
-            self.registry,
-            on_record=self.durable.journal_driver_record if self.store.enabled else None,
-            obs=self.obs,
-        )
+        self.planner = BatchInstallPlanner(self.registry, obs=self.obs)
+        #: The journal hooks and the durable state they fold.
+        self.durable = DurableImage(NullStore(), sim)
+        # Durable control plane: every state transition is journaled
+        # (write-ahead) before it is acknowledged; a NullStore makes
+        # all of this free when no durability_dir is configured.
+        self.attach_store(store if store is not None else open_store(
+            self.config.durability_dir,
+            fsync_every=self.config.journal_fsync_every,
+            checkpoint_every=self.config.checkpoint_every_records,
+            shard_id=self.config.shard_id,
+        ))
         #: Every slice record, and the ``slice_id``-sorted views
         #: ``GET /v1/slices`` pages are cut from.
         self.slice_index = SliceIndex()
@@ -260,6 +250,20 @@ class Orchestrator:
                 self.config.monitoring_epoch_s, self._epoch_tick, name="monitoring-epoch"
             )
 
+    def attach_store(self, store: "ControlPlaneStore | NullStore") -> None:
+        """Journal through ``store`` from here on: the constructor's, or the
+        one a standby's ready plane, built over a :class:`NullStore`, opens
+        at its promotion over the standby's index of the journal."""
+        self.store = self.durable.store = store
+        self.durable.floor_lsn = store.last_lsn
+        store.bind_obs(self.obs)
+        if store.enabled:
+            # Events no transition raises (SLA violations, repairs, driver
+            # incidents) are journaled on their own; the rest ride in their
+            # transition's record.
+            self.events.sink = self.durable.journal_event
+            self.planner.on_record = self.durable.journal_driver_record
+
     def attach_lease(self, lease: Any) -> None:
         """Adopt a leader lease (sharded deployments): the monitoring
         loop refreshes it every epoch and fences this process — closes
@@ -280,44 +284,32 @@ class Orchestrator:
     # ------------------------------------------------------------------
     # Recovery support
     # ------------------------------------------------------------------
-    def adopt_recovered_slices(self, adoptions: Iterable[tuple]) -> List[NetworkSlice]:
-        """Re-adopt, as one batch and in order, the slices a restart found
-        COMMITTED in every domain: each ``(request, plmn_id, fraction,
-        reservations, admitted_at, active_at, window_end)``, its instants
-        on the new clock (possibly negative; ``active_at`` is ``None`` for
-        a slice pending activation, ``window_end`` for one without a
-        window, which is then promised from its admission).  The batch is
-        sized at once, each PLMN re-claimed, and all go live in one
-        :meth:`~repro.core.epoch.LiveFleet.go_live` around the drivers'
-        live reservations (nothing is re-prepared), their profiles drawn later.
-
-        Nothing here is journaled, the ``slice.adopted`` events included:
-        the ``recovery.rebased`` record recovery writes next is the one
-        durable statement of the adoption, and a crash before it replays
-        the same recovery from the same records.
+    def build_recovered_slices(self, adoptions: Iterable[tuple]) -> List[NetworkSlice]:
+        """Build, as one batch and in order, the slices a recovery re-adopts,
+        each ``(request, plmn_id, fraction, admitted_at, active_at,
+        window)`` as journaled (``active_at`` ``None`` for a slice pending
+        activation, ``window`` ``None`` for one promised from its
+        admission): sized at once, each PLMN re-claimed and indexed, all
+        through one :meth:`~repro.core.epoch.LiveFleet.build`, their
+        profiles drawn in one batch.  Nothing southbound is bound and
+        nothing journaled: recovery binds the drivers' live reservations
+        once it has listed them (``LiveFleet.bind``), and its
+        ``recovery.rebased`` record is the adoption's one durable statement.
         """
         adoptions = list(adoptions)
         sizes = self.allocator.sizes((adoption[0], adoption[2]) for adoption in adoptions)
         adopted = [NetworkSlice(adoption[0]) for adoption in adoptions]
         claim, launches = self.plmn_pool.claim, []
         for network_slice, adoption, size in zip(adopted, adoptions, sizes):
-            request, plmn_id, _, reservations, admitted_at, active_at, window_end = adoption
+            request, plmn_id, _, admitted_at, active_at, window = adoption
             if plmn_id:
                 network_slice.plmn = claim(network_slice.slice_id, plmn_id)
-            if window_end is None:
-                window_end = self._promise_end(request, admitted_at)
-            launches.append(
-                (network_slice, None, size, reservations, admitted_at, active_at, window_end)
-            )
-        self.fleet.go_live(launches)
-        self.fleet.undrawn.extend(network_slice.slice_id for network_slice in adopted)
+            launches.append((
+                network_slice, None, size, None, admitted_at, active_at,
+                window or (admitted_at, self._promise_end(request, admitted_at)),
+            ))
+        self.fleet.build(launches)
         self.slice_index.add(adopted)
-        now, append = self.sim.now, self.events.append
-        for network_slice in adopted:
-            append(
-                now, "slice.adopted", slice_id=network_slice.slice_id,
-                tenant_id=network_slice.request.tenant_id, state=network_slice.state.value,
-            )
         return adopted
 
     def restore_advance_booking(self, request: SliceRequest, *, start_in_s: float) -> None:
@@ -739,7 +731,7 @@ class Orchestrator:
         self.ledger.book_admission(network_slice.slice_id, request)
         now, old = self.sim.now, network_slice.state
         self.fleet.go_live([(network_slice, profile, size, reservations, now, None,
-                             self._promise_end(request, now))])
+                             (now, self._promise_end(request, now)))])
         self.slice_index.move(network_slice, old)
         # WAL: the install is durable from here — a crash after this
         # record must re-adopt the slice, not forfeit it.

@@ -173,6 +173,14 @@ class PlmnPool:
         self._holders[plmn_id] = slice_id
         return plmn
 
+    def unclaim(self, slice_id: str) -> None:
+        """Undo :meth:`claim` in a pool that hands nothing out (a
+        standby's ready plane): the identity is as if never claimed, not
+        released into the hand-out order."""
+        plmn = self._allocated.pop(slice_id)
+        del self._holders[plmn.plmn_id]
+        self._claimed_ahead.discard(self._index_of(plmn.plmn_id))
+
     def release(self, slice_id: str) -> None:
         """Return the PLMN held by ``slice_id`` to the pool."""
         plmn = self._allocated.pop(slice_id, None)
@@ -452,6 +460,16 @@ class SliceIndex:
             else:
                 view += ids
                 view.sort()
+
+    def discard(self, slices: Sequence[NetworkSlice]) -> None:
+        """Unregister ``slices`` (a ready plane's, never bound) from the
+        records and each of their views."""
+        for network_slice in slices:
+            del self.records[network_slice.slice_id]
+        for key, ids in _grouped(slices).items():
+            view = self._views[key]
+            for slice_id in ids:
+                del view[bisect_left(view, slice_id)]
 
     def transition(self, network_slice: NetworkSlice, state: SliceState, at_time: float) -> None:
         """:meth:`NetworkSlice.transition` a registered slice; its views follow."""

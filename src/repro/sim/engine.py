@@ -87,6 +87,11 @@ class Simulator:
         """Total number of events fired so far."""
         return self._events_processed
 
+    @property
+    def pending(self) -> int:
+        """Events in the queue (cancelled ones until they are popped)."""
+        return len(self._queue)
+
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
@@ -142,6 +147,31 @@ class Simulator:
         )
         heapq.heappush(self._queue, event)
         return EventHandle(event)
+
+    def schedule_many(self, timers: list) -> list:
+        """:meth:`schedule_at` each ``(time, callback, name)`` in order, at
+        priority 0: the same events, sequence numbers and handles, put in
+        the queue as one batch.  A batch at least as large as the queue
+        joins it by one heapify, a smaller one by a push each; either way
+        they fire in ``(time, priority, seq)`` order.
+
+        Raises:
+            SimulationError: If a time precedes the current clock (then
+                nothing is scheduled).
+        """
+        now, seq = self._now, self._seq
+        for time, _, _ in timers:
+            if time < now:
+                raise SimulationError(f"cannot schedule at t={time} (now is t={now})")
+        events = [Event(float(t), 0, next(seq), callback, name) for t, callback, name in timers]
+        queue = self._queue
+        if len(events) >= len(queue):
+            queue += events
+            heapq.heapify(queue)
+        else:
+            for event in events:
+                heapq.heappush(queue, event)
+        return [EventHandle(event) for event in events]
 
     def clear(self) -> None:
         """Drop every pending event: nothing scheduled so far fires."""

@@ -56,15 +56,17 @@ none for the request, else a ``request_id`` reference (``ref``).
                        ``slice.path_repaired``, ``driver.*``, ``lease.fenced``)
 ``driver.*``           southbound audit (``compensated`` stragglers) — not folded
 ``checkpoint.written`` snapshot landed (audit)
-``recovery.rebased``   a restart re-adopted in memory: the clock ``shift``,
-                       the ``lost`` slices, the windows and reservations of
-                       the adopted in-flight installs; ``time`` resets here
+``recovery.rebased``   a restart re-adopted in memory: the clock ``shift``
+                       (0: a recovery continues the shard's clock), the
+                       ``lost`` slices, the windows and reservations of the
+                       adopted in-flight installs; ``time`` is set here
 ``recovery.completed`` a restart reconciled (audit), +event
 ===================== ==========================================================
 
-``time`` is the newest folded instant, except at a ``recovery.rebased``:
-every record after it is on the new process's clock, so the fold moves
-its image onto that clock and restarts ``time`` there.
+``time`` is the newest folded instant, except at a ``recovery.rebased``,
+which sets it to the record's own.  A recovery continues the shard's
+clock and journals ``shift`` 0, so nothing moves; an older one restarted
+its clock, and the fold moves its image onto that clock by the shift.
 
 A reference resolves against the table that holds the image
 (:meth:`ReplayState.held_request`): the in-flight install of the
@@ -429,7 +431,9 @@ class ReplayState:
         shift, crash_time = data["shift"], data["crash_time"]
         for slice_id in data["lost"]:
             self.live.pop(slice_id, None)
-        for image in self.live.values():
+        # A recovery on the shard's one clock journals shift 0 and moves no
+        # instant or window; an older one restarted the clock and moved all.
+        for image in self.live.values() if shift else ():  # nothing moves at shift 0
             image["installed_at"] += shift
             if image["status"] == "active":
                 image["activated_at"] += shift

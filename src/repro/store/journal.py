@@ -221,6 +221,9 @@ class JournalTail:
         self._inode: Optional[int] = None
         #: The records the last :meth:`records` call that pulled any decoded.
         self._recent: List[JournalRecord] = []
+        #: Times a pull indexed the file afresh: the first, and each after
+        #: it was replaced (as compaction does) or shrank.
+        self.reindexed = 0
 
     def pull(self) -> _ScanResult:
         """Decode and index what was appended since the last pull.  An
@@ -233,6 +236,7 @@ class JournalTail:
         if stat.st_ino != self._inode or stat.st_size < self.offset:
             self._inode, self.offset = stat.st_ino, 0
             self.lsns, self.starts = [], []
+            self.reindexed += 1
         scan = _scan(self.path, self.offset)
         if not self.offset:
             self.declared = scan.declared

@@ -16,8 +16,8 @@ truth" is :meth:`~repro.drivers.base.DomainDriver.list_reservations`):
 ====================  =========================  ===========================
 journal says          drivers say                recovery does
 ====================  =========================  ===========================
-installed (acked)     COMMITTED in every domain  re-adopt: rebuild runtime,
-                                                 calendar window, PLMN,
+installed (acked)     COMMITTED in every domain  re-adopt: build runtime,
+                                                 calendar window, PLMN; bind
                                                  expiry/activation timers
 installed (acked)     missing/partial            slice is *lost*: compensate
                                                  the partial residue, report
@@ -33,23 +33,28 @@ queued, no install    —                          install it in the queued
                                                  release COMMITTED
 ====================  =========================  ===========================
 
-Pending advance bookings are re-promised on the calendar with their
-windows rebased to the new clock.  Re-adoption is one in-memory batch
-pass over every fully-COMMITTED slice.  Once per batch: the fleet is
-sized off one cell and one vEPC read, the calendar windows enter the
-index by one sort, the timer callbacks are bound.  Per slice only what it owns:
-request, record, PLMN, runtime, window, timer, event.  (The per-slice
-loop before it also scanned the cells, sized anew, checked three
-transitions, bisected the calendar twice, formatted the PLMN and
-closed a lambda over two cells.)
+Pending advance bookings are re-promised on the calendar at the starts
+they were booked for: the recovered plane continues the shard's one
+clock (its empty simulator runs to the fold's time before anything is
+adopted), so no journaled instant moves.  Re-adoption is two batch
+steps.  The *build* (:func:`build_from_images`) makes each slice's
+control-plane side from its image — record, runtime, PLMN claim,
+calendar window, index entry, drawn profile — sizing the fleet off one
+cell and one vEPC read and entering the windows by one sort; a warm
+standby runs it as it tails, so its ready plane holds every live slice
+built before the leader dies.  The *bind* (:func:`bind_recovered`), once
+the southbound is listed, gives each slice the reservations the drivers
+still hold, the allocation they compose, its vEPC instance and its
+activation or expiry timer (one batch on the simulator), and emits its
+``slice.adopted`` event.  A cold restart runs both back to back.
 Its one durable statement, and the recovery's commit point, is the
-``recovery.rebased`` record written right after it: the clock shift
-plus the exceptions of the reconciliation (lost slices, adopted
-in-flight installs), which the replay fold applies to move its image
-onto the new clock — O(change), not O(fleet).  A crash before that
-record replays the *same* recovery from the same records; every record
-after it is on the new clock.  No checkpoint closes a recovery: the
-next auto-checkpoint compacts as it always does.
+``recovery.rebased`` record written right after it: ``shift`` 0 plus
+the exceptions of the reconciliation (lost slices, adopted in-flight
+installs), which the replay fold applies — O(change), not O(fleet);
+the fold still moves every instant by the shift an older recovery,
+which restarted its clock, journaled.  A crash before that record
+replays the *same* recovery from the same records.  No checkpoint
+closes a recovery: the next auto-checkpoint compacts as it always does.
 
 The rebase also moves the half-done installs and the bookings that fell
 due during the outage into the fold's ``queued``, ahead of any queued
@@ -61,13 +66,13 @@ admitted request outranks an undecided one.
 
 from __future__ import annotations
 
+import itertools
 import time as _time
 from dataclasses import asdict, dataclass, field
-from types import MappingProxyType
-from typing import Any, Dict, List, Mapping, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.admission import TenantQuota
-from repro.core.slices import ensure_request_counter_at_least
+from repro.core.slices import SliceRequest, ensure_request_counter_at_least
 from repro.drivers.base import Reservation, ReservationState
 from repro.drivers.transaction import HOLDING
 from repro.store.codec import ReplayState, request_from_dict
@@ -107,8 +112,9 @@ class RecoveryManager:
     store and reconciles it against the (surviving) southbound.
 
     Args:
-        orchestrator: A *new, empty* orchestrator wired to the
-            surviving driver registry and to the reopened store.
+        orchestrator: A *new* orchestrator, not started, wired to the
+            surviving driver registry and to the reopened store: empty,
+            or a standby's ready plane holding the fold's live slices built.
     """
 
     def __init__(self, orchestrator: "Orchestrator") -> None:
@@ -119,20 +125,21 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
-    def restore(
-        self,
-        state: Optional[ReplayState] = None,
-        requests: Mapping[str, tuple] = MappingProxyType({}),
-    ) -> RecoveryReport:
+    def restore(self, state: Optional[ReplayState] = None) -> RecoveryReport:
         """Rebuild state from the fold, reconcile the southbound.
 
         ``state`` is the folded store image, ``records_applied``
         counting what was folded for this recovery: a standby's final
         catch-up, or (``None``: folded from disk here) the journal tail
-        past the snapshot.  ``requests`` holds a warm standby's decoded
-        requests (slice id → (request dict, request)); an image whose
-        dict is not the one held there is decoded here.  Every line
-        after the fold is shared.
+        past the snapshot.  The orchestrator may hold a ready plane — the
+        live slices of ``state`` built and not bound
+        (:func:`build_from_images`), as a warm standby keeps one — and
+        what it does not hold is built here; every line after the fold
+        is shared.
+
+        The plane continues the journal's clock: its simulator, which
+        must be empty and not past the fold's time, runs to that time
+        before anything is adopted, so the rebase shifts nothing.
 
         Returns the :class:`RecoveryReport`; the ``recovery.rebased``
         record follows the adoption, and the ``recovery.completed``
@@ -148,6 +155,12 @@ class RecoveryManager:
         report.snapshot_lsn = orch.store.snapshot_lsn
         report.replayed_records = state.records_applied
         crash_time = state.time
+        if orch.sim.pending or orch.sim.now > crash_time:
+            raise RecoveryError(
+                f"restore a plane before it starts, its clock empty and at most the "
+                f"journal's t={crash_time} (it reads t={orch.sim.now})"
+            )
+        orch.sim.run_until(crash_time)
         # Fresh processes restart the global request counter; recovered
         # ids must never be re-issued to new requests.  The fold's
         # high-water mark covers *every* journaled id — including
@@ -167,7 +180,7 @@ class RecoveryManager:
         advance = [(rid, e["request"], e["start_time"]) for rid, e in state.advance.items()]
         offered = [p for rid, p in state.broker_pending.items() if rid not in state.queued]
         truth = self._southbound_truth()
-        adopted_ids = self._reconcile_slices(state, requests, truth, crash_time, report)
+        adopted_ids = self._reconcile_slices(state, truth, crash_time, report)
         self._compensate_orphans(truth, adopted_ids, report)
         self._restore_bookings(advance, crash_time, report)
         self._install_queued(report)
@@ -200,18 +213,17 @@ class RecoveryManager:
     def _reconcile_slices(
         self,
         state: ReplayState,
-        requests: Mapping[str, tuple],
         truth: Dict[str, Dict[str, Reservation]],
         crash_time: float,
         report: RecoveryReport,
     ) -> set:
         """One planning pass: decide every slice, adopt the survivors in
-        memory as one batch and journal the rebase that states it; the
-        rebase moves the half-done installs into the fold's ``queued``."""
+        memory as one batch — build what the plane does not hold yet,
+        unbuild what the southbound lost, bind the rest — and journal the
+        rebase that states it; the rebase moves the half-done installs
+        into the fold's ``queued``."""
         orch = self.orchestrator
-        # One shift moves every journaled instant onto the new clock.
-        shift = orch.sim.now - crash_time
-        adoptions: List[tuple] = []
+        fleet = orch.fleet
         # The slices COMMITTED in every domain, by one set per domain.
         committed = ReservationState.COMMITTED
         everywhere = set.intersection(*(
@@ -219,34 +231,24 @@ class RecoveryManager:
         )) if truth else set()
         # Acknowledged installs first (their calendar promises outrank
         # everything), then never-acked in-flight installs.
-        for slice_id, image in list(state.live.items()) + list(state.in_flight.items()):
-            if slice_id in everywhere:
-                # Adopt it, its instants moved onto the new clock.
-                payload, known = image["request"], requests.get(slice_id)
-                request = known[1] if known and known[0] is payload else request_from_dict(payload)
-                window = image.get("window")
-                adoptions.append((
-                    request, image.get("plmn"), image.get("fraction", 1.0),
-                    {domain: held[slice_id] for domain, held in truth.items()},
-                    image.get("installed_at", image.get("started_at", crash_time)) + shift,
-                    image["activated_at"] + shift if image.get("status") == "active" else None,
-                    window[1] + shift if window else None,
-                ))
-            elif slice_id in state.live:
-                # Journal promised this slice; the southbound lost it.
-                report.slices_lost += 1
-                report.lost_slice_ids.append(slice_id)
-            # Else never acknowledged: the admission survives (the
-            # rebase queues it), the half-done install does not.
-        # One adoption call for the fleet; it journals nothing, so a
-        # crash inside it leaves the records a retry replays.
-        adopted = {s.slice_id for s in orch.adopt_recovered_slices(adoptions)}
-        report.slices_adopted = len(adopted)
+        adopted = [s for s in itertools.chain(state.live, state.in_flight) if s in everywhere]
+        lost = [s for s in state.live if s not in everywhere]
+        report.slices_adopted, report.slices_lost = len(adopted), len(lost)
+        report.lost_slice_ids = lost
+        # A crash inside the adoption journals nothing: a retry replays
+        # the same records.
+        fleet.unbuild([s for s in fleet.runtimes if s not in everywhere])
+        build_from_images(orch, [
+            state.live.get(s) or state.in_flight[s] for s in adopted if s not in fleet.runtimes
+        ])
+        bind_recovered(orch, [
+            (s, {domain: held[s] for domain, held in truth.items()}) for s in adopted
+        ])
         # What the fold cannot derive for an adopted in-flight install:
         # the window its go-live promised, the reservations drivers hold.
         adopted_in_flight = {}
         for slice_id, image in state.in_flight.items():
-            if slice_id in adopted:
+            if slice_id in everywhere:
                 booking = orch.calendar.get(image["request"]["request_id"])
                 adopted_in_flight[slice_id] = {
                     "window": [booking.start, booking.end],
@@ -254,12 +256,14 @@ class RecoveryManager:
                         domain: held[slice_id].reservation_id for domain, held in truth.items()
                     },
                 }
+        # One shard clock: the rebase moves no instant (the fold still
+        # applies the shift an older recovery journaled).
         orch.durable.journal(
-            "recovery.rebased", shift=shift, crash_time=crash_time,
+            "recovery.rebased", shift=0.0, crash_time=crash_time,
             lost=report.lost_slice_ids, adopted_in_flight=adopted_in_flight,
             last_event_seq=orch.events.last_seq,
         )
-        return adopted
+        return set(adopted)
 
     # ------------------------------------------------------------------
     # Orphan compensation
@@ -350,4 +354,47 @@ class RecoveryManager:
         report.quotas_restored = len(state.quotas)
 
 
-__all__ = ["RecoveryError", "RecoveryManager", "RecoveryReport"]
+def build_from_images(
+    orchestrator: "Orchestrator", images: List[Dict[str, Any]],
+    requests: Optional[Dict[str, SliceRequest]] = None,
+) -> None:
+    """Build (``Orchestrator.build_recovered_slices``) the slice of each
+    image of a fold's ``live`` or ``in_flight``, its instants as
+    journaled: a recovery's build step, and a warm standby's as it keeps
+    its ready plane.  An image with no ``window`` (an in-flight
+    install's) is promised from its admission.  A request is decoded
+    from its image unless ``requests`` (request id → request) holds it."""
+    if not images:
+        return
+    requests = requests or {}
+    orchestrator.build_recovered_slices(
+        (
+            requests.get(image["request"]["request_id"]) or request_from_dict(image["request"]),
+            image.get("plmn"), image.get("fraction", 1.0),
+            image.get("installed_at", image.get("started_at")),
+            image["activated_at"] if image.get("status") == "active" else None,
+            image.get("window"),
+        )
+        for image in images
+    )
+
+
+def bind_recovered(orchestrator: "Orchestrator", bindings: List[tuple]) -> None:
+    """A recovery's bind step: each built ``(slice_id, reservations)``
+    bound in one batch (``LiveFleet.bind``: reservations, allocation,
+    vEPC, timers), then its ``slice.adopted`` event, in order.  Nothing
+    is journaled: the ``recovery.rebased`` record states the adoption."""
+    runtimes = orchestrator.fleet.runtimes
+    orchestrator.fleet.bind([(runtimes[s], reservations) for s, reservations in bindings])
+    now, append = orchestrator.sim.now, orchestrator.events.append
+    for slice_id, _ in bindings:
+        network_slice = runtimes[slice_id].network_slice
+        append(
+            now, "slice.adopted", slice_id=slice_id,
+            tenant_id=network_slice.request.tenant_id, state=network_slice.state.value,
+        )
+
+
+__all__ = [
+    "RecoveryError", "RecoveryManager", "RecoveryReport", "bind_recovered", "build_from_images",
+]

@@ -1,12 +1,12 @@
 """The failover drill's ``promotion_tracked_objects_per_slice`` counts
-what an adoption leaves alive, not what the drill holds.
+what a promotion's bind step leaves alive, not what the drill holds.
 
-The drill records the promotion's adoption batch and replays it on a
-memory-only twin.  The recorded batch is alive before and after that
-replay, so were it handed over as is, a per-slice reservation map the
-adoption keeps would be counted as already there, and one it copies as
-new: the figure would read about one object per slice more for an
-adoption that holds exactly as much.
+The drill records the promotion's bind batch and replays it on a
+memory-only twin whose slices it built first.  The recorded batch is
+alive before and after that replay, so were it handed over as is, a
+per-slice reservation map the bind keeps would be counted as already
+there, and one it copies as new: the figure would read about one object
+per slice more for a bind that holds exactly as much.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ SLICES = 12
 
 def recorded_batch():
     """A testbed whose drivers hold ``SLICES`` committed slices, and the
-    adoption batch a restart would hand over for them."""
+    build and bind batches a restart would hand over for them."""
     testbed = build_testbed(TestbedConfig(n_enbs=4, max_plmns_per_enb=12, plmn_pool_size=48))
     orch = Orchestrator(
         sim=Simulator(), allocator=testbed.allocator, plmn_pool=testbed.plmn_pool,
@@ -38,26 +38,28 @@ def recorded_batch():
             make_request(throughput_mbps=2.0, duration_s=1e6), ConstantProfile(2.0)
         ).admitted
     orch.sim.run_until(10.0)
-    batch = [
-        (runtime.network_slice.request, None, runtime.effective_fraction,
-         dict(runtime.reservations), 0.0, 3.0, None)
+    adoptions = [
+        (runtime.network_slice.request, None, runtime.effective_fraction, 0.0, 3.0, None)
         for runtime in orch.fleet.runtimes.values()
     ]
-    assert len(batch) == SLICES
-    return testbed, batch
+    bindings = [
+        (slice_id, dict(runtime.reservations)) for slice_id, runtime in orch.fleet.runtimes.items()
+    ]
+    assert len(bindings) == SLICES
+    return testbed, adoptions, bindings
 
 
 def test_keeping_or_copying_the_handed_reservation_maps_reads_the_same(monkeypatch):
-    testbed, batch = recorded_batch()
-    _tracked_objects_per_slice(testbed, 48, batch)  # warm every lazy cache
-    kept = _tracked_objects_per_slice(testbed, 48, batch)
+    testbed, adoptions, bindings = recorded_batch()
+    _tracked_objects_per_slice(testbed, 48, adoptions, bindings)  # warm every lazy cache
+    kept = _tracked_objects_per_slice(testbed, 48, adoptions, bindings)
 
-    keeping = LiveFleet.go_live
+    keeping = LiveFleet.bind
 
-    def copying(self, launches):
-        return keeping(self, [(*launch[:3], dict(launch[3]), *launch[4:]) for launch in launches])
+    def copying(self, handed):
+        return keeping(self, [(runtime, dict(reservations)) for runtime, reservations in handed])
 
-    monkeypatch.setattr(LiveFleet, "go_live", copying)
-    copied = _tracked_objects_per_slice(testbed, 48, batch)
+    monkeypatch.setattr(LiveFleet, "bind", copying)
+    copied = _tracked_objects_per_slice(testbed, 48, adoptions, bindings)
     assert kept > 0
     assert copied == kept

@@ -15,11 +15,11 @@ Five guards on the warm-standby promotion path:
   fleet.
 - **Lag accounting** — ``replayed_records == replay_lag_records ==``
   the writes the standby had not seen at the kill.
-- **Profiles on first use** — a promotion draws no adopted slice's
-  traffic profile; the first epoch draws them in one batch (a rescale
-  before it draws its own), and a promoted shard that draws them one by
-  one serves the same demands and writes the same journal; it is the
-  profile the v1 API drew at creation.
+- **Profiles drawn ahead** — a promotion draws no adopted slice's
+  traffic profile: the ready plane drew each as it built the slice, in
+  one batch per poll, and a plane built slice by slice serves the same
+  demands and writes the same journal as one built in one batch; it is
+  the profile the v1 API drew at creation.
 - **Cached checkpoints are exact** — across a random history with a
   promotion in it, every checkpoint (leader's and promoted's) writes the
   bytes of ``json.dumps`` of the leader's fold, which is what the store
@@ -71,6 +71,7 @@ from repro.store.codec import FORMAT_VERSION, ReplayState, json_default
 from repro.store.image import DurableImage
 from repro.store.journal import JournalRecord
 from repro.store.snapshot import SnapshotStore
+from repro.store.store import NullStore
 from repro.traffic.patterns import ConstantProfile
 
 from tests.cluster.conftest import build_cluster, slice_body, tenants_per_shard
@@ -105,8 +106,10 @@ class Shard:
         return self.cluster.shard(VICTIM)
 
     def op(self) -> None:
+        self.op_of(self.rng.choice(("create", "create", "rescale", "delete", "book", "advance")))
+
+    def op_of(self, kind: str) -> None:
         router, rng = self.cluster.router, self.rng
-        kind = rng.choice(("create", "create", "rescale", "delete", "book", "advance"))
         if kind == "book":
             body = slice_body(
                 self.tenant,
@@ -149,8 +152,8 @@ def lifecycle_timers(orchestrator) -> list:
 
 
 def profile_image(orchestrator, slice_id: str) -> tuple:
-    """A live slice's traffic profile, read (and so drawn) here."""
-    profile = orchestrator.fleet.profile(orchestrator.runtime(slice_id))
+    """A live slice's traffic profile."""
+    profile = orchestrator.runtime(slice_id).profile
     return type(profile), vars(profile)
 
 
@@ -200,9 +203,9 @@ def test_promotion_from_the_warm_image_equals_a_cold_restore(seed, steps):
             lsn_at_kill = shard.leader.store.last_lsn
             handed, real_restore = [], RecoveryManager.restore
 
-            def restore(manager, state=None, requests=None):
+            def restore(manager, state=None):
                 handed.append(state.digest())  # what the standby folded, before recovery
-                return real_restore(manager, state, requests)
+                return real_restore(manager, state)
 
             with mock.patch.object(RecoveryManager, "restore", restore):
                 promotion = standby.promote(force=True)
@@ -236,7 +239,7 @@ def test_promotion_from_the_warm_image_equals_a_cold_restore(seed, steps):
             for store in (warm.store, cold_store):
                 assert store.records()[-1].data["event"]["type"] == "recovery.completed"
             assert warm.store.replay().digest() == cold_store.replay().digest()
-            # Neither drew an adopted slice's profile; both draw the same.
+            # The ready plane drew each profile the cold restart draws.
             for network_slice in warm.live_slices():
                 slice_id = network_slice.slice_id
                 assert profile_image(warm, slice_id) == profile_image(cold, slice_id)
@@ -297,8 +300,10 @@ def test_the_fold_of_a_promotion_chain_is_the_live_state(seed, promotions, steps
                     break
                 for _ in range(rng.randrange(1, 6)):
                     shard.op()
-                epoch = promoted.config.monitoring_epoch_s
-                promoted.sim.run_until((promoted.sim.now // epoch + 1) * epoch)
+                # The promoted epochs keep the period, from the promotion on.
+                promoted.sim.run_until(min(
+                    e.time for e in promoted.sim._queue if e.name == "monitoring-epoch"
+                ))
                 assert folded_image(promoted.store) == live_image(promoted)
                 assert promoted.store.snapshot_lsn == 0  # no checkpoint between them
 
@@ -366,8 +371,8 @@ class PromotionProbe:
         monkeypatch.setattr(ReplayState, "digest", digest)
         monkeypatch.setattr(JournalRecord, "from_line", classmethod(from_line))
         monkeypatch.setattr(RandomStreams, "draws", draws)
-        for decoder in (standby_module, recovery_module):  # the standby's poll, the restore
-            monkeypatch.setattr(decoder, "request_from_dict", request_from_dict)
+        # The standby's builds and the restore's decode through one name.
+        monkeypatch.setattr(recovery_module, "request_from_dict", request_from_dict)
 
 
 def promotion_costs(tmp_path, monkeypatch, live: int) -> dict:
@@ -439,15 +444,15 @@ def test_promotion_work_does_not_grow_with_live_slices(tmp_path, monkeypatch):
     # The reopen starts from the standby's index of the journal: what it
     # decodes to repair a torn tail is what lies past it — nothing here.
     assert small["journal lines decoded"] == 0
-    # Nothing is requeued, and an adopted slice's profile waits for its
-    # first epoch: no generator is derived.
+    # Nothing is requeued, and the ready plane drew every adopted slice's
+    # profile before the kill: no generator is derived.
     assert small["profiles drawn"] == 0
     # One vEPC size for the whole adoption, and nothing serialises or
     # re-digests the fleet: the rebase record states the adoption.
     assert small["vEPC templates built"] <= 1
     assert small["states digested"] == 0
-    # The standby decoded each request as it folded it: the promotion
-    # decodes only the lag, none here.
+    # The standby built each slice as it folded it: the promotion
+    # builds only the lag, none here.
     assert small["requests decoded"] == 0
     # The lease file and the directory its epoch bump renamed into; the
     # two records wait for the journal's group commit.
@@ -457,18 +462,28 @@ def test_promotion_work_does_not_grow_with_live_slices(tmp_path, monkeypatch):
 SERVICE_TYPES = ("embb", "urllc", "mmtc", "automotive", "ehealth")
 
 
-def promoted_twin(root: str, first_ordinal: int, draw_all: bool) -> tuple:
+def promoted_twin(root: str, first_ordinal: int, poll_each: bool) -> tuple:
     """One shard of ten slices (two per vertical) promoted at t=130 s,
     one of them rescaled before the first epoch, then five epochs
-    served.  ``draw_all`` reads every adopted profile right after the
-    promotion, as an eager adoption did.  Every call issues the same
-    request ids from ``first_ordinal`` on (the counter is left past
+    served.  The standby polls once before the kill or, with
+    ``poll_each``, after every create too, so its ready plane builds
+    the fleet in one batch or slice by slice.  Every call issues the
+    same request ids from ``first_ordinal`` on (the counter is left past
     them), so twins differ in nothing else."""
     slices_module._request_counter = itertools.count(first_ordinal)
     cluster = build_cluster(Path(root), shards=1)
     try:
         tenant = tenants_per_shard(cluster)[VICTIM]
         headers = {"x-tenant-id": tenant}
+        standby = cluster.standby_for(VICTIM)
+        streams = standby.plane.streams
+        batches, draws_many, draws = [], streams.draws_many, streams.draws
+        streams.draws_many = lambda names, count: (
+            batches.append(len(names)) or draws_many(names, count)
+        )
+        streams.draws = lambda name: (
+            name.startswith("api-profile-") and batches.append(1)
+        ) or draws(name)
         created = []
         for service_type in SERVICE_TYPES * 2:
             response = cluster.router.post(
@@ -478,20 +493,16 @@ def promoted_twin(root: str, first_ordinal: int, draw_all: bool) -> tuple:
             )
             assert response.status == 201, response.body
             created.append(response.body["slice_id"])
+            if poll_each:
+                standby.poll()
         cluster.shard(VICTIM).run_until(130.0)
-        standby = cluster.standby_for(VICTIM)
         standby.poll()
+        built = list(batches)
         cluster.kill_leader(VICTIM)
         promotion = standby.promote(force=True)
         cluster.adopt_promotion(VICTIM, promotion)
         promoted = promotion.orchestrator
-        batches, draws_many = [], promoted.streams.draws_many
-        promoted.streams.draws_many = lambda names, count: (
-            batches.append(len(names)) or draws_many(names, count)
-        )
-        if draw_all:
-            for slice_id in created:
-                promoted.fleet.profile(promoted.runtime(slice_id))
+        assert batches == built  # the promotion draws no profile
         rescaled = cluster.router.patch(
             f"/v1/slices/{created[1]}", body={"throughput_mbps": 9.0}, headers=headers
         )
@@ -513,6 +524,7 @@ def promoted_twin(root: str, first_ordinal: int, draw_all: bool) -> tuple:
                     },
                 }
             )
+        assert batches == built  # nor does the rescale or an epoch
         profiles = {slice_id: profile_image(promoted, slice_id) for slice_id in created}
         with open(os.path.join(standby.directory, "journal.jsonl"), "rb") as handle:
             journal = handle.read()
@@ -521,21 +533,24 @@ def promoted_twin(root: str, first_ordinal: int, draw_all: bool) -> tuple:
         cluster.close()
 
 
-def test_profiles_drawn_on_first_use_serve_what_eager_ones_did(tmp_path):
-    """The first epoch draws the adopted profiles the rescale did not
-    read in one batch; one by one, eagerly, they are the same bits."""
+def test_a_ready_plane_built_in_one_batch_or_slice_by_slice_serves_the_same(tmp_path):
+    """The ready plane draws each slice's profile as it builds it: the
+    ten in one numpy batch when the standby polls once, one by one when
+    it polls after every create (each activation is taken in place), and
+    none inside the promotion or after; both promoted shards serve the
+    same epochs from the same profiles and write the same journal."""
     first_ordinal = peek_request_counter()
-    lazy = promoted_twin(str(tmp_path / "lazy"), first_ordinal, draw_all=False)
-    eager = promoted_twin(str(tmp_path / "eager"), first_ordinal, draw_all=True)
-    lazy_epochs, lazy_profiles, lazy_journal, lazy_batches = lazy
-    eager_epochs, eager_profiles, eager_journal, eager_batches = eager
-    assert (lazy_batches, eager_batches) == ([9], [0])  # the rescaled one drew alone
-    assert lazy_epochs == eager_epochs
-    served = [sample for epoch in lazy_epochs for sample in epoch["served"].values()]
+    batch = promoted_twin(str(tmp_path / "batch"), first_ordinal, poll_each=False)
+    each = promoted_twin(str(tmp_path / "each"), first_ordinal, poll_each=True)
+    batch_epochs, batch_profiles, batch_journal, batch_batches = batch
+    each_epochs, each_profiles, each_journal, each_batches = each
+    assert (batch_batches, each_batches) == ([10], [1] * 10)
+    assert batch_epochs == each_epochs
+    served = [sample for epoch in batch_epochs for sample in epoch["served"].values()]
     assert all(demand > 0.0 for demand, _, _ in served)
-    assert lazy_profiles == eager_profiles
-    assert len({cls for cls, _ in lazy_profiles.values()}) == 4  # every profile class
-    assert lazy_journal == eager_journal
+    assert batch_profiles == each_profiles
+    assert len({cls for cls, _ in batch_profiles.values()}) == 4  # every profile class
+    assert batch_journal == each_journal
 
 
 def test_an_api_created_slice_keeps_its_traffic_profile_across_a_promotion(cluster):
@@ -566,8 +581,9 @@ def test_an_api_created_slice_keeps_its_traffic_profile_across_a_promotion(clust
 
 def test_a_promoted_shard_lists_cancels_and_counts_its_bookings(cluster):
     """What the tenant sees again after a failover: the booking it made
-    is listed (start rebased onto the new clock), still counts against
-    its quota, and can still be cancelled, freeing the window."""
+    is listed (its start as booked: the shard has one clock), still
+    counts against its quota, and can still be cancelled, freeing the
+    window."""
     tenant = tenants_per_shard(cluster)[VICTIM]
     headers = {"x-tenant-id": tenant}
     router, leader = cluster.router, cluster.shard(VICTIM)
@@ -584,11 +600,11 @@ def test_a_promoted_shard_lists_cancels_and_counts_its_bookings(cluster):
     promotion = standby.promote(force=True)
     cluster.adopt_promotion(VICTIM, promotion)
     promoted = promotion.orchestrator
-    assert promoted.calendar.get(booking_id).start == 4_880.0
+    assert promoted.sim.now == 120.0 and promoted.calendar.get(booking_id).start == 5_000.0
 
     listing = router.get("/v1/bookings", headers=headers).body
     assert [(b["booking_id"], b["start"]) for b in listing["bookings"]] == [
-        (booking_id, 4_880.0)
+        (booking_id, 5_000.0)
     ]
     over = router.post("/v1/slices", body=slice_body(tenant), headers=headers)
     assert over.status == 429, over.body
@@ -632,7 +648,8 @@ def test_replayed_records_is_the_lag_at_the_kill(cluster):
     promoted = promotion.orchestrator
     assert len(promoted.live_slices()) == 5
     assert promoted.slice(shipped[0]).request.sla.throughput_mbps == 4.0
-    assert all(s.state is SliceState.ACTIVE for s in promoted.live_slices()[:4])
+    kept = [slice_id for slice_id in shipped if slice_id != shipped[1]]
+    assert all(promoted.slice(slice_id).state is SliceState.ACTIVE for slice_id in kept)
 
 
 def test_a_promotion_decodes_its_lag_once(cluster, monkeypatch):
@@ -788,32 +805,52 @@ def test_a_killed_leader_issues_no_fsync_and_the_standby_replays_all_it_appended
     assert len(promotion.orchestrator.live_slices()) == 3
 
 
-def assert_decoded_ahead(standby) -> None:
-    """The standby holds each live and in-flight slice's request decoded,
-    from the very dict its image holds, and nothing else."""
-    images = {**standby.state.in_flight, **standby.state.live}
-    assert set(standby.requests) == set(images)
-    for slice_id, (payload, request) in standby.requests.items():
-        assert payload is images[slice_id]["request"]
-        assert request == codec.request_from_dict(payload)
+def assert_ready(standby) -> None:
+    """The standby's ready plane holds each slice its fold holds live,
+    built from its image as journaled and bound to nothing, and nothing
+    else; it opened no store, set no timer and emitted no event."""
+    plane, live = standby.plane, standby.state.live
+    assert not plane.store.enabled and plane.sim.pending == 0 and plane.events.since(0) == []
+    assert set(plane.fleet.runtimes) == set(plane.slice_index.records) == set(live)
+    plane.slice_index.verify()
+    plane.calendar.verify_index()
+    for slice_id, image in live.items():
+        runtime = plane.runtime(slice_id)
+        network_slice = runtime.network_slice
+        booking = plane.calendar.get(network_slice.request.request_id)
+        assert codec.request_to_dict(network_slice.request) == image["request"]
+        assert runtime.reservations == {} and network_slice.allocation is None
+        assert (network_slice.plmn.plmn_id if network_slice.plmn else None) == image["plmn"]
+        assert runtime.effective_fraction == image["fraction"]
+        assert network_slice.admitted_at == image["installed_at"]
+        assert network_slice.active_at == image["activated_at"]
+        assert [booking.start, booking.end] == image["window"]
+        assert runtime.profile is not None
 
 
-def test_a_standby_decodes_a_request_once_from_install_to_installed(tmp_path, monkeypatch):
-    """A standby polling after every record decodes each request at its
-    ``install.started`` and never again: ``slice.installed`` names the
-    request by id, and the fold hands on the very dict the standby
-    decoded.  (A format that re-wrote the image decoded twice.)"""
+def test_a_standby_builds_a_slice_once_from_install_to_activation(tmp_path, monkeypatch):
+    """A standby polling after every record builds each slice, decoding
+    its request, at its ``slice.installed`` and never again: an install
+    in flight is not built (the southbound decides it at a promotion),
+    ``slice.installed`` names the request its ``install.started`` wrote
+    by id, and the online create's activation is taken in place."""
     from repro.core.broker import SliceBroker
+    from repro.store.store import NullStore
     from tests.store.conftest import make_orchestrator
 
     testbed = build_testbed(TestbedConfig(n_enbs=2, max_plmns_per_enb=8, plmn_pool_size=16))
     root = str(tmp_path / "store")
     orch = make_orchestrator(testbed, store=ControlPlaneStore(root, shard_id=VICTIM))
-    standby = standby_module.WarmStandby(VICTIM, root, None, lease_timeout_s=60.0)
+
+    def rebuild():
+        plane = make_orchestrator(testbed, store=NullStore())
+        return plane, SliceService(plane)
+
+    standby = standby_module.WarmStandby(VICTIM, root, rebuild, lease_timeout_s=60.0)
     decoded = []
-    decode = standby_module.request_from_dict
+    decode = recovery_module.request_from_dict
     monkeypatch.setattr(
-        standby_module, "request_from_dict", lambda p: decoded.append(p) or decode(p)
+        recovery_module, "request_from_dict", lambda p: decoded.append(p) or decode(p)
     )
     append = orch.store.append
     monkeypatch.setattr(orch.store, "append", lambda *a, **k: (append(*a, **k), standby.poll())[0])
@@ -825,11 +862,13 @@ def test_a_standby_decodes_a_request_once_from_install_to_installed(tmp_path, mo
     orch.sim.run_until(31.0)
     assert [d.admitted for d in broker.decisions] == [True, True, True]
     records = orch.store.records()
-    started = [r for r in records if r.record_type == "install.started"]
-    assert len(started) == len([r for r in records if r.record_type == "slice.installed"]) == 4
-    assert [p["request_id"] for p in decoded] == [r.data.get("request_id") or
-                                                  r.data["request"]["request_id"] for r in started]
-    assert_decoded_ahead(standby)
+    installed = [r for r in records if r.record_type == "slice.installed"]
+    assert len(installed) == len([r for r in records if r.record_type == "install.started"]) == 4
+    assert [r.record_type for r in records].count("slice.activated") == 1  # at t=3
+    assert [p["request_id"] for p in decoded] == [
+        orch.slice(r.data["slice_id"]).request.request_id for r in installed
+    ]
+    assert_ready(standby)
     orch.store.close()
 
 
@@ -847,9 +886,8 @@ def cold_standby_over(cluster, store_root: str):
     cluster's own, or a copy), whose promotion rebuilds over it."""
     testbed = cluster.shard(VICTIM).testbed
 
-    def rebuild(journal_tail):
-        store = ControlPlaneStore(store_root, shard_id=VICTIM, journal_tail=journal_tail)
-        orchestrator = cluster._build_orchestrator(testbed, VICTIM, store=store)
+    def rebuild():
+        orchestrator = cluster._build_orchestrator(testbed, VICTIM, store=NullStore())
         return orchestrator, SliceService(orchestrator)
 
     return standby_module.WarmStandby(VICTIM, store_root, rebuild, LEASE_TIMEOUT_S)
@@ -868,7 +906,7 @@ def test_a_successor_standby_inherits_the_promoted_fold(seed, steps, more):
                 shard.op()
                 if rng.random() < 0.3:
                     standby.poll()
-            assert_decoded_ahead(standby)
+                    assert_ready(standby)
             cluster.kill_leader(VICTIM)
             promotion = standby.promote(force=True)
             assert not hasattr(promotion, "handoff")
@@ -878,11 +916,12 @@ def test_a_successor_standby_inherits_the_promoted_fold(seed, steps, more):
                 shard.op()
 
             # Armed from the serving leader: a copy of its fold, its LSN and
-            # its journal index, and a clone of each live request.
+            # its journal index, and a ready plane around a clone of each
+            # live request.
             decoded = []
-            decode = standby_module.request_from_dict
+            decode = recovery_module.request_from_dict
             with mock.patch.object(
-                standby_module, "request_from_dict", lambda p: decoded.append(p) or decode(p)
+                recovery_module, "request_from_dict", lambda p: decoded.append(p) or decode(p)
             ):
                 successor = cluster.standby_for(VICTIM)
             fold = promoted.durable.fold
@@ -893,11 +932,11 @@ def test_a_successor_standby_inherits_the_promoted_fold(seed, steps, more):
             assert successor._tail.lsns == leader_index.lsns
             assert successor._tail.lsns is not leader_index.lsns
             assert successor._tail.starts is not leader_index.starts
-            assert decoded == [image["request"] for image in fold.in_flight.values()]
-            assert_decoded_ahead(successor)
-            for slice_id, (payload, clone) in successor.requests.items():
+            assert decoded == []
+            assert_ready(successor)
+            for slice_id in fold.live:
+                clone = successor.plane.slice(slice_id).request
                 request = promoted.runtime(slice_id).network_slice.request
-                assert codec.request_to_dict(clone) == payload
                 assert clone is not request and clone.sla is request.sla
             loads, lines = [], []
             real_load, real_decode = SnapshotStore.load_latest, JournalRecord.from_line.__func__
@@ -910,15 +949,17 @@ def test_a_successor_standby_inherits_the_promoted_fold(seed, steps, more):
                 assert successor.poll() == 0  # no rebase folded again, no snapshot
             assert loads == lines == []
 
-            # A rescale on the leader never reaches the successor's clone.
+            # A rescale on the leader never reaches the successor's clone;
+            # the record that states it rebuilds the slice.
             active = [s.slice_id for s in promoted.live_slices() if s.state is SliceState.ACTIVE]
             if active:
-                clone = successor.requests[active[0]][1]
+                clone = successor.plane.slice(active[0]).request
                 before = codec.request_to_dict(clone)
                 assert promoted.modify_slice(active[0], clone.sla.throughput_mbps / 2).admitted
                 assert codec.request_to_dict(clone) == before
                 assert successor.poll() == 1
-                assert_decoded_ahead(successor)
+                assert successor.plane.slice(active[0]).request is not clone
+                assert_ready(successor)
 
             # A cold standby of the same shard folds to the same image.
             cold_standby = cold_standby_over(cluster, os.path.join(root, "store"))
@@ -943,10 +984,10 @@ def test_a_successor_standby_inherits_the_promoted_fold(seed, steps, more):
             cold_store.close()
             successor.poll()
             assert successor.state.digest() == cold_digest
-            assert_decoded_ahead(successor)  # across a compaction and a torn tail
+            assert_ready(successor)  # across a compaction and a torn tail
             cold_standby.poll()
             assert cold_standby.state.digest() == cold_digest
-            assert_decoded_ahead(cold_standby)
+            assert_ready(cold_standby)
 
             # Promoting either one builds the same plane, which is what a
             # cold restore builds.

@@ -50,7 +50,7 @@ def scalar_epoch(orch: Orchestrator, rng: np.random.Generator) -> list:
     }
     demands, priorities = {}, {}
     for slice_id, runtime in active.items():
-        demands[slice_id] = orch.fleet.profile(runtime).demand(now, rng)
+        demands[slice_id] = runtime.profile.demand(now, rng)
         priorities[slice_id] = runtime.network_slice.request.priority
     delivered_ran = serve_dicts(orch.allocator.ran, demands, priorities) if demands else {}
     spare: dict = {}
@@ -389,11 +389,14 @@ def test_a_row_is_re_read_exactly_when_its_key_moves():
         registry=orch.registry, config=OrchestratorConfig(deploy_time_s=1.0),
     )
     live = [orch.slice(slice_id) for slice_id in slice_ids(orch)]
-    successor.adopt_recovered_slices(
-        (s.request, s.plmn.plmn_id, orch.runtime(s.slice_id).effective_fraction,
-         dict(orch.runtime(s.slice_id).reservations), 0.0, 0.0, None)
+    successor.build_recovered_slices(
+        (s.request, s.plmn.plmn_id, orch.runtime(s.slice_id).effective_fraction, 0.0, 0.0, None)
         for s in live
     )
+    successor.fleet.bind([
+        (successor.runtime(s.slice_id), dict(orch.runtime(s.slice_id).reservations))
+        for s in live
+    ])
     assert rows_read(successor) == len(live) == 4
     assert rows_read(successor) == 0
 

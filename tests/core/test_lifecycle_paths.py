@@ -122,8 +122,8 @@ def test_adopted_slice_equals_its_installed_twin(
             store=reopen_store(f"{root}/b"),
             respect_calendar=respect_calendar,
         )
-        adopted.start()
         report = RecoveryManager(adopted).restore()
+        adopted.start()
         assert (report.slices_adopted, report.slices_lost) == (1, 0)
 
         ours, theirs = _lifecycle_view(adopted, slice_id), _lifecycle_view(
@@ -134,12 +134,13 @@ def test_adopted_slice_equals_its_installed_twin(
         for key in ("since_admitted", "served", "window_left"):
             assert ours[key] == pytest.approx(theirs[key], abs=1e-6), key
 
-        # ... and it turns ACTIVE and EXPIRED at the same instants,
-        # counted from the crash.
+        # ... and it turns ACTIVE and EXPIRED at the same instants: the
+        # restart continues the shard's clock from the crash.
+        assert adopted.sim.now == crash_at
         horizon = lifetime + 10.0
         installed.sim.run_until(crash_at + horizon)
-        adopted.sim.run_until(horizon)
-        for orch, origin in ((installed, crash_at), (adopted, 0.0)):
+        adopted.sim.run_until(crash_at + horizon)
+        for orch, origin in ((installed, crash_at), (adopted, crash_at)):
             network_slice = orch.slice(slice_id)
             assert network_slice.state is SliceState.EXPIRED
             assert orch.runtime(slice_id) is None
@@ -157,8 +158,8 @@ def test_adopted_slice_equals_its_installed_twin(
     ids=["activation-overdue", "expiry-overdue"],
 )
 def test_a_timer_already_due_at_adoption_fires_at_once(active_at, state):
-    """The constructor takes absolute instants that may lie in the past;
-    what was due before the new clock started happens on its first step."""
+    """The build takes absolute instants that may lie in the past; what
+    was due before the bind happens on the clock's first step."""
     testbed = build_testbed(TestbedConfig(plmn_pool_size=8))
     first = make_orchestrator(testbed)
     decision = first.submit(
@@ -169,11 +170,11 @@ def test_a_timer_already_due_at_adoption_fires_at_once(active_at, state):
     reservations = {
         d.domain: d.reservation_of(decision.slice_id) for d in testbed.registry.drivers()
     }
-    # (request, plmn_id, fraction, reservations, admitted_at, active_at, window_end)
-    [adopted] = second.adopt_recovered_slices(
-        [(network_slice.request, network_slice.plmn.plmn_id, 1.0, reservations,
-          -6_000.0, active_at, None)]
+    # (request, plmn_id, fraction, admitted_at, active_at, window)
+    [adopted] = second.build_recovered_slices(
+        [(network_slice.request, network_slice.plmn.plmn_id, 1.0, -6_000.0, active_at, None)]
     )
+    second.fleet.bind([(second.runtime(decision.slice_id), reservations)])
     assert adopted.admitted_at == -6_000.0 and adopted.active_at == active_at
     second.sim.run_until(0.0)
     assert adopted.state is state
@@ -553,7 +554,7 @@ def test_a_runtime_is_constructed_in_one_function():
     assert src_lines_matching(r"\bSliceRuntime\(") == src_lines_matching(
         r"\bSliceRuntime\(", "core/epoch.py"
     )
-    assert enclosing_functions(EPOCH, r"\bSliceRuntime\(") == ["go_live"]
+    assert enclosing_functions(EPOCH, r"\bSliceRuntime\(") == ["build"]
 
 
 def test_a_slice_is_torn_down_from_one_function():

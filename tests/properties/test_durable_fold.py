@@ -55,13 +55,15 @@ class DurableShard:
         self.testbed.registry.register(MockDriver("firewall", capacity_mbps=100_000.0))
         self.boot(directory=directory)
 
-    def boot(self, **store) -> None:
+    def boot(self, restore: bool = False, **store) -> None:
         self.orch = make_orchestrator(
             self.testbed, reconfig_every_epochs=2, min_history_for_forecast=3,
             checkpoint_every_records=48, **store,
         )
         self.orch.overbooking = ForecastOverbooking()
         self.broker = SliceBroker(self.orch, window_s=90.0)
+        if restore:  # a restart restores, then starts its clock
+            RecoveryManager(self.orch).restore()
         self.orch.start()
 
     def request(self):
@@ -104,8 +106,7 @@ class DurableShard:
         elif op == "restart":
             orch.stop()
             orch.store.close(sync=False)  # killed: the southbound lives on
-            self.boot(store=reopen_store(self.directory))
-            RecoveryManager(self.orch).restore()
+            self.boot(restore=True, store=reopen_store(self.directory))
             # Known defect 1: adoption opens no ledger account, and an
             # adopted slice's refund or first violation would raise.
             ledger = self.orch.ledger

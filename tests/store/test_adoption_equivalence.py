@@ -1,4 +1,5 @@
-"""The batch adoption against the per-slice loop it replaced.
+"""The batch adoption against the per-slice loop it replaced, and the
+three ways a shard recovers against each other.
 
 ``PerSliceRecovery`` keeps the reconcile + adopt loop recovery ran
 before re-adoption became one batch pass: per slice, decide it against
@@ -13,27 +14,36 @@ they can be told apart by must be equal: the durable state and every
 journaled byte, the event feed, the sim queue, the PLMN pool, the
 calendar's bookings and running totals, and the live-slot table after
 the first epoch.
+
+One journal recovered three ways — promoting a ready plane a standby's
+polls built, one armed from the serving leader, and a cold restart —
+writes the same snapshot bytes and feed and holds the same reservations.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import os
+import random
 import shutil
 import tempfile
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.core.slices as slices_module
+from repro.api.service import SliceService
 from repro.core.allocation import compose_allocation
 from repro.core.epoch import SliceRuntime
-from repro.core.slices import NetworkSlice, ServiceType, SliceState
+from repro.core.slices import NetworkSlice, ServiceType, SliceState, peek_request_counter
 from repro.drivers.base import ReservationState
 from repro.drivers.mock import MockDriver
 from repro.experiments.testbed import TestbedConfig, build_testbed
-from repro.store import RecoveryManager
+from repro.store import ControlPlaneStore, RecoveryManager
 from repro.store.codec import request_from_dict
 from repro.traffic.patterns import ConstantProfile
 
+from tests.cluster.test_promotion import VICTIM, Shard, cold_standby_over
 from tests.conftest import make_request
 from tests.properties.test_plmn_pool_index import hand_out_order
 from tests.store.conftest import make_orchestrator, reopen_store
@@ -43,9 +53,10 @@ EXAMPLE_MULTIPLIER = int(os.environ.get("HYPOTHESIS_EXAMPLE_MULTIPLIER", "1"))
 
 
 def adopt_one(orch, request, plmn_id, fraction, reservations, *,
-              admitted_at, active_at, window_end):
+              admitted_at, active_at, window):
     """One slice through the adoption as it was: ``adopt_recovered_slice``
-    and its go-live, in their order."""
+    and its go-live, in their order, on the shard's one clock (the
+    journaled window kept, the profile drawn at adoption)."""
     network_slice = NetworkSlice(request)
     slice_id = network_slice.slice_id
     if plmn_id:
@@ -54,12 +65,12 @@ def adopt_one(orch, request, plmn_id, fraction, reservations, *,
     now = orch.sim.now
     network_slice.transition(SliceState.ADMITTED, admitted_at)
     if not orch.calendar.has(request.request_id):
-        if window_end is None:
-            window_end = admitted_at + request.sla.duration_s + orch.config.deploy_time_s
-        orch.calendar.commit(request.request_id, now, max(window_end, now + 1e-9), size.demand)
+        if window is None:
+            window = (admitted_at, admitted_at + request.sla.duration_s + orch.config.deploy_time_s)
+        orch.calendar.commit(request.request_id, window[0], window[1], size.demand)
     runtime = SliceRuntime(
         network_slice=network_slice,
-        profile=None,
+        profile=orch.fleet.default_profile(request),
         effective_fraction=size.fraction,
         reservations=reservations,
     )
@@ -93,9 +104,8 @@ def adopt_one(orch, request, plmn_id, fraction, reservations, *,
 class PerSliceRecovery(RecoveryManager):
     """Recovery with the per-slice reconcile + adopt loop (the oracle)."""
 
-    def _reconcile_slices(self, state, requests, truth, crash_time, report):
+    def _reconcile_slices(self, state, truth, crash_time, report):
         orch = self.orchestrator
-        shift = orch.sim.now - crash_time
         adopted = set()
         for slice_id, image in list(state.live.items()) + list(state.in_flight.items()):
             request = request_from_dict(image["request"])
@@ -110,11 +120,9 @@ class PerSliceRecovery(RecoveryManager):
                 window = image.get("window")
                 adopt_one(
                     orch, request, image.get("plmn"), image.get("fraction", 1.0), reservations,
-                    admitted_at=image.get("installed_at", image.get("started_at", crash_time))
-                    + shift,
-                    active_at=image["activated_at"] + shift
-                    if image.get("status") == "active" else None,
-                    window_end=window[1] + shift if window else None,
+                    admitted_at=image.get("installed_at", image.get("started_at")),
+                    active_at=image["activated_at"] if image.get("status") == "active" else None,
+                    window=window,
                 )
                 adopted.add(slice_id)
             elif slice_id in state.live:
@@ -132,7 +140,7 @@ class PerSliceRecovery(RecoveryManager):
                     },
                 }
         orch.durable.journal(
-            "recovery.rebased", shift=shift, crash_time=crash_time,
+            "recovery.rebased", shift=0.0, crash_time=crash_time,
             lost=report.lost_slice_ids, adopted_in_flight=adopted_in_flight,
             last_event_seq=orch.events.last_seq,
         )
@@ -235,15 +243,15 @@ def test_the_batch_adoption_equals_the_per_slice_loop(fleet):
             directory = os.path.join(root, name)
             shutil.copytree(os.path.join(root, "crashed"), directory)
             orch = make_orchestrator(testbed, store=reopen_store(directory))
-            orch.start()
             report = manager(orch).restore(copy.deepcopy(state))
+            orch.start()
             assert report.slices_adopted == len(state.live) + len(state.in_flight)
             twins[name], seen[name] = orch, observed(orch, directory)
         assert seen["batch"] == seen["oracle"]
 
         # The first epoch serves the same table from the same rows.
         for orch in twins.values():
-            orch.sim.run_until(orch.config.monitoring_epoch_s)
+            orch.sim.run_until(orch.sim.now + orch.config.monitoring_epoch_s)
             orch.fleet.live_slots.verify(orch.fleet)
         oracle, batch = twins["oracle"], twins["batch"]
         assert live_state(batch) == live_state(oracle)
@@ -255,5 +263,81 @@ def test_the_batch_adoption_equals_the_per_slice_loop(fleet):
             (r.network_slice.slice_id, r.last_demand_mbps, r.last_delivered_mbps)
             for r in oracle.fleet.runtimes.values()
         ]
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def promoted_three_ways(root: str, first_ordinal: int, seed: int, lag: list, way: str):
+    """One shard, promoted once so that it re-arms from its serving
+    leader, then a standby armed (``armed``: from the leader; ``polled``:
+    cold, its ready plane built by a poll) before ``lag``, the leader
+    killed, and the shard recovered by that standby's promotion or
+    (``cold``) a cold restart.  Every way issues the same request ids
+    and draws, so all three journals hold the same records up to the
+    kill.  Returns the snapshot the recovered plane checkpoints, its
+    event feed and every reservation the drivers hold."""
+    slices_module._request_counter = itertools.count(first_ordinal)
+    shard = Shard(root, random.Random(seed))
+    cluster, store_root = shard.cluster, os.path.join(root, "store")
+    try:
+        for kind in ("create", "create", "create", "advance", "create"):
+            shard.op_of(kind)
+        standby = cluster.standby_for(VICTIM)
+        standby.poll()
+        cluster.kill_leader(VICTIM)
+        cluster.adopt_promotion(VICTIM, standby.promote(force=True))
+        if way == "armed":
+            standby = cluster.standby_for(VICTIM)
+        elif way == "polled":
+            standby = cold_standby_over(cluster, store_root)
+            standby.poll()
+        for kind in lag:
+            shard.op_of(kind)
+        cluster.kill_leader(VICTIM)
+        testbed = cluster.shard(VICTIM).testbed
+        if way == "cold":
+            plane = cluster._build_orchestrator(
+                testbed, VICTIM, store=ControlPlaneStore(store_root, shard_id=VICTIM)
+            )
+            SliceService(plane)
+            RecoveryManager(plane).restore()
+        else:
+            plane = standby.promote(force=True).orchestrator
+        lsn = plane.durable.checkpoint()["checkpoint_lsn"]
+        with open(plane.store.snapshots._path_for(lsn), "rb") as handle:
+            snapshot = handle.read()
+        feed = [event.to_dict() for event in plane.events.since(0)]
+        held = sorted(
+            (driver.domain, r.slice_id, r.reservation_id, r.state.value)
+            for driver in testbed.registry.drivers() for r in driver.list_reservations()
+        )
+        plane.store.close()
+        return snapshot, feed, held
+    finally:
+        cluster.close()
+
+
+@settings(
+    max_examples=8 * EXAMPLE_MULTIPLIER, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(0, 10_000),
+    lag=st.lists(st.sampled_from(["create", "rescale", "delete", "advance"]), max_size=12),
+)
+def test_a_ready_plane_a_leader_armed_one_and_a_cold_restart_recover_alike(seed, lag):
+    """Between arming and the kill the leader creates, deletes, rescales
+    and activates; the promotion of a ready plane a poll built, of one
+    armed from the serving leader, and a cold restart write the same
+    snapshot bytes, serve the same feed and leave the same reservations."""
+    first_ordinal = peek_request_counter()
+    root = tempfile.mkdtemp(prefix="three-ways-")
+    try:
+        seen = {
+            way: promoted_three_ways(os.path.join(root, way), first_ordinal, seed, lag, way)
+            for way in ("armed", "polled", "cold")
+        }
+        assert seen["armed"] == seen["polled"] == seen["cold"]
+        assert seen["cold"][2]  # the drivers hold the recovered fleet
     finally:
         shutil.rmtree(root, ignore_errors=True)

@@ -55,8 +55,8 @@ def test_kill_mid_window_reoffers_enqueued_requests(durable_testbed, tmp_path):
 
     # A fresh control plane re-offers every pending request.
     restarted = make_orchestrator(durable_testbed, store=reopen_store(directory))
-    restarted.start()
     report = RecoveryManager(restarted).restore()
+    restarted.start()
     assert report.broker_requeued == 3
 
     # Re-offer goes through *full* admission: plenty of capacity here,
@@ -93,8 +93,8 @@ def test_flushed_window_is_not_reoffered(durable_testbed, tmp_path):
     assert _fold(directory).broker_pending == {}
 
     restarted = make_orchestrator(durable_testbed, store=reopen_store(directory))
-    restarted.start()
     report = RecoveryManager(restarted).restore()
+    restarted.start()
     assert report.broker_requeued == 0
     assert report.slices_adopted == 2
     assert report.slices_lost == 0
@@ -114,8 +114,8 @@ def test_pending_window_rides_in_checkpoints(durable_testbed, tmp_path):
     first.store.close()
 
     restarted = make_orchestrator(durable_testbed, store=reopen_store(directory))
-    restarted.start()
     report = RecoveryManager(restarted).restore()
+    restarted.start()
     assert report.broker_requeued == 1
     assert [s.request.request_id for s in restarted.live_slices()] == [
         request.request_id

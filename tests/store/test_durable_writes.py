@@ -113,7 +113,7 @@ def reconfigure(orch, testbed):
 
 def restart(orch, testbed):
     """A kill and a restart: the new process folds on from the image it
-    restored, and its rebase moves every live image onto the new clock."""
+    restored, on the shard's one clock: its rebase moves no image."""
     live = {s.slice_id for s in orch.live_slices()}
     orch.store.close(sync=False)
     restarted = make_orchestrator(testbed, store=reopen_store(orch.store.directory))
@@ -131,7 +131,7 @@ def cancel_one(orch, testbed):
 #: Every image input, with the one journaled record that moves it — and
 #: the two records that drop an image — as ``(record type, operation)``:
 #: an operation returns the control plane and the slices its records
-#: name (a rebase names every slice it moves onto the new clock).
+#: name.
 LIVE_CHANGES = {
     "plmn": ("slice.installed", install_one),
     "reservations": ("slice.installed", install_one),
@@ -141,9 +141,9 @@ LIVE_CHANGES = {
         if orch.modify_slice(s.slice_id, 2 * MBPS).admitted
     })),
     "fraction": ("slice.reconfigured", reconfigure),
-    "installed_at": ("recovery.rebased", restart),
-    "activated_at": ("recovery.rebased", restart),
-    "window": ("recovery.rebased", restart),
+    "installed_at": ("slice.installed", install_one),
+    "activated_at": ("slice.activated", lambda orch, tb: install_one(orch, tb, activate=True)),
+    "window": ("slice.installed", install_one),
     "expired": ("slice.expired", lambda orch, tb: (orch, {
         s.slice_id for s in orch.live_slices()[1:2] if orch.terminate_early(s.slice_id) >= 0
     })),
@@ -241,16 +241,29 @@ def test_an_unchanged_fleet_re_encodes_nothing_and_a_rescale_what_it_touched(fle
     assert len(fleet.durable.fragments) == 3
 
 
+def test_a_restart_moves_no_image_and_re_encodes_every_one(fleet, durable_testbed):
+    """A recovery continues the shard's clock, so its rebase moves no
+    image input; the restored process still encodes every live image at
+    its first checkpoint (its fragment cache starts empty)."""
+    before = json.loads(json.dumps(fleet.durable.fold.live))
+    orch, live = restart(fleet, durable_testbed)
+    rebase = [r for r in orch.store.records() if r.record_type == "recovery.rebased"]
+    assert [r.data["shift"] for r in rebase] == [0.0]
+    assert orch.durable.fold.live == before
+    assert checked_checkpoint(orch) == len(live) == 4
+    orch.store.close()
+
+
 def test_a_pruned_window_restores_as_an_uninterrupted_run_holds_it(
     durable_testbed, tmp_path, monkeypatch
 ):
     """A promise can end before its slice does, and a reconfiguring
     epoch then prunes the window while the slice lives on.  No record
     says so: the fold keeps ``[start, end]`` until the slice leaves, and
-    a restart adopts it as ``[now, now + 1e-9]`` — holding nothing past
-    ``now``, as the uninterrupted run, which holds no window at all.  An
-    image without a window would instead book a fresh promise from the
-    slice's admission, reaching past ``now``."""
+    a restart, continuing the shard's clock, adopts it as it is — ended,
+    holding nothing past ``now``, as the uninterrupted run, which holds
+    no window at all.  An image without a window would instead book a
+    fresh promise from the slice's admission, reaching past ``now``."""
     directory = str(tmp_path / "store")
     orch = make_orchestrator(durable_testbed, directory=directory)
     orch.start()
@@ -272,7 +285,7 @@ def test_a_pruned_window_restores_as_an_uninterrupted_run_holds_it(
     restarted = make_orchestrator(durable_testbed, store=reopen_store(directory))
     RecoveryManager(restarted).restore()
     now, booking = restarted.sim.now, restarted.calendar.get(request.request_id)
-    assert (booking.start, booking.end) == (now, now + 1e-9)
+    assert (booking.start, booking.end) == (0.0, 200.0) and now >= 300.0
     admitted_at = restarted.slice(decision.slice_id).admitted_at
     assert restarted._promise_end(request, admitted_at) > now  # what None would book
     check_durable(restarted)

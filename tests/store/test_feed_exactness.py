@@ -86,7 +86,7 @@ def test_durable_feed_equals_the_in_memory_feed_across_a_promotion(tmp_path):
         promoted = worker.orchestrator
         step()
         promoted.cancel_advance("req-feed-booking-2")  # re-promised by the recovery
-        promoted.sim.run_until(200.0)  # winner-1 expires
+        promoted.sim.run_until(promoted.sim.now + 200.0)  # winner-1 expires
         step()
 
         in_memory = leader.events.since(0) + [

@@ -105,16 +105,16 @@ class TestEdgeCases:
         restarted = make_orchestrator(
             durable_testbed, store=reopen_store(directory)
         )
-        restarted.start()
         report = RecoveryManager(restarted).restore()
+        restarted.start()
         assert report.bookings_restored == 1
         booking = restarted.calendar.get(request.request_id)
         assert booking is not None
-        # 500 s start; the newest durable heartbeat before the t=100
-        # crash is the t=60 monitoring epoch → 440 s out on the new
-        # clock (crash-time precision is bounded by the epoch).
-        assert booking.start == 440.0
-        restarted.sim.run_until(450.0)
+        # The newest durable heartbeat before the t=100 crash is the t=60
+        # monitoring epoch: the restart continues the shard's clock there,
+        # and the booking keeps its 500 s start, 440 s out.
+        assert restarted.sim.now == 60.0 and booking.start == 500.0
+        restarted.sim.run_until(510.0)
         network_slice = restarted.slice(slice_id_for(request.request_id))
         assert network_slice.state in (SliceState.DEPLOYING, SliceState.ACTIVE)
 
@@ -351,13 +351,13 @@ class TestBookingsAndQuotasHaveOneOwner:
         directory = str(tmp_path / "store")
         booking_id = book_then_crash(durable_testbed, directory)
         restarted = make_orchestrator(durable_testbed, store=reopen_store(directory))
-        restarted.start()
         RecoveryManager(restarted).restore()
+        restarted.start()
         api = build_v1_api(SliceService(restarted))
 
         listing = api.get("/v1/bookings", headers=TENANT).body
         assert [(b["booking_id"], b["start"]) for b in listing["bookings"]] == [
-            (booking_id, 4_880.0)
+            (booking_id, 5_000.0)  # the shard's one clock: the start it was booked at
         ]
         assert api.post("/v1/slices", booking_body(), headers=TENANT).status == 429
         assert api.delete(f"/v1/bookings/{booking_id}", headers=TENANT).status == 200
@@ -441,9 +441,14 @@ class TestAdoptionIsInMemory:
 
     @staticmethod
     def _restart(testbed, directory):
-        restarted = make_orchestrator(testbed, store=reopen_store(directory))
-        restarted.start()
-        return restarted
+        return make_orchestrator(testbed, store=reopen_store(directory))
+
+    @staticmethod
+    def _restored(orchestrator):
+        """Restore, then start; the restart's clock continues the journal's."""
+        report = RecoveryManager(orchestrator).restore()
+        orchestrator.start()
+        return report
 
     def test_a_leader_dying_mid_adoption_does_not_tear_the_next_recovery(
         self, durable_testbed, tmp_path
@@ -467,10 +472,10 @@ class TestAdoptionIsInMemory:
         untouched = str(tmp_path / "untouched")
         shutil.copytree(directory, untouched)
 
-        # The recovering process dies as the bulk verb reads its fourth
+        # The recovering process dies as the bulk build reads its fourth
         # adoption, before the batch goes live.
         second = self._restart(durable_testbed, directory)
-        real_adopt, adopted = second.adopt_recovered_slices, []
+        real_adopt, adopted = second.build_recovered_slices, []
 
         def adopt_then_die(adoptions):
             def feed():
@@ -483,7 +488,7 @@ class TestAdoptionIsInMemory:
 
             return real_adopt(feed())
 
-        second.adopt_recovered_slices = adopt_then_die
+        second.build_recovered_slices = adopt_then_die
         lsn_before = second.store.last_lsn
         try:
             RecoveryManager(second).restore()
@@ -495,23 +500,24 @@ class TestAdoptionIsInMemory:
         assert second.store.last_lsn == lsn_before  # adoption wrote nothing
 
         third = self._restart(durable_testbed, directory)
-        report = RecoveryManager(third).restore()
+        report = self._restored(third)
         assert report.slices_adopted == 6 and report.slices_lost == 0
 
         # The interrupted and the uninterrupted recovery are the same
         # recovery: same durable image behind the rebase record.
         straight = self._restart(durable_testbed, untouched)
-        assert RecoveryManager(straight).restore().slices_adopted == 6
+        assert self._restored(straight).slices_adopted == 6
         assert third.store.replay().digest() == straight.store.replay().digest()
         assert live_state(third) == live_state(straight)
         assert third.durable.fold.digest() == straight.durable.fold.digest()
 
         # ~5 000 s of the 10 000 s were served before the crash: nothing
-        # may expire 4 000 s into the new clock (at the parent the three
-        # re-journaled slices did: new-clock activation, old-clock crash).
-        third.sim.run_until(4_000.0)
+        # may expire 4 000 s after the restart (once, three re-journaled
+        # slices did: new-clock activation, old-clock crash).
+        restarted_at = third.sim.now
+        third.sim.run_until(restarted_at + 4_000.0)
         assert [third.slice(s).state for s in slice_ids] == [SliceState.ACTIVE] * 6
-        third.sim.run_until(5_100.0)
+        third.sim.run_until(restarted_at + 5_100.0)
         assert [third.slice(s).state for s in slice_ids] == [SliceState.EXPIRED] * 6
 
     def test_adopted_events_keep_their_order_and_seqs_off_the_journal(
@@ -534,7 +540,7 @@ class TestAdoptionIsInMemory:
 
         restarted = self._restart(durable_testbed, directory)
         head = restarted.store.last_lsn
-        report = RecoveryManager(restarted).restore()
+        report = self._restored(restarted)
         assert report.slices_adopted == 4
         adopted = [
             e for e in restarted.events.since(0) if e.event_type == "slice.adopted"
@@ -570,14 +576,15 @@ class TestAdoptionIsInMemory:
         for _ in range(3):  # three crash -> recover cycles, 2 000 s apart
             crash(orchestrator)
             orchestrator = self._restart(durable_testbed, directory)
-            assert RecoveryManager(orchestrator).restore().slices_adopted == 1
-            orchestrator.sim.run_until(2_000.0)
+            assert self._restored(orchestrator).slices_adopted == 1
+            restarted_at = orchestrator.sim.now
+            orchestrator.sim.run_until(restarted_at + 2_000.0)
         adopted = orchestrator.slice(decision.slice_id)
         assert adopted.state is SliceState.ACTIVE  # ~8 000 s served
         # Pro-rata accounting reads the carried activation time too.
         served = orchestrator.sim.now - adopted.active_at
         assert 7_900.0 <= served <= 8_000.0
-        orchestrator.sim.run_until(4_100.0)
+        orchestrator.sim.run_until(restarted_at + 4_100.0)
         assert adopted.state is SliceState.EXPIRED
 
     def test_deploy_clock_is_carried_not_restarted(self, durable_testbed, tmp_path):
@@ -597,17 +604,18 @@ class TestAdoptionIsInMemory:
         second = make_orchestrator(
             durable_testbed, store=reopen_store(directory), deploy_time_s=300.0
         )
-        second.start()
         RecoveryManager(second).restore()
-        second.sim.run_until(70.0)  # 120 + 60 of 300 waited
+        second.start()
+        assert second.sim.now == 120.0  # the shard's clock, continued
+        second.sim.run_until(190.0)  # 120 + 60 of 300 waited
         assert second.slice(decision.slice_id).state is SliceState.DEPLOYING
         crash(second)
         third = make_orchestrator(
             durable_testbed, store=reopen_store(directory), deploy_time_s=300.0
         )
-        third.start()
         RecoveryManager(third).restore()
-        third.sim.run_until(125.0)  # 120 left at the second crash
+        third.start()
+        third.sim.run_until(third.sim.now + 125.0)  # 120 left at the second crash
         assert third.slice(decision.slice_id).state is SliceState.ACTIVE
 
 
@@ -616,7 +624,7 @@ class TestAdoptionIsInMemory:
     raises=LedgerError,
     reason="Known defect 1: adoption opens no ledger account. The fix is one "
     "line — ledger.book_admission(slice_id, request) in "
-    "Orchestrator.adopt_recovered_slices — and waits for a benchmark PR: "
+    "repro.store.recovery.bind_recovered — and waits for a benchmark PR: "
     "benchmarks/e2e/test_harness.py::"
     "test_failover_counts_failed_deletes_and_excuses_only_their_loss "
     "asserts that a DELETE after a promotion still fails.",
@@ -642,15 +650,15 @@ def test_readopted_slices_keep_their_ledger_accounts(durable_testbed, tmp_path):
     restarted = make_orchestrator(
         durable_testbed, store=reopen_store(directory), deploy_time_s=300.0
     )
-    restarted.start()
     assert RecoveryManager(restarted).restore().slices_adopted == 2
+    restarted.start()
     assert restarted.slice(serving.slice_id).state is SliceState.ACTIVE
     assert restarted.slice(pending.slice_id).state is SliceState.DEPLOYING
 
     # (i) Every link down: the serving slice violates, epoch after epoch.
     for link in durable_testbed.transport.topology.links():
         link.fail()
-    restarted.sim.run_until(121.0)
+    restarted.sim.run_until(restarted.sim.now + 121.0)
     assert restarted.slice(serving.slice_id).violation_epochs == 2
     assert restarted.ledger.total_penalties == pytest.approx(2 * 2.0)
 

@@ -25,7 +25,10 @@ def test_a_revision_against_itself_meets_no_claim(tmp_path, capsys):
     assert verdict["base"] == verdict["head"] == ab.git("rev-parse", "HEAD")
     result = verdict["workloads"]["burst"]["1"]
     # Same revision, same seed: the same work on both sides.
-    assert result["runs"]["base"] == result["runs"]["head"]
+    work = ("correct", "attempted", "failed")
+    assert [[{k: run[k] for k in work} for run in result["runs"][side]]
+            for side in ("base", "head")] == [[{k: run[k] for k in work}
+                                               for run in result["runs"]["base"]]] * 2
     assert result["runs"]["base"][0]["correct"]
     with open(ab.os.path.join(ab.ROOT, "BENCHMARK.json")) as handle:
         names = [metric["name"] for metric in json.load(handle)["end_to_end"]]
@@ -34,6 +37,9 @@ def test_a_revision_against_itself_meets_no_claim(tmp_path, capsys):
         assert row["wins"] in ("0/1", "1/1") and row["met"] is False  # below 10 pairs
         assert row["base"]["q1"] <= row["base"]["median"] <= row["base"]["q3"]
         assert [len(values) for values in row["values"].values()] == [1, 1]
+    for run in result["runs"]["base"] + result["runs"]["head"]:
+        assert 0.0 < run["host.slowdown_p50"] <= run["host.slowdown_max"]
+    assert set(result["host"]) == {"aa_spread", "flagged_pairs"}
     assert ab.git("worktree", "list") == worktrees  # both removed
 
 
@@ -48,3 +54,19 @@ def test_met_needs_ten_pairs_nine_wins_and_the_median_past_the_quartile():
     assert ab.verdict(lower, base, two_lost)["wins"] == "8/10"
     assert not ab.verdict(lower, base, two_lost)["met"]
     assert ab.verdict({"better": "higher"}, base, [b + 0.5 for b in base])["met"]
+
+
+def test_a_pair_is_flagged_when_its_slowdowns_differ_beyond_the_a_a_spread():
+    base = [1.00, 1.02, 1.01, 1.03, 1.00, 1.02, 1.01, 1.02, 1.00, 1.01]
+    head = [1.01, 1.01, 1.02, 1.02, 1.01, 1.40, 1.00, 1.03, 1.01, 1.02]
+    host = ab.flag_pairs(base, head)
+    # The larger side's interquartile range of its slowdown medians.
+    assert host["aa_spread"] == max(
+        ab.spread(side)["q3"] - ab.spread(side)["q1"] for side in (base, head)
+    )
+    assert [flagged["pair"] for flagged in host["flagged_pairs"]] == [6]
+    assert host["flagged_pairs"][0]["difference"] == head[5] - base[5]
+    # Runs that agree flag nothing; one pair has no spread to hide in.
+    assert ab.flag_pairs(base, base)["flagged_pairs"] == []
+    assert ab.flag_pairs([1.0], [1.0])["flagged_pairs"] == []
+    assert [f["pair"] for f in ab.flag_pairs([1.0], [1.1])["flagged_pairs"]] == [1]

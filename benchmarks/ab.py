@@ -3,12 +3,12 @@
     PYTHONPATH=src:. python benchmarks/ab.py --base 26db55c [--head REV] \
         [--workload failover] [--pairs 10] [--seeds 1,2] [--seconds 12] [--out VERDICT.json]
 
-Each revision is checked out with ``git worktree add --detach`` under a
-temporary directory (``--head`` defaults to the working tree as it is,
-uncommitted changes included).  Pair *i* runs ``benchmarks/e2e/run.py``
-of both trees, one process at a time, base first on even pairs and head
-first on odd ones, and reads the JSON result line each prints.  The
-worktrees are removed when done.
+Each revision is exported with ``git archive`` into a temporary
+directory (``--head`` defaults to the working tree as it is, uncommitted
+changes included), so the repository's own metadata is left as it is.
+Pair *i* runs ``benchmarks/e2e/run.py`` of both trees, one process at a
+time, base first on even pairs and head first on odd ones, and reads the
+JSON result line each prints.  The exported trees are removed when done.
 
 The verdict (stdout, and ``--out``) holds per workload and seed, for
 each end-to-end metric ``BENCHMARK.json`` names: both sides' median and
@@ -53,6 +53,13 @@ def git(*args: str) -> str:
     return subprocess.run(
         ["git", "-C", ROOT, *args], check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def export(rev: str, tree: str) -> None:
+    """The files of ``rev`` (``git archive``), unpacked into ``tree``."""
+    os.makedirs(tree)
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev], check=True, capture_output=True)
+    subprocess.run(["tar", "-x", "-C", tree], input=archive.stdout, check=True)
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -161,13 +168,12 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         metrics = json.load(handle)["end_to_end"]
     scratch = tempfile.mkdtemp(prefix="ab-")
-    trees, added = {"head": ROOT}, []
+    trees = {"head": ROOT}
     try:
         for side, rev in (("base", args.base), ("head", args.head)):
             if rev is not None:
                 trees[side] = os.path.join(scratch, side)
-                git("worktree", "add", "--detach", trees[side], rev)
-                added.append(trees[side])
+                export(rev, trees[side])
         result = {
             "base": git("rev-parse", args.base),
             "head": git("rev-parse", args.head) if args.head else "working tree",
@@ -182,10 +188,7 @@ def main(argv=None) -> int:
             },
         }
     finally:
-        for tree in added:
-            git("worktree", "remove", "--force", tree)
         shutil.rmtree(scratch, ignore_errors=True)
-        git("worktree", "prune")
     text = json.dumps(result, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as handle:

@@ -242,8 +242,11 @@ D8D_SETTLED_S = 0.15
 #: +144 for a standby that keeps its plane ready (the build/bind split,
 #: `unbuild`/`unclaim`/`discard`, `Simulator.schedule_many`, the store
 #: attached at promotion, snapshot listings only when one can be ahead),
-#: net of the decoded-request cache and the lazy profiles it retired.
-SRC_LINES_CEILING = 20_837
+#: net of the decoded-request cache and the lazy profiles it retired;
+#: +4 for a ready plane rebuilt from the fold's changed set (the standby
+#: poll's own bookkeeping gone, the fold's `changed` documented for it)
+#: and the measured crossover of the batched profile draw.
+SRC_LINES_CEILING = 20_841
 
 #: GC-tracked objects a promotion's bind step leaves alive per slice (the
 #: drill's replay on a memory-only twin, CPython 3.11): reservations map,

@@ -12,10 +12,12 @@ would build, wired to the shard's surviving southbound but over no store
 slice of the fold *built* — its record and runtime, PLMN claim, calendar
 window, index entry and drawn traffic profile — by the adoption's own
 build step (:func:`~repro.store.recovery.build_from_images`).  A poll
-unbuilds each slice its folded records named and builds it again from
-its new image; a snapshot jump or a folded ``recovery.rebased`` rebuilds
-the plane's fleet.  Every built instant is a journaled one, none read off
-a clock, so no part of the plane depends on when the leader dies.
+unbuilds each slice whose image its folded records changed, added or
+dropped (the fold's ``ReplayState.changed``; a ``recovery.rebased``
+changes every one, a ``driver.*`` record none) and builds it again from
+its new image; a snapshot jump rebuilds the plane's fleet.  Every built
+instant is a journaled one, none read off a clock, so no part of the
+plane depends on when the leader dies.
 
 When the heartbeat goes stale, :meth:`WarmStandby.promote` takes the
 lease with a bumped epoch (fencing a merely paused leader), folds the
@@ -44,7 +46,7 @@ from __future__ import annotations
 import os
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.api.rest import RestApi
 from repro.api.v1 import build_v1_api
@@ -163,8 +165,7 @@ class WarmStandby:
         monotonic across compactions); it lists the snapshots only when
         one can be ahead: the journal was rewritten, or a folded
         ``checkpoint.written`` names an LSN past its position."""
-        records, applied = self._tail.records(self.applied_lsn), 0
-        named: Optional[Dict[Optional[str], None]] = {}
+        records, applied, jumped = self._tail.records(self.applied_lsn), 0, False
         ahead = self._tail.reindexed != self._reindexed or any(
             r.record_type == "checkpoint.written" and r.data["lsn"] > self.applied_lsn
             for r in records
@@ -175,44 +176,44 @@ class WarmStandby:
             loaded = self._snapshots.load_latest()
             if loaded is not None and loaded[1] > self.applied_lsn:
                 snapshot, self.applied_lsn = loaded
-                self.state, named = ReplayState.from_dict(snapshot), None
+                self.state, jumped = ReplayState.from_dict(snapshot), True
                 records = [record for record in records if record.lsn > self.applied_lsn]
                 applied += 1
-        built = self.plane.fleet.runtimes if self.plane is not None else {}
+        changed = self.state.changed
+        built = {} if jumped or self.plane is None else self.plane.fleet.runtimes
         for record in records:
             kind, slice_id = record.record_type, record.data.get("slice_id")
+            # The one change a built slice takes in place: its image
+            # moves to ACTIVE at this instant, and nothing else.
+            in_place = kind == "slice.activated" and slice_id in built and slice_id not in changed
             self.state.apply(kind, record.time, record.data)
-            if kind == "recovery.rebased":
-                named = None  # it may move every image
-            elif named is None:
-                pass  # the whole fleet is rebuilt
-            elif kind == "slice.activated" and slice_id not in named and slice_id in built:
-                # The one change a built slice takes in place: its image
-                # moves to ACTIVE at this instant, and nothing else.
+            if in_place:
+                changed.discard(slice_id)
                 self.plane.slice_index.transition(
                     built[slice_id].network_slice, SliceState.ACTIVE, record.time
                 )
-            else:
-                named[slice_id] = None
             self.applied_lsn = record.lsn
             applied += 1
-        self._ready(named)
+        self._ready(None if jumped else changed)
+        changed.clear()
         self.polls += 1
         return applied
 
-    def _ready(self, named: Optional[Dict[Optional[str], None]]) -> None:
-        """Bring the ready plane to the fold: unbuild each slice in
-        ``named`` and build again, in that order, those the fold holds
-        live; on ``None``, unbuild every slice and build the fold's."""
+    def _ready(self, changed: Optional[Set[str]]) -> None:
+        """Bring the ready plane to the fold: unbuild each slice the fold
+        ``changed`` (its image changed, was added or dropped) and build
+        again those it holds live; on ``None`` (a snapshot jump), unbuild
+        every slice and build the fold's."""
         if self.plane is None:
             return  # promoted: the plane leads the shard now
         fleet, live = self.plane.fleet, self.state.live
-        if named is None:
+        if changed is None:
             fleet.unbuild(list(fleet.runtimes))
-            named = dict.fromkeys(live)
+            names = list(live)
         else:
-            fleet.unbuild([slice_id for slice_id in named if slice_id in fleet.runtimes])
-        build_from_images(self.plane, [live[s] for s in named if s in live])
+            names = sorted(changed)  # a set's order varies from process to process
+            fleet.unbuild([slice_id for slice_id in names if slice_id in fleet.runtimes])
+        build_from_images(self.plane, [live[s] for s in names if s in live])
 
     def lag_records(self) -> int:
         """Records the leader has journaled that we have not folded —

@@ -253,7 +253,9 @@ class ReplayState:
         records_applied: Fold-size telemetry (excluded from the digest).
         changed: Slices whose ``live`` image a folded record changed,
             added or dropped since the leader's last checkpoint emptied
-            it: the images that checkpoint re-encodes (excluded too).
+            it: the images that checkpoint re-encodes (excluded too).  A
+            warm standby empties it after each poll: the slices its
+            ready plane builds again.
     """
 
     time: float = 0.0

@@ -463,7 +463,7 @@ SERVICE_TYPES = ("embb", "urllc", "mmtc", "automotive", "ehealth")
 
 
 def promoted_twin(root: str, first_ordinal: int, poll_each: bool) -> tuple:
-    """One shard of ten slices (two per vertical) promoted at t=130 s,
+    """One shard of twenty slices (four per vertical) promoted at t=130 s,
     one of them rescaled before the first epoch, then five epochs
     served.  The standby polls once before the kill or, with
     ``poll_each``, after every create too, so its ready plane builds
@@ -485,7 +485,7 @@ def promoted_twin(root: str, first_ordinal: int, poll_each: bool) -> tuple:
             name.startswith("api-profile-") and batches.append(1)
         ) or draws(name)
         created = []
-        for service_type in SERVICE_TYPES * 2:
+        for service_type in SERVICE_TYPES * 4:  # a poll of them all draws in one batch
             response = cluster.router.post(
                 "/v1/slices",
                 body=slice_body(tenant, service_type=service_type, throughput_mbps=4.0),
@@ -535,7 +535,7 @@ def promoted_twin(root: str, first_ordinal: int, poll_each: bool) -> tuple:
 
 def test_a_ready_plane_built_in_one_batch_or_slice_by_slice_serves_the_same(tmp_path):
     """The ready plane draws each slice's profile as it builds it: the
-    ten in one numpy batch when the standby polls once, one by one when
+    twenty in one numpy batch when the standby polls once, one by one when
     it polls after every create (each activation is taken in place), and
     none inside the promotion or after; both promoted shards serve the
     same epochs from the same profiles and write the same journal."""
@@ -544,7 +544,7 @@ def test_a_ready_plane_built_in_one_batch_or_slice_by_slice_serves_the_same(tmp_
     each = promoted_twin(str(tmp_path / "each"), first_ordinal, poll_each=True)
     batch_epochs, batch_profiles, batch_journal, batch_batches = batch
     each_epochs, each_profiles, each_journal, each_batches = each
-    assert (batch_batches, each_batches) == ([10], [1] * 10)
+    assert (batch_batches, each_batches) == ([20], [1] * 20)
     assert batch_epochs == each_epochs
     served = [sample for epoch in batch_epochs for sample in epoch["served"].values()]
     assert all(demand > 0.0 for demand, _, _ in served)

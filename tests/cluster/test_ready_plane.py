@@ -7,6 +7,9 @@
 - **One shard clock** — a promoted plane continues the journal's clock:
   its rebase journals ``shift`` 0 and no journal record time on the
   shard ever decreases, across two promotions in a row.
+- **A poll builds again only what the fold changed** — a record that
+  moves no image (a ``driver.*`` one) leaves every built slice as it
+  is; a rescale rebuilds its slice and no other.
 - **A poll lists snapshots only when one can be ahead** — after the
   journal was rewritten (a cold standby's first read, a compaction), or
   when a folded ``checkpoint.written`` names an LSN past the fold.
@@ -200,3 +203,44 @@ def test_a_standby_lists_snapshots_only_when_one_can_be_ahead(tmp_path, monkeypa
     finally:
         cluster.close()
 
+
+
+def test_a_poll_builds_again_only_the_slices_whose_image_changed(tmp_path, monkeypatch):
+    cluster = build_cluster(tmp_path, shards=1)
+    try:
+        tenant = tenants_per_shard(cluster)[VICTIM]
+        headers = {"x-tenant-id": tenant}
+        created = []
+        for _ in range(3):
+            response = cluster.router.post(
+                "/v1/slices", body=slice_body(tenant, throughput_mbps=2.0), headers=headers
+            )
+            assert response.status == 201, response.body
+            created.append(response.body["slice_id"])
+        standby = cluster.standby_for(VICTIM)
+        standby.poll()
+        cluster.shard(VICTIM).run_until(10.0)  # every slice turns ACTIVE: taken in place
+        standby.poll()
+        runtimes = standby.plane.fleet.runtimes
+        built = {slice_id: runtimes[slice_id] for slice_id in created}
+        response = cluster.router.patch(
+            f"/v1/slices/{created[1]}", body={"throughput_mbps": 4.0}, headers=headers
+        )
+        assert response.status == 200, response.body
+        standby.poll()
+        assert [runtimes[s] is built[s] for s in created] == [True, False, True]
+        built = {slice_id: runtimes[slice_id] for slice_id in created}
+        # A driver record names a live slice and moves no image (it takes
+        # an LSN the leader never wrote, so it comes last).
+        driver = JournalRecord(
+            lsn=standby.applied_lsn + 1, time=standby.state.time,
+            record_type="driver.compensated",
+            data={"domain": "ran", "slice_id": created[0], "reservation_id": "r-0"},
+        )
+        monkeypatch.setattr(standby._tail, "records", lambda after: [driver])
+        assert standby.poll() == 1
+        assert all(runtimes[s] is built[s] for s in created)
+        assert standby.state.changed == set()
+        assert_ready(standby)
+    finally:
+        cluster.close()

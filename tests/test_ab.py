@@ -1,5 +1,6 @@
 """Smoke run of ``benchmarks/ab.py``: one pair of one short ``burst`` run,
-base == head, both checked out as worktrees and removed again."""
+base == head, both exported with ``git archive``, and no worktree left
+behind."""
 
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ def test_a_revision_against_itself_meets_no_claim(tmp_path, capsys):
     for run in result["runs"]["base"] + result["runs"]["head"]:
         assert 0.0 < run["host.slowdown_p50"] <= run["host.slowdown_max"]
     assert set(result["host"]) == {"aa_spread", "flagged_pairs"}
-    assert ab.git("worktree", "list") == worktrees  # both removed
+    assert ab.git("worktree", "list") == worktrees  # none made
 
 
 def test_met_needs_ten_pairs_nine_wins_and_the_median_past_the_quartile():

@@ -1,7 +1,8 @@
 """A/B the end-to-end benchmark across two revisions, in alternating pairs.
 
     PYTHONPATH=src:. python benchmarks/ab.py --base 26db55c [--head REV] \
-        [--workload failover] [--pairs 10] [--seeds 1,2] [--seconds 12] [--out VERDICT.json]
+        [--workload failover] [--pairs 10] [--seeds 1,2] [--seconds 12] [--out VERDICT.json] \
+        [--summary]
 
 Each revision is exported with ``git archive`` into a temporary
 directory (``--head`` defaults to the working tree as it is, uncommitted
@@ -27,6 +28,10 @@ runs' ``host.slowdown_p50`` differ by more than the larger side's
 (interquartile) spread ran on a host that changed under it, and is
 listed under ``flagged_pairs`` and printed — kept in the verdict, never
 dropped silently.
+
+With ``--summary``, one line per workload, seed and metric follows the
+JSON verdict: both sides' median with its quartiles, the change in %,
+the pairs won and ``met``.
 """
 
 from __future__ import annotations
@@ -155,6 +160,22 @@ def compare(trees: Dict[str, str], workload: str, seed: int, pairs: int, seconds
     }
 
 
+def summary_rows(result: dict) -> List[str]:
+    """The verdict's table: one row per workload, seed and metric."""
+    rows = []
+    for workload, seeds in result["workloads"].items():
+        for seed, compared in seeds.items():
+            for name, row in compared["metrics"].items():
+                change = "n/a" if row["change_pct"] is None else f"{row['change_pct']:+.1f} %"
+                sides = "  ".join(
+                    f"{side} {row[side]['median']:.4g} [{row[side]['q1']:.4g}, "
+                    f"{row[side]['q3']:.4g}]" for side in ("base", "head")
+                )
+                rows.append(f"{workload} seed {seed} {name}: {sides}  {change}  "
+                            f"won {row['wins']}  {'met' if row['met'] else 'not met'}")
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the parent revision")
@@ -164,6 +185,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", default="1", help="comma-separated")
     parser.add_argument("--seconds", type=float, default=12.0)
     parser.add_argument("--out", default=None, help="also write the verdict here")
+    parser.add_argument("--summary", action="store_true",
+                        help="print one row per workload, seed and metric after the verdict")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         metrics = json.load(handle)["end_to_end"]
@@ -194,6 +217,8 @@ def main(argv=None) -> int:
         with open(args.out, "w") as handle:
             handle.write(text + "\n")
     print(text)
+    if args.summary:
+        print("\n".join(summary_rows(result)))
     return 0
 
 

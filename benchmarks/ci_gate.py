@@ -60,13 +60,17 @@ broken:
   ``first_epoch_profile_batches == 1``).  The promotion decodes only the
   requests of its lag, the drill's 16-job batch
   (``promotion_requests_decoded == 16``): the warm standby keeps each
-  live and in-flight request decoded as it folds it.  Dropping
-  the deposed plane leaves the cyclic collector nothing
-  (``deposed_plane_garbage == 0``, ``gc.collect()`` right after the
-  adoption with the collector disabled): no object of a control plane
-  points back at its owner, so reference counting frees it where the
-  adoption replaces it.  The ``recovery_split_s`` (adopt / rest) and
-  ``promotion_tracked_objects_per_slice`` are published, not gated.
+  live and in-flight request decoded as it folds it.  The new leader
+  serves first: the adoption keeps the deposed plane, stopped, and
+  frees none inside the outage (``deposed_planes_freed_in_outage ==
+  0``); the successor's ``standby_for`` drops it, and that leaves the
+  cyclic collector nothing (``deposed_plane_garbage == 0``,
+  ``gc.collect()`` after the adoption and the re-arm with the collector
+  disabled across both): no object of a control plane points back at
+  its owner, so reference counting frees it where the shard's slot is
+  reused.  ``promotion_tracked_objects_per_slice`` is a ceiling
+  (``PROMOTION_TRACKED_OBJECTS_PER_SLICE``); ``recovery_split_s``
+  (bind / rest) is published, not gated.
 - **D13** — the mobility+failure scenario packs (scenario engine) at a
   fixed seed: every scheduled outage must heal inside the horizon and
   the end-of-run audit must show zero lost slices and zero leaked
@@ -245,8 +249,12 @@ D8D_SETTLED_S = 0.15
 #: net of the decoded-request cache and the lazy profiles it retired;
 #: +4 for a ready plane rebuilt from the fold's changed set (the standby
 #: poll's own bookkeeping gone, the fold's `changed` documented for it)
-#: and the measured crossover of the batched profile draw.
-SRC_LINES_CEILING = 20_841
+#: and the measured crossover of the batched profile draw;
+#: +52 for a new leader that serves first (the deposed plane kept until
+#: the shard's slot is reused, `EventLog.append_many`, a bind that fills
+#: each runtime's reservations from the per-domain listing, and the
+#: docstrings that say where the free and the bind's work now fall).
+SRC_LINES_CEILING = 20_893
 
 #: GC-tracked objects a promotion's bind step leaves alive per slice (the
 #: drill's replay on a memory-only twin, CPython 3.11): reservations map,
@@ -1371,6 +1379,7 @@ def run_gate() -> dict:
     for count, exact, why in (
         ("promotion_requests_decoded", drill.get("batch"), "the standby decoded all but the lag"),
         ("deposed_plane_garbage", 0, "reference counting frees the deposed plane"),
+        ("deposed_planes_freed_in_outage", 0, "the re-arm frees the deposed plane, not the outage"),
         ("successor_requests_decoded", 0, "the successor clones the leader's requests"),
         ("successor_snapshot_parses", 0, "the successor starts from the leader's fold"),
         ("successor_first_poll_records", 0, "the successor starts at the leader's LSN"),
@@ -1494,6 +1503,8 @@ def main(argv=None) -> int:
         f"{payload['failover_drill']['promotion_fleet_serialisations']} fleet serialisations, "
         f"{payload['failover_drill']['promotion_requests_decoded']} requests decoded, "
         f"{payload['failover_drill']['deposed_plane_garbage']} deposed objects collected, "
+        f"{payload['failover_drill']['deposed_planes_freed_in_outage']} deposed planes freed "
+        f"in the outage, "
         f"{payload['failover_drill']['recovery_ms_per_adopted_slice']} ms per slice; "
         f"successor {payload['failover_drill']['successor_requests_decoded']} requests "
         f"decoded, first poll {payload['failover_drill']['successor_first_poll_records']} "

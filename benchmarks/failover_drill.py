@@ -75,9 +75,14 @@ acceptance invariants:
   requests the standby had not yet folded: it decodes a request as it
   builds its slice,
 - ``deposed_plane_garbage``: what ``gc.collect()`` finds after the
-  adoption drops the deposed control plane with the collector
-  disabled.  The CI gate holds it at 0: nothing in a control plane
-  points back at its owner, so reference counting frees it,
+  adoption and the successor's ``standby_for``, with the collector
+  disabled across both: the adoption keeps the deposed control plane
+  (stopped) and the re-arm drops it.  The CI gate holds it at 0:
+  nothing in a control plane points back at its owner, so reference
+  counting frees it, and the drill fails if it outlives the re-arm,
+- ``deposed_planes_freed_in_outage``: deposed planes freed by the
+  adoption itself, inside the outage.  The CI gate holds it at 0: the
+  new leader serves first, and the plane goes where the slot is reused,
 - ``promotion_tracked_objects_per_slice``: GC-tracked objects the
   promotion's bind step leaves alive per slice, replayed on a
   memory-only twin after the drill from a fresh copy of the recorded
@@ -110,6 +115,7 @@ import os
 import sys
 import tempfile
 import time
+import weakref
 
 MBPS = 5.0
 FIRST_WAVE = 4
@@ -195,7 +201,7 @@ def _adoption_of(orchestrator, slice_id: str) -> tuple:
 
 
 def _tracked_objects_per_slice(
-    testbed, pool_size: int, adoptions: list, bindings: list
+    testbed, pool_size: int, adoptions: list, slice_ids: list, truth: dict
 ) -> float:
     """GC-tracked objects one promotion's bind step leaves alive, per
     bound slice: the batch replayed on a memory-only twin control plane
@@ -203,11 +209,12 @@ def _tracked_objects_per_slice(
     built (``adoptions``) before the first count.  Never gated exactly:
     the figure differs between CPython versions.
 
-    ``bindings`` is the recorded ``(slice_id, reservations)`` batch,
-    alive before and after.  The twin is handed a fresh batch with fresh
-    per-slice reservation maps, built after the first count and dropped
-    before the second, as a promotion hands recovery's: a bind that keeps
-    the maps it is handed and one that copies them read the same."""
+    ``slice_ids`` and ``truth`` (domain → slice id → reservation, the
+    southbound listing) are the recorded bind, alive before and after.
+    The twin is handed a fresh copy of the listing, made after the first
+    count and dropped before the second, as a promotion hands recovery's
+    own: a bind that keeps the maps it is handed and one that copies them
+    read the same."""
     import gc
 
     from repro.core.orchestrator import Orchestrator
@@ -222,11 +229,11 @@ def _tracked_objects_per_slice(
     twin.build_recovered_slices(adoptions)
     gc.collect()
     before = len(gc.get_objects())
-    handed = [(slice_id, dict(reservations)) for slice_id, reservations in bindings]
-    bind_recovered(twin, handed)
+    handed = {domain: dict(held) for domain, held in truth.items()}
+    bind_recovered(twin, slice_ids, handed)
     del handed
     gc.collect()
-    return round((len(gc.get_objects()) - before) / max(len(bindings), 1), 2)
+    return round((len(gc.get_objects()) - before) / max(len(slice_ids), 1), 2)
 
 
 def _ladder_point(root: str, live: int) -> dict:
@@ -469,25 +476,31 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
         failures.append("drill: standby never promoted")
         cluster.close()
         return {"promoted": False}
-    # The deposed plane dies when the adoption drops it: reference
-    # counting frees it, and the collector finds nothing.
+    # The new leader serves first: the adoption keeps the deposed plane,
+    # stopped, and the standby that re-arms the shard drops it before it
+    # builds its own.  Reference counting frees it there, and the
+    # collector, disabled across both, finds nothing.
+    deposed = weakref.ref(leader.orchestrator)
     gc.collect()
     gc.disable()
     try:
         cluster.adopt_promotion(KILLED, promotion)
+        deposed_planes_freed_in_outage = int(deposed() is None)
+        with _spying(recovery_module, "request_from_dict", counts, "successor_requests_decoded"):
+            successor = cluster.standby_for(KILLED)
         deposed_plane_garbage = gc.collect()
     finally:
         gc.enable()
+    if deposed() is not None:
+        failures.append("drill: the deposed plane outlived the successor's standby_for")
     promoted = cluster.shard(KILLED)
     journal_records = promoted.store.last_lsn - lsn_at_kill
-    # The standby that re-arms the shard, and its first poll.
-    with _spying(recovery_module, "request_from_dict", counts, "successor_requests_decoded"):
-        successor = cluster.standby_for(KILLED)
-        with _spying(SnapshotStore, "load_latest", counts, "successor_snapshots"):
-            successor_records = successor.poll()
+    # The successor standby's first poll.
+    with _spying(SnapshotStore, "load_latest", counts, "successor_snapshots"):
+        successor_records = successor.poll()
 
     report = promotion.report
-    bindings = bind_calls[0][1] if bind_calls else []
+    _, bound, truth = bind_calls[0] if bind_calls else (None, [], {})
     expected = FIRST_WAVE + BATCH
     if report.slices_lost or report.slices_adopted != expected:
         failures.append(
@@ -537,6 +550,7 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
         "promotion_profiles_derived": counts["profiles"],
         "promotion_requests_decoded": counts["requests_decoded"],
         "deposed_plane_garbage": deposed_plane_garbage,
+        "deposed_planes_freed_in_outage": deposed_planes_freed_in_outage,
         "promotion_snapshot_parses": counts["snapshots"],
         "promotion_template_builds": counts["templates"],
         "promotion_fleet_serialisations": counts["serialisations"],
@@ -554,8 +568,7 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
         "promotion_profiles_drawn": counts["profiles_drawn"],
         "promotion_tracked_objects_per_slice": _tracked_objects_per_slice(
             leader.testbed, promoted.orchestrator.plmn_pool.capacity,
-            [_adoption_of(promoted.orchestrator, s) for s, _ in bindings],
-            bindings,
+            [_adoption_of(promoted.orchestrator, s) for s in bound], bound, truth,
         ),
         "recovery_split_s": {
             "bind": round(stages["bind"], 4),

@@ -14,6 +14,11 @@ puts a :class:`~repro.cluster.router.ShardRouter` in front, and models
 process death (``kill_leader``) with the store's SIGKILL semantics — a
 closed journal drops every subsequent write, exactly what a killed
 process would have never written.
+
+A promotion's new leader serves first: ``adopt_promotion`` keeps the
+deposed plane, stopped, and it is freed by reference counting where the
+shard's slot is reused (``standby_for``), as a deployment reclaims the
+dead leader's slot to host the new standby.
 """
 
 from __future__ import annotations
@@ -135,6 +140,8 @@ class ControlPlaneCluster:
         ]
         self.router = ShardRouter(self.ring, self.shards)
         self._promoted: Set[int] = set()  # shards a promoted standby leads
+        #: shard id → its deposed control plane, stopped, until the slot is reused.
+        self._deposed: Dict[int, Orchestrator] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -221,6 +228,7 @@ class ControlPlaneCluster:
         is fsynced: what it flushed stays readable, as the page cache
         keeps it, but a killed process makes none of it power-safe."""
         worker = self.shard(shard_id)
+        self._deposed.pop(shard_id, None)
         worker.orchestrator.stop()
         worker.store.close(sync=False)
         worker.dead = True
@@ -232,10 +240,13 @@ class ControlPlaneCluster:
         router holds the :class:`ShardWorker` object, not its fields,
         so traffic flows to the new control plane immediately.  The
         deposed one is stopped (a fenced leader was still running, and a
-        killed one's batch in flight may have set timers since) and is
-        freed by reference counting as its last reference goes here."""
+        killed one's batch in flight may have set timers since) and kept,
+        unreachable from the router, until the shard's slot is reused: its
+        free is no part of the outage.  A plane an earlier adoption
+        deposed, if no re-arm dropped it, goes here."""
         worker = self.shard(shard_id)
         worker.orchestrator.stop()
+        self._deposed[shard_id] = worker.orchestrator
         worker.orchestrator = promotion.orchestrator
         worker.service = promotion.service
         worker.api = promotion.api
@@ -247,12 +258,16 @@ class ControlPlaneCluster:
 
     def standby_for(self, shard_id: int) -> "Any":
         """A warm standby tailing ``shard_id``'s WAL and keeping its ready
-        plane; for a shard a promotion took over, armed from its serving leader."""
+        plane; for a shard a promotion took over, armed from its serving
+        leader.  The shard's deposed plane is dropped first, freed by
+        reference counting before the successor's plane is built, so the
+        two never stack in memory."""
         from repro.cluster.standby import WarmStandby
 
         if not self.config.durability_root:
             raise ClusterError("standbys require a durability_root")
         worker = self.shard(shard_id)
+        self._deposed.pop(shard_id, None)
 
         def rebuild() -> "tuple[Orchestrator, SliceService]":
             orchestrator = self._build_orchestrator(worker.testbed, shard_id, store=NullStore())
@@ -268,7 +283,8 @@ class ControlPlaneCluster:
         )
 
     def close(self) -> None:
-        """Clean shutdown of every shard."""
+        """Clean shutdown of every shard; deposed planes are dropped."""
+        self._deposed.clear()
         for worker in self.shards:
             worker.orchestrator.stop()
             if not worker.dead:

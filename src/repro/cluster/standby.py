@@ -26,19 +26,23 @@ standby's journal index and hands the plane and the fold to the
 :class:`~repro.store.recovery.RecoveryManager` reconciliation a restart
 runs: the plane's simulator runs, empty, to the fold's time — the shard
 has one clock, and the rebase shifts nothing — the southbound is listed,
-and what it still holds is *bound*: reservations, composed allocation,
-vEPC instance, activation and expiry timers in one batch, and the
-``slice.adopted`` events.  One ``recovery.rebased`` record states it,
+and what it still holds is *bound*: each runtime takes its reservations
+straight from the per-domain listing, then composed allocation, vEPC
+instance, activation and expiry timers in one batch, and the
+``slice.adopted`` events in one batch.  One ``recovery.rebased`` record states it,
 then ``recovery.completed``, and no checkpoint, so feed cursors hold.  A
 cold restart builds and binds back to back, through the same two steps.
 
 Re-arming the shard costs nothing inside the outage: for a shard a
 promotion took over, :meth:`~repro.cluster.shard.ControlPlaneCluster.standby_for`
-arms the standby from the serving leader, with a copy of its fold, its
-last LSN and its journal index, and builds the ready plane around a clone
-of each live slice's request (the frozen ``SLA`` shared: the leader
-rebinds ``sla``, never writes into one).  The first poll folds what the
-leader journaled since: no snapshot, no rebase.
+first drops the deposed plane the adoption kept, stopped, so it is freed
+by reference counting there — after the new leader served, and before
+the successor's plane is built, so the two never stack in memory.  It
+then arms the standby from the serving leader, with a copy of its fold,
+its last LSN and its journal index, and builds the ready plane around a
+clone of each live slice's request (the frozen ``SLA`` shared: the
+leader rebinds ``sla``, never writes into one).  The first poll folds
+what the leader journaled since: no snapshot, no rebase.
 """
 
 from __future__ import annotations

@@ -389,7 +389,9 @@ class LiveFleet:
         ``(slice, profile, size, reservations, admitted_at, active_at,
         window)`` of a PENDING slice the caller indexes."""
         runtimes = self.build(launches)
-        self.bind([(runtime, launch[3]) for runtime, launch in zip(runtimes, launches)])
+        for runtime, launch in zip(runtimes, launches):
+            runtime.reservations.update(launch[3])
+        self.bind(runtimes)
 
     def build(self, launches: List[tuple]) -> List[SliceRuntime]:
         """The control-plane side of each launch, holding nothing
@@ -420,24 +422,24 @@ class LiveFleet:
             self._draw_profiles(undrawn)
         return built
 
-    def bind(self, bindings: List[tuple]) -> None:
-        """Give each built ``(runtime, reservations)`` what the drivers
-        hold: its reservations and the allocation they compose, its vEPC
-        instance, and its activation timer or, once ACTIVE, its expiry
-        timer, all timers in one batch.  A timer that is already due
-        fires at the clock's next step.  Each runtime's demand history
-        starts here."""
+    def bind(self, runtimes: List[SliceRuntime]) -> None:
+        """Bind each built runtime to the reservations the drivers hold,
+        which the caller has put in its ``reservations``: the allocation
+        they compose, its vEPC instance, and its activation timer or, once
+        ACTIVE, its expiry timer, all timers in one batch.  A timer that
+        is already due fires at the clock's next step.  Each runtime's
+        demand history starts here; each slice is marked touched."""
         now, timers, deploy_time_s = self.sim.now, [], self.config.deploy_time_s
         # Bound once per batch: each timer holds a partial, no method of its own.
         activate, expire = self._activate, self.expire
-        for runtime, reservations in bindings:
+        for runtime in runtimes:
             runtime.demand_history = deque(maxlen=FORECAST_HISTORY_EPOCHS)
-            self._hold(runtime, reservations)  # composes its allocation, marks it touched
+            self._hold(runtime)  # composes its allocation, marks it touched
             # Contract-clean EPC binding: whatever backend serves the "epc"
             # domain reports its instance (if any) in the reservation.
+            reservations, network_slice = runtime.reservations, runtime.network_slice
             if "epc" in reservations:
                 runtime.epc = reservations["epc"].details.get("instance")
-            network_slice = runtime.network_slice
             slice_id = network_slice.slice_id
             if network_slice.active_at is None:
                 timers.append((
@@ -464,11 +466,14 @@ class LiveFleet:
                 self.calendar.release(network_slice.request.request_id)
         self.index.discard(gone)
 
-    def _hold(self, runtime: SliceRuntime, reservations: Dict[str, Reservation]) -> None:
-        """Give ``runtime`` ``reservations`` (some domains or all), recompose
-        its slice's end-to-end allocation from what it now holds, and mark
-        the slice touched."""
-        runtime.reservations.update(reservations)
+    def _hold(
+        self, runtime: SliceRuntime, reservations: Optional[Dict[str, Reservation]] = None
+    ) -> None:
+        """Give ``runtime`` ``reservations`` (some domains or all; none: it
+        holds them already), recompose its slice's end-to-end allocation
+        from what it now holds, and mark the slice touched."""
+        if reservations:
+            runtime.reservations.update(reservations)
         runtime.network_slice.allocation = compose_allocation(runtime.reservations)
         self.live_slots.touched.add(runtime.network_slice.slice_id)
 

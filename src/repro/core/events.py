@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import attrgetter
 from typing import Callable, Deque, Dict, List, Optional
 
@@ -128,6 +129,25 @@ class EventLog:
             obs.counter_add("events.emitted")
             obs.gauge_set("queue.events_buffered", float(len(self._events)))
         return event
+
+    def append_many(self, time: float, event_type: str, rows: List[tuple]) -> None:
+        """:meth:`append` one ``event_type`` event at ``time`` per
+        ``(slice_id, tenant_id, data)`` row, in order, as one batch: the
+        same events, sequence numbers and evictions."""
+        seq, events = self._next_seq, self._events
+        batch = [
+            OrchestrationEvent(seq + offset, time, event_type, slice_id, tenant_id, data)
+            for offset, (slice_id, tenant_id, data) in enumerate(rows)
+        ]
+        self._next_seq += len(batch)
+        # The held events the batch pushes out, oldest first (its own carry no LSN).
+        for event in islice(events, max(len(events) + len(batch) - self.capacity, 0)):
+            self.evicted_lsn = event.lsn or self.evicted_lsn
+        events.extend(batch)
+        obs = self.obs
+        if obs is not None and obs.enabled and batch:
+            obs.counter_add("events.emitted", float(len(batch)))
+            obs.gauge_set("queue.events_buffered", float(len(events)))
 
     def resume_from(self, seq: int) -> None:
         """Continue numbering after ``seq`` (crash recovery: consumers

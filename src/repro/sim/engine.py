@@ -148,12 +148,13 @@ class Simulator:
         heapq.heappush(self._queue, event)
         return EventHandle(event)
 
-    def schedule_many(self, timers: list) -> list:
+    def schedule_many(self, timers: list) -> None:
         """:meth:`schedule_at` each ``(time, callback, name)`` in order, at
-        priority 0: the same events, sequence numbers and handles, put in
-        the queue as one batch.  A batch at least as large as the queue
-        joins it by one heapify, a smaller one by a push each; either way
-        they fire in ``(time, priority, seq)`` order.
+        priority 0: the same events and sequence numbers, put in the queue
+        as one batch, with no handle (a batch's timers are never cancelled
+        one by one).  A batch at least as large as the queue joins it by
+        one heapify, a smaller one by a push each; either way they fire in
+        ``(time, priority, seq)`` order.
 
         Raises:
             SimulationError: If a time precedes the current clock (then
@@ -171,7 +172,6 @@ class Simulator:
         else:
             for event in events:
                 heapq.heappush(queue, event)
-        return [EventHandle(event) for event in events]
 
     def clear(self) -> None:
         """Drop every pending event: nothing scheduled so far fires."""

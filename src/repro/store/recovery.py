@@ -43,10 +43,12 @@ calendar window, index entry, drawn profile — sizing the fleet off one
 cell and one vEPC read and entering the windows by one sort; a warm
 standby runs it as it tails, so its ready plane holds every live slice
 built before the leader dies.  The *bind* (:func:`bind_recovered`), once
-the southbound is listed, gives each slice the reservations the drivers
-still hold, the allocation they compose, its vEPC instance and its
-activation or expiry timer (one batch on the simulator), and emits its
-``slice.adopted`` event.  A cold restart runs both back to back.
+the southbound is listed, puts the reservations the drivers still hold
+straight from that listing into each runtime's own map, gives each
+slice the allocation they compose, its vEPC instance and its activation
+or expiry timer (one batch on the simulator), and emits the
+``slice.adopted`` events (one batch on the event log).  A cold restart
+runs both back to back.
 Its one durable statement, and the recovery's commit point, is the
 ``recovery.rebased`` record written right after it: ``shift`` 0 plus
 the exceptions of the reconciliation (lost slices, adopted in-flight
@@ -241,9 +243,7 @@ class RecoveryManager:
         build_from_images(orch, [
             state.live.get(s) or state.in_flight[s] for s in adopted if s not in fleet.runtimes
         ])
-        bind_recovered(orch, [
-            (s, {domain: held[s] for domain, held in truth.items()}) for s in adopted
-        ])
+        bind_recovered(orch, adopted, truth)
         # What the fold cannot derive for an adopted in-flight install:
         # the window its go-live promised, the reservations drivers hold.
         adopted_in_flight = {}
@@ -379,20 +379,27 @@ def build_from_images(
     )
 
 
-def bind_recovered(orchestrator: "Orchestrator", bindings: List[tuple]) -> None:
-    """A recovery's bind step: each built ``(slice_id, reservations)``
-    bound in one batch (``LiveFleet.bind``: reservations, allocation,
-    vEPC, timers), then its ``slice.adopted`` event, in order.  Nothing
+def bind_recovered(
+    orchestrator: "Orchestrator", slice_ids: List[str],
+    truth: Dict[str, Dict[str, Reservation]],
+) -> None:
+    """A recovery's bind step: each built slice of ``slice_ids`` takes
+    its reservation in every domain of ``truth`` (domain → slice id →
+    live reservation, as listed) into its runtime's own map, the batch is
+    bound at once (``LiveFleet.bind``: allocation, vEPC, timers), and
+    the ``slice.adopted`` events follow as one batch, in order.  Nothing
     is journaled: the ``recovery.rebased`` record states the adoption."""
     runtimes = orchestrator.fleet.runtimes
-    orchestrator.fleet.bind([(runtimes[s], reservations) for s, reservations in bindings])
-    now, append = orchestrator.sim.now, orchestrator.events.append
-    for slice_id, _ in bindings:
-        network_slice = runtimes[slice_id].network_slice
-        append(
-            now, "slice.adopted", slice_id=slice_id,
-            tenant_id=network_slice.request.tenant_id, state=network_slice.state.value,
-        )
+    bound = [runtimes[slice_id] for slice_id in slice_ids]
+    for domain, held in truth.items():
+        for slice_id, runtime in zip(slice_ids, bound):
+            runtime.reservations[domain] = held[slice_id]
+    orchestrator.fleet.bind(bound)
+    orchestrator.events.append_many(orchestrator.sim.now, "slice.adopted", [
+        (slice_id, runtime.network_slice.request.tenant_id,
+         {"state": runtime.network_slice.state.value})
+        for slice_id, runtime in zip(slice_ids, bound)
+    ])
 
 
 __all__ = [

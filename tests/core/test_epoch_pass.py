@@ -393,10 +393,9 @@ def test_a_row_is_re_read_exactly_when_its_key_moves():
         (s.request, s.plmn.plmn_id, orch.runtime(s.slice_id).effective_fraction, 0.0, 0.0, None)
         for s in live
     )
-    successor.fleet.bind([
-        (successor.runtime(s.slice_id), dict(orch.runtime(s.slice_id).reservations))
-        for s in live
-    ])
+    for s in live:
+        successor.runtime(s.slice_id).reservations.update(orch.runtime(s.slice_id).reservations)
+    successor.fleet.bind([successor.runtime(s.slice_id) for s in live])
     assert rows_read(successor) == len(live) == 4
     assert rows_read(successor) == 0
 

@@ -194,6 +194,32 @@ class TestNewestEndWalk:
         assert log.evicted_lsn == 4
         assert [e.lsn for e in log.after_lsn(0)] == [7]
 
+    def test_a_batch_appends_as_the_calls_made_one_at_a_time(self):
+        import random
+
+        from repro.obs.registry import ControlPlaneObservability
+
+        rng = random.Random(3)
+        for _ in range(300):
+            shape = (rng.randint(1, 12), rng.randint(0, 30), rng.randint(0, 30))
+            seed = rng.random()
+            rows = [
+                (f"slice-{i}", rng.choice([None, "t"]), {"state": "active"})
+                for i in range(rng.randint(0, 20))
+            ]
+            one_by_one, batched = (self.filled(random.Random(seed), *shape) for _ in range(2))
+            for log in (one_by_one, batched):
+                log.obs = ControlPlaneObservability()
+            for slice_id, tenant_id, data in rows:
+                one_by_one.append(5.0, "slice.adopted", slice_id, tenant_id, **data)
+            batched.append_many(5.0, "slice.adopted", rows)
+            facts = [
+                (list(log._events), log.last_seq, log.evicted_lsn, log.obs.counters(),
+                 log.obs.gauges())
+                for log in (one_by_one, batched)
+            ]
+            assert facts[1] == facts[0]
+
     def test_the_walk_stops_at_the_cursor(self):
         log = EventLog(capacity=1024)
         for i in range(1000):

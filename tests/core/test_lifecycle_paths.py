@@ -174,7 +174,8 @@ def test_a_timer_already_due_at_adoption_fires_at_once(active_at, state):
     [adopted] = second.build_recovered_slices(
         [(network_slice.request, network_slice.plmn.plmn_id, 1.0, -6_000.0, active_at, None)]
     )
-    second.fleet.bind([(second.runtime(decision.slice_id), reservations)])
+    second.runtime(decision.slice_id).reservations.update(reservations)
+    second.fleet.bind([second.runtime(decision.slice_id)])
     assert adopted.admitted_at == -6_000.0 and adopted.active_at == active_at
     second.sim.run_until(0.0)
     assert adopted.state is state

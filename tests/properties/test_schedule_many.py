@@ -4,8 +4,8 @@ On random queues (pending events, cancelled ones, a clock moved on) and
 random batches (ties in time, a batch smaller or larger than the queue),
 two simulators — one scheduling the batch with ``schedule_many``, the
 other with one ``schedule_at`` per timer — fire the same callbacks at
-the same instants in the same ``(time, priority, seq)`` order, and hand
-back handles that cancel the same events.
+the same instants in the same ``(time, priority, seq)`` order, and a
+batch event cancelled in the queue is skipped as a cancelled call's is.
 """
 
 from __future__ import annotations
@@ -34,13 +34,14 @@ def scheduled_and_fired(before, advance_to, batch, cancel, many: bool) -> tuple:
         for index, time in enumerate(batch)
     ]
     if many:
-        handles = sim.schedule_many(timers)
+        assert sim.schedule_many(timers) is None  # no handle is built
     else:
-        handles = [sim.schedule_at(t, callback, name=name) for t, callback, name in timers]
-    assert all(isinstance(handle, EventHandle) for handle in handles)
-    for index in cancel:
-        if index < len(handles):
-            handles[index].cancel()
+        for t, callback, name in timers:
+            assert isinstance(sim.schedule_at(t, callback, name=name), EventHandle)
+    cancelled = {f"t{index}" for index in cancel}
+    for event in sim._queue:
+        if event.name in cancelled:
+            event.cancelled = True  # what its handle's cancel() does
     queued = sorted((e.time, e.priority, e.seq, e.name, e.cancelled) for e in sim._queue)
     sim.run_until(100.0)
     return queued, fired

@@ -71,3 +71,29 @@ def test_a_pair_is_flagged_when_its_slowdowns_differ_beyond_the_a_a_spread():
     assert ab.flag_pairs(base, base)["flagged_pairs"] == []
     assert ab.flag_pairs([1.0], [1.0])["flagged_pairs"] == []
     assert [f["pair"] for f in ab.flag_pairs([1.0], [1.1])["flagged_pairs"]] == [1]
+
+
+def test_the_summary_prints_one_row_per_workload_seed_and_metric(monkeypatch, capsys):
+    """``--summary`` follows the JSON verdict with one row per workload,
+    seed and metric: medians with quartiles, change, pairs won and met."""
+    base = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+    metrics = [{"name": "op_p50_ms", "better": "lower"}, {"name": "ops_per_s", "better": "higher"}]
+    compared = {"metrics": {
+        "op_p50_ms": ab.verdict(metrics[0], base, [b - 0.5 for b in base]),
+        "ops_per_s": ab.verdict(metrics[1], base, base),
+    }}
+    monkeypatch.setattr(ab, "export", lambda rev, tree: None)
+    monkeypatch.setattr(ab, "git", lambda *args: "rev")
+    monkeypatch.setattr(ab, "compare", lambda *args: compared)
+    assert ab.main(["--base", "x", "--head", "y", "--workload", "failover", "--workload",
+                    "churn", "--seeds", "1,2", "--pairs", "10", "--summary"]) == 0
+    out = capsys.readouterr().out
+    text, rows = out[:out.rindex("}") + 1], out[out.rindex("}") + 1:].strip().splitlines()
+    assert json.loads(text)["workloads"]["churn"]["2"] == compared
+    assert [row.split(":")[0] for row in rows] == [
+        f"{workload} seed {seed} {name}" for workload in ("failover", "churn")
+        for seed in ("1", "2") for name in ("op_p50_ms", "ops_per_s")
+    ]
+    assert rows[0] == ("failover seed 1 op_p50_ms: base 1.45 [1.225, 1.675]  "
+                       "head 0.95 [0.725, 1.175]  -34.5 %  won 10/10  met")
+    assert rows[1].endswith("+0.0 %  won 0/10  not met")

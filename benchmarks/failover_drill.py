@@ -90,11 +90,16 @@ acceptance invariants:
   by the CI gate, for the CPython it was measured on),
 - ``recovery_split_s``: ``recovery_s`` cut into the bind step and the
   rest (published, never gated),
-- ``promotion_ladder``: a one-shard promotion at each of
-  ``LADDER_SIZES`` live slices with the same lag (two creates, four
-  rescales, two deletes), its ``promotion_ms_per_adopted_slice``
-  (published) and what the outage built beyond the slices the lag
-  touched (``untouched_*``, held at 0 by the CI gate).
+- ``promotion_ladder``: ``LADDER_REPEATS`` one-shard promotions at
+  each of ``LADDER_SIZES`` live slices with the same lag (two creates,
+  four rescales, two deletes), each on its own root, the sizes
+  alternating.  Per size it publishes the median and quartiles of
+  ``promotion_ms`` and of ``promotion_fsync_ms`` (the wall time of the
+  promotion's fsyncs, the lease file and its directory, counted
+  through :mod:`repro.store.files`: real fsyncs, whose cost varies
+  with the disk far more than the bind's), and per repetition what the
+  outage built beyond the slices the lag touched (``untouched_*``) and
+  ``lost``, each held at 0 by the CI gate.
 
 Usage::
 
@@ -112,6 +117,7 @@ import argparse
 import contextlib
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -125,6 +131,8 @@ KILLED = 0
 LEASE_TIMEOUT_S = 0.05
 #: Live fleets the promotion ladder promotes, each with the same lag.
 LADDER_SIZES = (40, 400)
+#: Promotions timed per ladder size.
+LADDER_REPEATS = 5
 
 
 def _chaos_testbed():
@@ -240,11 +248,12 @@ def _ladder_point(root: str, live: int) -> dict:
     """One promotion of a one-shard cluster of ``live`` ACTIVE slices
     whose standby had folded all but :data:`LADDER_LAG`: what the outage
     builds (slice records, PLMN claims, calendar windows, profiles) next
-    to what the lag touched, and its wall time per adopted slice."""
+    to what the lag touched, its wall time and that of its fsyncs."""
     from repro.cluster import ClusterConfig, ControlPlaneCluster
     from repro.core.calendar import ResourceCalendar
     from repro.core.slices import NetworkSlice, PlmnPool
     from repro.experiments.testbed import TestbedConfig, build_testbed
+    from repro.store import files
     from repro.traffic.verticals import VerticalSpec
 
     cells = 32
@@ -300,13 +309,12 @@ def _ladder_point(root: str, live: int) -> dict:
             spies.enter_context(
                 _spying(ResourceCalendar, "commit_many", counts, "commits", calls=windows)
             )
+            spies.enter_context(_spying(files, "fsync", counts, "fsync_s", clock=True))
             started = time.perf_counter()
             promotion = standby.promote(force=True)
             elapsed = time.perf_counter() - started
-        adopted = promotion.report.slices_adopted
         return {
-            "live": live,
-            "adopted": adopted,
+            "adopted": promotion.report.slices_adopted,
             "lost": promotion.report.slices_lost,
             "lag_touched": touched,
             "untouched_slices_built": counts["built"] - touched,
@@ -314,19 +322,40 @@ def _ladder_point(root: str, live: int) -> dict:
             "untouched_calendar_windows": sum(len(call[1]) for call in windows) - touched,
             "untouched_profiles_drawn": counts["profiles"] - touched,
             "promotion_ms": round(elapsed * 1000.0, 3),
-            "promotion_ms_per_adopted_slice": round(elapsed * 1000.0 / max(adopted, 1), 4),
+            "promotion_fsync_ms": round(counts["fsync_s"] * 1000.0, 3),
         }
     finally:
         cluster.close()
 
 
+def _spread(values: list) -> dict:
+    """Median and quartiles of ``values``."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
+
+
 def run_promotion_ladder(root: str | None = None) -> dict:
-    """:func:`_ladder_point` at each of :data:`LADDER_SIZES` live slices."""
+    """:data:`LADDER_REPEATS` runs of :func:`_ladder_point` at each of
+    :data:`LADDER_SIZES` live slices, the sizes alternating, each run on
+    its own root; per size the runs and the spread of their times."""
     root = root or tempfile.mkdtemp(prefix="promotion-ladder-")
-    return {
-        str(live): _ladder_point(os.path.join(root, f"fleet-{live}"), live)
-        for live in LADDER_SIZES
-    }
+    runs: dict = {live: [] for live in LADDER_SIZES}
+    for repeat in range(LADDER_REPEATS):
+        for live in LADDER_SIZES:
+            runs[live].append(_ladder_point(os.path.join(root, f"fleet-{live}-{repeat}"), live))
+    ladder = {}
+    for live, points in runs.items():
+        promotion_ms = _spread([point["promotion_ms"] for point in points])
+        ladder[str(live)] = {
+            "live": live,
+            "promotion_ms": promotion_ms,
+            "promotion_fsync_ms": _spread([point["promotion_fsync_ms"] for point in points]),
+            "promotion_ms_per_adopted_slice": round(
+                promotion_ms["median"] / max(points[0]["adopted"], 1), 4
+            ),
+            "runs": points,
+        }
+    return ladder
 
 
 def run_failover_drill(failures: list, root: str | None = None) -> dict:

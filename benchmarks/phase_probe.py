@@ -11,7 +11,8 @@ phase:
   ``gc.callbacks`` hook);
 - ``journal``: records and bytes per record type (every
   ``JournalRecord.to_line``, the line an append writes);
-- ``fsyncs``: ``os.fsync`` calls per call site (``module:function``).
+- ``fsyncs``: fsyncs per call site, by the ``site`` label the caller
+  hands the durable-file seam (:func:`repro.store.files.fsync`).
 
 The phases are ``warmup`` (the harness's throw-away miniature run),
 ``setup`` (the set-up phase, and the segments the measured phase marks
@@ -49,6 +50,7 @@ from benchmarks.e2e import harness  # noqa: E402
 from benchmarks.e2e.pacing import Pacer, RefKernel  # noqa: E402
 from benchmarks.e2e.run import _bootstrap  # noqa: E402
 from benchmarks.e2e.workloads import WORKLOADS  # noqa: E402
+from repro.store import files  # noqa: E402
 from repro.store.journal import JournalRecord  # noqa: E402
 
 PHASES = ("warmup", "setup", "measured", "untimed", "outside")
@@ -74,9 +76,7 @@ class Probe:
         row[0] += 1
         row[1] += (perf_counter() - self._gc_started) * 1000.0
 
-    def fsync(self, fd: int) -> None:
-        caller = sys._getframe(1)
-        site = f"{caller.f_globals.get('__name__')}:{caller.f_code.co_qualname}"
+    def fsync(self, target: Any, site: str) -> None:
         self.fsyncs[self.phase][site] += 1
         self.instants.append(perf_counter())
 
@@ -133,10 +133,10 @@ def probe(
         row[1] += len(line) + 1
         return line
 
-    plain_fsync = os.fsync
+    plain_fsync = files.fsync
     scratch = tempfile.mkdtemp(prefix=f"phase-probe-{workload}-")
     JournalRecord.to_line = counted_line  # type: ignore[method-assign]
-    os.fsync = counters.fsync
+    files.fsync = counters.fsync
     gc.callbacks.append(counters.on_gc)
     try:
         counters.phase = "warmup"
@@ -156,7 +156,7 @@ def probe(
             instance.close()
     finally:
         gc.callbacks.remove(counters.on_gc)
-        os.fsync = plain_fsync
+        files.fsync = plain_fsync
         JournalRecord.to_line = to_line  # type: ignore[method-assign]
         shutil.rmtree(scratch, ignore_errors=True)
     return {"workload": workload, "seed": seed, "size": size, "units": units,

@@ -15,8 +15,8 @@ directory) is the shared ground truth of who leads the shard:
   bump is what deposes a leader that was merely paused, not dead
   (the classic false-suspicion case), the moment it next heartbeats.
 
-Writes are atomic (tmp + rename, same discipline as the snapshot
-store), so a reader never sees a torn lease, and an acquire fsyncs the
+Writes are atomic (:func:`repro.store.files.replace`, as a snapshot's),
+so a reader never sees a torn lease, and an acquire fsyncs the
 directory so its epoch bump survives a power loss.  Timestamps are wall
 clock (``time.time()``): the lease must be comparable *across*
 processes, where the simulators' virtual clocks don't exist.
@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.store.snapshot import fsync_directory
+from repro.store import files
 
 
 class LeaseError(RuntimeError):
@@ -99,17 +99,11 @@ class Lease:
     # Write side
     # ------------------------------------------------------------------
     def _write(self, epoch: int) -> None:
-        directory = os.path.dirname(self.path) or "."
-        os.makedirs(directory, exist_ok=True)
-        tmp = f"{self.path}.tmp.{self.owner}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            # dumps, not dump: dump's encoder leaves a reference cycle per call.
-            handle.write(json.dumps(
-                {"owner": self.owner, "epoch": epoch, "heartbeat_at": time.time()}
-            ))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
+        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        # dumps, not dump: dump's encoder leaves a reference cycle per call.
+        data = json.dumps({"owner": self.owner, "epoch": epoch, "heartbeat_at": time.time()})
+        tmp = f"{self.path}.tmp.{self.owner}"  # a leader and a standby never share one
+        files.replace(self.path, tmp, data.encode("utf-8"), site="lease.write")
 
     def acquire(self, force: bool = False) -> bool:
         """Take the lease.  Succeeds when the lease is free, stale,
@@ -128,7 +122,7 @@ class Lease:
         self.epoch = (state.epoch if state else 0) + 1
         self._write(self.epoch)
         # The bump fences the old owner: a power loss must not undo it.
-        fsync_directory(os.path.dirname(self.path) or ".")
+        files.fsync_directory(os.path.dirname(self.path) or ".", "lease.acquire.directory")
         return True
 
     def heartbeat(self) -> bool:

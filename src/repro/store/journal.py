@@ -31,7 +31,8 @@ Durability discipline:
   synchronous durability, ``0`` disables fsync entirely), except
 - inside a :meth:`Journal.batch` (a broker window, a recovery's queued
   installs): **one** group commit, fsynced on exit, before the caller
-  tells anyone of the batch's decisions.
+  tells anyone of the batch's decisions.  Every fsync, rename and
+  directory sync goes through :mod:`repro.store.files`.
 
 ``close(sync=False)`` is a killed process: appends stop, and what was
 only flushed stays as unsynced as a dead process leaves it.
@@ -66,8 +67,8 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.store import files
 from repro.store.codec import FORMAT_VERSION, encode_json
-from repro.store.snapshot import fsync_directory
 
 
 class JournalError(RuntimeError):
@@ -314,10 +315,9 @@ class Journal:
             raise JournalError(f"fsync_every must be >= 0, got {fsync_every}")
         self.path = str(path)
         self.fsync_every = int(fsync_every)
-        #: Control-plane observability sink (bound by
-        #: :meth:`~repro.store.store.ControlPlaneStore.bind_obs`);
-        #: ``None`` keeps the write path exactly as before — the
-        #: timed branch is never entered.
+        #: An enabled observability sink (bound by
+        #: :meth:`~repro.store.store.ControlPlaneStore.bind_obs`), or
+        #: ``None``: then the timed branches are never entered.
         self.obs: Optional[Any] = None
         self._closed = False
         self._unsynced = 0
@@ -374,22 +374,15 @@ class Journal:
         tests rely on.
         """
         obs = self.obs
-        if obs is not None and obs.enabled:
-            # Instrumented twin of the plain path below: append time,
-            # plus fsync timing and group-commit batch size inside _write.
+        if obs is not None:
+            # Instrumented twin of the plain path below (_fsync times itself).
             started = perf_counter()
-            lsn = self._write(record_type, time, data, obs=obs)
+            lsn = self._write(record_type, time, data)
             obs.observe("journal.append", (perf_counter() - started) * 1000.0)
             return lsn
         return self._write(record_type, time, data)
 
-    def _write(
-        self,
-        record_type: str,
-        time: float,
-        data: Dict[str, Any],
-        obs: Optional[Any] = None,
-    ) -> int:
+    def _write(self, record_type: str, time: float, data: Dict[str, Any]) -> int:
         if self._closed:
             return 0
         if self._tail.declared != FORMAT_VERSION:
@@ -402,7 +395,7 @@ class Journal:
         self._tail.appended(lsn, len(line))  # to_line() is ASCII: one byte a character
         self._unsynced += 1
         if self.fsync_every and self._unsynced >= self.fsync_every and not self._batch_depth:
-            self._fsync(obs)
+            self._fsync()
         self._last_lsn = lsn
         return lsn
 
@@ -427,30 +420,26 @@ class Journal:
         try:
             yield
         finally:
-            obs = self.obs
             self._batch_depth -= 1
             if not (self._batch_depth or self._closed) and self._unsynced and self.fsync_every:
-                self._fsync(obs if obs is not None and obs.enabled else None)
+                self._fsync()
 
-    def _fsync(self, obs: Optional[Any] = None) -> None:
-        """Group-commit fsync."""
+    def _fsync(self) -> None:
+        """Group-commit fsync, timed when observed."""
+        obs = self.obs
+        started = perf_counter() if obs is not None else 0.0
+        files.fsync(self._handle, "journal.commit")
         if obs is not None:
-            batch = self._unsynced
-            started = perf_counter()
-            os.fsync(self._handle.fileno())
             obs.observe("journal.fsync", (perf_counter() - started) * 1000.0)
-            obs.observe("journal.batch_records", float(batch))
-        else:
-            os.fsync(self._handle.fileno())
+            obs.observe("journal.batch_records", float(self._unsynced))
         self._unsynced = 0
 
     def sync(self) -> None:
         """Force an fsync of everything appended so far (if unsynced)."""
-        obs = self.obs
         if self._closed or not self._unsynced:
             return
         self._handle.flush()
-        self._fsync(obs if obs is not None and obs.enabled else None)
+        self._fsync()
 
     def close(self, sync: bool = True) -> None:
         """Stop accepting appends (idempotent), syncing what is unsynced
@@ -460,7 +449,7 @@ class Journal:
             return
         self._handle.flush()
         if sync and self._unsynced:
-            os.fsync(self._handle.fileno())
+            files.fsync(self._handle, "journal.close")
         self._handle.close()
         self._closed = True
 
@@ -503,21 +492,17 @@ class Journal:
         ``dropped`` first.  Atomic: a temp file renamed over the journal."""
         self._handle.flush()
         if self._unsynced:  # a checkpoint has just synced; a direct caller may not have
-            os.fsync(self._handle.fileno())
+            files.fsync(self._handle, "journal.rewrite.pending")
         tail = self._tail
         base = tail.starts[dropped] if dropped < len(tail.starts) else tail.offset
         with open(self.path, "rb") as current:
             current.seek(base)
             survivors = current.read(tail.offset - base)
-        tmp_path = self.path + ".compact"
-        with open(tmp_path, "wb") as tmp:
-            tmp.write(FORMAT_LINE.encode("ascii"))
-            tmp.write(survivors)
-            tmp.flush()
-            os.fsync(tmp.fileno())
+        tmp_path, head = self.path + ".compact", FORMAT_LINE.encode("ascii")
+        files.replace(self.path, tmp_path, head, survivors, site="journal.rewrite")
+        # Later appends land in the new file: its name must be on disk.
+        files.fsync_directory(os.path.dirname(self.path) or ".", "journal.rewrite.directory")
         self._handle.close()
-        os.replace(tmp_path, self.path)
-        fsync_directory(os.path.dirname(self.path) or ".")  # later appends land here
         self._handle = open(self.path, "a", encoding="utf-8")
         self._unsynced = 0
         tail.rebased(dropped, base)

@@ -2,12 +2,13 @@
 
 A snapshot is a full state checkpoint — the
 :class:`~repro.store.codec.ReplayState` image at a known LSN — written
-atomically (temp file + rename) so a crash mid-checkpoint can never
-leave a half-written snapshot as the latest one.  Recovery loads the
-newest *parseable* snapshot and replays only the journal records past
-its LSN; the journal is compacted up to that LSN afterwards, which is
-what keeps recovery time bounded by churn-since-checkpoint instead of
-lifetime history (benchmark D12 measures the gap).
+atomically (:func:`repro.store.files.replace`) so a crash
+mid-checkpoint can never leave a half-written snapshot as the latest
+one.  Recovery loads the newest *parseable* snapshot and replays only
+the journal records past its LSN; the journal is compacted up to that
+LSN afterwards, which is what keeps recovery time bounded by
+churn-since-checkpoint instead of lifetime history (benchmark D12
+measures the gap).
 
 Layout: ``snapshot-<lsn, zero-padded>.json`` inside the store
 directory; older snapshots are pruned after a successful write (the
@@ -33,6 +34,7 @@ import os
 import re
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.store import files
 from repro.store.codec import FORMAT_VERSION, UNDECLARED_FORMAT, prebuilt_encoder
 
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d+)\.json$")
@@ -101,23 +103,14 @@ class SnapshotStore:
         self, state: Dict[str, Any], lsn: int, live: Optional[Dict[str, str]] = None
     ) -> str:
         """Checkpoint ``state`` (``live``: see :func:`encode_snapshot`) as
-        of journal position ``lsn``.
-
-        Atomic: written to a temp file, fsynced, then renamed into
-        place (the rename is durable once the caller fsyncs the
-        directory, :func:`fsync_directory`).  Older snapshots beyond one
-        predecessor are pruned.  Returns the snapshot path.
-        """
+        of journal position ``lsn``, atomically (durable once the caller
+        fsyncs the directory); prune all but one predecessor.  Returns
+        the snapshot path."""
         if lsn < 0:
             raise SnapshotError(f"lsn must be >= 0, got {lsn}")
         path = self._path_for(lsn)
-        tmp_path = path + ".tmp"
         data = encode_snapshot(lsn, state, live)
-        with open(tmp_path, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
+        files.replace(path, path + ".tmp", data, site="snapshot.write")
         for stale in self.list_lsns()[:-2]:  # keep latest + one fallback
             try:
                 os.remove(self._path_for(stale))
@@ -165,17 +158,4 @@ class SnapshotStore:
         return None
 
 
-def fsync_directory(directory: str) -> None:
-    """Make the renames into ``directory`` durable: a rename is a
-    directory entry, on disk only once the directory itself is fsynced."""
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-__all__ = [
-    "SnapshotError", "SnapshotStore",
-    "encode_member", "encode_snapshot", "fsync_directory",
-]
+__all__ = ["SnapshotError", "SnapshotStore", "encode_member", "encode_snapshot"]

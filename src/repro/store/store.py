@@ -21,9 +21,10 @@ import os
 from contextlib import nullcontext
 from typing import Any, ContextManager, Dict, List, Optional, Tuple
 
+from repro.store import files
 from repro.store.codec import ReplayState
 from repro.store.journal import Journal, JournalRecord, JournalTail
-from repro.store.snapshot import SnapshotStore, fsync_directory
+from repro.store.snapshot import SnapshotStore
 
 
 class StoreError(RuntimeError):
@@ -219,7 +220,7 @@ class ControlPlaneStore:
         self.snapshots.write(state, lsn, live)
         # The snapshot's name must be on disk before compaction drops
         # the records it covers: fsync the directory between renames.
-        fsync_directory(self.directory)
+        files.fsync_directory(self.directory, "checkpoint.directory")
         self.journal.compact(lsn)
         self._snapshot_lsn = lsn
         # Audit record (lands *after* the snapshot, so replay past the

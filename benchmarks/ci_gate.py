@@ -257,7 +257,7 @@ D8D_SETTLED_S = 0.15
 #: −2 for one durable-file seam (``store/files.py``: every fsync, atomic
 #: replace and directory sync of the store and the lease, the copies in
 #: the snapshot store, the journal and the lease gone).
-SRC_LINES_CEILING = 20_891
+SRC_LINES_CEILING = 20_979
 
 #: GC-tracked objects a promotion's bind step leaves alive per slice (the
 #: drill's replay on a memory-only twin, CPython 3.11): reservations map,
@@ -1406,14 +1406,18 @@ def run_gate() -> dict:
             f"drill: promotion_tracked_objects_per_slice fell to {tracked} "
             f"(lower PROMOTION_TRACKED_OBJECTS_PER_SLICE)"
         )
+    from benchmarks.failover_drill import LAG_CREATES, LAG_RESCALES
+
     for live, point in drill.get("promotion_ladder", {}).items():
         for repeat, run in enumerate(point["runs"]):
-            for count in ("untouched_slices_built", "untouched_plmn_claims",
-                          "untouched_calendar_windows", "untouched_profiles_drawn", "lost"):
-                if run[count] != 0:
-                    failures.append(
-                        f"drill: ladder at {live} slices, run {repeat}: {count} = {run[count]} != 0"
-                    )
+            for count, exact in (
+                ("lag_built", LAG_CREATES), ("lag_plmn_claims", LAG_CREATES),
+                ("lag_calendar_windows", LAG_CREATES), ("lag_profiles_drawn", LAG_CREATES),
+                ("lag_in_place", LAG_RESCALES), ("lost", 0),
+            ):
+                if run[count] != exact:
+                    failures.append(f"drill: ladder at {live} slices, run {repeat}: "
+                                    f"{count} = {run[count]} != {exact}")
     # The full promotion trace belongs to the drill's own artifact, not
     # the per-commit perf summary.
     drill.pop("promotion", None)

@@ -27,9 +27,11 @@ acceptance invariants:
   the file's head, and the standby's image is the recovery input,
 - what the watch cycle that promotes builds, gated exactly at the
   lag's ``BATCH`` slices by the CI gate: ``promotion_slices_built``
-  (``NetworkSlice`` constructions), ``promotion_plmn_claims``,
-  ``promotion_calendar_windows`` (entries of ``commit_many`` calls) and
-  ``promotion_profiles_drawn`` (``VerticalSpec.sample_profile`` calls).
+  (``NetworkSlice`` constructions, a restored slice's included),
+  ``promotion_plmn_claims`` (entries of ``PlmnPool.claim_many`` calls,
+  the one way a build claims), ``promotion_calendar_windows`` (entries
+  of ``commit_many`` calls) and ``promotion_profiles_drawn``
+  (``VerticalSpec.sample_profile`` calls).
   The standby's ready plane built the four slices acknowledged before
   its first poll then; the promotion builds none of them again,
 - ``promotion_template_builds`` and ``promotion_fleet_serialisations``:
@@ -91,15 +93,27 @@ acceptance invariants:
 - ``recovery_split_s``: ``recovery_s`` cut into the bind step and the
   rest (published, never gated),
 - ``promotion_ladder``: ``LADDER_REPEATS`` one-shard promotions at
-  each of ``LADDER_SIZES`` live slices with the same lag (two creates,
-  four rescales, two deletes), each on its own root, the sizes
-  alternating.  Per size it publishes the median and quartiles of
-  ``promotion_ms`` and of ``promotion_fsync_ms`` (the wall time of the
-  promotion's fsyncs, the lease file and its directory, counted
-  through :mod:`repro.store.files`: real fsyncs, whose cost varies
-  with the disk far more than the bind's), and per repetition what the
-  outage built beyond the slices the lag touched (``untouched_*``) and
-  ``lost``, each held at 0 by the CI gate.
+  each of ``LADDER_SIZES`` live slices with the same lag
+  (``LAG_CREATES`` creates, ``LAG_RESCALES`` rescales, ``LAG_DELETES``
+  deletes), each on its own root, the sizes alternating.  Per size it
+  publishes the median and quartiles of ``promotion_ms`` and of
+  ``promotion_fsync_ms`` (the wall time of the promotion's fsyncs, the
+  lease file and its directory, counted through
+  :mod:`repro.store.files`: real fsyncs, whose cost varies with the
+  disk far more than the bind's), and per repetition what the outage
+  built — ``lag_built`` slices, ``lag_plmn_claims``,
+  ``lag_calendar_windows`` and ``lag_profiles_drawn``, each held at the
+  lag's creates by the CI gate — and took in place (``lag_in_place``,
+  ``LiveFleet.apply_size`` calls, held at its rescales), ``lost``
+  (held at 0), and ``promotion_gc_passes``: the collector's passes per
+  generation inside the timed promotion, after a ``gc.collect()`` just
+  before it (through ``gc.callbacks``), which is where a promotion's
+  spread comes from when it is not the disk,
+- ``arming_ladder``: ``LADDER_REPEATS`` re-arms (``standby_for`` of a
+  promoted one-shard cluster) at each of ``LADDER_SIZES`` live slices,
+  the sizes alternating, after a ``gc.collect()``: per size the median
+  and quartiles of ``arming_ms``, and per run the slices built and the
+  collector passes inside it.  Published, never gated.
 
 Usage::
 
@@ -131,8 +145,11 @@ KILLED = 0
 LEASE_TIMEOUT_S = 0.05
 #: Live fleets the promotion ladder promotes, each with the same lag.
 LADDER_SIZES = (40, 400)
-#: Promotions timed per ladder size.
+#: Promotions (and re-arms) timed per ladder size.
 LADDER_REPEATS = 5
+#: The ladder's lag: creates (built by the promotion), rescales (taken
+#: in place) and deletes, none folded by the standby at the kill.
+LAG_CREATES, LAG_RESCALES, LAG_DELETES = 2, 4, 2
 
 
 def _chaos_testbed():
@@ -244,17 +261,12 @@ def _tracked_objects_per_slice(
     return round((len(gc.get_objects()) - before) / max(len(slice_ids), 1), 2)
 
 
-def _ladder_point(root: str, live: int) -> dict:
-    """One promotion of a one-shard cluster of ``live`` ACTIVE slices
-    whose standby had folded all but :data:`LADDER_LAG`: what the outage
-    builds (slice records, PLMN claims, calendar windows, profiles) next
-    to what the lag touched, its wall time and that of its fsyncs."""
+@contextlib.contextmanager
+def _ladder_cluster(root: str, live: int):
+    """A one-shard cluster of ``live`` ACTIVE slices (the last known
+    checkpointed) and the router's request arguments, closed on exit."""
     from repro.cluster import ClusterConfig, ControlPlaneCluster
-    from repro.core.calendar import ResourceCalendar
-    from repro.core.slices import NetworkSlice, PlmnPool
     from repro.experiments.testbed import TestbedConfig, build_testbed
-    from repro.store import files
-    from repro.traffic.verticals import VerticalSpec
 
     cells = 32
     testbed = build_testbed(TestbedConfig(
@@ -279,53 +291,117 @@ def _ladder_point(root: str, live: int) -> dict:
             cluster.router.post("/v1/slices", body=body, headers=headers).body["slice_id"]
             for _ in range(live)
         ]
-        leader = cluster.shard(0)
-        leader.run_until(10.0)  # everything ACTIVE
-        leader.orchestrator.durable.checkpoint()
+        cluster.shard(0).run_until(10.0)  # everything ACTIVE
+        cluster.shard(0).orchestrator.durable.checkpoint()
+        yield cluster, created, body, headers
+    finally:
+        cluster.close()
+
+
+@contextlib.contextmanager
+def _collector_passes(passes: list):
+    """Count in ``passes`` (one slot per generation) the cyclic
+    collector's passes while open, through ``gc.callbacks``."""
+    import gc
+
+    def count(phase: str, info: dict) -> None:
+        if phase == "start":
+            passes[info["generation"]] += 1
+
+    gc.callbacks.append(count)
+    try:
+        yield
+    finally:
+        gc.callbacks.remove(count)
+
+
+def _ladder_point(root: str, live: int) -> dict:
+    """One promotion of a one-shard cluster of ``live`` ACTIVE slices
+    whose standby had folded all but the lag (:data:`LAG_CREATES`
+    creates, :data:`LAG_RESCALES` rescales, :data:`LAG_DELETES`
+    deletes): what the outage builds (slice records, PLMN claims,
+    calendar windows, profiles) and takes in place, its wall time, that
+    of its fsyncs, and the collector passes that ran inside it (after a
+    full collection just before)."""
+    import gc
+
+    from repro.core.calendar import ResourceCalendar
+    from repro.core.epoch import LiveFleet
+    from repro.core.slices import NetworkSlice, PlmnPool
+    from repro.store import files
+    from repro.traffic.verticals import VerticalSpec
+
+    with _ladder_cluster(root, live) as (cluster, created, body, headers):
         standby = cluster.standby_for(0)
         standby.poll()
-        # The lag: two creates, four rescales, two deletes, none folded.
-        lagged = [
-            cluster.router.post("/v1/slices", body=body, headers=headers).body["slice_id"]
-            for _ in range(2)
-        ]
-        for slice_id in created[:4]:
+        for _ in range(LAG_CREATES):
+            cluster.router.post("/v1/slices", body=body, headers=headers)
+        for slice_id in created[:LAG_RESCALES]:
             cluster.router.patch(
                 f"/v1/slices/{slice_id}", body={"throughput_mbps": 3.0}, headers=headers
             )
-        for slice_id in created[4:6]:
+        for slice_id in created[LAG_RESCALES:LAG_RESCALES + LAG_DELETES]:
             cluster.router.delete(f"/v1/slices/{slice_id}", headers=headers)
-        touched = len(lagged) + 4
         cluster.kill_leader(0)
         counts: dict = {}
+        claims: list = []
         windows: list = []
+        passes = [0, 0, 0]
         with contextlib.ExitStack() as spies:
             for owner, name, key in (
                 (NetworkSlice, "__init__", "built"),
-                (PlmnPool, "claim", "claims"),
                 (VerticalSpec, "sample_profile", "profiles"),
+                (LiveFleet, "apply_size", "in_place"),
             ):
                 spies.enter_context(_spying(owner, name, counts, key))
+            spies.enter_context(_spying(PlmnPool, "claim_many", counts, "claims", calls=claims))
             spies.enter_context(
                 _spying(ResourceCalendar, "commit_many", counts, "commits", calls=windows)
             )
             spies.enter_context(_spying(files, "fsync", counts, "fsync_s", clock=True))
+            gc.collect()
+            spies.enter_context(_collector_passes(passes))
             started = time.perf_counter()
             promotion = standby.promote(force=True)
             elapsed = time.perf_counter() - started
         return {
             "adopted": promotion.report.slices_adopted,
             "lost": promotion.report.slices_lost,
-            "lag_touched": touched,
-            "untouched_slices_built": counts["built"] - touched,
-            "untouched_plmn_claims": counts["claims"] - touched,
-            "untouched_calendar_windows": sum(len(call[1]) for call in windows) - touched,
-            "untouched_profiles_drawn": counts["profiles"] - touched,
+            "lag_built": counts["built"],
+            "lag_plmn_claims": sum(len(call[1]) for call in claims),
+            "lag_calendar_windows": sum(len(call[1]) for call in windows),
+            "lag_profiles_drawn": counts["profiles"],
+            "lag_in_place": counts["in_place"],
             "promotion_ms": round(elapsed * 1000.0, 3),
             "promotion_fsync_ms": round(counts["fsync_s"] * 1000.0, 3),
+            "promotion_gc_passes": passes,
         }
-    finally:
-        cluster.close()
+
+
+def _arming_point(root: str, live: int) -> dict:
+    """One re-arm of a promoted one-shard cluster of ``live`` ACTIVE
+    slices: the wall time of ``standby_for`` (the deposed plane dropped,
+    the successor's ready plane built from the serving leader), after a
+    full collection, and the collector passes inside it."""
+    import gc
+
+    with _ladder_cluster(root, live) as (cluster, _, _, _):
+        standby = cluster.standby_for(0)
+        standby.poll()
+        cluster.kill_leader(0)
+        cluster.adopt_promotion(0, standby.promote(force=True))
+        del standby
+        passes = [0, 0, 0]
+        gc.collect()
+        with _collector_passes(passes):
+            started = time.perf_counter()
+            successor = cluster.standby_for(0)
+            elapsed = time.perf_counter() - started
+        return {
+            "built": len(successor.plane.fleet.runtimes),
+            "arming_ms": round(elapsed * 1000.0, 3),
+            "arming_gc_passes": passes,
+        }
 
 
 def _spread(values: list) -> dict:
@@ -334,17 +410,25 @@ def _spread(values: list) -> dict:
     return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
 
 
-def run_promotion_ladder(root: str | None = None) -> dict:
-    """:data:`LADDER_REPEATS` runs of :func:`_ladder_point` at each of
-    :data:`LADDER_SIZES` live slices, the sizes alternating, each run on
-    its own root; per size the runs and the spread of their times."""
+def _ladder_runs(point, root: str, sizes: tuple, repeats: int) -> dict:
+    """``repeats`` runs of ``point(root, live)`` at each of ``sizes`` live
+    slices, the sizes alternating, each run on its own root."""
+    runs: dict = {live: [] for live in sizes}
+    for repeat in range(repeats):
+        for live in sizes:
+            runs[live].append(point(os.path.join(root, f"fleet-{live}-{repeat}"), live))
+    return runs
+
+
+def run_promotion_ladder(
+    root: str | None = None, sizes: tuple = LADDER_SIZES, repeats: int = LADDER_REPEATS,
+) -> dict:
+    """``repeats`` runs of :func:`_ladder_point` at each of ``sizes`` live
+    slices (:func:`_ladder_runs`); per size the runs and the spread of
+    their times."""
     root = root or tempfile.mkdtemp(prefix="promotion-ladder-")
-    runs: dict = {live: [] for live in LADDER_SIZES}
-    for repeat in range(LADDER_REPEATS):
-        for live in LADDER_SIZES:
-            runs[live].append(_ladder_point(os.path.join(root, f"fleet-{live}-{repeat}"), live))
     ladder = {}
-    for live, points in runs.items():
+    for live, points in _ladder_runs(_ladder_point, root, sizes, repeats).items():
         promotion_ms = _spread([point["promotion_ms"] for point in points])
         ladder[str(live)] = {
             "live": live,
@@ -353,6 +437,25 @@ def run_promotion_ladder(root: str | None = None) -> dict:
             "promotion_ms_per_adopted_slice": round(
                 promotion_ms["median"] / max(points[0]["adopted"], 1), 4
             ),
+            "runs": points,
+        }
+    return ladder
+
+
+def run_arming_ladder(
+    root: str | None = None, sizes: tuple = LADDER_SIZES, repeats: int = LADDER_REPEATS,
+) -> dict:
+    """``repeats`` runs of :func:`_arming_point` at each of ``sizes`` live
+    slices (:func:`_ladder_runs`); per size the runs and the spread of
+    ``arming_ms``.  Published, never gated."""
+    root = root or tempfile.mkdtemp(prefix="arming-ladder-")
+    ladder = {}
+    for live, points in _ladder_runs(_arming_point, root, sizes, repeats).items():
+        arming_ms = _spread([point["arming_ms"] for point in points])
+        ladder[str(live)] = {
+            "live": live,
+            "arming_ms": arming_ms,
+            "arming_us_per_slice": round(arming_ms["median"] * 1000.0 / max(live, 1), 2),
             "runs": points,
         }
     return ladder
@@ -468,6 +571,7 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
     restoring: list = []
     bind_calls: list = []
     window_calls: list = []
+    claims: list = []
     with contextlib.ExitStack() as spies:
         for owner, name, key in (
             (LiveFleet, "default_profile", "profiles"),
@@ -480,10 +584,10 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
             (ReplayState, "digest", "serialisations"),
             (os, "fsync", "fsyncs"),
             (NetworkSlice, "__init__", "slices_built"),
-            (PlmnPool, "claim", "plmn_claims"),
             (VerticalSpec, "sample_profile", "profiles_drawn"),
         ):
             spies.enter_context(_spying(owner, name, counts, key))
+        spies.enter_context(_spying(PlmnPool, "claim_many", counts, "claim_batches", calls=claims))
         spies.enter_context(_spying(
             ResourceCalendar, "commit_many", counts, "window_commits", calls=window_calls
         ))
@@ -592,7 +696,7 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
         "successor_snapshot_parses": counts["successor_snapshots"],
         "successor_first_poll_records": successor_records,
         "promotion_slices_built": counts["slices_built"],
-        "promotion_plmn_claims": counts["plmn_claims"],
+        "promotion_plmn_claims": sum(len(call[1]) for call in claims),
         "promotion_calendar_windows": sum(len(call[1]) for call in window_calls),
         "promotion_profiles_drawn": counts["profiles_drawn"],
         "promotion_tracked_objects_per_slice": _tracked_objects_per_slice(
@@ -622,6 +726,7 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
         promoted.run_until(promoted.sim.now + promoted.orchestrator.config.monitoring_epoch_s)
     cluster.close()
     payload["promotion_ladder"] = run_promotion_ladder(os.path.join(root, "ladder"))
+    payload["arming_ladder"] = run_arming_ladder(os.path.join(root, "arming"))
     return payload
 
 

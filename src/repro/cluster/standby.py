@@ -11,13 +11,17 @@ would build, wired to the shard's surviving southbound but over no store
 (it opens nothing for writing and journals nothing), holding each live
 slice of the fold *built* — its record and runtime, PLMN claim, calendar
 window, index entry and drawn traffic profile — by the adoption's own
-build step (:func:`~repro.store.recovery.build_from_images`).  A poll
-unbuilds each slice whose image its folded records changed, added or
-dropped (the fold's ``ReplayState.changed``; a ``recovery.rebased``
-changes every one, a ``driver.*`` record none) and builds it again from
-its new image; a snapshot jump rebuilds the plane's fleet.  Every built
-instant is a journaled one, none read off a clock, so no part of the
-plane depends on when the leader dies.
+build step (:func:`~repro.store.recovery.build_from_images`), which
+constructs each slice in its journaled state and claims the PLMNs in
+one pass.  A poll takes an activation (``slice.activated``) and a
+rescale (``slice.modified``: the fleet's ``apply_size`` books, then the
+profile's peak) in place on the built slice; it unbuilds each other
+slice whose image its folded records changed, added or dropped (the
+fold's ``ReplayState.changed``; a ``recovery.rebased`` changes every
+one, a ``driver.*`` record none) and builds it again from its new
+image; a snapshot jump rebuilds the plane's fleet.  Every built instant
+is a journaled one, none read off a clock, so no part of the plane
+depends on when the leader dies.
 
 When the heartbeat goes stale, :meth:`WarmStandby.promote` takes the
 lease with a bumped epoch (fencing a merely paused leader), folds the
@@ -40,8 +44,8 @@ by reference counting there — after the new leader served, and before
 the successor's plane is built, so the two never stack in memory.  It
 then arms the standby from the serving leader, with a copy of its fold,
 its last LSN and its journal index, and builds the ready plane around a
-clone of each live slice's request (the frozen ``SLA`` shared: the
-leader rebinds ``sla``, never writes into one).  The first poll folds
+clone of each live slice's request (``SliceRequest.clone``, the frozen
+``SLA`` shared: the leader rebinds ``sla``, never writes into one).  The first poll folds
 what the leader journaled since: no snapshot, no rebase.
 """
 
@@ -66,6 +70,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.service import SliceService
     from repro.core.orchestrator import Orchestrator
     from repro.store.recovery import RecoveryReport
+
+
+#: Records a built slice takes in place when nothing else in the poll changed it.
+IN_PLACE = frozenset({"slice.activated", "slice.modified"})
 
 
 class StandbyError(RuntimeError):
@@ -148,8 +156,7 @@ class WarmStandby:
             self.state = ReplayState.from_dict(leader.durable.fold.to_dict())
             self.applied_lsn, self._tail = leader.store.last_lsn, leader.store.journal.index()
             for runtime in leader.fleet.runtimes.values():
-                clone = object.__new__(SliceRequest)  # copy.copy costs what a decode does
-                clone.__dict__ = runtime.network_slice.request.__dict__.copy()
+                clone = runtime.network_slice.request.clone()
                 requests[clone.request_id] = clone
         build_from_images(self.plane, list(self.state.live.values()), requests)
         #: The tail's re-index count as last seen: a snapshot can be ahead
@@ -186,16 +193,25 @@ class WarmStandby:
         changed = self.state.changed
         built = {} if jumped or self.plane is None else self.plane.fleet.runtimes
         for record in records:
-            kind, slice_id = record.record_type, record.data.get("slice_id")
-            # The one change a built slice takes in place: its image
-            # moves to ACTIVE at this instant, and nothing else.
-            in_place = kind == "slice.activated" and slice_id in built and slice_id not in changed
-            self.state.apply(kind, record.time, record.data)
+            kind, data = record.record_type, record.data
+            slice_id = data.get("slice_id")
+            # The changes a built slice takes in place: its image moves to
+            # ACTIVE at this instant, or to a new throughput, and nothing else.
+            in_place = kind in IN_PLACE and slice_id in built and slice_id not in changed
+            self.state.apply(kind, record.time, data)
             if in_place:
                 changed.discard(slice_id)
-                self.plane.slice_index.transition(
-                    built[slice_id].network_slice, SliceState.ACTIVE, record.time
-                )
+                runtime = built[slice_id]
+                if kind == "slice.activated":
+                    self.plane.slice_index.transition(
+                        runtime.network_slice, SliceState.ACTIVE, record.time
+                    )
+                else:  # the leader's rescale, its books alone
+                    throughput_mbps = data["throughput_mbps"]
+                    self.plane.fleet.apply_size(
+                        runtime, throughput_mbps, runtime.effective_fraction
+                    )
+                    runtime.profile.peak_mbps = throughput_mbps
             self.applied_lsn = record.lsn
             applied += 1
         self._ready(None if jumped else changed)

@@ -395,15 +395,17 @@ class LiveFleet:
 
     def build(self, launches: List[tuple]) -> List[SliceRuntime]:
         """The control-plane side of each launch, holding nothing
-        southbound and setting no timer: the runtime, ADMITTED and
-        DEPLOYING at ``admitted_at`` and, for a slice that turned ACTIVE
-        at ``active_at``, ACTIVE; a ``None`` profile drawn (all of them in
-        one batch, :meth:`default_profile`'s bits); the ``window`` (start,
+        southbound and setting no timer: the runtime; a PENDING slice
+        ADMITTED and DEPLOYING at ``admitted_at`` and, for one that turned
+        ACTIVE at ``active_at``, ACTIVE (a restored slice is constructed
+        so, :meth:`restore`); a ``None`` profile drawn (all of them in one
+        batch, :meth:`default_profile`'s bits); the ``window`` (start,
         end) of each request that holds none yet, all in one commit.
         Every instant comes from the launch, none from the clock: a
         standby builds its ready plane (``cluster/standby.py``) ahead of
         the promotion that binds it."""
         windows, built, calendar, runtimes = [], [], self.calendar, self.runtimes
+        pending = SliceState.PENDING
         for network_slice, profile, size, _, admitted_at, active_at, window in launches:
             request = network_slice.request
             runtime = runtimes[network_slice.slice_id] = SliceRuntime(
@@ -411,7 +413,8 @@ class LiveFleet:
                 demand_history=None,
             )
             built.append(runtime)
-            network_slice.go_live(admitted_at, active_at)
+            if network_slice.state is pending:
+                network_slice.go_live(admitted_at, active_at)
             # A request that passed the calendar gate — online, in a broker
             # window, or booking ahead — holds its window already.
             if not calendar.has(request.request_id):
@@ -422,35 +425,64 @@ class LiveFleet:
             self._draw_profiles(undrawn)
         return built
 
+    def restore(
+        self, adoptions: Iterable[tuple], promise_end: Callable[[SliceRequest, float], float],
+    ) -> List[NetworkSlice]:
+        """Build, as one batch and in order, the slices a recovery re-adopts,
+        each ``(request, plmn_id, fraction, admitted_at, active_at,
+        window)`` as journaled (``active_at`` ``None`` for a slice pending
+        activation, ``window`` ``None`` for one promised from its
+        admission, to ``promise_end(request, admitted_at)``): each slice
+        constructed in its journaled state, all sized at once, their
+        PLMNs claimed in one pass, built (:meth:`build`, their profiles
+        drawn in one batch) and indexed.  Nothing is bound."""
+        adoptions = list(adoptions)
+        sizes = self.allocator.sizes((adoption[0], adoption[2]) for adoption in adoptions)
+        restored, claims, claimants, launches = [], [], [], []
+        for (request, plmn_id, _, admitted_at, active_at, window), size in zip(adoptions, sizes):
+            network_slice = NetworkSlice(request, admitted_at, active_at)
+            restored.append(network_slice)
+            if plmn_id:
+                claims.append((network_slice.slice_id, plmn_id))
+                claimants.append(network_slice)
+            launches.append((network_slice, None, size, None, admitted_at, active_at,
+                             window or (admitted_at, promise_end(request, admitted_at))))
+        for network_slice, plmn in zip(claimants, self.plmn_pool.claim_many(claims)):
+            network_slice.plmn = plmn
+        self.build(launches)
+        self.index.add(restored)
+        return restored
+
     def bind(self, runtimes: List[SliceRuntime]) -> None:
         """Bind each built runtime to the reservations the drivers hold,
         which the caller has put in its ``reservations``: the allocation
         they compose, its vEPC instance, and its activation timer or, once
         ACTIVE, its expiry timer, all timers in one batch.  A timer that
         is already due fires at the clock's next step.  Each runtime's
-        demand history starts here; each slice is marked touched."""
+        demand history starts here; each slice is marked touched.  One
+        pass over the batch, each due instant ``max(due, now)`` (an expiry
+        due at :meth:`NetworkSlice.end_time`) written out in it."""
         now, timers, deploy_time_s = self.sim.now, [], self.config.deploy_time_s
         # Bound once per batch: each timer holds a partial, no method of its own.
-        activate, expire = self._activate, self.expire
+        activate, expire, hold = self._activate, self.expire, self._hold
         for runtime in runtimes:
             runtime.demand_history = deque(maxlen=FORECAST_HISTORY_EPOCHS)
-            self._hold(runtime)  # composes its allocation, marks it touched
+            hold(runtime)  # composes its allocation, marks it touched
             # Contract-clean EPC binding: whatever backend serves the "epc"
             # domain reports its instance (if any) in the reservation.
-            reservations, network_slice = runtime.reservations, runtime.network_slice
-            if "epc" in reservations:
-                runtime.epc = reservations["epc"].details.get("instance")
-            slice_id = network_slice.slice_id
-            if network_slice.active_at is None:
-                timers.append((
-                    max(network_slice.admitted_at + deploy_time_s, now),
-                    partial(activate, slice_id), f"activate-{slice_id}",
-                ))
+            epc = runtime.reservations.get("epc")
+            if epc is not None:
+                runtime.epc = epc.details.get("instance")
+            network_slice = runtime.network_slice
+            slice_id, active_at = network_slice.slice_id, network_slice.active_at
+            if active_at is None:
+                due = network_slice.admitted_at + deploy_time_s
+                timers.append((now if now > due else due, partial(activate, slice_id),
+                               "activate-" + slice_id))
             else:
-                timers.append((
-                    max(network_slice.end_time(), now), partial(expire, slice_id),
-                    f"expire-{slice_id}",
-                ))
+                due = active_at + network_slice.request.sla.duration_s
+                timers.append((now if now > due else due, partial(expire, slice_id),
+                               "expire-" + slice_id))
         self.sim.schedule_many(timers)
 
     def unbuild(self, slice_ids: Iterable[str]) -> None:
@@ -531,13 +563,21 @@ class LiveFleet:
         (:func:`~repro.drivers.transaction.resize_everywhere` raises
         DriverError, compensated, before anything here moves), then the
         runtime's reservations and allocation, its fraction, the SLA and
-        the calendar booking follow."""
+        the calendar booking follow (:meth:`apply_size`)."""
         request = runtime.network_slice.request
         self._hold(runtime, resize_everywhere(
             self.registry, runtime.network_slice.slice_id, tenant_id=request.tenant_id,
             throughput_mbps=throughput_mbps, max_latency_ms=request.sla.max_latency_ms,
             duration_s=request.sla.duration_s, effective_fraction=fraction,
         ))
+        self.apply_size(runtime, throughput_mbps, fraction)
+
+    def apply_size(self, runtime: SliceRuntime, throughput_mbps: float, fraction: float) -> None:
+        """A size's books, nothing southbound: the runtime's fraction, its
+        SLA rebound at ``throughput_mbps`` and its calendar booking's
+        demand — what :meth:`resize` applies once the drivers agreed, and
+        what a standby's ready plane takes in place of a rebuild."""
+        request = runtime.network_slice.request
         runtime.effective_fraction = fraction
         request.sla = replace(request.sla, throughput_mbps=throughput_mbps)
         # Keep the calendar booking in step with the commitment, so
@@ -617,10 +657,11 @@ class LiveFleet:
                 runtime.profile = self.default_profile(runtime.network_slice.request)
             return
         requests = [runtime.network_slice.request for runtime in runtimes]
-        drawn = self.streams.draws_many([f"api-profile-{r.request_id}" for r in requests], 2)
+        drawn = self.streams.draws_many(["api-profile-" + r.request_id for r in requests], 2)
         for runtime, request, units in zip(runtimes, requests, drawn.tolist()):
-            rng, spec = DrawnUniforms(iter(units)), vertical_for(request.service_type)
-            runtime.profile = spec.sample_profile(request.sla.throughput_mbps, rng)
+            runtime.profile = vertical_for(request.service_type).sample_profile(
+                request.sla.throughput_mbps, DrawnUniforms(iter(units))
+            )
 
     def default_profile(self, request: SliceRequest) -> TrafficProfile:
         """The vertical-preset traffic profile for a request: the one the

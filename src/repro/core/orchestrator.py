@@ -285,32 +285,15 @@ class Orchestrator:
     # Recovery support
     # ------------------------------------------------------------------
     def build_recovered_slices(self, adoptions: Iterable[tuple]) -> List[NetworkSlice]:
-        """Build, as one batch and in order, the slices a recovery re-adopts,
-        each ``(request, plmn_id, fraction, admitted_at, active_at,
-        window)`` as journaled (``active_at`` ``None`` for a slice pending
-        activation, ``window`` ``None`` for one promised from its
-        admission): sized at once, each PLMN re-claimed and indexed, all
-        through one :meth:`~repro.core.epoch.LiveFleet.build`, their
-        profiles drawn in one batch.  Nothing southbound is bound and
-        nothing journaled: recovery binds the drivers' live reservations
-        once it has listed them (``LiveFleet.bind``), and its
-        ``recovery.rebased`` record is the adoption's one durable statement.
-        """
-        adoptions = list(adoptions)
-        sizes = self.allocator.sizes((adoption[0], adoption[2]) for adoption in adoptions)
-        adopted = [NetworkSlice(adoption[0]) for adoption in adoptions]
-        claim, launches = self.plmn_pool.claim, []
-        for network_slice, adoption, size in zip(adopted, adoptions, sizes):
-            request, plmn_id, _, admitted_at, active_at, window = adoption
-            if plmn_id:
-                network_slice.plmn = claim(network_slice.slice_id, plmn_id)
-            launches.append((
-                network_slice, None, size, None, admitted_at, active_at,
-                window or (admitted_at, self._promise_end(request, admitted_at)),
-            ))
-        self.fleet.build(launches)
-        self.slice_index.add(adopted)
-        return adopted
+        """Build, as one batch and in order, the slices a recovery re-adopts
+        (:meth:`~repro.core.epoch.LiveFleet.restore`: each ``(request,
+        plmn_id, fraction, admitted_at, active_at, window)`` as journaled,
+        a missing window promised from the admission).  Nothing
+        southbound is bound and nothing journaled: recovery binds the
+        drivers' live reservations once it has listed them
+        (``LiveFleet.bind``), and its ``recovery.rebased`` record is the
+        adoption's one durable statement."""
+        return self.fleet.restore(adoptions, self._promise_end)
 
     def restore_advance_booking(self, request: SliceRequest, *, start_in_s: float) -> None:
         """Re-promise a journaled advance booking after a restart.

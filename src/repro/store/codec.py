@@ -92,7 +92,6 @@ refused, never guessed at.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, TYPE_CHECKING
@@ -131,12 +130,8 @@ def prebuilt_encoder(item_separator: str, key_separator: str) -> Callable[[Any],
     separators=(item_separator, key_separator))``, byte for byte, as one
     encoder built here: ``JSONEncoder.encode`` builds a C encoder and a
     circular-reference memo on every call.  This one keeps no memo (a
-    self-containing value recurses until ``RecursionError``); without
-    the C accelerator it is a prebuilt ``JSONEncoder``."""
-    if c_make_encoder is None:  # pragma: no cover - CPython ships it
-        return json.JSONEncoder(
-            sort_keys=True, separators=(item_separator, key_separator), default=json_default
-        ).encode
+    self-containing value recurses until ``RecursionError``); it needs
+    the C accelerator, which CPython ships."""
     chunks = c_make_encoder(
         None, json_default, encode_basestring_ascii, None,
         key_separator, item_separator, True, False, True,

@@ -74,7 +74,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.admission import TenantQuota
-from repro.core.slices import SliceRequest, ensure_request_counter_at_least
+from repro.core.slices import SliceRequest, SliceState, ensure_request_counter_at_least
 from repro.drivers.base import Reservation, ReservationState
 from repro.drivers.transaction import HOLDING
 from repro.store.codec import ReplayState, request_from_dict
@@ -366,12 +366,12 @@ def build_from_images(
     from its image unless ``requests`` (request id → request) holds it."""
     if not images:
         return
-    requests = requests or {}
+    held = (requests or {}).get
     orchestrator.build_recovered_slices(
         (
-            requests.get(image["request"]["request_id"]) or request_from_dict(image["request"]),
+            held(image["request"]["request_id"]) or request_from_dict(image["request"]),
             image.get("plmn"), image.get("fraction", 1.0),
-            image.get("installed_at", image.get("started_at")),
+            image["installed_at"] if "installed_at" in image else image["started_at"],
             image["activated_at"] if image.get("status") == "active" else None,
             image.get("window"),
         )
@@ -395,9 +395,10 @@ def bind_recovered(
         for slice_id, runtime in zip(slice_ids, bound):
             runtime.reservations[domain] = held[slice_id]
     orchestrator.fleet.bind(bound)
+    value_of = {state: state.value for state in SliceState}  # no Enum.value per slice
     orchestrator.events.append_many(orchestrator.sim.now, "slice.adopted", [
         (slice_id, runtime.network_slice.request.tenant_id,
-         {"state": runtime.network_slice.state.value})
+         {"state": value_of[runtime.network_slice.state]})
         for slice_id, runtime in zip(slice_ids, bound)
     ])
 

@@ -938,6 +938,7 @@ def test_a_successor_standby_inherits_the_promoted_fold(seed, steps, more):
                 clone = successor.plane.slice(slice_id).request
                 request = promoted.runtime(slice_id).network_slice.request
                 assert clone is not request and clone.sla is request.sla
+                assert vars(clone) == vars(request)  # every field, none missed
             loads, lines = [], []
             real_load, real_decode = SnapshotStore.load_latest, JournalRecord.from_line.__func__
             with mock.patch.object(
@@ -950,7 +951,7 @@ def test_a_successor_standby_inherits_the_promoted_fold(seed, steps, more):
             assert loads == lines == []
 
             # A rescale on the leader never reaches the successor's clone;
-            # the record that states it rebuilds the slice.
+            # the record that states it is taken in place, on the clone.
             active = [s.slice_id for s in promoted.live_slices() if s.state is SliceState.ACTIVE]
             if active:
                 clone = successor.plane.slice(active[0]).request
@@ -958,7 +959,9 @@ def test_a_successor_standby_inherits_the_promoted_fold(seed, steps, more):
                 assert promoted.modify_slice(active[0], clone.sla.throughput_mbps / 2).admitted
                 assert codec.request_to_dict(clone) == before
                 assert successor.poll() == 1
-                assert successor.plane.slice(active[0]).request is not clone
+                request = promoted.runtime(active[0]).network_slice.request
+                assert successor.plane.slice(active[0]).request is clone is not request
+                assert codec.request_to_dict(clone) == codec.request_to_dict(request)
                 assert_ready(successor)
 
             # A cold standby of the same shard folds to the same image.

@@ -9,7 +9,9 @@
   shard ever decreases, across two promotions in a row.
 - **A poll builds again only what the fold changed** — a record that
   moves no image (a ``driver.*`` one) leaves every built slice as it
-  is; a rescale rebuilds its slice and no other.
+  is; a rescale is taken in place, on the same runtime; a record that
+  moves an image any other way (a ``slice.reconfigured``) rebuilds its
+  slice and no other.
 - **A poll lists snapshots only when one can be ahead** — after the
   journal was rewritten (a cold standby's first read, a compaction), or
   when a folded ``checkpoint.written`` names an LSN past the fold.
@@ -228,18 +230,30 @@ def test_a_poll_builds_again_only_the_slices_whose_image_changed(tmp_path, monke
         )
         assert response.status == 200, response.body
         standby.poll()
-        assert [runtimes[s] is built[s] for s in created] == [True, False, True]
-        built = {slice_id: runtimes[slice_id] for slice_id in created}
-        # A driver record names a live slice and moves no image (it takes
-        # an LSN the leader never wrote, so it comes last).
-        driver = JournalRecord(
-            lsn=standby.applied_lsn + 1, time=standby.state.time,
-            record_type="driver.compensated",
-            data={"domain": "ran", "slice_id": created[0], "reservation_id": "r-0"},
-        )
-        monkeypatch.setattr(standby._tail, "records", lambda after: [driver])
-        assert standby.poll() == 1
-        assert all(runtimes[s] is built[s] for s in created)
+        assert all(runtimes[s] is built[s] for s in created)  # taken in place
+        assert runtimes[created[1]].network_slice.request.sla.throughput_mbps == 4.0
+        assert runtimes[created[1]].profile.peak_mbps == 4.0
+        assert standby.state.changed == set()
+        assert_ready(standby)
+        # A driver record names a live slice and moves no image; a
+        # reconfiguration moves one's fraction (both take LSNs the leader
+        # never wrote, so they come last).
+        injected = [
+            JournalRecord(
+                lsn=standby.applied_lsn + 1, time=standby.state.time,
+                record_type="driver.compensated",
+                data={"domain": "ran", "slice_id": created[0], "reservation_id": "r-0"},
+            ),
+            JournalRecord(
+                lsn=standby.applied_lsn + 2, time=standby.state.time,
+                record_type="slice.reconfigured",
+                data={"slice_id": created[2], "fraction": 0.5},
+            ),
+        ]
+        monkeypatch.setattr(standby._tail, "records", lambda after: injected)
+        assert standby.poll() == 2
+        assert [runtimes[s] is built[s] for s in created] == [True, True, False]
+        assert runtimes[created[2]].effective_fraction == 0.5
         assert standby.state.changed == set()
         assert_ready(standby)
     finally:

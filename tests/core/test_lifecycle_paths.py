@@ -569,7 +569,7 @@ def test_a_size_is_applied_in_one_function():
     assert src_lines_matching(r"calendar\.update_demand\(") == src_lines_matching(
         r"calendar\.update_demand\(", "core/epoch.py"
     )
-    assert enclosing_functions(EPOCH, r"calendar\.update_demand\(") == ["resize"]
+    assert enclosing_functions(EPOCH, r"calendar\.update_demand\(") == ["apply_size"]
     assert src_lines_matching(r"\bEndToEndAllocation\(") == src_lines_matching(
         r"\bEndToEndAllocation\(", "core/allocation.py"
     )

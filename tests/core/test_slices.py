@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.slices import (
@@ -13,6 +15,7 @@ from repro.core.slices import (
     SLA,
     ServiceType,
     SliceError,
+    SliceRequest,
     SliceState,
     _LEGAL_TRANSITIONS,
 )
@@ -176,6 +179,13 @@ class TestSliceRequest:
     def test_zero_users_rejected(self):
         with pytest.raises(SliceError):
             make_request(n_users=0)
+
+    def test_a_clone_copies_every_field_and_shares_the_sla(self):
+        request = make_request(arrival_time=3.5, n_users=7)
+        clone = request.clone()
+        assert clone is not request and clone.sla is request.sla
+        assert vars(clone) == vars(request)
+        assert set(vars(clone)) == {f.name for f in dataclasses.fields(SliceRequest)}
 
 
 class TestStateMachine:

@@ -5,8 +5,7 @@ Journal lines and :meth:`ReplayState.digest` go through
 members through the snapshot module's spaced twin; both are built once.
 Each must equal ``json.dumps(..., sort_keys=True, default=json_default)``
 with its separators on every line of the committed fixtures and on a
-Hypothesis corpus of record dicts, and so must the pure-Python
-fallback used where the C accelerator is missing.
+Hypothesis corpus of record dicts.
 """
 
 from __future__ import annotations
@@ -30,11 +29,9 @@ def dumps(value, separators) -> str:
     return json.dumps(value, sort_keys=True, separators=separators, default=json_default)
 
 
-@pytest.fixture(params=["c", "python"])
-def encoders(request, monkeypatch):
-    """(compact, spaced) encoders: the C-built ones, or the fallback."""
-    if request.param == "python":
-        monkeypatch.setattr(codec, "c_make_encoder", None)
+@pytest.fixture
+def encoders():
+    """(compact, spaced) encoders, built afresh."""
     return prebuilt_encoder(*COMPACT), prebuilt_encoder(*SPACED)
 
 
@@ -86,16 +83,6 @@ records = st.fixed_dictionaries({
 @settings(max_examples=200, deadline=None)
 @given(record=records)
 def test_a_record_corpus_encodes_byte_for_byte(record):
-    for make in (prebuilt_encoder, json_fallback):
-        compact, spaced = make(*COMPACT), make(*SPACED)
-        assert compact(record) == dumps(record, COMPACT)
-        assert spaced(record) == dumps(record, SPACED)
-
-
-def json_fallback(item_separator: str, key_separator: str):
-    """The encoder :func:`prebuilt_encoder` builds without the C accelerator."""
-    built, codec.c_make_encoder = codec.c_make_encoder, None
-    try:
-        return prebuilt_encoder(item_separator, key_separator)
-    finally:
-        codec.c_make_encoder = built
+    compact, spaced = prebuilt_encoder(*COMPACT), prebuilt_encoder(*SPACED)
+    assert compact(record) == dumps(record, COMPACT)
+    assert spaced(record) == dumps(record, SPACED)

@@ -256,8 +256,13 @@ D8D_SETTLED_S = 0.15
 #: docstrings that say where the free and the bind's work now fall);
 #: −2 for one durable-file seam (``store/files.py``: every fsync, atomic
 #: replace and directory sync of the store and the lease, the copies in
-#: the snapshot store, the journal and the lease gone).
-SRC_LINES_CEILING = 20_979
+#: the snapshot store, the journal and the lease gone); +39 for a standby
+#: cycle that does each slice's work once (``LiveFleet.apply_size``, the
+#: size's books a poll takes in place of a rebuild; ``LiveFleet.restore``,
+#: the recovery build moved out of the orchestrator; ``SliceRequest.clone``;
+#: the one-pass bind and the docstrings that say so), net of the −5 of
+#: ``codec.prebuilt_encoder``'s pure-Python branch.
+SRC_LINES_CEILING = 20_930
 
 #: GC-tracked objects a promotion's bind step leaves alive per slice (the
 #: drill's replay on a memory-only twin, CPython 3.11): reservations map,

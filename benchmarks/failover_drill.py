@@ -27,11 +27,9 @@ acceptance invariants:
   the file's head, and the standby's image is the recovery input,
 - what the watch cycle that promotes builds, gated exactly at the
   lag's ``BATCH`` slices by the CI gate: ``promotion_slices_built``
-  (``NetworkSlice`` constructions, a restored slice's included),
-  ``promotion_plmn_claims`` (entries of ``PlmnPool.claim_many`` calls,
-  the one way a build claims), ``promotion_calendar_windows`` (entries
-  of ``commit_many`` calls) and ``promotion_profiles_drawn``
-  (``VerticalSpec.sample_profile`` calls).
+  (``NetworkSlice`` constructions), ``promotion_plmn_claims``,
+  ``promotion_calendar_windows`` (entries of ``commit_many`` calls) and
+  ``promotion_profiles_drawn`` (``VerticalSpec.sample_profile`` calls).
   The standby's ready plane built the four slices acknowledged before
   its first poll then; the promotion builds none of them again,
 - ``promotion_template_builds`` and ``promotion_fleet_serialisations``:
@@ -344,7 +342,6 @@ def _ladder_point(root: str, live: int) -> dict:
             cluster.router.delete(f"/v1/slices/{slice_id}", headers=headers)
         cluster.kill_leader(0)
         counts: dict = {}
-        claims: list = []
         windows: list = []
         passes = [0, 0, 0]
         with contextlib.ExitStack() as spies:
@@ -352,9 +349,9 @@ def _ladder_point(root: str, live: int) -> dict:
                 (NetworkSlice, "__init__", "built"),
                 (VerticalSpec, "sample_profile", "profiles"),
                 (LiveFleet, "apply_size", "in_place"),
+                (PlmnPool, "claim", "claims"),
             ):
                 spies.enter_context(_spying(owner, name, counts, key))
-            spies.enter_context(_spying(PlmnPool, "claim_many", counts, "claims", calls=claims))
             spies.enter_context(
                 _spying(ResourceCalendar, "commit_many", counts, "commits", calls=windows)
             )
@@ -368,7 +365,7 @@ def _ladder_point(root: str, live: int) -> dict:
             "adopted": promotion.report.slices_adopted,
             "lost": promotion.report.slices_lost,
             "lag_built": counts["built"],
-            "lag_plmn_claims": sum(len(call[1]) for call in claims),
+            "lag_plmn_claims": counts["claims"],
             "lag_calendar_windows": sum(len(call[1]) for call in windows),
             "lag_profiles_drawn": counts["profiles"],
             "lag_in_place": counts["in_place"],
@@ -410,25 +407,24 @@ def _spread(values: list) -> dict:
     return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
 
 
-def _ladder_runs(point, root: str, sizes: tuple, repeats: int) -> dict:
-    """``repeats`` runs of ``point(root, live)`` at each of ``sizes`` live
-    slices, the sizes alternating, each run on its own root."""
-    runs: dict = {live: [] for live in sizes}
-    for repeat in range(repeats):
-        for live in sizes:
+def _ladder_runs(point, root: str) -> dict:
+    """:data:`LADDER_REPEATS` runs of ``point(root, live)`` at each of
+    :data:`LADDER_SIZES` live slices, the sizes alternating, each run on
+    its own root."""
+    runs: dict = {live: [] for live in LADDER_SIZES}
+    for repeat in range(LADDER_REPEATS):
+        for live in LADDER_SIZES:
             runs[live].append(point(os.path.join(root, f"fleet-{live}-{repeat}"), live))
     return runs
 
 
-def run_promotion_ladder(
-    root: str | None = None, sizes: tuple = LADDER_SIZES, repeats: int = LADDER_REPEATS,
-) -> dict:
-    """``repeats`` runs of :func:`_ladder_point` at each of ``sizes`` live
-    slices (:func:`_ladder_runs`); per size the runs and the spread of
-    their times."""
+def run_promotion_ladder(root: str | None = None) -> dict:
+    """:data:`LADDER_REPEATS` runs of :func:`_ladder_point` at each of
+    :data:`LADDER_SIZES` live slices (:func:`_ladder_runs`); per size the
+    runs and the spread of their times."""
     root = root or tempfile.mkdtemp(prefix="promotion-ladder-")
     ladder = {}
-    for live, points in _ladder_runs(_ladder_point, root, sizes, repeats).items():
+    for live, points in _ladder_runs(_ladder_point, root).items():
         promotion_ms = _spread([point["promotion_ms"] for point in points])
         ladder[str(live)] = {
             "live": live,
@@ -442,15 +438,13 @@ def run_promotion_ladder(
     return ladder
 
 
-def run_arming_ladder(
-    root: str | None = None, sizes: tuple = LADDER_SIZES, repeats: int = LADDER_REPEATS,
-) -> dict:
-    """``repeats`` runs of :func:`_arming_point` at each of ``sizes`` live
-    slices (:func:`_ladder_runs`); per size the runs and the spread of
-    ``arming_ms``.  Published, never gated."""
+def run_arming_ladder(root: str | None = None) -> dict:
+    """:data:`LADDER_REPEATS` runs of :func:`_arming_point` at each of
+    :data:`LADDER_SIZES` live slices (:func:`_ladder_runs`); per size the
+    runs and the spread of ``arming_ms``.  Published, never gated."""
     root = root or tempfile.mkdtemp(prefix="arming-ladder-")
     ladder = {}
-    for live, points in _ladder_runs(_arming_point, root, sizes, repeats).items():
+    for live, points in _ladder_runs(_arming_point, root).items():
         arming_ms = _spread([point["arming_ms"] for point in points])
         ladder[str(live)] = {
             "live": live,
@@ -571,7 +565,6 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
     restoring: list = []
     bind_calls: list = []
     window_calls: list = []
-    claims: list = []
     with contextlib.ExitStack() as spies:
         for owner, name, key in (
             (LiveFleet, "default_profile", "profiles"),
@@ -584,10 +577,10 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
             (ReplayState, "digest", "serialisations"),
             (os, "fsync", "fsyncs"),
             (NetworkSlice, "__init__", "slices_built"),
+            (PlmnPool, "claim", "plmn_claims"),
             (VerticalSpec, "sample_profile", "profiles_drawn"),
         ):
             spies.enter_context(_spying(owner, name, counts, key))
-        spies.enter_context(_spying(PlmnPool, "claim_many", counts, "claim_batches", calls=claims))
         spies.enter_context(_spying(
             ResourceCalendar, "commit_many", counts, "window_commits", calls=window_calls
         ))
@@ -696,7 +689,7 @@ def run_failover_drill(failures: list, root: str | None = None) -> dict:
         "successor_snapshot_parses": counts["successor_snapshots"],
         "successor_first_poll_records": successor_records,
         "promotion_slices_built": counts["slices_built"],
-        "promotion_plmn_claims": sum(len(call[1]) for call in claims),
+        "promotion_plmn_claims": counts["plmn_claims"],
         "promotion_calendar_windows": sum(len(call[1]) for call in window_calls),
         "promotion_profiles_drawn": counts["profiles_drawn"],
         "promotion_tracked_objects_per_slice": _tracked_objects_per_slice(

@@ -11,9 +11,8 @@ would build, wired to the shard's surviving southbound but over no store
 (it opens nothing for writing and journals nothing), holding each live
 slice of the fold *built* — its record and runtime, PLMN claim, calendar
 window, index entry and drawn traffic profile — by the adoption's own
-build step (:func:`~repro.store.recovery.build_from_images`), which
-constructs each slice in its journaled state and claims the PLMNs in
-one pass.  A poll takes an activation (``slice.activated``) and a
+build step (:func:`~repro.store.recovery.build_from_images`), each in
+its journaled state at its journaled instants.  A poll takes an activation (``slice.activated``) and a
 rescale (``slice.modified``: the fleet's ``apply_size`` books, then the
 profile's peak) in place on the built slice; it unbuilds each other
 slice whose image its folded records changed, added or dropped (the

@@ -106,12 +106,8 @@ class ResourceCalendar:
             elif keys:
                 index += keys
                 index.sort()
-        total = self._total
-        prbs, mbps, vcpus = total  # what _shift adds, each booking's in turn
         for booking in bookings.values():
-            demand = booking.demand
-            prbs, mbps, vcpus = prbs + demand.prbs, mbps + demand.mbps, vcpus + demand.vcpus
-        total[0], total[1], total[2] = prbs, mbps, vcpus
+            _shift(self._total, booking.demand, 1.0)
 
     def update_demand(self, booking_id: str, demand: ResourceVector) -> Booking:
         """Replace a booking's demand, keeping its window.

@@ -395,17 +395,15 @@ class LiveFleet:
 
     def build(self, launches: List[tuple]) -> List[SliceRuntime]:
         """The control-plane side of each launch, holding nothing
-        southbound and setting no timer: the runtime; a PENDING slice
-        ADMITTED and DEPLOYING at ``admitted_at`` and, for one that turned
-        ACTIVE at ``active_at``, ACTIVE (a restored slice is constructed
-        so, :meth:`restore`); a ``None`` profile drawn (all of them in one
-        batch, :meth:`default_profile`'s bits); the ``window`` (start,
+        southbound and setting no timer: the runtime, ADMITTED and
+        DEPLOYING at ``admitted_at`` and, for a slice that turned ACTIVE
+        at ``active_at``, ACTIVE; a ``None`` profile drawn (all of them in
+        one batch, :meth:`default_profile`'s bits); the ``window`` (start,
         end) of each request that holds none yet, all in one commit.
         Every instant comes from the launch, none from the clock: a
         standby builds its ready plane (``cluster/standby.py``) ahead of
         the promotion that binds it."""
         windows, built, calendar, runtimes = [], [], self.calendar, self.runtimes
-        pending = SliceState.PENDING
         for network_slice, profile, size, _, admitted_at, active_at, window in launches:
             request = network_slice.request
             runtime = runtimes[network_slice.slice_id] = SliceRuntime(
@@ -413,8 +411,7 @@ class LiveFleet:
                 demand_history=None,
             )
             built.append(runtime)
-            if network_slice.state is pending:
-                network_slice.go_live(admitted_at, active_at)
+            network_slice.go_live(admitted_at, active_at)
             # A request that passed the calendar gate — online, in a broker
             # window, or booking ahead — holds its window already.
             if not calendar.has(request.request_id):
@@ -432,23 +429,19 @@ class LiveFleet:
         each ``(request, plmn_id, fraction, admitted_at, active_at,
         window)`` as journaled (``active_at`` ``None`` for a slice pending
         activation, ``window`` ``None`` for one promised from its
-        admission, to ``promise_end(request, admitted_at)``): each slice
-        constructed in its journaled state, all sized at once, their
-        PLMNs claimed in one pass, built (:meth:`build`, their profiles
+        admission, to ``promise_end(request, admitted_at)``): all sized at
+        once, each PLMN re-claimed, built (:meth:`build`, their profiles
         drawn in one batch) and indexed.  Nothing is bound."""
         adoptions = list(adoptions)
         sizes = self.allocator.sizes((adoption[0], adoption[2]) for adoption in adoptions)
-        restored, claims, claimants, launches = [], [], [], []
+        claim, restored, launches = self.plmn_pool.claim, [], []
         for (request, plmn_id, _, admitted_at, active_at, window), size in zip(adoptions, sizes):
-            network_slice = NetworkSlice(request, admitted_at, active_at)
+            network_slice = NetworkSlice(request)
             restored.append(network_slice)
             if plmn_id:
-                claims.append((network_slice.slice_id, plmn_id))
-                claimants.append(network_slice)
+                network_slice.plmn = claim(network_slice.slice_id, plmn_id)
             launches.append((network_slice, None, size, None, admitted_at, active_at,
                              window or (admitted_at, promise_end(request, admitted_at))))
-        for network_slice, plmn in zip(claimants, self.plmn_pool.claim_many(claims)):
-            network_slice.plmn = plmn
         self.build(launches)
         self.index.add(restored)
         return restored

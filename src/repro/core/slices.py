@@ -173,27 +173,6 @@ class PlmnPool:
         self._holders[plmn_id] = slice_id
         return plmn
 
-    def claim_many(self, claims: Iterable[Tuple[str, str]]) -> List[PLMN]:
-        """:meth:`claim` each ``(slice_id, plmn_id)`` in order, in one pass,
-        leaving the pool as a loop of them would and raising the same
-        :class:`SliceError`.  The usual claim of a restored plane — an
-        identity of this pool that nobody holds and that was never
-        released, for a slice that holds none — takes no call of its own."""
-        allocated, holders, released = self._allocated, self._holders, self._released
-        ahead, index_of, claimed = self._claimed_ahead, self._index_of, []
-        for slice_id, plmn_id in claims:
-            index = None
-            if slice_id not in allocated and plmn_id not in holders and plmn_id not in released:
-                index = index_of(plmn_id)
-            if index is None:  # held, released, foreign or malformed: claim says which
-                claimed.append(self.claim(slice_id, plmn_id))
-                continue
-            ahead.add(index)
-            plmn = allocated[slice_id] = PLMN(plmn_id[:3], plmn_id[3:])
-            holders[plmn_id] = slice_id
-            claimed.append(plmn)
-        return claimed
-
     def unclaim(self, slice_id: str) -> None:
         """Undo :meth:`claim` in a pool that hands nothing out (a
         standby's ready plane): the identity is as if never claimed, not
@@ -370,34 +349,18 @@ class NetworkSlice:
     tests can assert lifecycle legality.
     """
 
-    def __init__(
-        self, request: SliceRequest, admitted_at: Optional[float] = None,
-        active_at: Optional[float] = None,
-    ) -> None:
-        """A PENDING slice; given ``admitted_at`` (and ``active_at``), one a
-        recovery restores, constructed in its journaled state: state,
-        instants and history as :meth:`go_live` would leave them."""
+    def __init__(self, request: SliceRequest) -> None:
         self.request = request
         self.slice_id = slice_id_for(request.request_id)
+        self.state = SliceState.PENDING
         self.plmn: Optional[PLMN] = None
         self.allocation = None  # EndToEndAllocation, set by the allocator
-        self.admitted_at = admitted_at
+        self.admitted_at: Optional[float] = None
         self.active_at: Optional[float] = None
         self.expired_at: Optional[float] = None
         self.violation_epochs = 0
         self.served_epochs = 0
-        if admitted_at is None:
-            self.state = SliceState.PENDING
-            self.history = [(request.arrival_time, SliceState.PENDING)]
-        elif active_at is None:
-            self.state = SliceState.DEPLOYING
-            self.history = [(request.arrival_time, SliceState.PENDING),
-                            (admitted_at, SliceState.ADMITTED), (admitted_at, SliceState.DEPLOYING)]
-        else:
-            self.state, self.active_at = SliceState.ACTIVE, active_at
-            self.history = [(request.arrival_time, SliceState.PENDING),
-                            (admitted_at, SliceState.ADMITTED), (admitted_at, SliceState.DEPLOYING),
-                            (active_at, SliceState.ACTIVE)]
+        self.history: list[tuple[float, SliceState]] = [(request.arrival_time, SliceState.PENDING)]
 
     # ------------------------------------------------------------------
     # State machine

@@ -11,6 +11,7 @@
 
 from __future__ import annotations
 
+from benchmarks import failover_drill
 from benchmarks.failover_drill import (
     LAG_CREATES,
     LAG_DELETES,
@@ -23,8 +24,10 @@ SIZES = (1, 3)
 REPEATS = 2
 
 
-def test_the_arming_ladder_rearms_a_promoted_shard_at_each_size(tmp_path):
-    ladder = run_arming_ladder(str(tmp_path), sizes=SIZES, repeats=REPEATS)
+def test_the_arming_ladder_rearms_a_promoted_shard_at_each_size(tmp_path, monkeypatch):
+    monkeypatch.setattr(failover_drill, "LADDER_SIZES", SIZES)
+    monkeypatch.setattr(failover_drill, "LADDER_REPEATS", REPEATS)
+    ladder = run_arming_ladder(str(tmp_path))
     assert sorted(ladder) == [str(live) for live in SIZES]
     for live in SIZES:
         point = ladder[str(live)]
@@ -35,9 +38,13 @@ def test_the_arming_ladder_rearms_a_promoted_shard_at_each_size(tmp_path):
             assert len(run["arming_gc_passes"]) == 3 and min(run["arming_gc_passes"]) >= 0
 
 
-def test_the_promotion_ladder_builds_the_lags_creates_and_takes_its_rescales_in_place(tmp_path):
+def test_the_promotion_ladder_builds_the_lags_creates_and_takes_its_rescales_in_place(
+    tmp_path, monkeypatch
+):
     live = LAG_RESCALES + LAG_DELETES + 2
-    ladder = run_promotion_ladder(str(tmp_path), sizes=(live,), repeats=REPEATS)
+    monkeypatch.setattr(failover_drill, "LADDER_SIZES", (live,))
+    monkeypatch.setattr(failover_drill, "LADDER_REPEATS", REPEATS)
+    ladder = run_promotion_ladder(str(tmp_path))
     for run in ladder[str(live)]["runs"]:
         built = [run[count] for count in (
             "lag_built", "lag_plmn_claims", "lag_calendar_windows", "lag_profiles_drawn",

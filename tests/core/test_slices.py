@@ -233,6 +233,16 @@ class TestStateMachine:
         with pytest.raises(IllegalTransition):
             s.transition(SliceState.ADMITTED, 2.0)
 
+    def test_go_live_takes_only_a_pending_slice(self):
+        s = NetworkSlice(make_request(arrival_time=0.5))
+        s.go_live(1.0, 4.0)
+        assert s.history == [
+            (0.5, SliceState.PENDING), (1.0, SliceState.ADMITTED),
+            (1.0, SliceState.DEPLOYING), (4.0, SliceState.ACTIVE),
+        ]
+        with pytest.raises(IllegalTransition):
+            s.go_live(5.0)
+
     def test_history_records_transitions(self):
         s = NetworkSlice(make_request(arrival_time=0.5))
         s.transition(SliceState.ADMITTED, 1.0)

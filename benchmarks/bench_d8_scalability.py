@@ -639,7 +639,7 @@ def _stalled_batch():
     registry = _stall_registry()
     hung = registry.get("transport")
     hung.stall()
-    releaser = registry.clock.schedule(STALL_RELEASE_S, hung.release_stall)
+    registry.clock.schedule(STALL_RELEASE_S, hung.release_stall)
     planner = BatchInstallPlanner(registry, max_workers=8, batch_size=STALL_JOBS)
     jobs = [
         InstallJob(
@@ -655,7 +655,6 @@ def _stalled_batch():
     ]
     outcomes = planner.install(jobs)
     settled_s = registry.clock.now
-    releaser.cancel()
     hung.release_stall()
     return settled_s, sum(o.ok for o in outcomes), planner.ops_timed_out
 

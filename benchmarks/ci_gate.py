@@ -244,7 +244,7 @@ D8D_SETTLED_S = 0.15
 #: armed from the promoted leader, adopted profiles drawn in one numpy
 #: batch, a lag decoded once, the leader folding its driver records);
 #: +144 for a standby that keeps its plane ready (the build/bind split,
-#: `unbuild`/`unclaim`/`discard`, `Simulator.schedule_many`, the store
+#: `unbuild`/`unclaim`/`discard`, `Simulator.schedule_many` (since gone), the store
 #: attached at promotion, snapshot listings only when one can be ahead),
 #: net of the decoded-request cache and the lazy profiles it retired;
 #: +4 for a ready plane rebuilt from the fold's changed set (the standby
@@ -261,13 +261,17 @@ D8D_SETTLED_S = 0.15
 #: size's books a poll takes in place of a rebuild; ``LiveFleet.restore``,
 #: the recovery build moved out of the orchestrator; ``SliceRequest.clone``;
 #: the one-pass bind and the docstrings that say so), net of the −5 of
-#: ``codec.prebuilt_encoder``'s pure-Python branch.
-SRC_LINES_CEILING = 20_930
+#: ``codec.prebuilt_encoder``'s pure-Python branch; −105 for a simulator
+#: whose queue is a heap of plain ``(time, priority, seq, callback)``
+#: tuples (``Event``, ``EventHandle`` and its cancellation, timer names and
+#: ``Simulator.schedule_many`` gone), net of the scenario specs' and the
+#: engine's refusal of non-finite numbers.
+SRC_LINES_CEILING = 20_825
 
 #: GC-tracked objects a promotion's bind step leaves alive per slice (the
 #: drill's replay on a memory-only twin, CPython 3.11): reservations map,
-#: composed allocation, demand-history deque, timer and ``slice.adopted``
-#: event.  The build
+#: composed allocation, demand-history deque, timer (a heap tuple and its
+#: ``partial``) and ``slice.adopted`` event.  The build
 #: happens in the standby's ready plane, outside the outage; the adoption
 #: that built and bound in the outage kept 15.55.  Fails above, warns below.
 PROMOTION_TRACKED_OBJECTS_PER_SLICE = 6.05

@@ -84,7 +84,8 @@ acceptance invariants:
   adoption itself, inside the outage.  The CI gate holds it at 0: the
   new leader serves first, and the plane goes where the slot is reused,
 - ``promotion_tracked_objects_per_slice``: GC-tracked objects the
-  promotion's bind step leaves alive per slice, replayed on a
+  promotion's bind step leaves alive per slice (its timer is one heap
+  tuple and the ``partial`` it holds), replayed on a
   memory-only twin after the drill from a fresh copy of the recorded
   batch, so that only what the bind keeps counts (pinned as a ceiling
   by the CI gate, for the CPython it was measured on),

@@ -116,9 +116,7 @@ class SliceBroker:
         )
         if not self._flush_armed:
             self._flush_armed = True
-            self.orchestrator.sim.schedule(
-                self.window_s, self.flush, name="broker-window-flush"
-            )
+            self.orchestrator.sim.schedule(self.window_s, self.flush)
         return request.request_id
 
     def flush(self) -> List[AdmissionDecision]:

@@ -450,12 +450,13 @@ class LiveFleet:
         """Bind each built runtime to the reservations the drivers hold,
         which the caller has put in its ``reservations``: the allocation
         they compose, its vEPC instance, and its activation timer or, once
-        ACTIVE, its expiry timer, all timers in one batch.  A timer that
+        ACTIVE, its expiry timer, set in the batch's order.  A timer that
         is already due fires at the clock's next step.  Each runtime's
         demand history starts here; each slice is marked touched.  One
         pass over the batch, each due instant ``max(due, now)`` (an expiry
         due at :meth:`NetworkSlice.end_time`) written out in it."""
-        now, timers, deploy_time_s = self.sim.now, [], self.config.deploy_time_s
+        sim, deploy_time_s = self.sim, self.config.deploy_time_s
+        now = sim.now
         # Bound once per batch: each timer holds a partial, no method of its own.
         activate, expire, hold = self._activate, self.expire, self._hold
         for runtime in runtimes:
@@ -470,13 +471,10 @@ class LiveFleet:
             slice_id, active_at = network_slice.slice_id, network_slice.active_at
             if active_at is None:
                 due = network_slice.admitted_at + deploy_time_s
-                timers.append((now if now > due else due, partial(activate, slice_id),
-                               "activate-" + slice_id))
+                sim.schedule_at(now if now > due else due, partial(activate, slice_id))
             else:
                 due = active_at + network_slice.request.sla.duration_s
-                timers.append((now if now > due else due, partial(expire, slice_id),
-                               "expire-" + slice_id))
-        self.sim.schedule_many(timers)
+                sim.schedule_at(now if now > due else due, partial(expire, slice_id))
 
     def unbuild(self, slice_ids: Iterable[str]) -> None:
         """Undo :meth:`build` for slices never bound — a ready plane's
@@ -523,11 +521,8 @@ class LiveFleet:
 
     def _schedule_expiry(self, network_slice: NetworkSlice) -> None:
         """Expiry is measured from activation (the SLA's duration)."""
-        slice_id = network_slice.slice_id
-        self.sim.schedule_at(
-            max(network_slice.end_time(), self.sim.now),
-            partial(self.expire, slice_id), name=f"expire-{slice_id}",
-        )
+        self.sim.schedule_at(max(network_slice.end_time(), self.sim.now),
+                             partial(self.expire, network_slice.slice_id))
 
     def _spawn_ues(self, runtime: SliceRuntime) -> None:
         """Create the slice's UE population and attach it through the

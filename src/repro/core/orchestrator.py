@@ -246,9 +246,7 @@ class Orchestrator:
         if not self._running:
             self._running = True
             self.streams.stream("demand-noise")  # the epochs' shared stream, made before the first
-            self.sim.schedule(
-                self.config.monitoring_epoch_s, self._epoch_tick, name="monitoring-epoch"
-            )
+            self.sim.schedule(self.config.monitoring_epoch_s, self._epoch_tick)
 
     def attach_store(self, store: "ControlPlaneStore | NullStore") -> None:
         """Journal through ``store`` from here on: the constructor's, or the
@@ -332,7 +330,7 @@ class Orchestrator:
                 return  # booking was cancelled before its start time
             self.install_admitted(request, profile)
 
-        self.sim.schedule_at(start_time, install, name=f"advance-{request.request_id}")
+        self.sim.schedule_at(start_time, install)
 
     # ------------------------------------------------------------------
     # Request handling (dashboard "request a slice" button)
@@ -877,9 +875,7 @@ class Orchestrator:
     def _epoch_tick(self) -> None:
         self._monitoring_epoch()
         if self._running:  # a stop inside the epoch ends the loop
-            self.sim.schedule(
-                self.config.monitoring_epoch_s, self._epoch_tick, name="monitoring-epoch"
-            )
+            self.sim.schedule(self.config.monitoring_epoch_s, self._epoch_tick)
 
     def _monitoring_epoch(self) -> None:
         obs = self.obs

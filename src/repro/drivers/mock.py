@@ -181,7 +181,7 @@ class MockDriver(BaseDriver):
             self._parked.append(complete)
             return future
         if latency_s > 0:
-            self.clock.schedule(latency_s, complete, name=f"{self.domain}-{label}")
+            self.clock.schedule(latency_s, complete)
         else:
             complete()
         return future

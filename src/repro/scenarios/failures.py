@@ -159,16 +159,8 @@ class FailurePack:
     def schedule(self) -> None:
         """Put every fail/restore pair on the simulator."""
         for record, spec in zip(self.records, self._specs):
-            self.sim.schedule_at(
-                record.start_s,
-                lambda r=record, s=spec: self._strike(r, s),
-                name=f"fail-{record.kind}-{record.target}",
-            )
-            self.sim.schedule_at(
-                record.end_s,
-                lambda r=record, s=spec: self._restore(r, s),
-                name=f"restore-{record.kind}-{record.target}",
-            )
+            self.sim.schedule_at(record.start_s, lambda r=record, s=spec: self._strike(r, s))
+            self.sim.schedule_at(record.end_s, lambda r=record, s=spec: self._restore(r, s))
 
     def _strike(self, record: OutageRecord, spec: FailureSpec) -> None:
         for lid in record.link_ids:

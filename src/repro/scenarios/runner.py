@@ -259,16 +259,14 @@ class ScenarioRunner:
             )
             timeline.validate()
             self._users_per_cell = timeline.users_per_cell_initial()
-            self.sim.schedule_at(1.0, self._submit_zone_slices, name="zone-submits")
+            self.sim.schedule_at(1.0, self._submit_zone_slices)
             for event in timeline.handovers:
                 # Trace rows may start at t=0; keep every injected event
                 # after the zone submits.
                 at = max(event.time_s, 1.5)
                 if at >= spec.horizon_s:
                     continue
-                self.sim.schedule_at(
-                    at, lambda e=event: self._on_handover(e), name="handover"
-                )
+                self.sim.schedule_at(at, lambda e=event: self._on_handover(e))
         if spec.arrivals:
             RequestGenerator(
                 rng=self.streams.stream("arrivals"),
@@ -281,7 +279,7 @@ class ScenarioRunner:
             # inside the epoch), so convergence lands on the epoch grid.
             poll_t = spec.epoch_s + 1.0
             while poll_t < spec.horizon_s:
-                self.sim.schedule_at(poll_t, self._poll_health, name="heal-poll")
+                self.sim.schedule_at(poll_t, self._poll_health)
                 poll_t += spec.epoch_s
         self.sim.run_until(spec.horizon_s)
         self.orchestrator.stop()

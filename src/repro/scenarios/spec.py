@@ -22,6 +22,7 @@ Specs come from three places:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
@@ -101,6 +102,14 @@ _ORCHESTRATOR_KEYS = {f.name for f in fields(OrchestratorConfig)} - {"monitoring
 _YOUNG_FIELDS = {"arrivals": None, "admission": "fcfs", "overbooking": "none", "orchestrator": {}}
 
 
+def _require_finite(owner: str, **values: float) -> None:
+    """Refuse a NaN or infinite number (JSON reads both), which the
+    range checks below would let through."""
+    for key, value in values.items():
+        if not math.isfinite(value):
+            raise ScenarioError(f"{owner}: {key} must be finite, got {value}")
+
+
 def parse_overbooking(text: str) -> OverbookingPolicy:
     """A fresh policy from ``none``, ``fixed:<factor>``,
     ``forecast:<quantile>`` or ``adaptive:<budget>``; anything else is
@@ -137,6 +146,11 @@ class TenantSpec:
     def validate(self) -> None:
         if not self.tenant_id:
             raise ScenarioError("tenant_id must be non-empty")
+        _require_finite(
+            self.tenant_id, base_mbps_per_user=self.base_mbps_per_user,
+            min_mbps=self.min_mbps, max_mbps=self.max_mbps, max_latency_ms=self.max_latency_ms,
+            price_per_slice=self.price_per_slice, penalty_rate=self.penalty_rate,
+        )
         if self.base_mbps_per_user <= 0:
             raise ScenarioError(
                 f"{self.tenant_id}: base_mbps_per_user must be positive"
@@ -171,6 +185,7 @@ class MobilitySpec:
             )
         if self.model == "trace" and not self.trace_path:
             raise ScenarioError("trace mobility requires trace_path")
+        _require_finite("mobility", n_users=self.n_users)
         if self.model != "trace" and self.n_users <= 0:
             raise ScenarioError(f"n_users must be positive, got {self.n_users}")
 
@@ -185,6 +200,7 @@ class ArrivalSpec:
     mix: str = "default"
 
     def validate(self) -> None:
+        _require_finite("arrivals", rate_per_s=self.rate_per_s)
         if self.rate_per_s <= 0:
             raise ScenarioError(
                 f"arrival rate must be positive, got {self.rate_per_s}"
@@ -227,6 +243,8 @@ class FailureSpec:
             )
         if not self.target:
             raise ScenarioError("failure target must be non-empty")
+        _require_finite(f"failure {self.kind}:{self.target}",
+                        start_s=self.start_s, duration_s=self.duration_s)
         if self.start_s <= 0:
             raise ScenarioError(
                 f"failure start must be positive, got {self.start_s}"
@@ -288,6 +306,8 @@ class ScenarioSpec:
     def validate(self) -> None:
         if not self.name:
             raise ScenarioError("scenario name must be non-empty")
+        _require_finite(self.name, seed=self.seed, horizon_s=self.horizon_s,
+                        epoch_s=self.epoch_s, n_enbs=self.n_enbs)
         if self.horizon_s <= 0:
             raise ScenarioError(f"horizon must be positive, got {self.horizon_s}")
         if self.epoch_s <= 0:

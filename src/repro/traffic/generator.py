@@ -143,7 +143,7 @@ class RequestGenerator:
             return lambda: on_request(req, prof)
 
         for request, profile in arrivals:
-            sim.schedule_at(request.arrival_time, make_cb(request, profile), name="request-arrival")
+            sim.schedule_at(request.arrival_time, make_cb(request, profile))
         return len(arrivals)
 
 

@@ -50,6 +50,7 @@ import shutil
 import stat
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -143,11 +144,11 @@ class Shard:
 
 
 def lifecycle_timers(orchestrator) -> list:
-    """(due, name) of every pending activation / expiry."""
+    """(due, timer, slice id) of every pending activation / expiry."""
     return sorted(
-        (round(event.time, 6), event.name)
-        for event in orchestrator.sim._queue
-        if not event.cancelled and event.name.startswith(("activate-", "expire-"))
+        (round(time, 6), callback.func.__name__, callback.args)
+        for time, _, _, callback in orchestrator.sim._queue
+        if isinstance(callback, partial) and callback.func.__name__ in ("_activate", "expire")
     )
 
 
@@ -302,7 +303,8 @@ def test_the_fold_of_a_promotion_chain_is_the_live_state(seed, promotions, steps
                     shard.op()
                 # The promoted epochs keep the period, from the promotion on.
                 promoted.sim.run_until(min(
-                    e.time for e in promoted.sim._queue if e.name == "monitoring-epoch"
+                    time for time, _, _, callback in promoted.sim._queue
+                    if callback == promoted._epoch_tick
                 ))
                 assert folded_image(promoted.store) == live_image(promoted)
                 assert promoted.store.snapshot_lsn == 0  # no checkpoint between them

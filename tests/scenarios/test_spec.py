@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -80,6 +81,23 @@ def test_seed_is_the_only_difference_between_builds():
         ({"orchestrator": {"warp_factor": 9}}, "unknown orchestrator fields"),
         ({"arrivals": {"rate_per_s": 0.0}}, "arrival rate"),
         ({"arrivals": {"rate_per_s": 0.01, "mix": "quantum"}}, "unknown mix"),
+        ({"horizon_s": math.inf}, "horizon_s must be finite"),
+        ({"horizon_s": math.nan}, "horizon_s must be finite"),
+        ({"epoch_s": math.nan}, "epoch_s must be finite"),
+        ({"seed": math.nan}, "seed must be finite"),
+        ({"n_enbs": math.inf}, "n_enbs must be finite"),
+        ({"mobility": {"model": "commuter-tides", "n_users": math.inf}},
+         "n_users must be finite"),
+        ({"tenants": [{"tenant_id": "a", "base_mbps_per_user": math.nan}]},
+         "base_mbps_per_user must be finite"),
+        ({"tenants": [{"tenant_id": "a", "max_mbps": math.inf}]}, "max_mbps must be finite"),
+        ({"tenants": [{"tenant_id": "a", "price_per_slice": math.nan}]},
+         "price_per_slice must be finite"),
+        ({"arrivals": {"rate_per_s": math.inf}}, "rate_per_s must be finite"),
+        ({"failures": [{"kind": "link", "target": "enb1-mmwave", "start_s": math.nan,
+                        "duration_s": 60.0}]}, "start_s must be finite"),
+        ({"failures": [{"kind": "link", "target": "enb1-mmwave", "start_s": 100.0,
+                        "duration_s": math.inf}]}, "duration_s must be finite"),
     ],
 )
 def test_validation_rejects_bad_specs(overrides, match):

@@ -5,7 +5,7 @@ three ways a shard recovers against each other.
 before re-adoption became one batch pass: per slice, decide it against
 the southbound, size it (one cell scan each), claim its PLMN, take the
 three legality-checked transitions, commit its calendar window (two
-bisections), build its runtime, schedule its timer over a lambda and
+bisections), build its runtime, schedule its timer over a partial and
 emit its ``slice.adopted`` event.  On Hypothesis fleets — service types,
 throughputs, fractions, ACTIVE and DEPLOYING slices, PLMN or none,
 window or none, acknowledged or in flight at the crash — both recover
@@ -28,6 +28,7 @@ import os
 import random
 import shutil
 import tempfile
+from functools import partial
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -84,16 +85,11 @@ def adopt_one(orch, request, plmn_id, fraction, reservations, *,
     if active_at is None:
         orch.sim.schedule_at(
             max(admitted_at + orch.config.deploy_time_s, now),
-            lambda: orch.fleet._activate(slice_id),
-            name=f"activate-{slice_id}",
+            partial(orch.fleet._activate, slice_id),
         )
     else:
         network_slice.transition(SliceState.ACTIVE, active_at)
-        orch.sim.schedule_at(
-            max(network_slice.end_time(), now),
-            lambda: orch.fleet.expire(slice_id),
-            name=f"expire-{slice_id}",
-        )
+        orch.sim.schedule_at(max(network_slice.end_time(), now), partial(orch.fleet.expire, slice_id))
     orch.slice_index.add((network_slice,))
     orch.events.append(
         now, "slice.adopted", slice_id=slice_id, tenant_id=request.tenant_id,
@@ -203,6 +199,13 @@ def crashed_fleet(testbed, directory, fleet):
     return state
 
 
+def timer_of(callback) -> tuple:
+    """A queued callback as its function's name and bound arguments."""
+    if isinstance(callback, partial):
+        return callback.func.__name__, callback.args
+    return callback.__name__, ()
+
+
 def observed(orch, directory):
     """Everything the two recoveries may be told apart by."""
     pool, calendar = orch.plmn_pool, orch.calendar
@@ -213,7 +216,8 @@ def observed(orch, directory):
         "journal": open(os.path.join(directory, "journal.jsonl"), "rb").read(),
         "feed": [event.to_dict() for event in orch.events.since(0)],
         "queue": sorted(
-            (e.time, e.priority, e.seq, e.name, e.cancelled) for e in orch.sim._queue
+            (time, priority, seq) + timer_of(callback)
+            for time, priority, seq, callback in orch.sim._queue
         ),
         "plmn_available": pool.available,
         "plmn_holders": {s.slice_id: pool._holders.get(s.plmn.plmn_id)

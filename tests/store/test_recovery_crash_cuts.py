@@ -24,6 +24,8 @@ record's new-clock start met the old clock's crash time.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.core.broker import SliceBroker
 from repro.core.orchestrator import Orchestrator
 from repro.experiments.testbed import Testbed
@@ -129,9 +131,9 @@ def image(orchestrator: Orchestrator) -> dict:
     return {
         "state": state,
         "timers": sorted(
-            (event.time, event.name)
-            for event in orchestrator.sim._queue
-            if not event.cancelled and event.name.startswith(("activate-", "expire-"))
+            (time, callback.func.__name__, callback.args)
+            for time, _, _, callback in orchestrator.sim._queue
+            if isinstance(callback, partial) and callback.func.__name__ in ("_activate", "expire")
         ),
         "calendar": [(b.booking_id, b.start, b.end) for b in orchestrator.calendar.bookings()],
     }
